@@ -1,26 +1,11 @@
 GO ?= go
-# bench-json pipes `go test` into benchjson; pipefail makes a failing
-# benchmark run fail the target instead of shipping a truncated file.
-SHELL := /bin/bash
 
-# Benchmarks measured by bench-json. Covers the sweep engine (memoized
-# workload arena vs the unmemoized A/B control), the run-level pool, the
-# zero-allocation cache hot path, the sharded live proxy tier
-# (serialized shards=1 vs sharded shards=8 throughput), and the
-# shard-aware refinement scheduler (evals/shard must fall as total/N).
-BENCH_PATTERN ?= BenchmarkSweepSequential|BenchmarkSweepParallel8|BenchmarkSweepUnmemoized|BenchmarkSimRunParallelism|BenchmarkCacheOpThroughput|BenchmarkAccess|BenchmarkWorkloadGeneration|BenchmarkProxyServe|BenchmarkRelayCoalesce|BenchmarkShardedRefinedSweep
-# Override with BENCHTIME=1x for a CI smoke run; the default gives
-# stable numbers locally.
-BENCHTIME ?= 2s
-BENCH_JSON ?= BENCH.json
-BENCH_BASELINE ?=
-
-.PHONY: all ci vet lint lint-check build test race bench bench-smoke bench-json bench-gate fuzz-smoke figures docs-check shard-check collector-check proxy-check load-check cluster-check clean
+.PHONY: all ci vet lint lint-check build test race bench bench-smoke bench-check fuzz-smoke figures docs-check shard-check collector-check proxy-check load-check cluster-check clean
 
 all: ci
 
 ## ci: everything the driver/CI gate runs, in order.
-ci: vet lint build race bench-smoke
+ci: vet lint build race bench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -56,43 +41,22 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepSequential|BenchmarkSweepParallel8|BenchmarkSimRunParallelism|BenchmarkCacheOpThroughput' -benchtime 1x .
 
-## bench: the full benchmark suite (regenerates every figure; slow).
+## bench: the repository's benchmark — every workload of
+## BENCHMARK.json end to end plus the traced per-layer passes (see
+## bench/README.md; pass arguments through with `bash bench/run.sh ...`).
 bench:
-	$(GO) test -run '^$$' -bench . .
+	bash bench/run.sh
 
-## bench-json: run the perf-trajectory benchmarks and emit $(BENCH_JSON).
-## CI runs `make bench-json BENCHTIME=1x` as a smoke and uploads the
-## file as an artifact; locally the default BENCHTIME gives stable
-## numbers. Set BENCH_BASELINE=BENCH_PR3.json to record speedups against
-## a committed trajectory file.
-bench-json:
-	set -o pipefail; \
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCHTIME) . ./internal/core/ ./internal/proxy/ \
-		| $(GO) run ./cmd/benchjson -out $(BENCH_JSON) \
-			$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) \
-			$(if $(BENCH_NOTE),-note '$(BENCH_NOTE)')
+## bench-check: the benchmark is a module of its own, so the root
+## vet/test do not see it; an API change that breaks it fails here.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## bench-gate: the perf ratchet. Rerun the pinned data-plane benchmarks
-## and fail if any regresses against the committed baseline: more than
-## GATE_REGRESS fractional ns/op slowdown, or ANY allocs/op increase.
-## Locally the default 15% tolerance catches real slowdowns; CI runs
-## `make bench-gate GATE_REGRESS=1.0` because ns/op is machine-dependent
-## across runners while allocs/op is not — the alloc ratchet is always
-## strict. Regenerate the baseline with bench-json when a PR
-## legitimately moves the numbers.
-GATE_PATTERN ?= BenchmarkAccess|BenchmarkProxyServe|BenchmarkRelayCoalesce
-GATE_BASELINE ?= BENCH_PR8.json
-GATE_REGRESS ?= 0.15
-GATE_BENCHTIME ?= 1s
-bench-gate:
-	set -o pipefail; \
-	$(GO) test -run '^$$' -bench '$(GATE_PATTERN)' -benchtime $(GATE_BENCHTIME) ./internal/core/ ./internal/proxy/ \
-		| $(GO) run ./cmd/benchjson -compare $(GATE_BASELINE) -max-regress $(GATE_REGRESS) -match '$(GATE_PATTERN)'
-
-## fuzz-smoke: a short fuzz of the trace parser targets.
+## fuzz-smoke: a short fuzz of the trace parser and row-log targets.
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzParseMalformed -fuzztime 10s
 	$(GO) test ./internal/trace/ -fuzz FuzzReadAll -fuzztime 10s
+	$(GO) test ./internal/rowlog/ -fuzz FuzzLogLoad -fuzztime 10s
 
 ## figures: regenerate every table/figure CSV at small scale.
 figures:

@@ -23,12 +23,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -83,9 +85,8 @@ func run() error {
 		jsonl       = flag.Bool("jsonl", false, "also stream each experiment as JSON Lines next to its CSV")
 		shard       = flag.String("shard", "", "compute only this shard of every sweep, as index/count (e.g. 0/2); output becomes per-shard JSONL for -merge")
 		journal     = flag.String("journal", "", "checkpoint completed rows to this JSONL journal")
-		resume      = flag.Bool("resume", false, "skip rows already recorded in -journal (resume an interrupted run)")
+		resume      = flag.Bool("resume", false, "skip rows already recorded in -journal (resume an interrupted run); the journal is first rewritten to one line per completed row")
 		merge       = flag.Bool("merge", false, "merge the per-shard JSONL outputs in -out into canonical CSV (and -jsonl) files, then exit")
-		compact     = flag.Bool("compact-journal", false, "rewrite -journal to its live state (one line per completed row, superseded records dropped), then exit; pass the run's own -scale/-seed/-shard flags")
 		collectURL  = flag.String("collect", "", "push rows and refinement metrics to this collector URL (see cmd/collectd); sharded refinement then simulates only owned points per round")
 		knee        = flag.String("knee", "", "locate the SLO knee in this live-capacity CSV (from loadgen -mode open), print it, then exit")
 		kneeFrac    = flag.Float64("knee-threshold", 0.1, "SLO-violation fraction that defines the knee for -knee")
@@ -138,9 +139,6 @@ func run() error {
 	if *resume && *journal == "" {
 		return fmt.Errorf("-resume needs -journal to name the checkpoint file")
 	}
-	if *compact && *journal == "" {
-		return fmt.Errorf("-compact-journal needs -journal to name the checkpoint file")
-	}
 
 	var s experiments.Scale
 	switch *scale {
@@ -191,34 +189,6 @@ func run() error {
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
-	}
-
-	if *compact {
-		// Standalone maintenance: rewrite the checkpoint to its live
-		// state between runs of a long sweep. The fingerprint check makes
-		// mismatched flags an error instead of a silent wipe.
-		j, err := experiments.ResumeJournal(*journal, s.Fingerprint())
-		if err != nil {
-			return err
-		}
-		before, err := os.Stat(*journal)
-		if err != nil {
-			j.Close()
-			return err
-		}
-		if err := j.Compact(); err != nil {
-			j.Close()
-			return err
-		}
-		if err := j.Close(); err != nil {
-			return err
-		}
-		after, err := os.Stat(*journal)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("compacted %s: %d -> %d bytes\n", *journal, before.Size(), after.Size())
-		return nil
 	}
 
 	var collector *collect.Client
@@ -464,77 +434,57 @@ func mergeShardOutputs(dir string, jsonl bool) error {
 	if err != nil {
 		return err
 	}
-	type group struct {
-		count int
-		parts map[int]string // shard index -> file name
-	}
-	groups := map[string]*group{}
+	groups := map[string][]string{} // stem -> file name per shard index
 	for _, ent := range entries {
 		m := shardFilePattern.FindStringSubmatch(ent.Name())
 		if m == nil {
 			continue
 		}
 		stem := m[1]
-		var idx, count int
-		fmt.Sscanf(m[2], "%d", &idx)
-		fmt.Sscanf(m[3], "%d", &count)
+		idx, _ := strconv.Atoi(m[2])
+		count, _ := strconv.Atoi(m[3])
+		if groups[stem] == nil {
+			groups[stem] = make([]string, count)
+		}
 		g := groups[stem]
-		if g == nil {
-			g = &group{count: count, parts: map[int]string{}}
-			groups[stem] = g
+		if len(g) != count {
+			return fmt.Errorf("merge: %s has shards of both %d and %d", stem, len(g), count)
 		}
-		if g.count != count {
-			return fmt.Errorf("merge: %s has shards of both %d and %d", stem, g.count, count)
+		if idx >= count {
+			return fmt.Errorf("merge: %s shard %d is out of range 0..%d (%s)", stem, idx, count-1, ent.Name())
 		}
-		if prev, dup := g.parts[idx]; dup {
-			return fmt.Errorf("merge: %s shard %d appears twice (%s, %s)", stem, idx, prev, ent.Name())
+		if g[idx] != "" {
+			return fmt.Errorf("merge: %s shard %d appears twice (%s, %s)", stem, idx, g[idx], ent.Name())
 		}
-		g.parts[idx] = ent.Name()
+		g[idx] = ent.Name()
 	}
 	if len(groups) == 0 {
 		return fmt.Errorf("merge: no *.shard<i>-of-<n>.jsonl files in %s", dir)
 	}
-
-	stems := make([]string, 0, len(groups))
-	for stem := range groups {
-		stems = append(stems, stem)
-	}
-	sort.Strings(stems)
-	for _, stem := range stems {
-		g := groups[stem]
-		readers := make([]*os.File, 0, g.count)
-		closeAll := func() {
-			for _, f := range readers {
-				f.Close()
-			}
-		}
-		for idx := 0; idx < g.count; idx++ {
-			name, ok := g.parts[idx]
-			if !ok {
-				closeAll()
-				return fmt.Errorf("merge: %s is missing shard %d of %d", stem, idx, g.count)
-			}
-			f, err := os.Open(filepath.Join(dir, name))
-			if err != nil {
-				closeAll()
-				return err
-			}
-			readers = append(readers, f)
-		}
-
-		if err := writeMerged(dir, stem, readers, jsonl); err != nil {
-			closeAll()
+	for _, stem := range slices.Sorted(maps.Keys(groups)) {
+		if err := writeMerged(dir, stem, groups[stem], jsonl); err != nil {
 			return fmt.Errorf("merge: %s: %w", stem, err)
 		}
-		closeAll()
-		fmt.Printf("merged %-45s %d shards -> %s.csv\n", stem, g.count, stem)
+		fmt.Printf("merged %-45s %d shards -> %s.csv\n", stem, len(groups[stem]), stem)
 	}
 	return nil
 }
 
-// writeMerged merges one group of open shard files into canonical
-// outputs under dir.
-func writeMerged(dir, stem string, parts []*os.File, jsonl bool) error {
+// writeMerged merges one group of shard outputs (file name per shard
+// index) into canonical outputs under dir.
+func writeMerged(dir, stem string, names []string, jsonl bool) error {
+	parts := make([]io.Reader, len(names))
+	for idx, name := range names {
+		if name == "" {
+			return fmt.Errorf("missing shard %d of %d", idx, len(names))
+		}
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		parts[idx] = f
+	}
 	csvFile, err := os.Create(filepath.Join(dir, stem+".csv"))
 	if err != nil {
 		return err
@@ -549,11 +499,7 @@ func writeMerged(dir, stem string, parts []*os.File, jsonl bool) error {
 		defer jf.Close()
 		sink = append(sink, experiments.NewJSONLSink(jf))
 	}
-	in := make([]io.Reader, len(parts))
-	for i, p := range parts {
-		in[i] = p
-	}
-	if err := experiments.MergeShards(in, sink); err != nil {
+	if err := experiments.MergeShards(parts, sink); err != nil {
 		return err
 	}
 	return csvFile.Close()

@@ -23,6 +23,7 @@ var rowsinkPackages = map[string]bool{
 	ModulePath + "/internal/experiments": true,
 	ModulePath + "/internal/load":        true,
 	ModulePath + "/internal/merge":       true,
+	ModulePath + "/internal/rowlog":      true,
 }
 
 func runRowsink(pass *Pass) error {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"streamcache/internal/experiments"
+	"streamcache/internal/rowlog"
 )
 
 // Client is one shard's connection to the collector. It plays two roles
@@ -49,7 +50,7 @@ type Client struct {
 	MaxBacklog int
 
 	mu     sync.Mutex
-	log    []record
+	log    []rowlog.Record
 	pushed int // records confirmed by the collector this session
 	shed   int
 	closed bool
@@ -123,13 +124,13 @@ func (c *Client) hello() error {
 // append queues one record for the pusher. Never blocks: a full
 // backlog sheds row/metric records (table declarations always queue —
 // they are tiny and dropping one would orphan every later row).
-func (c *Client) append(rec record) {
+func (c *Client) append(rec rowlog.Record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.down || c.closed {
 		return
 	}
-	if rec.Type != "table" && len(c.log)-c.pushed >= c.MaxBacklog {
+	if rec.Type != rowlog.TypeTable && len(c.log)-c.pushed >= c.MaxBacklog {
 		c.shed++
 		return
 	}
@@ -194,11 +195,10 @@ func (c *Client) pusher() {
 var errSeqConflict = fmt.Errorf("collect: push sequence conflict")
 
 // push ships one batch of records as JSONL at the given sequence.
-func (c *Client) push(seq int, batch []record) error {
+func (c *Client) push(seq int, batch []rowlog.Record) error {
 	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
 	for _, rec := range batch {
-		if err := enc.Encode(rec); err != nil {
+		if err := rec.Encode(&body); err != nil {
 			return err
 		}
 	}
@@ -307,7 +307,7 @@ func (c *Client) Close() error {
 	shed := c.shed
 	c.mu.Unlock()
 	if undelivered > 0 || shed > 0 {
-		return fmt.Errorf("collect: %d records undelivered and %d shed; the collector CSV will be incomplete — merge the shard journals instead",
+		return fmt.Errorf("collect: %d records undelivered and %d shed; the collector CSV will be incomplete — run `figures -merge` over the shards' .shard<i>-of-<n>.jsonl outputs instead",
 			undelivered, shed)
 	}
 	q := url.Values{"shard": {strconv.Itoa(c.shard.Index)}}
@@ -323,58 +323,19 @@ func (c *Client) Close() error {
 	return nil
 }
 
+// Sink streams one table's rows into the client's push log. Engine-
+// emitted rows arrive with their global index and refinement metric;
+// rows pushed through plain Row (non-engine producers like loadgen) are
+// numbered by a local counter, matching the JSONL sink's convention.
+type Sink = rowlog.Recorder
+
 // Sink returns a RowSink streaming one table to the collector, tagging
 // its declaration with the canonical output file stem (WriteTables
 // writes <fileStem>.csv). Compose it into the experiment's MultiSink
 // next to the CSV/JSONL/journal sinks.
 func (c *Client) Sink(fileStem string) *Sink {
-	return &Sink{c: c, file: fileStem}
-}
-
-// Sink streams one table's rows into the client's push log. It
-// implements experiments.MetricSink, so engine-emitted rows arrive with
-// their global index and refinement metric; rows pushed through plain
-// Row (non-engine producers like loadgen) are numbered by a local
-// counter, matching the JSONL sink's convention.
-type Sink struct {
-	c     *Client
-	file  string
-	table string
-	next  int
-}
-
-// Begin declares the table (with its output file stem) to the collector.
-func (s *Sink) Begin(meta experiments.TableMeta) error {
-	s.table = meta.Name
-	s.next = 0
-	s.c.append(record{Type: "table", Name: meta.Name, Note: meta.Note, Header: meta.Header, File: s.file})
-	return nil
-}
-
-// Row queues one row under the next locally counted index.
-func (s *Sink) Row(row []string) error {
-	s.c.append(record{Type: "row", Table: s.table, Index: s.next, Row: row})
-	s.next++
-	return nil
-}
-
-// MetricRow queues one engine-emitted row under its global index,
-// carrying the full-precision refinement metric for peers to fetch.
-func (s *Sink) MetricRow(m experiments.MetricRow) error {
-	rec := record{Type: "row", Table: s.table, Index: m.Index, Row: m.Row}
-	if m.HasMetric {
-		v := m.Metric
-		rec.Metric = &v
-	}
-	s.c.append(rec)
-	return nil
-}
-
-// End nudges the pusher so the table's tail ships promptly.
-func (s *Sink) End() error {
-	select {
-	case s.c.kick <- struct{}{}:
-	default:
-	}
-	return nil
+	return rowlog.NewRecorder(fileStem, func(rec rowlog.Record) error {
+		c.append(rec)
+		return nil
+	})
 }

@@ -9,11 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"streamcache/internal/experiments"
+	"streamcache/internal/rowlog"
 )
 
 // tinyScale mirrors the experiments package's test scale: fast, but
@@ -373,4 +375,67 @@ func TestMetricLongPoll(t *testing.T) {
 	}
 	owner.Close()
 	peer.Close()
+}
+
+// TestMalformedLinesRejectedEverywhere: the record validator lives once,
+// in rowlog.Decode, so the same malformed line is refused at all three
+// doors a row log comes in by — collectd answers 400 (and keeps
+// serving), ResumeJournal and MergeShards return an error naming the
+// line.
+func TestMalformedLinesRejectedEverywhere(t *testing.T) {
+	const (
+		stamp = `{"type":"journal","fingerprint":"fp"}` + "\n"
+		table = `{"type":"table","name":"T","header":["x"]}` + "\n"
+		row0  = `{"type":"row","table":"T","index":0,"row":["x"]}` + "\n"
+	)
+	cases := map[string]string{
+		"metric without a value": `{"type":"metric","table":"T","index":1}`,
+		"negative index":         `{"type":"row","table":"T","index":-3,"row":["x"]}`,
+		"row without an index":   `{"type":"row","table":"T","row":["x"]}`,
+		"unknown type":           `{"type":"bogus"}`,
+		"table without a header": `{"type":"table","name":"U"}`,
+		"not json":               `{"type":"row",`,
+		"line over the cap":      `{"type":"row","table":"T","index":1,"row":["` + strings.Repeat("x", rowlog.MaxLine) + `"]}`,
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			log := stamp + table + bad + "\n" + row0 // the bad line is line 3
+
+			ts := httptest.NewServer(NewServer(1).Handler())
+			defer ts.Close()
+			post := func(path, body string) int {
+				t.Helper()
+				resp, err := http.Post(ts.URL+path, "application/jsonl", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				return resp.StatusCode
+			}
+			if code := post("/v1/hello?shard=0&count=1&fingerprint=fp", ""); code != http.StatusOK {
+				t.Fatalf("hello: %d", code)
+			}
+			if code := post("/v1/push?shard=0&seq=0", log); code != http.StatusBadRequest {
+				t.Errorf("collectd answered %d to a push holding %s, want 400", code, name)
+			}
+			if code := post("/v1/push?shard=0&seq=0", table+row0); code != http.StatusOK {
+				t.Errorf("collectd answered %d to a well-formed push after the malformed one", code)
+			}
+
+			path := filepath.Join(t.TempDir(), "j.jsonl")
+			if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := experiments.ResumeJournal(path, "fp"); err == nil || !strings.Contains(err.Error(), "line 3") {
+				t.Errorf("ResumeJournal: %v, want an error naming line 3", err)
+			}
+			if after, _ := os.ReadFile(path); string(after) != log {
+				t.Error("a refused resume rewrote the journal")
+			}
+			err := experiments.MergeShards([]io.Reader{strings.NewReader(log)}, &experiments.TableSink{})
+			if err == nil || !strings.Contains(err.Error(), "line 3") {
+				t.Errorf("MergeShards: %v, want an error naming line 3", err)
+			}
+		})
+	}
 }

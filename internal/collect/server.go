@@ -16,8 +16,9 @@
 //     shard simulates only its owned points per refinement round
 //     (O(total/N) instead of O(total) simulations per shard).
 //
-// The transport is JSONL over HTTP with per-shard sequence numbers
-// within a session: a reconnecting shard re-registers via /v1/hello and
+// The transport is a row log (internal/rowlog; the record grammar is
+// DESIGN.md §4a) over HTTP with per-shard sequence numbers within a
+// session: a reconnecting shard re-registers via /v1/hello and
 // replays its whole log, which the dedupe makes idempotent — a shard
 // killed mid-push resumes (engine journal replay repopulates its log)
 // with no duplicated and no lost rows. Exactness note: metrics cross
@@ -41,35 +42,8 @@ import (
 	"time"
 
 	"streamcache/internal/experiments"
+	"streamcache/internal/rowlog"
 )
-
-// record is the wire grammar, one JSON object per line. It extends the
-// JSONL sink/journal line grammar ("table" and "row" records, the
-// latter with the journal's optional full-precision metric) with the
-// journal's metric-only checkpoint and a per-table output file stem.
-type record struct {
-	Type string `json:"type"` // "table" | "row" | "metric"
-
-	// "table" fields.
-	Name   string   `json:"name,omitempty"`
-	Note   string   `json:"note,omitempty"`
-	Header []string `json:"header,omitempty"`
-	File   string   `json:"file,omitempty"` // output stem, e.g. "figure5_constant_bandwidth"
-
-	// "row" and "metric" fields.
-	Table  string   `json:"table,omitempty"`
-	Index  int      `json:"index,omitempty"`
-	Row    []string `json:"row,omitempty"`
-	Metric *float64 `json:"metric,omitempty"`
-}
-
-// tableState is the collector's live copy of one table.
-type tableState struct {
-	name, note, file string
-	header           []string
-	rows             map[int][]string
-	metrics          map[int]float64 // from rows and metric-only records alike
-}
 
 // shardState tracks one shard's push session.
 type shardState struct {
@@ -77,16 +51,18 @@ type shardState struct {
 	done     bool
 }
 
-// Server is the collector: an http.Handler accumulating pushed records
-// and answering metric long-polls. All state is in memory; the
-// canonical files are written by WriteTables once every shard is done.
+// Server is the collector: an http.Handler folding pushed records into
+// a rowlog.Set — whose (table, index) dedupe is what makes whole-log
+// replay after a reconnect safe — and answering metric long-polls from
+// it. All state is in memory; the canonical files are written by
+// WriteTables once every shard is done.
 type Server struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
 	fingerprint string // stamped by the first hello; later hellos must match
 	expected    int    // shard count; 0 until configured or first hello
 	shards      map[int]*shardState
-	tables      map[string]*tableState
+	tables      rowlog.Set
 	done        chan struct{}
 }
 
@@ -96,7 +72,6 @@ func NewServer(expectedShards int) *Server {
 	s := &Server{
 		expected: expectedShards,
 		shards:   map[int]*shardState{},
-		tables:   map[string]*tableState{},
 		done:     make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -183,21 +158,11 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var recs []record
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			http.Error(w, fmt.Sprintf("corrupt record: %v", err), http.StatusBadRequest)
-			return
-		}
+	var recs []rowlog.Record
+	if err := rowlog.Load(r.Body, func(rec rowlog.Record) error {
 		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	}); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -214,7 +179,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, rec := range recs {
-		if err := s.apply(rec); err != nil {
+		if _, err := s.tables.Apply(rec); err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
@@ -224,51 +189,6 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cond.Broadcast()
 	w.WriteHeader(http.StatusOK)
-}
-
-// apply folds one record into the live table set. Callers hold s.mu.
-// Replayed records are recognized by key and skipped, which is what
-// makes whole-log replay after a reconnect safe.
-func (s *Server) apply(rec record) error {
-	switch rec.Type {
-	case "table":
-		t := s.tables[rec.Name]
-		if t == nil {
-			t = &tableState{name: rec.Name, rows: map[int][]string{}, metrics: map[int]float64{}}
-			s.tables[rec.Name] = t
-		}
-		if t.header != nil && !slices.Equal(t.header, rec.Header) {
-			return fmt.Errorf("table %q re-declared with a different header", rec.Name)
-		}
-		t.header, t.note = rec.Header, rec.Note
-		if rec.File != "" {
-			t.file = rec.File
-		}
-		return nil
-	case "row":
-		t := s.tables[rec.Table]
-		if t == nil {
-			return fmt.Errorf("row for undeclared table %q", rec.Table)
-		}
-		if _, ok := t.rows[rec.Index]; !ok {
-			t.rows[rec.Index] = rec.Row
-			if rec.Metric != nil {
-				t.metrics[rec.Index] = *rec.Metric
-			}
-		}
-		return nil
-	case "metric":
-		t := s.tables[rec.Table]
-		if t == nil {
-			return fmt.Errorf("metric for undeclared table %q", rec.Table)
-		}
-		if _, ok := t.metrics[rec.Index]; !ok {
-			t.metrics[rec.Index] = *rec.Metric
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown record type %q", rec.Type)
-	}
 }
 
 // handleDone marks a shard finished; when the last expected shard
@@ -287,20 +207,24 @@ func (s *Server) handleDone(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ss.done = true
-	if s.expected > 0 && len(s.shards) == s.expected {
-		all := true
-		for _, st := range s.shards {
-			all = all && st.done
-		}
-		if all {
-			select {
-			case <-s.done:
-			default:
-				close(s.done)
-			}
+	if s.allDone() {
+		select {
+		case <-s.done:
+		default:
+			close(s.done)
 		}
 	}
 	w.WriteHeader(http.StatusOK)
+}
+
+// allDone reports whether every expected shard has said hello and
+// reported done. Callers hold s.mu.
+func (s *Server) allDone() bool {
+	all := s.expected > 0 && len(s.shards) == s.expected
+	for _, ss := range s.shards {
+		all = all && ss.done
+	}
+	return all
 }
 
 // handleMetric answers one metric long-poll: it blocks up to wait_ms
@@ -340,10 +264,8 @@ func (s *Server) waitMetric(table string, index int, wait time.Duration) (float6
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if t := s.tables[table]; t != nil {
-			if m, ok := t.metrics[index]; ok {
-				return m, true
-			}
+		if r, _ := s.tables.Table(table).At(index); r.HasMetric {
+			return r.Metric, true
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
@@ -380,28 +302,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	for i, ss := range s.shards {
 		out.Shards = append(out.Shards, shardStatus{Shard: i, Accepted: ss.accepted, Done: ss.done})
 	}
-	for _, t := range s.tables {
-		st := statusTable{Name: t.name, File: t.file, Rows: len(t.rows)}
-		max := -1
-		for i := range t.rows {
-			if i > max {
-				max = i
-			}
-		}
-		st.Gaps = max + 1 - len(t.rows)
-		out.Tables = append(out.Tables, st)
+	for _, name := range s.tables.Names() {
+		t := s.tables.Table(name)
+		out.Tables = append(out.Tables, statusTable{Name: name, File: t.File, Rows: t.Len(), Gaps: t.Next() - t.Len()})
 	}
 	s.mu.Unlock()
 	slices.SortFunc(out.Shards, func(a, b shardStatus) int { return a.Shard - b.Shard })
-	slices.SortFunc(out.Tables, func(a, b statusTable) int {
-		if a.Name < b.Name {
-			return -1
-		}
-		if a.Name > b.Name {
-			return 1
-		}
-		return 0
-	})
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
 }
@@ -410,73 +316,42 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // — the same preamble, header, and index-ordered rows a single-process
 // sweep streams, so the bytes are identical. A table with index gaps
 // (a shard shed rows or never finished) is refused, not silently
-// truncated: the caller falls back to the per-shard-journal merge.
+// truncated: the caller falls back to `figures -merge` over the shards'
+// own outputs. The lock is held only to copy the tables out, so status
+// and metric requests are served while the files are written.
 func (s *Server) WriteTables(dir string) error {
 	s.mu.Lock()
-	ready := s.expected > 0 && len(s.shards) == s.expected
-	for _, ss := range s.shards {
-		ready = ready && ss.done
+	ready := s.allDone()
+	var tables []*rowlog.Table
+	for _, name := range s.tables.Names() {
+		tables = append(tables, s.tables.Table(name).Clone())
 	}
+	s.mu.Unlock()
 	if !ready {
 		// A shard that shed rows never reports done (its Close errors),
 		// and its missing tail is a contiguous prefix cut — invisible to
 		// the per-table gap check below — so done-ness is the gate.
-		s.mu.Unlock()
 		return fmt.Errorf("collect: not every shard has reported done; refusing to write partial tables")
 	}
-	names := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	s.mu.Unlock()
-
-	for _, name := range names {
-		s.mu.Lock()
-		t := s.tables[name]
-		idxs := make([]int, 0, len(t.rows))
-		for i := range t.rows {
-			idxs = append(idxs, i)
+	for _, t := range tables {
+		if t.File == "" {
+			return fmt.Errorf("collect: table %q was declared without an output file stem", t.Meta.Name)
 		}
-		slices.Sort(idxs)
-		for want, got := range idxs {
-			if got != want {
-				s.mu.Unlock()
-				return fmt.Errorf("collect: table %q is missing row %d (holds %d rows): incomplete push, merge the shard journals instead",
-					name, want, len(idxs))
-			}
+		if err := t.Complete(); err != nil {
+			return fmt.Errorf("collect: incomplete push, run `figures -merge` over the shards' .shard<i>-of-<n>.jsonl outputs instead: %w", err)
 		}
-		rows := make([][]string, len(idxs))
-		for i, idx := range idxs {
-			rows[i] = t.rows[idx]
-		}
-		meta := experiments.TableMeta{Name: t.name, Note: t.note, Header: t.header}
-		file := t.file
-		s.mu.Unlock()
-
-		if file == "" {
-			return fmt.Errorf("collect: table %q was declared without an output file stem", name)
-		}
-		f, err := os.Create(filepath.Join(dir, file+".csv"))
+		f, err := os.Create(filepath.Join(dir, t.File+".csv"))
 		if err != nil {
 			return err
 		}
-		sink := experiments.NewCSVSink(f)
-		if err := sink.Begin(meta); err != nil {
-			f.Close()
-			return err
+		w := bufio.NewWriter(f)
+		if err = t.Replay(experiments.NewCSVSink(w)); err == nil {
+			err = w.Flush()
 		}
-		for _, row := range rows {
-			if err := sink.Row(row); err != nil {
-				f.Close()
-				return err
-			}
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := sink.End(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err != nil {
 			return err
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"streamcache/internal/rowlog"
 )
 
 // TestJournalCompactResumeByteIdentical is the compaction acceptance
@@ -37,10 +39,7 @@ func TestJournalCompactResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := j.CompletedRows(j.soleTableName(t))
-			if err := j.Compact(); err != nil {
-				t.Fatal(err)
-			}
+			before := j.set.Table(j.soleTableName(t)).Len()
 			j.Close()
 			if got := countJournalRows(t, path); got != before {
 				t.Fatalf("compacted journal holds %d rows, want the %d live before compaction", got, before)
@@ -60,9 +59,6 @@ func TestJournalCompactResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.Compact(); err != nil {
-				t.Fatal(err)
-			}
 			j.Close()
 			once, err := os.ReadFile(path)
 			if err != nil {
@@ -70,9 +66,6 @@ func TestJournalCompactResumeByteIdentical(t *testing.T) {
 			}
 			j, err = ResumeJournal(path, s.Fingerprint())
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := j.Compact(); err != nil {
 				t.Fatal(err)
 			}
 			j.Close()
@@ -93,13 +86,11 @@ func (j *Journal) soleTableName(t *testing.T) string {
 	t.Helper()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(j.tables) != 1 {
-		t.Fatalf("journal holds %d tables, want 1", len(j.tables))
+	names := j.set.Names()
+	if len(names) != 1 {
+		t.Fatalf("journal holds %d tables, want 1", len(names))
 	}
-	for name := range j.tables {
-		return name
-	}
-	return ""
+	return names[0]
 }
 
 // TestJournalCompactCrashMidCompaction: a kill during compaction leaves
@@ -142,9 +133,6 @@ func TestJournalCompactCrashMidCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	j.Close()
 	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
 		t.Errorf("compaction left its tmp file behind (stat err %v)", err)
@@ -160,9 +148,6 @@ func TestJournalCompactCrashMidCompaction(t *testing.T) {
 	}
 	j, err = ResumeJournal(path, s.Fingerprint())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -183,25 +168,26 @@ func TestJournalCompactMetricRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta := TableMeta{Name: "probe", Header: []string{"v"}}
-	if err := j.beginTable(meta); err != nil {
+	if err := j.apply(rowlog.TableRecord(meta, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.recordMetric("probe", 5, 1.25); err != nil {
+	if err := j.apply(rowlog.MetricRecord("probe", 5, 1.25)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.recordMetric("probe", 2, 9.5); err != nil {
+	if err := j.apply(rowlog.MetricRecord("probe", 2, 9.5)); err != nil {
 		t.Fatal(err)
 	}
 	// Index 2's owner later emits the real row: the metric-only record
 	// is now superseded.
-	if err := j.record("probe", emitted{index: 2, row: []string{"a"}, metric: 9.5, hasMetric: true}); err != nil {
+	if err := j.apply(rowlog.RowRecord("probe", MetricRow{Index: 2, Row: []string{"a"}, Metric: 9.5, HasMetric: true})); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Compact(); err != nil {
+	j.Close()
+	if j, err = ResumeJournal(path, "fp"); err != nil { // compacts as it opens
 		t.Fatal(err)
 	}
 	// Appends after compaction land in the compacted file.
-	if err := j.record("probe", emitted{index: 7, row: []string{"b"}}); err != nil {
+	if err := j.apply(rowlog.RowRecord("probe", MetricRow{Index: 7, Row: []string{"b"}})); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -219,13 +205,13 @@ func TestJournalCompactMetricRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if m, ok := r.replayMetric("probe", 5); !ok || m != 1.25 {
-		t.Errorf("replayMetric(5) = %v,%v, want 1.25,true", m, ok)
+	if row, ok := r.replay("probe", 5); ok || !row.HasMetric || row.Metric != 1.25 {
+		t.Errorf("replay(5) = %v,%v, want no row and metric 1.25", row, ok)
 	}
-	if m, ok := r.replayMetric("probe", 2); !ok || m != 9.5 {
-		t.Errorf("replayMetric(2) = %v,%v, want 9.5,true", m, ok)
+	if row, ok := r.replay("probe", 2); !ok || !row.HasMetric || row.Metric != 9.5 {
+		t.Errorf("replay(2) = %v,%v, want a row with metric 9.5", row, ok)
 	}
-	if row, ok := r.replay("probe", 7); !ok || row.row[0] != "b" {
+	if row, ok := r.replay("probe", 7); !ok || row.Row[0] != "b" {
 		t.Errorf("replay(7) = %v,%v, want the post-compaction append", row, ok)
 	}
 }

@@ -17,11 +17,14 @@
 //   - every Scale.Shard.Count: rows carry stable global indices (their
 //     position in the unsharded stream), shards own indices round-robin
 //     (index mod Count), and MergeShards reassembles the exact
-//     unsharded byte stream from per-shard JSONL outputs;
+//     unsharded byte stream from per-shard JSONL outputs or journals;
 //   - resumed runs: a Journal checkpoints completed rows under the key
 //     (table name, global index), and a run restarted with Scale.Resume
 //     replays them — including the full-precision refinement metrics
-//     adaptive sweeps rank intervals by — instead of recomputing;
+//     adaptive sweeps rank intervals by — instead of recomputing. The
+//     journal, the JSONL sink and MergeShards share one record grammar
+//     and one apply/dedupe/replay engine, internal/rowlog (DESIGN.md
+//     §4a);
 //   - memoized runs: the sim.Arena shared across sweep points hands out
 //     only values that are pure functions of their keys, so reuse can
 //     never change a row (Scale.NoWorkloadReuse is the A/B control).

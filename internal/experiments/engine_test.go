@@ -180,12 +180,22 @@ func TestStreamTasksOrderAndErrors(t *testing.T) {
 	}
 
 	// The first failing task (in task order) surfaces as the error, and
-	// only rows before it were emitted.
+	// only rows before it were emitted. Task 37 fails only once rows
+	// 0..36 have been delivered: a failure landing earlier makes
+	// streamOrdered skip tasks that have not started, and the delivered
+	// prefix would end short of 37.
 	boom := errors.New("boom")
-	tasks[37] = func() ([]string, error) { return nil, boom }
+	delivered := make(chan struct{})
+	tasks[37] = func() ([]string, error) {
+		<-delivered
+		return nil, boom
+	}
 	rows = nil
 	err := streamTasks(4, tasks, func(row []string) error {
 		rows = append(rows, row)
+		if len(rows) == 37 {
+			close(delivered)
+		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
@@ -193,6 +203,11 @@ func TestStreamTasksOrderAndErrors(t *testing.T) {
 	}
 	if len(rows) != 37 {
 		t.Fatalf("emitted %d rows before the failure at 37, want 37", len(rows))
+	}
+	for i, row := range rows {
+		if row[0] != strconv.Itoa(i) {
+			t.Fatalf("row %d = %q, want %q", i, row[0], strconv.Itoa(i))
+		}
 	}
 
 	// A sink error aborts the sweep.

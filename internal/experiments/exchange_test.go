@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -261,5 +263,65 @@ func TestRefined2DCellSpreadScoring(t *testing.T) {
 	}
 	if got := right.spread(boundary); got != 3 {
 		t.Errorf("right spread = %v, want 3", got)
+	}
+}
+
+// TestMergeShardsAcceptsExchangedJournals: a journal is a legal merge
+// input, including the metric-only checkpoints a live exchange leaves in
+// it — the two journals of a 2-shard refined-e run merge to the
+// single-process CSV. (The merge used to refuse them with `unknown
+// record type "metric"` while every fallback message pointed at it.)
+func TestMergeShardsAcceptsExchangedJournals(t *testing.T) {
+	const key, count = "refined-e", 2
+	base := tinyScale()
+	base.RefineBudget = 3
+	var want bytes.Buffer
+	if err := Stream(key, base, NewCSVSink(&want)); err != nil {
+		t.Fatal(err)
+	}
+
+	st := newMemStore()
+	dir := t.TempDir()
+	errs := make([]error, count)
+	var wg sync.WaitGroup
+	for idx := 0; idx < count; idx++ {
+		wg.Add(1)
+		go func(idx int) {
+			defer wg.Done()
+			s := base
+			s.Shard = Shard{Index: idx, Count: count}
+			s.Exchange = st
+			j, err := CreateJournal(filepath.Join(dir, fmt.Sprintf("j%d.jsonl", idx)), s.Fingerprint())
+			if err != nil {
+				errs[idx] = err
+				return
+			}
+			defer j.Close()
+			errs[idx] = Stream(key, s, MultiSink{NewJournalSink(j), &memSink{st: st}})
+		}(idx)
+	}
+	wg.Wait()
+	parts := make([]io.Reader, count)
+	exchanged := 0
+	for idx, err := range errs {
+		if err != nil {
+			t.Fatalf("shard %d/%d: %v", idx, count, err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("j%d.jsonl", idx)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exchanged += bytes.Count(b, []byte(`"type":"metric"`))
+		parts[idx] = bytes.NewReader(b)
+	}
+	if exchanged == 0 {
+		t.Fatal("no journal holds a metric-only record; the exchange was not live")
+	}
+	var got bytes.Buffer
+	if err := MergeShards(parts, NewCSVSink(&got)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("merged journals differ from the single-process CSV:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }

@@ -1,509 +1,110 @@
 package experiments
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"slices"
 	"sync"
+
+	"streamcache/internal/rowlog"
 )
 
-// The checkpoint journal: a JSONL file of completed row keys and
-// payloads that makes long sweeps resumable. Every row that flows
-// through a JournalSink is appended (and flushed) as a
-// {"type":"row","table":...,"index":...,"row":[...]} record — the key
-// is (table name, global row index), the payload is the rendered row,
-// and adaptive-sweep rows additionally carry the full-precision
-// refinement metric so resumed refinement ranks intervals on exactly
-// the values a fresh run would compute. A sweep restarted with the
-// journal as Scale.Resume replays journaled rows instead of
-// re-simulating them, so an interrupted run finishes from where it
-// died; a journal truncated mid-line by a kill is trimmed back to its
-// last complete record on open.
+// The checkpoint journal: a row log (internal/rowlog; the line grammar
+// is DESIGN.md §4a) of completed rows that makes long sweeps resumable.
+// Every row that flows through a JournalSink is appended as one line
+// keyed (table name, global row index); adaptive-sweep rows carry the
+// full-precision refinement metric so resumed refinement ranks intervals
+// on exactly the values a fresh run would compute, and metrics fetched
+// from other shards are checkpointed as metric records. A sweep
+// restarted with the journal as Scale.Resume replays journaled rows
+// instead of re-simulating them, so an interrupted run finishes from
+// where it died.
 
 // ErrJournalMismatch reports a resume journal whose recorded scale
 // fingerprint differs from the scale of the resuming run.
-var ErrJournalMismatch = errors.New("experiments: journal written at a different scale")
+var ErrJournalMismatch = rowlog.ErrMismatch
 
-// journalRow is one completed row held in memory: the rendered payload
-// plus the refinement metric for adaptive-sweep rows.
-type journalRow struct {
-	row       []string
-	metric    float64
-	hasMetric bool
-}
-
-// journalTable is the completed-row set of one table. next is one past
-// the highest recorded index, maintained on every insert so direct
-// (non-engine) Row appends stay O(1). metrics holds metric-only
-// checkpoints: refinement metrics of foreign points fetched through the
-// exchange, recorded so a resume does not depend on the collector.
-type journalTable struct {
-	header  []string
-	note    string
-	rows    map[int]journalRow
-	metrics map[int]float64
-	next    int
-}
-
-// journalHeaderRecord is the first line of a journal: the scale
-// fingerprint that guards resumes against mixing incompatible runs.
-type journalHeaderRecord struct {
-	Type        string `json:"type"` // "journal"
-	Fingerprint string `json:"fingerprint"`
-}
-
-// journalRowRecord is the on-disk form of one completed row. It is a
-// superset of jsonlRowRecord, so journals and JSONL sink outputs share
-// one line grammar (and MergeShards can read either).
-type journalRowRecord struct {
-	Type   string   `json:"type"` // "row"
-	Table  string   `json:"table"`
-	Index  int      `json:"index"`
-	Row    []string `json:"row"`
-	Metric *float64 `json:"metric,omitempty"`
-}
-
-// journalMetricRecord checkpoints the refinement metric of a point this
-// shard does not own (fetched through the MetricExchange): no row to
-// emit, but the metric keeps a resumed refinement off the network.
-type journalMetricRecord struct {
-	Type   string  `json:"type"` // "metric"
-	Table  string  `json:"table"`
-	Index  int     `json:"index"`
-	Metric float64 `json:"metric"`
-}
-
-// Journal is the checkpoint store of one sweep process: the in-memory
-// index of completed rows loaded from a prior run (consulted via
-// Scale.Resume) plus the append side written through JournalSink. All
-// methods are safe for concurrent use; one journal may span many
-// experiments (rows are keyed by table name and global row index).
+// Journal is the checkpoint store of one sweep process: a rowlog.Set of
+// completed rows (loaded from a prior run and consulted via
+// Scale.Resume) and the rowlog.File every fresh record is appended to
+// through JournalSink. All methods are safe for concurrent use; one
+// journal may span many experiments.
 type Journal struct {
-	mu          sync.Mutex
-	f           *os.File // nil for a read-only (in-memory) journal
-	w           *bufio.Writer
-	fingerprint string
-	tables      map[string]*journalTable
+	mu   sync.Mutex
+	file *rowlog.File
+	set  rowlog.Set
 }
 
 // CreateJournal starts a fresh journal at path and stamps it with the
 // scale fingerprint. It refuses to overwrite an existing non-empty
-// journal — the likeliest cause is an operator re-running a crashed
-// sweep without -resume, and truncating the checkpoint would destroy
-// exactly the progress it exists to protect. Resume it, or remove the
-// file to genuinely start over.
+// journal: resume it, or remove the file to genuinely start over.
 func CreateJournal(path, fingerprint string) (*Journal, error) {
-	if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-		return nil, fmt.Errorf("experiments: journal %s already holds records; pass -resume to continue it or remove it to start over", path)
-	}
-	f, err := os.Create(path)
+	f, err := rowlog.Create(path, fingerprint)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{f: f, w: bufio.NewWriter(f), fingerprint: fingerprint, tables: map[string]*journalTable{}}
-	if err := j.writeLine(journalHeaderRecord{Type: "journal", Fingerprint: fingerprint}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return &Journal{file: f}, nil
 }
 
 // ResumeJournal opens the journal at path for a resumed run: completed
-// records are loaded (a trailing record left incomplete by a kill is
-// discarded and the file truncated back to the last complete line), the
-// recorded fingerprint is checked against the resuming scale's, and the
-// file is left positioned for appending new rows. A missing file is not
-// an error — the resume simply has nothing to skip.
+// records are loaded (a trailing record torn by a kill is discarded),
+// the recorded fingerprint is checked against the resuming scale's, and
+// the file is rewritten atomically to exactly its live state — one line
+// per completed row, superseded and duplicate records dropped — before
+// new rows are appended. A missing file is not an error: the resume
+// simply has nothing to skip.
 func ResumeJournal(path, fingerprint string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	j := &Journal{}
+	f, err := rowlog.Open(path, fingerprint, &j.set)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{f: f, w: bufio.NewWriter(f), fingerprint: fingerprint, tables: map[string]*journalTable{}}
-	complete, fresh, err := j.load(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Trim a partial trailing record so appended records start on their
-	// own line, then position writes at the new end.
-	if err := f.Truncate(complete); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(complete, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if fresh {
-		if err := j.writeLine(journalHeaderRecord{Type: "journal", Fingerprint: fingerprint}); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
+	j.file = f
 	return j, nil
 }
 
-// load parses every complete record from r, returning the byte offset
-// just past the last complete line and whether the journal was empty
-// (needs a fresh fingerprint stamp).
-func (j *Journal) load(r io.Reader) (complete int64, fresh bool, err error) {
-	br := bufio.NewReader(r)
-	fresh = true
-	for {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			// No trailing newline: the final record was cut mid-write.
-			return complete, fresh, nil
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		if err := j.apply(line); err != nil {
-			return 0, false, err
-		}
-		fresh = false
-		complete += int64(len(line))
-	}
+// apply folds one record into the journal, appending it to the file
+// unless the journal already holds it — replays of a prior run's work
+// are not rewritten, so a resumed journal stays duplicate-free.
+func (j *Journal) apply(rec rowlog.Record) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.applyLocked(rec)
 }
 
-// apply folds one journal line into the in-memory state.
-func (j *Journal) apply(line []byte) error {
-	var kind struct {
-		Type string `json:"type"`
-	}
-	if err := json.Unmarshal(line, &kind); err != nil {
-		return fmt.Errorf("experiments: corrupt journal line %q: %w", line, err)
-	}
-	switch kind.Type {
-	case "journal":
-		var h journalHeaderRecord
-		if err := json.Unmarshal(line, &h); err != nil {
-			return err
-		}
-		if h.Fingerprint != j.fingerprint {
-			return fmt.Errorf("%w: journal has %q, run has %q",
-				ErrJournalMismatch, h.Fingerprint, j.fingerprint)
-		}
-	case "table":
-		var t jsonlTableRecord
-		if err := json.Unmarshal(line, &t); err != nil {
-			return err
-		}
-		tab := j.table(t.Name)
-		tab.header = t.Header
-		tab.note = t.Note
-	case "metric":
-		var m journalMetricRecord
-		if err := json.Unmarshal(line, &m); err != nil {
-			return err
-		}
-		j.table(m.Table).metrics[m.Index] = m.Metric
-	case "row":
-		var r journalRowRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return err
-		}
-		jr := journalRow{row: r.Row}
-		if r.Metric != nil {
-			jr.metric, jr.hasMetric = *r.Metric, true
-		}
-		t := j.table(r.Table)
-		t.rows[r.Index] = jr
-		if r.Index >= t.next {
-			t.next = r.Index + 1
-		}
-	default:
-		return fmt.Errorf("experiments: unknown journal record type %q", kind.Type)
-	}
-	return nil
-}
-
-// table returns (creating if needed) the per-table state. Callers hold
-// j.mu or run before any concurrency starts.
-func (j *Journal) table(name string) *journalTable {
-	t := j.tables[name]
-	if t == nil {
-		t = &journalTable{rows: map[int]journalRow{}, metrics: map[int]float64{}}
-		j.tables[name] = t
-	}
-	return t
-}
-
-// writeLine marshals one record and flushes it to disk, so a kill loses
-// at most the record being written.
-func (j *Journal) writeLine(v any) error {
-	if j.f == nil {
-		return nil
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
+func (j *Journal) applyLocked(rec rowlog.Record) error {
+	fresh, err := j.set.Apply(rec)
+	if err != nil || !fresh {
 		return err
 	}
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return j.w.Flush()
+	return j.file.Append(rec)
 }
 
-// replay looks up the completed row at (tableName, index) from the
-// loaded journal. Nil-safe on a nil receiver (no journal = no skips).
-func (j *Journal) replay(tableName string, index int) (journalRow, bool) {
+// replay reports what the journal knows at (tableName, index): the
+// completed row, if one is held (ok), and the checkpointed refinement
+// metric whenever one is — an owned row's, or, ok or not, a metric-only
+// record fetched from the exchange by a prior run. Nil-safe on a nil
+// receiver (no journal = no skips).
+func (j *Journal) replay(tableName string, index int) (r MetricRow, ok bool) {
 	if j == nil {
-		return journalRow{}, false
+		return MetricRow{}, false
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	t := j.tables[tableName]
-	if t == nil {
-		return journalRow{}, false
-	}
-	r, ok := t.rows[index]
-	return r, ok
+	return j.set.Table(tableName).At(index)
 }
 
-// replayMetric looks up a checkpointed refinement metric at
-// (tableName, index): an owned row's recorded metric, or a metric-only
-// record fetched from the exchange by a prior run. Nil-safe.
-func (j *Journal) replayMetric(tableName string, index int) (float64, bool) {
-	if j == nil {
-		return 0, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	t := j.tables[tableName]
-	if t == nil {
-		return 0, false
-	}
-	if r, ok := t.rows[index]; ok && r.hasMetric {
-		return r.metric, true
-	}
-	m, ok := t.metrics[index]
-	return m, ok
-}
-
-// recordMetric checkpoints a foreign point's refinement metric. Metrics
-// already present (from either record kind) are not rewritten.
-func (j *Journal) recordMetric(tableName string, index int, metric float64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	t := j.table(tableName)
-	if r, ok := t.rows[index]; ok && r.hasMetric {
-		return nil
-	}
-	if _, ok := t.metrics[index]; ok {
-		return nil
-	}
-	t.metrics[index] = metric
-	return j.writeLine(journalMetricRecord{Type: "metric", Table: tableName, Index: index, Metric: metric})
-}
-
-// CompletedRows reports how many rows the journal holds for the named
-// table — what a resume will skip.
-func (j *Journal) CompletedRows(tableName string) int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	t := j.tables[tableName]
-	if t == nil {
-		return 0
-	}
-	return len(t.rows)
-}
-
-// beginTable records the table identity (header validation on merge and
-// resume debugging; replay does not require it).
-func (j *Journal) beginTable(meta TableMeta) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if t := j.tables[meta.Name]; t != nil && t.header != nil {
-		return nil // resumed table already declared in the prior run
-	}
-	t := j.table(meta.Name)
-	t.header = meta.Header
-	t.note = meta.Note
-	return j.writeLine(jsonlTableRecord{Type: "table", Name: meta.Name, Note: meta.Note, Header: meta.Header})
-}
-
-// record appends one completed row. Rows already present — replays of a
-// prior run's work — are not rewritten, so a resumed journal stays
-// duplicate-free.
-func (j *Journal) record(tableName string, e emitted) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	t := j.table(tableName)
-	if _, ok := t.rows[e.index]; ok {
-		return nil
-	}
-	jr := journalRow{row: e.row, metric: e.metric, hasMetric: e.hasMetric}
-	t.rows[e.index] = jr
-	if e.index >= t.next {
-		t.next = e.index + 1
-	}
-	rec := journalRowRecord{Type: "row", Table: tableName, Index: e.index, Row: e.row}
-	if e.hasMetric {
-		m := e.metric
-		rec.Metric = &m
-	}
-	return j.writeLine(rec)
-}
-
-// recordNext appends a row under one past the table's highest recorded
-// index, holding the lock across the index choice and the write so
-// concurrent direct Row calls cannot collide (and sparse index sets —
-// a resumed sharded journal — are never silently overwritten).
-func (j *Journal) recordNext(tableName string, row []string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	t := j.table(tableName)
-	next := t.next
-	t.rows[next] = journalRow{row: row}
-	t.next = next + 1
-	return j.writeLine(journalRowRecord{Type: "row", Table: tableName, Index: next, Row: row})
-}
-
-// Compact rewrites the journal file to exactly its live state — one
-// fingerprint stamp, then per table (sorted by name) the table record,
-// its rows in index order, and any metric-only checkpoints not
-// superseded by a row — dropping everything else: lines trimmed as
-// partial on load, duplicate declarations from concatenated journals,
-// and superseded metric records. Very long refined sweeps accumulate
-// journal lines linearly in completed points; compacting between runs
-// bounds what a resume (or a collector replay) must parse.
-//
-// The rewrite is atomic: records are written to a sibling
-// <path>.compact file which is renamed over the journal only once
-// complete, so a crash mid-compaction leaves either the original or
-// the fully compacted file — never a hybrid — and a resume against
-// either yields byte-identical sweep output. A stale .compact file
-// from a crashed compaction is simply overwritten next time.
-func (j *Journal) Compact() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return errors.New("experiments: compact of a read-only journal")
-	}
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	path := j.f.Name()
-	tmpPath := path + ".compact"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(tmp)
-	writeRec := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(append(b, '\n'))
-		return err
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := writeRec(journalHeaderRecord{Type: "journal", Fingerprint: j.fingerprint}); err != nil {
-		return fail(err)
-	}
-	names := make([]string, 0, len(j.tables))
-	for name := range j.tables {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		t := j.tables[name]
-		if t.header != nil {
-			if err := writeRec(jsonlTableRecord{Type: "table", Name: name, Note: t.note, Header: t.header}); err != nil {
-				return fail(err)
-			}
-		}
-		idxs := make([]int, 0, len(t.rows))
-		for i := range t.rows {
-			idxs = append(idxs, i)
-		}
-		slices.Sort(idxs)
-		for _, i := range idxs {
-			r := t.rows[i]
-			rec := journalRowRecord{Type: "row", Table: name, Index: i, Row: r.row}
-			if r.hasMetric {
-				m := r.metric
-				rec.Metric = &m
-			}
-			if err := writeRec(rec); err != nil {
-				return fail(err)
-			}
-		}
-		midxs := make([]int, 0, len(t.metrics))
-		for i := range t.metrics {
-			if _, owned := t.rows[i]; owned {
-				continue // superseded by the row's own metric
-			}
-			midxs = append(midxs, i)
-		}
-		slices.Sort(midxs)
-		for _, i := range midxs {
-			if err := writeRec(journalMetricRecord{Type: "metric", Table: name, Index: i, Metric: t.metrics[i]}); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	// The commit point: before the rename a resume reads the original
-	// journal, after it the compacted one; both describe the same rows.
-	if err := os.Rename(tmpPath, path); err != nil {
-		os.Remove(tmpPath)
-		return err
-	}
-	old := j.f
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// The compacted file is in place but unappendable; surface the
-		// error and leave the journal closed for writes.
-		old.Close()
-		j.f, j.w = nil, nil
-		return err
-	}
-	old.Close()
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	return nil
-}
-
-// Close flushes and closes the underlying file.
+// Close closes the underlying file.
 func (j *Journal) Close() error {
-	if j == nil || j.f == nil {
+	if j == nil {
 		return nil
 	}
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
+	return j.file.Close()
 }
 
 // JournalSink is the journaling RowSink: every row streamed through it
-// is appended to the journal before (conceptually alongside) reaching
-// the run's other sinks — compose it with them via MultiSink. Rows the
-// engine replayed from the same journal are recognized by key and not
-// rewritten.
+// is appended to the journal alongside reaching the run's other sinks —
+// compose it with them via MultiSink. Rows the engine replayed from the
+// same journal are recognized by key and not rewritten.
 type JournalSink struct {
 	j     *Journal
 	table string
@@ -517,27 +118,59 @@ func NewJournalSink(j *Journal) *JournalSink {
 // Begin declares the table in the journal.
 func (s *JournalSink) Begin(meta TableMeta) error {
 	s.table = meta.Name
-	return s.j.beginTable(meta)
+	return s.j.apply(rowlog.TableRecord(meta, ""))
 }
 
-// Row journals a row without engine context, assigning the next unused
-// index. The engine path (emitRow) supplies true global indices; this
-// variant keeps JournalSink a complete RowSink for direct use.
+// Row journals a row without engine context under one past the table's
+// highest recorded index, holding the lock across the index choice and
+// the write so concurrent direct Row calls cannot collide (and sparse
+// index sets — a resumed sharded journal — are never overwritten). The
+// engine path (MetricRow) supplies true global indices.
 func (s *JournalSink) Row(row []string) error {
-	return s.j.recordNext(s.table, row)
-}
-
-// emitRow journals one engine-emitted row under its global index.
-func (s *JournalSink) emitRow(e emitted) error {
-	return s.j.record(s.table, e)
-}
-
-// End flushes the journal (records are flushed per line already).
-func (s *JournalSink) End() error {
-	if s.j.f == nil {
-		return nil
-	}
 	s.j.mu.Lock()
 	defer s.j.mu.Unlock()
-	return s.j.w.Flush()
+	next := s.j.set.Table(s.table).Next()
+	return s.j.applyLocked(rowlog.RowRecord(s.table, MetricRow{Index: next, Row: row}))
+}
+
+// MetricRow journals one engine-emitted row under its global index.
+func (s *JournalSink) MetricRow(m MetricRow) error {
+	return s.j.apply(rowlog.RowRecord(s.table, m))
+}
+
+// End is a no-op: every record was written as it was appended.
+func (s *JournalSink) End() error { return nil }
+
+// MergeShards reassembles one experiment's canonical row stream from
+// the row logs a sharded sweep left behind — per-shard JSONL outputs or
+// the shards' journals. The parts must together describe one table;
+// rows are keyed by their global index. The merge validates the union —
+// duplicate indices (two shards claiming one row) and gaps (a shard's
+// output missing or incomplete) are errors, so a merged table is
+// guaranteed to be exactly the unsharded stream — and then replays it
+// through sink in index order, making the merged CSV/JSONL
+// byte-identical to a single-process run. (Fingerprint stamps are not
+// compared: shards of one run stamp different fingerprints.)
+func MergeShards(parts []io.Reader, sink RowSink) error {
+	if len(parts) == 0 {
+		return fmt.Errorf("experiments: merge of zero shard outputs")
+	}
+	var set rowlog.Set
+	for p, part := range parts {
+		err := rowlog.Load(part, func(rec rowlog.Record) error {
+			fresh, err := set.Apply(rec)
+			if err == nil && !fresh && rec.Type == rowlog.TypeRow {
+				err = fmt.Errorf("duplicate row index %d of table %q", *rec.Index, rec.Table)
+			}
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("experiments: shard %d: %w", p, err)
+		}
+	}
+	names := set.Names()
+	if len(names) != 1 {
+		return fmt.Errorf("experiments: merge inputs describe %d tables %q, want exactly one", len(names), names)
+	}
+	return set.Table(names[0]).Replay(sink)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +11,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+
+	"streamcache/internal/rowlog"
 )
 
 // journaledStream runs one experiment with a journal at path attached
@@ -53,14 +54,14 @@ func countJournalRows(t *testing.T, path string) int {
 	n := 0
 	for sc.Scan() {
 		line := sc.Text()
-		var rec journalRowRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		rec, err := rowlog.Decode([]byte(line))
+		if err != nil {
 			t.Fatalf("corrupt journal line %q: %v", line, err)
 		}
 		if rec.Type != "row" {
 			continue
 		}
-		key := fmt.Sprintf("%s#%d", rec.Table, rec.Index)
+		key := fmt.Sprintf("%s#%d", rec.Table, *rec.Index)
 		if seen[key] {
 			t.Fatalf("journal holds duplicate row %s", key)
 		}
@@ -109,8 +110,8 @@ func TestJournalResumeAfterTruncation(t *testing.T) {
 				t.Fatal(err)
 			}
 			completed := 0
-			for name := range j.tables {
-				completed += j.CompletedRows(name)
+			for _, name := range j.set.Names() {
+				completed += j.set.Table(name).Len()
 			}
 			j.Close()
 			if completed == 0 || completed >= total {
@@ -180,7 +181,7 @@ func TestResumeSkipsCompletedTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	journaled := j.CompletedRows("resume probe")
+	journaled := j.set.Table("resume probe").Len()
 	if journaled == 0 || journaled >= n {
 		t.Fatalf("journal holds %d rows, want a strict prefix of %d", journaled, n)
 	}

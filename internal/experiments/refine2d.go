@@ -74,7 +74,7 @@ type adaptiveSweep2D struct {
 
 func (a *adaptiveSweep2D) tableMeta() TableMeta { return a.meta }
 
-func (a *adaptiveSweep2D) run(x exec, emit func(e emitted) error) error {
+func (a *adaptiveSweep2D) run(x exec, emit func(r MetricRow) error) error {
 	type pt struct{ xv, yv float64 }
 	nx, ny := len(a.xs), len(a.ys)
 	coarse := make([]pt, 0, nx*ny)

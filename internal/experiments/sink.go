@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
+
+	"streamcache/internal/rowlog"
 )
 
 // The streaming results path: every experiment pushes its rows into a
@@ -15,84 +16,18 @@ import (
 // completed point; the in-memory Table of the old collect-then-return
 // contract is just one sink among several.
 
-// TableMeta identifies a streamed table before any of its rows arrive.
-type TableMeta struct {
-	Name   string
-	Note   string
-	Header []string
-}
-
-// RowSink consumes one experiment's rows incrementally. Begin is called
-// exactly once before the first row, Row once per row in deterministic
-// task order, and End exactly once after the last row (End is not
-// called when the sweep aborts on an error). Implementations need not
-// be safe for concurrent use: the engine serializes all calls.
-//
-// A sweep that fails mid-flight may already have delivered a prefix of
-// its rows; sinks that require all-or-nothing semantics should buffer
-// (see TableSink).
-type RowSink interface {
-	Begin(meta TableMeta) error
-	Row(row []string) error
-	End() error
-}
-
-// IndexedSink is an optional RowSink extension: sinks that implement it
-// receive each row together with its global index — the row's position
-// in the unsharded deterministic stream, which is the stable key of the
-// sharding and journaling subsystems. The engine calls IndexedRow
-// instead of Row when a sink implements it; in an unsharded run the
-// indices are the contiguous sequence 0, 1, 2, ..., while a sharded run
-// delivers only the shard-owned subset (with gaps MergeShards later
-// closes).
-type IndexedSink interface {
-	RowSink
-	IndexedRow(index int, row []string) error
-}
-
-// MetricRow is the full engine-side view of one emitted row: the global
-// index and payload of IndexedSink plus the refinement metric of
-// adaptive-sweep rows (HasMetric false for fixed-grid rows). It is the
-// unit the streaming results plane (internal/collect) ships between
-// shards: the metric must survive transport at full float64 precision
-// so a foreign shard's refinement decisions are bit-identical to local
-// evaluation.
-type MetricRow struct {
-	Index     int
-	Row       []string
-	Metric    float64
-	HasMetric bool
-}
-
-// MetricSink is the richest exported RowSink extension: sinks that
-// implement it receive each engine-emitted row with its global index
-// and refinement metric. The engine prefers MetricRow over IndexedRow
-// over Row.
-type MetricSink interface {
-	RowSink
-	MetricRow(m MetricRow) error
-}
-
-// engineSink is the in-package superset of MetricSink: the journal
-// additionally records the refinement metric of adaptive-sweep rows.
-type engineSink interface {
-	emitRow(e emitted) error
-}
-
-// sinkEmit delivers one engine-emitted row to a sink through the richest
-// interface it implements.
-func sinkEmit(sink RowSink, e emitted) error {
-	switch t := sink.(type) {
-	case engineSink:
-		return t.emitRow(e)
-	case MetricSink:
-		return t.MetricRow(MetricRow{Index: e.index, Row: e.row, Metric: e.metric, HasMetric: e.hasMetric})
-	case IndexedSink:
-		return t.IndexedRow(e.index, e.row)
-	default:
-		return sink.Row(e.row)
-	}
-}
+// The seam itself — the row, the table identity and the three delivery
+// interfaces a sink may implement — is defined next to the line format
+// in internal/rowlog; the names below are the ones experiments, its
+// drivers and its sinks have always used for it. The engine delivers
+// each row through rowlog.Emit: MetricRow over IndexedRow over Row.
+type (
+	TableMeta   = rowlog.Meta
+	MetricRow   = rowlog.Row
+	RowSink     = rowlog.Sink
+	IndexedSink = rowlog.IndexedSink
+	MetricSink  = rowlog.MetricSink
+)
 
 // TableSink buffers a streamed experiment into an in-memory Table — the
 // old aggregate contract expressed as a sink. The zero value is ready
@@ -158,70 +93,21 @@ func (c *CSVSink) End() error { return c.w.Flush() }
 // Rows returns the number of rows streamed so far.
 func (c *CSVSink) Rows() int { return c.rows }
 
-// JSONLSink streams a table as JSON Lines: one "table" record carrying
-// name/note/header, then one "row" record per row. Field order is fixed
-// by the record structs, so the byte stream is deterministic for a
+// JSONLSink streams a table as a row log (internal/rowlog): one "table"
+// record carrying name/note/header, then one "row" record per row, each
+// written as it arrives. The byte stream is deterministic for a
 // deterministic row stream. Engine-streamed rows carry their global
-// index (see IndexedSink), which makes per-shard JSONL files the merge
-// units of sharded sweeps; rows pushed via plain Row are numbered by a
-// local counter.
-type JSONLSink struct {
-	w     *bufio.Writer
-	table string
-	index int
-}
+// index, which makes per-shard JSONL files the merge units of sharded
+// sweeps; rows pushed via plain Row are numbered by a local counter.
+type JSONLSink = rowlog.Recorder
 
 // NewJSONLSink wraps w in a streaming JSONL renderer.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{w: bufio.NewWriter(w)}
+	return rowlog.NewRecorder("", func(rec rowlog.Record) error {
+		rec.Metric = nil // a table file carries rows only; metrics travel in journals and pushes
+		return rec.Encode(w)
+	})
 }
-
-type jsonlTableRecord struct {
-	Type   string   `json:"type"`
-	Name   string   `json:"name"`
-	Note   string   `json:"note,omitempty"`
-	Header []string `json:"header"`
-}
-
-type jsonlRowRecord struct {
-	Type  string   `json:"type"`
-	Table string   `json:"table"`
-	Index int      `json:"index"`
-	Row   []string `json:"row"`
-}
-
-func (j *JSONLSink) writeLine(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("experiments: jsonl sink: %w", err)
-	}
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return j.w.Flush()
-}
-
-// Begin writes the table record.
-func (j *JSONLSink) Begin(meta TableMeta) error {
-	j.table = meta.Name
-	j.index = 0
-	return j.writeLine(jsonlTableRecord{Type: "table", Name: meta.Name, Note: meta.Note, Header: meta.Header})
-}
-
-// Row writes one row record under the next locally counted index.
-func (j *JSONLSink) Row(row []string) error {
-	rec := jsonlRowRecord{Type: "row", Table: j.table, Index: j.index, Row: row}
-	j.index++
-	return j.writeLine(rec)
-}
-
-// IndexedRow writes one row record under its global index.
-func (j *JSONLSink) IndexedRow(index int, row []string) error {
-	return j.writeLine(jsonlRowRecord{Type: "row", Table: j.table, Index: index, Row: row})
-}
-
-// End flushes any buffered output.
-func (j *JSONLSink) End() error { return j.w.Flush() }
 
 // MultiSink fans every call out to several sinks (e.g. CSV to disk plus
 // a live JSONL feed). The first error aborts the fan-out.
@@ -247,12 +133,12 @@ func (m MultiSink) Row(row []string) error {
 	return nil
 }
 
-// emitRow forwards an engine-emitted row to every sink through the
+// MetricRow forwards an engine-emitted row to every sink through the
 // richest interface each implements, so one fan-out can mix plain,
 // indexed and journaling sinks.
-func (m MultiSink) emitRow(e emitted) error {
+func (m MultiSink) MetricRow(r MetricRow) error {
 	for _, s := range m {
-		if err := sinkEmit(s, e); err != nil {
+		if err := rowlog.Emit(s, r); err != nil {
 			return err
 		}
 	}

@@ -2,8 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
+
+	"streamcache/internal/rowlog"
 )
 
 func feedSink(t *testing.T, sink RowSink) {
@@ -68,19 +69,19 @@ func TestJSONLSinkFormat(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("JSONL lines = %d, want 3", len(lines))
 	}
-	var table jsonlTableRecord
-	if err := json.Unmarshal(lines[0], &table); err != nil {
+	table, err := rowlog.Decode(lines[0])
+	if err != nil {
 		t.Fatal(err)
 	}
 	if table.Type != "table" || table.Name != "Test Table" || len(table.Header) != 2 {
 		t.Errorf("table record = %+v", table)
 	}
 	for i, line := range lines[1:] {
-		var row jsonlRowRecord
-		if err := json.Unmarshal(line, &row); err != nil {
+		row, err := rowlog.Decode(line)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if row.Type != "row" || row.Table != "Test Table" || row.Index != i || len(row.Row) != 2 {
+		if row.Type != "row" || row.Table != "Test Table" || *row.Index != i || len(row.Row) != 2 {
 			t.Errorf("row record %d = %+v", i, row)
 		}
 	}
