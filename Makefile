@@ -48,15 +48,20 @@ bench:
 	bash bench/run.sh
 
 ## bench-check: the benchmark is a module of its own, so the root
-## vet/test do not see it; an API change that breaks it fails here.
+## vet/test do not see it; an API change that breaks it fails here — it
+## compiles against proxy.New/Config/Stats and the PrefixStore surface
+## (NewPrefixStore, AppendAt, View(...).WriteTo, Len, Truncate).
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## fuzz-smoke: a short fuzz of the trace parser and row-log targets.
+## fuzz-smoke: a short fuzz of the trace parser, the row-log loader and
+## the relay's model test (random publish/read/detach/cancel/evict
+## scripts against an unbounded reference buffer).
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzParseMalformed -fuzztime 10s
 	$(GO) test ./internal/trace/ -fuzz FuzzReadAll -fuzztime 10s
 	$(GO) test ./internal/rowlog/ -fuzz FuzzLogLoad -fuzztime 10s
+	$(GO) test ./internal/proxy/ -run '^$$' -fuzz FuzzRelayModel -fuzztime 10s -fuzzminimizetime 1s
 
 ## figures: regenerate every table/figure CSV at small scale.
 figures:
@@ -89,8 +94,8 @@ collector-check:
 	bash scripts/collector-check.sh
 
 ## proxy-check: live-tier smoke — start a sharded proxyd, run loadgen
-## against it, assert a nonzero prefix-hit ratio and a clean SIGTERM
-## drain (OPERATIONS.md §8).
+## against it, assert a nonzero prefix-hit ratio, no demoted sole
+## reader and a clean SIGTERM drain (OPERATIONS.md §8).
 proxy-check:
 	bash scripts/proxy-check.sh
 

@@ -79,16 +79,12 @@ func TestClusterHitRatioMatchesSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		tc, err := cluster.NewTestCluster(cluster.TestClusterConfig{
+		tc := cluster.NewWatchedCluster(t, cluster.TestClusterConfig{
 			Edges:          1,
 			Catalog:        cat,
 			EdgeCacheBytes: cacheBytes,
 			NewPolicy:      core.NewLRU,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tc.Close()
 
 		// Sequential replay with a quiesce per request: each access must
 		// observe the fully reconciled store state the simulator's
@@ -162,7 +158,7 @@ func TestClusterHitRatioMatchesSimulator(t *testing.T) {
 		// Identical capacity split to hierarchyRunOnce: the parent takes
 		// its fraction off the top, the edges split the rest.
 		parentBytes := int64(parentFraction * float64(cacheBytes))
-		tc, err := cluster.NewTestCluster(cluster.TestClusterConfig{
+		tc := cluster.NewWatchedCluster(t, cluster.TestClusterConfig{
 			Edges:            2,
 			WithParent:       true,
 			Catalog:          cat,
@@ -170,10 +166,6 @@ func TestClusterHitRatioMatchesSimulator(t *testing.T) {
 			ParentCacheBytes: parentBytes,
 			NewPolicy:        core.NewLRU,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tc.Close()
 
 		// Request i goes to edge i%2 — the simulator's assignment and
 		// cmd/loadgen's round-robin. The live TRR is measured where the

@@ -7,8 +7,32 @@ import (
 	"time"
 
 	"streamcache/internal/core"
+	"streamcache/internal/leaktest"
 	"streamcache/internal/proxy"
 )
+
+// newCluster builds a test cluster that is closed when the test ends,
+// after which no node may have a relay in flight and the goroutine
+// count must be back where the test found it.
+func newCluster(t *testing.T, cfg TestClusterConfig) *TestCluster {
+	t.Helper()
+	watch := leaktest.Start(t)
+	tc, err := NewTestCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tc.Close)
+	for i := 0; i < tc.Edges(); i++ {
+		watch(tc.Edge(i))
+	}
+	if tc.Parent() != nil {
+		watch(tc.Parent())
+	}
+	return tc
+}
+
+// NewWatchedCluster is newCluster for the external test package.
+var NewWatchedCluster = newCluster
 
 // testCatalog builds a small catalog of known objects.
 func testCatalog(t *testing.T, objects int, meanKB int64) *proxy.Catalog {
@@ -49,7 +73,7 @@ func TestClusterHerdSingleOriginTransfer(t *testing.T) {
 	const id = 0
 	meta, _ := catalog.Get(id)
 
-	tc, err := NewTestCluster(TestClusterConfig{
+	tc := newCluster(t, TestClusterConfig{
 		Edges:            3,
 		WithParent:       true,
 		Catalog:          catalog,
@@ -60,10 +84,6 @@ func TestClusterHerdSingleOriginTransfer(t *testing.T) {
 		// second, so the whole herd lands inside the relay window.
 		OriginRate: float64(meta.Size),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
 
 	const clientsPerEdge = 3
 	var wg sync.WaitGroup
@@ -109,7 +129,7 @@ func TestClusterParentDeathMidRelay(t *testing.T) {
 	const id = 0
 	meta, _ := catalog.Get(id)
 
-	tc, err := NewTestCluster(TestClusterConfig{
+	tc := newCluster(t, TestClusterConfig{
 		Edges:            2,
 		WithParent:       true,
 		Catalog:          catalog,
@@ -118,10 +138,6 @@ func TestClusterParentDeathMidRelay(t *testing.T) {
 		NewPolicy:        core.NewLRU,
 		OriginRate:       float64(meta.Size), // ~1s transfer: a wide kill window
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
 
 	var wg sync.WaitGroup
 	herdErrs := make([]error, 4)
@@ -190,17 +206,13 @@ func TestClusterParentDeathMidRelay(t *testing.T) {
 // verify.
 func TestClusterPeerTimeoutFallsBackToOrigin(t *testing.T) {
 	catalog := testCatalog(t, 16, 32)
-	tc, err := NewTestCluster(TestClusterConfig{
+	tc := newCluster(t, TestClusterConfig{
 		Edges:             2,
 		Catalog:           catalog,
 		EdgeCacheBytes:    1 << 22,
 		NewPolicy:         core.NewLRU,
 		PeerHeaderTimeout: 150 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
 
 	id := remoteOwnedID(t, 2, 0, catalog.Len())
 	meta, _ := catalog.Get(id)
@@ -237,16 +249,12 @@ func TestClusterPeerTimeoutFallsBackToOrigin(t *testing.T) {
 // exactly one origin fetch.
 func TestClusterDeadPeerFallsBackToOrigin(t *testing.T) {
 	catalog := testCatalog(t, 16, 32)
-	tc, err := NewTestCluster(TestClusterConfig{
+	tc := newCluster(t, TestClusterConfig{
 		Edges:          2,
 		Catalog:        catalog,
 		EdgeCacheBytes: 1 << 22,
 		NewPolicy:      core.NewLRU,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
 
 	id := remoteOwnedID(t, 2, 0, catalog.Len())
 	tc.KillEdge(1)
@@ -275,7 +283,7 @@ func TestClusterInvariantStress(t *testing.T) {
 		meta, _ := catalog.Get(id)
 		total += meta.Size
 	}
-	tc, err := NewTestCluster(TestClusterConfig{
+	tc := newCluster(t, TestClusterConfig{
 		Edges:      3,
 		WithParent: true,
 		Catalog:    catalog,
@@ -285,10 +293,6 @@ func TestClusterInvariantStress(t *testing.T) {
 		NewPolicy:        core.NewLRU,
 		Shards:           2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
 
 	const (
 		workers          = 12
@@ -340,7 +344,7 @@ func TestClusterInvariantStress(t *testing.T) {
 func TestClusterSmoke(t *testing.T) {
 	const objects = 24
 	catalog := testCatalog(t, objects, 32)
-	tc, err := NewTestCluster(TestClusterConfig{
+	tc := newCluster(t, TestClusterConfig{
 		Edges:            3,
 		WithParent:       true,
 		Catalog:          catalog,
@@ -348,10 +352,6 @@ func TestClusterSmoke(t *testing.T) {
 		ParentCacheBytes: 1 << 21,
 		NewPolicy:        core.NewLRU,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
 
 	var watched, originBefore int64
 	originBefore = tc.OriginBytes()

@@ -1,12 +1,14 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"streamcache/internal/core"
+	"streamcache/internal/leaktest"
 	"streamcache/internal/units"
 )
 
@@ -28,6 +30,7 @@ func (w *nullResponseWriter) Flush()                      {}
 // from aliased segments, the headers are prerendered slices, and the
 // cache bookkeeping runs on core's zero-alloc tables.
 func TestServePrefixHitAllocFree(t *testing.T) {
+	watch := leaktest.Start(t)
 	const nObjects = 4
 	const size = 3*segmentSize + 1000 // multi-segment with a partial tail
 	metas := make([]Meta, nObjects)
@@ -54,6 +57,7 @@ func TestServePrefixHitAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watch(px)
 
 	reqs := make([]*http.Request, nObjects)
 	reqs[0] = httptest.NewRequest("GET", "/objects/0", nil)
@@ -94,32 +98,37 @@ func TestServePrefixHitAllocFree(t *testing.T) {
 }
 
 // TestRelayReaderLoopAllocFree pins the relay side: a reader draining
-// an already-published ring through next with a pooled buffer performs
-// zero allocations per iteration.
+// an already-published ring through next — pin, aliased chunk, unpin —
+// performs zero allocations per iteration.
 func TestRelayReaderLoopAllocFree(t *testing.T) {
-	const total = relayRingSegments * segmentSize / 2 // half a ring: nothing dropped
+	const total = ringBytes / 2 // what the fetch may publish with nothing consumed
 	data := Content(3, 0, total)
-	rl := newRelay(0, 0, nil)
+	rl := newRelay(0, total, 0, nil)
 	if !rl.attach() {
 		t.Fatal("attach refused")
 	}
-	defer rl.detach()
-	rl.append(data)
-	rl.finish(nil)
+	n, _, err := pump(bytes.NewReader(data), nil, 3, rl)
+	if n != total || err != nil {
+		t.Fatalf("fetch stopped at %d (%v), want %d", n, err, total)
+	}
+	rl.finish(err)
 
 	ctx := context.Background()
-	buf := make([]byte, fetchBufSize)
 	var off int64
+	var seg *segment
 	allocs := testing.AllocsPerRun(200, func() {
 		if off >= total {
 			off = 0 // rewind; everything is still inside the window
 		}
-		n, _, err := rl.next(ctx, off, buf)
-		if err != nil || n == 0 {
-			t.Fatalf("next at %d: n=%d err=%v", off, n, err)
+		var chunk []byte
+		var err error
+		seg, chunk, err = rl.next(ctx, off, seg)
+		if err != nil || len(chunk) == 0 {
+			t.Fatalf("next at %d: %d bytes, err=%v", off, len(chunk), err)
 		}
-		off += int64(n)
+		off += int64(len(chunk))
 	})
+	rl.detach(seg)
 	if allocs != 0 {
 		t.Errorf("relay reader loop allocates %.1f times per read, want 0", allocs)
 	}

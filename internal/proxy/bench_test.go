@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -87,15 +86,14 @@ func BenchmarkProxyServe(b *testing.B) {
 	}
 }
 
-// BenchmarkRelayCoalesce measures the bounded-ring relay data plane: a
-// fetch publishes a 1 MiB remainder through the ring while N attached
-// readers drain it concurrently — the thundering-herd shape the relay
+// BenchmarkRelayCoalesce measures the relay data plane: a fetch
+// publishes a 1 MiB remainder through the ring while N attached readers
+// drain it concurrently — the thundering-herd shape the relay
 // singleflight exists for. A reader the ring laps jumps forward to the
-// live window instead of failing (in production it would demote to
-// relayDirect); laps/op reports how often that happened.
+// live window instead of failing (in production it would demote to a
+// private relay); laps/op reports how often that happened.
 func BenchmarkRelayCoalesce(b *testing.B) {
 	const objBytes = 1 << 20
-	const chunk = 16 * 1024
 	data := Content(1, 0, objBytes)
 	for _, readers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
@@ -104,7 +102,7 @@ func BenchmarkRelayCoalesce(b *testing.B) {
 			b.SetBytes(objBytes)
 			b.ResetTimer()
 			for range b.N {
-				rl := newRelay(0, 0, nil)
+				rl := newRelay(0, objBytes, 0, nil)
 				var wg sync.WaitGroup
 				for r := 0; r < readers; r++ {
 					if !rl.attach() {
@@ -113,33 +111,18 @@ func BenchmarkRelayCoalesce(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						defer rl.detach()
-						bp := fetchBufPool.Get().(*[]byte)
-						defer fetchBufPool.Put(bp)
-						buf := *bp
-						var off int64
-						for {
-							n, done, err := rl.next(context.Background(), off, buf)
-							if err == errRelayLapped {
-								off = rl.tailOffset()
-								laps.Add(1)
-								continue
-							}
-							if err != nil {
-								b.Errorf("next: %v", err)
-								return
-							}
-							off += int64(n)
-							if done && n == 0 {
-								return
-							}
+						off, err := drain(rl, 0, data, nil)
+						for ; err == errRelayLapped; laps.Add(1) {
+							off, err = drain(rl, max(off, rl.tailOffset()), data, nil)
+						}
+						rl.detach(nil)
+						if err != nil {
+							b.Errorf("reader stopped at %d: %v", off, err)
 						}
 					}()
 				}
-				for off := 0; off < objBytes; off += chunk {
-					rl.append(data[off : off+chunk])
-				}
-				rl.finish(nil)
+				_, _, err := pump(&pieces{data, 16 * 1024}, nil, 1, rl)
+				rl.finish(err)
 				wg.Wait()
 			}
 			b.ReportMetric(float64(laps.Load())/float64(b.N), "laps/op")

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"streamcache/internal/core"
+	"streamcache/internal/leaktest"
 	"streamcache/internal/units"
 )
 
@@ -55,6 +56,7 @@ func (f *flakyOrigin) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 func TestProxySurvivesOriginAbort(t *testing.T) {
+	watch := leaktest.Start(t)
 	catalog := testCatalog(t)
 	origin, err := NewOrigin(catalog, 0)
 	if err != nil {
@@ -72,6 +74,7 @@ func TestProxySurvivesOriginAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watch(px)
 	proxySrv := httptest.NewServer(px)
 	defer proxySrv.Close()
 
@@ -113,6 +116,7 @@ func TestProxySurvivesOriginAbort(t *testing.T) {
 }
 
 func TestProxyOriginDown(t *testing.T) {
+	watch := leaktest.Start(t)
 	catalog := testCatalog(t)
 	cache, err := core.New(units.GBytes(1), core.NewIB())
 	if err != nil {
@@ -123,6 +127,7 @@ func TestProxyOriginDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watch(px)
 	proxySrv := httptest.NewServer(px)
 	defer proxySrv.Close()
 

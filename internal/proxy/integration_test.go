@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"streamcache/internal/core"
+	"streamcache/internal/leaktest"
 	"streamcache/internal/units"
 )
 
@@ -15,6 +16,7 @@ import (
 // returning the proxy, its base URL, and the origin URL.
 func startStack(t *testing.T, policy core.Policy, cacheBytes int64, originRate float64) (*Proxy, string, string) {
 	t.Helper()
+	watch := leaktest.Start(t)
 	catalog := testCatalog(t)
 	origin, err := NewOrigin(catalog, originRate)
 	if err != nil {
@@ -31,6 +33,7 @@ func startStack(t *testing.T, policy core.Policy, cacheBytes int64, originRate f
 	if err != nil {
 		t.Fatal(err)
 	}
+	watch(px)
 	proxySrv := httptest.NewServer(px)
 	t.Cleanup(proxySrv.Close)
 	return px, proxySrv.URL, originSrv.URL
@@ -233,6 +236,7 @@ func TestProxyUnknownObject(t *testing.T) {
 }
 
 func TestProxyMultiOriginPerPathEstimates(t *testing.T) {
+	watch := leaktest.Start(t)
 	if testing.Short() {
 		t.Skip("rate-limited transfer test")
 	}
@@ -279,6 +283,7 @@ func TestProxyMultiOriginPerPathEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watch(px)
 	proxySrv := httptest.NewServer(px)
 	t.Cleanup(proxySrv.Close)
 

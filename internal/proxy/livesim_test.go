@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"streamcache/internal/core"
+	"streamcache/internal/leaktest"
 	"streamcache/internal/proxy"
 	"streamcache/internal/sim"
 	"streamcache/internal/workload"
@@ -76,6 +77,7 @@ func TestLiveHitRatioMatchesSimulator(t *testing.T) {
 
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			watch := leaktest.Start(t)
 			origin, err := proxy.NewOrigin(catalog, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -92,6 +94,7 @@ func TestLiveHitRatioMatchesSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			watch(px)
 			proxySrv := httptest.NewServer(px)
 			defer proxySrv.Close()
 

@@ -102,6 +102,9 @@ type counters struct {
 	bytesFromHit atomic.Int64
 	bytesFetched atomic.Int64
 	coalesced    atomic.Int64
+	demotions    atomic.Int64
+	pacedWaits   atomic.Int64
+	cancelled    atomic.Int64
 }
 
 // Upstream names one non-origin fetch target (a peer or parent proxy
@@ -144,9 +147,18 @@ type Stats struct {
 	// request's in-flight origin transfer instead of opening their own —
 	// the thundering-herd savings of the relay singleflight.
 	CoalescedRequests int64 `json:"coalescedRequests"`
-	UsedBytes         int64 `json:"usedBytes"`
-	Objects           int   `json:"objects"`
-	Shards            int   `json:"shards"`
+	// RelayDemotions counts readers the relay ring lapped (they trailed
+	// the fastest reader by more than the ring holds) and that finished
+	// over a private upstream fetch; RelayPacedWaits counts the times a
+	// fetch stopped reading its upstream until its lead reader caught
+	// up; RelayCancelled counts fetches aborted because their last
+	// reader left. Tune relayRingSegments against the first two.
+	RelayDemotions  int64 `json:"relayDemotions"`
+	RelayPacedWaits int64 `json:"relayPacedWaits"`
+	RelayCancelled  int64 `json:"relayCancelled"`
+	UsedBytes       int64 `json:"usedBytes"`
+	Objects         int   `json:"objects"`
+	Shards          int   `json:"shards"`
 	// EstimatesBps maps each origin base URL to the current passive
 	// bandwidth estimate of its path (bytes/s), averaged over the shards
 	// that have observed a completed transfer on it.
@@ -562,8 +574,9 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 		if reqStart == 0 && v.hdr != nil {
 			h["X-Cache"] = v.hdr
 		} else {
-			// Ranged request, or the stored prefix outgrew the object size
-			// and the view was clamped — not the steady hit path.
+			// Ranged request, a prefix its relay is still growing, or one
+			// that outgrew the object size and whose view was clamped —
+			// not the steady hit path.
 			//mediavet:ignore hotpath clamped-view and ranged headers render off the steady hit path
 			h["X-Cache"] = []string{"HIT-PREFIX; bytes=" + strconv.FormatInt(cacheServed, 10)}
 		}
@@ -590,62 +603,63 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 
 	// Phase 2: the remainder comes over the constrained upstream path —
 	// through the object's in-flight relay when one covers our offset,
-	// else through a new relay other requests can attach to. A reader
-	// the bounded ring laps (more than the ring capacity behind the
-	// fetch) is demoted to a private upstream fetch from where it left
-	// off, so it still receives correct bytes.
-	start := v.Len()
-	if start < reqStart {
-		start = reqStart
-	}
+	// else through a new relay other requests can attach to.
+	start := max(v.Len(), reqStart)
 	if start >= meta.Size {
 		return
 	}
 	sh.mu.Lock()
 	rl := sh.inflight[meta.ID]
 	switch {
-	case rl != nil && rl.start <= start && rl.attach():
-		sh.mu.Unlock()
+	case rl == nil:
+		//mediavet:ignore hotpath cold miss path: one relay and one fetch goroutine per upstream transfer, amortized over every coalesced follower
+		rl = p.startRelay(sh, meta, rt, start, retainTarget)
+		sh.inflight[meta.ID] = rl
+	case rl.start <= start && rl.attach():
 		rl.raiseRetain(retainTarget)
 		p.stats.coalesced.Add(1)
-		off, lapped := p.streamFromRelay(req.Context(), w, rl, start)
-		rl.detach()
-		if lapped {
-			//mediavet:ignore hotpath ring-lap demotion runs once per slow client, not per request
-			p.relayDirect(req.Context(), w, sh, meta, rt, off)
-		}
-	case rl != nil:
-		// The in-flight transfer began past our offset (the prefix
-		// shrank since it started) or is already being torn down: relay
-		// privately, leaving the store to the active fetch.
-		sh.mu.Unlock()
-		//mediavet:ignore hotpath cold path: the racing-relay fallback runs once per lost race, not per request
-		p.relayDirect(req.Context(), w, sh, meta, rt, start)
 	default:
-		ctx, cancel := context.WithCancel(context.Background())
-		//mediavet:ignore hotpath cold miss path: relay construction happens once per upstream fetch and is amortized over every coalesced follower
-		rl = newRelay(start, retainTarget, cancel)
-		rl.attach() // the leader; a fresh relay never refuses
-		sh.inflight[meta.ID] = rl
-		p.inflight.Add(1)
-		//mediavet:ignore hotpath cold miss path: one relay goroutine per upstream fetch, torn down when the transfer ends
-		go p.runRelay(ctx, sh, meta, rt, rl)
-		sh.mu.Unlock()
-		off, lapped := p.streamFromRelay(req.Context(), w, rl, start)
-		rl.detach()
-		if lapped {
-			//mediavet:ignore hotpath ring-lap demotion runs once per slow client, not per request
-			p.relayDirect(req.Context(), w, sh, meta, rt, off)
+		// The in-flight transfer began past our offset (the prefix
+		// shrank since it started) or is already being torn down.
+		rl = nil
+	}
+	sh.mu.Unlock()
+	lapped := false
+	if rl != nil {
+		if start, lapped = p.streamFromRelay(req.Context(), w, rl, start); lapped {
+			p.stats.demotions.Add(1)
 		}
+	}
+	if rl == nil || lapped {
+		// No shared transfer can serve this reader, or the ring lapped
+		// it (it trails the fastest reader by more than the ring
+		// holds): it finishes over a relay of its own from where it
+		// left off — same pump, nothing retained, nobody else attached,
+		// leaving the store and the herd to the shared fetch.
+		//mediavet:ignore hotpath a private relay starts once per lost race or lapped reader, not per request
+		p.streamFromRelay(req.Context(), w, p.startRelay(sh, meta, rt, start, 0), start)
 	}
 }
 
-// streamFromRelay copies relay bytes from object offset off to the
-// client until the transfer ends or the client goes away (detected by
-// write failure or the request context, whichever fires first). It
+// startRelay starts the upstream transfer of meta's bytes from start
+// on, retaining up to retain of them in the shard's store, and returns
+// its relay with the caller attached.
+func (p *Proxy) startRelay(sh *shard, meta Meta, rt resolvedRoute, start, retain int64) *relay {
+	ctx, cancel := context.WithCancel(context.Background())
+	rl := newRelay(start, meta.Size, retain, cancel)
+	rl.attach() // a fresh relay never refuses
+	p.inflight.Add(1)
+	go p.runRelay(ctx, sh, meta, rt, rl)
+	return rl
+}
+
+// streamFromRelay is the reader loop: it writes relay bytes from object
+// offset off to the client, straight from the relay's segments, until
+// the transfer ends or the client goes away (detected by write failure
+// or the request context, whichever fires first), then detaches. It
 // returns the next unserved offset and whether the ring lapped this
-// reader — in which case the caller must finish the transfer with a
-// private origin fetch from that offset.
+// reader — in which case the caller must finish the transfer over a
+// private relay from that offset.
 //
 //mediavet:hotpath
 func (p *Proxy) streamFromRelay(ctx context.Context, w http.ResponseWriter, rl *relay, off int64) (int64, bool) {
@@ -653,27 +667,25 @@ func (p *Proxy) streamFromRelay(ctx context.Context, w http.ResponseWriter, rl *
 	stop := context.AfterFunc(ctx, rl.wake)
 	defer stop()
 	fl, _ := w.(http.Flusher)
-	bp := fetchBufPool.Get().(*[]byte)
-	defer fetchBufPool.Put(bp)
-	buf := *bp
+	var seg *segment
+	var chunk []byte
+	var err error
 	for {
-		n, done, err := rl.next(ctx, off, buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return off, false // client went away; detach may cancel the fetch
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-			off += int64(n)
+		if seg, chunk, err = rl.next(ctx, off, seg); seg == nil {
+			break
 		}
-		if err == errRelayLapped {
-			return off, true // demote: continue via relayDirect
+		if _, err = w.Write(chunk); err != nil {
+			break // client went away; detach may cancel the fetch
 		}
-		if done && n == 0 {
-			return off, false // transfer ended (cleanly or not): truncate here
+		if fl != nil {
+			fl.Flush()
 		}
+		off += int64(len(chunk))
 	}
+	if rl.detach(seg) {
+		p.stats.cancelled.Add(1)
+	}
+	return off, err == errRelayLapped
 }
 
 // runRelay is the fetch goroutine behind one relay: it pulls the
@@ -683,113 +695,95 @@ func (p *Proxy) streamFromRelay(ctx context.Context, w http.ResponseWriter, rl *
 // the last detaching client, aborting a transfer nobody reads anymore.
 func (p *Proxy) runRelay(ctx context.Context, sh *shard, meta Meta, rt resolvedRoute, rl *relay) {
 	defer p.inflight.Done()
-	fetched, elapsed, usedIdx, err := p.fetchOrigin(ctx, sh, meta, rt, rl)
+	fetched, bps, usedIdx, err := p.fetchOrigin(ctx, sh, meta, rt, rl)
 	rl.finish(err)
 	p.stats.bytesFetched.Add(fetched)
 	p.addTierBytes(usedIdx, fetched)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	delete(sh.inflight, meta.ID)
 	// Passive measurement: throughput of this transfer on the path that
 	// actually carried it (the fallback's, if the primary was demoted).
-	if elapsed > 0 && fetched > 0 {
-		sh.observe(usedIdx, float64(fetched)/elapsed)
+	if bps > 0 {
+		sh.observe(usedIdx, bps)
 	}
+	if sh.inflight[meta.ID] != rl {
+		return // a private relay retained nothing: nothing to reconcile
+	}
+	delete(sh.inflight, meta.ID)
 	// Reconcile accounting and materialization: an aborted transfer can
 	// leave the cache granting bytes the store never received, and an
 	// eviction racing the relay can leave store bytes the cache no
 	// longer accounts for. Either way the store and the cache agree once
-	// no transfer is in flight.
-	stored := sh.store.Len(meta.ID)
-	if acct := sh.cache.CachedBytes(meta.ID); stored < acct {
+	// no transfer is in flight — and the store renders the prefix's
+	// X-Cache header here, once per transfer, where its length settles.
+	if stored := sh.store.Len(meta.ID); stored < sh.cache.CachedBytes(meta.ID) {
 		sh.cache.Truncate(meta.ID, stored)
-	} else if stored > acct {
-		sh.store.Truncate(meta.ID, acct)
 	}
+	sh.store.Truncate(meta.ID, sh.cache.CachedBytes(meta.ID))
 }
 
 // fetchOrigin streams object bytes [rl.start, meta.Size) from the
-// routed upstream into the relay, retaining up to the relay's (possibly
-// still rising) retention limit in the shard's store. It returns the
-// bytes fetched, the transfer duration in seconds, and the upstream
-// index that actually carried the transfer (the fallback's when the
-// primary failed before its first byte).
+// routed upstream into the relay. It returns the bytes fetched, the
+// throughput sample the transfer offers for its path in bytes/s, and
+// the upstream index that actually carried it (the fallback's when the
+// primary failed before its first byte). The sample is 0 when nothing
+// arrived, and when the fetch ever waited for the relay's readers:
+// while it is parked the kernel and transport buffers keep filling and
+// the following reads return at memory speed, so neither the transfer's
+// duration nor that duration less the waits measures the path.
 func (p *Proxy) fetchOrigin(ctx context.Context, sh *shard, meta Meta, rt resolvedRoute, rl *relay) (int64, float64, int, error) {
 	fetchStart := p.now()
 	resp, release, usedIdx, err := p.openUpstream(ctx, meta, rt, rl.start)
 	if err != nil {
-		return 0, p.now().Sub(fetchStart).Seconds(), usedIdx, err
+		return 0, 0, usedIdx, err
 	}
 	defer release()
 	defer resp.Body.Close()
+	fetched, waits, err := pump(resp.Body, sh.store, meta.ID, rl)
+	if err != nil {
+		err = fmt.Errorf("proxy: upstream read: %w", err)
+	}
+	p.stats.pacedWaits.Add(waits)
+	var bps float64
+	if elapsed := p.now().Sub(fetchStart).Seconds(); waits == 0 && elapsed > 0 {
+		bps = float64(fetched) / elapsed
+	}
+	return fetched, bps, usedIdx, err
+}
 
-	var fetched int64
-	bp := fetchBufPool.Get().(*[]byte)
-	defer fetchBufPool.Put(bp)
-	buf := *bp
+// pump is the fetch loop: it reads body straight into rl's segments,
+// store adopting those below the relay's (possibly still rising)
+// retention limit, until the body ends, the object is complete or every
+// reader has left. It returns the bytes fetched and how many times it
+// waited for the relay's readers.
+//
+//mediavet:hotpath
+func pump(body io.Reader, store *PrefixStore, id int, rl *relay) (fetched, waits int64, err error) {
 	offset := rl.start
-	for {
-		n, readErr := resp.Body.Read(buf)
+	for err == nil {
+		seg, limit, waited := rl.reserve()
+		if waited {
+			waits++
+		}
+		if seg == nil {
+			break
+		}
+		var n int
+		n, err = body.Read(seg.buf[offset-seg.off:])
 		if n > 0 {
 			// Materialize before publishing: a client that has consumed
 			// every published byte is then guaranteed the store was
 			// offered them too.
-			if limit := rl.retainLimit(); offset < limit {
-				sh.store.AppendAt(meta.ID, offset, buf[:n], limit)
-			}
-			rl.append(buf[:n])
-			offset += int64(n)
-			fetched += int64(n)
-		}
-		if readErr == io.EOF {
-			break
-		}
-		if readErr != nil {
-			return fetched, p.now().Sub(fetchStart).Seconds(), usedIdx, fmt.Errorf("proxy: upstream read: %w", readErr)
+			end := offset + int64(n)
+			rl.publish(seg, n, offset < limit && store.adopt(id, seg, end, limit))
+			offset = end
 		}
 	}
-	return fetched, p.now().Sub(fetchStart).Seconds(), usedIdx, nil
-}
-
-// relayDirect streams [start, meta.Size) from the routed upstream
-// straight to one client, bypassing the store — the fallback when an
-// in-flight relay exists but began past this client's offset.
-func (p *Proxy) relayDirect(ctx context.Context, w http.ResponseWriter, sh *shard, meta Meta, rt resolvedRoute, start int64) {
-	fetchStart := p.now()
-	resp, release, usedIdx, err := p.openUpstream(ctx, meta, rt, start)
-	if err != nil {
-		return
+	if err == io.EOF {
+		err = nil
 	}
-	defer release()
-	defer resp.Body.Close()
-	fl, _ := w.(http.Flusher)
-	var fetched int64
-	bp := fetchBufPool.Get().(*[]byte)
-	defer fetchBufPool.Put(bp)
-	buf := *bp
-	for {
-		n, readErr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, err := w.Write(buf[:n]); err != nil {
-				break
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-			fetched += int64(n)
-		}
-		if readErr != nil {
-			break
-		}
-	}
-	p.stats.bytesFetched.Add(fetched)
-	p.addTierBytes(usedIdx, fetched)
-	if elapsed := p.now().Sub(fetchStart).Seconds(); elapsed > 0 && fetched > 0 {
-		sh.mu.Lock()
-		sh.observe(usedIdx, float64(fetched)/elapsed)
-		sh.mu.Unlock()
-	}
+	return offset - rl.start, waits, err
 }
 
 // openUpstream opens the transfer for meta over rt's primary upstream,
@@ -914,6 +908,9 @@ func (p *Proxy) Snapshot() Stats {
 		BytesFromHit:      p.stats.bytesFromHit.Load(),
 		BytesFetched:      p.stats.bytesFetched.Load(),
 		CoalescedRequests: p.stats.coalesced.Load(),
+		RelayDemotions:    p.stats.demotions.Load(),
+		RelayPacedWaits:   p.stats.pacedWaits.Load(),
+		RelayCancelled:    p.stats.cancelled.Load(),
 		Shards:            len(p.shards),
 		DefaultOrigin:     p.originURL,
 		Tier:              p.tier,

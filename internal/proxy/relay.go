@@ -12,63 +12,65 @@ import (
 // remainder is or how slow its slowest reader.
 const relayRingSegments = 16
 
-// errRelayLapped reports that the fetch overwrote ring slots a reader
-// had not consumed yet. The reader must leave the relay and continue
-// with a private origin fetch (relayDirect) from its current offset.
+// errRelayLapped reports that the ring dropped bytes a reader had not
+// consumed yet: it trails the fastest reader by more than the ring
+// holds. The reader must leave the relay and continue from its current
+// offset over a private one.
 var errRelayLapped = errors.New("proxy: relay reader lapped by the ring")
 
-// relay is one in-flight origin transfer shared by every concurrent
-// request for the same object — the singleflight of the sharded proxy.
-// A thundering herd of clients asking for one cold object costs a
-// single transfer over the constrained origin path: the first request
-// starts a fetch goroutine that publishes bytes into the relay ring
-// (and the shard's PrefixStore, up to the retention target), and every
-// attached client streams from the ring at its own pace.
+// relay is one in-flight upstream transfer and the readers streaming
+// it — the singleflight of the sharded proxy. A thundering herd of
+// clients asking for one cold object costs a single transfer over the
+// constrained origin path: the first request starts a fetch goroutine
+// and every attached client streams from the ring at its own pace.
 //
-// Unlike the store's append-only chains, the ring is bounded: when it
-// is full the fetch reclaims the oldest segment, advancing tail. A
-// reader whose offset falls behind tail is told so (errRelayLapped)
-// and demotes itself to a private origin fetch — one slow client can
-// no longer pin an entire object remainder in memory. Because slots
-// are overwritten in place, readers copy bytes out under the relay
-// lock; nothing aliases ring memory, so segments are recycled to
-// segPool when the last client detaches.
+// A fetched byte is copied into user space once and out once. The
+// fetch reads the upstream body straight into the free tail of the
+// newest segment (reserve) and publishes by advancing head (publish);
+// below the retention limit the shard's PrefixStore adopts that same
+// segment by reference; a reader is handed the published bytes of one
+// segment (next) and writes them to its client with no lock held.
+// Nothing published is ever rewritten, so the aliases are stable.
+//
+// The ring is bounded and paced by its readers: the fetch opens a new
+// segment only while head is less than half a ring past the lead — the
+// furthest offset any reader has consumed — so TCP back-pressure
+// reaches the upstream and a sole reader is never outrun. The other
+// half of the ring is history for slower readers: a full ring drops
+// its oldest segment, and a reader that trailed the lead by so much
+// that its offset is gone (errRelayLapped) demotes itself, so one slow
+// client in a herd pins no memory. A dropped segment is recycled to
+// segPool unless the store adopted it or a reader still has it pinned.
 //
 // Attached clients are refcounted: when the last one detaches before
 // the transfer completes, the fetch is canceled so the constrained
 // origin path is not spent on bytes nobody will receive.
 type relay struct {
-	start  int64              // object offset the transfer begins at
-	cancel context.CancelFunc // aborts the origin fetch; set at construction
+	start, end int64              // object offsets the transfer covers
+	cancel     context.CancelFunc // aborts the fetch; set at construction
 
 	mu   sync.Mutex
 	cond sync.Cond
-	// ring slots are lazily filled from segPool; slot for absolute
-	// object offset off is ((off-start)/segmentSize) % relayRingSegments.
+	// ring[:n] are contiguous segments, oldest first, covering
+	// [tail, head) and the unpublished room after head.
 	ring [relayRingSegments]*segment
-	// head is the absolute object offset one past the last published
-	// byte; tail is the oldest offset still held. The fetch advances
-	// tail by whole segments when the ring is full, keeping
-	// head-tail <= relayRingSegments*segmentSize.
-	head, tail int64
-	retain     int64 // PrefixStore retention limit (max over attached requests)
-	subs       int   // attached clients (leader included)
-	canceled   bool  // last client left; fetch abort initiated
-	released   bool  // ring segments returned to the pool; relay is dead
-	done       bool
-	err        error
+	n    int
+	// head is one past the last published byte, tail the oldest offset
+	// still held, lead the furthest offset a reader has consumed or
+	// waits at.
+	head, tail, lead int64
+	retain           int64 // PrefixStore retention limit (max over attached requests)
+	subs             int   // attached clients (leader included)
+	canceled         bool  // last client left an unfinished fetch; abort initiated
+	released         bool  // ring recycled; relay is dead
+	done             bool  // fetch goroutine is finished with the ring
+	err              error
 }
 
-// newRelay builds a relay for object bytes starting at start whose
-// fetch can be aborted via cancel.
-func newRelay(start, retain int64, cancel context.CancelFunc) *relay {
-	r := &relay{
-		start:  start,
-		retain: retain,
-		cancel: cancel,
-		head:   start,
-		tail:   start,
-	}
+// newRelay builds a relay for object bytes [start, end) whose fetch
+// can be aborted via cancel.
+func newRelay(start, end, retain int64, cancel context.CancelFunc) *relay {
+	r := &relay{start: start, end: end, retain: retain, cancel: cancel, head: start, tail: start, lead: start}
 	r.cond.L = &r.mu
 	return r
 }
@@ -88,36 +90,57 @@ func (r *relay) attach() bool {
 	return true
 }
 
-// detach unregisters one client reader; the last one out aborts an
-// unfinished fetch and recycles the ring.
+// detach unregisters one client reader, unpinning the segment it still
+// held, if any. The last one out aborts an unfinished fetch, which is
+// reported.
 //
 //mediavet:hotpath
-func (r *relay) detach() {
+func (r *relay) detach(held *segment) (aborted bool) {
 	r.mu.Lock()
-	abort := false
+	if held != nil {
+		held.pins--
+	}
 	r.subs--
-	if r.subs == 0 {
-		if !r.done && !r.canceled {
-			r.canceled = true
-			abort = true
-		}
-		// Recycle the ring to segPool. No reader remains, and ring
-		// bytes are only ever read under r.mu (next copies out), so
-		// nothing can alias a recycled segment.
-		if !r.released {
-			r.released = true
-			for i, seg := range r.ring {
-				if seg != nil {
-					segPool.Put(seg)
-					r.ring[i] = nil
-				}
-			}
-		}
+	if r.subs == 0 && !r.done && !r.canceled {
+		r.canceled = true
+		aborted = true
+		r.cond.Broadcast() // the fetch may be waiting for a reader
 	}
 	fn := r.cancel
 	r.mu.Unlock()
-	if abort && fn != nil {
+	if aborted && fn != nil {
 		fn()
+	}
+	r.release()
+	return aborted
+}
+
+// release recycles the ring once nothing can touch it: no reader is
+// attached and the fetch has stopped filling the newest segment.
+//
+//mediavet:hotpath
+func (r *relay) release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.subs > 0 || !r.done || r.released {
+		return
+	}
+	r.released = true
+	for i, seg := range r.ring[:r.n] {
+		recycle(seg)
+		r.ring[i] = nil
+	}
+	r.n, r.tail = 0, r.head
+}
+
+// recycle returns a segment that left the ring to segPool when nothing
+// else can alias it; any other is left to the GC. Callers hold the
+// relay's lock.
+//
+//mediavet:hotpath
+func recycle(seg *segment) {
+	if seg.pins == 0 && !seg.adopted && len(seg.buf) == segmentSize {
+		segPool.Put(seg)
 	}
 }
 
@@ -134,60 +157,78 @@ func (r *relay) raiseRetain(n int64) {
 	r.mu.Unlock()
 }
 
-// retainLimit returns the current store-retention limit.
+// room reports whether the fetch may open another segment: it runs at
+// most half a ring ahead of the lead reader. Callers hold r.mu.
 //
 //mediavet:hotpath
-func (r *relay) retainLimit() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retain
+func (r *relay) room() bool {
+	return r.head-r.lead < relayRingSegments*segmentSize/2
 }
 
-// append publishes p to every attached reader, reclaiming the oldest
-// ring segments when full. The fetch goroutine is the only appender.
+// reserve returns the segment the next fetched bytes land in — they
+// belong at buf[head-off:] — and the store-retention limit, opening a
+// segment when the newest is full. Before opening one it waits for
+// the lead reader to come within half a ring of head, and reports
+// whether it had to. It returns nil once the transfer is complete or
+// every reader has left. The fetch goroutine is the only caller.
 //
 //mediavet:hotpath
-func (r *relay) append(p []byte) {
+func (r *relay) reserve() (seg *segment, limit int64, waited bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.released {
-		return // every reader left; the abort is racing the last read
+	if r.n > 0 && r.head < r.ring[r.n-1].end() {
+		return r.ring[r.n-1], r.retain, false
 	}
-	for len(p) > 0 {
-		if r.head-r.tail == relayRingSegments*segmentSize {
-			// Ring full: sacrifice the oldest segment. Any reader still
-			// below the new tail will learn it was lapped on its next
-			// call and demote itself.
-			r.tail += segmentSize
-		}
-		rel := r.head - r.start
-		slot := (rel / segmentSize) % relayRingSegments
-		within := rel % segmentSize
-		seg := r.ring[slot]
-		if within == 0 || seg == nil {
-			if seg == nil {
-				seg = newSegment(0)
-				r.ring[slot] = seg
-			}
-			seg.off = r.head
-			seg.used = 0
-		}
-		n := copy(seg.buf[within:], p)
-		seg.used = int(within) + n
-		r.head += int64(n)
-		p = p[n:]
+	if r.head >= r.end {
+		return nil, 0, false
 	}
+	for !r.room() && !r.canceled {
+		waited = true
+		r.cond.Wait()
+	}
+	if r.canceled {
+		return nil, 0, waited
+	}
+	if r.n == relayRingSegments {
+		// Drop the oldest, at least half a ring behind the lead.
+		r.tail = r.ring[0].end()
+		recycle(r.ring[0])
+		r.n = copy(r.ring[:], r.ring[1:])
+		r.ring[r.n] = nil
+	}
+	// No larger than what can still arrive, and split at the retention
+	// limit so the store adopts exactly what the cache accounts for.
+	size := min(segmentSize, r.end-r.head)
+	if r.head < r.retain {
+		size = min(size, r.retain-r.head)
+	}
+	seg = newSegment(r.head, size)
+	r.ring[r.n] = seg
+	r.n++
+	return seg, r.retain, waited
+}
+
+// publish makes the n bytes the fetch wrote at seg's fill mark visible
+// to every reader, and records whether the store adopted seg.
+//
+//mediavet:hotpath
+func (r *relay) publish(seg *segment, n int, adopted bool) {
+	r.mu.Lock()
+	seg.adopted = seg.adopted || adopted
+	r.head += int64(n)
 	r.cond.Broadcast()
+	r.mu.Unlock()
 }
 
-// finish marks the transfer complete (err non-nil when it died early)
-// and wakes every reader.
+// finish marks the transfer over (err non-nil when it died early): the
+// fetch no longer touches the ring. It wakes every reader.
 func (r *relay) finish(err error) {
 	r.mu.Lock()
 	r.done = true
 	r.err = err
 	r.cond.Broadcast()
 	r.mu.Unlock()
+	r.release()
 }
 
 // wake prods every blocked reader so it can re-check its own context;
@@ -198,62 +239,50 @@ func (r *relay) wake() {
 	r.mu.Unlock()
 }
 
-// next blocks until bytes past object offset off are published, the
-// transfer ends, or ctx (the reader's own request context) is canceled,
-// then copies published bytes starting at off into dst. Ring slots are
-// overwritten in place, so the copy happens under the lock — dst never
-// aliases ring memory. done reports that the reader should stop after
-// consuming the returned bytes; err is errRelayLapped when the fetch
-// reclaimed offset off before this reader consumed it (the reader must
-// demote to a private fetch).
+// next is one step of a reader's loop. The reader has consumed
+// everything below object offset off and returns the segment it held;
+// next unpins it, then blocks until bytes at off are published, the
+// transfer ends, or ctx (the reader's own request context) is
+// canceled. It returns the published bytes of one segment from off on,
+// aliased, with the segment pinned so that it is not recycled while
+// the reader writes them out unlocked. A nil segment ends the loop:
+// err is nil after a complete transfer, errRelayLapped when the ring
+// dropped offset off (the reader must demote to a private fetch), else
+// what ended the reader or the transfer.
 //
 //mediavet:hotpath
-func (r *relay) next(ctx context.Context, off int64, dst []byte) (n int, done bool, err error) {
+func (r *relay) next(ctx context.Context, off int64, held *segment) (*segment, []byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if held != nil {
+		held.pins--
+	}
+	if off > r.lead {
+		// A reader waiting past head (a ranged resume) counts in full:
+		// the fetch runs unpaced until it has bytes for it.
+		paced := !r.room()
+		r.lead = off
+		if paced && r.room() {
+			r.cond.Broadcast() // the fetch was waiting for this reader
+		}
+	}
 	for r.head <= off && !r.done && ctx.Err() == nil {
 		r.cond.Wait()
 	}
 	if err := ctx.Err(); err != nil {
-		return 0, true, err
+		return nil, nil, err
 	}
 	if off < r.tail {
-		return 0, true, errRelayLapped
+		return nil, nil, errRelayLapped
 	}
-	for n < len(dst) && off < r.head {
-		rel := off - r.start
-		slot := (rel / segmentSize) % relayRingSegments
-		within := rel % segmentSize
-		seg := r.ring[slot]
-		avail := int64(seg.used) - within
-		if rest := r.head - off; avail > rest {
-			avail = rest
-		}
-		if avail <= 0 {
-			break
-		}
-		c := copy(dst[n:], seg.buf[within:within+avail])
-		n += c
-		off += int64(c)
+	if off >= r.head {
+		return nil, nil, r.err
 	}
-	if n > 0 {
-		return n, false, nil
+	i := 0
+	for r.ring[i].end() <= off {
+		i++
 	}
-	return 0, r.done, r.err
-}
-
-// buffered returns the byte span currently held by the ring (a test
-// hook pinning the memory bound).
-func (r *relay) buffered() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.head - r.tail
-}
-
-// tailOffset returns the oldest object offset still readable (a test
-// hook).
-func (r *relay) tailOffset() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tail
+	seg := r.ring[i]
+	seg.pins++
+	return seg, seg.buf[off-seg.off : min(r.head, seg.end())-seg.off], nil
 }

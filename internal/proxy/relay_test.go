@@ -5,7 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"hash"
+	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -14,117 +19,448 @@ import (
 	"time"
 
 	"streamcache/internal/core"
+	"streamcache/internal/leaktest"
 	"streamcache/internal/units"
 )
 
-// TestRelayRingBoundsMemory pins the tentpole's memory bound: no matter
-// how large the transfer, the relay never holds more than the ring
-// capacity, a reader left behind the window is told it was lapped, and
-// a reader inside the window still gets exact bytes.
-func TestRelayRingBoundsMemory(t *testing.T) {
-	const ringBytes = relayRingSegments * segmentSize
-	rl := newRelay(0, 0, nil)
-	if !rl.attach() {
-		t.Fatal("fresh relay refused attach")
-	}
-	defer rl.detach()
+// ringBytes is the relay ring's capacity.
+const ringBytes = relayRingSegments * segmentSize
 
-	const total = 4 << 20 // 4x the ring capacity
-	data := Content(1, 0, total)
-	const chunk = 32 * 1024
-	for off := 0; off < total; off += chunk {
-		rl.append(data[off : off+chunk])
-		if got := rl.buffered(); got > ringBytes {
-			t.Fatalf("relay holds %d bytes after %d appended, bound is %d", got, off+chunk, ringBytes)
-		}
-	}
-	rl.finish(nil)
-	if got := rl.buffered(); got != ringBytes {
-		t.Fatalf("relay holds %d bytes at end, want a full ring %d", got, ringBytes)
-	}
+// buffered returns the byte span the ring holds for readers.
+func (r *relay) buffered() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.head - r.tail
+}
 
-	// A reader that never consumed anything is now behind the window.
-	buf := make([]byte, 8192)
-	n, done, err := rl.next(context.Background(), 0, buf)
-	if err != errRelayLapped || !done || n != 0 {
-		t.Fatalf("lapped reader got (n=%d, done=%v, err=%v), want (0, true, errRelayLapped)", n, done, err)
-	}
+// tailOffset returns the oldest object offset still readable.
+func (r *relay) tailOffset() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tail
+}
 
-	// A reader inside the window reads the exact published bytes.
-	off := rl.tailOffset()
-	if off != total-ringBytes {
-		t.Fatalf("tail = %d, want %d", off, total-ringBytes)
+// pieces is an upstream body for pump: it hands out data in reads of at
+// most piece bytes, the way a network body arrives.
+type pieces struct {
+	data  []byte
+	piece int
+}
+
+func (p *pieces) Read(b []byte) (int, error) {
+	if len(p.data) == 0 {
+		return 0, io.EOF
 	}
-	for off < total {
-		n, _, err := rl.next(context.Background(), off, buf)
-		if err != nil {
-			t.Fatalf("in-window read at %d: %v", off, err)
+	n := copy(b[:min(len(b), p.piece)], p.data)
+	p.data = p.data[n:]
+	return n, nil
+}
+
+// drain plays one client: it reads rl from off on through next until the
+// transfer ends, checking every aliased chunk against want (the bytes
+// of the relay from rl.start on) at the moment it would be written out,
+// and calling step, if set, between chunks. It returns the offset it
+// reached and what ended it. The caller detaches.
+func drain(rl *relay, off int64, want []byte, step func(off int64)) (int64, error) {
+	var seg *segment
+	for {
+		var chunk []byte
+		var err error
+		if seg, chunk, err = rl.next(context.Background(), off, seg); seg == nil {
+			return off, err
 		}
-		if n == 0 {
-			break
+		if step != nil {
+			step(off)
 		}
-		if !bytes.Equal(buf[:n], data[off:off+int64(n)]) {
-			t.Fatalf("in-window read at %d returned wrong bytes", off)
+		if !bytes.Equal(chunk, want[off-rl.start:off-rl.start+int64(len(chunk))]) {
+			return off, fmt.Errorf("reader at %d: %d aliased bytes differ from the object's", off, len(chunk))
 		}
-		off += int64(n)
-	}
-	if off != total {
-		t.Fatalf("in-window reader stopped at %d, want %d", off, total)
+		off += int64(len(chunk))
 	}
 }
 
-// TestRelayLockstepDeliversExactBytes runs a paced appender against a
-// concurrent reader that never falls a full ring behind, and demands
-// the reader observe the byte stream exactly — slot reuse and wrap
-// arithmetic included (the transfer spans the ring many times over).
+// TestRelayRingBoundsMemory pins the memory bound and the pacing rule:
+// however large the transfer, the relay never holds more than the ring
+// capacity nor runs more than half a ring (and the segment being
+// filled) ahead of its lead reader; a reader that never reads is told
+// it was lapped; a reader inside the window gets exact bytes.
+func TestRelayRingBoundsMemory(t *testing.T) {
+	const total = 4 << 20 // 4x the ring capacity
+	data := Content(1, 0, total)
+	rl := newRelay(0, total, 0, nil)
+	rl.attach() // the lead
+	rl.attach() // one that never reads
+	fed := make(chan int64)
+	go func() {
+		n, _, err := pump(&pieces{data, 32 * 1024}, nil, 1, rl)
+		rl.finish(err)
+		fed <- n
+	}()
+
+	end, err := drain(rl, 0, data, func(off int64) {
+		if got := rl.buffered(); got > ringBytes {
+			t.Errorf("relay holds %d bytes with its lead at %d, bound is %d", got, off, ringBytes)
+		}
+		rl.mu.Lock()
+		ahead := rl.head - rl.lead
+		rl.mu.Unlock()
+		if ahead > ringBytes/2+segmentSize {
+			t.Errorf("fetch ran %d bytes ahead of its lead at %d, bound is %d", ahead, off, ringBytes/2+segmentSize)
+		}
+	})
+	if end != total || err != nil {
+		t.Fatalf("lead reader stopped at %d (%v), want %d", end, err, total)
+	}
+	if got := <-fed; got != total {
+		t.Fatalf("fetch stopped at %d, want %d", got, total)
+	}
+
+	// The reader that never consumed anything is behind the window.
+	if seg, _, err := rl.next(context.Background(), 0, nil); seg != nil || err != errRelayLapped {
+		t.Fatalf("stalled reader got (%v, %v), want (nil, errRelayLapped)", seg, err)
+	}
+	// A reader inside the window reads the exact published bytes.
+	tail := rl.tailOffset()
+	if tail == 0 || total-tail > ringBytes {
+		t.Fatalf("tail = %d after %d bytes through a %d-byte ring", tail, total, ringBytes)
+	}
+	if end, err := drain(rl, tail, data, nil); end != total || err != nil {
+		t.Fatalf("in-window reader stopped at %d (%v), want %d", end, err, total)
+	}
+	rl.detach(nil)
+	rl.detach(nil)
+	if rl.n != 0 || !rl.released {
+		t.Fatalf("ring not recycled after the last detach: n=%d released=%v", rl.n, rl.released)
+	}
+}
+
+// TestRelayLockstepDeliversExactBytes runs the fetch against a
+// concurrent reader and demands the reader observe the byte stream
+// exactly — segment reuse, a nonzero start and pieces unaligned with
+// segmentSize included (the transfer spans the ring many times over).
+// The reader is the relay's only one, so pacing must keep it from ever
+// being lapped.
 func TestRelayLockstepDeliversExactBytes(t *testing.T) {
 	const start = 100 // nonzero start exercises the offset mapping
 	const total = 3 << 20
 	want := Content(2, start, total)
-
-	rl := newRelay(start, 0, nil)
-	if !rl.attach() {
-		t.Fatal("attach refused")
-	}
-	defer rl.detach()
-
-	var consumed atomic.Int64
-	consumed.Store(start)
+	rl := newRelay(start, start+total, 0, nil)
+	rl.attach()
 	go func() {
-		const chunk = 7000 // deliberately unaligned with segmentSize
-		for off := 0; off < total; {
-			// Stay at most half a ring ahead of the reader so it is
-			// never lapped.
-			if int64(start+off)-consumed.Load() > relayRingSegments*segmentSize/2 {
-				time.Sleep(100 * time.Microsecond)
-				continue
-			}
-			n := min(chunk, total-off)
-			rl.append(want[off : off+n])
-			off += n
-		}
-		rl.finish(nil)
+		_, _, err := pump(&pieces{want, 7000}, nil, 2, rl)
+		rl.finish(err)
 	}()
+	if end, err := drain(rl, start, want, nil); end != start+total || err != nil {
+		t.Fatalf("reader stopped at %d (%v), want %d", end, err, start+total)
+	}
+	rl.detach(nil)
+}
 
-	var got bytes.Buffer
-	buf := make([]byte, 4096)
-	off := int64(start)
-	for {
-		n, done, err := rl.next(context.Background(), off, buf)
-		if err != nil {
-			t.Fatalf("next at %d: %v", off, err)
+// prefixMatcher is an io.Writer that compares what is written to it
+// with the start of want, without keeping it.
+type prefixMatcher struct {
+	want []byte
+	n    int
+	ok   bool
+}
+
+func (m *prefixMatcher) Write(p []byte) (int, error) {
+	m.ok = m.ok && m.n+len(p) <= len(m.want) && bytes.Equal(p, m.want[m.n:m.n+len(p)])
+	m.n += len(p)
+	return len(p), nil
+}
+
+// storesPrefix reports whether what store holds of object id is a
+// prefix of object.
+func storesPrefix(store *PrefixStore, id int, object []byte) bool {
+	m := &prefixMatcher{want: object, ok: true}
+	v := store.View(id, int64(len(object)))
+	_, err := v.WriteTo(m)
+	return err == nil && m.ok && int64(m.n) == v.Len()
+}
+
+// relayScriptObject is the content relayScript's transfers carry.
+var relayScriptObject = Content(5, 0, segmentSize+7+2*ringBytes+12345)
+
+// relayScript drives one relay, its store and up to four readers through
+// the operations script encodes, single-threaded, against an unbounded
+// reference buffer (the object's content): the model-based test of the
+// relay. Every reader must receive byte-exact data — checked when it
+// writes a chunk out, however many publishes, drops and truncations
+// happened since next handed it over — or errRelayLapped, and then only
+// while trailing the lead by several segments; the ring never holds more
+// than its capacity; the fetch is paced exactly by the half-ring rule;
+// the store holds an exact prefix; and at the end nothing is pinned and
+// the ring is recycled.
+func relayScript(t testing.TB, script []byte) {
+	arg := func() int {
+		if len(script) == 0 {
+			return 0
 		}
-		if n > 0 {
-			got.Write(buf[:n])
-			off += int64(n)
-			consumed.Store(off)
+		b := script[0]
+		script = script[1:]
+		return int(b)
+	}
+	const id = 5
+	start := []int64{0, 100, segmentSize + 7}[arg()%3]
+	end := start + 2*ringBytes + 12345
+	retain := []int64{0, start + 100_000, end}[arg()%3]
+	object := relayScriptObject[:end]
+	want := object[start:]
+
+	store := NewPrefixStore()
+	store.AppendAt(id, 0, object[:start], start) // the prefix the relay resumes behind
+	canceled := false
+	rl := newRelay(start, end, retain, func() { canceled = true })
+
+	type reader struct {
+		attached bool
+		off      int64
+		seg      *segment
+		chunk    []byte
+	}
+	var readers [4]reader
+	var segs []*segment // every segment the fetch was handed
+	var cur *segment
+	head, lead := start, start
+	done := false
+	consumed := func(off int64) { lead = max(lead, off) }
+	attached := func() (n int) {
+		for _, r := range readers {
+			if r.attached {
+				n++
+			}
 		}
-		if done && n == 0 {
-			break
+		return n
+	}
+	boom := errors.New("upstream died")
+	canceledCtx, cancelCtx := context.WithCancel(context.Background())
+	cancelCtx()
+	var finishErr error
+
+	for len(script) > 0 {
+		if done && attached() == 0 {
+			break // this transfer is over; the rest of the script drives another
+		}
+		op, a := arg()%16, arg()
+		r := &readers[a%len(readers)]
+		switch {
+		case op < 7: // the fetch reads one piece
+			if done {
+				break
+			}
+			if cur == nil || head == cur.end() {
+				if head == end {
+					rl.finish(nil)
+					done = true
+					break
+				}
+				if paced := head-lead >= ringBytes/2; paced != !rl.room() {
+					t.Fatalf("head %d, lead %d: model says paced=%v, relay room=%v", head, lead, paced, rl.room())
+				} else if paced && !canceled {
+					break // the fetch would wait here
+				}
+			}
+			seg, limit, _ := rl.reserve()
+			if canceled {
+				if seg != nil && head == seg.end() {
+					t.Fatal("reserve opened a segment for a canceled fetch")
+				}
+				rl.finish(context.Canceled)
+				done, finishErr = true, context.Canceled
+				break
+			}
+			if seg == nil {
+				t.Fatalf("reserve refused at head %d of %d with room", head, end)
+			}
+			if seg != cur {
+				cur = seg
+				segs = append(segs, seg)
+			}
+			n := copy(seg.buf[head-seg.off:], want[head-start:min(end, head+int64(a+1)*131)-start])
+			rl.publish(seg, n, head < limit && store.adopt(id, seg, head+int64(n), limit))
+			head += int64(n)
+		case op < 13: // a reader takes a step
+			if !r.attached {
+				if done || canceled {
+					break
+				}
+				if !rl.attach() {
+					t.Fatal("a live relay refused attach")
+				}
+				// Behind the ring or inside it; one in eight anywhere in
+				// the object, which may be past what is fetched so far
+				// (a ranged resume).
+				span := head - start
+				if a%8 == 0 {
+					span = end - start
+				}
+				*r = reader{attached: true, off: start + int64(a)*span/256}
+				break
+			}
+			if r.chunk != nil { // write out what next handed over
+				if !bytes.Equal(r.chunk, want[r.off-start:r.off-start+int64(len(r.chunk))]) {
+					t.Fatalf("reader at %d: %d aliased bytes differ from the object's", r.off, len(r.chunk))
+				}
+				r.off += int64(len(r.chunk))
+				r.chunk = nil
+			}
+			consumed(r.off)
+			if r.off >= head && !done {
+				// next would block. A canceled context lets the reader
+				// enter it — unpin, report its offset — and no further.
+				if seg, _, err := rl.next(canceledCtx, r.off, r.seg); seg != nil || err != context.Canceled {
+					t.Fatalf("next at the head with a canceled context returned (%v, %v)", seg, err)
+				}
+				r.seg = nil
+				break
+			}
+			var err error
+			r.seg, r.chunk, err = rl.next(context.Background(), r.off, r.seg)
+			switch {
+			case r.seg != nil:
+				if len(r.chunk) == 0 || r.off+int64(len(r.chunk)) > head {
+					t.Fatalf("reader at %d handed %d bytes with head at %d", r.off, len(r.chunk), head)
+				}
+				continue
+			case err == errRelayLapped:
+				if r.off >= rl.tail || lead-r.off <= (relayRingSegments/2-3)*segmentSize {
+					t.Fatalf("reader at %d lapped with tail %d and lead %d", r.off, rl.tail, lead)
+				}
+			case r.off < head || err != finishErr:
+				t.Fatalf("reader ended at %d with %v; head %d, transfer ended with %v", r.off, err, head, finishErr)
+			}
+			rl.detach(nil)
+			r.attached = false
+		case op == 13: // a client goes away, mid-write or not
+			if r.attached {
+				abort := attached() == 1 && !done && !canceled
+				if aborted := rl.detach(r.seg); aborted != abort || (abort && !canceled) {
+					t.Fatalf("detach reported aborted=%v, canceled the fetch %v, want %v", aborted, canceled, abort)
+				}
+				*r = reader{}
+			}
+		case op == 14: // the cache evicts, or a late attacher raises the target
+			if a%2 == 0 {
+				store.Truncate(id, int64(a)*int64(end)/255)
+			} else {
+				rl.raiseRetain(end)
+			}
+		default: // the upstream dies
+			if !done && a == 0 {
+				rl.finish(boom)
+				done, finishErr = true, boom
+			}
+		}
+
+		if rl.n > relayRingSegments || rl.head-rl.tail > ringBytes {
+			t.Fatalf("ring holds %d segments, %d bytes; bounds are %d, %d", rl.n, rl.head-rl.tail, relayRingSegments, ringBytes)
+		}
+		if rl.head != head || rl.lead != lead {
+			t.Fatalf("relay at head %d lead %d, model at head %d lead %d", rl.head, rl.lead, head, lead)
+		}
+		if head-lead > ringBytes/2+segmentSize {
+			t.Fatalf("fetch at %d ran %d past its lead", head, head-lead)
+		}
+		if op == 14 && !storesPrefix(store, id, object) {
+			t.Fatalf("store holds %d bytes that are not the object's prefix", store.Len(id))
 		}
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("reader saw %d bytes, diverged from the %d appended", got.Len(), total)
+
+	for i := range readers {
+		if readers[i].attached {
+			rl.detach(readers[i].seg)
+		}
+	}
+	if !done {
+		rl.finish(nil)
+	}
+	if rl.n != 0 || !rl.released {
+		t.Fatalf("ring not recycled at the end: n=%d released=%v", rl.n, rl.released)
+	}
+	for _, seg := range segs {
+		if seg.pins != 0 {
+			t.Fatalf("segment at %d left with %d pins", seg.off, seg.pins)
+		}
+	}
+	if !storesPrefix(store, id, object) {
+		t.Fatalf("store holds %d bytes that are not the object's prefix", store.Len(id))
+	}
+	if len(script) > 0 {
+		relayScript(t, script)
+	}
+}
+
+// TestRelayMatchesUnboundedModel runs the model script on long random
+// inputs; FuzzRelayModel (make fuzz-smoke) lets the fuzzer write them.
+func TestRelayMatchesUnboundedModel(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		script := make([]byte, 40_000)
+		rand.New(rand.NewSource(seed)).Read(script)
+		relayScript(t, script)
+	}
+}
+
+func FuzzRelayModel(f *testing.F) {
+	f.Add([]byte{0, 2, 0, 9, 7, 0, 0, 200, 8, 0, 13, 0})
+	f.Add(bytes.Repeat([]byte{1, 1, 3, 255, 9, 2}, 400))
+	f.Fuzz(func(t *testing.T, script []byte) { relayScript(t, script) })
+}
+
+// TestAliasedReadersStableUnderFillAndEviction is the aliasing contract
+// under the race detector: readers compare aliased segment bytes while
+// the fetch fills the same segments' tails (the pieces are far smaller
+// than a segment), the store adopts them, and an evictor truncates and
+// re-reads the object mid-flight. Readers and views stay byte-stable.
+func TestAliasedReadersStableUnderFillAndEviction(t *testing.T) {
+	const id, total = 9, 3 << 20
+	data := Content(id, 0, total)
+	store := NewPrefixStore()
+	rl := newRelay(0, total, total, nil)
+	const nReaders = 3
+	var wg sync.WaitGroup
+	for i := 0; i < nReaders; i++ {
+		rl.attach()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			end, err := drain(rl, 0, data, nil)
+			rl.detach(nil)
+			if err != errRelayLapped && (err != nil || end != total) {
+				t.Errorf("reader stopped at %d: %v", end, err)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	evictorDone := make(chan struct{})
+	go func() {
+		defer close(evictorDone)
+		rng := rand.New(rand.NewSource(3))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := store.View(id, total)
+			store.Truncate(id, rng.Int63n(total))
+			var got bytes.Buffer
+			if _, err := v.WriteTo(&got); err != nil || !bytes.Equal(got.Bytes(), data[:v.Len()]) {
+				t.Errorf("view of %d bytes changed under truncation and refill (%v)", v.Len(), err)
+				return
+			}
+		}
+	}()
+	n, _, err := pump(&pieces{data, 1500}, store, id, rl)
+	if n != total || err != nil {
+		t.Errorf("fetch stopped at %d (%v), want %d", n, err, total)
+	}
+	rl.finish(err)
+	wg.Wait()
+	close(stop)
+	<-evictorDone
+	if got := store.Prefix(id); !bytes.Equal(got, data[:len(got)]) {
+		t.Fatalf("store holds %d bytes that are not the object's prefix", len(got))
 	}
 }
 
@@ -198,15 +534,39 @@ func (w *gatedDigestWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestSlowReaderDemotedStillCorrect is the end-to-end bound: a client
-// that stalls while the origin fetch races ahead gets lapped by the
-// ring, is demoted to a private origin fetch, and still receives the
-// complete, byte-correct object. The demotion costs exactly one extra
-// origin request; the ring bound itself is pinned by
-// TestRelayRingBoundsMemory.
-func TestSlowReaderDemotedStillCorrect(t *testing.T) {
-	const size = 4 * units.MB // 4x the ring capacity
-	catalog, err := NewCatalog([]Meta{{ID: 1, Size: size, Rate: units.KBps(512), Value: 1}})
+// parkedClient starts a request for object 1 whose client stalls on its
+// first body write, waits until it has, and returns the writer, a
+// function that lets the client go on and a channel closed when its
+// request has been served.
+func parkedClient(t *testing.T, px *Proxy) (*gatedDigestWriter, func(), <-chan struct{}) {
+	t.Helper()
+	parked := make(chan struct{})
+	w := &gatedDigestWriter{h: make(http.Header), sum: sha256.New(), gate: make(chan struct{}), parked: parked}
+	// Released at the end of the test whatever happens, so a failing
+	// assertion can never strand the serve goroutine behind the gate.
+	release := sync.OnceFunc(func() { close(w.gate) })
+	t.Cleanup(release)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		px.ServeHTTP(w, httptest.NewRequest("GET", "/objects/1", nil))
+	}()
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("client never parked on its first write")
+	}
+	return w, release, done
+}
+
+// stalledStack is a proxy over one 4 MB object (4x the ring capacity)
+// behind a counting origin that holds its first response after
+// stallAfter bytes until the returned release is called (0: never
+// holds).
+func stalledStack(t *testing.T, cacheBytes, stallAfter int64, policy func() core.Policy) (*Proxy, *stallFirstOrigin, func()) {
+	t.Helper()
+	watch := leaktest.Start(t)
+	catalog, err := NewCatalog([]Meta{{ID: 1, Size: 4 * units.MB, Rate: units.KBps(512), Value: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,92 +574,194 @@ func TestSlowReaderDemotedStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The shared fetch is held after 256 KB — well inside the 1 MiB ring
-	// — until the client is provably parked, so the client can never be
-	// lapped before its first read no matter how goroutines schedule.
-	counting := &stallFirstOrigin{
-		inner:      origin,
-		stallAfter: 256 * units.KB,
-		gate:       make(chan struct{}),
+	counting := &stallFirstOrigin{inner: origin, stallAfter: stallAfter, gate: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(counting.gate) })
+	if stallAfter == 0 {
+		release()
 	}
-	releaseOrigin := sync.OnceFunc(func() { close(counting.gate) })
-	defer releaseOrigin()
 	originSrv := httptest.NewServer(counting)
-	defer originSrv.Close()
-
-	// A tiny cache keeps the stored prefix negligible: essentially the
-	// whole object flows through the relay.
-	px, err := New(Config{
-		Catalog:    catalog,
-		OriginURL:  originSrv.URL,
-		CacheBytes: 64 * units.KB,
-		NewPolicy:  core.NewIB,
-	})
+	t.Cleanup(originSrv.Close)
+	t.Cleanup(release)
+	px, err := New(Config{Catalog: catalog, OriginURL: originSrv.URL, CacheBytes: cacheBytes, NewPolicy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
+	watch(px)
+	return px, counting, release
+}
 
-	// stallAfter 0: the client parks on its very first body write and
-	// signals parked, so there is no window in which it must keep pace
-	// with the fetcher. Both releases are deferred so a failing
-	// assertion below can never strand the serve goroutine (and the
-	// origin server's Close) behind an unopened gate.
-	parked := make(chan struct{})
-	w := &gatedDigestWriter{
-		h:          make(http.Header),
-		sum:        sha256.New(),
-		stallAfter: 0,
-		gate:       make(chan struct{}),
-		parked:     parked,
-	}
-	releaseGate := sync.OnceFunc(func() { close(w.gate) })
-	defer releaseGate()
-	done := make(chan struct{})
+// TestSlowReaderDemotedStillCorrect is the end-to-end bound: of two
+// clients on one transfer, the one that stalls while the other streams
+// on falls out of the ring, is demoted to a private upstream fetch from
+// where it stopped, and still receives the complete, byte-correct
+// object. The demotion costs exactly one extra origin request; the ring
+// bound itself is pinned by TestRelayRingBoundsMemory.
+func TestSlowReaderDemotedStillCorrect(t *testing.T) {
+	const size = 4 * units.MB
+	// A tiny cache keeps the stored prefix negligible: essentially the
+	// whole object flows through the relay. The shared fetch is held
+	// after 256 KB — well inside the ring — until both clients are
+	// attached, so the fast one cannot find offset 0 gone.
+	px, origin, releaseOrigin := stalledStack(t, 64*units.KB, 256*units.KB, core.NewIB)
+	slow, releaseSlow, slowDone := parkedClient(t, px)
+
+	fast := &gatedDigestWriter{h: make(http.Header), sum: sha256.New(), stallAfter: math.MaxInt64}
+	fastDone := make(chan struct{})
 	go func() {
-		defer close(done)
-		px.ServeHTTP(w, httptest.NewRequest("GET", "/objects/1", nil))
+		defer close(fastDone)
+		px.ServeHTTP(fast, httptest.NewRequest("GET", "/objects/1", nil))
 	}()
-
-	// Handshake: wait until the client has copied its first chunk out of
-	// the ring and parked, THEN let the origin stream the rest.
-	select {
-	case <-parked:
-	case <-time.After(30 * time.Second):
-		t.Fatal("client never parked on its first write")
-	}
+	waitForCoalesced(t, px, 1)
 	releaseOrigin()
 
-	// The parked client stays attached, so the shared fetch runs to
-	// completion regardless — wait for it, by which time the ring has
-	// wrapped far past the client's near-zero offset.
-	deadline := time.Now().Add(30 * time.Second)
-	for px.Snapshot().BytesFetched < size {
-		if time.Now().After(deadline) {
-			t.Fatalf("origin fetch did not complete; bytesFetched=%d", px.Snapshot().BytesFetched)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	// Release the client: its next relay read discovers the lap and the
-	// stream must continue seamlessly through relayDirect.
-	releaseGate()
+	// The fast client paces the fetch to the end of the object, which
+	// leaves the parked one 4 MB — four rings — behind.
 	select {
-	case <-done:
+	case <-fastDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("fast client did not finish beside a stalled one")
+	}
+	releaseSlow()
+	select {
+	case <-slowDone:
 	case <-time.After(30 * time.Second):
 		t.Fatal("request did not finish after demotion")
 	}
 
-	if w.n != size {
-		t.Fatalf("client received %d bytes, want %d", w.n, size)
-	}
-	if got, want := hex.EncodeToString(w.sum.Sum(nil)), ContentSHA256(1, size); got != want {
-		t.Fatalf("content digest mismatch after demotion:\n got %s\nwant %s", got, want)
+	for name, w := range map[string]*gatedDigestWriter{"fast": fast, "stalled": slow} {
+		if w.n != size {
+			t.Fatalf("%s client received %d bytes, want %d", name, w.n, size)
+		}
+		if got, want := hex.EncodeToString(w.sum.Sum(nil)), ContentSHA256(1, size); got != want {
+			t.Fatalf("%s client: content digest mismatch:\n got %s\nwant %s", name, got, want)
+		}
 	}
 	px.Quiesce()
 	// The shared fetch plus the demoted reader's private refetch. (If the
 	// reader was never lapped this would be 1 and the test proved
 	// nothing, so pin exactly 2.)
-	if got := counting.requests.Load(); got != 2 {
+	if got := origin.requests.Load(); got != 2 {
 		t.Fatalf("origin saw %d requests, want 2 (shared fetch + demotion refetch)", got)
+	}
+	if st := px.Snapshot(); st.RelayDemotions != 1 || st.CoalescedRequests != 1 {
+		t.Fatalf("stats count %d demotions, %d coalesced requests; want 1, 1", st.RelayDemotions, st.CoalescedRequests)
+	}
+}
+
+// TestSoleStalledReaderPacesOneTransfer is the mirror: a stalled client
+// that is its transfer's only reader is never outrun. The fetch stops
+// reading the unthrottled origin half a ring ahead of it, goes on when
+// it does, and one upstream request delivers the whole object to the
+// client and the whole retention target to the store.
+func TestSoleStalledReaderPacesOneTransfer(t *testing.T) {
+	const size = 4 * units.MB
+	px, origin, _ := stalledStack(t, units.GBytes(1), 0, core.NewLRU)
+	w, release, done := parkedClient(t, px)
+
+	// Wait for the fetch to block on its reader, then look at how far
+	// it got.
+	sh := px.shardFor(1)
+	sh.mu.Lock()
+	rl := sh.inflight[1]
+	sh.mu.Unlock()
+	if rl == nil {
+		t.Fatal("no relay in flight for the parked client")
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for rl.buffered() < ringBytes/2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("fetch stopped %d bytes in, short of the pacing limit", rl.buffered())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let an unpaced fetch run away
+	if got := rl.buffered(); got > ringBytes/2+segmentSize {
+		t.Fatalf("fetch ran %d bytes ahead of its stalled sole reader, bound is %d", got, ringBytes/2+segmentSize)
+	}
+
+	release()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("request did not finish after the client went on")
+	}
+	if got, want := hex.EncodeToString(w.sum.Sum(nil)), ContentSHA256(1, size); w.n != size || got != want {
+		t.Fatalf("client received %d bytes with digest %s, want %d and %s", w.n, got, size, want)
+	}
+	px.Quiesce()
+	if got := origin.requests.Load(); got != 1 {
+		t.Fatalf("origin saw %d requests, want 1", got)
+	}
+	if st := px.Snapshot(); st.RelayDemotions != 0 || st.RelayPacedWaits == 0 || st.RelayCancelled != 0 {
+		t.Fatalf("stats count %d demotions, %d paced waits, %d cancelled fetches; want 0, >0, 0",
+			st.RelayDemotions, st.RelayPacedWaits, st.RelayCancelled)
+	}
+	if stored, acct := px.StoredBytes(1), px.AccountedBytes(1); stored != size || acct != size {
+		t.Fatalf("stored %d, accounted %d bytes; the policy's target is the whole object, %d", stored, acct, size)
+	}
+}
+
+// slowWriter is an http.ResponseWriter for a client that takes bytes at
+// bps and no faster.
+type slowWriter struct {
+	h   http.Header
+	n   int64
+	bps float64
+}
+
+func (w *slowWriter) Header() http.Header { return w.h }
+func (w *slowWriter) WriteHeader(int)     {}
+func (w *slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(time.Duration(float64(len(p)) / w.bps * float64(time.Second)))
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestSlowClientKeepsPathEstimate pins what the passive bandwidth
+// estimate means under pacing: the upstream path's rate, whatever the
+// clients'. A client slower than the path parks the fetch, the kernel's
+// buffers fill behind it and the reads that follow return at memory
+// speed — the transfer must not be taken for a sample of the path.
+func TestSlowClientKeepsPathEstimate(t *testing.T) {
+	const size, pathBps = 2 * units.MB, 4e6
+	watch := leaktest.Start(t)
+	catalog, err := NewCatalog([]Meta{
+		{ID: 1, Size: size, Rate: units.KBps(512), Value: 1},
+		{ID: 2, Size: size, Rate: units.KBps(512), Value: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin, err := NewOrigin(catalog, pathBps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	originSrv := httptest.NewServer(origin)
+	t.Cleanup(originSrv.Close)
+	px, err := New(Config{Catalog: catalog, OriginURL: originSrv.URL, CacheBytes: units.GBytes(1), NewPolicy: core.NewLRU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch(px)
+	nearPath := func(when string) {
+		t.Helper()
+		px.Quiesce()
+		if est := px.Snapshot().EstimateBps(originSrv.URL); est < pathBps/2 || est > 2*pathBps {
+			t.Fatalf("%s: path estimated at %d B/s, origin serves %d B/s", when, est, int64(pathBps))
+		}
+	}
+
+	fast := &slowWriter{h: make(http.Header), bps: math.Inf(1)}
+	px.ServeHTTP(fast, httptest.NewRequest("GET", "/objects/1", nil))
+	nearPath("after a fast client")
+
+	slow := &slowWriter{h: make(http.Header), bps: pathBps / 2}
+	px.ServeHTTP(slow, httptest.NewRequest("GET", "/objects/2", nil))
+	nearPath("after a client at half the path's rate")
+	if fast.n != size || slow.n != size {
+		t.Fatalf("clients received %d and %d bytes, want %d each", fast.n, slow.n, size)
+	}
+	if st := px.Snapshot(); st.RelayPacedWaits == 0 {
+		t.Fatal("the slow client never paced its fetch: the test proved nothing")
 	}
 }

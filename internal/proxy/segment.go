@@ -2,53 +2,48 @@ package proxy
 
 import "sync"
 
-// segmentSize is the fixed byte granularity of the proxy data plane.
-// Both the PrefixStore and the relay ring are built from segments of
-// this size, so the two sides of the data plane share one allocation
-// currency (and one pool).
+// segmentSize is the byte granularity of the proxy data plane: the
+// PrefixStore and the relay ring are built from segments of at most
+// this size, and share them (one allocation currency, one pool).
 const segmentSize = 64 * 1024
 
-// segment is one fixed-size chunk of object bytes.
+// segment is one chunk of object bytes, at most segmentSize long.
 //
 // Aliasing contract (DESIGN.md "Segment memory model"): a byte of a
-// segment, once published to a reader, is immutable — writers only ever
-// extend `used` under their owner's lock, never rewrite below it. The
-// PrefixStore hands out zero-copy views over its segments, so store
-// segments are never recycled: truncation drops references and leaves
-// reclamation to the GC. The relay ring is the opposite regime — its
-// readers copy out under the relay lock, nothing aliases ring memory
-// outside it, so ring segments are recycled in place and returned to
-// segPool at relay teardown.
+// segment, once published to a reader, is never rewritten while
+// anything can alias it. The one writer — the relay's fetch, or
+// AppendAt — only fills bytes past everything published, and the fill
+// watermark lives with the owner (relay.head, prefixEntry.length), not
+// here. A segment is recycled to segPool only when it is full-size,
+// the store never adopted it and no relay reader has it pinned;
+// every other segment dies to the GC.
 type segment struct {
-	off  int64 // object offset of buf[0]; immutable after creation
-	used int   // bytes written into buf; grows monotonically
-	buf  [segmentSize]byte
+	off int64  // object offset of buf[0]; immutable after creation
+	buf []byte // len is the segment's capacity; never resliced
+
+	// Guarded by the owning relay's lock; the store never touches them.
+	pins    int  // relay readers currently writing this segment to a client
+	adopted bool // the store references this segment: never recycle
 }
 
-// segPool recycles segments across relays (and seeds fresh store
-// segments). Only the relay ring may Put: store segments can be aliased
-// by in-flight zero-copy readers and must die to the GC instead.
-var segPool = sync.Pool{New: func() any { return new(segment) }}
-
-// newSegment takes a segment from the pool, reset to start at object
-// offset off.
+// end is the object offset one past the segment's capacity.
 //
 //mediavet:hotpath
-func newSegment(off int64) *segment {
+func (s *segment) end() int64 { return s.off + int64(len(s.buf)) }
+
+// segPool recycles full-size segments across relays.
+var segPool = sync.Pool{New: func() any { return &segment{buf: make([]byte, segmentSize)} }}
+
+// newSegment returns a segment of n bytes (at most segmentSize)
+// starting at object offset off. Only full-size segments come from the
+// pool: an object smaller than a segment owns only what it needs.
+//
+//mediavet:hotpath
+func newSegment(off, n int64) *segment {
+	if n < segmentSize {
+		return &segment{off: off, buf: make([]byte, n)}
+	}
 	s := segPool.Get().(*segment)
-	s.off = off
-	s.used = 0
+	s.off, s.pins, s.adopted = off, 0, false
 	return s
 }
-
-// fetchBufSize is the copy granularity of origin fetches and relay
-// reader drains.
-const fetchBufSize = 16 * 1024
-
-// fetchBufPool recycles the 16 KB scratch buffers used by fetchOrigin,
-// relayDirect and streamFromRelay, so streaming a request allocates no
-// per-request buffer on the warmed path.
-var fetchBufPool = sync.Pool{New: func() any {
-	b := make([]byte, fetchBufSize)
-	return &b
-}}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"streamcache/internal/core"
+	"streamcache/internal/leaktest"
 	"streamcache/internal/units"
 )
 
@@ -81,6 +82,7 @@ func TestShardedCapacitySplit(t *testing.T) {
 // it over the given catalog.
 func startShardedStack(t *testing.T, catalog *Catalog, shards int, cacheBytes int64, newPolicy func() core.Policy, originRate float64) (*Proxy, string) {
 	t.Helper()
+	watch := leaktest.Start(t)
 	origin, err := NewOrigin(catalog, originRate)
 	if err != nil {
 		t.Fatal(err)
@@ -97,6 +99,7 @@ func startShardedStack(t *testing.T, catalog *Catalog, shards int, cacheBytes in
 	if err != nil {
 		t.Fatal(err)
 	}
+	watch(px)
 	proxySrv := httptest.NewServer(px)
 	t.Cleanup(proxySrv.Close)
 	return px, proxySrv.URL
@@ -280,6 +283,7 @@ func (g *gatedOrigin) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // startGatedStack wires a gated origin to a fresh single-shard proxy.
 func startGatedStack(t *testing.T, catalog *Catalog, gate *gatedOrigin) (*Proxy, string) {
 	t.Helper()
+	watch := leaktest.Start(t)
 	originSrv := httptest.NewServer(gate)
 	t.Cleanup(originSrv.Close)
 	px, err := New(Config{
@@ -292,6 +296,7 @@ func startGatedStack(t *testing.T, catalog *Catalog, gate *gatedOrigin) (*Proxy,
 	if err != nil {
 		t.Fatal(err)
 	}
+	watch(px)
 	proxySrv := httptest.NewServer(px)
 	t.Cleanup(proxySrv.Close)
 	return px, proxySrv.URL
@@ -506,6 +511,7 @@ func (o *rangeBlindOrigin) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // spliced in at the requested offset — the refetch fails and the
 // cached prefix stays uncorrupted.
 func TestRangedRefetchRejectsFullResponse(t *testing.T) {
+	watch := leaktest.Start(t)
 	catalog := testCatalog(t)
 	meta, _ := catalog.Get(1)
 	origin, err := NewOrigin(catalog, 0)
@@ -527,6 +533,7 @@ func TestRangedRefetchRejectsFullResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watch(px)
 	proxySrv := httptest.NewServer(px)
 	defer proxySrv.Close()
 

@@ -12,12 +12,13 @@ import (
 // core.Cache accounts for space and decides placement; the store
 // materializes the data. It is safe for concurrent use.
 //
-// Storage is a chain of fixed-size segments per object rather than one
-// growing []byte: appends fill the tail segment and open new ones,
-// truncation drops whole segments plus a logical tail limit, and reads
-// are zero-copy — a prefixView captured under the lock aliases the
-// segment chain and stays valid after the lock is released, because
-// published segment bytes are immutable (see segment).
+// Storage is a chain of segments per object rather than one growing
+// []byte: a relay's fetch hands over the segments it filled (adopt),
+// AppendAt copies into segments of the store's own, truncation drops
+// whole segments plus a logical tail limit, and reads are zero-copy — a
+// prefixView captured under the lock aliases the segment chain and
+// stays valid after the lock is released, because published segment
+// bytes are immutable (see segment).
 type PrefixStore struct {
 	mu   sync.RWMutex
 	data map[int]*prefixEntry
@@ -29,35 +30,43 @@ type PrefixStore struct {
 // prefixEntry is one object's segment chain. Invariants (under the
 // store lock):
 //
-//   - Segments are contiguous in object-offset order, and segs[i+1].off
-//     is exactly the count of valid bytes ever published through
-//     segs[i] — so a lock-free reader derives every non-tail segment's
-//     valid range from the (immutable) next segment's off.
+//   - Segments are in object-offset order, and segs[i] holds object
+//     bytes [segs[i].off, segs[i+1].off) — so a lock-free reader
+//     derives every non-tail segment's valid range from the
+//     (immutable) next segment's off.
 //   - length is the logical prefix length. After a mid-segment
 //     truncation the tail segment still holds stale bytes beyond
-//     length; they are sealed, never overwritten — the next append
+//     length; they are sealed, never overwritten — the next AppendAt
 //     opens a fresh segment at offset length instead. That is what
 //     keeps views captured before the truncation byte-stable.
 type prefixEntry struct {
 	segs   []*segment
 	length int64
-	// hdr is the prebuilt X-Cache response header value for the current
-	// length, rebuilt on append/truncate (the cold paths) so the warmed
-	// prefix-hit serve path assigns it without allocating.
+	// open reports that AppendAt may fill the tail segment further: the
+	// store opened it and has not cut into it since. A tail adopted
+	// from a relay is never open — its fetch is its only writer.
+	open bool
+	// hdr is the rendered X-Cache response header value for length, so
+	// the warmed prefix-hit serve path assigns it without allocating. It
+	// is nil while a relay's adopt calls are moving the length: AppendAt
+	// and Truncate render it, so a miss pays for one render (the
+	// Truncate that ends its relay), not one per fetched piece.
 	hdr []string
 }
 
+// render fills in the X-Cache value for the entry's current length.
+func (e *prefixEntry) render() {
+	if e.hdr == nil {
+		e.hdr = []string{"HIT-PREFIX; bytes=" + strconv.FormatInt(e.length, 10)}
+	}
+}
+
+//mediavet:hotpath
 func (e *prefixEntry) tail() *segment {
 	if len(e.segs) == 0 {
 		return nil
 	}
 	return e.segs[len(e.segs)-1]
-}
-
-// rebuildHeader re-renders the cached X-Cache value after the prefix
-// length changed.
-func (e *prefixEntry) rebuildHeader() {
-	e.hdr = []string{"HIT-PREFIX; bytes=" + strconv.FormatInt(e.length, 10)}
 }
 
 // NewPrefixStore returns an empty store.
@@ -74,7 +83,8 @@ type prefixView struct {
 	n    int64
 	// hdr is the store's prebuilt X-Cache value when the view covers
 	// the full stored prefix; nil when the caller's clamp cut it short
-	// (the caller renders its own header then).
+	// or a relay is still growing the prefix (the caller renders its own
+	// header then).
 	hdr []string
 }
 
@@ -152,11 +162,10 @@ func (s *PrefixStore) View(id int, max int64) prefixView {
 	if e == nil || e.length == 0 || max <= 0 {
 		return prefixView{}
 	}
-	v := prefixView{segs: e.segs, n: e.length}
+	v := prefixView{segs: e.segs, n: e.length, hdr: e.hdr}
 	if v.n > max {
 		v.n = max
-	} else {
-		v.hdr = e.hdr
+		v.hdr = nil
 	}
 	return v
 }
@@ -189,60 +198,124 @@ func (s *PrefixStore) Len(id int) int64 {
 	return 0
 }
 
-// AppendAt extends object id's prefix with data that belongs at the
-// given object offset, but never beyond limit bytes total. Because
-// object content at a given offset is immutable, overlapping writes from
-// concurrent relays are deduplicated: bytes already present are skipped,
-// and data arriving beyond the current prefix end (a gap) is dropped.
-// It returns the number of bytes retained.
-func (s *PrefixStore) AppendAt(id int, offset int64, data []byte, limit int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// grow resolves an append of object bytes [offset, end) to object id
+// under limit against what is stored: it returns the entry (a fresh
+// one, for the caller to file under id, when the object has none yet)
+// and the prefix length the append brings it to, or 0 when the bytes
+// are all present already, lie beyond a hole, or exceed limit. Callers
+// hold the write lock.
+//
+//mediavet:hotpath
+func (s *PrefixStore) grow(id int, offset, end, limit int64) (*prefixEntry, int64) {
 	e := s.data[id]
 	var curLen int64
 	if e != nil {
 		curLen = e.length
 	}
-	if offset > curLen {
-		return 0 // non-contiguous: would leave a hole
+	if end > limit {
+		end = limit
 	}
-	skip := curLen - offset
-	if skip >= int64(len(data)) {
-		return 0 // entirely already present
-	}
-	data = data[skip:]
-	room := limit - curLen
-	if room <= 0 {
-		return 0
-	}
-	take := int64(len(data))
-	if take > room {
-		take = room
+	if offset > curLen || end <= curLen {
+		return nil, 0
 	}
 	if e == nil {
 		e = &prefixEntry{}
-		s.data[id] = e
 	}
-	for rem := data[:take]; len(rem) > 0; {
+	return e, end
+}
+
+// dropFrom removes the segments that start at or past object offset
+// off. The full-slice clip forces the next append onto a fresh backing
+// array, so slice headers captured by in-flight views never observe a
+// reused slot.
+//
+//mediavet:hotpath
+func (e *prefixEntry) dropFrom(off int64) {
+	k := len(e.segs)
+	for k > 0 && e.segs[k-1].off >= off {
+		k--
+	}
+	if k < len(e.segs) {
+		e.segs = e.segs[:k:k]
+	}
+}
+
+// resize sets the entry's logical length and returns the change.
+//
+//mediavet:hotpath
+func (e *prefixEntry) resize(to int64) int64 {
+	delta := to - e.length
+	e.length = to
+	e.hdr = nil
+	return delta
+}
+
+// AppendAt extends object id's prefix with a copy of data that belongs
+// at the given object offset, but never beyond limit bytes total.
+// Because object content at a given offset is immutable, overlapping
+// writes are deduplicated: bytes already present are skipped, and data
+// arriving beyond the current prefix end (a gap) is dropped. It returns
+// the number of bytes retained.
+func (s *PrefixStore) AppendAt(id int, offset int64, data []byte, limit int64) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, to := s.grow(id, offset, offset+int64(len(data)), limit)
+	if to == 0 {
+		return 0
+	}
+	s.data[id] = e
+	for at := e.length; at < to; {
 		seg := e.tail()
-		if seg == nil || seg.used == segmentSize || seg.off+int64(seg.used) != e.length {
-			// No tail, tail full, or tail sealed by a mid-segment
-			// truncation: open a fresh segment at the logical end.
-			seg = newSegment(e.length)
+		if !e.open || at == seg.end() {
+			// No tail, tail full, or a tail the store may not write
+			// (sealed by a mid-segment truncation, or a relay's): open
+			// a fresh segment at the logical end, no larger than what
+			// limit lets arrive.
+			seg = newSegment(at, min(segmentSize, limit-at))
 			e.segs = append(e.segs, seg)
+			e.open = true
 		}
-		n := copy(seg.buf[seg.used:], rem)
-		seg.used += n
-		e.length += int64(n)
-		rem = rem[n:]
+		at += int64(copy(seg.buf[at-seg.off:], data[at-offset:to-offset]))
 	}
+	take := e.resize(to)
 	s.total += take
-	e.rebuildHeader()
+	e.render()
 	return take
 }
 
+// adopt extends object id's prefix with the published bytes
+// [seg.off, end) of a relay's segment by reference: the outcome of
+// AppendAt(id, seg.off, seg.buf[:end-seg.off], limit) without the copy.
+// The relay keeps filling seg past end; that is safe because views
+// never read past the length they captured. It reports whether the
+// store took bytes of seg, which must then never be recycled.
+//
+//mediavet:hotpath
+func (s *PrefixStore) adopt(id int, seg *segment, end, limit int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, to := s.grow(id, seg.off, end, limit)
+	if to == 0 {
+		return false
+	}
+	s.data[id] = e
+	if e.tail() != seg {
+		// Content at an offset is immutable, so where seg overlaps what
+		// is stored its bytes stand in for the stored ones: drop the
+		// segments it covers whole; the view clips the one before it
+		// at seg.off.
+		e.dropFrom(seg.off)
+		e.segs = append(e.segs, seg)
+		e.open = false
+	}
+	s.total += e.resize(to)
+	return true
+}
+
 // Truncate shrinks object id's prefix to at most n bytes, deleting it
-// entirely at zero. Dropped segments are left to the GC — an in-flight
+// entirely at zero, and renders the X-Cache header of what it leaves —
+// the relay that grew a prefix ends by truncating it to what the cache
+// accounts for. Dropped segments are left to the GC — an in-flight
 // zero-copy view may still alias them.
 //
 //mediavet:hotpath
@@ -258,23 +331,13 @@ func (s *PrefixStore) Truncate(id int, n int64) {
 		delete(s.data, id)
 		return
 	}
-	if n >= e.length {
-		return
+	if n < e.length {
+		s.total += e.resize(n)
+		e.open = false
+		e.dropFrom(n)
 	}
-	s.total -= e.length - n
-	e.length = n
-	// Drop whole segments past the cut. The full-slice clip forces the
-	// next append onto a fresh backing array, so slice headers captured
-	// by in-flight views never observe a recycled slot.
-	k := len(e.segs)
-	for k > 0 && e.segs[k-1].off >= n {
-		k--
-	}
-	if k < len(e.segs) {
-		e.segs = e.segs[:k:k]
-	}
-	//mediavet:ignore hotpath header re-render runs only when bytes were actually dropped (the eviction path), never on the steady hit path
-	e.rebuildHeader()
+	//mediavet:ignore hotpath the header renders once per length change that settles (an eviction, a relay's end), never on the steady hit path
+	e.render()
 }
 
 // TotalBytes returns the sum of all stored prefix lengths, maintained

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -10,7 +11,8 @@ import (
 // trivial one-[]byte-per-object reference model through the same random
 // operation sequence and demands byte-identical state throughout. This
 // pins the segmented rewrite to the exact semantics of the original
-// flat store: overlap dedup, gap drop, limit clip, truncation.
+// flat store: overlap dedup, gap drop, limit clip, truncation — and
+// adopt to the same semantics as AppendAt of the segment's bytes.
 func TestPrefixStoreMatchesFlatModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := NewPrefixStore()
@@ -56,7 +58,7 @@ func TestPrefixStoreMatchesFlatModel(t *testing.T) {
 	const limit = 5 * segmentSize
 	for op := 0; op < 4000; op++ {
 		id := rng.Intn(nIDs)
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0, 1: // append, biased contiguous but sometimes gapped/overlapped
 			cur := int64(len(model[id]))
 			offset := cur + int64(rng.Intn(3*segmentSize)) - int64(rng.Intn(3*segmentSize))
@@ -69,6 +71,18 @@ func TestPrefixStoreMatchesFlatModel(t *testing.T) {
 			want := modelAppend(id, offset, data, limit)
 			if got != want {
 				t.Fatalf("op %d: AppendAt(id=%d, off=%d, n=%d) retained %d, model %d", op, id, offset, n, got, want)
+			}
+		case 4: // adopt a relay's segment, in two steps as its fetch fills it
+			cur := int64(len(model[id]))
+			offset := max(0, cur+int64(rng.Intn(segmentSize))-int64(rng.Intn(2*segmentSize)))
+			seg := newSegment(offset, int64(rng.Intn(segmentSize)+1))
+			copy(seg.buf, Content(id, offset, int64(len(seg.buf))))
+			for _, end := range []int64{offset + int64(rng.Intn(len(seg.buf))+1), seg.end()} {
+				got := s.adopt(id, seg, end, limit)
+				want := modelAppend(id, offset, seg.buf[:end-offset], limit)
+				if got != (want > 0) {
+					t.Fatalf("op %d: adopt(id=%d, off=%d, end=%d) = %v, model retained %d", op, id, offset, end, got, want)
+				}
 			}
 		case 2: // truncate, including mid-segment cuts and full deletes
 			n := int64(rng.Intn(int(limit)+segmentSize)) - segmentSize/2
@@ -187,8 +201,8 @@ func TestPrefixStoreSealedTailNotRewritten(t *testing.T) {
 	if segs[0] != tail0 {
 		t.Fatal("first segment identity changed")
 	}
-	if segs[0].used != 1000 {
-		t.Fatalf("sealed segment used = %d, want untouched 1000", segs[0].used)
+	if !bytes.Equal(segs[0].buf[:1000], Content(3, 0, 1000)) {
+		t.Fatal("sealed segment's bytes past the cut were rewritten")
 	}
 	if segs[1].off != 500 {
 		t.Fatalf("fresh segment off = %d, want 500", segs[1].off)
@@ -210,5 +224,28 @@ func TestPrefixViewClampedHasNoHeader(t *testing.T) {
 	}
 	if v := s.View(4, 1500); v.hdr != nil {
 		t.Fatalf("clamped view kept full-length header %q", v.hdr[0])
+	}
+}
+
+// TestPrefixHeaderRendersWhereLengthSettles: a relay's adopt calls move
+// the length without rendering (the view carries no header meanwhile);
+// the Truncate that ends the relay renders it, cut or no cut.
+func TestPrefixHeaderRendersWhereLengthSettles(t *testing.T) {
+	s := NewPrefixStore()
+	seg := newSegment(0, 3000)
+	copy(seg.buf, Content(6, 0, 3000))
+	for _, end := range []int64{1000, 3000} {
+		if !s.adopt(6, seg, end, 1<<20) {
+			t.Fatalf("adopt to %d refused", end)
+		}
+		if v := s.View(6, 1<<20); v.Len() != end || v.hdr != nil {
+			t.Fatalf("view of a growing prefix: %d bytes, header %q", v.Len(), v.hdr)
+		}
+	}
+	for _, n := range []int64{3000, 2000} {
+		s.Truncate(6, n)
+		if v := s.View(6, 1<<20); v.Len() != n || v.hdr == nil || v.hdr[0] != fmt.Sprintf("HIT-PREFIX; bytes=%d", n) {
+			t.Fatalf("after Truncate(%d): %d bytes, header %q", n, v.Len(), v.hdr)
+		}
 	}
 }

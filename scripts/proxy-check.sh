@@ -2,7 +2,9 @@
 # Live-tier smoke: start a sharded proxyd, drive it with loadgen for a
 # few seconds of closed-loop load, assert a nonzero bandwidth-weighted
 # prefix-hit ratio and verified content, then SIGTERM the server and
-# require a clean graceful drain (exit 0 with a final stats line).
+# require a clean graceful drain (exit 0 with a final stats line); then
+# one client over objects larger than the relay ring, and require
+# relayDemotions == 0 in the drained node's final stats.
 # `make proxy-check` and the CI proxy-check job both call this.
 set -euo pipefail
 
@@ -20,10 +22,35 @@ trap cleanup EXIT
 go build -o "$tmp/proxyd" ./cmd/proxyd
 go build -o "$tmp/loadgen" ./cmd/loadgen
 
-"$tmp/proxyd" -origin-addr "$ORIGIN_ADDR" -proxy-addr "$PROXY_ADDR" \
-    -shards 4 -objects 24 -mean-kb 64 -origin-kbps 0 -cache-mb 8 -policy LRU \
-    >"$tmp/proxyd.log" 2>&1 &
-pid=$!
+# start_proxyd <catalog and cache flags...>: a sharded proxyd over a fast
+# local origin.
+start_proxyd() {
+    "$tmp/proxyd" -origin-addr "$ORIGIN_ADDR" -proxy-addr "$PROXY_ADDR" \
+        -shards 4 -origin-kbps 0 -policy LRU "$@" >"$tmp/proxyd.log" 2>&1 &
+    pid=$!
+}
+
+# drain: SIGTERM the server and require a clean graceful drain.
+drain() {
+    kill -TERM "$pid"
+    drain_ok=0
+    if wait "$pid"; then
+        drain_ok=1
+    fi
+    pid=
+    if [[ "$drain_ok" != 1 ]]; then
+        echo "proxy-check: proxyd did not exit cleanly on SIGTERM" >&2
+        cat "$tmp/proxyd.log" >&2
+        exit 1
+    fi
+    grep -q 'drained; final stats' "$tmp/proxyd.log" || {
+        echo "proxy-check: no drain confirmation in proxyd log" >&2
+        cat "$tmp/proxyd.log" >&2
+        exit 1
+    }
+}
+
+start_proxyd -objects 24 -mean-kb 64 -cache-mb 8
 
 # loadgen polls /stats for readiness (-wait), verifies every download's
 # digest, and fails unless the live bandwidth-weighted hit ratio is
@@ -32,21 +59,20 @@ pid=$!
     -objects 24 -mean-kb 64 -catalog-seed 1 -wait 15s \
     -verify -min-hit-ratio 0.05 -out "$tmp/loadgen.csv"
 cat "$tmp/loadgen.csv"
+drain
 
-kill -TERM "$pid"
-drain_ok=0
-if wait "$pid"; then
-    drain_ok=1
-fi
-pid=
-if [[ "$drain_ok" != 1 ]]; then
-    echo "proxy-check: proxyd did not exit cleanly on SIGTERM" >&2
-    cat "$tmp/proxyd.log" >&2
-    exit 1
-fi
-grep -q 'drained; final stats' "$tmp/proxyd.log" || {
-    echo "proxy-check: no drain confirmation in proxyd log" >&2
+# One client, objects several times the relay ring, an origin far
+# faster than the client: every miss must cost one upstream transfer.
+# (Before fetches were paced by their readers, this is the case in
+# which the ring lapped its only reader and the rest was refetched.)
+start_proxyd -objects 8 -mean-kb 4096 -cache-mb 16
+"$tmp/loadgen" -proxy "http://$PROXY_ADDR" -clients 1 -requests 24 \
+    -objects 8 -mean-kb 4096 -catalog-seed 1 -wait 15s \
+    -verify -out "$tmp/loadgen-large.csv"
+drain
+grep 'drained; final stats' "$tmp/proxyd.log" | grep -q '"relayDemotions":0,' || {
+    echo "proxy-check: a sole reader was demoted (relayDemotions != 0)" >&2
     cat "$tmp/proxyd.log" >&2
     exit 1
 }
-echo "proxy-check: live stack served load with cache hits and drained cleanly"
+echo "proxy-check: live stack served load with cache hits, no sole reader demoted, and drained cleanly"
