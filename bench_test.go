@@ -208,23 +208,6 @@ func BenchmarkSweepParallel2(b *testing.B) { benchSweepParallelism(b, 2) }
 // BenchmarkSweepSequential.
 func BenchmarkSweepParallel8(b *testing.B) { benchSweepParallelism(b, 8) }
 
-// BenchmarkSweepUnmemoized is the A/B control for the workload arena:
-// the same Figure 5 sweep as BenchmarkSweepSequential but with
-// Scale.NoWorkloadReuse set, so every sweep point regenerates its
-// workload and path assignment. The gap between the two isolates the
-// memoization win; their tables are byte-identical (regression-tested).
-func BenchmarkSweepUnmemoized(b *testing.B) {
-	scale := sweepScale(1)
-	scale.NoWorkloadReuse = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(scale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimRunParallelism measures the run-level worker pool inside
 // a single sim.Run (8 replications) at 1, 2 and 8 workers.
 func BenchmarkSimRunParallelism(b *testing.B) {

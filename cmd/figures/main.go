@@ -159,13 +159,11 @@ func run() error {
 		return err
 	}
 	s.Shard = sh
-	// One arena for the whole figure set: the sizing workload, Table 1
-	// trace, and Figures 2-3 synthetic logs are shared across
-	// experiments, so they are generated once per distinct config
-	// instead of once per experiment. Rows are bit-identical either way.
-	if !s.NoWorkloadReuse {
-		s.Arena = sim.NewArena()
-	}
+	// One arena for the whole figure set: the sizing workload, the
+	// replay tapes and the Figures 2-3 synthetic logs are shared across
+	// experiments, so each is compiled once per distinct config instead
+	// of once per experiment. Rows are bit-identical either way.
+	s.Arena = sim.NewArena()
 
 	exps := experiments.Experiments()
 	known := map[string]bool{}
@@ -243,11 +241,20 @@ func run() error {
 			file = shardFileName(file, s.Shard)
 		}
 		start := time.Now()
+		s.Counters = &experiments.Counters{} // per table
 		name, rows, err := streamExperiment(e, s, j, collector, stem, filepath.Join(*out, file), *jsonl)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Key, err)
 		}
-		fmt.Printf("%-20s %-45s %5d rows  %v\n", e.Key, file, rows, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("%-20s %-45s %5d rows  %v", e.Key, file, rows, time.Since(start).Round(time.Millisecond))
+		if *shard != "" || *collectURL != "" {
+			// What this process simulated itself, what it took from its
+			// peers, and how long it sat waiting for them.
+			fmt.Printf("  evals=%d exchange=%d waited=%v",
+				s.Counters.Evaluations.Load(), s.Counters.ExchangeHits.Load(),
+				time.Duration(s.Counters.ExchangeWaitNanos.Load()).Round(time.Millisecond))
+		}
+		fmt.Println()
 		fmt.Fprintf(&index, "%s: %s (%d rows) - %s\n", e.Key, file, rows, name)
 	}
 	indexName := "INDEX.txt"

@@ -26,15 +26,17 @@
 //     and one apply/dedupe/replay engine, internal/rowlog (DESIGN.md
 //     §4a);
 //   - memoized runs: the sim.Arena shared across sweep points hands out
-//     only values that are pure functions of their keys, so reuse can
-//     never change a row (Scale.NoWorkloadReuse is the A/B control).
+//     only values that are pure functions of their keys — compiled
+//     replay tapes and bandwidth columns — so reuse can never change a
+//     row.
 //
 // Adaptive refinement (refine.go) keeps these guarantees by keying
 // every decision exclusively on completed rows: the coarse pass is a
 // full barrier, each round bisects a fixed number of intervals chosen
 // deterministically from the metric gradients, and under sharding every
-// shard evaluates all points (the curve is global state) while emitting
-// only the rows it owns.
+// shard sees all points' metrics (the curve is global state) — its own
+// simulated first, its peers' fetched through Scale.Exchange or, failing
+// that, simulated too — while emitting only the rows it owns.
 //
 // The regression tests in engine_test.go, shard_test.go and
 // journal_test.go pin each clause of this contract.

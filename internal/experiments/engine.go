@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"streamcache/internal/par"
 	"streamcache/internal/rowlog"
@@ -60,7 +61,13 @@ func (x exec) foreignMetric(index int) (float64, bool) {
 	if x.exchange == nil {
 		return 0, false
 	}
+	//mediavet:ignore determinism telemetry only: the wait feeds Counters.ExchangeWaitNanos, never a row or a refinement decision
+	start := time.Now()
 	m, ok := x.exchange.ForeignMetric(x.table, index)
+	if x.counters != nil {
+		//mediavet:ignore determinism telemetry only, as above
+		x.counters.ExchangeWaitNanos.Add(int64(time.Since(start)))
+	}
 	if !ok {
 		return 0, false
 	}
@@ -91,27 +98,13 @@ func (s Scale) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// newArena builds the experiment-wide memoization arena (nil when the
-// scale opts out of reuse). A caller-supplied s.Arena takes priority so
-// one arena can span every experiment of a figure set.
-func (s Scale) newArena() *sim.Arena {
-	if s.NoWorkloadReuse {
-		return nil
-	}
-	if s.Arena != nil {
-		return s.Arena
-	}
-	return sim.NewArena()
-}
-
 // simRow builds the common sweep-point task: run one simulation,
 // render its metrics as a row. The inner run-level Parallelism is
 // pinned to 1 because the sweep pool already saturates the cores (and
 // Metrics are identical for any value, so this is purely a scheduling
 // choice). The arena is shared by every task of one experiment, so
-// sweep points reuse identical workloads and path assignments instead
-// of regenerating them (nil disables reuse; rows are byte-identical
-// either way).
+// sweep points replay one compiled tape per run seed instead of
+// regenerating it (rows are byte-identical either way).
 func simRow(arena *sim.Arena, cfg sim.Config, render func(sim.Metrics) []string) rowTask {
 	return func() ([]string, error) {
 		cfg.Parallelism = 1
@@ -281,15 +274,32 @@ func findJournal(sink RowSink) *Journal {
 	return nil
 }
 
+// streamBuilt builds one experiment at scale s and streams it into sink.
+// The builder and every sweep point it creates share s.Arena — the
+// caller's, so one arena can span every experiment of a figure set,
+// else one private to this table.
+func streamBuilt(s Scale, build func(Scale) (runner, error), sink RowSink) error {
+	if s.Arena == nil {
+		s.Arena = sim.NewArena()
+	}
+	tapes0, rates0 := s.Arena.Compiles()
+	r, err := build(s)
+	if err != nil {
+		return err
+	}
+	err = stream(s, r, sink)
+	if s.Counters != nil {
+		tapes, rates := s.Arena.Compiles()
+		s.Counters.TapeCompiles.Add(tapes - tapes0 + rates - rates0)
+	}
+	return err
+}
+
 // tableOf materializes a runner builder into the in-memory Table of the
 // aggregate API.
 func tableOf(s Scale, build func(Scale) (runner, error)) (*Table, error) {
-	r, err := build(s)
-	if err != nil {
-		return nil, err
-	}
 	var ts TableSink
-	if err := stream(s, r, &ts); err != nil {
+	if err := streamBuilt(s, build, &ts); err != nil {
 		return nil, err
 	}
 	return ts.Table(), nil
@@ -313,11 +323,7 @@ func (e Experiment) Table(s Scale) (*Table, error) {
 // incrementally in deterministic order. The streamed bytes of a
 // deterministic sink (CSV, JSONL) are identical for every Parallelism.
 func (e Experiment) Stream(s Scale, sink RowSink) error {
-	r, err := e.build(s)
-	if err != nil {
-		return err
-	}
-	return stream(s, r, sink)
+	return streamBuilt(s, e.build, sink)
 }
 
 // Experiments returns the full suite in paper order: Table 1 and

@@ -39,4 +39,14 @@ type Counters struct {
 	// ExchangeHits counts foreign points resolved through the
 	// MetricExchange instead of being re-simulated locally.
 	ExchangeHits atomic.Int64
+	// ExchangeWaitNanos is the wall time spent blocked in
+	// MetricExchange.ForeignMetric, hits and misses alike — how long this
+	// shard sat idle waiting for its peers' points.
+	ExchangeWaitNanos atomic.Int64
+	// TapeCompiles counts the trace tapes and bandwidth columns the
+	// run's arena compiled while its tables streamed (sim.Arena.Compiles):
+	// with reuse working, one of each per run seed and variability, not
+	// per sweep point. Tables streamed concurrently over one shared arena
+	// each count the compiles that happened meanwhile.
+	TapeCompiles atomic.Int64
 }

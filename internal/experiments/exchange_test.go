@@ -325,3 +325,136 @@ func TestMergeShardsAcceptsExchangedJournals(t *testing.T) {
 		t.Errorf("merged journals differ from the single-process CSV:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }
+
+// tracedShard is one shard's view of a shared memStore that logs, in
+// the order they happen, the rows the shard emits (as a sink: the moment
+// a point's metric becomes visible to its peers) and the foreign
+// metrics it asks for (as an exchange). The store only answers for
+// points a peer has already emitted, like the collector's long-poll.
+type tracedShard struct {
+	memSink
+	mu     sync.Mutex
+	events []tracedEvent
+}
+
+type tracedEvent struct {
+	fetch bool // false: an owned row was emitted
+	index int
+}
+
+func (s *tracedShard) record(fetch bool, index int) {
+	s.mu.Lock()
+	s.events = append(s.events, tracedEvent{fetch, index})
+	s.mu.Unlock()
+}
+
+func (s *tracedShard) MetricRow(mr MetricRow) error {
+	s.record(false, mr.Index)
+	return s.memSink.MetricRow(mr)
+}
+
+func (s *tracedShard) ForeignMetric(table string, index int) (float64, bool) {
+	s.record(true, index)
+	return s.st.ForeignMetric(table, index)
+}
+
+// TestEvalRoundOwnedFirst pins the round schedule: a shard evaluates and
+// emits every owned point of a round before it asks the exchange for
+// the first foreign one, so two single-worker shards simulate a round
+// side by side and trade metrics once at its end instead of alternating
+// point by point. Each shard still simulates exactly its owned points
+// (no fallback), the union is the unsharded stream, and an exchange
+// that never answers changes nothing but who simulates what.
+func TestEvalRoundOwnedFirst(t *testing.T) {
+	const count = 2
+	base := tinyScale()
+	base.RefineBudget = 3
+	// Three coarse points leave at least refineRoundPoints refinable
+	// intervals, so every round but the budget's tail is a full one.
+	base.CacheFractions = []float64{0.02, 0.05, 0.1}
+	coarse := map[string]int{
+		"refined-e":      len(base.ESweep),
+		"refined-esigma": len(base.ESweep) * len(base.sigmas()),
+		"refined-cache":  len(base.CacheFractions),
+	}
+	for key, coarseN := range coarse {
+		var want bytes.Buffer
+		if err := Stream(key, base, NewJSONLSink(&want)); err != nil {
+			t.Fatal(err)
+		}
+		total := bytes.Count(want.Bytes(), []byte("\n")) - 1 // minus the table line
+		// roundStart maps a global index to the first index of its round:
+		// the coarse pass, then refineRoundPoints at a time.
+		roundStart := func(g int) int {
+			if g < coarseN {
+				return 0
+			}
+			return g - (g-coarseN)%refineRoundPoints
+		}
+		for _, dead := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/dead=%v", key, dead), func(t *testing.T) {
+				st := newMemStore()
+				st.fail = dead
+				shards := make([]*tracedShard, count)
+				outs := make([]bytes.Buffer, count)
+				counters := make([]Counters, count)
+				errs := make([]error, count)
+				var wg sync.WaitGroup
+				for idx := range shards {
+					shards[idx] = &tracedShard{memSink: memSink{st: st}}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						s := base
+						s.Shard = Shard{Index: idx, Count: count}
+						s.Parallelism = 1
+						s.Exchange = shards[idx]
+						s.Counters = &counters[idx]
+						errs[idx] = Stream(key, s, MultiSink{NewJSONLSink(&outs[idx]), shards[idx]})
+					}()
+				}
+				wg.Wait()
+				parts := make([]io.Reader, count)
+				for idx, sh := range shards {
+					if errs[idx] != nil {
+						t.Fatalf("shard %d: %v", idx, errs[idx])
+					}
+					parts[idx] = &outs[idx]
+					owned := Shard{Index: idx, Count: count}.indices(total)
+					emitted := map[int]bool{}
+					fetches := 0
+					for _, ev := range sh.events {
+						if !ev.fetch {
+							emitted[ev.index] = true
+							continue
+						}
+						fetches++
+						for _, g := range owned {
+							if roundStart(g) == roundStart(ev.index) && !emitted[g] {
+								t.Fatalf("shard %d asked for foreign point %d before emitting its own point %d of the same round",
+									idx, ev.index, g)
+							}
+						}
+					}
+					if fetches != total-len(owned) {
+						t.Errorf("shard %d asked the exchange for %d points, want its %d foreign ones", idx, fetches, total-len(owned))
+					}
+					wantEvals := len(owned)
+					if dead {
+						wantEvals = total // every foreign point falls back to a local simulation
+					}
+					if got := counters[idx].Evaluations.Load(); got != int64(wantEvals) {
+						t.Errorf("shard %d simulated %d points, want %d", idx, got, wantEvals)
+					}
+				}
+				var got bytes.Buffer
+				if err := MergeShards(parts, NewJSONLSink(&got)); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("union of the shards' rows differs from the unsharded stream:\n%s\nwant:\n%s", got.String(), want.String())
+				}
+			})
+		}
+	}
+}

@@ -50,11 +50,6 @@ type Scale struct {
 	// their coarse grid, bisecting the intervals with the steepest
 	// metric gradient. 0 disables refinement.
 	RefineBudget int
-	// NoWorkloadReuse disables the sweep-wide workload/path arena, so
-	// every sweep point regenerates its inputs from scratch. Rows are
-	// byte-identical either way (regression-tested); the knob exists
-	// for A/B validation and memory-constrained paper-scale runs.
-	NoWorkloadReuse bool
 	// Shard restricts a run to the subset of rows whose global index
 	// this shard owns (index mod Shard.Count == Shard.Index), so N
 	// independent processes split one sweep. The union of the shards'
@@ -76,13 +71,13 @@ type Scale struct {
 	// from Fingerprint: it cannot change any row.
 	Exchange MetricExchange
 	// Counters, when non-nil, accumulates scheduler telemetry (points
-	// actually simulated, exchange hits) for this process. Excluded
-	// from Fingerprint: observation only.
+	// actually simulated, exchange hits and waits, tape compiles) for
+	// this process. Excluded from Fingerprint: observation only.
 	Counters *Counters
 	// Arena, when non-nil, is shared by every experiment run at this
-	// scale, so sizing workloads, full request traces, and synthetic
-	// logs are generated once per distinct config across the whole
-	// figure set instead of once per experiment (cmd/figures sets it).
+	// scale, so sizing workloads, replay tapes and synthetic logs are
+	// compiled once per distinct config across the whole figure set
+	// instead of once per experiment (cmd/figures sets it).
 	// Nil gives each experiment a private arena. Deliberately excluded
 	// from Fingerprint: memoization cannot change any row.
 	Arena *sim.Arena
@@ -143,13 +138,16 @@ func (s Scale) validate() error {
 // stream — everything except Parallelism, which by the determinism
 // contract cannot change any row. Journals are stamped with it so a
 // resume at a different scale (which would silently splice two
-// incompatible row sets) fails instead.
+// incompatible row sets) fails instead. The constant noreuse=false is
+// where the removed Scale.NoWorkloadReuse knob used to print (no flag
+// ever set it): keeping it lets journals and collector sessions stamped
+// by earlier builds still match.
 func (s Scale) Fingerprint() string {
 	return fmt.Sprintf(
-		"objects=%d requests=%d runs=%d seed=%d fractions=%v alpha=%v e=%v sigma=%v trace=%d/%d refine=%d noreuse=%v shard=%s",
+		"objects=%d requests=%d runs=%d seed=%d fractions=%v alpha=%v e=%v sigma=%v trace=%d/%d refine=%d noreuse=false shard=%s",
 		s.Objects, s.Requests, s.Runs, s.Seed, s.CacheFractions, s.AlphaSweep,
 		s.ESweep, s.SigmaSweep, s.TraceEntries, s.TraceServers,
-		s.RefineBudget, s.NoWorkloadReuse, s.Shard)
+		s.RefineBudget, s.Shard)
 }
 
 // RunFingerprint is Fingerprint with the shard identity erased: the
@@ -174,7 +172,7 @@ func (s Scale) workload() workload.Config {
 // runner at one scale sizes against the same workload, so a shared
 // arena pays for it once.
 func (s Scale) totalBytes(arena *sim.Arena) (int64, error) {
-	w, _, err := arena.Workload(workload.Config{
+	w, err := arena.Workload(workload.Config{
 		NumObjects:  s.Objects,
 		NumRequests: 1,
 		Seed:        sim.SplitSeed(s.Seed, 0),
@@ -194,7 +192,7 @@ func policySweep(s Scale, meta TableMeta, policies []core.Policy, variation band
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err
@@ -230,7 +228,7 @@ func table1Runner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	w, _, err := s.newArena().Workload(workload.Config{
+	w, err := s.Arena.Workload(workload.Config{
 		NumObjects:  s.Objects,
 		NumRequests: s.Requests,
 		Seed:        s.Seed,
@@ -333,7 +331,7 @@ func analyzeSyntheticLog(s Scale, v bandwidth.Variability) (*trace.Analysis, err
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	entries, err := s.newArena().Trace(trace.GenConfig{
+	entries, err := s.Arena.Trace(trace.GenConfig{
 		Entries:       s.TraceEntries,
 		Servers:       s.TraceServers,
 		Base:          bandwidth.NLANR(),
@@ -404,7 +402,7 @@ func figure6Runner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err
@@ -467,7 +465,7 @@ func figure9Runner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err
@@ -530,7 +528,7 @@ func figure12Runner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err
@@ -572,7 +570,7 @@ func ablationEvictionRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err
@@ -612,7 +610,7 @@ func ablationEstimatorsRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err

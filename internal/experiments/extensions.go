@@ -23,7 +23,7 @@ func extensionStreamMergingRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	w, _, err := s.newArena().Workload(workload.Config{
+	w, err := s.Arena.Workload(workload.Config{
 		NumObjects:  s.Objects,
 		NumRequests: s.Requests,
 		Seed:        s.Seed,
@@ -147,7 +147,7 @@ func extensionPartialViewingRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err
@@ -190,7 +190,7 @@ func extensionBaselinesRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err
@@ -239,7 +239,7 @@ func extensionActiveProbingRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err

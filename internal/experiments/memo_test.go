@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"testing"
+
+	"streamcache/internal/sim"
 )
 
 // streamCSV renders one experiment to CSV bytes at the given scale.
@@ -15,31 +17,34 @@ func streamCSV(t *testing.T, key string, s Scale) []byte {
 	return buf.Bytes()
 }
 
-// TestMemoizedSweepByteIdentical is the workload-arena acceptance
-// contract: a sweep that reuses memoized workloads and path assignments
-// must stream byte-identical output to one that regenerates everything
-// per point, at every Parallelism.
+// TestMemoizedSweepByteIdentical is the arena acceptance contract at the
+// sweep level: streaming several experiments over one figure-set-shared
+// arena (tapes and bandwidth columns compiled by one experiment, replayed
+// by the next) must produce the bytes a private arena per experiment
+// does, at every Parallelism. (Memoized-vs-fresh is pinned one layer
+// down, by sim's TestArenaMetricsBitIdentical and
+// TestTapeReplayBitIdentical against a nil arena.)
 func TestMemoizedSweepByteIdentical(t *testing.T) {
 	// Cover a fixed grid with variability (figure9), the estimator x
 	// sigma x policy matrix (stateful EWMA estimators), and an adaptive
 	// refinement driver (refined-e).
-	for _, key := range []string{"figure9", "scenarios", "refined-e"} {
-		t.Run(key, func(t *testing.T) {
-			s := tinyScale()
-			s.RefineBudget = 2
-			s.NoWorkloadReuse = true
-			fresh := streamCSV(t, key, s)
-
-			for _, par := range []int{1, 2, 8} {
-				m := tinyScale()
-				m.RefineBudget = 2
-				m.Parallelism = par
-				got := streamCSV(t, key, m)
-				if !bytes.Equal(got, fresh) {
-					t.Errorf("memoized sweep (Parallelism=%d) diverged from fresh sweep:\n%s\nwant:\n%s",
-						par, got, fresh)
-				}
+	keys := []string{"figure9", "scenarios", "refined-e"}
+	private := map[string][]byte{}
+	for _, key := range keys {
+		s := tinyScale()
+		s.RefineBudget = 2
+		private[key] = streamCSV(t, key, s)
+	}
+	for _, par := range []int{1, 2, 8} {
+		shared := tinyScale()
+		shared.RefineBudget = 2
+		shared.Parallelism = par
+		shared.Arena = sim.NewArena()
+		for _, key := range keys {
+			if got := streamCSV(t, key, shared); !bytes.Equal(got, private[key]) {
+				t.Errorf("%s over a shared arena (Parallelism=%d) diverged from a private arena:\n%s\nwant:\n%s",
+					key, par, got, private[key])
 			}
-		})
+		}
 	}
 }

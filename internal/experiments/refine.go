@@ -63,78 +63,79 @@ type axisPoint struct {
 }
 
 // evalRound evaluates one refinement round's points (global indices
-// base..base+n-1) over the worker pool, emitting each owned row (tagged
-// with source) in index order and returning every point's metric in
-// index order — the full curve the next refinement decision needs.
+// base..base+n-1), emitting each owned row (tagged with source) in index
+// order and returning every point's metric in index order — the full
+// curve the next refinement decision needs.
 //
-// Scheduling is shard-aware: a shard simulates its owned points
-// (replaying rows-with-metrics from the resume journal when present)
-// and resolves foreign points without simulating them — first from
-// journaled metric checkpoints, then through the MetricExchange. Only
-// when both miss (no exchange configured, collector down, owner dead)
-// does a shard fall back to simulating a foreign point locally; the
-// determinism contract makes the fallback metric bit-identical to the
-// owner's, so the refined point set and the emitted rows never depend
-// on which path produced a metric — the exchange purely removes the
-// N-fold duplicate compute. Fail-fast semantics match streamTasks.
+// The round runs own work first: a shard simulates all of its owned
+// points over the worker pool (replaying rows-with-metrics from the
+// resume journal when present) and emits them, and only then resolves
+// the foreign ones — from journaled metric checkpoints, then through
+// the MetricExchange. So N shards simulate a round concurrently and
+// trade metrics once at its end; a shard that waited on a peer's point
+// g+1 before starting its own g+2 would instead alternate with that
+// peer point by point and gain nothing from being sharded. Only when
+// journal and exchange both miss (no exchange configured, collector
+// down, owner dead) does a shard simulate a foreign point locally, over
+// the same pool; the determinism contract makes the fallback metric
+// bit-identical to the owner's, so the refined point set and the
+// emitted rows never depend on which path produced a metric or in what
+// order metrics arrived — decisions read the completed vector. Fail-
+// fast semantics match streamTasks.
 func evalRound(x exec, n, base int,
 	point func(i, innerParallelism int) (row []string, metric float64, err error),
 	source string, emit func(r MetricRow) error) ([]float64, error) {
 
-	type eval struct {
-		row    []string
-		metric float64
-		owned  bool
-	}
-	// Split the worker budget between the outer point pool and each
-	// point's inner pool so a phase with few locally evaluated points (a
-	// refinement round, or an exchange-served shard's slice of the
-	// coarse pass) still keeps the cores busy, while a wide phase does
-	// not oversubscribe them P x P. Pure scheduling: rows are identical
-	// for any split.
-	local := n
-	if x.exchange != nil && x.shard.enabled() {
-		local = 0
-		for g := base; g < base+n; g++ {
-			if x.shard.owns(g) {
-				local++
-			}
+	var owned, foreign []int // offsets into the round
+	for i := 0; i < n; i++ {
+		if x.shard.owns(base + i) {
+			owned = append(owned, i)
+		} else {
+			foreign = append(foreign, i)
 		}
 	}
-	inner := 1
-	if local > 0 {
-		if inner = x.parallelism / local; inner < 1 {
-			inner = 1
-		}
+	metrics := make([]float64, n)
+	// phase runs one half of the round: is are its offsets in index
+	// order, resolve answers a point without simulating it when it can,
+	// and rows reach emit only for owned points. The worker budget is
+	// split between the point pool and each point's inner pool so a
+	// phase with few points (a refinement round, a shard's slice of the
+	// coarse pass) still keeps the cores busy, while a wide phase does not
+	// oversubscribe them P x P. Pure scheduling: rows are identical for
+	// any split.
+	phase := func(is []int, own bool, resolve func(g int) (MetricRow, bool)) error {
+		inner := max(1, x.parallelism/max(1, len(is)))
+		return streamOrdered(x.parallelism, len(is), func(j int) (MetricRow, error) {
+			i := is[j]
+			if r, ok := resolve(base + i); ok {
+				return r, nil
+			}
+			x.evaluated()
+			row, metric, err := point(i, inner)
+			if err != nil {
+				return MetricRow{}, err
+			}
+			return MetricRow{Index: base + i, Row: append(row, source), Metric: metric, HasMetric: true}, nil
+		}, func(j int, r MetricRow) error {
+			metrics[is[j]] = r.Metric
+			if !own {
+				return nil
+			}
+			return emit(r)
+		})
 	}
-	metrics := make([]float64, 0, n)
-	err := streamOrdered(x.parallelism, n, func(i int) (eval, error) {
-		g := base + i
-		owned := x.shard.owns(g)
-		if owned {
-			// Journaled rows carry the rendered payload (source cell
-			// included) and the exact metric; nothing to recompute.
-			if r, ok := x.resume.replay(x.table, g); ok && r.HasMetric {
-				return eval{row: r.Row, metric: r.Metric, owned: true}, nil
-			}
-		} else if m, ok := x.foreignMetric(g); ok {
-			return eval{metric: m}, nil
-		}
-		x.evaluated()
-		row, metric, err := point(i, inner)
-		if err != nil {
-			return eval{}, err
-		}
-		return eval{row: append(row, source), metric: metric, owned: owned}, nil
-	}, func(i int, v eval) error {
-		if v.owned {
-			r := MetricRow{Index: base + i, Row: v.row, Metric: v.metric, HasMetric: true}
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-		metrics = append(metrics, v.metric)
-		return nil
+	err := phase(owned, true, func(g int) (MetricRow, bool) {
+		// Journaled rows carry the rendered payload (source cell
+		// included) and the exact metric; nothing to recompute.
+		r, ok := x.resume.replay(x.table, g)
+		return MetricRow{Index: g, Row: r.Row, Metric: r.Metric, HasMetric: true}, ok && r.HasMetric
+	})
+	if err != nil {
+		return nil, err
+	}
+	err = phase(foreign, false, func(g int) (MetricRow, bool) {
+		m, ok := x.foreignMetric(g)
+		return MetricRow{Metric: m}, ok
 	})
 	if err != nil {
 		return nil, err
@@ -250,7 +251,7 @@ func refinedESweepRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err
@@ -294,7 +295,7 @@ func refinedSigmaSweepRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err
@@ -338,7 +339,7 @@ func refinedCacheSweepRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err

@@ -196,7 +196,7 @@ func refinedESigmaSweepRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err

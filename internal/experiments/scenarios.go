@@ -35,7 +35,7 @@ func scenarioMatrixRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	arena := s.newArena()
+	arena := s.Arena
 	total, err := s.totalBytes(arena)
 	if err != nil {
 		return nil, err

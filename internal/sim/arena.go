@@ -1,19 +1,18 @@
-// Workload/path arena: sweep-wide memoization of the immutable inputs
-// every run re-derives from its seed.
+// The arena: sweep-wide memoization of the immutable inputs every run
+// re-derives from its seed.
 //
-// A sweep (cache size x policy x scenario axis) re-runs the same
-// (workload.Config, seed) pairs at every sweep point: without reuse,
-// workload.Generate dominates small-scale sweep time. The arena caches
-// the generated workload, its core.Object conversion, and the per-path
-// mean-bandwidth assignment, keyed strictly by the inputs that determine
-// them — so a memoized run is bit-identical to a fresh one, and a sweep
-// that shares one arena across all points (and refinement iterations)
-// generates each distinct (config, seed) exactly once.
+// A sweep (cache size x policy x scenario axis) replays the same
+// (workload.Config, run seed) pairs at every sweep point, and none of
+// what a run reads — the trace, the per-path mean bandwidths, the
+// per-request bandwidth draws — depends on the cache under test. The
+// arena therefore compiles each pair once into a replay tape (tape.go)
+// and hands the same tape to every point, keyed strictly by the inputs
+// that determine it, so a memoized run is bit-identical to a fresh one.
 //
-// Sharing contract (DESIGN.md): everything the arena hands out is
+// Sharing contract (DESIGN.md §5a): everything the arena hands out is
 // immutable and shared across goroutines. Callers (and policies they
-// configure) must not mutate the returned Workload, []core.Object or
-// []float64, and must not retain them past the arena's lifetime if they
+// configure) must not mutate a returned Workload, []float64 or tape
+// column, and must not retain them past the arena's lifetime if they
 // need them to be collectable.
 package sim
 
@@ -21,40 +20,62 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"streamcache/internal/bandwidth"
-	"streamcache/internal/core"
 	"streamcache/internal/trace"
 	"streamcache/internal/workload"
 )
 
-// Arena memoizes workloads and path-mean assignments across the runs and
-// sweep points of one experiment. The zero value is not usable; call
-// NewArena. All methods are safe for concurrent use, and every value is
-// a pure function of its key, so results never depend on which goroutine
-// populated an entry first.
+// Arena memoizes replay tapes, workloads and path-mean assignments
+// across the runs and sweep points of one experiment. The zero value is
+// not usable; call NewArena. All methods are safe for concurrent use,
+// and every value is a pure function of its key, so results never depend
+// on which goroutine populated an entry first.
 type Arena struct {
 	mu     sync.Mutex
-	wls    map[workload.Config]*workloadEntry
-	paths  map[pathKey]*pathEntry
-	traces map[trace.GenConfig]*traceEntry
+	wls    map[workload.Config]*memo[*workload.Workload]
+	tapes  map[workload.Config]*memo[*tape]
+	paths  map[pathKey]*memo[[]float64]
+	cols   map[rateKey]*memo[[]float64]
+	traces map[trace.GenConfig]*memo[[]trace.Entry]
+
+	tapeCompiles, rateCompiles atomic.Int64
 }
 
 // NewArena builds an empty arena. Use one arena per experiment (or per
-// sweep) and drop it afterwards to release the cached workloads.
+// sweep) and drop it afterwards to release the compiled tapes.
 func NewArena() *Arena {
 	return &Arena{
-		wls:    make(map[workload.Config]*workloadEntry),
-		paths:  make(map[pathKey]*pathEntry),
-		traces: make(map[trace.GenConfig]*traceEntry),
+		wls:    make(map[workload.Config]*memo[*workload.Workload]),
+		tapes:  make(map[workload.Config]*memo[*tape]),
+		paths:  make(map[pathKey]*memo[[]float64]),
+		cols:   make(map[rateKey]*memo[[]float64]),
+		traces: make(map[trace.GenConfig]*memo[[]trace.Entry]),
 	}
 }
 
-type workloadEntry struct {
+// memo is one arena entry: the first goroutine to ask computes it, the
+// rest wait on the Once and share the result.
+type memo[V any] struct {
 	once sync.Once
-	wl   *workload.Workload
-	objs []core.Object
+	v    V
 	err  error
+}
+
+// memoize returns m[key], computing it with build on first use. The
+// arena lock covers only the map; build runs outside it, so distinct
+// keys compile concurrently.
+func memoize[K comparable, V any](a *Arena, m map[K]*memo[V], key K, build func() (V, error)) (V, error) {
+	a.mu.Lock()
+	e := m[key]
+	if e == nil {
+		e = &memo[V]{}
+		m[key] = e
+	}
+	a.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = build() })
+	return e.v, e.err
 }
 
 // pathKey identifies one per-path mean-bandwidth assignment. The model
@@ -67,15 +88,13 @@ type pathKey struct {
 	n    int
 }
 
-type pathEntry struct {
-	once  sync.Once
-	means []float64
-}
-
-type traceEntry struct {
-	once    sync.Once
-	entries []trace.Entry
-	err     error
+// rateKey identifies one instantaneous-bandwidth column: the tape fixes
+// the request order and (through its seed) both random streams, the
+// base model the means the ratios multiply, the variability the ratios.
+type rateKey struct {
+	tape      *tape
+	base      bandwidth.Model
+	variation bandwidth.Variability
 }
 
 // dynComparable reports whether v's dynamic value can be used inside a
@@ -85,21 +104,6 @@ func dynComparable(v any) bool {
 		return true
 	}
 	return reflect.TypeOf(v).Comparable()
-}
-
-// coreObjects converts a generated catalog to the cache's object type.
-func coreObjects(wl *workload.Workload) []core.Object {
-	objs := make([]core.Object, len(wl.Objects))
-	for i, o := range wl.Objects {
-		objs[i] = core.Object{
-			ID:       o.ID,
-			Size:     o.Size,
-			Duration: o.Duration,
-			Rate:     o.Rate,
-			Value:    o.Value,
-		}
-	}
-	return objs
 }
 
 // samplePathMeans draws one mean bandwidth per object path, exactly as
@@ -113,36 +117,20 @@ func samplePathMeans(base bandwidth.Model, seed int64, n int) []float64 {
 	return means
 }
 
-// Workload returns the (possibly cached) workload for cfg plus its
-// core.Object conversion. cfg is normalized before keying, so two
-// configurations that normalize identically share one generation. A nil
-// arena generates fresh.
-func (a *Arena) Workload(cfg workload.Config) (*workload.Workload, []core.Object, error) {
+// Workload returns the (possibly cached) generated workload for cfg —
+// the catalog-and-trace view the characterization tables and cache
+// sizing read; simulation runs replay a compiled tape instead. cfg is
+// normalized before keying, so two configurations that normalize
+// identically share one generation. A nil arena generates fresh.
+func (a *Arena) Workload(cfg workload.Config) (*workload.Workload, error) {
 	if a == nil {
-		wl, err := workload.Generate(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return wl, coreObjects(wl), nil
+		return workload.Generate(cfg)
 	}
 	cfg, err := cfg.Normalize()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	a.mu.Lock()
-	e := a.wls[cfg]
-	if e == nil {
-		e = &workloadEntry{}
-		a.wls[cfg] = e
-	}
-	a.mu.Unlock()
-	e.once.Do(func() {
-		e.wl, e.err = workload.Generate(cfg)
-		if e.err == nil {
-			e.objs = coreObjects(e.wl)
-		}
-	})
-	return e.wl, e.objs, e.err
+	return memoize(a, a.wls, cfg, func() (*workload.Workload, error) { return workload.Generate(cfg) })
 }
 
 // PathMeans returns the (possibly cached) per-path mean bandwidths drawn
@@ -150,21 +138,13 @@ func (a *Arena) Workload(cfg workload.Config) (*workload.Workload, []core.Object
 // comparable model value; non-comparable models (and nil arenas) sample
 // fresh, with identical results either way.
 func (a *Arena) PathMeans(base bandwidth.Model, seed int64, n int) []float64 {
-	if a == nil || !reflect.TypeOf(base).Comparable() {
+	if a == nil || !dynComparable(base) {
 		return samplePathMeans(base, seed, n)
 	}
-	key := pathKey{base: base, seed: seed, n: n}
-	a.mu.Lock()
-	e := a.paths[key]
-	if e == nil {
-		e = &pathEntry{}
-		a.paths[key] = e
-	}
-	a.mu.Unlock()
-	e.once.Do(func() {
-		e.means = samplePathMeans(base, seed, n)
+	means, _ := memoize(a, a.paths, pathKey{base: base, seed: seed, n: n}, func() ([]float64, error) {
+		return samplePathMeans(base, seed, n), nil
 	})
-	return e.means
+	return means
 }
 
 // Trace returns the (possibly cached) synthetic access log generated
@@ -179,15 +159,13 @@ func (a *Arena) Trace(cfg trace.GenConfig) ([]trace.Entry, error) {
 	if a == nil || !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
 		return trace.Generate(cfg)
 	}
-	a.mu.Lock()
-	e := a.traces[cfg]
-	if e == nil {
-		e = &traceEntry{}
-		a.traces[cfg] = e
-	}
-	a.mu.Unlock()
-	e.once.Do(func() {
-		e.entries, e.err = trace.Generate(cfg)
-	})
-	return e.entries, e.err
+	return memoize(a, a.traces, cfg, func() ([]trace.Entry, error) { return trace.Generate(cfg) })
+}
+
+// Compiles reports how many trace tapes and how many bandwidth columns
+// the arena has compiled so far: with reuse working, a sweep of any
+// number of points over one workload and one variability compiles one
+// of each per run seed.
+func (a *Arena) Compiles() (tapes, rates int64) {
+	return a.tapeCompiles.Load(), a.rateCompiles.Load()
 }

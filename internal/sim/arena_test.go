@@ -68,26 +68,57 @@ func TestArenaSharedAcrossConfigsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestArenaReusesWorkloads pins that the arena actually dedupes: two
-// runs with the same (config, seed) must observe the same backing
-// slices.
+// TestArenaReusesWorkloads pins that the arena actually dedupes: N
+// sweep points x R runs over one workload and one variability compile
+// exactly R tapes and R bandwidth columns, a second variability adds R
+// columns and no tape, and the public lookups share their backing data.
 func TestArenaReusesWorkloads(t *testing.T) {
 	arena := NewArena()
+	const runs = 3
+	base := Config{
+		Workload:  testWorkload(),
+		Policy:    core.NewPB(),
+		Variation: bandwidth.NLANRVariability(),
+		Runs:      runs,
+		Seed:      99,
+		Arena:     arena,
+	}
+	for _, pct := range []float64{1, 2, 5, 10} {
+		cfg := base
+		cfg.CacheBytes = cachePct(pct)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tapes, rates := arena.Compiles(); tapes != runs || rates != runs {
+		t.Errorf("4 points x %d runs compiled %d tapes and %d bandwidth columns, want %d of each", runs, tapes, rates, runs)
+	}
+	constant := base
+	constant.CacheBytes = cachePct(5)
+	constant.Variation = nil // NoVariation: one per-object table per run
+	if _, err := Run(constant); err != nil {
+		t.Fatal(err)
+	}
+	h := HierarchyConfig{Config: constant, Edges: 4, Levels: 2, ParentFraction: 0.4}
+	if _, err := RunHierarchy(h); err != nil {
+		t.Fatal(err)
+	}
+	if tapes, rates := arena.Compiles(); tapes != runs || rates != 2*runs {
+		t.Errorf("a second variability and a hierarchy run left %d tapes and %d columns, want %d and %d", tapes, rates, runs, 2*runs)
+	}
+
 	cfg := testWorkload()
 	cfg.Seed = 99
-	a, objsA, err := arena.Workload(cfg)
+	a, err := arena.Workload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, objsB, err := arena.Workload(cfg)
+	b, err := arena.Workload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("same workload config generated twice despite arena")
-	}
-	if &objsA[0] != &objsB[0] {
-		t.Error("core.Object conversion not shared")
 	}
 	meansA := arena.PathMeans(bandwidth.NLANR(), 123, 50)
 	meansB := arena.PathMeans(bandwidth.NLANR(), 123, 50)
@@ -97,10 +128,10 @@ func TestArenaReusesWorkloads(t *testing.T) {
 }
 
 // TestRunOnceSteadyStateAllocs pins the per-request allocation budget of
-// the simulation hot path: with a warm arena and the default oracle
-// estimator, a full run performs only its fixed per-run setup
-// allocations (cache tables, RNG), i.e. well under 0.01 allocs per
-// request.
+// both request loops: with a warm arena and a warm scratch, a full run
+// performs only its fixed per-run set-up allocations (options, the
+// ownership ring), i.e. well under 0.01 allocs per request — no cache
+// table is rebuilt, flat or at 2 levels x 4 edges.
 func TestRunOnceSteadyStateAllocs(t *testing.T) {
 	cfg := Config{
 		Workload:   testWorkload(),
@@ -114,19 +145,32 @@ func TestRunOnceSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := SplitSeed(cfg.Seed, 0)
-	if _, err := runOnce(cfg, seed); err != nil { // warm the arena
+	hcfg, err := HierarchyConfig{Config: cfg, Edges: 4, Levels: 2, ParentFraction: 0.4, Peering: PeeringOwner}.normalize()
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := runOnce(cfg, seed); err != nil {
+	seed := SplitSeed(cfg.Seed, 0)
+	loops := []struct {
+		name string
+		run  func() error
+	}{
+		{"flat", func() error { _, err := runOnce(cfg, seed); return err }},
+		{"2 levels x 4 edges", func() error { _, err := hierarchyRunOnce(hcfg, seed); return err }},
+	}
+	for _, l := range loops {
+		if err := l.run(); err != nil { // warm the arena and the scratch
 			t.Fatal(err)
 		}
-	})
-	perRequest := allocs / float64(cfg.Workload.NumRequests)
-	if perRequest > 0.01 {
-		t.Errorf("steady-state runOnce allocates %.4f objects/request (%.0f total), want <= 0.01",
-			perRequest, allocs)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := l.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perRequest := allocs / float64(cfg.Workload.NumRequests)
+		if perRequest > 0.01 {
+			t.Errorf("%s: steady-state run allocates %.4f objects/request (%.0f total), want <= 0.01",
+				l.name, perRequest, allocs)
+		}
 	}
 }
 

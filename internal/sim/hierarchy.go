@@ -158,22 +158,10 @@ func RunHierarchy(cfg HierarchyConfig) (HierarchyMetrics, error) {
 // mirrors by undoing an owner's or parent's prefix growth whenever the
 // resume offset lies beyond its stored prefix.
 func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error) {
-	wcfg := cfg.Workload
-	wcfg.Seed = seed
-	wl, objs, err := cfg.Arena.Workload(wcfg)
+	rp, err := cfg.Arena.replay(cfg.Config, seed)
 	if err != nil {
 		return HierarchyMetrics{}, err
 	}
-
-	newPolicy := func() core.Policy {
-		if cfg.PolicyFactory != nil {
-			return cfg.PolicyFactory()
-		}
-		return cfg.Policy
-	}
-	opts := make([]core.Option, 0, len(cfg.CacheOptions)+1)
-	opts = append(opts, core.WithExpectedObjects(len(objs)))
-	opts = append(opts, cfg.CacheOptions...)
 
 	// Capacity split: the parent takes its fraction off the top, the
 	// edges split the rest evenly.
@@ -185,21 +173,23 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 	if edgeCaps == nil {
 		return HierarchyMetrics{}, fmt.Errorf("%w: edge budget %d over %d edges", ErrBadConfig, cfg.CacheBytes-parentBytes, cfg.Edges)
 	}
-	edges := make([]*core.Cache, cfg.Edges)
-	for e := range edges {
-		c, err := core.New(edgeCaps[e], newPolicy(), opts...)
-		if err != nil {
+	// Every node's cache comes from the one pooled scratch runOnce uses:
+	// caches 0..Edges-1 are the edges, cache Edges the parent.
+	scratch := scratchPool.Get().(*runScratch)
+	defer scratchPool.Put(scratch)
+	opts := cfg.cacheOptions(len(rp.objs))
+	for e, capacity := range edgeCaps {
+		if _, err := scratch.cache(e, capacity, cfg.newPolicy(), opts); err != nil {
 			return HierarchyMetrics{}, err
 		}
-		edges[e] = c
 	}
 	var parent *core.Cache
 	if cfg.Levels == 2 {
-		parent, err = core.New(parentBytes, newPolicy(), opts...)
-		if err != nil {
+		if parent, err = scratch.cache(cfg.Edges, parentBytes, cfg.newPolicy(), opts); err != nil {
 			return HierarchyMetrics{}, err
 		}
 	}
+	edges := scratch.caches[:cfg.Edges]
 	var ring *cluster.Ring
 	if cfg.Peering == PeeringOwner && cfg.Edges > 1 {
 		ring, err = cluster.NewRing(cfg.Edges, cfg.VirtualNodes)
@@ -208,32 +198,24 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 		}
 	}
 
-	pathSeed := seed ^ netSeedSalt
-	means := cfg.Arena.PathMeans(cfg.Base, pathSeed, len(objs))
-
-	warm := int(cfg.WarmFraction * float64(len(wl.Requests)))
+	warm := int(cfg.WarmFraction * float64(len(rp.obj)))
 	var (
 		m                                    HierarchyMetrics
 		edgeB, peerB, parentB, originB, totB int64
 	)
-	for i := range wl.Requests {
-		req := &wl.Requests[i]
-		obj := objs[req.ObjectID]
+	for i, o := range rp.obj {
+		obj := rp.objs[o]
+		now, watched := rp.time[i], rp.watched[i]
 		e := i % cfg.Edges
 		owner := e
 		if ring != nil {
 			owner = ring.Owner(obj.ID)
 		}
 
-		watched := obj.Size
-		if req.Fraction > 0 && req.Fraction < 1 {
-			watched = int64(req.Fraction * float64(obj.Size))
-		}
-
 		// Hop pricing: each cache's utility sees the bandwidth of the
 		// link its misses would actually travel (zero knobs fall back to
 		// the origin path mean).
-		originMean := means[obj.ID]
+		originMean := rp.means[o]
 		edgeEst := originMean
 		switch {
 		case owner != e && cfg.PeerBps > 0:
@@ -248,7 +230,7 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 
 		// Edge hop. Local clients always resume from byte 0, so the
 		// edge's granted prefix growth always materializes.
-		res := edges[e].Access(obj, edgeEst, req.Time)
+		res := edges[e].Access(obj, edgeEst, now)
 		served := res.HitBytes
 		if served > watched {
 			served = watched
@@ -259,12 +241,12 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 		// Owner hop.
 		var reqPeer, reqParent int64
 		if off < watched && owner != e {
-			reqPeer = tierServe(edges[owner], obj, ownerEst, req.Time, off, watched)
+			reqPeer = tierServe(edges[owner], obj, ownerEst, now, off, watched)
 			off += reqPeer
 		}
 		// Parent hop.
 		if off < watched && cfg.Levels == 2 {
-			reqParent = tierServe(parent, obj, originMean, req.Time, off, watched)
+			reqParent = tierServe(parent, obj, originMean, now, off, watched)
 			off += reqParent
 		}
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -140,12 +139,13 @@ type Config struct {
 	// streams from SplitSeed(Seed, run) and results aggregate in run
 	// order, Metrics are bit-identical for every Parallelism value.
 	Parallelism int
-	// Arena, when set, memoizes generated workloads and per-path mean
-	// bandwidths across runs — share one arena across all the sweep
-	// points of an experiment so identical (config, seed) inputs are
-	// derived once instead of at every point. Every arena value is a
-	// pure function of its key, so Metrics are bit-identical with or
-	// without an arena (regression-tested). Nil disables memoization.
+	// Arena, when set, memoizes the compiled replay tape — trace
+	// columns, per-path mean bandwidths, per-request bandwidth draws —
+	// across runs: share one arena across all the sweep points of an
+	// experiment so identical (config, seed) inputs are compiled once
+	// instead of at every point. Every arena value is a pure function of
+	// its key, so Metrics are bit-identical with or without an arena
+	// (regression-tested). Nil compiles a private tape per run.
 	Arena *Arena
 }
 
@@ -236,20 +236,16 @@ func Run(cfg Config) (Metrics, error) {
 	return agg, nil
 }
 
-// netSeedSalt separates the network random streams from the workload
-// stream of the same run (the workload generator seeds rand with the
-// run seed directly).
-const netSeedSalt = 0x5DEECE66D
-
-// runScratch holds per-run state reused across runs via scratchPool.
-// Only backing storage survives a run: estimator slice elements are
-// rewritten before use and the pooled cache is Reset to its
-// freshly-constructed state, so pooled state can never leak between
+// runScratch holds every piece of per-run mutable state — the caches of
+// all nodes and the estimator slice — reused across runs via
+// scratchPool. Only backing storage survives a run: estimator slice
+// elements are rewritten before use and each pooled cache is Reset to
+// its freshly-constructed state, so pooled state can never leak between
 // runs (and results stay bit-identical whether or not a pooled buffer
 // was reused — the Parallelism 1/2/8 determinism suite exercises both).
 type runScratch struct {
 	estimators []bandwidth.Estimator
-	cache      *core.Cache
+	caches     []*core.Cache
 }
 
 func (s *runScratch) estSlice(n int) []bandwidth.Estimator {
@@ -259,60 +255,85 @@ func (s *runScratch) estSlice(n int) []bandwidth.Estimator {
 	return s.estimators[:n]
 }
 
-// cacheFor returns a cache configured exactly as core.New(capacity,
-// policy, opts...) would build it, reusing the pooled cache's table
-// storage when one is available.
-func (s *runScratch) cacheFor(capacity int64, policy core.Policy, opts ...core.Option) (*core.Cache, error) {
-	if s.cache == nil {
+// cache returns the scratch's k-th cache configured exactly as
+// core.New(capacity, policy, opts...) would build it, reusing its table
+// storage when an earlier run left one behind.
+func (s *runScratch) cache(k int, capacity int64, policy core.Policy, opts []core.Option) (*core.Cache, error) {
+	for len(s.caches) <= k {
+		s.caches = append(s.caches, nil)
+	}
+	if s.caches[k] == nil {
 		c, err := core.New(capacity, policy, opts...)
 		if err != nil {
 			return nil, err
 		}
-		s.cache = c
+		s.caches[k] = c
 		return c, nil
 	}
-	if err := s.cache.Reset(capacity, policy, opts...); err != nil {
+	if err := s.caches[k].Reset(capacity, policy, opts...); err != nil {
 		return nil, err
 	}
-	return s.cache, nil
+	return s.caches[k], nil
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
+// newPolicy returns the policy one cache of one run uses: a fresh one
+// from the factory when set, else the shared instance.
+//
+//mediavet:hotpath
+func (c Config) newPolicy() core.Policy {
+	if c.PolicyFactory != nil {
+		return c.PolicyFactory()
+	}
+	return c.Policy
+}
+
+// cacheOptions sizes the cache tables for the tape's catalog ahead of
+// the caller's own options.
+func (c Config) cacheOptions(objects int) []core.Option {
+	opts := make([]core.Option, 0, len(c.CacheOptions)+1)
+	opts = append(opts, core.WithExpectedObjects(objects))
+	return append(opts, c.CacheOptions...)
+}
+
+// runOnce replays one seeded tape through one cache. It is the 1-edge,
+// 1-level case of hierarchyRunOnce (TestHierarchySingleNodeMatchesRun
+// pins the two bit-equal) and shares its tape and scratch, but stays a
+// loop of its own because folding them is not free: each loop computes
+// what the other never needs (delay, quality, value and estimator
+// feedback here; hop pricing, the owner and parent hops and per-tier
+// byte counters there). Measured on the PR 15 box with both on one tape
+// and one scratch: the ladder reads sim.hierarchy_1x1_req_per_s /
+// sim.run_req_per_s = 15.4M / 19.2M = 0.80 and 18.6M / 18.1M = 1.03 in
+// its two quiet traced passes (the rung times 300k requests and reads
+// anything from 5M to 19M on either side of this change when the host
+// is busy), so separately the two are equally fast; one merged loop
+// serving both ran the flat PB replay of 100k requests 9 % slower than
+// this one (best of 5 alternating `go test -bench` pairs at -cpu 1:
+// 4.95 ms against 4.53 ms; medians 5.57 against 4.81) — not free, on
+// the figure path's hottest function.
+//
 //mediavet:hotpath
 func runOnce(cfg Config, seed int64) (Metrics, error) {
-	wcfg := cfg.Workload
-	wcfg.Seed = seed
-	//mediavet:ignore hotpath per-run setup: the arena memoizes generation, so this is a map lookup amortized over NumRequests accesses
-	wl, objs, err := cfg.Arena.Workload(wcfg)
+	//mediavet:ignore hotpath per-run setup: the arena compiles each (workload, seed) tape once, so this is a map lookup amortized over NumRequests accesses
+	rp, err := cfg.Arena.replay(cfg, seed)
 	if err != nil {
 		return Metrics{}, err
 	}
-	policy := cfg.Policy
-	if cfg.PolicyFactory != nil {
-		policy = cfg.PolicyFactory()
-	}
+	//mediavet:ignore hotpath per-run setup: memoized bandwidth column, shared read-only across sweep points
+	inst := cfg.Arena.rates(cfg, seed, rp)
+	perRequest := drawsPerRequest(cfg.Variation)
+
 	scratch := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(scratch)
-	opts := make([]core.Option, 0, len(cfg.CacheOptions)+1)
 	//mediavet:ignore hotpath per-run setup: option construction happens once per run, before the request loop
-	opts = append(opts, core.WithExpectedObjects(len(objs)))
-	opts = append(opts, cfg.CacheOptions...)
+	opts := cfg.cacheOptions(len(rp.objs))
 	//mediavet:ignore hotpath per-run setup: the pooled scratch reuses cache storage across runs; see BenchmarkSimRunParallelism allocs
-	cache, err := scratch.cacheFor(cfg.CacheBytes, policy, opts...)
+	cache, err := scratch.cache(0, cfg.CacheBytes, cfg.newPolicy(), opts)
 	if err != nil {
 		return Metrics{}, err
 	}
-
-	// Independent streams for network conditions so that workload and
-	// bandwidth randomness do not interfere. Path-mean assignment and
-	// per-request variability draw from separate streams, which is what
-	// lets the arena reuse the (deterministic) mean assignment without
-	// perturbing per-request draws.
-	pathSeed := seed ^ netSeedSalt
-	//mediavet:ignore hotpath per-run setup: memoized path-mean assignment, shared read-only across runs
-	means := cfg.Arena.PathMeans(cfg.Base, pathSeed, len(objs))
-	instRNG := rand.New(rand.NewSource(SplitSeed(pathSeed, 1)))
 
 	// Build the per-path estimators; a nil factory is the oracle mean,
 	// read straight from the memoized assignment.
@@ -320,13 +341,13 @@ func runOnce(cfg Config, seed int64) (Metrics, error) {
 	var estimators []bandwidth.Estimator
 	if !oracle {
 		//mediavet:ignore hotpath per-run setup: estimator slice comes from the pooled scratch, reused across runs
-		estimators = scratch.estSlice(len(objs))
+		estimators = scratch.estSlice(len(rp.objs))
 		for i := range estimators {
-			estimators[i] = cfg.Estimators(i, means[i])
+			estimators[i] = cfg.Estimators(i, rp.means[i])
 		}
 	}
 
-	warm := int(cfg.WarmFraction * float64(len(wl.Requests)))
+	warm := int(cfg.WarmFraction * float64(len(rp.obj)))
 	var (
 		m          Metrics
 		delaySum   float64
@@ -335,33 +356,31 @@ func runOnce(cfg Config, seed int64) (Metrics, error) {
 		totalBytes float64
 		hits       int
 	)
-	for i := range wl.Requests {
-		req := &wl.Requests[i]
-		obj := objs[req.ObjectID]
-		inst := bandwidth.Path{MeanRate: means[obj.ID], Variation: cfg.Variation}.Instant(instRNG)
-		est := means[obj.ID]
-		if !oracle {
-			est = estimators[obj.ID].Estimate()
+	for i, o := range rp.obj {
+		obj := rp.objs[o]
+		k := int(o)
+		if perRequest {
+			k = i
 		}
-		res := cache.Access(obj, est, req.Time)
+		bw := inst[k]
+		est := rp.means[o]
 		if !oracle {
-			estimators[obj.ID].Observe(inst)
+			est = estimators[o].Estimate()
+		}
+		res := cache.Access(obj, est, rp.time[i])
+		if !oracle {
+			estimators[o].Observe(bw)
 		}
 		if i < warm {
 			continue
 		}
 		m.Requests++
-		delaySum += core.StartupDelay(obj, res.HitBytes, inst)
-		qualitySum += core.StreamQuality(obj, res.HitBytes, inst)
-		if core.ImmediatelyServable(obj, res.HitBytes, inst) {
+		delaySum += core.StartupDelay(obj, res.HitBytes, bw)
+		qualitySum += core.StreamQuality(obj, res.HitBytes, bw)
+		if core.ImmediatelyServable(obj, res.HitBytes, bw) {
 			m.TotalAddedValue += obj.Value
 		}
-		// Traffic accounting honors partial viewing: a session that
-		// stops early only ever transfers the watched prefix.
-		watched := obj.Size
-		if req.Fraction > 0 && req.Fraction < 1 {
-			watched = int64(req.Fraction * float64(obj.Size))
-		}
+		watched := rp.watched[i]
 		served := res.HitBytes
 		if served > watched {
 			served = watched

@@ -1,0 +1,134 @@
+package sim
+
+import (
+	"math/rand"
+
+	"streamcache/internal/bandwidth"
+	"streamcache/internal/core"
+	"streamcache/internal/workload"
+)
+
+// tape is one compiled (workload.Config, run seed): everything about
+// the trace a request loop reads, as flat columns indexed by request,
+// plus the object table the columns index into. 20 bytes per request
+// (against workload.Request's 24, which the arena no longer retains for
+// runs). Immutable once compiled.
+type tape struct {
+	objs    []core.Object // indexed by object ID
+	obj     []uint32      // request -> index into objs
+	time    []float64     // request -> arrival time, seconds
+	watched []int64       // request -> bytes the session watches (<= object size)
+}
+
+// compileTape generates cfg's workload and flattens it. The partial-
+// viewing clamp is applied here, once, for both request loops: a
+// session that stops early only ever transfers the watched prefix.
+func compileTape(cfg workload.Config) (*tape, error) {
+	wl, err := workload.Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	t := &tape{
+		objs:    make([]core.Object, len(wl.Objects)),
+		obj:     make([]uint32, len(wl.Requests)),
+		time:    make([]float64, len(wl.Requests)),
+		watched: make([]int64, len(wl.Requests)),
+	}
+	for i, o := range wl.Objects {
+		t.objs[i] = core.Object{ID: o.ID, Size: o.Size, Duration: o.Duration, Rate: o.Rate, Value: o.Value}
+	}
+	for i, r := range wl.Requests {
+		size := t.objs[r.ObjectID].Size
+		watched := size
+		if r.Fraction > 0 && r.Fraction < 1 {
+			watched = int64(r.Fraction * float64(size))
+		}
+		t.obj[i], t.time[i], t.watched[i] = uint32(r.ObjectID), r.Time, watched
+	}
+	return t, nil
+}
+
+// replay is what one run replays: a tape plus the mean bandwidth of
+// each object's origin path. Nothing in it depends on the cache under
+// test, which is what lets every sweep point of a seed share one.
+type replay struct {
+	*tape
+	means []float64
+}
+
+// netSeedSalt separates the network random streams from the workload
+// stream of the same run (the workload generator seeds rand with the
+// run seed directly).
+const netSeedSalt = 0x5DEECE66D
+
+// replay compiles — or, from a shared arena, looks up — the tape and
+// path means of the run of cfg seeded with seed. A nil arena compiles
+// privately through the same code, with identical values either way.
+func (a *Arena) replay(cfg Config, seed int64) (replay, error) {
+	wcfg := cfg.Workload
+	wcfg.Seed = seed
+	var t *tape
+	var err error
+	if a == nil {
+		t, err = compileTape(wcfg)
+	} else if wcfg, err = wcfg.Normalize(); err == nil {
+		t, err = memoize(a, a.tapes, wcfg, func() (*tape, error) {
+			a.tapeCompiles.Add(1)
+			return compileTape(wcfg)
+		})
+	}
+	if err != nil {
+		return replay{}, err
+	}
+	return replay{tape: t, means: a.PathMeans(cfg.Base, seed^netSeedSalt, len(t.objs))}, nil
+}
+
+// drawsPerRequest reports whether v consumes the per-request random
+// stream: every variability does except the constant-bandwidth one,
+// whose instantaneous bandwidth is a property of the path alone.
+//
+//mediavet:hotpath
+func drawsPerRequest(v bandwidth.Variability) bool {
+	_, constant := v.(bandwidth.NoVariation)
+	return !constant
+}
+
+// compileRates draws the instantaneous bandwidth every request of rp
+// observes — one value per request, or one per object for a
+// variability that never draws. It draws exactly as an inline loop
+// would: one Ratio per request in request order from the per-request
+// stream SplitSeed(pathSeed, 1), times the path mean, floored, with
+// bandwidth.Path doing the arithmetic. Path-mean assignment draws from
+// pathSeed itself; keeping the two streams apart is what makes this
+// column a pure function of (tape, base, variation) and never of what a
+// cache did between two draws.
+func compileRates(rp replay, variation bandwidth.Variability, seed int64) []float64 {
+	if !drawsPerRequest(variation) {
+		inst := make([]float64, len(rp.means))
+		for o, mean := range rp.means {
+			inst[o] = bandwidth.Path{MeanRate: mean, Variation: variation}.Instant(nil)
+		}
+		return inst
+	}
+	rng := rand.New(rand.NewSource(SplitSeed(seed^netSeedSalt, 1)))
+	inst := make([]float64, len(rp.obj))
+	for i, o := range rp.obj {
+		inst[i] = bandwidth.Path{MeanRate: rp.means[o], Variation: variation}.Instant(rng)
+	}
+	return inst
+}
+
+// rates returns the (possibly cached) bandwidth column of rp under
+// cfg's variability. Memoization needs comparable model values; a nil
+// arena, a non-comparable base or a non-comparable variability compile
+// a private column through the same code.
+func (a *Arena) rates(cfg Config, seed int64, rp replay) []float64 {
+	if a == nil || !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
+		return compileRates(rp, cfg.Variation, seed)
+	}
+	inst, _ := memoize(a, a.cols, rateKey{tape: rp.tape, base: cfg.Base, variation: cfg.Variation}, func() ([]float64, error) {
+		a.rateCompiles.Add(1)
+		return compileRates(rp, cfg.Variation, seed), nil
+	})
+	return inst
+}

@@ -2,15 +2,17 @@
 # Streaming-collector smoke: boot collectd, run the same sweep as two
 # concurrent shards pushing rows and refinement metrics at it, and
 # require the collected CSV files to be byte-identical to a
-# single-process run — no offline merge step involved. Covers both a
-# fixed grid (figure5) and an adaptive refinement sweep (refined-e),
-# whose shards split the simulation work through the collector's
-# metric exchange. `make collector-check` and the CI collector-check
-# job both call this.
+# single-process run — no offline merge step involved. Covers a fixed
+# grid (figure5) and both adaptive refinement sweeps (refined-e and the
+# 2-D refined-esigma), whose shards split the simulation work through
+# the collector's metric exchange: each shard's per-table line must
+# show it simulated exactly the points it owns (evals == rows), i.e.
+# no foreign point silently fell back to a local simulation.
+# `make collector-check` and the CI collector-check job both call this.
 set -euo pipefail
 
 COLLECT_ADDR=${COLLECT_ADDR:-127.0.0.1:19190}
-KEYS=${KEYS:-figure5,refined-e}
+KEYS=${KEYS:-figure5,refined-e,refined-esigma}
 tmp=$(mktemp -d)
 pid=
 
@@ -48,12 +50,25 @@ fi
 # refinement metrics through the collector instead of re-simulating
 # them; the journals make either shard individually resumable.
 "$tmp/figures" -out "$tmp/sharded" -only "$KEYS" -shard 0/2 \
-    -journal "$tmp/sharded/j0.jsonl" -collect "http://$COLLECT_ADDR" &
+    -journal "$tmp/sharded/j0.jsonl" -collect "http://$COLLECT_ADDR" >"$tmp/shard0.log" &
 s0=$!
 "$tmp/figures" -out "$tmp/sharded" -only "$KEYS" -shard 1/2 \
-    -journal "$tmp/sharded/j1.jsonl" -collect "http://$COLLECT_ADDR" &
+    -journal "$tmp/sharded/j1.jsonl" -collect "http://$COLLECT_ADDR" >"$tmp/shard1.log" &
 s1=$!
 wait "$s0" "$s1"
+cat "$tmp/shard0.log" "$tmp/shard1.log"
+
+# A refined table's line reads "<key> <file> <n> rows <time> evals=<e>
+# exchange=<x> waited=<t>": the rows a shard emits are the points it
+# owns, so evals must equal them — a count, not a timing.
+refined=$(tr ',' '\n' <<<"$KEYS" | grep -c '^refined-' || true)
+for log in "$tmp/shard0.log" "$tmp/shard1.log"; do
+    if ! awk -v want="$refined" '$1 ~ /^refined-/ { seen++; split($6, e, "="); if (e[1] != "evals" || e[2] != $3) { print "collector-check: " $1 ": evals " e[2] " != " $3 " owned rows" > "/dev/stderr"; bad = 1 } }
+              END { exit bad || seen != want }' "$log"; then
+        echo "collector-check: a shard did not simulate exactly its owned refinement points (or printed no refined table): $log" >&2
+        exit 1
+    fi
+done
 
 # collectd writes the canonical CSVs and exits once both shards report
 # done; if a shard silently fell back to journal-only mode that exit

@@ -113,7 +113,8 @@ type (
 	SimMetrics = sim.Metrics
 	// EstimatorFactory builds per-path estimators for simulations.
 	EstimatorFactory = sim.EstimatorFactory
-	// SimArena memoizes workloads and path assignments across sweeps.
+	// SimArena memoizes compiled replay tapes (trace columns, path
+	// means, per-request bandwidth draws) across sweeps.
 	SimArena = sim.Arena
 )
 
@@ -316,9 +317,9 @@ func OracleEstimator(path int, pathMean float64) BandwidthEstimator {
 	return sim.OracleEstimator(path, pathMean)
 }
 
-// NewSimArena builds a workload/path memoization arena. Share one arena
+// NewSimArena builds a replay-tape memoization arena. Share one arena
 // (via SimConfig.Arena) across the sweep points of an experiment so
-// identical (workload config, seed) inputs are generated once; results
+// identical (workload config, seed) inputs are compiled once; results
 // are bit-identical with or without it.
 func NewSimArena() *SimArena { return sim.NewArena() }
 
