@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet lint lint-check build test race bench bench-smoke bench-check fuzz-smoke figures docs-check shard-check collector-check proxy-check load-check cluster-check clean
+.PHONY: all ci vet lint lint-check build test race bench bench-smoke bench-check fuzz-smoke figures docs-check loc shard-check collector-check proxy-check load-check cluster-check clean
 
 all: ci
 
@@ -71,6 +71,11 @@ figures:
 docs-check:
 	bash scripts/check-md-links.sh
 
+## loc: non-test Go lines outside bench/, for the repo and per package
+## directory — the number ROADMAP.md's fold-and-delete target tracks.
+loc:
+	@bash scripts/loc.sh
+
 ## shard-check: end-to-end sharded sweep — run 2 shards with journals,
 ## merge, and diff against the single-process output (OPERATIONS.md §7).
 SHARD_KEYS ?= figure5,refined-e
@@ -94,8 +99,9 @@ collector-check:
 	bash scripts/collector-check.sh
 
 ## proxy-check: live-tier smoke — start a sharded proxyd, run loadgen
-## against it, assert a nonzero prefix-hit ratio, no demoted sole
-## reader and a clean SIGTERM drain (OPERATIONS.md §8).
+## against it, assert a nonzero prefix-hit ratio, the pinned
+## loadgen-live header, no demoted sole reader and a clean SIGTERM
+## drain (OPERATIONS.md §8).
 proxy-check:
 	bash scripts/proxy-check.sh
 

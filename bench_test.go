@@ -78,98 +78,23 @@ func printRow(row []string) {
 	fmt.Println()
 }
 
-func benchExperiment(b *testing.B, build func(experiments.Scale) (*experiments.Table, error)) {
-	b.Helper()
+// BenchmarkExperiment regenerates every table of the suite, one
+// sub-benchmark per cmd/figures key (table1, figure2 … figure12, the
+// ablations, extensions, scenarios, refined sweeps and hierarchy):
+// `-bench 'BenchmarkExperiment/figure5$'` runs one.
+func BenchmarkExperiment(b *testing.B) {
 	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		table, err := build(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(table)
+	for _, e := range experiments.Experiments() {
+		b.Run(e.Key, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				table, err := e.Table(scale)
+				if err != nil {
+					b.Fatal(err)
+				}
+				printTable(table)
+			}
+		})
 	}
-}
-
-// BenchmarkTable1WorkloadCharacteristics regenerates Table 1.
-func BenchmarkTable1WorkloadCharacteristics(b *testing.B) {
-	benchExperiment(b, experiments.Table1)
-}
-
-// BenchmarkFigure2BandwidthDistribution regenerates the NLANR bandwidth
-// histogram and CDF from a synthesized proxy log.
-func BenchmarkFigure2BandwidthDistribution(b *testing.B) {
-	benchExperiment(b, experiments.Figure2)
-}
-
-// BenchmarkFigure3BandwidthVariability regenerates the sample-to-mean
-// ratio histogram and CDF.
-func BenchmarkFigure3BandwidthVariability(b *testing.B) {
-	benchExperiment(b, experiments.Figure3)
-}
-
-// BenchmarkFigure4PathTimeSeries regenerates the measured-path bandwidth
-// time series.
-func BenchmarkFigure4PathTimeSeries(b *testing.B) {
-	benchExperiment(b, experiments.Figure4)
-}
-
-// BenchmarkFigure5ConstantBandwidth regenerates the IF/PB/IB comparison
-// under constant bandwidth.
-func BenchmarkFigure5ConstantBandwidth(b *testing.B) {
-	benchExperiment(b, experiments.Figure5)
-}
-
-// BenchmarkFigure6ZipfAlpha regenerates the popularity-skew sweep.
-func BenchmarkFigure6ZipfAlpha(b *testing.B) {
-	benchExperiment(b, experiments.Figure6)
-}
-
-// BenchmarkFigure7NLANRVariability regenerates the high-variability
-// comparison.
-func BenchmarkFigure7NLANRVariability(b *testing.B) {
-	benchExperiment(b, experiments.Figure7)
-}
-
-// BenchmarkFigure8MeasuredVariability regenerates the measured-path
-// variability comparison.
-func BenchmarkFigure8MeasuredVariability(b *testing.B) {
-	benchExperiment(b, experiments.Figure8)
-}
-
-// BenchmarkFigure9EstimatorSweep regenerates the under-estimation factor
-// sweep for the delay objective.
-func BenchmarkFigure9EstimatorSweep(b *testing.B) {
-	benchExperiment(b, experiments.Figure9)
-}
-
-// BenchmarkFigure10ValueConstant regenerates the value-policy comparison
-// under constant bandwidth.
-func BenchmarkFigure10ValueConstant(b *testing.B) {
-	benchExperiment(b, experiments.Figure10)
-}
-
-// BenchmarkFigure11ValueVariable regenerates the value-policy comparison
-// under measured-path variability.
-func BenchmarkFigure11ValueVariable(b *testing.B) {
-	benchExperiment(b, experiments.Figure11)
-}
-
-// BenchmarkFigure12ValueEstimatorSweep regenerates the under-estimation
-// sweep for the value objective.
-func BenchmarkFigure12ValueEstimatorSweep(b *testing.B) {
-	benchExperiment(b, experiments.Figure12)
-}
-
-// BenchmarkAblationEvictionGranularity compares byte-granular vs
-// whole-object eviction (DESIGN.md section 6).
-func BenchmarkAblationEvictionGranularity(b *testing.B) {
-	benchExperiment(b, experiments.AblationEvictionGranularity)
-}
-
-// BenchmarkAblationEstimators compares oracle, EWMA and underestimating
-// bandwidth estimators.
-func BenchmarkAblationEstimators(b *testing.B) {
-	benchExperiment(b, experiments.AblationEstimators)
 }
 
 // sweepScale is the fixed-size grid used by the parallelism benchmarks:
@@ -188,10 +113,14 @@ func sweepScale(parallelism int) experiments.Scale {
 func benchSweepParallelism(b *testing.B, parallelism int) {
 	b.Helper()
 	scale := sweepScale(parallelism)
+	figure5, ok := experiments.ExperimentByKey("figure5")
+	if !ok {
+		b.Fatal("no figure5 experiment")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(scale); err != nil {
+		if _, err := figure5.Table(scale); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,13 +232,6 @@ func runShardedRefinedSweep(b *testing.B, count int) (total int64) {
 	return total
 }
 
-// BenchmarkScenarioMatrix regenerates the new estimator x sigma x
-// policy scenario grid (36 simulations at small scale) with the default
-// GOMAXPROCS-wide pool.
-func BenchmarkScenarioMatrix(b *testing.B) {
-	benchExperiment(b, experiments.ScenarioMatrix)
-}
-
 // BenchmarkCacheOpThroughput measures raw cache Access operations per
 // second (the O(log n) heap cost of Section 2.4, over the dense
 // slice-backed tables; see also BenchmarkAccess in internal/core for
@@ -364,28 +286,4 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkExtensionStreamMerging evaluates batching/patching composed
-// with partial caching (Section 6 future work).
-func BenchmarkExtensionStreamMerging(b *testing.B) {
-	benchExperiment(b, experiments.ExtensionStreamMerging)
-}
-
-// BenchmarkExtensionPartialViewing evaluates GISMO-style partial-viewing
-// sessions.
-func BenchmarkExtensionPartialViewing(b *testing.B) {
-	benchExperiment(b, experiments.ExtensionPartialViewing)
-}
-
-// BenchmarkExtensionActiveProbing evaluates the active Padhye-model
-// prober against oracle estimation.
-func BenchmarkExtensionActiveProbing(b *testing.B) {
-	benchExperiment(b, experiments.ExtensionActiveProbing)
-}
-
-// BenchmarkExtensionBaselines positions LRU/LFU/GreedyDual-Size against
-// the paper's network-aware policies.
-func BenchmarkExtensionBaselines(b *testing.B) {
-	benchExperiment(b, experiments.ExtensionBaselines)
 }

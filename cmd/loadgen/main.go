@@ -1,8 +1,11 @@
-// Command loadgen is the load harness for proxyd. It runs in two modes.
+// Command loadgen is the load harness for proxyd: flags in, a schedule
+// through load.Run, tables out. Its two modes are one engine
+// (internal/load) fed two kinds of schedule.
 //
-// Closed loop (-mode closed, the default): N concurrent clients, each
-// issuing its next request as soon as the previous download completes —
-// offered load is capped at the client count, so a saturated proxy
+// Closed loop (-mode closed, the default): -requests items of the
+// Table 1 trace with no arrival times, -clients at once — each slot
+// issues its next request as soon as the previous download completes, so
+// offered load is capped at the client count and a saturated proxy
 // silently throttles the workload. Reports the paper's live metrics
 // (startup delay distribution, bandwidth-weighted hit ratio, origin
 // bytes) as a RowSink-compatible table (CSV or JSONL).
@@ -36,20 +39,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"streamcache/internal/collect"
 	"streamcache/internal/experiments"
+	"streamcache/internal/load"
 	"streamcache/internal/proxy"
-	"streamcache/internal/units"
 	"streamcache/internal/workload"
 )
 
@@ -102,7 +101,7 @@ func run() error {
 	var o options
 	flag.StringVar(&o.proxyURL, "proxy", "http://127.0.0.1:8081", "proxy base URL, or a comma-separated edge list in ring order (request i goes to edge i%N)")
 	flag.IntVar(&o.clients, "clients", 4, "concurrent closed-loop clients")
-	flag.IntVar(&o.requests, "requests", 200, "closed: total requests to issue; open: cap on scheduled arrivals per level (only when set explicitly)")
+	flag.IntVar(&o.requests, "requests", 0, "closed: total requests to issue (0 = 200); open: cap on scheduled arrivals per level (0 = none)")
 	flag.IntVar(&o.objects, "objects", 50, "catalog size (must match proxyd)")
 	flag.Int64Var(&o.meanKB, "mean-kb", 2048, "mean object size, KB (must match proxyd)")
 	flag.Float64Var(&o.rateKBps, "rate-kbps", 512, "object playback rate, KB/s (must match proxyd)")
@@ -111,7 +110,7 @@ func run() error {
 	flag.Int64Var(&o.traceSeed, "trace-seed", 1, "request trace seed")
 	flag.StringVar(&o.format, "format", "csv", "output format: csv or jsonl")
 	flag.StringVar(&o.out, "out", "-", "summary table destination ('-' = stdout)")
-	flag.StringVar(&o.perRequest, "per-request", "", "optional per-request table destination")
+	flag.StringVar(&o.perRequest, "per-request", "", "optional per-request outcome table destination")
 	flag.DurationVar(&o.wait, "wait", 10*time.Second, "wait up to this long for the proxy to become reachable")
 	flag.Float64Var(&o.minHitRatio, "min-hit-ratio", -1, "exit nonzero unless the bandwidth-weighted hit ratio reaches this (-1 = no check)")
 	flag.BoolVar(&o.verify, "verify", false, "verify every complete download against the expected content digest")
@@ -137,6 +136,10 @@ func run() error {
 	if len(o.proxyURLs) == 0 {
 		return errors.New("-proxy lists no URLs")
 	}
+	catalog, err := proxy.BuildCatalog(o.objects, o.meanKB, o.rateKBps, o.catalogSeed)
+	if err != nil {
+		return err
+	}
 	if o.collect != "" {
 		// Live tables stream to the collector beside their local files; a
 		// dead collector degrades to local files only, never blocks the
@@ -159,42 +162,23 @@ func run() error {
 		if len(o.proxyURLs) > 1 {
 			return errors.New("open mode drives a single proxy; pass one -proxy URL")
 		}
-		// The closed-loop -requests default must not silently truncate an
-		// open-loop schedule; the cap applies only when the flag was given.
-		requestsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "requests" {
-				requestsSet = true
-			}
-		})
-		if !requestsSet {
-			o.requests = 0
-		}
-		return driveOpen(o)
+		return driveOpen(o, catalog)
 	case "closed":
+		return driveClosed(o, catalog)
 	default:
 		return fmt.Errorf("mode=%q, want closed or open", o.mode)
 	}
-	if o.clients <= 0 || o.requests <= 0 {
-		return fmt.Errorf("clients=%d requests=%d, want > 0", o.clients, o.requests)
+}
+
+// driveClosed runs the closed-loop mode: -requests untimed items of the
+// Table 1 trace, -clients in flight, and the loadgen-live row from the
+// run's report plus the nodes' /stats delta.
+func driveClosed(o options, catalog *proxy.Catalog) error {
+	if o.requests == 0 {
+		o.requests = 200
 	}
-	return drive(o)
-}
-
-// result records one completed client fetch.
-type result struct {
-	objectID int
-	bytes    int64
-	hitBytes int64
-	delay    time.Duration
-	elapsed  time.Duration
-	err      error
-}
-
-func drive(o options) error {
-	catalog, err := proxy.BuildCatalog(o.objects, o.meanKB, o.rateKBps, o.catalogSeed)
-	if err != nil {
-		return err
+	if o.clients <= 0 || o.requests < 0 {
+		return fmt.Errorf("clients=%d requests=%d, want > 0", o.clients, o.requests)
 	}
 	trace, err := workload.Generate(workload.Config{
 		NumObjects:  o.objects,
@@ -214,158 +198,54 @@ func drive(o options) error {
 	if err != nil {
 		return fmt.Errorf("stats before run: %w", err)
 	}
-
-	// Closed loop: each client pulls the next trace index the moment its
-	// previous download finishes. Request i lands on edge i%N, matching
-	// the simulator's hierarchy assignment.
-	results := make([]result, o.requests)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wallStart := time.Now()
-	for c := 0; c < o.clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= o.requests {
-					return
-				}
-				url := o.proxyURLs[i%len(o.proxyURLs)]
-				results[i] = fetchOne(o, catalog, url, trace.Requests[i].ObjectID)
-			}
-		}()
+	spec := load.SingleClass(o.rate, o.sloMS)
+	outcomes, report, err := load.Run(load.Options{
+		Edges:       o.proxyURLs,
+		Catalog:     catalog,
+		Spec:        spec,
+		MaxInflight: o.clients,
+		Verify:      o.verify,
+	}, load.ClosedSchedule(spec, trace.Requests))
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	wall := time.Since(wallStart)
-
 	after, err := fetchStatsAll(o.proxyURLs)
 	if err != nil {
 		return fmt.Errorf("stats after run: %w", err)
 	}
-	sum := summarize(results, before, after, wall)
 
-	if err := emitSummary(o, sum); err != nil {
+	if err := o.emit(o.out, "loadgen_live", false, liveTable(o, report, before, after)); err != nil {
 		return err
 	}
 	if o.perRequest != "" {
-		if err := emitPerRequest(o, results); err != nil {
+		if err := o.emit(o.perRequest, "loadgen_requests", false, load.OutcomeTable("loadgen-requests", outcomes)); err != nil {
 			return err
 		}
 	}
-	if sum.errors == o.requests {
+	if report.Total.Failed == o.requests {
 		return errors.New("every request failed")
 	}
-	if o.minHitRatio >= 0 && sum.bwHitRatio < o.minHitRatio {
-		return fmt.Errorf("bandwidth-weighted hit ratio %.4f below required %.4f", sum.bwHitRatio, o.minHitRatio)
+	if ratio := report.Total.BWHitRatio(); o.minHitRatio >= 0 && ratio < o.minHitRatio {
+		return fmt.Errorf("bandwidth-weighted hit ratio %.4f below required %.4f", ratio, o.minHitRatio)
 	}
 	return nil
 }
 
-func fetchOne(o options, catalog *proxy.Catalog, proxyURL string, id int) result {
-	meta, ok := catalog.Get(id)
-	if !ok {
-		return result{objectID: id, err: fmt.Errorf("object %d not in catalog", id)}
-	}
-	res, err := proxy.Fetch(fmt.Sprintf("%s/objects/%d", proxyURL, id))
-	if err != nil {
-		return result{objectID: id, err: err}
-	}
-	r := result{
-		objectID: id,
-		bytes:    res.Bytes,
-		hitBytes: res.HitBytes(),
-		delay:    res.StartupDelay(meta.Rate),
-		elapsed:  res.Elapsed,
-	}
-	if r.hitBytes > meta.Size {
-		r.hitBytes = meta.Size
-	}
-	if res.Bytes != meta.Size {
-		r.err = fmt.Errorf("object %d: %d bytes, want %d", id, res.Bytes, meta.Size)
-	} else if o.verify {
-		if want := proxy.ContentSHA256(id, meta.Size); res.SHA256 != want {
-			r.err = fmt.Errorf("object %d: content digest mismatch", id)
-		}
-	}
-	return r
-}
-
-// summary aggregates a run into the live metrics row.
-type summary struct {
-	errors         int
-	prefixHitRatio float64
-	bwHitRatio     float64
-	originBytes    int64
-	coalesced      int64
-	delayMean      time.Duration
-	delayP50       time.Duration
-	delayP90       time.Duration
-	delayP99       time.Duration
-	meanKBps       float64
-	wall           time.Duration
-
-	// Per-tier first-hop byte fractions across all queried nodes, the
-	// cmd-side counterpart of experiments.TierColumns: each delivered
-	// byte is attributed to where the client's edge got it — its own
-	// cache, a peer's cache, the parent tier, or the origin path.
-	// Without peering the four fractions are exact; with peering a byte
-	// served out of a peer's cache also counts as that peer's own cache
-	// hit, so the edge share reads slightly high relative to the
-	// simulator's exact decomposition.
-	edgeFrac   float64
-	peerFrac   float64
-	parentFrac float64
-	originFrac float64
-}
-
-func summarize(results []result, before, after []proxy.Stats, wall time.Duration) summary {
-	var (
-		s          = summary{wall: wall}
-		delays     []time.Duration
-		hits       int
-		hitBytes   float64
-		totalBytes float64
-		bytes      int64
-		delaySum   time.Duration
-		elapsedSum time.Duration
-	)
-	for _, r := range results {
-		if r.err != nil {
-			s.errors++
-			continue
-		}
-		if r.hitBytes > 0 {
-			hits++
-		}
-		hitBytes += float64(r.hitBytes)
-		totalBytes += float64(r.bytes)
-		bytes += r.bytes
-		delays = append(delays, r.delay)
-		delaySum += r.delay
-		elapsedSum += r.elapsed
-	}
-	ok := len(results) - s.errors
-	if ok > 0 {
-		s.prefixHitRatio = float64(hits) / float64(ok)
-		s.delayMean = delaySum / time.Duration(ok)
-	}
-	if totalBytes > 0 {
-		s.bwHitRatio = hitBytes / totalBytes
-	}
-	if elapsedSum > 0 {
-		s.meanKBps = units.ToKBps(float64(bytes) / elapsedSum.Seconds())
-	}
-	sort.Slice(delays, func(i, j int) bool { return delays[i] < delays[j] })
-	s.delayP50 = percentile(delays, 0.50)
-	s.delayP90 = percentile(delays, 0.90)
-	s.delayP99 = percentile(delays, 0.99)
-
+// liveTable renders the closed-loop summary: the request side from the
+// run's report, the node side from the /stats delta across all queried
+// nodes. The last four cells are the cmd-side counterpart of
+// experiments.TierColumns: each delivered byte is attributed to where
+// the client's edge got it — its own cache, a peer's cache, the parent
+// tier, or the origin path. Without peering the four fractions are
+// exact; with peering a byte served out of a peer's cache also counts
+// as that peer's own cache hit, so the edge share reads slightly high
+// relative to the simulator's exact decomposition.
+func liveTable(o options, r *load.Report, before, after []proxy.Stats) *experiments.Table {
 	tiers := map[string]int64{}
-	var edgeB int64
+	var edge, coalesced int64
 	for i := range after {
-		edgeB += after[i].BytesFromHit - before[i].BytesFromHit
-		s.coalesced += after[i].CoalescedRequests - before[i].CoalescedRequests
+		edge += after[i].BytesFromHit - before[i].BytesFromHit
+		coalesced += after[i].CoalescedRequests - before[i].CoalescedRequests
 		if len(after[i].TierBytes) == 0 {
 			// A node predating tier accounting: all its upstream bytes
 			// traveled the origin path.
@@ -376,85 +256,16 @@ func summarize(results []result, before, after []proxy.Stats, wall time.Duration
 			tiers[tier] += b - before[i].TierBytes[tier]
 		}
 	}
-	s.originBytes = tiers["origin"]
-	if tot := edgeB + tiers["peer"] + tiers["parent"] + tiers["origin"]; tot > 0 {
-		t := float64(tot)
-		s.edgeFrac = float64(edgeB) / t
-		s.peerFrac = float64(tiers["peer"]) / t
-		s.parentFrac = float64(tiers["parent"]) / t
-		s.originFrac = float64(tiers["origin"]) / t
+	tot := edge + tiers["peer"] + tiers["parent"] + tiers["origin"]
+	frac := func(b int64) string {
+		v := 0.0
+		if tot > 0 {
+			v = float64(b) / float64(tot)
+		}
+		return strconv.FormatFloat(v, 'f', 4, 64)
 	}
-	return s
-}
-
-// percentile returns the p-th percentile of sorted (nearest-rank: the
-// smallest value with at least p*n values at or below it).
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-func ms(d time.Duration) string {
-	return strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 2, 64)
-}
-
-// newSink renders to w in the -format encoding; with -collect, the
-// table additionally streams to the collector under the stem (the
-// collector writes <stem>.csv when the run reports done).
-func newSink(o options, w io.Writer, stem string) experiments.RowSink {
-	var sink experiments.RowSink
-	if o.format == "jsonl" {
-		sink = experiments.NewJSONLSink(w)
-	} else {
-		sink = experiments.NewCSVSink(w)
-	}
-	if o.collector != nil {
-		return experiments.MultiSink{sink, o.collector.Sink(stem)}
-	}
-	return sink
-}
-
-func openOut(path string) (io.Writer, func() error, error) {
-	if path == "-" {
-		return os.Stdout, func() error { return nil }, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.Close, nil
-}
-
-// openOutAppend is openOut with optional append semantics, so per-level
-// tables of a ramp sweep can share one destination file.
-func openOutAppend(path string, appendTo bool) (io.Writer, func() error, error) {
-	if path == "-" || !appendTo {
-		return openOut(path)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.Close, nil
-}
-
-func emitSummary(o options, s summary) error {
-	w, closeOut, err := openOut(o.out)
-	if err != nil {
-		return err
-	}
-	defer closeOut()
-	sink := newSink(o, w, "loadgen_live")
-	meta := experiments.TableMeta{
+	t := &r.Total
+	return &experiments.Table{
 		Name: "loadgen-live",
 		Note: fmt.Sprintf("closed-loop live metrics: %d clients x %d requests against %d node(s) %s (objects=%d zipf=%.2f)",
 			o.clients, o.requests, len(o.proxyURLs), o.proxyURL, o.objects, o.zipfAlpha),
@@ -464,71 +275,83 @@ func emitSummary(o options, s summary) error {
 			"delay_mean_ms", "delay_p50_ms", "delay_p90_ms", "delay_p99_ms",
 			"mean_throughput_kbps", "wall_seconds",
 		}, experiments.TierColumns...),
+		Rows: [][]string{{
+			strconv.Itoa(o.clients),
+			strconv.Itoa(t.Issued),
+			strconv.Itoa(t.Failed),
+			strconv.FormatFloat(t.PrefixHitRatio(), 'f', 4, 64),
+			strconv.FormatFloat(t.BWHitRatio(), 'f', 4, 64),
+			strconv.FormatInt(tiers["origin"], 10),
+			strconv.FormatInt(coalesced, 10),
+			load.MS(t.DelayMean), load.MS(t.DelayP50), load.MS(t.DelayP90), load.MS(t.DelayP99),
+			strconv.FormatFloat(t.MeanKBps(), 'f', 1, 64),
+			strconv.FormatFloat(r.Wall.Seconds(), 'f', 3, 64),
+			frac(edge), frac(tiers["peer"]), frac(tiers["parent"]), frac(tiers["origin"]),
+		}},
 	}
-	if err := sink.Begin(meta); err != nil {
-		return err
-	}
-	row := []string{
-		strconv.Itoa(o.clients),
-		strconv.Itoa(o.requests),
-		strconv.Itoa(s.errors),
-		strconv.FormatFloat(s.prefixHitRatio, 'f', 4, 64),
-		strconv.FormatFloat(s.bwHitRatio, 'f', 4, 64),
-		strconv.FormatInt(s.originBytes, 10),
-		strconv.FormatInt(s.coalesced, 10),
-		ms(s.delayMean), ms(s.delayP50), ms(s.delayP90), ms(s.delayP99),
-		strconv.FormatFloat(s.meanKBps, 'f', 1, 64),
-		strconv.FormatFloat(s.wall.Seconds(), 'f', 3, 64),
-		strconv.FormatFloat(s.edgeFrac, 'f', 4, 64),
-		strconv.FormatFloat(s.peerFrac, 'f', 4, 64),
-		strconv.FormatFloat(s.parentFrac, 'f', 4, 64),
-		strconv.FormatFloat(s.originFrac, 'f', 4, 64),
-	}
-	if err := sink.Row(row); err != nil {
-		return err
-	}
-	if err := sink.End(); err != nil {
-		return err
-	}
-	return closeOut()
 }
 
-func emitPerRequest(o options, results []result) error {
-	w, closeOut, err := openOut(o.perRequest)
+// table is one output table being written: the -format rendering of
+// its destination, fanned out to the collector when -collect is set.
+type table struct {
+	experiments.RowSink
+	close func() error
+}
+
+// begin opens path ('-' = stdout; appending when appendTo, so the
+// per-level tables of a ramp sweep can share one file) and declares
+// meta on it. With -collect the table additionally streams to the
+// collector under stem (the collector writes <stem>.csv when the run
+// reports done). Rows go through the returned table; end completes it.
+func (o options) begin(path, stem string, appendTo bool, meta experiments.TableMeta) (*table, error) {
+	w, closeOut := io.Writer(os.Stdout), func() error { return nil }
+	if path != "-" {
+		how := os.O_TRUNC
+		if appendTo {
+			how = os.O_APPEND
+		}
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|how, 0o666)
+		if err != nil {
+			return nil, err
+		}
+		w, closeOut = f, f.Close
+	}
+	var sink experiments.RowSink = experiments.NewCSVSink(w)
+	if o.format == "jsonl" {
+		sink = experiments.NewJSONLSink(w)
+	}
+	if o.collector != nil {
+		sink = experiments.MultiSink{sink, o.collector.Sink(stem)}
+	}
+	if err := sink.Begin(meta); err != nil {
+		closeOut()
+		return nil, err
+	}
+	return &table{sink, closeOut}, nil
+}
+
+// end completes the table and closes its destination. Callers defer
+// close for the error paths; closing twice is harmless.
+func (t *table) end() error {
+	if err := t.End(); err != nil {
+		return err
+	}
+	return t.close()
+}
+
+// emit writes a whole table through begin/end.
+func (o options) emit(path, stem string, appendTo bool, t *experiments.Table) error {
+	out, err := o.begin(path, stem, appendTo, experiments.TableMeta{Name: t.Name, Note: t.Note, Header: t.Header})
 	if err != nil {
 		return err
 	}
-	defer closeOut()
-	sink := newSink(o, w, "loadgen_requests")
-	meta := experiments.TableMeta{
-		Name:   "loadgen-requests",
-		Note:   "one row per completed request, in trace order",
-		Header: []string{"index", "object", "bytes", "hit_bytes", "delay_ms", "elapsed_ms", "error"},
-	}
-	if err := sink.Begin(meta); err != nil {
-		return err
-	}
-	for i, r := range results {
-		errStr := ""
-		if r.err != nil {
-			errStr = r.err.Error()
-		}
-		row := []string{
-			strconv.Itoa(i),
-			strconv.Itoa(r.objectID),
-			strconv.FormatInt(r.bytes, 10),
-			strconv.FormatInt(r.hitBytes, 10),
-			ms(r.delay), ms(r.elapsed),
-			errStr,
-		}
-		if err := sink.Row(row); err != nil {
+	defer out.close()
+	for _, row := range t.Rows {
+		if err := out.Row(row); err != nil {
 			return err
 		}
 	}
-	if err := sink.End(); err != nil {
-		return err
-	}
-	return closeOut()
+	return out.end()
 }
 
 // waitReachable polls the proxy's /stats endpoint until it answers.

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -13,19 +15,11 @@ import (
 	"streamcache/internal/workload"
 )
 
-// driveOpen runs the open-loop mode: build the workload spec, sweep the
-// ramp levels, and emit the live-capacity table plus any per-class,
-// per-request and schedule artifacts.
-func driveOpen(o options) error {
-	catalog, err := proxy.BuildCatalog(o.objects, o.meanKB, o.rateKBps, o.catalogSeed)
-	if err != nil {
-		return err
-	}
+// driveOpen runs the open-loop mode: build the workload spec and one
+// timed schedule per ramp level, run them, and emit the live-capacity
+// table plus any per-class, per-request and schedule artifacts.
+func driveOpen(o options, catalog *proxy.Catalog) error {
 	spec, err := openSpec(o)
-	if err != nil {
-		return err
-	}
-	trace, err := openTrace(o, spec)
 	if err != nil {
 		return err
 	}
@@ -33,10 +27,24 @@ func driveOpen(o options) error {
 	if err != nil {
 		return err
 	}
+	trace, err := openTrace(o, spec, slices.Max(levels))
+	if err != nil {
+		return err
+	}
 
-	if o.scheduleOut != "" || o.dryRun {
-		if err := emitSchedules(o, spec, catalog, trace, levels); err != nil {
-			return err
+	// The deterministic arrival schedule of every ramp level — the
+	// byte-identical-across-runs artifact — before anything is issued.
+	schedules := make([][]load.Item, len(levels))
+	for li, scale := range levels {
+		schedules[li], err = load.BuildSchedule(spec, catalog, trace, sim.SplitSeed(o.traceSeed, int64(li)), o.duration, o.requests, scale)
+		if err != nil {
+			return fmt.Errorf("level %d (x%g): %w", li, scale, err)
+		}
+		if o.scheduleOut != "" || o.dryRun {
+			path := cmp.Or(o.scheduleOut, "-")
+			if err := o.emit(path, "open_schedule", li > 0, load.ScheduleTable(fmt.Sprintf("open-schedule-L%d", li), schedules[li])); err != nil {
+				return err
+			}
 		}
 	}
 	if o.dryRun {
@@ -46,80 +54,49 @@ func driveOpen(o options) error {
 	if err := waitReachable(o.proxyURL, o.wait); err != nil {
 		return err
 	}
-
-	summaryW, closeSummary, err := openOut(o.out)
+	note := fmt.Sprintf("open-loop capacity sweep against %s: %d classes, horizon %gs, time-scale %g, max-inflight %d",
+		o.proxyURL, len(spec.Classes), o.duration, o.timeScale, o.maxInflight)
+	// Summary rows stream as their levels finish, so an interrupted sweep
+	// keeps the levels it completed.
+	summary, err := o.begin(o.out, "live_capacity", false, experiments.LiveCapacityMeta(note))
 	if err != nil {
 		return err
 	}
-	defer closeSummary()
-	summarySink := newSink(o, summaryW, "live_capacity")
-	note := fmt.Sprintf("open-loop capacity sweep against %s: %d classes, horizon %gs, time-scale %g, max-inflight %d",
-		o.proxyURL, len(spec.Classes), o.duration, o.timeScale, o.maxInflight)
-	if err := summarySink.Begin(experiments.LiveCapacityMeta(note)); err != nil {
-		return err
-	}
-
-	var classSink experiments.RowSink
-	var closeClass func() error
-	if o.perClass != "" {
-		w, c, err := openOut(o.perClass)
-		if err != nil {
-			return err
-		}
-		closeClass = c
-		defer closeClass()
-		classSink = newSink(o, w, "live_capacity_classes")
-		if err := classSink.Begin(experiments.LiveClassMeta(note)); err != nil {
-			return err
-		}
-	}
+	defer summary.close()
+	classMeta := experiments.LiveClassMeta(note)
+	classes := &experiments.Table{Name: classMeta.Name, Note: classMeta.Note, Header: classMeta.Header}
 
 	totalCompleted := 0
 	for li, scale := range levels {
 		outcomes, report, err := load.Run(load.Options{
-			ProxyURL:    o.proxyURL,
+			Edges:       o.proxyURLs,
 			Catalog:     catalog,
 			Spec:        spec,
-			Trace:       trace,
 			TimeScale:   o.timeScale,
-			Seed:        sim.SplitSeed(o.traceSeed, int64(li)),
 			MaxInflight: o.maxInflight,
-			Horizon:     o.duration,
-			MaxRequests: o.requests,
 			RateScale:   scale,
 			Verify:      o.verify,
-		})
+		}, schedules[li])
 		if err != nil {
 			return fmt.Errorf("level %d (x%g): %w", li, scale, err)
 		}
 		totalCompleted += report.Total.Completed
-		if err := summarySink.Row(report.SummaryRow(li)); err != nil {
+		if err := summary.Row(report.SummaryRow(li)); err != nil {
 			return err
 		}
-		if classSink != nil {
-			for _, row := range report.ClassRows(li) {
-				if err := classSink.Row(row); err != nil {
-					return err
-				}
-			}
-		}
+		classes.Rows = append(classes.Rows, report.ClassRows(li)...)
 		if o.perRequest != "" {
-			if err := emitOpenOutcomes(o, li, outcomes); err != nil {
+			// One outcome table per level, sharing the destination file.
+			if err := o.emit(o.perRequest, "open_requests", li > 0, load.OutcomeTable(fmt.Sprintf("open-requests-L%d", li), outcomes)); err != nil {
 				return err
 			}
 		}
 	}
-	if err := summarySink.End(); err != nil {
+	if err := summary.end(); err != nil {
 		return err
 	}
-	if err := closeSummary(); err != nil {
-		return err
-	}
-	if classSink != nil {
-		if err := classSink.End(); err != nil {
-			return err
-		}
-		if err := closeClass(); err != nil {
+	if o.perClass != "" {
+		if err := o.emit(o.perClass, "live_capacity_classes", false, classes); err != nil {
 			return err
 		}
 	}
@@ -157,12 +134,14 @@ func openSpec(o options) (*load.Spec, error) {
 
 // openTrace generates the request trace for trace-replay classes: a
 // Table 1 style trace over the proxyd catalog's objects at -rate
-// requests per second, long enough to cover the horizon.
-func openTrace(o options, spec *load.Spec) ([]workload.Request, error) {
+// requests per second, long enough to cover the horizon at the largest
+// ramp level — a level compresses the trace's timestamps by its
+// multiplier, so it consumes that many times the requests.
+func openTrace(o options, spec *load.Spec, maxLevel float64) ([]workload.Request, error) {
 	if !spec.UsesTrace() {
 		return nil, nil
 	}
-	n := int(math.Ceil(o.rate*o.duration)) * 2
+	n := int(math.Ceil(o.rate*o.duration*max(maxLevel, 1))) * 2
 	if n < o.requests {
 		n = o.requests
 	}
@@ -194,41 +173,4 @@ func parseRamp(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// emitSchedules writes the deterministic arrival schedule of every ramp
-// level — the byte-identical-across-runs artifact.
-func emitSchedules(o options, spec *load.Spec, catalog *proxy.Catalog, trace []workload.Request, levels []float64) error {
-	path := o.scheduleOut
-	if path == "" {
-		path = "-"
-	}
-	w, closeOut, err := openOut(path)
-	if err != nil {
-		return err
-	}
-	defer closeOut()
-	sink := newSink(o, w, "open_schedule")
-	for li, scale := range levels {
-		items, err := load.BuildSchedule(spec, catalog, trace, sim.SplitSeed(o.traceSeed, int64(li)), o.duration, o.requests, scale)
-		if err != nil {
-			return fmt.Errorf("level %d (x%g): %w", li, scale, err)
-		}
-		if err := load.WriteSchedule(sink, fmt.Sprintf("open-schedule-L%d", li), items); err != nil {
-			return err
-		}
-	}
-	return closeOut()
-}
-
-// emitOpenOutcomes appends one level's per-arrival outcome table to the
-// -per-request destination (one table per level, shared file).
-func emitOpenOutcomes(o options, level int, outcomes []load.Outcome) error {
-	w, closeOut, err := openOutAppend(o.perRequest, level > 0)
-	if err != nil {
-		return err
-	}
-	defer closeOut()
-	sink := newSink(o, w, "open_requests")
-	return load.WriteOutcomes(sink, fmt.Sprintf("open-requests-L%d", level), outcomes)
 }

@@ -295,16 +295,6 @@ func streamBuilt(s Scale, build func(Scale) (runner, error), sink RowSink) error
 	return err
 }
 
-// tableOf materializes a runner builder into the in-memory Table of the
-// aggregate API.
-func tableOf(s Scale, build func(Scale) (runner, error)) (*Table, error) {
-	var ts TableSink
-	if err := streamBuilt(s, build, &ts); err != nil {
-		return nil, err
-	}
-	return ts.Table(), nil
-}
-
 // Experiment is one named, streamable table of the evaluation suite.
 type Experiment struct {
 	// Key is the stable short name used by cmd/figures -only and
@@ -316,7 +306,11 @@ type Experiment struct {
 // Table runs the experiment at the given scale and returns the
 // aggregated in-memory table.
 func (e Experiment) Table(s Scale) (*Table, error) {
-	return tableOf(s, e.build)
+	var ts TableSink
+	if err := streamBuilt(s, e.build, &ts); err != nil {
+		return nil, err
+	}
+	return ts.Table(), nil
 }
 
 // Stream runs the experiment at the given scale, pushing rows into sink

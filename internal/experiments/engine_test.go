@@ -31,11 +31,11 @@ func tableEqual(a, b *Table) bool {
 // bit-identical tables whether the sweep runs on 1, 2 or 8 workers.
 func TestTablesIdenticalAcrossParallelism(t *testing.T) {
 	builders := map[string]func(Scale) (*Table, error){
-		"Figure5":        Figure5,
-		"Figure6":        Figure6,
-		"Figure9":        Figure9,
-		"Baselines":      ExtensionBaselines,
-		"ScenarioMatrix": ScenarioMatrix,
+		"Figure5":        tableOf("figure5"),
+		"Figure6":        tableOf("figure6"),
+		"Figure9":        tableOf("figure9"),
+		"Baselines":      tableOf("ext-baselines"),
+		"ScenarioMatrix": tableOf("scenarios"),
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
@@ -229,7 +229,7 @@ func TestStreamTasksOrderAndErrors(t *testing.T) {
 func TestScenarioMatrixShape(t *testing.T) {
 	s := tinyScale()
 	s.SigmaSweep = []float64{0, 0.55}
-	tbl, err := ScenarioMatrix(s)
+	tbl, err := tableOf("scenarios")(s)
 	checkTable(t, tbl, err)
 	// 2 sigmas x 4 estimators x 3 policies.
 	if len(tbl.Rows) != 24 {
@@ -249,7 +249,7 @@ func TestScenarioMatrixShape(t *testing.T) {
 
 func TestScenarioMatrixDefaultsSigmaSweep(t *testing.T) {
 	s := tinyScale() // tinyScale sets no SigmaSweep
-	tbl, err := ScenarioMatrix(s)
+	tbl, err := tableOf("scenarios")(s)
 	checkTable(t, tbl, err)
 	// 3 default sigmas x 4 estimators x 3 policies.
 	if len(tbl.Rows) != 36 {

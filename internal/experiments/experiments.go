@@ -220,10 +220,8 @@ func policySweep(s Scale, meta TableMeta, policies []core.Policy, variation band
 	return sw, nil
 }
 
-// Table1 reports the generated workload's characteristics against the
+// table1Runner reports the generated workload's characteristics against the
 // paper's Table 1 targets.
-func Table1(s Scale) (*Table, error) { return tableOf(s, table1Runner) }
-
 func table1Runner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -261,12 +259,10 @@ func table1Runner(s Scale) (runner, error) {
 	}, nil
 }
 
-// Figure2 regenerates the NLANR bandwidth distribution: a synthetic
+// figure2Runner regenerates the NLANR bandwidth distribution: a synthetic
 // Squid log is produced from the reconstructed model, then analyzed
 // exactly as Section 3.1 describes (missed requests > 200 KB), yielding
 // the histogram (4 KB/s slots) and CDF of Figure 2.
-func Figure2(s Scale) (*Table, error) { return tableOf(s, figure2Runner) }
-
 func figure2Runner(s Scale) (runner, error) {
 	analysis, err := analyzeSyntheticLog(s, bandwidth.NoVariation{})
 	if err != nil {
@@ -294,10 +290,8 @@ func figure2Runner(s Scale) (runner, error) {
 	return t, nil
 }
 
-// Figure3 regenerates the sample-to-mean bandwidth variability of the
+// figure3Runner regenerates the sample-to-mean bandwidth variability of the
 // NLANR logs: per-server means, then the ratio histogram and CDF.
-func Figure3(s Scale) (*Table, error) { return tableOf(s, figure3Runner) }
-
 func figure3Runner(s Scale) (runner, error) {
 	analysis, err := analyzeSyntheticLog(s, bandwidth.NLANRVariability())
 	if err != nil {
@@ -346,11 +340,9 @@ func analyzeSyntheticLog(s Scale, v bandwidth.Variability) (*trace.Analysis, err
 	return trace.Analyze(entries, 0)
 }
 
-// Figure4 regenerates the measured-path bandwidth time series: 4-minute
+// figure4Runner regenerates the measured-path bandwidth time series: 4-minute
 // samples over 30-45 hours for the three modeled paths, plus each path's
 // sample-to-mean CoV (the paper's variability comparison).
-func Figure4(s Scale) (*Table, error) { return tableOf(s, figure4Runner) }
-
 func figure4Runner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -383,10 +375,8 @@ func figure4Runner(s Scale) (runner, error) {
 	return t, nil
 }
 
-// Figure5 compares IF, PB and IB under the constant-bandwidth
+// figure5Runner compares IF, PB and IB under the constant-bandwidth
 // assumption across cache sizes.
-func Figure5(s Scale) (*Table, error) { return tableOf(s, figure5Runner) }
-
 func figure5Runner(s Scale) (runner, error) {
 	return policySweep(s, TableMeta{
 		Name: "Figure 5: IF vs PB vs IB under constant bandwidth",
@@ -394,10 +384,8 @@ func figure5Runner(s Scale) (runner, error) {
 	}, []core.Policy{core.NewIF(), core.NewPB(), core.NewIB()}, bandwidth.NoVariation{})
 }
 
-// Figure6 sweeps the Zipf popularity skew for IB and PB under constant
+// figure6Runner sweeps the Zipf popularity skew for IB and PB under constant
 // bandwidth.
-func Figure6(s Scale) (*Table, error) { return tableOf(s, figure6Runner) }
-
 func figure6Runner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -437,9 +425,7 @@ func figure6Runner(s Scale) (runner, error) {
 	return sw, nil
 }
 
-// Figure7 repeats Figure 5 under the high (NLANR-log) variability model.
-func Figure7(s Scale) (*Table, error) { return tableOf(s, figure7Runner) }
-
+// figure7Runner repeats Figure 5 under the high (NLANR-log) variability model.
 func figure7Runner(s Scale) (runner, error) {
 	return policySweep(s, TableMeta{
 		Name: "Figure 7: IF vs PB vs IB under NLANR-level bandwidth variability",
@@ -447,9 +433,7 @@ func figure7Runner(s Scale) (runner, error) {
 	}, []core.Policy{core.NewIF(), core.NewPB(), core.NewIB()}, bandwidth.NLANRVariability())
 }
 
-// Figure8 repeats Figure 5 under the lower measured-path variability.
-func Figure8(s Scale) (*Table, error) { return tableOf(s, figure8Runner) }
-
+// figure8Runner repeats Figure 5 under the lower measured-path variability.
 func figure8Runner(s Scale) (runner, error) {
 	return policySweep(s, TableMeta{
 		Name: "Figure 8: IF vs PB vs IB under measured-path bandwidth variability",
@@ -457,10 +441,8 @@ func figure8Runner(s Scale) (runner, error) {
 	}, []core.Policy{core.NewIF(), core.NewPB(), core.NewIB()}, bandwidth.MeasuredVariability())
 }
 
-// Figure9 sweeps the bandwidth under-estimation factor e between IB
+// figure9Runner sweeps the bandwidth under-estimation factor e between IB
 // (e=0) and PB (e=1) under NLANR variability.
-func Figure9(s Scale) (*Table, error) { return tableOf(s, figure9Runner) }
-
 func figure9Runner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -499,10 +481,8 @@ func figure9Runner(s Scale) (runner, error) {
 	return sw, nil
 }
 
-// Figure10 compares IF, PB-V and IB-V on the revenue objective under
+// figure10Runner compares IF, PB-V and IB-V on the revenue objective under
 // constant bandwidth.
-func Figure10(s Scale) (*Table, error) { return tableOf(s, figure10Runner) }
-
 func figure10Runner(s Scale) (runner, error) {
 	return policySweep(s, TableMeta{
 		Name: "Figure 10: IF vs PB-V vs IB-V under constant bandwidth (value objective)",
@@ -510,9 +490,7 @@ func figure10Runner(s Scale) (runner, error) {
 	}, []core.Policy{core.NewIF(), core.NewPBV(), core.NewIBV()}, bandwidth.NoVariation{})
 }
 
-// Figure11 repeats Figure 10 under measured-path variability.
-func Figure11(s Scale) (*Table, error) { return tableOf(s, figure11Runner) }
-
+// figure11Runner repeats Figure 10 under measured-path variability.
 func figure11Runner(s Scale) (runner, error) {
 	return policySweep(s, TableMeta{
 		Name: "Figure 11: IF vs PB-V vs IB-V under measured-path variability (value objective)",
@@ -520,10 +498,8 @@ func figure11Runner(s Scale) (runner, error) {
 	}, []core.Policy{core.NewIF(), core.NewPBV(), core.NewIBV()}, bandwidth.MeasuredVariability())
 }
 
-// Figure12 sweeps the under-estimation factor e for the value objective
+// figure12Runner sweeps the under-estimation factor e for the value objective
 // under NLANR variability.
-func Figure12(s Scale) (*Table, error) { return tableOf(s, figure12Runner) }
-
 func figure12Runner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -561,11 +537,9 @@ func figure12Runner(s Scale) (runner, error) {
 	return sw, nil
 }
 
-// AblationEvictionGranularity compares byte-granular (partial) eviction
+// ablationEvictionRunner compares byte-granular (partial) eviction
 // with whole-object eviction for the PB policy - the design choice
 // called out in DESIGN.md section 6.
-func AblationEvictionGranularity(s Scale) (*Table, error) { return tableOf(s, ablationEvictionRunner) }
-
 func ablationEvictionRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -602,10 +576,8 @@ func ablationEvictionRunner(s Scale) (runner, error) {
 	return sw, nil
 }
 
-// AblationEstimators compares the oracle-mean estimator with the passive
+// ablationEstimatorsRunner compares the oracle-mean estimator with the passive
 // EWMA estimator of Section 2.7 under measured-path variability.
-func AblationEstimators(s Scale) (*Table, error) { return tableOf(s, ablationEstimatorsRunner) }
-
 func ablationEstimatorsRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -646,20 +618,4 @@ func ablationEstimatorsRunner(s Scale) (runner, error) {
 		}
 	}
 	return sw, nil
-}
-
-// All returns every experiment in paper order, followed by the
-// ablations, the Section 6 extensions, the scenario matrix, and the
-// adaptively refined axis sweeps.
-func All(s Scale) ([]*Table, error) {
-	exps := Experiments()
-	out := make([]*Table, 0, len(exps))
-	for _, e := range exps {
-		t, err := e.Table(s)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", e.Key, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

@@ -1,9 +1,23 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 )
+
+// tableOf returns the aggregate form of the experiment registered
+// under key — the tests reach every table through the registry
+// cmd/figures uses.
+func tableOf(key string) func(Scale) (*Table, error) {
+	return func(s Scale) (*Table, error) {
+		e, ok := ExperimentByKey(key)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q", key)
+		}
+		return e.Table(s)
+	}
+}
 
 // tinyScale keeps experiment tests fast while exercising every code path.
 func tinyScale() Scale {
@@ -44,18 +58,18 @@ func checkTable(t *testing.T, tbl *Table, err error) {
 func TestScaleValidation(t *testing.T) {
 	bad := tinyScale()
 	bad.Objects = 0
-	if _, err := Table1(bad); err == nil {
+	if _, err := tableOf("table1")(bad); err == nil {
 		t.Error("zero objects accepted")
 	}
 	noFrac := tinyScale()
 	noFrac.CacheFractions = nil
-	if _, err := Figure5(noFrac); err == nil {
+	if _, err := tableOf("figure5")(noFrac); err == nil {
 		t.Error("empty cache fractions accepted")
 	}
 }
 
 func TestTable1(t *testing.T) {
-	tbl, err := Table1(tinyScale())
+	tbl, err := tableOf("table1")(tinyScale())
 	checkTable(t, tbl, err)
 	got := map[string]string{}
 	for _, row := range tbl.Rows {
@@ -70,7 +84,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFigure2CDFEndsAtOne(t *testing.T) {
-	tbl, err := Figure2(tinyScale())
+	tbl, err := tableOf("figure2")(tinyScale())
 	checkTable(t, tbl, err)
 	last := tbl.Rows[len(tbl.Rows)-1]
 	cdf, err := strconv.ParseFloat(last[2], 64)
@@ -83,7 +97,7 @@ func TestFigure2CDFEndsAtOne(t *testing.T) {
 }
 
 func TestFigure3RatiosCenterOnOne(t *testing.T) {
-	tbl, err := Figure3(tinyScale())
+	tbl, err := tableOf("figure3")(tinyScale())
 	checkTable(t, tbl, err)
 	// The CDF at ratio 1.0 should be near the median.
 	for _, row := range tbl.Rows {
@@ -102,7 +116,7 @@ func TestFigure3RatiosCenterOnOne(t *testing.T) {
 }
 
 func TestFigure4HasThreePaths(t *testing.T) {
-	tbl, err := Figure4(tinyScale())
+	tbl, err := tableOf("figure4")(tinyScale())
 	checkTable(t, tbl, err)
 	paths := map[string]bool{}
 	for _, row := range tbl.Rows {
@@ -118,11 +132,11 @@ func TestFigure4HasThreePaths(t *testing.T) {
 func TestSimulationFigures(t *testing.T) {
 	s := tinyScale()
 	builders := map[string]func(Scale) (*Table, error){
-		"Figure5":  Figure5,
-		"Figure7":  Figure7,
-		"Figure8":  Figure8,
-		"Figure10": Figure10,
-		"Figure11": Figure11,
+		"Figure5":  tableOf("figure5"),
+		"Figure7":  tableOf("figure7"),
+		"Figure8":  tableOf("figure8"),
+		"Figure10": tableOf("figure10"),
+		"Figure11": tableOf("figure11"),
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
@@ -137,7 +151,7 @@ func TestSimulationFigures(t *testing.T) {
 }
 
 func TestFigure6RowCount(t *testing.T) {
-	tbl, err := Figure6(tinyScale())
+	tbl, err := tableOf("figure6")(tinyScale())
 	checkTable(t, tbl, err)
 	// 2 alphas x 2 fractions x 2 policies.
 	if len(tbl.Rows) != 8 {
@@ -147,7 +161,7 @@ func TestFigure6RowCount(t *testing.T) {
 
 func TestFigure9And12RowCount(t *testing.T) {
 	for name, build := range map[string]func(Scale) (*Table, error){
-		"Figure9": Figure9, "Figure12": Figure12,
+		"Figure9": tableOf("figure9"), "Figure12": tableOf("figure12"),
 	} {
 		t.Run(name, func(t *testing.T) {
 			tbl, err := build(tinyScale())
@@ -161,12 +175,12 @@ func TestFigure9And12RowCount(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	tbl, err := AblationEvictionGranularity(tinyScale())
+	tbl, err := tableOf("ablation-eviction")(tinyScale())
 	checkTable(t, tbl, err)
 	if len(tbl.Rows) != 4 { // 2 fractions x 2 modes
 		t.Errorf("eviction ablation rows = %d, want 4", len(tbl.Rows))
 	}
-	tbl, err = AblationEstimators(tinyScale())
+	tbl, err = tableOf("ablation-estimators")(tinyScale())
 	checkTable(t, tbl, err)
 	if len(tbl.Rows) != 6 { // 2 fractions x 3 estimators
 		t.Errorf("estimator ablation rows = %d, want 6", len(tbl.Rows))
@@ -174,18 +188,16 @@ func TestAblations(t *testing.T) {
 }
 
 func TestAllProducesEveryTable(t *testing.T) {
-	tables, err := All(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != len(Experiments()) {
-		t.Fatalf("All produced %d tables, want %d", len(tables), len(Experiments()))
-	}
-	if len(tables) != 24 {
-		t.Fatalf("All produced %d tables, want 24 (paper suite + ablations + extensions + scenarios + refined incl. 2-D + hierarchy)", len(tables))
+	exps := Experiments()
+	if len(exps) != 24 {
+		t.Fatalf("%d experiments, want 24 (paper suite + ablations + extensions + scenarios + refined incl. 2-D + hierarchy)", len(exps))
 	}
 	seen := map[string]bool{}
-	for _, tbl := range tables {
+	for _, e := range exps {
+		tbl, err := e.Table(tinyScale())
+		if err != nil {
+			t.Fatalf("%s: %v", e.Key, err)
+		}
 		if seen[tbl.Name] {
 			t.Errorf("duplicate table name %q", tbl.Name)
 		}
@@ -194,11 +206,11 @@ func TestAllProducesEveryTable(t *testing.T) {
 }
 
 func TestDeterministicTables(t *testing.T) {
-	a, err := Figure5(tinyScale())
+	a, err := tableOf("figure5")(tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Figure5(tinyScale())
+	b, err := tableOf("figure5")(tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +225,7 @@ func TestDeterministicTables(t *testing.T) {
 }
 
 func TestExtensionStreamMerging(t *testing.T) {
-	tbl, err := ExtensionStreamMerging(tinyScale())
+	tbl, err := tableOf("ext-merging")(tinyScale())
 	checkTable(t, tbl, err)
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 techniques", len(tbl.Rows))
@@ -241,7 +253,7 @@ func TestExtensionStreamMerging(t *testing.T) {
 }
 
 func TestExtensionPartialViewing(t *testing.T) {
-	tbl, err := ExtensionPartialViewing(tinyScale())
+	tbl, err := tableOf("ext-partial-viewing")(tinyScale())
 	checkTable(t, tbl, err)
 	if len(tbl.Rows) != 6 { // 3 probabilities x 2 policies
 		t.Errorf("rows = %d, want 6", len(tbl.Rows))
@@ -249,7 +261,7 @@ func TestExtensionPartialViewing(t *testing.T) {
 }
 
 func TestExtensionActiveProbing(t *testing.T) {
-	tbl, err := ExtensionActiveProbing(tinyScale())
+	tbl, err := tableOf("ext-active-probing")(tinyScale())
 	checkTable(t, tbl, err)
 	if len(tbl.Rows) != 4 {
 		t.Errorf("rows = %d, want 4 estimators", len(tbl.Rows))
@@ -257,7 +269,7 @@ func TestExtensionActiveProbing(t *testing.T) {
 }
 
 func TestExtensionBaselines(t *testing.T) {
-	tbl, err := ExtensionBaselines(tinyScale())
+	tbl, err := tableOf("ext-baselines")(tinyScale())
 	checkTable(t, tbl, err)
 	if len(tbl.Rows) != 7 {
 		t.Errorf("rows = %d, want 7 policies", len(tbl.Rows))

@@ -12,13 +12,11 @@ import (
 	"streamcache/internal/workload"
 )
 
-// ExtensionStreamMerging evaluates the Section 6 direction of combining
+// extensionStreamMergingRunner evaluates the Section 6 direction of combining
 // partial caching with patching and batching at the proxy: for the
 // Table 1 request trace it compares origin traffic under plain unicast,
 // batching (30 s window), threshold patching (analytic optimum T* per
 // object), and patching on top of PB's cached prefixes.
-func ExtensionStreamMerging(s Scale) (*Table, error) { return tableOf(s, extensionStreamMergingRunner) }
-
 func extensionStreamMergingRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -136,13 +134,9 @@ func extensionStreamMergingRunner(s Scale) (runner, error) {
 	return t, nil
 }
 
-// ExtensionPartialViewing measures how GISMO-style partial-viewing
+// extensionPartialViewingRunner measures how GISMO-style partial-viewing
 // sessions (clients stopping early) change the traffic economics of
 // prefix caching.
-func ExtensionPartialViewing(s Scale) (*Table, error) {
-	return tableOf(s, extensionPartialViewingRunner)
-}
-
 func extensionPartialViewingRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -180,12 +174,10 @@ func extensionPartialViewingRunner(s Scale) (runner, error) {
 	return sw, nil
 }
 
-// ExtensionBaselines positions the paper's network-aware policies
+// extensionBaselinesRunner positions the paper's network-aware policies
 // against the classical replacement algorithms Section 3.3 names (LRU,
 // LFU) and the GreedyDual-Size family of the authors' earlier work [17],
 // under measured-path variability.
-func ExtensionBaselines(s Scale) (*Table, error) { return tableOf(s, extensionBaselinesRunner) }
-
 func extensionBaselinesRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -230,11 +222,9 @@ func extensionBaselinesRunner(s Scale) (runner, error) {
 	return sw, nil
 }
 
-// ExtensionActiveProbing compares the oracle estimator with the active
+// extensionActiveProbingRunner compares the oracle estimator with the active
 // Padhye-model prober at increasing measurement noise (Section 6:
 // integrating active bandwidth measurement into proxy caches).
-func ExtensionActiveProbing(s Scale) (*Table, error) { return tableOf(s, extensionActiveProbingRunner) }
-
 func extensionActiveProbingRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err

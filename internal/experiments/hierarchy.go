@@ -24,14 +24,6 @@ var HierarchyHeader = []string{
 	"edge_byte_frac", "peer_byte_frac", "parent_byte_frac", "origin_byte_frac",
 }
 
-// Hierarchy sweeps the multi-node axis: tier depth (1 or 2 levels) x
-// edge count x peering policy x parent capacity split, at each cache
-// fraction. The single-edge single-level row coincides with the flat
-// simulator (pinned by TestHierarchySingleNodeMatchesRun), so the
-// sweep reads as "what does the same total cache buy when split
-// across a cluster".
-func Hierarchy(s Scale) (*Table, error) { return tableOf(s, hierarchyRunner) }
-
 // hierarchyRow runs one hierarchy sweep point (the RunHierarchy
 // counterpart of simRow: inner Parallelism pinned to 1, arena shared
 // across the sweep).
@@ -47,6 +39,12 @@ func hierarchyRow(arena *sim.Arena, cfg sim.HierarchyConfig, render func(sim.Hie
 	}
 }
 
+// hierarchyRunner sweeps the multi-node axis: tier depth (1 or 2 levels) x
+// edge count x peering policy x parent capacity split, at each cache
+// fraction. The single-edge single-level row coincides with the flat
+// simulator (pinned by TestHierarchySingleNodeMatchesRun), so the
+// sweep reads as "what does the same total cache buy when split
+// across a cluster".
 func hierarchyRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err

@@ -240,13 +240,11 @@ func refinedSimSweep(s Scale, meta TableMeta, axis []float64,
 	return &adaptiveSweep{meta: meta, axis: axis, budget: s.RefineBudget, point: point}, nil
 }
 
-// RefinedESweep is Figure 9's underestimation axis made adaptive: a
+// refinedESweepRunner is Figure 9's underestimation axis made adaptive: a
 // coarse pass over ESweep at the middle cache fraction, then
 // RefineBudget extra points bisecting the steepest service-delay
 // gradients — resolving the delay-minimizing e the paper reads off a
 // fixed grid.
-func RefinedESweep(s Scale) (*Table, error) { return tableOf(s, refinedESweepRunner) }
-
 func refinedESweepRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -286,11 +284,9 @@ func refinedESweepRunner(s Scale) (runner, error) {
 	})
 }
 
-// RefinedSigmaSweep sweeps the lognormal bandwidth-variability sigma
+// refinedSigmaSweepRunner sweeps the lognormal bandwidth-variability sigma
 // adaptively for the PB policy, zooming into the variability levels
 // where service delay bends fastest.
-func RefinedSigmaSweep(s Scale) (*Table, error) { return tableOf(s, refinedSigmaSweepRunner) }
-
 func refinedSigmaSweepRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -330,11 +326,9 @@ func refinedSigmaSweepRunner(s Scale) (runner, error) {
 	})
 }
 
-// RefinedCacheSweep sweeps the cache fraction adaptively for the PB
+// refinedCacheSweepRunner sweeps the cache fraction adaptively for the PB
 // policy under constant bandwidth, concentrating points where the
 // traffic-reduction curve has the steepest knee (Figure 5's x axis).
-func RefinedCacheSweep(s Scale) (*Table, error) { return tableOf(s, refinedCacheSweepRunner) }
-
 func refinedCacheSweepRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err

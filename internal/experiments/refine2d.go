@@ -184,14 +184,12 @@ func (a *adaptiveSweep2D) run(x exec, emit func(r MetricRow) error) error {
 	return nil
 }
 
-// RefinedESigmaSweep is the carried-over 2-D refinement: the
+// refinedESigmaSweepRunner is the carried-over 2-D refinement: the
 // underestimation factor e against bandwidth-variability sigma at the
 // middle cache fraction, adaptively concentrating points where the
 // service-delay surface bends fastest in either direction — resolving
 // how the delay-minimizing e shifts as paths get more variable, which
 // the paper's separate Figure 9/variability sweeps can only hint at.
-func RefinedESigmaSweep(s Scale) (*Table, error) { return tableOf(s, refinedESigmaSweepRunner) }
-
 func refinedESigmaSweepRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err

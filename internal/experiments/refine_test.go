@@ -158,9 +158,9 @@ func TestRefinementZeroBudgetIsCoarseOnly(t *testing.T) {
 // refined sweeps end to end at a small budget.
 func TestRefinedExperimentsProduceTables(t *testing.T) {
 	builders := map[string]func(Scale) (*Table, error){
-		"RefinedESweep":     RefinedESweep,
-		"RefinedSigmaSweep": RefinedSigmaSweep,
-		"RefinedCacheSweep": RefinedCacheSweep,
+		"RefinedESweep":     tableOf("refined-e"),
+		"RefinedSigmaSweep": tableOf("refined-sigma"),
+		"RefinedCacheSweep": tableOf("refined-cache"),
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
@@ -184,7 +184,7 @@ func TestRefinedExperimentsProduceTables(t *testing.T) {
 func TestScaleRejectsNegativeRefineBudget(t *testing.T) {
 	s := tinyScale()
 	s.RefineBudget = -1
-	if _, err := RefinedESweep(s); err == nil {
+	if _, err := tableOf("refined-e")(s); err == nil {
 		t.Error("negative RefineBudget accepted")
 	}
 }

@@ -21,7 +21,7 @@ func (s Scale) midFraction() float64 {
 	return s.CacheFractions[len(s.CacheFractions)/2]
 }
 
-// ScenarioMatrix sweeps the three-dimensional scenario grid the paper
+// scenarioMatrixRunner sweeps the three-dimensional scenario grid the paper
 // never ran: bandwidth-estimator type x lognormal variability level
 // (sigma of the sample-to-mean ratio) x cache policy, at the middle
 // cache fraction of the scale. The grid interpolates between the
@@ -29,8 +29,6 @@ func (s Scale) midFraction() float64 {
 // and was impractical sequentially: at paper scale it is
 // |estimators| x |sigmas| x |policies| full simulations, which the
 // parallel engine fans out across cores.
-func ScenarioMatrix(s Scale) (*Table, error) { return tableOf(s, scenarioMatrixRunner) }
-
 func scenarioMatrixRunner(s Scale) (runner, error) {
 	if err := s.validate(); err != nil {
 		return nil, err

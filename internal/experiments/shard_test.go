@@ -61,7 +61,7 @@ func TestShardOwnershipPartitions(t *testing.T) {
 func TestScaleRejectsBadShard(t *testing.T) {
 	s := tinyScale()
 	s.Shard = Shard{Index: 3, Count: 2}
-	if _, err := Figure5(s); err == nil {
+	if _, err := tableOf("figure5")(s); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
 }

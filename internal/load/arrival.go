@@ -9,11 +9,13 @@ import (
 	"streamcache/internal/dist"
 )
 
-// Process generates the arrival times of one workload class. Times
-// returns strictly increasing timestamps in workload seconds on
-// (0, horizon]; the sequence must be a pure function of the rng state,
-// which is what makes schedules seed-deterministic. Rate reports the
-// long-run arrival rate in events per workload second.
+// Process generates the arrival times of one synthetic workload class
+// (a trace class has none: BuildSchedule replays the trace's timestamps
+// and objects together). Times returns strictly increasing timestamps
+// in workload seconds on (0, horizon]; the sequence must be a pure
+// function of the rng state, which is what makes schedules
+// seed-deterministic. Rate reports the long-run arrival rate in events
+// per workload second.
 type Process interface {
 	Times(rng *rand.Rand, horizon float64) []float64
 	Rate() float64
@@ -53,45 +55,6 @@ func (p Poisson) Times(rng *rand.Rand, horizon float64) []float64 {
 	}
 }
 
-// TraceReplay replays a recorded timestamp sequence exactly: at time
-// scale 1 the generated arrivals are the trace's own timestamps. The
-// rng is unused; replay is trivially deterministic.
-type TraceReplay struct {
-	// Timestamps are the recorded arrival times in seconds, sorted
-	// ascending (the workload generator's Request.Time sequence).
-	Timestamps []float64
-}
-
-// Name implements Process.
-func (t TraceReplay) Name() string { return "trace" }
-
-// Rate implements Process.
-func (t TraceReplay) Rate() float64 {
-	if len(t.Timestamps) == 0 {
-		return 0
-	}
-	span := t.Timestamps[len(t.Timestamps)-1]
-	if span <= 0 {
-		return 0
-	}
-	return float64(len(t.Timestamps)) / span
-}
-
-// Times implements Process.
-func (t TraceReplay) Times(_ *rand.Rand, horizon float64) []float64 {
-	out := make([]float64, 0, len(t.Timestamps))
-	for _, ts := range t.Timestamps {
-		if ts <= 0 {
-			continue
-		}
-		if ts > horizon {
-			break
-		}
-		out = append(out, ts)
-	}
-	return out
-}
-
 // OnOff is a self-similar (bursty) arrival process: the superposition
 // of Sources independent on-off sources, each alternating heavy-tailed
 // Pareto ON periods (during which it emits Poisson arrivals at PeakHz)
@@ -101,12 +64,12 @@ func (t TraceReplay) Times(_ *rand.Rand, horizon float64) []float64 {
 // variance-to-mean ratio of interval counts sits well above the
 // Poisson process's 1.
 type OnOff struct {
-	Sources int     // number of superposed sources, > 0
-	PeakHz  float64 // per-source arrival rate while ON, > 0
-	OnShape float64 // Pareto tail index of ON durations (default 1.5)
+	Sources  int     // number of superposed sources, > 0
+	PeakHz   float64 // per-source arrival rate while ON, > 0
+	OnShape  float64 // Pareto tail index of ON durations (default 1.5)
 	OffShape float64 // Pareto tail index of OFF durations (default 1.5)
-	MeanOn  float64 // mean ON duration, seconds (default 1)
-	MeanOff float64 // mean OFF duration, seconds (default 4)
+	MeanOn   float64 // mean ON duration, seconds (default 1)
+	MeanOff  float64 // mean OFF duration, seconds (default 4)
 }
 
 // Name implements Process.

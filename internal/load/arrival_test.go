@@ -88,31 +88,6 @@ func TestPoissonInterArrivalStats(t *testing.T) {
 	}
 }
 
-func TestTraceReplayExactTimestamps(t *testing.T) {
-	// At rate scale 1 (and any time scale — the schedule is in workload
-	// seconds), replay must reproduce the recorded timestamps exactly,
-	// bit for bit, dropping only nonpositive times and those beyond the
-	// horizon.
-	stamps := []float64{-1, 0, 0.5, 1.25, 2.75, 9.875, 12}
-	tr := TraceReplay{Timestamps: stamps}
-	got := tr.Times(nil, 10)
-	want := []float64{0.5, 1.25, 2.75, 9.875}
-	if len(got) != len(want) {
-		t.Fatalf("Times = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Times[%d] = %v, want exactly %v", i, got[i], want[i])
-		}
-	}
-	if r := tr.Rate(); math.Abs(r-7.0/12) > 1e-12 {
-		t.Errorf("Rate = %v, want %v", r, 7.0/12)
-	}
-	if got := (TraceReplay{}).Rate(); got != 0 {
-		t.Errorf("empty trace Rate = %v, want 0", got)
-	}
-}
-
 func TestOnOffBurstierThanPoisson(t *testing.T) {
 	// The self-similar check: at the same long-run rate, the superposed
 	// on-off stream's windowed counts must be overdispersed (VMR well

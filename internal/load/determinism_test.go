@@ -19,8 +19,17 @@ func scheduleBytes(t *testing.T, spec *Spec, catalog *proxy.Catalog, trace []wor
 		t.Fatalf("BuildSchedule: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSchedule(experiments.NewJSONLSink(&buf), "schedule", items); err != nil {
-		t.Fatalf("WriteSchedule: %v", err)
+	sink, table := experiments.NewJSONLSink(&buf), ScheduleTable("schedule", items)
+	if err := sink.Begin(experiments.TableMeta{Name: table.Name, Note: table.Note, Header: table.Header}); err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	for _, row := range table.Rows {
+		if err := sink.Row(row); err != nil {
+			t.Fatalf("Row: %v", err)
+		}
+	}
+	if err := sink.End(); err != nil {
+		t.Fatalf("End: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -117,5 +126,45 @@ func TestBuildScheduleShape(t *testing.T) {
 	}
 	if _, err := BuildSchedule(traceSpec, catalog, nil, 5, 30, 0, 1); err == nil {
 		t.Fatal("BuildSchedule accepted a trace class without a trace")
+	}
+
+	// Replay is exact: at rate scale 1 the arrivals are the trace's own
+	// timestamps bit for bit, dropping only nonpositive times and those
+	// beyond the horizon.
+	var stamped []workload.Request
+	for _, ts := range []float64{-1, 0, 0.5, 1.25, 2.75, 9.875, 12} {
+		stamped = append(stamped, workload.Request{Time: ts, ObjectID: catalog.IDs()[0], Fraction: 1})
+	}
+	replayed, err := BuildSchedule(traceSpec, catalog, stamped, 5, 10, 0, 1)
+	if err != nil {
+		t.Fatalf("BuildSchedule replay: %v", err)
+	}
+	want := []float64{0.5, 1.25, 2.75, 9.875}
+	if len(replayed) != len(want) {
+		t.Fatalf("replayed %d arrivals, want %d", len(replayed), len(want))
+	}
+	for i := range want {
+		if replayed[i].Time != want[i] {
+			t.Errorf("replayed[%d].Time = %v, want exactly %v", i, replayed[i].Time, want[i])
+		}
+	}
+
+	// A ramp level compresses the trace's timestamps by its multiplier
+	// and so consumes that many times the requests: a trace sized for the
+	// level (2 x rate x horizon x scale, loadgen's rule) still reaches the
+	// end of the horizon at rate scale 4.
+	const rate, horizon, scale = 20.0, 30.0, 4.0
+	w, err := workload.Generate(workload.Config{
+		NumObjects: 10, NumRequests: int(2 * rate * horizon * scale), RequestRate: rate, Seed: 7,
+	})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	fast, err := BuildSchedule(traceSpec, catalog, w.Requests, 5, horizon, 0, scale)
+	if err != nil {
+		t.Fatalf("BuildSchedule x4 replay: %v", err)
+	}
+	if last := fast[len(fast)-1].Time; last < 0.9*horizon {
+		t.Fatalf("x4 replay stops at %.1fs of a %gs horizon: the trace ran out", last, horizon)
 	}
 }

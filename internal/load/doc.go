@@ -1,17 +1,34 @@
-// Package load is the open-loop, time-compressed load engine for the
-// live proxy tier. Where cmd/loadgen's original closed-loop harness
-// caps offered load at the client count (each client issues its next
-// request only after the previous download finishes, so a saturated
-// proxy silently throttles the workload), this package generates
-// arrivals from a clock: requests fire at scheduled times regardless of
-// how the proxy is doing, which is the only way to observe queueing
-// collapse and locate the knee where startup-delay SLOs break.
+// Package load is the load engine for the live proxy tier: the one
+// place that dispatches client requests, turns a fetch into a measured
+// Outcome, and aggregates outcomes into a Report. Both cmd/loadgen
+// modes are a schedule handed to Run.
+//
+// The one rule. Run keeps at most MaxInflight downloads going; what
+// happens to an item that finds them all taken is a property of the
+// item, fixed where its schedule is built:
+//
+//   - A timed item (BuildSchedule) is an arrival drawn from a clock. It
+//     is issued at its instant however the proxy is doing, and at a
+//     full house it is shed. Shedding is what keeps an open loop open:
+//     an arrival that queued for capacity would be issued when the
+//     proxy got round to it, so a saturated proxy would set the offered
+//     load — queueing collapse and the knee where startup-delay SLOs
+//     break could not be observed.
+//   - An untimed item (ClosedSchedule) has no instant to be late for.
+//     It waits for a slot, so MaxInflight slots stay exactly full: N
+//     closed-loop clients, each issuing its next request as its
+//     previous download completes. Offered load is capped at N and a
+//     saturated proxy silently throttles the workload — right for
+//     measuring hit ratio and startup delay, useless for capacity.
+//
+// Fetching, classifying and summarising never ask which kind they got.
 //
 // The pieces:
 //
-//   - Arrival processes (Process): Poisson, exact trace-timestamp
-//     replay, and a self-similar/bursty process built from superposed
-//     on-off sources with heavy-tailed (Pareto) period lengths.
+//   - Arrival processes (Process): Poisson and a self-similar/bursty
+//     process built from superposed on-off sources with heavy-tailed
+//     (Pareto) period lengths; trace classes replay a trace's exact
+//     timestamps and objects instead.
 //   - Multi-class workload specs (Spec, ParseSpec): each class binds an
 //     arrival process, a viewing-duration distribution
 //     (workload.Viewing), an object-popularity skew, and an SLO class
@@ -21,16 +38,14 @@
 //     (seed, spec) inputs produce byte-identical schedules — the live
 //     analog of the simulator's bit-identical-at-any-parallelism
 //     contract.
-//   - The open-loop engine (Run): replays a schedule against a live
-//     proxy under a -time-scale compression factor (replay a simulated
-//     day in minutes), bounding concurrency with an in-flight cap and
-//     shedding arrivals that exceed it instead of queueing them (which
-//     would silently converge back to closed-loop behavior). Every
-//     scheduled arrival is accounted for: issued == completed + shed +
-//     failed.
+//   - The dispatcher (Run): replays a schedule against one proxy or an
+//     edge list (item i to edge i mod N) under a time-compression
+//     factor (replay a simulated day in minutes). Every scheduled item
+//     is accounted for: issued == completed + shed + failed.
 //
-// Results flow through the experiments.RowSink seam using the
-// live-capacity row schema (experiments.LiveCapacityHeader), so ramp
+// Results flow through the experiments.RowSink seam: the live-capacity
+// row schema (experiments.LiveCapacityHeader) per ramp level, so ramp
 // sweeps plot with the same tooling as the simulator's tables and
-// experiments.FindKnee can locate the SLO knee.
+// experiments.FindKnee can locate the SLO knee, and one outcome table
+// (OutcomeHeader) per run in either mode.
 package load

@@ -19,18 +19,21 @@ import (
 // ErrBadRun reports an invalid engine configuration.
 var ErrBadRun = errors.New("load: invalid run")
 
-// Item is one scheduled arrival: the request the engine will fire at
-// Time workload seconds, already bound to an object and a watched
-// prefix so the schedule is a complete, replayable artifact.
+// Item is one scheduled request, already bound to an object and a
+// watched prefix so the schedule is a complete, replayable artifact.
 type Item struct {
-	Index    int     // position in the merged schedule
-	Time     float64 // workload seconds from run start, strictly positive
+	Index int // position in the schedule
+	// Time is the arrival time in workload seconds from run start,
+	// strictly positive for an arrival BuildSchedule drew from a clock.
+	// 0 marks an untimed item (ClosedSchedule): it has no instant to be
+	// late for, so it is due whenever an in-flight slot is free.
+	Time     float64
 	Class    string
-	ClassIdx int     // index into Spec.Classes
+	ClassIdx int // index into Spec.Classes
 	ObjectID int
 	Fraction float64 // watched fraction of the stream, in (0, 1]
-	// WatchBytes is the byte budget handed to proxy.FetchN: 0 means
-	// download everything (Fraction == 1).
+	// WatchBytes is the byte budget of the download: 0 means download
+	// everything (Fraction == 1).
 	WatchBytes int64
 }
 
@@ -132,7 +135,7 @@ func syntheticItems(c *Class, ci int, catalog *proxy.Catalog, ids []int, rng *ra
 	if err != nil {
 		return nil, fmt.Errorf("load: class %q: %w", c.Name, err)
 	}
-	times := c.process(nil, rateScale).Times(rng, horizon)
+	times := c.process(rateScale).Times(rng, horizon)
 	out := make([]Item, 0, len(times))
 	for _, t := range times {
 		id := ids[zipf.Sample(rng)-1] // rank r -> r-th hottest catalog object
@@ -150,7 +153,7 @@ func syntheticItems(c *Class, ci int, catalog *proxy.Catalog, ids []int, rng *ra
 	return out, nil
 }
 
-// watchBytes converts a watched fraction into a FetchN byte budget:
+// watchBytes converts a watched fraction into a download byte budget:
 // full sessions get 0 (download everything, digest verifiable), partial
 // sessions at least one byte.
 func watchBytes(size int64, fraction float64) int64 {
@@ -164,54 +167,62 @@ func watchBytes(size int64, fraction float64) int64 {
 	return n
 }
 
+// ClosedSchedule binds trace's requests, in trace order, to untimed
+// items of spec's first class, each watched to the end. This is where a
+// run becomes a closed loop: an item without an arrival time waits for
+// a slot instead of being shed, so Run keeps exactly MaxInflight
+// downloads going — MaxInflight clients, each issuing its next request
+// as the previous one completes.
+func ClosedSchedule(spec *Spec, trace []workload.Request) []Item {
+	items := make([]Item, len(trace))
+	for i, req := range trace {
+		items[i] = Item{Index: i, Class: spec.Classes[0].Name, ObjectID: req.ObjectID, Fraction: 1}
+	}
+	return items
+}
+
 // ScheduleHeader is the row schema of a serialized schedule.
 var ScheduleHeader = []string{"index", "time_s", "class", "object_id", "fraction", "watch_bytes"}
 
-// WriteSchedule streams a schedule through a RowSink. The rendering is
+// ScheduleTable renders a schedule as a table. The rendering is
 // fixed-format ('g' floats, no locale), so for a deterministic schedule
 // the emitted bytes are deterministic too — this is the artifact the
 // determinism regression test diffs.
-func WriteSchedule(sink experiments.RowSink, name string, items []Item) error {
-	meta := experiments.TableMeta{
+func ScheduleTable(name string, items []Item) *experiments.Table {
+	t := &experiments.Table{
 		Name:   name,
 		Note:   "open-loop arrival schedule; times in workload seconds",
 		Header: ScheduleHeader,
 	}
-	if err := sink.Begin(meta); err != nil {
-		return err
-	}
 	for _, it := range items {
-		row := []string{
+		t.Rows = append(t.Rows, []string{
 			strconv.Itoa(it.Index),
 			strconv.FormatFloat(it.Time, 'g', -1, 64),
 			it.Class,
 			strconv.Itoa(it.ObjectID),
 			strconv.FormatFloat(it.Fraction, 'g', -1, 64),
 			strconv.FormatInt(it.WatchBytes, 10),
-		}
-		if err := sink.Row(row); err != nil {
-			return err
-		}
+		})
 	}
-	return sink.End()
+	return t
 }
 
-// State classifies the fate of one scheduled arrival.
+// State classifies the fate of one scheduled item.
 type State uint8
 
-// The possible fates. Every scheduled arrival ends in exactly one:
+// The possible fates. Every scheduled item ends in exactly one:
 // issued == completed + shed + failed.
 const (
 	// Completed: the download finished (for the watched prefix).
 	Completed State = iota
 	// Shed: the arrival fired while the in-flight cap was saturated and
 	// was dropped without issuing a request. Shedding — rather than
-	// queueing — is what keeps the generator open-loop: a queued arrival
-	// would wait for capacity and silently turn the experiment back into
-	// a closed loop.
+	// queueing — is what keeps a timed schedule open-loop: a queued
+	// arrival would wait for capacity and silently turn the experiment
+	// back into a closed loop.
 	Shed
 	// Failed: the request was issued but errored (connection refused,
-	// non-200, read error, digest mismatch).
+	// non-200, read error, short body, digest mismatch).
 	Failed
 )
 
@@ -229,7 +240,7 @@ func (s State) String() string {
 	}
 }
 
-// Outcome is the measured fate of one scheduled arrival.
+// Outcome is the measured fate of one scheduled item.
 type Outcome struct {
 	Item     Item
 	State    State
@@ -237,43 +248,39 @@ type Outcome struct {
 	TTFB     time.Duration
 	Elapsed  time.Duration
 	Bytes    int64
-	HitBytes int64
+	HitBytes int64  // bytes served from the cached prefix, at most Bytes
 	Err      string // non-empty iff State == Failed
 }
 
-// Options configures one open-loop run.
+// Options configures one run of a schedule.
 type Options struct {
-	// ProxyURL is the base URL of the proxy under test (required).
-	ProxyURL string
+	// Edges are the base URLs of the proxies under test in ring order:
+	// item i goes to Edges[i mod len(Edges)], the assignment the
+	// simulator's hierarchy runs use (required).
+	Edges []string
 	// Catalog is the object directory (required).
 	Catalog *proxy.Catalog
-	// Spec is the validated workload spec (required).
+	// Spec names the schedule's classes and their SLO budgets (required).
 	Spec *Spec
-	// Trace supplies timestamps and object IDs for trace-replay classes.
-	Trace []workload.Request
 	// TimeScale compresses workload time: a scheduled arrival at
 	// workload second t fires at wall second t/TimeScale, so TimeScale 60
 	// replays an hour of workload per wall minute (default 1).
 	TimeScale float64
-	// Seed drives schedule generation (see BuildSchedule).
-	Seed int64
-	// MaxInflight bounds concurrent downloads; arrivals beyond it are
-	// shed (default 256).
+	// MaxInflight bounds concurrent downloads (default 256).
 	MaxInflight int
-	// Horizon is the workload-seconds span to generate (required > 0).
-	Horizon float64
-	// MaxRequests truncates the schedule (0 = no cap).
-	MaxRequests int
-	// RateScale multiplies every class's offered rate — the ramp-sweep
-	// level (default 1).
+	// RateScale is the ramp-sweep level the schedule was built at; the
+	// report carries it (default 1).
 	RateScale float64
 	// Verify checks full-download digests against the catalog content.
 	Verify bool
 }
 
 func (o Options) normalize() (Options, error) {
-	if o.ProxyURL == "" {
+	if len(o.Edges) == 0 {
 		return o, fmt.Errorf("%w: no proxy URL", ErrBadRun)
+	}
+	if o.Catalog == nil {
+		return o, fmt.Errorf("%w: no catalog", ErrBadRun)
 	}
 	if o.Spec == nil {
 		return o, fmt.Errorf("%w: no spec", ErrBadRun)
@@ -296,17 +303,14 @@ func (o Options) normalize() (Options, error) {
 	return o, nil
 }
 
-// Run executes one open-loop run: it builds the schedule, fires each
-// arrival at its compressed wall time regardless of how the proxy is
-// keeping up, sheds arrivals that exceed the in-flight cap, and returns
-// the per-arrival outcomes plus a summary report. The schedule is
-// deterministic; the measured outcomes of course are not.
-func Run(opts Options) ([]Outcome, *Report, error) {
+// Run dispatches a schedule against the edges: each item is issued no
+// earlier than its compressed wall time, at most MaxInflight downloads
+// run at once, and it returns the per-item outcomes plus a summary
+// report. It is the one dispatcher behind both loadgen modes; what a
+// full house does to an item is the item's own property (see Item.Time).
+// A schedule is deterministic; the measured outcomes of course are not.
+func Run(opts Options, items []Item) ([]Outcome, *Report, error) {
 	opts, err := opts.normalize()
-	if err != nil {
-		return nil, nil, err
-	}
-	items, err := BuildSchedule(opts.Spec, opts.Catalog, opts.Trace, opts.Seed, opts.Horizon, opts.MaxRequests, opts.RateScale)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -322,16 +326,21 @@ func Run(opts Options) ([]Outcome, *Report, error) {
 		}
 		select {
 		case sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int, it Item) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				outcomes[i] = fetchOne(opts, it)
-			}(i, it)
 		default:
-			// Saturated: drop the arrival on the floor and account for it.
-			outcomes[i] = Outcome{Item: it, State: Shed}
+			if it.Time > 0 {
+				// Saturated at the arrival's instant: drop it on the floor
+				// and account for it, however the proxy is keeping up.
+				outcomes[i] = Outcome{Item: it, State: Shed}
+				continue
+			}
+			sem <- struct{}{} // untimed: due when a slot frees
 		}
+		wg.Add(1)
+		go func(i int, it Item) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			outcomes[i] = measure(opts, opts.Edges[i%len(opts.Edges)], it)
+		}(i, it)
 	}
 	wg.Wait()
 	wall := time.Since(start)
@@ -340,29 +349,33 @@ func Run(opts Options) ([]Outcome, *Report, error) {
 	return outcomes, report, nil
 }
 
-// fetchOne issues one request and classifies the result.
-func fetchOne(opts Options, it Item) Outcome {
-	out := Outcome{Item: it}
-	res, err := proxy.FetchN(fmt.Sprintf("%s/objects/%d", opts.ProxyURL, it.ObjectID), it.WatchBytes)
-	if err != nil {
-		out.State = Failed
-		out.Err = err.Error()
+// measure issues one request to edge and turns the fetch into the
+// item's Outcome.
+func measure(opts Options, edge string, it Item) Outcome {
+	out := Outcome{Item: it, State: Failed}
+	meta, ok := opts.Catalog.Get(it.ObjectID)
+	if !ok {
+		out.Err = fmt.Sprintf("object %d not in catalog", it.ObjectID)
 		return out
 	}
-	meta, ok := opts.Catalog.Get(it.ObjectID)
-	if opts.Verify && ok && it.WatchBytes == 0 {
-		if want := proxy.ContentSHA256(it.ObjectID, meta.Size); res.SHA256 != want {
-			out.State = Failed
-			out.Err = "digest mismatch"
-			return out
-		}
-	}
-	out.State = Completed
-	out.TTFB = res.TTFB
-	out.Elapsed = res.Elapsed
-	out.Bytes = res.Bytes
-	out.HitBytes = res.HitBytes()
-	if ok {
+	res, err := proxy.FetchN(fmt.Sprintf("%s/objects/%d", edge, it.ObjectID), it.WatchBytes)
+	full := it.WatchBytes == 0
+	switch {
+	case err != nil:
+		out.Err = err.Error()
+	case full && res.Bytes != meta.Size:
+		out.Err = fmt.Sprintf("%d bytes, want %d", res.Bytes, meta.Size)
+	case full && opts.Verify && res.SHA256 != proxy.ContentSHA256(it.ObjectID, meta.Size):
+		out.Err = "digest mismatch"
+	default:
+		out.State = Completed
+		out.TTFB = res.TTFB
+		out.Elapsed = res.Elapsed
+		out.Bytes = res.Bytes
+		// The X-Cache header reports the whole prefix the proxy was about
+		// to serve; a session that hangs up inside it was served only
+		// what it read.
+		out.HitBytes = min(res.HitBytes(), res.Bytes)
 		// Startup delay is judged at the compressed playback rate: when
 		// TimeScale compresses workload time, the client must also drain
 		// the stream proportionally faster for the delay to mean the same

@@ -1,15 +1,24 @@
 package load
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"streamcache/internal/core"
 	"streamcache/internal/experiments"
 	"streamcache/internal/proxy"
 	"streamcache/internal/units"
+	"streamcache/internal/workload"
 )
 
 // startStack brings up an in-process origin + proxy pair and returns
@@ -46,8 +55,20 @@ func startStack(t *testing.T, objects int, meanKB int64, originKBps float64, cac
 	return catalog, proxySrv.URL
 }
 
-// checkAccounting asserts the open-loop invariant on a report: every
-// scheduled arrival ends in exactly one of the three fates.
+// runOpen builds opts.Spec's timed schedule for (seed, horizon) at
+// opts.RateScale and runs it.
+func runOpen(opts Options, seed int64, horizon float64) ([]Outcome, *Report, error) {
+	items, err := BuildSchedule(opts.Spec, opts.Catalog, nil, seed, horizon, 0, cmp.Or(opts.RateScale, 1))
+	if err != nil {
+		return nil, nil, err
+	}
+	return Run(opts, items)
+}
+
+// checkAccounting asserts the engine's invariants on a report: every
+// scheduled item ends in exactly one of the three fates, the classes
+// add up to the aggregate, and no one is served more cached bytes than
+// it downloaded.
 func checkAccounting(t *testing.T, r *Report) {
 	t.Helper()
 	tot := &r.Total
@@ -57,13 +78,134 @@ func checkAccounting(t *testing.T, r *Report) {
 	}
 	var sum ClassSummary
 	for _, c := range r.Classes {
-		sum.Issued += c.Issued
-		sum.Completed += c.Completed
-		sum.Shed += c.Shed
-		sum.Failed += c.Failed
+		accumulate(&sum, &c)
+		if c.HitBytes > c.Bytes {
+			t.Errorf("class %s: %d hit bytes of %d downloaded", c.Name, c.HitBytes, c.Bytes)
+		}
 	}
-	if sum != (ClassSummary{Issued: tot.Issued, Completed: tot.Completed, Shed: tot.Shed, Failed: tot.Failed}) {
+	want := ClassSummary{
+		Issued: tot.Issued, Completed: tot.Completed, Shed: tot.Shed, Failed: tot.Failed,
+		Violations: tot.Violations, GoodCompleted: tot.GoodCompleted, GoodBytes: tot.GoodBytes,
+		Bytes: tot.Bytes, HitBytes: tot.HitBytes, PrefixHits: tot.PrefixHits, Elapsed: tot.Elapsed,
+	}
+	if sum != want {
 		t.Fatalf("per-class totals %+v disagree with aggregate %+v", sum, tot)
+	}
+}
+
+func TestClosedScheduleWaitsForSlots(t *testing.T) {
+	// An untimed schedule against two edges that count their concurrent
+	// requests: with N slots the house fills to exactly N and stays
+	// there, nothing is shed, every item is issued once, and item i
+	// reaches edge i mod 2.
+	const slots, requests = 3, 30
+	catalog, err := proxy.BuildCatalog(6, 16, 512, 1)
+	if err != nil {
+		t.Fatalf("BuildCatalog: %v", err)
+	}
+	ids := catalog.IDs()
+	var inflight atomic.Int64
+	var mu sync.Mutex
+	var peak int64
+	served := make([]map[int]int, 2) // per edge: object id -> requests
+	edges := make([]string, 2)
+	for e := range edges {
+		served[e] = map[int]int{}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			n := inflight.Add(1)
+			defer inflight.Add(-1)
+			mu.Lock()
+			peak = max(peak, n)
+			var id int
+			fmt.Sscanf(r.URL.Path, "/objects/%d", &id)
+			served[e][id]++
+			mu.Unlock()
+			time.Sleep(5 * time.Millisecond) // hold the slot long enough to overlap
+			meta, _ := catalog.Get(id)
+			w.Write(make([]byte, meta.Size))
+		}))
+		t.Cleanup(srv.Close)
+		edges[e] = srv.URL
+	}
+	trace := make([]workload.Request, requests)
+	for i := range trace {
+		trace[i] = workload.Request{ObjectID: ids[i%len(ids)], Fraction: 1}
+	}
+
+	spec := SingleClass(1, 60_000)
+	outcomes, report, err := Run(Options{
+		Edges:       edges,
+		Catalog:     catalog,
+		Spec:        spec,
+		MaxInflight: slots,
+	}, ClosedSchedule(spec, trace))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkAccounting(t, report)
+	if tot := report.Total; tot.Shed != 0 || tot.Issued != requests || tot.Completed != requests {
+		t.Fatalf("issued %d completed %d shed %d failed %d, want all %d completed and none shed",
+			tot.Issued, tot.Completed, tot.Shed, tot.Failed, requests)
+	}
+	if peak != slots {
+		t.Errorf("peak concurrency %d, want exactly the %d slots", peak, slots)
+	}
+	for i, o := range outcomes {
+		if o.Item.Index != i || o.State != Completed {
+			t.Fatalf("outcome %d: index %d state %s %s", i, o.Item.Index, o.State, o.Err)
+		}
+	}
+	// ids[i%6] at position i: even positions (edge 0) only ever ask for
+	// ids[0], ids[2], ids[4], odd positions (edge 1) for the others.
+	for e := range served {
+		total := 0
+		for k, id := range ids {
+			if n := served[e][id]; k%2 != e && n != 0 {
+				t.Errorf("edge %d served object %d %d times; items for it go to edge %d", e, id, n, k%2)
+			} else {
+				total += n
+			}
+		}
+		if total != requests/2 {
+			t.Errorf("edge %d served %d requests, want %d", e, total, requests/2)
+		}
+	}
+}
+
+func TestPartialViewingHitBytesBounded(t *testing.T) {
+	// A session that hangs up inside a cached prefix is told about the
+	// whole prefix (X-Cache: HIT-PREFIX; bytes=...) but was served only
+	// what it read: hit bytes never exceed bytes, and the
+	// bandwidth-weighted hit ratio never exceeds 1.
+	catalog, proxyURL := startStack(t, 6, 256, 0, 64*units.MB)
+	for _, id := range catalog.IDs() {
+		if _, err := proxy.Fetch(fmt.Sprintf("%s/objects/%d", proxyURL, id)); err != nil {
+			t.Fatalf("warm %d: %v", id, err)
+		}
+	}
+	spec, err := ParseSpec(strings.NewReader(`{"classes": [{"name": "zappers",
+	  "arrival": {"process": "poisson", "rate": 40},
+	  "viewing": {"dist": "uniform", "min_fraction": 0.05},
+	  "slo": {"class": "relaxed"}}]}`))
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
+	}
+	outcomes, report, err := runOpen(Options{Edges: []string{proxyURL}, Catalog: catalog, Spec: spec}, 31, 1)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkAccounting(t, report)
+	if report.Total.PrefixHits == 0 {
+		t.Fatal("no prefix hits against a warmed proxy; the test exercises nothing")
+	}
+	for _, o := range outcomes {
+		if o.HitBytes > o.Bytes {
+			t.Errorf("item %d: %d hit bytes of %d read", o.Item.Index, o.HitBytes, o.Bytes)
+		}
+	}
+	col := slices.Index(experiments.LiveCapacityHeader, "bw_hit_ratio")
+	if ratio, err := strconv.ParseFloat(report.SummaryRow(0)[col], 64); err != nil || ratio > 1 || ratio <= 0 {
+		t.Errorf("bw_hit_ratio = %q, want in (0, 1]", report.SummaryRow(0)[col])
 	}
 }
 
@@ -74,15 +216,13 @@ func TestOpenLoopAchievedRateMatchesConfigured(t *testing.T) {
 	// wall clock, which also exercises the compression path.
 	catalog, proxyURL := startStack(t, 10, 64, 0, 64*units.MB)
 	const configured = 10.0
-	outcomes, report, err := Run(Options{
-		ProxyURL:  proxyURL,
+	outcomes, report, err := runOpen(Options{
+		Edges:     []string{proxyURL},
 		Catalog:   catalog,
 		Spec:      SingleClass(configured, 60_000),
 		TimeScale: 10,
-		Seed:      11,
-		Horizon:   20,
 		Verify:    true,
-	})
+	}, 11, 20)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -121,15 +261,13 @@ func TestOpenLoopOverdriveShedsAndAccounts(t *testing.T) {
 	// cap means most arrivals find the engine saturated. They must be
 	// shed — not queued — and the books must still balance.
 	catalog, proxyURL := startStack(t, 5, 256, 128, units.MB)
-	_, report, err := Run(Options{
-		ProxyURL:    proxyURL,
+	_, report, err := runOpen(Options{
+		Edges:       []string{proxyURL},
 		Catalog:     catalog,
 		Spec:        SingleClass(100, 250),
 		TimeScale:   1,
-		Seed:        12,
-		Horizon:     1.5,
 		MaxInflight: 2,
-	})
+	}, 12, 1.5)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -143,15 +281,13 @@ func TestOpenLoopOverdriveShedsAndAccounts(t *testing.T) {
 
 	// Same stack, gentle load: the violation fraction must sit clearly
 	// below the overdriven one — this is the signal the ramp sweep knees on.
-	_, calm, err := Run(Options{
-		ProxyURL:    proxyURL,
+	_, calm, err := runOpen(Options{
+		Edges:       []string{proxyURL},
 		Catalog:     catalog,
 		Spec:        SingleClass(2, 60_000),
 		TimeScale:   1,
-		Seed:        13,
-		Horizon:     1.5,
 		MaxInflight: 64,
-	})
+	}, 13, 1.5)
 	if err != nil {
 		t.Fatalf("Run (calm): %v", err)
 	}
@@ -174,15 +310,13 @@ func TestRampSweepFindsKnee(t *testing.T) {
 		t.Fatalf("Begin: %v", err)
 	}
 	for li, scale := range levels {
-		_, report, err := Run(Options{
-			ProxyURL:    proxyURL,
+		_, report, err := runOpen(Options{
+			Edges:       []string{proxyURL},
 			Catalog:     catalog,
 			Spec:        SingleClass(1.5, 500),
-			Seed:        21,
-			Horizon:     1.5,
 			MaxInflight: 4,
 			RateScale:   scale,
-		})
+		}, 21, 1.5)
 		if err != nil {
 			t.Fatalf("Run level %d: %v", li, err)
 		}

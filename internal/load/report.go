@@ -2,11 +2,12 @@ package load
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
 	"streamcache/internal/experiments"
+	"streamcache/internal/units"
 )
 
 // ClassSummary aggregates one class's outcomes (or, for Report.Total,
@@ -36,16 +37,45 @@ type ClassSummary struct {
 
 	SLOViolationFrac float64 // Violations / Issued
 
-	DelayP50 time.Duration // startup-delay percentiles over completions
-	DelayP90 time.Duration
-	DelayP99 time.Duration
+	DelayMean time.Duration // startup delay over completions
+	DelayP50  time.Duration
+	DelayP90  time.Duration
+	DelayP99  time.Duration
 
-	Bytes      int64 // bytes downloaded by completions
-	HitBytes   int64 // of those, bytes served from the cached prefix
-	PrefixHits int   // completions with any prefix hit
+	Bytes      int64         // bytes downloaded by completions
+	HitBytes   int64         // of those, bytes served from the cached prefix
+	PrefixHits int           // completions with any prefix hit
+	Elapsed    time.Duration // summed download time of completions
 }
 
-// Report is the result of one open-loop run (one ramp level).
+// PrefixHitRatio is the share of completions served any cached prefix.
+func (c *ClassSummary) PrefixHitRatio() float64 {
+	if c.Completed == 0 {
+		return 0
+	}
+	return float64(c.PrefixHits) / float64(c.Completed)
+}
+
+// BWHitRatio is the bandwidth-weighted hit ratio: the share of
+// downloaded bytes served from the cached prefix — the paper's traffic
+// reduction ratio measured at the client.
+func (c *ClassSummary) BWHitRatio() float64 {
+	if c.Bytes == 0 {
+		return 0
+	}
+	return float64(c.HitBytes) / float64(c.Bytes)
+}
+
+// MeanKBps is the mean per-download throughput: bytes over summed
+// download time, in KB/s.
+func (c *ClassSummary) MeanKBps() float64 {
+	if c.Elapsed <= 0 {
+		return 0
+	}
+	return units.ToKBps(float64(c.Bytes) / c.Elapsed.Seconds())
+}
+
+// Report is the result of one run (one ramp level).
 type Report struct {
 	Wall      time.Duration
 	TimeScale float64
@@ -86,6 +116,7 @@ func Summarize(spec *Spec, outcomes []Outcome, wall time.Duration, timeScale, ra
 			c.Completed++
 			c.Bytes += o.Bytes
 			c.HitBytes += o.HitBytes
+			c.Elapsed += o.Elapsed
 			if o.HitBytes > 0 {
 				c.PrefixHits++
 			}
@@ -121,7 +152,14 @@ func finishClass(c *ClassSummary, delays []time.Duration, workloadSeconds float6
 	if c.Issued > 0 {
 		c.SLOViolationFrac = float64(c.Violations) / float64(c.Issued)
 	}
-	sort.Slice(delays, func(i, j int) bool { return delays[i] < delays[j] })
+	var sum time.Duration
+	for _, d := range delays {
+		sum += d
+	}
+	if len(delays) > 0 {
+		c.DelayMean = sum / time.Duration(len(delays))
+	}
+	slices.Sort(delays)
 	c.DelayP50 = percentileDur(delays, 0.50)
 	c.DelayP90 = percentileDur(delays, 0.90)
 	c.DelayP99 = percentileDur(delays, 0.99)
@@ -138,6 +176,7 @@ func accumulate(total, c *ClassSummary) {
 	total.Bytes += c.Bytes
 	total.HitBytes += c.HitBytes
 	total.PrefixHits += c.PrefixHits
+	total.Elapsed += c.Elapsed
 }
 
 // percentileDur returns the nearest-rank p-th percentile of sorted.
@@ -155,7 +194,8 @@ func percentileDur(sorted []time.Duration, p float64) time.Duration {
 	return sorted[i]
 }
 
-func msCell(d time.Duration) string {
+// MS renders a duration as a table cell in milliseconds.
+func MS(d time.Duration) string {
 	return strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 2, 64)
 }
 
@@ -165,13 +205,7 @@ func f4(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 // row for ramp level `level`.
 func (r *Report) SummaryRow(level int) []string {
 	t := &r.Total
-	prefixRatio, bwRatio, goodKBps := 0.0, 0.0, 0.0
-	if t.Completed > 0 {
-		prefixRatio = float64(t.PrefixHits) / float64(t.Completed)
-	}
-	if t.Bytes > 0 {
-		bwRatio = float64(t.HitBytes) / float64(t.Bytes)
-	}
+	goodKBps := 0.0
 	if wsec := r.Wall.Seconds() * r.TimeScale; wsec > 0 {
 		goodKBps = float64(t.GoodBytes) / wsec / 1024
 	}
@@ -188,11 +222,11 @@ func (r *Report) SummaryRow(level int) []string {
 		strconv.Itoa(t.Shed),
 		strconv.Itoa(t.Failed),
 		f4(t.SLOViolationFrac),
-		msCell(t.DelayP50),
-		msCell(t.DelayP90),
-		msCell(t.DelayP99),
-		f4(prefixRatio),
-		f4(bwRatio),
+		MS(t.DelayP50),
+		MS(t.DelayP90),
+		MS(t.DelayP99),
+		f4(t.PrefixHitRatio()),
+		f4(t.BWHitRatio()),
 		strconv.FormatFloat(r.Wall.Seconds(), 'f', 3, 64),
 	}
 }
@@ -213,33 +247,29 @@ func (r *Report) ClassRows(level int) [][]string {
 			strconv.Itoa(c.Shed),
 			strconv.Itoa(c.Failed),
 			f4(c.SLOViolationFrac),
-			msCell(c.DelayP50),
-			msCell(c.DelayP90),
-			msCell(c.DelayP99),
+			MS(c.DelayP50),
+			MS(c.DelayP90),
+			MS(c.DelayP99),
 		})
 	}
 	return rows
 }
 
-// OutcomeHeader is the row schema of a per-arrival outcome table.
+// OutcomeHeader is the row schema of a per-item outcome table.
 var OutcomeHeader = []string{
 	"index", "time_s", "class", "object", "state",
 	"bytes", "hit_bytes", "startup_ms", "ttfb_ms", "elapsed_ms", "error",
 }
 
-// WriteOutcomes streams one row per scheduled arrival, in schedule
-// order, through a RowSink.
-func WriteOutcomes(sink experiments.RowSink, name string, outcomes []Outcome) error {
-	meta := experiments.TableMeta{
+// OutcomeTable renders one row per scheduled item, in schedule order.
+func OutcomeTable(name string, outcomes []Outcome) *experiments.Table {
+	t := &experiments.Table{
 		Name:   name,
 		Note:   "one row per scheduled arrival, in schedule order",
 		Header: OutcomeHeader,
 	}
-	if err := sink.Begin(meta); err != nil {
-		return err
-	}
 	for _, o := range outcomes {
-		row := []string{
+		t.Rows = append(t.Rows, []string{
 			strconv.Itoa(o.Item.Index),
 			strconv.FormatFloat(o.Item.Time, 'g', -1, 64),
 			o.Item.Class,
@@ -247,14 +277,11 @@ func WriteOutcomes(sink experiments.RowSink, name string, outcomes []Outcome) er
 			o.State.String(),
 			strconv.FormatInt(o.Bytes, 10),
 			strconv.FormatInt(o.HitBytes, 10),
-			msCell(o.Startup),
-			msCell(o.TTFB),
-			msCell(o.Elapsed),
+			MS(o.Startup),
+			MS(o.TTFB),
+			MS(o.Elapsed),
 			o.Err,
-		}
-		if err := sink.Row(row); err != nil {
-			return err
-		}
+		})
 	}
-	return sink.End()
+	return t
 }

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -224,35 +225,17 @@ func (s *SLOSpec) validate() error {
 // package's distribution type.
 func (c *Class) ViewingDist() workload.Viewing {
 	return workload.Viewing{
-		Kind:        workload.ViewingKind(defaultStr(c.Viewing.Dist, string(workload.ViewFull))),
+		Kind:        cmp.Or(workload.ViewingKind(c.Viewing.Dist), workload.ViewFull),
 		MinFraction: c.Viewing.MinFraction,
 		Mu:          c.Viewing.Mu,
 		Sigma:       c.Viewing.Sigma,
 	}
 }
 
-func defaultStr(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
-
-// process builds the class's arrival Process with every rate scaled by
-// rateScale (the ramp-sweep offered-load multiplier). Trace classes
-// scale by compressing the recorded timestamps instead.
-func (c *Class) process(traceTimes []float64, rateScale float64) Process {
-	switch c.Arrival.Process {
-	case "trace":
-		times := traceTimes
-		if rateScale != 1 {
-			times = make([]float64, len(traceTimes))
-			for i, t := range traceTimes {
-				times[i] = t / rateScale
-			}
-		}
-		return TraceReplay{Timestamps: times}
-	case "onoff":
+// process builds a synthetic class's arrival Process with every rate
+// scaled by rateScale (the ramp-sweep offered-load multiplier).
+func (c *Class) process(rateScale float64) Process {
+	if c.Arrival.Process == "onoff" {
 		return OnOff{
 			Sources:  c.Arrival.Sources,
 			PeakHz:   c.Arrival.PeakRate * rateScale,
@@ -261,9 +244,8 @@ func (c *Class) process(traceTimes []float64, rateScale float64) Process {
 			MeanOn:   c.Arrival.MeanOn,
 			MeanOff:  c.Arrival.MeanOff,
 		}
-	default:
-		return Poisson{RateHz: c.Arrival.Rate * rateScale}
 	}
+	return Poisson{RateHz: c.Arrival.Rate * rateScale}
 }
 
 // UsesTrace reports whether any class replays trace timestamps (the

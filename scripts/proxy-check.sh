@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Live-tier smoke: start a sharded proxyd, drive it with loadgen for a
 # few seconds of closed-loop load, assert a nonzero bandwidth-weighted
-# prefix-hit ratio and verified content, then SIGTERM the server and
-# require a clean graceful drain (exit 0 with a final stats line); then
-# one client over objects larger than the relay ring, and require
-# relayDemotions == 0 in the drained node's final stats.
+# prefix-hit ratio, verified content and the pinned loadgen-live header,
+# then SIGTERM the server and require a clean graceful drain (exit 0 with
+# a final stats line); then one client over objects larger than the relay
+# ring, and require relayDemotions == 0 in the drained node's final stats.
 # `make proxy-check` and the CI proxy-check job both call this.
 set -euo pipefail
 
@@ -59,6 +59,19 @@ start_proxyd -objects 24 -mean-kb 64 -cache-mb 8
     -objects 24 -mean-kb 64 -catalog-seed 1 -wait 15s \
     -verify -min-hit-ratio 0.05 -out "$tmp/loadgen.csv"
 cat "$tmp/loadgen.csv"
+
+# Row-schema stability: scripts/cluster-check.sh and figures
+# -overlay-live key on these columns by name. A schema change must be
+# deliberate — update the canonical header here and in cmd/loadgen's
+# liveTable (the last four are experiments.TierColumns) together.
+want_header='clients,requests,errors,prefix_hit_ratio,bw_hit_ratio,origin_bytes,coalesced,delay_mean_ms,delay_p50_ms,delay_p90_ms,delay_p99_ms,mean_throughput_kbps,wall_seconds,edge_byte_frac,peer_byte_frac,parent_byte_frac,origin_byte_frac'
+got_header=$(grep -v '^#' "$tmp/loadgen.csv" | head -n 1)
+[[ "$got_header" == "$want_header" ]] || {
+    echo "proxy-check: loadgen-live header drifted" >&2
+    echo "  want: $want_header" >&2
+    echo "  got:  $got_header" >&2
+    exit 1
+}
 drain
 
 # One client, objects several times the relay ring, an origin far
