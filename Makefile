@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet lint lint-check build test race bench bench-smoke bench-check fuzz-smoke figures docs-check loc shard-check collector-check proxy-check load-check cluster-check clean
+.PHONY: all ci vet lint lint-check build test race bench bench-smoke bench-check fuzz-smoke figures figures-diff docs-check loc shard-check collector-check proxy-check load-check cluster-check clean
 
 all: ci
 
@@ -67,9 +67,19 @@ fuzz-smoke:
 figures:
 	$(GO) run ./cmd/figures -out results
 
-## docs-check: every relative Markdown link in the docs set resolves.
+## figures-diff: build cmd/figures from REF and from the work tree, run
+## both with the same KEYS (default: all) and SCALE (default: small),
+## and diff every CSV — the cross-commit byte-identity check
+## (TestGoldenTables is its small-scale, every-`go test` form).
+REF ?= HEAD~1
+figures-diff:
+	bash scripts/figures-diff.sh '$(REF)' '$(KEYS)' '$(SCALE)'
+
+## docs-check: every relative Markdown link in the docs set resolves,
+## and EXPERIMENTS.md's summary table lists exactly the registry's keys.
 docs-check:
 	bash scripts/check-md-links.sh
+	$(GO) test ./internal/experiments -run TestExperimentsDocListsEveryKey -count=1
 
 ## loc: non-test Go lines outside bench/, for the repo and per package
 ## directory — the number ROADMAP.md's fold-and-delete target tracks.

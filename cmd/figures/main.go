@@ -39,34 +39,6 @@ import (
 	"streamcache/internal/sim"
 )
 
-// files maps experiment keys to their CSV file names; keys missing here
-// (future experiments) fall back to <key>.csv.
-var files = map[string]string{
-	"table1":              "table1_workload.csv",
-	"figure2":             "figure2_bandwidth_distribution.csv",
-	"figure3":             "figure3_bandwidth_variability.csv",
-	"figure4":             "figure4_path_time_series.csv",
-	"figure5":             "figure5_constant_bandwidth.csv",
-	"figure6":             "figure6_zipf_alpha.csv",
-	"figure7":             "figure7_nlanr_variability.csv",
-	"figure8":             "figure8_measured_variability.csv",
-	"figure9":             "figure9_estimator_sweep.csv",
-	"figure10":            "figure10_value_constant.csv",
-	"figure11":            "figure11_value_variable.csv",
-	"figure12":            "figure12_value_estimator_sweep.csv",
-	"ablation-eviction":   "ablation_eviction_granularity.csv",
-	"ablation-estimators": "ablation_estimators.csv",
-	"ext-merging":         "extension_stream_merging.csv",
-	"ext-partial-viewing": "extension_partial_viewing.csv",
-	"ext-active-probing":  "extension_active_probing.csv",
-	"ext-baselines":       "extension_baselines.csv",
-	"scenarios":           "scenario_matrix.csv",
-	"refined-e":           "refined_e_sweep.csv",
-	"refined-sigma":       "refined_sigma_sweep.csv",
-	"refined-cache":       "refined_cache_sweep.csv",
-	"refined-esigma":      "refined_esigma_sweep.csv",
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
@@ -230,10 +202,7 @@ func run() error {
 		if len(selected) > 0 && !selected[e.Key] {
 			continue
 		}
-		file := files[e.Key]
-		if file == "" {
-			file = e.Key + ".csv"
-		}
+		file := e.File
 		stem := strings.TrimSuffix(file, ".csv")
 		if s.Shard.Count > 1 {
 			// Sharded runs emit index-keyed JSONL only: CSV rows carry no

@@ -30,6 +30,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -118,21 +119,12 @@ func run() error {
 	}
 	defer stopProfiles()
 
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkMode(*sweepAxis != "", set); err != nil {
+		return err
+	}
 	if *sweepAxis != "" {
-		// Refined sweeps fix the policy, network model and cache size per
-		// axis (see internal/experiments/refine.go); rejecting explicitly
-		// set single-simulation flags beats silently ignoring them.
-		var conflicting []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "policy", "e", "cache-gb", "alpha", "variability", "estimator", "ewma-alpha", "whole-eviction":
-				conflicting = append(conflicting, "-"+f.Name)
-			}
-		})
-		if len(conflicting) > 0 {
-			return fmt.Errorf("sweep mode fixes the policy/network/cache per axis; drop %s",
-				strings.Join(conflicting, ", "))
-		}
 		return runSweep(sweepConfig{
 			axis: *sweepAxis, points: *sweepPoints,
 			objects: *objects, requests: *requests, runs: *runs,
@@ -141,10 +133,6 @@ func run() error {
 			shard: *shard, journal: *journalPath, resume: *resume,
 		})
 	}
-	if *shard != "" || *journalPath != "" || *resume {
-		return fmt.Errorf("-shard/-journal/-resume apply to sweep mode; add -sweep")
-	}
-
 	policy, err := core.PolicyByName(*policyName, *e)
 	if err != nil {
 		return err
@@ -189,6 +177,34 @@ func run() error {
 	fmt.Printf("hit_ratio               %8.4f\n", m.HitRatio)
 	fmt.Printf("measured_requests       %8d\n", m.Requests)
 	return nil
+}
+
+// The flags only one of the two modes reads. Refined sweeps fix the
+// policy, network model and cache size per axis (see
+// internal/experiments/refine.go), and a single simulation writes no
+// table, so each mode would silently ignore the other's.
+var (
+	singleOnlyFlags = []string{"policy", "e", "cache-gb", "alpha", "variability", "estimator", "ewma-alpha", "whole-eviction"}
+	sweepOnlyFlags  = []string{"sweep-points", "refine", "format", "out", "shard", "journal", "resume"}
+)
+
+// checkMode refuses the explicitly set flags (set: their names) that
+// the chosen mode does not read; rejecting them beats ignoring them.
+func checkMode(sweep bool, set []string) error {
+	ignored, hint := sweepOnlyFlags, "%s: sweep mode only; add -sweep"
+	if sweep {
+		ignored, hint = singleOnlyFlags, "sweep mode fixes the policy/network/cache per axis; drop %s"
+	}
+	var bad []string
+	for _, name := range set {
+		if slices.Contains(ignored, name) {
+			bad = append(bad, "-"+name)
+		}
+	}
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf(hint, strings.Join(bad, ", "))
 }
 
 // sweepConfig carries the sweep-mode flag set.

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Table 1 and Figures 2-12), plus the ablations, Section 6
-// extensions, the scenario matrix, and the adaptively refined axis
-// sweeps — 22 keyed experiments in all (see EXPERIMENTS.md for the
-// catalog and cmd/figures for the batch driver).
+// extensions, the scenario matrix, the adaptively refined axis sweeps
+// and the cache hierarchy — 24 keyed experiments in all (see
+// EXPERIMENTS.md for the catalog and cmd/figures for the batch driver).
+// A simulated experiment is a spec value — axes x metric columns,
+// spec.go — compiled into a plan that one runner streams (engine.go).
 //
 // # Determinism contract
 //
@@ -30,14 +32,17 @@
 //     replay tapes and bandwidth columns — so reuse can never change a
 //     row.
 //
-// Adaptive refinement (refine.go) keeps these guarantees by keying
-// every decision exclusively on completed rows: the coarse pass is a
-// full barrier, each round bisects a fixed number of intervals chosen
-// deterministically from the metric gradients, and under sharding every
-// shard sees all points' metrics (the curve is global state) — its own
-// simulated first, its peers' fetched through Scale.Exchange or, failing
-// that, simulated too — while emitting only the rows it owns.
+// Adaptive refinement (plan.run; refine.go and refine2d.go hold the
+// refiners) keeps these guarantees by keying every decision exclusively
+// on completed rows: the coarse pass is a full barrier, each round adds
+// a fixed number of points chosen deterministically from the completed
+// metrics, and under sharding every shard sees all points' metrics (the
+// curve is global state) — its own simulated first, its peers' fetched
+// through Scale.Exchange or, failing that, simulated too — while
+// emitting only the rows it owns.
 //
 // The regression tests in engine_test.go, shard_test.go and
-// journal_test.go pin each clause of this contract.
+// journal_test.go pin each clause of this contract within one build;
+// TestGoldenTables (golden_test.go) pins every table's bytes across
+// builds.
 package experiments

@@ -12,41 +12,27 @@ import (
 	"streamcache/internal/sim"
 )
 
-// The sweep engine: every figure that is a grid of independent
-// simulations (cache fraction x policy x scenario axis) is expressed as
-// a runner that streams its rows into a RowSink. Fixed grids become a
-// slice of rowTasks, one per sweep point, fanned out over a bounded
-// worker pool with a reorder buffer (par.ForOrdered) delivering rows in
-// task order however workers finish; adaptive sweeps (refine.go) layer
-// gradient-driven refinement on top of the same streamed rows. Tasks
-// are self-contained (each sim.Run derives all of its randomness from
-// the config seed via sim.SplitSeed), so a streamed table is
-// byte-identical for every Parallelism value and any goroutine
-// schedule.
+// The sweep engine: every table is a plan — a coarse round of points
+// plus, for the adaptive sweeps, a refiner that asks for more rounds —
+// and one runner streams it into a RowSink. Each round fans out over a
+// bounded worker pool with a reorder buffer (par.ForOrdered) delivering
+// rows in index order however workers finish. Points are self-contained
+// (each sim.Run derives all of its randomness from the config seed via
+// sim.SplitSeed), so a streamed table is byte-identical for every
+// Parallelism value and any goroutine schedule. Simulated experiments
+// reach a plan through spec.compile (spec.go); the static tables build
+// theirs from rows they computed eagerly.
 
-// rowTask computes one row of a table.
-type rowTask func() ([]string, error)
-
-// exec is the execution context of one streamed run: the worker bound,
-// the shard of the row space this process owns, the resume journal
-// whose completed rows are replayed instead of recomputed, the metric
-// exchange resolving foreign refinement metrics, and the write-side
-// journal that checkpoints fetched foreign metrics alongside rows.
+// exec is the execution context of one streamed run: the scale — its
+// worker bound, the Shard of the row space this process owns, the
+// Resume journal whose completed rows are replayed instead of
+// recomputed, the Exchange resolving foreign refinement metrics, the
+// Counters — plus the table being streamed and the write-side journal
+// that checkpoints fetched foreign metrics alongside rows.
 type exec struct {
-	parallelism int
-	shard       Shard
-	resume      *Journal
-	table       string // table name, the journal key prefix
-	exchange    MetricExchange
-	counters    *Counters
-	journal     *Journal // write side (nil when the run is unjournaled)
-}
-
-// evaluated counts one locally simulated sweep point.
-func (x exec) evaluated() {
-	if x.counters != nil {
-		x.counters.Evaluations.Add(1)
-	}
+	Scale
+	table   string   // table name, the journal key prefix
+	journal *Journal // write side (nil when the run is unjournaled)
 }
 
 // foreignMetric resolves the refinement metric of a point owned by
@@ -55,24 +41,24 @@ func (x exec) evaluated() {
 // from the exchange is checkpointed so a crash-resume does not depend
 // on the collector still being reachable.
 func (x exec) foreignMetric(index int) (float64, bool) {
-	if r, _ := x.resume.replay(x.table, index); r.HasMetric {
+	if r, _ := x.Resume.replay(x.table, index); r.HasMetric {
 		return r.Metric, true
 	}
-	if x.exchange == nil {
+	if x.Exchange == nil {
 		return 0, false
 	}
 	//mediavet:ignore determinism telemetry only: the wait feeds Counters.ExchangeWaitNanos, never a row or a refinement decision
 	start := time.Now()
-	m, ok := x.exchange.ForeignMetric(x.table, index)
-	if x.counters != nil {
+	m, ok := x.Exchange.ForeignMetric(x.table, index)
+	if x.Counters != nil {
 		//mediavet:ignore determinism telemetry only, as above
-		x.counters.ExchangeWaitNanos.Add(int64(time.Since(start)))
+		x.Counters.ExchangeWaitNanos.Add(int64(time.Since(start)))
 	}
 	if !ok {
 		return 0, false
 	}
-	if x.counters != nil {
-		x.counters.ExchangeHits.Add(1)
+	if x.Counters != nil {
+		x.Counters.ExchangeHits.Add(1)
 	}
 	if x.journal != nil {
 		// Best-effort checkpoint: a write failure surfaces on the row
@@ -80,13 +66,6 @@ func (x exec) foreignMetric(index int) (float64, bool) {
 		_ = x.journal.apply(rowlog.MetricRecord(x.table, index, m))
 	}
 	return m, true
-}
-
-// runner produces one experiment's rows, streaming them through emit in
-// deterministic order.
-type runner interface {
-	tableMeta() TableMeta
-	run(x exec, emit func(r MetricRow) error) error
 }
 
 // parallelism resolves the effective worker bound of the scale.
@@ -98,72 +77,161 @@ func (s Scale) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// simRow builds the common sweep-point task: run one simulation,
-// render its metrics as a row. The inner run-level Parallelism is
-// pinned to 1 because the sweep pool already saturates the cores (and
-// Metrics are identical for any value, so this is purely a scheduling
-// choice). The arena is shared by every task of one experiment, so
-// sweep points replay one compiled tape per run seed instead of
-// regenerating it (rows are byte-identical either way).
-func simRow(arena *sim.Arena, cfg sim.Config, render func(sim.Metrics) []string) rowTask {
-	return func() ([]string, error) {
-		cfg.Parallelism = 1
-		cfg.Arena = arena
-		m, err := sim.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return render(m), nil
+// planPoint is one row of a plan: already rendered (row; the static
+// tables) or evaluated on demand. eval returns the row without the
+// trailing source cell plus the scalar an adaptive plan ranks by.
+// innerParallelism is the worker bound left for sim.Run's replication
+// pool: wide when few points are in flight (refinement rounds), 1 when
+// the round already saturates the cores. Results must not depend on it.
+type planPoint struct {
+	row    []string
+	coords []float64 // position on the adaptive axes; nil on a fixed grid
+	eval   func(innerParallelism int) (row []string, metric float64, err error)
+}
+
+// plan is one table ready to run: its identity, the coarse round in row
+// order and, for an adaptive sweep, the refiner choosing where up to
+// Scale.RefineBudget further points go and at building the point at the
+// coordinates it picks. A plan without a refiner is a fixed grid: its
+// rows carry no source cell and no metric.
+type plan struct {
+	meta   TableMeta
+	coarse []planPoint
+	refine refiner
+	at     func(coords []float64) (planPoint, error)
+}
+
+// staticPlan is the plan of a table whose rows were computed eagerly
+// (the workload- and trace-characterization tables); sharding it splits
+// only its output, not its (cheap) computation.
+func staticPlan(meta TableMeta, rows [][]string) *plan {
+	p := &plan{meta: meta, coarse: make([]planPoint, len(rows))}
+	for i, row := range rows {
+		p.coarse[i].row = row
 	}
+	return p
 }
 
-// taskSweep is a fixed grid of independent sweep points.
-type taskSweep struct {
-	meta  TableMeta
-	tasks []rowTask
-}
-
-func (t *taskSweep) tableMeta() TableMeta { return t.meta }
-
-// run executes the shard-owned subset of the grid over the worker pool,
-// replaying journaled rows instead of recomputing them, and emits rows
-// in ascending global-index order.
-func (t *taskSweep) run(x exec, emit func(r MetricRow) error) error {
-	owned := x.shard.indices(len(t.tasks))
-	return streamOrdered(x.parallelism, len(owned), func(j int) (MetricRow, error) {
-		g := owned[j]
-		if r, ok := x.resume.replay(x.table, g); ok {
-			return MetricRow{Index: g, Row: r.Row}, nil
-		}
-		x.evaluated()
-		row, err := t.tasks[g]()
-		return MetricRow{Index: g, Row: row}, err
-	}, func(_ int, r MetricRow) error { return emit(r) })
-}
-
-// staticTable is a runner whose rows were computed eagerly (the
-// workload- and trace-characterization tables); it streams them
-// unchanged.
-type staticTable struct {
-	meta TableMeta
-	rows [][]string
-}
-
-func (t *staticTable) tableMeta() TableMeta { return t.meta }
-
-// run emits the shard-owned subset of the precomputed rows. The rows
-// were already materialized by the builder, so sharding a static table
-// splits only its output, not its (cheap) computation.
-func (t *staticTable) run(x exec, emit func(r MetricRow) error) error {
-	for i, row := range t.rows {
-		if !x.shard.owns(i) {
-			continue
-		}
-		if err := emit(MetricRow{Index: i, Row: row}); err != nil {
+// run streams the plan: the coarse round in row order — a full barrier,
+// since refinement decisions are keyed on the complete coarse response —
+// then rounds of at most refineRoundPoints points the refiner picks from
+// every completed sample, until the budget is spent or the refiner has
+// nothing left to resolve. Global row indices continue across rounds.
+func (p *plan) run(x exec, emit func(r MetricRow) error) error {
+	samples, err := evalRound(x, p.coarse, 0, p.refine != nil, "coarse", emit)
+	if err != nil || p.refine == nil {
+		return err
+	}
+	next := len(p.coarse)
+	for remaining := x.RefineBudget; remaining > 0; {
+		picks, err := p.refine(samples, min(refineRoundPoints, remaining))
+		if err != nil || len(picks) == 0 {
 			return err
 		}
+		round := make([]planPoint, len(picks))
+		for i, coords := range picks {
+			if round[i], err = p.at(coords); err != nil {
+				return err
+			}
+		}
+		refined, err := evalRound(x, round, next, true, "refined", emit)
+		if err != nil {
+			return err
+		}
+		samples = append(samples, refined...)
+		next += len(picks)
+		remaining -= len(picks)
 	}
 	return nil
+}
+
+// evalRound evaluates one round of a plan (global indices
+// base..base+len(pts)-1) and is the only code that knows row ownership,
+// resume replay, the Counters and foreign metrics. It emits each owned
+// row in index order and, for an adaptive plan (rows gain the source
+// cell and carry their metric), returns every point's sample in index
+// order — the full response the next refinement decision needs. A fixed
+// grid needs no one else's metrics, so a shard neither resolves nor
+// simulates foreign points.
+//
+// The round runs own work first: a shard simulates all of its owned
+// points over the worker pool (replaying journaled rows when present)
+// and emits them, and only then resolves the foreign ones — from
+// journaled metric checkpoints, then through the MetricExchange. So N
+// shards simulate a round concurrently and trade metrics once at its
+// end; a shard that waited on a peer's point g+1 before starting its
+// own g+2 would instead alternate with that peer point by point and
+// gain nothing from being sharded. Only when journal and exchange both
+// miss (no exchange configured, collector down, owner dead) does a
+// shard simulate a foreign point locally, over the same pool; the
+// determinism contract makes the fallback metric bit-identical to the
+// owner's, so the refined point set and the emitted rows never depend
+// on which path produced a metric or in what order metrics arrived —
+// decisions read the completed vector. Fail-fast semantics are
+// streamOrdered's.
+func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, emit func(r MetricRow) error) ([]sample, error) {
+	samples := make([]sample, len(pts))
+	// phase runs one half of the round, the owned points or the foreign
+	// ones; rows reach emit only for owned points. The worker budget is
+	// split between the point pool and each point's inner pool so a
+	// phase with few points (a refinement round, a shard's slice of the
+	// coarse pass) still keeps the cores busy, while a wide phase does not
+	// oversubscribe them P x P. Pure scheduling: rows are identical for
+	// any split.
+	phase := func(own bool) error {
+		var is []int // the phase's offsets into the round, in index order
+		for i := range pts {
+			if x.Shard.owns(base+i) == own {
+				is = append(is, i)
+			}
+		}
+		workers := x.parallelism()
+		inner := max(1, workers/max(1, len(is)))
+		return streamOrdered(workers, len(is), func(j int) (MetricRow, error) {
+			i := is[j]
+			if r, ok := x.resolve(pts[i], base+i, own, adaptive); ok {
+				return r, nil
+			}
+			if x.Counters != nil {
+				x.Counters.Evaluations.Add(1)
+			}
+			row, metric, err := pts[i].eval(inner)
+			if err != nil || !adaptive {
+				return MetricRow{Index: base + i, Row: row}, err
+			}
+			return MetricRow{Index: base + i, Row: append(row, source), Metric: metric, HasMetric: true}, nil
+		}, func(j int, r MetricRow) error {
+			samples[is[j]] = sample{at: pts[is[j]].coords, metric: r.Metric}
+			if !own {
+				return nil
+			}
+			return emit(r)
+		})
+	}
+	if err := phase(true); err != nil || !adaptive {
+		return nil, err
+	}
+	return samples, phase(false)
+}
+
+// resolve answers the point at global index g without simulating it
+// when it can: a foreign point needs only its metric (foreignMetric), a
+// static table's row is already rendered, and an owned row the resume
+// journal holds is replayed — rendered payload (source cell included)
+// and, for an adaptive plan, the exact metric.
+func (x exec) resolve(pt planPoint, g int, own, adaptive bool) (MetricRow, bool) {
+	switch {
+	case !own:
+		m, ok := x.foreignMetric(g)
+		return MetricRow{Metric: m}, ok
+	case pt.eval == nil:
+		return MetricRow{Index: g, Row: pt.row}, true
+	}
+	r, ok := x.Resume.replay(x.table, g)
+	if !adaptive {
+		return MetricRow{Index: g, Row: r.Row}, ok
+	}
+	return MetricRow{Index: g, Row: r.Row, Metric: r.Metric, HasMetric: true}, ok && r.HasMetric
 }
 
 // errSweepAborted marks tasks skipped because an earlier task failed.
@@ -226,32 +294,15 @@ func streamOrdered[T any](parallelism, n int, eval func(i int) (T, error), deliv
 	return nil
 }
 
-// streamTasks executes tasks over the pool and emits their rows in
-// task order (the unsharded, journal-free fast path kept for tests).
-func streamTasks(parallelism int, tasks []rowTask, emit func(row []string) error) error {
-	return streamOrdered(parallelism, len(tasks),
-		func(i int) ([]string, error) { return tasks[i]() },
-		func(_ int, row []string) error { return emit(row) })
-}
-
-// stream drives one runner into a sink: Begin, ordered rows, End. Rows
+// stream drives one plan into a sink: Begin, ordered rows, End. Rows
 // reach the sink through rowlog.Emit, so index-aware sinks (JSONL,
 // journal) observe each row's global index.
-func stream(s Scale, r runner, sink RowSink) error {
-	meta := r.tableMeta()
-	if err := sink.Begin(meta); err != nil {
+func stream(s Scale, p *plan, sink RowSink) error {
+	if err := sink.Begin(p.meta); err != nil {
 		return err
 	}
-	x := exec{
-		parallelism: s.parallelism(),
-		shard:       s.Shard,
-		resume:      s.Resume,
-		table:       meta.Name,
-		exchange:    s.Exchange,
-		counters:    s.Counters,
-		journal:     findJournal(sink),
-	}
-	if err := r.run(x, func(row MetricRow) error { return rowlog.Emit(sink, row) }); err != nil {
+	x := exec{Scale: s, table: p.meta.Name, journal: findJournal(sink)}
+	if err := p.run(x, func(row MetricRow) error { return rowlog.Emit(sink, row) }); err != nil {
 		return err
 	}
 	return sink.End()
@@ -274,40 +325,23 @@ func findJournal(sink RowSink) *Journal {
 	return nil
 }
 
-// streamBuilt builds one experiment at scale s and streams it into sink.
-// The builder and every sweep point it creates share s.Arena — the
-// caller's, so one arena can span every experiment of a figure set,
-// else one private to this table.
-func streamBuilt(s Scale, build func(Scale) (runner, error), sink RowSink) error {
-	if s.Arena == nil {
-		s.Arena = sim.NewArena()
-	}
-	tapes0, rates0 := s.Arena.Compiles()
-	r, err := build(s)
-	if err != nil {
-		return err
-	}
-	err = stream(s, r, sink)
-	if s.Counters != nil {
-		tapes, rates := s.Arena.Compiles()
-		s.Counters.TapeCompiles.Add(tapes - tapes0 + rates - rates0)
-	}
-	return err
-}
-
 // Experiment is one named, streamable table of the evaluation suite.
 type Experiment struct {
 	// Key is the stable short name used by cmd/figures -only and
 	// ExperimentByKey.
-	Key   string
-	build func(Scale) (runner, error)
+	Key string
+	// File is the CSV file cmd/figures writes the table to; without its
+	// extension it is also the stem of the per-shard JSONL files and of
+	// the collector's table.
+	File  string
+	build func(Scale) (*plan, error)
 }
 
 // Table runs the experiment at the given scale and returns the
 // aggregated in-memory table.
 func (e Experiment) Table(s Scale) (*Table, error) {
 	var ts TableSink
-	if err := streamBuilt(s, e.build, &ts); err != nil {
+	if err := e.Stream(s, &ts); err != nil {
 		return nil, err
 	}
 	return ts.Table(), nil
@@ -316,39 +350,58 @@ func (e Experiment) Table(s Scale) (*Table, error) {
 // Stream runs the experiment at the given scale, pushing rows into sink
 // incrementally in deterministic order. The streamed bytes of a
 // deterministic sink (CSV, JSONL) are identical for every Parallelism.
+// The builder and every sweep point it creates share s.Arena — the
+// caller's, so one arena can span every experiment of a figure set,
+// else one private to this table.
 func (e Experiment) Stream(s Scale, sink RowSink) error {
-	return streamBuilt(s, e.build, sink)
+	if s.Arena == nil {
+		s.Arena = sim.NewArena()
+	}
+	tapes0, rates0 := s.Arena.Compiles()
+	p, err := e.build(s)
+	if err != nil {
+		return err
+	}
+	err = stream(s, p, sink)
+	if s.Counters != nil {
+		tapes, rates := s.Arena.Compiles()
+		s.Counters.TapeCompiles.Add(tapes - tapes0 + rates - rates0)
+	}
+	return err
 }
 
 // Experiments returns the full suite in paper order: Table 1 and
 // Figures 2-12, then the ablations, the Section 6 extensions, the
-// scenario matrix, and the adaptively refined axis sweeps.
+// scenario matrix, the adaptively refined axis sweeps and the cache
+// hierarchy. This registry is the one place a table is added: a key, a
+// file name and a spec (or, for a table that simulates nothing, a
+// function returning a staticPlan).
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", table1Runner},
-		{"figure2", figure2Runner},
-		{"figure3", figure3Runner},
-		{"figure4", figure4Runner},
-		{"figure5", figure5Runner},
-		{"figure6", figure6Runner},
-		{"figure7", figure7Runner},
-		{"figure8", figure8Runner},
-		{"figure9", figure9Runner},
-		{"figure10", figure10Runner},
-		{"figure11", figure11Runner},
-		{"figure12", figure12Runner},
-		{"ablation-eviction", ablationEvictionRunner},
-		{"ablation-estimators", ablationEstimatorsRunner},
-		{"ext-merging", extensionStreamMergingRunner},
-		{"ext-partial-viewing", extensionPartialViewingRunner},
-		{"ext-active-probing", extensionActiveProbingRunner},
-		{"ext-baselines", extensionBaselinesRunner},
-		{"scenarios", scenarioMatrixRunner},
-		{"refined-e", refinedESweepRunner},
-		{"refined-sigma", refinedSigmaSweepRunner},
-		{"refined-cache", refinedCacheSweepRunner},
-		{"refined-esigma", refinedESigmaSweepRunner},
-		{"hierarchy", hierarchyRunner},
+		{"table1", "table1_workload.csv", table1},
+		{"figure2", "figure2_bandwidth_distribution.csv", figure2},
+		{"figure3", "figure3_bandwidth_variability.csv", figure3},
+		{"figure4", "figure4_path_time_series.csv", figure4},
+		{"figure5", "figure5_constant_bandwidth.csv", figure5.compile},
+		{"figure6", "figure6_zipf_alpha.csv", figure6.compile},
+		{"figure7", "figure7_nlanr_variability.csv", figure7.compile},
+		{"figure8", "figure8_measured_variability.csv", figure8.compile},
+		{"figure9", "figure9_estimator_sweep.csv", figure9.compile},
+		{"figure10", "figure10_value_constant.csv", figure10.compile},
+		{"figure11", "figure11_value_variable.csv", figure11.compile},
+		{"figure12", "figure12_value_estimator_sweep.csv", figure12.compile},
+		{"ablation-eviction", "ablation_eviction_granularity.csv", ablationEviction.compile},
+		{"ablation-estimators", "ablation_estimators.csv", ablationEstimators.compile},
+		{"ext-merging", "extension_stream_merging.csv", extensionStreamMerging},
+		{"ext-partial-viewing", "extension_partial_viewing.csv", extensionPartialViewing.compile},
+		{"ext-active-probing", "extension_active_probing.csv", extensionActiveProbing.compile},
+		{"ext-baselines", "extension_baselines.csv", extensionBaselines.compile},
+		{"scenarios", "scenario_matrix.csv", scenarioMatrix.compile},
+		{"refined-e", "refined_e_sweep.csv", refinedESweep.compile},
+		{"refined-sigma", "refined_sigma_sweep.csv", refinedSigmaSweep.compile},
+		{"refined-cache", "refined_cache_sweep.csv", refinedCacheSweep.compile},
+		{"refined-esigma", "refined_esigma_sweep.csv", refinedESigmaSweep.compile},
+		{"hierarchy", "hierarchy.csv", hierarchy.compile},
 	}
 }
 

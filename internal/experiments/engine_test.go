@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -127,20 +129,17 @@ func (r *recordingSink) End() error {
 // reached consumers after every task finished).
 func TestSinkReceivesRowsBeforeSweepCompletes(t *testing.T) {
 	sink := newRecordingSink()
-	sw := &taskSweep{
-		meta: TableMeta{Name: "streaming probe", Header: []string{"i"}},
-		tasks: []rowTask{
-			func() ([]string, error) { return []string{"0"}, nil },
-			func() ([]string, error) {
-				select {
-				case <-sink.firstRow:
-					return []string{"1"}, nil
-				case <-time.After(10 * time.Second):
-					return nil, errors.New("sink never saw row 0 while the sweep was still running")
-				}
-			},
+	sw := gridPlan(TableMeta{Name: "streaming probe", Header: []string{"i"}},
+		func() ([]string, error) { return []string{"0"}, nil },
+		func() ([]string, error) {
+			select {
+			case <-sink.firstRow:
+				return []string{"1"}, nil
+			case <-time.After(10 * time.Second):
+				return nil, errors.New("sink never saw row 0 while the sweep was still running")
+			}
 		},
-	}
+	)
 	s := tinyScale()
 	s.Parallelism = 2
 	if err := stream(s, sw, sink); err != nil {
@@ -154,17 +153,37 @@ func TestSinkReceivesRowsBeforeSweepCompletes(t *testing.T) {
 	}
 }
 
+// gridPlan is a synthetic fixed-grid plan: one point per task, in order.
+func gridPlan(meta TableMeta, tasks ...func() ([]string, error)) *plan {
+	p := &plan{meta: meta}
+	for _, task := range tasks {
+		p.coarse = append(p.coarse, planPoint{eval: func(int) ([]string, float64, error) {
+			row, err := task()
+			return row, 0, err
+		}})
+	}
+	return p
+}
+
+// orderedRows runs tasks over streamOrdered, the reorder-and-fail-fast
+// core every round of every plan goes through.
+func orderedRows(parallelism int, tasks []func() ([]string, error), emit func(row []string) error) error {
+	return streamOrdered(parallelism, len(tasks),
+		func(i int) ([]string, error) { return tasks[i]() },
+		func(_ int, row []string) error { return emit(row) })
+}
+
 func TestStreamTasksOrderAndErrors(t *testing.T) {
 	// Rows arrive in task order however many workers run them.
 	n := 100
-	tasks := make([]rowTask, n)
+	tasks := make([]func() ([]string, error), n)
 	for i := range tasks {
 		tasks[i] = func() ([]string, error) {
 			return []string{strconv.Itoa(i)}, nil
 		}
 	}
 	var rows [][]string
-	if err := streamTasks(8, tasks, func(row []string) error {
+	if err := orderedRows(8, tasks, func(row []string) error {
 		rows = append(rows, row)
 		return nil
 	}); err != nil {
@@ -191,7 +210,7 @@ func TestStreamTasksOrderAndErrors(t *testing.T) {
 		return nil, boom
 	}
 	rows = nil
-	err := streamTasks(4, tasks, func(row []string) error {
+	err := orderedRows(4, tasks, func(row []string) error {
 		rows = append(rows, row)
 		if len(rows) == 37 {
 			close(delivered)
@@ -213,12 +232,12 @@ func TestStreamTasksOrderAndErrors(t *testing.T) {
 	// A sink error aborts the sweep.
 	tasks[37] = func() ([]string, error) { return []string{"37"}, nil }
 	sinkErr := errors.New("disk full")
-	if err := streamTasks(4, tasks, func([]string) error { return sinkErr }); !errors.Is(err, sinkErr) {
+	if err := orderedRows(4, tasks, func([]string) error { return sinkErr }); !errors.Is(err, sinkErr) {
 		t.Fatalf("error = %v, want sink error", err)
 	}
 
 	// Degenerate pools still work.
-	if err := streamTasks(0, nil, func([]string) error {
+	if err := orderedRows(0, nil, func([]string) error {
 		t.Error("emit called with no tasks")
 		return nil
 	}); err != nil {
@@ -277,5 +296,101 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if err := Stream("nope", tinyScale(), &TableSink{}); err == nil {
 		t.Error("Stream accepted an unknown key")
+	}
+}
+
+// countingExchange fails the refinement-metric lookup and counts calls.
+type countingExchange struct{ calls atomic.Int64 }
+
+func (c *countingExchange) ForeignMetric(string, int) (float64, bool) {
+	c.calls.Add(1)
+	return 0, false
+}
+
+// TestFixedGridResolvesNoForeignMetrics: a plan without a refiner needs
+// nobody else's metrics, so a shard of it never asks the exchange and
+// simulates exactly the points it owns — for a synthetic grid and for a
+// registered one.
+func TestFixedGridResolvesNoForeignMetrics(t *testing.T) {
+	var tasks []func() ([]string, error)
+	for i := 0; i < 6; i++ {
+		tasks = append(tasks, func() ([]string, error) { return []string{strconv.Itoa(i)}, nil })
+	}
+	ex := &countingExchange{}
+	s := tinyScale()
+	s.Shard = Shard{Index: 1, Count: 2}
+	s.Exchange = ex
+	s.Counters = &Counters{}
+	var ts TableSink
+	if err := stream(s, gridPlan(TableMeta{Name: "grid probe", Header: []string{"i"}}, tasks...), &ts); err != nil {
+		t.Fatal(err)
+	}
+	if got := ts.Table().Rows; len(got) != 3 || got[0][0] != "1" || got[1][0] != "3" || got[2][0] != "5" {
+		t.Errorf("shard 1/2 emitted %v, want rows 1, 3, 5", got)
+	}
+	if err := Stream("figure5", s, &ts); err != nil {
+		t.Fatal(err)
+	}
+	if n := ex.calls.Load(); n != 0 {
+		t.Errorf("fixed grids made %d ForeignMetric calls, want 0", n)
+	}
+	// 3 of the probe's 6 points, 3 of figure5's 2 fractions x 3 policies.
+	if n := s.Counters.Evaluations.Load(); n != 6 {
+		t.Errorf("shard 1/2 simulated %d points, want the 6 it owns", n)
+	}
+}
+
+// TestSpecRowsFollowDeclaredAxisOrder: a spec's header is its axes'
+// columns then its metric names, and its rows are the cross product of
+// the axes in declared order, outermost first — here Figure 5's two
+// axes swapped, so each cell must equal the Figure 5 cell of the same
+// (policy, cache) pair.
+func TestSpecRowsFollowDeclaredAxisOrder(t *testing.T) {
+	s := tinyScale()
+	swapped := spec{
+		name:    "axis order probe",
+		axes:    []axisFn{delayPolicies, cacheAxis},
+		metrics: []string{"hit_ratio", "traffic_reduction"},
+	}
+	var ts TableSink
+	if err := (Experiment{build: swapped.compile}).Stream(s, &ts); err != nil {
+		t.Fatal(err)
+	}
+	got := ts.Table()
+	if want := "policy,cache_pct,hit_ratio,traffic_reduction"; strings.Join(got.Header, ",") != want {
+		t.Fatalf("header = %v, want %s", got.Header, want)
+	}
+	fig5, err := tableOf("figure5")(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := map[string][]string{} // "policy,cache_pct" -> hit_ratio, traffic_reduction
+	for _, row := range fig5.Rows {
+		cell[row[1]+","+row[0]] = []string{row[6], row[2]}
+	}
+	var order []string
+	for _, row := range got.Rows {
+		key := row[0] + "," + row[1]
+		order = append(order, key)
+		if want := cell[key]; len(row) != 4 || row[2] != want[0] || row[3] != want[1] {
+			t.Errorf("row %v, want metrics %v (Figure 5's %s cell)", row, want, key)
+		}
+	}
+	if want := "IF,2.000 IF,10.000 PB,2.000 PB,10.000 IB,2.000 IB,10.000"; strings.Join(order, " ") != want {
+		t.Errorf("row order = %v, want %s", order, want)
+	}
+}
+
+// TestSpecCompileRejectsMalformedSpecs: a metric name outside the
+// column table, and a multi-level axis beside an adaptive one (a
+// refined point would not know which level it belongs to).
+func TestSpecCompileRejectsMalformedSpecs(t *testing.T) {
+	s := tinyScale()
+	if _, err := (spec{name: "typo", axes: []axisFn{cacheAxis, pbPolicy}, metrics: []string{"avg_delay"}}).compile(s); err == nil {
+		t.Error("unknown metric column accepted")
+	}
+	bad := spec{name: "ambiguous", axes: []axisFn{refined(cacheAxis), delayPolicies}, metrics: delayMetrics, refineOn: "avg_delay_s"}
+	if _, err := bad.compile(s); err == nil {
+		t.Error("multi-level axis beside an adaptive axis accepted")
 	}
 }

@@ -142,7 +142,7 @@ func TestShardedRefinementExchangeByteIdentical(t *testing.T) {
 
 						var sum int64
 						for idx, n := range evals {
-							want := int64(len(Shard{Index: idx, Count: count}.indices(totalRows)))
+							want := int64(len(ownedIndices(Shard{Index: idx, Count: count}, totalRows)))
 							if n != want {
 								t.Errorf("shard %d/%d simulated %d points, want exactly its %d owned",
 									idx, count, n, want)
@@ -243,9 +243,10 @@ func TestRefined2DDeterministicAcrossParallelism(t *testing.T) {
 // spread of a cell is the metric range over samples on its closed
 // bounds, and center() bisects exactly.
 func TestRefined2DCellSpreadScoring(t *testing.T) {
-	samples := []sample2d{
-		{0, 0, 1}, {1, 0, 5}, {0, 1, 2}, {1, 1, 3}, // corners
-		{2, 2, 100}, // outside
+	at := func(x, y, metric float64) sample { return sample{at: []float64{x, y}, metric: metric} }
+	samples := []sample{
+		at(0, 0, 1), at(1, 0, 5), at(0, 1, 2), at(1, 1, 3), // corners
+		at(2, 2, 100), // outside
 	}
 	c := cell2d{0, 1, 0, 1}
 	if got := c.spread(samples); got != 4 {
@@ -257,7 +258,7 @@ func TestRefined2DCellSpreadScoring(t *testing.T) {
 	}
 	// A sample on the boundary counts for both adjacent cells.
 	left, right := cell2d{0, 0.5, 0, 1}, cell2d{0.5, 1, 0, 1}
-	boundary := []sample2d{{0.5, 0.5, 10}, {0, 0, 4}, {1, 0, 7}}
+	boundary := []sample{at(0.5, 0.5, 10), at(0, 0, 4), at(1, 0, 7)}
 	if got := left.spread(boundary); got != 6 {
 		t.Errorf("left spread = %v, want 6", got)
 	}
@@ -420,7 +421,7 @@ func TestEvalRoundOwnedFirst(t *testing.T) {
 						t.Fatalf("shard %d: %v", idx, errs[idx])
 					}
 					parts[idx] = &outs[idx]
-					owned := Shard{Index: idx, Count: count}.indices(total)
+					owned := ownedIndices(Shard{Index: idx, Count: count}, total)
 					emitted := map[int]bool{}
 					fetches := 0
 					for _, ev := range sh.events {
@@ -456,5 +457,40 @@ func TestEvalRoundOwnedFirst(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestQuadtreeSplitKeepsUnsplitCells states what a quadtree split should
+// do — replace the picked cell by its four quadrants and keep every
+// other cell — and is skipped because today's pick does not: it rewrites
+// the cell list in place and overwrites the cells behind the first
+// split with copies of its quadrants (see the note in quadtree.pick and
+// ROADMAP.md). Un-skip it with the fix, which also moves refined-esigma's
+// rows (regenerate testdata/golden_small.sha256 with -update).
+func TestQuadtreeSplitKeepsUnsplitCells(t *testing.T) {
+	t.Skip("known defect carried over unchanged by the spec/plan refactor: quadtree.pick loses the cells behind the first split")
+	q := newQuadtree([]float64{0, 1, 2, 3}, []float64{0, 1, 2}) // 3 x 2 cells
+	// All the spread sits in the first cell, (0..1) x (0..1).
+	samples := []sample{{at: []float64{0, 0}, metric: 10}}
+	for _, x := range []float64{0, 1, 2, 3} {
+		for _, y := range []float64{0, 1, 2} {
+			if x != 0 || y != 0 {
+				samples = append(samples, sample{at: []float64{x, y}})
+			}
+		}
+	}
+	picks, err := q.pick(samples, 1)
+	if err != nil || len(picks) != 1 || picks[0][0] != 0.5 || picks[0][1] != 0.5 {
+		t.Fatalf("pick = %v, %v; want the center of the first cell", picks, err)
+	}
+	distinct := map[cell2d]bool{}
+	for _, c := range q.cells {
+		distinct[c] = true
+	}
+	if len(q.cells) != 9 || len(distinct) != 9 {
+		t.Errorf("after one split: %d cells, %d distinct; want the 5 untouched cells plus 4 quadrants", len(q.cells), len(distinct))
+	}
+	if !distinct[cell2d{2, 3, 1, 2}] {
+		t.Error("the last coarse cell was lost by the split")
 	}
 }

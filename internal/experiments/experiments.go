@@ -46,9 +46,9 @@ type Scale struct {
 	// runtime.GOMAXPROCS(0)). Tables are bit-identical for every value.
 	Parallelism int
 	// RefineBudget is the number of extra points the adaptive axis
-	// sweeps (refined-e, refined-sigma, refined-cache) may add beyond
-	// their coarse grid, bisecting the intervals with the steepest
-	// metric gradient. 0 disables refinement.
+	// sweeps (refined-e, refined-sigma, refined-cache, refined-esigma)
+	// may add beyond their coarse grid, bisecting the intervals (in 2-D,
+	// the cells) where the metric varies most. 0 disables refinement.
 	RefineBudget int
 	// Shard restricts a run to the subset of rows whose global index
 	// this shard owns (index mod Shard.Count == Shard.Index), so N
@@ -160,19 +160,15 @@ func (s Scale) RunFingerprint() string {
 	return s.Fingerprint()
 }
 
-func (s Scale) workload() workload.Config {
-	return workload.Config{NumObjects: s.Objects, NumRequests: s.Requests}
-}
-
 // totalBytes estimates the unique-object volume for cache sizing. The
 // sizing workload uses the seed of run 0 (sim.SplitSeed, matching what
 // sim.Run derives internally) so the cache_pct axis is a fraction of an
 // object population the simulations actually realize. Generation is
-// memoized through the arena (nil generates fresh, identically): every
-// runner at one scale sizes against the same workload, so a shared
-// arena pays for it once.
-func (s Scale) totalBytes(arena *sim.Arena) (int64, error) {
-	w, err := arena.Workload(workload.Config{
+// memoized through the scale's arena (nil generates fresh,
+// identically): every spec at one scale sizes against the same
+// workload, so a shared arena pays for it once.
+func (s Scale) totalBytes() (int64, error) {
+	w, err := s.Arena.Workload(workload.Config{
 		NumObjects:  s.Objects,
 		NumRequests: 1,
 		Seed:        sim.SplitSeed(s.Seed, 0),
@@ -183,54 +179,23 @@ func (s Scale) totalBytes(arena *sim.Arena) (int64, error) {
 	return w.TotalUniqueBytes(), nil
 }
 
+// traceWorkload validates the scale and generates, through the arena,
+// the one full request trace the workload-level tables (table1,
+// ext-merging) characterize.
+func (s Scale) traceWorkload() (*workload.Workload, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	return s.Arena.Workload(workload.Config{NumObjects: s.Objects, NumRequests: s.Requests, Seed: s.Seed})
+}
+
 func f3(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
 func f1(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
 
-// policySweep builds the common grid: one simulation per (cache
-// fraction, policy), a row per combination.
-func policySweep(s Scale, meta TableMeta, policies []core.Policy, variation bandwidth.Variability) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	arena := s.Arena
-	total, err := s.totalBytes(arena)
-	if err != nil {
-		return nil, err
-	}
-	sw := &taskSweep{meta: meta}
-	sw.meta.Header = []string{"cache_pct", "policy", "traffic_reduction", "avg_delay_s", "avg_quality", "total_value", "hit_ratio"}
-	for _, frac := range s.CacheFractions {
-		for _, p := range policies {
-			sw.tasks = append(sw.tasks, simRow(arena, sim.Config{
-				Workload:   s.workload(),
-				CacheBytes: int64(frac * float64(total)),
-				Policy:     p,
-				Variation:  variation,
-				Runs:       s.Runs,
-				Seed:       s.Seed,
-			}, func(m sim.Metrics) []string {
-				return []string{
-					f3(frac * 100), p.Name(),
-					f3(m.TrafficReductionRatio), f1(m.AvgServiceDelay),
-					f3(m.AvgStreamQuality), f1(m.TotalAddedValue), f3(m.HitRatio),
-				}
-			}))
-		}
-	}
-	return sw, nil
-}
-
-// table1Runner reports the generated workload's characteristics against the
+// table1 reports the generated workload's characteristics against the
 // paper's Table 1 targets.
-func table1Runner(s Scale) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	w, err := s.Arena.Workload(workload.Config{
-		NumObjects:  s.Objects,
-		NumRequests: s.Requests,
-		Seed:        s.Seed,
-	})
+func table1(s Scale) (*plan, error) {
+	w, err := s.traceWorkload()
 	if err != nil {
 		return nil, err
 	}
@@ -240,30 +205,27 @@ func table1Runner(s Scale) (runner, error) {
 		top10 += counts[i]
 	}
 	rate := w.Config.Rate()
-	return &staticTable{
-		meta: TableMeta{
-			Name:   "Table 1: Characteristics of the Synthetic Workload",
-			Note:   "paper targets: 5000 objects, 100000 requests, Zipf 0.73, ~55 min mean duration, 48 KB/s, ~790 GB total",
-			Header: []string{"characteristic", "value"},
-		},
-		rows: [][]string{
-			{"objects", strconv.Itoa(len(w.Objects))},
-			{"requests", strconv.Itoa(len(w.Requests))},
-			{"zipf_alpha", f3(w.Config.ZipfAlpha)},
-			{"object_bitrate_KBps", f1(units.ToKBps(rate))},
-			{"mean_duration_min", f1(w.MeanDurationSeconds() / 60)},
-			{"total_unique_GB", f1(units.ToGBytes(w.TotalUniqueBytes()))},
-			{"mean_request_rate_per_s", f3(float64(len(w.Requests)) / w.Span())},
-			{"top10_request_share", f3(float64(top10) / float64(len(w.Requests)))},
-		},
-	}, nil
+	return staticPlan(TableMeta{
+		Name:   "Table 1: Characteristics of the Synthetic Workload",
+		Note:   "paper targets: 5000 objects, 100000 requests, Zipf 0.73, ~55 min mean duration, 48 KB/s, ~790 GB total",
+		Header: []string{"characteristic", "value"},
+	}, [][]string{
+		{"objects", strconv.Itoa(len(w.Objects))},
+		{"requests", strconv.Itoa(len(w.Requests))},
+		{"zipf_alpha", f3(w.Config.ZipfAlpha)},
+		{"object_bitrate_KBps", f1(units.ToKBps(rate))},
+		{"mean_duration_min", f1(w.MeanDurationSeconds() / 60)},
+		{"total_unique_GB", f1(units.ToGBytes(w.TotalUniqueBytes()))},
+		{"mean_request_rate_per_s", f3(float64(len(w.Requests)) / w.Span())},
+		{"top10_request_share", f3(float64(top10) / float64(len(w.Requests)))},
+	}), nil
 }
 
-// figure2Runner regenerates the NLANR bandwidth distribution: a synthetic
+// figure2 regenerates the NLANR bandwidth distribution: a synthetic
 // Squid log is produced from the reconstructed model, then analyzed
 // exactly as Section 3.1 describes (missed requests > 200 KB), yielding
 // the histogram (4 KB/s slots) and CDF of Figure 2.
-func figure2Runner(s Scale) (runner, error) {
+func figure2(s Scale) (*plan, error) {
 	analysis, err := analyzeSyntheticLog(s, bandwidth.NoVariation{})
 	if err != nil {
 		return nil, err
@@ -272,27 +234,27 @@ func figure2Runner(s Scale) (runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &staticTable{
-		meta: TableMeta{
-			Name:   "Figure 2: Internet bandwidth distribution observed in (synthetic) NLANR cache logs",
-			Note:   "anchors: 37% of requests below 50 KB/s, 56% below 100 KB/s",
-			Header: []string{"bw_KBps", "samples", "cdf"},
-		},
-	}
-	cdf := hist.CDF()
-	for i := 0; i < hist.NumBins(); i++ {
-		t.rows = append(t.rows, []string{
-			f1(units.ToKBps(hist.BinStart(i))),
-			strconv.FormatInt(hist.Bin(i), 10),
-			f3(cdf[i]),
-		})
-	}
-	return t, nil
+	return staticPlan(TableMeta{
+		Name:   "Figure 2: Internet bandwidth distribution observed in (synthetic) NLANR cache logs",
+		Note:   "anchors: 37% of requests below 50 KB/s, 56% below 100 KB/s",
+		Header: []string{"bw_KBps", "samples", "cdf"},
+	}, histogramRows(hist, func(bps float64) string { return f1(units.ToKBps(bps)) })), nil
 }
 
-// figure3Runner regenerates the sample-to-mean bandwidth variability of the
+// histogramRows renders a histogram as (bin start, samples, running
+// CDF) rows, the shape of Figures 2 and 3.
+func histogramRows(h *metrics.Histogram, start func(float64) string) [][]string {
+	rows := make([][]string, h.NumBins())
+	cdf := h.CDF()
+	for i := range rows {
+		rows[i] = []string{start(h.BinStart(i)), strconv.FormatInt(h.Bin(i), 10), f3(cdf[i])}
+	}
+	return rows
+}
+
+// figure3 regenerates the sample-to-mean bandwidth variability of the
 // NLANR logs: per-server means, then the ratio histogram and CDF.
-func figure3Runner(s Scale) (runner, error) {
+func figure3(s Scale) (*plan, error) {
 	analysis, err := analyzeSyntheticLog(s, bandwidth.NLANRVariability())
 	if err != nil {
 		return nil, err
@@ -305,20 +267,11 @@ func figure3Runner(s Scale) (runner, error) {
 	for _, r := range ratios {
 		h.Add(r)
 	}
-	t := &staticTable{
-		meta: TableMeta{
-			Name:   "Figure 3: Variation of bandwidth observed in the (synthetic) NLANR cache logs",
-			Note:   "paper: ~70% of samples fall within 0.5-1.5x the path mean",
-			Header: []string{"ratio", "samples", "cdf"},
-		},
-	}
-	cdf := h.CDF()
-	for i := 0; i < h.NumBins(); i++ {
-		t.rows = append(t.rows, []string{
-			f3(h.BinStart(i)), strconv.FormatInt(h.Bin(i), 10), f3(cdf[i]),
-		})
-	}
-	return t, nil
+	return staticPlan(TableMeta{
+		Name:   "Figure 3: Variation of bandwidth observed in the (synthetic) NLANR cache logs",
+		Note:   "paper: ~70% of samples fall within 0.5-1.5x the path mean",
+		Header: []string{"ratio", "samples", "cdf"},
+	}, histogramRows(h, f3)), nil
 }
 
 func analyzeSyntheticLog(s Scale, v bandwidth.Variability) (*trace.Analysis, error) {
@@ -340,20 +293,14 @@ func analyzeSyntheticLog(s Scale, v bandwidth.Variability) (*trace.Analysis, err
 	return trace.Analyze(entries, 0)
 }
 
-// figure4Runner regenerates the measured-path bandwidth time series: 4-minute
+// figure4 regenerates the measured-path bandwidth time series: 4-minute
 // samples over 30-45 hours for the three modeled paths, plus each path's
 // sample-to-mean CoV (the paper's variability comparison).
-func figure4Runner(s Scale) (runner, error) {
+func figure4(s Scale) (*plan, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	t := &staticTable{
-		meta: TableMeta{
-			Name:   "Figure 4: Bandwidth variation of (modeled) real paths",
-			Note:   "INRIA has much lower variability than the Far-East paths; all are below the NLANR-log level",
-			Header: []string{"path", "t_hours", "bw_KBps"},
-		},
-	}
+	var rows [][]string
 	rng := rand.New(rand.NewSource(s.Seed))
 	hours := []float64{45, 40, 30} // per Figure 4's spans
 	for i, p := range []bandwidth.PresetPath{bandwidth.PathINRIA, bandwidth.PathTaiwan, bandwidth.PathHongKong} {
@@ -367,255 +314,129 @@ func figure4Runner(s Scale) (runner, error) {
 			return nil, err
 		}
 		for _, sample := range series {
-			t.rows = append(t.rows, []string{
+			rows = append(rows, []string{
 				p.String(), f3(sample.T.Hours()), f1(units.ToKBps(sample.Rate)),
 			})
 		}
 	}
-	return t, nil
+	return staticPlan(TableMeta{
+		Name:   "Figure 4: Bandwidth variation of (modeled) real paths",
+		Note:   "INRIA has much lower variability than the Far-East paths; all are below the NLANR-log level",
+		Header: []string{"path", "t_hours", "bw_KBps"},
+	}, rows), nil
 }
 
-// figure5Runner compares IF, PB and IB under the constant-bandwidth
+// policyMetrics are the columns of the policy-comparison figures
+// (5, 7, 8, 10, 11): all five Section 3.3 metrics.
+var policyMetrics = []string{"traffic_reduction", "avg_delay_s", "avg_quality", "total_value", "hit_ratio"}
+
+// delayMetrics are the columns of the delay-objective tables.
+var delayMetrics = []string{"traffic_reduction", "avg_delay_s", "avg_quality"}
+
+// The policy trios of the delay-objective (Figures 5, 7, 8) and the
+// value-objective (Figures 10, 11) comparisons.
+var (
+	delayPolicies = policyAxis(core.NewIF(), core.NewPB(), core.NewIB())
+	valuePolicies = policyAxis(core.NewIF(), core.NewPBV(), core.NewIBV())
+)
+
+// figure5 compares IF, PB and IB under the constant-bandwidth
 // assumption across cache sizes.
-func figure5Runner(s Scale) (runner, error) {
-	return policySweep(s, TableMeta{
-		Name: "Figure 5: IF vs PB vs IB under constant bandwidth",
-		Note: "expect: IF best traffic reduction, PB best delay/quality, IB between",
-	}, []core.Policy{core.NewIF(), core.NewPB(), core.NewIB()}, bandwidth.NoVariation{})
+var figure5 = spec{
+	name:    "Figure 5: IF vs PB vs IB under constant bandwidth",
+	note:    "expect: IF best traffic reduction, PB best delay/quality, IB between",
+	axes:    []axisFn{cacheAxis, delayPolicies},
+	metrics: policyMetrics,
 }
 
-// figure6Runner sweeps the Zipf popularity skew for IB and PB under constant
+// figure6 sweeps the Zipf popularity skew for IB and PB under constant
 // bandwidth.
-func figure6Runner(s Scale) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	arena := s.Arena
-	total, err := s.totalBytes(arena)
-	if err != nil {
-		return nil, err
-	}
-	sw := &taskSweep{meta: TableMeta{
-		Name:   "Figure 6: Effect of Zipf parameter alpha (IB and PB, constant bandwidth)",
-		Note:   "expect: all metrics improve with alpha; orderings preserved",
-		Header: []string{"alpha", "cache_pct", "policy", "traffic_reduction", "avg_delay_s", "avg_quality"},
-	}}
-	for _, alpha := range s.AlphaSweep {
-		for _, frac := range s.CacheFractions {
-			for _, p := range []core.Policy{core.NewIB(), core.NewPB()} {
-				sw.tasks = append(sw.tasks, simRow(arena, sim.Config{
-					Workload: workload.Config{
-						NumObjects:  s.Objects,
-						NumRequests: s.Requests,
-						ZipfAlpha:   alpha,
-					},
-					CacheBytes: int64(frac * float64(total)),
-					Policy:     p,
-					Runs:       s.Runs,
-					Seed:       s.Seed,
-				}, func(m sim.Metrics) []string {
-					return []string{
-						f3(alpha), f3(frac * 100), p.Name(),
-						f3(m.TrafficReductionRatio), f1(m.AvgServiceDelay), f3(m.AvgStreamQuality),
-					}
-				}))
-			}
-		}
-	}
-	return sw, nil
+var figure6 = spec{
+	name: "Figure 6: Effect of Zipf parameter alpha (IB and PB, constant bandwidth)",
+	note: "expect: all metrics improve with alpha; orderings preserved",
+	axes: []axisFn{
+		func(s Scale) axis {
+			return axis{cols: []string{"alpha"}, values: s.AlphaSweep, at: func(alpha float64) (level, error) {
+				return opt(f3(alpha), func(pt *point) { pt.Workload.ZipfAlpha = alpha }), nil
+			}}
+		},
+		cacheAxis, policyAxis(core.NewIB(), core.NewPB()),
+	},
+	metrics: delayMetrics,
 }
 
-// figure7Runner repeats Figure 5 under the high (NLANR-log) variability model.
-func figure7Runner(s Scale) (runner, error) {
-	return policySweep(s, TableMeta{
-		Name: "Figure 7: IF vs PB vs IB under NLANR-level bandwidth variability",
-		Note: "expect: delays rise for all; IB no worse than PB",
-	}, []core.Policy{core.NewIF(), core.NewPB(), core.NewIB()}, bandwidth.NLANRVariability())
+// figure7 repeats Figure 5 under the high (NLANR-log) variability model.
+var figure7 = spec{
+	name:    "Figure 7: IF vs PB vs IB under NLANR-level bandwidth variability",
+	note:    "expect: delays rise for all; IB no worse than PB",
+	axes:    []axisFn{cacheAxis, delayPolicies, variation(bandwidth.NLANRVariability())},
+	metrics: policyMetrics,
 }
 
-// figure8Runner repeats Figure 5 under the lower measured-path variability.
-func figure8Runner(s Scale) (runner, error) {
-	return policySweep(s, TableMeta{
-		Name: "Figure 8: IF vs PB vs IB under measured-path bandwidth variability",
-		Note: "expect: PB regains the best delay/quality",
-	}, []core.Policy{core.NewIF(), core.NewPB(), core.NewIB()}, bandwidth.MeasuredVariability())
+// figure8 repeats Figure 5 under the lower measured-path variability.
+var figure8 = spec{
+	name:    "Figure 8: IF vs PB vs IB under measured-path bandwidth variability",
+	note:    "expect: PB regains the best delay/quality",
+	axes:    []axisFn{cacheAxis, delayPolicies, variation(bandwidth.MeasuredVariability())},
+	metrics: policyMetrics,
 }
 
-// figure9Runner sweeps the bandwidth under-estimation factor e between IB
+// figure9 sweeps the bandwidth under-estimation factor e between IB
 // (e=0) and PB (e=1) under NLANR variability.
-func figure9Runner(s Scale) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	arena := s.Arena
-	total, err := s.totalBytes(arena)
-	if err != nil {
-		return nil, err
-	}
-	sw := &taskSweep{meta: TableMeta{
-		Name:   "Figure 9: Effect of partial caching based on bandwidth estimation (delay objective)",
-		Note:   "expect: traffic reduction decreases in e; delay minimized at moderate e",
-		Header: []string{"e", "cache_pct", "traffic_reduction", "avg_delay_s", "avg_quality"},
-	}}
-	for _, e := range s.ESweep {
-		p, err := core.NewHybrid(e)
-		if err != nil {
-			return nil, err
-		}
-		for _, frac := range s.CacheFractions {
-			sw.tasks = append(sw.tasks, simRow(arena, sim.Config{
-				Workload:   s.workload(),
-				CacheBytes: int64(frac * float64(total)),
-				Policy:     p,
-				Variation:  bandwidth.NLANRVariability(),
-				Runs:       s.Runs,
-				Seed:       s.Seed,
-			}, func(m sim.Metrics) []string {
-				return []string{
-					f3(e), f3(frac * 100),
-					f3(m.TrafficReductionRatio), f1(m.AvgServiceDelay), f3(m.AvgStreamQuality),
-				}
-			}))
-		}
-	}
-	return sw, nil
+var figure9 = spec{
+	name:    "Figure 9: Effect of partial caching based on bandwidth estimation (delay objective)",
+	note:    "expect: traffic reduction decreases in e; delay minimized at moderate e",
+	axes:    []axisFn{eAxis(core.NewHybrid), cacheAxis, variation(bandwidth.NLANRVariability())},
+	metrics: delayMetrics,
 }
 
-// figure10Runner compares IF, PB-V and IB-V on the revenue objective under
+// figure10 compares IF, PB-V and IB-V on the revenue objective under
 // constant bandwidth.
-func figure10Runner(s Scale) (runner, error) {
-	return policySweep(s, TableMeta{
-		Name: "Figure 10: IF vs PB-V vs IB-V under constant bandwidth (value objective)",
-		Note: "expect: IF best traffic but worst value; PB-V best value; IB-V balanced",
-	}, []core.Policy{core.NewIF(), core.NewPBV(), core.NewIBV()}, bandwidth.NoVariation{})
+var figure10 = spec{
+	name:    "Figure 10: IF vs PB-V vs IB-V under constant bandwidth (value objective)",
+	note:    "expect: IF best traffic but worst value; PB-V best value; IB-V balanced",
+	axes:    []axisFn{cacheAxis, valuePolicies},
+	metrics: policyMetrics,
 }
 
-// figure11Runner repeats Figure 10 under measured-path variability.
-func figure11Runner(s Scale) (runner, error) {
-	return policySweep(s, TableMeta{
-		Name: "Figure 11: IF vs PB-V vs IB-V under measured-path variability (value objective)",
-		Note: "expect: IB-V the best compromise (and top value) once bandwidth varies",
-	}, []core.Policy{core.NewIF(), core.NewPBV(), core.NewIBV()}, bandwidth.MeasuredVariability())
+// figure11 repeats Figure 10 under measured-path variability.
+var figure11 = spec{
+	name:    "Figure 11: IF vs PB-V vs IB-V under measured-path variability (value objective)",
+	note:    "expect: IB-V the best compromise (and top value) once bandwidth varies",
+	axes:    []axisFn{cacheAxis, valuePolicies, variation(bandwidth.MeasuredVariability())},
+	metrics: policyMetrics,
 }
 
-// figure12Runner sweeps the under-estimation factor e for the value objective
+// figure12 sweeps the under-estimation factor e for the value objective
 // under NLANR variability.
-func figure12Runner(s Scale) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	arena := s.Arena
-	total, err := s.totalBytes(arena)
-	if err != nil {
-		return nil, err
-	}
-	sw := &taskSweep{meta: TableMeta{
-		Name:   "Figure 12: Effect of partial caching based on bandwidth estimation (value objective)",
-		Note:   "expect: total value maximized at a moderate e",
-		Header: []string{"e", "cache_pct", "traffic_reduction", "total_value"},
-	}}
-	for _, e := range s.ESweep {
-		p, err := core.NewHybridV(e)
-		if err != nil {
-			return nil, err
-		}
-		for _, frac := range s.CacheFractions {
-			sw.tasks = append(sw.tasks, simRow(arena, sim.Config{
-				Workload:   s.workload(),
-				CacheBytes: int64(frac * float64(total)),
-				Policy:     p,
-				Variation:  bandwidth.NLANRVariability(),
-				Runs:       s.Runs,
-				Seed:       s.Seed,
-			}, func(m sim.Metrics) []string {
-				return []string{
-					f3(e), f3(frac * 100), f3(m.TrafficReductionRatio), f1(m.TotalAddedValue),
-				}
-			}))
-		}
-	}
-	return sw, nil
+var figure12 = spec{
+	name:    "Figure 12: Effect of partial caching based on bandwidth estimation (value objective)",
+	note:    "expect: total value maximized at a moderate e",
+	axes:    []axisFn{eAxis(core.NewHybridV), cacheAxis, variation(bandwidth.NLANRVariability())},
+	metrics: []string{"traffic_reduction", "total_value"},
 }
 
-// ablationEvictionRunner compares byte-granular (partial) eviction
-// with whole-object eviction for the PB policy - the design choice
-// called out in DESIGN.md section 6.
-func ablationEvictionRunner(s Scale) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	arena := s.Arena
-	total, err := s.totalBytes(arena)
-	if err != nil {
-		return nil, err
-	}
-	sw := &taskSweep{meta: TableMeta{
-		Name:   "Ablation: byte-granular vs whole-object eviction (PB policy, constant bandwidth)",
-		Header: []string{"cache_pct", "eviction", "traffic_reduction", "avg_delay_s", "avg_quality"},
-	}}
-	for _, frac := range s.CacheFractions {
-		for _, mode := range []struct {
-			label string
-			whole bool
-		}{{"partial", false}, {"whole", true}} {
-			sw.tasks = append(sw.tasks, simRow(arena, sim.Config{
-				Workload:     s.workload(),
-				CacheBytes:   int64(frac * float64(total)),
-				Policy:       core.NewPB(),
-				CacheOptions: []core.Option{core.WithWholeObjectEviction(mode.whole)},
-				Runs:         s.Runs,
-				Seed:         s.Seed,
-			}, func(m sim.Metrics) []string {
-				return []string{
-					f3(frac * 100), mode.label,
-					f3(m.TrafficReductionRatio), f1(m.AvgServiceDelay), f3(m.AvgStreamQuality),
-				}
-			}))
-		}
-	}
-	return sw, nil
+// ablationEviction compares byte-granular (partial) eviction with
+// whole-object eviction for the PB policy - the design choice called
+// out in DESIGN.md section 6.
+var ablationEviction = spec{
+	name:    "Ablation: byte-granular vs whole-object eviction (PB policy, constant bandwidth)",
+	axes:    []axisFn{cacheAxis, pbPolicy, choice("eviction", eviction("partial", false), eviction("whole", true))},
+	metrics: delayMetrics,
 }
 
-// ablationEstimatorsRunner compares the oracle-mean estimator with the passive
+func eviction(label string, whole bool) level {
+	return opt(label, func(pt *point) { pt.CacheOptions = []core.Option{core.WithWholeObjectEviction(whole)} })
+}
+
+// ablationEstimators compares the oracle-mean estimator with the passive
 // EWMA estimator of Section 2.7 under measured-path variability.
-func ablationEstimatorsRunner(s Scale) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	arena := s.Arena
-	total, err := s.totalBytes(arena)
-	if err != nil {
-		return nil, err
-	}
-	sw := &taskSweep{meta: TableMeta{
-		Name:   "Ablation: oracle vs passive EWMA bandwidth estimation (PB policy, measured variability)",
-		Header: []string{"cache_pct", "estimator", "traffic_reduction", "avg_delay_s", "avg_quality"},
-	}}
-	estimators := []struct {
-		label   string
-		factory sim.EstimatorFactory
-	}{
-		{"oracle", sim.OracleEstimator},
-		{"ewma_0.3", sim.EWMAEstimator(0.3)},
-		{"underestimate_0.5", sim.UnderestimatingOracle(0.5)},
-	}
-	for _, frac := range s.CacheFractions {
-		for _, est := range estimators {
-			sw.tasks = append(sw.tasks, simRow(arena, sim.Config{
-				Workload:   s.workload(),
-				CacheBytes: int64(frac * float64(total)),
-				Policy:     core.NewPB(),
-				Variation:  bandwidth.MeasuredVariability(),
-				Estimators: est.factory,
-				Runs:       s.Runs,
-				Seed:       s.Seed,
-			}, func(m sim.Metrics) []string {
-				return []string{
-					f3(frac * 100), est.label,
-					f3(m.TrafficReductionRatio), f1(m.AvgServiceDelay), f3(m.AvgStreamQuality),
-				}
-			}))
-		}
-	}
-	return sw, nil
+var ablationEstimators = spec{
+	name: "Ablation: oracle vs passive EWMA bandwidth estimation (PB policy, measured variability)",
+	axes: []axisFn{cacheAxis, pbPolicy, variation(bandwidth.MeasuredVariability()), choice("estimator",
+		estimator("oracle", sim.OracleEstimator),
+		estimator("ewma_0.3", sim.EWMAEstimator(0.3)),
+		estimator("underestimate_0.5", sim.UnderestimatingOracle(0.5)),
+	)},
+	metrics: delayMetrics,
 }

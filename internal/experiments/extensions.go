@@ -1,31 +1,24 @@
 package experiments
 
 import (
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
 	"streamcache/internal/merge"
 	"streamcache/internal/sim"
 	"streamcache/internal/units"
-	"streamcache/internal/workload"
 )
 
-// extensionStreamMergingRunner evaluates the Section 6 direction of combining
+// extensionStreamMerging evaluates the Section 6 direction of combining
 // partial caching with patching and batching at the proxy: for the
 // Table 1 request trace it compares origin traffic under plain unicast,
 // batching (30 s window), threshold patching (analytic optimum T* per
 // object), and patching on top of PB's cached prefixes.
-func extensionStreamMergingRunner(s Scale) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	w, err := s.Arena.Workload(workload.Config{
-		NumObjects:  s.Objects,
-		NumRequests: s.Requests,
-		Seed:        s.Seed,
-	})
+func extensionStreamMerging(s Scale) (*plan, error) {
+	w, err := s.traceWorkload()
 	if err != nil {
 		return nil, err
 	}
@@ -72,12 +65,7 @@ func extensionStreamMergingRunner(s Scale) (runner, error) {
 	// Iterate objects in sorted-ID order: the per-technique totals are
 	// float sums, and float addition order must not depend on map
 	// iteration order or reruns drift in the low bits.
-	objIDs := make([]int, 0, len(byObject))
-	for id := range byObject {
-		objIDs = append(objIDs, id)
-	}
-	sort.Ints(objIDs)
-	for _, id := range objIDs {
+	for _, id := range slices.Sorted(maps.Keys(byObject)) {
 		ts := byObject[id]
 		o := w.Objects[id]
 		obj := merge.Object{Size: o.Size, Rate: o.Rate}
@@ -113,155 +101,79 @@ func extensionStreamMergingRunner(s Scale) (runner, error) {
 		totals["patching+PB_cache"].origin += patCached.OriginBytes
 	}
 
-	t := &staticTable{meta: TableMeta{
-		Name:   "Extension: stream merging (batching/patching) composed with partial caching",
-		Note:   "Section 6 future work; PB prefixes sized by the Section 2.3 optimum at 5% cache",
-		Header: []string{"technique", "origin_GB", "savings_vs_unicast", "avg_added_delay_s"},
-	}}
+	var rows [][]string
 	for _, key := range []string{"unicast", "batch_30s", "patching", "patching+PB_cache"} {
 		a := totals[key]
 		delay := 0.0
 		if key == "batch_30s" && len(w.Requests) > 0 {
 			delay = a.delay / float64(len(w.Requests))
 		}
-		t.rows = append(t.rows, []string{
+		rows = append(rows, []string{
 			key,
 			f1(float64(a.origin) / float64(units.GB)),
 			f3(1 - a.origin/unicastBytes),
 			f1(delay),
 		})
 	}
-	return t, nil
+	return staticPlan(TableMeta{
+		Name:   "Extension: stream merging (batching/patching) composed with partial caching",
+		Note:   "Section 6 future work; PB prefixes sized by the Section 2.3 optimum at 5% cache",
+		Header: []string{"technique", "origin_GB", "savings_vs_unicast", "avg_added_delay_s"},
+	}, rows), nil
 }
 
-// extensionPartialViewingRunner measures how GISMO-style partial-viewing
+// extensionPartialViewing measures how GISMO-style partial-viewing
 // sessions (clients stopping early) change the traffic economics of
 // prefix caching.
-func extensionPartialViewingRunner(s Scale) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	arena := s.Arena
-	total, err := s.totalBytes(arena)
-	if err != nil {
-		return nil, err
-	}
-	sw := &taskSweep{meta: TableMeta{
-		Name:   "Extension: partial-viewing sessions (GISMO user interactivity)",
-		Note:   "prefix caching gains relative effectiveness when sessions only watch the head of the stream",
-		Header: []string{"partial_view_prob", "policy", "traffic_reduction", "avg_delay_s", "hit_ratio"},
-	}}
-	for _, prob := range []float64{0, 0.3, 0.7} {
-		for _, p := range []core.Policy{core.NewIF(), core.NewPB()} {
-			sw.tasks = append(sw.tasks, simRow(arena, sim.Config{
-				Workload: workload.Config{
-					NumObjects:      s.Objects,
-					NumRequests:     s.Requests,
-					PartialViewProb: prob,
-				},
-				CacheBytes: int64(0.05 * float64(total)),
-				Policy:     p,
-				Runs:       s.Runs,
-				Seed:       s.Seed,
-			}, func(m sim.Metrics) []string {
-				return []string{
-					f3(prob), p.Name(),
-					f3(m.TrafficReductionRatio), f1(m.AvgServiceDelay), f3(m.HitRatio),
-				}
-			}))
-		}
-	}
-	return sw, nil
+var extensionPartialViewing = spec{
+	name: "Extension: partial-viewing sessions (GISMO user interactivity)",
+	note: "prefix caching gains relative effectiveness when sessions only watch the head of the stream",
+	axes: []axisFn{
+		func(Scale) axis {
+			return axis{cols: []string{"partial_view_prob"}, values: []float64{0, 0.3, 0.7}, at: func(prob float64) (level, error) {
+				return opt(f3(prob), func(pt *point) { pt.Workload.PartialViewProb = prob }), nil
+			}}
+		},
+		policyAxis(core.NewIF(), core.NewPB()), fivePercentCache,
+	},
+	metrics: []string{"traffic_reduction", "avg_delay_s", "hit_ratio"},
 }
 
-// extensionBaselinesRunner positions the paper's network-aware policies
+// extensionBaselines positions the paper's network-aware policies
 // against the classical replacement algorithms Section 3.3 names (LRU,
 // LFU) and the GreedyDual-Size family of the authors' earlier work [17],
 // under measured-path variability.
-func extensionBaselinesRunner(s Scale) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	arena := s.Arena
-	total, err := s.totalBytes(arena)
-	if err != nil {
-		return nil, err
-	}
-	sw := &taskSweep{meta: TableMeta{
-		Name:   "Extension: classical baselines (LRU/LFU/GreedyDual-Size) vs network-aware policies",
-		Note:   "measured-path variability, 5% cache; GDS-family policies are stateful and built per run",
-		Header: []string{"policy", "traffic_reduction", "avg_delay_s", "avg_quality", "hit_ratio"},
-	}}
-	factories := []struct {
-		label string
-		make  func() core.Policy
-	}{
-		{"LRU", core.NewLRU},
-		{"LFU", core.NewLFU},
-		{"GDS", core.NewGDS},
-		{"GDS-BW", core.NewGDSBandwidth},
-		{"GDSP-BW", core.NewGDSP},
-		{"IB", core.NewIB},
-		{"PB", core.NewPB},
-	}
-	for _, f := range factories {
-		sw.tasks = append(sw.tasks, simRow(arena, sim.Config{
-			Workload:      s.workload(),
-			CacheBytes:    int64(0.05 * float64(total)),
-			PolicyFactory: f.make,
-			Variation:     bandwidth.MeasuredVariability(),
-			Runs:          s.Runs,
-			Seed:          s.Seed,
-		}, func(m sim.Metrics) []string {
-			return []string{
-				f.label, f3(m.TrafficReductionRatio), f1(m.AvgServiceDelay),
-				f3(m.AvgStreamQuality), f3(m.HitRatio),
-			}
-		}))
-	}
-	return sw, nil
+var extensionBaselines = spec{
+	name: "Extension: classical baselines (LRU/LFU/GreedyDual-Size) vs network-aware policies",
+	note: "measured-path variability, 5% cache; GDS-family policies are stateful and built per run",
+	axes: []axisFn{
+		choice("policy",
+			perRun("LRU", core.NewLRU), perRun("LFU", core.NewLFU), perRun("GDS", core.NewGDS),
+			perRun("GDS-BW", core.NewGDSBandwidth), perRun("GDSP-BW", core.NewGDSP),
+			perRun("IB", core.NewIB), perRun("PB", core.NewPB)),
+		fivePercentCache, variation(bandwidth.MeasuredVariability()),
+	},
+	metrics: []string{"traffic_reduction", "avg_delay_s", "avg_quality", "hit_ratio"},
 }
 
-// extensionActiveProbingRunner compares the oracle estimator with the active
+// perRun is a policy level built fresh for every run of a point.
+func perRun(label string, mk func() core.Policy) level {
+	return opt(label, func(pt *point) { pt.PolicyFactory = mk })
+}
+
+// extensionActiveProbing compares the oracle estimator with the active
 // Padhye-model prober at increasing measurement noise (Section 6:
 // integrating active bandwidth measurement into proxy caches).
-func extensionActiveProbingRunner(s Scale) (runner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	arena := s.Arena
-	total, err := s.totalBytes(arena)
-	if err != nil {
-		return nil, err
-	}
-	sw := &taskSweep{meta: TableMeta{
-		Name:   "Extension: active bandwidth probing (Padhye model) vs oracle estimation",
-		Note:   "PB policy under measured-path variability, 5% cache",
-		Header: []string{"estimator", "traffic_reduction", "avg_delay_s", "avg_quality"},
-	}}
-	estimators := []struct {
-		label   string
-		factory sim.EstimatorFactory
-	}{
-		{"oracle", sim.OracleEstimator},
-		{"active_probe_jitter_0.05", sim.ActiveProbeEstimator(0.05)},
-		{"active_probe_jitter_0.20", sim.ActiveProbeEstimator(0.20)},
-		{"active_probe_jitter_0.40", sim.ActiveProbeEstimator(0.40)},
-	}
-	for _, est := range estimators {
-		sw.tasks = append(sw.tasks, simRow(arena, sim.Config{
-			Workload:   s.workload(),
-			CacheBytes: int64(0.05 * float64(total)),
-			Policy:     core.NewPB(),
-			Variation:  bandwidth.MeasuredVariability(),
-			Estimators: est.factory,
-			Runs:       s.Runs,
-			Seed:       s.Seed,
-		}, func(m sim.Metrics) []string {
-			return []string{
-				est.label, f3(m.TrafficReductionRatio), f1(m.AvgServiceDelay), f3(m.AvgStreamQuality),
-			}
-		}))
-	}
-	return sw, nil
+var extensionActiveProbing = spec{
+	name: "Extension: active bandwidth probing (Padhye model) vs oracle estimation",
+	note: "PB policy under measured-path variability, 5% cache",
+	axes: []axisFn{
+		choice("estimator",
+			estimator("oracle", sim.OracleEstimator),
+			estimator("active_probe_jitter_0.05", sim.ActiveProbeEstimator(0.05)),
+			estimator("active_probe_jitter_0.20", sim.ActiveProbeEstimator(0.20)),
+			estimator("active_probe_jitter_0.40", sim.ActiveProbeEstimator(0.40))),
+		pbPolicy, fivePercentCache, variation(bandwidth.MeasuredVariability()),
+	},
+	metrics: delayMetrics,
 }

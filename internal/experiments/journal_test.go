@@ -138,15 +138,15 @@ func TestResumeSkipsCompletedTasks(t *testing.T) {
 	const n = 10
 
 	var executed atomic.Int64
-	build := func() *taskSweep {
-		sw := &taskSweep{meta: TableMeta{Name: "resume probe", Header: []string{"i"}}}
+	build := func() *plan {
+		var tasks []func() ([]string, error)
 		for i := 0; i < n; i++ {
-			sw.tasks = append(sw.tasks, func() ([]string, error) {
+			tasks = append(tasks, func() ([]string, error) {
 				executed.Add(1)
 				return []string{strconv.Itoa(i)}, nil
 			})
 		}
-		return sw
+		return gridPlan(TableMeta{Name: "resume probe", Header: []string{"i"}}, tasks...)
 	}
 
 	s := tinyScale()

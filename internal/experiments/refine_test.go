@@ -11,32 +11,40 @@ import (
 // x=knee: flat before, flat after, so all the gradient concentrates in
 // the interval straddling the knee. The evaluation counter is guarded:
 // point runs concurrently on sweep workers.
-func kneeSweep(axis []float64, budget int, knee float64) (*adaptiveSweep, *atomic.Int64) {
+func kneeSweep(axis []float64, knee float64) (*plan, *atomic.Int64) {
 	var evaluated atomic.Int64
-	sw := &adaptiveSweep{
-		meta: TableMeta{
-			Name:   "synthetic knee",
-			Header: []string{"x", "metric", "source"},
-		},
-		axis:   axis,
-		budget: budget,
-		point: func(x float64, _ int) ([]string, float64, error) {
+	at := func(coords []float64) (planPoint, error) {
+		x := coords[0]
+		return planPoint{coords: coords, eval: func(int) ([]string, float64, error) {
 			evaluated.Add(1)
 			metric := 0.0
 			if x >= knee {
 				metric = 10
 			}
 			return []string{f3(x), f3(metric)}, metric, nil
+		}}, nil
+	}
+	sw := &plan{
+		meta: TableMeta{
+			Name:   "synthetic knee",
+			Header: []string{"x", "metric", "source"},
 		},
+		refine: bisect,
+		at:     at,
+	}
+	for _, x := range axis {
+		pt, _ := at([]float64{x})
+		sw.coarse = append(sw.coarse, pt)
 	}
 	return sw, &evaluated
 }
 
-func runAdaptive(t *testing.T, sw *adaptiveSweep, parallelism int) [][]string {
+func runAdaptive(t *testing.T, sw *plan, budget, parallelism int) [][]string {
 	t.Helper()
 	var rows [][]string
 	s := tinyScale()
 	s.Parallelism = parallelism
+	s.RefineBudget = budget
 	if err := stream(s, sw, sinkFunc(func(row []string) error {
 		rows = append(rows, row)
 		return nil
@@ -59,8 +67,8 @@ func (f sinkFunc) End() error             { return nil }
 func TestRefinementBisectsSteepestInterval(t *testing.T) {
 	axis := []float64{0, 0.25, 0.5, 0.75, 1}
 	const knee = 0.6 // inside (0.5, 0.75)
-	sw, _ := kneeSweep(axis, 4, knee)
-	rows := runAdaptive(t, sw, 4)
+	sw, _ := kneeSweep(axis, knee)
+	rows := runAdaptive(t, sw, 4, 4)
 
 	if len(rows) != len(axis)+4 {
 		t.Fatalf("rows = %d, want %d coarse + 4 refined", len(rows), len(axis))
@@ -104,8 +112,8 @@ func TestRefinementPointSelectionIdenticalAcrossParallelism(t *testing.T) {
 	axis := []float64{0, 0.2, 0.4, 0.6, 0.8, 1}
 	var ref [][]string
 	for _, par := range []int{1, 2, 8} {
-		sw, _ := kneeSweep(axis, 5, 0.45)
-		rows := runAdaptive(t, sw, par)
+		sw, _ := kneeSweep(axis, 0.45)
+		rows := runAdaptive(t, sw, 5, par)
 		if ref == nil {
 			ref = rows
 			continue
@@ -128,8 +136,8 @@ func TestRefinementPointSelectionIdenticalAcrossParallelism(t *testing.T) {
 // once every interval is narrower than the resolution floor instead of
 // burning points forever.
 func TestRefinementRespectsMinGap(t *testing.T) {
-	sw, evaluated := kneeSweep([]float64{0, 1}, 10000, 0.3)
-	rows := runAdaptive(t, sw, 4)
+	sw, evaluated := kneeSweep([]float64{0, 1}, 0.3)
+	rows := runAdaptive(t, sw, 10000, 4)
 	// span/minGapDivisor floors the interval width at ~1/128 of the
 	// axis, so the driver can never need more than a few hundred points.
 	if len(rows) >= 2+10000 {
@@ -142,8 +150,8 @@ func TestRefinementRespectsMinGap(t *testing.T) {
 
 // TestRefinementZeroBudgetIsCoarseOnly.
 func TestRefinementZeroBudgetIsCoarseOnly(t *testing.T) {
-	sw, _ := kneeSweep([]float64{0, 0.5, 1}, 0, 0.4)
-	rows := runAdaptive(t, sw, 2)
+	sw, _ := kneeSweep([]float64{0, 0.5, 1}, 0.4)
+	rows := runAdaptive(t, sw, 0, 2)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3 coarse only", len(rows))
 	}

@@ -23,30 +23,10 @@ type Shard struct {
 	Count int
 }
 
-// enabled reports whether sharding partitions the row space at all.
-func (sh Shard) enabled() bool { return sh.Count > 1 }
-
 // owns reports whether this shard computes the row at the given global
 // index.
 func (sh Shard) owns(index int) bool {
-	return !sh.enabled() || index%sh.Count == sh.Index
-}
-
-// indices returns the ascending global indices of the rows this shard
-// owns out of n total.
-func (sh Shard) indices(n int) []int {
-	if !sh.enabled() {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	owned := make([]int, 0, n/sh.Count+1)
-	for i := sh.Index; i < n; i += sh.Count {
-		owned = append(owned, i)
-	}
-	return owned
+	return sh.Count <= 1 || index%sh.Count == sh.Index
 }
 
 func (sh Shard) validate() error {
@@ -61,7 +41,7 @@ func (sh Shard) validate() error {
 
 // String renders the shard in the CLI's "index/count" form.
 func (sh Shard) String() string {
-	if !sh.enabled() {
+	if sh.Count <= 1 {
 		return "0/1"
 	}
 	return fmt.Sprintf("%d/%d", sh.Index, sh.Count)

@@ -36,16 +36,26 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
+// ownedIndices returns the ascending global indices sh owns out of n.
+func ownedIndices(sh Shard, n int) []int {
+	var owned []int
+	for g := 0; g < n; g++ {
+		if sh.owns(g) {
+			owned = append(owned, g)
+		}
+	}
+	return owned
+}
+
 func TestShardOwnershipPartitions(t *testing.T) {
-	// Every index is owned by exactly one shard, and indices() agrees
-	// with owns().
+	// Every index is owned by exactly one shard, round-robin.
 	for _, count := range []int{1, 2, 5} {
 		seen := map[int]int{}
 		for idx := 0; idx < count; idx++ {
 			sh := Shard{Index: idx, Count: count}
-			for _, g := range sh.indices(17) {
-				if !sh.owns(g) {
-					t.Errorf("shard %v: indices() yields %d but owns() denies it", sh, g)
+			for _, g := range ownedIndices(sh, 17) {
+				if g%count != idx {
+					t.Errorf("shard %v owns %d, want only indices congruent to %d mod %d", sh, g, idx, count)
 				}
 				seen[g]++
 			}
