@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all ci vet lint lint-check build test race bench bench-smoke bench-check fuzz-smoke figures figures-diff docs-check loc shard-check collector-check proxy-check load-check cluster-check clean
+.PHONY: all ci vet lint lint-check build test race bench bench-check fuzz-smoke figures figures-diff docs-check loc shard-check collector-check proxy-check load-check cluster-check clean
 
 all: ci
 
 ## ci: everything the driver/CI gate runs, in order.
-ci: vet lint build race bench-smoke bench-check
+ci: vet lint build race bench-check
 
 vet:
 	$(GO) vet ./...
@@ -14,15 +14,14 @@ vet:
 ## rowsink — see DESIGN.md "Machine-enforced invariants") over the
 ## whole module, then the pinned third-party pass (staticcheck,
 ## govulncheck; skipped with a warning offline unless LINT_STRICT=1).
-## Facts are cached under .cache/mediavet keyed by export data, so
-## unchanged packages are free on re-runs.
 lint:
 	$(GO) run ./cmd/mediavet -summary ./...
 	bash scripts/lint-extra.sh
 
-## lint-check: end-to-end proof that `go vet -vettool=mediavet` works —
-## clean on the shipped tree, and injected violations in internal/sim
-## and internal/proxy fail it naming the right analyzer.
+## lint-check: end-to-end proof that the mediavet binary rejects
+## violations by name — clean on the shipped tree, and injected
+## violations in internal/sim and internal/proxy fail it naming the
+## right analyzer.
 lint-check:
 	bash scripts/lint-check.sh
 
@@ -35,11 +34,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-## bench-smoke: one iteration of the perf-trajectory benchmarks
-## (sequential vs parallel sweep, run-level pool, cache op throughput).
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSweepSequential|BenchmarkSweepParallel8|BenchmarkSimRunParallelism|BenchmarkCacheOpThroughput' -benchtime 1x .
 
 ## bench: the repository's benchmark — every workload of
 ## BENCHMARK.json end to end plus the traced per-layer passes (see

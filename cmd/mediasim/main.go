@@ -1,6 +1,5 @@
 // Command mediasim runs one partial-caching simulation experiment and
-// prints the Section 3.3 metrics, or streams an adaptively refined
-// single-axis sweep.
+// prints the Section 3.3 metrics.
 //
 // Example: reproduce one Figure 5 point at full paper scale:
 //
@@ -10,33 +9,19 @@
 //
 //	mediasim -policy HYBRID -e 0.5 -variability nlanr -cache-gb 40
 //
-// Sweep mode streams rows (CSV or JSONL) to -out as each point
-// completes, refining the axis where the metric gradient is steepest:
-//
-//	mediasim -sweep e -sweep-points 0,0.25,0.5,0.75,1 -refine 6 -format jsonl -out e.jsonl
-//
-// Sweeps shard across processes and resume after interruption (see
-// OPERATIONS.md); shard outputs must be JSONL so experiments.MergeShards
-// (or figures -merge) can reassemble them by global row index:
-//
-//	mediasim -sweep e -shard 0/2 -format jsonl -out e.0.jsonl -journal e.0.journal
-//	mediasim -sweep e -shard 0/2 -format jsonl -out e.0.jsonl -journal e.0.journal -resume
+// Sweeps over e, sigma or cache size are cmd/figures' job:
+// figures -only refined-e|refined-sigma|refined-cache [-refine N].
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
-	"strconv"
-	"strings"
 
 	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
-	"streamcache/internal/experiments"
 	"streamcache/internal/sim"
 	"streamcache/internal/units"
 	"streamcache/internal/workload"
@@ -100,14 +85,6 @@ func run() error {
 		seed        = flag.Int64("seed", 1, "base random seed")
 		wholeEvict  = flag.Bool("whole-eviction", false, "evict whole objects instead of prefix bytes")
 		parallel    = flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS); results are identical for any value")
-		sweepAxis   = flag.String("sweep", "", "stream an adaptive sweep over an axis: e, sigma, or cache")
-		sweepPoints = flag.String("sweep-points", "", "comma-separated coarse grid for -sweep (default: scale default)")
-		refine      = flag.Int("refine", -1, "extra adaptive sweep points (-1 = scale default)")
-		format      = flag.String("format", "csv", "sweep output format: csv or jsonl")
-		outPath     = flag.String("out", "", "sweep output file (default stdout)")
-		shard       = flag.String("shard", "", "emit only this shard of the sweep, as index/count (e.g. 0/2); requires -format jsonl")
-		journalPath = flag.String("journal", "", "checkpoint completed sweep rows to this JSONL journal")
-		resume      = flag.Bool("resume", false, "skip sweep rows already recorded in -journal")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -119,20 +96,6 @@ func run() error {
 	}
 	defer stopProfiles()
 
-	var set []string
-	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := checkMode(*sweepAxis != "", set); err != nil {
-		return err
-	}
-	if *sweepAxis != "" {
-		return runSweep(sweepConfig{
-			axis: *sweepAxis, points: *sweepPoints,
-			objects: *objects, requests: *requests, runs: *runs,
-			refine: *refine, parallel: *parallel, seed: *seed,
-			format: *format, outPath: *outPath,
-			shard: *shard, journal: *journalPath, resume: *resume,
-		})
-	}
 	policy, err := core.PolicyByName(*policyName, *e)
 	if err != nil {
 		return err
@@ -177,153 +140,6 @@ func run() error {
 	fmt.Printf("hit_ratio               %8.4f\n", m.HitRatio)
 	fmt.Printf("measured_requests       %8d\n", m.Requests)
 	return nil
-}
-
-// The flags only one of the two modes reads. Refined sweeps fix the
-// policy, network model and cache size per axis (see
-// internal/experiments/refine.go), and a single simulation writes no
-// table, so each mode would silently ignore the other's.
-var (
-	singleOnlyFlags = []string{"policy", "e", "cache-gb", "alpha", "variability", "estimator", "ewma-alpha", "whole-eviction"}
-	sweepOnlyFlags  = []string{"sweep-points", "refine", "format", "out", "shard", "journal", "resume"}
-)
-
-// checkMode refuses the explicitly set flags (set: their names) that
-// the chosen mode does not read; rejecting them beats ignoring them.
-func checkMode(sweep bool, set []string) error {
-	ignored, hint := sweepOnlyFlags, "%s: sweep mode only; add -sweep"
-	if sweep {
-		ignored, hint = singleOnlyFlags, "sweep mode fixes the policy/network/cache per axis; drop %s"
-	}
-	var bad []string
-	for _, name := range set {
-		if slices.Contains(ignored, name) {
-			bad = append(bad, "-"+name)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	return fmt.Errorf(hint, strings.Join(bad, ", "))
-}
-
-// sweepConfig carries the sweep-mode flag set.
-type sweepConfig struct {
-	axis, points            string
-	objects, requests, runs int
-	refine, parallel        int
-	seed                    int64
-	format, outPath         string
-	shard, journal          string
-	resume                  bool
-}
-
-// runSweep streams one adaptively refined axis sweep to the chosen
-// output, row by row as points complete, optionally sharded across
-// processes and checkpointed for resume.
-func runSweep(c sweepConfig) error {
-	s := experiments.SmallScale()
-	s.Objects = c.objects
-	s.Requests = c.requests
-	s.Runs = c.runs
-	s.Seed = c.seed
-	s.Parallelism = c.parallel
-	if c.refine >= 0 {
-		s.RefineBudget = c.refine
-	}
-	if c.points != "" {
-		grid, err := parseGrid(c.points)
-		if err != nil {
-			return err
-		}
-		switch c.axis {
-		case "e":
-			s.ESweep = grid
-		case "sigma":
-			s.SigmaSweep = grid
-		case "cache":
-			s.CacheFractions = grid
-		}
-	}
-	key, ok := map[string]string{
-		"e":     "refined-e",
-		"sigma": "refined-sigma",
-		"cache": "refined-cache",
-	}[c.axis]
-	if !ok {
-		return fmt.Errorf("unknown sweep axis %q (want e, sigma, or cache)", c.axis)
-	}
-	sh, err := experiments.ParseShard(c.shard)
-	if err != nil {
-		return err
-	}
-	s.Shard = sh
-	if sh.Count > 1 && c.format != "jsonl" {
-		return fmt.Errorf("sharded sweeps need -format jsonl (CSV rows carry no index to merge on)")
-	}
-	if c.resume && c.journal == "" {
-		return fmt.Errorf("-resume needs -journal to name the checkpoint file")
-	}
-
-	var w io.Writer = os.Stdout
-	if c.outPath != "" {
-		f, err := os.Create(c.outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	var sink experiments.RowSink
-	switch c.format {
-	case "csv":
-		sink = experiments.NewCSVSink(w)
-	case "jsonl":
-		sink = experiments.NewJSONLSink(w)
-	default:
-		return fmt.Errorf("unknown sweep format %q (want csv or jsonl)", c.format)
-	}
-	if c.journal != "" {
-		var j *experiments.Journal
-		if c.resume {
-			j, err = experiments.ResumeJournal(c.journal, s.Fingerprint())
-		} else {
-			j, err = experiments.CreateJournal(c.journal, s.Fingerprint())
-		}
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		if c.resume {
-			s.Resume = j
-		}
-		sink = experiments.MultiSink{sink, experiments.NewJournalSink(j)}
-	}
-	return experiments.Stream(key, s, sink)
-}
-
-// parseGrid parses a comma-separated, strictly increasing float list.
-func parseGrid(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	grid := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad sweep point %q: %w", p, err)
-		}
-		if len(grid) > 0 && v <= grid[len(grid)-1] {
-			return nil, fmt.Errorf("sweep points must be strictly increasing, got %q", s)
-		}
-		grid = append(grid, v)
-	}
-	if len(grid) < 2 {
-		return nil, fmt.Errorf("sweep needs at least 2 coarse points, got %q", s)
-	}
-	return grid, nil
 }
 
 func variabilityByName(name string) (bandwidth.Variability, error) {

@@ -1,14 +1,7 @@
 // Command mediavet runs the repo's custom static analyzers
 // (determinism, hotpath, shardlock, rowsink — see internal/analysis).
 //
-// Standalone:
-//
-//	go run ./cmd/mediavet [-C dir] [-facts-dir dir] [-v] [packages...]
-//
-// As a vettool (go vet drives it once per package):
-//
-//	go build -o bin/mediavet ./cmd/mediavet
-//	go vet -vettool=$PWD/bin/mediavet ./...
+//	go run ./cmd/mediavet [-C dir] [-v] [packages...]
 //
 // Exit status: 0 clean, 1 operational error, 2 findings.
 package main
@@ -17,40 +10,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"streamcache/internal/analysis"
 )
-
-const version = "mediavet version v1.0.0"
 
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
 func run(args []string) int {
-	// go vet interrogates the tool before use: `-V=full` for the
-	// build-cache tool ID and `-flags` for the flags it may forward.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			fmt.Println(version)
-			return 0
-		case "-flags", "--flags":
-			fmt.Println("[]") // no forwardable flags
-			return 0
-		}
-	}
-	// A single *.cfg argument means cmd/go is driving us per-package.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return analysis.Unitchecker(args[0], analysis.All(), os.Stderr)
-	}
-
 	fs := flag.NewFlagSet("mediavet", flag.ContinueOnError)
 	dir := fs.String("C", "", "change to `dir` before analyzing (module root)")
-	factsDir := fs.String("facts-dir", ".cache/mediavet", "analysis facts/findings cache directory; empty disables caching")
 	verbose := fs.Bool("v", false, "log per-package progress to stderr")
-	summary := fs.Bool("summary", true, "print the suppression/cache summary line")
+	summary := fs.Bool("summary", true, "print the suppression summary line")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -59,7 +31,6 @@ func run(args []string) int {
 		Dir:       *dir,
 		Patterns:  fs.Args(),
 		Analyzers: analysis.All(),
-		FactsDir:  *factsDir,
 	}
 	if *verbose {
 		r.Log = os.Stderr
@@ -73,8 +44,8 @@ func run(args []string) int {
 		fmt.Printf("%s\n", f)
 	}
 	if *summary {
-		fmt.Fprintf(os.Stderr, "mediavet: %d packages (%d cached), %d findings, %d suppressed by //mediavet:ignore\n",
-			res.Packages, res.CacheHits, len(res.Findings), res.Suppressed)
+		fmt.Fprintf(os.Stderr, "mediavet: %d packages, %d findings, %d suppressed by //mediavet:ignore\n",
+			res.Packages, len(res.Findings), res.Suppressed)
 	}
 	if len(res.Findings) > 0 {
 		return 2

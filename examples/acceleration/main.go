@@ -12,7 +12,8 @@ import (
 	"net/http/httptest"
 	"os"
 
-	"streamcache"
+	"streamcache/internal/core"
+	"streamcache/internal/proxy"
 )
 
 func main() {
@@ -29,13 +30,13 @@ func run() error {
 		playbackRate = 512 * kb // plays at 512 KB/s (a 1-second stream)
 		originRate   = 256 * kb // origin path limited to half the rate
 	)
-	catalog, err := streamcache.NewProxyCatalog([]streamcache.ProxyMeta{
+	catalog, err := proxy.NewCatalog([]proxy.Meta{
 		{ID: 1, Size: objectSize, Rate: playbackRate, Value: 5},
 	})
 	if err != nil {
 		return err
 	}
-	origin, err := streamcache.NewOriginServer(catalog, originRate)
+	origin, err := proxy.NewOrigin(catalog, originRate)
 	if err != nil {
 		return err
 	}
@@ -43,11 +44,10 @@ func run() error {
 	defer originSrv.Close()
 
 	// IB policy: cache whole objects with the highest F/b utility.
-	cache, err := streamcache.NewCache(64<<20, streamcache.NewIB())
-	if err != nil {
-		return err
-	}
-	px, err := streamcache.NewAcceleratorProxy(catalog, cache, originSrv.URL)
+	px, err := proxy.New(proxy.Config{
+		Catalog: catalog, OriginURL: originSrv.URL,
+		CacheBytes: 64 << 20, NewPolicy: core.NewIB,
+	})
 	if err != nil {
 		return err
 	}
@@ -58,11 +58,11 @@ func run() error {
 
 	url := proxySrv.URL + "/objects/1"
 	for _, label := range []string{"cold (cache empty)", "warm (prefix cached)"} {
-		res, err := streamcache.Fetch(url)
+		res, err := proxy.Fetch(url)
 		if err != nil {
 			return err
 		}
-		if res.SHA256 != streamcache.ObjectContentSHA256(1, objectSize) {
+		if res.SHA256 != proxy.ContentSHA256(1, objectSize) {
 			return fmt.Errorf("%s fetch corrupted the stream", label)
 		}
 		fmt.Printf("%-22s X-Cache=%-24q download=%7.0fms  startup_delay=%6.0fms\n",
@@ -71,7 +71,7 @@ func run() error {
 			res.StartupDelay(playbackRate).Seconds()*1000)
 	}
 
-	var stats streamcache.ProxyStats
+	var stats proxy.Stats
 	if err := fetchJSON(proxySrv.URL+"/stats", &stats); err == nil {
 		fmt.Printf("\nproxy stats: %d requests, %d prefix hits, %d bytes cached, origin estimate %d B/s\n",
 			stats.Requests, stats.PrefixHits, stats.UsedBytes, stats.EstimateBps(""))

@@ -1,13 +1,17 @@
 // Quickstart: build a network-aware partial cache, feed it a Table 1
 // workload, and compare the paper's three main policies on the three
-// Section 3.3 metrics - the smallest useful tour of the library.
+// Section 3.3 metrics - the smallest useful tour of the library. Like
+// cmd/ and bench/, the examples import internal/* directly: the module
+// has no facade package.
 package main
 
 import (
 	"fmt"
 	"os"
 
-	"streamcache"
+	"streamcache/internal/core"
+	"streamcache/internal/sim"
+	"streamcache/internal/workload"
 )
 
 func main() {
@@ -20,8 +24,8 @@ func main() {
 func run() error {
 	// A scaled-down Table 1 workload: 300 objects (~47 GB), 8000
 	// Zipf-distributed requests arriving as a Poisson process.
-	wcfg := streamcache.WorkloadConfig{NumObjects: 300, NumRequests: 8000}
-	w, err := streamcache.GenerateWorkload(wcfg)
+	wcfg := workload.Config{NumObjects: 300, NumRequests: 8000}
+	w, err := workload.Generate(wcfg)
 	if err != nil {
 		return err
 	}
@@ -34,12 +38,12 @@ func run() error {
 	fmt.Printf("cache: %.1f GB (5%% of unique bytes)\n\n", float64(cacheBytes)/(1<<30))
 	fmt.Printf("%-4s  %-18s %-14s %-13s\n", "", "traffic_reduction", "avg_delay_s", "avg_quality")
 
-	for _, policy := range []streamcache.Policy{
-		streamcache.NewIF(), // frequency-only: whole hot objects
-		streamcache.NewIB(), // network-aware, whole objects
-		streamcache.NewPB(), // network-aware, partial (the paper's headline)
+	for _, policy := range []core.Policy{
+		core.NewIF(), // frequency-only: whole hot objects
+		core.NewIB(), // network-aware, whole objects
+		core.NewPB(), // network-aware, partial (the paper's headline)
 	} {
-		m, err := streamcache.RunSimulation(streamcache.SimConfig{
+		m, err := sim.Run(sim.Config{
 			Workload:   wcfg,
 			CacheBytes: cacheBytes,
 			Policy:     policy,

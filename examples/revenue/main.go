@@ -10,7 +10,10 @@ import (
 	"math/rand"
 	"os"
 
-	"streamcache"
+	"streamcache/internal/bandwidth"
+	"streamcache/internal/core"
+	"streamcache/internal/sim"
+	"streamcache/internal/workload"
 )
 
 func main() {
@@ -21,8 +24,8 @@ func main() {
 }
 
 func run() error {
-	wcfg := streamcache.WorkloadConfig{NumObjects: 300, NumRequests: 8000}
-	w, err := streamcache.GenerateWorkload(wcfg)
+	wcfg := workload.Config{NumObjects: 300, NumRequests: 8000}
+	w, err := workload.Generate(wcfg)
 	if err != nil {
 		return err
 	}
@@ -32,15 +35,15 @@ func run() error {
 	fmt.Printf("%-28s %-6s %-18s %-12s\n", "bandwidth", "policy", "traffic_reduction", "total_value")
 	for _, scenario := range []struct {
 		label     string
-		variation streamcache.Variability
+		variation bandwidth.Variability
 	}{
-		{"constant", streamcache.NoVariation{}},
-		{"variable (measured paths)", streamcache.MeasuredVariability()},
+		{"constant", bandwidth.NoVariation{}},
+		{"variable (measured paths)", bandwidth.MeasuredVariability()},
 	} {
-		for _, policy := range []streamcache.Policy{
-			streamcache.NewIF(), streamcache.NewPBV(), streamcache.NewIBV(),
+		for _, policy := range []core.Policy{
+			core.NewIF(), core.NewPBV(), core.NewIBV(),
 		} {
-			m, err := streamcache.RunSimulation(streamcache.SimConfig{
+			m, err := sim.Run(sim.Config{
 				Workload:   wcfg,
 				CacheBytes: cacheBytes,
 				Policy:     policy,
@@ -57,18 +60,18 @@ func run() error {
 	}
 
 	// Static greedy optimum of Section 2.6 for a known-rate snapshot.
-	objs := make([]streamcache.Object, len(w.Objects))
+	objs := make([]core.Object, len(w.Objects))
 	lambda := make([]float64, len(w.Objects))
 	bw := make([]float64, len(w.Objects))
 	counts := w.RequestCounts()
-	model := streamcache.NLANRBandwidth()
+	model := bandwidth.NLANR()
 	rng := rand.New(rand.NewSource(1))
 	for i, o := range w.Objects {
-		objs[i] = streamcache.Object{ID: o.ID, Size: o.Size, Duration: o.Duration, Rate: o.Rate, Value: o.Value}
+		objs[i] = core.Object{ID: o.ID, Size: o.Size, Duration: o.Duration, Rate: o.Rate, Value: o.Value}
 		lambda[i] = float64(counts[i])
 		bw[i] = model.Sample(rng)
 	}
-	placement, valueRate, err := streamcache.OptimalValuePlacement(objs, lambda, bw, cacheBytes)
+	placement, valueRate, err := core.OptimalValuePlacement(objs, lambda, bw, cacheBytes)
 	if err != nil {
 		return err
 	}

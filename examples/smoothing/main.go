@@ -11,7 +11,7 @@ import (
 	"math/rand"
 	"os"
 
-	"streamcache"
+	"streamcache/internal/smoothing"
 )
 
 func main() {
@@ -41,11 +41,11 @@ func run() error {
 
 	fmt.Printf("%-12s %-10s %-16s %-10s %-9s\n", "buffer_KB", "segments", "peak_B_per_frame", "peak/mean", "rate_CoV")
 	for _, bufferKB := range []float64{0, 16, 64, 256, 1024} {
-		sched, err := streamcache.Smooth(frames, bufferKB*1024)
+		sched, err := smoothing.Smooth(frames, bufferKB*1024)
 		if err != nil {
 			return err
 		}
-		bound, err := streamcache.MinimalPeakBound(frames, bufferKB*1024)
+		bound, err := smoothing.MinimalPeakBound(frames, bufferKB*1024)
 		if err != nil {
 			return err
 		}

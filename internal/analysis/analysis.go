@@ -16,8 +16,8 @@
 // API shape (Analyzer, Pass, Diagnostic) but is self-contained on the
 // standard library: packages are loaded via `go list -export` and type
 // checked with the gc export-data importer, so the module keeps its
-// zero-dependency property. cmd/mediavet drives the analyzers both
-// standalone and through the `go vet -vettool` protocol.
+// zero-dependency property. cmd/mediavet drives the analyzers through
+// Runner, the one driver.
 package analysis
 
 import (
@@ -32,11 +32,6 @@ import (
 // use it to scope package checks and to distinguish module-internal
 // calls from standard-library ones.
 const ModulePath = "streamcache"
-
-// Version participates in the facts-dir cache key: bumping it (or
-// changing any analyzer, which changes the binary) invalidates cached
-// results.
-const Version = "mediavet-1"
 
 // An Analyzer is one named check. Run inspects a fully type-checked
 // package via the Pass and reports findings with Pass.Reportf.
@@ -75,20 +70,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// InTestFile reports whether pos falls in a _test.go file. The
-// invariants govern production code; tests may use wall clocks,
-// fmt, and ad-hoc goroutines freely.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	f := p.Fset.File(pos)
-	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
-}
-
 // Facts is the cross-package information analyzers exchange: the set
-// of //mediavet:hotpath-annotated functions, keyed by FuncKey. In
-// standalone mode the driver accumulates facts in dependency order;
-// in vettool mode they travel through go vet's .vetx fact files.
+// of //mediavet:hotpath-annotated functions, keyed by FuncKey. The
+// driver accumulates facts in dependency order.
 type Facts struct {
-	Hotpath map[string]bool `json:"hotpath,omitempty"`
+	Hotpath map[string]bool
 }
 
 // NewFacts returns an empty fact set.
@@ -128,8 +114,7 @@ func FuncKey(fn *types.Func) string {
 }
 
 // declKey is FuncKey computed syntactically from a declaration, used
-// when registering //mediavet:hotpath annotations (which may happen in
-// parse-only mode, before type information exists).
+// when registering //mediavet:hotpath annotations.
 func declKey(pkgPath string, d *ast.FuncDecl) string {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
 		return pkgPath + "." + d.Name.Name

@@ -36,7 +36,6 @@ var deterministicPackages = map[string]bool{
 const (
 	loadPkgPath  = ModulePath + "/internal/load"
 	loadRootFunc = "BuildSchedule"
-	parPkgPath   = ModulePath + "/internal/par"
 )
 
 // Wall-clock entry points in package time. time.Duration arithmetic
@@ -67,7 +66,7 @@ func runDeterminism(pass *Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || pass.InTestFile(fd.Pos()) {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			if !checkAll && !reachable[fd] {
@@ -368,7 +367,7 @@ func reachableFrom(pass *Pass, rootName string) map[*ast.FuncDecl]bool {
 			if obj := pass.Info.Defs[fd.Name]; obj != nil {
 				declOf[obj] = fd
 			}
-			if fd.Recv == nil && fd.Name.Name == rootName && !pass.InTestFile(fd.Pos()) {
+			if fd.Recv == nil && fd.Name.Name == rootName {
 				root = fd
 			}
 		}

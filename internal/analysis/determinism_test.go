@@ -13,7 +13,7 @@ func TestDeterminismLoadCallGraph(t *testing.T) {
 func TestDeterminismSkipsUnscopedPackages(t *testing.T) {
 	// The same fixture type-checked under a non-deterministic package
 	// path must produce zero findings: scoping is the contract.
-	loader := NewLoader(stdlibExports(t, []string{"math/rand", "sort", "time"}), nil)
+	loader := NewLoader(stdlibExports(t, []string{"math/rand", "sort", "time"}))
 	pkg, err := loader.Check(ModulePath+"/internal/par", "testdata/determinism", []string{"determinism.go"})
 	if err != nil {
 		t.Fatal(err)

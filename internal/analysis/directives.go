@@ -18,8 +18,8 @@ import (
 //	    on the line directly below it (so it works both as a trailing
 //	    comment and as a comment line above the offending statement).
 //	    The reason is mandatory; the meta-test in ignore_test.go and the
-//	    standalone driver both reject ignores with no reason or an
-//	    unknown analyzer name.
+//	    driver both reject ignores with no reason or an unknown
+//	    analyzer name.
 const (
 	hotpathDirective = "//mediavet:hotpath"
 	ignoreDirective  = "//mediavet:ignore"
@@ -98,8 +98,7 @@ func isHotpathDecl(d *ast.FuncDecl) bool {
 }
 
 // CollectHotpathFacts records every //mediavet:hotpath-annotated
-// function in files under its declKey. It needs only parsed syntax,
-// so it also works in go vet's VetxOnly (facts-only) mode.
+// function in files under its declKey. It needs only parsed syntax.
 func CollectHotpathFacts(pkgPath string, files []*ast.File) *Facts {
 	facts := NewFacts()
 	for _, f := range files {
@@ -115,8 +114,8 @@ func CollectHotpathFacts(pkgPath string, files []*ast.File) *Facts {
 }
 
 // suppressor answers "is this diagnostic covered by an ignore?" and
-// tracks which ignores were actually used so the standalone driver can
-// flag stale ones.
+// tracks which ignores were actually used so the driver can flag stale
+// ones.
 type suppressor struct {
 	fset    *token.FileSet
 	byKey   map[string][]*Ignore // "analyzer\x00file:line" -> directives
@@ -161,8 +160,7 @@ func (s *suppressor) suppressed(analyzer string, pos token.Pos) bool {
 }
 
 // unused returns well-formed directives that suppressed nothing, plus
-// all malformed ones. The standalone driver reports both so ignores
-// cannot rot.
+// all malformed ones. The driver reports both so ignores cannot rot.
 func (s *suppressor) unused() (stale, malformed []*Ignore) {
 	for _, ig := range s.all {
 		switch {

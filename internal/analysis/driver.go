@@ -1,47 +1,38 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // A Finding is a diagnostic that survived suppression, with its
 // position resolved for printing.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 }
 
-// A Result summarises one standalone run.
+// A Result summarises one run.
 type Result struct {
 	Findings   []Finding
 	Suppressed int // diagnostics silenced by //mediavet:ignore
 	Packages   int
-	CacheHits  int
 }
 
-// A Runner drives the analyzers over a module tree (standalone mode;
-// the vettool path lives in unitchecker.go).
+// A Runner drives the analyzers over a module tree.
 type Runner struct {
 	Dir       string   // module directory; "" means current
 	Patterns  []string // package patterns; default ./...
 	Analyzers []*Analyzer
-	FactsDir  string    // optional cache directory; "" disables caching
 	Log       io.Writer // verbose progress; nil disables
 }
 
@@ -51,14 +42,13 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// cacheEntry is what the facts-dir stores per package: the key it was
-// computed under, the package's exported facts, suppressed-diagnostic
-// count, and the findings to replay on a hit.
-type cacheEntry struct {
-	Key        string    `json:"key"`
-	Facts      *Facts    `json:"facts"`
-	Suppressed int       `json:"suppressed"`
-	Findings   []Finding `json:"findings"`
+// packageResult is what analyzing one package yields: the facts it
+// exports to dependents, its surviving findings and how many
+// diagnostics its //mediavet:ignore directives silenced.
+type packageResult struct {
+	Facts      *Facts
+	Suppressed int
+	Findings   []Finding
 }
 
 // Run analyzes the requested packages in dependency order, threading
@@ -74,21 +64,12 @@ func (r *Runner) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	loader := NewLoader(exports, nil)
+	loader := NewLoader(exports)
 	facts := NewFacts()
 	res := &Result{Packages: len(module)}
 
 	for _, lp := range module {
 		pkgPath := lp.ImportPath
-		key := r.cacheKey(lp, exports)
-		if ent := r.readCache(pkgPath, key); ent != nil {
-			facts.Merge(ent.Facts)
-			res.Findings = append(res.Findings, ent.Findings...)
-			res.Suppressed += ent.Suppressed
-			res.CacheHits++
-			r.logf("mediavet: %s (cached, %d findings)", pkgPath, len(ent.Findings))
-			continue
-		}
 		pkg, err := loader.Check(pkgPath, lp.Dir, lp.GoFiles)
 		if err != nil {
 			return nil, err
@@ -97,12 +78,10 @@ func (r *Runner) Run() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ent.Key = key
 		facts.Merge(ent.Facts)
 		res.Findings = append(res.Findings, ent.Findings...)
 		res.Suppressed += ent.Suppressed
 		r.logf("mediavet: %s (%d findings, %d suppressed)", pkgPath, len(ent.Findings), ent.Suppressed)
-		r.writeCache(pkgPath, ent)
 	}
 	sortFindings(res.Findings)
 	return res, nil
@@ -111,16 +90,16 @@ func (r *Runner) Run() (*Result, error) {
 // analyzePackage runs every analyzer over one type-checked package.
 // depFacts holds facts from already-analyzed dependencies; the
 // package's own annotations are merged in before analyzers run. The
-// returned entry's Facts contains only this package's own annotations
+// returned result's Facts contains only this package's own annotations
 // (what it exports to dependents).
-func analyzePackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer, depFacts *Facts) (*cacheEntry, error) {
+func analyzePackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer, depFacts *Facts) (*packageResult, error) {
 	own := CollectHotpathFacts(pkg.Path, pkg.Files)
 	merged := NewFacts()
 	merged.Merge(depFacts)
 	merged.Merge(own)
 
 	sup := newSuppressor(fset, pkg.Files)
-	ent := &cacheEntry{Facts: own}
+	ent := &packageResult{Facts: own}
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -191,71 +170,4 @@ func sortFindings(fs []Finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// cacheKey fingerprints everything a package's result depends on: the
-// analyzer suite version, its own source bytes, and the export data
-// paths of its dependencies (go's build cache makes those paths
-// content-addressed, so a dep change changes the key).
-func (r *Runner) cacheKey(lp *listedPackage, exports map[string]string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "version %s\n", Version)
-	for _, name := range lp.GoFiles {
-		path := filepath.Join(lp.Dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(h, "unreadable %s\n", path)
-			continue
-		}
-		fmt.Fprintf(h, "file %s %d\n", name, len(data))
-		h.Write(data)
-	}
-	deps := append([]string(nil), lp.Deps...)
-	sort.Strings(deps)
-	for _, d := range deps {
-		fmt.Fprintf(h, "dep %s %s\n", d, exports[d])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func (r *Runner) cachePath(pkgPath string) string {
-	if r.FactsDir == "" {
-		return ""
-	}
-	name := strings.NewReplacer("/", "__", " ", "_").Replace(pkgPath) + ".json"
-	return filepath.Join(r.FactsDir, name)
-}
-
-func (r *Runner) readCache(pkgPath, key string) *cacheEntry {
-	path := r.cachePath(pkgPath)
-	if path == "" {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	ent := new(cacheEntry)
-	if json.Unmarshal(data, ent) != nil || ent.Key != key {
-		return nil
-	}
-	if ent.Facts == nil {
-		ent.Facts = NewFacts()
-	}
-	return ent
-}
-
-func (r *Runner) writeCache(pkgPath string, ent *cacheEntry) {
-	path := r.cachePath(pkgPath)
-	if path == "" {
-		return
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	data, err := json.Marshal(ent)
-	if err != nil {
-		return
-	}
-	_ = os.WriteFile(path, data, 0o644)
 }

@@ -24,7 +24,7 @@ func runHotpath(pass *Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotpathDecl(fd) || pass.InTestFile(fd.Pos()) {
+			if !ok || fd.Body == nil || !isHotpathDecl(fd) {
 				continue
 			}
 			h := &hotChecker{pass: pass, fn: fd}

@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -21,8 +20,7 @@ import (
 // depending on golang.org/x/tools: `go list -export -deps -json`
 // compiles (or reuses from the build cache) export data for every
 // dependency, and go/importer's gc importer reads that export data via
-// a lookup function. This is the same information go vet hands a
-// vettool in its .cfg file; standalone mode just derives it itself.
+// a lookup function.
 
 // listedPackage is the subset of `go list -json` output mediavet needs.
 type listedPackage struct {
@@ -31,8 +29,6 @@ type listedPackage struct {
 	Name       string
 	Export     string
 	GoFiles    []string
-	Imports    []string
-	Deps       []string
 	Standard   bool
 	Module     *struct {
 		Path string
@@ -43,11 +39,13 @@ type listedPackage struct {
 	}
 }
 
-// goList runs `go list -export -deps -json` for patterns in dir.
+// goList runs `go list -export -deps -json` for patterns in dir. -deps
+// lists in depth-first post-order: every package after all of its
+// dependencies.
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	args := []string{
 		"list", "-export", "-deps",
-		"-json=Dir,ImportPath,Name,Export,GoFiles,Imports,Deps,Standard,Module,Incomplete,Error",
+		"-json=Dir,ImportPath,Name,Export,GoFiles,Standard,Module,Incomplete,Error",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -76,28 +74,17 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 type Loader struct {
 	Fset    *token.FileSet
 	exports map[string]string // import path -> export data file
-	// importMap translates source-level import paths to the keys of
-	// exports (go vet supplies one for vendoring/test variants).
-	importMap map[string]string
-	imp       types.Importer
+	imp     types.Importer
 }
 
-// NewLoader builds a loader over the given export-data map. importMap
-// may be nil.
-func NewLoader(exports, importMap map[string]string) *Loader {
-	l := &Loader{
-		Fset:      token.NewFileSet(),
-		exports:   exports,
-		importMap: importMap,
-	}
+// NewLoader builds a loader over the given export-data map.
+func NewLoader(exports map[string]string) *Loader {
+	l := &Loader{Fset: token.NewFileSet(), exports: exports}
 	l.imp = importer.ForCompiler(l.Fset, "gc", l.lookup)
 	return l
 }
 
 func (l *Loader) lookup(path string) (io.ReadCloser, error) {
-	if mapped, ok := l.importMap[path]; ok {
-		path = mapped
-	}
 	f, ok := l.exports[path]
 	if !ok || f == "" {
 		return nil, fmt.Errorf("no export data for %q", path)
@@ -115,9 +102,9 @@ type Package struct {
 }
 
 // Check parses and type-checks one package. goFiles are resolved
-// relative to dir unless absolute. Files named *_test.go are parsed
-// (so in-package test files don't break type checking when go vet
-// hands us a test variant) but analyzers skip diagnostics in them.
+// relative to dir unless absolute. The driver passes go list's GoFiles,
+// which holds no _test.go file: the invariants govern production code,
+// and tests may use wall clocks, fmt and ad-hoc goroutines freely.
 func (l *Loader) Check(pkgPath, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
@@ -150,21 +137,20 @@ func (l *Loader) Check(pkgPath, dir string, goFiles []string) (*Package, error) 
 }
 
 // loadModulePackages lists patterns in dir and returns (a) the module's
-// own packages in dependency (topological) order and (b) the combined
-// export map covering every dependency.
+// own packages in dependency order — go list's, so hotpath facts flow
+// dep -> dependent — and (b) the combined export map covering every
+// dependency.
 func loadModulePackages(dir string, patterns []string) ([]*listedPackage, map[string]string, error) {
 	all, err := goList(dir, patterns)
 	if err != nil {
 		return nil, nil, err
 	}
 	exports := map[string]string{}
-	byPath := map[string]*listedPackage{}
 	var module []*listedPackage
 	for _, p := range all {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		byPath[p.ImportPath] = p
 		if p.Error != nil {
 			return nil, nil, fmt.Errorf("go list: package %s: %s", p.ImportPath, p.Error.Err)
 		}
@@ -172,54 +158,5 @@ func loadModulePackages(dir string, patterns []string) ([]*listedPackage, map[st
 			module = append(module, p)
 		}
 	}
-	sorted, err := topoSort(module, byPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sorted, exports, nil
-}
-
-// topoSort orders module packages so every package comes after its
-// module-internal imports, letting hotpath facts flow dep -> dependent.
-func topoSort(module []*listedPackage, byPath map[string]*listedPackage) ([]*listedPackage, error) {
-	inModule := map[string]bool{}
-	for _, p := range module {
-		inModule[p.ImportPath] = true
-	}
-	// Deterministic ordering independent of go list's output order.
-	sort.Slice(module, func(i, j int) bool { return module[i].ImportPath < module[j].ImportPath })
-
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	state := map[string]int{}
-	var out []*listedPackage
-	var visit func(p *listedPackage) error
-	visit = func(p *listedPackage) error {
-		switch state[p.ImportPath] {
-		case black:
-			return nil
-		case grey:
-			return fmt.Errorf("import cycle through %s", p.ImportPath)
-		}
-		state[p.ImportPath] = grey
-		for _, imp := range p.Imports {
-			if inModule[imp] {
-				if err := visit(byPath[imp]); err != nil {
-					return err
-				}
-			}
-		}
-		state[p.ImportPath] = black
-		out = append(out, p)
-		return nil
-	}
-	for _, p := range module {
-		if err := visit(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return module, exports, nil
 }

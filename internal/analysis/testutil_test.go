@@ -81,7 +81,7 @@ func runTestdata(t *testing.T, a *Analyzer, dir, pkgPath string) {
 	}
 	sort.Strings(imports)
 
-	loader := NewLoader(stdlibExports(t, imports), nil)
+	loader := NewLoader(stdlibExports(t, imports))
 	pkg, err := loader.Check(pkgPath, root, goFiles)
 	if err != nil {
 		t.Fatalf("type-checking %s: %v", root, err)

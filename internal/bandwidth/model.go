@@ -174,12 +174,6 @@ func (e *Empirical) CDFAt(x float64) float64 {
 // Mean returns the distribution mean.
 func (e *Empirical) Mean() float64 { return e.mean }
 
-// Min returns the smallest representable bandwidth.
-func (e *Empirical) Min() float64 { return e.pts[0].X }
-
-// Max returns the largest representable bandwidth.
-func (e *Empirical) Max() float64 { return e.pts[len(e.pts)-1].X }
-
 // NLANR reconstructs the base bandwidth distribution the paper derived
 // from the NLANR UC proxy-cache log (Figure 2). The control points anchor
 // the two facts stated in Section 3.1 - 37% of requests below 50 KB/s and

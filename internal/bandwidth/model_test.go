@@ -69,9 +69,6 @@ func TestEmpiricalInverseEndpoints(t *testing.T) {
 	if got := e.Inverse(0.75); got != 30 {
 		t.Errorf("Inverse(0.75) = %v, want 30", got)
 	}
-	if e.Min() != 10 || e.Max() != 40 {
-		t.Errorf("Min/Max = %v/%v, want 10/40", e.Min(), e.Max())
-	}
 }
 
 func TestEmpiricalCDFAtRoundTrip(t *testing.T) {
@@ -124,8 +121,8 @@ func TestNLANRAnchorsExact(t *testing.T) {
 	if got := e.CDFAt(units.KBps(100)); math.Abs(got-0.56) > 1e-12 {
 		t.Errorf("CDF(100KB/s) = %v, want 0.56", got)
 	}
-	if e.Max() != units.KBps(450) {
-		t.Errorf("Max = %v, want 450 KB/s", units.ToKBps(e.Max()))
+	if got := e.Inverse(1); got != units.KBps(450) {
+		t.Errorf("largest bandwidth = %v, want 450 KB/s", units.ToKBps(got))
 	}
 }
 
@@ -135,8 +132,8 @@ func TestFromSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Min() != 10 || e.Max() != 50 {
-		t.Errorf("Min/Max = %v/%v, want 10/50", e.Min(), e.Max())
+	if e.Inverse(0) != 10 || e.Inverse(1) != 50 {
+		t.Errorf("range = %v..%v, want 10..50", e.Inverse(0), e.Inverse(1))
 	}
 	if got := e.Mean(); math.Abs(got-30) > 1e-9 {
 		t.Errorf("Mean = %v, want 30", got)

@@ -26,9 +26,6 @@ type NodeConfig struct {
 	// VirtualNodes is the ring granularity; 0 means
 	// DefaultVirtualNodes.
 	VirtualNodes int
-	// Topology prices the hops; nil means the static preference
-	// peer < parent < origin.
-	Topology *Topology
 	// PeerHeaderTimeout bounds how long a peer or parent may take to
 	// produce response headers before the fetch is demoted to the
 	// origin. Zero means no bound.
@@ -38,9 +35,9 @@ type NodeConfig struct {
 // Router compiles the node config into the proxy's cluster seam: the
 // fixed upstream set (peers and parent, with tier labels) and the
 // per-object route function. The route for an object this node does
-// not own is its ring owner's URL (or the parent, or the origin —
-// whatever the topology prices cheapest); the fallback is always the
-// object's true origin, so a dead peer or parent demotes the fetch
+// not own is its ring owner's URL, for one it owns the parent's, and
+// without a parent the origin's (staticHop); the fallback is always
+// the object's true origin, so a dead peer or parent demotes the fetch
 // rather than failing it.
 func (cfg NodeConfig) Router() ([]proxy.Upstream, func(proxy.Meta) proxy.Route, error) {
 	if cfg.Origin == "" {
@@ -74,17 +71,17 @@ func (cfg NodeConfig) Router() ([]proxy.Upstream, func(proxy.Meta) proxy.Route, 
 		ups = append(ups, proxy.Upstream{URL: cfg.Parent, Tier: "parent"})
 	}
 
-	topo, self, hasParent := cfg.Topology, cfg.Self, cfg.Parent != ""
+	self, hasParent := cfg.Self, cfg.Parent != ""
 	route := func(meta proxy.Meta) proxy.Route {
 		owner := self
 		if ring != nil {
 			owner = ring.Owner(meta.ID)
 		}
 		var url string
-		switch topo.Select(self, owner, hasParent) {
-		case HopPeer:
+		switch staticHop(self, owner, hasParent) {
+		case hopPeer:
 			url = cfg.Peers[owner]
-		case HopParent:
+		case hopParent:
 			url = cfg.Parent
 		default:
 			return proxy.Route{} // the object's own origin; no demotion needed
@@ -96,4 +93,28 @@ func (cfg NodeConfig) Router() ([]proxy.Upstream, func(proxy.Meta) proxy.Route, 
 		return proxy.Route{URL: url, Fallback: fallback, HeaderTimeout: cfg.PeerHeaderTimeout}
 	}
 	return ups, route, nil
+}
+
+// hop is the upstream a node fetches a missed object over.
+type hop int
+
+const (
+	hopOrigin hop = iota // the constrained origin path
+	hopPeer              // the consistent-hash owner of the object
+	hopParent            // the parent tier
+)
+
+// staticHop is the whole hop policy, peer < parent < origin: prefer the
+// nearest copy still inside the cluster. The peer hop is a candidate
+// only when the ring owner is another node — forwarding to yourself is
+// just a local miss.
+func staticHop(self, owner int, hasParent bool) hop {
+	switch {
+	case owner != self:
+		return hopPeer
+	case hasParent:
+		return hopParent
+	default:
+		return hopOrigin
+	}
 }

@@ -144,3 +144,18 @@ func TestRouterPerObjectOrigin(t *testing.T) {
 		t.Errorf("fallback %q, want the object's own origin", rt.Fallback)
 	}
 }
+
+func TestNilTopologyStaticPreference(t *testing.T) {
+	if got := staticHop(0, 1, true); got != hopPeer {
+		t.Errorf("remote owner with parent: %v, want peer", got)
+	}
+	if got := staticHop(0, 1, false); got != hopPeer {
+		t.Errorf("remote owner without parent: %v, want peer", got)
+	}
+	if got := staticHop(0, 0, true); got != hopParent {
+		t.Errorf("local owner with parent: %v, want parent", got)
+	}
+	if got := staticHop(0, 0, false); got != hopOrigin {
+		t.Errorf("local owner without parent: %v, want origin", got)
+	}
+}

@@ -39,8 +39,6 @@ type TestClusterConfig struct {
 	OriginHandler http.Handler
 	// OriginRate limits the default origin's path (0 = unlimited).
 	OriginRate float64
-	// Topology prices the hops; nil = static peer < parent < origin.
-	Topology *Topology
 	// VirtualNodes is the ring granularity (0 = DefaultVirtualNodes).
 	VirtualNodes int
 	// PeerHeaderTimeout bounds peer/parent header latency before a
@@ -177,7 +175,6 @@ func NewTestCluster(cfg TestClusterConfig) (*TestCluster, error) {
 			Self:              i,
 			Origin:            tc.originSrv.URL,
 			VirtualNodes:      cfg.VirtualNodes,
-			Topology:          cfg.Topology,
 			PeerHeaderTimeout: cfg.PeerHeaderTimeout,
 		}
 		if cfg.Edges > 1 {
@@ -294,7 +291,10 @@ func (tc *TestCluster) RestoreEdge(i int) { tc.edgeSwps[i].set(tc.edges[i]) }
 func (tc *TestCluster) KillParent() { tc.parentSrv.CloseClientConnections(); tc.parentSrv.Close() }
 
 // KillEdge closes edge i's listener outright.
-func (tc *TestCluster) KillEdge(i int) { tc.edgeSrvs[i].CloseClientConnections(); tc.edgeSrvs[i].Close() }
+func (tc *TestCluster) KillEdge(i int) {
+	tc.edgeSrvs[i].CloseClientConnections()
+	tc.edgeSrvs[i].Close()
+}
 
 // FetchVerified downloads object id from edge i and checks the digest
 // against the catalog content — the end-to-end integrity probe.

@@ -1,8 +1,7 @@
 // Package cluster generalizes the single-proxy architecture of the
 // paper into a multi-node cache hierarchy: a consistent-hash ring
-// assigns each object an owning node, a topology matrix prices the
-// links between nodes (and up to the parent tier and origin), and a
-// per-node router turns both into the proxy's peer-aware fetch path —
+// assigns each object an owning node, and a per-node router turns that
+// into the proxy's peer-aware fetch path —
 // edge miss -> owning peer -> parent tier -> origin, each hop reusing
 // the relay coalescer so a herd at N edges still costs one transfer
 // over the constrained origin path.
@@ -27,7 +26,7 @@ var ErrBadCluster = errors.New("cluster: invalid configuration")
 // ring stays trivially cheap.
 const DefaultVirtualNodes = 64
 
-// Ring is a consistent-hash ring over node indices [0, Nodes()). Each
+// Ring is a consistent-hash ring over node indices [0, nodes). Each
 // node contributes VirtualNodes points whose positions depend only on
 // the node index, so adding or removing a node moves only the keys
 // that land on the new (or vanished) node's points — roughly 1/N of
@@ -35,7 +34,6 @@ const DefaultVirtualNodes = 64
 //
 // A Ring is immutable after construction and safe for concurrent use.
 type Ring struct {
-	nodes  int
 	points []ringPoint // sorted by hash, ties broken by node index
 }
 
@@ -79,10 +77,7 @@ func NewRing(nodes, virtual int) (*Ring, error) {
 	if virtual < 0 {
 		return nil, fmt.Errorf("%w: %d virtual nodes", ErrBadCluster, virtual)
 	}
-	r := &Ring{
-		nodes:  nodes,
-		points: make([]ringPoint, 0, nodes*virtual),
-	}
+	r := &Ring{points: make([]ringPoint, 0, nodes*virtual)}
 	for n := 0; n < nodes; n++ {
 		for v := 0; v < virtual; v++ {
 			r.points = append(r.points, ringPoint{hash: pointHash(n, v), node: int32(n)})
@@ -98,9 +93,6 @@ func NewRing(nodes, virtual int) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// Nodes returns the ring's node count.
-func (r *Ring) Nodes() int { return r.nodes }
 
 // Owner returns the node index owning object id: the node of the first
 // ring point at or clockwise of the object's hash.

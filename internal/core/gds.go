@@ -87,6 +87,3 @@ func (p *gdsPolicy) OnEvict(utility float64) {
 		p.inflation = utility
 	}
 }
-
-// Inflation exposes the current aging value L (diagnostics and tests).
-func (p *gdsPolicy) Inflation() float64 { return p.inflation }

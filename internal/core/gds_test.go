@@ -57,16 +57,16 @@ func TestGDSPWeighsPopularity(t *testing.T) {
 
 func TestGDSInflationRisesOnEviction(t *testing.T) {
 	p := NewGDS().(*gdsPolicy)
-	if p.Inflation() != 0 {
-		t.Fatalf("initial inflation = %v, want 0", p.Inflation())
+	if p.inflation != 0 {
+		t.Fatalf("initial inflation = %v, want 0", p.inflation)
 	}
 	p.OnEvict(5)
 	p.OnEvict(3) // lower than current L: no change
-	if got := p.Inflation(); got != 5 {
+	if got := p.inflation; got != 5 {
 		t.Errorf("inflation = %v, want 5", got)
 	}
 	p.OnEvict(9)
-	if got := p.Inflation(); got != 9 {
+	if got := p.inflation; got != 9 {
 		t.Errorf("inflation = %v, want 9", got)
 	}
 }
@@ -79,14 +79,14 @@ func TestCacheNotifiesEvictionObserver(t *testing.T) {
 	}
 	a := smallObject(1, 100) // fills the cache, H = L + 1/size
 	c.Access(a, 0, 1)
-	if p.Inflation() != 0 {
-		t.Fatalf("inflation moved without eviction: %v", p.Inflation())
+	if p.inflation != 0 {
+		t.Fatalf("inflation moved without eviction: %v", p.inflation)
 	}
 	// A smaller object has higher H and evicts part of A, raising L to
 	// A's utility.
 	b := smallObject(2, 10)
 	c.Access(b, 0, 2)
-	if p.Inflation() <= 0 {
+	if p.inflation <= 0 {
 		t.Error("inflation did not rise after eviction")
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -135,8 +135,8 @@ func TestGDSAgingAllowsNewContent(t *testing.T) {
 func TestGDSZeroSizeObject(t *testing.T) {
 	p := NewGDS().(*gdsPolicy)
 	u := p.Utility(AccessStats{Freq: 1}, Object{ID: 1, Size: 0}, 0)
-	if u != p.Inflation() {
-		t.Errorf("zero-size utility = %v, want inflation %v", u, p.Inflation())
+	if u != p.inflation {
+		t.Errorf("zero-size utility = %v, want inflation %v", u, p.inflation)
 	}
 }
 

@@ -71,9 +71,8 @@ func (u Uniform) Mean() float64 { return (u.Min + u.Max) / 2 }
 // P(rank = r) proportional to r^-alpha. Unlike math/rand.Zipf it
 // accepts any alpha >= 0, in particular the paper's 0.73.
 type Zipf struct {
-	n     int
-	alpha float64
-	cdf   []float64 // cdf[i] = P(rank <= i+1); cdf[n-1] == 1
+	n   int
+	cdf []float64 // cdf[i] = P(rank <= i+1); cdf[n-1] == 1
 }
 
 // NewZipf builds the distribution over ranks 1..n with skew alpha.
@@ -94,14 +93,8 @@ func NewZipf(n int, alpha float64) (*Zipf, error) {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against rounding leaving it at 1-eps
-	return &Zipf{n: n, alpha: alpha, cdf: cdf}, nil
+	return &Zipf{n: n, cdf: cdf}, nil
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return z.n }
-
-// Alpha returns the skew parameter.
-func (z *Zipf) Alpha() float64 { return z.alpha }
 
 // P returns the probability of rank r (0 outside 1..N).
 func (z *Zipf) P(r int) float64 {

@@ -112,7 +112,7 @@ func TestZipfRankProbabilityMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0.0
-	for r := 1; r <= z.N(); r++ {
+	for r := 1; r <= 1000; r++ {
 		p := z.P(r)
 		if p <= 0 {
 			t.Fatalf("P(%d) = %v, want > 0", r, p)

@@ -19,10 +19,6 @@ import (
 // instead of re-simulating them, so an interrupted run finishes from
 // where it died.
 
-// ErrJournalMismatch reports a resume journal whose recorded scale
-// fingerprint differs from the scale of the resuming run.
-var ErrJournalMismatch = rowlog.ErrMismatch
-
 // Journal is the checkpoint store of one sweep process: a rowlog.Set of
 // completed rows (loaded from a prior run and consulted via
 // Scale.Resume) and the rowlog.File every fresh record is appended to

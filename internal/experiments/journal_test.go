@@ -237,8 +237,8 @@ func TestResumeRejectsScaleMismatch(t *testing.T) {
 
 	other := s
 	other.Seed = 99
-	if _, err := ResumeJournal(path, other.Fingerprint()); !errors.Is(err, ErrJournalMismatch) {
-		t.Errorf("resume at a different scale returned %v, want ErrJournalMismatch", err)
+	if _, err := ResumeJournal(path, other.Fingerprint()); !errors.Is(err, rowlog.ErrMismatch) {
+		t.Errorf("resume at a different scale returned %v, want rowlog.ErrMismatch", err)
 	}
 	if _, err := ResumeJournal(path, s.Fingerprint()); err != nil {
 		t.Errorf("resume at the same scale failed: %v", err)

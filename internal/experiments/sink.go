@@ -61,8 +61,7 @@ func (t *TableSink) Table() *Table {
 // note), the header, then one line per row, flushed row by row so a
 // consumer tailing the file sees points as they complete.
 type CSVSink struct {
-	w    *bufio.Writer
-	rows int
+	w *bufio.Writer
 }
 
 // NewCSVSink wraps w in a streaming CSV renderer.
@@ -82,16 +81,12 @@ func (c *CSVSink) Begin(meta TableMeta) error {
 
 // Row writes and flushes one CSV line.
 func (c *CSVSink) Row(row []string) error {
-	c.rows++
 	fmt.Fprintln(c.w, strings.Join(row, ","))
 	return c.w.Flush()
 }
 
 // End flushes any buffered output.
 func (c *CSVSink) End() error { return c.w.Flush() }
-
-// Rows returns the number of rows streamed so far.
-func (c *CSVSink) Rows() int { return c.rows }
 
 // JSONLSink streams a table as a row log (internal/rowlog): one "table"
 // record carrying name/note/header, then one "row" record per row, each

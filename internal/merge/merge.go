@@ -57,15 +57,6 @@ func (r Result) UnicastBytes(obj Object) float64 {
 	return float64(r.Requests) * float64(obj.Size)
 }
 
-// SavingsRatio is the fraction of unicast origin traffic avoided.
-func (r Result) SavingsRatio(obj Object) float64 {
-	unicast := r.UnicastBytes(obj)
-	if unicast == 0 {
-		return 0
-	}
-	return 1 - r.OriginBytes/unicast
-}
-
 func validate(times []float64, obj Object) error {
 	if obj.Size <= 0 || obj.Rate <= 0 || math.IsNaN(obj.Rate) {
 		return fmt.Errorf("%w: object %+v", ErrBadInput, obj)

@@ -39,8 +39,8 @@ func TestUnicastCost(t *testing.T) {
 	if res.OriginBytes != 300000 || res.FullStreams != 3 {
 		t.Errorf("unicast: %+v, want 3 full streams / 300000 bytes", res)
 	}
-	if res.SavingsRatio(testObj) != 0 {
-		t.Errorf("unicast savings = %v, want 0", res.SavingsRatio(testObj))
+	if res.OriginBytes != res.UnicastBytes(testObj) {
+		t.Errorf("unicast origin bytes = %v, want the baseline %v", res.OriginBytes, res.UnicastBytes(testObj))
 	}
 }
 
@@ -119,7 +119,7 @@ func TestPatchBasics(t *testing.T) {
 	if res.OriginBytes != 110000 {
 		t.Errorf("origin bytes = %v, want 110000", res.OriginBytes)
 	}
-	if got := res.SavingsRatio(testObj); math.Abs(got-0.45) > 1e-9 {
+	if got := 1 - res.OriginBytes/res.UnicastBytes(testObj); math.Abs(got-0.45) > 1e-9 {
 		t.Errorf("savings = %v, want 0.45", got)
 	}
 }

@@ -28,7 +28,7 @@ func TestWelfordConcurrentHammer(t *testing.T) {
 					// Interleave reads with writes.
 					_ = w.Mean()
 					_ = w.CoV()
-					_ = w.Min()
+					_ = w.Var()
 				}
 			}
 		}(g)
@@ -37,12 +37,6 @@ func TestWelfordConcurrentHammer(t *testing.T) {
 
 	if got := w.N(); got != goroutines*perG {
 		t.Errorf("N = %d, want %d (lost updates)", got, goroutines*perG)
-	}
-	if got := w.Min(); got != 1 {
-		t.Errorf("Min = %v, want 1", got)
-	}
-	if got := w.Max(); got != perG {
-		t.Errorf("Max = %v, want %v", got, float64(perG))
 	}
 	wantMean := float64(perG+1) / 2
 	if got := w.Mean(); math.Abs(got-wantMean)/wantMean > 1e-9 {

@@ -6,7 +6,7 @@
 //
 // The mutable collectors (Welford, Histogram) are safe for concurrent
 // use, so callers may share one collector across goroutines without
-// extra locking. Integer aggregates (counts, bins, extrema) are exact
+// extra locking. Integer aggregates (counts, bins) are exact
 // under any interleaving; float accumulators (mean/variance/sum) are
 // order-insensitive only up to rounding, which is why the deterministic
 // experiment pipelines fill each collector from a single goroutine and
@@ -36,8 +36,6 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
@@ -45,16 +43,6 @@ func (w *Welford) Add(x float64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
@@ -88,13 +76,6 @@ func (w *Welford) Var() float64 {
 	return w.varLocked()
 }
 
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return math.Sqrt(w.varLocked())
-}
-
 // CoV returns the coefficient of variation Std/Mean (0 when Mean is 0).
 func (w *Welford) CoV() float64 {
 	w.mu.Lock()
@@ -103,26 +84,6 @@ func (w *Welford) CoV() float64 {
 		return 0
 	}
 	return math.Sqrt(w.varLocked()) / w.mean
-}
-
-// Min returns the smallest observation (0 when empty).
-func (w *Welford) Min() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.n == 0 {
-		return 0
-	}
-	return w.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (w *Welford) Max() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.n == 0 {
-		return 0
-	}
-	return w.max
 }
 
 // Histogram is a fixed-bin-width histogram over [Origin, Origin+Width*Bins).

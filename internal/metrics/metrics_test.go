@@ -9,7 +9,7 @@ import (
 
 func TestWelfordEmpty(t *testing.T) {
 	var w Welford
-	if w.N() != 0 || w.Mean() != 0 || w.Var() != 0 || w.Min() != 0 || w.Max() != 0 {
+	if w.N() != 0 || w.Mean() != 0 || w.Var() != 0 {
 		t.Errorf("zero Welford not all-zero: n=%d mean=%v var=%v", w.N(), w.Mean(), w.Var())
 	}
 }
@@ -26,15 +26,12 @@ func TestWelfordKnownValues(t *testing.T) {
 	if got, want := w.Var(), 32.0/7.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Var() = %v, want %v", got, want)
 	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", w.Min(), w.Max())
-	}
 }
 
 func TestWelfordSingleValue(t *testing.T) {
 	var w Welford
 	w.Add(3.5)
-	if w.Mean() != 3.5 || w.Var() != 0 || w.Std() != 0 {
+	if w.Mean() != 3.5 || w.Var() != 0 {
 		t.Errorf("single value: mean=%v var=%v", w.Mean(), w.Var())
 	}
 }
@@ -44,7 +41,7 @@ func TestWelfordCoV(t *testing.T) {
 	for _, x := range []float64{10, 20} {
 		w.Add(x)
 	}
-	want := w.Std() / 15
+	want := math.Sqrt(w.Var()) / 15
 	if got := w.CoV(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("CoV() = %v, want %v", got, want)
 	}

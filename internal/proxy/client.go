@@ -122,14 +122,6 @@ func (r *FetchResult) StartupDelay(playbackRate float64) time.Duration {
 	return worst
 }
 
-// MeanThroughput returns the average download rate in bytes/s.
-func (r *FetchResult) MeanThroughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Bytes) / r.Elapsed.Seconds()
-}
-
 // ContentSHA256 returns the expected digest of object id with the given
 // size, for end-to-end integrity checks.
 func ContentSHA256(id int, size int64) string {

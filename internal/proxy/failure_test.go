@@ -66,14 +66,7 @@ func TestProxySurvivesOriginAbort(t *testing.T) {
 	originSrv := httptest.NewServer(flaky)
 	defer originSrv.Close()
 
-	cache, err := core.New(units.GBytes(1), core.NewIB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	px, err := NewProxy(catalog, cache, originSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	px := newTestProxy(t, catalog, core.NewIB(), units.GBytes(1), originSrv.URL)
 	watch(px)
 	proxySrv := httptest.NewServer(px)
 	defer proxySrv.Close()
@@ -86,11 +79,11 @@ func TestProxySurvivesOriginAbort(t *testing.T) {
 		t.Fatal("first fetch unexpectedly delivered the full object from a flaky origin")
 	}
 	px.Quiesce() // let the aborted relay finish its reconciliation
-	if got, want := cache.CachedBytes(1), px.StoredBytes(1); got != want {
+	if got, want := px.AccountedBytes(1), px.StoredBytes(1); got != want {
 		t.Fatalf("after abort: cache accounts %d bytes, store has %d", got, want)
 	}
-	if cache.CachedBytes(1) > 32*units.KB {
-		t.Fatalf("after abort: cache accounts %d bytes, origin only sent 32 KB", cache.CachedBytes(1))
+	if px.AccountedBytes(1) > 32*units.KB {
+		t.Fatalf("after abort: cache accounts %d bytes, origin only sent 32 KB", px.AccountedBytes(1))
 	}
 
 	// Second fetch hits the healthy origin: content must be complete and
@@ -118,15 +111,8 @@ func TestProxySurvivesOriginAbort(t *testing.T) {
 func TestProxyOriginDown(t *testing.T) {
 	watch := leaktest.Start(t)
 	catalog := testCatalog(t)
-	cache, err := core.New(units.GBytes(1), core.NewIB())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Point the proxy at a dead origin.
-	px, err := NewProxy(catalog, cache, "http://127.0.0.1:1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	px := newTestProxy(t, catalog, core.NewIB(), units.GBytes(1), "http://127.0.0.1:1")
 	watch(px)
 	proxySrv := httptest.NewServer(px)
 	defer proxySrv.Close()
@@ -139,7 +125,7 @@ func TestProxyOriginDown(t *testing.T) {
 	}
 	px.Quiesce()
 	// Cache accounting must not leak bytes that never arrived.
-	if got, want := cache.CachedBytes(1), px.StoredBytes(1); got != want {
+	if got, want := px.AccountedBytes(1), px.StoredBytes(1); got != want {
 		t.Fatalf("cache accounts %d bytes, store has %d", got, want)
 	}
 }

@@ -25,14 +25,7 @@ func startStack(t *testing.T, policy core.Policy, cacheBytes int64, originRate f
 	originSrv := httptest.NewServer(origin)
 	t.Cleanup(originSrv.Close)
 
-	cache, err := core.New(cacheBytes, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px, err := NewProxy(catalog, cache, originSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	px := newTestProxy(t, catalog, policy, cacheBytes, originSrv.URL)
 	watch(px)
 	proxySrv := httptest.NewServer(px)
 	t.Cleanup(proxySrv.Close)
@@ -275,14 +268,7 @@ func TestProxyMultiOriginPerPathEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := core.New(units.GBytes(1), core.NewPB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	px, err := NewProxy(combined, cache, fastSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	px := newTestProxy(t, combined, core.NewPB(), units.GBytes(1), fastSrv.URL)
 	watch(px)
 	proxySrv := httptest.NewServer(px)
 	t.Cleanup(proxySrv.Close)
@@ -312,10 +298,10 @@ func TestProxyMultiOriginPerPathEstimates(t *testing.T) {
 	}
 	// Network awareness: PB keeps a prefix only for the slow-path object.
 	// (Quiesce above guarantees no handler is still mutating the cache.)
-	if got := cache.CachedBytes(1); got != 0 {
+	if got := px.AccountedBytes(1); got != 0 {
 		t.Errorf("fast-path object cached %d bytes, want 0 (abundant bandwidth)", got)
 	}
-	if got := cache.CachedBytes(2); got == 0 {
+	if got := px.AccountedBytes(2); got == 0 {
 		t.Error("slow-path object not cached; PB should hold its deficit")
 	}
 }

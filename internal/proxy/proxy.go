@@ -262,22 +262,6 @@ func New(cfg Config) (*Proxy, error) {
 		}
 		caches[i] = c
 	}
-	return newProxy(cfg, caches)
-}
-
-// NewProxy builds a single-shard proxy over catalog that fetches misses
-// from originURL (e.g. "http://127.0.0.1:8080") and manages placement
-// with the given cache — the pre-sharding constructor, kept for tests
-// and embedders that want to own the cache instance. Use New for a
-// sharded deployment.
-func NewProxy(catalog *Catalog, cache *core.Cache, originURL string) (*Proxy, error) {
-	if cache == nil {
-		return nil, fmt.Errorf("%w: nil cache", ErrBadProxy)
-	}
-	return newProxy(Config{Catalog: catalog, OriginURL: originURL}, []*core.Cache{cache})
-}
-
-func newProxy(cfg Config, caches []*core.Cache) (*Proxy, error) {
 	catalog, originURL := cfg.Catalog, cfg.OriginURL
 	if catalog == nil {
 		return nil, fmt.Errorf("%w: nil catalog", ErrBadProxy)

@@ -10,6 +10,20 @@ import (
 	"streamcache/internal/units"
 )
 
+// newTestProxy builds a one-shard proxy over catalog whose cache runs
+// the given policy instance.
+func newTestProxy(t *testing.T, catalog *Catalog, policy core.Policy, cacheBytes int64, originURL string) *Proxy {
+	t.Helper()
+	px, err := New(Config{
+		Catalog: catalog, OriginURL: originURL,
+		CacheBytes: cacheBytes, NewPolicy: func() core.Policy { return policy },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return px
+}
+
 func testCatalog(t *testing.T) *Catalog {
 	t.Helper()
 	// Small objects so rate-limited tests stay fast: 256 KB at 512 KB/s
@@ -322,22 +336,6 @@ func TestOriginErrors(t *testing.T) {
 				t.Errorf("status = %d, want %d", rec.Code, tt.want)
 			}
 		})
-	}
-}
-
-func TestNewProxyValidation(t *testing.T) {
-	cache, err := core.New(units.GBytes(1), core.NewPB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewProxy(nil, cache, "http://x"); err == nil {
-		t.Error("nil catalog accepted")
-	}
-	if _, err := NewProxy(testCatalog(t), nil, "http://x"); err == nil {
-		t.Error("nil cache accepted")
-	}
-	if _, err := NewProxy(testCatalog(t), cache, ""); err == nil {
-		t.Error("empty origin URL accepted")
 	}
 }
 

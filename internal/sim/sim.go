@@ -329,7 +329,7 @@ func runOnce(cfg Config, seed int64) (Metrics, error) {
 	defer scratchPool.Put(scratch)
 	//mediavet:ignore hotpath per-run setup: option construction happens once per run, before the request loop
 	opts := cfg.cacheOptions(len(rp.objs))
-	//mediavet:ignore hotpath per-run setup: the pooled scratch reuses cache storage across runs; see BenchmarkSimRunParallelism allocs
+	//mediavet:ignore hotpath per-run setup: the pooled scratch reuses cache storage across runs; see the sim.run_allocs_per_req rung of bench/
 	cache, err := scratch.cache(0, cfg.CacheBytes, cfg.newPolicy(), opts)
 	if err != nil {
 		return Metrics{}, err

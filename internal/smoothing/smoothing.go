@@ -135,14 +135,8 @@ func (s *Schedule) append(start, end int, rate float64) {
 	s.Segments = append(s.Segments, Segment{Start: start, End: end, Rate: rate})
 }
 
-// Slots returns the number of frame slots covered by the schedule.
-func (s *Schedule) Slots() int { return s.slots }
-
-// Total returns the total bytes transmitted.
-func (s *Schedule) Total() float64 { return s.total }
-
 // Cumulative returns the cumulative bytes sent by the end of slot k
-// (k in [0, Slots()]).
+// (k in [0, slots]).
 func (s *Schedule) Cumulative(k int) float64 {
 	if k <= 0 {
 		return 0

@@ -119,12 +119,6 @@ func TestScheduleAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Slots() != 2 {
-		t.Errorf("Slots = %d, want 2", s.Slots())
-	}
-	if s.Total() != 10 {
-		t.Errorf("Total = %v, want 10", s.Total())
-	}
 	if s.MeanRate() != 5 {
 		t.Errorf("MeanRate = %v, want 5", s.MeanRate())
 	}

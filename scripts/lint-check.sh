@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# End-to-end exercise of the mediavet <-> `go vet -vettool` protocol
+# End-to-end proof that the mediavet binary rejects violations by name
 # (OPERATIONS.md §11). Three phases:
-#   1. the shipped tree passes `go vet -vettool=mediavet ./...`;
+#   1. the shipped tree passes `mediavet ./...`;
 #   2. an injected wall-clock read in internal/sim fails it, and the
 #      failure names the determinism analyzer;
 #   3. an injected origin fetch under a held shard lock in
@@ -16,19 +16,19 @@ trap cleanup EXIT
 
 go build -o "$tmp/mediavet" ./cmd/mediavet
 
-echo "lint-check: phase 1 — shipped tree is clean under go vet -vettool"
-go vet -vettool="$tmp/mediavet" ./...
+echo "lint-check: phase 1 — shipped tree is clean under mediavet"
+"$tmp/mediavet" ./...
 
 copy=$tmp/tree
 mkdir -p "$copy"
-# Copy the module without build outputs or caches; git metadata is not
-# needed since we only run go vet in the copy.
-tar -C "$PWD" --exclude ./.git --exclude ./.cache --exclude ./bin --exclude ./results -cf - . | tar -C "$copy" -xf -
+# Copy the module without build outputs; git metadata is not needed
+# since we only run mediavet in the copy.
+tar -C "$PWD" --exclude ./.git --exclude ./bin --exclude ./results -cf - . | tar -C "$copy" -xf -
 
 expect_failure() {
     local label=$1 analyzer=$2 pkg=$3
     local out
-    if out=$(cd "$copy" && go vet -vettool="$tmp/mediavet" "$pkg" 2>&1); then
+    if out=$("$tmp/mediavet" -C "$copy" "$pkg" 2>&1); then
         echo "lint-check: FAIL: $label was not flagged" >&2
         return 1
     fi
