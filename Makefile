@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet lint lint-check build test race bench bench-check fuzz-smoke figures figures-diff docs-check loc shard-check collector-check proxy-check load-check cluster-check clean
+.PHONY: all ci vet lint lint-check build test race bench bench-check fuzz-smoke figures figures-diff docs-check loc dead-check shard-check collector-check proxy-check load-check cluster-check clean
 
 all: ci
 
@@ -79,6 +79,12 @@ docs-check:
 ## directory — the number ROADMAP.md's fold-and-delete target tracks.
 loc:
 	@bash scripts/loc.sh
+
+## dead-check: no func under cmd/, internal/ or examples/ is named only
+## by its own tests — the rule PR 18's reachability pass applied by
+## hand; scripts/dead-allow.txt lists the test hooks kept on purpose.
+dead-check:
+	@bash scripts/dead-check.sh
 
 ## shard-check: end-to-end sharded sweep — run 2 shards with journals,
 ## merge, and diff against the single-process output (OPERATIONS.md §7).

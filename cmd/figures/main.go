@@ -27,8 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -36,6 +34,7 @@ import (
 
 	"streamcache/internal/collect"
 	"streamcache/internal/experiments"
+	"streamcache/internal/profile"
 	"streamcache/internal/sim"
 )
 
@@ -70,31 +69,11 @@ func run() error {
 	)
 	flag.Parse()
 
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := profile.Start(*cpuprof, *memprof)
+	if err != nil {
+		return err
 	}
-	if *memprof != "" {
-		defer func() {
-			f, err := os.Create(*memprof)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "figures: mem profile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize up-to-date allocation stats
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "figures: mem profile:", err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	if *knee != "" {
 		return reportKnee(*knee, *kneeFrac)
@@ -237,12 +216,7 @@ func run() error {
 // and prints the first ramp level whose SLO-violation fraction crosses
 // the threshold — the proxy's measured capacity knee.
 func reportKnee(path string, threshold float64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	t, err := experiments.ReadCSVTable(f)
+	t, err := experiments.ReadCSVFile(path)
 	if err != nil {
 		return err
 	}
@@ -285,19 +259,11 @@ func reportKnee(path string, threshold float64) error {
 // their shared column names and renders the source-tagged overlay
 // table — the one-file input for live-vs-sim cross-validation plots.
 func writeOverlay(livePath, simPath, outPath string) error {
-	readTable := func(path string) (*experiments.Table, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return experiments.ReadCSVTable(f)
-	}
-	live, err := readTable(livePath)
+	live, err := experiments.ReadCSVFile(livePath)
 	if err != nil {
 		return err
 	}
-	sim, err := readTable(simPath)
+	sim, err := experiments.ReadCSVFile(simPath)
 	if err != nil {
 		return err
 	}
@@ -314,16 +280,7 @@ func writeOverlay(livePath, simPath, outPath string) error {
 		defer f.Close()
 		w = f
 	}
-	sink := experiments.NewCSVSink(w)
-	if err := sink.Begin(experiments.TableMeta{Name: overlay.Name, Note: overlay.Note, Header: overlay.Header}); err != nil {
-		return err
-	}
-	for _, row := range overlay.Rows {
-		if err := sink.Row(row); err != nil {
-			return err
-		}
-	}
-	return sink.End()
+	return overlay.Stream(experiments.NewCSVSink(w))
 }
 
 // shardFileName turns figure5_x.csv into figure5_x.shard0-of-2.jsonl.
@@ -332,28 +289,21 @@ func shardFileName(csvName string, sh experiments.Shard) string {
 	return fmt.Sprintf("%s.shard%d-of-%d.jsonl", stem, sh.Index, sh.Count)
 }
 
-// metaCapture records the table name flowing past it, for the index
-// file. It rides inside the MultiSink (not around it), so the engine
-// still sees the index-aware sinks beside it.
-type metaCapture struct {
+// tally records the table name and counts the rows flowing past it,
+// for the index file, without rendering them. It rides inside the
+// MultiSink (not around it), so the engine still sees the index-aware
+// sinks beside it.
+type tally struct {
 	name string
-}
-
-func (m *metaCapture) Begin(meta experiments.TableMeta) error {
-	m.name = meta.Name
-	return nil
-}
-func (m *metaCapture) Row([]string) error { return nil }
-func (m *metaCapture) End() error         { return nil }
-
-// countingSink counts rows without rendering them.
-type countingSink struct {
 	rows int
 }
 
-func (c *countingSink) Begin(experiments.TableMeta) error { return nil }
-func (c *countingSink) Row([]string) error                { c.rows++; return nil }
-func (c *countingSink) End() error                        { return nil }
+func (t *tally) Begin(meta experiments.TableMeta) error {
+	t.name = meta.Name
+	return nil
+}
+func (t *tally) Row([]string) error { t.rows++; return nil }
+func (t *tally) End() error         { return nil }
 
 // streamExperiment streams one experiment to path — canonical CSV (plus
 // an optional sibling .jsonl) when unsharded, per-shard JSONL when
@@ -369,9 +319,8 @@ func streamExperiment(e experiments.Experiment, s experiments.Scale, j *experime
 	}
 	defer out.Close()
 
-	meta := &metaCapture{}
-	count := &countingSink{}
-	sink := experiments.MultiSink{meta, count}
+	seen := &tally{}
+	sink := experiments.MultiSink{seen}
 	if s.Shard.Count > 1 {
 		sink = append(sink, experiments.NewJSONLSink(out))
 	} else {
@@ -396,7 +345,7 @@ func streamExperiment(e experiments.Experiment, s experiments.Scale, j *experime
 	if err := e.Stream(s, sink); err != nil {
 		return "", 0, err
 	}
-	return meta.name, count.rows, out.Close()
+	return seen.name, seen.rows, out.Close()
 }
 
 // shardFilePattern matches per-shard outputs: <stem>.shard<i>-of-<n>.jsonl.

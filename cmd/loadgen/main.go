@@ -298,12 +298,13 @@ type table struct {
 	close func() error
 }
 
-// begin opens path ('-' = stdout; appending when appendTo, so the
-// per-level tables of a ramp sweep can share one file) and declares
-// meta on it. With -collect the table additionally streams to the
+// open opens path ('-' = stdout; appending when appendTo, so the
+// per-level tables of a ramp sweep can share one file) as a table
+// destination. With -collect the table additionally streams to the
 // collector under stem (the collector writes <stem>.csv when the run
-// reports done). Rows go through the returned table; end completes it.
-func (o options) begin(path, stem string, appendTo bool, meta experiments.TableMeta) (*table, error) {
+// reports done). Begin, rows and End go through the returned table;
+// close releases the destination.
+func (o options) open(path, stem string, appendTo bool) (*table, error) {
 	w, closeOut := io.Writer(os.Stdout), func() error { return nil }
 	if path != "-" {
 		how := os.O_TRUNC
@@ -323,35 +324,21 @@ func (o options) begin(path, stem string, appendTo bool, meta experiments.TableM
 	if o.collector != nil {
 		sink = experiments.MultiSink{sink, o.collector.Sink(stem)}
 	}
-	if err := sink.Begin(meta); err != nil {
-		closeOut()
-		return nil, err
-	}
 	return &table{sink, closeOut}, nil
 }
 
-// end completes the table and closes its destination. Callers defer
-// close for the error paths; closing twice is harmless.
-func (t *table) end() error {
-	if err := t.End(); err != nil {
-		return err
-	}
-	return t.close()
-}
-
-// emit writes a whole table through begin/end.
+// emit writes a whole table to path. The deferred close covers the
+// error paths; closing twice is harmless.
 func (o options) emit(path, stem string, appendTo bool, t *experiments.Table) error {
-	out, err := o.begin(path, stem, appendTo, experiments.TableMeta{Name: t.Name, Note: t.Note, Header: t.Header})
+	out, err := o.open(path, stem, appendTo)
 	if err != nil {
 		return err
 	}
 	defer out.close()
-	for _, row := range t.Rows {
-		if err := out.Row(row); err != nil {
-			return err
-		}
+	if err := t.Stream(out); err != nil {
+		return err
 	}
-	return out.end()
+	return out.close()
 }
 
 // waitReachable polls the proxy's /stats endpoint until it answers.

@@ -58,11 +58,14 @@ func driveOpen(o options, catalog *proxy.Catalog) error {
 		o.proxyURL, len(spec.Classes), o.duration, o.timeScale, o.maxInflight)
 	// Summary rows stream as their levels finish, so an interrupted sweep
 	// keeps the levels it completed.
-	summary, err := o.begin(o.out, "live_capacity", false, experiments.LiveCapacityMeta(note))
+	summary, err := o.open(o.out, "live_capacity", false)
 	if err != nil {
 		return err
 	}
 	defer summary.close()
+	if err := summary.Begin(experiments.LiveCapacityMeta(note)); err != nil {
+		return err
+	}
 	classMeta := experiments.LiveClassMeta(note)
 	classes := &experiments.Table{Name: classMeta.Name, Note: classMeta.Note, Header: classMeta.Header}
 
@@ -92,7 +95,10 @@ func driveOpen(o options, catalog *proxy.Catalog) error {
 			}
 		}
 	}
-	if err := summary.end(); err != nil {
+	if err := summary.End(); err != nil {
+		return err
+	}
+	if err := summary.close(); err != nil {
 		return err
 	}
 	if o.perClass != "" {
@@ -122,7 +128,7 @@ func openSpec(o options) (*load.Spec, error) {
 	case "onoff":
 		// Ten sources with a 1s-on/4s-off duty cycle whose aggregate mean
 		// matches -rate: peak = rate / (sources * 0.2).
-		c.Arrival = load.ArrivalSpec{Process: "onoff", Sources: 10, PeakRate: o.rate / 2}
+		c.Arrival = load.ArrivalSpec{Process: "onoff", OnOff: load.OnOff{Sources: 10, PeakHz: o.rate / 2}}
 	default:
 		return nil, fmt.Errorf("arrival=%q, want poisson, trace or onoff", o.arrival)
 	}

@@ -17,11 +17,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
+	"streamcache/internal/profile"
 	"streamcache/internal/sim"
 	"streamcache/internal/units"
 	"streamcache/internal/workload"
@@ -34,45 +33,9 @@ func main() {
 	}
 }
 
-// profileTo starts CPU profiling and arranges a heap snapshot, returning
-// a stop function to defer. Empty paths disable the corresponding
-// profile.
-func profileTo(cpuPath, memPath string) (func(), error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mem profile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize up-to-date allocation stats
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "mem profile:", err)
-			}
-		}
-	}, nil
-}
-
 func run() error {
 	var (
-		policyName  = flag.String("policy", "PB", "policy: IF, PB, IB, PB-V, IB-V, LRU, LFU, HYBRID, HYBRID-V")
+		policyName  = flag.String("policy", "PB", "policy: IF, PB, IB, PB-V, IB-V, LRU, LFU, HYBRID, HYBRID-V, GDS, GDS-BW, GDSP")
 		e           = flag.Float64("e", 0.5, "bandwidth under-estimation factor for HYBRID policies")
 		cacheGB     = flag.Float64("cache-gb", 40, "cache capacity in GB")
 		objects     = flag.Int("objects", 1000, "unique streaming objects")
@@ -90,7 +53,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	stopProfiles, err := profileTo(*cpuprofile, *memprofile)
+	stopProfiles, err := profile.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		return err
 	}
@@ -100,7 +63,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	variation, err := variabilityByName(*variability)
+	variation, err := bandwidth.VariabilityByName(*variability)
 	if err != nil {
 		return err
 	}
@@ -118,8 +81,13 @@ func run() error {
 			NumRequests: *requests,
 			ZipfAlpha:   *alpha,
 		},
-		CacheBytes:   units.GBytes(*cacheGB),
-		Policy:       policy,
+		CacheBytes: units.GBytes(*cacheGB),
+		// One instance per run: the GDS family keeps an aging value that
+		// parallel runs must not share.
+		PolicyFactory: func() core.Policy {
+			p, _ := core.PolicyByName(*policyName, *e) // validated above
+			return p
+		},
 		CacheOptions: opts,
 		Variation:    variation,
 		Estimators:   estimators,
@@ -142,27 +110,10 @@ func run() error {
 	return nil
 }
 
-func variabilityByName(name string) (bandwidth.Variability, error) {
-	switch name {
-	case "none", "constant":
-		return bandwidth.NoVariation{}, nil
-	case "nlanr":
-		return bandwidth.NLANRVariability(), nil
-	case "measured":
-		return bandwidth.MeasuredVariability(), nil
-	case "inria":
-		return bandwidth.INRIAVariability(), nil
-	case "fareast":
-		return bandwidth.FarEastVariability(), nil
-	default:
-		return nil, fmt.Errorf("unknown variability %q", name)
-	}
-}
-
 func estimatorByName(name string, ewmaAlpha, e float64) (sim.EstimatorFactory, error) {
 	switch name {
 	case "oracle":
-		return sim.OracleEstimator, nil
+		return nil, nil // sim.Config.Estimators: nil is the oracle mean
 	case "ewma":
 		if ewmaAlpha <= 0 || ewmaAlpha > 1 {
 			return nil, fmt.Errorf("ewma-alpha %v outside (0,1]", ewmaAlpha)

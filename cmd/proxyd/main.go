@@ -42,7 +42,7 @@ func run() error {
 	var (
 		originAddr = flag.String("origin-addr", "127.0.0.1:8080", "origin listen address")
 		proxyAddr  = flag.String("proxy-addr", "127.0.0.1:8081", "proxy listen address")
-		policyName = flag.String("policy", "PB", "cache policy: IF, PB, IB, PB-V, IB-V, LRU, LFU")
+		policyName = flag.String("policy", "PB", "cache policy: IF, PB, IB, PB-V, IB-V, LRU, LFU, HYBRID, HYBRID-V, GDS, GDS-BW, GDSP")
 		e          = flag.Float64("e", 0.5, "under-estimation factor for HYBRID policies")
 		cacheMB    = flag.Int64("cache-mb", 256, "proxy cache capacity, MB (split across shards)")
 		shards     = flag.Int("shards", 1, "number of proxy shards (ID-hashed object partitions)")

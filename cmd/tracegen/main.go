@@ -26,7 +26,7 @@ func run() error {
 	var (
 		entries     = flag.Int("entries", 100000, "log lines to generate")
 		servers     = flag.Int("servers", 1000, "distinct origin servers (paths)")
-		variability = flag.String("variability", "nlanr", "per-request bandwidth variability: none, nlanr, measured")
+		variability = flag.String("variability", "nlanr", "per-request bandwidth variability: none, nlanr, measured, inria, fareast")
 		hitFrac     = flag.Float64("hit-fraction", 0.2, "fraction of TCP_HIT lines")
 		smallFrac   = flag.Float64("small-fraction", 0.3, "fraction of sub-200KB objects")
 		seed        = flag.Int64("seed", 1, "random seed")
@@ -34,16 +34,9 @@ func run() error {
 	)
 	flag.Parse()
 
-	var variation bandwidth.Variability
-	switch *variability {
-	case "none":
-		variation = bandwidth.NoVariation{}
-	case "nlanr":
-		variation = bandwidth.NLANRVariability()
-	case "measured":
-		variation = bandwidth.MeasuredVariability()
-	default:
-		return fmt.Errorf("unknown variability %q", *variability)
+	variation, err := bandwidth.VariabilityByName(*variability)
+	if err != nil {
+		return err
 	}
 
 	log, err := trace.Generate(trace.GenConfig{

@@ -295,7 +295,7 @@ func (sl *shardlockChecker) walkStmt(fd *ast.FuncDecl, s ast.Stmt, held lockStat
 		if terminates(x.Body) {
 			return elseOut
 		}
-		if x.Else != nil && blockTerminates(x.Else) {
+		if x.Else != nil && terminatesStmts([]ast.Stmt{x.Else}) {
 			return thenOut
 		}
 		return joinStates(thenOut, elseOut)
@@ -390,16 +390,6 @@ func anyLock(held lockState) (string, token.Pos) {
 
 func terminates(b *ast.BlockStmt) bool { return terminatesStmts(b.List) }
 
-func blockTerminates(s ast.Stmt) bool {
-	switch x := s.(type) {
-	case *ast.BlockStmt:
-		return terminates(x)
-	case *ast.IfStmt:
-		return terminates(x.Body) && x.Else != nil && blockTerminates(x.Else)
-	}
-	return false
-}
-
 // terminatesStmts reports whether a statement list always transfers
 // control out (return, panic, break/continue/goto). Approximate: only
 // the last statement is examined.
@@ -419,7 +409,7 @@ func terminatesStmts(stmts []ast.Stmt) bool {
 	case *ast.BlockStmt:
 		return terminates(x)
 	case *ast.IfStmt:
-		return terminates(x.Body) && x.Else != nil && blockTerminates(x.Else)
+		return terminates(x.Body) && x.Else != nil && terminatesStmts([]ast.Stmt{x.Else})
 	}
 	return false
 }

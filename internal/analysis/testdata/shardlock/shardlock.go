@@ -110,3 +110,55 @@ func suppressedBlock(sh *shard, url string) {
 	http.Get(url)
 	sh.mu.Unlock()
 }
+
+func switchUnderLock(sh *shard, url string, kind int) {
+	sh.mu.Lock()
+	switch kind {
+	case 0:
+		http.Get(url) // want "blocking call .calls into net/http. while holding sh.mu"
+	case 1:
+		sh.mu.Unlock()
+		http.Get(url) // negative: this case released the lock before it returned
+		return
+	}
+	sh.mu.Unlock()
+}
+
+func selectUnderLock(sh *shard, ch chan int) {
+	sh.mu.Lock()
+	select { // want "select while holding sh.mu"
+	case v := <-ch:
+		sh.inflight[5] = v
+	default:
+	}
+	sh.mu.Unlock()
+}
+
+func labeledLoopUnderLock(sh *shard, urls []string) {
+	sh.mu.Lock()
+outer:
+	for _, u := range urls {
+		if u == "" {
+			continue outer
+		}
+		http.Get(u) // want "blocking call .calls into net/http. while holding sh.mu"
+	}
+	sh.mu.Unlock()
+}
+
+func elseIfUnderLock(sh *shard, url string, a, b bool) {
+	sh.mu.Lock()
+	if a {
+		sh.inflight[4] = 1
+	} else if b {
+		sh.mu.Unlock()
+		return
+	} else {
+		sh.mu.Unlock()
+		return
+	}
+	// Both releasing branches returned: only the one that kept the lock
+	// falls through to here.
+	http.Get(url) // want "blocking call .calls into net/http. while holding sh.mu"
+	sh.mu.Unlock()
+}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 
@@ -34,17 +33,6 @@ type Model interface {
 	Mean() float64
 }
 
-// Constant is a degenerate model: every path has the same bandwidth.
-type Constant struct {
-	Rate float64
-}
-
-// Sample returns the constant rate.
-func (c Constant) Sample(*rand.Rand) float64 { return c.Rate }
-
-// Mean returns the constant rate.
-func (c Constant) Mean() float64 { return c.Rate }
-
 // CDFPoint is one control point of a piecewise-linear CDF: P[X <= X] = P.
 type CDFPoint struct {
 	X float64 // bandwidth, bytes/s
@@ -52,8 +40,7 @@ type CDFPoint struct {
 }
 
 // Empirical is a piecewise-linear-CDF bandwidth distribution. It backs
-// both the reconstructed NLANR distribution and distributions derived
-// from analyzed proxy logs.
+// the reconstructed NLANR distribution.
 type Empirical struct {
 	pts  []CDFPoint
 	mean float64
@@ -93,40 +80,6 @@ func NewEmpirical(points []CDFPoint) (*Empirical, error) {
 		mean += (pts[i].P - pts[i-1].P) * (pts[i].X + pts[i-1].X) / 2
 	}
 	return &Empirical{pts: pts, mean: mean}, nil
-}
-
-// FromSamples builds an Empirical distribution from raw bandwidth samples
-// (e.g. throughput samples extracted from a proxy log). The CDF is the
-// piecewise-linear interpolation of the sorted samples.
-func FromSamples(samples []float64) (*Empirical, error) {
-	if len(samples) < 2 {
-		return nil, fmt.Errorf("%w: need at least 2 samples, got %d", ErrBadParam, len(samples))
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	slices.Sort(s)
-	if s[0] < 0 {
-		return nil, fmt.Errorf("%w: negative bandwidth sample %v", ErrBadParam, s[0])
-	}
-	pts := make([]CDFPoint, 0, len(s))
-	n := float64(len(s))
-	for i, x := range s {
-		p := float64(i) / (n - 1)
-		if len(pts) > 0 && x <= pts[len(pts)-1].X {
-			// Collapse ties, keeping the largest P.
-			pts[len(pts)-1].P = p
-			continue
-		}
-		pts = append(pts, CDFPoint{X: x, P: p})
-	}
-	if len(pts) < 2 {
-		// All samples identical: widen into a degenerate two-point CDF.
-		x := pts[0].X
-		pts = []CDFPoint{{X: x, P: 0}, {X: x + 1e-9, P: 1}}
-	}
-	pts[0].P = 0
-	pts[len(pts)-1].P = 1
-	return NewEmpirical(pts)
 }
 
 // Sample draws a bandwidth by inverse-transform sampling with linear
@@ -293,6 +246,25 @@ func INRIAVariability() LognormalRatio { return mustRatio(sigmaINRIA) }
 // FarEastVariability models the moderately variable measured paths
 // (BU->Taiwan, BU->Hong Kong).
 func FarEastVariability() LognormalRatio { return mustRatio(sigmaFarEast) }
+
+// VariabilityByName returns the preset a command-line name selects:
+// none (or constant), nlanr, measured, inria, fareast.
+func VariabilityByName(name string) (Variability, error) {
+	switch name {
+	case "none", "constant":
+		return NoVariation{}, nil
+	case "nlanr":
+		return NLANRVariability(), nil
+	case "measured":
+		return MeasuredVariability(), nil
+	case "inria":
+		return INRIAVariability(), nil
+	case "fareast":
+		return FarEastVariability(), nil
+	default:
+		return nil, fmt.Errorf("%w: unknown variability %q", ErrBadParam, name)
+	}
+}
 
 // Path is a cache-origin path with a fixed mean bandwidth and a
 // variability process.

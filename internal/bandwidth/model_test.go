@@ -1,6 +1,7 @@
 package bandwidth
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,13 +12,6 @@ import (
 )
 
 func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func TestConstantModel(t *testing.T) {
-	c := Constant{Rate: 12345}
-	if c.Sample(newRNG(1)) != 12345 || c.Mean() != 12345 {
-		t.Error("Constant model must return its rate")
-	}
-}
 
 func TestNewEmpiricalValidation(t *testing.T) {
 	tests := []struct {
@@ -126,82 +120,24 @@ func TestNLANRAnchorsExact(t *testing.T) {
 	}
 }
 
-func TestFromSamples(t *testing.T) {
-	samples := []float64{10, 20, 30, 40, 50}
-	e, err := FromSamples(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Inverse(0) != 10 || e.Inverse(1) != 50 {
-		t.Errorf("range = %v..%v, want 10..50", e.Inverse(0), e.Inverse(1))
-	}
-	if got := e.Mean(); math.Abs(got-30) > 1e-9 {
-		t.Errorf("Mean = %v, want 30", got)
-	}
-}
-
-func TestFromSamplesWithTies(t *testing.T) {
-	e, err := FromSamples([]float64{5, 5, 5, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := newRNG(3)
-	for i := 0; i < 100; i++ {
-		v := e.Sample(rng)
-		if v < 5 || v > 10 {
-			t.Fatalf("sample %v outside [5,10]", v)
-		}
-	}
-}
-
-func TestFromSamplesAllIdentical(t *testing.T) {
-	e, err := FromSamples([]float64{7, 7, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := e.Sample(newRNG(4))
-	if math.Abs(v-7) > 1e-6 {
-		t.Errorf("sample of degenerate distribution = %v, want ~7", v)
-	}
-}
-
-func TestFromSamplesErrors(t *testing.T) {
-	if _, err := FromSamples(nil); err == nil {
-		t.Error("empty samples accepted")
-	}
-	if _, err := FromSamples([]float64{1}); err == nil {
-		t.Error("single sample accepted")
-	}
-	if _, err := FromSamples([]float64{-1, 5}); err == nil {
-		t.Error("negative sample accepted")
-	}
-}
-
-func TestFromSamplesRoundTripProperty(t *testing.T) {
-	// Building an Empirical from samples of another Empirical must
-	// roughly preserve the mean.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		src := NLANR()
-		samples := make([]float64, 2000)
-		for i := range samples {
-			samples[i] = src.Sample(rng)
-		}
-		e, err := FromSamples(samples)
-		if err != nil {
-			return false
-		}
-		return math.Abs(e.Mean()-src.Mean())/src.Mean() < 0.15
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNoVariation(t *testing.T) {
 	var v NoVariation
 	if v.Ratio(newRNG(1)) != 1 || v.CoV() != 0 {
 		t.Error("NoVariation must have ratio 1 and CoV 0")
+	}
+}
+
+func TestVariabilityByName(t *testing.T) {
+	for name, want := range map[string]Variability{
+		"none": NoVariation{}, "constant": NoVariation{}, "nlanr": NLANRVariability(),
+		"measured": MeasuredVariability(), "inria": INRIAVariability(), "fareast": FarEastVariability(),
+	} {
+		if got, err := VariabilityByName(name); err != nil || got != want {
+			t.Errorf("VariabilityByName(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := VariabilityByName("NLANR"); !errors.Is(err, ErrBadParam) {
+		t.Errorf("unknown name: err = %v, want ErrBadParam", err)
 	}
 }
 

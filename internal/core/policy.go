@@ -219,7 +219,9 @@ func (p *hybridVPolicy) Target(obj Object, bw float64) int64 {
 
 // PolicyByName constructs a policy from its short name; hybrid policies
 // take the estimator through the e parameter (ignored by the others).
-// Recognized names: IF, PB, IB, PB-V, IB-V, LRU, LFU, HYBRID, HYBRID-V.
+// Recognized names: IF, PB, IB, PB-V, IB-V, LRU, LFU, HYBRID, HYBRID-V,
+// GDS, GDS-BW, GDSP. The GDS family is stateful: build one instance per
+// cache.
 func PolicyByName(name string, e float64) (Policy, error) {
 	switch name {
 	case "IF":

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"streamcache/internal/sim"
 )
 
 // tableEqual reports whether two tables have identical rows.
@@ -386,6 +388,7 @@ func TestSpecRowsFollowDeclaredAxisOrder(t *testing.T) {
 // refined point would not know which level it belongs to).
 func TestSpecCompileRejectsMalformedSpecs(t *testing.T) {
 	s := tinyScale()
+	s.Arena = sim.NewArena() // as Experiment.Stream hands it to compile
 	if _, err := (spec{name: "typo", axes: []axisFn{cacheAxis, pbPolicy}, metrics: []string{"avg_delay"}}).compile(s); err == nil {
 		t.Error("unknown metric column accepted")
 	}

@@ -138,13 +138,10 @@ func (s Scale) validate() error {
 // stream — everything except Parallelism, which by the determinism
 // contract cannot change any row. Journals are stamped with it so a
 // resume at a different scale (which would silently splice two
-// incompatible row sets) fails instead. The constant noreuse=false is
-// where the removed Scale.NoWorkloadReuse knob used to print (no flag
-// ever set it): keeping it lets journals and collector sessions stamped
-// by earlier builds still match.
+// incompatible row sets) fails instead.
 func (s Scale) Fingerprint() string {
 	return fmt.Sprintf(
-		"objects=%d requests=%d runs=%d seed=%d fractions=%v alpha=%v e=%v sigma=%v trace=%d/%d refine=%d noreuse=false shard=%s",
+		"objects=%d requests=%d runs=%d seed=%d fractions=%v alpha=%v e=%v sigma=%v trace=%d/%d refine=%d shard=%s",
 		s.Objects, s.Requests, s.Runs, s.Seed, s.CacheFractions, s.AlphaSweep,
 		s.ESweep, s.SigmaSweep, s.TraceEntries, s.TraceServers,
 		s.RefineBudget, s.Shard)
@@ -164,9 +161,9 @@ func (s Scale) RunFingerprint() string {
 // sizing workload uses the seed of run 0 (sim.SplitSeed, matching what
 // sim.Run derives internally) so the cache_pct axis is a fraction of an
 // object population the simulations actually realize. Generation is
-// memoized through the scale's arena (nil generates fresh,
-// identically): every spec at one scale sizes against the same
-// workload, so a shared arena pays for it once.
+// memoized through the scale's arena (Experiment.Stream guarantees
+// one): every spec at one scale sizes against the same workload, so a
+// shared arena pays for it once.
 func (s Scale) totalBytes() (int64, error) {
 	w, err := s.Arena.Workload(workload.Config{
 		NumObjects:  s.Objects,
@@ -434,7 +431,7 @@ func eviction(label string, whole bool) level {
 var ablationEstimators = spec{
 	name: "Ablation: oracle vs passive EWMA bandwidth estimation (PB policy, measured variability)",
 	axes: []axisFn{cacheAxis, pbPolicy, variation(bandwidth.MeasuredVariability()), choice("estimator",
-		estimator("oracle", sim.OracleEstimator),
+		estimator("oracle", nil),
 		estimator("ewma_0.3", sim.EWMAEstimator(0.3)),
 		estimator("underestimate_0.5", sim.UnderestimatingOracle(0.5)),
 	)},

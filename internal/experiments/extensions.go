@@ -169,7 +169,7 @@ var extensionActiveProbing = spec{
 	note: "PB policy under measured-path variability, 5% cache",
 	axes: []axisFn{
 		choice("estimator",
-			estimator("oracle", sim.OracleEstimator),
+			estimator("oracle", nil),
 			estimator("active_probe_jitter_0.05", sim.ActiveProbeEstimator(0.05)),
 			estimator("active_probe_jitter_0.20", sim.ActiveProbeEstimator(0.20)),
 			estimator("active_probe_jitter_0.40", sim.ActiveProbeEstimator(0.40))),

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -72,6 +73,16 @@ func FindKnee(t *Table, threshold float64) int {
 		}
 	}
 	return -1
+}
+
+// ReadCSVFile is ReadCSVTable over the file at path.
+func ReadCSVFile(path string) (*Table, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadCSVTable(f)
 }
 
 // ReadCSVTable parses a table in the CSVSink rendering: a `# name`

@@ -49,14 +49,8 @@ func TestOverlayTables(t *testing.T) {
 
 	// The overlay streams as a regular table.
 	var buf bytes.Buffer
-	sink := NewCSVSink(&buf)
-	if err := sink.Begin(TableMeta{Name: got.Name, Note: got.Note, Header: got.Header}); err != nil {
+	if err := got.Stream(NewCSVSink(&buf)); err != nil {
 		t.Fatal(err)
-	}
-	for _, row := range got.Rows {
-		if err := sink.Row(row); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if !strings.Contains(buf.String(), "live,10,0.61") {
 		t.Errorf("overlay CSV missing live row:\n%s", buf.String())

@@ -31,7 +31,7 @@ var scenarioMatrix = spec{
 	axes: []axisFn{
 		sigmaAxis,
 		choice("estimator",
-			estimator("oracle", sim.OracleEstimator),
+			estimator("oracle", nil),
 			estimator("ewma_0.3", sim.EWMAEstimator(0.3)),
 			estimator("underestimate_0.5", sim.UnderestimatingOracle(0.5)),
 			estimator("active_probe_0.1", sim.ActiveProbeEstimator(0.1))),

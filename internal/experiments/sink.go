@@ -57,6 +57,20 @@ func (t *TableSink) Table() *Table {
 	return &tbl
 }
 
+// Stream pushes the whole table into sink: the table identity, every
+// row in order, then End — the inverse of collecting one in a TableSink.
+func (t *Table) Stream(sink RowSink) error {
+	if err := sink.Begin(TableMeta{Name: t.Name, Note: t.Note, Header: t.Header}); err != nil {
+		return err
+	}
+	for _, row := range t.Rows {
+		if err := sink.Row(row); err != nil {
+			return err
+		}
+	}
+	return sink.End()
+}
+
 // CSVSink streams a table as CSV: two leading comment lines (name and
 // note), the header, then one line per row, flushed row by row so a
 // consumer tailing the file sees points as they complete.

@@ -14,12 +14,9 @@ import (
 // and objects together). Times returns strictly increasing timestamps
 // in workload seconds on (0, horizon]; the sequence must be a pure
 // function of the rng state, which is what makes schedules
-// seed-deterministic. Rate reports the long-run arrival rate in events
-// per workload second.
+// seed-deterministic.
 type Process interface {
 	Times(rng *rand.Rand, horizon float64) []float64
-	Rate() float64
-	Name() string
 }
 
 // Poisson is a homogeneous Poisson arrival process: independent
@@ -27,12 +24,6 @@ type Process interface {
 type Poisson struct {
 	RateHz float64
 }
-
-// Name implements Process.
-func (p Poisson) Name() string { return "poisson" }
-
-// Rate implements Process.
-func (p Poisson) Rate() float64 { return p.RateHz }
 
 // Times implements Process.
 func (p Poisson) Times(rng *rand.Rand, horizon float64) []float64 {
@@ -62,26 +53,15 @@ func (p Poisson) Times(rng *rand.Rand, horizon float64) []float64 {
 // lengths have infinite variance, and the superposed stream exhibits
 // burstiness across time scales (Willinger et al.) — its
 // variance-to-mean ratio of interval counts sits well above the
-// Poisson process's 1.
+// Poisson process's 1. The long-run arrival rate is
+// Sources x PeakHz x MeanOn / (MeanOn + MeanOff).
 type OnOff struct {
-	Sources  int     // number of superposed sources, > 0
-	PeakHz   float64 // per-source arrival rate while ON, > 0
-	OnShape  float64 // Pareto tail index of ON durations (default 1.5)
-	OffShape float64 // Pareto tail index of OFF durations (default 1.5)
-	MeanOn   float64 // mean ON duration, seconds (default 1)
-	MeanOff  float64 // mean OFF duration, seconds (default 4)
-}
-
-// Name implements Process.
-func (o OnOff) Name() string { return "onoff" }
-
-// Rate implements Process.
-func (o OnOff) Rate() float64 {
-	cycle := o.MeanOn + o.MeanOff
-	if cycle <= 0 {
-		return 0
-	}
-	return float64(o.Sources) * o.PeakHz * o.MeanOn / cycle
+	Sources  int     `json:"sources"`   // number of superposed sources, > 0
+	PeakHz   float64 `json:"peak_rate"` // per-source arrival rate while ON, > 0
+	OnShape  float64 `json:"on_shape"`  // Pareto tail index of ON durations (default 1.5)
+	OffShape float64 `json:"off_shape"` // Pareto tail index of OFF durations (default 1.5)
+	MeanOn   float64 `json:"mean_on"`   // mean ON duration, seconds (default 1)
+	MeanOff  float64 `json:"mean_off"`  // mean OFF duration, seconds (default 4)
 }
 
 // Times implements Process. Each source's timeline is generated

@@ -45,9 +45,6 @@ func TestPoissonInterArrivalStats(t *testing.T) {
 		{rate: 200, horizon: 100, seed: 3},
 	} {
 		p := Poisson{RateHz: tc.rate}
-		if got := p.Rate(); got != tc.rate {
-			t.Errorf("rate %v: Rate() = %v", tc.rate, got)
-		}
 		rng := rand.New(rand.NewSource(tc.seed))
 		times := p.Times(rng, tc.horizon)
 		if len(times) < 10000 {
@@ -95,9 +92,6 @@ func TestOnOffBurstierThanPoisson(t *testing.T) {
 	const horizon = 600.0
 	onoff := OnOff{Sources: 20, PeakHz: 5, OnShape: 1.5, OffShape: 1.5, MeanOn: 1, MeanOff: 4}
 	wantRate := 20.0 // 20 sources x 5 Hz x 1/(1+4) duty cycle
-	if got := onoff.Rate(); math.Abs(got-wantRate) > 1e-9 {
-		t.Fatalf("OnOff.Rate = %v, want %v", got, wantRate)
-	}
 	poisson := Poisson{RateHz: wantRate}
 
 	for seed := int64(1); seed <= 3; seed++ {
@@ -136,11 +130,11 @@ func TestProcessesDeterministicPerSeed(t *testing.T) {
 		a := p.Times(rand.New(rand.NewSource(42)), 50)
 		b := p.Times(rand.New(rand.NewSource(42)), 50)
 		if len(a) != len(b) {
-			t.Fatalf("%s: same seed lengths differ: %d vs %d", p.Name(), len(a), len(b))
+			t.Fatalf("%T: same seed lengths differ: %d vs %d", p, len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s: same seed diverges at %d: %v vs %v", p.Name(), i, a[i], b[i])
+				t.Fatalf("%T: same seed diverges at %d: %v vs %v", p, i, a[i], b[i])
 			}
 		}
 		c := p.Times(rand.New(rand.NewSource(43)), 50)
@@ -154,7 +148,7 @@ func TestProcessesDeterministicPerSeed(t *testing.T) {
 			}
 		}
 		if same {
-			t.Errorf("%s: different seeds produced identical streams", p.Name())
+			t.Errorf("%T: different seeds produced identical streams", p)
 		}
 	}
 }

@@ -2,6 +2,10 @@ package load
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -19,19 +23,25 @@ func scheduleBytes(t *testing.T, spec *Spec, catalog *proxy.Catalog, trace []wor
 		t.Fatalf("BuildSchedule: %v", err)
 	}
 	var buf bytes.Buffer
-	sink, table := experiments.NewJSONLSink(&buf), ScheduleTable("schedule", items)
-	if err := sink.Begin(experiments.TableMeta{Name: table.Name, Note: table.Note, Header: table.Header}); err != nil {
-		t.Fatalf("Begin: %v", err)
-	}
-	for _, row := range table.Rows {
-		if err := sink.Row(row); err != nil {
-			t.Fatalf("Row: %v", err)
-		}
-	}
-	if err := sink.End(); err != nil {
-		t.Fatalf("End: %v", err)
+	if err := ScheduleTable("schedule", items).Stream(experiments.NewJSONLSink(&buf)); err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// operationsSpec is the workload-spec example of OPERATIONS.md, read
+// from the document so the text operators copy is the text tested.
+func operationsSpec(t *testing.T) string {
+	t.Helper()
+	doc, err := os.ReadFile("../../OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile("(?s)```json\n(\\{\\s*\"classes\".*?)```").FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("OPERATIONS.md has no ```json workload-spec example")
+	}
+	return string(m[1])
 }
 
 func TestScheduleByteIdenticalAcrossRuns(t *testing.T) {
@@ -47,7 +57,12 @@ func TestScheduleByteIdenticalAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	spec, err := ParseSpec(strings.NewReader(`{
+	// The digests pin the schedule bytes across commits, not only across
+	// runs: they were taken before the spec structs were folded into
+	// workload.Viewing and load.OnOff, so a spec file on disk still means
+	// the same schedule.
+	for _, tc := range []struct{ name, text, sha256 string }{
+		{"three classes", `{
 	  "classes": [
 	    {"name": "vod", "arrival": {"process": "poisson", "rate": 8},
 	     "viewing": {"dist": "uniform"}, "slo": {"class": "standard"}},
@@ -55,22 +70,28 @@ func TestScheduleByteIdenticalAcrossRuns(t *testing.T) {
 	     "slo": {"class": "interactive"}},
 	    {"name": "replay", "arrival": {"process": "trace"}, "slo": {"class": "relaxed"}}
 	  ]
-	}`))
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-
-	first := scheduleBytes(t, spec, catalog, w.Requests, 42)
-	second := scheduleBytes(t, spec, catalog, w.Requests, 42)
-	if !bytes.Equal(first, second) {
-		t.Fatal("same seed produced different schedule bytes")
-	}
-	if len(first) == 0 || bytes.Count(first, []byte("\n")) < 100 {
-		t.Fatalf("suspiciously small schedule: %d bytes", len(first))
-	}
-	other := scheduleBytes(t, spec, catalog, w.Requests, 43)
-	if bytes.Equal(first, other) {
-		t.Fatal("different seeds produced identical schedule bytes")
+	}`, "51df3c16f8ad3aeb3a7a3dfacfa6ef4f350687e6998c323964256794971a1163"},
+		{"OPERATIONS.md example", operationsSpec(t), "366ad48c504e4bd187173d059fee072a7e53d479f010136eb6d229cd3b833aa1"},
+	} {
+		spec, err := ParseSpec(strings.NewReader(tc.text))
+		if err != nil {
+			t.Fatalf("%s: ParseSpec: %v", tc.name, err)
+		}
+		first := scheduleBytes(t, spec, catalog, w.Requests, 42)
+		second := scheduleBytes(t, spec, catalog, w.Requests, 42)
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s: same seed produced different schedule bytes", tc.name)
+		}
+		if len(first) == 0 || bytes.Count(first, []byte("\n")) < 100 {
+			t.Fatalf("%s: suspiciously small schedule: %d bytes", tc.name, len(first))
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(first)); got != tc.sha256 {
+			t.Errorf("%s: schedule digest %s, want %s", tc.name, got, tc.sha256)
+		}
+		other := scheduleBytes(t, spec, catalog, w.Requests, 43)
+		if bytes.Equal(first, other) {
+			t.Fatalf("%s: different seeds produced identical schedule bytes", tc.name)
+		}
 	}
 }
 

@@ -131,16 +131,12 @@ func syntheticItems(c *Class, ci int, catalog *proxy.Catalog, ids []int, rng *ra
 	if err != nil {
 		return nil, fmt.Errorf("load: class %q: %w", c.Name, err)
 	}
-	viewing, err := c.ViewingDist().Validate()
-	if err != nil {
-		return nil, fmt.Errorf("load: class %q: %w", c.Name, err)
-	}
 	times := c.process(rateScale).Times(rng, horizon)
 	out := make([]Item, 0, len(times))
 	for _, t := range times {
 		id := ids[zipf.Sample(rng)-1] // rank r -> r-th hottest catalog object
 		meta, _ := catalog.Get(id)
-		frac := viewing.Fraction(rng, meta.Duration)
+		frac := c.Viewing.Fraction(rng, meta.Duration)
 		out = append(out, Item{
 			Time:       t,
 			Class:      c.Name,

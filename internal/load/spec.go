@@ -1,7 +1,6 @@
 package load
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,7 +30,7 @@ type Class struct {
 	Arrival ArrivalSpec `json:"arrival"`
 	// Viewing configures how much of each stream a session watches
 	// (default: watch to the end).
-	Viewing ViewingSpec `json:"viewing"`
+	Viewing workload.Viewing `json:"viewing"`
 	// SLO is the class's startup-delay budget (required: a named class
 	// or an explicit startup_ms).
 	SLO SLOSpec `json:"slo"`
@@ -47,26 +46,10 @@ type ArrivalSpec struct {
 	Process string `json:"process"`
 	// Rate is the Poisson arrival rate in requests per workload second.
 	Rate float64 `json:"rate"`
-	// Sources, PeakRate, OnShape, OffShape, MeanOn, MeanOff
-	// parameterize the self-similar on-off superposition (see OnOff).
-	Sources  int     `json:"sources"`
-	PeakRate float64 `json:"peak_rate"`
-	OnShape  float64 `json:"on_shape"`
-	OffShape float64 `json:"off_shape"`
-	MeanOn   float64 `json:"mean_on"`
-	MeanOff  float64 `json:"mean_off"`
-}
-
-// ViewingSpec selects a viewing-duration distribution; it mirrors
-// workload.Viewing.
-type ViewingSpec struct {
-	// Dist is "full" (default), "uniform" or "lognormal".
-	Dist string `json:"dist"`
-	// MinFraction bounds the uniform watched fraction (default 0.05).
-	MinFraction float64 `json:"min_fraction"`
-	// Mu, Sigma parameterize the lognormal watched duration in seconds.
-	Mu    float64 `json:"mu"`
-	Sigma float64 `json:"sigma"`
+	// OnOff parameterizes the self-similar on-off superposition; its
+	// keys (sources, peak_rate, on_shape, ...) sit beside process and
+	// rate in the JSON.
+	OnOff
 }
 
 // SLOSpec is a startup-delay budget: a named class, an explicit
@@ -143,7 +126,8 @@ func (s *Spec) Validate() error {
 		if err := c.Arrival.validate(); err != nil {
 			return fmt.Errorf("%w: %s: %v", ErrBadSpec, label, err)
 		}
-		if _, err := c.ViewingDist().Validate(); err != nil {
+		var err error
+		if c.Viewing, err = c.Viewing.Validate(); err != nil {
 			return fmt.Errorf("%w: %s: viewing: %v", ErrBadSpec, label, err)
 		}
 		if err := c.SLO.validate(); err != nil {
@@ -171,8 +155,8 @@ func (a *ArrivalSpec) validate() error {
 		if a.Sources <= 0 {
 			return fmt.Errorf("arrival.sources = %d, want > 0", a.Sources)
 		}
-		if a.PeakRate <= 0 || math.IsNaN(a.PeakRate) || math.IsInf(a.PeakRate, 0) {
-			return fmt.Errorf("arrival.peak_rate = %v, want finite > 0", a.PeakRate)
+		if a.PeakHz <= 0 || math.IsNaN(a.PeakHz) || math.IsInf(a.PeakHz, 0) {
+			return fmt.Errorf("arrival.peak_rate = %v, want finite > 0", a.PeakHz)
 		}
 		if a.OnShape == 0 {
 			a.OnShape = 1.5
@@ -221,29 +205,13 @@ func (s *SLOSpec) validate() error {
 	return nil
 }
 
-// ViewingDist converts the spec's viewing block into the workload
-// package's distribution type.
-func (c *Class) ViewingDist() workload.Viewing {
-	return workload.Viewing{
-		Kind:        cmp.Or(workload.ViewingKind(c.Viewing.Dist), workload.ViewFull),
-		MinFraction: c.Viewing.MinFraction,
-		Mu:          c.Viewing.Mu,
-		Sigma:       c.Viewing.Sigma,
-	}
-}
-
 // process builds a synthetic class's arrival Process with every rate
 // scaled by rateScale (the ramp-sweep offered-load multiplier).
 func (c *Class) process(rateScale float64) Process {
 	if c.Arrival.Process == "onoff" {
-		return OnOff{
-			Sources:  c.Arrival.Sources,
-			PeakHz:   c.Arrival.PeakRate * rateScale,
-			OnShape:  c.Arrival.OnShape,
-			OffShape: c.Arrival.OffShape,
-			MeanOn:   c.Arrival.MeanOn,
-			MeanOff:  c.Arrival.MeanOff,
-		}
+		o := c.Arrival.OnOff
+		o.PeakHz *= rateScale
+		return o
 	}
 	return Poisson{RateHz: c.Arrival.Rate * rateScale}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"streamcache/internal/workload"
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
@@ -37,7 +39,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		t.Fatalf("classes = %d, want 3", len(spec.Classes))
 	}
 	vod := spec.Classes[0]
-	if vod.Arrival.Rate != 12.5 || vod.Viewing.Dist != "lognormal" || vod.Viewing.Mu != 4.0 {
+	if vod.Arrival.Rate != 12.5 || vod.Viewing.Kind != workload.ViewLognormal || vod.Viewing.Mu != 4.0 {
 		t.Errorf("vod class mangled: %+v", vod)
 	}
 	if vod.ZipfAlpha != 0.73 {

@@ -1,8 +1,8 @@
 // Package metrics provides the statistical primitives used throughout the
 // evaluation harness: streaming mean/variance (Welford), fixed-width
-// histograms, empirical CDFs, and quantiles. These back the bandwidth
-// characterization experiments (paper Figures 2-4) and the per-run summary
-// statistics of every simulation.
+// histograms and finite-difference gradients. These back the bandwidth
+// characterization experiments (paper Figures 2-4) and the adaptive
+// sweep refinement.
 //
 // The mutable collectors (Welford, Histogram) are safe for concurrent
 // use, so callers may share one collector across goroutines without
@@ -10,16 +10,13 @@
 // under any interleaving; float accumulators (mean/variance/sum) are
 // order-insensitive only up to rounding, which is why the deterministic
 // experiment pipelines fill each collector from a single goroutine and
-// parallelize across collectors instead. ECDF is immutable after
-// construction and Quantile is a pure function, so both are trivially
-// safe.
+// parallelize across collectors instead.
 package metrics
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 )
 
@@ -197,31 +194,6 @@ func (h *Histogram) FractionBelow(x float64) float64 {
 	return float64(cum) / float64(h.count)
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of a sample slice using
-// linear interpolation between order statistics. The input is not modified.
-func Quantile(samples []float64, q float64) (float64, error) {
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("%w: quantile of empty sample", ErrBadParam)
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("%w: quantile q=%v, want in [0,1]", ErrBadParam, q)
-	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	slices.Sort(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
 // Gradients returns the absolute finite-difference slope of each
 // adjacent pair of a sampled curve: out[i] = |ys[i+1]-ys[i]| /
 // (xs[i+1]-xs[i]). xs must be strictly increasing and at least two
@@ -245,56 +217,3 @@ func Gradients(xs, ys []float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// ECDF is an empirical cumulative distribution function built from raw
-// samples. It supports evaluation at arbitrary points and inverse
-// (quantile) lookups, which the bandwidth package uses to turn measured
-// throughput samples into a sampleable distribution.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from samples (copied and sorted).
-func NewECDF(samples []float64) (*ECDF, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("%w: ECDF needs at least one sample", ErrBadParam)
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	slices.Sort(s)
-	return &ECDF{sorted: s}, nil
-}
-
-// At returns P[X <= x].
-func (e *ECDF) At(x float64) float64 {
-	i, _ := slices.BinarySearch(e.sorted, x)
-	// Move past ties so that At is right-continuous.
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Inverse returns the smallest sample x with P[X <= x] >= p.
-func (e *ECDF) Inverse(p float64) float64 {
-	if p <= 0 {
-		return e.sorted[0]
-	}
-	if p >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	i := int(math.Ceil(p*float64(len(e.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i]
-}
-
-// N returns the number of samples.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Min returns the smallest sample.
-func (e *ECDF) Min() float64 { return e.sorted[0] }
-
-// Max returns the largest sample.
-func (e *ECDF) Max() float64 { return e.sorted[len(e.sorted)-1] }

@@ -211,136 +211,6 @@ func TestHistogramCDFMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("empty sample accepted")
-	}
-	if _, err := Quantile([]float64{1}, -0.1); err == nil {
-		t.Error("negative q accepted")
-	}
-	if _, err := Quantile([]float64{1}, 1.1); err == nil {
-		t.Error("q > 1 accepted")
-	}
-}
-
-func TestQuantileKnownValues(t *testing.T) {
-	xs := []float64{4, 1, 3, 2} // sorted: 1 2 3 4
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1},
-		{1, 4},
-		{0.5, 2.5},
-		{0.25, 1.75},
-	}
-	for _, tt := range tests {
-		got, err := Quantile(xs, tt.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestQuantileSingleSample(t *testing.T) {
-	got, err := Quantile([]float64{7}, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 7 {
-		t.Errorf("Quantile = %v, want 7", got)
-	}
-}
-
-func TestNewECDFRejectsEmpty(t *testing.T) {
-	if _, err := NewECDF(nil); err == nil {
-		t.Error("empty ECDF accepted")
-	}
-}
-
-func TestECDFAt(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0},
-		{1, 0.25},
-		{2, 0.75},
-		{2.5, 0.75},
-		{3, 1},
-		{99, 1},
-	}
-	for _, tt := range tests {
-		if got := e.At(tt.x); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("At(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-}
-
-func TestECDFInverse(t *testing.T) {
-	e, err := NewECDF([]float64{10, 20, 30, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 10},
-		{0.25, 10},
-		{0.26, 20},
-		{0.5, 20},
-		{0.75, 30},
-		{1, 40},
-	}
-	for _, tt := range tests {
-		if got := e.Inverse(tt.p); got != tt.want {
-			t.Errorf("Inverse(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if e.Min() != 10 || e.Max() != 40 || e.N() != 4 {
-		t.Errorf("Min/Max/N = %v/%v/%v", e.Min(), e.Max(), e.N())
-	}
-}
-
-func TestECDFInverseAtRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(100) + 1
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64() * 1000
-		}
-		e, err := NewECDF(xs)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < 20; i++ {
-			p := rng.Float64()
-			x := e.Inverse(p)
-			// At(Inverse(p)) >= p must hold for an ECDF.
-			if e.At(x) < p-1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGradients(t *testing.T) {
 	xs := []float64{0, 1, 3}
 	ys := []float64{2, 4, 3}

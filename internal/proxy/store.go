@@ -97,35 +97,15 @@ func (v prefixView) Len() int64 { return v.n }
 // a segment's published bytes directly.
 //
 //mediavet:hotpath
-func (v prefixView) WriteTo(w io.Writer) (int64, error) {
-	var written int64
-	for i, seg := range v.segs {
-		if seg.off >= v.n {
-			break
-		}
-		end := v.n
-		if i+1 < len(v.segs) && v.segs[i+1].off < end {
-			end = v.segs[i+1].off
-		}
-		n, err := w.Write(seg.buf[:end-seg.off])
-		written += int64(n)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
-}
+func (v prefixView) WriteTo(w io.Writer) (int64, error) { return v.WriteRangeTo(w, 0) }
 
 // WriteRangeTo streams the snapshot's bytes at object offsets
-// [from, Len()) to w without copying — the ranged variant of WriteTo
-// used when a peer or a ranged client resumes mid-prefix. A from at or
-// past the view length writes nothing.
+// [from, Len()) to w without copying — what a peer or a ranged client
+// resuming mid-prefix is served. A from at or past the view length
+// writes nothing; one at or below 0 writes the whole view.
 //
 //mediavet:hotpath
 func (v prefixView) WriteRangeTo(w io.Writer, from int64) (int64, error) {
-	if from <= 0 {
-		return v.WriteTo(w)
-	}
 	var written int64
 	for i, seg := range v.segs {
 		if seg.off >= v.n {

@@ -178,6 +178,42 @@ func TestPrefixViewStableUnderTruncate(t *testing.T) {
 	}
 }
 
+// TestPrefixViewWritesFromAnyOffset drives the view's one writer over a
+// three-segment prefix from every kind of offset a ranged resume can
+// name and compares with the flat bytes; WriteTo is the offset-0 case.
+func TestPrefixViewWritesFromAnyOffset(t *testing.T) {
+	s := NewPrefixStore()
+	const n = 2*segmentSize + 1234
+	flat := Content(9, 0, n)
+	s.AppendAt(9, 0, flat, n)
+	v := s.View(9, n)
+	if len(v.segs) != 3 {
+		t.Fatalf("view spans %d segments, want 3", len(v.segs))
+	}
+	for _, tc := range []struct {
+		name string
+		from int64
+	}{
+		{"start", 0},
+		{"mid-segment", segmentSize + 100},
+		{"segment boundary", segmentSize},
+		{"last byte", n - 1},
+		{"end", n},
+		{"past end", n + 1},
+	} {
+		want := flat[min(tc.from, n):]
+		var got bytes.Buffer
+		wrote, err := v.WriteRangeTo(&got, tc.from)
+		if err != nil || wrote != int64(len(want)) || !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: WriteRangeTo(%d) wrote %d bytes (err %v), want the %d flat bytes from there", tc.name, tc.from, wrote, err, len(want))
+		}
+	}
+	var whole bytes.Buffer
+	if wrote, err := v.WriteTo(&whole); err != nil || wrote != n || !bytes.Equal(whole.Bytes(), flat) {
+		t.Errorf("WriteTo wrote %d bytes (err %v), want all %d", wrote, err, n)
+	}
+}
+
 // TestPrefixStoreSealedTailNotRewritten checks the mechanism behind the
 // contract above: after a mid-segment truncation the next append must
 // open a fresh segment rather than write into the sealed tail.

@@ -121,11 +121,8 @@ func samplePathMeans(base bandwidth.Model, seed int64, n int) []float64 {
 // the catalog-and-trace view the characterization tables and cache
 // sizing read; simulation runs replay a compiled tape instead. cfg is
 // normalized before keying, so two configurations that normalize
-// identically share one generation. A nil arena generates fresh.
+// identically share one generation.
 func (a *Arena) Workload(cfg workload.Config) (*workload.Workload, error) {
-	if a == nil {
-		return workload.Generate(cfg)
-	}
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -135,10 +132,10 @@ func (a *Arena) Workload(cfg workload.Config) (*workload.Workload, error) {
 
 // PathMeans returns the (possibly cached) per-path mean bandwidths drawn
 // from base with the given RNG seed for n paths. Memoization requires a
-// comparable model value; non-comparable models (and nil arenas) sample
-// fresh, with identical results either way.
+// comparable model value; non-comparable models sample fresh, with
+// identical results either way.
 func (a *Arena) PathMeans(base bandwidth.Model, seed int64, n int) []float64 {
-	if a == nil || !dynComparable(base) {
+	if !dynComparable(base) {
 		return samplePathMeans(base, seed, n)
 	}
 	means, _ := memoize(a, a.paths, pathKey{base: base, seed: seed, n: n}, func() ([]float64, error) {
@@ -152,11 +149,11 @@ func (a *Arena) PathMeans(base bandwidth.Model, seed int64, n int) []float64 {
 // variability settings, and a sweep-shared arena generates each
 // distinct GenConfig exactly once. Memoization requires a comparable
 // config (Base/Variation are interface fields: share model singletons
-// like bandwidth.NLANR()); non-comparable configs and nil arenas
-// generate fresh, with identical entries either way. The returned
-// slice is shared and must not be mutated.
+// like bandwidth.NLANR()); non-comparable configs generate fresh, with
+// identical entries either way. The returned slice is shared and must
+// not be mutated.
 func (a *Arena) Trace(cfg trace.GenConfig) ([]trace.Entry, error) {
-	if a == nil || !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
+	if !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
 		return trace.Generate(cfg)
 	}
 	return memoize(a, a.traces, cfg, func() ([]trace.Entry, error) { return trace.Generate(cfg) })

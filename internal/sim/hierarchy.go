@@ -5,7 +5,6 @@ import (
 
 	"streamcache/internal/cluster"
 	"streamcache/internal/core"
-	"streamcache/internal/par"
 )
 
 // PeeringPolicy selects how edge nodes cooperate in a hierarchy run.
@@ -117,32 +116,27 @@ func RunHierarchy(cfg HierarchyConfig) (HierarchyMetrics, error) {
 	if err != nil {
 		return HierarchyMetrics{}, err
 	}
-	results := make([]HierarchyMetrics, cfg.Runs)
-	errs := make([]error, cfg.Runs)
-	par.For(cfg.Parallelism, cfg.Runs, func(r int) {
-		results[r], errs[r] = hierarchyRunOnce(cfg, SplitSeed(cfg.Seed, int64(r)))
-	})
-	var agg HierarchyMetrics
-	for r := 0; r < cfg.Runs; r++ {
-		if errs[r] != nil {
-			return HierarchyMetrics{}, fmt.Errorf("sim: hierarchy run %d: %w", r, errs[r])
-		}
-		m := results[r]
-		agg.Requests += m.Requests
-		agg.TrafficReductionRatio += m.TrafficReductionRatio
-		agg.EdgeByteFrac += m.EdgeByteFrac
-		agg.PeerByteFrac += m.PeerByteFrac
-		agg.ParentByteFrac += m.ParentByteFrac
-		agg.OriginByteFrac += m.OriginByteFrac
-	}
-	n := float64(cfg.Runs)
-	agg.Requests /= cfg.Runs
+	return averageRuns(cfg.Config, "hierarchy run", func(seed int64) (HierarchyMetrics, error) { return hierarchyRunOnce(cfg, seed) },
+		(*HierarchyMetrics).add, (*HierarchyMetrics).over)
+}
+
+func (agg *HierarchyMetrics) add(m HierarchyMetrics) {
+	agg.Requests += m.Requests
+	agg.TrafficReductionRatio += m.TrafficReductionRatio
+	agg.EdgeByteFrac += m.EdgeByteFrac
+	agg.PeerByteFrac += m.PeerByteFrac
+	agg.ParentByteFrac += m.ParentByteFrac
+	agg.OriginByteFrac += m.OriginByteFrac
+}
+
+func (agg *HierarchyMetrics) over(runs int) {
+	n := float64(runs)
+	agg.Requests /= runs
 	agg.TrafficReductionRatio /= n
 	agg.EdgeByteFrac /= n
 	agg.PeerByteFrac /= n
 	agg.ParentByteFrac /= n
 	agg.OriginByteFrac /= n
-	return agg, nil
 }
 
 // hierarchyRunOnce replays one seeded trace through the modeled

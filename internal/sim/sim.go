@@ -24,15 +24,8 @@ var ErrBadConfig = errors.New("sim: invalid configuration")
 // mean, but never an index).
 type EstimatorFactory func(path int, pathMean float64) bandwidth.Estimator
 
-// OracleEstimator models a cache that knows each path's average
-// bandwidth - the assumption behind the paper's main experiments. It is
-// also the default: a nil Config.Estimators takes an allocation-free
-// fast path with identical estimates.
-func OracleEstimator(_ int, pathMean float64) bandwidth.Estimator {
-	return &bandwidth.Static{Rate: pathMean}
-}
-
-// UnderestimatingOracle returns an oracle scaled by the factor e - the
+// UnderestimatingOracle returns an oracle (a cache that knows each
+// path's average bandwidth — a nil Config.Estimators) scaled by the factor e - the
 // over-provisioning heuristic swept in Figures 9 and 12.
 func UnderestimatingOracle(e float64) EstimatorFactory {
 	return func(_ int, pathMean float64) bandwidth.Estimator {
@@ -114,7 +107,8 @@ type Config struct {
 	Policy core.Policy
 	// PolicyFactory, when set, builds a fresh policy per run and takes
 	// precedence over Policy. Required for stateful policies such as
-	// GDS/GDSP, whose aging value must not be shared across runs.
+	// GDS/GDSP, whose aging value must not be shared across runs: a
+	// Policy that observes evictions is rejected when Runs > 1.
 	PolicyFactory func() core.Policy
 	// CacheOptions tweak cache mechanics (e.g. whole-object eviction).
 	CacheOptions []core.Option
@@ -123,9 +117,8 @@ type Config struct {
 	// Variation draws per-request sample-to-mean ratios (default: none).
 	Variation bandwidth.Variability
 	// Estimators builds the per-path estimator. Nil means the oracle
-	// mean (the paper's default assumption), served by an
-	// allocation-free fast path numerically identical to
-	// OracleEstimator.
+	// mean (the paper's default assumption), read straight from the
+	// tape with no estimator allocated.
 	Estimators EstimatorFactory
 	// WarmFraction of requests warms the cache before metrics are
 	// recorded (default 0.5, as in Section 4.1).
@@ -144,8 +137,9 @@ type Config struct {
 	// across runs: share one arena across all the sweep points of an
 	// experiment so identical (config, seed) inputs are compiled once
 	// instead of at every point. Every arena value is a pure function of
-	// its key, so Metrics are bit-identical with or without an arena
-	// (regression-tested). Nil compiles a private tape per run.
+	// its key, so Metrics are bit-identical whichever arena serves them
+	// (regression-tested). Nil gives the call an arena of its own,
+	// dropped when Run returns.
 	Arena *Arena
 }
 
@@ -180,6 +174,12 @@ func (c Config) normalize() (Config, error) {
 	if c.Parallelism < 0 {
 		return c, fmt.Errorf("%w: Parallelism=%d", ErrBadConfig, c.Parallelism)
 	}
+	if _, stateful := c.Policy.(core.EvictionObserver); stateful && c.PolicyFactory == nil && c.Runs > 1 {
+		return c, fmt.Errorf("%w: %s keeps state across evictions and Runs=%d would share it: set PolicyFactory", ErrBadConfig, c.Policy.Name(), c.Runs)
+	}
+	if c.Arena == nil {
+		c.Arena = NewArena()
+	}
 	return c, nil
 }
 
@@ -206,34 +206,51 @@ func Run(cfg Config) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	results := make([]Metrics, cfg.Runs)
+	return averageRuns(cfg, "run", func(seed int64) (Metrics, error) { return runOnce(cfg, seed) },
+		(*Metrics).add, (*Metrics).over)
+}
+
+// averageRuns fans cfg.Runs seeded runs over the worker pool, fails on
+// the first error in run order, sums the results in run order with add
+// and divides the sum by the run count with over — the fixed order is
+// what keeps the average bit-identical at any Parallelism.
+func averageRuns[M any](cfg Config, what string, once func(seed int64) (M, error), add func(*M, M), over func(*M, int)) (M, error) {
+	results := make([]M, cfg.Runs)
 	errs := make([]error, cfg.Runs)
 	par.For(cfg.Parallelism, cfg.Runs, func(r int) {
-		results[r], errs[r] = runOnce(cfg, SplitSeed(cfg.Seed, int64(r)))
+		results[r], errs[r] = once(SplitSeed(cfg.Seed, int64(r)))
 	})
-	var agg Metrics
-	for r := 0; r < cfg.Runs; r++ {
+	var agg M
+	for r, m := range results {
 		if errs[r] != nil {
-			return Metrics{}, fmt.Errorf("sim: run %d: %w", r, errs[r])
+			var zero M
+			return zero, fmt.Errorf("sim: %s %d: %w", what, r, errs[r])
 		}
-		m := results[r]
-		agg.Requests += m.Requests
-		agg.TrafficReductionRatio += m.TrafficReductionRatio
-		agg.AvgServiceDelay += m.AvgServiceDelay
-		agg.AvgStreamQuality += m.AvgStreamQuality
-		agg.TotalAddedValue += m.TotalAddedValue
-		agg.HitRatio += m.HitRatio
-		agg.EvictedBytes += m.EvictedBytes
+		add(&agg, m)
 	}
-	n := float64(cfg.Runs)
-	agg.Requests /= cfg.Runs
+	over(&agg, cfg.Runs)
+	return agg, nil
+}
+
+func (agg *Metrics) add(m Metrics) {
+	agg.Requests += m.Requests
+	agg.TrafficReductionRatio += m.TrafficReductionRatio
+	agg.AvgServiceDelay += m.AvgServiceDelay
+	agg.AvgStreamQuality += m.AvgStreamQuality
+	agg.TotalAddedValue += m.TotalAddedValue
+	agg.HitRatio += m.HitRatio
+	agg.EvictedBytes += m.EvictedBytes
+}
+
+func (agg *Metrics) over(runs int) {
+	n := float64(runs)
+	agg.Requests /= runs
 	agg.TrafficReductionRatio /= n
 	agg.AvgServiceDelay /= n
 	agg.AvgStreamQuality /= n
 	agg.TotalAddedValue /= n
 	agg.HitRatio /= n
-	agg.EvictedBytes /= int64(cfg.Runs)
-	return agg, nil
+	agg.EvictedBytes /= int64(runs)
 }
 
 // runScratch holds every piece of per-run mutable state — the caches of

@@ -61,22 +61,20 @@ type replay struct {
 // run seed directly).
 const netSeedSalt = 0x5DEECE66D
 
-// replay compiles — or, from a shared arena, looks up — the tape and
-// path means of the run of cfg seeded with seed. A nil arena compiles
-// privately through the same code, with identical values either way.
+// replay compiles — or, when an earlier run of the arena already has,
+// looks up — the tape and path means of the run of cfg seeded with
+// seed.
 func (a *Arena) replay(cfg Config, seed int64) (replay, error) {
 	wcfg := cfg.Workload
 	wcfg.Seed = seed
-	var t *tape
-	var err error
-	if a == nil {
-		t, err = compileTape(wcfg)
-	} else if wcfg, err = wcfg.Normalize(); err == nil {
-		t, err = memoize(a, a.tapes, wcfg, func() (*tape, error) {
-			a.tapeCompiles.Add(1)
-			return compileTape(wcfg)
-		})
+	wcfg, err := wcfg.Normalize()
+	if err != nil {
+		return replay{}, err
 	}
+	t, err := memoize(a, a.tapes, wcfg, func() (*tape, error) {
+		a.tapeCompiles.Add(1)
+		return compileTape(wcfg)
+	})
 	if err != nil {
 		return replay{}, err
 	}
@@ -119,11 +117,11 @@ func compileRates(rp replay, variation bandwidth.Variability, seed int64) []floa
 }
 
 // rates returns the (possibly cached) bandwidth column of rp under
-// cfg's variability. Memoization needs comparable model values; a nil
-// arena, a non-comparable base or a non-comparable variability compile
-// a private column through the same code.
+// cfg's variability. Memoization needs comparable model values; a
+// non-comparable base or variability compiles a private column through
+// the same code.
 func (a *Arena) rates(cfg Config, seed int64, rp replay) []float64 {
-	if a == nil || !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
+	if !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
 		return compileRates(rp, cfg.Variation, seed)
 	}
 	inst, _ := memoize(a, a.cols, rateKey{tape: rp.tape, base: cfg.Base, variation: cfg.Variation}, func() ([]float64, error) {

@@ -349,9 +349,3 @@ func (a *Analysis) SampleToMeanRatios() []float64 {
 	}
 	return ratios
 }
-
-// Distribution converts the analysis samples into a sampleable empirical
-// bandwidth distribution, closing the loop from log to simulation input.
-func (a *Analysis) Distribution() (*bandwidth.Empirical, error) {
-	return bandwidth.FromSamples(a.Samples)
-}

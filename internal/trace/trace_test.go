@@ -328,25 +328,6 @@ func TestSampleToMeanRatiosSkipsSingletons(t *testing.T) {
 	}
 }
 
-func TestDistributionFromAnalysis(t *testing.T) {
-	cfg := validGenConfig()
-	entries, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Analyze(entries, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := a.Distribution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Mean() <= 0 {
-		t.Errorf("distribution mean %v, want > 0", d.Mean())
-	}
-}
-
 func TestFormatParseProperty(t *testing.T) {
 	f := func(ts uint32, elapsed uint16, size uint32, srv uint8) bool {
 		e := Entry{

@@ -229,15 +229,17 @@ const (
 )
 
 // Viewing is a viewing-duration distribution: it samples the fraction
-// of a stream one session watches. The zero value is ViewFull.
+// of a stream one session watches. The zero value is ViewFull. The JSON
+// keys are the "viewing" block of a loadgen workload spec.
 type Viewing struct {
-	Kind ViewingKind
+	Kind ViewingKind `json:"dist"`
 	// MinFraction bounds how early a ViewUniform session may stop
 	// (default 0.05, matching Config.MinViewFraction).
-	MinFraction float64
+	MinFraction float64 `json:"min_fraction"`
 	// Mu, Sigma parameterize the ViewLognormal watched duration in
 	// seconds: exp(N(Mu, Sigma^2)).
-	Mu, Sigma float64
+	Mu    float64 `json:"mu"`
+	Sigma float64 `json:"sigma"`
 }
 
 // Validate normalizes and checks the distribution parameters.
