@@ -460,15 +460,11 @@ func TestEvalRoundOwnedFirst(t *testing.T) {
 	}
 }
 
-// TestQuadtreeSplitKeepsUnsplitCells states what a quadtree split should
-// do — replace the picked cell by its four quadrants and keep every
-// other cell — and is skipped because today's pick does not: it rewrites
-// the cell list in place and overwrites the cells behind the first
-// split with copies of its quadrants (see the note in quadtree.pick and
-// ROADMAP.md). Un-skip it with the fix, which also moves refined-esigma's
-// rows (regenerate testdata/golden_small.sha256 with -update).
+// TestQuadtreeSplitKeepsUnsplitCells: a quadtree split replaces the
+// picked cell by its four quadrants and keeps every other cell. (A pick
+// that rewrote the cell list in place once overwrote the cells behind
+// the first split with copies of its quadrants.)
 func TestQuadtreeSplitKeepsUnsplitCells(t *testing.T) {
-	t.Skip("known defect carried over unchanged by the spec/plan refactor: quadtree.pick loses the cells behind the first split")
 	q := newQuadtree([]float64{0, 1, 2, 3}, []float64{0, 1, 2}) // 3 x 2 cells
 	// All the spread sits in the first cell, (0..1) x (0..1).
 	samples := []sample{{at: []float64{0, 0}, metric: 10}}

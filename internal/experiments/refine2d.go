@@ -114,15 +114,10 @@ func (q *quadtree) pick(samples []sample, k int) ([][]float64, error) {
 		centers[i] = []float64{cx, cy}
 		split[candidates[i].c] = true
 	}
-	// KNOWN DEFECT (ROADMAP.md open items): kept shares q.cells' backing
-	// array, so while it still fits there a split's four quadrants
-	// overwrite the three cells after it before the loop reads them,
-	// and the list behind the first split becomes copies of its
-	// quadrants — which is how refined-esigma can emit one point twice.
-	// Collecting into a fresh slice fixes it but moves the table's rows
-	// at every scale: that change regenerates the golden digests and
-	// un-skips TestQuadtreeSplitKeepsUnsplitCells.
-	kept := q.cells[:0]
+	// A fresh slice, not q.cells[:0]: a split appends four cells where
+	// it read one, so in place it would overwrite the cells behind it
+	// before the loop reads them.
+	kept := make([]cell2d, 0, len(q.cells)+3*len(centers))
 	for _, c := range q.cells {
 		if !split[c] {
 			kept = append(kept, c)
