@@ -32,12 +32,13 @@
 // mean bandwidths and the per-request bandwidth draws — and shares it
 // across the runs and sweep points of one experiment, keyed strictly by
 // the inputs that determine it: a memoized run is bit-identical to a
-// fresh one, and a nil Arena compiles a private tape through the same
-// code. Everything the arena hands out is immutable and shared across
-// goroutines: callers (and policies they configure) must not mutate a
-// returned Workload, tape column or []float64, and must not retain them
-// past the arena's lifetime if they need them to be collectable. Use
-// one arena per experiment and drop it afterwards. What a run mutates —
-// every node's cache, the estimator slice — comes from one pooled
-// per-worker scratch that is reset, never rebuilt.
+// fresh one. A Run whose Config.Arena is nil gets an arena of its own
+// for the length of the call — one replay path, nothing retained after
+// it returns. Everything the arena hands out is immutable and shared
+// across goroutines: callers (and policies they configure) must not
+// mutate a returned Workload, tape column or []float64, and must not
+// retain them past the arena's lifetime if they need them to be
+// collectable. Use one arena per experiment and drop it afterwards.
+// What a run mutates — every node's cache, the estimator slice — comes
+// from one pooled per-worker scratch that is reset, never rebuilt.
 package sim

@@ -25,8 +25,9 @@ var ErrBadConfig = errors.New("sim: invalid configuration")
 type EstimatorFactory func(path int, pathMean float64) bandwidth.Estimator
 
 // UnderestimatingOracle returns an oracle (a cache that knows each
-// path's average bandwidth — a nil Config.Estimators) scaled by the factor e - the
-// over-provisioning heuristic swept in Figures 9 and 12.
+// path's average bandwidth — what a nil Config.Estimators is) scaled by
+// the factor e - the over-provisioning heuristic swept in Figures 9
+// and 12.
 func UnderestimatingOracle(e float64) EstimatorFactory {
 	return func(_ int, pathMean float64) bandwidth.Estimator {
 		return &bandwidth.Underestimator{Inner: &bandwidth.Static{Rate: pathMean}, Factor: e}
@@ -177,9 +178,12 @@ func (c Config) normalize() (Config, error) {
 	if _, stateful := c.Policy.(core.EvictionObserver); stateful && c.PolicyFactory == nil && c.Runs > 1 {
 		return c, fmt.Errorf("%w: %s keeps state across evictions and Runs=%d would share it: set PolicyFactory", ErrBadConfig, c.Policy.Name(), c.Runs)
 	}
-	if c.Arena == nil {
-		c.Arena = NewArena()
+	if c.Arena != nil {
+		return c, nil
 	}
+	// No arena to share: the call gets one of its own, so there is one
+	// replay path; it is garbage when the call returns.
+	c.Arena = NewArena()
 	return c, nil
 }
 
