@@ -10,8 +10,8 @@ ci: vet lint build race bench-check
 vet:
 	$(GO) vet ./...
 
-## lint: the mediavet multichecker (determinism, hotpath, shardlock,
-## rowsink — see DESIGN.md "Machine-enforced invariants") over the
+## lint: the mediavet multichecker (determinism, hotpath, shardlock —
+## see DESIGN.md "Machine-enforced invariants") over the
 ## whole module, then the pinned third-party pass (staticcheck,
 ## govulncheck; skipped with a warning offline unless LINT_STRICT=1).
 lint:
@@ -86,13 +86,23 @@ loc:
 dead-check:
 	@bash scripts/dead-check.sh
 
-## shard-check: end-to-end sharded sweep — run 2 shards with journals,
-## merge, and diff against the single-process output (OPERATIONS.md §7).
+## shard-check: end-to-end sharded sweep — run 2 shards with journals;
+## first drop one cell from one row of a shard's output and require the
+## merge to refuse it naming table and index, then restore it, merge,
+## and diff against the single-process output (OPERATIONS.md §7).
 SHARD_KEYS ?= figure5,refined-e
 shard-check:
 	rm -rf shard-check
 	$(GO) run ./cmd/figures -out shard-check/sharded -only '$(SHARD_KEYS)' -shard 0/2 -journal shard-check/sharded/j0.jsonl
 	$(GO) run ./cmd/figures -out shard-check/sharded -only '$(SHARD_KEYS)' -shard 1/2 -journal shard-check/sharded/j1.jsonl
+	@f=$$(ls shard-check/sharded/*.shard0-of-2.jsonl | head -1); cp "$$f" shard-check/intact.jsonl; \
+	sed -i '3s/"row":\["[^"]*",/"row":[/' "$$f"; \
+	if out=$$($(GO) run ./cmd/figures -out shard-check/sharded -merge -jsonl 2>&1); then \
+		echo "shard-check: FAIL: the merge accepted a row one cell short of its header"; exit 1; \
+	fi; \
+	echo "$$out" | grep -q 'row [0-9]* of table ".*" has [0-9]* cells, its header declares [0-9]*' || \
+		{ echo "shard-check: FAIL: the merge failed without naming the ragged row:"; echo "$$out"; exit 1; }; \
+	mv shard-check/intact.jsonl "$$f"; echo "shard-check: ragged row refused: $$out"
 	$(GO) run ./cmd/figures -out shard-check/sharded -merge -jsonl
 	$(GO) run ./cmd/figures -out shard-check/single -only '$(SHARD_KEYS)' -jsonl
 	@for f in shard-check/single/*.csv shard-check/single/*.jsonl; do \

@@ -60,18 +60,16 @@ func run() error {
 	}
 
 	// Static greedy optimum of Section 2.6 for a known-rate snapshot.
-	objs := make([]core.Object, len(w.Objects))
 	lambda := make([]float64, len(w.Objects))
 	bw := make([]float64, len(w.Objects))
 	counts := w.RequestCounts()
 	model := bandwidth.NLANR()
 	rng := rand.New(rand.NewSource(1))
-	for i, o := range w.Objects {
-		objs[i] = core.Object{ID: o.ID, Size: o.Size, Duration: o.Duration, Rate: o.Rate, Value: o.Value}
+	for i := range w.Objects {
 		lambda[i] = float64(counts[i])
 		bw[i] = model.Sample(rng)
 	}
-	placement, valueRate, err := core.OptimalValuePlacement(objs, lambda, bw, cacheBytes)
+	placement, valueRate, err := core.OptimalValuePlacement(w.Objects, lambda, bw, cacheBytes)
 	if err != nil {
 		return err
 	}

@@ -8,9 +8,7 @@
 //   - hotpath: functions annotated //mediavet:hotpath must stay
 //     allocation-free (the AllocsPerRun budget from the perf work),
 //   - shardlock: internal/proxy keeps shard locks short and never
-//     blocks while holding one; cross-shard state goes through atomics,
-//   - rowsink: header/row emitters agree on column count and schema
-//     strings stay constant so sweep fingerprints are stable.
+//     blocks while holding one; cross-shard state goes through atomics.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Diagnostic) but is self-contained on the
@@ -25,7 +23,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // ModulePath is the import-path prefix of this repository. Analyzers
@@ -84,9 +81,6 @@ func NewFacts() *Facts {
 
 // Merge folds other into f.
 func (f *Facts) Merge(other *Facts) {
-	if other == nil {
-		return
-	}
 	for k := range other.Hotpath {
 		f.Hotpath[k] = true
 	}
@@ -94,7 +88,8 @@ func (f *Facts) Merge(other *Facts) {
 
 // FuncKey renders a stable identity for a function or method:
 // "pkgpath.Func" or "pkgpath.Recv.Method" with pointer receivers
-// stripped, matching the keys produced by declKey for annotations.
+// stripped. Annotations are registered and call edges resolved under
+// the same key, for generic receivers too.
 func FuncKey(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""
@@ -111,31 +106,6 @@ func FuncKey(fn *types.Func) string {
 		return fn.Pkg().Path() + ".?." + fn.Name()
 	}
 	return fn.Pkg().Path() + "." + fn.Name()
-}
-
-// declKey is FuncKey computed syntactically from a declaration, used
-// when registering //mediavet:hotpath annotations.
-func declKey(pkgPath string, d *ast.FuncDecl) string {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return pkgPath + "." + d.Name.Name
-	}
-	t := d.Recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr: // generic receiver T[P]
-			t = tt.X
-		case *ast.IndexListExpr:
-			t = tt.X
-		case *ast.ParenExpr:
-			t = tt.X
-		case *ast.Ident:
-			return pkgPath + "." + tt.Name + "." + d.Name.Name
-		default:
-			return pkgPath + ".?." + d.Name.Name
-		}
-	}
 }
 
 // staticCallee resolves a call expression to the *types.Func it
@@ -167,6 +137,17 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// builtinName is the name of the builtin a call invokes (append, make,
+// panic, ...), or "" when it calls anything else.
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, isB := info.Uses[id].(*types.Builtin); isB {
+			return b.Name()
+		}
+	}
+	return ""
+}
+
 // calleePkgPath returns the defining package path of fn, or "" for
 // builtins and universe-scope functions.
 func calleePkgPath(fn *types.Func) string {
@@ -174,18 +155,6 @@ func calleePkgPath(fn *types.Func) string {
 		return ""
 	}
 	return fn.Pkg().Path()
-}
-
-// isModulePath reports whether path belongs to this module.
-func isModulePath(path string) bool {
-	return path == ModulePath || strings.HasPrefix(path, ModulePath+"/")
-}
-
-// pkgPathSuffix reports whether pkgPath is exactly ModulePath+"/"+suffix.
-// Testdata suites type-check synthetic packages under the real module
-// paths so the scoping rules apply unchanged.
-func pkgPathSuffix(pkgPath, suffix string) bool {
-	return pkgPath == ModulePath+"/"+suffix
 }
 
 // rootIdent walks a selector/index/star chain (a.b[c].d, *p.q) down to

@@ -86,12 +86,15 @@ func checkFuncDeterminism(pass *Pass, fd *ast.FuncDecl) {
 				"goroutine launched in deterministic code; route concurrency through internal/par so results merge in a fixed order")
 		case *ast.CallExpr:
 			checkDeterministicCall(pass, x)
+		case *ast.BlockStmt:
+			checkMapRanges(pass, x.List)
+		case *ast.CaseClause:
+			checkMapRanges(pass, x.Body)
+		case *ast.CommClause:
+			checkMapRanges(pass, x.Body)
 		}
 		return true
 	})
-	// Map-order analysis needs statement context (the "sorted after"
-	// exemption), so it walks blocks rather than using Inspect.
-	checkBlockMapOrder(pass, fd.Body.List)
 }
 
 func checkDeterministicCall(pass *Pass, call *ast.CallExpr) {
@@ -120,60 +123,23 @@ func checkDeterministicCall(pass *Pass, call *ast.CallExpr) {
 
 // --- map iteration order -------------------------------------------------
 
-// checkBlockMapOrder scans a statement list; for each `for range m`
-// over a map it checks the body for order-sensitive effects, with
-// access to the statements that follow the loop (a sort of the
-// collected keys/rows immediately after the loop is the sanctioned
-// collect-then-sort idiom).
-func checkBlockMapOrder(pass *Pass, stmts []ast.Stmt) {
+// checkMapRanges takes one statement list — every block, case and comm
+// clause body of a function is one — and checks each `for range m` over
+// a map in it for order-sensitive effects, with access to the
+// statements that follow the loop (a sort of the collected keys/rows
+// immediately after the loop is the sanctioned collect-then-sort
+// idiom).
+func checkMapRanges(pass *Pass, stmts []ast.Stmt) {
 	for i, s := range stmts {
-		switch x := s.(type) {
-		case *ast.RangeStmt:
-			if isMapType(pass.Info.TypeOf(x.X)) {
-				checkMapRangeBody(pass, x, stmts[i+1:])
+		if ls, ok := s.(*ast.LabeledStmt); ok {
+			s = ls.Stmt
+		}
+		if rs, ok := s.(*ast.RangeStmt); ok {
+			if _, overMap := pass.Info.TypeOf(rs.X).Underlying().(*types.Map); overMap {
+				checkMapRangeBody(pass, rs, stmts[i+1:])
 			}
-			checkBlockMapOrder(pass, x.Body.List)
-		case *ast.ForStmt:
-			checkBlockMapOrder(pass, x.Body.List)
-		case *ast.IfStmt:
-			checkBlockMapOrder(pass, x.Body.List)
-			if alt, ok := x.Else.(*ast.BlockStmt); ok {
-				checkBlockMapOrder(pass, alt.List)
-			} else if alt, ok := x.Else.(*ast.IfStmt); ok {
-				checkBlockMapOrder(pass, []ast.Stmt{alt})
-			}
-		case *ast.BlockStmt:
-			checkBlockMapOrder(pass, x.List)
-		case *ast.SwitchStmt:
-			for _, c := range x.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					checkBlockMapOrder(pass, cc.Body)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range x.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					checkBlockMapOrder(pass, cc.Body)
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range x.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					checkBlockMapOrder(pass, cc.Body)
-				}
-			}
-		case *ast.LabeledStmt:
-			checkBlockMapOrder(pass, []ast.Stmt{x.Stmt})
 		}
 	}
-}
-
-func isMapType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
 }
 
 // checkMapRangeBody flags three order-sensitive effects inside a map
@@ -201,7 +167,7 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, after []ast.Stmt) {
 			case token.ASSIGN, token.DEFINE:
 				for i, rhs := range x.Rhs {
 					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-					if !ok || !isBuiltinAppend(pass, call) || i >= len(x.Lhs) {
+					if !ok || builtinName(pass.Info, call) != "append" || i >= len(x.Lhs) {
 						continue
 					}
 					id, ok := ast.Unparen(x.Lhs[i]).(*ast.Ident)
@@ -225,24 +191,18 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, after []ast.Stmt) {
 				if root == nil {
 					return true
 				}
-				obj := pass.Info.Uses[root]
-				if obj == nil {
-					obj = pass.Info.Defs[root]
-				}
-				if obj != nil && declaredOutside(obj, rs) {
+				if obj := pass.Info.Uses[root]; obj != nil && declaredOutside(obj, rs) {
 					pass.Reportf(x.Pos(),
 						"order-sensitive accumulation into %s inside range over map: float/string accumulation depends on iteration order; iterate sorted keys", root.Name)
 				}
 			}
 		case *ast.CallExpr:
-			if name := rowSinkCallName(pass, x); name != "" {
+			if name := rowSinkCallName(x); name != "" {
 				pass.Reportf(x.Pos(),
 					"%s called inside range over map: row emission order follows map iteration order; iterate sorted keys", name)
 			}
-		case *ast.FuncLit:
-			return true // still scan closure bodies: they run per-iteration when called inline
 		}
-		return true
+		return true // closure bodies too: they run per iteration when called inline
 	})
 
 	for _, ap := range appends {
@@ -254,15 +214,6 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, after []ast.Stmt) {
 	}
 }
 
-func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := pass.Info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "append"
-}
-
 // declaredOutside reports whether obj's declaration lies outside the
 // range statement (so mutations inside the loop escape it).
 func declaredOutside(obj types.Object, rs *ast.RangeStmt) bool {
@@ -270,34 +221,26 @@ func declaredOutside(obj types.Object, rs *ast.RangeStmt) bool {
 }
 
 func orderSensitiveAccumType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
 	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return false
-	}
-	return b.Info()&types.IsFloat != 0 || b.Info()&types.IsString != 0 ||
-		b.Info()&types.IsComplex != 0
+	return ok && b.Info()&(types.IsFloat|types.IsString|types.IsComplex) != 0
 }
 
 // rowSinkCallName recognizes emission calls whose order is
 // user-visible: methods named Row/IndexedRow/Emit (the RowSink and
-// engine sink surface) and functions named emit*.
-func rowSinkCallName(pass *Pass, call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		switch fun.Sel.Name {
+// engine sink surface).
+func rowSinkCallName(call *ast.CallExpr) string {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		switch sel.Sel.Name {
 		case "Row", "IndexedRow", "Emit":
-			return fun.Sel.Name
+			return sel.Sel.Name
 		}
 	}
 	return ""
 }
 
 // sortedBeforeUse scans the statements after the loop: if the first
-// statement mentioning obj is a sort.*/slices.Sort* call over it, the
-// collect-then-sort idiom applies.
+// statement mentioning obj is a call into sort or slices (obj can only
+// be among its operands), the collect-then-sort idiom applies.
 func sortedBeforeUse(pass *Pass, obj types.Object, after []ast.Stmt) bool {
 	for _, s := range after {
 		mentioned := false
@@ -311,36 +254,12 @@ func sortedBeforeUse(pass *Pass, obj types.Object, after []ast.Stmt) bool {
 			continue
 		}
 		if es, ok := s.(*ast.ExprStmt); ok {
-			if call, ok := es.X.(*ast.CallExpr); ok && isSortCall(pass, call, obj) {
-				return true
+			if call, ok := es.X.(*ast.CallExpr); ok {
+				pkg := calleePkgPath(staticCallee(pass.Info, call))
+				return pkg == "sort" || pkg == "slices"
 			}
 		}
 		return false
-	}
-	return false
-}
-
-func isSortCall(pass *Pass, call *ast.CallExpr, obj types.Object) bool {
-	fn := staticCallee(pass.Info, call)
-	if fn == nil {
-		return false
-	}
-	switch calleePkgPath(fn) {
-	case "sort", "slices":
-	default:
-		return false
-	}
-	for _, arg := range call.Args {
-		found := false
-		ast.Inspect(arg, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && pass.Info.Uses[id] == obj {
-				found = true
-			}
-			return true
-		})
-		if found {
-			return true
-		}
 	}
 	return false
 }
@@ -384,12 +303,8 @@ func reachableFrom(pass *Pass, rootName string) map[*ast.FuncDecl]bool {
 		}
 	}
 	pushMethods := func(t types.Type) {
-		for {
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-				continue
-			}
-			break
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
 		}
 		named, ok := t.(*types.Named)
 		if !ok || named.Obj().Pkg() != pass.Pkg {

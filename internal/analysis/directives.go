@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strconv"
 	"strings"
 )
@@ -27,36 +28,29 @@ const (
 
 // An Ignore is one parsed //mediavet:ignore directive.
 type Ignore struct {
-	Analyzer string
-	Reason   string
-	File     string
-	Line     int
-	Pos      token.Pos
+	Analyzer  string
+	Reason    string
+	File      string
+	Line      int
 	Malformed string // non-empty if the directive could not be parsed
 }
 
 // parseIgnore parses the text of a single comment. Returns nil if the
 // comment is not an ignore directive at all.
 func parseIgnore(text string) *Ignore {
-	if !strings.HasPrefix(text, ignoreDirective) {
-		return nil
+	rest, ok := strings.CutPrefix(text, ignoreDirective)
+	if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
+		return nil // not ours, e.g. //mediavet:ignoreX
 	}
-	rest := strings.TrimPrefix(text, ignoreDirective)
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil // e.g. //mediavet:ignoreX
-	}
-	fields := strings.Fields(rest)
 	ig := &Ignore{}
-	if len(fields) == 0 {
+	switch fields := strings.Fields(rest); len(fields) {
+	case 0:
 		ig.Malformed = "missing analyzer name and reason"
-		return ig
+	case 1:
+		ig.Analyzer, ig.Malformed = fields[0], "missing reason"
+	default:
+		ig.Analyzer, ig.Reason = fields[0], strings.Join(fields[1:], " ")
 	}
-	ig.Analyzer = fields[0]
-	if len(fields) < 2 {
-		ig.Malformed = "missing reason"
-		return ig
-	}
-	ig.Reason = strings.Join(fields[1:], " ")
 	return ig
 }
 
@@ -74,7 +68,6 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) []*Ignore {
 				pos := fset.Position(c.Pos())
 				ig.File = pos.Filename
 				ig.Line = pos.Line
-				ig.Pos = c.Pos()
 				out = append(out, ig)
 			}
 		}
@@ -98,8 +91,8 @@ func isHotpathDecl(d *ast.FuncDecl) bool {
 }
 
 // CollectHotpathFacts records every //mediavet:hotpath-annotated
-// function in files under its declKey. It needs only parsed syntax.
-func CollectHotpathFacts(pkgPath string, files []*ast.File) *Facts {
+// function in files under its FuncKey.
+func CollectHotpathFacts(info *types.Info, files []*ast.File) *Facts {
 	facts := NewFacts()
 	for _, f := range files {
 		for _, decl := range f.Decls {
@@ -107,7 +100,8 @@ func CollectHotpathFacts(pkgPath string, files []*ast.File) *Facts {
 			if !ok || !isHotpathDecl(fd) {
 				continue
 			}
-			facts.Hotpath[declKey(pkgPath, fd)] = true
+			fn, _ := info.Defs[fd.Name].(*types.Func)
+			facts.Hotpath[FuncKey(fn)] = true
 		}
 	}
 	return facts
@@ -117,10 +111,10 @@ func CollectHotpathFacts(pkgPath string, files []*ast.File) *Facts {
 // tracks which ignores were actually used so the driver can flag stale
 // ones.
 type suppressor struct {
-	fset    *token.FileSet
-	byKey   map[string][]*Ignore // "analyzer\x00file:line" -> directives
-	used    map[*Ignore]bool
-	all     []*Ignore
+	fset  *token.FileSet
+	byKey map[string][]*Ignore // "analyzer\x00file:line" -> directives
+	used  map[*Ignore]bool
+	all   []*Ignore
 }
 
 func newSuppressor(fset *token.FileSet, files []*ast.File) *suppressor {

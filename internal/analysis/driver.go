@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/token"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // A Finding is a diagnostic that survived suppression, with its
@@ -34,12 +36,6 @@ type Runner struct {
 	Patterns  []string // package patterns; default ./...
 	Analyzers []*Analyzer
 	Log       io.Writer // verbose progress; nil disables
-}
-
-func (r *Runner) logf(format string, args ...any) {
-	if r.Log != nil {
-		fmt.Fprintf(r.Log, format+"\n", args...)
-	}
 }
 
 // packageResult is what analyzing one package yields: the facts it
@@ -81,7 +77,9 @@ func (r *Runner) Run() (*Result, error) {
 		facts.Merge(ent.Facts)
 		res.Findings = append(res.Findings, ent.Findings...)
 		res.Suppressed += ent.Suppressed
-		r.logf("mediavet: %s (%d findings, %d suppressed)", pkgPath, len(ent.Findings), ent.Suppressed)
+		if r.Log != nil {
+			fmt.Fprintf(r.Log, "mediavet: %s (%d findings, %d suppressed)\n", pkgPath, len(ent.Findings), ent.Suppressed)
+		}
 	}
 	sortFindings(res.Findings)
 	return res, nil
@@ -93,7 +91,7 @@ func (r *Runner) Run() (*Result, error) {
 // returned result's Facts contains only this package's own annotations
 // (what it exports to dependents).
 func analyzePackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer, depFacts *Facts) (*packageResult, error) {
-	own := CollectHotpathFacts(pkg.Path, pkg.Files)
+	own := CollectHotpathFacts(pkg.Info, pkg.Files)
 	merged := NewFacts()
 	merged.Merge(depFacts)
 	merged.Merge(own)
@@ -124,50 +122,29 @@ func analyzePackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer, de
 			})
 		}
 	}
-	stale, malformed := sup.unused()
-	for _, ig := range malformed {
+	// Directives that suppressed nothing are findings of the driver's own.
+	add := func(ig *Ignore, format string, args ...any) {
 		ent.Findings = append(ent.Findings, Finding{
-			Analyzer: "mediavet", File: ig.File, Line: ig.Line, Col: 1,
-			Message: fmt.Sprintf("malformed //mediavet:ignore directive: %s", ig.Malformed),
+			Analyzer: "mediavet", File: ig.File, Line: ig.Line, Col: 1, Message: fmt.Sprintf(format, args...),
 		})
 	}
+	stale, malformed := sup.unused()
+	for _, ig := range malformed {
+		add(ig, "malformed //mediavet:ignore directive: %s", ig.Malformed)
+	}
 	for _, ig := range stale {
-		if !knownAnalyzer(analyzers, ig.Analyzer) {
-			ent.Findings = append(ent.Findings, Finding{
-				Analyzer: "mediavet", File: ig.File, Line: ig.Line, Col: 1,
-				Message: fmt.Sprintf("//mediavet:ignore names unknown analyzer %q", ig.Analyzer),
-			})
+		if !slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.Name == ig.Analyzer }) {
+			add(ig, "//mediavet:ignore names unknown analyzer %q", ig.Analyzer)
 			continue
 		}
-		ent.Findings = append(ent.Findings, Finding{
-			Analyzer: "mediavet", File: ig.File, Line: ig.Line, Col: 1,
-			Message: fmt.Sprintf("stale //mediavet:ignore %s (%s): no diagnostic here to suppress", ig.Analyzer, ig.Reason),
-		})
+		add(ig, "stale //mediavet:ignore %s (%s): no diagnostic here to suppress", ig.Analyzer, ig.Reason)
 	}
 	return ent, nil
 }
 
-func knownAnalyzer(analyzers []*Analyzer, name string) bool {
-	for _, a := range analyzers {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 func sortFindings(fs []Finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Message < b.Message
+	slices.SortFunc(fs, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Col, b.Col), strings.Compare(a.Message, b.Message))
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Hotpath turns the AllocsPerRun regression tests into prevention:
@@ -53,41 +54,24 @@ func (h *hotChecker) prescan(body *ast.BlockStmt) {
 	h.presized = map[types.Object]bool{}
 	h.callFuns = map[ast.Expr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		h.callFuns[ast.Unparen(call.Fun)] = true
-		if id, isID := ast.Unparen(call.Fun).(*ast.Ident); isID {
-			if b, isB := h.pass.Info.Uses[id].(*types.Builtin); isB && b.Name() == "panic" {
-				h.panicRanges = append(h.panicRanges, [2]token.Pos{call.Pos(), call.End()})
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			h.callFuns[ast.Unparen(x.Fun)] = true
+			if builtinName(h.pass.Info, x) == "panic" {
+				h.panicRanges = append(h.panicRanges, [2]token.Pos{x.Pos(), x.End()})
 			}
-		}
-		return true
-	})
-	// 3-arg make assignments.
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || i >= len(as.Lhs) {
-				continue
-			}
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok || id.Name != "make" || len(call.Args) != 3 {
-				continue
-			}
-			if b, isB := h.pass.Info.Uses[id].(*types.Builtin); !isB || b.Name() != "make" {
-				continue
-			}
-			if lhs, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok {
-				if obj := h.pass.Info.Defs[lhs]; obj != nil {
-					h.presized[obj] = true
-				} else if obj := h.pass.Info.Uses[lhs]; obj != nil {
-					h.presized[obj] = true
+		case *ast.AssignStmt: // 3-arg make assignments
+			for i, rhs := range x.Rhs {
+				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+				if !ok || i >= len(x.Lhs) || len(call.Args) != 3 || builtinName(h.pass.Info, call) != "make" {
+					continue
+				}
+				if lhs, ok := ast.Unparen(x.Lhs[i]).(*ast.Ident); ok {
+					if obj := h.pass.Info.Defs[lhs]; obj != nil {
+						h.presized[obj] = true
+					} else if obj := h.pass.Info.Uses[lhs]; obj != nil {
+						h.presized[obj] = true
+					}
 				}
 			}
 		}
@@ -146,13 +130,11 @@ func (h *hotChecker) check(body *ast.BlockStmt) {
 
 func (h *hotChecker) checkCall(call *ast.CallExpr) {
 	pass := h.pass
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := pass.Info.Uses[id].(*types.Builtin); isB {
-			if b.Name() == "append" {
-				h.checkAppend(call)
-			}
-			return // other builtins (len, cap, panic, copy, ...) are fine
+	if b := builtinName(pass.Info, call); b != "" {
+		if b == "append" {
+			h.checkAppend(call)
 		}
+		return // other builtins (len, cap, panic, copy, ...) are fine
 	}
 	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
 		return // conversion T(x); interface targets surface via assignment/return checks
@@ -169,7 +151,7 @@ func (h *hotChecker) checkCall(call *ast.CallExpr) {
 			pass.Reportf(call.Pos(),
 				"fmt.%s formats through reflection and allocates; use strconv or a pre-rendered string", fn.Name())
 		}
-	case isModulePath(pkgPath):
+	case pkgPath == ModulePath || strings.HasPrefix(pkgPath, ModulePath+"/"):
 		if !pass.Facts.Hotpath[FuncKey(fn)] {
 			pass.Reportf(call.Pos(),
 				"call to %s which is not //mediavet:hotpath-annotated; annotate it (and keep it alloc-free) or move the call off the hot path", FuncKey(fn))
@@ -203,25 +185,19 @@ func (h *hotChecker) checkCall(call *ast.CallExpr) {
 // Parameters, struct fields, and package vars are the caller's (or an
 // amortized buffer's) budget and left to the AllocsPerRun tests.
 func (h *hotChecker) checkAppend(call *ast.CallExpr) {
-	if len(call.Args) == 0 {
-		return
-	}
 	dst, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 	if !ok {
+		return // a field or an element: an amortized buffer
+	}
+	obj, isVar := h.pass.Info.Uses[dst].(*types.Var)
+	if !isVar {
 		return
 	}
-	obj := h.pass.Info.Uses[dst]
-	if obj == nil {
-		return
-	}
-	if _, isVar := obj.(*types.Var); !isVar {
-		return
-	}
-	if obj.Pkg() == nil || obj.Parent() == obj.Pkg().Scope() {
+	if obj.Parent() == obj.Pkg().Scope() {
 		return // package-level var
 	}
-	if h.fn.Body == nil || obj.Pos() < h.fn.Body.Pos() || obj.Pos() >= h.fn.End() {
-		return // parameter, named result, or declared outside this function
+	if obj.Pos() < h.fn.Body.Pos() || obj.Pos() >= h.fn.End() {
+		return // parameter or named result
 	}
 	if !h.presized[obj] {
 		h.pass.Reportf(call.Pos(),

@@ -26,15 +26,13 @@ import (
 type listedPackage struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	Export     string
 	GoFiles    []string
 	Standard   bool
 	Module     *struct {
 		Path string
 	}
-	Incomplete bool
-	Error      *struct {
+	Error *struct {
 		Err string
 	}
 }
@@ -45,7 +43,7 @@ type listedPackage struct {
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	args := []string{
 		"list", "-export", "-deps",
-		"-json=Dir,ImportPath,Name,Export,GoFiles,Standard,Module,Incomplete,Error",
+		"-json=Dir,ImportPath,Export,GoFiles,Standard,Module,Error",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // Shardlock enforces the proxy tier's lock discipline from the
@@ -39,7 +40,7 @@ var blockingPkgs = map[string]bool{
 }
 
 func runShardlock(pass *Pass) error {
-	if !pkgPathSuffix(pass.PkgPath, "internal/proxy") {
+	if pass.PkgPath != ModulePath+"/internal/proxy" {
 		return nil
 	}
 	sl := &shardlockChecker{
@@ -64,6 +65,8 @@ type shardlockChecker struct {
 	// blocking maps package-local functions to the reason they block,
 	// computed as a fixed point over the intra-package call graph.
 	blocking map[*types.Func]string
+	// fn is the declaration checkFunc is walking.
+	fn *ast.FuncDecl
 }
 
 // directBlockReason classifies a single call expression, ignoring
@@ -116,43 +119,44 @@ func (sl *shardlockChecker) buildBlockingSet() {
 	}
 }
 
-// funcBlockReason scans one function body for direct blocking
-// operations or calls to already-known-blocking local functions.
-// Goroutine bodies and func literals are skipped: what a spawned
-// goroutine does is its own timeline.
+// blockReason says why one node blocks — a channel operation, a call
+// directBlockReason names, or a call of a package-local function already
+// known to block — or "" if it does not.
+func (sl *shardlockChecker) blockReason(n ast.Node) string {
+	switch x := n.(type) {
+	case *ast.SendStmt:
+		return "sends on a channel"
+	case *ast.UnaryExpr:
+		if x.Op == token.ARROW {
+			return "receives from a channel"
+		}
+	case *ast.SelectStmt:
+		return "selects on channels"
+	case *ast.CallExpr:
+		if r := sl.directBlockReason(x); r != "" {
+			return r
+		}
+		if fn := staticCallee(sl.pass.Info, x); fn != nil && fn.Pkg() == sl.pass.Pkg && sl.blocking[fn] != "" {
+			return "calls " + fn.Name() + ", which " + sl.blocking[fn]
+		}
+	}
+	return ""
+}
+
+// funcBlockReason is the first reason anything in one function body
+// blocks. Goroutine bodies and func literals are skipped: what a
+// spawned goroutine does is its own timeline.
 func (sl *shardlockChecker) funcBlockReason(fd *ast.FuncDecl) string {
 	reason := ""
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if reason != "" {
-			return false
-		}
-		switch x := n.(type) {
+		switch n.(type) {
 		case *ast.GoStmt, *ast.FuncLit:
 			return false
-		case *ast.SendStmt:
-			reason = "sends on a channel"
-			return false
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				reason = "receives from a channel"
-				return false
-			}
-		case *ast.SelectStmt:
-			reason = "selects on channels"
-			return false
-		case *ast.CallExpr:
-			if r := sl.directBlockReason(x); r != "" {
-				reason = r
-				return false
-			}
-			if fn := staticCallee(sl.pass.Info, x); fn != nil && fn.Pkg() == sl.pass.Pkg {
-				if r := sl.blocking[fn]; r != "" {
-					reason = fn.Name() + " " + r
-					return false
-				}
-			}
 		}
-		return true
+		if reason == "" {
+			reason = sl.blockReason(n)
+		}
+		return reason == ""
 	})
 	return reason
 }
@@ -163,44 +167,38 @@ func (sl *shardlockChecker) funcBlockReason(fd *ast.FuncDecl) string {
 // "sh.mu") to the position where it was locked.
 type lockState map[string]token.Pos
 
-func (ls lockState) clone() lockState {
-	c := make(lockState, len(ls))
-	for k, v := range ls {
-		c[k] = v
-	}
-	return c
-}
-
 func (sl *shardlockChecker) checkFunc(fd *ast.FuncDecl) {
+	sl.fn = fd
 	// Pre-pass: which mutexes have any Unlock (plain or deferred)
 	// anywhere in the function? A Lock with none is a guaranteed leak.
 	unlocked := map[string]bool{}
+	var locks []*ast.CallExpr
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if m, op := sl.mutexOp(call); m != "" && (op == "Unlock" || op == "RUnlock") {
+			switch m, op := sl.mutexOp(call); op {
+			case "Unlock", "RUnlock":
 				unlocked[m] = true
+			case "Lock", "RLock":
+				locks = append(locks, call)
 			}
 		}
 		return true
 	})
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if m, op := sl.mutexOp(call); m != "" && (op == "Lock" || op == "RLock") && !unlocked[m] {
-				sl.pass.Reportf(call.Pos(),
-					"%s.%s has no matching Unlock anywhere in this function; add an unlock or defer", m, op)
-			}
+	for _, call := range locks {
+		if m, op := sl.mutexOp(call); !unlocked[m] {
+			sl.pass.Reportf(call.Pos(),
+				"%s.%s has no matching Unlock anywhere in this function; add an unlock or defer", m, op)
 		}
-		return true
-	})
+	}
 
-	sl.walkStmts(fd, fd.Body.List, lockState{})
+	sl.walkStmts(fd.Body.List, lockState{})
 
 	// Each func literal is its own timeline (goroutine body, callback,
 	// deferred cleanup): walk it with a fresh lock state. The walker
 	// itself never descends into literals, so each is visited once.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			sl.walkStmts(fd, lit.Body.List, lockState{})
+			sl.walkStmts(lit.Body.List, lockState{})
 		}
 		return true
 	})
@@ -227,35 +225,25 @@ func (sl *shardlockChecker) mutexOp(call *ast.CallExpr) (mutex, op string) {
 }
 
 func isSyncMutex(t types.Type) bool {
-	if t == nil {
-		return false
-	}
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+	name := types.TypeString(t, nil)
+	return name == "sync.Mutex" || name == "sync.RWMutex"
 }
 
 // walkStmts threads the held-lock set through a statement list.
 // Branches get copies; at joins a lock is considered released if any
 // branch released it (conservative toward fewer false positives).
 // The returned state is the fall-through state.
-func (sl *shardlockChecker) walkStmts(fd *ast.FuncDecl, stmts []ast.Stmt, held lockState) lockState {
+func (sl *shardlockChecker) walkStmts(stmts []ast.Stmt, held lockState) lockState {
 	for _, s := range stmts {
-		held = sl.walkStmt(fd, s, held)
+		held = sl.walkStmt(s, held)
 	}
 	return held
 }
 
-func (sl *shardlockChecker) walkStmt(fd *ast.FuncDecl, s ast.Stmt, held lockState) lockState {
+func (sl *shardlockChecker) walkStmt(s ast.Stmt, held lockState) lockState {
 	switch x := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(x.X).(*ast.CallExpr); ok {
@@ -280,19 +268,19 @@ func (sl *shardlockChecker) walkStmt(fd *ast.FuncDecl, s ast.Stmt, held lockStat
 		// evaluation is non-blocking for our operation set.
 	case *ast.IfStmt:
 		if x.Init != nil {
-			held = sl.walkStmt(fd, x.Init, held)
+			held = sl.walkStmt(x.Init, held)
 		}
-		sl.scanBlockingExpr(x.Cond, held, x.Cond.Pos())
-		thenOut := sl.walkStmts(fd, x.Body.List, held.clone())
-		elseOut := held.clone()
+		sl.scanBlockingExpr(x.Cond, held)
+		thenOut := sl.walkStmts(x.Body.List, maps.Clone(held))
+		elseOut := maps.Clone(held)
 		switch alt := x.Else.(type) {
 		case *ast.BlockStmt:
-			elseOut = sl.walkStmts(fd, alt.List, held.clone())
+			elseOut = sl.walkStmts(alt.List, maps.Clone(held))
 		case *ast.IfStmt:
-			elseOut = sl.walkStmt(fd, alt, held.clone())
+			elseOut = sl.walkStmt(alt, maps.Clone(held))
 		}
 		// Terminating branches (return/panic) drop out of the join.
-		if terminates(x.Body) {
+		if terminatesStmts(x.Body.List) {
 			return elseOut
 		}
 		if x.Else != nil && terminatesStmts([]ast.Stmt{x.Else}) {
@@ -301,41 +289,37 @@ func (sl *shardlockChecker) walkStmt(fd *ast.FuncDecl, s ast.Stmt, held lockStat
 		return joinStates(thenOut, elseOut)
 	case *ast.ForStmt:
 		if x.Init != nil {
-			held = sl.walkStmt(fd, x.Init, held)
+			held = sl.walkStmt(x.Init, held)
 		}
 		if x.Cond != nil {
-			sl.scanBlockingExpr(x.Cond, held, x.Cond.Pos())
+			sl.scanBlockingExpr(x.Cond, held)
 		}
-		body := sl.walkStmts(fd, x.Body.List, held.clone())
+		body := sl.walkStmts(x.Body.List, maps.Clone(held))
 		return joinStates(held, body)
 	case *ast.RangeStmt:
-		sl.scanBlockingExpr(x.X, held, x.X.Pos())
-		body := sl.walkStmts(fd, x.Body.List, held.clone())
+		sl.scanBlockingExpr(x.X, held)
+		body := sl.walkStmts(x.Body.List, maps.Clone(held))
 		return joinStates(held, body)
 	case *ast.BlockStmt:
-		return sl.walkStmts(fd, x.List, held)
+		return sl.walkStmts(x.List, held)
 	case *ast.LabeledStmt:
-		return sl.walkStmt(fd, x.Stmt, held)
+		return sl.walkStmt(x.Stmt, held)
 	case *ast.SwitchStmt:
 		if x.Init != nil {
-			held = sl.walkStmt(fd, x.Init, held)
+			held = sl.walkStmt(x.Init, held)
 		}
 		if x.Tag != nil {
-			sl.scanBlockingExpr(x.Tag, held, x.Tag.Pos())
+			sl.scanBlockingExpr(x.Tag, held)
 		}
-		return sl.walkCases(fd, x.Body, held)
+		return sl.walkCases(x.Body, held)
 	case *ast.TypeSwitchStmt:
-		return sl.walkCases(fd, x.Body, held)
+		return sl.walkCases(x.Body, held)
 	case *ast.SelectStmt:
 		if len(held) > 0 {
-			m, pos := anyLock(held)
-			sl.pass.Reportf(x.Pos(),
-				"select while holding %s (locked at %s); blocking channel ops under a shard lock serialize the shard", m, sl.pass.Fset.Position(pos))
+			sl.reportBlocked(x, sl.blockReason(x), held)
 		}
 		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				sl.walkStmts(fd, cc.Body, held.clone())
-			}
+			sl.walkStmts(c.(*ast.CommClause).Body, maps.Clone(held))
 		}
 	default:
 		sl.scanBlocking(s, held)
@@ -346,15 +330,12 @@ func (sl *shardlockChecker) walkStmt(fd *ast.FuncDecl, s ast.Stmt, held lockStat
 // walkCases handles switch bodies: each case starts from the incoming
 // state; a lock released in every non-terminating case is released
 // after the switch.
-func (sl *shardlockChecker) walkCases(fd *ast.FuncDecl, body *ast.BlockStmt, held lockState) lockState {
-	out := held.clone()
+func (sl *shardlockChecker) walkCases(body *ast.BlockStmt, held lockState) lockState {
+	out := maps.Clone(held)
 	first := true
 	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		caseOut := sl.walkStmts(fd, cc.Body, held.clone())
+		cc := c.(*ast.CaseClause)
+		caseOut := sl.walkStmts(cc.Body, maps.Clone(held))
 		if terminatesStmts(cc.Body) {
 			continue
 		}
@@ -388,8 +369,6 @@ func anyLock(held lockState) (string, token.Pos) {
 	return "", token.NoPos
 }
 
-func terminates(b *ast.BlockStmt) bool { return terminatesStmts(b.List) }
-
 // terminatesStmts reports whether a statement list always transfers
 // control out (return, panic, break/continue/goto). Approximate: only
 // the last statement is examined.
@@ -407,9 +386,9 @@ func terminatesStmts(stmts []ast.Stmt) bool {
 			}
 		}
 	case *ast.BlockStmt:
-		return terminates(x)
+		return terminatesStmts(x.List)
 	case *ast.IfStmt:
-		return terminates(x.Body) && x.Else != nil && terminatesStmts([]ast.Stmt{x.Else})
+		return terminatesStmts(x.Body.List) && x.Else != nil && terminatesStmts([]ast.Stmt{x.Else})
 	}
 	return false
 }
@@ -420,7 +399,9 @@ func terminatesStmts(stmts []ast.Stmt) bool {
 // operations while locks are held, and for guarded-field writes.
 func (sl *shardlockChecker) scanBlocking(n ast.Node, held lockState) {
 	if as, ok := n.(*ast.AssignStmt); ok {
-		sl.checkGuardedWrites(as, held)
+		for _, lhs := range as.Lhs {
+			sl.checkGuardedWrite(lhs, as.Pos(), held)
+		}
 	}
 	if inc, ok := n.(*ast.IncDecStmt); ok {
 		sl.checkGuardedWrite(inc.X, inc.Pos(), held)
@@ -429,59 +410,37 @@ func (sl *shardlockChecker) scanBlocking(n ast.Node, held lockState) {
 		return
 	}
 	ast.Inspect(n, func(node ast.Node) bool {
-		switch x := node.(type) {
+		switch node.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
 			return false // deferred execution
-		case *ast.SendStmt:
-			m, pos := anyLock(held)
-			sl.pass.Reportf(x.Pos(),
-				"channel send while holding %s (locked at %s)", m, sl.pass.Fset.Position(pos))
-			return false
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				m, pos := anyLock(held)
-				sl.pass.Reportf(x.Pos(),
-					"channel receive while holding %s (locked at %s)", m, sl.pass.Fset.Position(pos))
-			}
-		case *ast.CallExpr:
-			if r := sl.directBlockReason(x); r != "" {
-				m, pos := anyLock(held)
-				sl.pass.Reportf(x.Pos(),
-					"blocking call (%s) while holding %s (locked at %s); release the lock before blocking", r, m, sl.pass.Fset.Position(pos))
-				return true
-			}
-			if fn := staticCallee(sl.pass.Info, x); fn != nil && fn.Pkg() == sl.pass.Pkg {
-				if r := sl.blocking[fn]; r != "" {
-					m, pos := anyLock(held)
-					sl.pass.Reportf(x.Pos(),
-						"call to %s, which %s, while holding %s (locked at %s); release the lock before blocking", fn.Name(), r, m, sl.pass.Fset.Position(pos))
-				}
-			}
+		}
+		if r := sl.blockReason(node); r != "" {
+			sl.reportBlocked(node, r, held)
 		}
 		return true
 	})
 }
 
-func (sl *shardlockChecker) scanBlockingExpr(e ast.Expr, held lockState, _ token.Pos) {
-	if len(held) == 0 || e == nil {
-		return
+// reportBlocked reports a node that blocks, for reason, under a lock.
+func (sl *shardlockChecker) reportBlocked(n ast.Node, reason string, held lockState) {
+	m, pos := anyLock(held)
+	sl.pass.Reportf(n.Pos(), "%s while holding %s (locked at %s); release the lock before blocking",
+		reason, m, sl.pass.Fset.Position(pos))
+}
+
+func (sl *shardlockChecker) scanBlockingExpr(e ast.Expr, held lockState) {
+	if len(held) > 0 {
+		sl.scanBlocking(&ast.ExprStmt{X: e}, held)
 	}
-	sl.scanBlocking(&ast.ExprStmt{X: e}, held)
 }
 
 // --- guarded-field writes -------------------------------------------------
 
-// checkGuardedWrites enforces "cross-shard state through atomics":
+// checkGuardedWrite enforces "cross-shard state through atomics":
 // writing a field of a struct that declares a sync.Mutex/RWMutex field
 // requires holding one of that struct's mutexes (any expression ending
 // in the mutex field name), except inside constructor functions that
 // return the struct type.
-func (sl *shardlockChecker) checkGuardedWrites(as *ast.AssignStmt, held lockState) {
-	for _, lhs := range as.Lhs {
-		sl.checkGuardedWrite(lhs, as.Pos(), held)
-	}
-}
-
 func (sl *shardlockChecker) checkGuardedWrite(lhs ast.Expr, pos token.Pos, held lockState) {
 	lhs = ast.Unparen(lhs)
 	// Unwrap index expressions: m[k] = v writes through the map/slice
@@ -507,7 +466,7 @@ func (sl *shardlockChecker) checkGuardedWrite(lhs ast.Expr, pos token.Pos, held 
 		return
 	}
 	// Writes in a constructor of the guarded type are initialization.
-	if sl.inConstructorOf(sel, recvT) {
+	if sl.inConstructor(recvT) {
 		return
 	}
 	// Is some held lock rooted at the same receiver (e.g. holding
@@ -541,42 +500,24 @@ func guardMutexField(t types.Type) string {
 	return ""
 }
 
-// inConstructorOf reports whether the enclosing function declaration
-// returns (a pointer to) the named type of t — the constructor
-// exemption for initialization writes.
-func (sl *shardlockChecker) inConstructorOf(at ast.Node, t types.Type) bool {
+// inConstructor reports whether the function being walked returns (a
+// pointer to) the named type of t — the constructor exemption for
+// initialization writes.
+func (sl *shardlockChecker) inConstructor(t types.Type) bool {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok {
+	if !ok || sl.fn.Type.Results == nil {
 		return false
 	}
-	for _, file := range sl.pass.Files {
-		for _, decl := range file.Decls {
-			fd, isFd := decl.(*ast.FuncDecl)
-			if !isFd || fd.Body == nil {
-				continue
-			}
-			if at.Pos() < fd.Pos() || at.Pos() >= fd.End() {
-				continue
-			}
-			if fd.Type.Results == nil {
-				return false
-			}
-			for _, res := range fd.Type.Results.List {
-				rt := sl.pass.Info.TypeOf(res.Type)
-				if rt == nil {
-					continue
-				}
-				if p, isP := rt.(*types.Pointer); isP {
-					rt = p.Elem()
-				}
-				if n, isN := rt.(*types.Named); isN && n.Obj() == named.Obj() {
-					return true
-				}
-			}
-			return false
+	for _, res := range sl.fn.Type.Results.List {
+		rt := sl.pass.Info.TypeOf(res.Type)
+		if p, isP := rt.(*types.Pointer); isP {
+			rt = p.Elem()
+		}
+		if n, isN := rt.(*types.Named); isN && n.Obj() == named.Obj() {
+			return true
 		}
 	}
 	return false

@@ -8,7 +8,7 @@ func TestShardlockAnalyzer(t *testing.T) {
 
 func TestShardlockScopedToProxy(t *testing.T) {
 	// The identical fixture outside internal/proxy must stay silent.
-	loader := NewLoader(stdlibExports(t, []string{"net/http", "sync"}))
+	loader := NewLoader(stdlibExports(t, []string{"io", "net/http", "sync", "time"}))
 	pkg, err := loader.Check(ModulePath+"/internal/core", "testdata/shardlock", []string{"shardlock.go"})
 	if err != nil {
 		t.Fatal(err)

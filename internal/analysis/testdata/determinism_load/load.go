@@ -20,11 +20,25 @@ func (p poisson) next() int64 {
 
 func BuildSchedule(s spec) int64 {
 	p := buildProcess(s)
-	return p.next() + helper(s)
+	return p.next() + helper(s) + buildBursts()[0].next()
 }
 
 func buildProcess(s spec) process {
 	return poisson{rate: float64(s.n)}
+}
+
+type burst struct{ at []int64 }
+
+func (b *burst) next() int64 {
+	return time.Now().UnixNano() // want "time.Now reads the wall clock"
+}
+
+// A literal whose type is elided inside a slice of pointers constructs
+// the pointed-to type; a literal of a foreign or unnamed type brings no
+// methods.
+func buildBursts() []process {
+	bs := []*burst{{at: []int64{1}}}
+	return []process{bs[0]}
 }
 
 func helper(s spec) int64 {

@@ -60,7 +60,7 @@ func hotPresizedAppendOK(n int) int {
 
 //mediavet:hotpath
 func hotClosure(n int) func() int {
-	return func() int { return n } // want "closure captures n"
+	return func() int { return n + hotAnnotatedHelper(n) } // want "closure captures n"
 }
 
 func coldHelper(x int) int { return x + 1 }
@@ -132,4 +132,90 @@ func hotHeaderAssignOK(h map[string][]string) {
 //mediavet:hotpath
 func hotSegmentWriteOK(w io.Writer, seg *[65536]byte, n int) (int, error) {
 	return w.Write(seg[:n]) // negative: zero-copy write over aliased segment bytes
+}
+
+// Appends whose destination is not a local of the hot function are the
+// caller's (or an amortized buffer's) budget.
+
+var pkgScratch []int
+
+type scratch struct{ buf []int }
+
+//mediavet:hotpath
+func hotAppendElsewhereOK(dst []int, s *scratch, x int) (out []int) {
+	dst = append(dst, x)               // negative: parameter
+	out = append(out, x)               // negative: named result
+	s.buf = append(s.buf, x)           // negative: field
+	pkgScratch = append(pkgScratch, x) // negative: package-level var
+	return dst
+}
+
+// An annotation on a method is keyed by its receiver's type name,
+// whatever the receiver's shape — value, pointer or generic — so the
+// call edge from another hot function resolves.
+
+type ring[T any] struct{ items []T }
+
+//mediavet:hotpath
+func (r *ring[T]) at(i int) T { return r.items[i] }
+
+func (r *ring[T]) grow() { r.items = append(r.items, r.items...) }
+
+//mediavet:hotpath
+func (s *scratch) first() int { return s.buf[0] }
+
+//mediavet:hotpath
+func (s scratch) size() int { return len(s.buf) }
+
+//mediavet:hotpath
+func hotCallsMethods(r *ring[int], s *scratch) int {
+	r.grow()                              // want "core.ring.grow which is not //mediavet:hotpath-annotated"
+	return r.at(0) + s.first() + s.size() // negative: annotated methods
+}
+
+//mediavet:hotpath
+func clamp(x, lo, hi int) int { return max(lo, min(x, hi)) }
+
+//mediavet:hotpath
+func hotReassignedPresizedOK(n int) int {
+	var s []int
+	n = clamp(n, 0, 64) // negative: three arguments do not make a make
+	s = make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		s = append(s, i) // negative: pre-sized by assignment, not only by :=
+	}
+	return len(s)
+}
+
+type point struct{ x, y int }
+
+//mediavet:hotpath
+func hotAllocators(parts []string, s *scratch, p point) (string, func() int, any) {
+	var joined string
+	for _, part := range parts {
+		joined += part // want "string .= allocates a new string per call"
+	}
+	return joined, s.first, p // want "method value first allocates a bound closure" "conversion of .*point to any boxes the value"
+}
+
+type handler struct{ cb func(int) int }
+
+//mediavet:hotpath
+func sumAll(xs ...any) int { return len(xs) }
+
+var memo = map[int]any{}
+
+// What does not box: conversions between concrete types, constants and
+// nil into an interface, a comma-ok tuple, a spread slice; and a call
+// through a func-typed field is dynamic, its budget the callee's.
+//
+//mediavet:hotpath
+func hotNoBoxOK(h *handler, x int, xs []any) (any, any, int) {
+	var v any
+	var ok bool
+	v, ok = memo[x]
+	if !ok {
+		return 1, nil, h.cb(x)
+	}
+	return v, nil, int(int64(x)) + sumAll(xs...)
 }

@@ -3,8 +3,10 @@
 package proxy
 
 import (
+	"io"
 	"net/http"
 	"sync"
+	"time"
 )
 
 type shard struct {
@@ -19,19 +21,19 @@ func fetchIndirect(url string) error {
 
 func blockUnderLock(sh *shard, url string) {
 	sh.mu.Lock()
-	http.Get(url) // want "blocking call .calls into net/http. while holding sh.mu"
+	http.Get(url) // want "calls into net/http while holding sh.mu"
 	sh.mu.Unlock()
 }
 
 func transitiveBlockUnderLock(sh *shard, url string) {
 	sh.mu.Lock()
-	fetchIndirect(url) // want "call to fetchIndirect, which calls into net/http, while holding sh.mu"
+	fetchIndirect(url) // want "calls fetchIndirect, which calls into net/http while holding sh.mu"
 	sh.mu.Unlock()
 }
 
 func chanRecvUnderLock(sh *shard, ch chan int) {
 	sh.mu.Lock()
-	<-ch // want "channel receive while holding sh.mu"
+	<-ch // want "receives from a channel while holding sh.mu"
 	sh.mu.Unlock()
 }
 
@@ -115,7 +117,7 @@ func switchUnderLock(sh *shard, url string, kind int) {
 	sh.mu.Lock()
 	switch kind {
 	case 0:
-		http.Get(url) // want "blocking call .calls into net/http. while holding sh.mu"
+		http.Get(url) // want "calls into net/http while holding sh.mu"
 	case 1:
 		sh.mu.Unlock()
 		http.Get(url) // negative: this case released the lock before it returned
@@ -126,7 +128,7 @@ func switchUnderLock(sh *shard, url string, kind int) {
 
 func selectUnderLock(sh *shard, ch chan int) {
 	sh.mu.Lock()
-	select { // want "select while holding sh.mu"
+	select { // want "selects on channels while holding sh.mu"
 	case v := <-ch:
 		sh.inflight[5] = v
 	default:
@@ -141,7 +143,7 @@ outer:
 		if u == "" {
 			continue outer
 		}
-		http.Get(u) // want "blocking call .calls into net/http. while holding sh.mu"
+		http.Get(u) // want "calls into net/http while holding sh.mu"
 	}
 	sh.mu.Unlock()
 }
@@ -159,6 +161,115 @@ func elseIfUnderLock(sh *shard, url string, a, b bool) {
 	}
 	// Both releasing branches returned: only the one that kept the lock
 	// falls through to here.
-	http.Get(url) // want "blocking call .calls into net/http. while holding sh.mu"
+	http.Get(url) // want "calls into net/http while holding sh.mu"
 	sh.mu.Unlock()
+}
+
+func notify(ch chan int) { ch <- 1 }
+
+// Every kind of blocking operation: the calls directBlockReason names,
+// a channel send, and a local function that performs one. A literal
+// only assigned under the lock runs later, on its own timeline.
+func everyBlockingKindUnderLock(sh *shard, wg *sync.WaitGroup, w io.Writer, r io.Reader, ch chan int) func() {
+	sh.mu.Lock()
+	time.Sleep(time.Millisecond) // want "calls time.Sleep while holding sh.mu"
+	wg.Wait()                    // want "waits on a sync.WaitGroup while holding sh.mu"
+	io.Copy(w, r)                // want "performs io.Copy .reader may block. while holding sh.mu"
+	ch <- 1                      // want "sends on a channel while holding sh.mu"
+	notify(ch)                   // want "calls notify, which sends on a channel while holding sh.mu"
+	later := func() { ch <- 1 }  // negative: not run here
+	sh.mu.Unlock()
+	return later
+}
+
+// What counts as a shard mutex: sync.Mutex and sync.RWMutex, directly
+// or behind a pointer. Anything else with a Lock method is not tracked,
+// though an embedded mutex still guards the fields beside it.
+
+type index struct {
+	rw    sync.RWMutex
+	mu    *sync.Mutex
+	names map[int]string
+}
+
+func everyMutexKindUnderBlock(ix *index, url string) string {
+	ix.rw.RLock()
+	http.Get(url) // want "calls into net/http while holding ix.rw"
+	s := ix.names[0]
+	ix.rw.RUnlock()
+	ix.mu.Lock()
+	http.Get(url) // want "calls into net/http while holding ix.mu"
+	ix.mu.Unlock()
+	return s
+}
+
+type spin struct{}
+
+func (*spin) Lock()   {}
+func (*spin) Unlock() {}
+
+func foreignLockers(sp *spin, l sync.Locker, url string) {
+	var g struct {
+		sync.Mutex
+		n int
+	}
+	sp.Lock()
+	l.Lock()
+	g.Lock()
+	http.Get(url) // negative: none is a sync.Mutex or sync.RWMutex by type
+	g.n = 1       // want "write to g.n without holding g.Mutex"
+	g.Unlock()
+	l.Unlock()
+	sp.Unlock()
+}
+
+// The lock state is threaded through every statement form: init
+// clauses, plain and three-clause loops, bare blocks, switches with an
+// init, type switches, joins, panicking branches.
+func everyStatementFormUnderLock(sh *shard, url string, x any) {
+	if n := len(url); n > 0 { // negative: no lock held yet
+		sh.mu.Lock()
+	} else {
+		sh.mu.Lock()
+	}
+	if v, ok := sh.inflight[1]; ok {
+		sh.inflight[1] = v + 1
+	}
+	for i := 0; i < 2; i++ {
+		http.Get(url) // want "calls into net/http while holding sh.mu"
+	}
+	{
+		http.Get(url) // want "calls into net/http while holding sh.mu"
+	}
+	switch n := len(url); n {
+	case 0:
+		sh.inflight[2] = 0
+	case 1:
+		sh.inflight[2] = 1
+	default:
+	}
+	switch x.(type) {
+	case int:
+		http.Get(url) // want "calls into net/http while holding sh.mu"
+	case nil:
+		sh.mu.Unlock()
+		panic("no x")
+	}
+	if x == 0 {
+		sh.mu.Unlock()
+	}
+	http.Get(url) // negative: a lock released on either side of a join counts as released
+}
+
+// Guarded-field writes: only fields of a struct that declares a mutex
+// are guarded, and only a function returning that struct's type is its
+// constructor.
+
+type plain struct{ n int }
+
+func (r *relay) bumpUnlocked(p *plain) int {
+	p.n = 1                  // negative: plain declares no mutex
+	http.DefaultClient = nil // negative: a package variable, not a field
+	r.n = 1                  // want "write to r.n without holding r.mu"
+	return r.n
 }

@@ -378,10 +378,11 @@ func TestMetricLongPoll(t *testing.T) {
 }
 
 // TestMalformedLinesRejectedEverywhere: the record validator lives once,
-// in rowlog.Decode, so the same malformed line is refused at all three
-// doors a row log comes in by — collectd answers 400 (and keeps
-// serving), ResumeJournal and MergeShards return an error naming the
-// line.
+// in rowlog.Decode, and the rules a record must keep with the records
+// before it once, in rowlog.Set.Apply, so the same bad line is refused
+// at all three doors a row log comes in by — collectd answers 400 (and
+// keeps serving), ResumeJournal and MergeShards return an error naming
+// the line.
 func TestMalformedLinesRejectedEverywhere(t *testing.T) {
 	const (
 		stamp = `{"type":"journal","fingerprint":"fp"}` + "\n"
@@ -396,6 +397,9 @@ func TestMalformedLinesRejectedEverywhere(t *testing.T) {
 		"table without a header": `{"type":"table","name":"U"}`,
 		"not json":               `{"type":"row",`,
 		"line over the cap":      `{"type":"row","table":"T","index":1,"row":["` + strings.Repeat("x", rowlog.MaxLine) + `"]}`,
+		"row wider than header":  `{"type":"row","table":"T","index":1,"row":["x","y"]}`,
+		"row without cells":      `{"type":"row","table":"T","index":1}`,
+		"re-declared header":     `{"type":"table","name":"T","header":["x","y"]}`,
 	}
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -437,5 +441,33 @@ func TestMalformedLinesRejectedEverywhere(t *testing.T) {
 				t.Errorf("MergeShards: %v, want an error naming line 3", err)
 			}
 		})
+	}
+}
+
+// TestRefusedRecordIsNotALostSession: a record the collector's set
+// refuses is answered 400, not the 409 that means "session lost, say
+// hello and replay" — replaying it could only be refused again, every
+// 100 ms, until DrainWait. The pusher backs off instead, and Close
+// gives up at once with the error that sends the operator to `figures
+// -merge`.
+func TestRefusedRecordIsNotALostSession(t *testing.T) {
+	ts := httptest.NewServer(NewServer(1).Handler())
+	defer ts.Close()
+	client := NewClient(ts.URL, experiments.Shard{Index: 0, Count: 1}, "fp")
+	sink := client.Sink("t")
+	if err := errors.Join(sink.Begin(experiments.TableMeta{Name: "T", Header: []string{"v"}}), sink.Row([]string{"x"})); err != nil {
+		t.Fatal(err)
+	}
+	// The sink itself refuses a ragged row, so one can only reach the
+	// wire from a producer that bypasses it.
+	client.append(rowlog.RowRecord("T", rowlog.Row{Index: 1, Row: []string{"x", "y"}}))
+
+	start := time.Now()
+	err := client.Close()
+	if err == nil || !strings.Contains(err.Error(), "figures -merge") {
+		t.Errorf("Close after a refused record: %v, want the undelivered-records error", err)
+	}
+	if took := time.Since(start); took > client.DrainWait/2 {
+		t.Errorf("Close took %v: the pusher treated a refused record as a lost session and replayed until DrainWait", took)
 	}
 }

@@ -146,7 +146,9 @@ func (s *Server) handleHello(w http.ResponseWriter, r *http.Request) {
 // sequence number. Batches at or below the accepted sequence replay
 // records the dedupe already holds (idempotent); a batch beyond it
 // means lost traffic, answered with 409 so the client re-hellos and
-// replays its whole log.
+// replays its whole log. A record the set refuses (a ragged row, a
+// re-declared header) is 400 like a malformed line: replaying it can
+// only be refused again.
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	shard, err := intParam(r, "shard")
 	if err != nil {
@@ -180,7 +182,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, rec := range recs {
 		if _, err := s.tables.Apply(rec); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 	}

@@ -125,37 +125,12 @@ func (p *hybridPolicy) Target(obj Object, bw float64) int64 {
 	return target
 }
 
-// pbvPolicy is Partial Bandwidth-Value-based caching (Section 2.6): cache
-// the deficit [T_i r_i - T_i b_i]+ of objects with the highest
+// NewPBV returns Partial Bandwidth-Value-based caching (Section 2.6):
+// cache the deficit [T_i r_i - T_i b_i]+ of objects with the highest
 // F_i V_i / (T_i r_i - T_i b_i) ratio, so that requests can be served
-// immediately and earn their value.
-type pbvPolicy struct{}
-
-// NewPBV returns the PB-V policy.
-func NewPBV() Policy { return pbvPolicy{} }
-
-func (pbvPolicy) Name() string { return "PB-V" }
-
-func (pbvPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
-	deficit := float64(obj.Size) - obj.Duration*effBW(bw)
-	if deficit <= 0 {
-		return 0 // nothing to cache; never competes for space
-	}
-	return float64(st.Freq) * obj.Value / deficit
-}
-
-func (pbvPolicy) Target(obj Object, bw float64) int64 {
-	deficit := float64(obj.Size) - obj.Duration*effBW(bw)
-	if deficit <= 0 {
-		return 0
-	}
-	// Round up: a prefix even one byte short of the deficit earns no value.
-	target := int64(math.Ceil(deficit))
-	if target > obj.Size {
-		target = obj.Size
-	}
-	return target
-}
+// immediately and earn their value. It is the e=1 end of the value
+// family, as PB is of the bandwidth family.
+func NewPBV() Policy { return &hybridVPolicy{name: "PB-V", e: 1} }
 
 // ibvPolicy is Integral Bandwidth-Value-based caching (Section 2.6):
 // whole objects with the highest F_i V_i / (T_i r_i b_i) ratio, giving
@@ -178,8 +153,9 @@ func (ibvPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
 
 func (ibvPolicy) Target(obj Object, _ float64) int64 { return obj.Size }
 
-// hybridVPolicy interpolates PB-V and IB-V with the same
-// under-estimation factor used by Hybrid; it backs Figure 12.
+// hybridVPolicy is the value family: PB-V (E=1) and, with the same
+// under-estimation factor E used by Hybrid, the policies Figure 12
+// sweeps between it and whole-object caching (E=0).
 type hybridVPolicy struct {
 	name string
 	e    float64
@@ -200,7 +176,7 @@ func (p *hybridVPolicy) Name() string { return p.name }
 func (p *hybridVPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
 	deficit := float64(obj.Size) - obj.Duration*p.e*effBW(bw)
 	if deficit <= 0 {
-		return 0
+		return 0 // nothing to cache; never competes for space
 	}
 	return float64(st.Freq) * obj.Value / deficit
 }
@@ -210,6 +186,7 @@ func (p *hybridVPolicy) Target(obj Object, bw float64) int64 {
 	if deficit <= 0 {
 		return 0
 	}
+	// Round up: a prefix even one byte short of the deficit earns no value.
 	target := int64(math.Ceil(deficit))
 	if target > obj.Size {
 		target = obj.Size

@@ -160,6 +160,25 @@ func TestPBVUtilityAndTarget(t *testing.T) {
 	if p.Utility(st, obj, units.KBps(200)) != 0 {
 		t.Error("PB-V utility with abundant bandwidth != 0")
 	}
+
+	// PB-V is the value family at e=1. Section 2.6's formulas, written
+	// out with no e in them, must agree with it to the bit over a grid
+	// of objects, bandwidths and frequencies: figures 10-12 rank
+	// evictions on these floats.
+	for id := 0; id < 40; id++ {
+		obj := Object{ID: id, Duration: 30 + 97.3*float64(id), Rate: units.KBps(48), Value: 1 + 0.23*float64(id)}
+		obj.Size = int64(obj.Duration * obj.Rate)
+		for _, bw := range []float64{0, 1, units.KBps(7.3), units.KBps(47.9), units.KBps(48), units.KBps(311)} {
+			deficit := float64(obj.Size) - obj.Duration*effBW(bw)
+			wantU, wantT := 0.0, int64(0)
+			if deficit > 0 {
+				wantU, wantT = 3*obj.Value/deficit, min(int64(math.Ceil(deficit)), obj.Size)
+			}
+			if u, tg := p.Utility(AccessStats{Freq: 3}, obj, bw), p.Target(obj, bw); u != wantU || tg != wantT {
+				t.Fatalf("object %d at bw %v: utility %v target %d, Section 2.6 gives %v and %d", id, bw, u, tg, wantU, wantT)
+			}
+		}
+	}
 }
 
 func TestIBVUtilityFavors(t *testing.T) {

@@ -41,14 +41,12 @@ func extensionStreamMerging(s Scale) (*plan, error) {
 	counts := w.RequestCounts()
 	netRNG := rand.New(rand.NewSource(s.Seed))
 	model := bandwidth.NLANR()
-	objs := make([]core.Object, len(w.Objects))
-	for i, o := range w.Objects {
-		objs[i] = core.Object{ID: o.ID, Size: o.Size, Duration: o.Duration, Rate: o.Rate, Value: o.Value}
+	for i := range w.Objects {
 		lambda[i] = float64(counts[i])
 		bw[i] = model.Sample(netRNG)
 	}
 	cacheBytes := w.TotalUniqueBytes() / 20
-	placement, err := core.OptimalPlacement(objs, lambda, bw, cacheBytes)
+	placement, err := core.OptimalPlacement(w.Objects, lambda, bw, cacheBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bufio"
+	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -86,41 +88,39 @@ func ReadCSVFile(path string) (*Table, error) {
 }
 
 // ReadCSVTable parses a table in the CSVSink rendering: a `# name`
-// comment line, an optional `# note` line, the comma-joined header,
-// then one comma-joined line per row. This is the inverse of streaming
-// a table through NewCSVSink, used by tooling (cmd/figures -knee) that
-// consumes live-capacity output.
+// comment line, an optional `# note` line, then the header and one
+// record per row as RFC 4180 CSV (encoding/csv). This is the inverse of
+// streaming a table through NewCSVSink, used by tooling (cmd/figures
+// -knee, -overlay) that consumes live-capacity output. A row of another
+// width than the header is an error naming its line.
 func ReadCSVTable(r io.Reader) (*Table, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	br := bufio.NewReader(r)
 	t := &Table{}
-	sawHeader := false
-	for sc.Scan() {
-		line := strings.TrimRight(sc.Text(), "\r")
-		if line == "" {
-			continue
+	preamble := 0
+	for _, field := range []*string{&t.Name, &t.Note} {
+		if next, _ := br.Peek(2); string(next) != "# " {
+			break
 		}
-		if strings.HasPrefix(line, "# ") {
-			if t.Name == "" {
-				t.Name = strings.TrimPrefix(line, "# ")
-			} else if t.Note == "" && !sawHeader {
-				t.Note = strings.TrimPrefix(line, "# ")
-			}
-			continue
+		line, err := br.ReadString('\n')
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("experiments: read csv table: %w", err)
 		}
-		cells := strings.Split(line, ",")
-		if !sawHeader {
-			t.Header = cells
-			sawHeader = true
-			continue
-		}
-		t.Rows = append(t.Rows, cells)
+		*field = strings.TrimRight(line[2:], "\r\n")
+		preamble++
 	}
-	if err := sc.Err(); err != nil {
+	// FieldsPerRecord 0: the header sets the width every row must have.
+	records, err := csv.NewReader(br).ReadAll()
+	if err != nil {
+		var at *csv.ParseError
+		if errors.As(err, &at) { // csv counts lines from where it started reading
+			at.StartLine += preamble
+			at.Line += preamble
+		}
 		return nil, fmt.Errorf("experiments: read csv table: %w", err)
 	}
-	if !sawHeader {
+	if len(records) == 0 {
 		return nil, fmt.Errorf("experiments: read csv table: no header line")
 	}
+	t.Header, t.Rows = records[0], records[1:]
 	return t, nil
 }

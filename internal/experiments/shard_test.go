@@ -163,6 +163,10 @@ func TestMergeShardsValidation(t *testing.T) {
 	if err := merge(table + row(0) + row(2)); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Errorf("gap not caught: %v", err)
 	}
+	if err := merge(table+row(0), table+`{"type":"row","table":"T","index":1,"row":["1","extra"]}`+"\n"); err == nil ||
+		!strings.Contains(err.Error(), `shard 1: rowlog: line 2: rowlog: row 1 of table "T" has 2 cells, its header declares 1`) {
+		t.Errorf("ragged row not caught with its shard, line, table and index named: %v", err)
+	}
 	if err := merge(table, `{"type":"table","name":"U","header":["x"]}`+"\n"); err == nil {
 		t.Error("table mismatch not caught")
 	}

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bufio"
-	"fmt"
+	"encoding/csv"
 	"io"
-	"strings"
 
 	"streamcache/internal/rowlog"
 )
@@ -73,34 +71,54 @@ func (t *Table) Stream(sink RowSink) error {
 
 // CSVSink streams a table as CSV: two leading comment lines (name and
 // note), the header, then one line per row, flushed row by row so a
-// consumer tailing the file sees points as they complete.
+// consumer tailing the file sees points as they complete. Cells are
+// joined with commas, one holding a comma, a quote or a line break
+// quoted per RFC 4180 (encoding/csv); a row of another width than the
+// header is refused, not written.
 type CSVSink struct {
-	w *bufio.Writer
+	out  io.Writer
+	w    *csv.Writer
+	meta TableMeta
+	rows int
 }
 
 // NewCSVSink wraps w in a streaming CSV renderer.
 func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{w: bufio.NewWriter(w)}
+	return &CSVSink{out: w, w: csv.NewWriter(w)}
 }
 
 // Begin writes the comment preamble and header.
 func (c *CSVSink) Begin(meta TableMeta) error {
-	fmt.Fprintf(c.w, "# %s\n", meta.Name)
+	c.meta, c.rows = meta, 0
+	preamble := "# " + meta.Name + "\n"
 	if meta.Note != "" {
-		fmt.Fprintf(c.w, "# %s\n", meta.Note)
+		preamble += "# " + meta.Note + "\n"
 	}
-	fmt.Fprintln(c.w, strings.Join(meta.Header, ","))
-	return c.w.Flush()
+	if _, err := io.WriteString(c.out, preamble); err != nil {
+		return err
+	}
+	return c.line(meta.Header)
 }
 
 // Row writes and flushes one CSV line.
 func (c *CSVSink) Row(row []string) error {
-	fmt.Fprintln(c.w, strings.Join(row, ","))
-	return c.w.Flush()
+	if err := c.meta.CheckRow(c.rows, row); err != nil {
+		return err
+	}
+	c.rows++
+	return c.line(row)
 }
 
-// End flushes any buffered output.
-func (c *CSVSink) End() error { return c.w.Flush() }
+func (c *CSVSink) line(cells []string) error {
+	if err := c.w.Write(cells); err != nil {
+		return err
+	}
+	c.w.Flush()
+	return c.w.Error()
+}
+
+// End is a no-op: every line was flushed as it was written.
+func (c *CSVSink) End() error { return nil }
 
 // JSONLSink streams a table as a row log (internal/rowlog): one "table"
 // record carrying name/note/header, then one "row" record per row, each

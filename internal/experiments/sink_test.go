@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"streamcache/internal/rowlog"
@@ -93,5 +96,53 @@ func TestMultiSinkFansOut(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("CSV sink saw nothing")
+	}
+}
+
+// TestSinksRefuseRaggedRows: the two sinks that turn a row into bytes
+// refuse one whose cell count differs from the header's, through every
+// door a row can come in by, naming table, index, got and want — and
+// write nothing for it.
+func TestSinksRefuseRaggedRows(t *testing.T) {
+	meta := TableMeta{Name: "T", Header: []string{"x", "y", "z"}}
+	short, long := []string{"1"}, []string{"1", "2", "3", "4", "5"}
+	cases := []struct {
+		name string
+		sink func(*bytes.Buffer) RowSink
+		send func(RowSink, []string) error
+		want string // the index the error names
+	}{
+		{"csv Row", func(b *bytes.Buffer) RowSink { return NewCSVSink(b) },
+			func(s RowSink, r []string) error { return s.Row(r) }, "row 1 "},
+		{"csv engine row", func(b *bytes.Buffer) RowSink { return NewCSVSink(b) },
+			func(s RowSink, r []string) error { return rowlog.Emit(s, MetricRow{Index: 1, Row: r}) }, "row 1 "},
+		{"recorder Row", func(b *bytes.Buffer) RowSink { return NewJSONLSink(b) },
+			func(s RowSink, r []string) error { return s.Row(r) }, "row 1 "},
+		{"recorder IndexedRow", func(b *bytes.Buffer) RowSink { return NewJSONLSink(b) },
+			func(s RowSink, r []string) error { return s.(IndexedSink).IndexedRow(7, r) }, "row 7 "},
+		{"recorder MetricRow", func(b *bytes.Buffer) RowSink { return NewJSONLSink(b) },
+			func(s RowSink, r []string) error {
+				return s.(MetricSink).MetricRow(MetricRow{Index: 9, Row: r, Metric: 0.5, HasMetric: true})
+			}, "row 9 "},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			sink := c.sink(&buf)
+			if err := errors.Join(sink.Begin(meta), sink.Row([]string{"a", "b", "c"})); err != nil {
+				t.Fatal(err)
+			}
+			before := buf.String()
+			for _, row := range [][]string{short, long, nil} {
+				err := c.send(sink, row)
+				want := fmt.Sprintf(`%sof table "T" has %d cells, its header declares 3`, c.want, len(row))
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%d-cell row: err %v, want one saying %q", len(row), err, want)
+				}
+			}
+			if buf.String() != before {
+				t.Errorf("a refused row left bytes behind:\n%s", buf.String()[len(before):])
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -50,23 +51,18 @@ type Proxy struct {
 	start     time.Time
 	tier      string
 
-	// origins lists every distinct upstream base URL misses can be
+	// upstreams lists every distinct upstream base URL misses can be
 	// fetched over: the default origin first, then the catalog's origins
 	// sorted, then configured cluster upstreams (peers, parent) in
-	// declaration order; originIndex inverts it. The set is fixed at
+	// declaration order; upstreamIndex inverts it. The set is fixed at
 	// construction — per-upstream estimator state is dense slices
-	// indexed by origin, never a growing map.
-	origins     []string
-	originIndex map[string]int
+	// indexed like it, never a growing map.
+	upstreams     []upstream
+	upstreamIndex map[string]int
 
 	// router maps an object to the upstream its misses should be
-	// fetched over (nil: always the object's own origin). tierOf maps
-	// each origin index to a slot in tierNames/tierBytes, splitting
-	// BytesFetched by cluster tier for /stats.
-	router    func(Meta) Route
-	tierOf    []int
-	tierNames []string
-	tierBytes []atomic.Int64
+	// fetched over (nil: always the object's own origin).
+	router func(Meta) Route
 
 	shards   []*shard
 	stats    counters
@@ -74,6 +70,14 @@ type Proxy struct {
 }
 
 var _ http.Handler = (*Proxy)(nil)
+
+// upstream is one slot of the fixed upstream table: where it is, the
+// cluster tier its fetched bytes are accounted under in /stats, and
+// those bytes.
+type upstream struct {
+	url, tier string
+	bytes     atomic.Int64
+}
 
 // shard owns one partition of the object space. All fields are guarded
 // by mu except store, which has its own internal lock so prefix reads
@@ -278,71 +282,40 @@ func New(cfg Config) (*Proxy, error) {
 		now = time.Now
 	}
 
-	// The estimator table is fixed at construction: the default origin,
+	p := &Proxy{
+		catalog:       catalog,
+		originURL:     originURL,
+		client:        client,
+		now:           now,
+		start:         now(),
+		tier:          cfg.Tier,
+		upstreamIndex: map[string]int{},
+		router:        cfg.Router,
+		shards:        make([]*shard, len(caches)),
+	}
+	// The upstream table is fixed at construction: the default origin,
 	// every origin named by the (immutable) catalog, and every
 	// configured cluster upstream. It can never grow at runtime, so
-	// per-upstream state is bounded and lock-free to index. Each slot
-	// carries the tier its fetched bytes are accounted under.
-	origins := []string{originURL}
-	tiers := []string{"origin"}
-	for _, o := range catalog.Origins() {
-		if o != originURL {
-			origins = append(origins, o)
-			tiers = append(tiers, "origin")
+	// per-upstream state is bounded and lock-free to index.
+	add := func(url, tier string) {
+		if _, dup := p.upstreamIndex[url]; dup {
+			return // already an origin (or listed twice): first tier wins
 		}
+		p.upstreamIndex[url] = len(p.upstreams)
+		p.upstreams = append(p.upstreams, upstream{url: url, tier: tier})
 	}
-	originIndex := make(map[string]int, len(origins)+len(cfg.Upstreams))
-	for i, o := range origins {
-		originIndex[o] = i
+	add(originURL, "origin")
+	for _, o := range catalog.Origins() {
+		add(o, "origin")
 	}
 	for _, u := range cfg.Upstreams {
 		if u.URL == "" {
 			return nil, fmt.Errorf("%w: upstream with empty URL", ErrBadProxy)
 		}
-		if _, dup := originIndex[u.URL]; dup {
-			continue // already an origin (or listed twice): first tier wins
-		}
-		tier := u.Tier
-		if tier == "" {
-			tier = "origin"
-		}
-		originIndex[u.URL] = len(origins)
-		origins = append(origins, u.URL)
-		tiers = append(tiers, tier)
-	}
-
-	// Dense per-tier byte counters: tierOf maps an origin index to its
-	// slot in tierNames/tierBytes.
-	tierIndex := map[string]int{}
-	tierOf := make([]int, len(origins))
-	var tierNames []string
-	for i, t := range tiers {
-		idx, ok := tierIndex[t]
-		if !ok {
-			idx = len(tierNames)
-			tierIndex[t] = idx
-			tierNames = append(tierNames, t)
-		}
-		tierOf[i] = idx
-	}
-
-	p := &Proxy{
-		catalog:     catalog,
-		originURL:   originURL,
-		client:      client,
-		now:         now,
-		start:       now(),
-		tier:        cfg.Tier,
-		origins:     origins,
-		originIndex: originIndex,
-		router:      cfg.Router,
-		tierOf:      tierOf,
-		tierNames:   tierNames,
-		tierBytes:   make([]atomic.Int64, len(tierNames)),
-		shards:      make([]*shard, len(caches)),
+		add(u.URL, cmp.Or(u.Tier, "origin"))
 	}
 	for i, c := range caches {
-		est := make([]pathEstimator, len(origins))
+		est := make([]pathEstimator, len(p.upstreams))
 		for j := range est {
 			e, err := bandwidth.NewEWMA(0.3)
 			if err != nil {
@@ -405,7 +378,7 @@ type resolvedRoute struct {
 //mediavet:hotpath
 func (p *Proxy) routeFor(meta Meta) resolvedRoute {
 	origin := p.originFor(meta)
-	rt := resolvedRoute{url: origin, idx: p.originIndex[origin], fbIdx: -1}
+	rt := resolvedRoute{url: origin, idx: p.upstreamIndex[origin], fbIdx: -1}
 	if p.router == nil {
 		return rt
 	}
@@ -413,25 +386,25 @@ func (p *Proxy) routeFor(meta Meta) resolvedRoute {
 	if r.URL == "" || r.URL == rt.url {
 		return rt
 	}
-	idx, ok := p.originIndex[r.URL]
+	idx, ok := p.upstreamIndex[r.URL]
 	if !ok {
 		return rt // unknown upstream: keep the object's own origin
 	}
 	rt.url, rt.idx = r.URL, idx
 	rt.headerTimeout = r.HeaderTimeout
 	if r.Fallback != "" && r.Fallback != r.URL {
-		if fbIdx, ok := p.originIndex[r.Fallback]; ok {
+		if fbIdx, ok := p.upstreamIndex[r.Fallback]; ok {
 			rt.fbURL, rt.fbIdx = r.Fallback, fbIdx
 		}
 	}
 	return rt
 }
 
-// addTierBytes accounts n fetched bytes to the tier of upstream
-// originIdx.
-func (p *Proxy) addTierBytes(originIdx int, n int64) {
+// addTierBytes accounts n fetched bytes to upstream idx; Snapshot sums
+// them by tier.
+func (p *Proxy) addTierBytes(idx int, n int64) {
 	if n > 0 {
-		p.tierBytes[p.tierOf[originIdx]].Add(n)
+		p.upstreams[idx].bytes.Add(n)
 	}
 }
 
@@ -899,14 +872,14 @@ func (p *Proxy) Snapshot() Stats {
 		DefaultOrigin:     p.originURL,
 		Tier:              p.tier,
 	}
-	s.TierBytes = make(map[string]int64, len(p.tierNames))
-	for i, t := range p.tierNames {
-		s.TierBytes[t] = p.tierBytes[i].Load()
+	s.TierBytes = map[string]int64{}
+	for i := range p.upstreams {
+		s.TierBytes[p.upstreams[i].tier] += p.upstreams[i].bytes.Load()
 	}
-	// Dense accumulators indexed by origin keep the aggregation to two
+	// Dense accumulators indexed by upstream keep the aggregation to two
 	// small allocations regardless of shard count.
-	sums := make([]float64, len(p.origins))
-	counts := make([]int, len(p.origins))
+	sums := make([]float64, len(p.upstreams))
+	counts := make([]int, len(p.upstreams))
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		snap := sh.cache.Snapshot()
@@ -920,10 +893,10 @@ func (p *Proxy) Snapshot() Stats {
 		}
 		sh.mu.Unlock()
 	}
-	s.EstimatesBps = make(map[string]int64, len(p.origins))
-	for i, o := range p.origins {
+	s.EstimatesBps = make(map[string]int64, len(p.upstreams))
+	for i := range p.upstreams {
 		if counts[i] > 0 {
-			s.EstimatesBps[o] = int64(sums[i] / float64(counts[i]))
+			s.EstimatesBps[p.upstreams[i].url] = int64(sums[i] / float64(counts[i]))
 		}
 	}
 	return s

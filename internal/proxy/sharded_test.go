@@ -550,7 +550,7 @@ func TestRangedRefetchRejectsFullResponse(t *testing.T) {
 
 	// Point the proxy at the range-blind origin for the refetch.
 	px.originURL = blindSrv.URL
-	px.origins[0] = blindSrv.URL
+	px.upstreams[0].url = blindSrv.URL
 	res, err := Fetch(proxySrv.URL + "/objects/1")
 	if err == nil && res.Bytes == meta.Size {
 		t.Fatal("full object delivered through a 200 answer to a ranged request")

@@ -14,17 +14,17 @@ import (
 // The lines every writer has always produced, byte for byte: a journal
 // stamp, a table with and without a note, a fixed-grid row, a refined
 // row with its metric, a metric-only checkpoint, and the push wire's
-// table with a file stem.
+// table with a file stem. Every row of T has its header's two cells.
 const (
 	stampLine  = `{"type":"journal","fingerprint":"fp"}`
-	tableLine  = `{"type":"table","name":"T","header":["x"]}`
+	tableLine  = `{"type":"table","name":"T","header":["x","y"]}`
 	notedLine  = `{"type":"table","name":"N \u003c\u0026\u003e","note":"a note","header":["x","y"]}` // encoding/json escapes <&>
-	wireLine   = `{"type":"table","name":"T","header":["x"],"file":"stem"}`
+	wireLine   = `{"type":"table","name":"T","header":["x","y"],"file":"stem"}`
 	metricLine = `{"type":"metric","table":"T","index":5,"metric":1.25}`
 )
 
 func rowLine(i int) string {
-	return fmt.Sprintf(`{"type":"row","table":"T","index":%d,"row":["%d"]}`, i, i)
+	return fmt.Sprintf(`{"type":"row","table":"T","index":%d,"row":["%d","fixed"]}`, i, i)
 }
 
 func refinedLine(i int, m string) string {
@@ -57,8 +57,8 @@ func TestRecordBytes(t *testing.T) {
 	built := map[string]Record{
 		stampLine:             stamp("fp"),
 		notedLine:             TableRecord(Meta{Name: "N <&>", Note: "a note", Header: []string{"x", "y"}}, ""),
-		wireLine:              TableRecord(Meta{Name: "T", Header: []string{"x"}}, "stem"),
-		rowLine(0):            RowRecord("T", Row{Index: 0, Row: []string{"0"}}),
+		wireLine:              TableRecord(Meta{Name: "T", Header: []string{"x", "y"}}, "stem"),
+		rowLine(0):            RowRecord("T", Row{Index: 0, Row: []string{"0", "fixed"}}),
 		refinedLine(2, "0.5"): RowRecord("T", Row{Index: 2, Row: []string{"2", "coarse"}, Metric: 0.5, HasMetric: true}),
 		metricLine:            MetricRecord("T", 5, 1.25),
 	}
@@ -116,7 +116,7 @@ func TestSetApply(t *testing.T) {
 			log:   lines(tableLine, rowLine(0), rowLine(2), tableLine, rowLine(1)),
 			fresh: []bool{true, true, true, false, true}, rows: []int{0, 1, 2}},
 		{name: "replayed row is a duplicate, first payload wins",
-			log:   lines(tableLine, rowLine(0), `{"type":"row","table":"T","index":0,"row":["other"]}`),
+			log:   lines(tableLine, rowLine(0), `{"type":"row","table":"T","index":0,"row":["other","payload"]}`),
 			fresh: []bool{true, true, false}, rows: []int{0}},
 		{name: "whole-log replay after a reconnect is all duplicates",
 			log:   lines(tableLine, rowLine(0), rowLine(1), tableLine, rowLine(0), rowLine(1)),
@@ -138,11 +138,26 @@ func TestSetApply(t *testing.T) {
 		{name: "metric before its table",
 			log: lines(metricLine), fresh: []bool{false}, applyErr: "undeclared table"},
 		{name: "row of another table",
-			log:   lines(tableLine, `{"type":"row","table":"U","index":0,"row":["0"]}`),
+			log:   lines(tableLine, `{"type":"row","table":"U","index":0,"row":["0","fixed"]}`),
 			fresh: []bool{true, false}, applyErr: "undeclared table"},
 		{name: "table re-declared with another header",
-			log:   lines(tableLine, `{"type":"table","name":"T","header":["x","y"]}`),
+			log:   lines(tableLine, `{"type":"table","name":"T","header":["x"]}`),
 			fresh: []bool{true, false}, applyErr: "different header"},
+		{name: "row one cell short of its header",
+			log:   lines(tableLine, rowLine(0), `{"type":"row","table":"T","index":1,"row":["1"]}`),
+			fresh: []bool{true, true, false}, applyErr: `row 1 of table "T" has 1 cells, its header declares 2`},
+		{name: "row one cell longer than its header",
+			log:   lines(tableLine, `{"type":"row","table":"T","index":4,"row":["4","fixed","extra"]}`),
+			fresh: []bool{true, false}, applyErr: `row 4 of table "T" has 3 cells, its header declares 2`},
+		{name: "row with no cells",
+			log:   lines(tableLine, `{"type":"row","table":"T","index":0}`),
+			fresh: []bool{true, false}, applyErr: `row 0 of table "T" has 0 cells, its header declares 2`},
+		{name: "ragged replay of a row already held",
+			log:   lines(tableLine, rowLine(0), `{"type":"row","table":"T","index":0,"row":["0"]}`),
+			fresh: []bool{true, true, false}, applyErr: "has 1 cells"},
+		{name: "metric-only records carry no cells",
+			log:   lines(tableLine, rowLine(0), metricLine),
+			fresh: []bool{true, true, true}, rows: []int{0}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -220,10 +235,10 @@ func TestSetMetrics(t *testing.T) {
 func TestRecorder(t *testing.T) {
 	var got bytes.Buffer
 	rec := NewRecorder("stem", func(r Record) error { return r.Encode(&got) })
-	meta := Meta{Name: "T", Header: []string{"x"}}
+	meta := Meta{Name: "T", Header: []string{"x", "y"}}
 	for range 2 {
-		if err := errors.Join(rec.Begin(meta), rec.Row([]string{"0"}), rec.Row([]string{"1"}),
-			rec.IndexedRow(7, []string{"7"}), Emit(rec, Row{Index: 2, Row: []string{"2", "coarse"}, Metric: 0.5, HasMetric: true}),
+		if err := errors.Join(rec.Begin(meta), rec.Row([]string{"0", "fixed"}), rec.Row([]string{"1", "fixed"}),
+			rec.IndexedRow(7, []string{"7", "fixed"}), Emit(rec, Row{Index: 2, Row: []string{"2", "coarse"}, Metric: 0.5, HasMetric: true}),
 			rec.End()); err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +304,7 @@ func TestFileOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Append(RowRecord("T", Row{Index: 2, Row: []string{"2"}})); err != nil {
+	if err := f.Append(RowRecord("T", Row{Index: 2, Row: []string{"2", "fixed"}})); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -331,7 +346,8 @@ var fuzzSeed = lines(stampLine, notedLine, tableLine, refinedLine(0, "0.12345678
 // FuzzLogLoad: whatever truncation or byte corruption does to a valid
 // log, loading it never panics, never loses a complete record that sits
 // before the damage, and — when the damaged log still loads — rewriting
-// the loaded state and loading that again is a fixed point.
+// the loaded state and loading that again is a fixed point, every row
+// it holds as wide as its table's header.
 func FuzzLogLoad(f *testing.F) {
 	f.Add([]byte(fuzzSeed))
 	f.Add([]byte(fuzzSeed[:len(fuzzSeed)/2]))
@@ -356,6 +372,14 @@ func FuzzLogLoad(f *testing.F) {
 		}
 		if err != nil && !errors.Is(err, ErrTorn) {
 			return
+		}
+		for _, name := range set.Names() {
+			tab := set.Table(name)
+			for i := range tab.Next() {
+				if r, ok := tab.At(i); ok && len(r.Row) != len(tab.Meta.Header) {
+					t.Fatalf("table %q holds row %d with %d cells under a %d-column header", name, i, len(r.Row), len(tab.Meta.Header))
+				}
+			}
 		}
 		once := canonical(t, set)
 		again, _, err := collect(once)

@@ -14,6 +14,17 @@ type Meta struct {
 	Header []string
 }
 
+// CheckRow refuses a row whose cell count differs from the header's:
+// the one width rule, applied wherever a row becomes bytes or state —
+// a CSV line, a record, a Set's table.
+func (m Meta) CheckRow(index int, row []string) error {
+	if len(row) != len(m.Header) {
+		return fmt.Errorf("rowlog: row %d of table %q has %d cells, its header declares %d",
+			index, m.Name, len(row), len(m.Header))
+	}
+	return nil
+}
+
 // Row is the in-memory form of one row: its global index — the row's
 // position in the unsharded deterministic stream, the stable key of
 // sharding, journaling and collection — its cells, and for
@@ -79,10 +90,10 @@ func Emit(sink Sink, r Row) error {
 // log. Rows delivered without an index (plain Row: producers outside the
 // sweep engine) are numbered by a local counter.
 type Recorder struct {
-	put   func(Record) error
-	file  string
-	table string
-	next  int
+	put  func(Record) error
+	file string
+	meta Meta
+	next int
 }
 
 // NewRecorder returns a Recorder handing its records to put. file is
@@ -93,14 +104,17 @@ func NewRecorder(file string, put func(Record) error) *Recorder {
 
 // Begin records the table declaration.
 func (s *Recorder) Begin(m Meta) error {
-	s.table, s.next = m.Name, 0
+	s.meta, s.next = m, 0
 	return s.put(TableRecord(m, s.file))
 }
 
 // Row records one row under the next locally counted index.
 func (s *Recorder) Row(row []string) error {
+	if err := s.IndexedRow(s.next, row); err != nil {
+		return err // a refused row takes no index
+	}
 	s.next++
-	return s.IndexedRow(s.next-1, row)
+	return nil
 }
 
 // IndexedRow records one row under its global index.
@@ -109,8 +123,14 @@ func (s *Recorder) IndexedRow(index int, row []string) error {
 }
 
 // MetricRow records one row under its global index with its refinement
-// metric, if it has one.
-func (s *Recorder) MetricRow(r Row) error { return s.put(RowRecord(s.table, r)) }
+// metric, if it has one. A row of another width than the header is
+// refused, not recorded.
+func (s *Recorder) MetricRow(r Row) error {
+	if err := s.meta.CheckRow(r.Index, r.Row); err != nil {
+		return err
+	}
+	return s.put(RowRecord(s.meta.Name, r))
+}
 
 // End is a no-op: every record was handed on as it arrived.
 func (s *Recorder) End() error { return nil }
@@ -216,7 +236,8 @@ func (s *Set) Names() []string { return slices.Sorted(maps.Keys(s.tables)) }
 // policy: a journal or a collector skips it (replays are idempotent), a
 // merge of disjoint shard outputs treats a duplicate row as an error.
 // An error means the record contradicts the set: a row or metric of an
-// undeclared table, or a table re-declared with a different header.
+// undeclared table, a table re-declared with a different header, or a
+// row of another width than its table's header.
 func (s *Set) Apply(rec Record) (fresh bool, err error) {
 	switch rec.Type {
 	case TypeTable:
@@ -244,6 +265,9 @@ func (s *Set) Apply(rec Record) (fresh bool, err error) {
 		}
 		i := *rec.Index
 		if rec.Type == TypeRow {
+			if err := t.Meta.CheckRow(i, rec.Row); err != nil {
+				return false, err
+			}
 			if _, dup := t.rows[i]; dup {
 				return false, nil
 			}

@@ -29,13 +29,10 @@ func compileTape(cfg workload.Config) (*tape, error) {
 		return nil, err
 	}
 	t := &tape{
-		objs:    make([]core.Object, len(wl.Objects)),
+		objs:    wl.Objects,
 		obj:     make([]uint32, len(wl.Requests)),
 		time:    make([]float64, len(wl.Requests)),
 		watched: make([]int64, len(wl.Requests)),
-	}
-	for i, o := range wl.Objects {
-		t.objs[i] = core.Object{ID: o.ID, Size: o.Size, Duration: o.Duration, Rate: o.Rate, Value: o.Value}
 	}
 	for i, r := range wl.Requests {
 		size := t.objs[r.ObjectID].Size

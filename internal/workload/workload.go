@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"streamcache/internal/core"
 	"streamcache/internal/dist"
 	"streamcache/internal/units"
 )
@@ -21,15 +22,9 @@ import (
 // ErrBadConfig reports an invalid workload configuration.
 var ErrBadConfig = errors.New("workload: invalid configuration")
 
-// Object is one streaming media object.
-type Object struct {
-	ID       int
-	Rank     int     // popularity rank, 1 = hottest
-	Duration float64 // playback duration, seconds
-	Rate     float64 // CBR encoding rate, bytes/s
-	Size     int64   // Duration * Rate, bytes
-	Value    float64 // added value when served immediately (Section 2.6)
-}
+// Object is one streaming media object, as the cache sees it. IDs are
+// assigned in popularity order: object 0 is the hottest.
+type Object = core.Object
 
 // Request is one client access. Fraction models GISMO-style user
 // interactivity: a partial-viewing session watches only the leading
@@ -180,7 +175,6 @@ func Generate(cfg Config) (*Workload, error) {
 		durSeconds := durations.Sample(rng) * 60
 		objects[i] = Object{
 			ID:       i,
-			Rank:     i + 1, // IDs are assigned in popularity order
 			Duration: durSeconds,
 			Rate:     rate,
 			Size:     int64(durSeconds * rate),

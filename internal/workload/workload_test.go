@@ -77,8 +77,8 @@ func TestGenerateShape(t *testing.T) {
 		t.Fatalf("requests = %d, want 5000", len(w.Requests))
 	}
 	for i, o := range w.Objects {
-		if o.ID != i || o.Rank != i+1 {
-			t.Fatalf("object %d: ID=%d Rank=%d", i, o.ID, o.Rank)
+		if o.ID != i {
+			t.Fatalf("object %d: ID=%d", i, o.ID)
 		}
 		if o.Duration <= 0 || o.Size <= 0 || o.Rate != units.KBps(48) {
 			t.Fatalf("object %d: bad fields %+v", i, o)
