@@ -48,14 +48,18 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## fuzz-smoke: a short fuzz of the trace parser, the row-log loader and
+## fuzz-smoke: a short fuzz of the trace parser, the row-log loader,
 ## the relay's model test (random publish/read/detach/cancel/evict
-## scripts against an unbounded reference buffer).
+## scripts against an unbounded reference buffer), the wire loop's
+## request-head parser (differential against net/http) and Range
+## parsing with ranged serving.
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzParseMalformed -fuzztime 10s
 	$(GO) test ./internal/trace/ -fuzz FuzzReadAll -fuzztime 10s
 	$(GO) test ./internal/rowlog/ -fuzz FuzzLogLoad -fuzztime 10s
 	$(GO) test ./internal/proxy/ -run '^$$' -fuzz FuzzRelayModel -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/proxy/ -run '^$$' -fuzz FuzzParseRangeStart -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/httpd/ -run '^$$' -fuzz FuzzRequestHead -fuzztime 10s -fuzzminimizetime 1s
 
 ## figures: regenerate every table/figure CSV at small scale.
 figures:

@@ -27,6 +27,7 @@ import (
 
 	"streamcache/internal/cluster"
 	"streamcache/internal/core"
+	"streamcache/internal/httpd"
 	"streamcache/internal/proxy"
 	"streamcache/internal/units"
 )
@@ -125,7 +126,10 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("proxy listen: %w", err)
 	}
-	proxySrv := &http.Server{Handler: px, ReadHeaderTimeout: 5 * time.Second}
+	// The proxy port is served by the wire loop (one vectored write per
+	// hit; DESIGN.md §8b); the origin is a test double and stays on
+	// net/http.
+	proxySrv := &httpd.Server{Handler: px}
 
 	errc := make(chan error, 2)
 	var originSrv *http.Server

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"streamcache/internal/core"
+	"streamcache/internal/httpd/httpdtest"
 	"streamcache/internal/proxy"
 )
 
@@ -52,8 +53,9 @@ type TestClusterConfig struct {
 
 // TestCluster is a deterministic in-process cluster: one counting
 // origin, an optional parent proxy, and N edge proxies wired through
-// consistent-hash routing — every node a real HTTP server, so the
-// peer fetch path is exercised end to end. Peer and parent handlers
+// consistent-hash routing — every proxy behind the wire loop proxyd
+// serves through (httpd), the origin on httptest, so the peer fetch
+// path is exercised end to end. Peer and parent handlers
 // sit behind swappable delegates for scripted failure injection.
 type TestCluster struct {
 	cfg TestClusterConfig
@@ -63,11 +65,11 @@ type TestCluster struct {
 	originByts atomic.Int64
 
 	parent    *proxy.Proxy
-	parentSrv *httptest.Server
+	parentSrv *httpdtest.Server
 	parentSwp *swapHandler
 
 	edges    []*proxy.Proxy
-	edgeSrvs []*httptest.Server
+	edgeSrvs []*httpdtest.Server
 	edgeSwps []*swapHandler
 }
 
@@ -134,14 +136,14 @@ func NewTestCluster(cfg TestClusterConfig) (*TestCluster, error) {
 	// second, handlers wired last.
 	if cfg.WithParent {
 		tc.parentSwp = &swapHandler{}
-		tc.parentSrv = httptest.NewServer(tc.parentSwp)
+		tc.parentSrv = httpdtest.NewServer(tc.parentSwp)
 	}
 	tc.edgeSwps = make([]*swapHandler, cfg.Edges)
-	tc.edgeSrvs = make([]*httptest.Server, cfg.Edges)
+	tc.edgeSrvs = make([]*httpdtest.Server, cfg.Edges)
 	peerURLs := make([]string, cfg.Edges)
 	for i := range tc.edgeSwps {
 		tc.edgeSwps[i] = &swapHandler{}
-		tc.edgeSrvs[i] = httptest.NewServer(tc.edgeSwps[i])
+		tc.edgeSrvs[i] = httpdtest.NewServer(tc.edgeSwps[i])
 		peerURLs[i] = tc.edgeSrvs[i].URL
 	}
 
@@ -288,12 +290,11 @@ func (tc *TestCluster) RestoreEdge(i int) { tc.edgeSwps[i].set(tc.edges[i]) }
 // KillParent closes the parent's listener outright: subsequent peer
 // fetches see a connection error (the crashed-node case, as opposed to
 // the hanging-node case ReplaceParentHandler scripts).
-func (tc *TestCluster) KillParent() { tc.parentSrv.CloseClientConnections(); tc.parentSrv.Close() }
+func (tc *TestCluster) KillParent() { tc.parentSrv.Kill() }
 
 // KillEdge closes edge i's listener outright.
 func (tc *TestCluster) KillEdge(i int) {
-	tc.edgeSrvs[i].CloseClientConnections()
-	tc.edgeSrvs[i].Close()
+	tc.edgeSrvs[i].Kill()
 }
 
 // FetchVerified downloads object id from edge i and checks the digest

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"streamcache/internal/core"
+	"streamcache/internal/httpd/httpdtest"
 	"streamcache/internal/leaktest"
 	"streamcache/internal/units"
 )
@@ -68,7 +69,7 @@ func TestProxySurvivesOriginAbort(t *testing.T) {
 
 	px := newTestProxy(t, catalog, core.NewIB(), units.GBytes(1), originSrv.URL)
 	watch(px)
-	proxySrv := httptest.NewServer(px)
+	proxySrv := httpdtest.NewServer(px)
 	defer proxySrv.Close()
 
 	url := fmt.Sprintf("%s/objects/1", proxySrv.URL)
@@ -114,7 +115,7 @@ func TestProxyOriginDown(t *testing.T) {
 	// Point the proxy at a dead origin.
 	px := newTestProxy(t, catalog, core.NewIB(), units.GBytes(1), "http://127.0.0.1:1")
 	watch(px)
-	proxySrv := httptest.NewServer(px)
+	proxySrv := httpdtest.NewServer(px)
 	defer proxySrv.Close()
 
 	res, err := Fetch(proxySrv.URL + "/objects/1")

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"streamcache/internal/core"
+	"streamcache/internal/httpd/httpdtest"
 	"streamcache/internal/leaktest"
 	"streamcache/internal/units"
 )
@@ -27,7 +28,7 @@ func startStack(t *testing.T, policy core.Policy, cacheBytes int64, originRate f
 
 	px := newTestProxy(t, catalog, policy, cacheBytes, originSrv.URL)
 	watch(px)
-	proxySrv := httptest.NewServer(px)
+	proxySrv := httpdtest.NewServer(px)
 	t.Cleanup(proxySrv.Close)
 	return px, proxySrv.URL, originSrv.URL
 }
@@ -270,7 +271,7 @@ func TestProxyMultiOriginPerPathEstimates(t *testing.T) {
 	}
 	px := newTestProxy(t, combined, core.NewPB(), units.GBytes(1), fastSrv.URL)
 	watch(px)
-	proxySrv := httptest.NewServer(px)
+	proxySrv := httpdtest.NewServer(px)
 	t.Cleanup(proxySrv.Close)
 
 	// Two rounds so the second access acts on learned estimates.

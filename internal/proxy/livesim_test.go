@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"streamcache/internal/core"
+	"streamcache/internal/httpd/httpdtest"
 	"streamcache/internal/leaktest"
 	"streamcache/internal/proxy"
 	"streamcache/internal/sim"
@@ -95,7 +96,7 @@ func TestLiveHitRatioMatchesSimulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			watch(px)
-			proxySrv := httptest.NewServer(px)
+			proxySrv := httpdtest.NewServer(px)
 			defer proxySrv.Close()
 
 			// Closed-loop sequential replay of the simulator's trace,

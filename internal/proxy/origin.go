@@ -50,7 +50,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 	start, err := parseRangeStart(req.Header.Get("Range"), meta.Size)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
+		rangeNotSatisfiable(w, err, meta.Size)
 		return
 	}
 	length := meta.Size - start
@@ -90,7 +90,8 @@ func parseObjectPath(path string) (int, bool) {
 
 // parseRangeStart parses a "bytes=N-" prefix range header; empty input
 // means start at 0. Multi-range and suffix forms are rejected - the
-// joint-delivery protocol only ever resumes from a byte offset.
+// joint-delivery protocol only ever resumes from a byte offset - and so
+// is a start at or past the object's end, which selects no byte.
 func parseRangeStart(header string, size int64) (int64, error) {
 	if header == "" {
 		return 0, nil
@@ -103,9 +104,17 @@ func parseRangeStart(header string, size int64) (int64, error) {
 	if !ok || end != "" || startStr == "" {
 		return 0, fmt.Errorf("proxy: unsupported range spec %q (want bytes=N-)", header)
 	}
-	start, err := strconv.ParseInt(startStr, 10, 64)
-	if err != nil || start < 0 || start > size {
+	// ParseUint: a first-byte-pos is digits, no sign.
+	start, err := strconv.ParseUint(startStr, 10, 63)
+	if err != nil || int64(start) >= size {
 		return 0, fmt.Errorf("proxy: invalid range start %q for size %d", startStr, size)
 	}
-	return start, nil
+	return int64(start), nil
+}
+
+// rangeNotSatisfiable answers 416 for a Range parseRangeStart rejected,
+// telling the client the size its next range must fit.
+func rangeNotSatisfiable(w http.ResponseWriter, err error, size int64) {
+	w.Header().Set("Content-Range", "bytes */"+strconv.FormatInt(size, 10))
+	http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
 }

@@ -109,6 +109,7 @@ type counters struct {
 	demotions    atomic.Int64
 	pacedWaits   atomic.Int64
 	cancelled    atomic.Int64
+	clientAborts atomic.Int64
 }
 
 // Upstream names one non-origin fetch target (a peer or parent proxy
@@ -160,6 +161,9 @@ type Stats struct {
 	RelayDemotions  int64 `json:"relayDemotions"`
 	RelayPacedWaits int64 `json:"relayPacedWaits"`
 	RelayCancelled  int64 `json:"relayCancelled"`
+	// ClientAborts counts object responses the client ended: a write to
+	// it failed, or its request context was cancelled mid-relay.
+	ClientAborts int64 `json:"clientAborts"`
 	UsedBytes       int64 `json:"usedBytes"`
 	Objects         int   `json:"objects"`
 	Shards          int   `json:"shards"`
@@ -424,8 +428,13 @@ func (sh *shard) observe(originIdx int, sample float64) {
 }
 
 // ServeHTTP routes /objects/<id> to the joint-delivery path and /stats
-// to the counters.
+// to the counters. Only GET and HEAD are served.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	if req.Method != http.MethodGet && req.Method != http.MethodHead {
+		w.Header().Set("Allow", "GET, HEAD")
+		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+		return
+	}
 	if req.URL.Path == "/stats" {
 		p.serveStats(w)
 		return
@@ -461,7 +470,9 @@ func (p *Proxy) Quiesce() { p.inflight.Wait() }
 // remainder streamed behind it, with opportunistic prefix growth. It
 // honors "Range: bytes=N-" requests (status 206) so one proxy can act
 // as another's upstream — a peer resuming a transfer past its own
-// cached prefix asks for exactly the missing suffix.
+// cached prefix asks for exactly the missing suffix. A HEAD request is
+// answered with the headers the same GET would get now, and touches
+// neither the cache policy nor the upstream.
 //mediavet:hotpath
 func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta) {
 	p.inflight.Add(1)
@@ -470,7 +481,8 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 	//mediavet:ignore hotpath parseRangeStart allocates only on its reject path; ranged requests come from peers, not the per-client steady path
 	reqStart, rerr := parseRangeStart(req.Header.Get("Range"), meta.Size)
 	if rerr != nil {
-		http.Error(w, rerr.Error(), http.StatusRequestedRangeNotSatisfiable)
+		//mediavet:ignore hotpath the 416 answer renders on the reject path only
+		rangeNotSatisfiable(w, rerr, meta.Size)
 		return
 	}
 
@@ -485,19 +497,23 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 	rt := p.routeFor(meta)
 	sh := p.shardFor(meta.ID)
 
-	sh.mu.Lock()
-	now := p.now().Sub(p.start).Seconds()
-	res := sh.cache.Access(obj, sh.estimate(rt.idx), now)
-	// Release byte storage for whatever the cache evicted.
-	for _, v := range res.Victims {
-		sh.store.Truncate(v.ID, sh.cache.CachedBytes(v.ID))
+	headOnly := req.Method == http.MethodHead
+	var retainTarget int64
+	if !headOnly {
+		sh.mu.Lock()
+		now := p.now().Sub(p.start).Seconds()
+		res := sh.cache.Access(obj, sh.estimate(rt.idx), now)
+		// Release byte storage for whatever the cache evicted.
+		for _, v := range res.Victims {
+			sh.store.Truncate(v.ID, sh.cache.CachedBytes(v.ID))
+		}
+		if res.CachedAfter < sh.store.Len(meta.ID) {
+			sh.store.Truncate(meta.ID, res.CachedAfter)
+		}
+		retainTarget = res.CachedAfter
+		sh.mu.Unlock()
+		p.stats.requests.Add(1)
 	}
-	if res.CachedAfter < sh.store.Len(meta.ID) {
-		sh.store.Truncate(meta.ID, res.CachedAfter)
-	}
-	retainTarget := res.CachedAfter
-	sh.mu.Unlock()
-	p.stats.requests.Add(1)
 
 	// Zero-copy snapshot of the cached prefix: a view over immutable
 	// segments, byte-stable without holding any lock while we write it
@@ -543,12 +559,16 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 	if reqStart > 0 {
 		w.WriteHeader(http.StatusPartialContent)
 	}
+	if headOnly {
+		return
+	}
 
 	// Phase 1: the cached prefix flows at cache-client speed, written
 	// straight from the aliased segments — no per-request copy.
 	if cacheServed > 0 {
 		n, err := v.WriteRangeTo(w, reqStart)
 		if err != nil {
+			p.stats.clientAborts.Add(1)
 			return
 		}
 		if f, ok := w.(http.Flusher); ok {
@@ -613,10 +633,10 @@ func (p *Proxy) startRelay(sh *shard, meta Meta, rt resolvedRoute, start, retain
 // streamFromRelay is the reader loop: it writes relay bytes from object
 // offset off to the client, straight from the relay's segments, until
 // the transfer ends or the client goes away (detected by write failure
-// or the request context, whichever fires first), then detaches. It
-// returns the next unserved offset and whether the ring lapped this
-// reader — in which case the caller must finish the transfer over a
-// private relay from that offset.
+// or the request context, whichever fires first — counted as a client
+// abort), then detaches. It returns the next unserved offset and whether
+// the ring lapped this reader — in which case the caller must finish the
+// transfer over a private relay from that offset.
 //
 //mediavet:hotpath
 func (p *Proxy) streamFromRelay(ctx context.Context, w http.ResponseWriter, rl *relay, off int64) (int64, bool) {
@@ -629,9 +649,13 @@ func (p *Proxy) streamFromRelay(ctx context.Context, w http.ResponseWriter, rl *
 	var err error
 	for {
 		if seg, chunk, err = rl.next(ctx, off, seg); seg == nil {
+			if ctx.Err() != nil {
+				p.stats.clientAborts.Add(1)
+			}
 			break
 		}
 		if _, err = w.Write(chunk); err != nil {
+			p.stats.clientAborts.Add(1)
 			break // client went away; detach may cancel the fetch
 		}
 		if fl != nil {
@@ -868,6 +892,7 @@ func (p *Proxy) Snapshot() Stats {
 		RelayDemotions:    p.stats.demotions.Load(),
 		RelayPacedWaits:   p.stats.pacedWaits.Load(),
 		RelayCancelled:    p.stats.cancelled.Load(),
+		ClientAborts:      p.stats.clientAborts.Load(),
 		Shards:            len(p.shards),
 		DefaultOrigin:     p.originURL,
 		Tier:              p.tier,

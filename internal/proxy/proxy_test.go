@@ -2,7 +2,10 @@ package proxy
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,7 +145,10 @@ func TestParseRangeStart(t *testing.T) {
 		{"bytes=100-200", 0, true},
 		{"bytes=-100", 0, true},
 		{"chunks=1-", 0, true},
-		{"bytes=99999-", 0, true}, // beyond size
+		{"bytes=99999-", 0, true},  // beyond size
+		{"bytes=999-", 999, false}, // the last byte
+		{"bytes=1000-", 0, true},   // at size: selects no byte
+		{"bytes=+5-", 0, true},     // a range start is digits only
 	}
 	for _, tt := range tests {
 		got, err := parseRangeStart(tt.header, 1000)
@@ -154,6 +160,63 @@ func TestParseRangeStart(t *testing.T) {
 			t.Errorf("parseRangeStart(%q) = %d, want %d", tt.header, got, tt.want)
 		}
 	}
+}
+
+// FuzzParseRangeStart: whatever the Range header, the parser neither
+// panics nor accepts anything but "bytes=<digits>-" with a start inside
+// the object, and the origin serves exactly what it accepted — 206 with
+// the bytes from start on and a well-formed Content-Range — and answers
+// everything else 416 naming the size.
+func FuzzParseRangeStart(f *testing.F) {
+	for _, seed := range []string{"", "bytes=0-", "bytes=100-", "bytes=999-", "bytes=1000-", "bytes=100-200",
+		"bytes=-100", "bytes=+5-", "bytes=007-", "bytes= 5-", "bytes=5-,7-", "chunks=1-", "bytes=99999999999999999999-"} {
+		f.Add(seed, int64(1000))
+	}
+	catalog, err := NewCatalog([]Meta{{ID: 1, Size: 1000, Rate: 1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	origin, err := NewOrigin(catalog, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, header string, size int64) {
+		start, err := parseRangeStart(header, size)
+		if err == nil && header != "" {
+			digits := strings.TrimSuffix(strings.TrimPrefix(header, "bytes="), "-")
+			if len(digits)+len("bytes=-") != len(header) || strings.Trim(digits, "0123456789") != "" || digits == "" {
+				t.Fatalf("parseRangeStart(%q, %d) accepted a header that is not bytes=<digits>-", header, size)
+			}
+			if n, perr := strconv.ParseInt(digits, 10, 64); perr != nil || n != start {
+				t.Fatalf("parseRangeStart(%q, %d) = %d, the digits say %d (%v)", header, size, start, n, perr)
+			}
+		}
+		if err == nil && (start < 0 || start >= size && header != "" || header == "" && start != 0) {
+			t.Fatalf("parseRangeStart(%q, %d) = %d: outside the object", header, size, start)
+		}
+
+		req := httptest.NewRequest("GET", "/objects/1", nil)
+		req.Header["Range"] = []string{header}
+		rec := httptest.NewRecorder()
+		origin.ServeHTTP(rec, req)
+		start, err = parseRangeStart(header, 1000)
+		switch {
+		case err != nil:
+			if rec.Code != 416 || rec.Header().Get("Content-Range") != "bytes */1000" {
+				t.Fatalf("Range %q: status %d, Content-Range %q; want 416, bytes */1000", header, rec.Code, rec.Header().Get("Content-Range"))
+			}
+		case start == 0:
+			if rec.Code != 200 || rec.Body.Len() != 1000 {
+				t.Fatalf("Range %q: status %d, %d bytes; want 200 and the object", header, rec.Code, rec.Body.Len())
+			}
+		default:
+			want := fmt.Sprintf("bytes %d-999/1000", start)
+			if rec.Code != 206 || rec.Header().Get("Content-Range") != want || !bytes.Equal(rec.Body.Bytes(), Content(1, start, 1000-start)) {
+				t.Fatalf("Range %q: status %d, Content-Range %q, %d bytes; want 206, %q, the bytes from %d on",
+					header, rec.Code, rec.Header().Get("Content-Range"), rec.Body.Len(), want, start)
+			}
+		}
+	})
 }
 
 func TestPrefixStoreBasics(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"streamcache/internal/core"
+	"streamcache/internal/httpd/httpdtest"
 	"streamcache/internal/leaktest"
 	"streamcache/internal/units"
 )
@@ -100,7 +101,7 @@ func startShardedStack(t *testing.T, catalog *Catalog, shards int, cacheBytes in
 		t.Fatal(err)
 	}
 	watch(px)
-	proxySrv := httptest.NewServer(px)
+	proxySrv := httpdtest.NewServer(px)
 	t.Cleanup(proxySrv.Close)
 	return px, proxySrv.URL
 }
@@ -297,7 +298,7 @@ func startGatedStack(t *testing.T, catalog *Catalog, gate *gatedOrigin) (*Proxy,
 		t.Fatal(err)
 	}
 	watch(px)
-	proxySrv := httptest.NewServer(px)
+	proxySrv := httpdtest.NewServer(px)
 	t.Cleanup(proxySrv.Close)
 	return px, proxySrv.URL
 }
@@ -484,8 +485,13 @@ func TestRelayCanceledWhenClientsVanish(t *testing.T) {
 	if leaked != 0 {
 		t.Errorf("%d relays leaked past cancellation", leaked)
 	}
-	if got := px.Snapshot().BytesFetched; got > 32*units.KB {
-		t.Errorf("BytesFetched = %d, want <= 32 KB (fetch canceled, not drained)", got)
+	stats := px.Snapshot()
+	if stats.BytesFetched > 32*units.KB {
+		t.Errorf("BytesFetched = %d, want <= 32 KB (fetch canceled, not drained)", stats.BytesFetched)
+	}
+	if stats.ClientAborts != 1 || stats.RelayCancelled != 1 {
+		t.Errorf("clientAborts = %d, relayCancelled = %d; want one of each for the one abandoned request",
+			stats.ClientAborts, stats.RelayCancelled)
 	}
 }
 
@@ -534,7 +540,7 @@ func TestRangedRefetchRejectsFullResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	watch(px)
-	proxySrv := httptest.NewServer(px)
+	proxySrv := httpdtest.NewServer(px)
 	defer proxySrv.Close()
 
 	// Seed a 32 KB prefix via the aborting origin, so the next request

@@ -102,10 +102,18 @@ func (v prefixView) WriteTo(w io.Writer) (int64, error) { return v.WriteRangeTo(
 // WriteRangeTo streams the snapshot's bytes at object offsets
 // [from, Len()) to w without copying — what a peer or a ranged client
 // resuming mid-prefix is served. A from at or past the view length
-// writes nothing; one at or below 0 writes the whole view.
+// writes nothing; one at or below 0 writes the whole view. A w that can
+// take them all at once (the wire loop's response writer, which sends
+// them with the response head in one writev) is handed every segment in
+// a single call; any other gets one Write per segment.
 //
 //mediavet:hotpath
 func (v prefixView) WriteRangeTo(w io.Writer, from int64) (int64, error) {
+	bw, vectored := w.(buffersWriter)
+	var vec *[][]byte
+	if vectored {
+		vec = vecPool.Get().(*[][]byte)
+	}
 	var written int64
 	for i, seg := range v.segs {
 		if seg.off >= v.n {
@@ -122,14 +130,37 @@ func (v prefixView) WriteRangeTo(w io.Writer, from int64) (int64, error) {
 		if from > lo {
 			lo = from
 		}
-		n, err := w.Write(seg.buf[lo-seg.off : end-seg.off])
+		chunk := seg.buf[lo-seg.off : end-seg.off]
+		if vectored {
+			*vec = append(*vec, chunk)
+			continue
+		}
+		n, err := w.Write(chunk)
 		written += int64(n)
 		if err != nil {
 			return written, err
 		}
 	}
-	return written, nil
+	if !vectored {
+		return written, nil
+	}
+	written, err := bw.WriteBuffers(*vec)
+	clear(*vec) // a pooled vector must not keep evicted segments alive
+	*vec = (*vec)[:0]
+	vecPool.Put(vec)
+	return written, err
 }
+
+// buffersWriter is the io.Writer that takes a whole vector of byte
+// slices in one call and returns the bytes written, not retaining the
+// vector: httpd's response writer.
+type buffersWriter interface {
+	WriteBuffers([][]byte) (int64, error)
+}
+
+// vecPool recycles the vectors WriteRangeTo gathers a view's segments
+// into, so a vectored prefix hit allocates nothing.
+var vecPool = sync.Pool{New: func() any { return new([][]byte) }}
 
 // View captures a zero-copy snapshot of object id's prefix, clamped to
 // max bytes. The empty view has Len() 0.

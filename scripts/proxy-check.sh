@@ -5,6 +5,10 @@
 # then SIGTERM the server and require a clean graceful drain (exit 0 with
 # a final stats line); then one client over objects larger than the relay
 # ring, and require relayDemotions == 0 in the drained node's final stats.
+# In between, a wire phase drives the proxy port with curl — HTTP/1.0, a
+# reused connection, HEAD, a refused method, an unsatisfiable range, an
+# oversize header — and holds an idle keep-alive connection open across
+# the SIGTERM, which must not delay the drain.
 # `make proxy-check` and the CI proxy-check job both call this.
 set -euo pipefail
 
@@ -72,7 +76,40 @@ got_header=$(grep -v '^#' "$tmp/loadgen.csv" | head -n 1)
     echo "  got:  $got_header" >&2
     exit 1
 }
+
+# Wire phase: what proxyd's own HTTP/1.1 loop speaks and refuses
+# (DESIGN.md §8b), seen by a client that is not Go's.
+command -v curl >/dev/null || { echo "proxy-check: the wire phase needs curl" >&2; exit 1; }
+base="http://$PROXY_ADDR"
+expect() { # expect <what> <got> <want>
+    [[ "$2" == "$3" ]] || { echo "proxy-check: wire: $1: got '$2', want '$3'" >&2; exit 1; }
+}
+size=$(curl -sI "$base/objects/0" | tr -d '\r' | awk 'tolower($1) == "content-length:" { print $2 }')
+[[ "$size" -gt 0 ]] || { echo "proxy-check: wire: HEAD gave no Content-Length" >&2; exit 1; }
+expect "HEAD carries no body" "$(curl -sI -o /dev/null -w '%{http_code} %{size_download}' "$base/objects/0")" "200 0"
+expect "HTTP/1.0 GET" "$(curl -s --http1.0 -o /dev/null -w '%{http_code} %{size_download}' "$base/objects/0")" "200 $size"
+expect "two URLs over one connection" \
+    "$(curl -s -o /dev/null -o /dev/null -w '%{http_code}/%{num_connects} ' "$base/objects/0" "$base/objects/1")" "200/1 200/0 "
+expect "POST" "$(curl -s -X POST -o /dev/null -w '%{http_code}' "$base/objects/0")" "405"
+expect "Range: bytes=<size>-" \
+    "$(curl -s -o /dev/null -D - -H "Range: bytes=$size-" "$base/objects/0" | tr -d '\r' | grep -i -e '^HTTP/' -e '^content-range:' | tr '\n' ' ')" \
+    "HTTP/1.1 416 Requested Range Not Satisfiable Content-Range: bytes */$size "
+expect "20000-byte header" \
+    "$(curl -s -o /dev/null -w '%{http_code}' -H "X-Pad: $(head -c 20000 /dev/zero | tr '\0' a)" "$base/objects/0")" "431"
+# An idle keep-alive connection (one request answered, the next never
+# sent) is closed by the drain, not waited for.
+exec 3<>"/dev/tcp/${PROXY_ADDR%:*}/${PROXY_ADDR##*:}"
+printf 'GET /objects/0 HTTP/1.1\r\nHost: check\r\n\r\n' >&3
+read -r -t 5 status_line <&3
+expect "keep-alive GET over /dev/tcp" "${status_line%$'\r'}" "HTTP/1.1 200 OK"
+drain_started=$SECONDS
 drain
+exec 3<&- 3>&-
+(( SECONDS - drain_started <= 5 )) || {
+    echo "proxy-check: wire: an idle keep-alive connection held the drain for $((SECONDS - drain_started))s" >&2
+    exit 1
+}
+echo "proxy-check: wire phase passed (HTTP/1.0, reuse, HEAD, 405, 416, 431, idle connection drained)"
 
 # One client, objects several times the relay ring, an origin far
 # faster than the client: every miss must cost one upstream transfer.
