@@ -1,29 +1,32 @@
 GO ?= go
 
-.PHONY: all ci vet lint lint-check build test race bench bench-check fuzz-smoke figures figures-diff docs-check loc dead-check shard-check collector-check proxy-check load-check cluster-check clean
+.PHONY: all ci vet lint mutate-check build test race bench bench-check fuzz-smoke figures figures-diff docs-check loc dead-check shard-check collector-check proxy-check load-check cluster-check clean
 
 all: ci
 
 ## ci: everything the driver/CI gate runs, in order.
 ci: vet lint build race bench-check
 
+## vet: go vet, and no file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l cmd internal examples bench)"
 
-## lint: the mediavet multichecker (determinism, hotpath, shardlock —
-## see DESIGN.md "Machine-enforced invariants") over the
-## whole module, then the pinned third-party pass (staticcheck,
-## govulncheck; skipped with a warning offline unless LINT_STRICT=1).
+## lint: the mediavet multichecker (determinism, shardlock — see
+## DESIGN.md "Machine-enforced invariants") over the whole module, then
+## the pinned third-party pass (staticcheck, govulncheck; skipped with a
+## warning offline unless LINT_STRICT=1).
 lint:
 	$(GO) run ./cmd/mediavet -summary ./...
 	bash scripts/lint-extra.sh
 
-## lint-check: end-to-end proof that the mediavet binary rejects
-## violations by name — clean on the shipped tree, and injected
-## violations in internal/sim and internal/proxy fail it naming the
-## right analyzer.
-lint-check:
-	bash scripts/lint-check.sh
+## mutate-check: the evidence behind every static contract — a table of
+## seeded faults, each applied to a throw-away copy of the tree, each
+## naming the tests that must fail it by name and the verdict mediavet
+## must give (an analyzer, or clean where a measured pin owns the
+## contract). ~5 min; `bash scripts/mutate-check.sh H9 S5` runs two rows.
+mutate-check:
+	bash scripts/mutate-check.sh
 
 build:
 	$(GO) build ./...

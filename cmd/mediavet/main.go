@@ -1,5 +1,5 @@
 // Command mediavet runs the repo's custom static analyzers
-// (determinism, hotpath, shardlock — see internal/analysis).
+// (determinism, shardlock — see internal/analysis).
 //
 //	go run ./cmd/mediavet [-C dir] [-v] [packages...]
 //

@@ -1,14 +1,17 @@
 // Package analysis implements mediavet, the repo's in-house static
-// analyzer suite. It machine-enforces the three load-bearing contracts
-// that regression tests only catch after the fact:
+// analyzer suite. It machine-enforces the two load-bearing contracts
+// that have a fault only a static check catches (scripts/mutate-check.sh
+// holds the faults):
 //
 //   - determinism: sweep output must be byte-identical for a given seed
 //     (no wall clock, no global rand, no map-order-dependent output,
 //     no ad-hoc goroutines outside internal/par),
-//   - hotpath: functions annotated //mediavet:hotpath must stay
-//     allocation-free (the AllocsPerRun budget from the perf work),
-//   - shardlock: internal/proxy keeps shard locks short and never
-//     blocks while holding one; cross-shard state goes through atomics.
+//   - shardlock: internal/proxy keeps shard locks short, never blocks
+//     or returns while holding one; cross-shard state goes through
+//     atomics.
+//
+// The zero-allocation budget of the hit paths is measured, not
+// analyzed: the AllocsPerRun pins beside the code own it.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Diagnostic) but is self-contained on the
@@ -54,10 +57,6 @@ type Pass struct {
 	PkgPath  string
 	Info     *types.Info
 
-	// Facts holds hotpath annotations accumulated from this package
-	// and everything it (transitively) imports.
-	Facts *Facts
-
 	diags []Diagnostic
 }
 
@@ -67,29 +66,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Facts is the cross-package information analyzers exchange: the set
-// of //mediavet:hotpath-annotated functions, keyed by FuncKey. The
-// driver accumulates facts in dependency order.
-type Facts struct {
-	Hotpath map[string]bool
-}
-
-// NewFacts returns an empty fact set.
-func NewFacts() *Facts {
-	return &Facts{Hotpath: map[string]bool{}}
-}
-
-// Merge folds other into f.
-func (f *Facts) Merge(other *Facts) {
-	for k := range other.Hotpath {
-		f.Hotpath[k] = true
-	}
-}
-
 // FuncKey renders a stable identity for a function or method:
 // "pkgpath.Func" or "pkgpath.Recv.Method" with pointer receivers
-// stripped. Annotations are registered and call edges resolved under
-// the same key, for generic receivers too.
+// stripped.
 func FuncKey(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""

@@ -2,5 +2,5 @@ package analysis
 
 // All returns the full mediavet analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Hotpath, Shardlock}
+	return []*Analyzer{Determinism, Shardlock}
 }

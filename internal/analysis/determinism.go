@@ -19,9 +19,10 @@ var Determinism = &Analyzer{
 }
 
 // deterministicPackages are fully checked: every function in them must
-// be replayable from a seed. internal/load is special-cased below —
-// only BuildSchedule's call graph is deterministic there; Run does
-// real-time pacing by design.
+// be replayable from a seed. internal/load is not among them: Run paces
+// in real time by design, and the one deterministic thing there — the
+// schedule bytes as a function of (seed, spec, trace) — is pinned by
+// sha256 in TestScheduleByteIdenticalAcrossRuns.
 var deterministicPackages = map[string]bool{
 	ModulePath + "/internal/core":        true,
 	ModulePath + "/internal/sim":         true,
@@ -32,11 +33,6 @@ var deterministicPackages = map[string]bool{
 	ModulePath + "/internal/trace":       true,
 	ModulePath + "/internal/bandwidth":   true,
 }
-
-const (
-	loadPkgPath  = ModulePath + "/internal/load"
-	loadRootFunc = "BuildSchedule"
-)
 
 // Wall-clock entry points in package time. time.Duration arithmetic
 // and constants are fine; reading or waiting on the real clock is not.
@@ -53,23 +49,13 @@ var seededRandConstructors = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) error {
-	var checkAll bool
-	var reachable map[*ast.FuncDecl]bool
-	switch {
-	case deterministicPackages[pass.PkgPath]:
-		checkAll = true
-	case pass.PkgPath == loadPkgPath:
-		reachable = reachableFrom(pass, loadRootFunc)
-	default:
+	if !deterministicPackages[pass.PkgPath] {
 		return nil
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
-				continue
-			}
-			if !checkAll && !reachable[fd] {
 				continue
 			}
 			checkFuncDeterminism(pass, fd)
@@ -262,77 +248,4 @@ func sortedBeforeUse(pass *Pass, obj types.Object, after []ast.Stmt) bool {
 		return false
 	}
 	return false
-}
-
-// --- load.BuildSchedule call graph ---------------------------------------
-
-// reachableFrom computes the set of function declarations reachable
-// from the named top-level function via (a) static calls and function
-// references within the package and (b) conservative class-hierarchy
-// edges: constructing a composite literal of a package-local named
-// type pulls in all of that type's methods, which resolves interface
-// dispatch like arrival-process Times() without whole-program
-// analysis. This is the "BuildSchedule call graph" the determinism
-// contract names; load.Run's wall-clock pacing sits outside it.
-func reachableFrom(pass *Pass, rootName string) map[*ast.FuncDecl]bool {
-	declOf := map[types.Object]*ast.FuncDecl{}
-	var root *ast.FuncDecl
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj := pass.Info.Defs[fd.Name]; obj != nil {
-				declOf[obj] = fd
-			}
-			if fd.Recv == nil && fd.Name.Name == rootName {
-				root = fd
-			}
-		}
-	}
-	reach := map[*ast.FuncDecl]bool{}
-	if root == nil {
-		return reach
-	}
-	var frontier []*ast.FuncDecl
-	push := func(fd *ast.FuncDecl) {
-		if fd != nil && !reach[fd] {
-			reach[fd] = true
-			frontier = append(frontier, fd)
-		}
-	}
-	pushMethods := func(t types.Type) {
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok || named.Obj().Pkg() != pass.Pkg {
-			return
-		}
-		for i := 0; i < named.NumMethods(); i++ {
-			push(declOf[named.Method(i)])
-		}
-	}
-	push(root)
-	for len(frontier) > 0 {
-		fd := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.Ident:
-				if fn, ok := pass.Info.Uses[x].(*types.Func); ok && fn.Pkg() == pass.Pkg {
-					push(declOf[fn])
-				}
-			case *ast.SelectorExpr:
-				if fn, ok := pass.Info.Uses[x.Sel].(*types.Func); ok && fn.Pkg() == pass.Pkg {
-					push(declOf[fn])
-				}
-			case *ast.CompositeLit:
-				pushMethods(pass.Info.TypeOf(x))
-			}
-			return true
-		})
-	}
-	return reach
 }

@@ -6,10 +6,6 @@ func TestDeterminismAnalyzer(t *testing.T) {
 	runTestdata(t, Determinism, "determinism", ModulePath+"/internal/sim")
 }
 
-func TestDeterminismLoadCallGraph(t *testing.T) {
-	runTestdata(t, Determinism, "determinism_load", ModulePath+"/internal/load")
-}
-
 func TestDeterminismSkipsUnscopedPackages(t *testing.T) {
 	// The same fixture type-checked under a non-deterministic package
 	// path must produce zero findings: scoping is the contract.
@@ -18,7 +14,7 @@ func TestDeterminismSkipsUnscopedPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent, err := analyzePackage(pkg, loader.Fset, []*Analyzer{Determinism}, NewFacts())
+	ent, err := analyzePackage(pkg, loader.Fset, []*Analyzer{Determinism})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,16 +3,11 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strconv"
 	"strings"
 )
 
 // Directive syntax:
-//
-//	//mediavet:hotpath
-//	    on (or in) a function's doc comment: the function is part of a
-//	    zero-allocation hot path and the hotpath analyzer checks its body.
 //
 //	//mediavet:ignore <analyzer> <reason...>
 //	    suppresses <analyzer>'s findings on the directive's own line and
@@ -21,10 +16,7 @@ import (
 //	    The reason is mandatory; the meta-test in ignore_test.go and the
 //	    driver both reject ignores with no reason or an unknown
 //	    analyzer name.
-const (
-	hotpathDirective = "//mediavet:hotpath"
-	ignoreDirective  = "//mediavet:ignore"
-)
+const ignoreDirective = "//mediavet:ignore"
 
 // An Ignore is one parsed //mediavet:ignore directive.
 type Ignore struct {
@@ -73,38 +65,6 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) []*Ignore {
 		}
 	}
 	return out
-}
-
-// isHotpathDecl reports whether a function declaration carries the
-// //mediavet:hotpath directive in its doc comment.
-func isHotpathDecl(d *ast.FuncDecl) bool {
-	if d.Doc == nil {
-		return false
-	}
-	for _, c := range d.Doc.List {
-		if c.Text == hotpathDirective ||
-			strings.HasPrefix(c.Text, hotpathDirective+" ") {
-			return true
-		}
-	}
-	return false
-}
-
-// CollectHotpathFacts records every //mediavet:hotpath-annotated
-// function in files under its FuncKey.
-func CollectHotpathFacts(info *types.Info, files []*ast.File) *Facts {
-	facts := NewFacts()
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !isHotpathDecl(fd) {
-				continue
-			}
-			fn, _ := info.Defs[fd.Name].(*types.Func)
-			facts.Hotpath[FuncKey(fn)] = true
-		}
-	}
-	return facts
 }
 
 // suppressor answers "is this diagnostic covered by an ignore?" and

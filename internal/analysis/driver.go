@@ -38,19 +38,17 @@ type Runner struct {
 	Log       io.Writer // verbose progress; nil disables
 }
 
-// packageResult is what analyzing one package yields: the facts it
-// exports to dependents, its surviving findings and how many
-// diagnostics its //mediavet:ignore directives silenced.
+// packageResult is what analyzing one package yields: its surviving
+// findings and how many diagnostics its //mediavet:ignore directives
+// silenced.
 type packageResult struct {
-	Facts      *Facts
 	Suppressed int
 	Findings   []Finding
 }
 
-// Run analyzes the requested packages in dependency order, threading
-// hotpath facts from imports to importers, applying //mediavet:ignore
-// suppression, and reporting stale or malformed ignore directives as
-// findings of the pseudo-analyzer "mediavet".
+// Run analyzes the requested packages, each on its own, applying
+// //mediavet:ignore suppression and reporting stale or malformed ignore
+// directives as findings of the pseudo-analyzer "mediavet".
 func (r *Runner) Run() (*Result, error) {
 	patterns := r.Patterns
 	if len(patterns) == 0 {
@@ -61,7 +59,6 @@ func (r *Runner) Run() (*Result, error) {
 		return nil, err
 	}
 	loader := NewLoader(exports)
-	facts := NewFacts()
 	res := &Result{Packages: len(module)}
 
 	for _, lp := range module {
@@ -70,11 +67,10 @@ func (r *Runner) Run() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ent, err := analyzePackage(pkg, loader.Fset, r.Analyzers, facts)
+		ent, err := analyzePackage(pkg, loader.Fset, r.Analyzers)
 		if err != nil {
 			return nil, err
 		}
-		facts.Merge(ent.Facts)
 		res.Findings = append(res.Findings, ent.Findings...)
 		res.Suppressed += ent.Suppressed
 		if r.Log != nil {
@@ -86,18 +82,9 @@ func (r *Runner) Run() (*Result, error) {
 }
 
 // analyzePackage runs every analyzer over one type-checked package.
-// depFacts holds facts from already-analyzed dependencies; the
-// package's own annotations are merged in before analyzers run. The
-// returned result's Facts contains only this package's own annotations
-// (what it exports to dependents).
-func analyzePackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer, depFacts *Facts) (*packageResult, error) {
-	own := CollectHotpathFacts(pkg.Info, pkg.Files)
-	merged := NewFacts()
-	merged.Merge(depFacts)
-	merged.Merge(own)
-
+func analyzePackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer) (*packageResult, error) {
 	sup := newSuppressor(fset, pkg.Files)
-	ent := &packageResult{Facts: own}
+	ent := &packageResult{}
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -106,7 +93,6 @@ func analyzePackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer, de
 			Pkg:      pkg.Types,
 			PkgPath:  pkg.Path,
 			Info:     pkg.Info,
-			Facts:    merged,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)

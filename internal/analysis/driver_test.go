@@ -8,13 +8,12 @@ import (
 )
 
 // TestRunnerTwoPackageModule drives Runner — go list, the loader and
-// every analyzer — over a temp module of two packages. The dependent's
-// hot function calls one annotated and one unannotated function of the
-// dependency: only the second is a finding, which proves the
-// //mediavet:hotpath fact crossed the package boundary, and that needs
-// the dependency analyzed first. The stale //mediavet:ignore is the
-// finding the driver itself adds once every analyzer has run, as are
-// the three about directives it cannot parse or place.
+// every analyzer — over a temp module of two packages, one importing
+// the other. The wall-clock read is an analyzer's finding, the one
+// under a well-formed //mediavet:ignore is counted as suppressed, and
+// the stale ignore is the finding the driver itself adds once every
+// analyzer has run, as are the three about directives it cannot parse
+// or place.
 func TestRunnerTwoPackageModule(t *testing.T) {
 	// The module has no requirements; keep go list from ever reaching
 	// for the network or another toolchain.
@@ -33,19 +32,14 @@ func TestRunnerTwoPackageModule(t *testing.T) {
 		}
 	}
 	write("go.mod", "module "+ModulePath+"\n\ngo 1.24\n")
-	// The dependent sorts before its dependency by import path, so an
-	// alphabetical walk would analyze it first and lose the fact.
 	write("internal/zdep/zdep.go", `package zdep
-
-//mediavet:hotpath
-func Hot(x int) int { return x + 1 }
 
 func Cold(x int) int { return x + 2 }
 
 //mediavet:ignore
 func NoName(x int) int { return x }
 
-//mediavet:ignore hotpath
+//mediavet:ignore determinism
 func NoReason(x int) int { return x }
 
 //mediavet:ignore nosuch the analyzer it names does not exist
@@ -54,17 +48,22 @@ func Unknown(x int) int { return x }
 //mediavet:ignoreX is some other directive and none of mediavet's business
 func Other(x int) int { return x }
 `)
-	write("internal/auser/auser.go", `package auser
+	write("internal/sim/sim.go", `package sim
 
-import "streamcache/internal/zdep"
+import (
+	"time"
 
-//mediavet:hotpath
+	"streamcache/internal/zdep"
+)
+
 func Serve(x int) int {
-	return zdep.Hot(x) + zdep.Cold(x) + zdep.Cold(x)
+	//mediavet:ignore determinism telemetry only in this fixture
+	_ = time.Now()
+	return zdep.Cold(x) + int(time.Now().Unix())
 }
 
 func Idle(x int) int {
-	//mediavet:ignore hotpath nothing on the next line allocates
+	//mediavet:ignore determinism nothing on the next line reads a clock
 	return x
 }
 `)
@@ -74,21 +73,20 @@ func Idle(x int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Packages != 2 || res.Suppressed != 0 {
-		t.Errorf("packages=%d suppressed=%d, want 2 and 0", res.Packages, res.Suppressed)
+	if res.Packages != 2 || res.Suppressed != 1 {
+		t.Errorf("packages=%d suppressed=%d, want 2 and 1", res.Packages, res.Suppressed)
 	}
-	if !strings.Contains(log.String(), "internal/auser (3 findings") {
-		t.Errorf("progress log = %q, want a line for internal/auser", log.String())
+	if !strings.Contains(log.String(), "internal/sim (2 findings, 1 suppressed)") {
+		t.Errorf("progress log = %q, want a line for internal/sim", log.String())
 	}
 	// Sorted by file, line, then column: the driver's own findings about the
 	// directives it could not use come out beside the analyzers'.
 	want := []string{
-		"auser.go:7:23: hotpath: call to streamcache/internal/zdep.Cold",
-		"auser.go:7:38: hotpath: call to streamcache/internal/zdep.Cold",
-		"auser.go:11:1: mediavet: stale //mediavet:ignore hotpath",
-		"zdep.go:8:1: mediavet: malformed //mediavet:ignore directive: missing analyzer name and reason",
-		"zdep.go:11:1: mediavet: malformed //mediavet:ignore directive: missing reason",
-		`zdep.go:14:1: mediavet: //mediavet:ignore names unknown analyzer "nosuch"`,
+		"sim.go:12:28: determinism: time.Now reads the wall clock",
+		"sim.go:16:1: mediavet: stale //mediavet:ignore determinism",
+		"zdep.go:5:1: mediavet: malformed //mediavet:ignore directive: missing analyzer name and reason",
+		"zdep.go:8:1: mediavet: malformed //mediavet:ignore directive: missing reason",
+		`zdep.go:11:1: mediavet: //mediavet:ignore names unknown analyzer "nosuch"`,
 	}
 	if len(res.Findings) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%v", len(res.Findings), len(want), res.Findings)

@@ -37,9 +37,7 @@ type listedPackage struct {
 	}
 }
 
-// goList runs `go list -export -deps -json` for patterns in dir. -deps
-// lists in depth-first post-order: every package after all of its
-// dependencies.
+// goList runs `go list -export -deps -json` for patterns in dir.
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	args := []string{
 		"list", "-export", "-deps",
@@ -135,8 +133,7 @@ func (l *Loader) Check(pkgPath, dir string, goFiles []string) (*Package, error) 
 }
 
 // loadModulePackages lists patterns in dir and returns (a) the module's
-// own packages in dependency order — go list's, so hotpath facts flow
-// dep -> dependent — and (b) the combined export map covering every
+// own packages and (b) the combined export map covering every
 // dependency.
 func loadModulePackages(dir string, patterns []string) ([]*listedPackage, map[string]string, error) {
 	all, err := goList(dir, patterns)

@@ -14,7 +14,8 @@ import (
 //     WaitGroup.Wait — transitively through package-local calls) while
 //     a shard mutex is held;
 //  2. every Lock has a matching Unlock or defer Unlock in the same
-//     function;
+//     function, and no return is reached with a lock held unless its
+//     Unlock is deferred;
 //  3. fields of mutex-guarded structs are written only with the lock
 //     held (outside constructors), so cross-shard state is forced
 //     through atomics.
@@ -67,6 +68,9 @@ type shardlockChecker struct {
 	blocking map[*types.Func]string
 	// fn is the declaration checkFunc is walking.
 	fn *ast.FuncDecl
+	// deferred holds the mutexes whose Unlock the body being walked has
+	// deferred so far: a return may leave those held.
+	deferred map[string]bool
 }
 
 // directBlockReason classifies a single call expression, ignoring
@@ -191,17 +195,24 @@ func (sl *shardlockChecker) checkFunc(fd *ast.FuncDecl) {
 		}
 	}
 
-	sl.walkStmts(fd.Body.List, lockState{})
+	sl.walkBody(fd.Body)
 
 	// Each func literal is its own timeline (goroutine body, callback,
 	// deferred cleanup): walk it with a fresh lock state. The walker
 	// itself never descends into literals, so each is visited once.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			sl.walkStmts(lit.Body.List, lockState{})
+			sl.walkBody(lit.Body)
 		}
 		return true
 	})
+}
+
+// walkBody walks one function body — a declaration's or a literal's —
+// from an empty lock state.
+func (sl *shardlockChecker) walkBody(body *ast.BlockStmt) {
+	sl.deferred = map[string]bool{}
+	sl.walkStmts(body.List, lockState{})
 }
 
 // mutexOp recognizes m.Lock()/Unlock()/RLock()/RUnlock() where m's
@@ -262,7 +273,22 @@ func (sl *shardlockChecker) walkStmt(s ast.Stmt, held lockState) lockState {
 		// defer mu.Unlock() keeps the lock held to the end of the
 		// function, which is fine; statements after it are still
 		// "under the lock" for the blocking check, so do NOT release.
-		// Defers of other calls: their bodies run at return time.
+		// Defers of other calls: their bodies run at return time — a
+		// deferred literal that unlocks counts like a deferred Unlock.
+		ast.Inspect(x.Call, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if m, op := sl.mutexOp(call); op == "Unlock" || op == "RUnlock" {
+					sl.deferred[m] = true
+				}
+			}
+			return true
+		})
+	case *ast.ReturnStmt:
+		sl.scanBlocking(x, held)
+		if m, pos := earliestLock(held, sl.deferred); m != "" {
+			sl.pass.Reportf(x.Pos(), "return while holding %s (locked at %s) and no deferred unlock; unlock on this path or defer it",
+				m, sl.pass.Fset.Position(pos))
+		}
 	case *ast.GoStmt:
 		// The spawned goroutine runs on its own timeline; argument
 		// evaluation is non-blocking for our operation set.
@@ -362,11 +388,15 @@ func joinStates(a, b lockState) lockState {
 	return out
 }
 
-func anyLock(held lockState) (string, token.Pos) {
-	for k, v := range held {
-		return k, v
+// earliestLock names the held mutex that was locked first and is not
+// in skip, so a finding's wording does not follow map iteration order.
+func earliestLock(held lockState, skip map[string]bool) (mutex string, pos token.Pos) {
+	for m, p := range held {
+		if !skip[m] && (mutex == "" || p < pos) {
+			mutex, pos = m, p
+		}
 	}
-	return "", token.NoPos
+	return mutex, pos
 }
 
 // terminatesStmts reports whether a statement list always transfers
@@ -423,7 +453,7 @@ func (sl *shardlockChecker) scanBlocking(n ast.Node, held lockState) {
 
 // reportBlocked reports a node that blocks, for reason, under a lock.
 func (sl *shardlockChecker) reportBlocked(n ast.Node, reason string, held lockState) {
-	m, pos := anyLock(held)
+	m, pos := earliestLock(held, nil)
 	sl.pass.Reportf(n.Pos(), "%s while holding %s (locked at %s); release the lock before blocking",
 		reason, m, sl.pass.Fset.Position(pos))
 }

@@ -13,7 +13,7 @@ func TestShardlockScopedToProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent, err := analyzePackage(pkg, loader.Fset, []*Analyzer{Shardlock}, NewFacts())
+	ent, err := analyzePackage(pkg, loader.Fset, []*Analyzer{Shardlock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,6 +56,69 @@ func deferUnlockOK(sh *shard) {
 	sh.inflight[1] = 5 // negative: guarded write under the deferred lock
 }
 
+func earlyReturnUnderLock(sh *shard, k int) int {
+	sh.mu.Lock()
+	if v, ok := sh.inflight[k]; ok {
+		return v // want "return while holding sh.mu .locked at .*shardlock.go:\d+:\d+. and no deferred unlock"
+	}
+	sh.mu.Unlock()
+	return 0
+}
+
+func earlyReturnUnderDeferOK(sh *shard, k int) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if v, ok := sh.inflight[k]; ok {
+		return v // negative: the deferred Unlock runs on this path too
+	}
+	return 0
+}
+
+func earlyReturnUnderDeferredLiteralOK(sh *shard, k int) int {
+	sh.mu.Lock()
+	defer func() { sh.mu.Unlock() }()
+	if v, ok := sh.inflight[k]; ok {
+		return v // negative: the deferred literal unlocks on this path too
+	}
+	return 0
+}
+
+func earlyReturnAfterUnlockOK(sh *shard, k int) int {
+	sh.mu.Lock()
+	if v, ok := sh.inflight[k]; ok {
+		sh.mu.Unlock()
+		return v // negative: this path released the lock itself
+	}
+	sh.mu.Unlock()
+	return 0
+}
+
+// With two locks held a finding names the one locked first, whatever
+// order the checker's map yields them in.
+func twoLocksHeld(sh *shard, r *relay, url string) int {
+	sh.mu.Lock()
+	r.mu.Lock()
+	http.Get(url) // want "calls into net/http while holding sh.mu .locked"
+	if r.n > 0 {
+		return r.n // want "return while holding sh.mu .locked"
+	}
+	r.mu.Unlock()
+	sh.mu.Unlock()
+	return 0
+}
+
+// A deferred Unlock covers only its own mutex.
+func twoLocksOneDeferred(sh *shard, r *relay) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	r.mu.Lock()
+	if r.n > 0 {
+		return r.n // want "return while holding r.mu .locked"
+	}
+	r.mu.Unlock()
+	return 0
+}
+
 func unguardedWrite(sh *shard) {
 	sh.inflight[3] = 4 // want "write to sh.inflight without holding sh.mu"
 }

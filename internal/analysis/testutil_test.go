@@ -87,7 +87,7 @@ func runTestdata(t *testing.T, a *Analyzer, dir, pkgPath string) {
 		t.Fatalf("type-checking %s: %v", root, err)
 	}
 
-	ent, err := analyzePackage(pkg, loader.Fset, []*Analyzer{a}, NewFacts())
+	ent, err := analyzePackage(pkg, loader.Fset, []*Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,4 +134,3 @@ func runTestdata(t *testing.T, a *Analyzer, dir, pkgPath string) {
 		}
 	}
 }
-

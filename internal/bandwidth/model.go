@@ -278,7 +278,6 @@ type Path struct {
 const floorRate = 1024.0
 
 // Instant draws the path's instantaneous bandwidth.
-//mediavet:hotpath
 func (p Path) Instant(rng *rand.Rand) float64 {
 	r := p.MeanRate * p.Variation.Ratio(rng)
 	if r < floorRate {

@@ -130,7 +130,6 @@ func (c *Cache) Reset(capacity int64, policy Policy, opts ...Option) error {
 // panic rather than corrupt the int32-indexed heap or silently exhaust
 // memory; frontends that accept external IDs (proxy.NewCatalog)
 // validate the range at construction time.
-//mediavet:hotpath
 func (c *Cache) ensure(id int) {
 	if id < 0 || int64(id) > math.MaxInt32 {
 		panic(fmt.Sprintf("core: object ID %d outside [0, 2^31); dense table layout requires small non-negative IDs", id))
@@ -184,7 +183,6 @@ type AccessResult struct {
 //
 // The steady-state hot path (hits and byte-granular evictions) performs
 // no heap allocations; see the AllocsPerRun regression tests.
-//mediavet:hotpath
 func (c *Cache) Access(obj Object, bw float64, now float64) AccessResult {
 	id := obj.ID
 	c.ensure(id)
@@ -250,7 +248,6 @@ func (c *Cache) Access(obj Object, bw float64, now float64) AccessResult {
 // bytes are free or no eligible victim remains. The requesting object
 // (selfID) is never victimized. It returns the total bytes evicted and
 // the per-object breakdown (backed by the reusable scratch buffer).
-//mediavet:hotpath
 func (c *Cache) makeRoom(need int64, utility float64, selfID int) (int64, []Victim) {
 	c.victims = c.victims[:0]
 	var evicted int64
@@ -281,7 +278,6 @@ func (c *Cache) makeRoom(need int64, utility float64, selfID int) (int64, []Vict
 // the difference. Byte-store frontends call this when they fail to
 // materialize bytes the cache has already accounted for (e.g. an origin
 // fetch aborts mid-relay).
-//mediavet:hotpath
 func (c *Cache) Truncate(id int, bytes int64) {
 	if id < 0 || id >= len(c.ents) || c.ents[id].bytes == 0 {
 		return
@@ -296,7 +292,6 @@ func (c *Cache) Truncate(id int, bytes int64) {
 
 // shrink releases take bytes from the entry of object id, removing it
 // from the heap when its prefix reaches zero.
-//mediavet:hotpath
 func (c *Cache) shrink(id int32, take int64) {
 	e := &c.ents[id]
 	if take <= 0 {
@@ -313,7 +308,6 @@ func (c *Cache) shrink(id int32, take int64) {
 }
 
 // CachedBytes returns the cached prefix size of object id (0 if absent).
-//mediavet:hotpath
 func (c *Cache) CachedBytes(id int) int64 {
 	if id < 0 || id >= len(c.ents) {
 		return 0

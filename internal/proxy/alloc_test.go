@@ -3,8 +3,10 @@ package proxy
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"testing"
 
 	"streamcache/internal/core"
@@ -131,5 +133,140 @@ func TestRelayReaderLoopAllocFree(t *testing.T) {
 	rl.detach(seg)
 	if allocs != 0 {
 		t.Errorf("relay reader loop allocates %.1f times per read, want 0", allocs)
+	}
+}
+
+// raceBuild reports whether the race detector is compiled in. Its
+// sync.Pool drops a quarter of what is put back — segPool's segments,
+// fmt's and net/http's scratch — so the miss path's allocation counts
+// are exact only without it.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// drainingBody is an upstream body for pump and the relay's only reader
+// in one: every Read first consumes, through next, what pump published
+// of the previous ones, so the fetch never waits for its reader and
+// ring segments recycle; then it hands out the next piece.
+type drainingBody struct {
+	t     *testing.T
+	rl    *relay
+	left  int64 // bytes still to hand out
+	off   int64 // the reader's offset; everything below is consumed
+	seg   *segment
+	reads int
+}
+
+func (b *drainingBody) Read(p []byte) (int, error) {
+	for handed := b.rl.end - b.left; b.off < handed; {
+		var chunk []byte
+		var err error
+		if b.seg, chunk, err = b.rl.next(context.Background(), b.off, b.seg); b.seg == nil {
+			b.t.Fatalf("next at %d of %d published: %v", b.off, handed, err)
+		}
+		b.off += int64(len(chunk))
+	}
+	if b.left == 0 {
+		return 0, io.EOF
+	}
+	b.reads++
+	n := min(len(p), 4096, int(b.left))
+	b.left -= int64(n)
+	return n, nil
+}
+
+// TestPumpSteadyStateAllocFree pins the fetch side of a miss: once the
+// ring's segments recycle through segPool, pump moves a body into a
+// relay whose reader keeps up with zero allocations per Read.
+func TestPumpSteadyStateAllocFree(t *testing.T) {
+	const total = 4 * ringBytes // every ring slot is dropped and reused three times over
+	var reads int
+	allocs := testing.AllocsPerRun(1, func() { // the warm-up run fills segPool
+		rl := newRelay(0, total, 0, nil)
+		rl.attach()
+		body := &drainingBody{t: t, rl: rl, left: total}
+		n, waits, err := pump(body, nil, 3, rl)
+		if n != total || waits != 0 || err != nil {
+			t.Fatalf("pump moved %d of %d bytes with %d waits: %v", n, total, waits, err)
+		}
+		rl.finish(nil)
+		rl.detach(body.seg)
+		reads = body.reads
+	})
+	// What is left is per transfer: the relay and the body above.
+	if allocs > 2 && !raceBuild() {
+		t.Errorf("pump allocates %.0f times over %d reads, want 2 per transfer and 0 per Read", allocs, reads)
+	}
+}
+
+// memOrigin is an upstream that answers every object request from
+// memory, in reads of 4 KiB the way a network body arrives, so a miss
+// measures the proxy and not a socket.
+type memOrigin struct{ data []byte }
+
+func (m memOrigin) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK, Status: "200 OK", Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: http.Header{}, Body: io.NopCloser(&pieces{m.data, 4096}), ContentLength: int64(len(m.data)), Request: req,
+	}, nil
+}
+
+// TestServeMissAllocs pins the miss path end to end: two objects take
+// turns in an LRU cache that holds one, so every request is a full
+// multi-segment miss — eviction, relay, upstream fetch, store adoption,
+// reconciliation. The budget is per transfer, whatever the number of
+// upstream reads (49 here): the fresh segments the store adopts (two
+// allocations each), the relay, its goroutine and contexts, and the
+// upstream request and response.
+func TestServeMissAllocs(t *testing.T) {
+	watch := leaktest.Start(t)
+	const size = 3*segmentSize + 1000
+	const budget = 34 // measured at the parent commit (d424195), the same in each of 20 runs
+	metas := []Meta{
+		{ID: 0, Size: size, Rate: units.KBps(512), Value: 1},
+		{ID: 1, Size: size, Rate: units.KBps(512), Value: 1},
+	}
+	catalog, err := NewCatalog(metas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	px, err := New(Config{
+		Catalog:    catalog,
+		OriginURL:  "http://origin.invalid",
+		CacheBytes: size,
+		NewPolicy:  core.NewLRU,
+		Client:     &http.Client{Transport: memOrigin{make([]byte, size)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch(px)
+
+	reqs := []*http.Request{
+		httptest.NewRequest("GET", "/objects/0", nil),
+		httptest.NewRequest("GET", "/objects/1", nil),
+	}
+	w := &nullResponseWriter{h: make(http.Header)}
+	var i int
+	allocs := testing.AllocsPerRun(100, func() {
+		w.n = 0
+		px.ServeHTTP(w, reqs[i%2])
+		px.Quiesce()
+		i++
+		if w.n != size {
+			t.Fatalf("short response: %d bytes", w.n)
+		}
+	})
+	if st := px.Snapshot(); st.PrefixHits != 0 || st.BytesFetched != st.Requests*size {
+		t.Fatalf("not every request was a full miss: %+v", st)
+	}
+	if allocs > budget && !raceBuild() {
+		t.Errorf("a full miss allocates %.0f times per transfer, want at most %d", allocs, budget)
 	}
 }

@@ -78,6 +78,7 @@ func TestProxyCachesAfterFirstAccess(t *testing.T) {
 	if !strings.Contains(second.CacheState, "HIT-PREFIX") {
 		t.Errorf("second fetch X-Cache = %q, want HIT-PREFIX", second.CacheState)
 	}
+	px.Quiesce() // the handler counts the hit after the client has its last byte
 	stats := px.Snapshot()
 	if stats.Requests != 2 || stats.PrefixHits != 1 {
 		t.Errorf("stats = %+v, want 2 requests, 1 prefix hit", stats)

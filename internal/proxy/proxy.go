@@ -164,9 +164,9 @@ type Stats struct {
 	// ClientAborts counts object responses the client ended: a write to
 	// it failed, or its request context was cancelled mid-relay.
 	ClientAborts int64 `json:"clientAborts"`
-	UsedBytes       int64 `json:"usedBytes"`
-	Objects         int   `json:"objects"`
-	Shards          int   `json:"shards"`
+	UsedBytes    int64 `json:"usedBytes"`
+	Objects      int   `json:"objects"`
+	Shards       int   `json:"shards"`
 	// EstimatesBps maps each origin base URL to the current passive
 	// bandwidth estimate of its path (bytes/s), averaged over the shards
 	// that have observed a completed transfer on it.
@@ -344,7 +344,6 @@ func (p *Proxy) Shards() int { return len(p.shards) }
 // shardFor maps an object ID to its owning shard. IDs are dense and
 // popularity-ordered (hot objects have low IDs), so a Fibonacci hash
 // spreads neighbors across shards instead of clustering the hot set.
-//mediavet:hotpath
 func (p *Proxy) shardFor(id int) *shard {
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	h ^= h >> 32
@@ -352,7 +351,6 @@ func (p *Proxy) shardFor(id int) *shard {
 }
 
 // originFor returns the base URL of the origin storing meta.
-//mediavet:hotpath
 func (p *Proxy) originFor(meta Meta) string {
 	if meta.Origin != "" {
 		return meta.Origin
@@ -378,8 +376,6 @@ type resolvedRoute struct {
 // fallback resolved alongside. The primary's estimator index is what
 // the cache policy prices — per-tier utility reflects the
 // actually-constrained hop.
-//
-//mediavet:hotpath
 func (p *Proxy) routeFor(meta Meta) resolvedRoute {
 	origin := p.originFor(meta)
 	rt := resolvedRoute{url: origin, idx: p.upstreamIndex[origin], fbIdx: -1}
@@ -414,14 +410,12 @@ func (p *Proxy) addTierBytes(idx int, n int64) {
 
 // estimate returns the shard's current bandwidth estimate for an origin
 // path. Callers must hold sh.mu.
-//mediavet:hotpath
 func (sh *shard) estimate(originIdx int) float64 {
 	return sh.est[originIdx].est.Estimate()
 }
 
 // observe feeds one completed-transfer throughput sample into the
 // shard's estimator for an origin path. Callers must hold sh.mu.
-//mediavet:hotpath
 func (sh *shard) observe(originIdx int, sample float64) {
 	sh.est[originIdx].est.Observe(sample)
 	sh.est[originIdx].observed = true
@@ -473,15 +467,12 @@ func (p *Proxy) Quiesce() { p.inflight.Wait() }
 // cached prefix asks for exactly the missing suffix. A HEAD request is
 // answered with the headers the same GET would get now, and touches
 // neither the cache policy nor the upstream.
-//mediavet:hotpath
 func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta) {
 	p.inflight.Add(1)
 	defer p.inflight.Done()
 
-	//mediavet:ignore hotpath parseRangeStart allocates only on its reject path; ranged requests come from peers, not the per-client steady path
 	reqStart, rerr := parseRangeStart(req.Header.Get("Range"), meta.Size)
 	if rerr != nil {
-		//mediavet:ignore hotpath the 416 answer renders on the reject path only
 		rangeNotSatisfiable(w, rerr, meta.Size)
 		return
 	}
@@ -539,7 +530,6 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 		// Ranged responses serve peer resumes, not the per-client steady
 		// path: render headers on the spot.
 		h["Content-Length"] = []string{strconv.FormatInt(meta.Size-reqStart, 10)}
-		//mediavet:ignore hotpath ranged response headers render once per peer resume, not on the steady client path
 		h["Content-Range"] = []string{fmt.Sprintf("bytes %d-%d/%d", reqStart, meta.Size-1, meta.Size)}
 	}
 	h["Content-Type"] = contentTypeMPEG
@@ -550,7 +540,6 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 			// Ranged request, a prefix its relay is still growing, or one
 			// that outgrew the object size and whose view was clamped —
 			// not the steady hit path.
-			//mediavet:ignore hotpath clamped-view and ranged headers render off the steady hit path
 			h["X-Cache"] = []string{"HIT-PREFIX; bytes=" + strconv.FormatInt(cacheServed, 10)}
 		}
 	} else {
@@ -589,7 +578,6 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 	rl := sh.inflight[meta.ID]
 	switch {
 	case rl == nil:
-		//mediavet:ignore hotpath cold miss path: one relay and one fetch goroutine per upstream transfer, amortized over every coalesced follower
 		rl = p.startRelay(sh, meta, rt, start, retainTarget)
 		sh.inflight[meta.ID] = rl
 	case rl.start <= start && rl.attach():
@@ -613,7 +601,6 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 		// holds): it finishes over a relay of its own from where it
 		// left off — same pump, nothing retained, nobody else attached,
 		// leaving the store and the herd to the shared fetch.
-		//mediavet:ignore hotpath a private relay starts once per lost race or lapped reader, not per request
 		p.streamFromRelay(req.Context(), w, p.startRelay(sh, meta, rt, start, 0), start)
 	}
 }
@@ -637,10 +624,7 @@ func (p *Proxy) startRelay(sh *shard, meta Meta, rt resolvedRoute, start, retain
 // abort), then detaches. It returns the next unserved offset and whether
 // the ring lapped this reader — in which case the caller must finish the
 // transfer over a private relay from that offset.
-//
-//mediavet:hotpath
 func (p *Proxy) streamFromRelay(ctx context.Context, w http.ResponseWriter, rl *relay, off int64) (int64, bool) {
-	//mediavet:ignore hotpath the bound rl.wake closure is the price of prompt cancel wakeups; one per streaming response
 	stop := context.AfterFunc(ctx, rl.wake)
 	defer stop()
 	fl, _ := w.(http.Flusher)
@@ -738,8 +722,6 @@ func (p *Proxy) fetchOrigin(ctx context.Context, sh *shard, meta Meta, rt resolv
 // retention limit, until the body ends, the object is complete or every
 // reader has left. It returns the bytes fetched and how many times it
 // waited for the relay's readers.
-//
-//mediavet:hotpath
 func pump(body io.Reader, store *PrefixStore, id int, rl *relay) (fetched, waits int64, err error) {
 	offset := rl.start
 	for err == nil {

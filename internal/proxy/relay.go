@@ -78,8 +78,6 @@ func newRelay(start, end, retain int64, cancel context.CancelFunc) *relay {
 // attach registers one client reader. It fails only when the relay's
 // fetch has already been canceled (every previous reader left), in
 // which case the caller must fetch on its own.
-//
-//mediavet:hotpath
 func (r *relay) attach() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -93,8 +91,6 @@ func (r *relay) attach() bool {
 // detach unregisters one client reader, unpinning the segment it still
 // held, if any. The last one out aborts an unfinished fetch, which is
 // reported.
-//
-//mediavet:hotpath
 func (r *relay) detach(held *segment) (aborted bool) {
 	r.mu.Lock()
 	if held != nil {
@@ -117,8 +113,6 @@ func (r *relay) detach(held *segment) (aborted bool) {
 
 // release recycles the ring once nothing can touch it: no reader is
 // attached and the fetch has stopped filling the newest segment.
-//
-//mediavet:hotpath
 func (r *relay) release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -136,8 +130,6 @@ func (r *relay) release() {
 // recycle returns a segment that left the ring to segPool when nothing
 // else can alias it; any other is left to the GC. Callers hold the
 // relay's lock.
-//
-//mediavet:hotpath
 func recycle(seg *segment) {
 	if seg.pins == 0 && !seg.adopted && len(seg.buf) == segmentSize {
 		segPool.Put(seg)
@@ -147,8 +139,6 @@ func recycle(seg *segment) {
 // raiseRetain lifts the store-retention limit to at least n; attaching
 // requests call it so a prefix target that grew mid-flight is still
 // materialized by the shared fetch.
-//
-//mediavet:hotpath
 func (r *relay) raiseRetain(n int64) {
 	r.mu.Lock()
 	if n > r.retain {
@@ -159,8 +149,6 @@ func (r *relay) raiseRetain(n int64) {
 
 // room reports whether the fetch may open another segment: it runs at
 // most half a ring ahead of the lead reader. Callers hold r.mu.
-//
-//mediavet:hotpath
 func (r *relay) room() bool {
 	return r.head-r.lead < relayRingSegments*segmentSize/2
 }
@@ -171,8 +159,6 @@ func (r *relay) room() bool {
 // the lead reader to come within half a ring of head, and reports
 // whether it had to. It returns nil once the transfer is complete or
 // every reader has left. The fetch goroutine is the only caller.
-//
-//mediavet:hotpath
 func (r *relay) reserve() (seg *segment, limit int64, waited bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -210,8 +196,6 @@ func (r *relay) reserve() (seg *segment, limit int64, waited bool) {
 
 // publish makes the n bytes the fetch wrote at seg's fill mark visible
 // to every reader, and records whether the store adopted seg.
-//
-//mediavet:hotpath
 func (r *relay) publish(seg *segment, n int, adopted bool) {
 	r.mu.Lock()
 	seg.adopted = seg.adopted || adopted
@@ -249,8 +233,6 @@ func (r *relay) wake() {
 // err is nil after a complete transfer, errRelayLapped when the ring
 // dropped offset off (the reader must demote to a private fetch), else
 // what ended the reader or the transfer.
-//
-//mediavet:hotpath
 func (r *relay) next(ctx context.Context, off int64, held *segment) (*segment, []byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

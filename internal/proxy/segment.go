@@ -27,8 +27,6 @@ type segment struct {
 }
 
 // end is the object offset one past the segment's capacity.
-//
-//mediavet:hotpath
 func (s *segment) end() int64 { return s.off + int64(len(s.buf)) }
 
 // segPool recycles full-size segments across relays.
@@ -37,8 +35,6 @@ var segPool = sync.Pool{New: func() any { return &segment{buf: make([]byte, segm
 // newSegment returns a segment of n bytes (at most segmentSize)
 // starting at object offset off. Only full-size segments come from the
 // pool: an object smaller than a segment owns only what it needs.
-//
-//mediavet:hotpath
 func newSegment(off, n int64) *segment {
 	if n < segmentSize {
 		return &segment{off: off, buf: make([]byte, n)}

@@ -61,7 +61,6 @@ func (e *prefixEntry) render() {
 	}
 }
 
-//mediavet:hotpath
 func (e *prefixEntry) tail() *segment {
 	if len(e.segs) == 0 {
 		return nil
@@ -89,14 +88,10 @@ type prefixView struct {
 }
 
 // Len returns the byte length of the view.
-//
-//mediavet:hotpath
 func (v prefixView) Len() int64 { return v.n }
 
 // WriteTo streams the snapshot to w without copying: each write aliases
 // a segment's published bytes directly.
-//
-//mediavet:hotpath
 func (v prefixView) WriteTo(w io.Writer) (int64, error) { return v.WriteRangeTo(w, 0) }
 
 // WriteRangeTo streams the snapshot's bytes at object offsets
@@ -106,8 +101,6 @@ func (v prefixView) WriteTo(w io.Writer) (int64, error) { return v.WriteRangeTo(
 // take them all at once (the wire loop's response writer, which sends
 // them with the response head in one writev) is handed every segment in
 // a single call; any other gets one Write per segment.
-//
-//mediavet:hotpath
 func (v prefixView) WriteRangeTo(w io.Writer, from int64) (int64, error) {
 	bw, vectored := w.(buffersWriter)
 	var vec *[][]byte
@@ -164,8 +157,6 @@ var vecPool = sync.Pool{New: func() any { return new([][]byte) }}
 
 // View captures a zero-copy snapshot of object id's prefix, clamped to
 // max bytes. The empty view has Len() 0.
-//
-//mediavet:hotpath
 func (s *PrefixStore) View(id int, max int64) prefixView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -198,8 +189,6 @@ func (s *PrefixStore) Prefix(id int) []byte {
 }
 
 // Len returns the stored prefix length of object id.
-//
-//mediavet:hotpath
 func (s *PrefixStore) Len(id int) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -215,8 +204,6 @@ func (s *PrefixStore) Len(id int) int64 {
 // and the prefix length the append brings it to, or 0 when the bytes
 // are all present already, lie beyond a hole, or exceed limit. Callers
 // hold the write lock.
-//
-//mediavet:hotpath
 func (s *PrefixStore) grow(id int, offset, end, limit int64) (*prefixEntry, int64) {
 	e := s.data[id]
 	var curLen int64
@@ -239,8 +226,6 @@ func (s *PrefixStore) grow(id int, offset, end, limit int64) (*prefixEntry, int6
 // off. The full-slice clip forces the next append onto a fresh backing
 // array, so slice headers captured by in-flight views never observe a
 // reused slot.
-//
-//mediavet:hotpath
 func (e *prefixEntry) dropFrom(off int64) {
 	k := len(e.segs)
 	for k > 0 && e.segs[k-1].off >= off {
@@ -252,8 +237,6 @@ func (e *prefixEntry) dropFrom(off int64) {
 }
 
 // resize sets the entry's logical length and returns the change.
-//
-//mediavet:hotpath
 func (e *prefixEntry) resize(to int64) int64 {
 	delta := to - e.length
 	e.length = to
@@ -300,8 +283,6 @@ func (s *PrefixStore) AppendAt(id int, offset int64, data []byte, limit int64) i
 // The relay keeps filling seg past end; that is safe because views
 // never read past the length they captured. It reports whether the
 // store took bytes of seg, which must then never be recycled.
-//
-//mediavet:hotpath
 func (s *PrefixStore) adopt(id int, seg *segment, end, limit int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -328,8 +309,6 @@ func (s *PrefixStore) adopt(id int, seg *segment, end, limit int64) bool {
 // the relay that grew a prefix ends by truncating it to what the cache
 // accounts for. Dropped segments are left to the GC — an in-flight
 // zero-copy view may still alias them.
-//
-//mediavet:hotpath
 func (s *PrefixStore) Truncate(id int, n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -347,14 +326,11 @@ func (s *PrefixStore) Truncate(id int, n int64) {
 		e.open = false
 		e.dropFrom(n)
 	}
-	//mediavet:ignore hotpath the header renders once per length change that settles (an eviction, a relay's end), never on the steady hit path
 	e.render()
 }
 
 // TotalBytes returns the sum of all stored prefix lengths, maintained
 // incrementally on append and truncate.
-//
-//mediavet:hotpath
 func (s *PrefixStore) TotalBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -13,7 +13,6 @@ package sim
 
 // splitmix64 is the finalizer of the SplitMix64 generator (Steele,
 // Lea & Flood, OOPSLA 2014); it bijectively scrambles its input.
-//mediavet:hotpath
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
@@ -24,7 +23,6 @@ func splitmix64(x uint64) uint64 {
 // SplitSeed derives the seed of independent stream `stream` from a base
 // seed. It is deterministic and collision-resistant across both
 // arguments.
-//mediavet:hotpath
 func SplitSeed(base, stream int64) int64 {
 	return int64(splitmix64(splitmix64(uint64(base)) ^ uint64(stream)))
 }

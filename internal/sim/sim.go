@@ -301,8 +301,6 @@ var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // newPolicy returns the policy one cache of one run uses: a fresh one
 // from the factory when set, else the shared instance.
-//
-//mediavet:hotpath
 func (c Config) newPolicy() core.Policy {
 	if c.PolicyFactory != nil {
 		return c.PolicyFactory()
@@ -334,23 +332,17 @@ func (c Config) cacheOptions(objects int) []core.Option {
 // this one (best of 5 alternating `go test -bench` pairs at -cpu 1:
 // 4.95 ms against 4.53 ms; medians 5.57 against 4.81) — not free, on
 // the figure path's hottest function.
-//
-//mediavet:hotpath
 func runOnce(cfg Config, seed int64) (Metrics, error) {
-	//mediavet:ignore hotpath per-run setup: the arena compiles each (workload, seed) tape once, so this is a map lookup amortized over NumRequests accesses
 	rp, err := cfg.Arena.replay(cfg, seed)
 	if err != nil {
 		return Metrics{}, err
 	}
-	//mediavet:ignore hotpath per-run setup: memoized bandwidth column, shared read-only across sweep points
 	inst := cfg.Arena.rates(cfg, seed, rp)
 	perRequest := drawsPerRequest(cfg.Variation)
 
 	scratch := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(scratch)
-	//mediavet:ignore hotpath per-run setup: option construction happens once per run, before the request loop
 	opts := cfg.cacheOptions(len(rp.objs))
-	//mediavet:ignore hotpath per-run setup: the pooled scratch reuses cache storage across runs; see the sim.run_allocs_per_req rung of bench/
 	cache, err := scratch.cache(0, cfg.CacheBytes, cfg.newPolicy(), opts)
 	if err != nil {
 		return Metrics{}, err
@@ -361,7 +353,6 @@ func runOnce(cfg Config, seed int64) (Metrics, error) {
 	oracle := cfg.Estimators == nil
 	var estimators []bandwidth.Estimator
 	if !oracle {
-		//mediavet:ignore hotpath per-run setup: estimator slice comes from the pooled scratch, reused across runs
 		estimators = scratch.estSlice(len(rp.objs))
 		for i := range estimators {
 			estimators[i] = cfg.Estimators(i, rp.means[i])

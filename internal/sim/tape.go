@@ -81,8 +81,6 @@ func (a *Arena) replay(cfg Config, seed int64) (replay, error) {
 // drawsPerRequest reports whether v consumes the per-request random
 // stream: every variability does except the constant-bandwidth one,
 // whose instantaneous bandwidth is a property of the path alone.
-//
-//mediavet:hotpath
 func drawsPerRequest(v bandwidth.Variability) bool {
 	_, constant := v.(bandwidth.NoVariation)
 	return !constant

@@ -1,0 +1,232 @@
+#!/usr/bin/env bash
+# Every guard of the repo's three static contracts — zero allocations on
+# the hit paths, byte-identical output for a seed, the shard-lock
+# discipline — is shown to fail a seeded fault by name, and the two
+# mediavet analyzers that remain are shown to catch what no test can
+# (DESIGN.md §9, OPERATIONS.md §11). One row of the table below is one
+# fault:
+#
+#   row ID FILE VERDICT FAILS GUARD WHY ANCHOR REPLACEMENT [ANCHOR REPLACEMENT]...
+#
+#   FILE     the one file the fault edits; each ANCHOR (literal text, its
+#            first occurrence) becomes its REPLACEMENT
+#   VERDICT  what `mediavet ./...` must say about the edited tree: the
+#            one analyzer whose findings it prints, or `clean`
+#   FAILS    the tests that must fail by name, or `-`
+#   GUARD    arguments of the `go test -count=1` that runs them; with
+#            FAILS `-` the whole of it must pass; `-` runs no test
+#   WHY      what the fault is; a row that nothing catches must start it
+#            with `BENIGN:` (not a fault: the row pins that every guard
+#            stays green) or `KNOWN-GAP:` (a fault no guard sees yet)
+#
+# Each row is applied to a throw-away copy of the tree (the checkout is
+# never touched), must build and must pass `go vet` on the edited
+# package — vet sees none of these faults, which is why the other
+# guards exist. `scripts/mutate-check.sh H9 S5` runs only those rows.
+# `make mutate-check` and CI's lint job run them all (~5 min).
+set -euo pipefail
+shopt -u patsub_replacement 2>/dev/null || true # a `&` in a replacement is a `&`
+cd "$(dirname "$0")/.."
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+only=" $* "
+
+go build -o "$tmp/mediavet" ./cmd/mediavet
+mkdir "$tmp/pristine"
+git ls-files --cached --others --exclude-standard -z |
+    while IFS= read -r -d '' f; do [[ -f $f ]] && printf '%s\0' "$f"; done |
+    tar --null -T - -cf - | tar -C "$tmp/pristine" -xf -
+echo "mutate-check: the unedited tree is clean under mediavet"
+"$tmp/mediavet" -C "$tmp/pristine" -summary=false ./...
+
+rows=0
+bad=0
+fail() {
+    echo "mutate-check: FAIL: row $1: $2" >&2
+    bad=$((bad + 1))
+}
+
+row() {
+    local id=$1 file=$2 verdict=$3 fails=$4 guard=$5 why=$6
+    shift 6
+    [[ $only == "  " || $only == *" $id "* ]] || return 0
+    rows=$((rows + 1))
+    if [[ $verdict == clean && $fails == - && $why != BENIGN:* && $why != KNOWN-GAP:* ]]; then
+        fail "$id" "names no catcher and gives no BENIGN: or KNOWN-GAP: reason"
+        return 0
+    fi
+    # One path for every row, so the build cache serves what a row left alone.
+    local copy=$tmp/tree src out got t
+    rm -rf "$copy"
+    cp -a "$tmp/pristine" "$copy"
+    src=$'\n'$(<"$copy/$file") # so that an anchor starting with \n matches at line 1 too
+    while (($#)); do
+        if [[ $src != *"$1"* ]]; then
+            fail "$id" "stale row: $file no longer holds the anchor: $1"
+            return 0
+        fi
+        src=${src/"$1"/"$2"}
+        shift 2
+    done
+    printf '%s\n' "${src#$'\n'}" >"$copy/$file"
+    if ! out=$(cd "$copy" && go build ./... 2>&1 && go vet "./$(dirname "$file")" 2>&1); then
+        fail "$id" "the edited tree must build and pass go vet:"$'\n'"$out"
+        return 0
+    fi
+
+    out=$("$tmp/mediavet" -C "$copy" -summary=false ./... 2>&1) && got=clean ||
+        got=$(sed -n 's/^[^ ]*:[0-9]*:[0-9]*: \([a-z]*\): .*/\1/p' <<<"$out" | sort -u | paste -sd, -)
+    if [[ $got != "$verdict" ]]; then
+        fail "$id" "mediavet says ${got:-nothing it can print}, the row says $verdict:"$'\n'"$out"
+    fi
+
+    if [[ $guard != - ]]; then
+        local -a args=(-count=1)
+        [[ $fails == - ]] || args+=(-run "^(${fails// /|})\$")
+        # shellcheck disable=SC2206 # the guard is a list of go test arguments
+        args+=($guard)
+        if out=$(cd "$copy" && go test "${args[@]}" 2>&1); then
+            [[ $fails == - ]] || fail "$id" "go test ${args[*]} passed; $fails must fail"
+        elif [[ $fails == - ]]; then
+            fail "$id" "go test ${args[*]} must pass:"$'\n'"$(grep -v '^ok ' <<<"$out" | head -40)"
+        else
+            for t in $fails; do
+                grep -q "^--- FAIL: $t " <<<"$out" ||
+                    fail "$id" "go test ${args[*]} failed, but not $t:"$'\n'"$(grep -v '^ok ' <<<"$out" | head -40)"
+            done
+        fi
+    fi
+    printf 'mutate-check: %-4s mediavet=%-12s fails=%s\n              %s\n' "$id" "$got" "${fails// /,}" "$why"
+}
+
+# --- allocation: the AllocsPerRun pins own the budget -----------------------
+
+# What a fault stores into, declared in front of the function it edits.
+sink=$'var (\n\tmutSink any\n\tmutStr  string\n\tmutFn   func()\n\tmutErr  error\n)\n\n'
+core_sim_proxy='./internal/core ./internal/sim ./internal/proxy'
+access='func (c *Cache) Access(obj Object, bw float64, now float64) AccessResult {'
+row H1 internal/core/cache.go clean \
+    'TestAccessHitPathAllocFree TestResetReuseAllocFree TestRunOnceSteadyStateAllocs TestServePrefixHitAllocFree' "$core_sim_proxy" \
+    'fmt.Sprintf per core.(*Cache).Access' \
+    "$access" "$sink$access"$'\n\tmutSink = fmt.Sprintf("%d@%g", obj.ID, now)'
+row H2 internal/core/cache.go clean \
+    'TestAccessHitPathAllocFree TestResetReuseAllocFree TestRunOnceSteadyStateAllocs TestServePrefixHitAllocFree' "$core_sim_proxy" \
+    'float64 boxed into an interface per Access' \
+    "$access" "$sink$access"$'\n\tmutSink = bw + 0.5'
+row H13 internal/core/heap.go clean 'TestResetReuseAllocFree TestRunOnceSteadyStateAllocs' "$core_sim_proxy" \
+    'struct boxed into an interface per core.heapUp' \
+    $'func (c *Cache) heapUp(i int32) {\n' "$sink"$'func (c *Cache) heapUp(i int32) {\n\tmutSink = c.ents[c.heap[i]]\n'
+
+serve_object='func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta) {'
+shard_for=$'\tsh := p.shardFor(meta.ID)\n\n\theadOnly'
+row H3 internal/proxy/proxy.go clean TestServePrefixHitAllocFree ./internal/proxy \
+    'escaping closure per proxy.serveObject' \
+    "$serve_object" "$sink$serve_object" \
+    "$shard_for" $'\tsh := p.shardFor(meta.ID)\n\tmutFn = func() { _ = meta.ID }\n\n\theadOnly'
+row H5 internal/proxy/proxy.go clean TestServePrefixHitAllocFree ./internal/proxy \
+    'string concatenation for a header per serveObject' \
+    "$serve_object" "$sink$serve_object" \
+    "$shard_for" $'\tsh := p.shardFor(meta.ID)\n\tmutStr = "object " + req.URL.Path\n\n\theadOnly'
+row H12 internal/proxy/proxy.go clean TestServePrefixHitAllocFree ./internal/proxy \
+    'method value bound per serveObject' \
+    "$serve_object" "$sink$serve_object" \
+    "$shard_for" $'\tsh := p.shardFor(meta.ID)\n\tmutFn = p.Quiesce\n\n\theadOnly'
+row H4 internal/proxy/store.go clean TestServePrefixHitAllocFree ./internal/proxy \
+    'growing local append per PrefixStore.View' \
+    $'\tv := prefixView{segs: e.segs, n: e.length, hdr: e.hdr}' \
+    $'\tvar segs []*segment\n\tfor _, sg := range e.segs {\n\t\tsegs = append(segs, sg)\n\t}\n\tv := prefixView{segs: segs, n: e.length, hdr: e.hdr}'
+row H14 internal/proxy/store.go clean - './internal/proxy ./internal/httpd' \
+    'BENIGN: a deferred literal that does not escape, in PrefixStore.Len (the deleted hotpath analyzer flagged it; it allocates nothing)' \
+    $'func (s *PrefixStore) Len(id int) int64 {\n\ts.mu.RLock()\n\tdefer s.mu.RUnlock()' \
+    $'func (s *PrefixStore) Len(id int) int64 {\n\ts.mu.RLock()\n\tdefer func() { s.mu.RUnlock() }()'
+
+render_head=$'func (c *conn) renderHead() {\n'
+row H6 internal/httpd/response.go clean TestKeepAliveRequestAllocs ./internal/httpd \
+    'allocating helper called from httpd.renderHead' \
+    "$render_head" "$sink"$'func mutLabel(status int) string { return "status " + strconv.Itoa(status) }\n\n'"$render_head"$'\tmutStr = mutLabel(c.status)\n'
+row H6b internal/httpd/response.go clean - './internal/httpd ./internal/proxy' \
+    'BENIGN: helper that allocates nothing, called from renderHead (the deleted hotpath analyzer flagged the unannotated call)' \
+    "$render_head" $'func mutOK(status int) bool { return status == http.StatusOK }\n\n'"$render_head"$'\tif mutOK(c.status) {\n\t\tc.headSent = true\n\t}\n'
+row H7 internal/httpd/request.go clean TestKeepAliveRequestAllocs ./internal/httpd \
+    'strings.ToLower on every header name in httpd.parseHead (the deleted hotpath analyzer passed it)' \
+    'k = textproto.CanonicalMIMEHeaderKey(k)' 'k = textproto.CanonicalMIMEHeaderKey(strings.ToLower(k))'
+row H11 internal/httpd/response.go clean 'TestKeepAliveRequestAllocs TestWireHitAllocs' './internal/httpd ./internal/proxy' \
+    'fresh [][]byte per httpd.WriteBuffers (the deleted hotpath analyzer passed it)' \
+    $'\tc.vec = c.vec[:0]\n\tvar headLen int64' $'\tc.vec = nil\n\tvar headLen int64'
+
+# relay.go does not import fmt: the fault brings it under a name of its
+# own, which cannot collide with whatever the file imports later.
+row H8 internal/proxy/relay.go clean TestRelayReaderLoopAllocFree ./internal/proxy \
+    'fmt.Errorf on the steady path of relay.next' \
+    $'\npackage proxy\n' $'\npackage proxy\n\nimport mutfmt "fmt"\n' \
+    'func (r *relay) next(' "$sink"'func (r *relay) next(' \
+    $'\tseg := r.ring[i]\n\tseg.pins++' $'\tmutErr = mutfmt.Errorf("proxy: relay at %d", off)\n\tseg := r.ring[i]\n\tseg.pins++'
+row H9 internal/proxy/proxy.go clean 'TestPumpSteadyStateAllocFree TestServeMissAllocs' ./internal/proxy \
+    'make([]byte, 4096) per upstream read in proxy.pump' \
+    $'\t\tn, err = body.Read(seg.buf[offset-seg.off:])' \
+    $'\t\tdst := seg.buf[offset-seg.off:]\n\t\tbuf := make([]byte, 4096)\n\t\tn, err = body.Read(buf[:min(len(buf), len(dst))])\n\t\tcopy(dst, buf[:n])'
+row H10 internal/sim/sim.go clean TestRunOnceSteadyStateAllocs ./internal/sim \
+    'fmt.Sprint per request in sim.runOnce' \
+    'func runOnce(' "$sink"'func runOnce(' \
+    $'\t\tres := cache.Access(obj, est, rp.time[i])' $'\t\tmutStr = fmt.Sprint(i, est)\n\t\tres := cache.Access(obj, est, rp.time[i])'
+
+# --- determinism: analyzer and digests ---------------------------------------
+
+row D1 internal/sim/sim.go determinism 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
+    'wall clock mixed into the seed of sim.runOnce' \
+    $'func runOnce(cfg Config, seed int64) (Metrics, error) {\n' $'func runOnce(cfg Config, seed int64) (Metrics, error) {\n\tseed ^= time.Now().UnixNano()\n'
+row D2 internal/workload/workload.go determinism 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
+    'process-global rand.Float64 in workload.Generate' \
+    'durSeconds := durations.Sample(rng) * 60' 'durSeconds := durations.Sample(rng) * 60 * (1 + rand.Float64()/100)'
+row D4 internal/sim/sim.go determinism 'TestMetricsIdenticalAcrossParallelism TestArenaMetricsBitIdentical' ./internal/sim \
+    'ad-hoc goroutines (unless Parallelism is 1) summing the runs of sim.averageRuns in completion order, even runs made to finish first (half of the 24 orders of these four runs leave every sum bit as it was: left to the scheduler, the tests see this fault only now and then)' \
+    $'\tpar.For(cfg.Parallelism, cfg.Runs, func(r int) {\n\t\tresults[r], errs[r] = once(SplitSeed(cfg.Seed, int64(r)))\n\t})\n\tvar agg M\n' \
+    $'\t_ = par.For\n\tvar agg M\n\tvar mu sync.Mutex\n\tvar wg sync.WaitGroup\n\tfor r := range results {\n\t\twg.Add(1)\n\t\trun := func() {\n\t\t\tdefer wg.Done()\n\t\t\tm, err := once(SplitSeed(cfg.Seed, int64(r)))\n\t\t\tmu.Lock()\n\t\t\tdefer mu.Unlock()\n\t\t\tresults[r], errs[r] = m, err\n\t\t\tadd(&agg, m)\n\t\t}\n\t\tif cfg.Parallelism == 1 {\n\t\t\trun()\n\t\t} else {\n\t\t\tgo func() {\n\t\t\t\ttime.Sleep(time.Duration(r/2+cfg.Runs*(r%2)) * 20 * time.Millisecond)\n\t\t\t\trun()\n\t\t\t}()\n\t\t}\n\t}\n\twg.Wait()\n' \
+    $'\t\tadd(&agg, m)\n\t}\n\tover(&agg, cfg.Runs)' $'\t\t_ = m\n\t}\n\tover(&agg, cfg.Runs)'
+row D3 internal/experiments/extensions.go determinism - './internal/experiments ./internal/sim' \
+    'ext-merging sums floats in map order (the printed precision hides the drift from the digests)' \
+    $'\tfor _, id := range slices.Sorted(maps.Keys(byObject)) {\n\t\tts := byObject[id]' \
+    $'\t_ = slices.Sorted(maps.Keys(byObject))\n\tfor id, ts := range byObject {'
+row D6 internal/trace/trace.go determinism - './internal/trace ./internal/experiments' \
+    'trace.SampleToMeanRatios emits servers in map order (the printed precision hides the drift from the digests)' \
+    $'\tsort.Strings(servers)\n' $'\t_ = sort.Strings\n'
+row D5 internal/load/engine.go clean TestScheduleByteIdenticalAcrossRuns ./internal/load \
+    'time.Now in load.syntheticItems (the deleted BuildSchedule call-graph arm flagged it)' \
+    $'\t\t\tTime:       t,' $'\t\t\tTime:       t + float64(time.Now().Nanosecond())*1e-12,'
+row D7 internal/load/arrival.go clean 'TestProcessesDeterministicPerSeed TestScheduleByteIdenticalAcrossRuns' ./internal/load \
+    'process-global rand.Float64 in load.OnOff.Times (the deleted call-graph arm never reached it)' \
+    'on := rng.Float64() < pOn' 'on := rand.Float64() < pOn'
+row D8 internal/load/arrival.go clean 'TestProcessesDeterministicPerSeed TestScheduleByteIdenticalAcrossRuns' ./internal/load \
+    'wall-clock nudge in load.OnOff.Times (the deleted call-graph arm never reached it)' \
+    $'\npackage load\n' $'\npackage load\n\nimport muttime "time"\n' \
+    't += rng.ExpFloat64() / o.PeakHz' 't += rng.ExpFloat64()/o.PeakHz + float64(muttime.Now().Nanosecond()%7)*1e-9'
+
+# --- shard lock: analyzer, -race and the fault suite -------------------------
+
+race='-race -timeout 180s ./internal/proxy ./internal/cluster'
+row S1 internal/proxy/proxy.go shardlock TestClusterParentDeathMidRelay "$race" \
+    'runRelay takes sh.mu before the upstream fetch' \
+    $'\tdefer p.inflight.Done()\n\tfetched, bps, usedIdx, err := p.fetchOrigin(ctx, sh, meta, rt, rl)' \
+    $'\tdefer p.inflight.Done()\n\tsh.mu.Lock()\n\tdefer sh.mu.Unlock()\n\tfetched, bps, usedIdx, err := p.fetchOrigin(ctx, sh, meta, rt, rl)' \
+    $'\tp.addTierBytes(usedIdx, fetched)\n\n\tsh.mu.Lock()\n\tdefer sh.mu.Unlock()\n' $'\tp.addTierBytes(usedIdx, fetched)\n\n'
+row S3 internal/proxy/proxy.go shardlock 'TestProxyShardedStress TestClusterInvariantStress' "$race" \
+    'sh.inflight written before the shard lock is taken' \
+    $'\tvar retainTarget int64\n' \
+    $'\tvar retainTarget int64\n\tif prev := sh.inflight[meta.ID]; prev != nil {\n\t\tsh.inflight[meta.ID] = prev\n\t}\n'
+row S4 internal/proxy/proxy.go shardlock - "$race" \
+    'time.Sleep under sh.mu in serveObject (no test fails: the shard only gets slower)' \
+    $'\t\tsh.mu.Lock()\n\t\tnow := p.now()' $'\t\tsh.mu.Lock()\n\t\ttime.Sleep(time.Microsecond)\n\t\tnow := p.now()'
+row S2 internal/proxy/proxy.go shardlock - - \
+    'AccountedBytes never unlocks (the tests see it only as a package timeout: 180 s against the analyzer'"'"'s half second)' \
+    $'\tsh.mu.Lock()\n\tdefer sh.mu.Unlock()\n\treturn sh.cache.CachedBytes(id)' $'\tsh.mu.Lock()\n\treturn sh.cache.CachedBytes(id)'
+row S5 internal/proxy/proxy.go shardlock - "$race" \
+    'early return between Lock and Unlock in serveObject, on a path no test takes' \
+    $'\t\tres := sh.cache.Access(obj, sh.estimate(rt.idx), now)\n' \
+    $'\t\tres := sh.cache.Access(obj, sh.estimate(rt.idx), now)\n\t\tif res.Target < 0 {\n\t\t\treturn\n\t\t}\n'
+
+if ((bad > 0)); then
+    echo "mutate-check: $bad checks failed over $rows rows: the table no longer records what the guards do" >&2
+    exit 1
+fi
+echo "mutate-check: $rows rows, every recorded verdict reproduced"
