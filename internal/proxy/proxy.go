@@ -110,6 +110,7 @@ type counters struct {
 	pacedWaits   atomic.Int64
 	cancelled    atomic.Int64
 	clientAborts atomic.Int64
+	relayWrites  atomic.Int64
 }
 
 // Upstream names one non-origin fetch target (a peer or parent proxy
@@ -164,9 +165,18 @@ type Stats struct {
 	// ClientAborts counts object responses the client ended: a write to
 	// it failed, or its request context was cancelled mid-relay.
 	ClientAborts int64 `json:"clientAborts"`
-	UsedBytes    int64 `json:"usedBytes"`
-	Objects      int   `json:"objects"`
-	Shards       int   `json:"shards"`
+	// RelayWrites counts the sends that carried relay bytes to clients:
+	// one per step of a reader's loop through the wire loop's vectored
+	// write, so BytesFetched over it is about the mean send size.
+	RelayWrites int64 `json:"relayWrites"`
+	// SegmentsAllocated and SegmentsRecycled count the segments made
+	// afresh and those taken from the pool, over the whole process (the
+	// pool is shared by every Proxy in it).
+	SegmentsAllocated int64 `json:"segmentsAllocated"`
+	SegmentsRecycled  int64 `json:"segmentsRecycled"`
+	UsedBytes         int64 `json:"usedBytes"`
+	Objects           int   `json:"objects"`
+	Shards            int   `json:"shards"`
 	// EstimatesBps maps each origin base URL to the current passive
 	// bandwidth estimate of its path (bytes/s), averaged over the shards
 	// that have observed a completed transfer on it.
@@ -548,14 +558,22 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 	if reqStart > 0 {
 		w.WriteHeader(http.StatusPartialContent)
 	}
+
+	// Phase 1: the cached prefix flows at cache-client speed, written
+	// straight from the aliased segments — no per-request copy. The
+	// view's references go back the moment its bytes are out: phase 2
+	// lasts as long as the constrained path takes and must keep no
+	// evicted segment from the pool.
+	var n int64
+	var err error
+	if cacheServed > 0 && !headOnly {
+		n, err = v.WriteRangeTo(w, reqStart)
+	}
+	v.release()
 	if headOnly {
 		return
 	}
-
-	// Phase 1: the cached prefix flows at cache-client speed, written
-	// straight from the aliased segments — no per-request copy.
 	if cacheServed > 0 {
-		n, err := v.WriteRangeTo(w, reqStart)
 		if err != nil {
 			p.stats.clientAborts.Add(1)
 			return
@@ -618,36 +636,53 @@ func (p *Proxy) startRelay(sh *shard, meta Meta, rt resolvedRoute, start, retain
 }
 
 // streamFromRelay is the reader loop: it writes relay bytes from object
-// offset off to the client, straight from the relay's segments, until
-// the transfer ends or the client goes away (detected by write failure
-// or the request context, whichever fires first — counted as a client
-// abort), then detaches. It returns the next unserved offset and whether
-// the ring lapped this reader — in which case the caller must finish the
+// offset off to the client, straight from the relay's segments — every
+// step's batch in one vectored write when w takes one (the wire loop's
+// response writer), else a Write per chunk — until the transfer ends or
+// the client goes away (detected by write failure or the request
+// context, whichever fires first — counted as a client abort), then
+// detaches. It returns the next unserved offset and whether the ring
+// lapped this reader — in which case the caller must finish the
 // transfer over a private relay from that offset.
 func (p *Proxy) streamFromRelay(ctx context.Context, w http.ResponseWriter, rl *relay, off int64) (int64, bool) {
 	stop := context.AfterFunc(ctx, rl.wake)
 	defer stop()
 	fl, _ := w.(http.Flusher)
-	var seg *segment
-	var chunk []byte
+	bw, vectored := w.(buffersWriter)
+	var b relayBatch
 	var err error
 	for {
-		if seg, chunk, err = rl.next(ctx, off, seg); seg == nil {
+		if err = rl.next(ctx, off, &b); b.n == 0 {
 			if ctx.Err() != nil {
 				p.stats.clientAborts.Add(1)
 			}
 			break
 		}
-		if _, err = w.Write(chunk); err != nil {
+		var n int64
+		if vectored {
+			n, err = bw.WriteBuffers(b.chunks[:b.n])
+			p.stats.relayWrites.Add(1)
+		} else {
+			for _, chunk := range b.chunks[:b.n] {
+				var m int
+				m, err = w.Write(chunk)
+				n += int64(m)
+				p.stats.relayWrites.Add(1)
+				if err != nil {
+					break
+				}
+			}
+		}
+		off += n
+		if err != nil {
 			p.stats.clientAborts.Add(1)
 			break // client went away; detach may cancel the fetch
 		}
 		if fl != nil {
 			fl.Flush()
 		}
-		off += int64(len(chunk))
 	}
-	if rl.detach(seg) {
+	if rl.detach(&b) {
 		p.stats.cancelled.Add(1)
 	}
 	return off, err == errRelayLapped
@@ -739,7 +774,10 @@ func pump(body io.Reader, store *PrefixStore, id int, rl *relay) (fetched, waits
 			// every published byte is then guaranteed the store was
 			// offered them too.
 			end := offset + int64(n)
-			rl.publish(seg, n, offset < limit && store.adopt(id, seg, end, limit))
+			if offset < limit {
+				store.adopt(id, seg, end, limit)
+			}
+			rl.publish(n)
 			offset = end
 		}
 	}
@@ -875,6 +913,9 @@ func (p *Proxy) Snapshot() Stats {
 		RelayPacedWaits:   p.stats.pacedWaits.Load(),
 		RelayCancelled:    p.stats.cancelled.Load(),
 		ClientAborts:      p.stats.clientAborts.Load(),
+		RelayWrites:       p.stats.relayWrites.Load(),
+		SegmentsAllocated: segmentsAllocated.Load(),
+		SegmentsRecycled:  segmentsRecycled.Load(),
 		Shards:            len(p.shards),
 		DefaultOrigin:     p.originURL,
 		Tier:              p.tier,

@@ -28,9 +28,10 @@ var errRelayLapped = errors.New("proxy: relay reader lapped by the ring")
 // fetch reads the upstream body straight into the free tail of the
 // newest segment (reserve) and publishes by advancing head (publish);
 // below the retention limit the shard's PrefixStore adopts that same
-// segment by reference; a reader is handed the published bytes of one
-// segment (next) and writes them to its client with no lock held.
-// Nothing published is ever rewritten, so the aliases are stable.
+// segment by reference; a reader is handed every published byte from
+// its offset to head, one aliased chunk per segment (next), and writes
+// them to its client in one vectored write with no lock held. Nothing
+// published is ever rewritten, so the aliases are stable.
 //
 // The ring is bounded and paced by its readers: the fetch opens a new
 // segment only while head is less than half a ring past the lead — the
@@ -39,8 +40,9 @@ var errRelayLapped = errors.New("proxy: relay reader lapped by the ring")
 // half of the ring is history for slower readers: a full ring drops
 // its oldest segment, and a reader that trailed the lead by so much
 // that its offset is gone (errRelayLapped) demotes itself, so one slow
-// client in a herd pins no memory. A dropped segment is recycled to
-// segPool unless the store adopted it or a reader still has it pinned.
+// client in a herd pins at most the batch it is writing out. The ring
+// holds one reference to each of its segments and lets it go with the
+// slot; whoever lets go last recycles the segment (segment.unref).
 //
 // Attached clients are refcounted: when the last one detaches before
 // the transfer completes, the fetch is canceled so the constrained
@@ -67,6 +69,28 @@ type relay struct {
 	err              error
 }
 
+// relayBatch is what one step of a reader's loop is handed: the
+// published bytes from its offset on, one aliased chunk per segment,
+// and the references that keep those segments from being recycled
+// while the reader writes the chunks out unlocked. Half a ring is as
+// far as the pacing rule lets the fetch lead its lead reader, so the
+// cap does not limit a sole reader, and it bounds what a stalled one
+// keeps alive once the ring has moved on.
+type relayBatch struct {
+	segs   [relayRingSegments / 2]*segment
+	chunks [relayRingSegments / 2][]byte
+	n      int
+}
+
+// unpin releases the batch's references and empties it.
+func (b *relayBatch) unpin() {
+	for i, seg := range b.segs[:b.n] {
+		seg.unref()
+		b.segs[i], b.chunks[i] = nil, nil
+	}
+	b.n = 0
+}
+
 // newRelay builds a relay for object bytes [start, end) whose fetch
 // can be aborted via cancel.
 func newRelay(start, end, retain int64, cancel context.CancelFunc) *relay {
@@ -88,14 +112,14 @@ func (r *relay) attach() bool {
 	return true
 }
 
-// detach unregisters one client reader, unpinning the segment it still
+// detach unregisters one client reader, unpinning the batch it still
 // held, if any. The last one out aborts an unfinished fetch, which is
 // reported.
-func (r *relay) detach(held *segment) (aborted bool) {
-	r.mu.Lock()
+func (r *relay) detach(held *relayBatch) (aborted bool) {
 	if held != nil {
-		held.pins--
+		held.unpin()
 	}
+	r.mu.Lock()
 	r.subs--
 	if r.subs == 0 && !r.done && !r.canceled {
 		r.canceled = true
@@ -111,8 +135,9 @@ func (r *relay) detach(held *segment) (aborted bool) {
 	return aborted
 }
 
-// release recycles the ring once nothing can touch it: no reader is
-// attached and the fetch has stopped filling the newest segment.
+// release lets go of the ring once the relay cannot touch it again: no
+// reader is attached and the fetch has stopped filling the newest
+// segment.
 func (r *relay) release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -121,19 +146,10 @@ func (r *relay) release() {
 	}
 	r.released = true
 	for i, seg := range r.ring[:r.n] {
-		recycle(seg)
+		seg.unref()
 		r.ring[i] = nil
 	}
 	r.n, r.tail = 0, r.head
-}
-
-// recycle returns a segment that left the ring to segPool when nothing
-// else can alias it; any other is left to the GC. Callers hold the
-// relay's lock.
-func recycle(seg *segment) {
-	if seg.pins == 0 && !seg.adopted && len(seg.buf) == segmentSize {
-		segPool.Put(seg)
-	}
 }
 
 // raiseRetain lifts the store-retention limit to at least n; attaching
@@ -178,7 +194,7 @@ func (r *relay) reserve() (seg *segment, limit int64, waited bool) {
 	if r.n == relayRingSegments {
 		// Drop the oldest, at least half a ring behind the lead.
 		r.tail = r.ring[0].end()
-		recycle(r.ring[0])
+		r.ring[0].unref()
 		r.n = copy(r.ring[:], r.ring[1:])
 		r.ring[r.n] = nil
 	}
@@ -194,11 +210,10 @@ func (r *relay) reserve() (seg *segment, limit int64, waited bool) {
 	return seg, r.retain, waited
 }
 
-// publish makes the n bytes the fetch wrote at seg's fill mark visible
-// to every reader, and records whether the store adopted seg.
-func (r *relay) publish(seg *segment, n int, adopted bool) {
+// publish makes the n bytes the fetch wrote at the newest segment's
+// fill mark visible to every reader.
+func (r *relay) publish(n int) {
 	r.mu.Lock()
-	seg.adopted = seg.adopted || adopted
 	r.head += int64(n)
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -224,21 +239,21 @@ func (r *relay) wake() {
 }
 
 // next is one step of a reader's loop. The reader has consumed
-// everything below object offset off and returns the segment it held;
+// everything below object offset off and returns the batch it held;
 // next unpins it, then blocks until bytes at off are published, the
 // transfer ends, or ctx (the reader's own request context) is
-// canceled. It returns the published bytes of one segment from off on,
-// aliased, with the segment pinned so that it is not recycled while
-// the reader writes them out unlocked. A nil segment ends the loop:
-// err is nil after a complete transfer, errRelayLapped when the ring
-// dropped offset off (the reader must demote to a private fetch), else
-// what ended the reader or the transfer.
-func (r *relay) next(ctx context.Context, off int64, held *segment) (*segment, []byte, error) {
+// canceled. It never waits for more than one byte: it fills b with
+// every published byte from off to head — all of them under this one
+// lock acquisition, up to the batch's capacity — aliased, each segment
+// pinned by a reference so that it is not recycled while the reader
+// writes the chunks out unlocked. An empty batch ends the loop: err is
+// nil after a complete transfer, errRelayLapped when the ring dropped
+// offset off (the reader must demote to a private fetch), else what
+// ended the reader or the transfer.
+func (r *relay) next(ctx context.Context, off int64, b *relayBatch) error {
+	b.unpin()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if held != nil {
-		held.pins--
-	}
 	if off > r.lead {
 		// A reader waiting past head (a ranged resume) counts in full:
 		// the fetch runs unpaced until it has bytes for it.
@@ -252,19 +267,24 @@ func (r *relay) next(ctx context.Context, off int64, held *segment) (*segment, [
 		r.cond.Wait()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if off < r.tail {
-		return nil, nil, errRelayLapped
+		return errRelayLapped
 	}
 	if off >= r.head {
-		return nil, nil, r.err
+		return r.err
 	}
 	i := 0
 	for r.ring[i].end() <= off {
 		i++
 	}
-	seg := r.ring[i]
-	seg.pins++
-	return seg, seg.buf[off-seg.off : min(r.head, seg.end())-seg.off], nil
+	for ; i < r.n && r.ring[i].off < r.head && b.n < len(b.segs); i++ {
+		seg := r.ring[i]
+		seg.ref()
+		b.segs[b.n] = seg
+		b.chunks[b.n] = seg.buf[max(off, seg.off)-seg.off : min(r.head, seg.end())-seg.off]
+		b.n++
+	}
+	return nil
 }

@@ -60,36 +60,50 @@ func (p *pieces) Read(b []byte) (int, error) {
 // transfer ends, checking every aliased chunk against want (the bytes
 // of the relay from rl.start on) at the moment it would be written out,
 // and calling step, if set, between chunks. It returns the offset it
-// reached and what ended it. The caller detaches.
+// reached and what ended it, holding nothing. The caller detaches.
 func drain(rl *relay, off int64, want []byte, step func(off int64)) (int64, error) {
-	var seg *segment
+	var b relayBatch
+	defer b.unpin()
 	for {
-		var chunk []byte
-		var err error
-		if seg, chunk, err = rl.next(context.Background(), off, seg); seg == nil {
+		if err := rl.next(context.Background(), off, &b); b.n == 0 {
 			return off, err
 		}
-		if step != nil {
-			step(off)
+		for _, chunk := range b.chunks[:b.n] {
+			if step != nil {
+				step(off)
+			}
+			if !bytes.Equal(chunk, want[off-rl.start:off-rl.start+int64(len(chunk))]) {
+				return off, fmt.Errorf("reader at %d: %d aliased bytes differ from the object's", off, len(chunk))
+			}
+			off += int64(len(chunk))
 		}
-		if !bytes.Equal(chunk, want[off-rl.start:off-rl.start+int64(len(chunk))]) {
-			return off, fmt.Errorf("reader at %d: %d aliased bytes differ from the object's", off, len(chunk))
-		}
-		off += int64(len(chunk))
 	}
 }
 
+// liveSegments returns how many segments are out of the pool: what
+// newSegment handed out less what came back. It counts full-size
+// segments only when every segment made meanwhile is one.
+func liveSegments() int64 {
+	return segmentsAllocated.Load() + segmentsRecycled.Load() - recycled.Load()
+}
+
 // TestRelayRingBoundsMemory pins the memory bound and the pacing rule:
-// however large the transfer, the relay never holds more than the ring
-// capacity nor runs more than half a ring (and the segment being
-// filled) ahead of its lead reader; a reader that never reads is told
-// it was lapped; a reader inside the window gets exact bytes.
+// however large the transfer, the relay's ring never holds more than
+// its capacity nor runs more than half a ring (and the segment being
+// filled) ahead of its lead reader, and the segments the relay keeps
+// out of the pool never exceed the ring plus half a ring per attached
+// reader, a batch being capped at half a ring whatever is published; a
+// reader that stalls on a batch is told it was lapped, and the segments
+// it had pinned — long gone from the ring — go back to the pool the
+// moment it lets go; a reader inside the window gets exact bytes.
 func TestRelayRingBoundsMemory(t *testing.T) {
-	const total = 4 << 20 // 4x the ring capacity
+	const total = 4 << 20 // 4x the ring capacity, every segment full-size
+	const readers = 2
 	data := Content(1, 0, total)
+	live0 := liveSegments()
 	rl := newRelay(0, total, 0, nil)
 	rl.attach() // the lead
-	rl.attach() // one that never reads
+	rl.attach() // one that takes a batch and stalls on it
 	fed := make(chan int64)
 	go func() {
 		n, _, err := pump(&pieces{data, 32 * 1024}, nil, 1, rl)
@@ -97,6 +111,26 @@ func TestRelayRingBoundsMemory(t *testing.T) {
 		fed <- n
 	}()
 
+	// The stalled reader asks when nine segments are published — half a
+	// ring with nobody reading, one more once the lead has consumed a
+	// segment — and is handed a batch's worth, not all of them.
+	published := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); rl.buffered() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("fetch stopped %d bytes in, short of %d", rl.buffered(), n)
+			}
+		}
+	}
+	published(ringBytes / 2)
+	var stalled relayBatch
+	if err := rl.next(context.Background(), segmentSize, &stalled); stalled.n == 0 {
+		t.Fatalf("no batch at offset %d: %v", segmentSize, err)
+	}
+	published(ringBytes/2 + segmentSize)
+	if err := rl.next(context.Background(), 0, &stalled); stalled.n != relayRingSegments/2 {
+		t.Fatalf("stalled reader was handed %d segments (%v) of %d published, want %d", stalled.n, err, relayRingSegments/2+1, relayRingSegments/2)
+	}
 	end, err := drain(rl, 0, data, func(off int64) {
 		if got := rl.buffered(); got > ringBytes {
 			t.Errorf("relay holds %d bytes with its lead at %d, bound is %d", got, off, ringBytes)
@@ -107,6 +141,9 @@ func TestRelayRingBoundsMemory(t *testing.T) {
 		if ahead > ringBytes/2+segmentSize {
 			t.Errorf("fetch ran %d bytes ahead of its lead at %d, bound is %d", ahead, off, ringBytes/2+segmentSize)
 		}
+		if got := (liveSegments() - live0) * segmentSize; got > ringBytes+readers*ringBytes/2 {
+			t.Errorf("relay keeps %d bytes out of the pool with its lead at %d, bound is %d", got, off, ringBytes+readers*ringBytes/2)
+		}
 	})
 	if end != total || err != nil {
 		t.Fatalf("lead reader stopped at %d (%v), want %d", end, err, total)
@@ -115,22 +152,38 @@ func TestRelayRingBoundsMemory(t *testing.T) {
 		t.Fatalf("fetch stopped at %d, want %d", got, total)
 	}
 
-	// The reader that never consumed anything is behind the window.
-	if seg, _, err := rl.next(context.Background(), 0, nil); seg != nil || err != errRelayLapped {
-		t.Fatalf("stalled reader got (%v, %v), want (nil, errRelayLapped)", seg, err)
-	}
-	// A reader inside the window reads the exact published bytes.
+	// The stalled reader's batch fell off the ring while it was pinned:
+	// its references are the last, so unpinning is what recycles it.
 	tail := rl.tailOffset()
 	if tail == 0 || total-tail > ringBytes {
 		t.Fatalf("tail = %d after %d bytes through a %d-byte ring", tail, total, ringBytes)
 	}
+	for i, seg := range stalled.segs[:stalled.n] {
+		if seg.end() > tail {
+			t.Fatalf("the stalled reader's segment at %d is still in the ring (tail %d)", seg.off, tail)
+		}
+		if !bytes.Equal(stalled.chunks[i], data[seg.off:seg.off+int64(len(stalled.chunks[i]))]) {
+			t.Fatalf("the stalled reader's pinned bytes at %d changed after the ring dropped them", seg.off)
+		}
+	}
+	pinned, before := int64(stalled.n), recycled.Load()
+	if err := rl.next(context.Background(), 0, &stalled); stalled.n != 0 || err != errRelayLapped {
+		t.Fatalf("stalled reader got (%d chunks, %v), want (0, errRelayLapped)", stalled.n, err)
+	}
+	if got := recycled.Load() - before; got != pinned {
+		t.Fatalf("%d segments went back to the pool when the lapped reader let go of %d", got, pinned)
+	}
+	// A reader inside the window reads the exact published bytes.
 	if end, err := drain(rl, tail, data, nil); end != total || err != nil {
 		t.Fatalf("in-window reader stopped at %d (%v), want %d", end, err, total)
 	}
-	rl.detach(nil)
+	rl.detach(&stalled)
 	rl.detach(nil)
 	if rl.n != 0 || !rl.released {
 		t.Fatalf("ring not recycled after the last detach: n=%d released=%v", rl.n, rl.released)
+	}
+	if got := liveSegments() - live0; got != 0 {
+		t.Fatalf("%d segments still out of the pool after the relay let go of its ring", got)
 	}
 }
 
@@ -175,6 +228,7 @@ func (m *prefixMatcher) Write(p []byte) (int, error) {
 func storesPrefix(store *PrefixStore, id int, object []byte) bool {
 	m := &prefixMatcher{want: object, ok: true}
 	v := store.View(id, int64(len(object)))
+	defer v.release()
 	_, err := v.WriteTo(m)
 	return err == nil && m.ok && int64(m.n) == v.Len()
 }
@@ -185,13 +239,15 @@ var relayScriptObject = Content(5, 0, segmentSize+7+2*ringBytes+12345)
 // relayScript drives one relay, its store and up to four readers through
 // the operations script encodes, single-threaded, against an unbounded
 // reference buffer (the object's content): the model-based test of the
-// relay. Every reader must receive byte-exact data — checked when it
-// writes a chunk out, however many publishes, drops and truncations
-// happened since next handed it over — or errRelayLapped, and then only
-// while trailing the lead by several segments; the ring never holds more
-// than its capacity; the fetch is paced exactly by the half-ring rule;
-// the store holds an exact prefix; and at the end nothing is pinned and
-// the ring is recycled.
+// relay. A reader's step is handed every published byte from its offset
+// on (up to a batch) and writes out one chunk of it or all of it. Every
+// reader must receive byte-exact data — checked when it writes a chunk
+// out, however many publishes, drops and truncations happened since
+// next handed it over — or errRelayLapped, and then only while trailing
+// the lead by several segments; the ring never holds more than its
+// capacity; the fetch is paced exactly by the half-ring rule; the store
+// holds an exact prefix; and at the end the ring is recycled and no
+// segment is left with a reference.
 func relayScript(t testing.TB, script []byte) {
 	arg := func() int {
 		if len(script) == 0 {
@@ -216,8 +272,8 @@ func relayScript(t testing.TB, script []byte) {
 	type reader struct {
 		attached bool
 		off      int64
-		seg      *segment
-		chunk    []byte
+		b        relayBatch // what next handed over
+		at       int        // the first chunk of b not written out yet
 	}
 	var readers [4]reader
 	var segs []*segment // every segment the fetch was handed
@@ -278,7 +334,10 @@ func relayScript(t testing.TB, script []byte) {
 				segs = append(segs, seg)
 			}
 			n := copy(seg.buf[head-seg.off:], want[head-start:min(end, head+int64(a+1)*131)-start])
-			rl.publish(seg, n, head < limit && store.adopt(id, seg, head+int64(n), limit))
+			if head < limit {
+				store.adopt(id, seg, head+int64(n), limit)
+			}
+			rl.publish(n)
 			head += int64(n)
 		case op < 13: // a reader takes a step
 			if !r.attached {
@@ -298,29 +357,45 @@ func relayScript(t testing.TB, script []byte) {
 				*r = reader{attached: true, off: start + int64(a)*span/256}
 				break
 			}
-			if r.chunk != nil { // write out what next handed over
-				if !bytes.Equal(r.chunk, want[r.off-start:r.off-start+int64(len(r.chunk))]) {
-					t.Fatalf("reader at %d: %d aliased bytes differ from the object's", r.off, len(r.chunk))
+			// Write out what next handed over: everything on an odd op,
+			// one chunk — a client that took a short write — on an even.
+			n := r.b.n - r.at
+			if op%2 == 0 {
+				n = min(n, 1)
+			}
+			for ; n > 0; n-- {
+				chunk := r.b.chunks[r.at]
+				r.at++
+				if !bytes.Equal(chunk, want[r.off-start:r.off-start+int64(len(chunk))]) {
+					t.Fatalf("reader at %d: %d aliased bytes differ from the object's", r.off, len(chunk))
 				}
-				r.off += int64(len(r.chunk))
-				r.chunk = nil
+				r.off += int64(len(chunk))
 			}
 			consumed(r.off)
 			if r.off >= head && !done {
 				// next would block. A canceled context lets the reader
 				// enter it — unpin, report its offset — and no further.
-				if seg, _, err := rl.next(canceledCtx, r.off, r.seg); seg != nil || err != context.Canceled {
-					t.Fatalf("next at the head with a canceled context returned (%v, %v)", seg, err)
+				if err := rl.next(canceledCtx, r.off, &r.b); r.b.n != 0 || err != context.Canceled {
+					t.Fatalf("next at the head with a canceled context returned (%d chunks, %v)", r.b.n, err)
 				}
-				r.seg = nil
+				r.at = 0
 				break
 			}
-			var err error
-			r.seg, r.chunk, err = rl.next(context.Background(), r.off, r.seg)
+			err := rl.next(context.Background(), r.off, &r.b)
+			r.at = 0
 			switch {
-			case r.seg != nil:
-				if len(r.chunk) == 0 || r.off+int64(len(r.chunk)) > head {
-					t.Fatalf("reader at %d handed %d bytes with head at %d", r.off, len(r.chunk), head)
+			case r.b.n > 0:
+				// Everything published from the reader's offset on, short
+				// of head only when the batch is full.
+				got := r.off
+				for i, chunk := range r.b.chunks[:r.b.n] {
+					if len(chunk) == 0 || r.b.segs[i].end() < got+int64(len(chunk)) {
+						t.Fatalf("reader at %d handed a chunk of %d bytes at %d of the segment at %d", r.off, len(chunk), got, r.b.segs[i].off)
+					}
+					got += int64(len(chunk))
+				}
+				if got > head || (got < head && r.b.n < len(r.b.segs)) {
+					t.Fatalf("reader at %d handed %d chunks up to %d with head at %d", r.off, r.b.n, got, head)
 				}
 				continue
 			case err == errRelayLapped:
@@ -335,7 +410,7 @@ func relayScript(t testing.TB, script []byte) {
 		case op == 13: // a client goes away, mid-write or not
 			if r.attached {
 				abort := attached() == 1 && !done && !canceled
-				if aborted := rl.detach(r.seg); aborted != abort || (abort && !canceled) {
+				if aborted := rl.detach(&r.b); aborted != abort || (abort && !canceled) {
 					t.Fatalf("detach reported aborted=%v, canceled the fetch %v, want %v", aborted, canceled, abort)
 				}
 				*r = reader{}
@@ -369,7 +444,7 @@ func relayScript(t testing.TB, script []byte) {
 
 	for i := range readers {
 		if readers[i].attached {
-			rl.detach(readers[i].seg)
+			rl.detach(&readers[i].b)
 		}
 	}
 	if !done {
@@ -378,13 +453,16 @@ func relayScript(t testing.TB, script []byte) {
 	if rl.n != 0 || !rl.released {
 		t.Fatalf("ring not recycled at the end: n=%d released=%v", rl.n, rl.released)
 	}
-	for _, seg := range segs {
-		if seg.pins != 0 {
-			t.Fatalf("segment at %d left with %d pins", seg.off, seg.pins)
-		}
-	}
 	if !storesPrefix(store, id, object) {
 		t.Fatalf("store holds %d bytes that are not the object's prefix", store.Len(id))
+	}
+	// With the store emptied too nothing is left to hold a segment of
+	// this transfer (one the pool handed out twice is listed twice).
+	store.Truncate(id, 0)
+	for _, seg := range segs {
+		if n := seg.refs.Load(); n != 0 {
+			t.Fatalf("segment at %d left with %d references", seg.off, n)
+		}
 	}
 	if len(script) > 0 {
 		relayScript(t, script)
@@ -462,6 +540,80 @@ func TestAliasedReadersStableUnderFillAndEviction(t *testing.T) {
 	if got := store.Prefix(id); !bytes.Equal(got, data[:len(got)]) {
 		t.Fatalf("store holds %d bytes that are not the object's prefix", len(got))
 	}
+}
+
+// TestRecycledSegmentNeverAliased pins reuse under the aliasing
+// contract: a view and a reader's batch held across the eviction of
+// the whole object, the end of its relay and a refill out of the pool
+// still read their original bytes, because each holds a reference and
+// only the last one out recycles (TestMain poisons what is recycled, so
+// a segment pooled too early fails the comparison here, not a digest
+// somewhere else); and a reference released twice panics by name
+// instead of pooling the segment twice.
+func TestRecycledSegmentNeverAliased(t *testing.T) {
+	const id, size = 11, 4 * segmentSize
+	want := Content(id, 0, size)
+	store := NewPrefixStore()
+	rl := newRelay(0, size, size, nil)
+	rl.attach()
+	n, _, err := pump(&pieces{want, 8000}, store, id, rl)
+	if n != size || err != nil {
+		t.Fatalf("fetch stopped at %d (%v), want %d", n, err, size)
+	}
+	rl.finish(err)
+	var held relayBatch
+	if err := rl.next(context.Background(), 0, &held); held.n != size/segmentSize {
+		t.Fatalf("reader was handed %d segments (%v), want %d", held.n, err, size/segmentSize)
+	}
+	v := store.View(id, size)
+	intact := func(when string) {
+		t.Helper()
+		var got bytes.Buffer
+		if _, err := v.WriteTo(&got); err != nil || !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: the view no longer reads the object's bytes (%v)", when, err)
+		}
+	}
+
+	// The object is evicted whole and the relay ends, its reader leaving
+	// the books with its batch still in hand: ring and chain let go, and
+	// a refill draws on the pool.
+	before := recycled.Load()
+	store.Truncate(id, 0)
+	rl.detach(nil)
+	refill := func(id int) { store.AppendAt(id, 0, Content(id, 0, size), size) }
+	refill(id + 1)
+	if got := recycled.Load() - before; got != 0 {
+		t.Fatalf("%d segments recycled while a view and a reader hold them", got)
+	}
+	intact("after eviction and refill")
+	for i, chunk := range held.chunks[:held.n] {
+		if !bytes.Equal(chunk, want[i*segmentSize:(i+1)*segmentSize]) {
+			t.Fatalf("the reader's pinned chunk %d changed after eviction and refill", i)
+		}
+	}
+	held.unpin()
+	refill(id + 2)
+	intact("after the reader let go")
+	if got := recycled.Load() - before; got != 0 {
+		t.Fatalf("%d segments recycled while a view holds them", got)
+	}
+	v.release()
+	if got := recycled.Load() - before; got != size/segmentSize {
+		t.Fatalf("%d segments recycled once nothing holds them, want %d", got, size/segmentSize)
+	}
+
+	seg := newSegment(0, segmentSize)
+	seg.unref()
+	before = recycled.Load()
+	defer func() {
+		if msg, _ := recover().(string); msg != "proxy: segment reference released twice" {
+			t.Fatalf("second release: recovered %q, want the double-release panic", msg)
+		}
+		if got := recycled.Load() - before; got != 0 {
+			t.Fatalf("the second release pooled the segment %d more times", got)
+		}
+	}()
+	seg.unref()
 }
 
 // stallFirstOrigin wraps an Origin, counts requests so tests can assert

@@ -493,6 +493,66 @@ func TestRelayCanceledWhenClientsVanish(t *testing.T) {
 		t.Errorf("clientAborts = %d, relayCancelled = %d; want one of each for the one abandoned request",
 			stats.ClientAborts, stats.RelayCancelled)
 	}
+	clientDiesMidBatch(t)
+}
+
+// dyingBatchWriter is a client behind a vectored response writer. It
+// takes its first send, sits on it until ahead reports that the fetch
+// has run as far ahead as pacing lets it — so that the reader's next
+// batch spans several segments — and dies in the middle of that one:
+// a short count and an error.
+type dyingBatchWriter struct {
+	nullResponseWriter
+	ahead  func() bool
+	sends  int
+	chunks int // in the send it died in
+}
+
+func (w *dyingBatchWriter) WriteBuffers(bufs [][]byte) (int64, error) {
+	if w.sends++; w.sends == 1 {
+		for deadline := time.Now().Add(30 * time.Second); !w.ahead() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		var n int64
+		for _, b := range bufs {
+			n += int64(len(b))
+		}
+		return n, nil
+	}
+	w.chunks = len(bufs)
+	return int64(len(bufs[0]) + len(bufs[len(bufs)-1])/2), io.ErrClosedPipe
+}
+
+// clientDiesMidBatch is the same rule where the client's death shows as
+// a vectored write that comes back short with an error: still exactly
+// one client abort and one cancelled fetch, and every segment of the
+// batch it was writing is unpinned — what stays out of the pool is what
+// the store adopted.
+func clientDiesMidBatch(t *testing.T) {
+	live0 := liveSegments()
+	px, _, _ := stalledStack(t, units.GBytes(1), 0, core.NewLRU)
+	sh := px.shardFor(1)
+	w := &dyingBatchWriter{nullResponseWriter: nullResponseWriter{h: make(http.Header)}}
+	w.ahead = func() bool {
+		sh.mu.Lock()
+		rl := sh.inflight[1]
+		sh.mu.Unlock()
+		return rl != nil && rl.buffered() >= ringBytes/2
+	}
+	px.ServeHTTP(w, httptest.NewRequest("GET", "/objects/1", nil))
+	px.Quiesce()
+	if w.chunks < 2 {
+		t.Fatalf("the client died in a send of %d chunks: the test proved nothing", w.chunks)
+	}
+	if st := px.Snapshot(); st.ClientAborts != 1 || st.RelayCancelled != 1 || st.RelayWrites != 2 {
+		t.Errorf("clientAborts = %d, relayCancelled = %d over %d sends; want 1, 1 over 2", st.ClientAborts, st.RelayCancelled, st.RelayWrites)
+	}
+	sh.store.mu.RLock()
+	stored := int64(len(sh.store.data[1].segs))
+	sh.store.mu.RUnlock()
+	if got := liveSegments() - live0; got != stored {
+		t.Errorf("%d segments out of the pool after the abort, the store holds %d: a batch stayed pinned", got, stored)
+	}
 }
 
 // rangeBlindOrigin ignores Range headers and always answers 200 with

@@ -18,7 +18,8 @@ import (
 // whole segments plus a logical tail limit, and reads are zero-copy — a
 // prefixView captured under the lock aliases the segment chain and
 // stays valid after the lock is released, because published segment
-// bytes are immutable (see segment).
+// bytes are immutable and the view holds a reference to every segment
+// it reads (see segment). A chain holds one reference per entry.
 type PrefixStore struct {
 	mu   sync.RWMutex
 	data map[int]*prefixEntry
@@ -75,10 +76,13 @@ func NewPrefixStore() *PrefixStore {
 
 // prefixView is a consistent point-in-time snapshot of an object's
 // prefix: at most n bytes, readable without the store lock. The view
-// aliases immutable segment memory, so it remains byte-stable even if
-// the store concurrently truncates or extends the object.
+// aliases immutable segment memory and holds a reference to each
+// segment it covers, so it remains byte-stable even if the store
+// concurrently truncates or extends the object and the pool hands the
+// dropped segments to another transfer. release gives the references
+// back; a view that is never released leaves its segments to the GC.
 type prefixView struct {
-	segs []*segment
+	segs []*segment // exactly the segments holding bytes below n
 	n    int64
 	// hdr is the store's prebuilt X-Cache value when the view covers
 	// the full stored prefix; nil when the caller's clamp cut it short
@@ -89,6 +93,14 @@ type prefixView struct {
 
 // Len returns the byte length of the view.
 func (v prefixView) Len() int64 { return v.n }
+
+// release drops the view's references; its bytes must not be read
+// after. Call it once.
+func (v prefixView) release() {
+	for _, seg := range v.segs {
+		seg.unref()
+	}
+}
 
 // WriteTo streams the snapshot to w without copying: each write aliases
 // a segment's published bytes directly.
@@ -109,9 +121,6 @@ func (v prefixView) WriteRangeTo(w io.Writer, from int64) (int64, error) {
 	}
 	var written int64
 	for i, seg := range v.segs {
-		if seg.off >= v.n {
-			break
-		}
 		end := v.n
 		if i+1 < len(v.segs) && v.segs[i+1].off < end {
 			end = v.segs[i+1].off
@@ -156,7 +165,10 @@ type buffersWriter interface {
 var vecPool = sync.Pool{New: func() any { return new([][]byte) }}
 
 // View captures a zero-copy snapshot of object id's prefix, clamped to
-// max bytes. The empty view has Len() 0.
+// max bytes. The empty view has Len() 0. The references are taken here,
+// under the lock that excludes dropFrom, while the chain's own keep the
+// segments alive: one atomic add per segment, on a line the hot
+// object's shard already serialises.
 func (s *PrefixStore) View(id int, max int64) prefixView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -168,6 +180,12 @@ func (s *PrefixStore) View(id int, max int64) prefixView {
 	if v.n > max {
 		v.n = max
 		v.hdr = nil
+		for v.segs[len(v.segs)-1].off >= v.n {
+			v.segs = v.segs[:len(v.segs)-1]
+		}
+	}
+	for _, seg := range v.segs {
+		seg.ref()
 	}
 	return v
 }
@@ -180,6 +198,7 @@ func (s *PrefixStore) Prefix(id int) []byte {
 	if v.n == 0 {
 		return nil
 	}
+	defer v.release()
 	var buf bytes.Buffer
 	buf.Grow(int(v.n))
 	if _, err := v.WriteTo(&buf); err != nil {
@@ -223,13 +242,15 @@ func (s *PrefixStore) grow(id int, offset, end, limit int64) (*prefixEntry, int6
 }
 
 // dropFrom removes the segments that start at or past object offset
-// off. The full-slice clip forces the next append onto a fresh backing
-// array, so slice headers captured by in-flight views never observe a
-// reused slot.
+// off, releasing the chain's reference to each: one no view or relay
+// still holds goes back to the pool. The full-slice clip forces the
+// next append onto a fresh backing array, so slice headers captured by
+// in-flight views never observe a reused slot.
 func (e *prefixEntry) dropFrom(off int64) {
 	k := len(e.segs)
 	for k > 0 && e.segs[k-1].off >= off {
 		k--
+		e.segs[k].unref()
 	}
 	if k < len(e.segs) {
 		e.segs = e.segs[:k:k]
@@ -281,14 +302,14 @@ func (s *PrefixStore) AppendAt(id int, offset int64, data []byte, limit int64) i
 // [seg.off, end) of a relay's segment by reference: the outcome of
 // AppendAt(id, seg.off, seg.buf[:end-seg.off], limit) without the copy.
 // The relay keeps filling seg past end; that is safe because views
-// never read past the length they captured. It reports whether the
-// store took bytes of seg, which must then never be recycled.
-func (s *PrefixStore) adopt(id int, seg *segment, end, limit int64) bool {
+// never read past the length they captured. A chain that seg joins
+// takes a reference to it.
+func (s *PrefixStore) adopt(id int, seg *segment, end, limit int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, to := s.grow(id, seg.off, end, limit)
 	if to == 0 {
-		return false
+		return
 	}
 	s.data[id] = e
 	if e.tail() != seg {
@@ -297,18 +318,18 @@ func (s *PrefixStore) adopt(id int, seg *segment, end, limit int64) bool {
 		// segments it covers whole; the view clips the one before it
 		// at seg.off.
 		e.dropFrom(seg.off)
+		seg.ref()
 		e.segs = append(e.segs, seg)
 		e.open = false
 	}
 	s.total += e.resize(to)
-	return true
 }
 
 // Truncate shrinks object id's prefix to at most n bytes, deleting it
 // entirely at zero, and renders the X-Cache header of what it leaves —
 // the relay that grew a prefix ends by truncating it to what the cache
-// accounts for. Dropped segments are left to the GC — an in-flight
-// zero-copy view may still alias them.
+// accounts for. Dropped segments lose the chain's reference; an
+// in-flight zero-copy view that still aliases one holds its own.
 func (s *PrefixStore) Truncate(id int, n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,6 +339,7 @@ func (s *PrefixStore) Truncate(id int, n int64) {
 	}
 	if n <= 0 {
 		s.total -= e.length
+		e.dropFrom(0)
 		delete(s.data, id)
 		return
 	}

@@ -78,10 +78,10 @@ func TestPrefixStoreMatchesFlatModel(t *testing.T) {
 			seg := newSegment(offset, int64(rng.Intn(segmentSize)+1))
 			copy(seg.buf, Content(id, offset, int64(len(seg.buf))))
 			for _, end := range []int64{offset + int64(rng.Intn(len(seg.buf))+1), seg.end()} {
-				got := s.adopt(id, seg, end, limit)
-				want := modelAppend(id, offset, seg.buf[:end-offset], limit)
-				if got != (want > 0) {
-					t.Fatalf("op %d: adopt(id=%d, off=%d, end=%d) = %v, model retained %d", op, id, offset, end, got, want)
+				s.adopt(id, seg, end, limit)
+				modelAppend(id, offset, seg.buf[:end-offset], limit)
+				if got, want := s.Len(id), int64(len(model[id])); got != want {
+					t.Fatalf("op %d: adopt(id=%d, off=%d, end=%d) left %d bytes, model %d", op, id, offset, end, got, want)
 				}
 			}
 		case 2: // truncate, including mid-segment cuts and full deletes
@@ -271,9 +271,7 @@ func TestPrefixHeaderRendersWhereLengthSettles(t *testing.T) {
 	seg := newSegment(0, 3000)
 	copy(seg.buf, Content(6, 0, 3000))
 	for _, end := range []int64{1000, 3000} {
-		if !s.adopt(6, seg, end, 1<<20) {
-			t.Fatalf("adopt to %d refused", end)
-		}
+		s.adopt(6, seg, end, 1<<20)
 		if v := s.View(6, 1<<20); v.Len() != end || v.hdr != nil {
 			t.Fatalf("view of a growing prefix: %d bytes, header %q", v.Len(), v.hdr)
 		}

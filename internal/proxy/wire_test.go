@@ -200,6 +200,9 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 				}
 				stats[i].EstimatesBps, stats[i].DefaultOrigin = nil, ""
 			}
+			// How many sends a relay took is timing: a reader sends what
+			// is published when it looks, and never waits for more.
+			stats[0].RelayWrites, stats[1].RelayWrites = 0, 0
 			if fmt.Sprint(stats[0]) != fmt.Sprint(stats[1]) {
 				t.Errorf("/stats differ:\n net/http %+v\n wire     %+v", stats[0], stats[1])
 			}

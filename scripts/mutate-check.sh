@@ -161,7 +161,7 @@ row H8 internal/proxy/relay.go clean TestRelayReaderLoopAllocFree ./internal/pro
     'fmt.Errorf on the steady path of relay.next' \
     $'\npackage proxy\n' $'\npackage proxy\n\nimport mutfmt "fmt"\n' \
     'func (r *relay) next(' "$sink"'func (r *relay) next(' \
-    $'\tseg := r.ring[i]\n\tseg.pins++' $'\tmutErr = mutfmt.Errorf("proxy: relay at %d", off)\n\tseg := r.ring[i]\n\tseg.pins++'
+    $'\ti := 0\n\tfor r.ring[i].end() <= off {' $'\tmutErr = mutfmt.Errorf("proxy: relay at %d", off)\n\ti := 0\n\tfor r.ring[i].end() <= off {'
 row H9 internal/proxy/proxy.go clean 'TestPumpSteadyStateAllocFree TestServeMissAllocs' ./internal/proxy \
     'make([]byte, 4096) per upstream read in proxy.pump' \
     $'\t\tn, err = body.Read(seg.buf[offset-seg.off:])' \
@@ -170,6 +170,26 @@ row H10 internal/sim/sim.go clean TestRunOnceSteadyStateAllocs ./internal/sim \
     'fmt.Sprint per request in sim.runOnce' \
     'func runOnce(' "$sink"'func runOnce(' \
     $'\t\tres := cache.Access(obj, est, rp.time[i])' $'\t\tmutStr = fmt.Sprint(i, est)\n\t\tres := cache.Access(obj, est, rp.time[i])'
+
+# --- segment references: poison-on-recycle, the refill count, the bound -------
+#
+# A segment goes back to segPool when its last reference does (DESIGN.md
+# §8a); internal/proxy's TestMain poisons what is recycled, so a
+# reference missing or dropped early is wrong bytes in a named test, and
+# one kept too long is a segment the pool never sees again.
+
+row R1 internal/proxy/store.go clean TestRecycledSegmentNeverAliased ./internal/proxy \
+    'PrefixStore.View takes no references: the eviction recycles what the view still reads' \
+    $'\tfor _, seg := range v.segs {\n\t\tseg.ref()\n\t}\n\treturn v' $'\treturn v'
+row R2 internal/proxy/store.go clean TestRecycledSegmentNeverAliased ./internal/proxy \
+    'prefixEntry.dropFrom releases the chain reference twice: the second one is a view or a reader losing its own' \
+    $'\t\tk--\n\t\te.segs[k].unref()' $'\t\tk--\n\t\te.segs[k].unref()\n\t\te.segs[k].unref()'
+row R3 internal/proxy/relay.go clean 'TestServeMissAllocs TestRelayRingBoundsMemory' ./internal/proxy \
+    'relay.next forgets to unpin the batch the reader hands back: its segments never return to the pool' \
+    $') error {\n\tb.unpin()\n' $') error {\n\tb.n = 0\n'
+row R4 internal/proxy/relay.go clean TestRelayRingBoundsMemory ./internal/proxy \
+    'batch cap lifted from half a ring to a whole one: a stalled reader keeps twice the bound out of the pool' \
+    $'\tsegs   [relayRingSegments / 2]*segment\n\tchunks [relayRingSegments / 2][]byte' $'\tsegs   [relayRingSegments]*segment\n\tchunks [relayRingSegments][]byte'
 
 # --- determinism: analyzer and digests ---------------------------------------
 

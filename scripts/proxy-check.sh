@@ -4,7 +4,10 @@
 # prefix-hit ratio, verified content and the pinned loadgen-live header,
 # then SIGTERM the server and require a clean graceful drain (exit 0 with
 # a final stats line); then one client over objects larger than the relay
-# ring, and require relayDemotions == 0 in the drained node's final stats.
+# ring, fetched from a second, warmed proxyd so that the upstream really is
+# faster than the client, and require of the drained node's final stats
+# relayDemotions == 0, segments coming back out of the pool, and relay
+# sends larger than one segment on average.
 # In between, a wire phase drives the proxy port with curl — HTTP/1.0, a
 # reused connection, HEAD, a refused method, an unsatisfiable range, an
 # oversize header — and holds an idle keep-alive connection open across
@@ -14,11 +17,14 @@ set -euo pipefail
 
 ORIGIN_ADDR=${ORIGIN_ADDR:-127.0.0.1:18080}
 PROXY_ADDR=${PROXY_ADDR:-127.0.0.1:18081}
+UPSTREAM_ADDR=${UPSTREAM_ADDR:-127.0.0.1:18082}
 tmp=$(mktemp -d)
 pid=
+upstream_pid=
 
 cleanup() {
     [[ -n "$pid" ]] && kill -KILL "$pid" 2>/dev/null || true
+    [[ -n "$upstream_pid" ]] && kill -KILL "$upstream_pid" 2>/dev/null || true
     rm -rf "$tmp"
 }
 trap cleanup EXIT
@@ -111,18 +117,46 @@ exec 3<&- 3>&-
 }
 echo "proxy-check: wire phase passed (HTTP/1.0, reuse, HEAD, 405, 416, 431, idle connection drained)"
 
-# One client, objects several times the relay ring, an origin far
+# One client, objects several times the relay ring, an upstream far
 # faster than the client: every miss must cost one upstream transfer.
 # (Before fetches were paced by their readers, this is the case in
 # which the ring lapped its only reader and the rest was refetched.)
-start_proxyd -objects 8 -mean-kb 4096 -cache-mb 16
-"$tmp/loadgen" -proxy "http://$PROXY_ADDR" -clients 1 -requests 24 \
-    -objects 8 -mean-kb 4096 -catalog-seed 1 -wait 15s \
-    -verify -out "$tmp/loadgen-large.csv"
+# proxyd's own origin regenerates content byte by byte and is slower
+# than any client, so the upstream here is a second proxyd that holds
+# the catalog in cache and serves it at hit speed.
+large=(-objects 8 -mean-kb 4096)
+"$tmp/proxyd" -origin-addr "$ORIGIN_ADDR" -proxy-addr "$UPSTREAM_ADDR" \
+    -shards 4 -origin-kbps 0 -policy LRU "${large[@]}" -cache-mb 256 >"$tmp/upstream.log" 2>&1 &
+upstream_pid=$!
+run_large() { # run_large <proxy address> <summary file>
+    "$tmp/loadgen" -proxy "http://$1" -clients 1 -requests 24 \
+        "${large[@]}" -catalog-seed 1 -wait 15s -verify -out "$2"
+}
+run_large "$UPSTREAM_ADDR" /dev/null
+start_proxyd -origin-url "http://$UPSTREAM_ADDR" "${large[@]}" -cache-mb 16
+run_large "$PROXY_ADDR" "$tmp/loadgen-large.csv"
 drain
+kill -TERM "$upstream_pid"
+wait "$upstream_pid" || { echo "proxy-check: the upstream proxyd did not exit cleanly on SIGTERM" >&2; exit 1; }
+upstream_pid=
 grep 'drained; final stats' "$tmp/proxyd.log" | grep -q '"relayDemotions":0,' || {
     echo "proxy-check: a sole reader was demoted (relayDemotions != 0)" >&2
     cat "$tmp/proxyd.log" >&2
     exit 1
 }
-echo "proxy-check: live stack served load with cache hits, no sole reader demoted, and drained cleanly"
+# The same 24 misses move bytes the way hits do (DESIGN.md §8a): what
+# the LRU evicts goes back to the pool and the next relay draws on it,
+# and a reader's step sends everything published in one vectored write.
+stat() { # stat <counter>: its value in the final stats line
+    grep 'drained; final stats' "$tmp/proxyd.log" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"
+}
+recycled=$(stat segmentsRecycled) bytes=$(stat bytesFromOrigin) writes=$(stat relayWrites)
+[[ "$recycled" -gt 0 ]] || {
+    echo "proxy-check: no segment came back out of the pool (segmentsRecycled=$recycled, segmentsAllocated=$(stat segmentsAllocated))" >&2
+    exit 1
+}
+[[ "$writes" -gt 0 && $((bytes / writes)) -gt 65536 ]] || {
+    echo "proxy-check: relay sends average $bytes/$writes bytes, want more than one 65536-byte segment" >&2
+    exit 1
+}
+echo "proxy-check: live stack served load with cache hits, no sole reader demoted, $((bytes / writes)) bytes per relay send, $recycled segments recycled, and drained cleanly"
