@@ -54,8 +54,9 @@ bench-check:
 ## fuzz-smoke: a short fuzz of the trace parser, the row-log loader,
 ## the relay's model test (random publish/read/detach/cancel/evict
 ## scripts against an unbounded reference buffer), the wire loop's
-## request-head parser (differential against net/http) and Range
-## parsing with ranged serving.
+## request-head parser (differential against net/http), Range
+## parsing with ranged serving, and the capacity pass against
+## core.Cache on random tapes (the cache's model test).
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzParseMalformed -fuzztime 10s
 	$(GO) test ./internal/trace/ -fuzz FuzzReadAll -fuzztime 10s
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/proxy/ -run '^$$' -fuzz FuzzRelayModel -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/proxy/ -run '^$$' -fuzz FuzzParseRangeStart -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/httpd/ -run '^$$' -fuzz FuzzRequestHead -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzCapacityPass -fuzztime 10s -fuzzminimizetime 1s
 
 ## figures: regenerate every table/figure CSV at small scale.
 figures:

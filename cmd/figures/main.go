@@ -202,6 +202,9 @@ func run() error {
 				s.Counters.Evaluations.Load(), s.Counters.ExchangeHits.Load(),
 				time.Duration(s.Counters.ExchangeWaitNanos.Load()).Round(time.Millisecond))
 		}
+		// Cache-size groups scored in one tape pass, and run seeds that
+		// replayed once per capacity instead.
+		fmt.Printf("  passes=%d fallbacks=%d", s.Counters.CapacityPasses.Load(), s.Counters.CapacityFallbacks.Load())
 		fmt.Println()
 		fmt.Fprintf(&index, "%s: %s (%d rows) - %s\n", e.Key, file, rows, name)
 	}

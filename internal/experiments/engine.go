@@ -87,6 +87,16 @@ type planPoint struct {
 	row    []string
 	coords []float64 // position on the adaptive axes; nil on a fixed grid
 	eval   func(innerParallelism int) (row []string, metric float64, err error)
+	axis   *axisPoint // set on a fixed grid's flat points
+}
+
+// axisPoint is a fixed grid's flat point as one member of its cache-size
+// group: the points with one group number differ only in cfg.CacheBytes,
+// and render makes the row eval would from the point's Metrics.
+type axisPoint struct {
+	group  int
+	cfg    sim.Config
+	render func(sim.Metrics) []string
 }
 
 // plan is one table ready to run: its identity, the coarse round in row
@@ -176,8 +186,9 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 	// split between the point pool and each point's inner pool so a
 	// phase with few points (a refinement round, a shard's slice of the
 	// coarse pass) still keeps the cores busy, while a wide phase does not
-	// oversubscribe them P x P. Pure scheduling: rows are identical for
-	// any split.
+	// oversubscribe them P x P. The owned half first scores its cache-size
+	// groups (scoreAxes), whose rows then stream like any other. Pure
+	// scheduling: rows are identical for any split.
 	phase := func(own bool) error {
 		var is []int // the phase's offsets into the round, in index order
 		for i := range pts {
@@ -186,7 +197,11 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 			}
 		}
 		workers := x.parallelism()
-		inner := max(1, workers/max(1, len(is)))
+		var grouped map[int]scored
+		if own {
+			grouped = x.scoreAxes(pts, base, is)
+		}
+		inner := max(1, workers/max(1, len(is)-len(grouped)))
 		return streamOrdered(workers, len(is), func(j int) (MetricRow, error) {
 			i := is[j]
 			if r, ok := x.resolve(pts[i], base+i, own, adaptive); ok {
@@ -194,6 +209,9 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 			}
 			if x.Counters != nil {
 				x.Counters.Evaluations.Add(1)
+			}
+			if s, ok := grouped[i]; ok {
+				return MetricRow{Index: base + i, Row: s.row}, s.err
 			}
 			row, metric, err := pts[i].eval(inner)
 			if err != nil || !adaptive {
@@ -212,6 +230,61 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 		return nil, err
 	}
 	return samples, phase(false)
+}
+
+// scored is the row (or the error) of a point its cache-size group
+// produced.
+type scored struct {
+	row []string
+	err error
+}
+
+// scoreAxes scores the cache-size groups among the owned points is of a
+// round: the flat fixed-grid points of one group that resolve cannot
+// answer, when there are two or more, go to one sim.RunCapacities call —
+// a shard's group holds only the rows it owns. Groups run one after
+// another, each over the round's whole worker budget (the call's runs
+// are its tasks), so no worker waits on a group another one took; the
+// rows, keyed by offset into pts, then stream in index order with the
+// rest of the round.
+func (x exec) scoreAxes(pts []planPoint, base int, is []int) map[int]scored {
+	groups := map[int][]int{}
+	var order []int
+	for _, i := range is {
+		a := pts[i].axis
+		if a == nil {
+			continue
+		}
+		if _, ok := x.resolve(pts[i], base+i, true, false); ok {
+			continue
+		}
+		if groups[a.group] == nil {
+			order = append(order, a.group)
+		}
+		groups[a.group] = append(groups[a.group], i)
+	}
+	out := map[int]scored{}
+	for _, g := range order {
+		members := groups[g]
+		if len(members) < 2 {
+			continue
+		}
+		capacities := make([]int64, len(members))
+		for k, i := range members {
+			capacities[k] = pts[i].axis.cfg.CacheBytes
+		}
+		cfg := pts[members[0]].axis.cfg
+		cfg.Parallelism = x.parallelism()
+		ms, err := sim.RunCapacities(cfg, capacities)
+		for k, i := range members {
+			if err != nil {
+				out[i] = scored{err: err}
+				continue
+			}
+			out[i] = scored{row: pts[i].axis.render(ms[k])}
+		}
+	}
+	return out
 }
 
 // resolve answers the point at global index g without simulating it
@@ -358,6 +431,7 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 		s.Arena = sim.NewArena()
 	}
 	tapes0, rates0 := s.Arena.Compiles()
+	passes0, fallbacks0 := s.Arena.CapacityPasses()
 	p, err := e.build(s)
 	if err != nil {
 		return err
@@ -366,6 +440,9 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 	if s.Counters != nil {
 		tapes, rates := s.Arena.Compiles()
 		s.Counters.TapeCompiles.Add(tapes - tapes0 + rates - rates0)
+		passes, fallbacks := s.Arena.CapacityPasses()
+		s.Counters.CapacityPasses.Add(passes - passes0)
+		s.Counters.CapacityFallbacks.Add(fallbacks - fallbacks0)
 	}
 	return err
 }

@@ -34,8 +34,17 @@ type MetricExchange interface {
 // sharded-refinement contract. All fields are safe for concurrent use.
 type Counters struct {
 	// Evaluations counts sweep points this process simulated (journal
-	// replays and exchange fetches are not evaluations).
+	// replays and exchange fetches are not evaluations), however they
+	// were scored.
 	Evaluations atomic.Int64
+	// CapacityPasses counts the cache-size groups scored in one tape
+	// pass per run seed (sim.RunCapacities), and CapacityFallbacks the
+	// run seeds of a group replayed once per capacity instead — every
+	// seed of an IF, LFU or GreedyDual group, of an estimator other than
+	// the oracle, of whole-object eviction, or with a utility tie
+	// (sim.Arena.CapacityPasses; tables streamed concurrently over one
+	// arena each count what happened meanwhile, as TapeCompiles does).
+	CapacityPasses, CapacityFallbacks atomic.Int64
 	// ExchangeHits counts foreign points resolved through the
 	// MetricExchange instead of being re-simulated locally.
 	ExchangeHits atomic.Int64

@@ -98,6 +98,9 @@ type axis struct {
 	values   []float64
 	at       func(v float64) (level, error)
 	adaptive bool
+	// cache marks the cache-size axis: points that differ on it alone
+	// can be scored together (sim.RunCapacities).
+	cache bool
 }
 
 // axisFn binds an axis to a scale (most take their values from it).
@@ -130,7 +133,7 @@ func refined(bind axisFn) axisFn {
 // cacheAxis is the x axis of Figures 5-12: the cache capacity over
 // Scale.CacheFractions of the unique object bytes, labelled in percent.
 func cacheAxis(s Scale) axis {
-	return axis{cols: []string{"cache_pct"}, values: s.CacheFractions, at: func(frac float64) (level, error) {
+	return axis{cols: []string{"cache_pct"}, values: s.CacheFractions, cache: true, at: func(frac float64) (level, error) {
 		return opt(f3(frac*100), func(pt *point) { pt.frac = frac }), nil
 	}}
 }
@@ -270,7 +273,9 @@ func (sp spec) compile(s Scale) (*plan, error) {
 
 	// mk builds the point at one level per axis. Every point shares the
 	// scale's arena, so they replay one compiled tape per run seed.
-	mk := func(chosen []level, coords []float64) planPoint {
+	// group numbers the point's levels on every axis but the cache axis,
+	// so the flat points of one group differ in cache size alone.
+	mk := func(chosen []level, coords []float64, group int) planPoint {
 		pt := point{HierarchyConfig: sim.HierarchyConfig{Config: sim.Config{
 			Workload: workload.Config{NumObjects: s.Objects, NumRequests: s.Requests},
 			Runs:     s.Runs, Seed: s.Seed, Arena: s.Arena,
@@ -281,22 +286,29 @@ func (sp spec) compile(s Scale) (*plan, error) {
 			l.set(&pt)
 		}
 		pt.CacheBytes = int64(pt.frac * float64(total))
-		return planPoint{coords: coords, eval: func(innerParallelism int) ([]string, float64, error) {
-			o, err := pt.run(innerParallelism)
-			if err != nil {
-				return nil, 0, err
-			}
+		render := func(o outcome) []string {
 			row := slices.Clone(labels)
 			for _, c := range cols {
 				row = append(row, strconv.FormatFloat(c.of(o), 'f', c.prec, 64))
 			}
-			return row, rank(o), nil
+			return row
+		}
+		pp := planPoint{coords: coords, eval: func(innerParallelism int) ([]string, float64, error) {
+			o, err := pt.run(innerParallelism)
+			if err != nil {
+				return nil, 0, err
+			}
+			return render(o), rank(o), nil
 		}}
+		if len(adaptive) == 0 && pt.Levels == 0 {
+			pp.axis = &axisPoint{group: group, cfg: pt.Config, render: func(m sim.Metrics) []string { return render(outcome{Metrics: m}) }}
+		}
+		return pp
 	}
-	var cross func(k int, chosen []level, coords []float64)
-	cross = func(k int, chosen []level, coords []float64) {
+	var cross func(k int, chosen []level, coords []float64, group int)
+	cross = func(k int, chosen []level, coords []float64, group int) {
 		if k == len(axes) {
-			p.coarse = append(p.coarse, mk(chosen, slices.Clone(coords)))
+			p.coarse = append(p.coarse, mk(chosen, slices.Clone(coords), group))
 			return
 		}
 		for i, l := range axes[k].levels {
@@ -304,10 +316,14 @@ func (sp spec) compile(s Scale) (*plan, error) {
 			if axes[k].adaptive {
 				c = append(c, axes[k].values[i])
 			}
-			cross(k+1, append(chosen, l), c)
+			g := group
+			if !axes[k].cache {
+				g = group*len(axes[k].levels) + i
+			}
+			cross(k+1, append(chosen, l), c, g)
 		}
 	}
-	cross(0, nil, nil)
+	cross(0, nil, nil, 0)
 
 	switch len(adaptive) {
 	case 0:
@@ -334,7 +350,7 @@ func (sp spec) compile(s Scale) (*plan, error) {
 			chosen[k] = l
 			n++
 		}
-		return mk(chosen, coords), nil
+		return mk(chosen, coords, 0), nil
 	}
 	return p, nil
 }

@@ -41,6 +41,7 @@ type Arena struct {
 	traces map[trace.GenConfig]*memo[[]trace.Entry]
 
 	tapeCompiles, rateCompiles atomic.Int64
+	passes, fallbacks          atomic.Int64 // RunCapacities telemetry
 }
 
 // NewArena builds an empty arena. Use one arena per experiment (or per
@@ -165,4 +166,11 @@ func (a *Arena) Trace(cfg trace.GenConfig) ([]trace.Entry, error) {
 // of each per run seed.
 func (a *Arena) Compiles() (tapes, rates int64) {
 	return a.tapeCompiles.Load(), a.rateCompiles.Load()
+}
+
+// CapacityPasses reports what the RunCapacities calls served by the
+// arena did: passes counts the calls that scored every run seed in one
+// tape pass, fallbacks the run seeds replayed once per capacity instead.
+func (a *Arena) CapacityPasses() (passes, fallbacks int64) {
+	return a.passes.Load(), a.fallbacks.Load()
 }

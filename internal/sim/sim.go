@@ -316,7 +316,8 @@ func (c Config) cacheOptions(objects int) []core.Option {
 	return append(opts, c.CacheOptions...)
 }
 
-// runOnce replays one seeded tape through one cache. It is the 1-edge,
+// runOnce replays one seeded tape through one cache (RunCapacities
+// scores most fixed-grid cache axes without it: capacity.go). It is the 1-edge,
 // 1-level case of hierarchyRunOnce (TestHierarchySingleNodeMatchesRun
 // pins the two bit-equal) and shares its tape and scratch, but stays a
 // loop of its own because folding them is not free: each loop computes
@@ -337,7 +338,13 @@ func runOnce(cfg Config, seed int64) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	inst := cfg.Arena.rates(cfg, seed, rp)
+	return replayOnce(cfg, rp, cfg.Arena.rates(cfg, seed, rp))
+}
+
+// replayOnce is runOnce's request loop over a compiled replay and its
+// bandwidth column: every request through one core.Cache of
+// cfg.CacheBytes.
+func replayOnce(cfg Config, rp replay, inst []float64) (Metrics, error) {
 	perRequest := drawsPerRequest(cfg.Variation)
 
 	scratch := scratchPool.Get().(*runScratch)

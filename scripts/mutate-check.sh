@@ -222,6 +222,28 @@ row D8 internal/load/arrival.go clean 'TestProcessesDeterministicPerSeed TestSch
     $'\npackage load\n' $'\npackage load\n\nimport muttime "time"\n' \
     't += rng.ExpFloat64() / o.PeakHz' 't += rng.ExpFloat64()/o.PeakHz + float64(muttime.Now().Nanosecond()%7)*1e-9'
 
+# --- capacity pass: exact or refused -----------------------------------------
+#
+# sim.RunCapacities scores a cache-size axis in one tape pass only where
+# the greedy fill is core.Cache's state (DESIGN.md §5a); each fault makes
+# it score something it must refuse, or score it wrong.
+
+row K1 internal/sim/capacity.go clean TestCapacityPassMatchesRunOnce ./internal/sim \
+    'the tie check is gone: two objects sharing a utility are ranked by request index, which core.Cache does not do' \
+    'rp.obj[idx[p]] != rp.obj[idx[p-1]] {' 'rp.obj[idx[p]] != rp.obj[idx[p-1]] && m < 0 {'
+row K2 internal/sim/capacity.go clean 'FuzzCapacityPass TestGoldenTables' './internal/sim ./internal/experiments' \
+    'the suffix sum over ranks above the key counts ranks >= it: the object competes with its own target' \
+    'above = live - tree.sum(prev)' 'above = live - tree.sum(prev-1)'
+row K3 internal/sim/capacity.go clean FuzzCapacityPass ./internal/sim \
+    'EvictedBytes is never derived from the fills (no table column reports it: only the model test sees it)' \
+    'a.evicted += min(cb, before) - min(cb, live) + held - hit' '_ = min(cb, before) - min(cb, live) + held - hit'
+row K4 internal/sim/capacity.go clean 'FuzzCapacityPass TestGoldenTables' './internal/sim ./internal/experiments' \
+    'selection ignores Estimators: an EWMA or underestimating group is scored with the oracle means' \
+    'return c.Estimators == nil && c.PolicyFactory == nil' 'return c.PolicyFactory == nil'
+row K5 internal/experiments/spec.go clean TestGoldenTables ./internal/experiments \
+    'cache-size groups keyed without the policy axis: one policy scores every policy'"'"'s rows' \
+    $'\t\t\tif !axes[k].cache {' $'\t\t\tif !axes[k].cache && !slices.Contains(axes[k].cols, "policy") {'
+
 # --- shard lock: analyzer, -race and the fault suite -------------------------
 
 race='-race -timeout 180s ./internal/proxy ./internal/cluster'
