@@ -202,9 +202,11 @@ func run() error {
 				s.Counters.Evaluations.Load(), s.Counters.ExchangeHits.Load(),
 				time.Duration(s.Counters.ExchangeWaitNanos.Load()).Round(time.Millisecond))
 		}
-		// Cache-size groups scored in one tape pass, and run seeds that
-		// replayed once per capacity instead.
-		fmt.Printf("  passes=%d fallbacks=%d", s.Counters.CapacityPasses.Load(), s.Counters.CapacityFallbacks.Load())
+		// Groups of cache sizes scored in one tape pass, run seeds that
+		// replayed once per capacity instead, and points that shared
+		// another point's cache replay (last, so the fields before it
+		// keep their positions).
+		fmt.Printf("  passes=%d fallbacks=%d shared=%d", s.Counters.CapacityPasses.Load(), s.Counters.CapacityFallbacks.Load(), s.Counters.SharedReplays.Load())
 		fmt.Println()
 		fmt.Fprintf(&index, "%s: %s (%d rows) - %s\n", e.Key, file, rows, name)
 	}

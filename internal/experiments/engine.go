@@ -87,16 +87,17 @@ type planPoint struct {
 	row    []string
 	coords []float64 // position on the adaptive axes; nil on a fixed grid
 	eval   func(innerParallelism int) (row []string, metric float64, err error)
-	axis   *axisPoint // set on a fixed grid's flat points
+	member *groupMember // set on a flat point
 }
 
-// axisPoint is a fixed grid's flat point as one member of its cache-size
-// group: the points with one group number differ only in cfg.CacheBytes,
-// and render makes the row eval would from the point's Metrics.
-type axisPoint struct {
-	group  int
-	cfg    sim.Config
-	render func(sim.Metrics) []string
+// groupMember is a flat point as one member of its group: the points of
+// a round with one group differ only in cfg.CacheBytes and
+// cfg.Variation, and score makes the row and the rank metric eval would
+// from the point's Metrics.
+type groupMember struct {
+	group string
+	cfg   sim.Config
+	score func(sim.Metrics) (row []string, metric float64)
 }
 
 // plan is one table ready to run: its identity, the coarse round in row
@@ -186,8 +187,8 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 	// split between the point pool and each point's inner pool so a
 	// phase with few points (a refinement round, a shard's slice of the
 	// coarse pass) still keeps the cores busy, while a wide phase does not
-	// oversubscribe them P x P. The owned half first scores its cache-size
-	// groups (scoreAxes), whose rows then stream like any other. Pure
+	// oversubscribe them P x P. The owned half first scores its groups
+	// (scoreGroups), whose rows then stream like any other. Pure
 	// scheduling: rows are identical for any split.
 	phase := func(own bool) error {
 		var is []int // the phase's offsets into the round, in index order
@@ -199,7 +200,7 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 		workers := x.parallelism()
 		var grouped map[int]scored
 		if own {
-			grouped = x.scoreAxes(pts, base, is)
+			grouped = x.scoreGroups(pts, base, is, adaptive)
 		}
 		inner := max(1, workers/max(1, len(is)-len(grouped)))
 		return streamOrdered(workers, len(is), func(j int) (MetricRow, error) {
@@ -210,14 +211,14 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 			if x.Counters != nil {
 				x.Counters.Evaluations.Add(1)
 			}
-			if s, ok := grouped[i]; ok {
+			s, ok := grouped[i]
+			if !ok {
+				s.row, s.metric, s.err = pts[i].eval(inner)
+			}
+			if s.err != nil || !adaptive {
 				return MetricRow{Index: base + i, Row: s.row}, s.err
 			}
-			row, metric, err := pts[i].eval(inner)
-			if err != nil || !adaptive {
-				return MetricRow{Index: base + i, Row: row}, err
-			}
-			return MetricRow{Index: base + i, Row: append(row, source), Metric: metric, HasMetric: true}, nil
+			return MetricRow{Index: base + i, Row: append(s.row, source), Metric: s.metric, HasMetric: true}, nil
 		}, func(j int, r MetricRow) error {
 			samples[is[j]] = sample{at: pts[is[j]].coords, metric: r.Metric}
 			if !own {
@@ -232,56 +233,56 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 	return samples, phase(false)
 }
 
-// scored is the row (or the error) of a point its cache-size group
-// produced.
+// scored is the row and rank metric (or the error) of a point.
 type scored struct {
-	row []string
-	err error
+	row    []string
+	metric float64
+	err    error
 }
 
-// scoreAxes scores the cache-size groups among the owned points is of a
-// round: the flat fixed-grid points of one group that resolve cannot
-// answer, when there are two or more, go to one sim.RunCapacities call —
-// a shard's group holds only the rows it owns. Groups run one after
-// another, each over the round's whole worker budget (the call's runs
-// are its tasks), so no worker waits on a group another one took; the
-// rows, keyed by offset into pts, then stream in index order with the
-// rest of the round.
-func (x exec) scoreAxes(pts []planPoint, base int, is []int) map[int]scored {
-	groups := map[int][]int{}
-	var order []int
+// scoreGroups scores the groups among the owned points is of a round:
+// the flat points of one group that resolve cannot answer, when there
+// are two or more, go to one sim.RunGroup call — a shard's group holds
+// only the rows it owns. Groups run one after another, each over the
+// round's whole worker budget (the call's runs are its tasks), so no
+// worker waits on a group another one took; the rows, keyed by offset
+// into pts, then stream in index order with the rest of the round.
+func (x exec) scoreGroups(pts []planPoint, base int, is []int, adaptive bool) map[int]scored {
+	groups := map[string][]int{}
+	var order []string
 	for _, i := range is {
-		a := pts[i].axis
-		if a == nil {
+		m := pts[i].member
+		if m == nil {
 			continue
 		}
-		if _, ok := x.resolve(pts[i], base+i, true, false); ok {
+		if _, ok := x.resolve(pts[i], base+i, true, adaptive); ok {
 			continue
 		}
-		if groups[a.group] == nil {
-			order = append(order, a.group)
+		if groups[m.group] == nil {
+			order = append(order, m.group)
 		}
-		groups[a.group] = append(groups[a.group], i)
+		groups[m.group] = append(groups[m.group], i)
 	}
 	out := map[int]scored{}
 	for _, g := range order {
-		members := groups[g]
-		if len(members) < 2 {
+		points := groups[g]
+		if len(points) < 2 {
 			continue
 		}
-		capacities := make([]int64, len(members))
-		for k, i := range members {
-			capacities[k] = pts[i].axis.cfg.CacheBytes
+		members := make([]sim.Member, len(points))
+		for k, i := range points {
+			members[k] = sim.Member{CacheBytes: pts[i].member.cfg.CacheBytes, Variation: pts[i].member.cfg.Variation}
 		}
-		cfg := pts[members[0]].axis.cfg
+		cfg := pts[points[0]].member.cfg
 		cfg.Parallelism = x.parallelism()
-		ms, err := sim.RunCapacities(cfg, capacities)
-		for k, i := range members {
+		ms, err := sim.RunGroup(cfg, members)
+		for k, i := range points {
 			if err != nil {
 				out[i] = scored{err: err}
 				continue
 			}
-			out[i] = scored{row: pts[i].axis.render(ms[k])}
+			row, metric := pts[i].member.score(ms[k])
+			out[i] = scored{row: row, metric: metric}
 		}
 	}
 	return out
@@ -431,7 +432,7 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 		s.Arena = sim.NewArena()
 	}
 	tapes0, rates0 := s.Arena.Compiles()
-	passes0, fallbacks0 := s.Arena.CapacityPasses()
+	passes0, fallbacks0, shared0 := s.Arena.Groups()
 	p, err := e.build(s)
 	if err != nil {
 		return err
@@ -440,9 +441,10 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 	if s.Counters != nil {
 		tapes, rates := s.Arena.Compiles()
 		s.Counters.TapeCompiles.Add(tapes - tapes0 + rates - rates0)
-		passes, fallbacks := s.Arena.CapacityPasses()
+		passes, fallbacks, shared := s.Arena.Groups()
 		s.Counters.CapacityPasses.Add(passes - passes0)
 		s.Counters.CapacityFallbacks.Add(fallbacks - fallbacks0)
+		s.Counters.SharedReplays.Add(shared - shared0)
 	}
 	return err
 }

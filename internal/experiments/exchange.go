@@ -37,14 +37,18 @@ type Counters struct {
 	// replays and exchange fetches are not evaluations), however they
 	// were scored.
 	Evaluations atomic.Int64
-	// CapacityPasses counts the cache-size groups scored in one tape
-	// pass per run seed (sim.RunCapacities), and CapacityFallbacks the
-	// run seeds of a group replayed once per capacity instead — every
-	// seed of an IF, LFU or GreedyDual group, of an estimator other than
-	// the oracle, of whole-object eviction, or with a utility tie
-	// (sim.Arena.CapacityPasses; tables streamed concurrently over one
-	// arena each count what happened meanwhile, as TapeCompiles does).
-	CapacityPasses, CapacityFallbacks atomic.Int64
+	// CapacityPasses counts the groups of two or more cache sizes scored
+	// in one tape pass per run seed (sim.RunGroup), and
+	// CapacityFallbacks the run seeds of such a group replayed per
+	// capacity instead — every seed of an IF, LFU or GreedyDual group, of
+	// an estimator other than the oracle, of whole-object eviction, or
+	// with a utility tie. SharedReplays counts the points scored without
+	// a cache replay of their own: the members of an oracle group that
+	// share a cache size, and so a trajectory, with another member —
+	// all but one per size (sim.Arena.Groups; tables streamed
+	// concurrently over one arena each count what happened meanwhile, as
+	// TapeCompiles does).
+	CapacityPasses, CapacityFallbacks, SharedReplays atomic.Int64
 	// ExchangeHits counts foreign points resolved through the
 	// MetricExchange instead of being re-simulated locally.
 	ExchangeHits atomic.Int64

@@ -122,13 +122,17 @@ func TestOnOffBurstierThanPoisson(t *testing.T) {
 
 func TestProcessesDeterministicPerSeed(t *testing.T) {
 	// Same seed -> identical stream; different seed -> different stream.
+	// The on-off process has enough sources that one drawing its initial
+	// state from anywhere but rng shows: with pOn = 1/3, two runs agree on
+	// all 32 initial states with probability (1/9 + 4/9)^32 < 1e-8 (at 4
+	// sources it was 1 in 10).
 	procs := []Process{
 		Poisson{RateHz: 10},
-		OnOff{Sources: 4, PeakHz: 10, OnShape: 1.5, OffShape: 1.5, MeanOn: 1, MeanOff: 2},
+		OnOff{Sources: 32, PeakHz: 10, OnShape: 1.5, OffShape: 1.5, MeanOn: 1, MeanOff: 2},
 	}
 	for _, p := range procs {
-		a := p.Times(rand.New(rand.NewSource(42)), 50)
-		b := p.Times(rand.New(rand.NewSource(42)), 50)
+		a := p.Times(rand.New(rand.NewSource(42)), 100)
+		b := p.Times(rand.New(rand.NewSource(42)), 100)
 		if len(a) != len(b) {
 			t.Fatalf("%T: same seed lengths differ: %d vs %d", p, len(a), len(b))
 		}
@@ -137,7 +141,7 @@ func TestProcessesDeterministicPerSeed(t *testing.T) {
 				t.Fatalf("%T: same seed diverges at %d: %v vs %v", p, i, a[i], b[i])
 			}
 		}
-		c := p.Times(rand.New(rand.NewSource(43)), 50)
+		c := p.Times(rand.New(rand.NewSource(43)), 100)
 		same := len(a) == len(c)
 		if same {
 			for i := range a {

@@ -41,7 +41,7 @@ type Arena struct {
 	traces map[trace.GenConfig]*memo[[]trace.Entry]
 
 	tapeCompiles, rateCompiles atomic.Int64
-	passes, fallbacks          atomic.Int64 // RunCapacities telemetry
+	passes, fallbacks, shared  atomic.Int64 // RunGroup telemetry
 }
 
 // NewArena builds an empty arena. Use one arena per experiment (or per
@@ -168,9 +168,13 @@ func (a *Arena) Compiles() (tapes, rates int64) {
 	return a.tapeCompiles.Load(), a.rateCompiles.Load()
 }
 
-// CapacityPasses reports what the RunCapacities calls served by the
-// arena did: passes counts the calls that scored every run seed in one
-// tape pass, fallbacks the run seeds replayed once per capacity instead.
-func (a *Arena) CapacityPasses() (passes, fallbacks int64) {
-	return a.passes.Load(), a.fallbacks.Load()
+// Groups reports what the RunGroup calls served by the arena did. Of the
+// calls with two or more distinct capacities, passes counts those that
+// scored every run seed in one tape pass, and fallbacks the run seeds
+// replayed per capacity (or, with an estimator, per member) instead.
+// shared counts the members scored from a cache trajectory replayed for
+// another member at the same capacity: every member but one per
+// capacity, under the oracle estimator.
+func (a *Arena) Groups() (passes, fallbacks, shared int64) {
+	return a.passes.Load(), a.fallbacks.Load(), a.shared.Load()
 }

@@ -1,3 +1,15 @@
+// Groups: one call scores the sweep points that differ only in cache
+// capacity and bandwidth variability.
+//
+// Variability never enters the cache under the oracle estimator: Access
+// reads the object, its path mean and the arrival time, and a request's
+// instantaneous bandwidth is read only after it, by the delay, quality
+// and value of the bytes the access found. So the members of a group at
+// one capacity share one cache trajectory and differ only in what each
+// makes of it from its own bandwidth column; an estimator observes that
+// bandwidth and feeds it back into the next estimate, so under one each
+// member replays alone (DESIGN.md §5a).
+//
 // The capacity pass: one replay of a tape scores a whole cache-size axis.
 //
 // Under the oracle estimator a policy's target for an object is constant
@@ -18,35 +30,46 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
 )
 
-// RunCapacities returns, for each of capacities, the Metrics Run returns
-// with CacheBytes set to it (cfg.CacheBytes itself is not read), bit for
-// bit. A run seed is scored for all capacities in one pass over its tape
-// when the configuration lets the pass be exact — the oracle estimator
-// (nil Estimators), one shared Policy (nil PolicyFactory) that observes
-// no evictions, no CacheOptions (byte-granular eviction), at least two
-// capacities — and the seed's utilities are all finite, positive and
-// distinct between objects; any other run seed replays its tape through
-// a core.Cache per capacity, as Run does. Policy Utility and Target must
-// be pure functions of their arguments, as every built-in policy's are.
-// cfg.Arena's CapacityPasses counts which way each call went.
-func RunCapacities(cfg Config, capacities []int64) ([]Metrics, error) {
+// Member is one point of a group: the cache capacity and the bandwidth
+// variability it runs at (nil is constant bandwidth, as in Config).
+type Member struct {
+	CacheBytes int64
+	Variation  bandwidth.Variability
+}
+
+// RunGroup returns, for each member, the Metrics Run returns with
+// CacheBytes and Variation set to the member's (cfg's own two are not
+// read), bit for bit. Under the oracle estimator (nil Estimators) the
+// members at one capacity share one cache trajectory, each scoring it
+// from its own bandwidth column. With two or more distinct capacities a
+// run seed's trajectories come from one pass over its tape when the
+// configuration lets the pass be exact — one shared Policy (nil
+// PolicyFactory) that observes no evictions, no CacheOptions
+// (byte-granular eviction) — and the seed's utilities are all finite,
+// positive and distinct between objects; otherwise from one core.Cache
+// replay per distinct capacity. With an estimator every member replays
+// alone, as Run does. Policy Utility and Target must be pure functions
+// of their arguments, as every built-in policy's are. cfg.Arena's Groups
+// counts which way each call went.
+func RunGroup(cfg Config, members []Member) ([]Metrics, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range capacities {
-		if c < 0 {
-			return nil, fmt.Errorf("%w: capacity %d", ErrBadConfig, c)
-		}
+	g, err := newGroup(members)
+	if err != nil {
+		return nil, err
 	}
 	var fellBack atomic.Int64
 	ms, err := averageRuns(cfg, "run", func(seed int64) ([]Metrics, error) {
@@ -54,21 +77,101 @@ func RunCapacities(cfg Config, capacities []int64) ([]Metrics, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]Metrics, len(capacities))
-		onePass, err := scoreReplay(cfg, rp, cfg.Arena.rates(cfg, seed, rp), capacities, out)
+		cols := make([]column, len(g.members))
+		for k, m := range g.members {
+			one := cfg
+			one.Variation = m.Variation
+			cols[k] = cfg.Arena.column(one, seed, rp)
+		}
+		out := make([]Metrics, len(cols))
+		onePass, err := g.score(cfg, rp, cols, out)
 		if !onePass {
 			fellBack.Add(1)
 		}
 		return out, err
 	}, addEach, overEach)
-	if fellBack.Load() == 0 {
-		cfg.Arena.passes.Add(1)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Arena.fallbacks.Add(fellBack.Load())
-	return ms, err
+	if len(g.caps) >= 2 {
+		if fellBack.Load() == 0 {
+			cfg.Arena.passes.Add(1)
+		}
+		cfg.Arena.fallbacks.Add(fellBack.Load())
+	}
+	if cfg.Estimators == nil {
+		cfg.Arena.shared.Add(int64(len(g.members) - len(g.caps)))
+	}
+	out := make([]Metrics, len(ms))
+	for k, i := range g.order {
+		out[i] = ms[k]
+	}
+	return out, nil
 }
 
-// addEach and overEach are Metrics.add and Metrics.over per capacity.
+// group is a RunGroup call's members sorted (stably) by capacity: caps
+// are the distinct capacities, ascending, the members at caps[c] are
+// members[bounds[c]:bounds[c+1]], and order[k] is member k's index in
+// the caller's slice.
+type group struct {
+	members []Member
+	order   []int
+	caps    []int64
+	bounds  []int
+}
+
+func newGroup(members []Member) (group, error) {
+	g := group{members: make([]Member, len(members)), order: make([]int, len(members))}
+	for k, m := range members {
+		if m.CacheBytes < 0 {
+			return group{}, fmt.Errorf("%w: capacity %d", ErrBadConfig, m.CacheBytes)
+		}
+		g.order[k] = k
+	}
+	slices.SortStableFunc(g.order, func(a, b int) int { return cmp.Compare(members[a].CacheBytes, members[b].CacheBytes) })
+	for k, i := range g.order {
+		m := members[i]
+		if m.Variation == nil {
+			m.Variation = bandwidth.NoVariation{}
+		}
+		g.members[k] = m
+		if k == 0 || m.CacheBytes != g.caps[len(g.caps)-1] {
+			g.caps = append(g.caps, m.CacheBytes)
+			g.bounds = append(g.bounds, k)
+		}
+	}
+	g.bounds = append(g.bounds, len(members))
+	return g, nil
+}
+
+// score fills out[k] with the Metrics of one run of rp for member k,
+// whose bandwidth column is cols[k]: in one capacity pass when it can,
+// else with one replay per distinct capacity — or, with an estimator,
+// one per member. It reports whether the pass scored it.
+func (g group) score(cfg Config, rp replay, cols []column, out []Metrics) (onePass bool, err error) {
+	if cfg.Estimators != nil {
+		// An estimator observes what each request got, so each member's
+		// trajectory is its own.
+		for k, m := range g.members {
+			if err := replayColumns(cfg, rp, m.CacheBytes, cols[k:k+1], out[k:k+1]); err != nil {
+				return false, err
+			}
+		}
+		return false, nil
+	}
+	if cfg.admitsPass(len(g.caps)) && capacityPass(cfg, rp, g.members, cols, out) {
+		return true, nil
+	}
+	for c, capacity := range g.caps {
+		lo, hi := g.bounds[c], g.bounds[c+1]
+		if err := replayColumns(cfg, rp, capacity, cols[lo:hi], out[lo:hi]); err != nil {
+			return false, err
+		}
+	}
+	return false, nil
+}
+
+// addEach and overEach are Metrics.add and Metrics.over per member.
 func addEach(agg *[]Metrics, ms []Metrics) {
 	if *agg == nil {
 		*agg = make([]Metrics, len(ms))
@@ -84,50 +187,26 @@ func overEach(agg *[]Metrics, runs int) {
 	}
 }
 
-// admitsPass reports whether the configuration admits the capacity pass
-// for n capacities. What it cannot see — the utilities of one seed —
+// admitsPass reports whether an oracle configuration (group.score has
+// already replayed any other) admits the capacity pass for n distinct
+// capacities. What it cannot see — the utilities of one seed —
 // capacityPass checks itself.
 func (c Config) admitsPass(n int) bool {
 	_, observer := c.Policy.(core.EvictionObserver)
-	return c.Estimators == nil && c.PolicyFactory == nil && !observer && len(c.CacheOptions) == 0 && n >= 2
-}
-
-// scoreReplay fills out[k] with the Metrics of one run of rp at
-// capacities[k]: in one pass when it can, else with replayOnce per
-// capacity. It reports which.
-func scoreReplay(cfg Config, rp replay, inst []float64, capacities []int64, out []Metrics) (onePass bool, err error) {
-	if cfg.admitsPass(len(capacities)) && capacityPass(cfg, rp, inst, capacities, out) {
-		return true, nil
-	}
-	for k, c := range capacities {
-		one := cfg
-		one.CacheBytes = c
-		if out[k], err = replayOnce(one, rp, inst); err != nil {
-			return false, err
-		}
-	}
-	return false, nil
+	return c.PolicyFactory == nil && !observer && len(c.CacheOptions) == 0 && n >= 2
 }
 
 // passScratch is everything one capacity pass mutates, pooled across
 // runs like runScratch: per object, per keyed request (a request for an
-// object whose target is > 0) and per capacity. Every slot is written
-// or cleared before it is read.
+// object whose target is > 0) and per member. Every slot is written or
+// cleared before it is read.
 type passScratch struct {
-	target, freq []int64          // per object: clamped target; requests so far
-	last         []int32          // per object: rank of its live key, -1 before its first
-	keys, keys2  []uint64         // per keyed request: utility bits and the sort's other half, then the Fenwick tree
-	idx, idx2    []int32          // per keyed request: request index and the sort's other half, then request -> rank
-	acc          []capacityTotals // per capacity
+	target, freq []int64  // per object: clamped target; requests so far
+	last         []int32  // per object: rank of its live key, -1 before its first
+	keys, keys2  []uint64 // per keyed request: utility bits and the sort's other half, then the Fenwick tree
+	idx, idx2    []int32  // per keyed request: request index and the sort's other half, then request -> rank
+	acc          []memberTotals
 	counts       [8][256]int32
-}
-
-// capacityTotals accumulates one capacity's measured requests in
-// request order, as replayOnce does.
-type capacityTotals struct {
-	delay, quality, value, cached float64
-	hits                          int
-	evicted                       int64
 }
 
 var passPool = sync.Pool{New: func() any { return new(passScratch) }}
@@ -135,11 +214,11 @@ var passPool = sync.Pool{New: func() any { return new(passScratch) }}
 // fit returns s resliced to n, reusing its storage when it can.
 func fit[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// capacityPass scores one run of rp at every capacity into out and
-// reports true, or reports false, leaving out unspecified, when one of
-// the seed's utilities is not finite and positive, two objects share one
-// or an object's falls.
-func capacityPass(cfg Config, rp replay, inst []float64, capacities []int64, out []Metrics) bool {
+// capacityPass scores one run of rp for every member, member k reading
+// bandwidth column cols[k], into out and reports true, or reports false,
+// leaving out unspecified, when one of the seed's utilities is not
+// finite and positive, two objects share one or an object's falls.
+func capacityPass(cfg Config, rp replay, members []Member, cols []column, out []Metrics) bool {
 	s := passPool.Get().(*passScratch)
 	defer passPool.Put(s)
 	n, objects := len(rp.obj), len(rp.objs)
@@ -189,9 +268,9 @@ func capacityPass(cfg Config, rp replay, inst []float64, capacities []int64, out
 	// bytes at every capacity, after it the fill that Access leaves.
 	tree := fenwick(keys[:m+1])
 	clear(tree)
-	s.acc = fit(s.acc, len(capacities))
-	clear(s.acc)
-	perRequest := drawsPerRequest(cfg.Variation)
+	s.acc = fit(s.acc, len(members))
+	acc := s.acc
+	clear(acc)
 	warm := int(cfg.WarmFraction * float64(n))
 	var live int64    // targets of every object requested so far
 	var total float64 // watched bytes of the measured requests
@@ -221,18 +300,18 @@ func capacityPass(cfg Config, rp replay, inst []float64, capacities []int64, out
 			continue
 		}
 		obj, watched := rp.objs[o], rp.watched[i]
-		k := int(o)
-		if perRequest {
-			k = i
-		}
-		bw := inst[k]
 		total += float64(watched)
 		var (
 			delay, quality float64
 			servable       bool
-			scored         = int64(-1) // the hit bytes delay, quality and servable are for
+			scored         = int64(-1) // the hit bytes and bandwidth delay, quality and servable are for
+			scoredBW       float64
 		)
-		for c, cb := range capacities {
+		// Members at one capacity each work out its hit bytes: a loop
+		// over the distinct capacities with their members inside measured
+		// 8 % slower on BenchmarkCapacityAxis's PB pass.
+		for k := range members {
+			cb := members[k].CacheBytes
 			var hit, held int64
 			if t > 0 {
 				if prev >= 0 {
@@ -240,11 +319,11 @@ func capacityPass(cfg Config, rp replay, inst []float64, capacities []int64, out
 				}
 				held = min(max(cb-aboveAfter, 0), t)
 			}
-			if hit != scored {
+			if bw := cols[k].at(i, o); hit != scored || bw != scoredBW {
 				delay, quality, servable = core.StartupDelay(obj, hit, bw), core.StreamQuality(obj, hit, bw), core.ImmediatelyServable(obj, hit, bw)
-				scored = hit
+				scored, scoredBW = hit, bw
 			}
-			a := &s.acc[c]
+			a := &acc[k]
 			a.delay += delay
 			a.quality += quality
 			if servable {
@@ -260,17 +339,8 @@ func capacityPass(cfg Config, rp replay, inst []float64, capacities []int64, out
 		}
 	}
 
-	requests := n - warm
-	for c, a := range s.acc {
-		out[c] = Metrics{Requests: requests, TotalAddedValue: a.value, EvictedBytes: a.evicted}
-		if requests > 0 {
-			out[c].AvgServiceDelay = a.delay / float64(requests)
-			out[c].AvgStreamQuality = a.quality / float64(requests)
-			out[c].HitRatio = float64(a.hits) / float64(requests)
-		}
-		if total > 0 {
-			out[c].TrafficReductionRatio = a.cached / total
-		}
+	for k, a := range acc {
+		out[k] = a.metrics(n-warm, total)
 	}
 	return true
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"streamcache/internal/bandwidth"
@@ -32,25 +34,41 @@ func paperCapacities(t testing.TB, a *Arena, wl workload.Config) []int64 {
 	return append(caps, 2*total)
 }
 
-// checkAxis scores one run of rp at caps, requires every Metrics field
-// to equal replayOnce's (a core.Cache's) at each capacity, and reports
-// whether the pass scored it.
-func checkAxis(t *testing.T, cfg Config, rp replay, inst []float64, caps []int64) (onePass bool) {
+// atCapacities is one member per capacity, all at variability v.
+func atCapacities(caps []int64, v bandwidth.Variability) []Member {
+	ms := make([]Member, len(caps))
+	for k, c := range caps {
+		ms[k] = Member{CacheBytes: c, Variation: v}
+	}
+	return ms
+}
+
+// checkGroup scores one run of rp for members, member k reading
+// bandwidth column cols[k], requires every Metrics field to equal a
+// lone one-column replay's (a core.Cache's: what runOnce does) for each
+// member, and reports whether the pass scored it.
+func checkGroup(t *testing.T, cfg Config, rp replay, members []Member, cols []column) (onePass bool) {
 	t.Helper()
-	out := make([]Metrics, len(caps))
-	onePass, err := scoreReplay(cfg, rp, inst, caps, out)
+	g, err := newGroup(members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, c := range caps {
-		one := cfg
-		one.CacheBytes = c
-		want, err := replayOnce(one, rp, inst)
-		if err != nil {
+	sorted := make([]column, len(cols))
+	for k, i := range g.order {
+		sorted[k] = cols[i]
+	}
+	out := make([]Metrics, len(members))
+	onePass, err = g.score(cfg, rp, sorted, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, m := range g.members {
+		var want [1]Metrics
+		if err := replayColumns(cfg, rp, m.CacheBytes, sorted[k:k+1], want[:]); err != nil {
 			t.Fatal(err)
 		}
-		if out[k] != want {
-			t.Errorf("%s, capacity %d of %v (one pass %v):\n got %+v\nwant %+v", cfg.newPolicy().Name(), c, caps, onePass, out[k], want)
+		if out[k] != want[0] {
+			t.Errorf("%s, member %d of %d (capacity %d, %T, one pass %v):\n got %+v\nwant %+v", cfg.newPolicy().Name(), g.order[k], len(members), m.CacheBytes, m.Variation, onePass, out[k], want[0])
 		}
 	}
 	return onePass
@@ -67,6 +85,26 @@ func raceBuild() bool {
 		}
 	}
 	return false
+}
+
+// namedPolicies are the configurations of every policy PolicyByName
+// knows, the stateful GreedyDual family built per run by a factory.
+func namedPolicies(t testing.TB, cfg Config) map[string]Config {
+	t.Helper()
+	out := map[string]Config{}
+	for _, name := range axisPolicies {
+		p, err := core.PolicyByName(name, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Policy = p
+		if _, stateful := p.(core.EvictionObserver); stateful {
+			c.Policy, c.PolicyFactory = nil, func() core.Policy { p, _ := core.PolicyByName(name, 0.5); return p }
+		}
+		out[name] = c
+	}
+	return out
 }
 
 // TestCapacityPassMatchesRunOnce is the pass's exactness contract on
@@ -93,16 +131,9 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 		wantPass bool
 	}
 	var cases []axisCase
-	for _, name := range []string{"IF", "PB", "IB", "PB-V", "IB-V", "LRU", "LFU", "HYBRID", "HYBRID-V", "GDS", "GDS-BW", "GDSP"} {
-		p, err := core.PolicyByName(name, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Workload: wl, Policy: p}
-		if _, stateful := p.(core.EvictionObserver); stateful {
-			cfg = Config{Workload: wl, PolicyFactory: func() core.Policy { p, _ := core.PolicyByName(name, 0.5); return p }}
-		}
-		cases = append(cases, axisCase{name, cfg, onePass[name]})
+	named := namedPolicies(t, Config{Workload: wl})
+	for _, name := range axisPolicies {
+		cases = append(cases, axisCase{name, named[name], onePass[name]})
 	}
 	cases = append(cases,
 		axisCase{"PB/ewma", Config{Workload: wl, Policy: core.NewPB(), Estimators: EWMAEstimator(0.3)}, false},
@@ -127,7 +158,9 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if onePass := checkAxis(t, cfg, rp, arena.rates(cfg, seed, rp), caps); onePass != c.wantPass {
+					col := arena.column(cfg, seed, rp)
+					cols := slices.Repeat([]column{col}, len(caps))
+					if onePass := checkGroup(t, cfg, rp, atCapacities(caps, v.v), cols); onePass != c.wantPass {
 						t.Errorf("seed %d scored in one pass = %v, want %v", seed, onePass, c.wantPass)
 					}
 				}
@@ -153,39 +186,144 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if checkAxis(t, cfg, rp, rp.means, []int64{0, 500, 1000, 1500, 3000}) {
+		col := column{inst: rp.means}
+		if checkGroup(t, cfg, rp, atCapacities([]int64{0, 500, 1000, 1500, 3000}, nil), slices.Repeat([]column{col}, 5)) {
 			t.Error("a utility tie was scored in one pass")
 		}
 	})
 }
 
-// TestRunCapacitiesEqualsRun: the exported call averages its runs
-// exactly as Run does at each capacity, and the arena records that PB's
-// call was one pass and that each of IF's seeds fell back.
-func TestRunCapacitiesEqualsRun(t *testing.T) {
+// groupVariations are the variabilities TestGroupMatchesRun mixes in
+// one group: constant bandwidth (one column entry per object), the two
+// calibrated models, and lognormal ratios that draw per request — at
+// sigma 0 every draw is the path mean, so only the indexing differs
+// from constant bandwidth.
+func groupVariations(t testing.TB) []bandwidth.Variability {
+	t.Helper()
+	flat, err := bandwidth.NewLognormalRatio(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := bandwidth.NewLognormalRatio(0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []bandwidth.Variability{bandwidth.NoVariation{}, bandwidth.MeasuredVariability(), bandwidth.NLANRVariability(), flat, wide}
+}
+
+// TestGroupMatchesRun is RunGroup's exactness contract: every member's
+// Metrics, EvictedBytes included, equal sim.Run's at that CacheBytes
+// and Variation — for every policy PolicyByName knows × the oracle,
+// EWMA, underestimating and probing estimators × byte-granular and
+// whole-object eviction, in a group of the five groupVariations at the
+// mid capacity and, under the oracle, in one of all five at each of the
+// seven paperCapacities. (Under -race: a tenth of the tape.)
+func TestGroupMatchesRun(t *testing.T) {
 	arena := NewArena()
-	caps := []int64{cachePct(0.5), cachePct(2), cachePct(10)}
+	// Under an estimator every member replays alone, one column to a
+	// core.Cache, whatever the capacities, so those cases need neither
+	// the seven capacities nor the paper tape: they check that nothing is
+	// shared, at a tenth of the tape (a hundredth under -race).
+	oracleWL, estimatorWL := paperWorkload(), testWorkload()
+	if raceBuild() {
+		oracleWL, estimatorWL = testWorkload(), workload.Config{NumObjects: 100, NumRequests: 2000}
+	}
+	vars := groupVariations(t)
+	estimators := []struct {
+		name string
+		f    EstimatorFactory
+	}{{"oracle", nil}, {"ewma", EWMAEstimator(0.3)}, {"underestimate", UnderestimatingOracle(0.5)}, {"probe", ActiveProbeEstimator(0.1)}}
+	for _, est := range estimators {
+		wl := oracleWL
+		if est.f != nil {
+			wl = estimatorWL
+		}
+		caps := paperCapacities(t, arena, wl)
+		mid := len(caps) / 2
+		if est.f != nil {
+			caps, mid = caps[mid:mid+1], 0
+		}
+		named := namedPolicies(t, Config{Workload: wl, Runs: 1, Seed: 1, Parallelism: 1, Arena: arena})
+		for _, name := range axisPolicies {
+			for _, whole := range []bool{false, true} {
+				cfg := named[name]
+				cfg.Estimators = est.f
+				if whole {
+					cfg.CacheOptions = []core.Option{core.WithWholeObjectEviction(true)}
+				}
+				t.Run(fmt.Sprintf("%s/%s/whole=%v", name, est.name, whole), func(t *testing.T) {
+					t.Parallel()
+					want := make([][]Metrics, len(caps)) // [capacity][variation]
+					for c, cb := range caps {
+						for _, v := range vars {
+							one := cfg
+							one.CacheBytes, one.Variation = cb, v
+							m, err := Run(one)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want[c] = append(want[c], m)
+						}
+					}
+					check := func(caps []int64, want [][]Metrics) {
+						var members []Member
+						for _, cb := range caps {
+							for _, v := range vars {
+								members = append(members, Member{CacheBytes: cb, Variation: v})
+							}
+						}
+						got, err := RunGroup(cfg, members)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for k, m := range members {
+							if w := want[k/len(vars)][k%len(vars)]; got[k] != w {
+								t.Errorf("member %d (capacity %d, %T):\n got %+v\nwant %+v", k, m.CacheBytes, m.Variation, got[k], w)
+							}
+						}
+					}
+					check(caps[mid:mid+1], want[mid:mid+1])
+					if len(caps) > 1 {
+						check(caps, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunGroupEqualsRun: the exported call averages its runs exactly
+// as Run does for each member, in the caller's member order, and the
+// arena records that PB's call was one pass, that each of IF's seeds
+// fell back, and that each call's second variability shared the first's
+// trajectories.
+func TestRunGroupEqualsRun(t *testing.T) {
+	arena := NewArena()
+	var members []Member
+	for _, v := range []bandwidth.Variability{bandwidth.NLANRVariability(), nil} {
+		members = append(members, atCapacities([]int64{cachePct(10), cachePct(0.5), cachePct(2)}, v)...)
+	}
 	for _, p := range []core.Policy{core.NewPB(), core.NewIF()} {
-		cfg := Config{Workload: testWorkload(), Policy: p, Variation: bandwidth.NLANRVariability(), Runs: 3, Seed: 5, Arena: arena}
-		got, err := RunCapacities(cfg, caps)
+		cfg := Config{Workload: testWorkload(), Policy: p, Runs: 3, Seed: 5, Arena: arena}
+		got, err := RunGroup(cfg, members)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, c := range caps {
-			cfg.CacheBytes = c
+		for k, m := range members {
+			cfg.CacheBytes, cfg.Variation = m.CacheBytes, m.Variation
 			want, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got[k] != want {
-				t.Errorf("%s at %d:\n got %+v\nwant %+v", p.Name(), c, got[k], want)
+				t.Errorf("%s at %d, %T:\n got %+v\nwant %+v", p.Name(), m.CacheBytes, m.Variation, got[k], want)
 			}
 		}
 	}
-	if passes, fallbacks := arena.CapacityPasses(); passes != 1 || fallbacks != 3 {
-		t.Errorf("CapacityPasses = %d passes, %d fallbacks; want PB's 1 pass and IF's 3 seeds", passes, fallbacks)
+	if passes, fallbacks, shared := arena.Groups(); passes != 1 || fallbacks != 3 || shared != 6 {
+		t.Errorf("Groups = %d passes, %d fallbacks, %d shared; want PB's 1 pass, IF's 3 seeds and 3 shared members per call", passes, fallbacks, shared)
 	}
-	if _, err := RunCapacities(Config{Workload: testWorkload(), Policy: core.NewPB()}, []int64{1, -1}); err == nil {
+	if _, err := RunGroup(Config{Workload: testWorkload(), Policy: core.NewPB()}, atCapacities([]int64{1, -1}, nil)); err == nil {
 		t.Error("negative capacity accepted")
 	}
 }
@@ -205,21 +343,28 @@ func TestCapacityPassSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := cfg.Arena.rates(cfg, seed, rp)
-	caps := []int64{cachePct(0.5), cachePct(2), cachePct(5), cachePct(10), cachePct(16.9)}
-	out := make([]Metrics, len(caps))
-	if !capacityPass(cfg, rp, inst, caps, out) { // warm the pool
+	col := cfg.Arena.column(cfg, seed, rp)
+	g, err := newGroup(atCapacities([]int64{cachePct(0.5), cachePct(2), cachePct(5), cachePct(10), cachePct(16.9)}, cfg.Variation))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := slices.Repeat([]column{col}, len(g.members))
+	out := make([]Metrics, len(cols))
+	if !capacityPass(cfg, rp, g.members, cols, out) { // warm the pool
 		t.Fatal("PB fell back")
 	}
-	if allocs := testing.AllocsPerRun(5, func() { capacityPass(cfg, rp, inst, caps, out) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(5, func() { capacityPass(cfg, rp, g.members, cols, out) }); allocs != 0 {
 		t.Errorf("steady-state capacity pass allocates %.1f objects, want 0", allocs)
 	}
 }
 
-// BenchmarkCapacityAxis is the pass's in-tree rung: one run of a paper
-// tape under NLANR variability at the scale's five cache fractions,
-// replayed through core.Cache once per capacity (runOnce x5, what a
-// figure paid before) against one capacity pass.
+// BenchmarkCapacityAxis is the group's in-tree rung, one run of a paper
+// tape per op. The capacity axis: NLANR variability at the scale's five
+// cache fractions, replayed through core.Cache once per capacity
+// (runOnce x5, what a figure paid before the pass) against one capacity
+// pass. Variability: the mid capacity under paper scale's five
+// lognormal sigmas, runOnce once per sigma against one replay shared by
+// the five columns.
 //
 //	go test ./internal/sim -run '^$' -bench CapacityAxis -benchmem
 func BenchmarkCapacityAxis(b *testing.B) {
@@ -231,8 +376,8 @@ func BenchmarkCapacityAxis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, p := range []core.Policy{core.NewPB(), core.NewIB(), hybrid} {
-		cfg, err := Config{Workload: wl, Policy: p, Variation: bandwidth.NLANRVariability(), Seed: 1, Arena: arena}.normalize()
+	setup := func(p core.Policy, v bandwidth.Variability) (Config, int64, replay) {
+		cfg, err := Config{Workload: wl, Policy: p, Variation: v, Seed: 1, Arena: arena}.normalize()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +386,16 @@ func BenchmarkCapacityAxis(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		inst := arena.rates(cfg, seed, rp)
+		return cfg, seed, rp
+	}
+	for _, p := range []core.Policy{core.NewPB(), core.NewIB(), hybrid} {
+		cfg, seed, rp := setup(p, bandwidth.NLANRVariability())
+		g, err := newGroup(atCapacities(caps, cfg.Variation))
+		if err != nil {
+			b.Fatal(err)
+		}
+		col := arena.column(cfg, seed, rp)
+		cols := slices.Repeat([]column{col}, len(caps))
 		out := make([]Metrics, len(caps))
 		b.Run(p.Name()+"/runOnce-x5", func(b *testing.B) {
 			b.ReportAllocs()
@@ -258,20 +412,63 @@ func BenchmarkCapacityAxis(b *testing.B) {
 		b.Run(p.Name()+"/pass", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if !capacityPass(cfg, rp, inst, caps, out) {
+				if !capacityPass(cfg, rp, g.members, cols, out) {
 					b.Fatal("fell back")
 				}
 			}
 		})
 	}
+	b.Run("Variability", func(b *testing.B) {
+		var vars []bandwidth.Variability
+		for _, sigma := range []float64{0, 0.15, 0.25, 0.4, 0.55} {
+			v, err := bandwidth.NewLognormalRatio(sigma)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vars = append(vars, v)
+		}
+		mid := caps[len(caps)/2]
+		for _, p := range []core.Policy{core.NewPB(), hybrid} {
+			cfg, seed, rp := setup(p, nil)
+			cfg.CacheBytes = mid
+			cols := make([]column, len(vars))
+			for k, v := range vars {
+				one := cfg
+				one.Variation = v
+				cols[k] = arena.column(one, seed, rp)
+			}
+			out := make([]Metrics, len(vars))
+			b.Run(p.Name()+"/runOnce-x5", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					for k, v := range vars {
+						one := cfg
+						one.Variation = v
+						if out[k], err = runOnce(one, seed); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+			b.Run(p.Name()+"/shared", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if err := replayColumns(cfg, rp, mid, cols, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
 }
 
-// FuzzCapacityPass is the model test of core.Cache on random tapes:
-// small random catalogs, request sequences, path means, bandwidth
-// columns, policies, estimators, eviction modes and capacities go
-// through scoreReplay and through replayOnce (a core.Cache) at each
-// capacity, and every Metrics field must agree. The seed corpus covers
-// every policy under each estimator and eviction mode.
+// FuzzCapacityPass is the model test of core.Cache and of sharing on
+// random tapes: small random catalogs, request sequences, path means,
+// policies, estimators, eviction modes and groups — members at random
+// capacities, several to a capacity, each with a bandwidth column of
+// its own — go through group.score and through a lone replay (a
+// core.Cache) per member, and every Metrics field must agree. The seed
+// corpus covers every policy under each estimator and eviction mode.
 func FuzzCapacityPass(f *testing.F) {
 	for p := range axisPolicies {
 		for _, flags := range []uint8{0, 8, 1, 10, 4} {
@@ -281,19 +478,21 @@ func FuzzCapacityPass(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, policy, flags uint8) {
-		cfg, rp, inst, caps := randomAxis(t, seed, policy, flags)
-		checkAxis(t, cfg, rp, inst, caps)
+		cfg, rp, members, cols := randomGroup(t, seed, policy, flags)
+		checkGroup(t, cfg, rp, members, cols)
 	})
 }
 
 var axisPolicies = []string{"IF", "PB", "IB", "PB-V", "IB-V", "LRU", "LFU", "HYBRID", "HYBRID-V", "GDS", "GDS-BW", "GDSP"}
 
-// randomAxis builds one fuzz case from a seed: up to 12 objects, 96
-// requests and 6 capacities (0 and more than every object among them).
-// policy picks from axisPolicies; flags%4 picks the oracle, a
-// deliberate underestimate or EWMA, flags&4 whole-object eviction and
-// flags&8 a bandwidth drawn per request.
-func randomAxis(t *testing.T, seed int64, policy, flags uint8) (Config, replay, []float64, []int64) {
+// randomGroup builds one fuzz case from a seed: up to 12 objects, 96
+// requests and 6 distinct capacities (0 and more than every object
+// among them), each with 1 to 3 members. policy picks from
+// axisPolicies; flags%4 picks the oracle, a deliberate underestimate or
+// EWMA, flags&4 whole-object eviction. Each member's column holds one
+// random bandwidth per object — or, with flags&8 and a coin toss of its
+// own, one per request.
+func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay, []Member, []column) {
 	rng := rand.New(rand.NewSource(seed))
 	objects, requests := 1+rng.Intn(12), 1+rng.Intn(96)
 	tp := &tape{objs: make([]core.Object, objects)}
@@ -340,14 +539,6 @@ func randomAxis(t *testing.T, seed int64, policy, flags uint8) (Config, replay, 
 	if flags&4 != 0 {
 		cfg.CacheOptions = []core.Option{core.WithWholeObjectEviction(true)}
 	}
-	inst := rp.means
-	if flags&8 != 0 { // a variability that draws: one bandwidth per request
-		cfg.Variation = bandwidth.NLANRVariability()
-		inst = make([]float64, requests)
-		for i, o := range tp.obj {
-			inst[i] = rp.means[o] * (0.2 + 2*rng.Float64())
-		}
-	}
 	if cfg, err = cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -355,6 +546,27 @@ func randomAxis(t *testing.T, seed int64, policy, flags uint8) (Config, replay, 
 	for k := rng.Intn(4); k > 0; k-- {
 		caps = append(caps, rng.Int63n(total+1))
 	}
-	rng.Shuffle(len(caps), func(i, j int) { caps[i], caps[j] = caps[j], caps[i] })
-	return cfg, rp, inst, caps
+	var members []Member
+	var cols []column
+	for _, c := range caps {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			m, col := Member{CacheBytes: c, Variation: bandwidth.NoVariation{}}, column{inst: make([]float64, objects)}
+			if flags&8 != 0 && rng.Intn(2) == 0 {
+				m.Variation, col = bandwidth.NLANRVariability(), column{inst: make([]float64, requests), perRequest: true}
+			}
+			for i := range col.inst {
+				o := i
+				if col.perRequest {
+					o = int(tp.obj[i])
+				}
+				col.inst[i] = rp.means[o] * (0.2 + 2*rng.Float64())
+			}
+			members, cols = append(members, m), append(cols, col)
+		}
+	}
+	rng.Shuffle(len(members), func(i, j int) {
+		members[i], members[j] = members[j], members[i]
+		cols[i], cols[j] = cols[j], cols[i]
+	})
+	return cfg, rp, members, cols
 }

@@ -258,15 +258,17 @@ func (agg *Metrics) over(runs int) {
 }
 
 // runScratch holds every piece of per-run mutable state — the caches of
-// all nodes and the estimator slice — reused across runs via
-// scratchPool. Only backing storage survives a run: estimator slice
-// elements are rewritten before use and each pooled cache is Reset to
-// its freshly-constructed state, so pooled state can never leak between
-// runs (and results stay bit-identical whether or not a pooled buffer
-// was reused — the Parallelism 1/2/8 determinism suite exercises both).
+// all nodes, the estimator slice and the per-column sums — reused across
+// runs via scratchPool. Only backing storage survives a run: estimator
+// slice elements are rewritten and sums cleared before use and each
+// pooled cache is Reset to its freshly-constructed state, so pooled
+// state can never leak between runs (and results stay bit-identical
+// whether or not a pooled buffer was reused — the Parallelism 1/2/8
+// determinism suite exercises both).
 type runScratch struct {
 	estimators []bandwidth.Estimator
 	caches     []*core.Cache
+	sums       []columnSums
 }
 
 func (s *runScratch) estSlice(n int) []bandwidth.Estimator {
@@ -316,8 +318,9 @@ func (c Config) cacheOptions(objects int) []core.Option {
 	return append(opts, c.CacheOptions...)
 }
 
-// runOnce replays one seeded tape through one cache (RunCapacities
-// scores most fixed-grid cache axes without it: capacity.go). It is the 1-edge,
+// runOnce replays one seeded tape through one cache: the one-column
+// case of replayColumns, the loop RunGroup shares between the members
+// at one capacity. It is the 1-edge,
 // 1-level case of hierarchyRunOnce (TestHierarchySingleNodeMatchesRun
 // pins the two bit-equal) and shares its tape and scratch, but stays a
 // loop of its own because folding them is not free: each loop computes
@@ -338,22 +341,73 @@ func runOnce(cfg Config, seed int64) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	return replayOnce(cfg, rp, cfg.Arena.rates(cfg, seed, rp))
+	var m [1]Metrics
+	err = replayColumns(cfg, rp, cfg.CacheBytes, []column{cfg.Arena.column(cfg, seed, rp)}, m[:])
+	return m[0], err
 }
 
-// replayOnce is runOnce's request loop over a compiled replay and its
-// bandwidth column: every request through one core.Cache of
-// cfg.CacheBytes.
-func replayOnce(cfg Config, rp replay, inst []float64) (Metrics, error) {
-	perRequest := drawsPerRequest(cfg.Variation)
+// capacityTotals accumulate, in request order, what the measured
+// requests of one cache trajectory add up to whatever the bandwidth:
+// the bytes served from cache, the requests finding a prefix and the
+// bytes evicted.
+type capacityTotals struct {
+	cached  float64
+	hits    int
+	evicted int64
+}
 
+// columnSums accumulate, in request order, what one bandwidth column
+// makes of a trajectory's hit bytes: startup delay, stream quality and
+// the value of the immediately servable requests.
+type columnSums struct {
+	delay, quality, value float64
+}
+
+// memberTotals are one member's sums: its trajectory's and its column's.
+type memberTotals struct {
+	capacityTotals
+	columnSums
+}
+
+// metrics averages the sums over the requests measured, whose watched
+// bytes add up to watched.
+func (t memberTotals) metrics(requests int, watched float64) Metrics {
+	m := Metrics{Requests: requests, TotalAddedValue: t.value, EvictedBytes: t.evicted}
+	if requests > 0 {
+		m.AvgServiceDelay = t.delay / float64(requests)
+		m.AvgStreamQuality = t.quality / float64(requests)
+		m.HitRatio = float64(t.hits) / float64(requests)
+	}
+	if watched > 0 {
+		m.TrafficReductionRatio = t.cached / watched
+	}
+	return m
+}
+
+// replayColumns is the request loop: every request of rp through one
+// core.Cache of the given capacity, the trajectory scored once per
+// bandwidth column into out[k]. With the oracle estimator the cache
+// never reads a column, so any number of columns share the replay; an
+// estimator observes what each request got, so cols must then hold
+// exactly the one column the run's estimates follow. At one column it
+// is as fast as the single-column loop it replaced: BenchmarkCapacityAxis
+// runOnce-x5 on a paper NLANR tape, three alternating -cpu 1 pairs on a
+// 2-vCPU AMD EPYC guest, medians 11.61 against 11.63 ms for PB and
+// 13.17 against 12.83 for Hybrid(0.5) (the old loop's own spread
+// 12.81–13.46). The three metric calls stay written out in the loop:
+// behind a method, which the compiler does not inline, the same runs
+// took 20 % longer.
+func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []Metrics) error {
 	scratch := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(scratch)
 	opts := cfg.cacheOptions(len(rp.objs))
-	cache, err := scratch.cache(0, cfg.CacheBytes, cfg.newPolicy(), opts)
+	cache, err := scratch.cache(0, capacity, cfg.newPolicy(), opts)
 	if err != nil {
-		return Metrics{}, err
+		return err
 	}
+	scratch.sums = fit(scratch.sums, len(cols))
+	sums := scratch.sums
+	clear(sums)
 
 	// Build the per-path estimators; a nil factory is the oracle mean,
 	// read straight from the memoized assignment.
@@ -368,56 +422,39 @@ func replayOnce(cfg Config, rp replay, inst []float64) (Metrics, error) {
 
 	warm := int(cfg.WarmFraction * float64(len(rp.obj)))
 	var (
-		m          Metrics
-		delaySum   float64
-		qualitySum float64
-		cacheBytes float64
-		totalBytes float64
-		hits       int
+		a       capacityTotals
+		watched float64
 	)
 	for i, o := range rp.obj {
 		obj := rp.objs[o]
-		k := int(o)
-		if perRequest {
-			k = i
-		}
-		bw := inst[k]
 		est := rp.means[o]
 		if !oracle {
 			est = estimators[o].Estimate()
 		}
 		res := cache.Access(obj, est, rp.time[i])
 		if !oracle {
-			estimators[o].Observe(bw)
+			estimators[o].Observe(cols[0].at(i, o))
 		}
 		if i < warm {
 			continue
 		}
-		m.Requests++
-		delaySum += core.StartupDelay(obj, res.HitBytes, bw)
-		qualitySum += core.StreamQuality(obj, res.HitBytes, bw)
-		if core.ImmediatelyServable(obj, res.HitBytes, bw) {
-			m.TotalAddedValue += obj.Value
+		for k := range cols {
+			bw, s := cols[k].at(i, o), &sums[k]
+			s.delay += core.StartupDelay(obj, res.HitBytes, bw)
+			s.quality += core.StreamQuality(obj, res.HitBytes, bw)
+			if core.ImmediatelyServable(obj, res.HitBytes, bw) {
+				s.value += obj.Value
+			}
 		}
-		watched := rp.watched[i]
-		served := res.HitBytes
-		if served > watched {
-			served = watched
-		}
-		cacheBytes += float64(served)
-		totalBytes += float64(watched)
+		a.cached += float64(min(res.HitBytes, rp.watched[i]))
+		watched += float64(rp.watched[i])
 		if res.HitBytes > 0 {
-			hits++
+			a.hits++
 		}
-		m.EvictedBytes += res.EvictedBytes
+		a.evicted += res.EvictedBytes
 	}
-	if m.Requests > 0 {
-		m.AvgServiceDelay = delaySum / float64(m.Requests)
-		m.AvgStreamQuality = qualitySum / float64(m.Requests)
-		m.HitRatio = float64(hits) / float64(m.Requests)
+	for k := range cols {
+		out[k] = memberTotals{a, sums[k]}.metrics(len(rp.obj)-warm, watched)
 	}
-	if totalBytes > 0 {
-		m.TrafficReductionRatio = cacheBytes / totalBytes
-	}
-	return m, nil
+	return nil
 }

@@ -111,17 +111,34 @@ func compileRates(rp replay, variation bandwidth.Variability, seed int64) []floa
 	return inst
 }
 
-// rates returns the (possibly cached) bandwidth column of rp under
+// column is one bandwidth column as a request loop reads it: request i,
+// for object o, observes inst[i] when the variability draws per request
+// and inst[o] when it does not.
+type column struct {
+	inst       []float64
+	perRequest bool
+}
+
+func (c column) at(i int, o uint32) float64 {
+	if c.perRequest {
+		return c.inst[i]
+	}
+	return c.inst[o]
+}
+
+// column returns the (possibly cached) bandwidth column of rp under
 // cfg's variability. Memoization needs comparable model values; a
 // non-comparable base or variability compiles a private column through
 // the same code.
-func (a *Arena) rates(cfg Config, seed int64, rp replay) []float64 {
+func (a *Arena) column(cfg Config, seed int64, rp replay) column {
+	c := column{perRequest: drawsPerRequest(cfg.Variation)}
 	if !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
-		return compileRates(rp, cfg.Variation, seed)
+		c.inst = compileRates(rp, cfg.Variation, seed)
+		return c
 	}
-	inst, _ := memoize(a, a.cols, rateKey{tape: rp.tape, base: cfg.Base, variation: cfg.Variation}, func() ([]float64, error) {
+	c.inst, _ = memoize(a, a.cols, rateKey{tape: rp.tape, base: cfg.Base, variation: cfg.Variation}, func() ([]float64, error) {
 		a.rateCompiles.Add(1)
 		return compileRates(rp, cfg.Variation, seed), nil
 	})
-	return inst
+	return c
 }

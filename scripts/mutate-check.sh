@@ -167,7 +167,7 @@ row H9 internal/proxy/proxy.go clean 'TestPumpSteadyStateAllocFree TestServeMiss
     $'\t\tn, err = body.Read(seg.buf[offset-seg.off:])' \
     $'\t\tdst := seg.buf[offset-seg.off:]\n\t\tbuf := make([]byte, 4096)\n\t\tn, err = body.Read(buf[:min(len(buf), len(dst))])\n\t\tcopy(dst, buf[:n])'
 row H10 internal/sim/sim.go clean TestRunOnceSteadyStateAllocs ./internal/sim \
-    'fmt.Sprint per request in sim.runOnce' \
+    'fmt.Sprint per request in sim.replayColumns, runOnce'"'"'s loop' \
     'func runOnce(' "$sink"'func runOnce(' \
     $'\t\tres := cache.Access(obj, est, rp.time[i])' $'\t\tmutStr = fmt.Sprint(i, est)\n\t\tres := cache.Access(obj, est, rp.time[i])'
 
@@ -224,9 +224,9 @@ row D8 internal/load/arrival.go clean 'TestProcessesDeterministicPerSeed TestSch
 
 # --- capacity pass: exact or refused -----------------------------------------
 #
-# sim.RunCapacities scores a cache-size axis in one tape pass only where
-# the greedy fill is core.Cache's state (DESIGN.md §5a); each fault makes
-# it score something it must refuse, or score it wrong.
+# sim.RunGroup scores a cache-size axis in one tape pass only where the
+# greedy fill is core.Cache's state (DESIGN.md §5a); each fault makes it
+# score something it must refuse, or score it wrong.
 
 row K1 internal/sim/capacity.go clean TestCapacityPassMatchesRunOnce ./internal/sim \
     'the tie check is gone: two objects sharing a utility are ranked by request index, which core.Cache does not do' \
@@ -237,12 +237,31 @@ row K2 internal/sim/capacity.go clean 'FuzzCapacityPass TestGoldenTables' './int
 row K3 internal/sim/capacity.go clean FuzzCapacityPass ./internal/sim \
     'EvictedBytes is never derived from the fills (no table column reports it: only the model test sees it)' \
     'a.evicted += min(cb, before) - min(cb, live) + held - hit' '_ = min(cb, before) - min(cb, live) + held - hit'
-row K4 internal/sim/capacity.go clean 'FuzzCapacityPass TestGoldenTables' './internal/sim ./internal/experiments' \
-    'selection ignores Estimators: an EWMA or underestimating group is scored with the oracle means' \
-    'return c.Estimators == nil && c.PolicyFactory == nil' 'return c.PolicyFactory == nil'
+row K4 internal/sim/capacity.go clean 'FuzzCapacityPass TestCapacityPassMatchesRunOnce TestGoldenTables' './internal/sim ./internal/experiments' \
+    'selection ignores Estimators across capacities: an EWMA or underestimating cache-size group is scored with the oracle means' \
+    $'\tif cfg.Estimators != nil {\n' $'\tif cfg.Estimators != nil && len(g.caps) < 2 {\n'
 row K5 internal/experiments/spec.go clean TestGoldenTables ./internal/experiments \
-    'cache-size groups keyed without the policy axis: one policy scores every policy'"'"'s rows' \
-    $'\t\t\tif !axes[k].cache {' $'\t\t\tif !axes[k].cache && !slices.Contains(axes[k].cols, "policy") {'
+    'groups keyed without the policy axis: one policy scores every policy'"'"'s rows' \
+    $'\t\t\tif !axes[k].member {' $'\t\t\tif !axes[k].member && !slices.Contains(axes[k].cols, "policy") {'
+
+# --- shared replays: one trajectory per capacity, one column per member -------
+#
+# Under the oracle the members of a group at one capacity share one
+# core.Cache replay and each scores it from its own bandwidth column
+# (DESIGN.md §5a "Variability never enters the cache under the oracle").
+
+row V1 internal/sim/capacity.go clean 'TestGroupMatchesRun TestGoldenTables' './internal/sim ./internal/experiments' \
+    'sharing ignores Estimators: the sigmas of an EWMA or probing cell share the first sigma'"'"'s trajectory' \
+    $'\tif cfg.Estimators != nil {\n' $'\tif cfg.Estimators != nil && len(g.caps) > 1 {\n'
+row V2 internal/sim/sim.go clean 'TestGroupMatchesRun TestGoldenTables' './internal/sim ./internal/experiments' \
+    'every member of a shared replay accumulates from member 0'"'"'s bandwidth column' \
+    'bw, s := cols[k].at(i, o), &sums[k]' 'bw, s := cols[0].at(i, o), &sums[k]'
+row V3 internal/sim/capacity.go clean TestGroupMatchesRun ./internal/sim \
+    'each member indexes its column per request or per object as member 0 does (no table mixes the two in one group)' \
+    $'\t\t\tcols[k] = cfg.Arena.column(one, seed, rp)\n' $'\t\t\tcols[k] = cfg.Arena.column(one, seed, rp)\n\t\t\tcols[k].perRequest = cols[0].perRequest\n'
+row V4 internal/experiments/spec.go clean TestGoldenTables ./internal/experiments \
+    'refined-round points grouped without their e coordinate: one round'"'"'s two values of e are scored as the first' \
+    'group += strconv.FormatFloat(coords[n], '"'g'"', -1, 64) + ","' 'group += ","'
 
 # --- shard lock: analyzer, -race and the fault suite -------------------------
 
