@@ -1,5 +1,5 @@
-// Command mediavet runs the repo's custom static analyzers
-// (determinism, shardlock — see internal/analysis).
+// Command mediavet runs the repo's custom static analyzer (shardlock —
+// see internal/analysis).
 //
 //	go run ./cmd/mediavet [-C dir] [-v] [packages...]
 //
@@ -22,32 +22,23 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("mediavet", flag.ContinueOnError)
 	dir := fs.String("C", "", "change to `dir` before analyzing (module root)")
 	verbose := fs.Bool("v", false, "log per-package progress to stderr")
-	summary := fs.Bool("summary", true, "print the suppression summary line")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
 
-	r := &analysis.Runner{
-		Dir:       *dir,
-		Patterns:  fs.Args(),
-		Analyzers: analysis.All(),
-	}
+	r := &analysis.Runner{Dir: *dir, Patterns: fs.Args()}
 	if *verbose {
 		r.Log = os.Stderr
 	}
-	res, err := r.Run()
+	findings, err := r.Run()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mediavet: %v\n", err)
 		return 1
 	}
-	for _, f := range res.Findings {
+	for _, f := range findings {
 		fmt.Printf("%s\n", f)
 	}
-	if *summary {
-		fmt.Fprintf(os.Stderr, "mediavet: %d packages, %d findings, %d suppressed by //mediavet:ignore\n",
-			res.Packages, len(res.Findings), res.Suppressed)
-	}
-	if len(res.Findings) > 0 {
+	if len(findings) > 0 {
 		return 2
 	}
 	return 0

@@ -1,23 +1,20 @@
 // Package analysis implements mediavet, the repo's in-house static
-// analyzer suite. It machine-enforces the two load-bearing contracts
-// that have a fault only a static check catches (scripts/mutate-check.sh
-// holds the faults):
+// analyzer. It machine-enforces the one load-bearing contract that has
+// faults only a static check catches (scripts/mutate-check.sh holds the
+// faults): shardlock — internal/proxy keeps shard locks short, never
+// blocks or returns while holding one; cross-shard state goes through
+// atomics.
 //
-//   - determinism: sweep output must be byte-identical for a given seed
-//     (no wall clock, no global rand, no map-order-dependent output,
-//     no ad-hoc goroutines outside internal/par),
-//   - shardlock: internal/proxy keeps shard locks short, never blocks
-//     or returns while holding one; cross-shard state goes through
-//     atomics.
-//
-// The zero-allocation budget of the hit paths is measured, not
-// analyzed: the AllocsPerRun pins beside the code own it.
+// Byte-identical output for a seed and the zero-allocation budget of
+// the hit paths are measured, not analyzed: the golden-table and
+// cross-parallelism tests and the AllocsPerRun pins beside the code own
+// them.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
-// API shape (Analyzer, Pass, Diagnostic) but is self-contained on the
+// API shape (Analyzer, Pass, Reportf) but is self-contained on the
 // standard library: packages are loaded via `go list -export` and type
 // checked with the gc export-data importer, so the module keeps its
-// zero-dependency property. cmd/mediavet drives the analyzers through
+// zero-dependency property. cmd/mediavet drives Shardlock through
 // Runner, the one driver.
 package analysis
 
@@ -28,9 +25,8 @@ import (
 	"go/types"
 )
 
-// ModulePath is the import-path prefix of this repository. Analyzers
-// use it to scope package checks and to distinguish module-internal
-// calls from standard-library ones.
+// ModulePath is the import-path prefix of this repository. Shardlock
+// uses it to scope its check to internal/proxy.
 const ModulePath = "streamcache"
 
 // An Analyzer is one named check. Run inspects a fully type-checked
@@ -39,13 +35,6 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
-}
-
-// A Diagnostic is a single finding at a position, before suppression
-// (//mediavet:ignore) has been applied.
-type Diagnostic struct {
-	Pos     token.Pos
-	Message string
 }
 
 // A Pass carries one analyzer's view of one package.
@@ -57,13 +46,15 @@ type Pass struct {
 	PkgPath  string
 	Info     *types.Info
 
-	diags []Diagnostic
+	findings []Finding
 }
 
-// Reportf records a finding. The driver applies //mediavet:ignore
-// suppression afterwards, so analyzers report unconditionally.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	at := p.Fset.Position(pos)
+	p.findings = append(p.findings, Finding{
+		Analyzer: p.Analyzer.Name, File: at.Filename, Line: at.Line, Col: at.Column, Message: fmt.Sprintf(format, args...),
+	})
 }
 
 // FuncKey renders a stable identity for a function or method:
@@ -116,17 +107,6 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// builtinName is the name of the builtin a call invokes (append, make,
-// panic, ...), or "" when it calls anything else.
-func builtinName(info *types.Info, call *ast.CallExpr) string {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := info.Uses[id].(*types.Builtin); isB {
-			return b.Name()
-		}
-	}
-	return ""
-}
-
 // calleePkgPath returns the defining package path of fn, or "" for
 // builtins and universe-scope functions.
 func calleePkgPath(fn *types.Func) string {
@@ -134,25 +114,4 @@ func calleePkgPath(fn *types.Func) string {
 		return ""
 	}
 	return fn.Pkg().Path()
-}
-
-// rootIdent walks a selector/index/star chain (a.b[c].d, *p.q) down to
-// its base identifier, or nil if the base is not an identifier.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

@@ -8,12 +8,9 @@ import (
 )
 
 // TestRunnerTwoPackageModule drives Runner — go list, the loader and
-// every analyzer — over a temp module of two packages, one importing
-// the other. The wall-clock read is an analyzer's finding, the one
-// under a well-formed //mediavet:ignore is counted as suppressed, and
-// the stale ignore is the finding the driver itself adds once every
-// analyzer has run, as are the three about directives it cannot parse
-// or place.
+// shardlock — over a temp module of two packages, internal/proxy
+// importing internal/core. Both sleep under a mutex; only the one in
+// internal/proxy, the package shardlock guards, is a finding.
 func TestRunnerTwoPackageModule(t *testing.T) {
 	// The module has no requirements; keep go list from ever reaching
 	// for the network or another toolchain.
@@ -32,70 +29,65 @@ func TestRunnerTwoPackageModule(t *testing.T) {
 		}
 	}
 	write("go.mod", "module "+ModulePath+"\n\ngo 1.24\n")
-	write("internal/zdep/zdep.go", `package zdep
-
-func Cold(x int) int { return x + 2 }
-
-//mediavet:ignore
-func NoName(x int) int { return x }
-
-//mediavet:ignore determinism
-func NoReason(x int) int { return x }
-
-//mediavet:ignore nosuch the analyzer it names does not exist
-func Unknown(x int) int { return x }
-
-//mediavet:ignoreX is some other directive and none of mediavet's business
-func Other(x int) int { return x }
-`)
-	write("internal/sim/sim.go", `package sim
+	write("internal/core/core.go", `package core
 
 import (
+	"sync"
 	"time"
-
-	"streamcache/internal/zdep"
 )
 
-func Serve(x int) int {
-	//mediavet:ignore determinism telemetry only in this fixture
-	_ = time.Now()
-	return zdep.Cold(x) + int(time.Now().Unix())
+type Cache struct {
+	mu sync.Mutex
+	n  int
 }
 
-func Idle(x int) int {
-	//mediavet:ignore determinism nothing on the next line reads a clock
-	return x
+func (c *Cache) Touch() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	time.Sleep(time.Millisecond)
+	c.n++
+	return c.n
+}
+`)
+	write("internal/proxy/proxy.go", `package proxy
+
+import (
+	"sync"
+	"time"
+
+	"streamcache/internal/core"
+)
+
+type shard struct {
+	mu    sync.Mutex
+	cache *core.Cache
+}
+
+func (sh *shard) serve() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	time.Sleep(time.Millisecond)
+	return sh.cache.Touch()
 }
 `)
 
 	var log strings.Builder
-	res, err := (&Runner{Dir: dir, Analyzers: All(), Log: &log}).Run()
+	findings, err := (&Runner{Dir: dir, Log: &log}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Packages != 2 || res.Suppressed != 1 {
-		t.Errorf("packages=%d suppressed=%d, want 2 and 1", res.Packages, res.Suppressed)
-	}
-	if !strings.Contains(log.String(), "internal/sim (2 findings, 1 suppressed)") {
-		t.Errorf("progress log = %q, want a line for internal/sim", log.String())
-	}
-	// Sorted by file, line, then column: the driver's own findings about the
-	// directives it could not use come out beside the analyzers'.
-	want := []string{
-		"sim.go:12:28: determinism: time.Now reads the wall clock",
-		"sim.go:16:1: mediavet: stale //mediavet:ignore determinism",
-		"zdep.go:5:1: mediavet: malformed //mediavet:ignore directive: missing analyzer name and reason",
-		"zdep.go:8:1: mediavet: malformed //mediavet:ignore directive: missing reason",
-		`zdep.go:11:1: mediavet: //mediavet:ignore names unknown analyzer "nosuch"`,
-	}
-	if len(res.Findings) != len(want) {
-		t.Fatalf("got %d findings, want %d:\n%v", len(res.Findings), len(want), res.Findings)
-	}
-	for i, w := range want {
-		got := res.Findings[i]
-		got.File = filepath.Base(got.File)
-		if !strings.HasPrefix(got.String(), w) {
-			t.Errorf("finding %d = %s, want it to start %s", i, got, w)
+	for _, line := range []string{"internal/core (0 findings)", "internal/proxy (1 findings)"} {
+		if !strings.Contains(log.String(), line) {
+			t.Errorf("progress log = %q, want a line %q", log.String(), line)
 		}
+	}
+	const want = "proxy.go:18:2: shardlock: calls time.Sleep while holding sh.mu"
+	if len(findings) != 1 {
+		t.Fatalf("got %d findings, want 1 starting %s:\n%v", len(findings), want, findings)
+	}
+	got := findings[0]
+	got.File = filepath.Base(got.File)
+	if !strings.HasPrefix(got.String(), want) {
+		t.Errorf("finding = %s, want it to start %s", got, want)
 	}
 }

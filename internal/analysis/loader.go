@@ -100,7 +100,7 @@ type Package struct {
 // Check parses and type-checks one package. goFiles are resolved
 // relative to dir unless absolute. The driver passes go list's GoFiles,
 // which holds no _test.go file: the invariants govern production code,
-// and tests may use wall clocks, fmt and ad-hoc goroutines freely.
+// and tests may hold a lock across a sleep or a channel operation.
 func (l *Loader) Check(pkgPath, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range goFiles {

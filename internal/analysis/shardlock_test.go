@@ -13,13 +13,11 @@ func TestShardlockScopedToProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent, err := analyzePackage(pkg, loader.Fset, []*Analyzer{Shardlock})
+	findings, err := analyzePackage(pkg, loader.Fset, Shardlock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range ent.Findings {
-		if f.Analyzer == Shardlock.Name {
-			t.Errorf("unexpected finding outside internal/proxy: %s", f)
-		}
+	for _, f := range findings {
+		t.Errorf("unexpected finding outside internal/proxy: %s", f)
 	}
 }

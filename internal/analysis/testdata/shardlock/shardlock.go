@@ -169,13 +169,6 @@ func branchReleaseOK(sh *shard, url string, fast bool) {
 	sh.mu.Unlock()
 }
 
-func suppressedBlock(sh *shard, url string) {
-	sh.mu.Lock()
-	//mediavet:ignore shardlock fixture exercising the suppression path
-	http.Get(url)
-	sh.mu.Unlock()
-}
-
 func switchUnderLock(sh *shard, url string, kind int) {
 	sh.mu.Lock()
 	switch kind {

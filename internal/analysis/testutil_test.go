@@ -16,9 +16,7 @@ import (
 // chosen import path (so package-scoped analyzers see the paths they
 // guard), and every `// want "regexp"` comment asserts a diagnostic on
 // its line. Diagnostics without a want, and wants without a
-// diagnostic, both fail the test. Suppression via //mediavet:ignore is
-// applied before matching, so the suites also cover the directive
-// machinery.
+// diagnostic, both fail the test.
 
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 var wantArgRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
@@ -87,7 +85,7 @@ func runTestdata(t *testing.T, a *Analyzer, dir, pkgPath string) {
 		t.Fatalf("type-checking %s: %v", root, err)
 	}
 
-	ent, err := analyzePackage(pkg, loader.Fset, []*Analyzer{a})
+	findings, err := analyzePackage(pkg, loader.Fset, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +110,7 @@ func runTestdata(t *testing.T, a *Analyzer, dir, pkgPath string) {
 		}
 	}
 
-	for _, f := range ent.Findings {
+	for _, f := range findings {
 		base := filepath.Base(f.File)
 		matched := false
 		for _, w := range wants[base] {

@@ -5,7 +5,7 @@
 // its utility-ordered eviction, and the offline optimal placements the
 // extensions compare against.
 //
-// # Determinism contract
+// # Reproducibility contract
 //
 // The cache and every policy are deterministic state machines: given
 // the same sequence of Access calls (object metadata, bandwidth

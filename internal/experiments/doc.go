@@ -6,7 +6,7 @@
 // A simulated experiment is a spec value — axes x metric columns,
 // spec.go — compiled into a plan that one runner streams (engine.go).
 //
-// # Determinism contract
+// # Reproducibility contract
 //
 // Every experiment streams its rows through a RowSink in deterministic
 // task order, and the streamed bytes of a deterministic sink (CSV,

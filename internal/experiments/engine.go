@@ -47,11 +47,11 @@ func (x exec) foreignMetric(index int) (float64, bool) {
 	if x.Exchange == nil {
 		return 0, false
 	}
-	//mediavet:ignore determinism telemetry only: the wait feeds Counters.ExchangeWaitNanos, never a row or a refinement decision
+	// Telemetry only: the wait feeds Counters.ExchangeWaitNanos, never a
+	// row or a refinement decision.
 	start := time.Now()
 	m, ok := x.Exchange.ForeignMetric(x.table, index)
 	if x.Counters != nil {
-		//mediavet:ignore determinism telemetry only, as above
 		x.Counters.ExchangeWaitNanos.Add(int64(time.Since(start)))
 	}
 	if !ok {

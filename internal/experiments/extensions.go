@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"maps"
 	"math/rand"
-	"slices"
 
 	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
@@ -22,15 +20,10 @@ func extensionStreamMerging(s Scale) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	times := make([]float64, len(w.Requests))
-	ids := make([]int, len(w.Requests))
-	for i, r := range w.Requests {
-		times[i] = r.Time
-		ids[i] = r.ObjectID
-	}
-	byObject, err := merge.SplitByObject(times, ids)
-	if err != nil {
-		return nil, err
+	// Each object's request times, in trace order.
+	byObject := make([][]float64, len(w.Objects))
+	for _, r := range w.Requests {
+		byObject[r.ObjectID] = append(byObject[r.ObjectID], r.Time)
 	}
 
 	// PB's cached prefix for each object under the oracle-mean bandwidth
@@ -60,11 +53,10 @@ func extensionStreamMerging(s Scale) (*plan, error) {
 		"unicast": {}, "batch_30s": {}, "patching": {}, "patching+PB_cache": {},
 	}
 	var unicastBytes float64
-	// Iterate objects in sorted-ID order: the per-technique totals are
-	// float sums, and float addition order must not depend on map
-	// iteration order or reruns drift in the low bits.
-	for _, id := range slices.Sorted(maps.Keys(byObject)) {
-		ts := byObject[id]
+	for id, ts := range byObject {
+		if len(ts) == 0 {
+			continue
+		}
 		o := w.Objects[id]
 		obj := merge.Object{Size: o.Size, Rate: o.Rate}
 		uni, err := merge.Unicast(ts, obj)

@@ -16,7 +16,7 @@ import (
 // concentrate where the response surface bends instead of where the
 // grid happened to fall.
 //
-// Determinism contract: refinement decisions are keyed exclusively on
+// Reproducibility contract: refinement decisions are keyed exclusively on
 // completed rows — the coarse pass is a full barrier, and each round
 // selects a fixed number of intervals (refineRoundPoints, independent
 // of Parallelism) from the deterministic point set, evaluates them over

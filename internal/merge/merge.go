@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrBadInput reports an invalid merge simulation input.
@@ -181,22 +180,4 @@ func OptimalPatchThreshold(lambda float64, obj Object) (float64, error) {
 	}
 	n := lambda * obj.duration()
 	return (math.Sqrt(2*n+1) - 1) / lambda, nil
-}
-
-// SplitByObject groups a request trace (time, objectID pairs must be
-// time-sorted) into per-object arrival-time slices for merge analysis.
-func SplitByObject(times []float64, objectIDs []int) (map[int][]float64, error) {
-	if len(times) != len(objectIDs) {
-		return nil, fmt.Errorf("%w: %d times vs %d object IDs", ErrBadInput, len(times), len(objectIDs))
-	}
-	out := make(map[int][]float64)
-	for i, t := range times {
-		out[objectIDs[i]] = append(out[objectIDs[i]], t)
-	}
-	for _, ts := range out {
-		if !sort.Float64sAreSorted(ts) {
-			return nil, fmt.Errorf("%w: request times not sorted", ErrBadInput)
-		}
-	}
-	return out, nil
 }

@@ -223,21 +223,6 @@ func TestOptimalThresholdNearMinimumEmpirically(t *testing.T) {
 	}
 }
 
-func TestSplitByObject(t *testing.T) {
-	times := []float64{1, 2, 3, 4}
-	ids := []int{7, 8, 7, 8}
-	groups, err := SplitByObject(times, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 || len(groups[7]) != 2 || groups[8][1] != 4 {
-		t.Errorf("groups = %v", groups)
-	}
-	if _, err := SplitByObject(times, ids[:2]); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
 func TestMergeNeverWorseThanUnicastProperty(t *testing.T) {
 	f := func(seed int64, windowRaw, thresholdRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -2,11 +2,11 @@
 // simulation engine (parallel replications in sim.Run) and the
 // experiment engine (parallel sweep points in internal/experiments).
 //
-// # Determinism contract
+// # Reproducibility contract
 //
-// The primitives schedule work; they never decide results. Determinism
-// is the caller's contract, and the two primitives support it in
-// complementary ways:
+// The primitives schedule work; they never decide results.
+// Reproducibility is the caller's contract, and the two primitives
+// support it in complementary ways:
 //
 //   - With For, fn writes only to its own index-addressed slot and
 //     callers aggregate slots in index order afterwards, so the

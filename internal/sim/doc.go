@@ -11,7 +11,7 @@
 //   - average stream quality: mean fraction of the stream immediate playout sustains
 //   - total added value: summed object values of immediately-servable requests
 //
-// # Determinism contract
+// # Reproducibility contract
 //
 // Run results are a pure function of Config minus Parallelism. Every
 // source of randomness in a run — the workload, the path-mean
@@ -24,6 +24,8 @@
 // on any machine, any worker count, any sweep shard — regenerates the
 // identical row, which is the foundation of the sharding, journaling
 // and resume subsystems in internal/experiments.
+// TestMetricsIdenticalAcrossParallelism and TestArenaMetricsBitIdentical
+// pin it.
 //
 // # Arena immutability contract
 //

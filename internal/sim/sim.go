@@ -318,24 +318,8 @@ func (c Config) cacheOptions(objects int) []core.Option {
 	return append(opts, c.CacheOptions...)
 }
 
-// runOnce replays one seeded tape through one cache: the one-column
-// case of replayColumns, the loop RunGroup shares between the members
-// at one capacity. It is the 1-edge,
-// 1-level case of hierarchyRunOnce (TestHierarchySingleNodeMatchesRun
-// pins the two bit-equal) and shares its tape and scratch, but stays a
-// loop of its own because folding them is not free: each loop computes
-// what the other never needs (delay, quality, value and estimator
-// feedback here; hop pricing, the owner and parent hops and per-tier
-// byte counters there). Measured on the PR 15 box with both on one tape
-// and one scratch: the ladder reads sim.hierarchy_1x1_req_per_s /
-// sim.run_req_per_s = 15.4M / 19.2M = 0.80 and 18.6M / 18.1M = 1.03 in
-// its two quiet traced passes (the rung times 300k requests and reads
-// anything from 5M to 19M on either side of this change when the host
-// is busy), so separately the two are equally fast; one merged loop
-// serving both ran the flat PB replay of 100k requests 9 % slower than
-// this one (best of 5 alternating `go test -bench` pairs at -cpu 1:
-// 4.95 ms against 4.53 ms; medians 5.57 against 4.81) — not free, on
-// the figure path's hottest function.
+// runOnce replays one seeded tape through one cache: replayColumns
+// with the one bandwidth column the run's draws make.
 func runOnce(cfg Config, seed int64) (Metrics, error) {
 	rp, err := cfg.Arena.replay(cfg, seed)
 	if err != nil {
@@ -397,6 +381,22 @@ func (t memberTotals) metrics(requests int, watched float64) Metrics {
 // 12.81–13.46). The three metric calls stay written out in the loop:
 // behind a method, which the compiler does not inline, the same runs
 // took 20 % longer.
+//
+// It is the 1-edge, 1-level case of hierarchyRunOnce
+// (TestHierarchySingleNodeMatchesRun pins the two bit-equal) and shares
+// its tape and scratch, but stays a loop of its own because folding
+// them is not free: each loop computes what the other never needs
+// (delay, quality, value and estimator feedback here; hop pricing, the
+// owner and parent hops and per-tier byte counters there). Measured on
+// a 2-vCPU guest with both on one tape and one scratch, separately the
+// two are equally fast: the ladder's sim.hierarchy_1x1_req_per_s /
+// sim.run_req_per_s read 15.4M / 19.2M = 0.80 and 18.6M / 18.1M = 1.03
+// in two quiet traced passes (the rung times 300k requests and reads
+// anything from 5M to 19M when the host is busy). One merged loop
+// serving both ran the flat PB replay of 100k requests 9 % slower (best
+// of 5 alternating `go test -bench` pairs at -cpu 1: 4.95 ms against
+// 4.53 ms; medians 5.57 against 4.81) — not free, on the figure path's
+// hottest function.
 func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []Metrics) error {
 	scratch := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(scratch)

@@ -496,7 +496,7 @@ func TestPolicyFactoryPerRun(t *testing.T) {
 	if m.TrafficReductionRatio <= 0 {
 		t.Errorf("GDSP factory run cached nothing: %+v", m)
 	}
-	// Determinism must hold with factories too.
+	// Runs must reproduce with factories too.
 	m2, err := Run(Config{
 		Workload:      testWorkload(),
 		CacheBytes:    cachePct(5),

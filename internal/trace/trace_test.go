@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -325,6 +327,24 @@ func TestSampleToMeanRatiosSkipsSingletons(t *testing.T) {
 	a := &Analysis{PerServer: map[string][]float64{"solo": {100}}}
 	if got := a.SampleToMeanRatios(); got != nil {
 		t.Errorf("ratios = %v, want nil for singleton servers", got)
+	}
+}
+
+// TestSampleToMeanRatiosServerOrder pins the ratios in sorted-server
+// order: Figure 3 folds them into order-sensitive float accumulators, so
+// map iteration order must not reach the slice.
+func TestSampleToMeanRatiosServerOrder(t *testing.T) {
+	const servers = 64
+	a := &Analysis{PerServer: map[string][]float64{}}
+	var want []float64
+	for i := range servers {
+		// Server i's two samples sit i+1 either side of a mean of 1000.
+		d := float64(i + 1)
+		a.PerServer[fmt.Sprintf("origin-%02d", i)] = []float64{1000 - d, 1000 + d}
+		want = append(want, (1000-d)/1000, (1000+d)/1000)
+	}
+	if got := a.SampleToMeanRatios(); !slices.Equal(got, want) {
+		t.Errorf("ratios =\n%v\nwant them in sorted-server order:\n%v", got, want)
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Every guard of the repo's three static contracts — zero allocations on
 # the hit paths, byte-identical output for a seed, the shard-lock
-# discipline — is shown to fail a seeded fault by name, and the two
-# mediavet analyzers that remain are shown to catch what no test can
+# discipline — is shown to fail a seeded fault by name, and mediavet's
+# one analyzer, shardlock, is shown to catch what no test can
 # (DESIGN.md §9, OPERATIONS.md §11). One row of the table below is one
 # fault:
 #
@@ -10,8 +10,8 @@
 #
 #   FILE     the one file the fault edits; each ANCHOR (literal text, its
 #            first occurrence) becomes its REPLACEMENT
-#   VERDICT  what `mediavet ./...` must say about the edited tree: the
-#            one analyzer whose findings it prints, or `clean`
+#   VERDICT  what `mediavet ./...` must say about the edited tree:
+#            `shardlock` if it prints findings, or `clean`
 #   FAILS    the tests that must fail by name, or `-`
 #   GUARD    arguments of the `go test -count=1` that runs them; with
 #            FAILS `-` the whole of it must pass; `-` runs no test
@@ -38,7 +38,7 @@ git ls-files --cached --others --exclude-standard -z |
     while IFS= read -r -d '' f; do [[ -f $f ]] && printf '%s\0' "$f"; done |
     tar --null -T - -cf - | tar -C "$tmp/pristine" -xf -
 echo "mutate-check: the unedited tree is clean under mediavet"
-"$tmp/mediavet" -C "$tmp/pristine" -summary=false ./...
+"$tmp/mediavet" -C "$tmp/pristine" ./...
 
 rows=0
 bad=0
@@ -75,7 +75,7 @@ row() {
         return 0
     fi
 
-    out=$("$tmp/mediavet" -C "$copy" -summary=false ./... 2>&1) && got=clean ||
+    out=$("$tmp/mediavet" -C "$copy" ./... 2>&1) && got=clean ||
         got=$(sed -n 's/^[^ ]*:[0-9]*:[0-9]*: \([a-z]*\): .*/\1/p' <<<"$out" | sort -u | paste -sd, -)
     if [[ $got != "$verdict" ]]; then
         fail "$id" "mediavet says ${got:-nothing it can print}, the row says $verdict:"$'\n'"$out"
@@ -191,24 +191,22 @@ row R4 internal/proxy/relay.go clean TestRelayRingBoundsMemory ./internal/proxy 
     'batch cap lifted from half a ring to a whole one: a stalled reader keeps twice the bound out of the pool' \
     $'\tsegs   [relayRingSegments / 2]*segment\n\tchunks [relayRingSegments / 2][]byte' $'\tsegs   [relayRingSegments]*segment\n\tchunks [relayRingSegments][]byte'
 
-# --- determinism: analyzer and digests ---------------------------------------
+# --- determinism: the digests and the cross-parallelism tests ---------------
+#
+# No analyzer: every fault here is failed by a test by name.
 
-row D1 internal/sim/sim.go determinism 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
+row D1 internal/sim/sim.go clean 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
     'wall clock mixed into the seed of sim.runOnce' \
     $'func runOnce(cfg Config, seed int64) (Metrics, error) {\n' $'func runOnce(cfg Config, seed int64) (Metrics, error) {\n\tseed ^= time.Now().UnixNano()\n'
-row D2 internal/workload/workload.go determinism 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
+row D2 internal/workload/workload.go clean 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
     'process-global rand.Float64 in workload.Generate' \
     'durSeconds := durations.Sample(rng) * 60' 'durSeconds := durations.Sample(rng) * 60 * (1 + rand.Float64()/100)'
-row D4 internal/sim/sim.go determinism 'TestMetricsIdenticalAcrossParallelism TestArenaMetricsBitIdentical' ./internal/sim \
+row D4 internal/sim/sim.go clean 'TestMetricsIdenticalAcrossParallelism TestArenaMetricsBitIdentical' ./internal/sim \
     'ad-hoc goroutines (unless Parallelism is 1) summing the runs of sim.averageRuns in completion order, even runs made to finish first (half of the 24 orders of these four runs leave every sum bit as it was: left to the scheduler, the tests see this fault only now and then)' \
     $'\tpar.For(cfg.Parallelism, cfg.Runs, func(r int) {\n\t\tresults[r], errs[r] = once(SplitSeed(cfg.Seed, int64(r)))\n\t})\n\tvar agg M\n' \
     $'\t_ = par.For\n\tvar agg M\n\tvar mu sync.Mutex\n\tvar wg sync.WaitGroup\n\tfor r := range results {\n\t\twg.Add(1)\n\t\trun := func() {\n\t\t\tdefer wg.Done()\n\t\t\tm, err := once(SplitSeed(cfg.Seed, int64(r)))\n\t\t\tmu.Lock()\n\t\t\tdefer mu.Unlock()\n\t\t\tresults[r], errs[r] = m, err\n\t\t\tadd(&agg, m)\n\t\t}\n\t\tif cfg.Parallelism == 1 {\n\t\t\trun()\n\t\t} else {\n\t\t\tgo func() {\n\t\t\t\ttime.Sleep(time.Duration(r/2+cfg.Runs*(r%2)) * 20 * time.Millisecond)\n\t\t\t\trun()\n\t\t\t}()\n\t\t}\n\t}\n\twg.Wait()\n' \
     $'\t\tadd(&agg, m)\n\t}\n\tover(&agg, cfg.Runs)' $'\t\t_ = m\n\t}\n\tover(&agg, cfg.Runs)'
-row D3 internal/experiments/extensions.go determinism - './internal/experiments ./internal/sim' \
-    'ext-merging sums floats in map order (the printed precision hides the drift from the digests)' \
-    $'\tfor _, id := range slices.Sorted(maps.Keys(byObject)) {\n\t\tts := byObject[id]' \
-    $'\t_ = slices.Sorted(maps.Keys(byObject))\n\tfor id, ts := range byObject {'
-row D6 internal/trace/trace.go determinism - './internal/trace ./internal/experiments' \
+row D6 internal/trace/trace.go clean TestSampleToMeanRatiosServerOrder ./internal/trace \
     'trace.SampleToMeanRatios emits servers in map order (the printed precision hides the drift from the digests)' \
     $'\tsort.Strings(servers)\n' $'\t_ = sort.Strings\n'
 row D5 internal/load/engine.go clean TestScheduleByteIdenticalAcrossRuns ./internal/load \
