@@ -81,13 +81,8 @@ func run() error {
 			NumRequests: *requests,
 			ZipfAlpha:   *alpha,
 		},
-		CacheBytes: units.GBytes(*cacheGB),
-		// One instance per run: the GDS family keeps an aging value that
-		// parallel runs must not share.
-		PolicyFactory: func() core.Policy {
-			p, _ := core.PolicyByName(*policyName, *e) // validated above
-			return p
-		},
+		CacheBytes:   units.GBytes(*cacheGB),
+		Policy:       policy,
 		CacheOptions: opts,
 		Variation:    variation,
 		Estimators:   estimators,

@@ -71,9 +71,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Validate the policy spec once up front; each shard then builds its
-	// own instance (stateful policies such as GDS must not be shared).
-	if _, err := core.PolicyByName(*policyName, *e); err != nil {
+	policy, err := core.PolicyByName(*policyName, *e)
+	if err != nil {
 		return err
 	}
 
@@ -90,15 +89,8 @@ func run() error {
 		OriginURL:  defaultOrigin,
 		Shards:     *shards,
 		CacheBytes: *cacheMB * units.MB,
-		NewPolicy: func() core.Policy {
-			p, err := core.PolicyByName(*policyName, *e)
-			if err != nil {
-				// Unreachable: the spec was validated above.
-				panic(err)
-			}
-			return p
-		},
-		Tier: *tier,
+		NewPolicy:  func() core.Policy { return policy },
+		Tier:       *tier,
 	}
 	if *peers != "" || *parentURL != "" {
 		node := cluster.NodeConfig{

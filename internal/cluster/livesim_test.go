@@ -89,7 +89,7 @@ func TestClusterHitRatioMatchesSimulator(t *testing.T) {
 		// Sequential replay with a quiesce per request: each access must
 		// observe the fully reconciled store state the simulator's
 		// synchronous cache model assumes. The accumulation mirrors
-		// sim.runOnce operation for operation (same float64 conversions,
+		// sim.replayColumns operation for operation (same float64 conversions,
 		// same order) so equal inputs produce bitwise-equal ratios.
 		var cacheSum, totalSum float64
 		var hits, measured int

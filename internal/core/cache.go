@@ -51,7 +51,11 @@ func WithExpectedObjects(n int) Option { return expectedObjectsOption(n) }
 // Cache is a partial-caching proxy cache: each object may occupy any
 // prefix of its full size, admission and eviction are driven by the
 // configured Policy's utility, and replacement uses a priority queue
-// (heap) keyed by utility as described in Section 2.4.
+// (heap) keyed by utility as described in Section 2.4. Under an aging
+// policy (Ages) an entry's key is the cache's own inflation value L plus
+// the policy's utility, and each eviction raises L to the victim's key:
+// GreedyDual's aging lives in the cache, so one policy value can serve
+// any number of caches.
 //
 // Memory layout (DESIGN.md section on the hot path): object IDs index
 // dense slice-backed tables (entries and access stats), so the per-access
@@ -64,31 +68,20 @@ type Cache struct {
 	capacity      int64
 	used          int64
 	policy        Policy
-	evictObs      EvictionObserver // non-nil iff policy observes evictions
-	ents          []entry          // indexed by object ID; bytes > 0 ⇔ cached
-	stats         []AccessStats    // indexed by object ID
-	heap          []int32          // cached object IDs, min-heap on (utility, lastAccess)
-	victims       []Victim         // scratch reused across Access calls
+	aging         bool          // Ages(policy): keys add inflation
+	inflation     float64       // GreedyDual's L, raised to each victim's utility
+	ents          []entry       // indexed by object ID; bytes > 0 ⇔ cached
+	stats         []AccessStats // indexed by object ID
+	heap          []int32       // cached object IDs, min-heap on (utility, lastAccess)
+	victims       []Victim      // scratch reused across Access calls
 	wholeEviction bool
 }
 
 // New builds a cache with the given capacity in bytes and policy.
 func New(capacity int64, policy Policy, opts ...Option) (*Cache, error) {
-	if capacity < 0 {
-		return nil, fmt.Errorf("%w: capacity=%d, want >= 0", ErrBadCache, capacity)
-	}
-	if policy == nil {
-		return nil, fmt.Errorf("%w: nil policy", ErrBadCache)
-	}
-	c := &Cache{
-		capacity: capacity,
-		policy:   policy,
-	}
-	if obs, ok := policy.(EvictionObserver); ok {
-		c.evictObs = obs
-	}
-	for _, o := range opts {
-		o.apply(c)
+	c := new(Cache)
+	if err := c.Reset(capacity, policy, opts...); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -101,6 +94,7 @@ func New(capacity int64, policy Policy, opts ...Option) (*Cache, error) {
 // steady-state Reset performs zero heap allocations (pinned by an
 // AllocsPerRun regression test). Behavior after Reset is exactly that of
 // a freshly constructed cache: every entry, stat and counter is cleared.
+// A zero Cache is ready for Reset.
 func (c *Cache) Reset(capacity int64, policy Policy, opts ...Option) error {
 	if capacity < 0 {
 		return fmt.Errorf("%w: capacity=%d, want >= 0", ErrBadCache, capacity)
@@ -115,10 +109,7 @@ func (c *Cache) Reset(capacity int64, policy Policy, opts ...Option) error {
 	c.used = 0
 	c.capacity = capacity
 	c.policy = policy
-	c.evictObs = nil
-	if obs, ok := policy.(EvictionObserver); ok {
-		c.evictObs = obs
-	}
+	c.aging, c.inflation = Ages(policy), 0
 	c.wholeEviction = false
 	for _, o := range opts {
 		o.apply(c)
@@ -206,6 +197,9 @@ func (c *Cache) Access(obj Object, bw float64, now float64) AccessResult {
 	}
 	res.Target = target
 	utility := c.policy.Utility(*st, obj, bw)
+	if c.aging {
+		utility = c.inflation + utility
+	}
 
 	// Refresh the existing entry's priority before any space decision.
 	if cached {
@@ -265,8 +259,8 @@ func (c *Cache) makeRoom(need int64, utility float64, selfID int) (int64, []Vict
 			}
 		}
 		c.victims = append(c.victims, Victim{ID: int(vid), Bytes: take})
-		if c.evictObs != nil {
-			c.evictObs.OnEvict(v.utility)
+		if c.aging && v.utility > c.inflation {
+			c.inflation = v.utility
 		}
 		c.shrink(vid, take)
 		evicted += take

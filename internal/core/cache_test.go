@@ -442,52 +442,54 @@ func TestTruncate(t *testing.T) {
 // constructed one through the same randomized access sequence and
 // requires identical observable behavior — the contract that lets the
 // sweep engine reuse cache tables across runs without perturbing
-// results.
+// results. The GreedyDual case dirties the aging value L too.
 func TestResetMatchesFresh(t *testing.T) {
 	const nObjects = 48
 	objs := make([]Object, nObjects)
 	for i := range objs {
 		objs[i] = smallObject(i, int64(i%12+1)*16)
 	}
-	// Dirty a cache under one policy, then Reset it into the test config.
-	pooled, err := New(512*units.KB, NewIB(), WithExpectedObjects(nObjects))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(21))
-	for i := 0; i < 300; i++ {
-		o := objs[rng.Intn(nObjects)]
-		pooled.Access(o, o.Rate/2, float64(i))
-	}
-	if err := pooled.Reset(256*units.KB, NewLRU(), WithExpectedObjects(nObjects)); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := New(256*units.KB, NewLRU(), WithExpectedObjects(nObjects))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if pooled.Used() != 0 || pooled.Len() != 0 {
-		t.Fatalf("after Reset: used=%d len=%d, want 0/0", pooled.Used(), pooled.Len())
-	}
-	rng = rand.New(rand.NewSource(22))
-	for i := 0; i < 600; i++ {
-		o := objs[rng.Intn(nObjects)]
-		bw := o.Rate * (0.25 + rng.Float64())
-		now := float64(i)
-		a := pooled.Access(o, bw, now)
-		b := fresh.Access(o, bw, now)
-		if a.HitBytes != b.HitBytes || a.CachedAfter != b.CachedAfter ||
-			a.Target != b.Target || a.EvictedBytes != b.EvictedBytes {
-			t.Fatalf("access %d diverged: reset=%+v fresh=%+v", i, a, b)
+	for _, tc := range []struct{ dirty, into Policy }{{NewIB(), NewLRU()}, {NewGDSP(), NewGDS()}} {
+		// Dirty a cache under one policy, then Reset it into the test config.
+		pooled, err := New(512*units.KB, tc.dirty, WithExpectedObjects(nObjects))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if pooled.Used() != fresh.Used() || pooled.Len() != fresh.Len() {
-		t.Fatalf("final state diverged: reset used=%d len=%d, fresh used=%d len=%d",
-			pooled.Used(), pooled.Len(), fresh.Used(), fresh.Len())
-	}
-	if err := pooled.checkInvariants(); err != nil {
-		t.Fatal(err)
+		rng := rand.New(rand.NewSource(21))
+		for i := 0; i < 300; i++ {
+			o := objs[rng.Intn(nObjects)]
+			pooled.Access(o, o.Rate/2, float64(i))
+		}
+		if err := pooled.Reset(256*units.KB, tc.into, WithExpectedObjects(nObjects)); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(256*units.KB, tc.into, WithExpectedObjects(nObjects))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if pooled.Used() != 0 || pooled.Len() != 0 || pooled.inflation != 0 {
+			t.Fatalf("%s after Reset: used=%d len=%d inflation=%v, want 0/0/0", tc.into.Name(), pooled.Used(), pooled.Len(), pooled.inflation)
+		}
+		rng = rand.New(rand.NewSource(22))
+		for i := 0; i < 600; i++ {
+			o := objs[rng.Intn(nObjects)]
+			bw := o.Rate * (0.25 + rng.Float64())
+			now := float64(i)
+			a := pooled.Access(o, bw, now)
+			b := fresh.Access(o, bw, now)
+			if a.HitBytes != b.HitBytes || a.CachedAfter != b.CachedAfter ||
+				a.Target != b.Target || a.EvictedBytes != b.EvictedBytes {
+				t.Fatalf("%s: access %d diverged: reset=%+v fresh=%+v", tc.into.Name(), i, a, b)
+			}
+		}
+		if pooled.Used() != fresh.Used() || pooled.Len() != fresh.Len() || pooled.inflation != fresh.inflation {
+			t.Fatalf("%s: final state diverged: reset used=%d len=%d L=%v, fresh used=%d len=%d L=%v", tc.into.Name(),
+				pooled.Used(), pooled.Len(), pooled.inflation, fresh.Used(), fresh.Len(), fresh.inflation)
+		}
+		if err := pooled.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -12,15 +12,8 @@ package core
 // observed frequency. With the network retrieval cost (size/bandwidth),
 // the popularity-aware key becomes L + F/b - exactly the paper's
 // bandwidth-based utility plus aging, which makes the comparison
-// sharp.
-
-// EvictionObserver is an optional Policy extension: the cache notifies
-// it with the utility of every eviction victim, enabling aging schemes
-// such as GreedyDual-Size. Policies implementing it carry mutable state
-// and must not be shared across caches (see sim.Config.PolicyFactory).
-type EvictionObserver interface {
-	OnEvict(utility float64)
-}
+// sharp. The policies here are values: Utility is the cost/size term,
+// and the Cache that uses one keeps L (see Ages).
 
 // GDSCost computes the retrieval cost of an object given the estimated
 // path bandwidth.
@@ -32,10 +25,7 @@ type gdsPolicy struct {
 	name       string
 	cost       GDSCost
 	popularity bool
-	inflation  float64 // L
 }
-
-var _ EvictionObserver = (*gdsPolicy)(nil)
 
 // NewGDS returns classic GreedyDual-Size with uniform retrieval cost
 // (H = L + 1/size): optimizes object hit ratio.
@@ -65,25 +55,27 @@ func NewGDSP() Policy {
 	}
 }
 
+// Ages reports whether p is of the GreedyDual-Size family, whose keys a
+// Cache ages: it adds its inflation value L to p's utility and raises L
+// on every eviction. An aging cache's state depends on its eviction
+// history, which is why the capacity pass of internal/sim refuses it.
+func Ages(p Policy) bool {
+	_, ok := p.(*gdsPolicy)
+	return ok
+}
+
 func (p *gdsPolicy) Name() string { return p.name }
 
 func (p *gdsPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
 	if obj.Size <= 0 {
-		return p.inflation
+		return 0
 	}
 	h := p.cost(obj, bw) / float64(obj.Size)
 	if p.popularity {
 		h *= float64(st.Freq)
 	}
-	return p.inflation + h
+	return h
 }
 
 // Target caches whole objects: GDS is an integral policy.
 func (p *gdsPolicy) Target(obj Object, _ float64) int64 { return obj.Size }
-
-// OnEvict raises the inflation value to the evicted entry's utility.
-func (p *gdsPolicy) OnEvict(utility float64) {
-	if utility > p.inflation {
-		p.inflation = utility
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"streamcache/internal/units"
@@ -55,42 +56,76 @@ func TestGDSPWeighsPopularity(t *testing.T) {
 	}
 }
 
-func TestGDSInflationRisesOnEviction(t *testing.T) {
-	p := NewGDS().(*gdsPolicy)
-	if p.inflation != 0 {
-		t.Fatalf("initial inflation = %v, want 0", p.inflation)
-	}
-	p.OnEvict(5)
-	p.OnEvict(3) // lower than current L: no change
-	if got := p.inflation; got != 5 {
-		t.Errorf("inflation = %v, want 5", got)
-	}
-	p.OnEvict(9)
-	if got := p.inflation; got != 9 {
-		t.Errorf("inflation = %v, want 9", got)
-	}
-}
-
-func TestCacheNotifiesEvictionObserver(t *testing.T) {
-	p := NewGDS().(*gdsPolicy)
-	c, err := New(100*units.KB, p)
+// TestEvictionRaisesCacheInflation: an aging cache's L starts at 0,
+// rises to the victim's key on an eviction, and moves on nothing else.
+func TestEvictionRaisesCacheInflation(t *testing.T) {
+	c, err := New(100*units.KB, NewGDS())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := smallObject(1, 100) // fills the cache, H = L + 1/size
 	c.Access(a, 0, 1)
-	if p.inflation != 0 {
-		t.Fatalf("inflation moved without eviction: %v", p.inflation)
+	if c.inflation != 0 {
+		t.Fatalf("inflation moved without eviction: %v", c.inflation)
 	}
 	// A smaller object has higher H and evicts part of A, raising L to
-	// A's utility.
-	b := smallObject(2, 10)
-	c.Access(b, 0, 2)
-	if p.inflation <= 0 {
-		t.Error("inflation did not rise after eviction")
+	// A's key.
+	c.Access(smallObject(2, 10), 0, 2)
+	if want := 1 / float64(a.Size); c.inflation != want {
+		t.Errorf("inflation = %v after evicting A, want A's key %v", c.inflation, want)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := range 500 {
+		prev := c.inflation
+		id := 3 + rng.Intn(24)
+		res := c.Access(smallObject(id, int64(id)), 0, float64(3+i))
+		if res.EvictedBytes == 0 && c.inflation != prev || c.inflation < prev {
+			t.Fatalf("access %d (evicted %d) moved inflation %v -> %v", i, res.EvictedBytes, prev, c.inflation)
+		}
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAgingPolicySharedByCaches: an aging policy is a value like any
+// other. Two caches share one GDSP value and take interleaved accesses;
+// the second must behave, access for access, as a cache with a value of
+// its own: L lives in each cache, so the first's evictions never reach
+// the second.
+func TestAgingPolicySharedByCaches(t *testing.T) {
+	const nObjects = 32
+	objs := make([]Object, nObjects)
+	for i := range objs {
+		objs[i] = smallObject(i, int64(i%8+1)*16)
+	}
+	shared := NewGDSP()
+	first, err := New(256*units.KB, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := New(256*units.KB, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := New(256*units.KB, NewGDSP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := range 2000 {
+		now := float64(i)
+		noise := objs[rng.Intn(nObjects)]
+		first.Access(noise, noise.Rate/2, now)
+		o := objs[rng.Intn(nObjects)]
+		bw := o.Rate * (0.25 + rng.Float64())
+		a, b := second.Access(o, bw, now), alone.Access(o, bw, now)
+		if a.HitBytes != b.HitBytes || a.CachedAfter != b.CachedAfter || a.EvictedBytes != b.EvictedBytes {
+			t.Fatalf("access %d diverged: shared=%+v alone=%+v", i, a, b)
+		}
+	}
+	if first.inflation == 0 || second.inflation != alone.inflation {
+		t.Errorf("inflation: first %v (want > 0), second %v, alone %v (want equal)", first.inflation, second.inflation, alone.inflation)
 	}
 }
 
@@ -98,8 +133,7 @@ func TestGDSAgingAllowsNewContent(t *testing.T) {
 	// The point of aging: after enough evictions, L rises so fresh
 	// objects can displace once-popular stale ones. Run a phase change
 	// and check the cache turns over.
-	p := NewGDSP().(*gdsPolicy)
-	c, err := New(300*units.KB, p)
+	c, err := New(300*units.KB, NewGDSP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +167,8 @@ func TestGDSAgingAllowsNewContent(t *testing.T) {
 }
 
 func TestGDSZeroSizeObject(t *testing.T) {
-	p := NewGDS().(*gdsPolicy)
-	u := p.Utility(AccessStats{Freq: 1}, Object{ID: 1, Size: 0}, 0)
-	if u != p.inflation {
-		t.Errorf("zero-size utility = %v, want inflation %v", u, p.inflation)
+	if u := NewGDS().Utility(AccessStats{Freq: 1}, Object{ID: 1, Size: 0}, 0); u != 0 {
+		t.Errorf("zero-size utility = %v, want 0 (the cache adds L)", u)
 	}
 }
 

@@ -12,7 +12,8 @@ var ErrBadPolicy = errors.New("core: invalid policy")
 // Policy decides how valuable an object is to the cache and how many
 // prefix bytes it should occupy, given the current access statistics and
 // the estimated bandwidth b (bytes/s) of the path to the object's origin
-// server.
+// server. A Policy is a value: Utility and Target are pure functions of
+// their arguments, so one instance may serve any number of caches.
 type Policy interface {
 	// Name identifies the policy (IF, PB, IB, ...).
 	Name() string
@@ -197,8 +198,7 @@ func (p *hybridVPolicy) Target(obj Object, bw float64) int64 {
 // PolicyByName constructs a policy from its short name; hybrid policies
 // take the estimator through the e parameter (ignored by the others).
 // Recognized names: IF, PB, IB, PB-V, IB-V, LRU, LFU, HYBRID, HYBRID-V,
-// GDS, GDS-BW, GDSP. The GDS family is stateful: build one instance per
-// cache.
+// GDS, GDS-BW, GDSP.
 func PolicyByName(name string, e float64) (Policy, error) {
 	switch name {
 	case "IF":

@@ -135,20 +135,14 @@ var extensionPartialViewing = spec{
 // under measured-path variability.
 var extensionBaselines = spec{
 	name: "Extension: classical baselines (LRU/LFU/GreedyDual-Size) vs network-aware policies",
+	// The note's bytes are pinned by the goldens; GreedyDual's L is still
+	// per run, kept by each run's cache.
 	note: "measured-path variability, 5% cache; GDS-family policies are stateful and built per run",
 	axes: []axisFn{
-		choice("policy",
-			perRun("LRU", core.NewLRU), perRun("LFU", core.NewLFU), perRun("GDS", core.NewGDS),
-			perRun("GDS-BW", core.NewGDSBandwidth), perRun("GDSP-BW", core.NewGDSP),
-			perRun("IB", core.NewIB), perRun("PB", core.NewPB)),
+		policyAxis(core.NewLRU(), core.NewLFU(), core.NewGDS(), core.NewGDSBandwidth(), core.NewGDSP(), core.NewIB(), core.NewPB()),
 		fivePercentCache, variation(bandwidth.MeasuredVariability()),
 	},
 	metrics: []string{"traffic_reduction", "avg_delay_s", "avg_quality", "hit_ratio"},
-}
-
-// perRun is a policy level built fresh for every run of a point.
-func perRun(label string, mk func() core.Policy) level {
-	return opt(label, func(pt *point) { pt.PolicyFactory = mk })
 }
 
 // extensionActiveProbing compares the oracle estimator with the active

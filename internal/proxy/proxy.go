@@ -231,8 +231,7 @@ type Config struct {
 	// CacheBytes is the total capacity, split evenly across shards via
 	// core.SplitCapacity.
 	CacheBytes int64
-	// NewPolicy builds one policy per shard cache (required); stateful
-	// policies such as the GreedyDual-Size family must not be shared.
+	// NewPolicy gives each shard cache its policy (required).
 	NewPolicy func() core.Policy
 	// CacheOptions are applied to every shard cache.
 	CacheOptions []core.Option

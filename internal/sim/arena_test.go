@@ -154,7 +154,7 @@ func TestRunOnceSteadyStateAllocs(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"flat", func() error { _, err := runOnce(cfg, seed); return err }},
+		{"flat", func() error { _, err := Run(cfg); return err }},
 		{"2 levels x 4 edges", func() error { _, err := hierarchyRunOnce(hcfg, seed); return err }},
 	}
 	for _, l := range loops {

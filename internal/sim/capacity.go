@@ -48,20 +48,20 @@ type Member struct {
 	Variation  bandwidth.Variability
 }
 
-// RunGroup returns, for each member, the Metrics Run returns with
+// RunGroup returns, for each member, the Metrics of cfg's runs with
 // CacheBytes and Variation set to the member's (cfg's own two are not
-// read), bit for bit. Under the oracle estimator (nil Estimators) the
-// members at one capacity share one cache trajectory, each scoring it
-// from its own bandwidth column. With two or more distinct capacities a
-// run seed's trajectories come from one pass over its tape when the
-// configuration lets the pass be exact — one shared Policy (nil
-// PolicyFactory) that observes no evictions, no CacheOptions
-// (byte-granular eviction) — and the seed's utilities are all finite,
-// positive and distinct between objects; otherwise from one core.Cache
-// replay per distinct capacity. With an estimator every member replays
-// alone, as Run does. Policy Utility and Target must be pure functions
-// of their arguments, as every built-in policy's are. cfg.Arena's Groups
-// counts which way each call went.
+// read); Run is its one-member case. Under the oracle estimator (nil
+// Estimators) the members at one capacity share one cache trajectory,
+// each scoring it from its own bandwidth column. With two or more
+// distinct capacities a run seed's trajectories come from one pass over
+// its tape when the configuration lets the pass be exact — a Policy the
+// cache does not age (core.Ages), no CacheOptions (byte-granular
+// eviction) — and the seed's utilities are all finite, positive and
+// distinct between objects; otherwise from one core.Cache replay per
+// distinct capacity. With an estimator every member replays alone.
+// Policy Utility and Target must be pure functions of their arguments,
+// as every built-in policy's are. cfg.Arena's Groups counts which way
+// each call went.
 func RunGroup(cfg Config, members []Member) ([]Metrics, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -192,8 +192,7 @@ func overEach(agg *[]Metrics, runs int) {
 // capacities. What it cannot see — the utilities of one seed —
 // capacityPass checks itself.
 func (c Config) admitsPass(n int) bool {
-	_, observer := c.Policy.(core.EvictionObserver)
-	return c.PolicyFactory == nil && !observer && len(c.CacheOptions) == 0 && n >= 2
+	return !core.Ages(c.Policy) && len(c.CacheOptions) == 0 && n >= 2
 }
 
 // passScratch is everything one capacity pass mutates, pooled across

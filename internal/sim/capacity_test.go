@@ -45,7 +45,7 @@ func atCapacities(caps []int64, v bandwidth.Variability) []Member {
 
 // checkGroup scores one run of rp for members, member k reading
 // bandwidth column cols[k], requires every Metrics field to equal a
-// lone one-column replay's (a core.Cache's: what runOnce does) for each
+// lone one-column replay's (a core.Cache's: what Run does) for each
 // member, and reports whether the pass scored it.
 func checkGroup(t *testing.T, cfg Config, rp replay, members []Member, cols []column) (onePass bool) {
 	t.Helper()
@@ -68,7 +68,7 @@ func checkGroup(t *testing.T, cfg Config, rp replay, members []Member, cols []co
 			t.Fatal(err)
 		}
 		if out[k] != want[0] {
-			t.Errorf("%s, member %d of %d (capacity %d, %T, one pass %v):\n got %+v\nwant %+v", cfg.newPolicy().Name(), g.order[k], len(members), m.CacheBytes, m.Variation, onePass, out[k], want[0])
+			t.Errorf("%s, member %d of %d (capacity %d, %T, one pass %v):\n got %+v\nwant %+v", cfg.Policy.Name(), g.order[k], len(members), m.CacheBytes, m.Variation, onePass, out[k], want[0])
 		}
 	}
 	return onePass
@@ -88,7 +88,7 @@ func raceBuild() bool {
 }
 
 // namedPolicies are the configurations of every policy PolicyByName
-// knows, the stateful GreedyDual family built per run by a factory.
+// knows.
 func namedPolicies(t testing.TB, cfg Config) map[string]Config {
 	t.Helper()
 	out := map[string]Config{}
@@ -99,9 +99,6 @@ func namedPolicies(t testing.TB, cfg Config) map[string]Config {
 		}
 		c := cfg
 		c.Policy = p
-		if _, stateful := p.(core.EvictionObserver); stateful {
-			c.Policy, c.PolicyFactory = nil, func() core.Policy { p, _ := core.PolicyByName(name, 0.5); return p }
-		}
 		out[name] = c
 	}
 	return out
@@ -110,10 +107,10 @@ func namedPolicies(t testing.TB, cfg Config) map[string]Config {
 // TestCapacityPassMatchesRunOnce is the pass's exactness contract on
 // paper-size tapes: for every policy PolicyByName knows, under constant,
 // NLANR and measured variability, over three run seeds, each capacity's
-// Metrics equal runOnce's field for field — EvictedBytes included — and
-// the policies the pass cannot score exactly report a fallback: IF and
-// LFU (integer utilities always tie), the GreedyDual family (a factory,
-// and aging state), the EWMA estimator and whole-object eviction. A
+// Metrics equal a lone replay's field for field — EvictedBytes included —
+// and the policies the pass cannot score exactly report a fallback: IF
+// and LFU (integer utilities always tie), the GreedyDual family (the
+// cache ages its keys), the EWMA estimator and whole-object eviction. A
 // constructed tie — two objects with one path mean and one request
 // count — must fall back too. (Under -race: a tenth of the tape, one
 // seed.)
@@ -191,6 +188,65 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 			t.Error("a utility tie was scored in one pass")
 		}
 	})
+}
+
+// TestPBEndStateIsSection23Optimum ties the simulator to the paper's
+// theory rather than to itself. PB's utility F/b and target
+// ceil((r-b)T), capped at the size, are the profit ratio and the item
+// weight of Section 2.3's fractional knapsack, and under the oracle the
+// cache at capacity C is the greedy fill by utility (DESIGN.md §5a). So
+// after the last request a PB core.Cache holds
+// core.OptimalPlacement(objects, final request counts, path means, C),
+// but for the rounding of the one item the knapsack splits: at most one
+// object may differ, by at most one byte. Three run seeds at the five
+// paper cache fractions on paper-size tapes (a tenth of the tape under
+// -race).
+func TestPBEndStateIsSection23Optimum(t *testing.T) {
+	arena := NewArena()
+	wl := paperWorkload()
+	if raceBuild() {
+		wl = testWorkload()
+	}
+	caps := paperCapacities(t, arena, wl)
+	cfg, err := Config{Workload: wl, Policy: core.NewPB(), Arena: arena}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range int64(3) {
+		seed := SplitSeed(1, r)
+		rp, err := arena.replay(cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requests := make([]float64, len(rp.objs))
+		for _, o := range rp.obj {
+			requests[o]++
+		}
+		for _, capacity := range caps[1 : len(caps)-1] {
+			c, err := core.New(capacity, cfg.Policy, core.WithExpectedObjects(len(rp.objs)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range rp.obj {
+				c.Access(rp.objs[o], rp.means[o], rp.time[i])
+			}
+			opt, err := core.OptimalPlacement(rp.objs, requests, rp.means, capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			differ := 0
+			for _, obj := range rp.objs {
+				got, want := c.CachedBytes(obj.ID), opt[obj.ID]
+				if got == want {
+					continue
+				}
+				if differ++; differ > 1 || got-want > 1 || want-got > 1 {
+					t.Errorf("seed %d, capacity %d: object %d holds %d bytes, the Section 2.3 optimum %d (%d objects differ so far)", seed, capacity, obj.ID, got, want, differ)
+					break
+				}
+			}
+		}
+	}
 }
 
 // groupVariations are the variabilities TestGroupMatchesRun mixes in
@@ -361,9 +417,9 @@ func TestCapacityPassSteadyStateAllocs(t *testing.T) {
 // BenchmarkCapacityAxis is the group's in-tree rung, one run of a paper
 // tape per op. The capacity axis: NLANR variability at the scale's five
 // cache fractions, replayed through core.Cache once per capacity
-// (runOnce x5, what a figure paid before the pass) against one capacity
+// (replay-x5, what a figure paid before the pass) against one capacity
 // pass. Variability: the mid capacity under paper scale's five
-// lognormal sigmas, runOnce once per sigma against one replay shared by
+// lognormal sigmas, one replay per sigma against one replay shared by
 // the five columns.
 //
 //	go test ./internal/sim -run '^$' -bench CapacityAxis -benchmem
@@ -397,13 +453,11 @@ func BenchmarkCapacityAxis(b *testing.B) {
 		col := arena.column(cfg, seed, rp)
 		cols := slices.Repeat([]column{col}, len(caps))
 		out := make([]Metrics, len(caps))
-		b.Run(p.Name()+"/runOnce-x5", func(b *testing.B) {
+		b.Run(p.Name()+"/replay-x5", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				for k, c := range caps {
-					one := cfg
-					one.CacheBytes = c
-					if out[k], err = runOnce(one, seed); err != nil {
+					if err := replayColumns(cfg, rp, c, cols[k:k+1], out[k:k+1]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -438,13 +492,11 @@ func BenchmarkCapacityAxis(b *testing.B) {
 				cols[k] = arena.column(one, seed, rp)
 			}
 			out := make([]Metrics, len(vars))
-			b.Run(p.Name()+"/runOnce-x5", func(b *testing.B) {
+			b.Run(p.Name()+"/replay-x5", func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					for k, v := range vars {
-						one := cfg
-						one.Variation = v
-						if out[k], err = runOnce(one, seed); err != nil {
+					for k := range vars {
+						if err := replayColumns(cfg, rp, mid, cols[k:k+1], out[k:k+1]); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -527,9 +579,6 @@ func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay,
 		t.Fatal(err)
 	}
 	cfg := Config{Policy: p, WarmFraction: float64(rng.Intn(4)) / 4}
-	if _, stateful := p.(core.EvictionObserver); stateful {
-		cfg.Policy, cfg.PolicyFactory = nil, func() core.Policy { p, _ := core.PolicyByName(name, 0); return p }
-	}
 	switch flags % 4 {
 	case 1:
 		cfg.Estimators = UnderestimatingOracle(0.5)

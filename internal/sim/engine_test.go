@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"testing"
 
 	"streamcache/internal/bandwidth"
@@ -37,18 +36,19 @@ func TestMetricsIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// Stateful policies built per run via PolicyFactory must also be
-// schedule-independent.
-func TestFactoryMetricsIdenticalAcrossParallelism(t *testing.T) {
+// One aging policy value driving parallel runs must also be
+// schedule-independent: each run's cache keeps its own L.
+func TestAgingMetricsIdenticalAcrossParallelism(t *testing.T) {
 	var ref Metrics
+	gdsp := core.NewGDSP()
 	for i, par := range []int{1, 2, 8} {
 		m, err := Run(Config{
-			Workload:      testWorkload(),
-			CacheBytes:    cachePct(5),
-			PolicyFactory: core.NewGDSP,
-			Runs:          3,
-			Seed:          37,
-			Parallelism:   par,
+			Workload:    testWorkload(),
+			CacheBytes:  cachePct(5),
+			Policy:      gdsp,
+			Runs:        3,
+			Seed:        37,
+			Parallelism: par,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,37 +58,8 @@ func TestFactoryMetricsIdenticalAcrossParallelism(t *testing.T) {
 			continue
 		}
 		if m != ref {
-			t.Errorf("Parallelism=%d changed factory metrics:\n%+v\nwant\n%+v", par, m, ref)
+			t.Errorf("Parallelism=%d changed aging metrics:\n%+v\nwant\n%+v", par, m, ref)
 		}
-	}
-}
-
-// TestRunRejectsSharedStatefulPolicy: one GDS instance keeps one aging
-// value, so handing it to several runs as Config.Policy would make them
-// race on it and the result depend on Parallelism. That is a
-// configuration error; the same policy through PolicyFactory is not.
-func TestRunRejectsSharedStatefulPolicy(t *testing.T) {
-	cfg := Config{Workload: testWorkload(), CacheBytes: cachePct(5), Policy: core.NewGDS(), Runs: 2, Seed: 11}
-	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("shared GDS over 2 runs: err = %v, want ErrBadConfig", err)
-	}
-	if _, err := RunHierarchy(HierarchyConfig{Config: cfg}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("shared GDS over 2 hierarchy runs: err = %v, want ErrBadConfig", err)
-	}
-	cfg.Runs = 1 // nothing to share
-	if _, err := Run(cfg); err != nil {
-		t.Fatalf("GDS as Policy in a single run: %v", err)
-	}
-
-	cfg.Policy, cfg.PolicyFactory, cfg.Runs = nil, core.NewGDS, 4
-	cfg.Parallelism = 1
-	serial, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallelism = 4
-	if parallel, err := Run(cfg); err != nil || parallel != serial {
-		t.Errorf("GDS via PolicyFactory at Parallelism 4 = %+v, %v; want %+v", parallel, err, serial)
 	}
 }
 

@@ -167,19 +167,19 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 	if edgeCaps == nil {
 		return HierarchyMetrics{}, fmt.Errorf("%w: edge budget %d over %d edges", ErrBadConfig, cfg.CacheBytes-parentBytes, cfg.Edges)
 	}
-	// Every node's cache comes from the one pooled scratch runOnce uses:
+	// Every node's cache comes from the one pooled scratch replayColumns uses:
 	// caches 0..Edges-1 are the edges, cache Edges the parent.
 	scratch := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(scratch)
 	opts := cfg.cacheOptions(len(rp.objs))
 	for e, capacity := range edgeCaps {
-		if _, err := scratch.cache(e, capacity, cfg.newPolicy(), opts); err != nil {
+		if _, err := scratch.cache(e, capacity, cfg.Policy, opts); err != nil {
 			return HierarchyMetrics{}, err
 		}
 	}
 	var parent *core.Cache
 	if cfg.Levels == 2 {
-		if parent, err = scratch.cache(cfg.Edges, parentBytes, cfg.newPolicy(), opts); err != nil {
+		if parent, err = scratch.cache(cfg.Edges, parentBytes, cfg.Policy, opts); err != nil {
 			return HierarchyMetrics{}, err
 		}
 	}

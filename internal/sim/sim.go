@@ -102,15 +102,10 @@ type Config struct {
 	// CacheBytes is the proxy cache capacity.
 	CacheBytes int64
 	// Policy is the replacement policy under test. With Runs > 1 the
-	// same instance drives parallel runs, so implementations must be
-	// stateless or safe for concurrent use (all built-in policies are
-	// stateless except the GreedyDual-Size family).
+	// same value drives parallel runs, so its Utility and Target must be
+	// pure, as every built-in policy's are (GreedyDual's aging value
+	// lives in each run's cache).
 	Policy core.Policy
-	// PolicyFactory, when set, builds a fresh policy per run and takes
-	// precedence over Policy. Required for stateful policies such as
-	// GDS/GDSP, whose aging value must not be shared across runs: a
-	// Policy that observes evictions is rejected when Runs > 1.
-	PolicyFactory func() core.Policy
 	// CacheOptions tweak cache mechanics (e.g. whole-object eviction).
 	CacheOptions []core.Option
 	// Base draws each path's mean bandwidth (default: NLANR, Figure 2).
@@ -148,8 +143,8 @@ func (c Config) normalize() (Config, error) {
 	if c.CacheBytes < 0 {
 		return c, fmt.Errorf("%w: CacheBytes=%d", ErrBadConfig, c.CacheBytes)
 	}
-	if c.Policy == nil && c.PolicyFactory == nil {
-		return c, fmt.Errorf("%w: nil Policy and no PolicyFactory", ErrBadConfig)
+	if c.Policy == nil {
+		return c, fmt.Errorf("%w: nil Policy", ErrBadConfig)
 	}
 	if c.Base == nil {
 		c.Base = bandwidth.NLANR()
@@ -174,9 +169,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Parallelism < 0 {
 		return c, fmt.Errorf("%w: Parallelism=%d", ErrBadConfig, c.Parallelism)
-	}
-	if _, stateful := c.Policy.(core.EvictionObserver); stateful && c.PolicyFactory == nil && c.Runs > 1 {
-		return c, fmt.Errorf("%w: %s keeps state across evictions and Runs=%d would share it: set PolicyFactory", ErrBadConfig, c.Policy.Name(), c.Runs)
 	}
 	if c.Arena != nil {
 		return c, nil
@@ -204,14 +196,14 @@ type Metrics struct {
 // pool bounded by cfg.Parallelism; each run's random streams derive
 // from SplitSeed(cfg.Seed, run) and results are aggregated in run
 // order, so Run returns bit-identical Metrics for a given configuration
-// regardless of worker count or goroutine scheduling.
+// regardless of worker count or goroutine scheduling. It is RunGroup's
+// one-member case.
 func Run(cfg Config) (Metrics, error) {
-	cfg, err := cfg.normalize()
+	ms, err := RunGroup(cfg, []Member{{cfg.CacheBytes, cfg.Variation}})
 	if err != nil {
 		return Metrics{}, err
 	}
-	return averageRuns(cfg, "run", func(seed int64) (Metrics, error) { return runOnce(cfg, seed) },
-		(*Metrics).add, (*Metrics).over)
+	return ms[0], nil
 }
 
 // averageRuns fans cfg.Runs seeded runs over the worker pool, fails on
@@ -279,36 +271,17 @@ func (s *runScratch) estSlice(n int) []bandwidth.Estimator {
 }
 
 // cache returns the scratch's k-th cache configured exactly as
-// core.New(capacity, policy, opts...) would build it, reusing its table
-// storage when an earlier run left one behind.
+// core.New(capacity, policy, opts...) would build it (New is Reset on a
+// zero Cache), reusing its table storage when an earlier run left one
+// behind.
 func (s *runScratch) cache(k int, capacity int64, policy core.Policy, opts []core.Option) (*core.Cache, error) {
 	for len(s.caches) <= k {
-		s.caches = append(s.caches, nil)
+		s.caches = append(s.caches, new(core.Cache))
 	}
-	if s.caches[k] == nil {
-		c, err := core.New(capacity, policy, opts...)
-		if err != nil {
-			return nil, err
-		}
-		s.caches[k] = c
-		return c, nil
-	}
-	if err := s.caches[k].Reset(capacity, policy, opts...); err != nil {
-		return nil, err
-	}
-	return s.caches[k], nil
+	return s.caches[k], s.caches[k].Reset(capacity, policy, opts...)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
-
-// newPolicy returns the policy one cache of one run uses: a fresh one
-// from the factory when set, else the shared instance.
-func (c Config) newPolicy() core.Policy {
-	if c.PolicyFactory != nil {
-		return c.PolicyFactory()
-	}
-	return c.Policy
-}
 
 // cacheOptions sizes the cache tables for the tape's catalog ahead of
 // the caller's own options.
@@ -316,18 +289,6 @@ func (c Config) cacheOptions(objects int) []core.Option {
 	opts := make([]core.Option, 0, len(c.CacheOptions)+1)
 	opts = append(opts, core.WithExpectedObjects(objects))
 	return append(opts, c.CacheOptions...)
-}
-
-// runOnce replays one seeded tape through one cache: replayColumns
-// with the one bandwidth column the run's draws make.
-func runOnce(cfg Config, seed int64) (Metrics, error) {
-	rp, err := cfg.Arena.replay(cfg, seed)
-	if err != nil {
-		return Metrics{}, err
-	}
-	var m [1]Metrics
-	err = replayColumns(cfg, rp, cfg.CacheBytes, []column{cfg.Arena.column(cfg, seed, rp)}, m[:])
-	return m[0], err
 }
 
 // capacityTotals accumulate, in request order, what the measured
@@ -375,7 +336,7 @@ func (t memberTotals) metrics(requests int, watched float64) Metrics {
 // estimator observes what each request got, so cols must then hold
 // exactly the one column the run's estimates follow. At one column it
 // is as fast as the single-column loop it replaced: BenchmarkCapacityAxis
-// runOnce-x5 on a paper NLANR tape, three alternating -cpu 1 pairs on a
+// replay-x5 on a paper NLANR tape, three alternating -cpu 1 pairs on a
 // 2-vCPU AMD EPYC guest, medians 11.61 against 11.63 ms for PB and
 // 13.17 against 12.83 for Hybrid(0.5) (the old loop's own spread
 // 12.81–13.46). The three metric calls stay written out in the loop:
@@ -401,7 +362,7 @@ func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []M
 	scratch := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(scratch)
 	opts := cfg.cacheOptions(len(rp.objs))
-	cache, err := scratch.cache(0, capacity, cfg.newPolicy(), opts)
+	cache, err := scratch.cache(0, capacity, cfg.Policy, opts)
 	if err != nil {
 		return err
 	}

@@ -481,34 +481,29 @@ func TestActiveProbeDeterministic(t *testing.T) {
 	}
 }
 
-func TestPolicyFactoryPerRun(t *testing.T) {
-	// Stateful GDSP must work across parallel runs via the factory.
-	m, err := Run(Config{
-		Workload:      testWorkload(),
-		CacheBytes:    cachePct(5),
-		PolicyFactory: core.NewGDSP,
-		Runs:          3,
-		Seed:          37,
-	})
+func TestAgingPolicySharedAcrossRuns(t *testing.T) {
+	// One GDSP value drives parallel runs, each run's cache aging alone.
+	cfg := Config{
+		Workload:   testWorkload(),
+		CacheBytes: cachePct(5),
+		Policy:     core.NewGDSP(),
+		Runs:       3,
+		Seed:       37,
+	}
+	m, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.TrafficReductionRatio <= 0 {
-		t.Errorf("GDSP factory run cached nothing: %+v", m)
+		t.Errorf("GDSP run cached nothing: %+v", m)
 	}
-	// Runs must reproduce with factories too.
-	m2, err := Run(Config{
-		Workload:      testWorkload(),
-		CacheBytes:    cachePct(5),
-		PolicyFactory: core.NewGDSP,
-		Runs:          3,
-		Seed:          37,
-	})
+	// The same value, already used, reproduces the runs: it holds no state.
+	m2, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m != m2 {
-		t.Errorf("factory runs not deterministic:\n%+v\n%+v", m, m2)
+		t.Errorf("shared GDSP runs not deterministic:\n%+v\n%+v", m, m2)
 	}
 }
 
@@ -517,11 +512,11 @@ func TestGDSPBehavesLikeNetworkAwarePolicy(t *testing.T) {
 	// delay (it shares the F/b core with IB, plus aging).
 	ifM := runWith(t, core.NewIF(), bandwidth.NoVariation{}, cachePct(5))
 	gdsp, err := Run(Config{
-		Workload:      testWorkload(),
-		CacheBytes:    cachePct(5),
-		PolicyFactory: core.NewGDSP,
-		Runs:          2,
-		Seed:          42,
+		Workload:   testWorkload(),
+		CacheBytes: cachePct(5),
+		Policy:     core.NewGDSP(),
+		Runs:       2,
+		Seed:       42,
 	})
 	if err != nil {
 		t.Fatal(err)

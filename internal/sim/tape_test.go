@@ -9,8 +9,8 @@ import (
 
 // TestTapeReplayBitIdentical is the tape's contract: replaying compiled
 // columns is the simulation, not an approximation of it. For every
-// built-in variability, every estimator factory and a per-run policy
-// factory, Run returns the same Metrics bit for bit from a shared
+// built-in variability, every estimator factory and an aging policy,
+// Run returns the same Metrics bit for bit from a shared
 // arena (columns compiled once, replayed by every later call), from a
 // nil arena (compiled privately per run) and at any Parallelism — and
 // the values equal goldens recorded before the tape existed, so the
@@ -22,7 +22,6 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 	}
 	partial := testWorkload()
 	partial.PartialViewProb = 0.4
-	gds := func() core.Policy { return core.NewGDS() }
 
 	variabilities := []struct {
 		name string
@@ -65,7 +64,7 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 		}, golden: &Metrics{Requests: 5000, TrafficReductionRatio: 0x1.4b3bbbf7206a8p-04, AvgServiceDelay: 0x1.0e91de2c30e83p+10,
 			AvgStreamQuality: 0x1.cad4cd1c19044p-01, TotalAddedValue: 0x1.292f5e0515dadp+14, HitRatio: 0x1.788f1641434f9p-03, EvictedBytes: 3594095080}},
 		flatCase{name: "golden/gds-ewma-partial", cfg: Config{
-			Workload: partial, CacheBytes: cachePct(2), PolicyFactory: gds,
+			Workload: partial, CacheBytes: cachePct(2), Policy: core.NewGDS(),
 			Variation: bandwidth.MeasuredVariability(), Estimators: EWMAEstimator(0.3), Runs: 2, Seed: 7,
 		}, golden: &Metrics{Requests: 5000, TrafficReductionRatio: 0x1.50bf5db7a7845p-04, AvgServiceDelay: 0x1.59173acd52717p+10,
 			AvgStreamQuality: 0x1.b6cff73e727cp-01, TotalAddedValue: 0x1.1b206133022aep+14, HitRatio: 0x1.03e425aee632p-03, EvictedBytes: 705926916473}},

@@ -167,8 +167,8 @@ row H9 internal/proxy/proxy.go clean 'TestPumpSteadyStateAllocFree TestServeMiss
     $'\t\tn, err = body.Read(seg.buf[offset-seg.off:])' \
     $'\t\tdst := seg.buf[offset-seg.off:]\n\t\tbuf := make([]byte, 4096)\n\t\tn, err = body.Read(buf[:min(len(buf), len(dst))])\n\t\tcopy(dst, buf[:n])'
 row H10 internal/sim/sim.go clean TestRunOnceSteadyStateAllocs ./internal/sim \
-    'fmt.Sprint per request in sim.replayColumns, runOnce'"'"'s loop' \
-    'func runOnce(' "$sink"'func runOnce(' \
+    'fmt.Sprint per request in sim.replayColumns, the request loop of Run' \
+    'func replayColumns(' "$sink"'func replayColumns(' \
     $'\t\tres := cache.Access(obj, est, rp.time[i])' $'\t\tmutStr = fmt.Sprint(i, est)\n\t\tres := cache.Access(obj, est, rp.time[i])'
 
 # --- segment references: poison-on-recycle, the refill count, the bound -------
@@ -195,9 +195,10 @@ row R4 internal/proxy/relay.go clean TestRelayRingBoundsMemory ./internal/proxy 
 #
 # No analyzer: every fault here is failed by a test by name.
 
-row D1 internal/sim/sim.go clean 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
-    'wall clock mixed into the seed of sim.runOnce' \
-    $'func runOnce(cfg Config, seed int64) (Metrics, error) {\n' $'func runOnce(cfg Config, seed int64) (Metrics, error) {\n\tseed ^= time.Now().UnixNano()\n'
+row D1 internal/sim/capacity.go clean 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
+    'wall clock mixed into the run seed of sim.RunGroup (and so of Run)' \
+    $'\npackage sim\n' $'\npackage sim\n\nimport muttime "time"\n' \
+    $'func(seed int64) ([]Metrics, error) {\n' $'func(seed int64) ([]Metrics, error) {\n\t\tseed ^= muttime.Now().UnixNano()\n'
 row D2 internal/workload/workload.go clean 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
     'process-global rand.Float64 in workload.Generate' \
     'durSeconds := durations.Sample(rng) * 60' 'durSeconds := durations.Sample(rng) * 60 * (1 + rand.Float64()/100)'
@@ -238,9 +239,22 @@ row K3 internal/sim/capacity.go clean FuzzCapacityPass ./internal/sim \
 row K4 internal/sim/capacity.go clean 'FuzzCapacityPass TestCapacityPassMatchesRunOnce TestGoldenTables' './internal/sim ./internal/experiments' \
     'selection ignores Estimators across capacities: an EWMA or underestimating cache-size group is scored with the oracle means' \
     $'\tif cfg.Estimators != nil {\n' $'\tif cfg.Estimators != nil && len(g.caps) < 2 {\n'
+row K6 internal/sim/capacity.go clean TestCapacityPassMatchesRunOnce ./internal/sim \
+    'selection ignores aging: a GreedyDual cache-size group is scored by the greedy fill of utilities without L' \
+    'return !core.Ages(c.Policy) && ' 'return '
 row K5 internal/experiments/spec.go clean TestGoldenTables ./internal/experiments \
     'groups keyed without the policy axis: one policy scores every policy'"'"'s rows' \
     $'\t\t\tif !axes[k].member {' $'\t\t\tif !axes[k].member && !slices.Contains(axes[k].cols, "policy") {'
+
+# --- aging: GreedyDual's L lives in core.Cache ----------------------------------
+#
+# Policies are values; the one mutable policy state, GreedyDual's
+# inflation value L, is the cache's, and only core.Ages policies use it.
+
+row A1 internal/core/cache.go clean 'TestTapeReplayBitIdentical FuzzCapacityPass TestCapacityPassMatchesRunOnce TestPBEndStateIsSection23Optimum' ./internal/sim \
+    'Access and makeRoom age every policy: PB, IB, LRU and the rest key L + utility and raise L on eviction' \
+    $'\tif c.aging {\n\t\tutility = c.inflation + utility' $'\tif true {\n\t\tutility = c.inflation + utility' \
+    'if c.aging && v.utility > c.inflation {' 'if v.utility > c.inflation {'
 
 # --- shared replays: one trajectory per capacity, one column per member -------
 #
