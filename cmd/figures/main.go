@@ -174,13 +174,24 @@ func run() error {
 		}
 	}
 
+	var tables []experiments.Experiment
+	var tableKeys []string
+	for _, e := range exps {
+		if len(selected) == 0 || selected[e.Key] {
+			tables, tableKeys = append(tables, e), append(tableKeys, e.Key)
+		}
+	}
+	// Every table's points up front: the first group call that meets a
+	// group scores the rows later tables hold too, and they take the
+	// finished metrics. Rows are identical either way.
+	if err := experiments.Declare(s, tableKeys...); err != nil {
+		return err
+	}
+
 	var index strings.Builder
 	fmt.Fprintf(&index, "# Regenerated %s at scale=%s seed=%d shard=%s\n",
 		time.Now().Format(time.RFC3339), *scale, *seed, s.Shard)
-	for _, e := range exps {
-		if len(selected) > 0 && !selected[e.Key] {
-			continue
-		}
+	for _, e := range tables {
 		file := e.File
 		stem := strings.TrimSuffix(file, ".csv")
 		if s.Shard.Count > 1 {
@@ -203,10 +214,11 @@ func run() error {
 				time.Duration(s.Counters.ExchangeWaitNanos.Load()).Round(time.Millisecond))
 		}
 		// Groups of cache sizes scored in one tape pass, run seeds that
-		// replayed once per capacity instead, and points that shared
-		// another point's cache replay (last, so the fields before it
-		// keep their positions).
-		fmt.Printf("  passes=%d fallbacks=%d shared=%d", s.Counters.CapacityPasses.Load(), s.Counters.CapacityFallbacks.Load(), s.Counters.SharedReplays.Load())
+		// replayed once per capacity instead, points that shared another
+		// point's cache replay and points another table's group call
+		// scored (last, so the fields before them keep their positions).
+		fmt.Printf("  passes=%d fallbacks=%d shared=%d reused=%d", s.Counters.CapacityPasses.Load(),
+			s.Counters.CapacityFallbacks.Load(), s.Counters.SharedReplays.Load(), s.Counters.ReusedMembers.Load())
 		fmt.Println()
 		fmt.Fprintf(&index, "%s: %s (%d rows) - %s\n", e.Key, file, rows, name)
 	}

@@ -13,7 +13,10 @@ var ErrBadPolicy = errors.New("core: invalid policy")
 // prefix bytes it should occupy, given the current access statistics and
 // the estimated bandwidth b (bytes/s) of the path to the object's origin
 // server. A Policy is a value: Utility and Target are pure functions of
-// their arguments, so one instance may serve any number of caches.
+// their arguments, so one instance may serve any number of caches. The
+// built-in policies other than the GreedyDual-Size family are also
+// comparable: two constructions with the same parameters are ==, which
+// is what lets internal/sim recognise one configuration across tables.
 type Policy interface {
 	// Name identifies the policy (IF, PB, IB, ...).
 	Name() string
@@ -44,20 +47,20 @@ type frequencyPolicy struct {
 }
 
 // NewIF returns the Integral Frequency-based policy.
-func NewIF() Policy { return &frequencyPolicy{name: "IF"} }
+func NewIF() Policy { return frequencyPolicy{name: "IF"} }
 
 // NewLFU returns the Least Frequently Used baseline, operationally
 // identical to IF (Section 3.3 groups LRU/LFU as frequency-only
 // algorithms that ignore network bandwidth).
-func NewLFU() Policy { return &frequencyPolicy{name: "LFU"} }
+func NewLFU() Policy { return frequencyPolicy{name: "LFU"} }
 
-func (p *frequencyPolicy) Name() string { return p.name }
+func (p frequencyPolicy) Name() string { return p.name }
 
-func (p *frequencyPolicy) Utility(st AccessStats, _ Object, _ float64) float64 {
+func (p frequencyPolicy) Utility(st AccessStats, _ Object, _ float64) float64 {
 	return float64(st.Freq)
 }
 
-func (p *frequencyPolicy) Target(obj Object, _ float64) int64 { return obj.Size }
+func (p frequencyPolicy) Target(obj Object, _ float64) int64 { return obj.Size }
 
 // lruPolicy evicts the least recently used object and caches whole
 // objects.
@@ -88,12 +91,12 @@ type hybridPolicy struct {
 // objects whose bit-rate is below the measured bandwidth are not cached;
 // otherwise the prefix target is (r_i - b_i)T_i and the utility is
 // F_i/b_i.
-func NewPB() Policy { return &hybridPolicy{name: "PB", e: 1} }
+func NewPB() Policy { return hybridPolicy{name: "PB", e: 1} }
 
 // NewIB returns the Integral Bandwidth-based policy of Section 2.5: the
 // most conservative heuristic, caching whole objects with the highest
 // F_i/b_i ratio.
-func NewIB() Policy { return &hybridPolicy{name: "IB", e: 0} }
+func NewIB() Policy { return hybridPolicy{name: "IB", e: 0} }
 
 // NewHybrid returns the estimator-e policy with e in [0, 1]; e=0 behaves
 // as IB, e=1 as PB.
@@ -101,16 +104,16 @@ func NewHybrid(e float64) (Policy, error) {
 	if e < 0 || e > 1 || math.IsNaN(e) {
 		return nil, fmt.Errorf("%w: hybrid e=%v, want in [0,1]", ErrBadPolicy, e)
 	}
-	return &hybridPolicy{name: fmt.Sprintf("Hybrid(e=%.2f)", e), e: e}, nil
+	return hybridPolicy{name: fmt.Sprintf("Hybrid(e=%.2f)", e), e: e}, nil
 }
 
-func (p *hybridPolicy) Name() string { return p.name }
+func (p hybridPolicy) Name() string { return p.name }
 
-func (p *hybridPolicy) Utility(st AccessStats, _ Object, bw float64) float64 {
+func (p hybridPolicy) Utility(st AccessStats, _ Object, bw float64) float64 {
 	return float64(st.Freq) / effBW(bw)
 }
 
-func (p *hybridPolicy) Target(obj Object, bw float64) int64 {
+func (p hybridPolicy) Target(obj Object, bw float64) int64 {
 	conservative := p.e * effBW(bw)
 	if obj.Rate <= conservative {
 		return 0 // abundant bandwidth: no need to cache (Section 2.4)
@@ -131,7 +134,7 @@ func (p *hybridPolicy) Target(obj Object, bw float64) int64 {
 // F_i V_i / (T_i r_i - T_i b_i) ratio, so that requests can be served
 // immediately and earn their value. It is the e=1 end of the value
 // family, as PB is of the bandwidth family.
-func NewPBV() Policy { return &hybridVPolicy{name: "PB-V", e: 1} }
+func NewPBV() Policy { return hybridVPolicy{name: "PB-V", e: 1} }
 
 // ibvPolicy is Integral Bandwidth-Value-based caching (Section 2.6):
 // whole objects with the highest F_i V_i / (T_i r_i b_i) ratio, giving
@@ -169,12 +172,12 @@ func NewHybridV(e float64) (Policy, error) {
 	if e < 0 || e > 1 || math.IsNaN(e) {
 		return nil, fmt.Errorf("%w: hybrid-v e=%v, want in [0,1]", ErrBadPolicy, e)
 	}
-	return &hybridVPolicy{name: fmt.Sprintf("HybridV(e=%.2f)", e), e: e}, nil
+	return hybridVPolicy{name: fmt.Sprintf("HybridV(e=%.2f)", e), e: e}, nil
 }
 
-func (p *hybridVPolicy) Name() string { return p.name }
+func (p hybridVPolicy) Name() string { return p.name }
 
-func (p *hybridVPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
+func (p hybridVPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
 	deficit := float64(obj.Size) - obj.Duration*p.e*effBW(bw)
 	if deficit <= 0 {
 		return 0 // nothing to cache; never competes for space
@@ -182,7 +185,7 @@ func (p *hybridVPolicy) Utility(st AccessStats, obj Object, bw float64) float64 
 	return float64(st.Freq) * obj.Value / deficit
 }
 
-func (p *hybridVPolicy) Target(obj Object, bw float64) int64 {
+func (p hybridVPolicy) Target(obj Object, bw float64) int64 {
 	deficit := float64(obj.Size) - obj.Duration*p.e*effBW(bw)
 	if deficit <= 0 {
 		return 0

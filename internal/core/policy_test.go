@@ -33,6 +33,39 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
+// TestPoliciesComparable: every built-in policy but the GreedyDual-Size
+// family is a comparable value, so two constructions with the same
+// parameters are == and differ from any other parameters — the identity
+// internal/sim keys its cross-table answers by.
+func TestPoliciesComparable(t *testing.T) {
+	hybrid := func(e float64) Policy {
+		p, err := NewHybrid(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	hybridV := func(e float64) Policy {
+		p, err := NewHybridV(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	builds := []func() Policy{
+		NewIF, NewLFU, NewLRU, NewPB, NewIB, NewPBV, NewIBV,
+		func() Policy { return hybrid(0.5) }, func() Policy { return hybrid(0.6) },
+		func() Policy { return hybridV(0.5) }, func() Policy { return hybridV(0.6) },
+	}
+	for i, a := range builds {
+		for j, b := range builds {
+			if got := a() == b(); got != (i == j) {
+				t.Errorf("%s == %s is %v, want %v", a().Name(), b().Name(), got, i == j)
+			}
+		}
+	}
+}
+
 func TestIFUtilityIsFrequency(t *testing.T) {
 	p := NewIF()
 	obj := testObject(1)

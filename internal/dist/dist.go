@@ -71,8 +71,9 @@ func (u Uniform) Mean() float64 { return (u.Min + u.Max) / 2 }
 // P(rank = r) proportional to r^-alpha. Unlike math/rand.Zipf it
 // accepts any alpha >= 0, in particular the paper's 0.73.
 type Zipf struct {
-	n   int
-	cdf []float64 // cdf[i] = P(rank <= i+1); cdf[n-1] == 1
+	n     int
+	cdf   []float64 // cdf[i] = P(rank <= i+1); cdf[n-1] == 1
+	guide []int     // guide[j] = the first i with cdf[i] >= j/n, j = 0..n
 }
 
 // NewZipf builds the distribution over ranks 1..n with skew alpha.
@@ -93,7 +94,15 @@ func NewZipf(n int, alpha float64) (*Zipf, error) {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against rounding leaving it at 1-eps
-	return &Zipf{n: n, cdf: cdf}, nil
+	guide := make([]int, n+1)
+	i := 0
+	for j := range guide {
+		for cdf[i] < float64(j)/float64(n) {
+			i++
+		}
+		guide[j] = i
+	}
+	return &Zipf{n: n, cdf: cdf, guide: guide}, nil
 }
 
 // P returns the probability of rank r (0 outside 1..N).
@@ -108,11 +117,20 @@ func (z *Zipf) P(r int) float64 {
 }
 
 // Sample draws one rank in 1..N by inverse-transform over the
-// precomputed CDF (O(log N)).
-func (z *Zipf) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	i, _ := slices.BinarySearch(z.cdf, u)
-	return i + 1
+// precomputed CDF: the first i with cdf[i] >= u. The guide table narrows
+// the binary search to the ranks between the 1/n quantiles around u
+// (expected O(1); Chen & Asau's guide tables). The bracket reaches one
+// quantile further each way than u*n says, so that rounding in u*n or
+// in j/n can never leave the answer outside it: the rank is exactly the
+// full search's.
+func (z *Zipf) Sample(rng *rand.Rand) int { return z.rank(rng.Float64()) }
+
+// rank is the rank Sample draws for the uniform variate u in [0, 1).
+func (z *Zipf) rank(u float64) int {
+	j := min(int(u*float64(z.n)), z.n-1)
+	lo, hi := z.guide[max(j-1, 0)], z.guide[min(j+2, z.n)]
+	i, _ := slices.BinarySearch(z.cdf[lo:hi+1], u)
+	return lo + i + 1
 }
 
 // Pareto is the Pareto (power-law) distribution with minimum Scale and

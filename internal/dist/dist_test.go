@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -267,5 +268,41 @@ func TestPoissonProcessRateAndCoV(t *testing.T) {
 	// Exponential gaps have CoV exactly 1.
 	if math.Abs(cov-1) > 0.03 {
 		t.Errorf("inter-arrival CoV %v, want ~1", cov)
+	}
+}
+
+// TestZipfGuideMatchesFullSearch: the guide-table bracket never changes
+// a rank — for random variates, for every CDF value and its neighbours
+// 1e-16 away, and for the 1/n quantiles the guide is cut at and the
+// floats either side of them, the rank equals the full binary search's.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 3, 7, 500, 5000} {
+		for _, alpha := range []float64{0, 0.5, 0.73, 1.2, 3} {
+			z, err := NewZipf(n, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			us := make([]float64, 0, samples+3*n+3*(n+1))
+			for range samples {
+				us = append(us, rng.Float64())
+			}
+			for _, c := range z.cdf {
+				us = append(us, c, c-1e-16, c+1e-16)
+			}
+			for j := 0; j <= n; j++ {
+				q := float64(j) / float64(n)
+				us = append(us, q, math.Nextafter(q, 0), math.Nextafter(q, 1))
+			}
+			for _, u := range us {
+				if u < 0 || u >= 1 {
+					continue // outside rand.Float64's range
+				}
+				want, _ := slices.BinarySearch(z.cdf, u)
+				if got := z.rank(u); got != want+1 {
+					t.Fatalf("n=%d alpha=%v u=%v: rank %d, full search %d", n, alpha, u, got, want+1)
+				}
+			}
+		}
 	}
 }

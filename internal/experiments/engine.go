@@ -407,8 +407,19 @@ type Experiment struct {
 	// File is the CSV file cmd/figures writes the table to; without its
 	// extension it is also the stem of the per-shard JSONL files and of
 	// the collector's table.
-	File  string
-	build func(Scale) (*plan, error)
+	File string
+	// spec is a simulated table's; static builds the plan of a table
+	// that simulates nothing. One of the two is set.
+	spec   *spec
+	static func(Scale) (*plan, error)
+}
+
+// build compiles the experiment's plan at the given scale.
+func (e Experiment) build(s Scale) (*plan, error) {
+	if e.spec != nil {
+		return e.spec.compile(s)
+	}
+	return e.static(s)
 }
 
 // Table runs the experiment at the given scale and returns the
@@ -432,7 +443,7 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 		s.Arena = sim.NewArena()
 	}
 	tapes0, rates0 := s.Arena.Compiles()
-	passes0, fallbacks0, shared0 := s.Arena.Groups()
+	passes0, fallbacks0, shared0, reused0 := s.Arena.Groups()
 	p, err := e.build(s)
 	if err != nil {
 		return err
@@ -441,10 +452,11 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 	if s.Counters != nil {
 		tapes, rates := s.Arena.Compiles()
 		s.Counters.TapeCompiles.Add(tapes - tapes0 + rates - rates0)
-		passes, fallbacks, shared := s.Arena.Groups()
+		passes, fallbacks, shared, reused := s.Arena.Groups()
 		s.Counters.CapacityPasses.Add(passes - passes0)
 		s.Counters.CapacityFallbacks.Add(fallbacks - fallbacks0)
 		s.Counters.SharedReplays.Add(shared - shared0)
+		s.Counters.ReusedMembers.Add(reused - reused0)
 	}
 	return err
 }
@@ -457,30 +469,30 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 // function returning a staticPlan).
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", "table1_workload.csv", table1},
-		{"figure2", "figure2_bandwidth_distribution.csv", figure2},
-		{"figure3", "figure3_bandwidth_variability.csv", figure3},
-		{"figure4", "figure4_path_time_series.csv", figure4},
-		{"figure5", "figure5_constant_bandwidth.csv", figure5.compile},
-		{"figure6", "figure6_zipf_alpha.csv", figure6.compile},
-		{"figure7", "figure7_nlanr_variability.csv", figure7.compile},
-		{"figure8", "figure8_measured_variability.csv", figure8.compile},
-		{"figure9", "figure9_estimator_sweep.csv", figure9.compile},
-		{"figure10", "figure10_value_constant.csv", figure10.compile},
-		{"figure11", "figure11_value_variable.csv", figure11.compile},
-		{"figure12", "figure12_value_estimator_sweep.csv", figure12.compile},
-		{"ablation-eviction", "ablation_eviction_granularity.csv", ablationEviction.compile},
-		{"ablation-estimators", "ablation_estimators.csv", ablationEstimators.compile},
-		{"ext-merging", "extension_stream_merging.csv", extensionStreamMerging},
-		{"ext-partial-viewing", "extension_partial_viewing.csv", extensionPartialViewing.compile},
-		{"ext-active-probing", "extension_active_probing.csv", extensionActiveProbing.compile},
-		{"ext-baselines", "extension_baselines.csv", extensionBaselines.compile},
-		{"scenarios", "scenario_matrix.csv", scenarioMatrix.compile},
-		{"refined-e", "refined_e_sweep.csv", refinedESweep.compile},
-		{"refined-sigma", "refined_sigma_sweep.csv", refinedSigmaSweep.compile},
-		{"refined-cache", "refined_cache_sweep.csv", refinedCacheSweep.compile},
-		{"refined-esigma", "refined_esigma_sweep.csv", refinedESigmaSweep.compile},
-		{"hierarchy", "hierarchy.csv", hierarchy.compile},
+		{"table1", "table1_workload.csv", nil, table1},
+		{"figure2", "figure2_bandwidth_distribution.csv", nil, figure2},
+		{"figure3", "figure3_bandwidth_variability.csv", nil, figure3},
+		{"figure4", "figure4_path_time_series.csv", nil, figure4},
+		{"figure5", "figure5_constant_bandwidth.csv", &figure5, nil},
+		{"figure6", "figure6_zipf_alpha.csv", &figure6, nil},
+		{"figure7", "figure7_nlanr_variability.csv", &figure7, nil},
+		{"figure8", "figure8_measured_variability.csv", &figure8, nil},
+		{"figure9", "figure9_estimator_sweep.csv", &figure9, nil},
+		{"figure10", "figure10_value_constant.csv", &figure10, nil},
+		{"figure11", "figure11_value_variable.csv", &figure11, nil},
+		{"figure12", "figure12_value_estimator_sweep.csv", &figure12, nil},
+		{"ablation-eviction", "ablation_eviction_granularity.csv", &ablationEviction, nil},
+		{"ablation-estimators", "ablation_estimators.csv", &ablationEstimators, nil},
+		{"ext-merging", "extension_stream_merging.csv", nil, extensionStreamMerging},
+		{"ext-partial-viewing", "extension_partial_viewing.csv", &extensionPartialViewing, nil},
+		{"ext-active-probing", "extension_active_probing.csv", &extensionActiveProbing, nil},
+		{"ext-baselines", "extension_baselines.csv", &extensionBaselines, nil},
+		{"scenarios", "scenario_matrix.csv", &scenarioMatrix, nil},
+		{"refined-e", "refined_e_sweep.csv", &refinedESweep, nil},
+		{"refined-sigma", "refined_sigma_sweep.csv", &refinedSigmaSweep, nil},
+		{"refined-cache", "refined_cache_sweep.csv", &refinedCacheSweep, nil},
+		{"refined-esigma", "refined_esigma_sweep.csv", &refinedESigmaSweep, nil},
+		{"hierarchy", "hierarchy.csv", &hierarchy, nil},
 	}
 }
 
@@ -501,4 +513,42 @@ func Stream(key string, s Scale, sink RowSink) error {
 		return fmt.Errorf("experiments: unknown experiment %q", key)
 	}
 	return e.Stream(s, sink)
+}
+
+// Declare tells s.Arena every coarse point the experiments named by keys
+// will simulate (sim.Arena.Declare), so that the first sim.RunGroup call
+// on a group scores the members later tables ask for too and those
+// tables take the finished Metrics. Call it once, before the tables
+// stream, with the arena, shard and resume journal they will run with:
+// it declares only the points this process will simulate itself — the
+// coarse-round points s.Shard owns that s.Resume does not hold.
+// Refinement rounds are not known ahead, and the static tables are not
+// built. Without an arena (each table then has its own) it declares
+// nothing. Rows are identical whether or not it was called.
+func Declare(s Scale, keys ...string) error {
+	for _, key := range keys {
+		e, ok := ExperimentByKey(key)
+		if !ok {
+			return fmt.Errorf("experiments: unknown experiment %q", key)
+		}
+		if e.spec == nil || s.Arena == nil {
+			continue
+		}
+		p, err := e.spec.compile(s)
+		if err != nil {
+			return err
+		}
+		for i, pt := range p.coarse {
+			if pt.member == nil || !s.Shard.owns(i) {
+				continue
+			}
+			if _, held := s.Resume.replay(p.meta.Name, i); held {
+				continue
+			}
+			if err := s.Arena.Declare(pt.member.cfg); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -355,7 +355,7 @@ func TestSpecRowsFollowDeclaredAxisOrder(t *testing.T) {
 		metrics: []string{"hit_ratio", "traffic_reduction"},
 	}
 	var ts TableSink
-	if err := (Experiment{build: swapped.compile}).Stream(s, &ts); err != nil {
+	if err := (Experiment{spec: &swapped}).Stream(s, &ts); err != nil {
 		t.Fatal(err)
 	}
 	got := ts.Table()

@@ -49,6 +49,10 @@ type Counters struct {
 	// concurrently over one arena each count what happened meanwhile, as
 	// TapeCompiles does).
 	CapacityPasses, CapacityFallbacks, SharedReplays atomic.Int64
+	// ReusedMembers counts the points whose Metrics a RunGroup call took
+	// from another call — usually another table's — that scored them
+	// (Declare; sim.Arena.Groups), not simulated for this table at all.
+	ReusedMembers atomic.Int64
 	// ExchangeHits counts foreign points resolved through the
 	// MetricExchange instead of being re-simulated locally.
 	ExchangeHits atomic.Int64

@@ -28,10 +28,12 @@ import (
 )
 
 // Arena memoizes replay tapes, workloads and path-mean assignments
-// across the runs and sweep points of one experiment. The zero value is
-// not usable; call NewArena. All methods are safe for concurrent use,
-// and every value is a pure function of its key, so results never depend
-// on which goroutine populated an entry first.
+// across the runs and sweep points of one experiment — and, for the
+// share keys declared to it, the Metrics of group members across
+// RunGroup calls (share.go). The zero value is not usable; call
+// NewArena. All methods are safe for concurrent use, and every value is
+// a pure function of its key, so results never depend on which
+// goroutine populated an entry first.
 type Arena struct {
 	mu     sync.Mutex
 	wls    map[workload.Config]*memo[*workload.Workload]
@@ -39,20 +41,23 @@ type Arena struct {
 	paths  map[pathKey]*memo[[]float64]
 	cols   map[rateKey]*memo[[]float64]
 	traces map[trace.GenConfig]*memo[[]trace.Entry]
+	// answers holds the declared share keys' members (share.go).
+	answers map[shareKey]*shareEntry
 
-	tapeCompiles, rateCompiles atomic.Int64
-	passes, fallbacks, shared  atomic.Int64 // RunGroup telemetry
+	tapeCompiles, rateCompiles        atomic.Int64
+	passes, fallbacks, shared, reused atomic.Int64 // RunGroup telemetry
 }
 
 // NewArena builds an empty arena. Use one arena per experiment (or per
 // sweep) and drop it afterwards to release the compiled tapes.
 func NewArena() *Arena {
 	return &Arena{
-		wls:    make(map[workload.Config]*memo[*workload.Workload]),
-		tapes:  make(map[workload.Config]*memo[*tape]),
-		paths:  make(map[pathKey]*memo[[]float64]),
-		cols:   make(map[rateKey]*memo[[]float64]),
-		traces: make(map[trace.GenConfig]*memo[[]trace.Entry]),
+		wls:     make(map[workload.Config]*memo[*workload.Workload]),
+		tapes:   make(map[workload.Config]*memo[*tape]),
+		paths:   make(map[pathKey]*memo[[]float64]),
+		cols:    make(map[rateKey]*memo[[]float64]),
+		traces:  make(map[trace.GenConfig]*memo[[]trace.Entry]),
+		answers: make(map[shareKey]*shareEntry),
 	}
 }
 
@@ -174,7 +179,8 @@ func (a *Arena) Compiles() (tapes, rates int64) {
 // replayed per capacity (or, with an estimator, per member) instead.
 // shared counts the members scored from a cache trajectory replayed for
 // another member at the same capacity: every member but one per
-// capacity, under the oracle estimator.
-func (a *Arena) Groups() (passes, fallbacks, shared int64) {
-	return a.passes.Load(), a.fallbacks.Load(), a.shared.Load()
+// capacity, under the oracle estimator. reused counts the members a
+// call took from another call's scoring instead (Declare).
+func (a *Arena) Groups() (passes, fallbacks, shared, reused int64) {
+	return a.passes.Load(), a.fallbacks.Load(), a.shared.Load(), a.reused.Load()
 }

@@ -376,8 +376,8 @@ func TestRunGroupEqualsRun(t *testing.T) {
 			}
 		}
 	}
-	if passes, fallbacks, shared := arena.Groups(); passes != 1 || fallbacks != 3 || shared != 6 {
-		t.Errorf("Groups = %d passes, %d fallbacks, %d shared; want PB's 1 pass, IF's 3 seeds and 3 shared members per call", passes, fallbacks, shared)
+	if passes, fallbacks, shared, reused := arena.Groups(); passes != 1 || fallbacks != 3 || shared != 6 || reused != 0 {
+		t.Errorf("Groups = %d passes, %d fallbacks, %d shared, %d reused; want PB's 1 pass, IF's 3 seeds, 3 shared members per call and nothing reused (nothing declared)", passes, fallbacks, shared, reused)
 	}
 	if _, err := RunGroup(Config{Workload: testWorkload(), Policy: core.NewPB()}, atCapacities([]int64{1, -1}, nil)); err == nil {
 		t.Error("negative capacity accepted")

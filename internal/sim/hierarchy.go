@@ -184,11 +184,18 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 		}
 	}
 	edges := scratch.caches[:cfg.Edges]
-	var ring *cluster.Ring
+	// The owner of each object, looked up on the ring once per run
+	// rather than once per request; nil without peering.
+	var owners []int32
 	if cfg.Peering == PeeringOwner && cfg.Edges > 1 {
-		ring, err = cluster.NewRing(cfg.Edges, cfg.VirtualNodes)
+		ring, err := cluster.NewRing(cfg.Edges, cfg.VirtualNodes)
 		if err != nil {
 			return HierarchyMetrics{}, err
+		}
+		scratch.owners = fit(scratch.owners, len(rp.objs))
+		owners = scratch.owners
+		for o, obj := range rp.objs {
+			owners[o] = int32(ring.Owner(obj.ID))
 		}
 	}
 
@@ -202,8 +209,8 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 		now, watched := rp.time[i], rp.watched[i]
 		e := i % cfg.Edges
 		owner := e
-		if ring != nil {
-			owner = ring.Owner(obj.ID)
+		if owners != nil {
+			owner = int(owners[o])
 		}
 
 		// Hop pricing: each cache's utility sees the bandwidth of the

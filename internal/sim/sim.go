@@ -146,6 +146,11 @@ func (c Config) normalize() (Config, error) {
 	if c.Policy == nil {
 		return c, fmt.Errorf("%w: nil Policy", ErrBadConfig)
 	}
+	w, err := c.Workload.Normalize()
+	if err != nil {
+		return c, err
+	}
+	c.Workload = w
 	if c.Base == nil {
 		c.Base = bandwidth.NLANR()
 	}
@@ -250,7 +255,8 @@ func (agg *Metrics) over(runs int) {
 }
 
 // runScratch holds every piece of per-run mutable state — the caches of
-// all nodes, the estimator slice and the per-column sums — reused across
+// all nodes, the estimator slice, the per-column sums and a hierarchy
+// run's owner table — reused across
 // runs via scratchPool. Only backing storage survives a run: estimator
 // slice elements are rewritten and sums cleared before use and each
 // pooled cache is Reset to its freshly-constructed state, so pooled
@@ -261,6 +267,7 @@ type runScratch struct {
 	estimators []bandwidth.Estimator
 	caches     []*core.Cache
 	sums       []columnSums
+	owners     []int32 // per object: its owning edge in a hierarchy run
 }
 
 func (s *runScratch) estSlice(n int) []bandwidth.Estimator {

@@ -275,6 +275,34 @@ row V4 internal/experiments/spec.go clean TestGoldenTables ./internal/experiment
     'refined-round points grouped without their e coordinate: one round'"'"'s two values of e are scored as the first' \
     'group += strconv.FormatFloat(coords[n], '"'g'"', -1, 64) + ","' 'group += ","'
 
+# --- answers across tables: one call scores what later calls ask for --------
+#
+# A RunGroup call on a declared share key scores every declared member
+# no call has claimed and the arena keeps their Metrics for the calls
+# that ask later (DESIGN.md §5a "Groups across calls"); each fault hands a
+# call an answer that is not its own.
+
+row X1 internal/sim/share.go clean 'TestDeclaredMembersMatchRun TestDeclaredMembersMatchRunConcurrent' ./internal/sim \
+    'the share key drops Seed: another seed'"'"'s runs answer the call' \
+    'cfg.WarmFraction, cfg.Runs, cfg.Seed}, true' 'cfg.WarmFraction, cfg.Runs, 0}, true'
+row X2 internal/sim/share.go clean 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
+    'the member key drops Variation: every variability at one capacity takes the first one'"'"'s answer' \
+    $'\t\tr := e.answers[m]\n' $'\t\tr := e.answers[Member{CacheBytes: m.CacheBytes}]\n' \
+    $'\t\t\te.answers[m] = r\n' $'\t\t\te.answers[Member{CacheBytes: m.CacheBytes}] = r\n'
+row X3 internal/sim/share.go clean 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
+    'shareability ignores Estimators: an EWMA or underestimating row takes the oracle row'"'"'s answer' \
+    'if cfg.Estimators != nil || len(cfg.CacheOptions) > 0 ||' 'if len(cfg.CacheOptions) > 0 ||'
+row X4 internal/sim/share.go clean 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
+    'store skips extras: the declared members a call claimed for later calls are answered with zero Metrics' \
+    $'\tfor _, m := range e.pending {\n' $'\town := len(mine)\n\tfor _, m := range e.pending {\n' \
+    'for k, r := range mine {' 'for k, r := range mine[:own] {'
+
+# --- sampling: the Zipf guide table is exact ----------------------------------
+
+row Z1 internal/dist/dist.go clean TestZipfGuideMatchesFullSearch ./internal/dist \
+    'the guide bracket narrowed to end at guide[j]: the ranks of u'"'"'s own quantile past its first are never drawn' \
+    'z.guide[min(j+2, z.n)]' 'z.guide[j]'
+
 # --- shard lock: analyzer, -race and the fault suite -------------------------
 
 race='-race -timeout 180s ./internal/proxy ./internal/cluster'
