@@ -39,25 +39,37 @@ func TestFigure5CapacityPasses(t *testing.T) {
 // staticKeys are the tables that simulate nothing.
 var staticKeys = map[string]bool{"table1": true, "figure2": true, "figure3": true, "figure4": true, "ext-merging": true}
 
-// TestGroupCounts pins how the small-scale tables' groups are scored —
-// what cmd/figures prints as passes=, fallbacks= and shared= — and that
-// every simulated row still counts as one evaluation however its group
-// scored it. scenarios shares a replay between the three sigmas of each
-// oracle (estimator, policy) cell: 3 × 2; its other estimators observe
-// the bandwidth, so their members replay alone. refined-sigma's coarse
-// sigmas share one replay (2) and so does each refinement round's pair
-// (1 + 1); refined-esigma's coarse grid shares one per e (6 × 2), its
-// refinement pairs sit at two values of e. refined-cache scores its
-// coarse round and each refinement round in one pass.
+// TestGroupCounts pins how the small-scale tables, streamed in registry
+// order through one arena without Declare, are scored — what cmd/figures
+// prints as passes=, fallbacks=, shared= and reused= — and that every
+// simulated row still counts as one evaluation however it was scored.
+// Each round declares its own points, so the arena carries answers from
+// table to table: figure6's α = 0.73 rows are figure5's IB and PB,
+// figure10's IF rows figure5's and figure11's figure8's;
+// ablation-estimators' oracle rows are figure8's PB rows; scenarios'
+// oracle cells at σ 0.25 and 0.55 are figure8's and figure7's middle
+// size, and its σ 0 cells each run alone; refined-e's coarse round is
+// figure9's middle column, refined-sigma's scenarios' oracle PB cells and
+// refined-cache's figure5's PB column, so only their refinement rounds
+// score (a σ pair sharing one replay, a cache-size pair in one pass);
+// refined-esigma's σ 0.55 column is figure9's and each e's σ 0 and 0.25
+// share one replay. Estimator and cache-option rows are never shared, so
+// each replays alone and counts nothing.
 func TestGroupCounts(t *testing.T) {
-	want := map[string][3]int64{ // passes, fallbacks, shared
-		"figure5":        {2, 2, 0},
-		"figure9":        {6, 0, 0},
-		"hierarchy":      {0, 0, 0},
-		"scenarios":      {0, 0, 6},
-		"refined-sigma":  {0, 0, 4},
-		"refined-esigma": {0, 0, 12},
-		"refined-cache":  {3, 0, 0},
+	want := map[string][4]int64{ // passes, fallbacks, shared, reused
+		"figure5":             {2, 2, 0, 0},
+		"figure6":             {6, 0, 0, 10},
+		"figure9":             {6, 0, 0, 0},
+		"figure10":            {2, 0, 0, 5},
+		"figure11":            {2, 0, 0, 5},
+		"ablation-eviction":   {0, 0, 0, 0},
+		"ablation-estimators": {0, 0, 0, 5},
+		"scenarios":           {0, 0, 0, 6},
+		"refined-e":           {0, 0, 0, 6},
+		"refined-sigma":       {0, 0, 2, 3},
+		"refined-cache":       {2, 0, 0, 5},
+		"refined-esigma":      {0, 0, 6, 6},
+		"hierarchy":           {0, 0, 0, 0},
 	}
 	s := SmallScale()
 	s.Arena = sim.NewArena()
@@ -68,9 +80,9 @@ func TestGroupCounts(t *testing.T) {
 			t.Fatalf("%s: %v", e.Key, err)
 		}
 		c := s.Counters
-		got := [3]int64{c.CapacityPasses.Load(), c.CapacityFallbacks.Load(), c.SharedReplays.Load()}
+		got := [4]int64{c.CapacityPasses.Load(), c.CapacityFallbacks.Load(), c.SharedReplays.Load(), c.ReusedMembers.Load()}
 		if w, ok := want[e.Key]; ok && got != w {
-			t.Errorf("%s: passes, fallbacks, shared = %v, want %v", e.Key, got, w)
+			t.Errorf("%s: passes, fallbacks, shared, reused = %v, want %v", e.Key, got, w)
 		}
 		evals := int64(len(rows.Table().Rows))
 		if staticKeys[e.Key] {

@@ -27,9 +27,11 @@ func simulatedKeys() []string {
 // the Metrics earlier tables' group calls scored — is byte for byte the
 // table streamed with an arena of its own, at Parallelism 1 and 4, and
 // as two shards, each resumed from half of its journal, whose merge is
-// the unsharded stream. ablation-estimators and scenarios hold estimator
-// rows beside oracle rows of the same policy, workload and cache: only
-// the oracle rows may be shared.
+// the unsharded stream. Without Declare, one arena across the tables
+// shares only what each round declares as it runs, and those bytes are
+// the own-arena bytes too. ablation-estimators and scenarios hold
+// estimator rows beside oracle rows of the same policy, workload and
+// cache: only the oracle rows may be shared.
 func TestDeclaredTablesByteIdentical(t *testing.T) {
 	keys := simulatedKeys()
 	want := map[string][]byte{}
@@ -68,6 +70,20 @@ func TestDeclaredTablesByteIdentical(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("undeclared", func(t *testing.T) {
+		s := SmallScale()
+		s.Arena = sim.NewArena()
+		for _, key := range keys {
+			var csv bytes.Buffer
+			if err := Stream(key, s, NewCSVSink(&csv)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(csv.Bytes(), want[key]) {
+				t.Errorf("%s in a shared arena without Declare:\n%s\nwant:\n%s", key, csv.String(), want[key])
+			}
+		}
+	})
 
 	t.Run("shards", func(t *testing.T) {
 		dir := t.TempDir()

@@ -87,17 +87,7 @@ type planPoint struct {
 	row    []string
 	coords []float64 // position on the adaptive axes; nil on a fixed grid
 	eval   func(innerParallelism int) (row []string, metric float64, err error)
-	member *groupMember // set on a flat point
-}
-
-// groupMember is a flat point as one member of its group: the points of
-// a round with one group differ only in cfg.CacheBytes and
-// cfg.Variation, and score makes the row and the rank metric eval would
-// from the point's Metrics.
-type groupMember struct {
-	group string
-	cfg   sim.Config
-	score func(sim.Metrics) (row []string, metric float64)
+	flat   *sim.Config // the configuration of a flat point; nil for the hierarchy and static rows
 }
 
 // plan is one table ready to run: its identity, the coarse round in row
@@ -187,9 +177,11 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 	// split between the point pool and each point's inner pool so a
 	// phase with few points (a refinement round, a shard's slice of the
 	// coarse pass) still keeps the cores busy, while a wide phase does not
-	// oversubscribe them P x P. The owned half first scores its groups
-	// (scoreGroups), whose rows then stream like any other. Pure
-	// scheduling: rows are identical for any split.
+	// oversubscribe them P x P. The owned half first hands the flat points
+	// it simulates to the arena (sim.Arena.ScorePending), which scores
+	// them together by share key, one key after another over the whole
+	// worker budget; each point's eval then takes its answer through
+	// sim.Run. Pure scheduling: rows are identical for any split.
 	phase := func(own bool) error {
 		var is []int // the phase's offsets into the round, in index order
 		for i := range pts {
@@ -198,11 +190,11 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 			}
 		}
 		workers := x.parallelism()
-		var grouped map[int]scored
+		answered := 0
 		if own {
-			grouped = x.scoreGroups(pts, base, is, adaptive)
+			answered = x.Arena.ScorePending(x.simulated(pts, base, adaptive), workers)
 		}
-		inner := max(1, workers/max(1, len(is)-len(grouped)))
+		inner := max(1, workers/max(1, len(is)-answered))
 		return streamOrdered(workers, len(is), func(j int) (MetricRow, error) {
 			i := is[j]
 			if r, ok := x.resolve(pts[i], base+i, own, adaptive); ok {
@@ -211,14 +203,11 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 			if x.Counters != nil {
 				x.Counters.Evaluations.Add(1)
 			}
-			s, ok := grouped[i]
-			if !ok {
-				s.row, s.metric, s.err = pts[i].eval(inner)
+			row, metric, err := pts[i].eval(inner)
+			if err != nil || !adaptive {
+				return MetricRow{Index: base + i, Row: row}, err
 			}
-			if s.err != nil || !adaptive {
-				return MetricRow{Index: base + i, Row: s.row}, s.err
-			}
-			return MetricRow{Index: base + i, Row: append(s.row, source), Metric: s.metric, HasMetric: true}, nil
+			return MetricRow{Index: base + i, Row: append(row, source), Metric: metric, HasMetric: true}, nil
 		}, func(j int, r MetricRow) error {
 			samples[is[j]] = sample{at: pts[is[j]].coords, metric: r.Metric}
 			if !own {
@@ -233,59 +222,21 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 	return samples, phase(false)
 }
 
-// scored is the row and rank metric (or the error) of a point.
-type scored struct {
-	row    []string
-	metric float64
-	err    error
-}
-
-// scoreGroups scores the groups among the owned points is of a round:
-// the flat points of one group that resolve cannot answer, when there
-// are two or more, go to one sim.RunGroup call — a shard's group holds
-// only the rows it owns. Groups run one after another, each over the
-// round's whole worker budget (the call's runs are its tasks), so no
-// worker waits on a group another one took; the rows, keyed by offset
-// into pts, then stream in index order with the rest of the round.
-func (x exec) scoreGroups(pts []planPoint, base int, is []int, adaptive bool) map[int]scored {
-	groups := map[string][]int{}
-	var order []string
-	for _, i := range is {
-		m := pts[i].member
-		if m == nil {
+// simulated returns the configurations of the flat points among pts
+// (global indices base..base+len(pts)-1) that this process simulates
+// itself: those it owns whose rows resolve cannot answer. A round scores
+// them together, and Declare declares a coarse round's ahead.
+func (x exec) simulated(pts []planPoint, base int, adaptive bool) []sim.Config {
+	var cfgs []sim.Config
+	for i, pt := range pts {
+		if pt.flat == nil || !x.Shard.owns(base+i) {
 			continue
 		}
-		if _, ok := x.resolve(pts[i], base+i, true, adaptive); ok {
-			continue
-		}
-		if groups[m.group] == nil {
-			order = append(order, m.group)
-		}
-		groups[m.group] = append(groups[m.group], i)
-	}
-	out := map[int]scored{}
-	for _, g := range order {
-		points := groups[g]
-		if len(points) < 2 {
-			continue
-		}
-		members := make([]sim.Member, len(points))
-		for k, i := range points {
-			members[k] = sim.Member{CacheBytes: pts[i].member.cfg.CacheBytes, Variation: pts[i].member.cfg.Variation}
-		}
-		cfg := pts[points[0]].member.cfg
-		cfg.Parallelism = x.parallelism()
-		ms, err := sim.RunGroup(cfg, members)
-		for k, i := range points {
-			if err != nil {
-				out[i] = scored{err: err}
-				continue
-			}
-			row, metric := pts[i].member.score(ms[k])
-			out[i] = scored{row: row, metric: metric}
+		if _, ok := x.resolve(pt, base+i, true, adaptive); !ok {
+			cfgs = append(cfgs, *pt.flat)
 		}
 	}
-	return out
+	return cfgs
 }
 
 // resolve answers the point at global index g without simulating it
@@ -520,11 +471,12 @@ func Stream(key string, s Scale, sink RowSink) error {
 // on a group scores the members later tables ask for too and those
 // tables take the finished Metrics. Call it once, before the tables
 // stream, with the arena, shard and resume journal they will run with:
-// it declares only the points this process will simulate itself — the
-// coarse-round points s.Shard owns that s.Resume does not hold.
-// Refinement rounds are not known ahead, and the static tables are not
-// built. Without an arena (each table then has its own) it declares
-// nothing. Rows are identical whether or not it was called.
+// it declares only the points this process will simulate itself, the
+// ones evalRound hands the arena (exec.simulated). Each round declares
+// its own points again as it runs, so refinement rounds share across
+// tables too, once they are known; the static tables are not built.
+// Without an arena (each table then has its own) it declares nothing.
+// Rows are identical whether or not it was called.
 func Declare(s Scale, keys ...string) error {
 	for _, key := range keys {
 		e, ok := ExperimentByKey(key)
@@ -538,14 +490,9 @@ func Declare(s Scale, keys ...string) error {
 		if err != nil {
 			return err
 		}
-		for i, pt := range p.coarse {
-			if pt.member == nil || !s.Shard.owns(i) {
-				continue
-			}
-			if _, held := s.Resume.replay(p.meta.Name, i); held {
-				continue
-			}
-			if err := s.Arena.Declare(pt.member.cfg); err != nil {
+		x := exec{Scale: s, table: p.meta.Name}
+		for _, cfg := range x.simulated(p.coarse, 0, p.refine != nil) {
+			if err := s.Arena.Declare(cfg); err != nil {
 				return err
 			}
 		}

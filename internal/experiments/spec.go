@@ -98,10 +98,6 @@ type axis struct {
 	values   []float64
 	at       func(v float64) (level, error)
 	adaptive bool
-	// member marks the cache-size and variability axes: the flat points
-	// of a round that differ on member axes alone are one group, scored
-	// together (sim.RunGroup).
-	member bool
 }
 
 // axisFn binds an axis to a scale (most take their values from it).
@@ -134,7 +130,7 @@ func refined(bind axisFn) axisFn {
 // cacheAxis is the x axis of Figures 5-12: the cache capacity over
 // Scale.CacheFractions of the unique object bytes, labelled in percent.
 func cacheAxis(s Scale) axis {
-	return axis{cols: []string{"cache_pct"}, values: s.CacheFractions, member: true, at: func(frac float64) (level, error) {
+	return axis{cols: []string{"cache_pct"}, values: s.CacheFractions, at: func(frac float64) (level, error) {
 		return opt(f3(frac*100), func(pt *point) { pt.frac = frac }), nil
 	}}
 }
@@ -183,7 +179,7 @@ func eAxis(hybrid func(e float64) (core.Policy, error)) axisFn {
 // sigma 0 is constant bandwidth, 0.25 about the measured paths of
 // Figure 4, 0.55 about the NLANR logs of Figure 3.
 func sigmaAxis(s Scale) axis {
-	return axis{cols: []string{"sigma"}, values: s.sigmas(), member: true, at: func(sigma float64) (level, error) {
+	return axis{cols: []string{"sigma"}, values: s.sigmas(), at: func(sigma float64) (level, error) {
 		v, err := bandwidth.NewLognormalRatio(sigma)
 		return opt(f3(sigma), func(pt *point) { pt.Variation = v }), err
 	}}
@@ -274,10 +270,7 @@ func (sp spec) compile(s Scale) (*plan, error) {
 
 	// mk builds the point at one level per axis. Every point shares the
 	// scale's arena, so they replay one compiled tape per run seed.
-	// group names the point's levels on every axis but the member axes,
-	// so the flat points of one round and group differ in cache size and
-	// variability alone.
-	mk := func(chosen []level, coords []float64, group string) planPoint {
+	mk := func(chosen []level, coords []float64) planPoint {
 		pt := point{HierarchyConfig: sim.HierarchyConfig{Config: sim.Config{
 			Workload: workload.Config{NumObjects: s.Objects, NumRequests: s.Requests},
 			Runs:     s.Runs, Seed: s.Seed, Arena: s.Arena,
@@ -288,32 +281,26 @@ func (sp spec) compile(s Scale) (*plan, error) {
 			l.set(&pt)
 		}
 		pt.CacheBytes = int64(pt.frac * float64(total))
-		render := func(o outcome) []string {
-			row := slices.Clone(labels)
-			for _, c := range cols {
-				row = append(row, strconv.FormatFloat(c.of(o), 'f', c.prec, 64))
-			}
-			return row
-		}
 		pp := planPoint{coords: coords, eval: func(innerParallelism int) ([]string, float64, error) {
 			o, err := pt.run(innerParallelism)
 			if err != nil {
 				return nil, 0, err
 			}
-			return render(o), rank(o), nil
+			row := slices.Clone(labels)
+			for _, c := range cols {
+				row = append(row, strconv.FormatFloat(c.of(o), 'f', c.prec, 64))
+			}
+			return row, rank(o), nil
 		}}
 		if pt.Levels == 0 {
-			pp.member = &groupMember{group: group, cfg: pt.Config, score: func(m sim.Metrics) ([]string, float64) {
-				o := outcome{Metrics: m}
-				return render(o), rank(o)
-			}}
+			pp.flat = &pt.Config
 		}
 		return pp
 	}
-	var cross func(k int, chosen []level, coords []float64, group string)
-	cross = func(k int, chosen []level, coords []float64, group string) {
+	var cross func(k int, chosen []level, coords []float64)
+	cross = func(k int, chosen []level, coords []float64) {
 		if k == len(axes) {
-			p.coarse = append(p.coarse, mk(chosen, slices.Clone(coords), group))
+			p.coarse = append(p.coarse, mk(chosen, slices.Clone(coords)))
 			return
 		}
 		for i, l := range axes[k].levels {
@@ -321,14 +308,10 @@ func (sp spec) compile(s Scale) (*plan, error) {
 			if axes[k].adaptive {
 				c = append(c, axes[k].values[i])
 			}
-			g := group
-			if !axes[k].member {
-				g += strconv.Itoa(i) + ","
-			}
-			cross(k+1, append(chosen, l), c, g)
+			cross(k+1, append(chosen, l), c)
 		}
 	}
-	cross(0, nil, nil, "")
+	cross(0, nil, nil)
 
 	switch len(adaptive) {
 	case 0:
@@ -340,11 +323,9 @@ func (sp spec) compile(s Scale) (*plan, error) {
 	default:
 		return nil, fmt.Errorf("experiments: %s: %d adaptive axes, refiners exist for 1 and 2", sp.name, len(adaptive))
 	}
-	// A refined point's group is its coordinates on the adaptive axes
-	// that are not member axes: the one-level axes are the same for all.
 	p.at = func(coords []float64) (planPoint, error) {
 		chosen := make([]level, len(axes))
-		n, group := 0, ""
+		n := 0
 		for k, a := range axes {
 			if !a.adaptive {
 				chosen[k] = a.levels[0]
@@ -355,12 +336,9 @@ func (sp spec) compile(s Scale) (*plan, error) {
 				return planPoint{}, err
 			}
 			chosen[k] = l
-			if !a.member {
-				group += strconv.FormatFloat(coords[n], 'g', -1, 64) + ","
-			}
 			n++
 		}
-		return mk(chosen, coords, group), nil
+		return mk(chosen, coords), nil
 	}
 	return p, nil
 }

@@ -41,9 +41,10 @@
 // mutate a returned Workload, tape column or []float64, and must not
 // retain them past the arena's lifetime if they need them to be
 // collectable. Use one arena per experiment and drop it afterwards.
-// For the configurations declared to it (Arena.Declare) an arena also
-// keeps each group member's Metrics, which are as pure a function of
-// their inputs: whichever RunGroup call scored a member, every call that
-// asks for it gets the same bits. What a run mutates — every node's cache, the estimator slice — comes
+// For the configurations declared to it (Arena.Declare, or
+// Arena.ScorePending, which also groups a sweep round's points by share
+// key) an arena also keeps each group member's Metrics, which are as
+// pure a function of their inputs: whichever RunGroup call scored a
+// member, every call that asks for it gets the same bits. What a run mutates — every node's cache, the estimator slice — comes
 // from one pooled per-worker scratch that is reset, never rebuilt.
 package sim

@@ -13,7 +13,10 @@
 // arena keeps Metrics, not trajectories. An answer is a pure function
 // of its share key and member, so every member's Metrics are
 // bit-identical whichever call scored them and whatever else that call
-// scored (DESIGN.md §5a "Groups across calls").
+// scored (DESIGN.md §5a "Groups across calls"). The share key is also
+// the one rule for which points are scored together: a sweep round hands
+// its points to ScorePending, which declares them and makes that first
+// call for each key they share.
 package sim
 
 import (
@@ -73,13 +76,20 @@ type answer struct {
 func (a *Arena) Declare(cfg Config) error {
 	cfg.Arena = a
 	cfg, err := cfg.normalize()
-	if err != nil {
-		return err
+	if err == nil {
+		a.declare(cfg)
 	}
-	key, ok := shareKeyOf(cfg)
-	m := member(cfg.CacheBytes, cfg.Variation)
+	return err
+}
+
+// declare records a normalised cfg's member as pending under its share
+// key unless a call has claimed it, and returns the two; ok is false,
+// and nothing is recorded, when cfg's answers are never shared.
+func (a *Arena) declare(cfg Config) (key shareKey, m Member, ok bool) {
+	key, ok = shareKeyOf(cfg)
+	m = member(cfg.CacheBytes, cfg.Variation)
 	if !ok || !dynComparable(m.Variation) {
-		return nil
+		return key, m, false
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -91,7 +101,63 @@ func (a *Arena) Declare(cfg Config) error {
 	if e.answers[m] == nil {
 		e.pending = append(e.pending, m)
 	}
-	return nil
+	return key, m, true
+}
+
+// ScorePending is how a round of sweep points is scored together: it
+// declares every cfg (Declare), groups the cfgs by share key in
+// first-appearance order and, one key after another, makes one RunGroup
+// call at the given worker bound for each key that two or more of the
+// cfgs' members still wait on — a call that also scores the key's
+// members other callers declared. Each cfg's Run then takes its answer
+// (a group's error included). A cfg that is never shared, or that fails
+// to normalise, is left alone for its own Run to score or report. It
+// returns how many cfgs have an answer waiting in the arena.
+func (a *Arena) ScorePending(cfgs []Config, parallelism int) (answered int) {
+	type batch struct {
+		key     shareKey
+		cfg     Config   // the first cfg on the key
+		members []Member // every cfg's on the key
+	}
+	var batches []*batch
+	byKey := map[shareKey]*batch{}
+	for _, cfg := range cfgs {
+		cfg.Arena, cfg.Parallelism = a, parallelism
+		cfg, err := cfg.normalize()
+		if err != nil {
+			continue
+		}
+		key, m, ok := a.declare(cfg)
+		if !ok {
+			continue
+		}
+		b := byKey[key]
+		if b == nil {
+			b = &batch{key: key, cfg: cfg}
+			byKey[key] = b
+			batches = append(batches, b)
+		}
+		b.members = append(b.members, m)
+	}
+	for _, b := range batches {
+		var open []Member
+		a.mu.Lock()
+		for _, m := range b.members {
+			if a.answers[b.key].answers[m] == nil {
+				open = append(open, m)
+			}
+		}
+		a.mu.Unlock()
+		answered += len(b.members)
+		if len(open) == 1 {
+			answered-- // left to its own Run
+		} else if len(open) > 1 {
+			a.runShared(b.cfg, open) // an error is stored in the answers
+			// Each open cfg's own Run takes the answer scored for it: no reuse.
+			a.reused.Add(-int64(len(open)))
+		}
+	}
+	return answered
 }
 
 // member is the Member at capacity c under variability v, nil being

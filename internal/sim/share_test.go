@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -173,6 +174,77 @@ func TestDeclaredMembersMatchRunConcurrent(t *testing.T) {
 	}
 	if _, _, _, reused := a.Groups(); reused != int64(shared*(len(members)-1)) {
 		t.Errorf("%d members reused, want %d: all but the first call of each of the %d shareable configurations", reused, shared*(len(members)-1), shared)
+	}
+}
+
+// TestScorePending: one call scores the key whose members two or more of
+// a batch's configurations wait on, and each of those configurations'
+// Run takes its answer as its own; a key with one such member is left to
+// its Run, configurations never shared are not recorded, and one that
+// fails to normalise reports its error through its own Run. Every answer
+// is a fresh Run's.
+func TestScorePending(t *testing.T) {
+	at := func(cfg Config, pct float64, v bandwidth.Variability) Config {
+		cfg.CacheBytes, cfg.Variation = cachePct(pct), v
+		return cfg
+	}
+	pb := Config{Workload: workload.Config{NumObjects: 200, NumRequests: 4000}, Policy: core.NewPB(), Runs: 2, Seed: 3}
+	ib, ewma, whole, bad := pb, pb, pb, pb
+	ib.Policy = core.NewIB()
+	ewma.Estimators = EWMAEstimator(0.3)
+	whole.CacheOptions = []core.Option{core.WithWholeObjectEviction(true)}
+	bad.Policy = nil
+	batch := []Config{
+		// one call
+		at(pb, 0.5, nil), at(pb, 2, nil), at(pb, 2, bandwidth.MeasuredVariability()),
+		// left to its Run
+		at(ib, 2, nil),
+		// never shared
+		at(ewma, 0.5, nil), at(ewma, 2, nil), at(whole, 0.5, nil), at(whole, 2, nil),
+		// fails to normalise
+		at(bad, 2, nil),
+	}
+	a := NewArena()
+	if n := a.ScorePending(batch, 2); n != 3 {
+		t.Errorf("ScorePending answered %d configurations, want PB's 3", n)
+	}
+	if _, _, shared, _ := a.Groups(); shared != 1 {
+		t.Errorf("shared = %d, want 1: PB's two members at 2 %% share a replay", shared)
+	}
+	if len(a.answers) != 2 {
+		t.Errorf("%d share keys recorded, want PB's and IB's", len(a.answers))
+	}
+	for key, e := range a.answers {
+		if want := map[core.Policy]int{pb.Policy: 3}[key.policy]; len(e.answers) != want {
+			t.Errorf("%s: %d members answered, want %d", key.policy.Name(), len(e.answers), want)
+		}
+	}
+	for _, cfg := range batch {
+		cfg.Arena = a
+		got, err := Run(cfg)
+		if cfg.Policy == nil {
+			if !errors.Is(err, ErrBadConfig) {
+				t.Errorf("Run of the configuration without a policy: %v, want ErrBadConfig", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh(t, cfg, Member{cfg.CacheBytes, cfg.Variation}); got != want {
+			t.Errorf("%s at %d, %T:\n got %+v\nwant %+v", cfg.Policy.Name(), cfg.CacheBytes, cfg.Variation, got, want)
+		}
+	}
+	if _, _, _, reused := a.Groups(); reused != 0 {
+		t.Errorf("%d members reused, want 0: each Run took the answer scored for it", reused)
+	}
+	one := batch[0]
+	one.Arena = a
+	if _, err := Run(one); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, reused := a.Groups(); reused != 1 {
+		t.Errorf("%d members reused, want 1: a second Run takes another call's answer", reused)
 	}
 }
 

@@ -236,15 +236,12 @@ row K2 internal/sim/capacity.go clean 'FuzzCapacityPass TestGoldenTables' './int
 row K3 internal/sim/capacity.go clean FuzzCapacityPass ./internal/sim \
     'EvictedBytes is never derived from the fills (no table column reports it: only the model test sees it)' \
     'a.evicted += min(cb, before) - min(cb, live) + held - hit' '_ = min(cb, before) - min(cb, live) + held - hit'
-row K4 internal/sim/capacity.go clean 'FuzzCapacityPass TestCapacityPassMatchesRunOnce TestGoldenTables' './internal/sim ./internal/experiments' \
-    'selection ignores Estimators across capacities: an EWMA or underestimating cache-size group is scored with the oracle means' \
+row K4 internal/sim/capacity.go clean 'FuzzCapacityPass TestCapacityPassMatchesRunOnce' ./internal/sim \
+    'selection ignores Estimators across capacities: an EWMA or underestimating cache-size group is scored with the oracle means (no table groups estimator rows: sim'"'"'s tests hold RunGroup to it)' \
     $'\tif cfg.Estimators != nil {\n' $'\tif cfg.Estimators != nil && len(g.caps) < 2 {\n'
 row K6 internal/sim/capacity.go clean TestCapacityPassMatchesRunOnce ./internal/sim \
     'selection ignores aging: a GreedyDual cache-size group is scored by the greedy fill of utilities without L' \
     'return !core.Ages(c.Policy) && ' 'return '
-row K5 internal/experiments/spec.go clean TestGoldenTables ./internal/experiments \
-    'groups keyed without the policy axis: one policy scores every policy'"'"'s rows' \
-    $'\t\t\tif !axes[k].member {' $'\t\t\tif !axes[k].member && !slices.Contains(axes[k].cols, "policy") {'
 
 # --- aging: GreedyDual's L lives in core.Cache ----------------------------------
 #
@@ -262,8 +259,8 @@ row A1 internal/core/cache.go clean 'TestTapeReplayBitIdentical FuzzCapacityPass
 # core.Cache replay and each scores it from its own bandwidth column
 # (DESIGN.md §5a "Variability never enters the cache under the oracle").
 
-row V1 internal/sim/capacity.go clean 'TestGroupMatchesRun TestGoldenTables' './internal/sim ./internal/experiments' \
-    'sharing ignores Estimators: the sigmas of an EWMA or probing cell share the first sigma'"'"'s trajectory' \
+row V1 internal/sim/capacity.go clean TestGroupMatchesRun ./internal/sim \
+    'sharing ignores Estimators: the sigmas of an EWMA or probing cell share the first sigma'"'"'s trajectory (no table groups estimator rows: sim'"'"'s tests hold RunGroup to it)' \
     $'\tif cfg.Estimators != nil {\n' $'\tif cfg.Estimators != nil && len(g.caps) > 1 {\n'
 row V2 internal/sim/sim.go clean 'TestGroupMatchesRun TestGoldenTables' './internal/sim ./internal/experiments' \
     'every member of a shared replay accumulates from member 0'"'"'s bandwidth column' \
@@ -271,16 +268,15 @@ row V2 internal/sim/sim.go clean 'TestGroupMatchesRun TestGoldenTables' './inter
 row V3 internal/sim/capacity.go clean TestGroupMatchesRun ./internal/sim \
     'each member indexes its column per request or per object as member 0 does (no table mixes the two in one group)' \
     $'\t\t\tcols[k] = cfg.Arena.column(one, seed, rp)\n' $'\t\t\tcols[k] = cfg.Arena.column(one, seed, rp)\n\t\t\tcols[k].perRequest = cols[0].perRequest\n'
-row V4 internal/experiments/spec.go clean TestGoldenTables ./internal/experiments \
-    'refined-round points grouped without their e coordinate: one round'"'"'s two values of e are scored as the first' \
-    'group += strconv.FormatFloat(coords[n], '"'g'"', -1, 64) + ","' 'group += ","'
 
 # --- answers across tables: one call scores what later calls ask for --------
 #
 # A RunGroup call on a declared share key scores every declared member
 # no call has claimed and the arena keeps their Metrics for the calls
 # that ask later (DESIGN.md §5a "Groups across calls"); each fault hands a
-# call an answer that is not its own.
+# call an answer that is not its own. The share key is also the one
+# grouping rule: a sweep round hands its points to Arena.ScorePending,
+# which makes one call per key (K5, V4).
 
 row X1 internal/sim/share.go clean 'TestDeclaredMembersMatchRun TestDeclaredMembersMatchRunConcurrent' ./internal/sim \
     'the share key drops Seed: another seed'"'"'s runs answer the call' \
@@ -296,6 +292,12 @@ row X4 internal/sim/share.go clean 'TestDeclaredMembersMatchRun TestDeclaredTabl
     'store skips extras: the declared members a call claimed for later calls are answered with zero Metrics' \
     $'\tfor _, m := range e.pending {\n' $'\town := len(mine)\n\tfor _, m := range e.pending {\n' \
     'for k, r := range mine {' 'for k, r := range mine[:own] {'
+row K5 internal/sim/share.go clean 'TestGoldenTables TestDeclaredMembersMatchRun' './internal/experiments ./internal/sim' \
+    'the share key drops the policy: one policy scores every policy'"'"'s rows' \
+    'return shareKey{cfg.Workload, cfg.Policy, cfg.Base,' 'return shareKey{cfg.Workload, nil, cfg.Base,'
+row V4 internal/sim/share.go clean 'TestScorePending TestGroupCounts' './internal/sim ./internal/experiments' \
+    'ScorePending groups every configuration under the first one'"'"'s key: that key'"'"'s call scores the others'"'"' capacities with its policy, and their own Runs score them again' \
+    $'\t\tb := byKey[key]\n' $'\t\tb := byKey[key]\n\t\tif len(batches) > 0 {\n\t\t\tb = batches[0]\n\t\t}\n'
 
 # --- sampling: the Zipf guide table is exact ----------------------------------
 
