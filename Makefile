@@ -12,19 +12,16 @@ vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l cmd internal examples bench)"
 
-## lint: mediavet's one analyzer, shardlock (see DESIGN.md
-## "Machine-enforced invariants"), over the whole module, then the
-## pinned third-party pass (staticcheck, govulncheck; skipped with a
-## warning offline unless LINT_STRICT=1).
+## lint: the pinned third-party pass (staticcheck, govulncheck; skipped
+## with a warning offline unless LINT_STRICT=1).
 lint:
-	$(GO) run ./cmd/mediavet ./...
 	bash scripts/lint-extra.sh
 
 ## mutate-check: the evidence behind every static contract — a table of
 ## seeded faults, each applied to a throw-away copy of the tree, each
-## naming the tests that must fail it by name and the verdict mediavet
-## must give (shardlock, or clean where a test owns the contract).
-## ~5 min; `bash scripts/mutate-check.sh H9 S5` runs two rows.
+## naming the tests that must fail it by name (see DESIGN.md
+## "Machine-enforced invariants").
+## ~5 min; `bash scripts/mutate-check.sh H9 S4` runs two rows.
 mutate-check:
 	bash scripts/mutate-check.sh
 

@@ -22,4 +22,11 @@
 // byte-identical unions across sweep shards. Callers must keep fn free
 // of cross-index shared mutable state; anything fn reads concurrently
 // (for example a sim.Arena) must hand out immutable values only.
+//
+// # Guarded state
+//
+// Guarded[T] is the other half: state that goroutines do share, held
+// behind a lock that only its With and Read can take, so that the lock
+// is released on every path and the state is never reached without it.
+// The live proxy keeps its shard, prefix-store and relay state in one.
 package par

@@ -16,6 +16,7 @@ import (
 
 	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
+	"streamcache/internal/par"
 )
 
 // ErrBadProxy reports an invalid proxy construction.
@@ -79,13 +80,17 @@ type upstream struct {
 	bytes     atomic.Int64
 }
 
-// shard owns one partition of the object space. All fields are guarded
-// by mu except store, which has its own internal lock so prefix reads
-// and relay appends proceed without holding the shard lock.
+// shard owns one partition of the object space. Its store has a lock
+// of its own, so prefix reads and relay appends proceed without holding
+// the shard lock.
 type shard struct {
-	mu       sync.Mutex
+	store *PrefixStore
+	state par.Guarded[shardState]
+}
+
+// shardState is what a shard's lock guards.
+type shardState struct {
 	cache    *core.Cache
-	store    *PrefixStore
 	est      []pathEstimator // indexed by origin index
 	inflight map[int]*relay  // object ID -> in-flight origin transfer
 }
@@ -337,12 +342,11 @@ func New(cfg Config) (*Proxy, error) {
 			}
 			est[j] = pathEstimator{est: e}
 		}
-		p.shards[i] = &shard{
-			cache:    c,
-			store:    NewPrefixStore(),
-			est:      est,
-			inflight: make(map[int]*relay),
-		}
+		sh := &shard{store: NewPrefixStore()}
+		sh.state.With(func(st *shardState) {
+			*st = shardState{cache: c, est: est, inflight: make(map[int]*relay)}
+		})
+		p.shards[i] = sh
 	}
 	return p, nil
 }
@@ -418,16 +422,16 @@ func (p *Proxy) addTierBytes(idx int, n int64) {
 }
 
 // estimate returns the shard's current bandwidth estimate for an origin
-// path. Callers must hold sh.mu.
-func (sh *shard) estimate(originIdx int) float64 {
-	return sh.est[originIdx].est.Estimate()
+// path.
+func (st *shardState) estimate(originIdx int) float64 {
+	return st.est[originIdx].est.Estimate()
 }
 
 // observe feeds one completed-transfer throughput sample into the
-// shard's estimator for an origin path. Callers must hold sh.mu.
-func (sh *shard) observe(originIdx int, sample float64) {
-	sh.est[originIdx].est.Observe(sample)
-	sh.est[originIdx].observed = true
+// shard's estimator for an origin path.
+func (st *shardState) observe(originIdx int, sample float64) {
+	st.est[originIdx].est.Observe(sample)
+	st.est[originIdx].observed = true
 }
 
 // ServeHTTP routes /objects/<id> to the joint-delivery path and /stats
@@ -500,18 +504,18 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 	headOnly := req.Method == http.MethodHead
 	var retainTarget int64
 	if !headOnly {
-		sh.mu.Lock()
-		now := p.now().Sub(p.start).Seconds()
-		res := sh.cache.Access(obj, sh.estimate(rt.idx), now)
-		// Release byte storage for whatever the cache evicted.
-		for _, v := range res.Victims {
-			sh.store.Truncate(v.ID, sh.cache.CachedBytes(v.ID))
-		}
-		if res.CachedAfter < sh.store.Len(meta.ID) {
-			sh.store.Truncate(meta.ID, res.CachedAfter)
-		}
-		retainTarget = res.CachedAfter
-		sh.mu.Unlock()
+		sh.state.With(func(st *shardState) {
+			now := p.now().Sub(p.start).Seconds()
+			res := st.cache.Access(obj, st.estimate(rt.idx), now)
+			// Release byte storage for whatever the cache evicted.
+			for _, v := range res.Victims {
+				sh.store.Truncate(v.ID, st.cache.CachedBytes(v.ID))
+			}
+			if res.CachedAfter < sh.store.Len(meta.ID) {
+				sh.store.Truncate(meta.ID, res.CachedAfter)
+			}
+			retainTarget = res.CachedAfter
+		})
 		p.stats.requests.Add(1)
 	}
 
@@ -591,21 +595,22 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 	if start >= meta.Size {
 		return
 	}
-	sh.mu.Lock()
-	rl := sh.inflight[meta.ID]
-	switch {
-	case rl == nil:
-		rl = p.startRelay(sh, meta, rt, start, retainTarget)
-		sh.inflight[meta.ID] = rl
-	case rl.start <= start && rl.attach():
-		rl.raiseRetain(retainTarget)
-		p.stats.coalesced.Add(1)
-	default:
-		// The in-flight transfer began past our offset (the prefix
-		// shrank since it started) or is already being torn down.
-		rl = nil
-	}
-	sh.mu.Unlock()
+	var rl *relay
+	sh.state.With(func(st *shardState) {
+		rl = st.inflight[meta.ID]
+		switch {
+		case rl == nil:
+			rl = p.startRelay(sh, meta, rt, start, retainTarget)
+			st.inflight[meta.ID] = rl
+		case rl.start <= start && rl.attach():
+			rl.raiseRetain(retainTarget)
+			p.stats.coalesced.Add(1)
+		default:
+			// The in-flight transfer began past our offset (the prefix
+			// shrank since it started) or is already being torn down.
+			rl = nil
+		}
+	})
 	lapped := false
 	if rl != nil {
 		if start, lapped = p.streamFromRelay(req.Context(), w, rl, start); lapped {
@@ -699,27 +704,29 @@ func (p *Proxy) runRelay(ctx context.Context, sh *shard, meta Meta, rt resolvedR
 	p.stats.bytesFetched.Add(fetched)
 	p.addTierBytes(usedIdx, fetched)
 
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// Passive measurement: throughput of this transfer on the path that
-	// actually carried it (the fallback's, if the primary was demoted).
-	if bps > 0 {
-		sh.observe(usedIdx, bps)
-	}
-	if sh.inflight[meta.ID] != rl {
-		return // a private relay retained nothing: nothing to reconcile
-	}
-	delete(sh.inflight, meta.ID)
-	// Reconcile accounting and materialization: an aborted transfer can
-	// leave the cache granting bytes the store never received, and an
-	// eviction racing the relay can leave store bytes the cache no
-	// longer accounts for. Either way the store and the cache agree once
-	// no transfer is in flight — and the store renders the prefix's
-	// X-Cache header here, once per transfer, where its length settles.
-	if stored := sh.store.Len(meta.ID); stored < sh.cache.CachedBytes(meta.ID) {
-		sh.cache.Truncate(meta.ID, stored)
-	}
-	sh.store.Truncate(meta.ID, sh.cache.CachedBytes(meta.ID))
+	sh.state.With(func(st *shardState) {
+		// Passive measurement: throughput of this transfer on the path
+		// that actually carried it (the fallback's, if the primary was
+		// demoted).
+		if bps > 0 {
+			st.observe(usedIdx, bps)
+		}
+		if st.inflight[meta.ID] != rl {
+			return // a private relay retained nothing: nothing to reconcile
+		}
+		delete(st.inflight, meta.ID)
+		// Reconcile accounting and materialization: an aborted transfer
+		// can leave the cache granting bytes the store never received,
+		// and an eviction racing the relay can leave store bytes the
+		// cache no longer accounts for. Either way the store and the
+		// cache agree once no transfer is in flight — and the store
+		// renders the prefix's X-Cache header here, once per transfer,
+		// where its length settles.
+		if stored := sh.store.Len(meta.ID); stored < st.cache.CachedBytes(meta.ID) {
+			st.cache.Truncate(meta.ID, stored)
+		}
+		sh.store.Truncate(meta.ID, st.cache.CachedBytes(meta.ID))
+	})
 }
 
 // fetchOrigin streams object bytes [rl.start, meta.Size) from the
@@ -877,22 +884,17 @@ func (p *Proxy) StoredTotal() int64 {
 // AccountedBytes returns the cache-accounted prefix bytes of object id
 // (a test hook: after Quiesce it must equal StoredBytes — the
 // cluster-wide reconciliation invariant).
-func (p *Proxy) AccountedBytes(id int) int64 {
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.cache.CachedBytes(id)
+func (p *Proxy) AccountedBytes(id int) (n int64) {
+	p.shardFor(id).state.Read(func(st *shardState) { n = st.cache.CachedBytes(id) })
+	return n
 }
 
 // InflightRelays returns the number of in-flight upstream transfers
 // across all shards (a test hook: zero after Quiesce, or a relay
 // leaked).
-func (p *Proxy) InflightRelays() int {
-	var n int
+func (p *Proxy) InflightRelays() (n int) {
 	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += len(sh.inflight)
-		sh.mu.Unlock()
+		sh.state.Read(func(st *shardState) { n += len(st.inflight) })
 	}
 	return n
 }
@@ -928,17 +930,17 @@ func (p *Proxy) Snapshot() Stats {
 	sums := make([]float64, len(p.upstreams))
 	counts := make([]int, len(p.upstreams))
 	for _, sh := range p.shards {
-		sh.mu.Lock()
-		snap := sh.cache.Snapshot()
-		s.UsedBytes += snap.Used
-		s.Objects += snap.Objects
-		for i := range sh.est {
-			if sh.est[i].observed {
-				sums[i] += sh.est[i].est.Estimate()
-				counts[i]++
+		sh.state.Read(func(st *shardState) {
+			snap := st.cache.Snapshot()
+			s.UsedBytes += snap.Used
+			s.Objects += snap.Objects
+			for i := range st.est {
+				if st.est[i].observed {
+					sums[i] += st.estimate(i)
+					counts[i]++
+				}
 			}
-		}
-		sh.mu.Unlock()
+		})
 	}
 	s.EstimatesBps = make(map[string]int64, len(p.upstreams))
 	for i := range p.upstreams {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+
+	"streamcache/internal/par"
 )
 
 // relayRingSegments bounds the per-relay buffer: the ring holds at most
@@ -51,8 +53,12 @@ type relay struct {
 	start, end int64              // object offsets the transfer covers
 	cancel     context.CancelFunc // aborts the fetch; set at construction
 
-	mu   sync.Mutex
-	cond sync.Cond
+	state par.Guarded[relayState]
+	cond  sync.Cond // on state's lock
+}
+
+// relayState is what a relay's lock guards.
+type relayState struct {
 	// ring[:n] are contiguous segments, oldest first, covering
 	// [tail, head) and the unpublished room after head.
 	ring [relayRingSegments]*segment
@@ -94,22 +100,22 @@ func (b *relayBatch) unpin() {
 // newRelay builds a relay for object bytes [start, end) whose fetch
 // can be aborted via cancel.
 func newRelay(start, end, retain int64, cancel context.CancelFunc) *relay {
-	r := &relay{start: start, end: end, retain: retain, cancel: cancel, head: start, tail: start, lead: start}
-	r.cond.L = &r.mu
+	r := &relay{start: start, end: end, cancel: cancel}
+	r.state.InitCond(&r.cond)
+	r.state.With(func(s *relayState) { s.head, s.tail, s.lead, s.retain = start, start, start, retain })
 	return r
 }
 
 // attach registers one client reader. It fails only when the relay's
 // fetch has already been canceled (every previous reader left), in
 // which case the caller must fetch on its own.
-func (r *relay) attach() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.canceled || r.released {
-		return false
-	}
-	r.subs++
-	return true
+func (r *relay) attach() (ok bool) {
+	r.state.With(func(s *relayState) {
+		if ok = !s.canceled && !s.released; ok {
+			s.subs++
+		}
+	})
+	return ok
 }
 
 // detach unregisters one client reader, unpinning the batch it still
@@ -119,54 +125,47 @@ func (r *relay) detach(held *relayBatch) (aborted bool) {
 	if held != nil {
 		held.unpin()
 	}
-	r.mu.Lock()
-	r.subs--
-	if r.subs == 0 && !r.done && !r.canceled {
-		r.canceled = true
-		aborted = true
-		r.cond.Broadcast() // the fetch may be waiting for a reader
+	r.state.With(func(s *relayState) {
+		s.subs--
+		if s.subs == 0 && !s.done && !s.canceled {
+			s.canceled = true
+			aborted = true
+			r.cond.Broadcast() // the fetch may be waiting for a reader
+		}
+		s.release()
+	})
+	if aborted && r.cancel != nil {
+		r.cancel()
 	}
-	fn := r.cancel
-	r.mu.Unlock()
-	if aborted && fn != nil {
-		fn()
-	}
-	r.release()
 	return aborted
 }
 
 // release lets go of the ring once the relay cannot touch it again: no
 // reader is attached and the fetch has stopped filling the newest
 // segment.
-func (r *relay) release() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.subs > 0 || !r.done || r.released {
+func (s *relayState) release() {
+	if s.subs > 0 || !s.done || s.released {
 		return
 	}
-	r.released = true
-	for i, seg := range r.ring[:r.n] {
+	s.released = true
+	for i, seg := range s.ring[:s.n] {
 		seg.unref()
-		r.ring[i] = nil
+		s.ring[i] = nil
 	}
-	r.n, r.tail = 0, r.head
+	s.n, s.tail = 0, s.head
 }
 
 // raiseRetain lifts the store-retention limit to at least n; attaching
 // requests call it so a prefix target that grew mid-flight is still
 // materialized by the shared fetch.
 func (r *relay) raiseRetain(n int64) {
-	r.mu.Lock()
-	if n > r.retain {
-		r.retain = n
-	}
-	r.mu.Unlock()
+	r.state.With(func(s *relayState) { s.retain = max(s.retain, n) })
 }
 
 // room reports whether the fetch may open another segment: it runs at
-// most half a ring ahead of the lead reader. Callers hold r.mu.
-func (r *relay) room() bool {
-	return r.head-r.lead < relayRingSegments*segmentSize/2
+// most half a ring ahead of the lead reader.
+func (s *relayState) room() bool {
+	return s.head-s.lead < relayRingSegments*segmentSize/2
 }
 
 // reserve returns the segment the next fetched bytes land in — they
@@ -176,66 +175,66 @@ func (r *relay) room() bool {
 // whether it had to. It returns nil once the transfer is complete or
 // every reader has left. The fetch goroutine is the only caller.
 func (r *relay) reserve() (seg *segment, limit int64, waited bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n > 0 && r.head < r.ring[r.n-1].end() {
-		return r.ring[r.n-1], r.retain, false
-	}
-	if r.head >= r.end {
-		return nil, 0, false
-	}
-	for !r.room() && !r.canceled {
-		waited = true
-		r.cond.Wait()
-	}
-	if r.canceled {
-		return nil, 0, waited
-	}
-	if r.n == relayRingSegments {
-		// Drop the oldest, at least half a ring behind the lead.
-		r.tail = r.ring[0].end()
-		r.ring[0].unref()
-		r.n = copy(r.ring[:], r.ring[1:])
-		r.ring[r.n] = nil
-	}
-	// No larger than what can still arrive, and split at the retention
-	// limit so the store adopts exactly what the cache accounts for.
-	size := min(segmentSize, r.end-r.head)
-	if r.head < r.retain {
-		size = min(size, r.retain-r.head)
-	}
-	seg = newSegment(r.head, size)
-	r.ring[r.n] = seg
-	r.n++
-	return seg, r.retain, waited
+	r.state.With(func(s *relayState) {
+		if s.n > 0 && s.head < s.ring[s.n-1].end() {
+			seg, limit = s.ring[s.n-1], s.retain
+			return
+		}
+		if s.head >= r.end {
+			return
+		}
+		for !s.room() && !s.canceled {
+			waited = true
+			r.cond.Wait()
+		}
+		if s.canceled {
+			return
+		}
+		if s.n == relayRingSegments {
+			// Drop the oldest, at least half a ring behind the lead.
+			s.tail = s.ring[0].end()
+			s.ring[0].unref()
+			s.n = copy(s.ring[:], s.ring[1:])
+			s.ring[s.n] = nil
+		}
+		// No larger than what can still arrive, and split at the
+		// retention limit so the store adopts exactly what the cache
+		// accounts for.
+		size := min(segmentSize, r.end-s.head)
+		if s.head < s.retain {
+			size = min(size, s.retain-s.head)
+		}
+		seg, limit = newSegment(s.head, size), s.retain
+		s.ring[s.n] = seg
+		s.n++
+	})
+	return seg, limit, waited
 }
 
 // publish makes the n bytes the fetch wrote at the newest segment's
 // fill mark visible to every reader.
 func (r *relay) publish(n int) {
-	r.mu.Lock()
-	r.head += int64(n)
-	r.cond.Broadcast()
-	r.mu.Unlock()
+	r.state.With(func(s *relayState) {
+		s.head += int64(n)
+		r.cond.Broadcast()
+	})
 }
 
 // finish marks the transfer over (err non-nil when it died early): the
 // fetch no longer touches the ring. It wakes every reader.
 func (r *relay) finish(err error) {
-	r.mu.Lock()
-	r.done = true
-	r.err = err
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	r.release()
+	r.state.With(func(s *relayState) {
+		s.done = true
+		s.err = err
+		r.cond.Broadcast()
+		s.release()
+	})
 }
 
 // wake prods every blocked reader so it can re-check its own context;
 // readers register it with context.AfterFunc.
 func (r *relay) wake() {
-	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
+	r.state.With(func(*relayState) { r.cond.Broadcast() })
 }
 
 // next is one step of a reader's loop. The reader has consumed
@@ -250,41 +249,48 @@ func (r *relay) wake() {
 // nil after a complete transfer, errRelayLapped when the ring dropped
 // offset off (the reader must demote to a private fetch), else what
 // ended the reader or the transfer.
-func (r *relay) next(ctx context.Context, off int64, b *relayBatch) error {
+func (r *relay) next(ctx context.Context, off int64, b *relayBatch) (err error) {
 	b.unpin()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if off > r.lead {
-		// A reader waiting past head (a ranged resume) counts in full:
-		// the fetch runs unpaced until it has bytes for it.
-		paced := !r.room()
-		r.lead = off
-		if paced && r.room() {
-			r.cond.Broadcast() // the fetch was waiting for this reader
+	r.state.With(func(s *relayState) {
+		if off > s.lead {
+			// A reader waiting past head (a ranged resume) counts in
+			// full: the fetch runs unpaced until it has bytes for it.
+			paced := !s.room()
+			s.lead = off
+			if paced && s.room() {
+				r.cond.Broadcast() // the fetch was waiting for this reader
+			}
 		}
-	}
-	for r.head <= off && !r.done && ctx.Err() == nil {
-		r.cond.Wait()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if off < r.tail {
-		return errRelayLapped
-	}
-	if off >= r.head {
-		return r.err
-	}
+		for s.head <= off && !s.done && ctx.Err() == nil {
+			r.cond.Wait()
+		}
+		if err = ctx.Err(); err != nil {
+			return
+		}
+		switch {
+		case off < s.tail:
+			err = errRelayLapped
+		case off >= s.head:
+			err = s.err
+		default:
+			s.pin(off, b)
+		}
+	})
+	return err
+}
+
+// pin fills b with the published bytes from off on, one aliased chunk
+// per segment, each segment pinned by a reference.
+func (s *relayState) pin(off int64, b *relayBatch) {
 	i := 0
-	for r.ring[i].end() <= off {
+	for s.ring[i].end() <= off {
 		i++
 	}
-	for ; i < r.n && r.ring[i].off < r.head && b.n < len(b.segs); i++ {
-		seg := r.ring[i]
+	for ; i < s.n && s.ring[i].off < s.head && b.n < len(b.segs); i++ {
+		seg := s.ring[i]
 		seg.ref()
 		b.segs[b.n] = seg
-		b.chunks[b.n] = seg.buf[max(off, seg.off)-seg.off : min(r.head, seg.end())-seg.off]
+		b.chunks[b.n] = seg.buf[max(off, seg.off)-seg.off : min(s.head, seg.end())-seg.off]
 		b.n++
 	}
-	return nil
 }

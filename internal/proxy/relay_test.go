@@ -27,17 +27,27 @@ import (
 const ringBytes = relayRingSegments * segmentSize
 
 // buffered returns the byte span the ring holds for readers.
-func (r *relay) buffered() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.head - r.tail
+func (r *relay) buffered() (n int64) {
+	r.state.Read(func(s *relayState) { n = s.head - s.tail })
+	return n
 }
 
 // tailOffset returns the oldest object offset still readable.
-func (r *relay) tailOffset() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tail
+func (r *relay) tailOffset() (off int64) {
+	r.state.Read(func(s *relayState) { off = s.tail })
+	return off
+}
+
+// snapshot copies the relay's guarded state.
+func (r *relay) snapshot() (s relayState) {
+	r.state.Read(func(st *relayState) { s = *st })
+	return s
+}
+
+// inflightRelay returns the shard's in-flight relay for object id, or nil.
+func (sh *shard) inflightRelay(id int) (rl *relay) {
+	sh.state.Read(func(st *shardState) { rl = st.inflight[id] })
+	return rl
 }
 
 // pieces is an upstream body for pump: it hands out data in reads of at
@@ -135,10 +145,8 @@ func TestRelayRingBoundsMemory(t *testing.T) {
 		if got := rl.buffered(); got > ringBytes {
 			t.Errorf("relay holds %d bytes with its lead at %d, bound is %d", got, off, ringBytes)
 		}
-		rl.mu.Lock()
-		ahead := rl.head - rl.lead
-		rl.mu.Unlock()
-		if ahead > ringBytes/2+segmentSize {
+		s := rl.snapshot()
+		if ahead := s.head - s.lead; ahead > ringBytes/2+segmentSize {
 			t.Errorf("fetch ran %d bytes ahead of its lead at %d, bound is %d", ahead, off, ringBytes/2+segmentSize)
 		}
 		if got := (liveSegments() - live0) * segmentSize; got > ringBytes+readers*ringBytes/2 {
@@ -179,8 +187,8 @@ func TestRelayRingBoundsMemory(t *testing.T) {
 	}
 	rl.detach(&stalled)
 	rl.detach(nil)
-	if rl.n != 0 || !rl.released {
-		t.Fatalf("ring not recycled after the last detach: n=%d released=%v", rl.n, rl.released)
+	if s := rl.snapshot(); s.n != 0 || !s.released {
+		t.Fatalf("ring not recycled after the last detach: n=%d released=%v", s.n, s.released)
 	}
 	if got := liveSegments() - live0; got != 0 {
 		t.Fatalf("%d segments still out of the pool after the relay let go of its ring", got)
@@ -311,8 +319,9 @@ func relayScript(t testing.TB, script []byte) {
 					done = true
 					break
 				}
-				if paced := head-lead >= ringBytes/2; paced != !rl.room() {
-					t.Fatalf("head %d, lead %d: model says paced=%v, relay room=%v", head, lead, paced, rl.room())
+				s := rl.snapshot()
+				if paced := head-lead >= ringBytes/2; paced != !s.room() {
+					t.Fatalf("head %d, lead %d: model says paced=%v, relay room=%v", head, lead, paced, s.room())
 				} else if paced && !canceled {
 					break // the fetch would wait here
 				}
@@ -399,8 +408,8 @@ func relayScript(t testing.TB, script []byte) {
 				}
 				continue
 			case err == errRelayLapped:
-				if r.off >= rl.tail || lead-r.off <= (relayRingSegments/2-3)*segmentSize {
-					t.Fatalf("reader at %d lapped with tail %d and lead %d", r.off, rl.tail, lead)
+				if tail := rl.tailOffset(); r.off >= tail || lead-r.off <= (relayRingSegments/2-3)*segmentSize {
+					t.Fatalf("reader at %d lapped with tail %d and lead %d", r.off, tail, lead)
 				}
 			case r.off < head || err != finishErr:
 				t.Fatalf("reader ended at %d with %v; head %d, transfer ended with %v", r.off, err, head, finishErr)
@@ -428,11 +437,12 @@ func relayScript(t testing.TB, script []byte) {
 			}
 		}
 
-		if rl.n > relayRingSegments || rl.head-rl.tail > ringBytes {
-			t.Fatalf("ring holds %d segments, %d bytes; bounds are %d, %d", rl.n, rl.head-rl.tail, relayRingSegments, ringBytes)
+		s := rl.snapshot()
+		if s.n > relayRingSegments || s.head-s.tail > ringBytes {
+			t.Fatalf("ring holds %d segments, %d bytes; bounds are %d, %d", s.n, s.head-s.tail, relayRingSegments, ringBytes)
 		}
-		if rl.head != head || rl.lead != lead {
-			t.Fatalf("relay at head %d lead %d, model at head %d lead %d", rl.head, rl.lead, head, lead)
+		if s.head != head || s.lead != lead {
+			t.Fatalf("relay at head %d lead %d, model at head %d lead %d", s.head, s.lead, head, lead)
 		}
 		if head-lead > ringBytes/2+segmentSize {
 			t.Fatalf("fetch at %d ran %d past its lead", head, head-lead)
@@ -450,8 +460,8 @@ func relayScript(t testing.TB, script []byte) {
 	if !done {
 		rl.finish(nil)
 	}
-	if rl.n != 0 || !rl.released {
-		t.Fatalf("ring not recycled at the end: n=%d released=%v", rl.n, rl.released)
+	if s := rl.snapshot(); s.n != 0 || !s.released {
+		t.Fatalf("ring not recycled at the end: n=%d released=%v", s.n, s.released)
 	}
 	if !storesPrefix(store, id, object) {
 		t.Fatalf("store holds %d bytes that are not the object's prefix", store.Len(id))
@@ -812,10 +822,7 @@ func TestSoleStalledReaderPacesOneTransfer(t *testing.T) {
 
 	// Wait for the fetch to block on its reader, then look at how far
 	// it got.
-	sh := px.shardFor(1)
-	sh.mu.Lock()
-	rl := sh.inflight[1]
-	sh.mu.Unlock()
+	rl := px.shardFor(1).inflightRelay(1)
 	if rl == nil {
 		t.Fatal("no relay in flight for the parked client")
 	}

@@ -72,7 +72,7 @@ func TestShardedCapacitySplit(t *testing.T) {
 	}
 	var total int64
 	for _, sh := range px.shards {
-		total += sh.cache.Capacity()
+		sh.state.Read(func(st *shardState) { total += st.cache.Capacity() })
 	}
 	if total != 10 {
 		t.Errorf("shard capacities sum to %d, want 10", total)
@@ -218,19 +218,19 @@ func TestProxyShardedStress(t *testing.T) {
 	// With no transfer in flight, every shard's store must agree with
 	// its cache accounting byte-for-byte.
 	for si, sh := range px.shards {
-		sh.mu.Lock()
-		for id := 0; id < nObjects; id++ {
-			if px.shardFor(id) != sh {
-				continue
+		sh.state.With(func(st *shardState) {
+			for id := 0; id < nObjects; id++ {
+				if px.shardFor(id) != sh {
+					continue
+				}
+				if stored, acct := sh.store.Len(id), st.cache.CachedBytes(id); stored != acct {
+					t.Errorf("shard %d object %d: store %d bytes, cache accounts %d", si, id, stored, acct)
+				}
 			}
-			if stored, acct := sh.store.Len(id), sh.cache.CachedBytes(id); stored != acct {
-				t.Errorf("shard %d object %d: store %d bytes, cache accounts %d", si, id, stored, acct)
+			if len(st.inflight) != 0 {
+				t.Errorf("shard %d: %d relays leaked past Quiesce", si, len(st.inflight))
 			}
-		}
-		if len(sh.inflight) != 0 {
-			t.Errorf("shard %d: %d relays leaked past Quiesce", si, len(sh.inflight))
-		}
-		sh.mu.Unlock()
+		})
 	}
 }
 
@@ -403,10 +403,12 @@ func TestCoalescedRelayOriginAbort(t *testing.T) {
 	// Prefix consistency: store and accounting agree, bounded by what
 	// the origin actually sent.
 	sh := px.shardFor(1)
-	sh.mu.Lock()
-	stored, acct := sh.store.Len(1), sh.cache.CachedBytes(1)
-	leaked := len(sh.inflight)
-	sh.mu.Unlock()
+	var stored, acct int64
+	var leaked int
+	sh.state.With(func(st *shardState) {
+		stored, acct = sh.store.Len(1), st.cache.CachedBytes(1)
+		leaked = len(st.inflight)
+	})
 	if stored != acct {
 		t.Errorf("store holds %d bytes, cache accounts %d", stored, acct)
 	}
@@ -475,10 +477,12 @@ func TestRelayCanceledWhenClientsVanish(t *testing.T) {
 	}
 
 	sh := px.shardFor(1)
-	sh.mu.Lock()
-	stored, acct := sh.store.Len(1), sh.cache.CachedBytes(1)
-	leaked := len(sh.inflight)
-	sh.mu.Unlock()
+	var stored, acct int64
+	var leaked int
+	sh.state.With(func(st *shardState) {
+		stored, acct = sh.store.Len(1), st.cache.CachedBytes(1)
+		leaked = len(st.inflight)
+	})
 	if stored != acct {
 		t.Errorf("store holds %d bytes, cache accounts %d", stored, acct)
 	}
@@ -534,9 +538,7 @@ func clientDiesMidBatch(t *testing.T) {
 	sh := px.shardFor(1)
 	w := &dyingBatchWriter{nullResponseWriter: nullResponseWriter{h: make(http.Header)}}
 	w.ahead = func() bool {
-		sh.mu.Lock()
-		rl := sh.inflight[1]
-		sh.mu.Unlock()
+		rl := sh.inflightRelay(1)
 		return rl != nil && rl.buffered() >= ringBytes/2
 	}
 	px.ServeHTTP(w, httptest.NewRequest("GET", "/objects/1", nil))
@@ -547,9 +549,8 @@ func clientDiesMidBatch(t *testing.T) {
 	if st := px.Snapshot(); st.ClientAborts != 1 || st.RelayCancelled != 1 || st.RelayWrites != 2 {
 		t.Errorf("clientAborts = %d, relayCancelled = %d over %d sends; want 1, 1 over 2", st.ClientAborts, st.RelayCancelled, st.RelayWrites)
 	}
-	sh.store.mu.RLock()
-	stored := int64(len(sh.store.data[1].segs))
-	sh.store.mu.RUnlock()
+	var stored int64
+	sh.store.state.Read(func(st *storeState) { stored = int64(len(st.data[1].segs)) })
 	if got := liveSegments() - live0; got != stored {
 		t.Errorf("%d segments out of the pool after the abort, the store holds %d: a batch stayed pinned", got, stored)
 	}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strconv"
 	"sync"
+
+	"streamcache/internal/par"
 )
 
 // PrefixStore holds the actual bytes of cached object prefixes. The
@@ -21,7 +23,11 @@ import (
 // bytes are immutable and the view holds a reference to every segment
 // it reads (see segment). A chain holds one reference per entry.
 type PrefixStore struct {
-	mu   sync.RWMutex
+	state par.Guarded[storeState]
+}
+
+// storeState is what a PrefixStore's lock guards.
+type storeState struct {
 	data map[int]*prefixEntry
 	// total is the running sum of all entry lengths, so TotalBytes is
 	// O(1) instead of an O(objects) scan under the lock per /stats.
@@ -71,7 +77,9 @@ func (e *prefixEntry) tail() *segment {
 
 // NewPrefixStore returns an empty store.
 func NewPrefixStore() *PrefixStore {
-	return &PrefixStore{data: make(map[int]*prefixEntry)}
+	s := &PrefixStore{}
+	s.state.With(func(st *storeState) { st.data = make(map[int]*prefixEntry) })
+	return s
 }
 
 // prefixView is a consistent point-in-time snapshot of an object's
@@ -169,24 +177,24 @@ var vecPool = sync.Pool{New: func() any { return new([][]byte) }}
 // under the lock that excludes dropFrom, while the chain's own keep the
 // segments alive: one atomic add per segment, on a line the hot
 // object's shard already serialises.
-func (s *PrefixStore) View(id int, max int64) prefixView {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e := s.data[id]
-	if e == nil || e.length == 0 || max <= 0 {
-		return prefixView{}
-	}
-	v := prefixView{segs: e.segs, n: e.length, hdr: e.hdr}
-	if v.n > max {
-		v.n = max
-		v.hdr = nil
-		for v.segs[len(v.segs)-1].off >= v.n {
-			v.segs = v.segs[:len(v.segs)-1]
+func (s *PrefixStore) View(id int, max int64) (v prefixView) {
+	s.state.Read(func(st *storeState) {
+		e := st.data[id]
+		if e == nil || e.length == 0 || max <= 0 {
+			return
 		}
-	}
-	for _, seg := range v.segs {
-		seg.ref()
-	}
+		v = prefixView{segs: e.segs, n: e.length, hdr: e.hdr}
+		if v.n > max {
+			v.n = max
+			v.hdr = nil
+			for v.segs[len(v.segs)-1].off >= v.n {
+				v.segs = v.segs[:len(v.segs)-1]
+			}
+		}
+		for _, seg := range v.segs {
+			seg.ref()
+		}
+	})
 	return v
 }
 
@@ -208,23 +216,22 @@ func (s *PrefixStore) Prefix(id int) []byte {
 }
 
 // Len returns the stored prefix length of object id.
-func (s *PrefixStore) Len(id int) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e := s.data[id]; e != nil {
-		return e.length
-	}
-	return 0
+func (s *PrefixStore) Len(id int) (n int64) {
+	s.state.Read(func(st *storeState) {
+		if e := st.data[id]; e != nil {
+			n = e.length
+		}
+	})
+	return n
 }
 
 // grow resolves an append of object bytes [offset, end) to object id
 // under limit against what is stored: it returns the entry (a fresh
 // one, for the caller to file under id, when the object has none yet)
 // and the prefix length the append brings it to, or 0 when the bytes
-// are all present already, lie beyond a hole, or exceed limit. Callers
-// hold the write lock.
-func (s *PrefixStore) grow(id int, offset, end, limit int64) (*prefixEntry, int64) {
-	e := s.data[id]
+// are all present already, lie beyond a hole, or exceed limit.
+func (st *storeState) grow(id int, offset, end, limit int64) (*prefixEntry, int64) {
+	e := st.data[id]
 	var curLen int64
 	if e != nil {
 		curLen = e.length
@@ -271,30 +278,30 @@ func (e *prefixEntry) resize(to int64) int64 {
 // writes are deduplicated: bytes already present are skipped, and data
 // arriving beyond the current prefix end (a gap) is dropped. It returns
 // the number of bytes retained.
-func (s *PrefixStore) AppendAt(id int, offset int64, data []byte, limit int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, to := s.grow(id, offset, offset+int64(len(data)), limit)
-	if to == 0 {
-		return 0
-	}
-	s.data[id] = e
-	for at := e.length; at < to; {
-		seg := e.tail()
-		if !e.open || at == seg.end() {
-			// No tail, tail full, or a tail the store may not write
-			// (sealed by a mid-segment truncation, or a relay's): open
-			// a fresh segment at the logical end, no larger than what
-			// limit lets arrive.
-			seg = newSegment(at, min(segmentSize, limit-at))
-			e.segs = append(e.segs, seg)
-			e.open = true
+func (s *PrefixStore) AppendAt(id int, offset int64, data []byte, limit int64) (take int64) {
+	s.state.With(func(st *storeState) {
+		e, to := st.grow(id, offset, offset+int64(len(data)), limit)
+		if to == 0 {
+			return
 		}
-		at += int64(copy(seg.buf[at-seg.off:], data[at-offset:to-offset]))
-	}
-	take := e.resize(to)
-	s.total += take
-	e.render()
+		st.data[id] = e
+		for at := e.length; at < to; {
+			seg := e.tail()
+			if !e.open || at == seg.end() {
+				// No tail, tail full, or a tail the store may not write
+				// (sealed by a mid-segment truncation, or a relay's):
+				// open a fresh segment at the logical end, no larger
+				// than what limit lets arrive.
+				seg = newSegment(at, min(segmentSize, limit-at))
+				e.segs = append(e.segs, seg)
+				e.open = true
+			}
+			at += int64(copy(seg.buf[at-seg.off:], data[at-offset:to-offset]))
+		}
+		take = e.resize(to)
+		st.total += take
+		e.render()
+	})
 	return take
 }
 
@@ -305,24 +312,24 @@ func (s *PrefixStore) AppendAt(id int, offset int64, data []byte, limit int64) i
 // never read past the length they captured. A chain that seg joins
 // takes a reference to it.
 func (s *PrefixStore) adopt(id int, seg *segment, end, limit int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, to := s.grow(id, seg.off, end, limit)
-	if to == 0 {
-		return
-	}
-	s.data[id] = e
-	if e.tail() != seg {
-		// Content at an offset is immutable, so where seg overlaps what
-		// is stored its bytes stand in for the stored ones: drop the
-		// segments it covers whole; the view clips the one before it
-		// at seg.off.
-		e.dropFrom(seg.off)
-		seg.ref()
-		e.segs = append(e.segs, seg)
-		e.open = false
-	}
-	s.total += e.resize(to)
+	s.state.With(func(st *storeState) {
+		e, to := st.grow(id, seg.off, end, limit)
+		if to == 0 {
+			return
+		}
+		st.data[id] = e
+		if e.tail() != seg {
+			// Content at an offset is immutable, so where seg overlaps
+			// what is stored its bytes stand in for the stored ones:
+			// drop the segments it covers whole; the view clips the one
+			// before it at seg.off.
+			e.dropFrom(seg.off)
+			seg.ref()
+			e.segs = append(e.segs, seg)
+			e.open = false
+		}
+		st.total += e.resize(to)
+	})
 }
 
 // Truncate shrinks object id's prefix to at most n bytes, deleting it
@@ -331,42 +338,40 @@ func (s *PrefixStore) adopt(id int, seg *segment, end, limit int64) {
 // accounts for. Dropped segments lose the chain's reference; an
 // in-flight zero-copy view that still aliases one holds its own.
 func (s *PrefixStore) Truncate(id int, n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.data[id]
-	if e == nil {
-		return
-	}
-	if n <= 0 {
-		s.total -= e.length
-		e.dropFrom(0)
-		delete(s.data, id)
-		return
-	}
-	if n < e.length {
-		s.total += e.resize(n)
-		e.open = false
-		e.dropFrom(n)
-	}
-	e.render()
+	s.state.With(func(st *storeState) {
+		e := st.data[id]
+		if e == nil {
+			return
+		}
+		if n <= 0 {
+			st.total -= e.length
+			e.dropFrom(0)
+			delete(st.data, id)
+			return
+		}
+		if n < e.length {
+			st.total += e.resize(n)
+			e.open = false
+			e.dropFrom(n)
+		}
+		e.render()
+	})
 }
 
 // TotalBytes returns the sum of all stored prefix lengths, maintained
 // incrementally on append and truncate.
-func (s *PrefixStore) TotalBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.total
+func (s *PrefixStore) TotalBytes() (n int64) {
+	s.state.Read(func(st *storeState) { n = st.total })
+	return n
 }
 
 // scanTotalBytes recomputes the total by walking every entry — the
 // O(objects) reference the running counter is tested against.
-func (s *PrefixStore) scanTotalBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var total int64
-	for _, e := range s.data {
-		total += e.length
-	}
+func (s *PrefixStore) scanTotalBytes() (total int64) {
+	s.state.Read(func(st *storeState) {
+		for _, e := range st.data {
+			total += e.length
+		}
+	})
 	return total
 }

@@ -220,17 +220,14 @@ func TestPrefixViewWritesFromAnyOffset(t *testing.T) {
 func TestPrefixStoreSealedTailNotRewritten(t *testing.T) {
 	s := NewPrefixStore()
 	s.AppendAt(3, 0, Content(3, 0, 1000), 1<<20)
-	s.mu.RLock()
-	tail0 := s.data[3].tail()
-	s.mu.RUnlock()
+	var tail0 *segment
+	s.state.Read(func(st *storeState) { tail0 = st.data[3].tail() })
 
 	s.Truncate(3, 500)
 	s.AppendAt(3, 500, Content(3, 500, 1000), 1<<20)
 
-	s.mu.RLock()
-	e := s.data[3]
-	segs := e.segs
-	s.mu.RUnlock()
+	var segs []*segment
+	s.state.Read(func(st *storeState) { segs = st.data[3].segs })
 	if len(segs) != 2 {
 		t.Fatalf("got %d segments, want 2 (sealed tail + fresh)", len(segs))
 	}

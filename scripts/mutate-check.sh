@@ -1,20 +1,16 @@
 #!/usr/bin/env bash
 # Every guard of the repo's three static contracts — zero allocations on
-# the hit paths, byte-identical output for a seed, the shard-lock
-# discipline — is shown to fail a seeded fault by name, and mediavet's
-# one analyzer, shardlock, is shown to catch what no test can
-# (DESIGN.md §9, OPERATIONS.md §11). One row of the table below is one
-# fault:
+# the hit paths, byte-identical output for a seed, the lock discipline
+# of the proxy — is shown to fail a seeded fault by name (DESIGN.md §9,
+# OPERATIONS.md §11). One row of the table below is one fault:
 #
-#   row ID FILE VERDICT FAILS GUARD WHY ANCHOR REPLACEMENT [ANCHOR REPLACEMENT]...
+#   row ID FILE FAILS GUARD WHY ANCHOR REPLACEMENT [ANCHOR REPLACEMENT]...
 #
 #   FILE     the one file the fault edits; each ANCHOR (literal text, its
 #            first occurrence) becomes its REPLACEMENT
-#   VERDICT  what `mediavet ./...` must say about the edited tree:
-#            `shardlock` if it prints findings, or `clean`
 #   FAILS    the tests that must fail by name, or `-`
 #   GUARD    arguments of the `go test -count=1` that runs them; with
-#            FAILS `-` the whole of it must pass; `-` runs no test
+#            FAILS `-` the whole of it must pass
 #   WHY      what the fault is; a row that nothing catches must start it
 #            with `BENIGN:` (not a fault: the row pins that every guard
 #            stays green) or `KNOWN-GAP:` (a fault no guard sees yet)
@@ -22,7 +18,7 @@
 # Each row is applied to a throw-away copy of the tree (the checkout is
 # never touched), must build and must pass `go vet` on the edited
 # package — vet sees none of these faults, which is why the other
-# guards exist. `scripts/mutate-check.sh H9 S5` runs only those rows.
+# guards exist. `scripts/mutate-check.sh H9 S4` runs only those rows.
 # `make mutate-check` and CI's lint job run them all (~5 min).
 set -euo pipefail
 shopt -u patsub_replacement 2>/dev/null || true # a `&` in a replacement is a `&`
@@ -32,13 +28,10 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 only=" $* "
 
-go build -o "$tmp/mediavet" ./cmd/mediavet
 mkdir "$tmp/pristine"
 git ls-files --cached --others --exclude-standard -z |
     while IFS= read -r -d '' f; do [[ -f $f ]] && printf '%s\0' "$f"; done |
     tar --null -T - -cf - | tar -C "$tmp/pristine" -xf -
-echo "mutate-check: the unedited tree is clean under mediavet"
-"$tmp/mediavet" -C "$tmp/pristine" ./...
 
 rows=0
 bad=0
@@ -48,16 +41,16 @@ fail() {
 }
 
 row() {
-    local id=$1 file=$2 verdict=$3 fails=$4 guard=$5 why=$6
-    shift 6
+    local id=$1 file=$2 fails=$3 guard=$4 why=$5
+    shift 5
     [[ $only == "  " || $only == *" $id "* ]] || return 0
     rows=$((rows + 1))
-    if [[ $verdict == clean && $fails == - && $why != BENIGN:* && $why != KNOWN-GAP:* ]]; then
+    if [[ $fails == - && $why != BENIGN:* && $why != KNOWN-GAP:* ]]; then
         fail "$id" "names no catcher and gives no BENIGN: or KNOWN-GAP: reason"
         return 0
     fi
     # One path for every row, so the build cache serves what a row left alone.
-    local copy=$tmp/tree src out got t
+    local copy=$tmp/tree src out t
     rm -rf "$copy"
     cp -a "$tmp/pristine" "$copy"
     src=$'\n'$(<"$copy/$file") # so that an anchor starting with \n matches at line 1 too
@@ -75,29 +68,21 @@ row() {
         return 0
     fi
 
-    out=$("$tmp/mediavet" -C "$copy" ./... 2>&1) && got=clean ||
-        got=$(sed -n 's/^[^ ]*:[0-9]*:[0-9]*: \([a-z]*\): .*/\1/p' <<<"$out" | sort -u | paste -sd, -)
-    if [[ $got != "$verdict" ]]; then
-        fail "$id" "mediavet says ${got:-nothing it can print}, the row says $verdict:"$'\n'"$out"
+    local -a args=(-count=1)
+    [[ $fails == - ]] || args+=(-run "^(${fails// /|})\$")
+    # shellcheck disable=SC2206 # the guard is a list of go test arguments
+    args+=($guard)
+    if out=$(cd "$copy" && go test "${args[@]}" 2>&1); then
+        [[ $fails == - ]] || fail "$id" "go test ${args[*]} passed; $fails must fail"
+    elif [[ $fails == - ]]; then
+        fail "$id" "go test ${args[*]} must pass:"$'\n'"$(grep -v '^ok ' <<<"$out" | head -40)"
+    else
+        for t in $fails; do
+            grep -q "^--- FAIL: $t " <<<"$out" ||
+                fail "$id" "go test ${args[*]} failed, but not $t:"$'\n'"$(grep -v '^ok ' <<<"$out" | head -40)"
+        done
     fi
-
-    if [[ $guard != - ]]; then
-        local -a args=(-count=1)
-        [[ $fails == - ]] || args+=(-run "^(${fails// /|})\$")
-        # shellcheck disable=SC2206 # the guard is a list of go test arguments
-        args+=($guard)
-        if out=$(cd "$copy" && go test "${args[@]}" 2>&1); then
-            [[ $fails == - ]] || fail "$id" "go test ${args[*]} passed; $fails must fail"
-        elif [[ $fails == - ]]; then
-            fail "$id" "go test ${args[*]} must pass:"$'\n'"$(grep -v '^ok ' <<<"$out" | head -40)"
-        else
-            for t in $fails; do
-                grep -q "^--- FAIL: $t " <<<"$out" ||
-                    fail "$id" "go test ${args[*]} failed, but not $t:"$'\n'"$(grep -v '^ok ' <<<"$out" | head -40)"
-            done
-        fi
-    fi
-    printf 'mutate-check: %-4s mediavet=%-12s fails=%s\n              %s\n' "$id" "$got" "${fails// /,}" "$why"
+    printf 'mutate-check: %-4s fails=%s\n              %s\n' "$id" "${fails// /,}" "$why"
 }
 
 # --- allocation: the AllocsPerRun pins own the budget -----------------------
@@ -106,67 +91,66 @@ row() {
 sink=$'var (\n\tmutSink any\n\tmutStr  string\n\tmutFn   func()\n\tmutErr  error\n)\n\n'
 core_sim_proxy='./internal/core ./internal/sim ./internal/proxy'
 access='func (c *Cache) Access(obj Object, bw float64, now float64) AccessResult {'
-row H1 internal/core/cache.go clean \
+row H1 internal/core/cache.go \
     'TestAccessHitPathAllocFree TestResetReuseAllocFree TestRunOnceSteadyStateAllocs TestServePrefixHitAllocFree' "$core_sim_proxy" \
     'fmt.Sprintf per core.(*Cache).Access' \
     "$access" "$sink$access"$'\n\tmutSink = fmt.Sprintf("%d@%g", obj.ID, now)'
-row H2 internal/core/cache.go clean \
+row H2 internal/core/cache.go \
     'TestAccessHitPathAllocFree TestResetReuseAllocFree TestRunOnceSteadyStateAllocs TestServePrefixHitAllocFree' "$core_sim_proxy" \
     'float64 boxed into an interface per Access' \
     "$access" "$sink$access"$'\n\tmutSink = bw + 0.5'
-row H13 internal/core/heap.go clean 'TestResetReuseAllocFree TestRunOnceSteadyStateAllocs' "$core_sim_proxy" \
+row H13 internal/core/heap.go 'TestResetReuseAllocFree TestRunOnceSteadyStateAllocs' "$core_sim_proxy" \
     'struct boxed into an interface per core.heapUp' \
     $'func (c *Cache) heapUp(i int32) {\n' "$sink"$'func (c *Cache) heapUp(i int32) {\n\tmutSink = c.ents[c.heap[i]]\n'
 
 serve_object='func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta) {'
 shard_for=$'\tsh := p.shardFor(meta.ID)\n\n\theadOnly'
-row H3 internal/proxy/proxy.go clean TestServePrefixHitAllocFree ./internal/proxy \
+row H3 internal/proxy/proxy.go TestServePrefixHitAllocFree ./internal/proxy \
     'escaping closure per proxy.serveObject' \
     "$serve_object" "$sink$serve_object" \
     "$shard_for" $'\tsh := p.shardFor(meta.ID)\n\tmutFn = func() { _ = meta.ID }\n\n\theadOnly'
-row H5 internal/proxy/proxy.go clean TestServePrefixHitAllocFree ./internal/proxy \
+row H5 internal/proxy/proxy.go TestServePrefixHitAllocFree ./internal/proxy \
     'string concatenation for a header per serveObject' \
     "$serve_object" "$sink$serve_object" \
     "$shard_for" $'\tsh := p.shardFor(meta.ID)\n\tmutStr = "object " + req.URL.Path\n\n\theadOnly'
-row H12 internal/proxy/proxy.go clean TestServePrefixHitAllocFree ./internal/proxy \
+row H12 internal/proxy/proxy.go TestServePrefixHitAllocFree ./internal/proxy \
     'method value bound per serveObject' \
     "$serve_object" "$sink$serve_object" \
     "$shard_for" $'\tsh := p.shardFor(meta.ID)\n\tmutFn = p.Quiesce\n\n\theadOnly'
-row H4 internal/proxy/store.go clean TestServePrefixHitAllocFree ./internal/proxy \
+row H4 internal/proxy/store.go TestServePrefixHitAllocFree ./internal/proxy \
     'growing local append per PrefixStore.View' \
-    $'\tv := prefixView{segs: e.segs, n: e.length, hdr: e.hdr}' \
-    $'\tvar segs []*segment\n\tfor _, sg := range e.segs {\n\t\tsegs = append(segs, sg)\n\t}\n\tv := prefixView{segs: segs, n: e.length, hdr: e.hdr}'
-row H14 internal/proxy/store.go clean - './internal/proxy ./internal/httpd' \
+    $'\t\tv = prefixView{segs: e.segs, n: e.length, hdr: e.hdr}' \
+    $'\t\tvar segs []*segment\n\t\tfor _, sg := range e.segs {\n\t\t\tsegs = append(segs, sg)\n\t\t}\n\t\tv = prefixView{segs: segs, n: e.length, hdr: e.hdr}'
+row H14 internal/proxy/store.go - './internal/proxy ./internal/httpd' \
     'BENIGN: a deferred literal that does not escape, in PrefixStore.Len (the deleted hotpath analyzer flagged it; it allocates nothing)' \
-    $'func (s *PrefixStore) Len(id int) int64 {\n\ts.mu.RLock()\n\tdefer s.mu.RUnlock()' \
-    $'func (s *PrefixStore) Len(id int) int64 {\n\ts.mu.RLock()\n\tdefer func() { s.mu.RUnlock() }()'
+    $'func (s *PrefixStore) Len(id int) (n int64) {\n' $'func (s *PrefixStore) Len(id int) (n int64) {\n\tdefer func() { n += 0 }()\n'
 
 render_head=$'func (c *conn) renderHead() {\n'
-row H6 internal/httpd/response.go clean TestKeepAliveRequestAllocs ./internal/httpd \
+row H6 internal/httpd/response.go TestKeepAliveRequestAllocs ./internal/httpd \
     'allocating helper called from httpd.renderHead' \
     "$render_head" "$sink"$'func mutLabel(status int) string { return "status " + strconv.Itoa(status) }\n\n'"$render_head"$'\tmutStr = mutLabel(c.status)\n'
-row H6b internal/httpd/response.go clean - './internal/httpd ./internal/proxy' \
+row H6b internal/httpd/response.go - './internal/httpd ./internal/proxy' \
     'BENIGN: helper that allocates nothing, called from renderHead (the deleted hotpath analyzer flagged the unannotated call)' \
     "$render_head" $'func mutOK(status int) bool { return status == http.StatusOK }\n\n'"$render_head"$'\tif mutOK(c.status) {\n\t\tc.headSent = true\n\t}\n'
-row H7 internal/httpd/request.go clean TestKeepAliveRequestAllocs ./internal/httpd \
+row H7 internal/httpd/request.go TestKeepAliveRequestAllocs ./internal/httpd \
     'strings.ToLower on every header name in httpd.parseHead (the deleted hotpath analyzer passed it)' \
     'k = textproto.CanonicalMIMEHeaderKey(k)' 'k = textproto.CanonicalMIMEHeaderKey(strings.ToLower(k))'
-row H11 internal/httpd/response.go clean 'TestKeepAliveRequestAllocs TestWireHitAllocs' './internal/httpd ./internal/proxy' \
+row H11 internal/httpd/response.go 'TestKeepAliveRequestAllocs TestWireHitAllocs' './internal/httpd ./internal/proxy' \
     'fresh [][]byte per httpd.WriteBuffers (the deleted hotpath analyzer passed it)' \
     $'\tc.vec = c.vec[:0]\n\tvar headLen int64' $'\tc.vec = nil\n\tvar headLen int64'
 
 # relay.go does not import fmt: the fault brings it under a name of its
 # own, which cannot collide with whatever the file imports later.
-row H8 internal/proxy/relay.go clean TestRelayReaderLoopAllocFree ./internal/proxy \
-    'fmt.Errorf on the steady path of relay.next' \
+row H8 internal/proxy/relay.go TestRelayReaderLoopAllocFree ./internal/proxy \
+    'fmt.Errorf on the steady path of relay.next, in the relayState.pin it calls' \
     $'\npackage proxy\n' $'\npackage proxy\n\nimport mutfmt "fmt"\n' \
-    'func (r *relay) next(' "$sink"'func (r *relay) next(' \
-    $'\ti := 0\n\tfor r.ring[i].end() <= off {' $'\tmutErr = mutfmt.Errorf("proxy: relay at %d", off)\n\ti := 0\n\tfor r.ring[i].end() <= off {'
-row H9 internal/proxy/proxy.go clean 'TestPumpSteadyStateAllocFree TestServeMissAllocs' ./internal/proxy \
+    'func (s *relayState) pin(' "$sink"'func (s *relayState) pin(' \
+    $'\ti := 0\n\tfor s.ring[i].end() <= off {' $'\tmutErr = mutfmt.Errorf("proxy: relay at %d", off)\n\ti := 0\n\tfor s.ring[i].end() <= off {'
+row H9 internal/proxy/proxy.go 'TestPumpSteadyStateAllocFree TestServeMissAllocs' ./internal/proxy \
     'make([]byte, 4096) per upstream read in proxy.pump' \
     $'\t\tn, err = body.Read(seg.buf[offset-seg.off:])' \
     $'\t\tdst := seg.buf[offset-seg.off:]\n\t\tbuf := make([]byte, 4096)\n\t\tn, err = body.Read(buf[:min(len(buf), len(dst))])\n\t\tcopy(dst, buf[:n])'
-row H10 internal/sim/sim.go clean TestRunOnceSteadyStateAllocs ./internal/sim \
+row H10 internal/sim/sim.go TestRunOnceSteadyStateAllocs ./internal/sim \
     'fmt.Sprint per request in sim.replayColumns, the request loop of Run' \
     'func replayColumns(' "$sink"'func replayColumns(' \
     $'\t\tres := cache.Access(obj, est, rp.time[i])' $'\t\tmutStr = fmt.Sprint(i, est)\n\t\tres := cache.Access(obj, est, rp.time[i])'
@@ -178,16 +162,16 @@ row H10 internal/sim/sim.go clean TestRunOnceSteadyStateAllocs ./internal/sim \
 # reference missing or dropped early is wrong bytes in a named test, and
 # one kept too long is a segment the pool never sees again.
 
-row R1 internal/proxy/store.go clean TestRecycledSegmentNeverAliased ./internal/proxy \
+row R1 internal/proxy/store.go TestRecycledSegmentNeverAliased ./internal/proxy \
     'PrefixStore.View takes no references: the eviction recycles what the view still reads' \
-    $'\tfor _, seg := range v.segs {\n\t\tseg.ref()\n\t}\n\treturn v' $'\treturn v'
-row R2 internal/proxy/store.go clean TestRecycledSegmentNeverAliased ./internal/proxy \
+    $'\t\tfor _, seg := range v.segs {\n\t\t\tseg.ref()\n\t\t}\n\t})' $'\t})'
+row R2 internal/proxy/store.go TestRecycledSegmentNeverAliased ./internal/proxy \
     'prefixEntry.dropFrom releases the chain reference twice: the second one is a view or a reader losing its own' \
     $'\t\tk--\n\t\te.segs[k].unref()' $'\t\tk--\n\t\te.segs[k].unref()\n\t\te.segs[k].unref()'
-row R3 internal/proxy/relay.go clean 'TestServeMissAllocs TestRelayRingBoundsMemory' ./internal/proxy \
+row R3 internal/proxy/relay.go 'TestServeMissAllocs TestRelayRingBoundsMemory' ./internal/proxy \
     'relay.next forgets to unpin the batch the reader hands back: its segments never return to the pool' \
-    $') error {\n\tb.unpin()\n' $') error {\n\tb.n = 0\n'
-row R4 internal/proxy/relay.go clean TestRelayRingBoundsMemory ./internal/proxy \
+    $') (err error) {\n\tb.unpin()\n' $') (err error) {\n\tb.n = 0\n'
+row R4 internal/proxy/relay.go TestRelayRingBoundsMemory ./internal/proxy \
     'batch cap lifted from half a ring to a whole one: a stalled reader keeps twice the bound out of the pool' \
     $'\tsegs   [relayRingSegments / 2]*segment\n\tchunks [relayRingSegments / 2][]byte' $'\tsegs   [relayRingSegments]*segment\n\tchunks [relayRingSegments][]byte'
 
@@ -195,28 +179,28 @@ row R4 internal/proxy/relay.go clean TestRelayRingBoundsMemory ./internal/proxy 
 #
 # No analyzer: every fault here is failed by a test by name.
 
-row D1 internal/sim/capacity.go clean 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
+row D1 internal/sim/capacity.go 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
     'wall clock mixed into the run seed of sim.RunGroup (and so of Run)' \
     $'\npackage sim\n' $'\npackage sim\n\nimport muttime "time"\n' \
     $'func(seed int64) ([]Metrics, error) {\n' $'func(seed int64) ([]Metrics, error) {\n\t\tseed ^= muttime.Now().UnixNano()\n'
-row D2 internal/workload/workload.go clean 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
+row D2 internal/workload/workload.go 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
     'process-global rand.Float64 in workload.Generate' \
     'durSeconds := durations.Sample(rng) * 60' 'durSeconds := durations.Sample(rng) * 60 * (1 + rand.Float64()/100)'
-row D4 internal/sim/sim.go clean 'TestMetricsIdenticalAcrossParallelism TestArenaMetricsBitIdentical' ./internal/sim \
+row D4 internal/sim/sim.go 'TestMetricsIdenticalAcrossParallelism TestArenaMetricsBitIdentical' ./internal/sim \
     'ad-hoc goroutines (unless Parallelism is 1) summing the runs of sim.averageRuns in completion order, even runs made to finish first (half of the 24 orders of these four runs leave every sum bit as it was: left to the scheduler, the tests see this fault only now and then)' \
     $'\tpar.For(cfg.Parallelism, cfg.Runs, func(r int) {\n\t\tresults[r], errs[r] = once(SplitSeed(cfg.Seed, int64(r)))\n\t})\n\tvar agg M\n' \
     $'\t_ = par.For\n\tvar agg M\n\tvar mu sync.Mutex\n\tvar wg sync.WaitGroup\n\tfor r := range results {\n\t\twg.Add(1)\n\t\trun := func() {\n\t\t\tdefer wg.Done()\n\t\t\tm, err := once(SplitSeed(cfg.Seed, int64(r)))\n\t\t\tmu.Lock()\n\t\t\tdefer mu.Unlock()\n\t\t\tresults[r], errs[r] = m, err\n\t\t\tadd(&agg, m)\n\t\t}\n\t\tif cfg.Parallelism == 1 {\n\t\t\trun()\n\t\t} else {\n\t\t\tgo func() {\n\t\t\t\ttime.Sleep(time.Duration(r/2+cfg.Runs*(r%2)) * 20 * time.Millisecond)\n\t\t\t\trun()\n\t\t\t}()\n\t\t}\n\t}\n\twg.Wait()\n' \
     $'\t\tadd(&agg, m)\n\t}\n\tover(&agg, cfg.Runs)' $'\t\t_ = m\n\t}\n\tover(&agg, cfg.Runs)'
-row D6 internal/trace/trace.go clean TestSampleToMeanRatiosServerOrder ./internal/trace \
+row D6 internal/trace/trace.go TestSampleToMeanRatiosServerOrder ./internal/trace \
     'trace.SampleToMeanRatios emits servers in map order (the printed precision hides the drift from the digests)' \
     $'\tsort.Strings(servers)\n' $'\t_ = sort.Strings\n'
-row D5 internal/load/engine.go clean TestScheduleByteIdenticalAcrossRuns ./internal/load \
+row D5 internal/load/engine.go TestScheduleByteIdenticalAcrossRuns ./internal/load \
     'time.Now in load.syntheticItems (the deleted BuildSchedule call-graph arm flagged it)' \
     $'\t\t\tTime:       t,' $'\t\t\tTime:       t + float64(time.Now().Nanosecond())*1e-12,'
-row D7 internal/load/arrival.go clean 'TestProcessesDeterministicPerSeed TestScheduleByteIdenticalAcrossRuns' ./internal/load \
+row D7 internal/load/arrival.go 'TestProcessesDeterministicPerSeed TestScheduleByteIdenticalAcrossRuns' ./internal/load \
     'process-global rand.Float64 in load.OnOff.Times (the deleted call-graph arm never reached it)' \
     'on := rng.Float64() < pOn' 'on := rand.Float64() < pOn'
-row D8 internal/load/arrival.go clean 'TestProcessesDeterministicPerSeed TestScheduleByteIdenticalAcrossRuns' ./internal/load \
+row D8 internal/load/arrival.go 'TestProcessesDeterministicPerSeed TestScheduleByteIdenticalAcrossRuns' ./internal/load \
     'wall-clock nudge in load.OnOff.Times (the deleted call-graph arm never reached it)' \
     $'\npackage load\n' $'\npackage load\n\nimport muttime "time"\n' \
     't += rng.ExpFloat64() / o.PeakHz' 't += rng.ExpFloat64()/o.PeakHz + float64(muttime.Now().Nanosecond()%7)*1e-9'
@@ -227,19 +211,19 @@ row D8 internal/load/arrival.go clean 'TestProcessesDeterministicPerSeed TestSch
 # greedy fill is core.Cache's state (DESIGN.md §5a); each fault makes it
 # score something it must refuse, or score it wrong.
 
-row K1 internal/sim/capacity.go clean TestCapacityPassMatchesRunOnce ./internal/sim \
+row K1 internal/sim/capacity.go TestCapacityPassMatchesRunOnce ./internal/sim \
     'the tie check is gone: two objects sharing a utility are ranked by request index, which core.Cache does not do' \
     'rp.obj[idx[p]] != rp.obj[idx[p-1]] {' 'rp.obj[idx[p]] != rp.obj[idx[p-1]] && m < 0 {'
-row K2 internal/sim/capacity.go clean 'FuzzCapacityPass TestGoldenTables' './internal/sim ./internal/experiments' \
+row K2 internal/sim/capacity.go 'FuzzCapacityPass TestGoldenTables' './internal/sim ./internal/experiments' \
     'the suffix sum over ranks above the key counts ranks >= it: the object competes with its own target' \
     'above = live - tree.sum(prev)' 'above = live - tree.sum(prev-1)'
-row K3 internal/sim/capacity.go clean FuzzCapacityPass ./internal/sim \
+row K3 internal/sim/capacity.go FuzzCapacityPass ./internal/sim \
     'EvictedBytes is never derived from the fills (no table column reports it: only the model test sees it)' \
     'a.evicted += min(cb, before) - min(cb, live) + held - hit' '_ = min(cb, before) - min(cb, live) + held - hit'
-row K4 internal/sim/capacity.go clean 'FuzzCapacityPass TestCapacityPassMatchesRunOnce' ./internal/sim \
+row K4 internal/sim/capacity.go 'FuzzCapacityPass TestCapacityPassMatchesRunOnce' ./internal/sim \
     'selection ignores Estimators across capacities: an EWMA or underestimating cache-size group is scored with the oracle means (no table groups estimator rows: sim'"'"'s tests hold RunGroup to it)' \
     $'\tif cfg.Estimators != nil {\n' $'\tif cfg.Estimators != nil && len(g.caps) < 2 {\n'
-row K6 internal/sim/capacity.go clean TestCapacityPassMatchesRunOnce ./internal/sim \
+row K6 internal/sim/capacity.go TestCapacityPassMatchesRunOnce ./internal/sim \
     'selection ignores aging: a GreedyDual cache-size group is scored by the greedy fill of utilities without L' \
     'return !core.Ages(c.Policy) && ' 'return '
 
@@ -248,7 +232,7 @@ row K6 internal/sim/capacity.go clean TestCapacityPassMatchesRunOnce ./internal/
 # Policies are values; the one mutable policy state, GreedyDual's
 # inflation value L, is the cache's, and only core.Ages policies use it.
 
-row A1 internal/core/cache.go clean 'TestTapeReplayBitIdentical FuzzCapacityPass TestCapacityPassMatchesRunOnce TestPBEndStateIsSection23Optimum' ./internal/sim \
+row A1 internal/core/cache.go 'TestTapeReplayBitIdentical FuzzCapacityPass TestCapacityPassMatchesRunOnce TestPBEndStateIsSection23Optimum' ./internal/sim \
     'Access and makeRoom age every policy: PB, IB, LRU and the rest key L + utility and raise L on eviction' \
     $'\tif c.aging {\n\t\tutility = c.inflation + utility' $'\tif true {\n\t\tutility = c.inflation + utility' \
     'if c.aging && v.utility > c.inflation {' 'if v.utility > c.inflation {'
@@ -259,13 +243,13 @@ row A1 internal/core/cache.go clean 'TestTapeReplayBitIdentical FuzzCapacityPass
 # core.Cache replay and each scores it from its own bandwidth column
 # (DESIGN.md §5a "Variability never enters the cache under the oracle").
 
-row V1 internal/sim/capacity.go clean TestGroupMatchesRun ./internal/sim \
+row V1 internal/sim/capacity.go TestGroupMatchesRun ./internal/sim \
     'sharing ignores Estimators: the sigmas of an EWMA or probing cell share the first sigma'"'"'s trajectory (no table groups estimator rows: sim'"'"'s tests hold RunGroup to it)' \
     $'\tif cfg.Estimators != nil {\n' $'\tif cfg.Estimators != nil && len(g.caps) > 1 {\n'
-row V2 internal/sim/sim.go clean 'TestGroupMatchesRun TestGoldenTables' './internal/sim ./internal/experiments' \
+row V2 internal/sim/sim.go 'TestGroupMatchesRun TestGoldenTables' './internal/sim ./internal/experiments' \
     'every member of a shared replay accumulates from member 0'"'"'s bandwidth column' \
     'bw, s := cols[k].at(i, o), &sums[k]' 'bw, s := cols[0].at(i, o), &sums[k]'
-row V3 internal/sim/capacity.go clean TestGroupMatchesRun ./internal/sim \
+row V3 internal/sim/capacity.go TestGroupMatchesRun ./internal/sim \
     'each member indexes its column per request or per object as member 0 does (no table mixes the two in one group)' \
     $'\t\t\tcols[k] = cfg.Arena.column(one, seed, rp)\n' $'\t\t\tcols[k] = cfg.Arena.column(one, seed, rp)\n\t\t\tcols[k].perRequest = cols[0].perRequest\n'
 
@@ -278,58 +262,61 @@ row V3 internal/sim/capacity.go clean TestGroupMatchesRun ./internal/sim \
 # grouping rule: a sweep round hands its points to Arena.ScorePending,
 # which makes one call per key (K5, V4).
 
-row X1 internal/sim/share.go clean 'TestDeclaredMembersMatchRun TestDeclaredMembersMatchRunConcurrent' ./internal/sim \
+row X1 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredMembersMatchRunConcurrent' ./internal/sim \
     'the share key drops Seed: another seed'"'"'s runs answer the call' \
     'cfg.WarmFraction, cfg.Runs, cfg.Seed}, true' 'cfg.WarmFraction, cfg.Runs, 0}, true'
-row X2 internal/sim/share.go clean 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
+row X2 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
     'the member key drops Variation: every variability at one capacity takes the first one'"'"'s answer' \
     $'\t\tr := e.answers[m]\n' $'\t\tr := e.answers[Member{CacheBytes: m.CacheBytes}]\n' \
     $'\t\t\te.answers[m] = r\n' $'\t\t\te.answers[Member{CacheBytes: m.CacheBytes}] = r\n'
-row X3 internal/sim/share.go clean 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
+row X3 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
     'shareability ignores Estimators: an EWMA or underestimating row takes the oracle row'"'"'s answer' \
     'if cfg.Estimators != nil || len(cfg.CacheOptions) > 0 ||' 'if len(cfg.CacheOptions) > 0 ||'
-row X4 internal/sim/share.go clean 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
+row X4 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
     'store skips extras: the declared members a call claimed for later calls are answered with zero Metrics' \
     $'\tfor _, m := range e.pending {\n' $'\town := len(mine)\n\tfor _, m := range e.pending {\n' \
     'for k, r := range mine {' 'for k, r := range mine[:own] {'
-row K5 internal/sim/share.go clean 'TestGoldenTables TestDeclaredMembersMatchRun' './internal/experiments ./internal/sim' \
+row K5 internal/sim/share.go 'TestGoldenTables TestDeclaredMembersMatchRun' './internal/experiments ./internal/sim' \
     'the share key drops the policy: one policy scores every policy'"'"'s rows' \
     'return shareKey{cfg.Workload, cfg.Policy, cfg.Base,' 'return shareKey{cfg.Workload, nil, cfg.Base,'
-row V4 internal/sim/share.go clean 'TestScorePending TestGroupCounts' './internal/sim ./internal/experiments' \
+row V4 internal/sim/share.go 'TestScorePending TestGroupCounts' './internal/sim ./internal/experiments' \
     'ScorePending groups every configuration under the first one'"'"'s key: that key'"'"'s call scores the others'"'"' capacities with its policy, and their own Runs score them again' \
     $'\t\tb := byKey[key]\n' $'\t\tb := byKey[key]\n\t\tif len(batches) > 0 {\n\t\t\tb = batches[0]\n\t\t}\n'
 
 # --- sampling: the Zipf guide table is exact ----------------------------------
 
-row Z1 internal/dist/dist.go clean TestZipfGuideMatchesFullSearch ./internal/dist \
+row Z1 internal/dist/dist.go TestZipfGuideMatchesFullSearch ./internal/dist \
     'the guide bracket narrowed to end at guide[j]: the ranks of u'"'"'s own quantile past its first are never drawn' \
     'z.guide[min(j+2, z.n)]' 'z.guide[j]'
 
-# --- shard lock: analyzer, -race and the fault suite -------------------------
+# --- locks: par.Guarded, TestNoBlockingUnderLock and -race -------------------
+#
+# The proxy's state is reachable only inside par.Guarded's With and Read,
+# which release the lock however their function leaves it: a Lock never
+# unlocked and a return with the lock held cannot be written (DESIGN.md
+# §9). What can still be written — blocking while the lock is held, a
+# pointer to the state kept past the call — is failed here.
+
+row G1 internal/par/guarded.go TestGuardedReleases ./internal/par \
+    'Guarded.With unlocks without defer: a panic in its function leaves the lock held' \
+    $'\tg.mu.Lock()\n\tdefer g.mu.Unlock()\n\tfn(&g.v)' $'\tg.mu.Lock()\n\tfn(&g.v)\n\tg.mu.Unlock()'
 
 race='-race -timeout 180s ./internal/proxy ./internal/cluster'
-row S1 internal/proxy/proxy.go shardlock TestClusterParentDeathMidRelay "$race" \
-    'runRelay takes sh.mu before the upstream fetch' \
-    $'\tdefer p.inflight.Done()\n\tfetched, bps, usedIdx, err := p.fetchOrigin(ctx, sh, meta, rt, rl)' \
-    $'\tdefer p.inflight.Done()\n\tsh.mu.Lock()\n\tdefer sh.mu.Unlock()\n\tfetched, bps, usedIdx, err := p.fetchOrigin(ctx, sh, meta, rt, rl)' \
-    $'\tp.addTierBytes(usedIdx, fetched)\n\n\tsh.mu.Lock()\n\tdefer sh.mu.Unlock()\n' $'\tp.addTierBytes(usedIdx, fetched)\n\n'
-row S3 internal/proxy/proxy.go shardlock 'TestProxyShardedStress TestClusterInvariantStress' "$race" \
-    'sh.inflight written before the shard lock is taken' \
-    $'\tvar retainTarget int64\n' \
-    $'\tvar retainTarget int64\n\tif prev := sh.inflight[meta.ID]; prev != nil {\n\t\tsh.inflight[meta.ID] = prev\n\t}\n'
-row S4 internal/proxy/proxy.go shardlock - "$race" \
-    'time.Sleep under sh.mu in serveObject (no test fails: the shard only gets slower)' \
-    $'\t\tsh.mu.Lock()\n\t\tnow := p.now()' $'\t\tsh.mu.Lock()\n\t\ttime.Sleep(time.Microsecond)\n\t\tnow := p.now()'
-row S2 internal/proxy/proxy.go shardlock - - \
-    'AccountedBytes never unlocks (the tests see it only as a package timeout: 180 s against the analyzer'"'"'s half second)' \
-    $'\tsh.mu.Lock()\n\tdefer sh.mu.Unlock()\n\treturn sh.cache.CachedBytes(id)' $'\tsh.mu.Lock()\n\treturn sh.cache.CachedBytes(id)'
-row S5 internal/proxy/proxy.go shardlock - "$race" \
-    'early return between Lock and Unlock in serveObject, on a path no test takes' \
-    $'\t\tres := sh.cache.Access(obj, sh.estimate(rt.idx), now)\n' \
-    $'\t\tres := sh.cache.Access(obj, sh.estimate(rt.idx), now)\n\t\tif res.Target < 0 {\n\t\t\treturn\n\t\t}\n'
+row S1 internal/proxy/proxy.go 'TestNoBlockingUnderLock TestClusterParentDeathMidRelay' "$race" \
+    'runRelay fetches from the upstream inside its With: the shard is locked for the whole transfer' \
+    $'\tfetched, bps, usedIdx, err := p.fetchOrigin(ctx, sh, meta, rt, rl)\n\trl.finish(err)\n\tp.stats.bytesFetched.Add(fetched)\n\tp.addTierBytes(usedIdx, fetched)\n\n\tsh.state.With(func(st *shardState) {\n' \
+    $'\tsh.state.With(func(st *shardState) {\n\t\tfetched, bps, usedIdx, err := p.fetchOrigin(ctx, sh, meta, rt, rl)\n\t\trl.finish(err)\n\t\tp.stats.bytesFetched.Add(fetched)\n\t\tp.addTierBytes(usedIdx, fetched)\n'
+row S4 internal/proxy/proxy.go TestNoBlockingUnderLock ./internal/proxy \
+    'time.Sleep inside serveObject'"'"'s With (before the walk no test failed it: the shard only got slower)' \
+    $'\t\tsh.state.With(func(st *shardState) {\n\t\t\tnow := p.now()' $'\t\tsh.state.With(func(st *shardState) {\n\t\t\ttime.Sleep(time.Microsecond)\n\t\t\tnow := p.now()'
+row S3 internal/proxy/proxy.go 'TestProxyShardedStress TestClusterInvariantStress' "$race" \
+    'serveObject keeps the *shardState its With hands it and writes inflight through it after With returns' \
+    $'\tvar rl *relay\n' $'\tvar rl *relay\n\tvar leaked *shardState\n' \
+    $'\t\trl = st.inflight[meta.ID]\n' $'\t\tleaked = st\n\t\trl = st.inflight[meta.ID]\n' \
+    $'\t})\n\tlapped := false\n' $'\t})\n\tif prev := leaked.inflight[meta.ID]; prev != nil {\n\t\tleaked.inflight[meta.ID] = prev\n\t}\n\tlapped := false\n'
 
 if ((bad > 0)); then
     echo "mutate-check: $bad checks failed over $rows rows: the table no longer records what the guards do" >&2
     exit 1
 fi
-echo "mutate-check: $rows rows, every recorded verdict reproduced"
+echo "mutate-check: $rows rows, every fault failed by the guards its row names"
