@@ -92,29 +92,37 @@ loc:
 dead-check:
 	@bash scripts/dead-check.sh
 
-## shard-check: end-to-end sharded sweep — run 2 shards with journals;
-## first drop one cell from one row of a shard's output and require the
-## merge to refuse it naming table and index, then restore it, merge,
-## and diff against the single-process output (OPERATIONS.md §7).
-SHARD_KEYS ?= figure5,refined-e
+## shard-check: end-to-end sharded sweep — run 2 and then 5 shards with
+## journals; first drop one cell from one row of a 2-shard output and
+## require the merge to refuse it naming table and index, then restore
+## it, merge each split and diff it against the single-process output
+## (OPERATIONS.md §7). refined-esigma's groups of one e stay whole on
+## one shard, so its rows are not dealt out round robin.
+SHARD_KEYS ?= figure5,refined-e,refined-esigma
 shard-check:
 	rm -rf shard-check
-	$(GO) run ./cmd/figures -out shard-check/sharded -only '$(SHARD_KEYS)' -shard 0/2 -journal shard-check/sharded/j0.jsonl
-	$(GO) run ./cmd/figures -out shard-check/sharded -only '$(SHARD_KEYS)' -shard 1/2 -journal shard-check/sharded/j1.jsonl
-	@f=$$(ls shard-check/sharded/*.shard0-of-2.jsonl | head -1); cp "$$f" shard-check/intact.jsonl; \
+	$(GO) build -o shard-check/figures ./cmd/figures
+	@for n in 2 5; do \
+		for i in $$(seq 0 $$((n - 1))); do \
+			shard-check/figures -out shard-check/sharded$$n -only '$(SHARD_KEYS)' -shard $$i/$$n -journal shard-check/sharded$$n/j$$i.jsonl || exit 1; \
+		done; \
+	done
+	@f=$$(ls shard-check/sharded2/*.shard0-of-2.jsonl | head -1); cp "$$f" shard-check/intact.jsonl; \
 	sed -i '3s/"row":\["[^"]*",/"row":[/' "$$f"; \
-	if out=$$($(GO) run ./cmd/figures -out shard-check/sharded -merge -jsonl 2>&1); then \
+	if out=$$(shard-check/figures -out shard-check/sharded2 -merge -jsonl 2>&1); then \
 		echo "shard-check: FAIL: the merge accepted a row one cell short of its header"; exit 1; \
 	fi; \
 	echo "$$out" | grep -q 'row [0-9]* of table ".*" has [0-9]* cells, its header declares [0-9]*' || \
 		{ echo "shard-check: FAIL: the merge failed without naming the ragged row:"; echo "$$out"; exit 1; }; \
 	mv shard-check/intact.jsonl "$$f"; echo "shard-check: ragged row refused: $$out"
-	$(GO) run ./cmd/figures -out shard-check/sharded -merge -jsonl
-	$(GO) run ./cmd/figures -out shard-check/single -only '$(SHARD_KEYS)' -jsonl
-	@for f in shard-check/single/*.csv shard-check/single/*.jsonl; do \
-		diff "$$f" "shard-check/sharded/$$(basename $$f)" || exit 1; \
+	shard-check/figures -out shard-check/single -only '$(SHARD_KEYS)' -jsonl
+	@for n in 2 5; do \
+		shard-check/figures -out shard-check/sharded$$n -merge -jsonl || exit 1; \
+		for f in shard-check/single/*.csv shard-check/single/*.jsonl; do \
+			diff "$$f" "shard-check/sharded$$n/$$(basename $$f)" || exit 1; \
+		done; \
+		echo "shard-check: merged $$n-shard output is byte-identical to the single-process run"; \
 	done
-	@echo "shard-check: merged shard output is byte-identical to the single-process run"
 	rm -rf shard-check
 
 ## collector-check: streaming-collector smoke — boot collectd, run the

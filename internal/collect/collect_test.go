@@ -53,12 +53,12 @@ func singleProcessCSV(t *testing.T, key string) []byte {
 	return buf.Bytes()
 }
 
-// runShard streams every test experiment as one shard pushing to the
+// runShard streams the experiments keys as one shard pushing to the
 // collector at base, journaling to journalPath (resuming if asked), and
 // returns the shard's evaluation counter. extraSink, when non-nil, is
 // composed into every experiment's fan-out (tests inject crashes
 // through it).
-func runShard(t *testing.T, base string, shard experiments.Shard, journalPath string,
+func runShard(t *testing.T, base string, keys []string, shard experiments.Shard, journalPath string,
 	resume bool, metricWait time.Duration, extraSink experiments.RowSink) (evals int64, runErr error) {
 	t.Helper()
 	s := tinyScale()
@@ -81,7 +81,7 @@ func runShard(t *testing.T, base string, shard experiments.Shard, journalPath st
 	if resume {
 		s.Resume = j
 	}
-	for _, key := range testKeys {
+	for _, key := range keys {
 		sink := experiments.MultiSink{client.Sink(fileStem(key)), experiments.NewJournalSink(j)}
 		if extraSink != nil {
 			sink = append(sink, extraSink)
@@ -124,7 +124,7 @@ func TestCollectedByteIdenticalAndSplitWork(t *testing.T) {
 		go func(idx int) {
 			defer wg.Done()
 			dir := t.TempDir()
-			n, err := runShard(t, ts.URL, experiments.Shard{Index: idx, Count: 2},
+			n, err := runShard(t, ts.URL, testKeys, experiments.Shard{Index: idx, Count: 2},
 				filepath.Join(dir, "j.jsonl"), false, 15*time.Second, nil)
 			if err != nil {
 				t.Errorf("shard %d: %v", idx, err)
@@ -151,11 +151,18 @@ func TestCollectedByteIdenticalAndSplitWork(t *testing.T) {
 			t.Errorf("%s: collected CSV differs from single-process run:\n%s\nwant:\n%s", key, got, want)
 		}
 	}
-	// Work-splitting: the two shards together simulate each point once;
-	// round-robin keeps them within one point of half each.
+	// Work-splitting: the two shards together simulate each point once,
+	// each exactly the points it owns. A shard owns whole groups:
+	// figure5's IF and IB rows (two cache sizes each) are shard 0's, its
+	// PB rows shard 1's; refined-e's six single points alternate.
 	total = evals[0] + evals[1]
-	if diff := evals[0] - evals[1]; diff < -1 || diff > 1 {
-		t.Errorf("shards simulated %d and %d points; want an even split of %d", evals[0], evals[1], total)
+	if evals[0] != 4+3 || evals[1] != 2+3 {
+		t.Errorf("shards simulated %d and %d points; want 4+3 and 2+3 (figure5's and refined-e's they own)", evals[0], evals[1])
+	}
+	// Whatever the owners, the split stays within one group: figure5's
+	// groups are two rows, the largest any round of these tables holds.
+	if d := evals[0] - evals[1]; d < -2 || d > 2 {
+		t.Errorf("shards simulated %d and %d points; want them within 2, figure5's group size", evals[0], evals[1])
 	}
 
 	// The unsharded reference count comes from a counter-equipped run.
@@ -247,55 +254,67 @@ func (c *crashSink) Row([]string) error {
 // rows were already pushed) restarts, re-registers, and replays; the
 // collector ends with every row exactly once and the CSVs stay
 // byte-identical. The push-session reset plus (table, index) dedupe is
-// what makes the whole-log replay safe.
+// what makes the whole-log replay safe. refined-esigma runs on its own
+// too, its shard 0 dying inside the second of its two groups of one e.
 func TestShardDiesMidPushAndResumes(t *testing.T) {
-	srv := NewServer(2)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		keys  []string
+		allow int // rows shard 0 emits before it dies
+	}{
+		{testKeys, 5},
+		{[]string{"refined-esigma"}, 4},
+	} {
+		t.Run(strings.Join(tc.keys, ","), func(t *testing.T) {
+			srv := NewServer(2)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	dir := t.TempDir()
-	j0 := filepath.Join(dir, "j0.jsonl")
+			dir := t.TempDir()
+			j0 := filepath.Join(dir, "j0.jsonl")
 
-	// Shard 0 dies after 5 rows of the first experiment. The partial
-	// push log drains on Close (which reports the aborted sweep's
-	// remainder as the stream error we injected, not a client failure).
-	// The shards here run sequentially, so foreign-metric polls against
-	// the not-yet-run peer must time out fast and fall back locally.
-	const wait = 300 * time.Millisecond
-	if _, err := runShard(t, ts.URL, experiments.Shard{Index: 0, Count: 2}, j0, false,
-		wait, &crashSink{allow: 5}); !errors.Is(err, errCrash) {
-		t.Fatalf("crashed shard run returned %v, want the injected crash", err)
-	}
+			// Shard 0 dies after tc.allow rows. The partial push log
+			// drains on Close (which reports the aborted sweep's
+			// remainder as the stream error we injected, not a client
+			// failure). The shards here run sequentially, so
+			// foreign-metric polls against the not-yet-run peer must
+			// time out fast and fall back locally.
+			const wait = 300 * time.Millisecond
+			if _, err := runShard(t, ts.URL, tc.keys, experiments.Shard{Index: 0, Count: 2}, j0, false,
+				wait, &crashSink{allow: tc.allow}); !errors.Is(err, errCrash) {
+				t.Fatalf("crashed shard run returned %v, want the injected crash", err)
+			}
 
-	// Shard 1 runs to completion meanwhile.
-	if _, err := runShard(t, ts.URL, experiments.Shard{Index: 1, Count: 2},
-		filepath.Join(dir, "j1.jsonl"), false, wait, nil); err != nil {
-		t.Fatalf("shard 1: %v", err)
-	}
+			// Shard 1 runs to completion meanwhile.
+			if _, err := runShard(t, ts.URL, tc.keys, experiments.Shard{Index: 1, Count: 2},
+				filepath.Join(dir, "j1.jsonl"), false, wait, nil); err != nil {
+				t.Fatalf("shard 1: %v", err)
+			}
 
-	// Shard 0 restarts with -resume: journal replay re-emits the
-	// completed prefix through the sinks (repopulating the push log
-	// from index zero), the fresh hello resets the push session, and
-	// the dedupe absorbs the overlap.
-	if _, err := runShard(t, ts.URL, experiments.Shard{Index: 0, Count: 2}, j0, true, wait, nil); err != nil {
-		t.Fatalf("resumed shard 0: %v", err)
-	}
+			// Shard 0 restarts with -resume: journal replay re-emits the
+			// completed prefix through the sinks (repopulating the push
+			// log from index zero), the fresh hello resets the push
+			// session, and the dedupe absorbs the overlap.
+			if _, err := runShard(t, ts.URL, tc.keys, experiments.Shard{Index: 0, Count: 2}, j0, true, wait, nil); err != nil {
+				t.Fatalf("resumed shard 0: %v", err)
+			}
 
-	select {
-	case <-srv.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("collector never saw both shards done")
-	}
-	out := t.TempDir()
-	if err := srv.WriteTables(out); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range testKeys {
-		want := singleProcessCSV(t, key)
-		got := collectedCSV(t, out, key)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: CSV after crash+resume differs from single-process run:\n%s\nwant:\n%s", key, got, want)
-		}
+			select {
+			case <-srv.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatal("collector never saw both shards done")
+			}
+			out := t.TempDir()
+			if err := srv.WriteTables(out); err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range tc.keys {
+				want := singleProcessCSV(t, key)
+				got := collectedCSV(t, out, key)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: CSV after crash+resume differs from single-process run:\n%s\nwant:\n%s", key, got, want)
+				}
+			}
+		})
 	}
 }
 

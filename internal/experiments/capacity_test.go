@@ -95,11 +95,13 @@ func TestGroupCounts(t *testing.T) {
 }
 
 // TestCapacityGroupsHoldOwnedRows: a shard groups only the rows it
-// owns — shard 0 of 2 owns two cache sizes of each of figure5's
-// policies here, and refined-esigma's e rows split their sigmas between
-// the shards — and a resumed shard only the rows its journal lacks;
-// either way the merged journals are the unsharded stream, byte for
-// byte.
+// owns, and it owns whole groups — of figure5's three policies here
+// shard 0 owns IF's and IB's cache sizes (IF's seed falls back) and
+// shard 1 PB's, one pass each, and each e row of refined-esigma's
+// coarse round keeps its sigmas on one shard, two e rows on shard 0 and
+// one on shard 1 — and a resumed shard groups only the rows its journal
+// lacks; either way the merged journals are the unsharded stream, byte
+// for byte.
 func TestCapacityGroupsHoldOwnedRows(t *testing.T) {
 	base := tinyScale()
 	base.CacheFractions = []float64{0.005, 0.02, 0.05, 0.1}
@@ -108,8 +110,8 @@ func TestCapacityGroupsHoldOwnedRows(t *testing.T) {
 		key  string
 		want [2][3]int64 // per shard: passes, fallbacks, shared
 	}{
-		{"figure5", [2][3]int64{{2, 1, 0}, {2, 1, 0}}},
-		{"refined-esigma", [2][3]int64{{0, 0, 2}, {0, 0, 1}}},
+		{"figure5", [2][3]int64{{1, 1, 0}, {1, 0, 0}}},
+		{"refined-esigma", [2][3]int64{{0, 0, 4}, {0, 0, 2}}},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
 			var want bytes.Buffer

@@ -17,9 +17,11 @@
 //     from the config seed via sim.SplitSeed), and a reorder buffer
 //     (par.ForOrdered) sequences out-of-order worker completions;
 //   - every Scale.Shard.Count: rows carry stable global indices (their
-//     position in the unsharded stream), shards own indices round-robin
-//     (index mod Count), and MergeShards reassembles the exact
-//     unsharded byte stream from per-shard JSONL outputs or journals;
+//     position in the unsharded stream), shards own each round's groups
+//     whole — its rows with one share key — by a pure function of the
+//     round (a round of lone rows round robin, index mod Count), and
+//     MergeShards reassembles the exact unsharded byte stream from
+//     per-shard JSONL outputs or journals;
 //   - resumed runs: a Journal checkpoints completed rows under the key
 //     (table name, global index), and a run restarted with Scale.Resume
 //     replays them — including the full-precision refinement metrics

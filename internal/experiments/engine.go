@@ -113,13 +113,15 @@ func staticPlan(meta TableMeta, rows [][]string) *plan {
 	return p
 }
 
-// run streams the plan: the coarse round in row order — a full barrier,
+// run streams the plan round by round through round, which evaluates
+// the points of one round (global indices base..base+len(pts)-1) and
+// returns their samples: the coarse round in row order — a full barrier,
 // since refinement decisions are keyed on the complete coarse response —
 // then rounds of at most refineRoundPoints points the refiner picks from
 // every completed sample, until the budget is spent or the refiner has
 // nothing left to resolve. Global row indices continue across rounds.
-func (p *plan) run(x exec, emit func(r MetricRow) error) error {
-	samples, err := evalRound(x, p.coarse, 0, p.refine != nil, "coarse", emit)
+func (p *plan) run(x exec, round func(pts []planPoint, base int, source string) ([]sample, error)) error {
+	samples, err := round(p.coarse, 0, "coarse")
 	if err != nil || p.refine == nil {
 		return err
 	}
@@ -129,13 +131,13 @@ func (p *plan) run(x exec, emit func(r MetricRow) error) error {
 		if err != nil || len(picks) == 0 {
 			return err
 		}
-		round := make([]planPoint, len(picks))
+		pts := make([]planPoint, len(picks))
 		for i, coords := range picks {
-			if round[i], err = p.at(coords); err != nil {
+			if pts[i], err = p.at(coords); err != nil {
 				return err
 			}
 		}
-		refined, err := evalRound(x, round, next, true, "refined", emit)
+		refined, err := round(pts, next, "refined")
 		if err != nil {
 			return err
 		}
@@ -182,17 +184,18 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 	// them together by share key, one key after another over the whole
 	// worker budget; each point's eval then takes its answer through
 	// sim.Run. Pure scheduling: rows are identical for any split.
+	owned := x.Shard.owned(pts, base)
 	phase := func(own bool) error {
 		var is []int // the phase's offsets into the round, in index order
 		for i := range pts {
-			if x.Shard.owns(base+i) == own {
+			if owned[i] == own {
 				is = append(is, i)
 			}
 		}
 		workers := x.parallelism()
 		answered := 0
 		if own {
-			answered = x.Arena.ScorePending(x.simulated(pts, base, adaptive), workers)
+			answered = x.Arena.ScorePending(x.simulated(pts, owned, base, adaptive), workers)
 		}
 		inner := max(1, workers/max(1, len(is)-answered))
 		return streamOrdered(workers, len(is), func(j int) (MetricRow, error) {
@@ -223,13 +226,14 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 }
 
 // simulated returns the configurations of the flat points among pts
-// (global indices base..base+len(pts)-1) that this process simulates
-// itself: those it owns whose rows resolve cannot answer. A round scores
-// them together, and Declare declares a coarse round's ahead.
-func (x exec) simulated(pts []planPoint, base int, adaptive bool) []sim.Config {
+// (global indices base..base+len(pts)-1; owned is Shard.owned's answer
+// for them) that this process simulates itself: those it owns whose rows
+// resolve cannot answer. A round scores them together, and Declare
+// declares a coarse round's ahead.
+func (x exec) simulated(pts []planPoint, owned []bool, base int, adaptive bool) []sim.Config {
 	var cfgs []sim.Config
 	for i, pt := range pts {
-		if pt.flat == nil || !x.Shard.owns(base+i) {
+		if pt.flat == nil || !owned[i] {
 			continue
 		}
 		if _, ok := x.resolve(pt, base+i, true, adaptive); !ok {
@@ -327,7 +331,10 @@ func stream(s Scale, p *plan, sink RowSink) error {
 		return err
 	}
 	x := exec{Scale: s, table: p.meta.Name, journal: findJournal(sink)}
-	if err := p.run(x, func(row MetricRow) error { return rowlog.Emit(sink, row) }); err != nil {
+	emit := func(row MetricRow) error { return rowlog.Emit(sink, row) }
+	if err := p.run(x, func(pts []planPoint, base int, source string) ([]sample, error) {
+		return evalRound(x, pts, base, p.refine != nil, source, emit)
+	}); err != nil {
 		return err
 	}
 	return sink.End()
@@ -491,7 +498,7 @@ func Declare(s Scale, keys ...string) error {
 			return err
 		}
 		x := exec{Scale: s, table: p.meta.Name}
-		for _, cfg := range x.simulated(p.coarse, 0, p.refine != nil) {
+		for _, cfg := range x.simulated(p.coarse, x.Shard.owned(p.coarse, 0), 0, p.refine != nil) {
 			if err := s.Arena.Declare(cfg); err != nil {
 				return err
 			}

@@ -336,9 +336,12 @@ func TestFixedGridResolvesNoForeignMetrics(t *testing.T) {
 	if n := ex.calls.Load(); n != 0 {
 		t.Errorf("fixed grids made %d ForeignMetric calls, want 0", n)
 	}
-	// 3 of the probe's 6 points, 3 of figure5's 2 fractions x 3 policies.
-	if n := s.Counters.Evaluations.Load(); n != 6 {
-		t.Errorf("shard 1/2 simulated %d points, want the 6 it owns", n)
+	// 3 of the probe's 6 points, and the figure5 points shard 1/2 owns.
+	unsharded := s
+	unsharded.Shard, unsharded.Counters = Shard{}, nil
+	want := 3 + len(ownedIndices(streamedRounds(t, "figure5", unsharded), s.Shard))
+	if n := s.Counters.Evaluations.Load(); n != int64(want) {
+		t.Errorf("shard 1/2 simulated %d points, want the %d it owns", n, want)
 	}
 }
 

@@ -130,7 +130,7 @@ func TestShardedRefinementExchangeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			totalEvals := base.Counters.Evaluations.Load()
-			totalRows := int(totalEvals) // unsharded: every point is one evaluation
+			rounds := streamedRounds(t, key, base)
 
 			for _, count := range []int{1, 2, 5} {
 				for _, par := range []int{1, 8} {
@@ -142,7 +142,7 @@ func TestShardedRefinementExchangeByteIdentical(t *testing.T) {
 
 						var sum int64
 						for idx, n := range evals {
-							want := int64(len(ownedIndices(Shard{Index: idx, Count: count}, totalRows)))
+							want := int64(len(ownedIndices(rounds, Shard{Index: idx, Count: count})))
 							if n != want {
 								t.Errorf("shard %d/%d simulated %d points, want exactly its %d owned",
 									idx, count, n, want)
@@ -384,6 +384,7 @@ func TestEvalRoundOwnedFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 		total := bytes.Count(want.Bytes(), []byte("\n")) - 1 // minus the table line
+		rounds := streamedRounds(t, key, base)
 		// roundStart maps a global index to the first index of its round:
 		// the coarse pass, then refineRoundPoints at a time.
 		roundStart := func(g int) int {
@@ -421,7 +422,7 @@ func TestEvalRoundOwnedFirst(t *testing.T) {
 						t.Fatalf("shard %d: %v", idx, errs[idx])
 					}
 					parts[idx] = &outs[idx]
-					owned := ownedIndices(Shard{Index: idx, Count: count}, total)
+					owned := ownedIndices(rounds, Shard{Index: idx, Count: count})
 					emitted := map[int]bool{}
 					fetches := 0
 					for _, ev := range sh.events {

@@ -50,12 +50,13 @@ type Scale struct {
 	// may add beyond their coarse grid, bisecting the intervals (in 2-D,
 	// the cells) where the metric varies most. 0 disables refinement.
 	RefineBudget int
-	// Shard restricts a run to the subset of rows whose global index
-	// this shard owns (index mod Shard.Count == Shard.Index), so N
-	// independent processes split one sweep. The union of the shards'
-	// rows is bit-identical to the unsharded stream for any Count,
-	// mirroring the Parallelism guarantee; MergeShards reassembles it.
-	// The zero value means unsharded.
+	// Shard restricts a run to the rows this shard owns, so N
+	// independent processes split one sweep: each round's groups (its
+	// rows with one share key) go whole to one shard, a round of lone
+	// rows round robin (index mod Shard.Count == Shard.Index). The union
+	// of the shards' rows is bit-identical to the unsharded stream for
+	// any Count, mirroring the Parallelism guarantee; MergeShards
+	// reassembles it. The zero value means unsharded.
 	Shard Shard
 	// Resume replays rows recorded in a prior (interrupted) run's
 	// journal instead of recomputing them. Open the journal with
@@ -138,23 +139,25 @@ func (s Scale) validate() error {
 // stream — everything except Parallelism, which by the determinism
 // contract cannot change any row. Journals are stamped with it so a
 // resume at a different scale (which would silently splice two
-// incompatible row sets) fails instead.
+// incompatible row sets) fails instead. A sharded run's also names the
+// ownership rule (Shard.rule).
 func (s Scale) Fingerprint() string {
 	return fmt.Sprintf(
 		"objects=%d requests=%d runs=%d seed=%d fractions=%v alpha=%v e=%v sigma=%v trace=%d/%d refine=%d shard=%s",
 		s.Objects, s.Requests, s.Runs, s.Seed, s.CacheFractions, s.AlphaSweep,
 		s.ESweep, s.SigmaSweep, s.TraceEntries, s.TraceServers,
-		s.RefineBudget, s.Shard)
+		s.RefineBudget, s.Shard) + s.Shard.rule()
 }
 
 // RunFingerprint is Fingerprint with the shard identity erased: the
 // identity of the whole distributed run, shared by all of its shards.
 // The collector session is stamped with it — shards of different runs
 // cannot mix — while each shard's journal keeps the shard-specific
-// Fingerprint.
+// Fingerprint. A sharded run's keeps the ownership rule.
 func (s Scale) RunFingerprint() string {
+	rule := s.Shard.rule()
 	s.Shard = Shard{}
-	return s.Fingerprint()
+	return s.Fingerprint() + rule
 }
 
 // totalBytes estimates the unique-object volume for cache sizing. The

@@ -280,16 +280,27 @@ func TestExtensionBaselines(t *testing.T) {
 // are schema: every journal and collector session on disk is stamped
 // with one, and a resume or a shard's hello compares it for equality,
 // so any drift in the format — not only a field added or dropped —
-// orphans them all.
+// orphans them all. A sharded run's name the ownership rule, so the
+// journals and sessions of shards that owned rows by index mod count
+// are refused; an unsharded run's are the format's from before.
 func TestFingerprintGolden(t *testing.T) {
 	s := SmallScale()
-	s.Shard = Shard{Index: 1, Count: 2}
 	const run = "objects=500 requests=10000 runs=2 seed=1 fractions=[0.005 0.02 0.05 0.1 0.169] alpha=[0.5 0.73 1 1.2] " +
 		"e=[0 0.2 0.4 0.6 0.8 1] sigma=[0 0.25 0.55] trace=20000/200 refine=4 shard="
-	if got, want := s.Fingerprint(), run+"1/2"; got != want {
-		t.Errorf("Fingerprint\n got  %s\n want %s", got, want)
-	}
-	if got, want := s.RunFingerprint(), run+"0/1"; got != want {
-		t.Errorf("RunFingerprint\n got  %s\n want %s", got, want)
+	for _, tc := range []struct {
+		shard     Shard
+		fp, runFP string
+	}{
+		{Shard{}, run + "0/1", run + "0/1"},
+		{Shard{Index: 0, Count: 1}, run + "0/1", run + "0/1"},
+		{Shard{Index: 1, Count: 2}, run + "1/2 owners=groups", run + "0/1 owners=groups"},
+	} {
+		s.Shard = tc.shard
+		if got := s.Fingerprint(); got != tc.fp {
+			t.Errorf("Fingerprint\n got  %s\n want %s", got, tc.fp)
+		}
+		if got := s.RunFingerprint(); got != tc.runFP {
+			t.Errorf("RunFingerprint\n got  %s\n want %s", got, tc.runFP)
+		}
 	}
 }

@@ -4,16 +4,22 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"streamcache/internal/sim"
 )
 
 // Sharded execution: a sweep's rows carry stable global indices (their
 // position in the unsharded deterministic stream), and a Shard selects
-// the subset of indices one process computes. Round-robin assignment
-// (index mod Count) keeps every shard's load balanced across the grid's
-// slow and fast regions, and because assignment is a pure function of
-// the index, the union of the shards' outputs is bit-identical to the
-// unsharded stream for any Shard.Count — the multi-process analogue of
-// the Parallelism guarantee. MergeShards reassembles the union.
+// the subset of indices one process computes. A shard owns whole
+// groups, not rows: the flat points of a round that the arena scores
+// together (one share key, sim.GroupOf) all go to one shard, so a
+// sharded sweep replays each group once, as one process does. Every
+// other point is a group of its own, and a round with no shared key is
+// dealt out round robin (index mod Count). Ownership is a pure function
+// of the round's full point list, which every process builds
+// identically, so the union of the shards' outputs is bit-identical to
+// the unsharded stream for any Shard.Count — the multi-process analogue
+// of the Parallelism guarantee. MergeShards reassembles the union.
 
 // Shard identifies one of Count cooperating sweep processes. The zero
 // value (and Count <= 1) means unsharded: this process owns every row.
@@ -23,10 +29,69 @@ type Shard struct {
 	Count int
 }
 
-// owns reports whether this shard computes the row at the given global
-// index.
-func (sh Shard) owns(index int) bool {
-	return sh.Count <= 1 || index%sh.Count == sh.Index
+// owned reports, for each point of a round (global indices
+// base..base+len(pts)-1), whether this shard computes it.
+func (sh Shard) owned(pts []planPoint, base int) []bool {
+	own := make([]bool, len(pts))
+	if sh.Count <= 1 {
+		for i := range own {
+			own[i] = true
+		}
+		return own
+	}
+	for i, o := range owners(pts, base, sh.Count) {
+		own[i] = o == sh.Index
+	}
+	return own
+}
+
+// owners assigns each point of a round to one of count shards. A unit is
+// a group of flat points (sim.GroupOf) or any other single point; units
+// are dealt out round robin in order of first appearance, the u-th to
+// shard (base+u) mod count. In a round of single points u is the point's
+// offset, so such a round is owned index mod count; a round of equal
+// groups deals them out alike, so figure9's groups of one e land where
+// refined-e's and refined-esigma's do. It reads nothing but pts and
+// base: not the arena, the resume journal or the exchange.
+func owners(pts []planPoint, base, count int) []int {
+	var cfgs []sim.Config
+	for _, pt := range pts {
+		if pt.flat != nil {
+			cfgs = append(cfgs, *pt.flat)
+		}
+	}
+	groups := sim.GroupOf(cfgs)
+	ownerOf := map[int]int{} // group id -> its owner
+	owner := make([]int, len(pts))
+	units, flat := 0, 0
+	for i, pt := range pts {
+		g := -1
+		if pt.flat != nil {
+			g, flat = groups[flat], flat+1
+		}
+		if o, ok := ownerOf[g]; ok {
+			owner[i] = o
+			continue
+		}
+		owner[i] = (base + units) % count
+		units++
+		if g >= 0 {
+			ownerOf[g] = owner[i]
+		}
+	}
+	return owner
+}
+
+// rule names the ownership rule in a sharded run's fingerprints. A
+// journal or collector session of shards that owned rows by another rule
+// (index mod count, before shards owned groups) then refuses this
+// binary's shards: mixed, some rows would be owned twice and some by no
+// shard.
+func (sh Shard) rule() string {
+	if sh.Count <= 1 {
+		return ""
+	}
+	return " owners=groups"
 }
 
 func (sh Shard) validate() error {

@@ -6,6 +6,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"streamcache/internal/core"
+	"streamcache/internal/sim"
 )
 
 func TestParseShard(t *testing.T) {
@@ -36,33 +39,91 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
-// ownedIndices returns the ascending global indices sh owns out of n.
-func ownedIndices(sh Shard, n int) []int {
+// round is one round of a plan as the engine evaluated it: its first
+// global index and its points.
+type round struct {
+	base int
+	pts  []planPoint
+}
+
+// streamedRounds streams key at s and returns its rounds in order, as
+// evalRound saw them.
+func streamedRounds(t *testing.T, key string, s Scale) []round {
+	t.Helper()
+	e, ok := ExperimentByKey(key)
+	if !ok {
+		t.Fatalf("unknown experiment %q", key)
+	}
+	if s.Arena == nil {
+		s.Arena = sim.NewArena()
+	}
+	p, err := e.build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := exec{Scale: s, table: p.meta.Name}
+	var rounds []round
+	discard := func(MetricRow) error { return nil }
+	if err := p.run(x, func(pts []planPoint, base int, source string) ([]sample, error) {
+		rounds = append(rounds, round{base, pts})
+		return evalRound(x, pts, base, p.refine != nil, source, discard)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rounds
+}
+
+// ownedIndices returns the ascending global indices sh owns of the
+// rounds, round by round.
+func ownedIndices(rounds []round, sh Shard) []int {
 	var owned []int
-	for g := 0; g < n; g++ {
-		if sh.owns(g) {
-			owned = append(owned, g)
+	for _, r := range rounds {
+		for i, own := range sh.owned(r.pts, r.base) {
+			if own {
+				owned = append(owned, r.base+i)
+			}
 		}
 	}
 	return owned
 }
 
+// TestShardOwnershipPartitions: every point of a round is owned by
+// exactly one shard; points with no group are dealt out round robin from
+// the round's base; the flat points of one share key go to one shard,
+// and each group takes one turn of the round robin.
 func TestShardOwnershipPartitions(t *testing.T) {
-	// Every index is owned by exactly one shard, round-robin.
-	for _, count := range []int{1, 2, 5} {
-		seen := map[int]int{}
-		for idx := 0; idx < count; idx++ {
-			sh := Shard{Index: idx, Count: count}
-			for _, g := range ownedIndices(sh, 17) {
-				if g%count != idx {
-					t.Errorf("shard %v owns %d, want only indices congruent to %d mod %d", sh, g, idx, count)
+	flat := func(p core.Policy, pct float64) planPoint {
+		return planPoint{flat: &sim.Config{Policy: p, CacheBytes: int64(pct * 1e9)}}
+	}
+	pb, ib := core.NewPB(), core.NewIB()
+	single := make([]planPoint, 17)
+	// PB's three sizes are one unit, IB's two another; the static rows
+	// between them are units of their own.
+	grouped := []planPoint{flat(pb, 1), {}, flat(pb, 2), flat(ib, 1), {}, flat(pb, 3), flat(ib, 2), {}}
+	for _, tc := range []struct {
+		pts   []planPoint
+		base  int
+		count int
+		want  []int // nil: index mod count
+	}{
+		{single, 0, 1, nil},
+		{single, 0, 2, nil},
+		{single, 7, 5, nil},
+		{grouped, 0, 2, []int{0, 1, 0, 0, 1, 0, 0, 0}},
+		{grouped, 1, 2, []int{1, 0, 1, 1, 0, 1, 1, 1}},
+		{grouped, 0, 3, []int{0, 1, 0, 2, 0, 0, 2, 1}},
+		{grouped, 2, 3, []int{2, 0, 2, 1, 2, 2, 1, 0}},
+	} {
+		for idx := 0; idx < tc.count; idx++ {
+			sh := Shard{Index: idx, Count: tc.count}
+			for i, own := range sh.owned(tc.pts, tc.base) {
+				want := (tc.base + i) % tc.count
+				if tc.want != nil {
+					want = tc.want[i]
 				}
-				seen[g]++
-			}
-		}
-		for g := 0; g < 17; g++ {
-			if seen[g] != 1 {
-				t.Errorf("count %d: index %d owned by %d shards, want 1", count, g, seen[g])
+				if own != (want == idx) {
+					t.Errorf("base %d, %d shards: shard %d owns point %d = %v, want it owned by shard %d", tc.base, tc.count, idx, i, own, want)
+				}
 			}
 		}
 	}

@@ -50,6 +50,53 @@ func shareKeyOf(cfg Config) (shareKey, bool) {
 	return shareKey{cfg.Workload, cfg.Policy, cfg.Base, cfg.WarmFraction, cfg.Runs, cfg.Seed}, true
 }
 
+// shareOf returns the share key and member of a normalised cfg; ok is
+// false when cfg's answers are never shared (shareKeyOf) or its
+// variability cannot key a map.
+func shareOf(cfg Config) (key shareKey, m Member, ok bool) {
+	key, ok = shareKeyOf(cfg)
+	m = member(cfg.CacheBytes, cfg.Variation)
+	return key, m, ok && dynComparable(m.Variation)
+}
+
+// GroupOf is the one rule for which configurations are scored together:
+// ids[i] is the group of cfgs[i] — the configurations with one share key
+// — numbered in order of first appearance, or -1 for a configuration
+// whose answers are never shared or that fails to normalise.
+// ScorePending makes one call per group, and a sharded sweep hands each
+// group of a round to one shard. It reads nothing but cfgs, so every
+// process that holds the same list computes the same ids.
+func GroupOf(cfgs []Config) []int {
+	ids, _ := groupOf(cfgs)
+	return ids
+}
+
+// groupOf is GroupOf that also returns the cfgs with their defaults set
+// (withDefaults), so ScorePending normalises each cfg once.
+func groupOf(cfgs []Config) (ids []int, norm []Config) {
+	ids, norm = make([]int, len(cfgs)), make([]Config, len(cfgs))
+	seen := map[shareKey]int{}
+	for i, cfg := range cfgs {
+		ids[i] = -1
+		cfg, err := cfg.withDefaults()
+		if err != nil {
+			continue
+		}
+		norm[i] = cfg
+		key, _, ok := shareOf(cfg)
+		if !ok {
+			continue
+		}
+		id, ok := seen[key]
+		if !ok {
+			id = len(seen)
+			seen[key] = id
+		}
+		ids[i] = id
+	}
+	return ids, norm
+}
+
 // shareEntry is what an arena knows of one declared share key: the
 // members declared and not yet claimed by a call, and the answer of
 // every member a call has claimed.
@@ -86,9 +133,8 @@ func (a *Arena) Declare(cfg Config) error {
 // key unless a call has claimed it, and returns the two; ok is false,
 // and nothing is recorded, when cfg's answers are never shared.
 func (a *Arena) declare(cfg Config) (key shareKey, m Member, ok bool) {
-	key, ok = shareKeyOf(cfg)
-	m = member(cfg.CacheBytes, cfg.Variation)
-	if !ok || !dynComparable(m.Variation) {
+	key, m, ok = shareOf(cfg)
+	if !ok {
 		return key, m, false
 	}
 	a.mu.Lock()
@@ -105,39 +151,33 @@ func (a *Arena) declare(cfg Config) (key shareKey, m Member, ok bool) {
 }
 
 // ScorePending is how a round of sweep points is scored together: it
-// declares every cfg (Declare), groups the cfgs by share key in
-// first-appearance order and, one key after another, makes one RunGroup
-// call at the given worker bound for each key that two or more of the
-// cfgs' members still wait on — a call that also scores the key's
-// members other callers declared. Each cfg's Run then takes its answer
-// (a group's error included). A cfg that is never shared, or that fails
-// to normalise, is left alone for its own Run to score or report. It
-// returns how many cfgs have an answer waiting in the arena.
+// declares every cfg (Declare), groups the cfgs (GroupOf) and, one group
+// after another, makes one RunGroup call at the given worker bound for
+// each group that two or more of the cfgs' members still wait on — a
+// call that also scores the key's members other callers declared. Each
+// cfg's Run then takes its answer (a group's error included). A cfg
+// that is never shared, or that fails to normalise, is left alone for
+// its own Run to score or report. It returns how many cfgs have an
+// answer waiting in the arena.
 func (a *Arena) ScorePending(cfgs []Config, parallelism int) (answered int) {
 	type batch struct {
 		key     shareKey
-		cfg     Config   // the first cfg on the key
-		members []Member // every cfg's on the key
+		cfg     Config   // the group's first cfg
+		members []Member // every cfg's in the group
 	}
 	var batches []*batch
-	byKey := map[shareKey]*batch{}
-	for _, cfg := range cfgs {
+	ids, norm := groupOf(cfgs)
+	for i, id := range ids {
+		if id < 0 {
+			continue
+		}
+		cfg := norm[i]
 		cfg.Arena, cfg.Parallelism = a, parallelism
-		cfg, err := cfg.normalize()
-		if err != nil {
-			continue
+		key, m, _ := a.declare(cfg)
+		if id == len(batches) { // ids number groups by first appearance
+			batches = append(batches, &batch{key: key, cfg: cfg})
 		}
-		key, m, ok := a.declare(cfg)
-		if !ok {
-			continue
-		}
-		b := byKey[key]
-		if b == nil {
-			b = &batch{key: key, cfg: cfg}
-			byKey[key] = b
-			batches = append(batches, b)
-		}
-		b.members = append(b.members, m)
+		batches[id].members = append(batches[id].members, m)
 	}
 	for _, b := range batches {
 		var open []Member

@@ -140,6 +140,19 @@ type Config struct {
 }
 
 func (c Config) normalize() (Config, error) {
+	c, err := c.withDefaults()
+	if err != nil || c.Arena != nil {
+		return c, err
+	}
+	// No arena to share: the call gets one of its own, so there is one
+	// replay path; it is garbage when the call returns.
+	c.Arena = NewArena()
+	return c, nil
+}
+
+// withDefaults is normalize without the arena: cfg validated, with
+// every unset field at its default.
+func (c Config) withDefaults() (Config, error) {
 	if c.CacheBytes < 0 {
 		return c, fmt.Errorf("%w: CacheBytes=%d", ErrBadConfig, c.CacheBytes)
 	}
@@ -175,12 +188,6 @@ func (c Config) normalize() (Config, error) {
 	if c.Parallelism < 0 {
 		return c, fmt.Errorf("%w: Parallelism=%d", ErrBadConfig, c.Parallelism)
 	}
-	if c.Arena != nil {
-		return c, nil
-	}
-	// No arena to share: the call gets one of its own, so there is one
-	// replay path; it is garbage when the call returns.
-	c.Arena = NewArena()
 	return c, nil
 }
 

@@ -281,7 +281,24 @@ row K5 internal/sim/share.go 'TestGoldenTables TestDeclaredMembersMatchRun' './i
     'return shareKey{cfg.Workload, cfg.Policy, cfg.Base,' 'return shareKey{cfg.Workload, nil, cfg.Base,'
 row V4 internal/sim/share.go 'TestScorePending TestGroupCounts' './internal/sim ./internal/experiments' \
     'ScorePending groups every configuration under the first one'"'"'s key: that key'"'"'s call scores the others'"'"' capacities with its policy, and their own Runs score them again' \
-    $'\t\tb := byKey[key]\n' $'\t\tb := byKey[key]\n\t\tif len(batches) > 0 {\n\t\t\tb = batches[0]\n\t\t}\n'
+    'batches[id].members = append(batches[id].members, m)' 'batches[0].members = append(batches[0].members, m)'
+
+# --- ownership: shards own groups, not rows -------------------------------------
+#
+# A point belongs to the shard that owns its group (DESIGN.md §4a
+# "Sharding"): owners is a pure function of a round's full point list,
+# computed the same in every process, that deals whole groups out and
+# a round of single points round robin.
+
+row O1 internal/experiments/shard.go TestShardedWorkSumsToSingle ./internal/experiments \
+    'ownership by index again: every group is split across the shards and replayed by each' \
+    $'for i, o := range owners(pts, base, sh.Count) {\n\t\town[i] = o == sh.Index' $'for i := range owners(pts, base, sh.Count) {\n\t\town[i] = (base+i)%sh.Count == sh.Index'
+row O2 internal/experiments/engine.go TestOwnershipIsAFunctionOfTheRound ./internal/experiments \
+    'owners computed from the points the resume journal cannot answer: a resumed shard deals the rest out anew and emits rows another shard owns' \
+    $'\towned := x.Shard.owned(pts, base)\n' $'\towned := make([]bool, len(pts))\n\tvar open []planPoint\n\tvar at []int\n\tfor i, pt := range pts {\n\t\tif _, ok := x.Resume.replay(x.table, base+i); ok {\n\t\t\towned[i] = true\n\t\t} else {\n\t\t\topen, at = append(open, pt), append(at, i)\n\t\t}\n\t}\n\tfor k, own := range x.Shard.owned(open, base) {\n\t\towned[at[k]] = own\n\t}\n'
+row O3 internal/experiments/shard.go 'TestOwnershipIsAFunctionOfTheRound TestShardOwnershipPartitions' ./internal/experiments \
+    'every round deals its units out from shard 0, not from its base: a refinement round of single points is no longer index mod Count' \
+    'owner[i] = (base + units) % count' 'owner[i] = units % count'
 
 # --- sampling: the Zipf guide table is exact ----------------------------------
 
