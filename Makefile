@@ -88,7 +88,9 @@ loc:
 
 ## dead-check: no func under cmd/, internal/ or examples/ is named only
 ## by its own tests — the rule PR 18's reachability pass applied by
-## hand; scripts/dead-allow.txt lists the test hooks kept on purpose.
+## hand — and no exported field of a …Config or …Options struct is set
+## only by tests; scripts/dead-allow.txt lists the test hooks kept on
+## purpose.
 dead-check:
 	@bash scripts/dead-check.sh
 

@@ -110,11 +110,14 @@ func estimatorByName(name string, ewmaAlpha, e float64) (sim.EstimatorFactory, e
 	case "oracle":
 		return nil, nil // sim.Config.Estimators: nil is the oracle mean
 	case "ewma":
-		if ewmaAlpha <= 0 || ewmaAlpha > 1 {
-			return nil, fmt.Errorf("ewma-alpha %v outside (0,1]", ewmaAlpha)
+		if _, err := bandwidth.NewEWMA(ewmaAlpha); err != nil {
+			return nil, fmt.Errorf("ewma-alpha: %w", err)
 		}
 		return sim.EWMAEstimator(ewmaAlpha), nil
 	case "underestimate":
+		if !(e >= 0 && e <= 1) { // NaN fails both
+			return nil, fmt.Errorf("e=%v outside [0,1]", e)
+		}
 		return sim.UnderestimatingOracle(e), nil
 	default:
 		return nil, fmt.Errorf("unknown estimator %q", name)

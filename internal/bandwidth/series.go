@@ -12,12 +12,11 @@ import (
 // measurements (one sample every four minutes over 30-45 hours): an AR(1)
 // process on log-bandwidth around the path mean plus a diurnal component.
 type SeriesConfig struct {
-	Mean        float64       // long-term mean bandwidth, bytes/s
-	Sigma       float64       // stationary std dev of log-bandwidth
-	Phi         float64       // AR(1) coefficient in [0, 1)
-	DiurnalAmp  float64       // relative amplitude of the 24h cycle, in [0, 1)
-	Step        time.Duration // sampling interval (paper: 4 minutes)
-	DiurnalStep time.Duration // period of the diurnal cycle (default 24h)
+	Mean       float64       // long-term mean bandwidth, bytes/s
+	Sigma      float64       // stationary std dev of log-bandwidth
+	Phi        float64       // AR(1) coefficient in [0, 1)
+	DiurnalAmp float64       // relative amplitude of the 24h cycle, in [0, 1)
+	Step       time.Duration // sampling interval (paper: 4 minutes)
 }
 
 // SeriesSample is one point of a bandwidth time series.
@@ -46,10 +45,7 @@ func GenerateSeries(cfg SeriesConfig, rng *rand.Rand, n int) ([]SeriesSample, er
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: series n=%d, want > 0", ErrBadParam, n)
 	}
-	day := cfg.DiurnalStep
-	if day == 0 {
-		day = 24 * time.Hour
-	}
+	const day = 24 * time.Hour
 	// Innovation std dev that yields stationary variance sigma^2.
 	innov := cfg.Sigma * math.Sqrt(1-cfg.Phi*cfg.Phi)
 	// Start the AR process at its stationary distribution.

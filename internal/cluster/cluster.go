@@ -23,9 +23,6 @@ type NodeConfig struct {
 	// Origin is the default origin base URL — the fallback target when
 	// a peer or parent hop fails (must match the proxy's OriginURL).
 	Origin string
-	// VirtualNodes is the ring granularity; 0 means
-	// DefaultVirtualNodes.
-	VirtualNodes int
 	// PeerHeaderTimeout bounds how long a peer or parent may take to
 	// produce response headers before the fetch is demoted to the
 	// origin. Zero means no bound.
@@ -52,7 +49,7 @@ func (cfg NodeConfig) Router() ([]proxy.Upstream, func(proxy.Meta) proxy.Route, 
 			return nil, nil, fmt.Errorf("%w: self index %d outside peers[0,%d)", ErrBadCluster, cfg.Self, len(cfg.Peers))
 		}
 		var err error
-		ring, err = NewRing(len(cfg.Peers), cfg.VirtualNodes)
+		ring, err = NewRing(len(cfg.Peers), DefaultVirtualNodes)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -30,8 +30,6 @@ type TestClusterConfig struct {
 	ParentCacheBytes int64
 	// NewPolicy builds each cache's eviction policy (required).
 	NewPolicy func() core.Policy
-	// CacheOptions are applied to every cache.
-	CacheOptions []core.Option
 	// Shards is the per-node shard count (0 = 1).
 	Shards int
 	// OriginHandler overrides the origin (e.g. a gated or flaky origin
@@ -40,8 +38,6 @@ type TestClusterConfig struct {
 	OriginHandler http.Handler
 	// OriginRate limits the default origin's path (0 = unlimited).
 	OriginRate float64
-	// VirtualNodes is the ring granularity (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// PeerHeaderTimeout bounds peer/parent header latency before a
 	// fetch demotes to the origin.
 	PeerHeaderTimeout time.Duration
@@ -149,14 +145,13 @@ func NewTestCluster(cfg TestClusterConfig) (*TestCluster, error) {
 
 	if cfg.WithParent {
 		p, err := proxy.New(proxy.Config{
-			Catalog:      cfg.Catalog,
-			OriginURL:    tc.originSrv.URL,
-			Shards:       cfg.Shards,
-			CacheBytes:   cfg.ParentCacheBytes,
-			NewPolicy:    cfg.NewPolicy,
-			CacheOptions: cfg.CacheOptions,
-			Now:          cfg.Now,
-			Tier:         "parent",
+			Catalog:    cfg.Catalog,
+			OriginURL:  tc.originSrv.URL,
+			Shards:     cfg.Shards,
+			CacheBytes: cfg.ParentCacheBytes,
+			NewPolicy:  cfg.NewPolicy,
+			Now:        cfg.Now,
+			Tier:       "parent",
 		})
 		if err != nil {
 			tc.Close()
@@ -176,7 +171,6 @@ func NewTestCluster(cfg TestClusterConfig) (*TestCluster, error) {
 		node := NodeConfig{
 			Self:              i,
 			Origin:            tc.originSrv.URL,
-			VirtualNodes:      cfg.VirtualNodes,
 			PeerHeaderTimeout: cfg.PeerHeaderTimeout,
 		}
 		if cfg.Edges > 1 {
@@ -186,14 +180,13 @@ func NewTestCluster(cfg TestClusterConfig) (*TestCluster, error) {
 			node.Parent = tc.parentSrv.URL
 		}
 		pcfg := proxy.Config{
-			Catalog:      cfg.Catalog,
-			OriginURL:    tc.originSrv.URL,
-			Shards:       cfg.Shards,
-			CacheBytes:   edgeCaps[i],
-			NewPolicy:    cfg.NewPolicy,
-			CacheOptions: cfg.CacheOptions,
-			Now:          cfg.Now,
-			Tier:         "edge",
+			Catalog:    cfg.Catalog,
+			OriginURL:  tc.originSrv.URL,
+			Shards:     cfg.Shards,
+			CacheBytes: edgeCaps[i],
+			NewPolicy:  cfg.NewPolicy,
+			Now:        cfg.Now,
+			Tier:       "edge",
 		}
 		if len(node.Peers) > 0 || node.Parent != "" {
 			ups, route, err := node.Router()

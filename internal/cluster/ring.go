@@ -20,14 +20,14 @@ import (
 // ErrBadCluster reports an invalid cluster construction.
 var ErrBadCluster = errors.New("cluster: invalid configuration")
 
-// DefaultVirtualNodes is the ring granularity used when a config leaves
-// VirtualNodes zero: enough points that ownership splits within a few
-// percent of evenly at small node counts, few enough that building a
-// ring stays trivially cheap.
+// DefaultVirtualNodes is the ring granularity every cluster node and
+// the simulated hierarchy use: enough points that ownership splits
+// within a few percent of evenly at small node counts, few enough that
+// building a ring stays trivially cheap.
 const DefaultVirtualNodes = 64
 
 // Ring is a consistent-hash ring over node indices [0, nodes). Each
-// node contributes VirtualNodes points whose positions depend only on
+// node contributes its virtual points, whose positions depend only on
 // the node index, so adding or removing a node moves only the keys
 // that land on the new (or vanished) node's points — roughly 1/N of
 // them — and never reshuffles keys between surviving nodes.

@@ -31,46 +31,36 @@ type point struct {
 	frac float64
 }
 
-// outcome is what one point measured: the Section 3.3 metrics, and the
-// per-tier byte fractions when the point ran the hierarchy (whose
-// cluster-wide traffic reduction is then the one in Metrics).
-type outcome struct {
-	sim.Metrics
-	tiers sim.HierarchyMetrics
-}
-
 // run simulates the point with the given run-level worker bound.
-func (pt point) run(innerParallelism int) (outcome, error) {
+func (pt point) run(innerParallelism int) (sim.Metrics, error) {
 	cfg := pt.HierarchyConfig
 	cfg.Parallelism = innerParallelism
 	if cfg.Levels == 0 {
-		m, err := sim.Run(cfg.Config)
-		return outcome{Metrics: m}, err
+		return sim.Run(cfg.Config)
 	}
-	h, err := sim.RunHierarchy(cfg)
-	return outcome{Metrics: sim.Metrics{TrafficReductionRatio: h.TrafficReductionRatio}, tiers: h}, err
+	return sim.RunHierarchy(cfg)
 }
 
-// column is one metric column: its header name, how to read it off an
-// outcome and the decimals it prints with.
+// column is one metric column: its header name, how to read it off a
+// point's metrics and the decimals it prints with.
 type column struct {
 	name string
 	prec int
-	of   func(outcome) float64
+	of   func(sim.Metrics) float64
 }
 
 // columns is the one table every spec's metric names resolve through:
 // a metric is read and rounded the same way wherever it is reported.
 var columns = []column{
-	{"traffic_reduction", 3, func(o outcome) float64 { return o.TrafficReductionRatio }},
-	{"avg_delay_s", 1, func(o outcome) float64 { return o.AvgServiceDelay }},
-	{"avg_quality", 3, func(o outcome) float64 { return o.AvgStreamQuality }},
-	{"total_value", 1, func(o outcome) float64 { return o.TotalAddedValue }},
-	{"hit_ratio", 3, func(o outcome) float64 { return o.HitRatio }},
-	{"edge_byte_frac", 3, func(o outcome) float64 { return o.tiers.EdgeByteFrac }},
-	{"peer_byte_frac", 3, func(o outcome) float64 { return o.tiers.PeerByteFrac }},
-	{"parent_byte_frac", 3, func(o outcome) float64 { return o.tiers.ParentByteFrac }},
-	{"origin_byte_frac", 3, func(o outcome) float64 { return o.tiers.OriginByteFrac }},
+	{"traffic_reduction", 3, func(m sim.Metrics) float64 { return m.TrafficReductionRatio }},
+	{"avg_delay_s", 1, func(m sim.Metrics) float64 { return m.AvgServiceDelay }},
+	{"avg_quality", 3, func(m sim.Metrics) float64 { return m.AvgStreamQuality }},
+	{"total_value", 1, func(m sim.Metrics) float64 { return m.TotalAddedValue }},
+	{"hit_ratio", 3, func(m sim.Metrics) float64 { return m.HitRatio }},
+	{"edge_byte_frac", 3, func(m sim.Metrics) float64 { return m.EdgeByteFrac }},
+	{"peer_byte_frac", 3, func(m sim.Metrics) float64 { return m.PeerByteFrac }},
+	{"parent_byte_frac", 3, func(m sim.Metrics) float64 { return m.ParentByteFrac }},
+	{"origin_byte_frac", 3, func(m sim.Metrics) float64 { return m.OriginByteFrac }},
 }
 
 func columnByName(name string) (column, error) {
@@ -258,7 +248,7 @@ func (sp spec) compile(s Scale) (*plan, error) {
 		}
 	}
 	p.meta.Header = append(p.meta.Header, sp.metrics...)
-	rank := func(outcome) float64 { return 0 } // a fixed grid ranks nothing
+	rank := func(sim.Metrics) float64 { return 0 } // a fixed grid ranks nothing
 	if len(adaptive) > 0 {
 		p.meta.Header = append(p.meta.Header, "source")
 		c, err := columnByName(sp.refineOn)

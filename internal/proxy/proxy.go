@@ -238,8 +238,6 @@ type Config struct {
 	CacheBytes int64
 	// NewPolicy gives each shard cache its policy (required).
 	NewPolicy func() core.Policy
-	// CacheOptions are applied to every shard cache.
-	CacheOptions []core.Option
 	// Client performs origin fetches; nil means a default http.Client.
 	Client *http.Client
 	// Upstreams names the cluster fetch targets (peers, parent) Router
@@ -278,7 +276,7 @@ func New(cfg Config) (*Proxy, error) {
 		if policy == nil {
 			return nil, fmt.Errorf("%w: NewPolicy returned nil", ErrBadProxy)
 		}
-		c, err := core.New(caps[i], policy, cfg.CacheOptions...)
+		c, err := core.New(caps[i], policy)
 		if err != nil {
 			return nil, err
 		}

@@ -29,8 +29,8 @@ const (
 // the two against each other.
 //
 // Only the oracle estimator is supported (Estimators must be nil):
-// hop pricing is structural — PeerBps/ParentBps price the peer and
-// parent links, the path means price the origin hop — not measured.
+// every tier prices an object by its origin path's mean bandwidth, the
+// paper's utility, whichever hop its misses travel.
 type HierarchyConfig struct {
 	Config
 
@@ -44,31 +44,6 @@ type HierarchyConfig struct {
 	ParentFraction float64
 	// Peering selects edge cooperation ("" means PeeringNone).
 	Peering PeeringPolicy
-	// VirtualNodes is the ownership-ring granularity (0 means
-	// cluster.DefaultVirtualNodes).
-	VirtualNodes int
-	// PeerBps prices the edge-to-owner link for the utility model
-	// (bytes/s; 0 means price the object's origin path instead).
-	PeerBps float64
-	// ParentBps prices the edge-to-parent link likewise.
-	ParentBps float64
-}
-
-// HierarchyMetrics report where each watched byte was served from,
-// averaged over the measurement phase of all runs. The four byte
-// fractions partition 1: every byte a client watched came out of its
-// edge's cache, a peer owner's cache, the parent's cache, or over the
-// origin path.
-type HierarchyMetrics struct {
-	Requests int
-	// TrafficReductionRatio is the cluster-wide figure of merit:
-	// 1 - origin bytes / watched bytes (at one edge and one level it
-	// coincides exactly with Metrics.TrafficReductionRatio).
-	TrafficReductionRatio float64
-	EdgeByteFrac          float64
-	PeerByteFrac          float64
-	ParentByteFrac        float64
-	OriginByteFrac        float64
 }
 
 func (c HierarchyConfig) normalize() (HierarchyConfig, error) {
@@ -110,33 +85,16 @@ func (c HierarchyConfig) normalize() (HierarchyConfig, error) {
 
 // RunHierarchy executes the hierarchy experiment, averaging over
 // cfg.Runs seeded runs exactly like Run (bit-identical at any
-// Parallelism).
-func RunHierarchy(cfg HierarchyConfig) (HierarchyMetrics, error) {
+// Parallelism). It fills Requests, TrafficReductionRatio (the
+// cluster-wide 1 - origin bytes / watched bytes) and the four byte
+// fractions; the other Metrics stay zero.
+func RunHierarchy(cfg HierarchyConfig) (Metrics, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
-		return HierarchyMetrics{}, err
+		return Metrics{}, err
 	}
-	return averageRuns(cfg.Config, "hierarchy run", func(seed int64) (HierarchyMetrics, error) { return hierarchyRunOnce(cfg, seed) },
-		(*HierarchyMetrics).add, (*HierarchyMetrics).over)
-}
-
-func (agg *HierarchyMetrics) add(m HierarchyMetrics) {
-	agg.Requests += m.Requests
-	agg.TrafficReductionRatio += m.TrafficReductionRatio
-	agg.EdgeByteFrac += m.EdgeByteFrac
-	agg.PeerByteFrac += m.PeerByteFrac
-	agg.ParentByteFrac += m.ParentByteFrac
-	agg.OriginByteFrac += m.OriginByteFrac
-}
-
-func (agg *HierarchyMetrics) over(runs int) {
-	n := float64(runs)
-	agg.Requests /= runs
-	agg.TrafficReductionRatio /= n
-	agg.EdgeByteFrac /= n
-	agg.PeerByteFrac /= n
-	agg.ParentByteFrac /= n
-	agg.OriginByteFrac /= n
+	return averageRuns(cfg.Config, "hierarchy run", func(seed int64) (Metrics, error) { return hierarchyRunOnce(cfg, seed) },
+		(*Metrics).add, (*Metrics).over)
 }
 
 // hierarchyRunOnce replays one seeded trace through the modeled
@@ -151,10 +109,10 @@ func (agg *HierarchyMetrics) over(runs int) {
 // post-relay reconciliation truncates the grant), which the model
 // mirrors by undoing an owner's or parent's prefix growth whenever the
 // resume offset lies beyond its stored prefix.
-func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error) {
+func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (Metrics, error) {
 	rp, err := cfg.Arena.replay(cfg.Config, seed)
 	if err != nil {
-		return HierarchyMetrics{}, err
+		return Metrics{}, err
 	}
 
 	// Capacity split: the parent takes its fraction off the top, the
@@ -165,7 +123,7 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 	}
 	edgeCaps := core.SplitCapacity(cfg.CacheBytes-parentBytes, cfg.Edges)
 	if edgeCaps == nil {
-		return HierarchyMetrics{}, fmt.Errorf("%w: edge budget %d over %d edges", ErrBadConfig, cfg.CacheBytes-parentBytes, cfg.Edges)
+		return Metrics{}, fmt.Errorf("%w: edge budget %d over %d edges", ErrBadConfig, cfg.CacheBytes-parentBytes, cfg.Edges)
 	}
 	// Every node's cache comes from the one pooled scratch replayColumns uses:
 	// caches 0..Edges-1 are the edges, cache Edges the parent.
@@ -174,13 +132,13 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 	opts := cfg.cacheOptions(len(rp.objs))
 	for e, capacity := range edgeCaps {
 		if _, err := scratch.cache(e, capacity, cfg.Policy, opts); err != nil {
-			return HierarchyMetrics{}, err
+			return Metrics{}, err
 		}
 	}
 	var parent *core.Cache
 	if cfg.Levels == 2 {
 		if parent, err = scratch.cache(cfg.Edges, parentBytes, cfg.Policy, opts); err != nil {
-			return HierarchyMetrics{}, err
+			return Metrics{}, err
 		}
 	}
 	edges := scratch.caches[:cfg.Edges]
@@ -188,9 +146,9 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 	// rather than once per request; nil without peering.
 	var owners []int32
 	if cfg.Peering == PeeringOwner && cfg.Edges > 1 {
-		ring, err := cluster.NewRing(cfg.Edges, cfg.VirtualNodes)
+		ring, err := cluster.NewRing(cfg.Edges, cluster.DefaultVirtualNodes)
 		if err != nil {
-			return HierarchyMetrics{}, err
+			return Metrics{}, err
 		}
 		scratch.owners = fit(scratch.owners, len(rp.objs))
 		owners = scratch.owners
@@ -201,7 +159,7 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 
 	warm := int(cfg.WarmFraction * float64(len(rp.obj)))
 	var (
-		m                                    HierarchyMetrics
+		m                                    Metrics
 		edgeB, peerB, parentB, originB, totB int64
 	)
 	for i, o := range rp.obj {
@@ -212,26 +170,11 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 		if owners != nil {
 			owner = int(owners[o])
 		}
-
-		// Hop pricing: each cache's utility sees the bandwidth of the
-		// link its misses would actually travel (zero knobs fall back to
-		// the origin path mean).
-		originMean := rp.means[o]
-		edgeEst := originMean
-		switch {
-		case owner != e && cfg.PeerBps > 0:
-			edgeEst = cfg.PeerBps
-		case cfg.Levels == 2 && cfg.ParentBps > 0:
-			edgeEst = cfg.ParentBps
-		}
-		ownerEst := originMean
-		if cfg.Levels == 2 && cfg.ParentBps > 0 {
-			ownerEst = cfg.ParentBps
-		}
+		est := rp.means[o]
 
 		// Edge hop. Local clients always resume from byte 0, so the
 		// edge's granted prefix growth always materializes.
-		res := edges[e].Access(obj, edgeEst, now)
+		res := edges[e].Access(obj, est, now)
 		served := res.HitBytes
 		if served > watched {
 			served = watched
@@ -242,12 +185,12 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (HierarchyMetrics, error)
 		// Owner hop.
 		var reqPeer, reqParent int64
 		if off < watched && owner != e {
-			reqPeer = tierServe(edges[owner], obj, ownerEst, now, off, watched)
+			reqPeer = tierServe(edges[owner], obj, est, now, off, watched)
 			off += reqPeer
 		}
 		// Parent hop.
 		if off < watched && cfg.Levels == 2 {
-			reqParent = tierServe(parent, obj, originMean, now, off, watched)
+			reqParent = tierServe(parent, obj, est, now, off, watched)
 			off += reqParent
 		}
 

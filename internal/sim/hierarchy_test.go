@@ -45,31 +45,37 @@ func TestHierarchyValidation(t *testing.T) {
 
 // TestHierarchySingleNodeMatchesRun pins the hierarchy model to the
 // flat simulator: one edge, one level is the same system, so the
-// traffic reduction ratio must agree bit for bit, not just within
-// tolerance. This is the sim side of the sim-vs-live cross-validation
-// triangle (the live side is cluster's TestClusterHitRatioMatchesSimulator).
+// traffic reduction ratio and all four byte fractions must agree bit
+// for bit, not just within tolerance, at every cache size, with and
+// without partial viewing, at every seed. This is the sim side of the
+// sim-vs-live cross-validation triangle (the live side is cluster's
+// TestClusterHitRatioMatchesSimulator).
 func TestHierarchySingleNodeMatchesRun(t *testing.T) {
-	cfg := hierarchyBase()
-	flat, err := Run(cfg.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := RunHierarchy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.TrafficReductionRatio != flat.TrafficReductionRatio {
-		t.Errorf("hierarchy TRR %v != flat TRR %v (must be exact at 1 edge, 1 level)",
-			h.TrafficReductionRatio, flat.TrafficReductionRatio)
-	}
-	if h.Requests != flat.Requests {
-		t.Errorf("hierarchy measured %d requests, flat %d", h.Requests, flat.Requests)
-	}
-	if h.PeerByteFrac != 0 || h.ParentByteFrac != 0 {
-		t.Errorf("single node served peer=%v parent=%v bytes, want 0", h.PeerByteFrac, h.ParentByteFrac)
-	}
-	if got := h.EdgeByteFrac + h.OriginByteFrac; math.Abs(got-1) > 1e-9 {
-		t.Errorf("edge+origin fractions = %v, want 1", got)
+	for _, partial := range []float64{0, 0.4} {
+		for _, pct := range []float64{0.5, 1, 2, 5, 10} {
+			for _, seed := range []int64{1, 7, 42} {
+				cfg := hierarchyBase()
+				cfg.Workload.PartialViewProb = partial
+				cfg.CacheBytes, cfg.Seed = cachePct(pct), seed
+				flat, err := Run(cfg.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := RunHierarchy(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h.Requests != flat.Requests || h.TrafficReductionRatio != flat.TrafficReductionRatio ||
+					h.EdgeByteFrac != flat.EdgeByteFrac || h.PeerByteFrac != flat.PeerByteFrac ||
+					h.ParentByteFrac != flat.ParentByteFrac || h.OriginByteFrac != flat.OriginByteFrac {
+					t.Errorf("partial=%v cache=%v%% seed=%d: 1x1 hierarchy %+v != flat %+v (must be exact)", partial, pct, seed, h, flat)
+				}
+				if h.PeerByteFrac != 0 || h.ParentByteFrac != 0 {
+					t.Errorf("partial=%v cache=%v%% seed=%d: single node served peer=%v parent=%v bytes, want 0",
+						partial, pct, seed, h.PeerByteFrac, h.ParentByteFrac)
+				}
+			}
+		}
 	}
 }
 
@@ -143,7 +149,7 @@ func TestHierarchyDeterministic(t *testing.T) {
 	cfg.ParentFraction = 0.3
 	cfg.Peering = PeeringOwner
 	cfg.Runs = 3
-	var got []HierarchyMetrics
+	var got []Metrics
 	for _, par := range []int{1, 1, 4} {
 		cfg.Parallelism = par
 		m, err := RunHierarchy(cfg)
@@ -154,29 +160,5 @@ func TestHierarchyDeterministic(t *testing.T) {
 	}
 	if got[0] != got[1] || got[0] != got[2] {
 		t.Errorf("hierarchy metrics differ across runs/parallelism: %+v vs %+v vs %+v", got[0], got[1], got[2])
-	}
-}
-
-// TestHierarchyHopPricing: pricing the peer and parent links should
-// change placement decisions for bandwidth-aware policies without
-// breaking the accounting partition.
-func TestHierarchyHopPricing(t *testing.T) {
-	cfg := hierarchyBase()
-	cfg.Edges = 4
-	cfg.Levels = 2
-	cfg.ParentFraction = 0.4
-	cfg.Peering = PeeringOwner
-	cfg.PeerBps = 10e6
-	cfg.ParentBps = 2e6
-	m, err := RunHierarchy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := m.EdgeByteFrac + m.PeerByteFrac + m.ParentByteFrac + m.OriginByteFrac
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("tier fractions sum to %v, want 1", sum)
-	}
-	if m.TrafficReductionRatio <= 0 || m.TrafficReductionRatio >= 1 {
-		t.Errorf("degenerate TRR %v under hop pricing", m.TrafficReductionRatio)
 	}
 }

@@ -36,11 +36,13 @@ func UnderestimatingOracle(e float64) EstimatorFactory {
 
 // EWMAEstimator returns a passive estimator (Section 2.7) that averages
 // the throughput of completed transfers with the given smoothing factor.
+// Config.normalize cannot see inside a factory, so an alpha that
+// bandwidth.NewEWMA rejects (outside (0, 1], or NaN) panics in the
+// first run that builds an estimator: validate it with NewEWMA first.
 func EWMAEstimator(alpha float64) EstimatorFactory {
 	return func(int, float64) bandwidth.Estimator {
 		e, err := bandwidth.NewEWMA(alpha)
 		if err != nil {
-			// alpha is validated by Config.normalize before any call.
 			panic(fmt.Sprintf("sim: EWMA factory: %v", err))
 		}
 		return e
@@ -192,7 +194,10 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // Metrics are the Section 3.3 performance measures, averaged over the
-// measurement phase of all runs.
+// measurement phase of all runs, and where each watched byte was
+// served from: the four byte fractions partition 1. A flat run is one
+// edge and no upper tier, so its edge fraction is its traffic
+// reduction and its peer and parent fractions are 0.
 type Metrics struct {
 	Requests              int     // measured requests per run
 	TrafficReductionRatio float64 // bytes served from cache / total requested bytes
@@ -201,6 +206,10 @@ type Metrics struct {
 	TotalAddedValue       float64 // dollars earned from immediately-servable requests
 	HitRatio              float64 // fraction of requests finding any cached prefix
 	EvictedBytes          int64   // eviction churn during measurement
+	EdgeByteFrac          float64 // watched bytes served by the client's edge cache
+	PeerByteFrac          float64 // ... by a peer owner's cache
+	ParentByteFrac        float64 // ... by the parent's cache
+	OriginByteFrac        float64 // ... over the origin path
 }
 
 // Run executes the experiment and returns metrics averaged over
@@ -248,6 +257,10 @@ func (agg *Metrics) add(m Metrics) {
 	agg.TotalAddedValue += m.TotalAddedValue
 	agg.HitRatio += m.HitRatio
 	agg.EvictedBytes += m.EvictedBytes
+	agg.EdgeByteFrac += m.EdgeByteFrac
+	agg.PeerByteFrac += m.PeerByteFrac
+	agg.ParentByteFrac += m.ParentByteFrac
+	agg.OriginByteFrac += m.OriginByteFrac
 }
 
 func (agg *Metrics) over(runs int) {
@@ -259,6 +272,10 @@ func (agg *Metrics) over(runs int) {
 	agg.TotalAddedValue /= n
 	agg.HitRatio /= n
 	agg.EvictedBytes /= int64(runs)
+	agg.EdgeByteFrac /= n
+	agg.PeerByteFrac /= n
+	agg.ParentByteFrac /= n
+	agg.OriginByteFrac /= n
 }
 
 // runScratch holds every piece of per-run mutable state — the caches of
@@ -329,7 +346,9 @@ type memberTotals struct {
 }
 
 // metrics averages the sums over the requests measured, whose watched
-// bytes add up to watched.
+// bytes add up to watched. cached and watched are sums of whole byte
+// counts, exact in a float64, so the edge and origin fractions equal a
+// one-edge hierarchy run's, which divides the same integers.
 func (t memberTotals) metrics(requests int, watched float64) Metrics {
 	m := Metrics{Requests: requests, TotalAddedValue: t.value, EvictedBytes: t.evicted}
 	if requests > 0 {
@@ -339,6 +358,8 @@ func (t memberTotals) metrics(requests int, watched float64) Metrics {
 	}
 	if watched > 0 {
 		m.TrafficReductionRatio = t.cached / watched
+		m.EdgeByteFrac = m.TrafficReductionRatio
+		m.OriginByteFrac = (watched - t.cached) / watched
 	}
 	return m
 }
@@ -361,8 +382,8 @@ func (t memberTotals) metrics(requests int, watched float64) Metrics {
 // (TestHierarchySingleNodeMatchesRun pins the two bit-equal) and shares
 // its tape and scratch, but stays a loop of its own because folding
 // them is not free: each loop computes what the other never needs
-// (delay, quality, value and estimator feedback here; hop pricing, the
-// owner and parent hops and per-tier byte counters there). Measured on
+// (delay, quality, value and estimator feedback here; the owner and
+// parent hops and per-tier byte counters there). Measured on
 // a 2-vCPU guest with both on one tape and one scratch, separately the
 // two are equally fast: the ladder's sim.hierarchy_1x1_req_per_s /
 // sim.run_req_per_s read 15.4M / 19.2M = 0.80 and 18.6M / 18.1M = 1.03

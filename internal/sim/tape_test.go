@@ -62,12 +62,14 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 			Workload: testWorkload(), CacheBytes: cachePct(5), Policy: core.NewPB(),
 			Variation: bandwidth.NLANRVariability(), Runs: 3, Seed: 42,
 		}, golden: &Metrics{Requests: 5000, TrafficReductionRatio: 0x1.4b3bbbf7206a8p-04, AvgServiceDelay: 0x1.0e91de2c30e83p+10,
-			AvgStreamQuality: 0x1.cad4cd1c19044p-01, TotalAddedValue: 0x1.292f5e0515dadp+14, HitRatio: 0x1.788f1641434f9p-03, EvictedBytes: 3594095080}},
+			AvgStreamQuality: 0x1.cad4cd1c19044p-01, TotalAddedValue: 0x1.292f5e0515dadp+14, HitRatio: 0x1.788f1641434f9p-03, EvictedBytes: 3594095080,
+			EdgeByteFrac: 0x1.4b3bbbf7206a8p-04, OriginByteFrac: 0x1.d69888811bf2bp-01}},
 		flatCase{name: "golden/gds-ewma-partial", cfg: Config{
 			Workload: partial, CacheBytes: cachePct(2), Policy: core.NewGDS(),
 			Variation: bandwidth.MeasuredVariability(), Estimators: EWMAEstimator(0.3), Runs: 2, Seed: 7,
 		}, golden: &Metrics{Requests: 5000, TrafficReductionRatio: 0x1.50bf5db7a7845p-04, AvgServiceDelay: 0x1.59173acd52717p+10,
-			AvgStreamQuality: 0x1.b6cff73e727cp-01, TotalAddedValue: 0x1.1b206133022aep+14, HitRatio: 0x1.03e425aee632p-03, EvictedBytes: 705926916473}},
+			AvgStreamQuality: 0x1.b6cff73e727cp-01, TotalAddedValue: 0x1.1b206133022aep+14, HitRatio: 0x1.03e425aee632p-03, EvictedBytes: 705926916473,
+			EdgeByteFrac: 0x1.50bf5db7a7845p-04, OriginByteFrac: 0x1.d5e814490b0f8p-01}},
 	)
 
 	shared := NewArena()
@@ -96,17 +98,17 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 	hierarchies := []struct {
 		name   string
 		cfg    HierarchyConfig
-		golden HierarchyMetrics
+		golden Metrics
 	}{
 		{"1x1", HierarchyConfig{Config: base, Edges: 1, Levels: 1},
-			HierarchyMetrics{Requests: 5000, TrafficReductionRatio: 0x1.17cfc135be294p-04, EdgeByteFrac: 0x1.17cfc135be294p-04,
+			Metrics{Requests: 5000, TrafficReductionRatio: 0x1.17cfc135be294p-04, EdgeByteFrac: 0x1.17cfc135be294p-04,
 				OriginByteFrac: 0x1.dd0607d9483aep-01}},
-		{"4x1 owner-peered", HierarchyConfig{Config: base, Edges: 4, Levels: 1, Peering: PeeringOwner, PeerBps: 40 << 10},
-			HierarchyMetrics{Requests: 5000, TrafficReductionRatio: 0x1.23e3545b91b88p-04, EdgeByteFrac: 0x1.cea4d60501baep-06,
-				PeerByteFrac: 0x1.60743db4a2938p-05, OriginByteFrac: 0x1.db8395748dc8fp-01}},
-		{"4x2", HierarchyConfig{Config: base, Edges: 4, Levels: 2, ParentFraction: 0.4, Peering: PeeringOwner, PeerBps: 40 << 10, ParentBps: 30 << 10},
-			HierarchyMetrics{Requests: 5000, TrafficReductionRatio: 0x1.09811e3f3cdf8p-03, EdgeByteFrac: 0x1.1e3a0db6f1db2p-05,
-				PeerByteFrac: 0x1.31e810c163b2ep-04, ParentByteFrac: 0x1.47f493867479fp-06, OriginByteFrac: 0x1.bd9fb87030c82p-01}},
+		{"4x1 owner-peered", HierarchyConfig{Config: base, Edges: 4, Levels: 1, Peering: PeeringOwner},
+			Metrics{Requests: 5000, TrafficReductionRatio: 0x1.06676d6c1f5d5p-04, EdgeByteFrac: 0x1.fbc971d729ff1p-06,
+				PeerByteFrac: 0x1.0eea21eca9bb1p-05, OriginByteFrac: 0x1.df3312527c146p-01}},
+		{"4x2", HierarchyConfig{Config: base, Edges: 4, Levels: 2, ParentFraction: 0.4, Peering: PeeringOwner},
+			Metrics{Requests: 5000, TrafficReductionRatio: 0x1.ee92301033c46p-05, EdgeByteFrac: 0x1.b85d8f97c8117p-06,
+				PeerByteFrac: 0x1.6d205d1770d87p-06, ParentByteFrac: 0x1.6f4ce6e25d3dbp-07, OriginByteFrac: 0x1.e116dcfefcc3cp-01}},
 	}
 	for _, h := range hierarchies {
 		private, err := RunHierarchy(h.cfg)

@@ -160,20 +160,26 @@ func ReadAll(r io.Reader) ([]Entry, error) {
 	return out, nil
 }
 
-// GenConfig parameterizes synthetic log generation.
+// GenConfig parameterizes synthetic log generation. Object sizes are
+// uniform on [genMinBytes, AnalysisMinBytes) for the small fraction and
+// on [AnalysisMinBytes, genMaxBytes) for the rest; timestamps start at
+// 0 and arrive as a Poisson process of genRate requests/s.
 type GenConfig struct {
 	Entries       int                   // number of log lines
 	Servers       int                   // number of distinct origin servers (paths)
 	Base          bandwidth.Model       // per-server mean bandwidth
 	Variation     bandwidth.Variability // per-request sample-to-mean ratio
-	MinBytes      int64                 // smallest object (default 4 KB)
-	MaxBytes      int64                 // largest object (default 8 MB)
 	HitFraction   float64               // fraction of TCP_HIT lines (excluded by analysis)
 	SmallFraction float64               // fraction of sub-200KB objects (excluded by analysis)
-	RequestRate   float64               // requests/s for timestamps (default 10)
-	StartTime     float64               // unix time of the first entry
 	Seed          int64
 }
+
+// The generated log's size range and request rate.
+const (
+	genMinBytes = 4 * units.KB
+	genMaxBytes = 8 * units.MB
+	genRate     = 10
+)
 
 // Generate synthesizes a Squid log. Each origin server is assigned a mean
 // bandwidth from Base; each request to it observes mean x Variation ratio,
@@ -198,37 +204,21 @@ func Generate(cfg GenConfig) ([]Entry, error) {
 	if cfg.SmallFraction < 0 || cfg.SmallFraction >= 1 {
 		return nil, fmt.Errorf("%w: small fraction=%v, want in [0,1)", ErrBadConfig, cfg.SmallFraction)
 	}
-	minBytes := cfg.MinBytes
-	if minBytes <= 0 {
-		minBytes = 4 * units.KB
-	}
-	maxBytes := cfg.MaxBytes
-	if maxBytes <= 0 {
-		maxBytes = 8 * units.MB
-	}
-	if maxBytes <= AnalysisMinBytes || minBytes >= AnalysisMinBytes {
-		return nil, fmt.Errorf("%w: byte range [%d,%d] must straddle the %d analysis threshold",
-			ErrBadConfig, minBytes, maxBytes, AnalysisMinBytes)
-	}
-	rate := cfg.RequestRate
-	if rate <= 0 {
-		rate = 10
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	paths := make([]bandwidth.Path, cfg.Servers)
 	for i := range paths {
 		paths[i] = bandwidth.Path{MeanRate: cfg.Base.Sample(rng), Variation: cfg.Variation}
 	}
 	entries := make([]Entry, 0, cfg.Entries)
-	now := cfg.StartTime
+	var now float64
 	for i := 0; i < cfg.Entries; i++ {
-		now += rng.ExpFloat64() / rate
+		now += rng.ExpFloat64() / genRate
 		srv := rng.Intn(cfg.Servers)
 		var size int64
 		if rng.Float64() < cfg.SmallFraction {
-			size = minBytes + rng.Int63n(AnalysisMinBytes-minBytes)
+			size = genMinBytes + rng.Int63n(AnalysisMinBytes-genMinBytes)
 		} else {
-			size = AnalysisMinBytes + rng.Int63n(maxBytes-AnalysisMinBytes)
+			size = AnalysisMinBytes + rng.Int63n(genMaxBytes-AnalysisMinBytes)
 		}
 		action := ActionMiss
 		throughput := paths[srv].Instant(rng)

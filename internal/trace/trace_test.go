@@ -145,8 +145,6 @@ func TestGenerateValidation(t *testing.T) {
 		{name: "hit fraction 1", mutate: func(c *GenConfig) { c.HitFraction = 1 }},
 		{name: "negative hit fraction", mutate: func(c *GenConfig) { c.HitFraction = -0.1 }},
 		{name: "small fraction 1", mutate: func(c *GenConfig) { c.SmallFraction = 1 }},
-		{name: "bytes below threshold", mutate: func(c *GenConfig) { c.MaxBytes = 100 * units.KB }},
-		{name: "min above threshold", mutate: func(c *GenConfig) { c.MinBytes = 300 * units.KB }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -253,6 +253,16 @@ row V3 internal/sim/capacity.go TestGroupMatchesRun ./internal/sim \
     'each member indexes its column per request or per object as member 0 does (no table mixes the two in one group)' \
     $'\t\t\tcols[k] = cfg.Arena.column(one, seed, rp)\n' $'\t\t\tcols[k] = cfg.Arena.column(one, seed, rp)\n\t\t\tcols[k].perRequest = cols[0].perRequest\n'
 
+# --- the exact partition: a flat run is a one-edge hierarchy --------------------
+#
+# sim.Metrics carries the four byte fractions for both simulators; a flat
+# run derives edge and origin from the whole-byte sums the hierarchy
+# divides, so a 1x1 hierarchy run and a flat run agree bit for bit.
+
+row P1 internal/sim/sim.go TestHierarchySingleNodeMatchesRun ./internal/sim \
+    'a flat run'"'"'s origin fraction is 1 - cached/watched, not (watched - cached)/watched: off by an ulp in a few cells of the grid (no table prints a flat run'"'"'s origin fraction)' \
+    'm.OriginByteFrac = (watched - t.cached) / watched' 'm.OriginByteFrac = 1 - m.TrafficReductionRatio'
+
 # --- answers across tables: one call scores what later calls ask for --------
 #
 # A RunGroup call on a declared share key scores every declared member
