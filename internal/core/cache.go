@@ -58,22 +58,25 @@ func WithExpectedObjects(n int) Option { return expectedObjectsOption(n) }
 // any number of caches.
 //
 // Memory layout (DESIGN.md section on the hot path): object IDs index
-// dense slice-backed tables (entries and access stats), so the per-access
-// cost is two slice loads instead of two map lookups, and the eviction
-// heap stores plain int32 IDs ordered by a specialized comparison — no
-// boxed values, no interface dispatch. IDs must therefore be small,
-// non-negative and densely assigned (the workload generator's 0..N-1
-// scheme); table memory grows with the largest ID seen.
+// dense slice-backed tables, so the per-access cost is a slice load
+// instead of a map lookup, and the eviction heap stores plain int32 IDs
+// ordered by a specialized comparison — no boxed values, no interface
+// dispatch. An access touches one 40-byte hot entry (prefix size,
+// utility, frequency, last request, heap position); the Object itself
+// lives in a cold table that only insertion, Contents and the invariant
+// check read. IDs must therefore be small, non-negative and densely
+// assigned (the workload generator's 0..N-1 scheme); table memory grows
+// with the largest ID seen.
 type Cache struct {
 	capacity      int64
 	used          int64
 	policy        Policy
-	aging         bool          // Ages(policy): keys add inflation
-	inflation     float64       // GreedyDual's L, raised to each victim's utility
-	ents          []entry       // indexed by object ID; bytes > 0 ⇔ cached
-	stats         []AccessStats // indexed by object ID
-	heap          []int32       // cached object IDs, min-heap on (utility, lastAccess)
-	victims       []Victim      // scratch reused across Access calls
+	aging         bool     // Ages(policy): keys add inflation
+	inflation     float64  // GreedyDual's L, raised to each victim's utility
+	ents          []entry  // indexed by object ID; bytes > 0 ⇔ cached
+	objs          []Object // indexed by object ID; objs[id] is current while ents[id] is cached
+	heap          []int32  // cached object IDs, min-heap on (utility, last)
+	victims       []Victim // scratch reused across Access calls
 	wholeEviction bool
 }
 
@@ -102,8 +105,7 @@ func (c *Cache) Reset(capacity int64, policy Policy, opts ...Option) error {
 	if policy == nil {
 		return fmt.Errorf("%w: nil policy", ErrBadCache)
 	}
-	clear(c.ents)
-	clear(c.stats)
+	clear(c.ents) // objs needs no clearing: it is read only for cached entries
 	c.heap = c.heap[:0]
 	c.victims = c.victims[:0]
 	c.used = 0
@@ -135,9 +137,9 @@ func (c *Cache) ensure(id int) {
 	ents := make([]entry, n)
 	copy(ents, c.ents)
 	c.ents = ents
-	stats := make([]AccessStats, n)
-	copy(stats, c.stats)
-	c.stats = stats
+	objs := make([]Object, n)
+	copy(objs, c.objs)
+	c.objs = objs
 }
 
 // Victim records bytes evicted from one object during an access.
@@ -174,68 +176,66 @@ type AccessResult struct {
 //
 // The steady-state hot path (hits and byte-granular evictions) performs
 // no heap allocations; see the AllocsPerRun regression tests.
-func (c *Cache) Access(obj Object, bw float64, now float64) AccessResult {
+func (c *Cache) Access(obj Object, bw float64, now float64) (r AccessResult) {
+	r.HitBytes, r.CachedAfter, r.Target, r.EvictedBytes, r.Victims = c.AccessWithTarget(obj, c.policy.Target(obj, bw), bw, now)
+	return r
+}
+
+// AccessWithTarget is Access with the policy's target for obj at bw
+// supplied by the caller, and with AccessResult's fields returned as
+// values, in field order: the prefix the request found, the prefix
+// after the access, the target clamped to [0, obj.Size], the bytes
+// evicted and the victims (which alias a scratch buffer, as
+// AccessResult.Victims does). target must be
+// c.Policy().Target(obj, bw) for the access to be Access's. A caller
+// whose bandwidth for an object never changes — a simulation under
+// the oracle estimator — computes each object's target once instead
+// of once per request.
+//
+// The values come back in registers. A caller that receives an
+// AccessResult instead spills it to the stack and copies it there in
+// 16-byte moves over the 8-byte stores of its fields, a
+// store-forwarding stall per call; the simulator's loops read the
+// values (DESIGN.md §5a).
+func (c *Cache) AccessWithTarget(obj Object, target int64, bw float64, now float64) (hit, after, clamped, evicted int64, victims []Victim) {
 	id := obj.ID
 	c.ensure(id)
-	st := &c.stats[id]
-	st.Freq++
-	st.LastAccess = now
-
 	e := &c.ents[id]
-	cached := e.bytes > 0
-	res := AccessResult{}
-	if cached {
-		res.HitBytes = e.bytes
-	}
+	e.freq++
+	e.last = now
+	hit = e.bytes // > 0 ⇔ cached
 
-	target := c.policy.Target(obj, bw)
-	if target > obj.Size {
-		target = obj.Size
-	}
-	if target < 0 {
-		target = 0
-	}
-	res.Target = target
-	utility := c.policy.Utility(*st, obj, bw)
+	clamped = max(min(target, obj.Size), 0)
+	utility := c.policy.Utility(AccessStats{Freq: e.freq, LastAccess: e.last}, obj, bw)
 	if c.aging {
 		utility = c.inflation + utility
 	}
 
 	// Refresh the existing entry's priority before any space decision.
-	if cached {
+	if hit > 0 {
 		e.utility = utility
-		e.lastAccess = now
 		c.heapFix(e.heapIdx)
 	}
 
 	switch {
-	case cached && target < e.bytes:
+	case hit > clamped:
 		// Policy wants less than we hold (e.g. bandwidth improved):
 		// release the excess immediately.
-		c.shrink(int32(id), e.bytes-target)
-	case target > 0:
-		need := target - e.bytes // e.bytes == 0 when not cached
-		if need > 0 {
-			res.EvictedBytes, res.Victims = c.makeRoom(need, utility, id)
-			free := c.capacity - c.used
-			grant := need
-			if grant > free {
-				grant = free
+		c.shrink(int32(id), hit-clamped)
+	case clamped > hit:
+		need := clamped - hit
+		evicted, victims = c.makeRoom(need, utility, id)
+		if grant := min(need, c.capacity-c.used); grant > 0 {
+			if hit == 0 {
+				c.objs[id] = obj
+				e.utility = utility
+				c.heapPush(id)
 			}
-			if grant > 0 {
-				if e.bytes == 0 {
-					e.obj = obj
-					e.utility = utility
-					e.lastAccess = now
-					c.heapPush(id)
-				}
-				e.bytes += grant
-				c.used += grant
-			}
+			e.bytes += grant
+			c.used += grant
 		}
 	}
-	res.CachedAfter = e.bytes
-	return res
+	return hit, e.bytes, clamped, evicted, victims
 }
 
 // makeRoom evicts bytes from strictly-lower-utility entries until need
@@ -309,14 +309,6 @@ func (c *Cache) CachedBytes(id int) int64 {
 	return c.ents[id].bytes
 }
 
-// Stats returns a copy of the access statistics recorded for object id.
-func (c *Cache) Stats(id int) AccessStats {
-	if id < 0 || id >= len(c.stats) {
-		return AccessStats{}
-	}
-	return c.stats[id]
-}
-
 // Used returns the total cached bytes.
 func (c *Cache) Used() int64 { return c.used }
 
@@ -342,7 +334,7 @@ func (c *Cache) Contents() []Placement {
 	out := make([]Placement, 0, len(c.heap))
 	for _, id := range c.heap {
 		e := &c.ents[id]
-		out = append(out, Placement{Object: e.obj, Bytes: e.bytes, Utility: e.utility})
+		out = append(out, Placement{Object: c.objs[id], Bytes: e.bytes, Utility: e.utility})
 	}
 	slices.SortFunc(out, func(a, b Placement) int {
 		if a.Utility != b.Utility {
@@ -362,8 +354,8 @@ func (c *Cache) checkInvariants() error {
 	if c.used < 0 || c.used > c.capacity {
 		return fmt.Errorf("core: used %d outside [0, %d]", c.used, c.capacity)
 	}
-	if len(c.ents) != len(c.stats) {
-		return fmt.Errorf("core: entry table %d != stats table %d", len(c.ents), len(c.stats))
+	if len(c.ents) != len(c.objs) {
+		return fmt.Errorf("core: entry table %d != object table %d", len(c.ents), len(c.objs))
 	}
 	var sum int64
 	var live int
@@ -373,11 +365,10 @@ func (c *Cache) checkInvariants() error {
 			continue
 		}
 		live++
-		if e.obj.ID != id {
-			return fmt.Errorf("core: entry slot %d holds object %d", id, e.obj.ID)
-		}
-		if e.bytes < 0 || e.bytes > e.obj.Size {
-			return fmt.Errorf("core: object %d cached bytes %d outside (0, %d]", id, e.bytes, e.obj.Size)
+		if obj := c.objs[id]; obj.ID != id {
+			return fmt.Errorf("core: object slot %d holds object %d", id, obj.ID)
+		} else if e.bytes < 0 || e.bytes > obj.Size {
+			return fmt.Errorf("core: object %d cached bytes %d outside (0, %d]", id, e.bytes, obj.Size)
 		}
 		sum += e.bytes
 		if e.heapIdx < 0 || int(e.heapIdx) >= len(c.heap) || c.heap[e.heapIdx] != int32(id) {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"streamcache/internal/units"
 )
@@ -47,8 +49,8 @@ func TestAccessMissThenHit(t *testing.T) {
 	if res.HitBytes != obj.Size {
 		t.Errorf("second access HitBytes = %d, want %d", res.HitBytes, obj.Size)
 	}
-	if c.Stats(1).Freq != 2 {
-		t.Errorf("Freq = %d, want 2", c.Stats(1).Freq)
+	if c.ents[1].freq != 2 {
+		t.Errorf("freq = %d, want 2", c.ents[1].freq)
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Error(err)
@@ -283,8 +285,8 @@ func TestStatsForUnknownObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(42); st.Freq != 0 || st.LastAccess != 0 {
-		t.Errorf("Stats(unknown) = %+v, want zero", st)
+	if len(c.ents) > 42 && c.ents[42] != (entry{}) {
+		t.Errorf("entry of an unknown object = %+v, want zero", c.ents[42])
 	}
 	if c.CachedBytes(42) != 0 {
 		t.Error("CachedBytes(unknown) != 0")
@@ -316,7 +318,7 @@ func TestFrequencyTrackedForUncachedObjects(t *testing.T) {
 	c.Access(cold, 0, 3)
 	c.Access(cold, 0, 4)
 	c.Access(cold, 0, 5)
-	if got := c.Stats(2).Freq; got != 3 {
+	if got := c.ents[2].freq; got != 3 {
 		t.Errorf("uncached object freq = %d, want 3", got)
 	}
 	// Now cold (freq 3) must displace hot (freq 2).
@@ -526,5 +528,98 @@ func TestResetClearsWholeEviction(t *testing.T) {
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAccessWithTargetMatchesAccess drives twin caches through one
+// random request sequence, one through Access and the other through
+// AccessWithTarget with the policy's own target, for every built-in
+// policy with byte-granular and whole-object eviction, and requires
+// every result, victim list, snapshot and invariant to agree after
+// every step: the simulator's oracle loops call AccessWithTarget with
+// targets computed once per run, the proxy calls Access.
+func TestAccessWithTargetMatchesAccess(t *testing.T) {
+	names := []string{"IF", "PB", "IB", "PB-V", "IB-V", "LRU", "LFU", "HYBRID", "HYBRID-V", "GDS", "GDS-BW", "GDSP"}
+	const nObjects = 32
+	for _, name := range names {
+		for _, whole := range []bool{false, true} {
+			for seed := range int64(3) {
+				p, err := PolicyByName(name, 0.5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed))
+				objs := make([]Object, nObjects)
+				for i := range objs {
+					objs[i] = smallObject(i, int64(rng.Intn(256)+1))
+				}
+				capacity := int64(rng.Intn(2048)+64) * units.KB
+				viaAccess, err := New(capacity, p, WithWholeObjectEviction(whole))
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaTarget, err := New(capacity, p, WithWholeObjectEviction(whole))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for step := range 400 {
+					obj := objs[rng.Intn(nObjects)]
+					bw := obj.Rate * 2 * rng.Float64()
+					now := float64(step)
+					a := viaAccess.Access(obj, bw, now)
+					av := slices.Clone(a.Victims)
+					var b AccessResult
+					b.HitBytes, b.CachedAfter, b.Target, b.EvictedBytes, b.Victims = viaTarget.AccessWithTarget(obj, p.Target(obj, bw), bw, now)
+					if a.HitBytes != b.HitBytes || a.CachedAfter != b.CachedAfter || a.Target != b.Target ||
+						a.EvictedBytes != b.EvictedBytes || !slices.Equal(av, b.Victims) {
+						t.Fatalf("%s whole=%v seed=%d step %d: Access %+v (victims %v) != AccessWithTarget %+v",
+							name, whole, seed, step, a, av, b)
+					}
+					if !slices.Equal(viaAccess.Contents(), viaTarget.Contents()) {
+						t.Fatalf("%s whole=%v seed=%d step %d: contents diverged", name, whole, seed, step)
+					}
+					for _, c := range []*Cache{viaAccess, viaTarget} {
+						if err := c.checkInvariants(); err != nil {
+							t.Fatalf("%s whole=%v seed=%d step %d: %v", name, whole, seed, step, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEntryStays40Bytes pins the hot entry every access reads and
+// writes: the Object belongs in the cold table, not back in the entry.
+func TestEntryStays40Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size > 40 {
+		t.Errorf("entry is %d bytes, want <= 40", size)
+	}
+}
+
+// TestEqualUtilityEvictsLeastRecentlyRequested: between two entries of
+// one utility the one requested less recently goes first, and a hit
+// counts as a request, not only the insertion.
+func TestEqualUtilityEvictsLeastRecentlyRequested(t *testing.T) {
+	c, err := New(200*units.KB, NewIF())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, d := smallObject(1, 100), smallObject(2, 100), smallObject(3, 100)
+	c.Access(a, 0, 1)
+	c.Access(b, 0, 2)
+	c.Access(b, 0, 3) // b: two requests, the last at 3
+	c.Access(a, 0, 4) // a: two requests, the last at 4
+	for now := 5.0; now <= 7; now++ {
+		c.Access(d, 0, now) // d's third request outranks frequency 2
+	}
+	if c.CachedBytes(2) != 0 || c.CachedBytes(1) != a.Size {
+		t.Errorf("cached a=%d b=%d; want b (last request at 3) evicted before a (at 4)", c.CachedBytes(1), c.CachedBytes(2))
+	}
+	if c.CachedBytes(3) != d.Size {
+		t.Errorf("d cached %d bytes, want %d", c.CachedBytes(3), d.Size)
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Error(err)
 	}
 }

@@ -8,9 +8,9 @@
 // # Reproducibility contract
 //
 // The cache and every policy are deterministic state machines: given
-// the same sequence of Access calls (object metadata, bandwidth
-// estimates, request order), they produce the same hits, evictions and
-// cached-byte counts. No policy may consult wall-clock time, package
+// the same sequence of Access or AccessWithTarget calls (object
+// metadata, bandwidth estimates, request order), they produce the same
+// hits, evictions and cached-byte counts. No policy may consult wall-clock time, package
 // randomness, or map iteration order on a result path — any randomness
 // a policy needs must be injected by the caller from a seeded source.
 // This is what lets the simulation above (internal/sim) promise

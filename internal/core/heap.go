@@ -1,18 +1,21 @@
 package core
 
-// entry is the cache's bookkeeping for one (partially) cached object,
-// stored by value in the ID-indexed table (Cache.ents). bytes > 0 marks
-// a cached object; the zero value is "never cached".
+// entry is the cache's bookkeeping for one object, stored by value in
+// the ID-indexed table (Cache.ents): its access statistics for every
+// object requested, its prefix and priority while cached. bytes > 0
+// marks a cached object; the zero value is "never requested". Every
+// access reads and writes one entry, so it holds nothing an access
+// does not need: 40 bytes, pinned by TestEntryStays40Bytes.
 type entry struct {
-	obj        Object
-	bytes      int64   // cached prefix size; 0 = not cached
-	utility    float64 // current priority key
-	lastAccess float64 // tiebreaker: older entries evicted first
-	heapIdx    int32   // position in Cache.heap while cached
+	bytes   int64   // cached prefix size; 0 = not cached
+	utility float64 // current priority key
+	freq    int64   // requests observed so far (F_i)
+	last    float64 // time of the most recent request; the heap's tiebreaker, older evicted first
+	heapIdx int32   // position in Cache.heap while cached
 }
 
 // The eviction queue is a specialized min-heap of object IDs ordered by
-// (utility, lastAccess): the cheapest-to-evict entry sits at the root,
+// (utility, last): the cheapest-to-evict entry sits at the root,
 // and maintenance is O(log n) per access, matching the cost stated in
 // Section 2.4. Compared with container/heap this stores concrete int32
 // IDs — no `any` boxing, no interface dispatch, no allocation per
@@ -24,7 +27,7 @@ func (c *Cache) entryLess(a, b int32) bool {
 	if ea.utility != eb.utility {
 		return ea.utility < eb.utility
 	}
-	return ea.lastAccess < eb.lastAccess
+	return ea.last < eb.last
 }
 
 // heapSwap exchanges heap slots i and j, maintaining back-pointers.

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
+
+	"streamcache/internal/sim"
 )
 
 // tableOf returns the aggregate form of the experiment registered
@@ -302,5 +305,34 @@ func TestFingerprintGolden(t *testing.T) {
 		if got := s.RunFingerprint(); got != tc.runFP {
 			t.Errorf("RunFingerprint\n got  %s\n want %s", got, tc.runFP)
 		}
+	}
+}
+
+// TestHierarchyTopologiesMatchSimCopy pins the hierarchy table's cluster
+// shapes to the copy internal/sim's BenchmarkHierarchy and
+// TestRunOnceSteadyStateAllocs time and pin (sim's hierarchyTopologies):
+// when this fails, change that list with the spec.
+func TestHierarchyTopologiesMatchSimCopy(t *testing.T) {
+	type shape struct {
+		levels, edges int
+		peering       sim.PeeringPolicy
+		parentFrac    float64
+	}
+	want := []shape{
+		{1, 1, sim.PeeringNone, 0},
+		{1, 4, sim.PeeringNone, 0},
+		{1, 4, sim.PeeringOwner, 0},
+		{2, 4, sim.PeeringNone, 0.5},
+		{2, 4, sim.PeeringOwner, 0.5},
+	}
+	topologies := hierarchy.axes[len(hierarchy.axes)-1](SmallScale())
+	var got []shape
+	for _, l := range topologies.levels {
+		var pt point
+		l.set(&pt)
+		got = append(got, shape{pt.Levels, pt.Edges, pt.Peering, pt.ParentFraction})
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("hierarchy topologies %v, sim's copy %v", got, want)
 	}
 }

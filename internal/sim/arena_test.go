@@ -131,7 +131,7 @@ func TestArenaReusesWorkloads(t *testing.T) {
 // both request loops: with a warm arena and a warm scratch, a full run
 // performs only its fixed per-run set-up allocations (options, the
 // ownership ring), i.e. well under 0.01 allocs per request — no cache
-// table is rebuilt, flat or at 2 levels x 4 edges.
+// table is rebuilt, flat or at any of the hierarchy table's topologies.
 func TestRunOnceSteadyStateAllocs(t *testing.T) {
 	cfg := Config{
 		Workload:   testWorkload(),
@@ -145,17 +145,24 @@ func TestRunOnceSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hcfg, err := HierarchyConfig{Config: cfg, Edges: 4, Levels: 2, ParentFraction: 0.4, Peering: PeeringOwner}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
 	seed := SplitSeed(cfg.Seed, 0)
 	loops := []struct {
 		name string
 		run  func() error
 	}{
 		{"flat", func() error { _, err := Run(cfg); return err }},
-		{"2 levels x 4 edges", func() error { _, err := hierarchyRunOnce(hcfg, seed); return err }},
+	}
+	for _, top := range hierarchyTopologies {
+		hcfg, err := HierarchyConfig{
+			Config: cfg, Levels: top.levels, Edges: top.edges, Peering: top.peering, ParentFraction: top.parentFrac,
+		}.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loops = append(loops, struct {
+			name string
+			run  func() error
+		}{top.name, func() error { _, err := hierarchyRunOnce(hcfg, seed); return err }})
 	}
 	for _, l := range loops {
 		if err := l.run(); err != nil { // warm the arena and the scratch

@@ -231,10 +231,10 @@ func capacityPass(cfg Config, rp replay, members []Member, cols []column, out []
 	n, objects := len(rp.obj), len(rp.objs)
 
 	// Every keyed request's post-access utility, as Access computes it.
-	s.target, s.freq, s.last = fit(s.target, objects), fit(s.freq, objects), fit(s.last, objects)
+	s.target = oracleTargets(s.target, cfg.Policy, rp)
+	s.freq, s.last = fit(s.freq, objects), fit(s.last, objects)
 	clear(s.freq)
-	for o, obj := range rp.objs {
-		s.target[o] = min(max(cfg.Policy.Target(obj, rp.means[o]), 0), obj.Size)
+	for o := range s.last {
 		s.last[o] = -1
 	}
 	// Each buffer pair is sized for the role it ends in: the sorted keys'

@@ -45,6 +45,6 @@
 // Arena.ScorePending, which also groups a sweep round's points by share
 // key) an arena also keeps each group member's Metrics, which are as
 // pure a function of their inputs: whichever RunGroup call scored a
-// member, every call that asks for it gets the same bits. What a run mutates — every node's cache, the estimator slice — comes
+// member, every call that asks for it gets the same bits. What a run mutates — every node's cache, the estimator slice, the oracle target column — comes
 // from one pooled per-worker scratch that is reset, never rebuilt.
 package sim

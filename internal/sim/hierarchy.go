@@ -156,6 +156,10 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (Metrics, error) {
 			owners[o] = int32(ring.Owner(obj.ID))
 		}
 	}
+	// Every tier prices an object at its oracle mean, so one target
+	// column serves them all.
+	scratch.targets = oracleTargets(scratch.targets, cfg.Policy, rp)
+	targets := scratch.targets
 
 	warm := int(cfg.WarmFraction * float64(len(rp.obj)))
 	var (
@@ -163,34 +167,29 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (Metrics, error) {
 		edgeB, peerB, parentB, originB, totB int64
 	)
 	for i, o := range rp.obj {
-		obj := rp.objs[o]
+		obj, target, est := rp.objs[o], targets[o], rp.means[o]
 		now, watched := rp.time[i], rp.watched[i]
 		e := i % cfg.Edges
 		owner := e
 		if owners != nil {
 			owner = int(owners[o])
 		}
-		est := rp.means[o]
 
 		// Edge hop. Local clients always resume from byte 0, so the
 		// edge's granted prefix growth always materializes.
-		res := edges[e].Access(obj, est, now)
-		served := res.HitBytes
-		if served > watched {
-			served = watched
-		}
-		off := served
-		reqEdge := served
+		hit, _, _, _, _ := edges[e].AccessWithTarget(obj, target, est, now)
+		reqEdge := min(hit, watched)
+		off := reqEdge
 
 		// Owner hop.
 		var reqPeer, reqParent int64
 		if off < watched && owner != e {
-			reqPeer = tierServe(edges[owner], obj, est, now, off, watched)
+			reqPeer = tierServe(edges[owner], obj, target, est, now, off, watched)
 			off += reqPeer
 		}
 		// Parent hop.
 		if off < watched && cfg.Levels == 2 {
-			reqParent = tierServe(parent, obj, est, now, off, watched)
+			reqParent = tierServe(parent, obj, target, est, now, off, watched)
 			off += reqParent
 		}
 
@@ -216,23 +215,24 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (Metrics, error) {
 }
 
 // tierServe models one upper-tier cache serving a ranged resume at
-// offset off: the tier grants its policy decision, serves what it
-// holds past off (clamped to watched), and — when off lies beyond its
-// stored prefix — has its growth undone, because the live tier's
-// ranged relay starts past the gap and the PrefixStore refuses
-// non-contiguous appends (post-relay reconciliation then truncates the
-// accounting back to what was stored).
-func tierServe(c *core.Cache, obj core.Object, est, now float64, off, watched int64) int64 {
-	r := c.Access(obj, est, now)
-	if off > r.HitBytes {
-		keep := r.HitBytes
-		if r.CachedAfter < keep {
-			keep = r.CachedAfter // the policy shrank it regardless
+// offset off: the tier grants its policy decision (target, the
+// object's oracle target), serves what it holds past off (clamped to
+// watched), and — when off lies beyond its stored prefix — has its
+// growth undone, because the live tier's ranged relay starts past the
+// gap and the PrefixStore refuses non-contiguous appends (post-relay
+// reconciliation then truncates the accounting back to what was
+// stored).
+func tierServe(c *core.Cache, obj core.Object, target int64, est, now float64, off, watched int64) int64 {
+	hit, after, _, _, _ := c.AccessWithTarget(obj, target, est, now)
+	if off > hit {
+		keep := hit
+		if after < keep {
+			keep = after // the policy shrank it regardless
 		}
 		c.Truncate(obj.ID, keep)
 		return 0
 	}
-	top := r.HitBytes
+	top := hit
 	if top > watched {
 		top = watched
 	}

@@ -70,6 +70,17 @@ func TestHierarchySingleNodeMatchesRun(t *testing.T) {
 					h.ParentByteFrac != flat.ParentByteFrac || h.OriginByteFrac != flat.OriginByteFrac {
 					t.Errorf("partial=%v cache=%v%% seed=%d: 1x1 hierarchy %+v != flat %+v (must be exact)", partial, pct, seed, h, flat)
 				}
+				// UnderestimatingOracle(1) estimates each path's mean exactly,
+				// but through the estimator loop, where the policy prices every
+				// request: the targets both oracle loops compute once per run
+				// must price them the same.
+				perRequest := cfg.Config
+				perRequest.Estimators = UnderestimatingOracle(1)
+				if pr, err := Run(perRequest); err != nil {
+					t.Fatal(err)
+				} else if pr != flat {
+					t.Errorf("partial=%v cache=%v%% seed=%d: oracle run %+v != per-request targets %+v (must be exact)", partial, pct, seed, flat, pr)
+				}
 				if h.PeerByteFrac != 0 || h.ParentByteFrac != 0 {
 					t.Errorf("partial=%v cache=%v%% seed=%d: single node served peer=%v parent=%v bytes, want 0",
 						partial, pct, seed, h.PeerByteFrac, h.ParentByteFrac)
@@ -160,5 +171,55 @@ func TestHierarchyDeterministic(t *testing.T) {
 	}
 	if got[0] != got[1] || got[0] != got[2] {
 		t.Errorf("hierarchy metrics differ across runs/parallelism: %+v vs %+v vs %+v", got[0], got[1], got[2])
+	}
+}
+
+// hierarchyTopologies are the hierarchy table's five cluster shapes,
+// copied from internal/experiments' hierarchy spec:
+// TestHierarchyTopologiesMatchSimCopy fails there when the spec's
+// shapes change, and this list must then change with them.
+var hierarchyTopologies = []struct {
+	name       string
+	levels     int
+	edges      int
+	peering    PeeringPolicy
+	parentFrac float64
+}{
+	{"1x1", 1, 1, PeeringNone, 0},
+	{"1x4", 1, 4, PeeringNone, 0},
+	{"1x4-owner", 1, 4, PeeringOwner, 0},
+	{"2x4", 2, 4, PeeringNone, 0.5},
+	{"2x4-owner", 2, 4, PeeringOwner, 0.5},
+}
+
+// BenchmarkHierarchy is the hierarchy table's in-tree rung: one run of
+// one paper-scale seed per op through each of the table's five
+// topologies at the scale's middle cache fraction.
+//
+//	go test ./internal/sim -run '^$' -bench Hierarchy -benchmem
+func BenchmarkHierarchy(b *testing.B) {
+	arena := NewArena()
+	wl := paperWorkload()
+	mid := paperCapacities(b, arena, wl)[3]
+	seed := SplitSeed(1, 0)
+	for _, top := range hierarchyTopologies {
+		cfg, err := HierarchyConfig{
+			Config: Config{Workload: wl, CacheBytes: mid, Policy: core.NewPB(), Seed: 1, Arena: arena},
+			Levels: top.levels, Edges: top.edges, Peering: top.peering, ParentFraction: top.parentFrac,
+		}.normalize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := arena.replay(cfg.Config, seed); err != nil { // compile the tape outside the timer
+			b.Fatal(err)
+		}
+		b.Run(top.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := hierarchyRunOnce(cfg, seed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

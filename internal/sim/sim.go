@@ -292,6 +292,7 @@ type runScratch struct {
 	caches     []*core.Cache
 	sums       []columnSums
 	owners     []int32 // per object: its owning edge in a hierarchy run
+	targets    []int64 // per object: its oracle target (oracleTargets)
 }
 
 func (s *runScratch) estSlice(n int) []bandwidth.Estimator {
@@ -320,6 +321,19 @@ func (c Config) cacheOptions(objects int) []core.Option {
 	opts := make([]core.Option, 0, len(c.CacheOptions)+1)
 	opts = append(opts, core.WithExpectedObjects(objects))
 	return append(opts, c.CacheOptions...)
+}
+
+// oracleTargets returns dst refilled with each object of rp's target
+// under policy at its path mean, clamped to [0, size] as core.Cache
+// clamps it. Under the oracle estimator an object's bandwidth, and so
+// its target, never changes within a run: every oracle loop reads this
+// column instead of asking the policy on each request.
+func oracleTargets(dst []int64, policy core.Policy, rp replay) []int64 {
+	dst = fit(dst, len(rp.objs))
+	for o, obj := range rp.objs {
+		dst[o] = max(min(policy.Target(obj, rp.means[o]), obj.Size), 0)
+	}
+	return dst
 }
 
 // capacityTotals accumulate, in request order, what the measured
@@ -369,30 +383,19 @@ func (t memberTotals) metrics(requests int, watched float64) Metrics {
 // bandwidth column into out[k]. With the oracle estimator the cache
 // never reads a column, so any number of columns share the replay; an
 // estimator observes what each request got, so cols must then hold
-// exactly the one column the run's estimates follow. At one column it
-// is as fast as the single-column loop it replaced: BenchmarkCapacityAxis
-// replay-x5 on a paper NLANR tape, three alternating -cpu 1 pairs on a
-// 2-vCPU AMD EPYC guest, medians 11.61 against 11.63 ms for PB and
-// 13.17 against 12.83 for Hybrid(0.5) (the old loop's own spread
-// 12.81–13.46). The three metric calls stay written out in the loop:
-// behind a method, which the compiler does not inline, the same runs
-// took 20 % longer.
+// exactly the one column the run's estimates follow. Under the oracle
+// each object's target comes from oracleTargets, once per run, and the
+// cache's answer is read as values. The three metric calls stay written
+// out in the loop, because a method is not inlined and measured slower.
 //
 // It is the 1-edge, 1-level case of hierarchyRunOnce
 // (TestHierarchySingleNodeMatchesRun pins the two bit-equal) and shares
-// its tape and scratch, but stays a loop of its own because folding
-// them is not free: each loop computes what the other never needs
-// (delay, quality, value and estimator feedback here; the owner and
-// parent hops and per-tier byte counters there). Measured on
-// a 2-vCPU guest with both on one tape and one scratch, separately the
-// two are equally fast: the ladder's sim.hierarchy_1x1_req_per_s /
-// sim.run_req_per_s read 15.4M / 19.2M = 0.80 and 18.6M / 18.1M = 1.03
-// in two quiet traced passes (the rung times 300k requests and reads
-// anything from 5M to 19M when the host is busy). One merged loop
-// serving both ran the flat PB replay of 100k requests 9 % slower (best
-// of 5 alternating `go test -bench` pairs at -cpu 1: 4.95 ms against
-// 4.53 ms; medians 5.57 against 4.81) — not free, on the figure path's
-// hottest function.
+// its tape, scratch and target column, but stays a loop of its own
+// because folding them is not free: each loop computes what the other
+// never needs (delay, quality, value and estimator feedback here; the
+// owner and parent hops and per-tier byte counters there), and one
+// merged loop measured slower on the figure path's hottest function.
+// DESIGN.md §5a "Targets from `sim` under the oracle" has the timings.
 func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []Metrics) error {
 	scratch := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(scratch)
@@ -405,11 +408,18 @@ func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []M
 	sums := scratch.sums
 	clear(sums)
 
-	// Build the per-path estimators; a nil factory is the oracle mean,
-	// read straight from the memoized assignment.
+	// A nil factory is the oracle mean, read straight from the memoized
+	// assignment, with each object's target computed once; an estimator's
+	// bandwidth moves per request, so the policy prices every access.
 	oracle := cfg.Estimators == nil
-	var estimators []bandwidth.Estimator
-	if !oracle {
+	var (
+		targets    []int64
+		estimators []bandwidth.Estimator
+	)
+	if oracle {
+		scratch.targets = oracleTargets(scratch.targets, cfg.Policy, rp)
+		targets = scratch.targets
+	} else {
 		estimators = scratch.estSlice(len(rp.objs))
 		for i := range estimators {
 			estimators[i] = cfg.Estimators(i, rp.means[i])
@@ -423,12 +433,12 @@ func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []M
 	)
 	for i, o := range rp.obj {
 		obj := rp.objs[o]
-		est := rp.means[o]
-		if !oracle {
-			est = estimators[o].Estimate()
-		}
-		res := cache.Access(obj, est, rp.time[i])
-		if !oracle {
+		var hit, evicted int64
+		if oracle {
+			hit, _, _, evicted, _ = cache.AccessWithTarget(obj, targets[o], rp.means[o], rp.time[i])
+		} else {
+			res := cache.Access(obj, estimators[o].Estimate(), rp.time[i])
+			hit, evicted = res.HitBytes, res.EvictedBytes
 			estimators[o].Observe(cols[0].at(i, o))
 		}
 		if i < warm {
@@ -436,18 +446,18 @@ func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []M
 		}
 		for k := range cols {
 			bw, s := cols[k].at(i, o), &sums[k]
-			s.delay += core.StartupDelay(obj, res.HitBytes, bw)
-			s.quality += core.StreamQuality(obj, res.HitBytes, bw)
-			if core.ImmediatelyServable(obj, res.HitBytes, bw) {
+			s.delay += core.StartupDelay(obj, hit, bw)
+			s.quality += core.StreamQuality(obj, hit, bw)
+			if core.ImmediatelyServable(obj, hit, bw) {
 				s.value += obj.Value
 			}
 		}
-		a.cached += float64(min(res.HitBytes, rp.watched[i]))
+		a.cached += float64(min(hit, rp.watched[i]))
 		watched += float64(rp.watched[i])
-		if res.HitBytes > 0 {
+		if hit > 0 {
 			a.hits++
 		}
-		a.evicted += res.EvictedBytes
+		a.evicted += evicted
 	}
 	for k := range cols {
 		out[k] = memberTotals{a, sums[k]}.metrics(len(rp.obj)-warm, watched)

@@ -18,9 +18,11 @@
 # the allowlist and on any allowlist entry that is no longer a hit (it
 # gained a caller or is gone). Both passes are word matches, not type
 # checks: a method that shares its name with any other identifier in
-# use is not reported, and neither is a field whose name is set on
-# another type (proxy.Config.CacheOptions beside sim.Config's, or
-# trace.GenConfig.RequestRate beside workload.Config's would be missed).
+# use is not reported (core.Cache.Stats, called only by core's tests,
+# hid behind proxy's Stats until it was deleted by hand), and neither is
+# a field whose name is set on another type (proxy.Config.CacheOptions
+# beside sim.Config's, or trace.GenConfig.RequestRate beside
+# workload.Config's would be missed).
 # `make dead-check` and CI both call this.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -90,14 +90,14 @@ row() {
 # What a fault stores into, declared in front of the function it edits.
 sink=$'var (\n\tmutSink any\n\tmutStr  string\n\tmutFn   func()\n\tmutErr  error\n)\n\n'
 core_sim_proxy='./internal/core ./internal/sim ./internal/proxy'
-access='func (c *Cache) Access(obj Object, bw float64, now float64) AccessResult {'
+access='func (c *Cache) AccessWithTarget(obj Object, target int64, bw float64, now float64) (hit, after, clamped, evicted int64, victims []Victim) {'
 row H1 internal/core/cache.go \
     'TestAccessHitPathAllocFree TestResetReuseAllocFree TestRunOnceSteadyStateAllocs TestServePrefixHitAllocFree' "$core_sim_proxy" \
-    'fmt.Sprintf per core.(*Cache).Access' \
+    'fmt.Sprintf per core.(*Cache).AccessWithTarget, the body of Access' \
     "$access" "$sink$access"$'\n\tmutSink = fmt.Sprintf("%d@%g", obj.ID, now)'
 row H2 internal/core/cache.go \
     'TestAccessHitPathAllocFree TestResetReuseAllocFree TestRunOnceSteadyStateAllocs TestServePrefixHitAllocFree' "$core_sim_proxy" \
-    'float64 boxed into an interface per Access' \
+    'float64 boxed into an interface per AccessWithTarget' \
     "$access" "$sink$access"$'\n\tmutSink = bw + 0.5'
 row H13 internal/core/heap.go 'TestResetReuseAllocFree TestRunOnceSteadyStateAllocs' "$core_sim_proxy" \
     'struct boxed into an interface per core.heapUp' \
@@ -153,7 +153,11 @@ row H9 internal/proxy/proxy.go 'TestPumpSteadyStateAllocFree TestServeMissAllocs
 row H10 internal/sim/sim.go TestRunOnceSteadyStateAllocs ./internal/sim \
     'fmt.Sprint per request in sim.replayColumns, the request loop of Run' \
     'func replayColumns(' "$sink"'func replayColumns(' \
-    $'\t\tres := cache.Access(obj, est, rp.time[i])' $'\t\tmutStr = fmt.Sprint(i, est)\n\t\tres := cache.Access(obj, est, rp.time[i])'
+    $'\t\t\thit, _, _, evicted, _ = cache.AccessWithTarget(' $'\t\t\tmutStr = fmt.Sprint(i, o)\n\t\t\thit, _, _, evicted, _ = cache.AccessWithTarget('
+row H15 internal/sim/hierarchy.go TestRunOnceSteadyStateAllocs ./internal/sim \
+    'fmt.Sprint per request in sim.hierarchyRunOnce, the request loop of RunHierarchy' \
+    'func hierarchyRunOnce(' "$sink"'func hierarchyRunOnce(' \
+    $'\t\treqEdge := min(' $'\t\tmutStr = fmt.Sprint(i, o)\n\t\treqEdge := min('
 
 # --- segment references: poison-on-recycle, the refill count, the bound -------
 #
@@ -252,6 +256,22 @@ row V2 internal/sim/sim.go 'TestGroupMatchesRun TestGoldenTables' './internal/si
 row V3 internal/sim/capacity.go TestGroupMatchesRun ./internal/sim \
     'each member indexes its column per request or per object as member 0 does (no table mixes the two in one group)' \
     $'\t\t\tcols[k] = cfg.Arena.column(one, seed, rp)\n' $'\t\t\tcols[k] = cfg.Arena.column(one, seed, rp)\n\t\t\tcols[k].perRequest = cols[0].perRequest\n'
+
+# --- the oracle kernel: one target per object per run, one hot entry -------------
+#
+# Under the oracle every sim loop reads each object's target from a
+# column computed once per run (oracleTargets) and hands it to
+# core.Cache.AccessWithTarget; the 40-byte entry an access touches
+# carries the object's frequency and last request, which is also the
+# heap's tiebreaker (DESIGN.md §5a "Dense ID-indexed tables").
+
+row T1 internal/sim/sim.go 'TestTapeReplayBitIdentical TestHierarchySingleNodeMatchesRun' ./internal/sim \
+    'the once-per-run target column prices every object at the first path'"'"'s mean' \
+    'policy.Target(obj, rp.means[o])' 'policy.Target(obj, rp.means[0])'
+row T2 internal/core/cache.go TestEqualUtilityEvictsLeastRecentlyRequested ./internal/core \
+    'an entry'"'"'s last request is recorded only when it is inserted: a hit leaves the heap'"'"'s tiebreaker stale' \
+    $'\te.freq++\n\te.last = now\n' $'\te.freq++\n' \
+    $'\t\t\t\te.utility = utility\n\t\t\t\tc.heapPush(id)' $'\t\t\t\te.utility = utility\n\t\t\t\te.last = now\n\t\t\t\tc.heapPush(id)'
 
 # --- the exact partition: a flat run is a one-edge hierarchy --------------------
 #
