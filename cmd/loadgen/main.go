@@ -246,12 +246,6 @@ func liveTable(o options, r *load.Report, before, after []proxy.Stats) *experime
 	for i := range after {
 		edge += after[i].BytesFromHit - before[i].BytesFromHit
 		coalesced += after[i].CoalescedRequests - before[i].CoalescedRequests
-		if len(after[i].TierBytes) == 0 {
-			// A node predating tier accounting: all its upstream bytes
-			// traveled the origin path.
-			tiers["origin"] += after[i].BytesFetched - before[i].BytesFetched
-			continue
-		}
 		for tier, b := range after[i].TierBytes {
 			tiers[tier] += b - before[i].TierBytes[tier]
 		}

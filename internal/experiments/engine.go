@@ -79,14 +79,16 @@ func (s Scale) parallelism() int {
 
 // planPoint is one row of a plan: already rendered (row; the static
 // tables) or evaluated on demand. eval returns the row without the
-// trailing source cell plus the scalar an adaptive plan ranks by.
-// innerParallelism is the worker bound left for sim.Run's replication
-// pool: wide when few points are in flight (refinement rounds), 1 when
-// the round already saturates the cores. Results must not depend on it.
+// trailing source cell plus the scalar an adaptive plan ranks by,
+// formatted from answer when the round's ScorePending answered the point
+// and from a run of its own when answer is nil. innerParallelism is the
+// worker bound left for that run's replication pool: wide when few
+// points are in flight (refinement rounds), 1 when the round already
+// saturates the cores. Results must not depend on it.
 type planPoint struct {
 	row    []string
 	coords []float64 // position on the adaptive axes; nil on a fixed grid
-	eval   func(innerParallelism int) (row []string, metric float64, err error)
+	eval   func(answer *sim.Metrics, innerParallelism int) (row []string, metric float64, err error)
 	flat   *sim.Config // the configuration of a flat point; nil for the hierarchy and static rows
 }
 
@@ -182,8 +184,9 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 	// oversubscribe them P x P. The owned half first hands the flat points
 	// it simulates to the arena (sim.Arena.ScorePending), which scores
 	// them together by share key, one key after another over the whole
-	// worker budget; each point's eval then takes its answer through
-	// sim.Run. Pure scheduling: rows are identical for any split.
+	// worker budget, and answers each; eval formats a point's row from
+	// its answer and runs only the points left without one. Pure
+	// scheduling: rows are identical for any split.
 	owned := x.Shard.owned(pts, base)
 	phase := func(own bool) error {
 		var is []int // the phase's offsets into the round, in index order
@@ -193,11 +196,21 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 			}
 		}
 		workers := x.parallelism()
-		answered := 0
+		answers := make([]*sim.Metrics, len(pts))
+		left := len(is) // the points without an answer
 		if own {
-			answered = x.Arena.ScorePending(x.simulated(pts, owned, base, adaptive), workers)
+			cfgs, at := x.simulated(pts, owned, base, adaptive)
+			ms, err := x.Arena.ScorePending(cfgs, workers)
+			if err != nil {
+				return err
+			}
+			for k, i := range at {
+				if answers[i] = ms[k]; ms[k] != nil {
+					left--
+				}
+			}
 		}
-		inner := max(1, workers/max(1, len(is)-answered))
+		inner := max(1, workers/max(1, left))
 		return streamOrdered(workers, len(is), func(j int) (MetricRow, error) {
 			i := is[j]
 			if r, ok := x.resolve(pts[i], base+i, own, adaptive); ok {
@@ -206,7 +219,7 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 			if x.Counters != nil {
 				x.Counters.Evaluations.Add(1)
 			}
-			row, metric, err := pts[i].eval(inner)
+			row, metric, err := pts[i].eval(answers[i], inner)
 			if err != nil || !adaptive {
 				return MetricRow{Index: base + i, Row: row}, err
 			}
@@ -227,20 +240,20 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 
 // simulated returns the configurations of the flat points among pts
 // (global indices base..base+len(pts)-1; owned is Shard.owned's answer
-// for them) that this process simulates itself: those it owns whose rows
-// resolve cannot answer. A round scores them together, and Declare
-// declares a coarse round's ahead.
-func (x exec) simulated(pts []planPoint, owned []bool, base int, adaptive bool) []sim.Config {
-	var cfgs []sim.Config
+// for them) that this process simulates itself — those it owns whose
+// rows resolve cannot answer — and at[k], the offset in pts of cfgs[k].
+// A round scores them together, and Declare declares a coarse round's
+// ahead.
+func (x exec) simulated(pts []planPoint, owned []bool, base int, adaptive bool) (cfgs []sim.Config, at []int) {
 	for i, pt := range pts {
 		if pt.flat == nil || !owned[i] {
 			continue
 		}
 		if _, ok := x.resolve(pt, base+i, true, adaptive); !ok {
-			cfgs = append(cfgs, *pt.flat)
+			cfgs, at = append(cfgs, *pt.flat), append(at, i)
 		}
 	}
-	return cfgs
+	return cfgs, at
 }
 
 // resolve answers the point at global index g without simulating it
@@ -400,7 +413,6 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 	if s.Arena == nil {
 		s.Arena = sim.NewArena()
 	}
-	tapes0, rates0 := s.Arena.Compiles()
 	passes0, fallbacks0, shared0, reused0 := s.Arena.Groups()
 	p, err := e.build(s)
 	if err != nil {
@@ -408,8 +420,6 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 	}
 	err = stream(s, p, sink)
 	if s.Counters != nil {
-		tapes, rates := s.Arena.Compiles()
-		s.Counters.TapeCompiles.Add(tapes - tapes0 + rates - rates0)
 		passes, fallbacks, shared, reused := s.Arena.Groups()
 		s.Counters.CapacityPasses.Add(passes - passes0)
 		s.Counters.CapacityFallbacks.Add(fallbacks - fallbacks0)
@@ -474,14 +484,15 @@ func Stream(key string, s Scale, sink RowSink) error {
 }
 
 // Declare tells s.Arena every coarse point the experiments named by keys
-// will simulate (sim.Arena.Declare), so that the first sim.RunGroup call
-// on a group scores the members later tables ask for too and those
-// tables take the finished Metrics. Call it once, before the tables
-// stream, with the arena, shard and resume journal they will run with:
-// it declares only the points this process will simulate itself, the
-// ones evalRound hands the arena (exec.simulated). Each round declares
-// its own points again as it runs, so refinement rounds share across
-// tables too, once they are known; the static tables are not built.
+// will simulate (sim.Arena.Declare), so that the first round that hands
+// a group to sim.Arena.ScorePending scores the members later tables ask
+// for too and those tables take the finished Metrics. Call it once,
+// before the tables stream, with the arena, shard and resume journal
+// they will run with: it declares only the points this process will
+// simulate itself, the ones evalRound hands the arena
+// (exec.simulated). Each round declares its own points again as it
+// runs, so refinement rounds share across tables too, once they are
+// known; the static tables are not built.
 // Without an arena (each table then has its own) it declares nothing.
 // Rows are identical whether or not it was called.
 func Declare(s Scale, keys ...string) error {
@@ -498,7 +509,8 @@ func Declare(s Scale, keys ...string) error {
 			return err
 		}
 		x := exec{Scale: s, table: p.meta.Name}
-		for _, cfg := range x.simulated(p.coarse, x.Shard.owned(p.coarse, 0), 0, p.refine != nil) {
+		cfgs, _ := x.simulated(p.coarse, x.Shard.owned(p.coarse, 0), 0, p.refine != nil)
+		for _, cfg := range cfgs {
 			if err := s.Arena.Declare(cfg); err != nil {
 				return err
 			}

@@ -159,7 +159,7 @@ func TestSinkReceivesRowsBeforeSweepCompletes(t *testing.T) {
 func gridPlan(meta TableMeta, tasks ...func() ([]string, error)) *plan {
 	p := &plan{meta: meta}
 	for _, task := range tasks {
-		p.coarse = append(p.coarse, planPoint{eval: func(int) ([]string, float64, error) {
+		p.coarse = append(p.coarse, planPoint{eval: func(*sim.Metrics, int) ([]string, float64, error) {
 			row, err := task()
 			return row, 0, err
 		}})

@@ -46,12 +46,12 @@ type Counters struct {
 	// a cache replay of their own: the members of an oracle group that
 	// share a cache size, and so a trajectory, with another member —
 	// all but one per size (sim.Arena.Groups; tables streamed
-	// concurrently over one arena each count what happened meanwhile, as
-	// TapeCompiles does).
+	// concurrently over one arena each count what happened meanwhile).
 	CapacityPasses, CapacityFallbacks, SharedReplays atomic.Int64
-	// ReusedMembers counts the points whose Metrics a RunGroup call took
-	// from another call — usually another table's — that scored them
-	// (Declare; sim.Arena.Groups), not simulated for this table at all.
+	// ReusedMembers counts the points whose Metrics were in the arena
+	// before their round asked for them — scored by an earlier round,
+	// usually another table's (Declare; sim.Arena.ScorePending) — and so
+	// not simulated for this table at all.
 	ReusedMembers atomic.Int64
 	// ExchangeHits counts foreign points resolved through the
 	// MetricExchange instead of being re-simulated locally.
@@ -60,10 +60,4 @@ type Counters struct {
 	// MetricExchange.ForeignMetric, hits and misses alike — how long this
 	// shard sat idle waiting for its peers' points.
 	ExchangeWaitNanos atomic.Int64
-	// TapeCompiles counts the trace tapes and bandwidth columns the
-	// run's arena compiled while its tables streamed (sim.Arena.Compiles):
-	// with reuse working, one of each per run seed and variability, not
-	// per sweep point. Tables streamed concurrently over one shared arena
-	// each count the compiles that happened meanwhile.
-	TapeCompiles atomic.Int64
 }

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+
+	"streamcache/internal/sim"
 )
 
 // kneeSweep builds a synthetic adaptive sweep whose metric is a step at
@@ -15,7 +17,7 @@ func kneeSweep(axis []float64, knee float64) (*plan, *atomic.Int64) {
 	var evaluated atomic.Int64
 	at := func(coords []float64) (planPoint, error) {
 		x := coords[0]
-		return planPoint{coords: coords, eval: func(int) ([]string, float64, error) {
+		return planPoint{coords: coords, eval: func(*sim.Metrics, int) ([]string, float64, error) {
 			evaluated.Add(1)
 			metric := 0.0
 			if x >= knee {

@@ -271,16 +271,19 @@ func (sp spec) compile(s Scale) (*plan, error) {
 			l.set(&pt)
 		}
 		pt.CacheBytes = int64(pt.frac * float64(total))
-		pp := planPoint{coords: coords, eval: func(innerParallelism int) ([]string, float64, error) {
-			o, err := pt.run(innerParallelism)
-			if err != nil {
-				return nil, 0, err
+		pp := planPoint{coords: coords, eval: func(answer *sim.Metrics, innerParallelism int) ([]string, float64, error) {
+			if answer == nil {
+				o, err := pt.run(innerParallelism)
+				if err != nil {
+					return nil, 0, err
+				}
+				answer = &o
 			}
 			row := slices.Clone(labels)
 			for _, c := range cols {
-				row = append(row, strconv.FormatFloat(c.of(o), 'f', c.prec, 64))
+				row = append(row, strconv.FormatFloat(c.of(*answer), 'f', c.prec, 64))
 			}
-			return row, rank(o), nil
+			return row, rank(*answer), nil
 		}}
 		if pt.Levels == 0 {
 			pp.flat = &pt.Config

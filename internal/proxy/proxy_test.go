@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strconv"
@@ -41,6 +42,28 @@ func testCatalog(t *testing.T) *Catalog {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestSnapshotTierBytesHasOrigin: a fresh proxy's Stats name the origin
+// tier before any fetch, in the snapshot and in the /stats JSON decoded
+// from it, because New registers the default origin as an upstream.
+// loadgen's live table reads every node's upstream bytes from TierBytes
+// on that ground.
+func TestSnapshotTierBytesHasOrigin(t *testing.T) {
+	px := newTestProxy(t, testCatalog(t), core.NewPB(), units.MB, "http://origin.invalid")
+	raw, err := json.Marshal(px.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	for name, tiers := range map[string]map[string]int64{"snapshot": px.Snapshot().TierBytes, "decoded /stats": st.TierBytes} {
+		if b, ok := tiers["origin"]; !ok || b != 0 {
+			t.Errorf("%s: TierBytes = %v, want an origin entry of 0 bytes", name, tiers)
+		}
+	}
 }
 
 func TestNewCatalogValidation(t *testing.T) {

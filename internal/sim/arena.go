@@ -29,19 +29,22 @@ import (
 
 // Arena memoizes replay tapes, workloads and path-mean assignments
 // across the runs and sweep points of one experiment — and, for the
-// share keys declared to it, the Metrics of group members across
-// RunGroup calls (share.go). The zero value is not usable; call
+// share keys declared to it, the Metrics of group members that
+// ScorePending scored for one round and hands to the rounds that ask
+// later (share.go). The zero value is not usable; call
 // NewArena. All methods are safe for concurrent use, and every value is
 // a pure function of its key, so results never depend on which
 // goroutine populated an entry first.
 type Arena struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // the memo lock: guards the five memo maps
 	wls    map[workload.Config]*memo[*workload.Workload]
 	tapes  map[workload.Config]*memo[*tape]
 	paths  map[pathKey]*memo[[]float64]
 	cols   map[rateKey]*memo[[]float64]
 	traces map[trace.GenConfig]*memo[[]trace.Entry]
-	// answers holds the declared share keys' members (share.go).
+	// store guards answers, the declared share keys' members; only
+	// Declare and ScorePending take it (share.go).
+	store   sync.Mutex
 	answers map[shareKey]*shareEntry
 
 	tapeCompiles, rateCompiles        atomic.Int64
@@ -179,8 +182,9 @@ func (a *Arena) Compiles() (tapes, rates int64) {
 // replayed per capacity (or, with an estimator, per member) instead.
 // shared counts the members scored from a cache trajectory replayed for
 // another member at the same capacity: every member but one per
-// capacity, under the oracle estimator. reused counts the members a
-// call took from another call's scoring instead (Declare).
+// capacity, under the oracle estimator. reused counts the
+// configurations a ScorePending call answered from an earlier call's
+// scoring instead.
 func (a *Arena) Groups() (passes, fallbacks, shared, reused int64) {
 	return a.passes.Load(), a.fallbacks.Load(), a.shared.Load(), a.reused.Load()
 }

@@ -60,24 +60,14 @@ type Member struct {
 // distinct between objects; otherwise from one core.Cache replay per
 // distinct capacity. With an estimator every member replays alone.
 // Policy Utility and Target must be pure functions of their arguments,
-// as every built-in policy's are. When cfg's share key was declared to
-// cfg.Arena (Arena.Declare), the call first takes the members another
-// call already scored and scores the declared ones no call has claimed
-// beside its own (share.go). cfg.Arena's Groups counts which way each
-// call went.
+// as every built-in policy's are. It scores every member it is given and
+// never reads the arena's answers (share.go: ScorePending does);
+// cfg.Arena's Groups counts which way each call went.
 func RunGroup(cfg Config, members []Member) ([]Metrics, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-	if ms, ok, err := cfg.Arena.runShared(cfg, members); ok {
-		return ms, err
-	}
-	return runGroup(cfg, members)
-}
-
-// runGroup is RunGroup on a normalised cfg without the arena's answers.
-func runGroup(cfg Config, members []Member) ([]Metrics, error) {
 	g, err := newGroup(members)
 	if err != nil {
 		return nil, err
@@ -141,7 +131,10 @@ func newGroup(members []Member) (group, error) {
 	}
 	slices.SortStableFunc(g.order, func(a, b int) int { return cmp.Compare(members[a].CacheBytes, members[b].CacheBytes) })
 	for k, i := range g.order {
-		m := member(members[i].CacheBytes, members[i].Variation)
+		m := members[i]
+		if m.Variation == nil {
+			m.Variation = bandwidth.NoVariation{} // constant bandwidth, as in Config
+		}
 		g.members[k] = m
 		if k == 0 || m.CacheBytes != g.caps[len(g.caps)-1] {
 			g.caps = append(g.caps, m.CacheBytes)

@@ -43,8 +43,9 @@
 // collectable. Use one arena per experiment and drop it afterwards.
 // For the configurations declared to it (Arena.Declare, or
 // Arena.ScorePending, which also groups a sweep round's points by share
-// key) an arena also keeps each group member's Metrics, which are as
-// pure a function of their inputs: whichever RunGroup call scored a
-// member, every call that asks for it gets the same bits. What a run mutates — every node's cache, the estimator slice, the oracle target column — comes
+// key and is the only code that reads or writes them) an arena also
+// keeps each group member's Metrics, which are as pure a function of
+// their inputs: whichever round scored a member, every round that asks
+// for it gets the same bits. What a run mutates — every node's cache, the estimator slice, the oracle target column — comes
 // from one pooled per-worker scratch that is reset, never rebuilt.
 package sim

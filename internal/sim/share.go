@@ -1,25 +1,27 @@
-// Answers across calls: one RunGroup call scores the members other
-// calls will ask for.
+// Answers across tables: ScorePending scores each share key's pending
+// members once and keeps their Metrics for the rounds that ask later.
 //
 // The tables of a figure set repeat one configuration under other cache
 // sizes and variabilities: Figure 7 is Figure 5 under NLANR variability,
 // and the coarse round of an adaptive sweep is a column of a fixed grid.
 // Those rows are members of one group (capacity.go) that different
-// calls ask for, one table after another. A caller that knows every
-// point ahead declares each one to the arena (Declare); the first
-// RunGroup call on a declared share key then scores every declared
-// member no call has claimed beside its own, in the same capacity pass
-// or shared replays, and later calls take the finished Metrics. The
-// arena keeps Metrics, not trajectories. An answer is a pure function
-// of its share key and member, so every member's Metrics are
-// bit-identical whichever call scored them and whatever else that call
-// scored (DESIGN.md §5a "Groups across calls"). The share key is also
-// the one rule for which points are scored together: a sweep round hands
-// its points to ScorePending, which declares them and makes that first
-// call for each key they share.
+// rounds ask for, one table after another. A caller that knows every
+// point ahead declares each one to the arena (Declare); the first round
+// that hands a declared share key to ScorePending then scores every
+// pending member of the key beside its own, in the same capacity pass or
+// shared replays, and later rounds take the finished Metrics. The arena
+// keeps Metrics, not trajectories. An answer is a pure function of its
+// share key and member, so every member's Metrics are bit-identical
+// whichever round scored them and whatever else that round scored
+// (DESIGN.md §5a "Groups across calls"). The share key is also the one
+// rule for which points are scored together. ScorePending is the only
+// code that reads or writes the answers: Run and RunGroup score what
+// they are asked and never consult them.
 package sim
 
 import (
+	"slices"
+
 	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
 	"streamcache/internal/workload"
@@ -39,24 +41,17 @@ type shareKey struct {
 	seed     int64
 }
 
-// shareKeyOf returns the share key of a normalised cfg, or false when
-// cfg's answers are never shared: an estimator or cache options make
-// each call's result its own to compute (neither is comparable), and a
-// policy or base model that is not comparable cannot key a map.
-func shareKeyOf(cfg Config) (shareKey, bool) {
-	if cfg.Estimators != nil || len(cfg.CacheOptions) > 0 || !dynComparable(cfg.Policy) || !dynComparable(cfg.Base) {
-		return shareKey{}, false
+// shareOf returns the share key and member of a normalised cfg, or
+// false when cfg's answers are never shared: an estimator or cache
+// options make each call's result its own to compute (neither is
+// comparable), and a policy, base model or variability that is not
+// comparable cannot key a map.
+func shareOf(cfg Config) (shareKey, Member, bool) {
+	m := Member{cfg.CacheBytes, cfg.Variation}
+	if cfg.Estimators != nil || len(cfg.CacheOptions) > 0 || !dynComparable(cfg.Policy) || !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
+		return shareKey{}, m, false
 	}
-	return shareKey{cfg.Workload, cfg.Policy, cfg.Base, cfg.WarmFraction, cfg.Runs, cfg.Seed}, true
-}
-
-// shareOf returns the share key and member of a normalised cfg; ok is
-// false when cfg's answers are never shared (shareKeyOf) or its
-// variability cannot key a map.
-func shareOf(cfg Config) (key shareKey, m Member, ok bool) {
-	key, ok = shareKeyOf(cfg)
-	m = member(cfg.CacheBytes, cfg.Variation)
-	return key, m, ok && dynComparable(m.Variation)
+	return shareKey{cfg.Workload, cfg.Policy, cfg.Base, cfg.WarmFraction, cfg.Runs, cfg.Seed}, m, true
 }
 
 // GroupOf is the one rule for which configurations are scored together:
@@ -98,189 +93,102 @@ func groupOf(cfgs []Config) (ids []int, norm []Config) {
 }
 
 // shareEntry is what an arena knows of one declared share key: the
-// members declared and not yet claimed by a call, and the answer of
-// every member a call has claimed.
+// members declared and not yet scored, and the Metrics of every member
+// a ScorePending call has scored.
 type shareEntry struct {
 	pending []Member
-	answers map[Member]*answer
-}
-
-// answer is one member's Metrics (or the error of the call that scored
-// it), final once done is closed.
-type answer struct {
-	done chan struct{} // one per call: closed once all its claims are stored
-	m    Metrics
-	err  error
+	answers map[Member]Metrics
 }
 
 // Declare records cfg's member — its CacheBytes and Variation — as one
-// that a RunGroup call on cfg's share key will ask for, so that the
-// first call on the key scores it with its own members. A configuration
-// whose answers are never shared (an estimator, cache options, a policy,
-// base model or variability that is not comparable) is not recorded.
-// Only declared keys are remembered: a call on a key no Declare named
-// scores its members afresh, as a caller timing the replay expects.
+// that a later ScorePending call will score with the members of cfg's
+// share key that its own round asks for. A configuration whose answers
+// are never shared (an estimator, cache options, a policy, base model or
+// variability that is not comparable) is not recorded.
 func (a *Arena) Declare(cfg Config) error {
-	cfg.Arena = a
-	cfg, err := cfg.normalize()
-	if err == nil {
-		a.declare(cfg)
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return err
 	}
-	return err
+	a.store.Lock()
+	defer a.store.Unlock()
+	a.declare(cfg)
+	return nil
 }
 
 // declare records a normalised cfg's member as pending under its share
-// key unless a call has claimed it, and returns the two; ok is false,
-// and nothing is recorded, when cfg's answers are never shared.
-func (a *Arena) declare(cfg Config) (key shareKey, m Member, ok bool) {
-	key, m, ok = shareOf(cfg)
+// key unless it is pending or answered already, returns the key's entry
+// and the member, and reports whether the member was answered; e is nil,
+// and nothing is recorded, when cfg's answers are never shared. The
+// caller holds a.store.
+func (a *Arena) declare(cfg Config) (e *shareEntry, m Member, answered bool) {
+	key, m, ok := shareOf(cfg)
 	if !ok {
-		return key, m, false
+		return nil, m, false
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e := a.answers[key]
+	e = a.answers[key]
 	if e == nil {
-		e = &shareEntry{answers: map[Member]*answer{}}
+		e = &shareEntry{answers: map[Member]Metrics{}}
 		a.answers[key] = e
 	}
-	if e.answers[m] == nil {
+	if _, answered = e.answers[m]; !answered && !slices.Contains(e.pending, m) {
 		e.pending = append(e.pending, m)
 	}
-	return key, m, true
+	return e, m, answered
 }
 
-// ScorePending is how a round of sweep points is scored together: it
-// declares every cfg (Declare), groups the cfgs (GroupOf) and, one group
-// after another, makes one RunGroup call at the given worker bound for
-// each group that two or more of the cfgs' members still wait on — a
-// call that also scores the key's members other callers declared. Each
-// cfg's Run then takes its answer (a group's error included). A cfg
-// that is never shared, or that fails to normalise, is left alone for
-// its own Run to score or report. It returns how many cfgs have an
-// answer waiting in the arena.
-func (a *Arena) ScorePending(cfgs []Config, parallelism int) (answered int) {
-	type batch struct {
-		key     shareKey
-		cfg     Config   // the group's first cfg
-		members []Member // every cfg's in the group
-	}
-	var batches []*batch
+// ScorePending is how a round of sweep points is scored together, and
+// the only code that reads or writes the arena's answers: it groups the
+// cfgs (GroupOf) and, one group after another, declares the group's
+// members and scores every member of its share key still pending — the
+// group's own and those other callers declared — in one RunGroup call at
+// the given worker bound. ms[i] is cfgs[i]'s Metrics, or nil for a cfg
+// that is never shared or fails to normalise, which the caller runs
+// itself. The store lock is held throughout, so no member is scored
+// twice; the cfgs whose member was answered before the call count as
+// reused (Groups).
+func (a *Arena) ScorePending(cfgs []Config, parallelism int) (ms []*Metrics, err error) {
 	ids, norm := groupOf(cfgs)
+	var groups [][]int // the cfgs of each group, by index
 	for i, id := range ids {
-		if id < 0 {
-			continue
+		if id == len(groups) { // ids number groups by first appearance
+			groups = append(groups, nil)
 		}
-		cfg := norm[i]
-		cfg.Arena, cfg.Parallelism = a, parallelism
-		key, m, _ := a.declare(cfg)
-		if id == len(batches) { // ids number groups by first appearance
-			batches = append(batches, &batch{key: key, cfg: cfg})
+		if id >= 0 {
+			groups[id] = append(groups[id], i)
 		}
-		batches[id].members = append(batches[id].members, m)
 	}
-	for _, b := range batches {
-		var open []Member
-		a.mu.Lock()
-		for _, m := range b.members {
-			if a.answers[b.key].answers[m] == nil {
-				open = append(open, m)
+	ms = make([]*Metrics, len(cfgs))
+	if len(groups) == 0 {
+		return ms, nil // nothing to share: the store is not touched
+	}
+	a.store.Lock()
+	defer a.store.Unlock()
+	for _, is := range groups {
+		var e *shareEntry
+		members := make([]Member, len(is))
+		for k, i := range is {
+			var answered bool
+			if e, members[k], answered = a.declare(norm[i]); answered {
+				a.reused.Add(1)
 			}
 		}
-		a.mu.Unlock()
-		answered += len(b.members)
-		if len(open) == 1 {
-			answered-- // left to its own Run
-		} else if len(open) > 1 {
-			a.runShared(b.cfg, open) // an error is stored in the answers
-			// Each open cfg's own Run takes the answer scored for it: no reuse.
-			a.reused.Add(-int64(len(open)))
-		}
-	}
-	return answered
-}
-
-// member is the Member at capacity c under variability v, nil being
-// constant bandwidth as in Config.
-func member(c int64, v bandwidth.Variability) Member {
-	if v == nil {
-		v = bandwidth.NoVariation{}
-	}
-	return Member{c, v}
-}
-
-// runShared is RunGroup on a normalised cfg whose share key was
-// declared (ok false: it was not, or a member is one no map can key, and
-// the call is runGroup's alone). Under the arena lock it takes the
-// answer of every member another call has claimed and claims the rest,
-// plus every pending declared member; it scores its claims in one group,
-// stores them and only then waits for the answers it took — a call
-// waits only on calls that claimed before it, so no two wait on each
-// other.
-func (a *Arena) runShared(cfg Config, members []Member) (ms []Metrics, ok bool, err error) {
-	key, ok := shareKeyOf(cfg)
-	if !ok {
-		return nil, false, nil
-	}
-	for _, m := range members {
-		if m.CacheBytes < 0 || !dynComparable(m.Variation) {
-			return nil, false, nil // runGroup reports the one, scores the other afresh
-		}
-	}
-	a.mu.Lock()
-	e := a.answers[key]
-	if e == nil {
-		a.mu.Unlock()
-		return nil, false, nil
-	}
-	done := make(chan struct{})
-	var (
-		claimed []Member
-		mine    []*answer // the answer of each claimed member
-	)
-	claim := func(m Member) *answer {
-		m = member(m.CacheBytes, m.Variation)
-		r := e.answers[m]
-		if r == nil {
-			r = &answer{done: done}
-			e.answers[m] = r
-			claimed, mine = append(claimed, m), append(mine, r)
-		}
-		return r
-	}
-	took := make([]*answer, len(members))
-	for k, m := range members {
-		took[k] = claim(m)
-	}
-	for _, m := range e.pending {
-		claim(m)
-	}
-	e.pending = nil
-	a.mu.Unlock()
-
-	if len(claimed) > 0 {
-		scored, err := runGroup(cfg, claimed)
-		for k, r := range mine {
+		if len(e.pending) > 0 {
+			cfg := norm[is[0]]
+			cfg.Arena, cfg.Parallelism = a, parallelism
+			scored, err := RunGroup(cfg, e.pending)
 			if err != nil {
-				r.err = err
-				continue
+				return nil, err
 			}
-			r.m = scored[k]
+			for k, m := range e.pending {
+				e.answers[m] = scored[k]
+			}
+			e.pending = nil
 		}
-		close(done)
+		for k, i := range is {
+			m := e.answers[members[k]]
+			ms[i] = &m
+		}
 	}
-	ms = make([]Metrics, len(members))
-	var reused int64
-	for k, r := range took {
-		<-r.done
-		if r.err != nil {
-			return nil, true, r.err
-		}
-		if r.done != done {
-			reused++
-		}
-		ms[k] = r.m
-	}
-	a.reused.Add(reused)
-	return ms, true, nil
+	return ms, nil
 }

@@ -3,7 +3,9 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"streamcache/internal/bandwidth"
@@ -74,23 +76,65 @@ func fresh(t *testing.T, cfg Config, m Member) Metrics {
 func declareAll(t *testing.T, a *Arena, cfgs map[string]Config, members []Member) {
 	t.Helper()
 	for _, cfg := range cfgs {
-		for _, m := range members {
-			cfg.CacheBytes, cfg.Variation = m.CacheBytes, m.Variation
-			if err := a.Declare(cfg); err != nil {
+		for _, one := range cfgsAt(cfg, members...) {
+			if err := a.Declare(one); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 }
 
+// checkAnswers requires every answer ScorePending gave for cfgs to be a
+// fresh Run's, and answers to be nil exactly for the cfgs unshared
+// names.
+func checkAnswers(t *testing.T, name string, cfgs []Config, answers []*Metrics, unshared func(Config) bool) {
+	t.Helper()
+	for k, cfg := range cfgs {
+		got := answers[k]
+		if got == nil {
+			if !unshared(cfg) {
+				t.Errorf("%s: member %d of %d (capacity %d, %T) has no answer", name, k, len(cfgs), cfg.CacheBytes, cfg.Variation)
+			}
+			continue
+		}
+		if unshared(cfg) {
+			t.Errorf("%s: member %d of %d (capacity %d, %T) is never shared, yet answered", name, k, len(cfgs), cfg.CacheBytes, cfg.Variation)
+		}
+		if want := fresh(t, cfg, Member{cfg.CacheBytes, cfg.Variation}); *got != want {
+			t.Errorf("%s: member %d of %d (capacity %d, %T):\n got %+v\nwant %+v", name, k, len(cfgs), cfg.CacheBytes, cfg.Variation, *got, want)
+		}
+	}
+}
+
+// cfgsAt is cfg at each member.
+func cfgsAt(cfg Config, ms ...Member) []Config {
+	cfgs := make([]Config, len(ms))
+	for k, m := range ms {
+		cfgs[k] = cfg
+		cfgs[k].CacheBytes, cfgs[k].Variation = m.CacheBytes, m.Variation
+	}
+	return cfgs
+}
+
+// neverShared reports whether a cfg of the near miss named name gets no
+// answer: the near misses with cache options or an estimator share
+// nothing, nor does a member whose variability cannot key a map.
+func neverShared(name string) func(Config) bool {
+	return func(cfg Config) bool {
+		_, isUnkeyed := cfg.Variation.(unkeyed)
+		return name == "near-options" || name == "near-ewma" || isUnkeyed
+	}
+}
+
 // TestDeclaredMembersMatchRun is the sharing contract: with every
 // member of the base configuration and of its near misses declared into
-// one arena, each configuration's first call — a group of three of its
-// members — then a Run of each member, then a group holding a member
-// whose variability cannot key a map, answers exactly what a fresh Run
-// does. Each shareable configuration's first call scores all of its
-// declared members, so each of its nine Runs is answered by that call;
-// the configurations with cache options or an estimator share nothing.
+// one arena, each configuration's first ScorePending call — three of its
+// members — then a call for each member, then one holding a member whose
+// variability cannot key a map, answers exactly what a fresh Run does.
+// Each shareable configuration's first call scores all of its declared
+// members, so each later call is answered from the store; the
+// configurations with cache options or an estimator, and the unkeyed
+// member, get no answer.
 func TestDeclaredMembersMatchRun(t *testing.T) {
 	wl := testWorkload()
 	if raceBuild() {
@@ -101,34 +145,32 @@ func TestDeclaredMembersMatchRun(t *testing.T) {
 	a := NewArena()
 	declareAll(t, a, cfgs, members)
 	for name, cfg := range cfgs {
-		cfg.Arena = a
-		group := func(ms []Member) {
+		score := func(batch []Config) {
 			t.Helper()
-			got, err := RunGroup(cfg, ms)
+			got, err := a.ScorePending(batch, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k, m := range ms {
-				if want := fresh(t, cfg, m); got[k] != want {
-					t.Errorf("%s: member %d of %d (capacity %d, %T):\n got %+v\nwant %+v", name, k, len(ms), m.CacheBytes, m.Variation, got[k], want)
-				}
-			}
+			checkAnswers(t, name, batch, got, neverShared(name))
 		}
-		group(members[3:6])
+		score(cfgsAt(cfg, members[3:6]...))
 		for _, m := range members {
-			group([]Member{m})
+			score(cfgsAt(cfg, m))
 		}
-		group([]Member{members[0], {CacheBytes: cachePct(2), Variation: unkeyed{}}})
+		score(cfgsAt(cfg, members[0], Member{CacheBytes: cachePct(2), Variation: unkeyed{}}))
 	}
-	if _, _, _, reused := a.Groups(); reused != int64(shared*len(members)) {
-		t.Errorf("%d members reused, want %d: the nine Runs of each of the %d shareable configurations", reused, shared*len(members), shared)
+	if _, _, _, reused := a.Groups(); reused != int64(shared*(len(members)+1)) {
+		t.Errorf("%d members reused, want %d: the nine single calls and the unkeyed call's keyed member of each of the %d shareable configurations", reused, shared*(len(members)+1), shared)
 	}
 }
 
 // TestDeclaredMembersMatchRunConcurrent: every member of every near miss
-// runs at once after all were declared; whichever call takes the lock
-// first for a share key scores all nine of its members, the others wait
-// for its answers, and each answer is a fresh Run's (run under -race).
+// is asked for at once, each in a ScorePending call of its own, after
+// all were declared. Each share key's nine members are scored by exactly
+// one call, the first to take the store lock: every other call is
+// answered from the store (reused), and one group call per key shares
+// six replays (nine members at three capacities). Each answer is a fresh
+// Run's (run under -race).
 func TestDeclaredMembersMatchRunConcurrent(t *testing.T) {
 	wl := workload.Config{NumObjects: 200, NumRequests: 4000}
 	if raceBuild() {
@@ -140,8 +182,8 @@ func TestDeclaredMembersMatchRunConcurrent(t *testing.T) {
 	declareAll(t, a, cfgs, members)
 	type result struct {
 		name string
-		m    Member
-		got  Metrics
+		cfg  Config
+		got  *Metrics
 		err  error
 	}
 	var (
@@ -154,12 +196,15 @@ func TestDeclaredMembersMatchRunConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				one := cfg
-				one.CacheBytes, one.Variation, one.Arena, one.Parallelism = m.CacheBytes, m.Variation, a, 1
-				got, err := Run(one)
+				one := cfgsAt(cfg, m)
+				got, err := a.ScorePending(one, 1)
 				mu.Lock()
 				defer mu.Unlock()
-				results = append(results, result{name, m, got, err})
+				if err == nil {
+					results = append(results, result{name, one[0], got[0], nil})
+				} else {
+					results = append(results, result{name: name, err: err})
+				}
 			}()
 		}
 	}
@@ -168,84 +213,100 @@ func TestDeclaredMembersMatchRunConcurrent(t *testing.T) {
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
-		if want := fresh(t, cfgs[r.name], r.m); r.got != want {
-			t.Errorf("%s at capacity %d, %T:\n got %+v\nwant %+v", r.name, r.m.CacheBytes, r.m.Variation, r.got, want)
-		}
+		checkAnswers(t, r.name, []Config{r.cfg}, []*Metrics{r.got}, neverShared(r.name))
 	}
-	if _, _, _, reused := a.Groups(); reused != int64(shared*(len(members)-1)) {
+	_, _, sharedReplays, reused := a.Groups()
+	if want := int64(shared * (len(members) - 3)); sharedReplays != want {
+		t.Errorf("%d shared replays, want %d: one call of nine members at three capacities per shareable configuration", sharedReplays, want)
+	}
+	if reused != int64(shared*(len(members)-1)) {
 		t.Errorf("%d members reused, want %d: all but the first call of each of the %d shareable configurations", reused, shared*(len(members)-1), shared)
 	}
 }
 
-// TestScorePending: one call scores the key whose members two or more of
-// a batch's configurations wait on, and each of those configurations'
-// Run takes its answer as its own; a key with one such member is left to
-// its Run, configurations never shared are not recorded, and one that
-// fails to normalise reports its error through its own Run. Every answer
-// is a fresh Run's.
+// TestScorePending: one call scores every share key a batch's
+// configurations ask for, one-member keys included, and answers each of
+// them; configurations never shared are not recorded, and they and one
+// that fails to normalise get no answer, their own Run scoring or
+// reporting them. Every answer is a fresh Run's. A second call for an
+// answered member is reused from the store, while a Run of it replays
+// afresh and counts nothing: Run never reads the store.
 func TestScorePending(t *testing.T) {
-	at := func(cfg Config, pct float64, v bandwidth.Variability) Config {
-		cfg.CacheBytes, cfg.Variation = cachePct(pct), v
-		return cfg
-	}
-	pb := Config{Workload: workload.Config{NumObjects: 200, NumRequests: 4000}, Policy: core.NewPB(), Runs: 2, Seed: 3}
+	targets := new(atomic.Int64)
+	pb := Config{Workload: workload.Config{NumObjects: 200, NumRequests: 4000}, Policy: countingPolicy{core.NewPB(), targets}, Runs: 2, Seed: 3}
 	ib, ewma, whole, bad := pb, pb, pb, pb
 	ib.Policy = core.NewIB()
 	ewma.Estimators = EWMAEstimator(0.3)
 	whole.CacheOptions = []core.Option{core.WithWholeObjectEviction(true)}
 	bad.Policy = nil
-	batch := []Config{
-		// one call
-		at(pb, 0.5, nil), at(pb, 2, nil), at(pb, 2, bandwidth.MeasuredVariability()),
-		// left to its Run
-		at(ib, 2, nil),
-		// never shared
-		at(ewma, 0.5, nil), at(ewma, 2, nil), at(whole, 0.5, nil), at(whole, 2, nil),
-		// fails to normalise
-		at(bad, 2, nil),
-	}
+	none := Member{cachePct(0.5), nil}
+	two, twoMeasured := Member{cachePct(2), nil}, Member{cachePct(2), bandwidth.MeasuredVariability()}
+	batch := slices.Concat(
+		cfgsAt(pb, none, two, twoMeasured), // one call
+		cfgsAt(ib, two),                    // one call of one member
+		cfgsAt(ewma, none, two),            // never shared
+		cfgsAt(whole, none, two),           // never shared
+		cfgsAt(bad, two),                   // fails to normalise
+	)
 	a := NewArena()
-	if n := a.ScorePending(batch, 2); n != 3 {
-		t.Errorf("ScorePending answered %d configurations, want PB's 3", n)
+	got, err := a.ScorePending(batch, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, shared, _ := a.Groups(); shared != 1 {
-		t.Errorf("shared = %d, want 1: PB's two members at 2 %% share a replay", shared)
+	checkAnswers(t, "batch", batch, got, func(cfg Config) bool {
+		return cfg.Estimators != nil || cfg.CacheOptions != nil || cfg.Policy == nil
+	})
+	if _, _, shared, reused := a.Groups(); shared != 1 || reused != 0 {
+		t.Errorf("shared = %d, reused = %d; want 1 (PB's two members at 2 %% share a replay) and 0", shared, reused)
 	}
 	if len(a.answers) != 2 {
 		t.Errorf("%d share keys recorded, want PB's and IB's", len(a.answers))
 	}
 	for key, e := range a.answers {
-		if want := map[core.Policy]int{pb.Policy: 3}[key.policy]; len(e.answers) != want {
-			t.Errorf("%s: %d members answered, want %d", key.policy.Name(), len(e.answers), want)
+		if want := map[core.Policy]int{pb.Policy: 3, ib.Policy: 1}[key.policy]; len(e.answers) != want || len(e.pending) != 0 {
+			t.Errorf("%s: %d members answered, %d pending; want %d and 0", key.policy.Name(), len(e.answers), len(e.pending), want)
 		}
 	}
-	for _, cfg := range batch {
-		cfg.Arena = a
-		got, err := Run(cfg)
-		if cfg.Policy == nil {
-			if !errors.Is(err, ErrBadConfig) {
-				t.Errorf("Run of the configuration without a policy: %v, want ErrBadConfig", err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fresh(t, cfg, Member{cfg.CacheBytes, cfg.Variation}); got != want {
-			t.Errorf("%s at %d, %T:\n got %+v\nwant %+v", cfg.Policy.Name(), cfg.CacheBytes, cfg.Variation, got, want)
-		}
+	bad.Arena = a
+	if _, err := Run(bad); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("Run of the configuration without a policy: %v, want ErrBadConfig", err)
 	}
-	if _, _, _, reused := a.Groups(); reused != 0 {
-		t.Errorf("%d members reused, want 0: each Run took the answer scored for it", reused)
-	}
-	one := batch[0]
-	one.Arena = a
-	if _, err := Run(one); err != nil {
+
+	again, err := a.ScorePending(batch[:1], 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, reused := a.Groups(); reused != 1 {
-		t.Errorf("%d members reused, want 1: a second Run takes another call's answer", reused)
+	if _, _, _, reused := a.Groups(); reused != 1 || again[0] == nil || *again[0] != *got[0] {
+		t.Errorf("a second call for PB's first member: reused = %d, answer %v; want 1 and %+v", reused, again[0], *got[0])
 	}
+
+	one := batch[0]
+	one.Arena = a
+	before := targets.Load()
+	run, err := Run(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run != *got[0] {
+		t.Errorf("Run of an answered member:\n got %+v\nwant %+v", run, *got[0])
+	}
+	if targets.Load() == before {
+		t.Error("Run of an answered member asked its policy no target: it took the stored answer instead of replaying")
+	}
+	if _, _, _, reused := a.Groups(); reused != 1 {
+		t.Errorf("%d members reused after a Run, want 1: Run reuses nothing", reused)
+	}
+}
+
+// countingPolicy is a policy that counts the targets asked of it.
+type countingPolicy struct {
+	core.Policy
+	targets *atomic.Int64
+}
+
+func (p countingPolicy) Target(obj core.Object, bw float64) int64 {
+	p.targets.Add(1)
+	return p.Policy.Target(obj, bw)
 }
 
 // unkeyed is constant bandwidth in a type that cannot key a map: a

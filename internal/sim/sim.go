@@ -137,7 +137,9 @@ type Config struct {
 	// instead of at every point. Every arena value is a pure function of
 	// its key, so Metrics are bit-identical whichever arena serves them
 	// (regression-tested). Nil gives the call an arena of its own,
-	// dropped when Run returns.
+	// dropped when Run returns. Run and RunGroup never read the Metrics
+	// an arena keeps for Arena.ScorePending: they replay what they are
+	// asked.
 	Arena *Arena
 }
 

@@ -285,33 +285,36 @@ row P1 internal/sim/sim.go TestHierarchySingleNodeMatchesRun ./internal/sim \
 
 # --- answers across tables: one call scores what later calls ask for --------
 #
-# A RunGroup call on a declared share key scores every declared member
-# no call has claimed and the arena keeps their Metrics for the calls
-# that ask later (DESIGN.md §5a "Groups across calls"); each fault hands a
-# call an answer that is not its own. The share key is also the one
-# grouping rule: a sweep round hands its points to Arena.ScorePending,
-# which makes one call per key (K5, V4).
+# Arena.ScorePending is the one code that reads or writes the arena's
+# answers: a round's call scores every pending member of each share key
+# its points ask for, the members other tables declared included, and the
+# arena keeps their Metrics for the rounds that ask later (DESIGN.md §5a
+# "Groups across calls"); each fault hands a point an answer that is not
+# its own, or scores a key's members in more calls than one. The share
+# key is also the one grouping rule (K5, V4).
 
 row X1 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredMembersMatchRunConcurrent' ./internal/sim \
     'the share key drops Seed: another seed'"'"'s runs answer the call' \
-    'cfg.WarmFraction, cfg.Runs, cfg.Seed}, true' 'cfg.WarmFraction, cfg.Runs, 0}, true'
+    'cfg.WarmFraction, cfg.Runs, cfg.Seed}, m, true' 'cfg.WarmFraction, cfg.Runs, 0}, m, true'
 row X2 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
-    'the member key drops Variation: every variability at one capacity takes the first one'"'"'s answer' \
-    $'\t\tr := e.answers[m]\n' $'\t\tr := e.answers[Member{CacheBytes: m.CacheBytes}]\n' \
-    $'\t\t\te.answers[m] = r\n' $'\t\t\te.answers[Member{CacheBytes: m.CacheBytes}] = r\n'
+    'the member key drops Variation: every variability at one capacity takes the answer stored last at that capacity' \
+    $'\t\t\t\te.answers[m] = scored[k]\n' $'\t\t\t\te.answers[Member{CacheBytes: m.CacheBytes}] = scored[k]\n' \
+    $'\t\t\tm := e.answers[members[k]]\n' $'\t\t\tm := e.answers[Member{CacheBytes: members[k].CacheBytes}]\n'
 row X3 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
     'shareability ignores Estimators: an EWMA or underestimating row takes the oracle row'"'"'s answer' \
     'if cfg.Estimators != nil || len(cfg.CacheOptions) > 0 ||' 'if len(cfg.CacheOptions) > 0 ||'
 row X4 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
-    'store skips extras: the declared members a call claimed for later calls are answered with zero Metrics' \
-    $'\tfor _, m := range e.pending {\n' $'\town := len(mine)\n\tfor _, m := range e.pending {\n' \
-    'for k, r := range mine {' 'for k, r := range mine[:own] {'
+    'store skips extras: a call stores only the first member it scored, and the rest are answered with zero Metrics' \
+    'for k, m := range e.pending {' 'for k, m := range e.pending[:1] {'
+row X5 internal/sim/share.go 'TestScorePending TestGroupCounts' './internal/sim ./internal/experiments' \
+    'ScorePending skips one-member groups: the point runs alone and the other pending members of its key wait for a later round' \
+    $'\tfor _, is := range groups {\n' $'\tfor _, is := range groups {\n\t\tif len(is) == 1 {\n\t\t\tcontinue\n\t\t}\n'
 row K5 internal/sim/share.go 'TestGoldenTables TestDeclaredMembersMatchRun' './internal/experiments ./internal/sim' \
     'the share key drops the policy: one policy scores every policy'"'"'s rows' \
     'return shareKey{cfg.Workload, cfg.Policy, cfg.Base,' 'return shareKey{cfg.Workload, nil, cfg.Base,'
 row V4 internal/sim/share.go 'TestScorePending TestGroupCounts' './internal/sim ./internal/experiments' \
-    'ScorePending groups every configuration under the first one'"'"'s key: that key'"'"'s call scores the others'"'"' capacities with its policy, and their own Runs score them again' \
-    'batches[id].members = append(batches[id].members, m)' 'batches[0].members = append(batches[0].members, m)'
+    'GroupOf puts every configuration of a round in one group: one call scores the last key'"'"'s pending members with the first configuration'"'"'s policy, and the other keys'"'"' points read answers that are not theirs' \
+    $'\t\t\tid = len(seen)\n' $'\t\t\tid = 0\n'
 
 # --- ownership: shards own groups, not rows -------------------------------------
 #
