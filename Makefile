@@ -99,8 +99,10 @@ dead-check:
 ## require the merge to refuse it naming table and index, then restore
 ## it, merge each split and diff it against the single-process output
 ## (OPERATIONS.md §7). refined-esigma's groups of one e stay whole on
-## one shard, so its rows are not dealt out round robin.
-SHARD_KEYS ?= figure5,refined-e,refined-esigma
+## one shard, so its rows are not dealt out round robin; ablation-eviction,
+## ext-active-probing and hierarchy are keyed eviction, estimator and
+## hierarchy rows.
+SHARD_KEYS ?= figure5,refined-e,refined-esigma,ablation-eviction,ext-active-probing,hierarchy
 shard-check:
 	rm -rf shard-check
 	$(GO) build -o shard-check/figures ./cmd/figures

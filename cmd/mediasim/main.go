@@ -67,13 +67,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	estimators, err := estimatorByName(*estimator, *ewmaAlpha, *e)
+	est, err := estimatorByName(*estimator, *ewmaAlpha, *e)
 	if err != nil {
 		return err
-	}
-	var opts []core.Option
-	if *wholeEvict {
-		opts = append(opts, core.WithWholeObjectEviction(true))
 	}
 	cfg := sim.Config{
 		Workload: workload.Config{
@@ -81,14 +77,14 @@ func run() error {
 			NumRequests: *requests,
 			ZipfAlpha:   *alpha,
 		},
-		CacheBytes:   units.GBytes(*cacheGB),
-		Policy:       policy,
-		CacheOptions: opts,
-		Variation:    variation,
-		Estimators:   estimators,
-		Runs:         *runs,
-		Seed:         *seed,
-		Parallelism:  *parallel,
+		CacheBytes:          units.GBytes(*cacheGB),
+		Policy:              policy,
+		WholeObjectEviction: *wholeEvict,
+		Variation:           variation,
+		Estimator:           est,
+		Runs:                *runs,
+		Seed:                *seed,
+		Parallelism:         *parallel,
 	}
 	m, err := sim.Run(cfg)
 	if err != nil {
@@ -105,21 +101,25 @@ func run() error {
 	return nil
 }
 
-func estimatorByName(name string, ewmaAlpha, e float64) (sim.EstimatorFactory, error) {
+// estimatorByName builds the -estimator value; an out-of-range
+// parameter is sim's ErrBadConfig, prefixed with the flag that set it.
+func estimatorByName(name string, ewmaAlpha, e float64) (sim.Estimator, error) {
+	var (
+		est  sim.Estimator
+		from string // the flag that sets est's parameter
+	)
 	switch name {
 	case "oracle":
-		return nil, nil // sim.Config.Estimators: nil is the oracle mean
+		return nil, nil // sim.Config.Estimator: nil is the oracle mean
 	case "ewma":
-		if _, err := bandwidth.NewEWMA(ewmaAlpha); err != nil {
-			return nil, fmt.Errorf("ewma-alpha: %w", err)
-		}
-		return sim.EWMAEstimator(ewmaAlpha), nil
+		est, from = sim.EWMA{Alpha: ewmaAlpha}, "ewma-alpha"
 	case "underestimate":
-		if !(e >= 0 && e <= 1) { // NaN fails both
-			return nil, fmt.Errorf("e=%v outside [0,1]", e)
-		}
-		return sim.UnderestimatingOracle(e), nil
+		est, from = sim.Underestimate{E: e}, "e"
 	default:
 		return nil, fmt.Errorf("unknown estimator %q", name)
 	}
+	if err := est.Validate(); err != nil {
+		return nil, fmt.Errorf("-%s: %w", from, err)
+	}
+	return est, nil
 }

@@ -48,13 +48,16 @@ var staticKeys = map[string]bool{"table1": true, "figure2": true, "figure3": tru
 // figure10's IF rows figure5's and figure11's figure8's;
 // ablation-estimators' oracle rows are figure8's PB rows; scenarios'
 // oracle cells at σ 0.25 and 0.55 are figure8's and figure7's middle
-// size, and its σ 0 cells each run alone; refined-e's coarse round is
+// size, its PB ewma_0.3 and underestimate_0.5 cells at σ 0.25
+// ablation-estimators' middle size, and its σ 0 cells each run alone;
+// ablation-eviction's partial rows are figure5's PB rows, and its
+// whole-object rows one group replayed per capacity; refined-e's coarse round is
 // figure9's middle column, refined-sigma's scenarios' oracle PB cells and
 // refined-cache's figure5's PB column, so only their refinement rounds
 // score (a σ pair sharing one replay, a cache-size pair in one pass);
 // refined-esigma's σ 0.55 column is figure9's and each e's σ 0 and 0.25
-// share one replay. Estimator and cache-option rows are never shared, so
-// each replays alone and counts nothing.
+// share one replay. Every other estimator row, and every hierarchy row,
+// is a group of its own: it replays alone and counts nothing.
 func TestGroupCounts(t *testing.T) {
 	want := map[string][4]int64{ // passes, fallbacks, shared, reused
 		"figure5":             {2, 2, 0, 0},
@@ -62,9 +65,9 @@ func TestGroupCounts(t *testing.T) {
 		"figure9":             {6, 0, 0, 0},
 		"figure10":            {2, 0, 0, 5},
 		"figure11":            {2, 0, 0, 5},
-		"ablation-eviction":   {0, 0, 0, 0},
+		"ablation-eviction":   {0, 2, 0, 5},
 		"ablation-estimators": {0, 0, 0, 5},
-		"scenarios":           {0, 0, 0, 6},
+		"scenarios":           {0, 0, 0, 8},
 		"refined-e":           {0, 0, 0, 6},
 		"refined-sigma":       {0, 0, 2, 3},
 		"refined-cache":       {2, 0, 0, 5},
@@ -97,11 +100,13 @@ func TestGroupCounts(t *testing.T) {
 // TestCapacityGroupsHoldOwnedRows: a shard groups only the rows it
 // owns, and it owns whole groups — of figure5's three policies here
 // shard 0 owns IF's and IB's cache sizes (IF's seed falls back) and
-// shard 1 PB's, one pass each, and each e row of refined-esigma's
-// coarse round keeps its sigmas on one shard, two e rows on shard 0 and
-// one on shard 1 — and a resumed shard groups only the rows its journal
-// lacks; either way the merged journals are the unsharded stream, byte
-// for byte.
+// shard 1 PB's, one pass each — and a resumed shard groups only the
+// rows its journal lacks; either way the merged journals are the
+// unsharded stream, byte for byte. With no exchange, a shard of
+// refined-esigma scores the foreign points of each round itself, through
+// the same groups: each e row of the coarse round shares its sigmas'
+// replays, two e rows owned by shard 0 and one by shard 1, so each
+// shard counts all three rows' six shared replays.
 func TestCapacityGroupsHoldOwnedRows(t *testing.T) {
 	base := tinyScale()
 	base.CacheFractions = []float64{0.005, 0.02, 0.05, 0.1}
@@ -111,7 +116,7 @@ func TestCapacityGroupsHoldOwnedRows(t *testing.T) {
 		want [2][3]int64 // per shard: passes, fallbacks, shared
 	}{
 		{"figure5", [2][3]int64{{1, 1, 0}, {1, 0, 0}}},
-		{"refined-esigma", [2][3]int64{{0, 0, 4}, {0, 0, 2}}},
+		{"refined-esigma", [2][3]int64{{0, 0, 6}, {0, 0, 6}}},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
 			var want bytes.Buffer

@@ -13,9 +13,10 @@
 // JSONL) are identical for:
 //
 //   - every Scale.Parallelism value and any goroutine schedule: sweep
-//     points are self-contained (each sim.Run derives all randomness
-//     from the config seed via sim.SplitSeed), and a reorder buffer
-//     (par.ForOrdered) sequences out-of-order worker completions;
+//     points are self-contained (each run derives all randomness from
+//     the config seed via sim.SplitSeed), and a round formats and emits
+//     its rows in index order once sim.Arena.ScorePending has scored
+//     them;
 //   - every Scale.Shard.Count: rows carry stable global indices (their
 //     position in the unsharded stream), shards own each round's groups
 //     whole — its rows with one share key — by a pure function of the

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"streamcache/internal/par"
@@ -14,14 +12,14 @@ import (
 
 // The sweep engine: every table is a plan — a coarse round of points
 // plus, for the adaptive sweeps, a refiner that asks for more rounds —
-// and one runner streams it into a RowSink. Each round fans out over a
-// bounded worker pool with a reorder buffer (par.ForOrdered) delivering
-// rows in index order however workers finish. Points are self-contained
-// (each sim.Run derives all of its randomness from the config seed via
-// sim.SplitSeed), so a streamed table is byte-identical for every
-// Parallelism value and any goroutine schedule. Simulated experiments
-// reach a plan through spec.compile (spec.go); the static tables build
-// theirs from rows they computed eagerly.
+// and one runner streams it into a RowSink. Each round hands the points
+// it must simulate to sim.Arena.ScorePending, which scores them over a
+// bounded worker pool, and formats and emits the rows in index order.
+// Points are self-contained (each run derives all of its randomness from
+// the config seed via sim.SplitSeed), so a streamed table is
+// byte-identical for every Parallelism value and any goroutine schedule.
+// Simulated experiments reach a plan through spec.compile (spec.go); the
+// static tables build theirs from rows they computed eagerly.
 
 // exec is the execution context of one streamed run: the scale — its
 // worker bound, the Shard of the row space this process owns, the
@@ -78,18 +76,15 @@ func (s Scale) parallelism() int {
 }
 
 // planPoint is one row of a plan: already rendered (row; the static
-// tables) or evaluated on demand. eval returns the row without the
-// trailing source cell plus the scalar an adaptive plan ranks by,
-// formatted from answer when the round's ScorePending answered the point
-// and from a run of its own when answer is nil. innerParallelism is the
-// worker bound left for that run's replication pool: wide when few
-// points are in flight (refinement rounds), 1 when the round already
-// saturates the cores. Results must not depend on it.
+// tables) or simulated — cfg, which the round hands to
+// sim.Arena.ScorePending, and eval, which formats its answer into the
+// row without the trailing source cell plus the scalar an adaptive plan
+// ranks by.
 type planPoint struct {
 	row    []string
-	coords []float64 // position on the adaptive axes; nil on a fixed grid
-	eval   func(answer *sim.Metrics, innerParallelism int) (row []string, metric float64, err error)
-	flat   *sim.Config // the configuration of a flat point; nil for the hierarchy and static rows
+	coords []float64            // position on the adaptive axes; nil on a fixed grid
+	cfg    *sim.HierarchyConfig // nil for the static rows
+	eval   func(answer sim.Metrics) (row []string, metric float64)
 }
 
 // plan is one table ready to run: its identity, the coarse round in row
@@ -159,78 +154,60 @@ func (p *plan) run(x exec, round func(pts []planPoint, base int, source string) 
 // grid needs no one else's metrics, so a shard neither resolves nor
 // simulates foreign points.
 //
-// The round runs own work first: a shard simulates all of its owned
-// points over the worker pool (replaying journaled rows when present)
-// and emits them, and only then resolves the foreign ones — from
-// journaled metric checkpoints, then through the MetricExchange. So N
-// shards simulate a round concurrently and trade metrics once at its
-// end; a shard that waited on a peer's point g+1 before starting its
-// own g+2 would instead alternate with that peer point by point and
-// gain nothing from being sharded. Only when journal and exchange both
-// miss (no exchange configured, collector down, owner dead) does a
-// shard simulate a foreign point locally, over the same pool; the
+// The round runs own work first: a shard resolves its owned points
+// (replaying journaled rows when present), hands the rest to the arena
+// (sim.Arena.ScorePending), which scores them together by share key, one
+// key after another over the whole worker budget, and formats and emits
+// them; only then does it resolve the foreign ones — from journaled
+// metric checkpoints, then through the MetricExchange. So N shards
+// simulate a round concurrently and trade metrics once at its end; a
+// shard that waited on a peer's point g+1 before starting its own g+2
+// would instead alternate with that peer point by point and gain nothing
+// from being sharded. Only when journal and exchange both miss (no
+// exchange configured, collector down, owner dead) does a shard simulate
+// a foreign point locally, through the same ScorePending; the
 // determinism contract makes the fallback metric bit-identical to the
-// owner's, so the refined point set and the emitted rows never depend
-// on which path produced a metric or in what order metrics arrived —
-// decisions read the completed vector. Fail-fast semantics are
-// streamOrdered's.
+// owner's, so the refined point set and the emitted rows never depend on
+// which path produced a metric or in what order metrics arrived —
+// decisions read the completed vector.
 func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, emit func(r MetricRow) error) ([]sample, error) {
 	samples := make([]sample, len(pts))
-	// phase runs one half of the round, the owned points or the foreign
-	// ones; rows reach emit only for owned points. The worker budget is
-	// split between the point pool and each point's inner pool so a
-	// phase with few points (a refinement round, a shard's slice of the
-	// coarse pass) still keeps the cores busy, while a wide phase does not
-	// oversubscribe them P x P. The owned half first hands the flat points
-	// it simulates to the arena (sim.Arena.ScorePending), which scores
-	// them together by share key, one key after another over the whole
-	// worker budget, and answers each; eval formats a point's row from
-	// its answer and runs only the points left without one. Pure
-	// scheduling: rows are identical for any split.
 	owned := x.Shard.owned(pts, base)
+	// phase runs one half of the round, the owned points or the foreign
+	// ones; rows reach emit only for owned points.
 	phase := func(own bool) error {
-		var is []int // the phase's offsets into the round, in index order
-		for i := range pts {
-			if owned[i] == own {
-				is = append(is, i)
+		is, rows, ok := x.resolvePhase(pts, owned, own, base, adaptive)
+		var cfgs []sim.HierarchyConfig
+		for j, i := range is {
+			if !ok[j] {
+				cfgs = append(cfgs, *pts[i].cfg)
 			}
 		}
-		workers := x.parallelism()
-		answers := make([]*sim.Metrics, len(pts))
-		left := len(is) // the points without an answer
-		if own {
-			cfgs, at := x.simulated(pts, owned, base, adaptive)
-			ms, err := x.Arena.ScorePending(cfgs, workers)
-			if err != nil {
-				return err
+		ms, err := x.Arena.ScorePending(cfgs, x.parallelism())
+		if err != nil {
+			return err
+		}
+		for j, i := range is {
+			r := rows[j]
+			if !ok[j] {
+				if x.Counters != nil {
+					x.Counters.Evaluations.Add(1)
+				}
+				row, metric := pts[i].eval(ms[0])
+				ms = ms[1:]
+				r = MetricRow{Index: base + i, Row: row}
+				if adaptive {
+					r.Row, r.Metric, r.HasMetric = append(row, source), metric, true
+				}
 			}
-			for k, i := range at {
-				if answers[i] = ms[k]; ms[k] != nil {
-					left--
+			samples[i] = sample{at: pts[i].coords, metric: r.Metric}
+			if own {
+				if err := emit(r); err != nil {
+					return err
 				}
 			}
 		}
-		inner := max(1, workers/max(1, left))
-		return streamOrdered(workers, len(is), func(j int) (MetricRow, error) {
-			i := is[j]
-			if r, ok := x.resolve(pts[i], base+i, own, adaptive); ok {
-				return r, nil
-			}
-			if x.Counters != nil {
-				x.Counters.Evaluations.Add(1)
-			}
-			row, metric, err := pts[i].eval(answers[i], inner)
-			if err != nil || !adaptive {
-				return MetricRow{Index: base + i, Row: row}, err
-			}
-			return MetricRow{Index: base + i, Row: append(row, source), Metric: metric, HasMetric: true}, nil
-		}, func(j int, r MetricRow) error {
-			samples[is[j]] = sample{at: pts[is[j]].coords, metric: r.Metric}
-			if !own {
-				return nil
-			}
-			return emit(r)
-		})
+		return nil
 	}
 	if err := phase(true); err != nil || !adaptive {
 		return nil, err
@@ -238,22 +215,24 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 	return samples, phase(false)
 }
 
-// simulated returns the configurations of the flat points among pts
-// (global indices base..base+len(pts)-1; owned is Shard.owned's answer
-// for them) that this process simulates itself — those it owns whose
-// rows resolve cannot answer — and at[k], the offset in pts of cfgs[k].
-// A round scores them together, and Declare declares a coarse round's
-// ahead.
-func (x exec) simulated(pts []planPoint, owned []bool, base int, adaptive bool) (cfgs []sim.Config, at []int) {
-	for i, pt := range pts {
-		if pt.flat == nil || !owned[i] {
-			continue
-		}
-		if _, ok := x.resolve(pt, base+i, true, adaptive); !ok {
-			cfgs, at = append(cfgs, *pt.flat), append(at, i)
+// resolvePhase resolves the points of one half of a round (global
+// indices base..base+len(pts)-1; owned is Shard.owned's answer for them)
+// — the owned ones or the foreign ones — concurrently over the worker
+// pool, so exchange waits overlap. is lists the half's offsets into pts
+// in index order and rows[j] is what resolve answered for pts[is[j]],
+// if ok[j]; the points nothing answered are the ones this process
+// simulates itself.
+func (x exec) resolvePhase(pts []planPoint, owned []bool, own bool, base int, adaptive bool) (is []int, rows []MetricRow, ok []bool) {
+	for i := range pts {
+		if owned[i] == own {
+			is = append(is, i)
 		}
 	}
-	return cfgs, at
+	rows, ok = make([]MetricRow, len(is)), make([]bool, len(is))
+	par.For(x.parallelism(), len(is), func(j int) {
+		rows[j], ok[j] = x.resolve(pts[is[j]], base+is[j], own, adaptive)
+	})
+	return is, rows, ok
 }
 
 // resolve answers the point at global index g without simulating it
@@ -266,7 +245,7 @@ func (x exec) resolve(pt planPoint, g int, own, adaptive bool) (MetricRow, bool)
 	case !own:
 		m, ok := x.foreignMetric(g)
 		return MetricRow{Metric: m}, ok
-	case pt.eval == nil:
+	case pt.cfg == nil:
 		return MetricRow{Index: g, Row: pt.row}, true
 	}
 	r, ok := x.Resume.replay(x.table, g)
@@ -274,66 +253,6 @@ func (x exec) resolve(pt planPoint, g int, own, adaptive bool) (MetricRow, bool)
 		return MetricRow{Index: g, Row: r.Row}, ok
 	}
 	return MetricRow{Index: g, Row: r.Row, Metric: r.Metric, HasMetric: true}, ok && r.HasMetric
-}
-
-// errSweepAborted marks tasks skipped because an earlier task failed.
-// It is internal flow control only: streamOrdered reports the first
-// real failure in task order, never the sentinel.
-var errSweepAborted = errors.New("experiments: sweep aborted")
-
-// streamOrdered runs eval(0..n-1) over a worker pool bounded by
-// parallelism and hands results to deliver in strict index order as
-// they become available. The first failure (in task order) aborts the
-// stream, and tasks not yet started when any failure lands are
-// skipped, preserving the fail-fast behavior of the old
-// collect-then-return sweeps. Results delivered before the first
-// failing index stay delivered: streaming consumers own partial
-// output (under a failure the delivered prefix may end before the
-// failing index, since a skipped task yields nothing to deliver).
-func streamOrdered[T any](parallelism, n int, eval func(i int) (T, error), deliver func(i int, v T) error) error {
-	type result struct {
-		v   T
-		err error
-	}
-	var failed atomic.Bool
-	var deliverErr error
-	// Real task errors land in index-addressed slots so the reported
-	// error is the first in task order — a skipped lower-index task
-	// (sentinel) must not mask the failure that caused the skip.
-	errs := make([]error, n)
-	par.ForOrdered(parallelism, n, func(i int) result {
-		if failed.Load() {
-			return result{err: errSweepAborted}
-		}
-		v, err := eval(i)
-		if err != nil {
-			errs[i] = err
-			failed.Store(true)
-		}
-		return result{v: v, err: err}
-	}, func(i int, r result) bool {
-		if r.err != nil {
-			return false
-		}
-		if err := deliver(i, r.v); err != nil {
-			failed.Store(true)
-			deliverErr = err
-			return false
-		}
-		return true
-	})
-	// A deliver failure is what actually cut the stream short; tasks
-	// can only have failed at higher indices (every task at or below
-	// the delivered prefix succeeded), so it takes precedence.
-	if deliverErr != nil {
-		return deliverErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // stream drives one plan into a sink: Begin, ordered rows, End. Rows
@@ -488,11 +407,11 @@ func Stream(key string, s Scale, sink RowSink) error {
 // a group to sim.Arena.ScorePending scores the members later tables ask
 // for too and those tables take the finished Metrics. Call it once,
 // before the tables stream, with the arena, shard and resume journal
-// they will run with: it declares only the points this process will
-// simulate itself, the ones evalRound hands the arena
-// (exec.simulated). Each round declares its own points again as it
-// runs, so refinement rounds share across tables too, once they are
-// known; the static tables are not built.
+// they will run with: it declares only the owned points this process
+// will simulate itself, the ones evalRound hands the arena (those
+// exec.resolvePhase does not answer). Each round declares its own points again
+// as it runs, so refinement rounds share across tables too, once they
+// are known; the static tables are not built.
 // Without an arena (each table then has its own) it declares nothing.
 // Rows are identical whether or not it was called.
 func Declare(s Scale, keys ...string) error {
@@ -509,9 +428,12 @@ func Declare(s Scale, keys ...string) error {
 			return err
 		}
 		x := exec{Scale: s, table: p.meta.Name}
-		cfgs, _ := x.simulated(p.coarse, x.Shard.owned(p.coarse, 0), 0, p.refine != nil)
-		for _, cfg := range cfgs {
-			if err := s.Arena.Declare(cfg); err != nil {
+		is, _, resolved := x.resolvePhase(p.coarse, x.Shard.owned(p.coarse, 0), true, 0, p.refine != nil)
+		for j, i := range is {
+			if resolved[j] {
+				continue
+			}
+			if err := s.Arena.Declare(*p.coarse[i].cfg); err != nil {
 				return err
 			}
 		}

@@ -2,14 +2,15 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"streamcache/internal/core"
 	"streamcache/internal/sim"
+	"streamcache/internal/workload"
 )
 
 // tableEqual reports whether two tables have identical rows.
@@ -126,24 +127,24 @@ func (r *recordingSink) End() error {
 }
 
 // TestSinkReceivesRowsBeforeSweepCompletes proves the pipeline streams:
-// a later task blocks until the sink has observed the first row, which
-// is impossible under the old collect-then-return contract (rows only
-// reached consumers after every task finished).
+// a later row's formatting blocks until the sink has observed the first
+// row, which is impossible under a collect-then-return contract (rows
+// only reaching consumers after the whole table).
 func TestSinkReceivesRowsBeforeSweepCompletes(t *testing.T) {
 	sink := newRecordingSink()
 	sw := gridPlan(TableMeta{Name: "streaming probe", Header: []string{"i"}},
-		func() ([]string, error) { return []string{"0"}, nil },
-		func() ([]string, error) {
+		func() []string { return []string{"0"} },
+		func() []string {
 			select {
 			case <-sink.firstRow:
-				return []string{"1"}, nil
+				return []string{"1"}
 			case <-time.After(10 * time.Second):
-				return nil, errors.New("sink never saw row 0 while the sweep was still running")
+				return []string{"sink never saw row 0 while the sweep was still running"}
 			}
 		},
 	)
 	s := tinyScale()
-	s.Parallelism = 2
+	s.Parallelism, s.Arena = 2, sim.NewArena()
 	if err := stream(s, sw, sink); err != nil {
 		t.Fatal(err)
 	}
@@ -155,96 +156,23 @@ func TestSinkReceivesRowsBeforeSweepCompletes(t *testing.T) {
 	}
 }
 
-// gridPlan is a synthetic fixed-grid plan: one point per task, in order.
-func gridPlan(meta TableMeta, tasks ...func() ([]string, error)) *plan {
+// gridPlan is a synthetic fixed-grid plan: one point per task, in order,
+// whose row is the task's. Each point simulates the probe of a seed of
+// its own, so no two points share a key.
+func gridPlan(meta TableMeta, tasks ...func() []string) *plan {
 	p := &plan{meta: meta}
-	for _, task := range tasks {
-		p.coarse = append(p.coarse, planPoint{eval: func(*sim.Metrics, int) ([]string, float64, error) {
-			row, err := task()
-			return row, 0, err
-		}})
+	for i, task := range tasks {
+		p.coarse = append(p.coarse, planPoint{cfg: probe(int64(i)), eval: func(sim.Metrics) ([]string, float64) { return task(), 0 }})
 	}
 	return p
 }
 
-// orderedRows runs tasks over streamOrdered, the reorder-and-fail-fast
-// core every round of every plan goes through.
-func orderedRows(parallelism int, tasks []func() ([]string, error), emit func(row []string) error) error {
-	return streamOrdered(parallelism, len(tasks),
-		func(i int) ([]string, error) { return tasks[i]() },
-		func(_ int, row []string) error { return emit(row) })
-}
-
-func TestStreamTasksOrderAndErrors(t *testing.T) {
-	// Rows arrive in task order however many workers run them.
-	n := 100
-	tasks := make([]func() ([]string, error), n)
-	for i := range tasks {
-		tasks[i] = func() ([]string, error) {
-			return []string{strconv.Itoa(i)}, nil
-		}
-	}
-	var rows [][]string
-	if err := orderedRows(8, tasks, func(row []string) error {
-		rows = append(rows, row)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != n {
-		t.Fatalf("rows = %d, want %d", len(rows), n)
-	}
-	for i, row := range rows {
-		if row[0] != strconv.Itoa(i) {
-			t.Fatalf("row %d = %q, want %q", i, row[0], strconv.Itoa(i))
-		}
-	}
-
-	// The first failing task (in task order) surfaces as the error, and
-	// only rows before it were emitted. Task 37 fails only once rows
-	// 0..36 have been delivered: a failure landing earlier makes
-	// streamOrdered skip tasks that have not started, and the delivered
-	// prefix would end short of 37.
-	boom := errors.New("boom")
-	delivered := make(chan struct{})
-	tasks[37] = func() ([]string, error) {
-		<-delivered
-		return nil, boom
-	}
-	rows = nil
-	err := orderedRows(4, tasks, func(row []string) error {
-		rows = append(rows, row)
-		if len(rows) == 37 {
-			close(delivered)
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error = %v, want boom", err)
-	}
-	if len(rows) != 37 {
-		t.Fatalf("emitted %d rows before the failure at 37, want 37", len(rows))
-	}
-	for i, row := range rows {
-		if row[0] != strconv.Itoa(i) {
-			t.Fatalf("row %d = %q, want %q", i, row[0], strconv.Itoa(i))
-		}
-	}
-
-	// A sink error aborts the sweep.
-	tasks[37] = func() ([]string, error) { return []string{"37"}, nil }
-	sinkErr := errors.New("disk full")
-	if err := orderedRows(4, tasks, func([]string) error { return sinkErr }); !errors.Is(err, sinkErr) {
-		t.Fatalf("error = %v, want sink error", err)
-	}
-
-	// Degenerate pools still work.
-	if err := orderedRows(0, nil, func([]string) error {
-		t.Error("emit called with no tasks")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+// probe is the small configuration a synthetic plan's point simulates;
+// the point's row comes from its own eval.
+func probe(seed int64) *sim.HierarchyConfig {
+	return &sim.HierarchyConfig{Config: sim.Config{
+		Workload: workload.Config{NumObjects: 20, NumRequests: 200}, Policy: core.NewPB(), Seed: seed,
+	}}
 }
 
 func TestScenarioMatrixShape(t *testing.T) {
@@ -314,12 +242,13 @@ func (c *countingExchange) ForeignMetric(string, int) (float64, bool) {
 // simulates exactly the points it owns — for a synthetic grid and for a
 // registered one.
 func TestFixedGridResolvesNoForeignMetrics(t *testing.T) {
-	var tasks []func() ([]string, error)
+	var tasks []func() []string
 	for i := 0; i < 6; i++ {
-		tasks = append(tasks, func() ([]string, error) { return []string{strconv.Itoa(i)}, nil })
+		tasks = append(tasks, func() []string { return []string{strconv.Itoa(i)} })
 	}
 	ex := &countingExchange{}
 	s := tinyScale()
+	s.Arena = sim.NewArena()
 	s.Shard = Shard{Index: 1, Count: 2}
 	s.Exchange = ex
 	s.Counters = &Counters{}

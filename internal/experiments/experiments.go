@@ -426,7 +426,7 @@ var ablationEviction = spec{
 }
 
 func eviction(label string, whole bool) level {
-	return opt(label, func(pt *point) { pt.CacheOptions = []core.Option{core.WithWholeObjectEviction(whole)} })
+	return opt(label, func(pt *point) { pt.WholeObjectEviction = whole })
 }
 
 // ablationEstimators compares the oracle-mean estimator with the passive
@@ -435,8 +435,8 @@ var ablationEstimators = spec{
 	name: "Ablation: oracle vs passive EWMA bandwidth estimation (PB policy, measured variability)",
 	axes: []axisFn{cacheAxis, pbPolicy, variation(bandwidth.MeasuredVariability()), choice("estimator",
 		estimator("oracle", nil),
-		estimator("ewma_0.3", sim.EWMAEstimator(0.3)),
-		estimator("underestimate_0.5", sim.UnderestimatingOracle(0.5)),
+		estimator("ewma_0.3", sim.EWMA{Alpha: 0.3}),
+		estimator("underestimate_0.5", sim.Underestimate{E: 0.5}),
 	)},
 	metrics: delayMetrics,
 }

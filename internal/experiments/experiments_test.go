@@ -284,8 +284,8 @@ func TestExtensionBaselines(t *testing.T) {
 // with one, and a resume or a shard's hello compares it for equality,
 // so any drift in the format — not only a field added or dropped —
 // orphans them all. A sharded run's name the ownership rule, so the
-// journals and sessions of shards that owned rows by index mod count
-// are refused; an unsharded run's are the format's from before.
+// journals and sessions of shards that owned rows by another rule
+// (index mod count, groups of flat oracle points only) are refused; an unsharded run's are the format's from before.
 func TestFingerprintGolden(t *testing.T) {
 	s := SmallScale()
 	const run = "objects=500 requests=10000 runs=2 seed=1 fractions=[0.005 0.02 0.05 0.1 0.169] alpha=[0.5 0.73 1 1.2] " +
@@ -296,7 +296,7 @@ func TestFingerprintGolden(t *testing.T) {
 	}{
 		{Shard{}, run + "0/1", run + "0/1"},
 		{Shard{Index: 0, Count: 1}, run + "0/1", run + "0/1"},
-		{Shard{Index: 1, Count: 2}, run + "1/2 owners=groups", run + "0/1 owners=groups"},
+		{Shard{Index: 1, Count: 2}, run + "1/2 owners=keys", run + "0/1 owners=keys"},
 	} {
 		s.Shard = tc.shard
 		if got := s.Fingerprint(); got != tc.fp {

@@ -154,9 +154,9 @@ var extensionActiveProbing = spec{
 	axes: []axisFn{
 		choice("estimator",
 			estimator("oracle", nil),
-			estimator("active_probe_jitter_0.05", sim.ActiveProbeEstimator(0.05)),
-			estimator("active_probe_jitter_0.20", sim.ActiveProbeEstimator(0.20)),
-			estimator("active_probe_jitter_0.40", sim.ActiveProbeEstimator(0.40))),
+			estimator("active_probe_jitter_0.05", sim.ActiveProbe{Jitter: 0.05}),
+			estimator("active_probe_jitter_0.20", sim.ActiveProbe{Jitter: 0.20}),
+			estimator("active_probe_jitter_0.40", sim.ActiveProbe{Jitter: 0.40})),
 		pbPolicy, fivePercentCache, variation(bandwidth.MeasuredVariability()),
 	},
 	metrics: delayMetrics,

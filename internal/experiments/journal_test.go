@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"streamcache/internal/rowlog"
+	"streamcache/internal/sim"
 )
 
 // journaledStream runs one experiment with a journal at path attached
@@ -139,17 +140,18 @@ func TestResumeSkipsCompletedTasks(t *testing.T) {
 
 	var executed atomic.Int64
 	build := func() *plan {
-		var tasks []func() ([]string, error)
+		var tasks []func() []string
 		for i := 0; i < n; i++ {
-			tasks = append(tasks, func() ([]string, error) {
+			tasks = append(tasks, func() []string {
 				executed.Add(1)
-				return []string{strconv.Itoa(i)}, nil
+				return []string{strconv.Itoa(i)}
 			})
 		}
 		return gridPlan(TableMeta{Name: "resume probe", Header: []string{"i"}}, tasks...)
 	}
 
 	s := tinyScale()
+	s.Arena = sim.NewArena()
 	fp := s.Fingerprint()
 
 	// First run: journal rows but fail the sink after 6 rows, as a

@@ -248,13 +248,13 @@ func TestOwnershipIsAFunctionOfTheRound(t *testing.T) {
 	}
 }
 
-// largestGroup returns the most flat points of a round that share one
-// key, or 1.
+// largestGroup returns the most points of a round that share one key,
+// or 1.
 func largestGroup(pts []planPoint) int {
-	var cfgs []sim.Config
+	var cfgs []sim.HierarchyConfig
 	for _, pt := range pts {
-		if pt.flat != nil {
-			cfgs = append(cfgs, *pt.flat)
+		if pt.cfg != nil {
+			cfgs = append(cfgs, *pt.cfg)
 		}
 	}
 	size := map[int]int{}

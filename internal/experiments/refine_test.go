@@ -11,19 +11,20 @@ import (
 
 // kneeSweep builds a synthetic adaptive sweep whose metric is a step at
 // x=knee: flat before, flat after, so all the gradient concentrates in
-// the interval straddling the knee. The evaluation counter is guarded:
-// point runs concurrently on sweep workers.
+// the interval straddling the knee. Every point simulates one probe, which
+// the arena scores once, and formats its own row: evaluated counts the
+// points formatted.
 func kneeSweep(axis []float64, knee float64) (*plan, *atomic.Int64) {
 	var evaluated atomic.Int64
 	at := func(coords []float64) (planPoint, error) {
 		x := coords[0]
-		return planPoint{coords: coords, eval: func(*sim.Metrics, int) ([]string, float64, error) {
+		return planPoint{coords: coords, cfg: probe(0), eval: func(sim.Metrics) ([]string, float64) {
 			evaluated.Add(1)
 			metric := 0.0
 			if x >= knee {
 				metric = 10
 			}
-			return []string{f3(x), f3(metric)}, metric, nil
+			return []string{f3(x), f3(metric)}, metric
 		}}, nil
 	}
 	sw := &plan{
@@ -45,7 +46,7 @@ func runAdaptive(t *testing.T, sw *plan, budget, parallelism int) [][]string {
 	t.Helper()
 	var rows [][]string
 	s := tinyScale()
-	s.Parallelism = parallelism
+	s.Parallelism, s.Arena = parallelism, sim.NewArena()
 	s.RefineBudget = budget
 	if err := stream(s, sw, sinkFunc(func(row []string) error {
 		rows = append(rows, row)

@@ -32,9 +32,9 @@ var scenarioMatrix = spec{
 		sigmaAxis,
 		choice("estimator",
 			estimator("oracle", nil),
-			estimator("ewma_0.3", sim.EWMAEstimator(0.3)),
-			estimator("underestimate_0.5", sim.UnderestimatingOracle(0.5)),
-			estimator("active_probe_0.1", sim.ActiveProbeEstimator(0.1))),
+			estimator("ewma_0.3", sim.EWMA{Alpha: 0.3}),
+			estimator("underestimate_0.5", sim.Underestimate{E: 0.5}),
+			estimator("active_probe_0.1", sim.ActiveProbe{Jitter: 0.1})),
 		delayPolicies,
 		cacheAt(Scale.midFraction),
 	},

@@ -11,11 +11,11 @@ import (
 // Sharded execution: a sweep's rows carry stable global indices (their
 // position in the unsharded deterministic stream), and a Shard selects
 // the subset of indices one process computes. A shard owns whole
-// groups, not rows: the flat points of a round that the arena scores
+// groups, not rows: the points of a round that the arena scores
 // together (one share key, sim.GroupOf) all go to one shard, so a
-// sharded sweep replays each group once, as one process does. Every
-// other point is a group of its own, and a round with no shared key is
-// dealt out round robin (index mod Count). Ownership is a pure function
+// sharded sweep replays each group once, as one process does. A static
+// row is a group of its own, and a round with no shared key is dealt
+// out round robin (index mod Count). Ownership is a pure function
 // of the round's full point list, which every process builds
 // identically, so the union of the shards' outputs is bit-identical to
 // the unsharded stream for any Shard.Count — the multi-process analogue
@@ -46,7 +46,7 @@ func (sh Shard) owned(pts []planPoint, base int) []bool {
 }
 
 // owners assigns each point of a round to one of count shards. A unit is
-// a group of flat points (sim.GroupOf) or any other single point; units
+// a group of simulated points (sim.GroupOf) or a static row; units
 // are dealt out round robin in order of first appearance, the u-th to
 // shard (base+u) mod count. In a round of single points u is the point's
 // offset, so such a round is owned index mod count; a round of equal
@@ -54,20 +54,20 @@ func (sh Shard) owned(pts []planPoint, base int) []bool {
 // refined-e's and refined-esigma's do. It reads nothing but pts and
 // base: not the arena, the resume journal or the exchange.
 func owners(pts []planPoint, base, count int) []int {
-	var cfgs []sim.Config
+	var cfgs []sim.HierarchyConfig
 	for _, pt := range pts {
-		if pt.flat != nil {
-			cfgs = append(cfgs, *pt.flat)
+		if pt.cfg != nil {
+			cfgs = append(cfgs, *pt.cfg)
 		}
 	}
 	groups := sim.GroupOf(cfgs)
 	ownerOf := map[int]int{} // group id -> its owner
 	owner := make([]int, len(pts))
-	units, flat := 0, 0
+	units, simulated := 0, 0
 	for i, pt := range pts {
 		g := -1
-		if pt.flat != nil {
-			g, flat = groups[flat], flat+1
+		if pt.cfg != nil {
+			g, simulated = groups[simulated], simulated+1
 		}
 		if o, ok := ownerOf[g]; ok {
 			owner[i] = o
@@ -84,14 +84,15 @@ func owners(pts []planPoint, base, count int) []int {
 
 // rule names the ownership rule in a sharded run's fingerprints. A
 // journal or collector session of shards that owned rows by another rule
-// (index mod count, before shards owned groups) then refuses this
-// binary's shards: mixed, some rows would be owned twice and some by no
-// shard.
+// (index mod count, before shards owned groups; groups of flat oracle
+// points only, before every simulated point had a share key) then
+// refuses this binary's shards: mixed, some rows would be owned twice
+// and some by no shard.
 func (sh Shard) rule() string {
 	if sh.Count <= 1 {
 		return ""
 	}
-	return " owners=groups"
+	return " owners=keys"
 }
 
 func (sh Shard) validate() error {

@@ -89,11 +89,11 @@ func ownedIndices(rounds []round, sh Shard) []int {
 
 // TestShardOwnershipPartitions: every point of a round is owned by
 // exactly one shard; points with no group are dealt out round robin from
-// the round's base; the flat points of one share key go to one shard,
-// and each group takes one turn of the round robin.
+// the round's base; the points of one share key go to one shard, and
+// each group takes one turn of the round robin.
 func TestShardOwnershipPartitions(t *testing.T) {
 	flat := func(p core.Policy, pct float64) planPoint {
-		return planPoint{flat: &sim.Config{Policy: p, CacheBytes: int64(pct * 1e9)}}
+		return planPoint{cfg: &sim.HierarchyConfig{Config: sim.Config{Policy: p, CacheBytes: int64(pct * 1e9)}}}
 	}
 	pb, ib := core.NewPB(), core.NewIB()
 	single := make([]planPoint, 17)

@@ -22,23 +22,13 @@ import (
 // the eagerly computed static tables (table1, figure2-4, ext-merging).
 
 // point is one sweep point under construction: the simulator
-// configuration the chosen axis levels mutate. A point whose Levels
-// stays 0 runs the flat simulator, any other the hierarchy.
+// configuration the chosen axis levels mutate (sim's rule: a point whose
+// Levels stays 0 runs the flat simulator, any other the hierarchy).
 type point struct {
 	sim.HierarchyConfig
 	// frac is the cache capacity as a fraction of the scale's unique
 	// object bytes; compile turns it into CacheBytes.
 	frac float64
-}
-
-// run simulates the point with the given run-level worker bound.
-func (pt point) run(innerParallelism int) (sim.Metrics, error) {
-	cfg := pt.HierarchyConfig
-	cfg.Parallelism = innerParallelism
-	if cfg.Levels == 0 {
-		return sim.Run(cfg.Config)
-	}
-	return sim.RunHierarchy(cfg)
 }
 
 // column is one metric column: its header name, how to read it off a
@@ -176,8 +166,8 @@ func sigmaAxis(s Scale) axis {
 }
 
 // estimator is one level of an "estimator" choice (Section 2.7).
-func estimator(label string, f sim.EstimatorFactory) level {
-	return opt(label, func(pt *point) { pt.Estimators = f })
+func estimator(label string, e sim.Estimator) level {
+	return opt(label, func(pt *point) { pt.Estimator = e })
 }
 
 // variation fixes the table's bandwidth variability model.
@@ -258,12 +248,12 @@ func (sp spec) compile(s Scale) (*plan, error) {
 		rank = c.of
 	}
 
-	// mk builds the point at one level per axis. Every point shares the
-	// scale's arena, so they replay one compiled tape per run seed.
+	// mk builds the point at one level per axis: its configuration, and
+	// the row its answer formats to.
 	mk := func(chosen []level, coords []float64) planPoint {
 		pt := point{HierarchyConfig: sim.HierarchyConfig{Config: sim.Config{
 			Workload: workload.Config{NumObjects: s.Objects, NumRequests: s.Requests},
-			Runs:     s.Runs, Seed: s.Seed, Arena: s.Arena,
+			Runs:     s.Runs, Seed: s.Seed,
 		}}}
 		var labels []string
 		for _, l := range chosen {
@@ -271,24 +261,13 @@ func (sp spec) compile(s Scale) (*plan, error) {
 			l.set(&pt)
 		}
 		pt.CacheBytes = int64(pt.frac * float64(total))
-		pp := planPoint{coords: coords, eval: func(answer *sim.Metrics, innerParallelism int) ([]string, float64, error) {
-			if answer == nil {
-				o, err := pt.run(innerParallelism)
-				if err != nil {
-					return nil, 0, err
-				}
-				answer = &o
-			}
+		return planPoint{coords: coords, cfg: &pt.HierarchyConfig, eval: func(answer sim.Metrics) ([]string, float64) {
 			row := slices.Clone(labels)
 			for _, c := range cols {
-				row = append(row, strconv.FormatFloat(c.of(*answer), 'f', c.prec, 64))
+				row = append(row, strconv.FormatFloat(c.of(answer), 'f', c.prec, 64))
 			}
-			return row, rank(*answer), nil
+			return row, rank(answer)
 		}}
-		if pt.Levels == 0 {
-			pp.flat = &pt.Config
-		}
-		return pp
 	}
 	var cross func(k int, chosen []level, coords []float64)
 	cross = func(k int, chosen []level, coords []float64) {

@@ -1,22 +1,16 @@
-// Package par provides the bounded fan-out primitives shared by the
+// Package par provides the bounded fan-out primitive shared by the
 // simulation engine (parallel replications in sim.Run) and the
-// experiment engine (parallel sweep points in internal/experiments).
+// experiment engine (concurrent lookups of a round's points in
+// internal/experiments).
 //
 // # Reproducibility contract
 //
-// The primitives schedule work; they never decide results.
-// Reproducibility is the caller's contract, and the two primitives
-// support it in complementary ways:
+// For schedules work; it never decides results. Reproducibility is the
+// caller's contract: fn writes only to its own index-addressed slot and
+// callers aggregate slots in index order afterwards, so the aggregate
+// is independent of which worker ran which index.
 //
-//   - With For, fn writes only to its own index-addressed slot and
-//     callers aggregate slots in index order afterwards, so the
-//     aggregate is independent of which worker ran which index.
-//   - With ForOrdered, a reorder buffer delivers results to the emit
-//     callback in strict index order as workers finish out of order, so
-//     a streamed consumer observes the same sequence at any worker
-//     count. emit is never called concurrently with itself.
-//
-// Either way results never depend on worker count or schedule — the
+// So results never depend on worker count or schedule — the
 // property the experiments layer amplifies into byte-identical sweeps
 // at any Parallelism, and (via stable global row indices) into
 // byte-identical unions across sweep shards. Callers must keep fn free

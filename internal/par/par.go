@@ -33,49 +33,3 @@ func For(workers, n int, fn func(i int)) {
 	}
 	wg.Wait()
 }
-
-// ForOrdered runs fn(0..n-1) over at most workers goroutines and hands
-// each result to emit in strict index order, as soon as every lower
-// index has been emitted — a reorder buffer over For. Workers finish
-// out of order; consumers observe a deterministic stream. emit is never
-// called concurrently with itself. Returning false from emit stops the
-// loop: results already buffered are dropped and tasks that have not
-// started are skipped (tasks already running finish but never emit).
-//
-// The buffer holds at most the in-flight window (roughly `workers`
-// results), since For dispenses indices in ascending order.
-func ForOrdered[T any](workers, n int, fn func(i int) T, emit func(i int, v T) bool) {
-	var (
-		mu      sync.Mutex
-		pending = make(map[int]T)
-		next    int
-		stopped bool
-	)
-	For(workers, n, func(i int) {
-		mu.Lock()
-		skip := stopped
-		mu.Unlock()
-		if skip {
-			return
-		}
-		v := fn(i)
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
-			return
-		}
-		pending[i] = v
-		for {
-			v, ok := pending[next]
-			if !ok {
-				return
-			}
-			delete(pending, next)
-			if !emit(next, v) {
-				stopped = true
-				return
-			}
-			next++
-		}
-	})
-}

@@ -25,62 +25,3 @@ func TestForZeroTasks(t *testing.T) {
 		t.Error("fn called with zero tasks")
 	}
 }
-
-func TestForOrderedEmitsInIndexOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 100} {
-		const n = 500
-		var got []int
-		ForOrdered(workers, n, func(i int) int {
-			// Skew work so high indices tend to finish first; the reorder
-			// buffer must still sequence emissions.
-			return i * 2
-		}, func(i, v int) bool {
-			got = append(got, v)
-			return true
-		})
-		if len(got) != n {
-			t.Fatalf("workers=%d: emitted %d results, want %d", workers, len(got), n)
-		}
-		for i, v := range got {
-			if v != i*2 {
-				t.Fatalf("workers=%d: emit %d got value %d, want %d", workers, i, v, i*2)
-			}
-		}
-	}
-}
-
-func TestForOrderedStopsOnFalse(t *testing.T) {
-	// Multi-worker: emission stops exactly where emit said so, whatever
-	// the workers were doing.
-	const n = 200
-	var emitted []int
-	ForOrdered(4, n, func(i int) int { return i }, func(i, v int) bool {
-		emitted = append(emitted, v)
-		return len(emitted) < 10
-	})
-	if len(emitted) != 10 {
-		t.Fatalf("emitted %d results after stop, want 10", len(emitted))
-	}
-	for i, v := range emitted {
-		if v != i {
-			t.Fatalf("emit %d = %d, want %d", i, v, i)
-		}
-	}
-
-	// Single worker (deterministic schedule): tasks after the stop are
-	// never started.
-	var started atomic.Int32
-	ForOrdered(1, n, func(i int) int {
-		started.Add(1)
-		return i
-	}, func(i, v int) bool { return i < 9 })
-	if s := started.Load(); s != 10 {
-		t.Errorf("single worker started %d tasks after stop at index 9, want 10", s)
-	}
-}
-
-func TestForOrderedZeroTasks(t *testing.T) {
-	ForOrdered(4, 0,
-		func(i int) int { t.Error("fn called with zero tasks"); return 0 },
-		func(i, v int) bool { t.Error("emit called with zero tasks"); return true })
-}

@@ -45,7 +45,7 @@ type Arena struct {
 	// store guards answers, the declared share keys' members; only
 	// Declare and ScorePending take it (share.go).
 	store   sync.Mutex
-	answers map[shareKey]*shareEntry
+	answers map[HierarchyConfig]*shareEntry
 
 	tapeCompiles, rateCompiles        atomic.Int64
 	passes, fallbacks, shared, reused atomic.Int64 // RunGroup telemetry
@@ -60,7 +60,7 @@ func NewArena() *Arena {
 		paths:   make(map[pathKey]*memo[[]float64]),
 		cols:    make(map[rateKey]*memo[[]float64]),
 		traces:  make(map[trace.GenConfig]*memo[[]trace.Entry]),
-		answers: make(map[shareKey]*shareEntry),
+		answers: make(map[HierarchyConfig]*shareEntry),
 	}
 }
 

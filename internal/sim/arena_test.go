@@ -48,7 +48,7 @@ func TestArenaSharedAcrossConfigsBitIdentical(t *testing.T) {
 			CacheBytes: cacheBytes,
 			Policy:     core.NewPB(),
 			Variation:  bandwidth.MeasuredVariability(),
-			Estimators: EWMAEstimator(0.3),
+			Estimator:  EWMA{0.3},
 			Runs:       2,
 			Seed:       7,
 		}
@@ -182,12 +182,18 @@ func TestRunOnceSteadyStateAllocs(t *testing.T) {
 }
 
 // The active prober must draw independent noise streams for paths that
-// share a mean bandwidth (the factory seed mixes in the path index).
+// share a mean bandwidth (the probe seed mixes in the path index).
 func TestActiveProberSeedsDifferPerPath(t *testing.T) {
-	factory := ActiveProbeEstimator(0.3)
+	probe := ActiveProbe{0.3}
 	const mean = 256 * 1024.0
-	a := factory(0, mean)
-	b := factory(1, mean)
+	a, err := probe.forPath(0, mean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := probe.forPath(1, mean)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a.Observe(0) // trigger a probe
 	b.Observe(0)
 	if a.Estimate() == b.Estimate() {

@@ -51,12 +51,12 @@ type Member struct {
 // RunGroup returns, for each member, the Metrics of cfg's runs with
 // CacheBytes and Variation set to the member's (cfg's own two are not
 // read); Run is its one-member case. Under the oracle estimator (nil
-// Estimators) the members at one capacity share one cache trajectory,
+// Estimator) the members at one capacity share one cache trajectory,
 // each scoring it from its own bandwidth column. With two or more
 // distinct capacities a run seed's trajectories come from one pass over
 // its tape when the configuration lets the pass be exact — a Policy the
-// cache does not age (core.Ages), no CacheOptions (byte-granular
-// eviction) — and the seed's utilities are all finite, positive and
+// cache does not age (core.Ages), byte-granular eviction (no
+// WholeObjectEviction) — and the seed's utilities are all finite, positive and
 // distinct between objects; otherwise from one core.Cache replay per
 // distinct capacity. With an estimator every member replays alone.
 // Policy Utility and Target must be pure functions of their arguments,
@@ -100,7 +100,7 @@ func RunGroup(cfg Config, members []Member) ([]Metrics, error) {
 		}
 		cfg.Arena.fallbacks.Add(fellBack.Load())
 	}
-	if cfg.Estimators == nil {
+	if cfg.Estimator == nil {
 		cfg.Arena.shared.Add(int64(len(g.members) - len(g.caps)))
 	}
 	out := make([]Metrics, len(ms))
@@ -150,7 +150,7 @@ func newGroup(members []Member) (group, error) {
 // else with one replay per distinct capacity — or, with an estimator,
 // one per member. It reports whether the pass scored it.
 func (g group) score(cfg Config, rp replay, cols []column, out []Metrics) (onePass bool, err error) {
-	if cfg.Estimators != nil {
+	if cfg.Estimator != nil {
 		// An estimator observes what each request got, so each member's
 		// trajectory is its own.
 		for k, m := range g.members {
@@ -193,7 +193,7 @@ func overEach(agg *[]Metrics, runs int) {
 // capacities. What it cannot see — the utilities of one seed —
 // capacityPass checks itself.
 func (c Config) admitsPass(n int) bool {
-	return !core.Ages(c.Policy) && len(c.CacheOptions) == 0 && n >= 2
+	return !core.Ages(c.Policy) && !c.WholeObjectEviction && n >= 2
 }
 
 // passScratch is everything one capacity pass mutates, pooled across

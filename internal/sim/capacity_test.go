@@ -133,8 +133,8 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 		cases = append(cases, axisCase{name, named[name], onePass[name]})
 	}
 	cases = append(cases,
-		axisCase{"PB/ewma", Config{Workload: wl, Policy: core.NewPB(), Estimators: EWMAEstimator(0.3)}, false},
-		axisCase{"PB/whole-object", Config{Workload: wl, Policy: core.NewPB(), CacheOptions: []core.Option{core.WithWholeObjectEviction(true)}}, false},
+		axisCase{"PB/ewma", Config{Workload: wl, Policy: core.NewPB(), Estimator: EWMA{0.3}}, false},
+		axisCase{"PB/whole-object", Config{Workload: wl, Policy: core.NewPB(), WholeObjectEviction: true}, false},
 	)
 	for _, v := range []struct {
 		name string
@@ -287,26 +287,23 @@ func TestGroupMatchesRun(t *testing.T) {
 	vars := groupVariations(t)
 	estimators := []struct {
 		name string
-		f    EstimatorFactory
-	}{{"oracle", nil}, {"ewma", EWMAEstimator(0.3)}, {"underestimate", UnderestimatingOracle(0.5)}, {"probe", ActiveProbeEstimator(0.1)}}
+		e    Estimator
+	}{{"oracle", nil}, {"ewma", EWMA{0.3}}, {"underestimate", Underestimate{0.5}}, {"probe", ActiveProbe{0.1}}}
 	for _, est := range estimators {
 		wl := oracleWL
-		if est.f != nil {
+		if est.e != nil {
 			wl = estimatorWL
 		}
 		caps := paperCapacities(t, arena, wl)
 		mid := len(caps) / 2
-		if est.f != nil {
+		if est.e != nil {
 			caps, mid = caps[mid:mid+1], 0
 		}
 		named := namedPolicies(t, Config{Workload: wl, Runs: 1, Seed: 1, Parallelism: 1, Arena: arena})
 		for _, name := range axisPolicies {
 			for _, whole := range []bool{false, true} {
 				cfg := named[name]
-				cfg.Estimators = est.f
-				if whole {
-					cfg.CacheOptions = []core.Option{core.WithWholeObjectEviction(true)}
-				}
+				cfg.Estimator, cfg.WholeObjectEviction = est.e, whole
 				t.Run(fmt.Sprintf("%s/%s/whole=%v", name, est.name, whole), func(t *testing.T) {
 					t.Parallel()
 					want := make([][]Metrics, len(caps)) // [capacity][variation]
@@ -581,13 +578,11 @@ func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay,
 	cfg := Config{Policy: p, WarmFraction: float64(rng.Intn(4)) / 4}
 	switch flags % 4 {
 	case 1:
-		cfg.Estimators = UnderestimatingOracle(0.5)
+		cfg.Estimator = Underestimate{0.5}
 	case 2:
-		cfg.Estimators = EWMAEstimator(0.3)
+		cfg.Estimator = EWMA{0.3}
 	}
-	if flags&4 != 0 {
-		cfg.CacheOptions = []core.Option{core.WithWholeObjectEviction(true)}
-	}
+	cfg.WholeObjectEviction = flags&4 != 0
 	if cfg, err = cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}

@@ -28,16 +28,21 @@ const (
 // cluster, which is what lets TestClusterHitRatioMatchesSimulator pin
 // the two against each other.
 //
-// Only the oracle estimator is supported (Estimators must be nil):
+// Only the oracle estimator is supported (Estimator must be nil):
 // every tier prices an object by its origin path's mean bandwidth, the
 // paper's utility, whichever hop its misses travel.
+//
+// A HierarchyConfig whose Levels is 0 is its flat Config, run by Run:
+// this is the one rule for which simulator a point runs, and GroupOf,
+// Declare, ScorePending and RunHierarchy all read it. Its other
+// topology fields must then be unset.
 type HierarchyConfig struct {
 	Config
 
 	// Edges is the number of edge nodes (0 means 1).
 	Edges int
 	// Levels is the tier depth: 1 = edges -> origin, 2 = edges ->
-	// parent -> origin (0 means 1).
+	// parent -> origin, 0 = the flat simulator.
 	Levels int
 	// ParentFraction is the share of CacheBytes given to the parent
 	// tier when Levels is 2.
@@ -47,17 +52,32 @@ type HierarchyConfig struct {
 }
 
 func (c HierarchyConfig) normalize() (HierarchyConfig, error) {
-	if c.Estimators != nil {
-		return c, fmt.Errorf("%w: hierarchy runs support only the oracle estimator (Estimators must be nil)", ErrBadConfig)
+	c, err := c.withDefaults()
+	if err == nil && c.Arena == nil {
+		c.Arena = NewArena()
+	}
+	return c, err
+}
+
+// withDefaults is normalize without the arena: c validated, with every
+// unset field at its default.
+func (c HierarchyConfig) withDefaults() (HierarchyConfig, error) {
+	if c.Levels == 0 {
+		if c.Edges != 0 || c.ParentFraction != 0 || c.Peering != "" {
+			return c, fmt.Errorf("%w: Levels=0 (the flat simulator) with Edges=%d ParentFraction=%v Peering=%q", ErrBadConfig, c.Edges, c.ParentFraction, c.Peering)
+		}
+		flat, err := c.Config.withDefaults()
+		c.Config = flat
+		return c, err
+	}
+	if c.Estimator != nil {
+		return c, fmt.Errorf("%w: hierarchy runs support only the oracle estimator (Estimator must be nil)", ErrBadConfig)
 	}
 	if c.Edges == 0 {
 		c.Edges = 1
 	}
 	if c.Edges < 0 {
 		return c, fmt.Errorf("%w: Edges=%d", ErrBadConfig, c.Edges)
-	}
-	if c.Levels == 0 {
-		c.Levels = 1
 	}
 	if c.Levels != 1 && c.Levels != 2 {
 		return c, fmt.Errorf("%w: Levels=%d, want 1 or 2", ErrBadConfig, c.Levels)
@@ -75,23 +95,23 @@ func (c HierarchyConfig) normalize() (HierarchyConfig, error) {
 	default:
 		return c, fmt.Errorf("%w: Peering=%q", ErrBadConfig, c.Peering)
 	}
-	base, err := c.Config.normalize()
-	if err != nil {
-		return c, err
-	}
+	base, err := c.Config.withDefaults()
 	c.Config = base
-	return c, nil
+	return c, err
 }
 
 // RunHierarchy executes the hierarchy experiment, averaging over
 // cfg.Runs seeded runs exactly like Run (bit-identical at any
 // Parallelism). It fills Requests, TrafficReductionRatio (the
 // cluster-wide 1 - origin bytes / watched bytes) and the four byte
-// fractions; the other Metrics stay zero.
+// fractions; the other Metrics stay zero. With Levels 0 it is Run.
 func RunHierarchy(cfg HierarchyConfig) (Metrics, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return Metrics{}, err
+	}
+	if cfg.Levels == 0 {
+		return Run(cfg.Config)
 	}
 	return averageRuns(cfg.Config, "hierarchy run", func(seed int64) (Metrics, error) { return hierarchyRunOnce(cfg, seed) },
 		(*Metrics).add, (*Metrics).over)

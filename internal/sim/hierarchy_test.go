@@ -16,6 +16,7 @@ func hierarchyBase() HierarchyConfig {
 			Runs:       2,
 			Seed:       42,
 		},
+		Levels: 1,
 	}
 }
 
@@ -24,7 +25,8 @@ func TestHierarchyValidation(t *testing.T) {
 		name   string
 		mutate func(*HierarchyConfig)
 	}{
-		{name: "estimators set", mutate: func(c *HierarchyConfig) { c.Estimators = EWMAEstimator(0.3) }},
+		{name: "estimators set", mutate: func(c *HierarchyConfig) { c.Estimator = EWMA{0.3} }},
+		{name: "topology without levels", mutate: func(c *HierarchyConfig) { c.Levels, c.Edges = 0, 4 }},
 		{name: "negative edges", mutate: func(c *HierarchyConfig) { c.Edges = -2 }},
 		{name: "three levels", mutate: func(c *HierarchyConfig) { c.Levels = 3 }},
 		{name: "parent fraction one", mutate: func(c *HierarchyConfig) { c.Levels = 2; c.ParentFraction = 1 }},
@@ -70,12 +72,12 @@ func TestHierarchySingleNodeMatchesRun(t *testing.T) {
 					h.ParentByteFrac != flat.ParentByteFrac || h.OriginByteFrac != flat.OriginByteFrac {
 					t.Errorf("partial=%v cache=%v%% seed=%d: 1x1 hierarchy %+v != flat %+v (must be exact)", partial, pct, seed, h, flat)
 				}
-				// UnderestimatingOracle(1) estimates each path's mean exactly,
+				// Underestimate{1} estimates each path's mean exactly,
 				// but through the estimator loop, where the policy prices every
 				// request: the targets both oracle loops compute once per run
 				// must price them the same.
 				perRequest := cfg.Config
-				perRequest.Estimators = UnderestimatingOracle(1)
+				perRequest.Estimator = Underestimate{1}
 				if pr, err := Run(perRequest); err != nil {
 					t.Fatal(err)
 				} else if pr != flat {

@@ -14,67 +14,60 @@
 // share key and member, so every member's Metrics are bit-identical
 // whichever round scored them and whatever else that round scored
 // (DESIGN.md §5a "Groups across calls"). The share key is also the one
-// rule for which points are scored together. ScorePending is the only
-// code that reads or writes the answers: Run and RunGroup score what
-// they are asked and never consult them.
+// rule for which points are scored together, and every simulated point,
+// flat or hierarchy, oracle or estimator, has one. ScorePending is the
+// only code that reads or writes the answers: Run, RunGroup and
+// RunHierarchy score what they are asked and never consult them.
 package sim
 
 import (
+	"cmp"
 	"slices"
-
-	"streamcache/internal/bandwidth"
-	"streamcache/internal/core"
-	"streamcache/internal/workload"
 )
 
-// shareKey is everything besides capacity and variability that a
-// member's Metrics depend on, for a configuration whose answers may be
-// shared: the normalised workload, the policy and base model (by
-// interface value: share comparable values, like the built-in policies
-// and bandwidth.NLANR), the warm-up, the run count and the seed.
-type shareKey struct {
-	workload workload.Config
-	policy   core.Policy
-	base     bandwidth.Model
-	warm     float64
-	runs     int
-	seed     int64
-}
-
 // shareOf returns the share key and member of a normalised cfg, or
-// false when cfg's answers are never shared: an estimator or cache
-// options make each call's result its own to compute (neither is
-// comparable), and a policy, base model or variability that is not
-// comparable cannot key a map.
-func shareOf(cfg Config) (shareKey, Member, bool) {
+// false when its answer cannot be stored: a policy, base model or
+// variability that is not comparable cannot key a map. The key is cfg
+// itself with the arena and the worker bound zeroed, and with the member
+// fields zeroed too where members share a cache trajectory: a flat
+// configuration under the oracle, the branch group.score takes. Any
+// other configuration — an estimator's, a hierarchy's — keeps its member
+// in the key, a group of one.
+func shareOf(cfg HierarchyConfig) (HierarchyConfig, Member, bool) {
 	m := Member{cfg.CacheBytes, cfg.Variation}
-	if cfg.Estimators != nil || len(cfg.CacheOptions) > 0 || !dynComparable(cfg.Policy) || !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
-		return shareKey{}, m, false
+	if !dynComparable(cfg.Policy) || !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
+		return HierarchyConfig{}, m, false
 	}
-	return shareKey{cfg.Workload, cfg.Policy, cfg.Base, cfg.WarmFraction, cfg.Runs, cfg.Seed}, m, true
+	cfg.Arena, cfg.Parallelism = nil, 0
+	if cfg.Levels == 0 && cfg.Estimator == nil {
+		cfg.CacheBytes, cfg.Variation = 0, nil
+	}
+	return cfg, m, true
 }
 
 // GroupOf is the one rule for which configurations are scored together:
 // ids[i] is the group of cfgs[i] — the configurations with one share key
 // — numbered in order of first appearance, or -1 for a configuration
-// whose answers are never shared or that fails to normalise.
+// that fails to normalise or whose answer cannot be stored.
 // ScorePending makes one call per group, and a sharded sweep hands each
 // group of a round to one shard. It reads nothing but cfgs, so every
 // process that holds the same list computes the same ids.
-func GroupOf(cfgs []Config) []int {
-	ids, _ := groupOf(cfgs)
+func GroupOf(cfgs []HierarchyConfig) []int {
+	ids, _, _ := groupOf(cfgs)
 	return ids
 }
 
 // groupOf is GroupOf that also returns the cfgs with their defaults set
-// (withDefaults), so ScorePending normalises each cfg once.
-func groupOf(cfgs []Config) (ids []int, norm []Config) {
-	ids, norm = make([]int, len(cfgs)), make([]Config, len(cfgs))
-	seen := map[shareKey]int{}
+// (withDefaults), so ScorePending normalises each cfg once, and the
+// first cfg's normalisation error.
+func groupOf(cfgs []HierarchyConfig) (ids []int, norm []HierarchyConfig, first error) {
+	ids, norm = make([]int, len(cfgs)), make([]HierarchyConfig, len(cfgs))
+	seen := map[HierarchyConfig]int{}
 	for i, cfg := range cfgs {
 		ids[i] = -1
 		cfg, err := cfg.withDefaults()
 		if err != nil {
+			first = cmp.Or(first, err)
 			continue
 		}
 		norm[i] = cfg
@@ -89,7 +82,7 @@ func groupOf(cfgs []Config) (ids []int, norm []Config) {
 		}
 		ids[i] = id
 	}
-	return ids, norm
+	return ids, norm, first
 }
 
 // shareEntry is what an arena knows of one declared share key: the
@@ -102,10 +95,10 @@ type shareEntry struct {
 
 // Declare records cfg's member — its CacheBytes and Variation — as one
 // that a later ScorePending call will score with the members of cfg's
-// share key that its own round asks for. A configuration whose answers
-// are never shared (an estimator, cache options, a policy, base model or
-// variability that is not comparable) is not recorded.
-func (a *Arena) Declare(cfg Config) error {
+// share key that its own round asks for. A configuration whose answer
+// cannot be stored (a policy, base model or variability that is not
+// comparable) is not recorded.
+func (a *Arena) Declare(cfg HierarchyConfig) error {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return err
@@ -119,9 +112,9 @@ func (a *Arena) Declare(cfg Config) error {
 // declare records a normalised cfg's member as pending under its share
 // key unless it is pending or answered already, returns the key's entry
 // and the member, and reports whether the member was answered; e is nil,
-// and nothing is recorded, when cfg's answers are never shared. The
+// and nothing is recorded, when cfg's answer cannot be stored. The
 // caller holds a.store.
-func (a *Arena) declare(cfg Config) (e *shareEntry, m Member, answered bool) {
+func (a *Arena) declare(cfg HierarchyConfig) (e *shareEntry, m Member, answered bool) {
 	key, m, ok := shareOf(cfg)
 	if !ok {
 		return nil, m, false
@@ -137,19 +130,23 @@ func (a *Arena) declare(cfg Config) (e *shareEntry, m Member, answered bool) {
 	return e, m, answered
 }
 
-// ScorePending is how a round of sweep points is scored together, and
-// the only code that reads or writes the arena's answers: it groups the
-// cfgs (GroupOf) and, one group after another, declares the group's
-// members and scores every member of its share key still pending — the
-// group's own and those other callers declared — in one RunGroup call at
-// the given worker bound. ms[i] is cfgs[i]'s Metrics, or nil for a cfg
-// that is never shared or fails to normalise, which the caller runs
-// itself. The store lock is held throughout, so no member is scored
-// twice; the cfgs whose member was answered before the call count as
-// reused (Groups).
-func (a *Arena) ScorePending(cfgs []Config, parallelism int) (ms []*Metrics, err error) {
-	ids, norm := groupOf(cfgs)
-	var groups [][]int // the cfgs of each group, by index
+// ScorePending is how a round of sweep points is scored, and the only
+// code that reads or writes the arena's answers: it groups the cfgs
+// (GroupOf) and, one group after another, declares the group's members
+// and scores every member of its share key still pending — the group's
+// own and those other callers declared — in one call at the given worker
+// bound: RunGroup for a flat group, RunHierarchy for a hierarchy point.
+// A cfg whose answer cannot be stored is scored alone and remembered
+// nowhere. ms[i] is cfgs[i]'s Metrics; a cfg that fails to normalise
+// fails the call before anything is scored. The store lock is held
+// throughout, so no member is scored twice; the cfgs whose member was
+// answered before the call count as reused (Groups).
+func (a *Arena) ScorePending(cfgs []HierarchyConfig, parallelism int) (ms []Metrics, err error) {
+	ids, norm, err := groupOf(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	var groups [][]int // the cfgs of each group, by index, then each cfg of none alone
 	for i, id := range ids {
 		if id == len(groups) { // ids number groups by first appearance
 			groups = append(groups, nil)
@@ -158,13 +155,26 @@ func (a *Arena) ScorePending(cfgs []Config, parallelism int) (ms []*Metrics, err
 			groups[id] = append(groups[id], i)
 		}
 	}
-	ms = make([]*Metrics, len(cfgs))
+	for i, id := range ids {
+		if id < 0 {
+			groups = append(groups, []int{i})
+		}
+	}
+	ms = make([]Metrics, len(cfgs))
 	if len(groups) == 0 {
-		return ms, nil // nothing to share: the store is not touched
+		return ms, nil // nothing to score: the store is not touched
 	}
 	a.store.Lock()
 	defer a.store.Unlock()
 	for _, is := range groups {
+		cfg := norm[is[0]]
+		cfg.Arena, cfg.Parallelism = a, parallelism
+		if ids[is[0]] < 0 {
+			if ms[is[0]], err = RunHierarchy(cfg); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		var e *shareEntry
 		members := make([]Member, len(is))
 		for k, i := range is {
@@ -174,9 +184,7 @@ func (a *Arena) ScorePending(cfgs []Config, parallelism int) (ms []*Metrics, err
 			}
 		}
 		if len(e.pending) > 0 {
-			cfg := norm[is[0]]
-			cfg.Arena, cfg.Parallelism = a, parallelism
-			scored, err := RunGroup(cfg, e.pending)
+			scored, err := cfg.runGroup(e.pending)
 			if err != nil {
 				return nil, err
 			}
@@ -186,8 +194,26 @@ func (a *Arena) ScorePending(cfgs []Config, parallelism int) (ms []*Metrics, err
 			e.pending = nil
 		}
 		for k, i := range is {
-			m := e.answers[members[k]]
-			ms[i] = &m
+			ms[i] = e.answers[members[k]]
+		}
+	}
+	return ms, nil
+}
+
+// runGroup returns each member's Metrics of c's runs, with CacheBytes
+// and Variation set to the member's: RunGroup's for a flat c, one
+// RunHierarchy each for a hierarchy's.
+func (c HierarchyConfig) runGroup(members []Member) ([]Metrics, error) {
+	if c.Levels == 0 {
+		return RunGroup(c.Config, members)
+	}
+	ms := make([]Metrics, len(members))
+	for k, m := range members {
+		one := c
+		one.CacheBytes, one.Variation = m.CacheBytes, m.Variation
+		var err error
+		if ms[k], err = RunHierarchy(one); err != nil {
+			return nil, err
 		}
 	}
 	return ms, nil

@@ -15,10 +15,10 @@ import (
 )
 
 // nearMisses are a base configuration and, for each field of the share
-// key and each reason a configuration is never shared, one that differs
-// from it in that alone: declared into one arena, no two may take each
-// other's answers. shared counts the shareable ones.
-func nearMisses(t *testing.T, wl workload.Config) (cfgs map[string]Config, shared int) {
+// key, one that differs from it in that alone: declared into one arena,
+// no two may take each other's answers. Each is a share key of its own;
+// the estimator's and the hierarchy's hold their member too.
+func nearMisses(t *testing.T, wl workload.Config) map[string]HierarchyConfig {
 	t.Helper()
 	hybrid := func(e float64) core.Policy {
 		p, err := core.NewHybrid(e)
@@ -31,24 +31,30 @@ func nearMisses(t *testing.T, wl workload.Config) (cfgs map[string]Config, share
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Workload: wl, Policy: hybrid(0.5), Runs: 2, Seed: 3}
-	cfgs = map[string]Config{"base": base}
-	for name, change := range map[string]func(*Config){
-		"seed":    func(c *Config) { c.Seed = 4 },
-		"runs":    func(c *Config) { c.Runs = 3 },
-		"warm":    func(c *Config) { c.WarmFraction = 0.3 },
-		"alpha":   func(c *Config) { c.Workload.ZipfAlpha = 1.1 },
-		"e":       func(c *Config) { c.Policy = hybrid(0.6) },
-		"base":    func(c *Config) { c.Base = slow },
-		"options": func(c *Config) { c.CacheOptions = []core.Option{core.WithWholeObjectEviction(true)} },
-		"ewma":    func(c *Config) { c.Estimators = EWMAEstimator(0.3) },
+	base := HierarchyConfig{Config: Config{Workload: wl, Policy: hybrid(0.5), Runs: 2, Seed: 3}}
+	cfgs := map[string]HierarchyConfig{"base": base}
+	for name, change := range map[string]func(*HierarchyConfig){
+		"seed":      func(c *HierarchyConfig) { c.Seed = 4 },
+		"runs":      func(c *HierarchyConfig) { c.Runs = 3 },
+		"warm":      func(c *HierarchyConfig) { c.WarmFraction = 0.3 },
+		"alpha":     func(c *HierarchyConfig) { c.Workload.ZipfAlpha = 1.1 },
+		"e":         func(c *HierarchyConfig) { c.Policy = hybrid(0.6) },
+		"base":      func(c *HierarchyConfig) { c.Base = slow },
+		"whole":     func(c *HierarchyConfig) { c.WholeObjectEviction = true },
+		"ewma":      func(c *HierarchyConfig) { c.Estimator = EWMA{0.3} },
+		"hierarchy": func(c *HierarchyConfig) { c.Levels, c.Edges = 1, 2 },
 	} {
 		c := base
 		change(&c)
 		cfgs["near-"+name] = c
 	}
-	return cfgs, len(cfgs) - 2
+	return cfgs
 }
+
+// ownsTrajectory reports whether each member of cfg is a group of its
+// own: under an estimator or in a hierarchy. Only the other members of
+// one key share a call.
+func ownsTrajectory(cfg HierarchyConfig) bool { return cfg.Estimator != nil || cfg.Levels != 0 }
 
 // shareMembers are each configuration's members: three capacities under
 // three variabilities, two of them lognormal and so drawing per request.
@@ -62,10 +68,10 @@ func shareMembers() []Member {
 
 // fresh is cfg's Metrics at member m from a call of its own: a private
 // arena, nothing declared.
-func fresh(t *testing.T, cfg Config, m Member) Metrics {
+func fresh(t *testing.T, cfg HierarchyConfig, m Member) Metrics {
 	t.Helper()
 	cfg.CacheBytes, cfg.Variation, cfg.Arena = m.CacheBytes, m.Variation, nil
-	want, err := Run(cfg)
+	want, err := RunHierarchy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +79,7 @@ func fresh(t *testing.T, cfg Config, m Member) Metrics {
 }
 
 // declareAll declares every member of every configuration into a.
-func declareAll(t *testing.T, a *Arena, cfgs map[string]Config, members []Member) {
+func declareAll(t *testing.T, a *Arena, cfgs map[string]HierarchyConfig, members []Member) {
 	t.Helper()
 	for _, cfg := range cfgs {
 		for _, one := range cfgsAt(cfg, members...) {
@@ -85,30 +91,19 @@ func declareAll(t *testing.T, a *Arena, cfgs map[string]Config, members []Member
 }
 
 // checkAnswers requires every answer ScorePending gave for cfgs to be a
-// fresh Run's, and answers to be nil exactly for the cfgs unshared
-// names.
-func checkAnswers(t *testing.T, name string, cfgs []Config, answers []*Metrics, unshared func(Config) bool) {
+// fresh run's.
+func checkAnswers(t *testing.T, name string, cfgs []HierarchyConfig, answers []Metrics) {
 	t.Helper()
 	for k, cfg := range cfgs {
-		got := answers[k]
-		if got == nil {
-			if !unshared(cfg) {
-				t.Errorf("%s: member %d of %d (capacity %d, %T) has no answer", name, k, len(cfgs), cfg.CacheBytes, cfg.Variation)
-			}
-			continue
-		}
-		if unshared(cfg) {
-			t.Errorf("%s: member %d of %d (capacity %d, %T) is never shared, yet answered", name, k, len(cfgs), cfg.CacheBytes, cfg.Variation)
-		}
-		if want := fresh(t, cfg, Member{cfg.CacheBytes, cfg.Variation}); *got != want {
-			t.Errorf("%s: member %d of %d (capacity %d, %T):\n got %+v\nwant %+v", name, k, len(cfgs), cfg.CacheBytes, cfg.Variation, *got, want)
+		if want := fresh(t, cfg, Member{cfg.CacheBytes, cfg.Variation}); answers[k] != want {
+			t.Errorf("%s: member %d of %d (capacity %d, %T):\n got %+v\nwant %+v", name, k, len(cfgs), cfg.CacheBytes, cfg.Variation, answers[k], want)
 		}
 	}
 }
 
 // cfgsAt is cfg at each member.
-func cfgsAt(cfg Config, ms ...Member) []Config {
-	cfgs := make([]Config, len(ms))
+func cfgsAt(cfg HierarchyConfig, ms ...Member) []HierarchyConfig {
+	cfgs := make([]HierarchyConfig, len(ms))
 	for k, m := range ms {
 		cfgs[k] = cfg
 		cfgs[k].CacheBytes, cfgs[k].Variation = m.CacheBytes, m.Variation
@@ -116,82 +111,83 @@ func cfgsAt(cfg Config, ms ...Member) []Config {
 	return cfgs
 }
 
-// neverShared reports whether a cfg of the near miss named name gets no
-// answer: the near misses with cache options or an estimator share
-// nothing, nor does a member whose variability cannot key a map.
-func neverShared(name string) func(Config) bool {
-	return func(cfg Config) bool {
-		_, isUnkeyed := cfg.Variation.(unkeyed)
-		return name == "near-options" || name == "near-ewma" || isUnkeyed
-	}
-}
-
 // TestDeclaredMembersMatchRun is the sharing contract: with every
 // member of the base configuration and of its near misses declared into
 // one arena, each configuration's first ScorePending call — three of its
 // members — then a call for each member, then one holding a member whose
-// variability cannot key a map, answers exactly what a fresh Run does.
-// Each shareable configuration's first call scores all of its declared
-// members, so each later call is answered from the store; the
-// configurations with cache options or an estimator, and the unkeyed
-// member, get no answer.
+// variability cannot key a map, answers exactly what a fresh run does.
+// A configuration whose members share a trajectory has all of its
+// declared members scored by its first call, so each later call is
+// answered from the store; an estimator's or a hierarchy's first call
+// scores the three it asks for, and the rest are scored when asked. The
+// unkeyed member is scored alone and stored nowhere.
 func TestDeclaredMembersMatchRun(t *testing.T) {
 	wl := testWorkload()
 	if raceBuild() {
 		wl = workload.Config{NumObjects: 100, NumRequests: 2000}
 	}
-	cfgs, shared := nearMisses(t, wl)
+	cfgs := nearMisses(t, wl)
 	members := shareMembers()
 	a := NewArena()
 	declareAll(t, a, cfgs, members)
+	var want int64
 	for name, cfg := range cfgs {
-		score := func(batch []Config) {
+		score := func(batch []HierarchyConfig) {
 			t.Helper()
 			got, err := a.ScorePending(batch, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAnswers(t, name, batch, got, neverShared(name))
+			checkAnswers(t, name, batch, got)
 		}
 		score(cfgsAt(cfg, members[3:6]...))
 		for _, m := range members {
 			score(cfgsAt(cfg, m))
 		}
 		score(cfgsAt(cfg, members[0], Member{CacheBytes: cachePct(2), Variation: unkeyed{}}))
+		if ownsTrajectory(cfg) {
+			want += 3 + 1 // the first call's three, asked again; members[0] in the last call
+		} else {
+			want += int64(len(members)) + 1
+		}
 	}
-	if _, _, _, reused := a.Groups(); reused != int64(shared*(len(members)+1)) {
-		t.Errorf("%d members reused, want %d: the nine single calls and the unkeyed call's keyed member of each of the %d shareable configurations", reused, shared*(len(members)+1), shared)
+	if _, _, _, reused := a.Groups(); reused != want {
+		t.Errorf("%d members reused, want %d: the single calls and the unkeyed call's keyed member answered by an earlier call", reused, want)
 	}
 }
 
 // TestDeclaredMembersMatchRunConcurrent: every member of every near miss
 // is asked for at once, each in a ScorePending call of its own, after
-// all were declared. Each share key's nine members are scored by exactly
-// one call, the first to take the store lock: every other call is
-// answered from the store (reused), and one group call per key shares
-// six replays (nine members at three capacities). Each answer is a fresh
-// Run's (run under -race).
+// all were declared. Each share key's members are scored by exactly one
+// call, the first to take the store lock: where nine members share a
+// key, every other call is answered from the store (reused), and one
+// group call per key shares six replays (nine members at three
+// capacities). Each answer is a fresh run's (run under -race).
 func TestDeclaredMembersMatchRunConcurrent(t *testing.T) {
 	wl := workload.Config{NumObjects: 200, NumRequests: 4000}
 	if raceBuild() {
 		wl = workload.Config{NumObjects: 100, NumRequests: 2000}
 	}
-	cfgs, shared := nearMisses(t, wl)
+	cfgs := nearMisses(t, wl)
 	members := shareMembers()
 	a := NewArena()
 	declareAll(t, a, cfgs, members)
 	type result struct {
 		name string
-		cfg  Config
-		got  *Metrics
+		cfg  HierarchyConfig
+		got  Metrics
 		err  error
 	}
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
 		results []result
+		shared  int64 // the configurations whose nine members share a key
 	)
 	for name, cfg := range cfgs {
+		if !ownsTrajectory(cfg) {
+			shared++
+		}
 		for _, m := range members {
 			wg.Add(1)
 			go func() {
@@ -213,62 +209,78 @@ func TestDeclaredMembersMatchRunConcurrent(t *testing.T) {
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
-		checkAnswers(t, r.name, []Config{r.cfg}, []*Metrics{r.got}, neverShared(r.name))
+		checkAnswers(t, r.name, []HierarchyConfig{r.cfg}, []Metrics{r.got})
 	}
 	_, _, sharedReplays, reused := a.Groups()
-	if want := int64(shared * (len(members) - 3)); sharedReplays != want {
-		t.Errorf("%d shared replays, want %d: one call of nine members at three capacities per shareable configuration", sharedReplays, want)
+	if want := shared * int64(len(members)-3); sharedReplays != want {
+		t.Errorf("%d shared replays, want %d: one call of nine members at three capacities per shared key", sharedReplays, want)
 	}
-	if reused != int64(shared*(len(members)-1)) {
-		t.Errorf("%d members reused, want %d: all but the first call of each of the %d shareable configurations", reused, shared*(len(members)-1), shared)
+	if want := shared * int64(len(members)-1); reused != want {
+		t.Errorf("%d members reused, want %d: all but the first call of each of the %d shared keys", reused, want, shared)
 	}
 }
 
 // TestScorePending: one call scores every share key a batch's
-// configurations ask for, one-member keys included, and answers each of
-// them; configurations never shared are not recorded, and they and one
-// that fails to normalise get no answer, their own Run scoring or
-// reporting them. Every answer is a fresh Run's. A second call for an
-// answered member is reused from the store, while a Run of it replays
-// afresh and counts nothing: Run never reads the store.
+// configurations ask for — one-member keys, an estimator's and a
+// hierarchy's included — and answers each of them; a configuration whose
+// variability cannot key a map is scored alone and not recorded, and
+// one that fails to normalise fails the call. Every answer is a fresh
+// run's. A second call for an answered member is reused from the store,
+// while a Run of it replays afresh and counts nothing: Run never reads
+// the store.
 func TestScorePending(t *testing.T) {
 	targets := new(atomic.Int64)
-	pb := Config{Workload: workload.Config{NumObjects: 200, NumRequests: 4000}, Policy: countingPolicy{core.NewPB(), targets}, Runs: 2, Seed: 3}
-	ib, ewma, whole, bad := pb, pb, pb, pb
+	pb := HierarchyConfig{Config: Config{Workload: workload.Config{NumObjects: 200, NumRequests: 4000}, Policy: countingPolicy{core.NewPB(), targets}, Runs: 2, Seed: 3}}
+	ib, ewma, whole, tier, bad := pb, pb, pb, pb, pb
 	ib.Policy = core.NewIB()
-	ewma.Estimators = EWMAEstimator(0.3)
-	whole.CacheOptions = []core.Option{core.WithWholeObjectEviction(true)}
+	ewma.Estimator = EWMA{0.3}
+	whole.WholeObjectEviction = true
+	tier.Levels, tier.Edges = 1, 2
 	bad.Policy = nil
 	none := Member{cachePct(0.5), nil}
 	two, twoMeasured := Member{cachePct(2), nil}, Member{cachePct(2), bandwidth.MeasuredVariability()}
 	batch := slices.Concat(
-		cfgsAt(pb, none, two, twoMeasured), // one call
-		cfgsAt(ib, two),                    // one call of one member
-		cfgsAt(ewma, none, two),            // never shared
-		cfgsAt(whole, none, two),           // never shared
-		cfgsAt(bad, two),                   // fails to normalise
+		cfgsAt(pb, none, two, twoMeasured),         // one call
+		cfgsAt(ib, two),                            // one call of one member
+		cfgsAt(ewma, none, two),                    // a call each: the member is in the key
+		cfgsAt(whole, none, two),                   // one call, one replay per capacity
+		cfgsAt(tier, two),                          // one RunHierarchy call
+		cfgsAt(pb, Member{cachePct(2), unkeyed{}}), // scored alone
 	)
 	a := NewArena()
 	got, err := a.ScorePending(batch, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAnswers(t, "batch", batch, got, func(cfg Config) bool {
-		return cfg.Estimators != nil || cfg.CacheOptions != nil || cfg.Policy == nil
-	})
+	checkAnswers(t, "batch", batch, got)
 	if _, _, shared, reused := a.Groups(); shared != 1 || reused != 0 {
 		t.Errorf("shared = %d, reused = %d; want 1 (PB's two members at 2 %% share a replay) and 0", shared, reused)
 	}
-	if len(a.answers) != 2 {
-		t.Errorf("%d share keys recorded, want PB's and IB's", len(a.answers))
+	if len(a.answers) != 6 {
+		t.Errorf("%d share keys recorded, want PB's, IB's, the two EWMA members', whole-object eviction's and the hierarchy's", len(a.answers))
 	}
 	for key, e := range a.answers {
-		if want := map[core.Policy]int{pb.Policy: 3, ib.Policy: 1}[key.policy]; len(e.answers) != want || len(e.pending) != 0 {
-			t.Errorf("%s: %d members answered, %d pending; want %d and 0", key.policy.Name(), len(e.answers), len(e.pending), want)
+		want := 1
+		switch {
+		case ownsTrajectory(key):
+			if key.CacheBytes == 0 {
+				t.Errorf("%+v: an estimator's or a hierarchy's key drops its member", key)
+			}
+		case key.WholeObjectEviction:
+			want = 2
+		case key.Policy == pb.Policy:
+			want = 3
+		}
+		if len(e.answers) != want || len(e.pending) != 0 {
+			t.Errorf("%s (estimator %v, whole %v, levels %d): %d members answered, %d pending; want %d and 0",
+				key.Policy.Name(), key.Estimator, key.WholeObjectEviction, key.Levels, len(e.answers), len(e.pending), want)
 		}
 	}
+	if _, err := a.ScorePending(append(batch[:1:1], bad), 2); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("ScorePending with a configuration without a policy: %v, want ErrBadConfig before anything is scored", err)
+	}
 	bad.Arena = a
-	if _, err := Run(bad); !errors.Is(err, ErrBadConfig) {
+	if _, err := Run(bad.Config); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("Run of the configuration without a policy: %v, want ErrBadConfig", err)
 	}
 
@@ -276,19 +288,19 @@ func TestScorePending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, reused := a.Groups(); reused != 1 || again[0] == nil || *again[0] != *got[0] {
-		t.Errorf("a second call for PB's first member: reused = %d, answer %v; want 1 and %+v", reused, again[0], *got[0])
+	if _, _, _, reused := a.Groups(); reused != 1 || again[0] != got[0] {
+		t.Errorf("a second call for PB's first member: reused = %d, answer %+v; want 1 and %+v", reused, again[0], got[0])
 	}
 
-	one := batch[0]
+	one := batch[0].Config
 	one.Arena = a
 	before := targets.Load()
 	run, err := Run(one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run != *got[0] {
-		t.Errorf("Run of an answered member:\n got %+v\nwant %+v", run, *got[0])
+	if run != got[0] {
+		t.Errorf("Run of an answered member:\n got %+v\nwant %+v", run, got[0])
 	}
 	if targets.Load() == before {
 		t.Error("Run of an answered member asked its policy no target: it took the stored answer instead of replaying")

@@ -17,36 +17,48 @@ import (
 // ErrBadConfig reports an invalid simulation configuration.
 var ErrBadConfig = errors.New("sim: invalid configuration")
 
-// EstimatorFactory builds the per-path bandwidth estimator the cache
-// consults; path is the origin path's index (== object ID) and pathMean
-// its true long-term mean bandwidth. Factories that seed private
-// randomness must derive it from the path index (two paths can share a
-// mean, but never an index).
-type EstimatorFactory func(path int, pathMean float64) bandwidth.Estimator
-
-// UnderestimatingOracle returns an oracle (a cache that knows each
-// path's average bandwidth — what a nil Config.Estimators is) scaled by
-// the factor e - the over-provisioning heuristic swept in Figures 9
-// and 12.
-func UnderestimatingOracle(e float64) EstimatorFactory {
-	return func(_ int, pathMean float64) bandwidth.Estimator {
-		return &bandwidth.Underestimator{Inner: &bandwidth.Static{Rate: pathMean}, Factor: e}
-	}
+// Estimator selects how the cache estimates each origin path's
+// bandwidth (Section 2.7). Nil is the oracle: the cache knows each
+// path's mean, read straight from the tape with no estimator built.
+// The others are EWMA, Underestimate and ActiveProbe, a closed set of
+// comparable values, so a Config holding any of them keys a map.
+type Estimator interface {
+	// Validate reports ErrBadConfig for a parameter outside its range.
+	Validate() error
+	// forPath builds the estimator of the path with index path (==
+	// object ID) and true mean bandwidth mean. Private randomness
+	// derives from the path index: two paths can share a mean, never an
+	// index.
+	forPath(path int, mean float64) (bandwidth.Estimator, error)
 }
 
-// EWMAEstimator returns a passive estimator (Section 2.7) that averages
-// the throughput of completed transfers with the given smoothing factor.
-// Config.normalize cannot see inside a factory, so an alpha that
-// bandwidth.NewEWMA rejects (outside (0, 1], or NaN) panics in the
-// first run that builds an estimator: validate it with NewEWMA first.
-func EWMAEstimator(alpha float64) EstimatorFactory {
-	return func(int, float64) bandwidth.Estimator {
-		e, err := bandwidth.NewEWMA(alpha)
-		if err != nil {
-			panic(fmt.Sprintf("sim: EWMA factory: %v", err))
-		}
-		return e
+// EWMA is the passive estimator of Section 2.7: it averages the
+// throughput of completed transfers with smoothing factor Alpha, in
+// (0, 1].
+type EWMA struct{ Alpha float64 }
+
+func (e EWMA) Validate() error {
+	if !(e.Alpha > 0 && e.Alpha <= 1) { // NaN fails both
+		return fmt.Errorf("%w: EWMA Alpha=%v, want in (0,1]", ErrBadConfig, e.Alpha)
 	}
+	return nil
+}
+
+func (e EWMA) forPath(int, float64) (bandwidth.Estimator, error) { return bandwidth.NewEWMA(e.Alpha) }
+
+// Underestimate is the oracle scaled by the factor E, in [0, 1]: the
+// over-provisioning heuristic swept in Figures 9 and 12.
+type Underestimate struct{ E float64 }
+
+func (u Underestimate) Validate() error {
+	if !(u.E >= 0 && u.E <= 1) { // NaN fails both
+		return fmt.Errorf("%w: Underestimate E=%v, want in [0,1]", ErrBadConfig, u.E)
+	}
+	return nil
+}
+
+func (u Underestimate) forPath(_ int, mean float64) (bandwidth.Estimator, error) {
+	return &bandwidth.Underestimator{Inner: &bandwidth.Static{Rate: mean}, Factor: u.E}, nil
 }
 
 // Default transport parameters for the active-probing model.
@@ -56,45 +68,46 @@ const (
 	probeRTO = 400 * time.Millisecond
 )
 
-// ActiveProbeEstimator returns the active-measurement alternative of
-// Section 2.7: each path gets loss/RTT conditions consistent (via the
-// Padhye model) with its true mean bandwidth, and the cache re-probes
-// the path with the given relative measurement noise after every
-// transfer. This is the Section 6 "integrate active bandwidth
-// measurement into proxy caches" direction.
-func ActiveProbeEstimator(jitter float64) EstimatorFactory {
-	return func(path int, pathMean float64) bandwidth.Estimator {
-		if pathMean < 1024 {
-			pathMean = 1024
-		}
-		cond, err := bandwidth.ConditionsForRate(pathMean, probeMSS, probeRTT, probeRTO, 1)
-		if err != nil {
-			panic(fmt.Sprintf("sim: active probe conditions: %v", err))
-		}
-		// The probe seed mixes the path index with the mean, so two
-		// paths that happen to share a mean bandwidth still draw
-		// independent measurement-noise streams.
-		seed := SplitSeed(int64(math.Float64bits(pathMean))^0x41C64E6D, int64(path))
-		p, err := bandwidth.NewActiveProber(cond, probeMSS, probeRTO, 1, jitter, seed)
-		if err != nil {
-			panic(fmt.Sprintf("sim: active prober: %v", err))
-		}
-		return &reprobingEstimator{prober: p}
+// ActiveProbe is the active-measurement alternative of Section 2.7:
+// each path gets loss/RTT conditions consistent (via the Padhye model)
+// with its true mean bandwidth, and the cache re-probes the path with
+// relative measurement noise Jitter, in [0, 1), after every transfer.
+// This is the Section 6 "integrate active bandwidth measurement into
+// proxy caches" direction.
+type ActiveProbe struct{ Jitter float64 }
+
+func (p ActiveProbe) Validate() error {
+	if !(p.Jitter >= 0 && p.Jitter < 1) { // NaN fails both
+		return fmt.Errorf("%w: ActiveProbe Jitter=%v, want in [0,1)", ErrBadConfig, p.Jitter)
 	}
+	return nil
 }
 
-// reprobingEstimator re-probes the path whenever a transfer completes,
-// so each access sees a fresh active measurement.
-type reprobingEstimator struct {
-	prober *bandwidth.ActiveProber
+func (p ActiveProbe) forPath(path int, mean float64) (bandwidth.Estimator, error) {
+	mean = max(mean, 1024)
+	cond, err := bandwidth.ConditionsForRate(mean, probeMSS, probeRTT, probeRTO, 1)
+	if err != nil {
+		return nil, fmt.Errorf("active probe conditions: %w", err)
+	}
+	// The probe seed mixes the path index with the mean, so two paths
+	// that happen to share a mean bandwidth still draw independent
+	// measurement-noise streams.
+	seed := SplitSeed(int64(math.Float64bits(mean))^0x41C64E6D, int64(path))
+	prober, err := bandwidth.NewActiveProber(cond, probeMSS, probeRTO, 1, p.Jitter, seed)
+	if err != nil {
+		return nil, fmt.Errorf("active prober: %w", err)
+	}
+	return reprobing{prober}, nil
 }
 
-func (r *reprobingEstimator) Estimate() float64 { return r.prober.Estimate() }
+// reprobing re-probes the path whenever a transfer completes, so each
+// access sees a fresh active measurement.
+type reprobing struct{ *bandwidth.ActiveProber }
 
-func (r *reprobingEstimator) Observe(float64) {
+func (r reprobing) Observe(float64) {
 	// A failed probe keeps the previous estimate; active measurement is
 	// best-effort.
-	_, _ = r.prober.Probe()
+	_, _ = r.Probe()
 }
 
 // Config parameterizes one experiment.
@@ -108,16 +121,15 @@ type Config struct {
 	// pure, as every built-in policy's are (GreedyDual's aging value
 	// lives in each run's cache).
 	Policy core.Policy
-	// CacheOptions tweak cache mechanics (e.g. whole-object eviction).
-	CacheOptions []core.Option
+	// WholeObjectEviction evicts whole objects instead of prefix bytes.
+	WholeObjectEviction bool
 	// Base draws each path's mean bandwidth (default: NLANR, Figure 2).
 	Base bandwidth.Model
 	// Variation draws per-request sample-to-mean ratios (default: none).
 	Variation bandwidth.Variability
-	// Estimators builds the per-path estimator. Nil means the oracle
-	// mean (the paper's default assumption), read straight from the
-	// tape with no estimator allocated.
-	Estimators EstimatorFactory
+	// Estimator prices each path's bandwidth. Nil is the oracle mean
+	// (the paper's default assumption).
+	Estimator Estimator
 	// WarmFraction of requests warms the cache before metrics are
 	// recorded (default 0.5, as in Section 4.1).
 	WarmFraction float64
@@ -191,6 +203,11 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Parallelism < 0 {
 		return c, fmt.Errorf("%w: Parallelism=%d", ErrBadConfig, c.Parallelism)
+	}
+	if c.Estimator != nil {
+		if err := c.Estimator.Validate(); err != nil {
+			return c, err
+		}
 	}
 	return c, nil
 }
@@ -317,12 +334,10 @@ func (s *runScratch) cache(k int, capacity int64, policy core.Policy, opts []cor
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
-// cacheOptions sizes the cache tables for the tape's catalog ahead of
-// the caller's own options.
+// cacheOptions sizes the cache tables for the tape's catalog and sets
+// the eviction granularity.
 func (c Config) cacheOptions(objects int) []core.Option {
-	opts := make([]core.Option, 0, len(c.CacheOptions)+1)
-	opts = append(opts, core.WithExpectedObjects(objects))
-	return append(opts, c.CacheOptions...)
+	return []core.Option{core.WithExpectedObjects(objects), core.WithWholeObjectEviction(c.WholeObjectEviction)}
 }
 
 // oracleTargets returns dst refilled with each object of rp's target
@@ -410,10 +425,10 @@ func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []M
 	sums := scratch.sums
 	clear(sums)
 
-	// A nil factory is the oracle mean, read straight from the memoized
-	// assignment, with each object's target computed once; an estimator's
-	// bandwidth moves per request, so the policy prices every access.
-	oracle := cfg.Estimators == nil
+	// The oracle mean is read straight from the memoized assignment, with
+	// each object's target computed once; an estimator's bandwidth moves
+	// per request, so the policy prices every access.
+	oracle := cfg.Estimator == nil
 	var (
 		targets    []int64
 		estimators []bandwidth.Estimator
@@ -424,7 +439,9 @@ func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []M
 	} else {
 		estimators = scratch.estSlice(len(rp.objs))
 		for i := range estimators {
-			estimators[i] = cfg.Estimators(i, rp.means[i])
+			if estimators[i], err = cfg.Estimator.forPath(i, rp.means[i]); err != nil {
+				return err
+			}
 		}
 	}
 

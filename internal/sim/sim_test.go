@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"streamcache/internal/bandwidth"
@@ -359,7 +361,7 @@ func TestEWMAEstimatorRuns(t *testing.T) {
 		CacheBytes: cachePct(5),
 		Policy:     core.NewPB(),
 		Variation:  bandwidth.MeasuredVariability(),
-		Estimators: EWMAEstimator(0.3),
+		Estimator:  EWMA{0.3},
 		Seed:       13,
 	})
 	if err != nil {
@@ -371,14 +373,14 @@ func TestEWMAEstimatorRuns(t *testing.T) {
 }
 
 func TestUnderestimatingOracleMatchesHybridDirection(t *testing.T) {
-	// PB + UnderestimatingOracle(0) must cache whole objects like IB:
+	// PB + Underestimate{0} must cache whole objects like IB:
 	// its traffic reduction should exceed plain PB's.
 	pb := runWith(t, core.NewPB(), bandwidth.NoVariation{}, cachePct(5))
 	m, err := Run(Config{
 		Workload:   testWorkload(),
 		CacheBytes: cachePct(5),
 		Policy:     core.NewPB(),
-		Estimators: UnderestimatingOracle(0),
+		Estimator:  Underestimate{0},
 		Runs:       2,
 		Seed:       42,
 	})
@@ -393,11 +395,11 @@ func TestUnderestimatingOracleMatchesHybridDirection(t *testing.T) {
 
 func TestWholeObjectEvictionOption(t *testing.T) {
 	m, err := Run(Config{
-		Workload:     testWorkload(),
-		CacheBytes:   cachePct(5),
-		Policy:       core.NewIF(),
-		CacheOptions: []core.Option{core.WithWholeObjectEviction(true)},
-		Seed:         17,
+		Workload:            testWorkload(),
+		CacheBytes:          cachePct(5),
+		Policy:              core.NewIF(),
+		WholeObjectEviction: true,
+		Seed:                17,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +447,7 @@ func TestActiveProbeEstimatorRuns(t *testing.T) {
 		CacheBytes: cachePct(5),
 		Policy:     core.NewPB(),
 		Variation:  bandwidth.MeasuredVariability(),
-		Estimators: ActiveProbeEstimator(0.1),
+		Estimator:  ActiveProbe{0.1},
 		Runs:       2,
 		Seed:       29,
 	})
@@ -465,7 +467,7 @@ func TestActiveProbeDeterministic(t *testing.T) {
 		Workload:   testWorkload(),
 		CacheBytes: cachePct(2),
 		Policy:     core.NewPB(),
-		Estimators: ActiveProbeEstimator(0.2),
+		Estimator:  ActiveProbe{0.2},
 		Seed:       31,
 	}
 	a, err := Run(cfg)
@@ -525,3 +527,57 @@ func TestGDSPBehavesLikeNetworkAwarePolicy(t *testing.T) {
 		t.Errorf("GDSP delay %v, want below IF's %v", gdsp.AvgServiceDelay, ifM.AvgServiceDelay)
 	}
 }
+
+// TestBadEstimatorIsBadConfig: an estimator parameter outside its range
+// fails Run, RunGroup and ScorePending with ErrBadConfig before any run
+// builds an estimator, rather than panicking in a worker, and the ends
+// of each range are accepted. A per-path failure — here the Padhye
+// conditions of a path whose mean is NaN — is an error the run returns.
+func TestBadEstimatorIsBadConfig(t *testing.T) {
+	nan := math.NaN()
+	wl := workload.Config{NumObjects: 20, NumRequests: 200}
+	for _, tt := range []struct {
+		name string
+		e    Estimator
+		bad  bool
+	}{
+		{"ewma alpha 1", EWMA{1}, false},
+		{"ewma alpha 0", EWMA{0}, true},
+		{"ewma alpha above 1", EWMA{1.5}, true},
+		{"ewma alpha NaN", EWMA{nan}, true},
+		{"underestimate e 0", Underestimate{0}, false},
+		{"underestimate e 1", Underestimate{1}, false},
+		{"underestimate e negative", Underestimate{-3}, true},
+		{"underestimate e above 1", Underestimate{1.5}, true},
+		{"underestimate e NaN", Underestimate{nan}, true},
+		{"probe jitter 0", ActiveProbe{0}, false},
+		{"probe jitter negative", ActiveProbe{-0.1}, true},
+		{"probe jitter 1", ActiveProbe{1}, true},
+		{"probe jitter NaN", ActiveProbe{nan}, true},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := Config{Workload: wl, CacheBytes: 1 << 30, Policy: core.NewPB(), Estimator: tt.e, Parallelism: 2}
+			_, runErr := Run(cfg)
+			_, groupErr := RunGroup(cfg, []Member{{1 << 30, nil}, {1 << 31, nil}})
+			_, pendingErr := NewArena().ScorePending([]HierarchyConfig{{Config: cfg}}, 2)
+			for call, err := range map[string]error{"Run": runErr, "RunGroup": groupErr, "ScorePending": pendingErr} {
+				if tt.bad && !errors.Is(err, ErrBadConfig) {
+					t.Errorf("%s: %v, want ErrBadConfig", call, err)
+				}
+				if !tt.bad && err != nil {
+					t.Errorf("%s: %v", call, err)
+				}
+			}
+		})
+	}
+	cfg := Config{Workload: wl, CacheBytes: 1 << 30, Policy: core.NewPB(), Base: nanMeans{}, Estimator: ActiveProbe{0.1}}
+	if _, err := Run(cfg); err == nil {
+		t.Error("a probe of a NaN-mean path ran")
+	}
+}
+
+// nanMeans draws every path's mean bandwidth as NaN.
+type nanMeans struct{}
+
+func (nanMeans) Sample(*rand.Rand) float64 { return math.NaN() }
+func (nanMeans) Mean() float64             { return math.NaN() }

@@ -36,12 +36,12 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 	}
 	estimators := []struct {
 		name string
-		f    EstimatorFactory
+		e    Estimator
 	}{
 		{"oracle", nil},
-		{"under", UnderestimatingOracle(0.5)},
-		{"ewma", EWMAEstimator(0.3)},
-		{"probe", ActiveProbeEstimator(0.2)},
+		{"under", Underestimate{0.5}},
+		{"ewma", EWMA{0.3}},
+		{"probe", ActiveProbe{0.2}},
 	}
 	type flatCase struct {
 		name   string
@@ -53,7 +53,7 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 		for _, e := range estimators {
 			cases = append(cases, flatCase{name: v.name + "/" + e.name, cfg: Config{
 				Workload: partial, CacheBytes: cachePct(5), Policy: core.NewPB(),
-				Variation: v.v, Estimators: e.f, Runs: 2, Seed: 11,
+				Variation: v.v, Estimator: e.e, Runs: 2, Seed: 11,
 			}})
 		}
 	}
@@ -66,7 +66,7 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 			EdgeByteFrac: 0x1.4b3bbbf7206a8p-04, OriginByteFrac: 0x1.d69888811bf2bp-01}},
 		flatCase{name: "golden/gds-ewma-partial", cfg: Config{
 			Workload: partial, CacheBytes: cachePct(2), Policy: core.NewGDS(),
-			Variation: bandwidth.MeasuredVariability(), Estimators: EWMAEstimator(0.3), Runs: 2, Seed: 7,
+			Variation: bandwidth.MeasuredVariability(), Estimator: EWMA{0.3}, Runs: 2, Seed: 7,
 		}, golden: &Metrics{Requests: 5000, TrafficReductionRatio: 0x1.50bf5db7a7845p-04, AvgServiceDelay: 0x1.59173acd52717p+10,
 			AvgStreamQuality: 0x1.b6cff73e727cp-01, TotalAddedValue: 0x1.1b206133022aep+14, HitRatio: 0x1.03e425aee632p-03, EvictedBytes: 705926916473,
 			EdgeByteFrac: 0x1.50bf5db7a7845p-04, OriginByteFrac: 0x1.d5e814490b0f8p-01}},

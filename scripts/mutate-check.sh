@@ -225,8 +225,8 @@ row K3 internal/sim/capacity.go FuzzCapacityPass ./internal/sim \
     'EvictedBytes is never derived from the fills (no table column reports it: only the model test sees it)' \
     'a.evicted += min(cb, before) - min(cb, live) + held - hit' '_ = min(cb, before) - min(cb, live) + held - hit'
 row K4 internal/sim/capacity.go 'FuzzCapacityPass TestCapacityPassMatchesRunOnce' ./internal/sim \
-    'selection ignores Estimators across capacities: an EWMA or underestimating cache-size group is scored with the oracle means (no table groups estimator rows: sim'"'"'s tests hold RunGroup to it)' \
-    $'\tif cfg.Estimators != nil {\n' $'\tif cfg.Estimators != nil && len(g.caps) < 2 {\n'
+    'selection ignores the Estimator across capacities: an EWMA or underestimating cache-size group is scored with the oracle means (an estimator row is a group of its own, so no table groups them: sim'"'"'s tests hold RunGroup to it)' \
+    $'\tif cfg.Estimator != nil {\n' $'\tif cfg.Estimator != nil && len(g.caps) < 2 {\n'
 row K6 internal/sim/capacity.go TestCapacityPassMatchesRunOnce ./internal/sim \
     'selection ignores aging: a GreedyDual cache-size group is scored by the greedy fill of utilities without L' \
     'return !core.Ages(c.Policy) && ' 'return '
@@ -248,8 +248,8 @@ row A1 internal/core/cache.go 'TestTapeReplayBitIdentical FuzzCapacityPass TestC
 # (DESIGN.md §5a "Variability never enters the cache under the oracle").
 
 row V1 internal/sim/capacity.go TestGroupMatchesRun ./internal/sim \
-    'sharing ignores Estimators: the sigmas of an EWMA or probing cell share the first sigma'"'"'s trajectory (no table groups estimator rows: sim'"'"'s tests hold RunGroup to it)' \
-    $'\tif cfg.Estimators != nil {\n' $'\tif cfg.Estimators != nil && len(g.caps) > 1 {\n'
+    'sharing ignores the Estimator: the sigmas of an EWMA or probing cell share the first sigma'"'"'s trajectory (an estimator row is a group of its own, so no table groups them: sim'"'"'s tests hold RunGroup to it)' \
+    $'\tif cfg.Estimator != nil {\n' $'\tif cfg.Estimator != nil && len(g.caps) > 1 {\n'
 row V2 internal/sim/sim.go 'TestGroupMatchesRun TestGoldenTables' './internal/sim ./internal/experiments' \
     'every member of a shared replay accumulates from member 0'"'"'s bandwidth column' \
     'bw, s := cols[k].at(i, o), &sums[k]' 'bw, s := cols[0].at(i, o), &sums[k]'
@@ -291,18 +291,18 @@ row P1 internal/sim/sim.go TestHierarchySingleNodeMatchesRun ./internal/sim \
 # arena keeps their Metrics for the rounds that ask later (DESIGN.md §5a
 # "Groups across calls"); each fault hands a point an answer that is not
 # its own, or scores a key's members in more calls than one. The share
-# key is also the one grouping rule (K5, V4).
+# key is also the one grouping rule (K5, V4, K7).
 
 row X1 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredMembersMatchRunConcurrent' ./internal/sim \
     'the share key drops Seed: another seed'"'"'s runs answer the call' \
-    'cfg.WarmFraction, cfg.Runs, cfg.Seed}, m, true' 'cfg.WarmFraction, cfg.Runs, 0}, m, true'
+    $'\tcfg.Arena, cfg.Parallelism = nil, 0\n' $'\tcfg.Arena, cfg.Parallelism, cfg.Seed = nil, 0, 0\n'
 row X2 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
     'the member key drops Variation: every variability at one capacity takes the answer stored last at that capacity' \
     $'\t\t\t\te.answers[m] = scored[k]\n' $'\t\t\t\te.answers[Member{CacheBytes: m.CacheBytes}] = scored[k]\n' \
-    $'\t\t\tm := e.answers[members[k]]\n' $'\t\t\tm := e.answers[Member{CacheBytes: members[k].CacheBytes}]\n'
+    $'\t\t\tms[i] = e.answers[members[k]]\n' $'\t\t\tms[i] = e.answers[Member{CacheBytes: members[k].CacheBytes}]\n'
 row X3 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
-    'shareability ignores Estimators: an EWMA or underestimating row takes the oracle row'"'"'s answer' \
-    'if cfg.Estimators != nil || len(cfg.CacheOptions) > 0 ||' 'if len(cfg.CacheOptions) > 0 ||'
+    'the share key drops the Estimator: an EWMA or underestimating row takes the oracle row'"'"'s answer' \
+    $'\tcfg.Arena, cfg.Parallelism = nil, 0\n' $'\tcfg.Arena, cfg.Parallelism, cfg.Estimator = nil, 0, nil\n'
 row X4 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
     'store skips extras: a call stores only the first member it scored, and the rest are answered with zero Metrics' \
     'for k, m := range e.pending {' 'for k, m := range e.pending[:1] {'
@@ -311,10 +311,13 @@ row X5 internal/sim/share.go 'TestScorePending TestGroupCounts' './internal/sim 
     $'\tfor _, is := range groups {\n' $'\tfor _, is := range groups {\n\t\tif len(is) == 1 {\n\t\t\tcontinue\n\t\t}\n'
 row K5 internal/sim/share.go 'TestGoldenTables TestDeclaredMembersMatchRun' './internal/experiments ./internal/sim' \
     'the share key drops the policy: one policy scores every policy'"'"'s rows' \
-    'return shareKey{cfg.Workload, cfg.Policy, cfg.Base,' 'return shareKey{cfg.Workload, nil, cfg.Base,'
+    $'\tcfg.Arena, cfg.Parallelism = nil, 0\n' $'\tcfg.Arena, cfg.Parallelism, cfg.Policy = nil, 0, nil\n'
 row V4 internal/sim/share.go 'TestScorePending TestGroupCounts' './internal/sim ./internal/experiments' \
     'GroupOf puts every configuration of a round in one group: one call scores the last key'"'"'s pending members with the first configuration'"'"'s policy, and the other keys'"'"' points read answers that are not theirs' \
     $'\t\t\tid = len(seen)\n' $'\t\t\tid = 0\n'
+row K7 internal/sim/share.go TestOwnershipIsAFunctionOfTheRound ./internal/experiments \
+    'the hierarchy key drops CacheBytes: a topology'"'"'s five cache sizes are one group, so one shard owns them all (the answers stay right: ScorePending runs each member)' \
+    $'\t\tcfg.CacheBytes, cfg.Variation = 0, nil\n\t}\n' $'\t\tcfg.CacheBytes, cfg.Variation = 0, nil\n\t}\n\tif cfg.Levels > 0 {\n\t\tcfg.CacheBytes = 0\n\t}\n'
 
 # --- ownership: shards own groups, not rows -------------------------------------
 #
@@ -332,6 +335,9 @@ row O2 internal/experiments/engine.go TestOwnershipIsAFunctionOfTheRound ./inter
 row O3 internal/experiments/shard.go 'TestOwnershipIsAFunctionOfTheRound TestShardOwnershipPartitions' ./internal/experiments \
     'every round deals its units out from shard 0, not from its base: a refinement round of single points is no longer index mod Count' \
     'owner[i] = (base + units) % count' 'owner[i] = units % count'
+row O4 internal/experiments/engine.go TestCapacityGroupsHoldOwnedRows ./internal/experiments \
+    'a foreign point neither the journal nor the exchange answers is formatted from zero Metrics: a shard with no exchange refines from metrics no shard computed' \
+    $'\t\tms, err := x.Arena.ScorePending(cfgs, x.parallelism())\n' $'\t\tms, err := x.Arena.ScorePending(cfgs, x.parallelism())\n\t\tif !own {\n\t\t\tms = make([]sim.Metrics, len(cfgs))\n\t\t}\n'
 
 # --- sampling: the Zipf guide table is exact ----------------------------------
 
