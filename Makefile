@@ -99,10 +99,11 @@ dead-check:
 ## require the merge to refuse it naming table and index, then restore
 ## it, merge each split and diff it against the single-process output
 ## (OPERATIONS.md §7). refined-esigma's groups of one e stay whole on
-## one shard, so its rows are not dealt out round robin; ablation-eviction,
-## ext-active-probing and hierarchy are keyed eviction, estimator and
-## hierarchy rows.
-SHARD_KEYS ?= figure5,refined-e,refined-esigma,ablation-eviction,ext-active-probing,hierarchy
+## one shard, so its rows are not dealt out round robin; ablation-eviction
+## and hierarchy are keyed eviction and hierarchy rows, and
+## ablation-estimators, scenarios and ext-active-probing cover every
+## estimator (EWMA, Underestimate, ActiveProbe).
+SHARD_KEYS ?= figure5,refined-e,refined-esigma,ablation-eviction,ablation-estimators,scenarios,ext-active-probing,hierarchy
 shard-check:
 	rm -rf shard-check
 	$(GO) build -o shard-check/figures ./cmd/figures

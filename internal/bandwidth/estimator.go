@@ -6,30 +6,6 @@ import (
 	"time"
 )
 
-// Estimator produces the bandwidth estimate b_i that the caching
-// algorithms consume (Section 2.7). Implementations may be passive
-// (observing completed transfers) or act as oracles in simulation.
-type Estimator interface {
-	// Estimate returns the current bandwidth estimate in bytes/s, or 0
-	// if no estimate is available yet.
-	Estimate() float64
-	// Observe feeds one measured throughput sample (bytes/s).
-	Observe(sample float64)
-}
-
-// Static is an oracle estimator that always reports a fixed rate; the
-// simulator uses it to model "the cache knows the path's average
-// bandwidth", which is the assumption behind the paper's Figures 5-12.
-type Static struct {
-	Rate float64
-}
-
-// Estimate returns the fixed rate.
-func (s *Static) Estimate() float64 { return s.Rate }
-
-// Observe is a no-op.
-func (s *Static) Observe(float64) {}
-
 // EWMA is the passive estimator of Section 2.7: it tracks an
 // exponentially weighted moving average of observed transfer throughput.
 // "Such approaches do not introduce additional network overhead, but may
@@ -69,21 +45,6 @@ func (e *EWMA) Observe(sample float64) {
 	}
 	e.est = e.alpha*sample + (1-e.alpha)*e.est
 }
-
-// Underestimator wraps another estimator and scales its output by a
-// constant e in [0, 1] - the over-provisioning heuristic of Section 2.5
-// and the knob swept in Figures 9 and 12 (e=1 behaves like PB, e=0 like
-// IB).
-type Underestimator struct {
-	Inner  Estimator
-	Factor float64
-}
-
-// Estimate returns Factor times the inner estimate.
-func (u *Underestimator) Estimate() float64 { return u.Factor * u.Inner.Estimate() }
-
-// Observe forwards to the inner estimator.
-func (u *Underestimator) Observe(sample float64) { u.Inner.Observe(sample) }
 
 // PadhyeThroughput returns the steady-state TCP throughput predicted by
 // the model of Padhye et al. [22], which Section 2.7 cites as the basis

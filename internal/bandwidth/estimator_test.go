@@ -6,17 +6,6 @@ import (
 	"time"
 )
 
-func TestStaticEstimator(t *testing.T) {
-	s := &Static{Rate: 5000}
-	if s.Estimate() != 5000 {
-		t.Errorf("Estimate() = %v, want 5000", s.Estimate())
-	}
-	s.Observe(1) // must be a no-op
-	if s.Estimate() != 5000 {
-		t.Error("Observe changed a Static estimator")
-	}
-}
-
 func TestNewEWMAValidation(t *testing.T) {
 	for _, alpha := range []float64{0, -0.5, 1.5, math.NaN()} {
 		if _, err := NewEWMA(alpha); err == nil {
@@ -90,31 +79,6 @@ func TestEWMAConvergesToConstantSignal(t *testing.T) {
 	}
 	if got := e.Estimate(); math.Abs(got-500) > 1 {
 		t.Errorf("Estimate() = %v, want ~500", got)
-	}
-}
-
-func TestUnderestimator(t *testing.T) {
-	inner := &Static{Rate: 1000}
-	u := &Underestimator{Inner: inner, Factor: 0.5}
-	if got := u.Estimate(); got != 500 {
-		t.Errorf("Estimate() = %v, want 500", got)
-	}
-	// Factor 0 turns PB into IB: the estimate is always 0.
-	u.Factor = 0
-	if got := u.Estimate(); got != 0 {
-		t.Errorf("Estimate() = %v, want 0", got)
-	}
-}
-
-func TestUnderestimatorForwardsObserve(t *testing.T) {
-	inner, err := NewEWMA(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := &Underestimator{Inner: inner, Factor: 0.8}
-	u.Observe(100)
-	if got := u.Estimate(); math.Abs(got-80) > 1e-12 {
-		t.Errorf("Estimate() = %v, want 80", got)
 	}
 }
 

@@ -72,8 +72,8 @@ func ConditionsForRate(rate float64, mss int, rtt, rto time.Duration, ackedPerAC
 
 // ActiveProber estimates path bandwidth by "sending a few probing
 // packets" (Section 2.7): each Probe measures loss and RTT with relative
-// noise Jitter and applies the Padhye model. It implements Estimator;
-// passive Observe samples are ignored (this is the active alternative).
+// noise Jitter and applies the Padhye model. It is the active
+// alternative to observing completed transfers.
 type ActiveProber struct {
 	mss        int
 	rto        time.Duration
@@ -81,13 +81,11 @@ type ActiveProber struct {
 	conditions PathConditions
 	jitter     float64
 	rng        *rand.Rand
-	estimate   float64
 }
 
 // NewActiveProber builds a prober for a path with the given true
 // conditions. jitter is the relative standard deviation of each
-// measurement (e.g. 0.1 = 10% noise). The prober takes an initial probe
-// so Estimate is immediately available.
+// measurement (e.g. 0.1 = 10% noise).
 func NewActiveProber(cond PathConditions, mss int, rto time.Duration, ackedPerACK int, jitter float64, seed int64) (*ActiveProber, error) {
 	if cond.RTT <= 0 || cond.Loss <= 0 || cond.Loss >= 1 {
 		return nil, fmt.Errorf("%w: conditions %+v", ErrBadParam, cond)
@@ -98,21 +96,17 @@ func NewActiveProber(cond PathConditions, mss int, rto time.Duration, ackedPerAC
 	if jitter < 0 || jitter >= 1 || math.IsNaN(jitter) {
 		return nil, fmt.Errorf("%w: jitter=%v, want in [0,1)", ErrBadParam, jitter)
 	}
-	p := &ActiveProber{
+	return &ActiveProber{
 		mss:        mss,
 		rto:        rto,
 		acked:      ackedPerACK,
 		conditions: cond,
 		jitter:     jitter,
 		rng:        rand.New(rand.NewSource(seed)),
-	}
-	if _, err := p.Probe(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	}, nil
 }
 
-// Probe takes one noisy measurement and refreshes the estimate.
+// Probe takes one noisy measurement and returns the estimate it gives.
 func (p *ActiveProber) Probe() (float64, error) {
 	noisy := func(v float64) float64 {
 		f := 1 + p.jitter*p.rng.NormFloat64()
@@ -130,12 +124,5 @@ func (p *ActiveProber) Probe() (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bandwidth: probe: %w", err)
 	}
-	p.estimate = est
 	return est, nil
 }
-
-// Estimate returns the most recent probe result.
-func (p *ActiveProber) Estimate() float64 { return p.estimate }
-
-// Observe is a no-op: the prober measures actively.
-func (p *ActiveProber) Observe(float64) {}

@@ -107,13 +107,15 @@ func TestActiveProberNoiselessMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Estimate(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("noiseless estimate = %v, want %v", got, want)
-	}
-	// Observe must not disturb an active prober.
-	p.Observe(1)
-	if got := p.Estimate(); math.Abs(got-want) > 1e-9 {
-		t.Error("Observe changed the active estimate")
+	// Without noise every probe measures the true conditions.
+	for i := 0; i < 3; i++ {
+		got, err := p.Probe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Errorf("noiseless probe %d = %v, want %v", i, got, want)
+		}
 	}
 }
 

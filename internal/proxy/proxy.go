@@ -99,7 +99,7 @@ type shardState struct {
 // observed at least one completed transfer (so /stats can skip paths
 // that were never exercised).
 type pathEstimator struct {
-	est      bandwidth.Estimator
+	est      *bandwidth.EWMA
 	observed bool
 }
 

@@ -182,21 +182,21 @@ func TestRunOnceSteadyStateAllocs(t *testing.T) {
 }
 
 // The active prober must draw independent noise streams for paths that
-// share a mean bandwidth (the probe seed mixes in the path index).
+// share a mean bandwidth (the probe seed mixes in the path index): two
+// objects of equal means, requested in turn, get different columns.
 func TestActiveProberSeedsDifferPerPath(t *testing.T) {
-	probe := ActiveProbe{0.3}
 	const mean = 256 * 1024.0
-	a, err := probe.forPath(0, mean)
+	rp := replay{
+		tape:  &tape{objs: make([]core.Object, 2), obj: []uint32{0, 1, 0, 1, 0, 1}},
+		means: []float64{mean, mean},
+	}
+	price, err := ActiveProbe{0.3}.prices(nil, rp, column{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := probe.forPath(1, mean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Observe(0) // trigger a probe
-	b.Observe(0)
-	if a.Estimate() == b.Estimate() {
-		t.Errorf("two paths with equal means share a probe stream: both estimate %v", a.Estimate())
+	for i := 0; i < len(rp.obj); i += 2 {
+		if a, b := price.at(i, 0), price.at(i+1, 1); a == b {
+			t.Errorf("probe %d: two paths with equal means share a probe stream: both estimate %v", i/2, a)
+		}
 	}
 }

@@ -224,7 +224,7 @@ func capacityPass(cfg Config, rp replay, members []Member, cols []column, out []
 	n, objects := len(rp.obj), len(rp.objs)
 
 	// Every keyed request's post-access utility, as Access computes it.
-	s.target = oracleTargets(s.target, cfg.Policy, rp)
+	s.target = priceTargets(s.target, cfg.Policy, rp, column{inst: rp.means})
 	s.freq, s.last = fit(s.freq, objects), fit(s.last, objects)
 	clear(s.freq)
 	for o := range s.last {

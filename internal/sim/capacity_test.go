@@ -511,6 +511,39 @@ func BenchmarkCapacityAxis(b *testing.B) {
 	})
 }
 
+// BenchmarkEstimators times one replay of a paper tape at the middle
+// capacity under NLANR variability for each estimator: the oracle, and
+// each of the others, whose replay compiles its estimate column.
+func BenchmarkEstimators(b *testing.B) {
+	arena := NewArena()
+	wl := paperWorkload()
+	caps := paperCapacities(b, arena, wl)
+	mid := caps[len(caps)/2]
+	for _, est := range []struct {
+		name string
+		e    Estimator
+	}{{"oracle", nil}, {"ewma_0.3", EWMA{0.3}}, {"underestimate_0.5", Underestimate{0.5}}, {"probe_0.2", ActiveProbe{0.2}}} {
+		cfg, err := Config{Workload: wl, Policy: core.NewPB(), Variation: bandwidth.NLANRVariability(), Estimator: est.e, Seed: 1, Arena: arena}.normalize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		seed := SplitSeed(cfg.Seed, 0)
+		rp, err := arena.replay(cfg, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cols, out := []column{arena.column(cfg, seed, rp)}, make([]Metrics, 1)
+		b.Run(est.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := replayColumns(cfg, rp, mid, cols, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // FuzzCapacityPass is the model test of core.Cache and of sharing on
 // random tapes: small random catalogs, request sequences, path means,
 // policies, estimators, eviction modes and groups — members at random

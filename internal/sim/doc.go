@@ -46,6 +46,7 @@
 // key and is the only code that reads or writes them) an arena also
 // keeps each group member's Metrics, which are as pure a function of
 // their inputs: whichever round scored a member, every round that asks
-// for it gets the same bits. What a run mutates — every node's cache, the estimator slice, the oracle target column — comes
+// for it gets the same bits. What a run mutates — every node's cache
+// and the estimate column, each request's price and target — comes
 // from one pooled per-worker scratch that is reset, never rebuilt.
 package sim

@@ -178,7 +178,7 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (Metrics, error) {
 	}
 	// Every tier prices an object at its oracle mean, so one target
 	// column serves them all.
-	scratch.targets = oracleTargets(scratch.targets, cfg.Policy, rp)
+	scratch.targets = priceTargets(scratch.targets, cfg.Policy, rp, column{inst: rp.means})
 	targets := scratch.targets
 
 	warm := int(cfg.WarmFraction * float64(len(rp.obj)))

@@ -72,12 +72,12 @@ func TestHierarchySingleNodeMatchesRun(t *testing.T) {
 					h.ParentByteFrac != flat.ParentByteFrac || h.OriginByteFrac != flat.OriginByteFrac {
 					t.Errorf("partial=%v cache=%v%% seed=%d: 1x1 hierarchy %+v != flat %+v (must be exact)", partial, pct, seed, h, flat)
 				}
-				// Underestimate{1} estimates each path's mean exactly,
-				// but through the estimator loop, where the policy prices every
-				// request: the targets both oracle loops compute once per run
-				// must price them the same.
+				// perRequestMeans prices each request at its path mean
+				// too, but in a column per request: the targets both
+				// oracle loops compute once per object must be the ones
+				// the policy gives each request.
 				perRequest := cfg.Config
-				perRequest.Estimator = Underestimate{1}
+				perRequest.Estimator = perRequestMeans{}
 				if pr, err := Run(perRequest); err != nil {
 					t.Fatal(err)
 				} else if pr != flat {
@@ -90,6 +90,20 @@ func TestHierarchySingleNodeMatchesRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// perRequestMeans is the oracle as a per-request estimate column:
+// request i, for object o, is priced at the path mean of o.
+type perRequestMeans struct{}
+
+func (perRequestMeans) Validate() error { return nil }
+
+func (perRequestMeans) prices(dst []float64, rp replay, _ column) (column, error) {
+	dst = fit(dst, len(rp.obj))
+	for i, o := range rp.obj {
+		dst[i] = rp.means[o]
+	}
+	return column{inst: dst, perRequest: true}, nil
 }
 
 // TestHierarchyTierFractionsPartition checks the byte accounting of a

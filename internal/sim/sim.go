@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,17 +20,19 @@ var ErrBadConfig = errors.New("sim: invalid configuration")
 
 // Estimator selects how the cache estimates each origin path's
 // bandwidth (Section 2.7). Nil is the oracle: the cache knows each
-// path's mean, read straight from the tape with no estimator built.
-// The others are EWMA, Underestimate and ActiveProbe, a closed set of
-// comparable values, so a Config holding any of them keys a map.
+// path's mean, read straight from the tape. The others are EWMA,
+// Underestimate and ActiveProbe, a closed set of comparable values, so
+// a Config holding any of them keys a map.
 type Estimator interface {
 	// Validate reports ErrBadConfig for a parameter outside its range.
 	Validate() error
-	// forPath builds the estimator of the path with index path (==
-	// object ID) and true mean bandwidth mean. Private randomness
-	// derives from the path index: two paths can share a mean, never an
-	// index.
-	forPath(path int, mean float64) (bandwidth.Estimator, error)
+	// prices returns dst refilled with the bandwidth the cache prices
+	// each request of rp at: a column indexed per request, or per object
+	// when every request of an object is priced alike. Request i, for
+	// object o, observes observed.at(i, o) once it is served. Private
+	// randomness derives from the path index (== object ID): two paths
+	// can share a mean, never an index.
+	prices(dst []float64, rp replay, observed column) (column, error)
 }
 
 // EWMA is the passive estimator of Section 2.7: it averages the
@@ -44,7 +47,22 @@ func (e EWMA) Validate() error {
 	return nil
 }
 
-func (e EWMA) forPath(int, float64) (bandwidth.Estimator, error) { return bandwidth.NewEWMA(e.Alpha) }
+// The EWMA column prices each request at the average of what the
+// earlier requests of its object observed; an object's first request
+// finds no estimate and is priced at 0.
+func (e EWMA) prices(dst []float64, rp replay, observed column) (column, error) {
+	fresh, err := bandwidth.NewEWMA(e.Alpha)
+	if err != nil {
+		return column{}, err
+	}
+	paths := slices.Repeat([]bandwidth.EWMA{*fresh}, len(rp.objs))
+	dst = fit(dst, len(rp.obj))
+	for i, o := range rp.obj {
+		dst[i] = paths[o].Estimate()
+		paths[o].Observe(observed.at(i, o))
+	}
+	return column{inst: dst, perRequest: true}, nil
+}
 
 // Underestimate is the oracle scaled by the factor E, in [0, 1]: the
 // over-provisioning heuristic swept in Figures 9 and 12.
@@ -57,8 +75,12 @@ func (u Underestimate) Validate() error {
 	return nil
 }
 
-func (u Underestimate) forPath(_ int, mean float64) (bandwidth.Estimator, error) {
-	return &bandwidth.Underestimator{Inner: &bandwidth.Static{Rate: mean}, Factor: u.E}, nil
+func (u Underestimate) prices(dst []float64, rp replay, _ column) (column, error) {
+	dst = fit(dst, len(rp.means))
+	for o, mean := range rp.means {
+		dst[o] = u.E * mean
+	}
+	return column{inst: dst}, nil
 }
 
 // Default transport parameters for the active-probing model.
@@ -70,8 +92,8 @@ const (
 
 // ActiveProbe is the active-measurement alternative of Section 2.7:
 // each path gets loss/RTT conditions consistent (via the Padhye model)
-// with its true mean bandwidth, and the cache re-probes the path with
-// relative measurement noise Jitter, in [0, 1), after every transfer.
+// with its true mean bandwidth, and the cache probes the path with
+// relative measurement noise Jitter, in [0, 1), before every transfer.
 // This is the Section 6 "integrate active bandwidth measurement into
 // proxy caches" direction.
 type ActiveProbe struct{ Jitter float64 }
@@ -83,7 +105,38 @@ func (p ActiveProbe) Validate() error {
 	return nil
 }
 
-func (p ActiveProbe) forPath(path int, mean float64) (bandwidth.Estimator, error) {
+// The probe column prices the k-th request of a path at the path's k-th
+// probe. A path's first probe must succeed; a later one that fails
+// keeps the previous estimate, as active measurement is best-effort.
+func (p ActiveProbe) prices(dst []float64, rp replay, _ column) (column, error) {
+	type path struct {
+		prober *bandwidth.ActiveProber
+		est    float64
+	}
+	paths := make([]path, len(rp.objs))
+	dst = fit(dst, len(rp.obj))
+	for i, o := range rp.obj {
+		ph := &paths[o]
+		first := ph.prober == nil
+		if first {
+			var err error
+			if ph.prober, err = p.prober(int(o), rp.means[o]); err != nil {
+				return column{}, err
+			}
+		}
+		if est, err := ph.prober.Probe(); err == nil {
+			ph.est = est
+		} else if first {
+			return column{}, fmt.Errorf("active prober: %w", err)
+		}
+		dst[i] = ph.est
+	}
+	return column{inst: dst, perRequest: true}, nil
+}
+
+// prober builds the prober of the path with index path and true mean
+// bandwidth mean.
+func (p ActiveProbe) prober(path int, mean float64) (*bandwidth.ActiveProber, error) {
 	mean = max(mean, 1024)
 	cond, err := bandwidth.ConditionsForRate(mean, probeMSS, probeRTT, probeRTO, 1)
 	if err != nil {
@@ -97,17 +150,7 @@ func (p ActiveProbe) forPath(path int, mean float64) (bandwidth.Estimator, error
 	if err != nil {
 		return nil, fmt.Errorf("active prober: %w", err)
 	}
-	return reprobing{prober}, nil
-}
-
-// reprobing re-probes the path whenever a transfer completes, so each
-// access sees a fresh active measurement.
-type reprobing struct{ *bandwidth.ActiveProber }
-
-func (r reprobing) Observe(float64) {
-	// A failed probe keeps the previous estimate; active measurement is
-	// best-effort.
-	_, _ = r.Probe()
+	return prober, nil
 }
 
 // Config parameterizes one experiment.
@@ -298,27 +341,20 @@ func (agg *Metrics) over(runs int) {
 }
 
 // runScratch holds every piece of per-run mutable state — the caches of
-// all nodes, the estimator slice, the per-column sums and a hierarchy
-// run's owner table — reused across
-// runs via scratchPool. Only backing storage survives a run: estimator
-// slice elements are rewritten and sums cleared before use and each
-// pooled cache is Reset to its freshly-constructed state, so pooled
-// state can never leak between runs (and results stay bit-identical
-// whether or not a pooled buffer was reused — the Parallelism 1/2/8
-// determinism suite exercises both).
+// all nodes, the estimate column, the per-column sums and a hierarchy
+// run's owner table — reused across runs via scratchPool. Only backing
+// storage survives a run: every slice is refilled or cleared before use
+// and each pooled cache is Reset to its freshly-constructed state, so
+// pooled state can never leak between runs (and results stay
+// bit-identical whether or not a pooled buffer was reused — the
+// Parallelism 1/2/8 determinism suite exercises both). No slice of it
+// aliases the arena (runScratch.estimate).
 type runScratch struct {
-	estimators []bandwidth.Estimator
-	caches     []*core.Cache
-	sums       []columnSums
-	owners     []int32 // per object: its owning edge in a hierarchy run
-	targets    []int64 // per object: its oracle target (oracleTargets)
-}
-
-func (s *runScratch) estSlice(n int) []bandwidth.Estimator {
-	if cap(s.estimators) < n {
-		s.estimators = make([]bandwidth.Estimator, n)
-	}
-	return s.estimators[:n]
+	caches  []*core.Cache
+	sums    []columnSums
+	owners  []int32   // per object: its owning edge in a hierarchy run
+	prices  []float64 // per request or object: an estimator's prices
+	targets []int64   // per request or object: the target at its price (priceTargets)
 }
 
 // cache returns the scratch's k-th cache configured exactly as
@@ -340,17 +376,43 @@ func (c Config) cacheOptions(objects int) []core.Option {
 	return []core.Option{core.WithExpectedObjects(objects), core.WithWholeObjectEviction(c.WholeObjectEviction)}
 }
 
-// oracleTargets returns dst refilled with each object of rp's target
-// under policy at its path mean, clamped to [0, size] as core.Cache
-// clamps it. Under the oracle estimator an object's bandwidth, and so
-// its target, never changes within a run: every oracle loop reads this
-// column instead of asking the policy on each request.
-func oracleTargets(dst []int64, policy core.Policy, rp replay) []int64 {
-	dst = fit(dst, len(rp.objs))
-	for o, obj := range rp.objs {
-		dst[o] = max(min(policy.Target(obj, rp.means[o]), obj.Size), 0)
+// priceTargets returns dst refilled with the target under policy of
+// each request of rp at its price, clamped to [0, size] as core.Cache
+// clamps it, and indexed as price is: per object when price is, so that
+// under the oracle estimator, whose price is each path's mean, an
+// object's target is computed once per run instead of on each request.
+func priceTargets(dst []int64, policy core.Policy, rp replay, price column) []int64 {
+	if !price.perRequest {
+		dst = fit(dst, len(rp.objs))
+		for o, obj := range rp.objs {
+			dst[o] = max(min(policy.Target(obj, price.inst[o]), obj.Size), 0)
+		}
+		return dst
+	}
+	dst = fit(dst, len(rp.obj))
+	for i, o := range rp.obj {
+		obj := rp.objs[o]
+		dst[i] = max(min(policy.Target(obj, price.inst[i]), obj.Size), 0)
 	}
 	return dst
+}
+
+// estimate refills s with cfg's estimate column for one replay of rp,
+// whose requests observe observed: the bandwidth the cache prices each
+// request at and the policy's target at that price, both indexed as
+// price.at indexes. The oracle's prices are the arena's path means,
+// read in place: they never enter s, whose prices a later run's
+// estimator refills.
+func (s *runScratch) estimate(cfg Config, rp replay, observed column) (price column, targets []int64, err error) {
+	price = column{inst: rp.means}
+	if cfg.Estimator != nil {
+		if price, err = cfg.Estimator.prices(s.prices, rp, observed); err != nil {
+			return column{}, nil, err
+		}
+		s.prices = price.inst
+	}
+	s.targets = priceTargets(s.targets, cfg.Policy, rp, price)
+	return price, s.targets, nil
 }
 
 // capacityTotals accumulate, in request order, what the measured
@@ -397,22 +459,23 @@ func (t memberTotals) metrics(requests int, watched float64) Metrics {
 
 // replayColumns is the request loop: every request of rp through one
 // core.Cache of the given capacity, the trajectory scored once per
-// bandwidth column into out[k]. With the oracle estimator the cache
-// never reads a column, so any number of columns share the replay; an
-// estimator observes what each request got, so cols must then hold
-// exactly the one column the run's estimates follow. Under the oracle
-// each object's target comes from oracleTargets, once per run, and the
-// cache's answer is read as values. The three metric calls stay written
-// out in the loop, because a method is not inlined and measured slower.
+// bandwidth column into out[k]. The cache prices each request from the
+// run's estimate column and hands its target to AccessWithTarget, whose
+// answer is read as values. Under the oracle the cache never reads a
+// column, so any number of columns share the replay; an estimator may
+// observe what each request got, so cols must then hold exactly the one
+// column the run's estimates follow. The three metric calls stay
+// written out in the loop, because a method is not inlined and measured
+// slower.
 //
 // It is the 1-edge, 1-level case of hierarchyRunOnce
 // (TestHierarchySingleNodeMatchesRun pins the two bit-equal) and shares
 // its tape, scratch and target column, but stays a loop of its own
 // because folding them is not free: each loop computes what the other
-// never needs (delay, quality, value and estimator feedback here; the
-// owner and parent hops and per-tier byte counters there), and one
-// merged loop measured slower on the figure path's hottest function.
-// DESIGN.md §5a "Targets from `sim` under the oracle" has the timings.
+// never needs (delay, quality and value here; the owner and parent hops
+// and per-tier byte counters there), and one merged loop measured
+// slower on the figure path's hottest function. DESIGN.md §5a "Targets
+// from `sim`" has the timings.
 func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []Metrics) error {
 	scratch := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(scratch)
@@ -421,29 +484,13 @@ func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []M
 	if err != nil {
 		return err
 	}
+	price, targets, err := scratch.estimate(cfg, rp, cols[0])
+	if err != nil {
+		return err
+	}
 	scratch.sums = fit(scratch.sums, len(cols))
 	sums := scratch.sums
 	clear(sums)
-
-	// The oracle mean is read straight from the memoized assignment, with
-	// each object's target computed once; an estimator's bandwidth moves
-	// per request, so the policy prices every access.
-	oracle := cfg.Estimator == nil
-	var (
-		targets    []int64
-		estimators []bandwidth.Estimator
-	)
-	if oracle {
-		scratch.targets = oracleTargets(scratch.targets, cfg.Policy, rp)
-		targets = scratch.targets
-	} else {
-		estimators = scratch.estSlice(len(rp.objs))
-		for i := range estimators {
-			if estimators[i], err = cfg.Estimator.forPath(i, rp.means[i]); err != nil {
-				return err
-			}
-		}
-	}
 
 	warm := int(cfg.WarmFraction * float64(len(rp.obj)))
 	var (
@@ -451,15 +498,11 @@ func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []M
 		watched float64
 	)
 	for i, o := range rp.obj {
-		obj := rp.objs[o]
-		var hit, evicted int64
-		if oracle {
-			hit, _, _, evicted, _ = cache.AccessWithTarget(obj, targets[o], rp.means[o], rp.time[i])
-		} else {
-			res := cache.Access(obj, estimators[o].Estimate(), rp.time[i])
-			hit, evicted = res.HitBytes, res.EvictedBytes
-			estimators[o].Observe(cols[0].at(i, o))
+		obj, j := rp.objs[o], int(o)
+		if price.perRequest {
+			j = i
 		}
+		hit, _, _, evicted, _ := cache.AccessWithTarget(obj, targets[j], price.inst[j], rp.time[i])
 		if i < warm {
 			continue
 		}

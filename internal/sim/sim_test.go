@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamcache/internal/bandwidth"
@@ -393,6 +394,38 @@ func TestUnderestimatingOracleMatchesHybridDirection(t *testing.T) {
 	}
 }
 
+// TestUnderestimateIsOracleOverScaledMeans holds Underestimate{E} to
+// its definition, the oracle over means scaled by E: its cache follows,
+// request for request, the trajectory of an oracle run whose paths draw
+// E times the means, so every measure of the cache agrees bit for bit
+// (only the bandwidth the requests observe differs). PB-V's utility is
+// not proportional to 1/b, so it also sees the price its utility is
+// computed at, not only its target's.
+func TestUnderestimateIsOracleOverScaledMeans(t *testing.T) {
+	for _, p := range []core.Policy{core.NewPB(), core.NewPBV()} {
+		under := Config{Workload: testWorkload(), CacheBytes: cachePct(2), Policy: p, Estimator: Underestimate{0.5}, Runs: 2, Seed: 42}
+		scaled := under
+		scaled.Estimator, scaled.Base = nil, scaledMeans{0.5}
+		u, err := Run(under)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := Run(scaled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u.TrafficReductionRatio != o.TrafficReductionRatio || u.HitRatio != o.HitRatio || u.EvictedBytes != o.EvictedBytes {
+			t.Errorf("%s: Underestimate{0.5} %+v, oracle over halved means %+v: the caches differ", p.Name(), u, o)
+		}
+	}
+}
+
+// scaledMeans draws each path's NLANR mean times e.
+type scaledMeans struct{ e float64 }
+
+func (s scaledMeans) Sample(rng *rand.Rand) float64 { return s.e * bandwidth.NLANR().Sample(rng) }
+func (s scaledMeans) Mean() float64                 { return s.e * bandwidth.NLANR().Mean() }
+
 func TestWholeObjectEvictionOption(t *testing.T) {
 	m, err := Run(Config{
 		Workload:            testWorkload(),
@@ -459,6 +492,109 @@ func TestActiveProbeEstimatorRuns(t *testing.T) {
 	}
 	if m.AvgStreamQuality <= 0.5 {
 		t.Errorf("active probing run degenerate quality %v", m.AvgStreamQuality)
+	}
+}
+
+// TestEstimateColumns holds each estimator's column to its definition.
+// At every request of a tape whose bandwidth varies per request, the
+// price equals a reference that steps a fresh bandwidth.EWMA or
+// bandwidth.ActiveProber through the earlier requests of that object
+// alone; the oracle and Underestimate price per object; and each target
+// is the policy's at that price. One scratch serves every estimator in
+// turn, so the path means the oracle reads in place must survive the
+// estimators that follow it.
+func TestEstimateColumns(t *testing.T) {
+	cfg, err := Config{Workload: testWorkload(), Policy: core.NewPB(), Variation: bandwidth.MeasuredVariability(), Seed: 3}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := SplitSeed(cfg.Seed, 0)
+	rp, err := cfg.Arena.replay(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := cfg.Arena.column(cfg, seed, rp)
+	means := slices.Clone(rp.means)
+	byObject := make([][]int, len(rp.objs))
+	for i, o := range rp.obj {
+		byObject[o] = append(byObject[o], i)
+	}
+
+	// Each reference fills want at reqs, the requests of object o in order.
+	want := make([]float64, len(rp.obj))
+	estimators := []struct {
+		name      string
+		e         Estimator
+		perObject bool
+		reference func(o int, reqs []int) error
+	}{
+		{"oracle", nil, true, func(o int, reqs []int) error {
+			for _, i := range reqs {
+				want[i] = means[o]
+			}
+			return nil
+		}},
+		{"underestimate", Underestimate{0.5}, true, func(o int, reqs []int) error {
+			for _, i := range reqs {
+				want[i] = 0.5 * means[o]
+			}
+			return nil
+		}},
+		{"ewma", EWMA{0.3}, false, func(o int, reqs []int) error {
+			e, err := bandwidth.NewEWMA(0.3)
+			if err != nil {
+				return err
+			}
+			for _, i := range reqs {
+				want[i] = e.Estimate()
+				e.Observe(observed.at(i, uint32(o)))
+			}
+			return nil
+		}},
+		{"probe", ActiveProbe{0.2}, false, func(o int, reqs []int) error {
+			p, err := ActiveProbe{0.2}.prober(o, means[o])
+			if err != nil {
+				return err
+			}
+			for _, i := range reqs {
+				if want[i], err = p.Probe(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	s := new(runScratch)
+	for _, est := range estimators {
+		for o, reqs := range byObject {
+			if err := est.reference(o, reqs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		one := cfg
+		one.Estimator = est.e
+		price, targets, err := s.estimate(one, rp, observed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if price.perRequest == est.perObject {
+			t.Errorf("%s: column per request is %v, want %v", est.name, price.perRequest, !est.perObject)
+		}
+		for i, o := range rp.obj {
+			obj, j := rp.objs[o], int(o)
+			if price.perRequest {
+				j = i
+			}
+			target := max(min(cfg.Policy.Target(obj, want[i]), obj.Size), 0)
+			if got := price.at(i, o); got != want[i] || targets[j] != target {
+				t.Errorf("%s: request %d of object %d priced at %v with target %d, want %v and %d",
+					est.name, i, o, got, targets[j], want[i], target)
+				break
+			}
+		}
+	}
+	if !slices.Equal(rp.means, means) {
+		t.Error("an estimator run wrote into the arena's path means")
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // Run returns the same Metrics bit for bit from a shared
 // arena (columns compiled once, replayed by every later call), from a
 // nil arena (compiled privately per run) and at any Parallelism — and
-// the values equal goldens recorded before the tape existed, so the
-// tape cannot be consistently wrong either.
+// the values equal goldens recorded before the tape existed (PB under
+// EWMA's: before the estimate column, when each path had an estimator
+// object), so the tape cannot be consistently wrong either.
 func TestTapeReplayBitIdentical(t *testing.T) {
 	sigma, err := bandwidth.NewLognormalRatio(0.4) // a Scale.sigmas() level
 	if err != nil {
@@ -70,6 +71,14 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 		}, golden: &Metrics{Requests: 5000, TrafficReductionRatio: 0x1.50bf5db7a7845p-04, AvgServiceDelay: 0x1.59173acd52717p+10,
 			AvgStreamQuality: 0x1.b6cff73e727cp-01, TotalAddedValue: 0x1.1b206133022aep+14, HitRatio: 0x1.03e425aee632p-03, EvictedBytes: 705926916473,
 			EdgeByteFrac: 0x1.50bf5db7a7845p-04, OriginByteFrac: 0x1.d5e814490b0f8p-01}},
+		// GDS prices nothing by bandwidth; PB's targets and utilities
+		// read every EWMA price.
+		flatCase{name: "golden/pb-ewma-partial", cfg: Config{
+			Workload: partial, CacheBytes: cachePct(2), Policy: core.NewPB(),
+			Variation: bandwidth.MeasuredVariability(), Estimator: EWMA{0.3}, Runs: 2, Seed: 7,
+		}, golden: &Metrics{Requests: 5000, TrafficReductionRatio: 0x1.dfdf5de67a6a6p-05, AvgServiceDelay: 0x1.ff6c85ec5da7p+09,
+			AvgStreamQuality: 0x1.c829d84c35822p-01, TotalAddedValue: 0x1.2449a944f4582p+14, HitRatio: 0x1.e5604189374bcp-04, EvictedBytes: 10001280262,
+			EdgeByteFrac: 0x1.dfdf5de67a6a6p-05, OriginByteFrac: 0x1.e2020a2198596p-01}},
 	)
 
 	shared := NewArena()

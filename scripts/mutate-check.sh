@@ -153,7 +153,7 @@ row H9 internal/proxy/proxy.go 'TestPumpSteadyStateAllocFree TestServeMissAllocs
 row H10 internal/sim/sim.go TestRunOnceSteadyStateAllocs ./internal/sim \
     'fmt.Sprint per request in sim.replayColumns, the request loop of Run' \
     'func replayColumns(' "$sink"'func replayColumns(' \
-    $'\t\t\thit, _, _, evicted, _ = cache.AccessWithTarget(' $'\t\t\tmutStr = fmt.Sprint(i, o)\n\t\t\thit, _, _, evicted, _ = cache.AccessWithTarget('
+    $'\t\thit, _, _, evicted, _ := cache.AccessWithTarget(' $'\t\tmutStr = fmt.Sprint(i, o)\n\t\thit, _, _, evicted, _ := cache.AccessWithTarget('
 row H15 internal/sim/hierarchy.go TestRunOnceSteadyStateAllocs ./internal/sim \
     'fmt.Sprint per request in sim.hierarchyRunOnce, the request loop of RunHierarchy' \
     'func hierarchyRunOnce(' "$sink"'func hierarchyRunOnce(' \
@@ -266,12 +266,29 @@ row V3 internal/sim/capacity.go TestGroupMatchesRun ./internal/sim \
 # heap's tiebreaker (DESIGN.md §5a "Dense ID-indexed tables").
 
 row T1 internal/sim/sim.go 'TestTapeReplayBitIdentical TestHierarchySingleNodeMatchesRun' ./internal/sim \
-    'the once-per-run target column prices every object at the first path'"'"'s mean' \
-    'policy.Target(obj, rp.means[o])' 'policy.Target(obj, rp.means[0])'
+    'the once-per-run target column prices every object at the first path'"'"'s price' \
+    'policy.Target(obj, price.inst[o])' 'policy.Target(obj, price.inst[0])'
 row T2 internal/core/cache.go TestEqualUtilityEvictsLeastRecentlyRequested ./internal/core \
     'an entry'"'"'s last request is recorded only when it is inserted: a hit leaves the heap'"'"'s tiebreaker stale' \
     $'\te.freq++\n\te.last = now\n' $'\te.freq++\n' \
     $'\t\t\t\te.utility = utility\n\t\t\t\tc.heapPush(id)' $'\t\t\t\te.utility = utility\n\t\t\t\te.last = now\n\t\t\t\tc.heapPush(id)'
+
+# --- estimate columns: what the cache prices each request at --------------------
+#
+# Every estimator compiles, per replay, the bandwidth the cache prices
+# each request at and the target at that price; the one request loop
+# reads that column (DESIGN.md §5a "Targets from `sim`"). Each fault
+# prices some request at a bandwidth its estimator never gave it.
+
+row E1 internal/sim/sim.go 'TestTapeReplayBitIdentical TestGoldenTables TestEstimateColumns' './internal/sim ./internal/experiments' \
+    'the EWMA column prices a request after observing it: the cache sees the bandwidth the transfer has not had yet' \
+    $'\t\tdst[i] = paths[o].Estimate()\n\t\tpaths[o].Observe(observed.at(i, o))' $'\t\tpaths[o].Observe(observed.at(i, o))\n\t\tdst[i] = paths[o].Estimate()'
+row E2 internal/sim/sim.go 'TestGoldenTables TestEstimateColumns' './internal/sim ./internal/experiments' \
+    'the probe column draws one extra probe before a path'"'"'s first request: the k-th request reads the (k+1)-th probe' \
+    $'\t\t\t\treturn column{}, err\n\t\t\t}\n\t\t}\n' $'\t\t\t\treturn column{}, err\n\t\t\t}\n\t\t\t_, _ = ph.prober.Probe()\n\t\t}\n'
+row E3 internal/sim/sim.go TestUnderestimateIsOracleOverScaledMeans ./internal/sim \
+    'Underestimate prices the utility at the unscaled mean (its target stays at E times the mean)' \
+    $'\t\thit, _, _, evicted, _ := cache.AccessWithTarget(obj, targets[j], price.inst[j], rp.time[i])' $'\t\tbw := price.inst[j]\n\t\tif _, ok := cfg.Estimator.(Underestimate); ok {\n\t\t\tbw = rp.means[o]\n\t\t}\n\t\thit, _, _, evicted, _ := cache.AccessWithTarget(obj, targets[j], bw, rp.time[i])'
 
 # --- the exact partition: a flat run is a one-edge hierarchy --------------------
 #
