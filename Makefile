@@ -102,8 +102,9 @@ dead-check:
 ## one shard, so its rows are not dealt out round robin; ablation-eviction
 ## and hierarchy are keyed eviction and hierarchy rows, and
 ## ablation-estimators, scenarios and ext-active-probing cover every
-## estimator (EWMA, Underestimate, ActiveProbe).
-SHARD_KEYS ?= figure5,refined-e,refined-esigma,ablation-eviction,ablation-estimators,scenarios,ext-active-probing,hierarchy
+## estimator (EWMA, Underestimate, ActiveProbe); figure6 and figure9 are
+## the tables whose tapes and columns the arena releases mid-call.
+SHARD_KEYS ?= figure5,figure6,figure9,refined-e,refined-esigma,ablation-eviction,ablation-estimators,scenarios,ext-active-probing,hierarchy
 shard-check:
 	rm -rf shard-check
 	$(GO) build -o shard-check/figures ./cmd/figures

@@ -30,6 +30,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"streamcache/internal/collect"
@@ -199,7 +200,7 @@ func run() error {
 			// index, so a shard's CSV could not be merged.
 			file = shardFileName(file, s.Shard)
 		}
-		start := time.Now()
+		start, cpu := time.Now(), cpuTime()
 		s.Counters = &experiments.Counters{} // per table
 		name, rows, err := streamExperiment(e, s, j, collector, stem, filepath.Join(*out, file), *jsonl)
 		if err != nil {
@@ -216,9 +217,14 @@ func run() error {
 		// Groups of cache sizes scored in one tape pass, run seeds that
 		// replayed once per capacity instead, points that shared another
 		// point's cache replay and points another table's group call
-		// scored (last, so the fields before them keep their positions).
+		// scored.
 		fmt.Printf("  passes=%d fallbacks=%d shared=%d reused=%d", s.Counters.CapacityPasses.Load(),
 			s.Counters.CapacityFallbacks.Load(), s.Counters.SharedReplays.Load(), s.Counters.ReusedMembers.Load())
+		// The process's CPU time over the table (tables run one after
+		// another) and the tapes and columns the arena still holds; new
+		// fields go last, so the fields before them keep their positions.
+		tapes, cols := s.Arena.Live()
+		fmt.Printf("  cpu=%v live=%d/%d", (cpuTime() - cpu).Round(time.Millisecond), tapes, cols)
 		fmt.Println()
 		fmt.Fprintf(&index, "%s: %s (%d rows) - %s\n", e.Key, file, rows, name)
 	}
@@ -227,6 +233,16 @@ func run() error {
 		indexName = fmt.Sprintf("INDEX.shard%d-of-%d.txt", s.Shard.Index, s.Shard.Count)
 	}
 	return os.WriteFile(filepath.Join(*out, indexName), []byte(index.String()), 0o644)
+}
+
+// cpuTime is the process's user+sys CPU time so far (0 where getrusage
+// fails).
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if syscall.Getrusage(syscall.RUSAGE_SELF, &ru) != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // reportKnee reads a live-capacity table (loadgen -mode open output)

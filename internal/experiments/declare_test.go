@@ -148,3 +148,97 @@ func streamDeclared(t *testing.T, s Scale, keys []string, path string, resume bo
 		}
 	}
 }
+
+// TestArenaForgetsAnsweredInputs pins the arena's release rule on the
+// figure sets cmd/figures runs: the seven keys of the benchmark's sweep
+// workloads, then every table, each set declared and streamed on one
+// arena. After each table the arena holds only the tapes and columns a
+// pending member or an adaptive table still to end reads — after
+// figure6 only the default workload's tapes (Runs of them), after the
+// last table none — and it has compiled each (workload, seed) tape and
+// (tape, base, variation) column exactly once: the cumulative compiles
+// equal those of an arena that never releases.
+func TestArenaForgetsAnsweredInputs(t *testing.T) {
+	type pin struct{ liveTapes, liveCols, tapes, rates int }
+	for _, set := range []struct {
+		name string
+		want []pin // per table, in stream order
+		keys []string
+	}{
+		{"bench", []pin{
+			{2, 4, 2, 4}, {2, 4, 8, 10}, {2, 4, 8, 10}, {2, 8, 8, 14},
+			{2, 8, 8, 14}, {2, 0, 8, 16}, {0, 0, 8, 16},
+		}, []string{"figure5", "figure6", "figure7", "figure9", "refined-e", "refined-esigma", "hierarchy"}},
+		{"all", []pin{
+			{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, // static tables
+			{2, 8, 2, 8}, {2, 8, 8, 14}, {2, 8, 8, 14}, {2, 8, 8, 14}, // figure5-8
+			{2, 8, 8, 14}, {2, 8, 8, 14}, {2, 8, 8, 14}, {2, 8, 8, 14}, // figure9-12
+			{2, 8, 8, 14}, {2, 8, 8, 14}, {2, 8, 8, 14}, {2, 8, 12, 18}, // ablations, ext-merging, ext-partial-viewing
+			{2, 8, 12, 18}, {2, 8, 12, 18}, {2, 8, 12, 18}, {2, 8, 12, 18}, // ext-active-probing, ext-baselines, scenarios, refined-e
+			{2, 16, 12, 26}, {2, 16, 12, 26}, {2, 0, 12, 26}, {0, 0, 12, 26}, // refined-sigma, -cache, -esigma, hierarchy
+		}, nil},
+	} {
+		t.Run(set.name, func(t *testing.T) {
+			keys := set.keys
+			if keys == nil {
+				for _, e := range Experiments() {
+					keys = append(keys, e.Key)
+				}
+			}
+			if len(keys) != len(set.want) {
+				t.Fatalf("%d tables, %d pins", len(keys), len(set.want))
+			}
+			s := SmallScale()
+			s.Arena = sim.NewArena()
+			if err := Declare(s, keys...); err != nil {
+				t.Fatal(err)
+			}
+			for i, key := range keys {
+				var rows TableSink
+				if err := Stream(key, s, &rows); err != nil {
+					t.Fatal(err)
+				}
+				var got pin
+				got.liveTapes, got.liveCols = s.Arena.Live()
+				tapes, rates := s.Arena.Compiles()
+				got.tapes, got.rates = int(tapes), int(rates)
+				if got != set.want[i] {
+					t.Errorf("after %s: live tapes/columns %d/%d, compiled %d/%d; want %d/%d, %d/%d", key,
+						got.liveTapes, got.liveCols, got.tapes, got.rates,
+						set.want[i].liveTapes, set.want[i].liveCols, set.want[i].tapes, set.want[i].rates)
+				}
+			}
+		})
+	}
+}
+
+// TestRefinedTablesHoldTheirTapes: an adaptive table streamed alone on
+// a fresh arena, nothing declared, compiles each tape once across all
+// its refinement rounds — it holds its coarse points' tapes, and the
+// columns drawn over them, until it ends — and leaves nothing behind.
+// refined-sigma draws a column for each of its 3 coarse and 4 refined
+// sigmas per run seed.
+func TestRefinedTablesHoldTheirTapes(t *testing.T) {
+	s := SmallScale()
+	for key, rates := range map[string]int64{"refined-e": 2, "refined-sigma": 14} {
+		s.Arena = sim.NewArena()
+		var rows TableSink
+		if err := Stream(key, s, &rows); err != nil {
+			t.Fatal(err)
+		}
+		e, _ := ExperimentByKey(key)
+		p, err := e.build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(rows.Table().Rows); got <= len(p.coarse) {
+			t.Fatalf("%s: %d rows: no refinement round ran", key, got)
+		}
+		if tapes, r := s.Arena.Compiles(); tapes != int64(s.Runs) || r != rates {
+			t.Errorf("%s: compiled %d tapes and %d columns, want %d and %d: a refinement round recompiled a released input", key, tapes, r, s.Runs, rates)
+		}
+		if tapes, cols := s.Arena.Live(); tapes != 0 || cols != 0 {
+			t.Errorf("%s: %d tapes and %d columns live after the table, want none", key, tapes, cols)
+		}
+	}
+}

@@ -272,6 +272,17 @@ func stream(s Scale, p *plan, sink RowSink) error {
 	return sink.End()
 }
 
+// cfgsOf returns the configurations of the simulated points of pts.
+func cfgsOf(pts []planPoint) []sim.HierarchyConfig {
+	var cfgs []sim.HierarchyConfig
+	for _, pt := range pts {
+		if pt.cfg != nil {
+			cfgs = append(cfgs, *pt.cfg)
+		}
+	}
+	return cfgs
+}
+
 // findJournal locates the checkpoint journal inside a (possibly nested)
 // sink fan-out, so the engine can record fetched foreign metrics next
 // to the rows the JournalSink already checkpoints.
@@ -336,6 +347,13 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 	p, err := e.build(s)
 	if err != nil {
 		return err
+	}
+	if p.refine != nil {
+		// The refinement rounds ask for points no one declared, over the
+		// coarse points' tapes: the arena keeps those, and the columns
+		// over them, until the table ends (Declare holds them ahead).
+		s.Arena.Hold(p.meta.Name, cfgsOf(p.coarse))
+		defer s.Arena.Drop(p.meta.Name)
 	}
 	err = stream(s, p, sink)
 	if s.Counters != nil {
@@ -411,7 +429,10 @@ func Stream(key string, s Scale, sink RowSink) error {
 // will simulate itself, the ones evalRound hands the arena (those
 // exec.resolvePhase does not answer). Each round declares its own points again
 // as it runs, so refinement rounds share across tables too, once they
-// are known; the static tables are not built.
+// are known; the static tables are not built. An adaptive table's
+// coarse points' tapes are also held (sim.Arena.Hold), owned or not,
+// until the table ends: its refinement rounds read them, and columns
+// over them, after the tables that answered its coarse round are done.
 // Without an arena (each table then has its own) it declares nothing.
 // Rows are identical whether or not it was called.
 func Declare(s Scale, keys ...string) error {
@@ -426,6 +447,9 @@ func Declare(s Scale, keys ...string) error {
 		p, err := e.spec.compile(s)
 		if err != nil {
 			return err
+		}
+		if p.refine != nil {
+			s.Arena.Hold(p.meta.Name, cfgsOf(p.coarse))
 		}
 		x := exec{Scale: s, table: p.meta.Name}
 		is, _, resolved := x.resolvePhase(p.coarse, x.Shard.owned(p.coarse, 0), true, 0, p.refine != nil)

@@ -12,8 +12,15 @@
 // Sharing contract (DESIGN.md §5a): everything the arena hands out is
 // immutable and shared across goroutines. Callers (and policies they
 // configure) must not mutate a returned Workload, []float64 or tape
-// column, and must not retain them past the arena's lifetime if they
-// need them to be collectable.
+// column.
+//
+// Release rule: the arena forgets a tape or bandwidth column as soon as
+// nothing can still read it. After each group it scores, ScorePending
+// drops every one that no member pending under any share key, no group
+// of the same call not yet scored and no hold (Hold) names
+// (share.go). Every value is a pure function of its key, so a release
+// that comes too early costs a recompile, which Compiles counts, and
+// never a wrong byte.
 package sim
 
 import (
@@ -42,17 +49,20 @@ type Arena struct {
 	paths  map[pathKey]*memo[[]float64]
 	cols   map[rateKey]*memo[[]float64]
 	traces map[trace.GenConfig]*memo[[]trace.Entry]
-	// store guards answers, the declared share keys' members; only
-	// Declare and ScorePending take it (share.go).
+	// store guards answers, the declared share keys' members, and
+	// holds, what each holder keeps from release; only Declare, Hold,
+	// Drop and ScorePending take it (share.go).
 	store   sync.Mutex
 	answers map[HierarchyConfig]*shareEntry
+	holds   map[string]map[reads]bool
 
 	tapeCompiles, rateCompiles        atomic.Int64
 	passes, fallbacks, shared, reused atomic.Int64 // RunGroup telemetry
 }
 
-// NewArena builds an empty arena. Use one arena per experiment (or per
-// sweep) and drop it afterwards to release the compiled tapes.
+// NewArena builds an empty arena. One arena can serve a whole figure
+// set: ScorePending releases each tape and column once nothing declared,
+// asked or held still reads it.
 func NewArena() *Arena {
 	return &Arena{
 		wls:     make(map[workload.Config]*memo[*workload.Workload]),
@@ -61,6 +71,7 @@ func NewArena() *Arena {
 		cols:    make(map[rateKey]*memo[[]float64]),
 		traces:  make(map[trace.GenConfig]*memo[[]trace.Entry]),
 		answers: make(map[HierarchyConfig]*shareEntry),
+		holds:   make(map[string]map[reads]bool),
 	}
 }
 
@@ -97,11 +108,12 @@ type pathKey struct {
 	n    int
 }
 
-// rateKey identifies one instantaneous-bandwidth column: the tape fixes
-// the request order and (through its seed) both random streams, the
-// base model the means the ratios multiply, the variability the ratios.
+// rateKey identifies one instantaneous-bandwidth column: the tape's key
+// fixes the request order and (through its seed) both random streams,
+// the base model the means the ratios multiply, the variability the
+// ratios.
 type rateKey struct {
-	tape      *tape
+	tape      workload.Config
 	base      bandwidth.Model
 	variation bandwidth.Variability
 }
@@ -174,6 +186,14 @@ func (a *Arena) Trace(cfg trace.GenConfig) ([]trace.Entry, error) {
 // of each per run seed.
 func (a *Arena) Compiles() (tapes, rates int64) {
 	return a.tapeCompiles.Load(), a.rateCompiles.Load()
+}
+
+// Live reports how many trace tapes and bandwidth columns the arena
+// holds now: what it compiled and has not yet released.
+func (a *Arena) Live() (tapes, cols int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.tapes), len(a.cols)
 }
 
 // Groups reports what the RunGroup calls served by the arena did. Of the

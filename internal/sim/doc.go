@@ -38,9 +38,11 @@
 // for the length of the call — one replay path, nothing retained after
 // it returns. Everything the arena hands out is immutable and shared
 // across goroutines: callers (and policies they configure) must not
-// mutate a returned Workload, tape column or []float64, and must not
-// retain them past the arena's lifetime if they need them to be
-// collectable. Use one arena per experiment and drop it afterwards.
+// mutate a returned Workload, tape column or []float64. The arena
+// releases a tape or bandwidth column once nothing can still read it —
+// no pending member, no later group of the same ScorePending call, no
+// Hold — and, every value being a pure function of its key, a release
+// that comes too early costs a recompile, never a wrong byte.
 // For the configurations declared to it (Arena.Declare, or
 // Arena.ScorePending, which also groups a sweep round's points by share
 // key and is the only code that reads or writes them) an arena also

@@ -18,11 +18,20 @@
 // flat or hierarchy, oracle or estimator, has one. ScorePending is the
 // only code that reads or writes the answers: Run, RunGroup and
 // RunHierarchy score what they are asked and never consult them.
+//
+// The declared members are also the arena's view of the future: after
+// each group it scores, ScorePending releases every tape and bandwidth
+// column that no pending member, no later group of the same call and no
+// hold still reads (release).
 package sim
 
 import (
 	"cmp"
+	"maps"
 	"slices"
+
+	"streamcache/internal/bandwidth"
+	"streamcache/internal/workload"
 )
 
 // shareOf returns the share key and member of a normalised cfg, or
@@ -140,7 +149,8 @@ func (a *Arena) declare(cfg HierarchyConfig) (e *shareEntry, m Member, answered 
 // nowhere. ms[i] is cfgs[i]'s Metrics; a cfg that fails to normalise
 // fails the call before anything is scored. The store lock is held
 // throughout, so no member is scored twice; the cfgs whose member was
-// answered before the call count as reused (Groups).
+// answered before the call count as reused (Groups). After each group
+// the call releases the tapes and columns nothing can still read.
 func (a *Arena) ScorePending(cfgs []HierarchyConfig, parallelism int) (ms []Metrics, err error) {
 	ids, norm, err := groupOf(cfgs)
 	if err != nil {
@@ -166,38 +176,163 @@ func (a *Arena) ScorePending(cfgs []HierarchyConfig, parallelism int) (ms []Metr
 	}
 	a.store.Lock()
 	defer a.store.Unlock()
-	for _, is := range groups {
-		cfg := norm[is[0]]
-		cfg.Arena, cfg.Parallelism = a, parallelism
-		if ids[is[0]] < 0 {
-			if ms[is[0]], err = RunHierarchy(cfg); err != nil {
-				return nil, err
-			}
-			continue
+	for g, is := range groups {
+		if err := a.scoreGroup(norm, is, ids[is[0]] >= 0, parallelism, ms); err != nil {
+			return nil, err
 		}
-		var e *shareEntry
-		members := make([]Member, len(is))
-		for k, i := range is {
-			var answered bool
-			if e, members[k], answered = a.declare(norm[i]); answered {
-				a.reused.Add(1)
-			}
-		}
-		if len(e.pending) > 0 {
-			scored, err := cfg.runGroup(e.pending)
-			if err != nil {
-				return nil, err
-			}
-			for k, m := range e.pending {
-				e.answers[m] = scored[k]
-			}
-			e.pending = nil
-		}
-		for k, i := range is {
-			ms[i] = e.answers[members[k]]
-		}
+		a.release(norm, groups[g+1:])
 	}
 	return ms, nil
+}
+
+// scoreGroup fills ms[i] for the cfgs is of one group: with keyed set,
+// it declares their members and scores every member of their share key
+// still pending; otherwise it scores the one cfg alone and stores
+// nothing. The caller holds a.store.
+func (a *Arena) scoreGroup(norm []HierarchyConfig, is []int, keyed bool, parallelism int, ms []Metrics) error {
+	cfg := norm[is[0]]
+	cfg.Arena, cfg.Parallelism = a, parallelism
+	if !keyed {
+		var err error
+		ms[is[0]], err = RunHierarchy(cfg)
+		return err
+	}
+	var e *shareEntry
+	members := make([]Member, len(is))
+	for k, i := range is {
+		var answered bool
+		if e, members[k], answered = a.declare(norm[i]); answered {
+			a.reused.Add(1)
+		}
+	}
+	if len(e.pending) > 0 {
+		scored, err := cfg.runGroup(e.pending)
+		if err != nil {
+			return err
+		}
+		for k, m := range e.pending {
+			e.answers[m] = scored[k]
+		}
+		e.pending = nil
+	}
+	for k, i := range is {
+		ms[i] = e.answers[members[k]]
+	}
+	return nil
+}
+
+// reads is what scoring one configuration reads from the arena: the
+// tape of each of its run seeds and, for a flat configuration, the
+// bandwidth column of its variability over each. It names them by the
+// fields their keys hold — never the capacity or the policy — so the
+// many points of a sweep fold into a few values.
+type reads struct {
+	workload  workload.Config // normalised, Seed zeroed: each run sets its own
+	seed      int64
+	runs      int
+	base      bandwidth.Model
+	variation bandwidth.Variability // nil where no memoized column is read
+}
+
+// readsOf returns what scoring the normalised cfg reads. A hierarchy
+// reads tapes only; a base or variability that cannot key a map
+// compiles its columns privately, so those are not named.
+func readsOf(cfg HierarchyConfig) reads {
+	r := reads{workload: cfg.Workload, seed: cfg.Seed, runs: cfg.Runs}
+	r.workload.Seed = 0
+	if cfg.Levels == 0 && dynComparable(cfg.Base) && dynComparable(cfg.Variation) {
+		r.base, r.variation = cfg.Base, cfg.Variation
+	}
+	return r
+}
+
+// Hold adds the tapes the cfgs read to the hold named owner, which
+// keeps them, and every bandwidth column drawn over them, from release
+// until Drop(owner). An adaptive table holds its coarse points' tapes,
+// from the time it is declared until it ends: its refinement rounds ask
+// for points no one declared, over those tapes and mostly over columns
+// other tables drew — or drew in their own refinement rounds, which no
+// one can name ahead either. A cfg that fails to normalise holds
+// nothing.
+func (a *Arena) Hold(owner string, cfgs []HierarchyConfig) {
+	a.store.Lock()
+	defer a.store.Unlock()
+	h := a.holds[owner]
+	if h == nil {
+		h = map[reads]bool{}
+		a.holds[owner] = h
+	}
+	for _, cfg := range cfgs {
+		if cfg, err := cfg.withDefaults(); err == nil {
+			r := readsOf(cfg)
+			r.base, r.variation = nil, nil // a held tape keeps all its columns
+			h[r] = true
+		}
+	}
+}
+
+// Drop removes the hold named owner and releases what nothing else
+// still reads.
+func (a *Arena) Drop(owner string) {
+	a.store.Lock()
+	defer a.store.Unlock()
+	delete(a.holds, owner)
+	a.release(nil, nil)
+}
+
+// release drops every tape and bandwidth column that nothing can still
+// read: no member pending under any share key, no cfg of the groups
+// rest of the current call (norm[i] for each i in them; they may not be
+// declared) and no hold names it, where a held tape keeps every column
+// drawn over it. The set is derived from the declared state each time,
+// so there is no count to keep in step. Every arena value is a pure
+// function of its key: a release that comes too early costs a
+// recompile, which Compiles counts, never a wrong byte. The caller
+// holds a.store.
+func (a *Arena) release(norm []HierarchyConfig, rest [][]int) {
+	need := map[reads]bool{} // what is still read; true where a hold names its tapes
+	read := func(cfg HierarchyConfig) {
+		if r := readsOf(cfg); !need[r] {
+			need[r] = false
+		}
+	}
+	for key, e := range a.answers {
+		for _, m := range e.pending {
+			cfg := key
+			cfg.CacheBytes, cfg.Variation = m.CacheBytes, m.Variation
+			read(cfg)
+		}
+	}
+	for _, is := range rest {
+		for _, i := range is {
+			read(norm[i])
+		}
+	}
+	for _, h := range a.holds {
+		maps.Copy(need, h)
+	}
+	tapes := map[workload.Config]bool{} // true for a held tape
+	cols := map[rateKey]bool{}
+	for r, held := range need {
+		c := Config{Workload: r.workload}
+		for run := range r.runs {
+			key, err := c.tapeKey(SplitSeed(r.seed, int64(run)))
+			if err != nil {
+				continue // such a run compiles nothing
+			}
+			tapes[key] = tapes[key] || held
+			if r.variation != nil {
+				cols[rateKey{tape: key, base: r.base, variation: r.variation}] = true
+			}
+		}
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	maps.DeleteFunc(a.tapes, func(k workload.Config, _ *memo[*tape]) bool {
+		_, read := tapes[k]
+		return !read
+	})
+	maps.DeleteFunc(a.cols, func(k rateKey, _ *memo[[]float64]) bool { return !cols[k] && !tapes[k.tape] })
 }
 
 // runGroup returns each member's Metrics of c's runs, with CacheBytes

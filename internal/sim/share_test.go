@@ -310,6 +310,40 @@ func TestScorePending(t *testing.T) {
 	}
 }
 
+// TestScorePendingHoldsLaterGroups: within one ScorePending call on an
+// arena nothing was declared to, a tape or column the call's later
+// groups read is not released when an earlier group that read it is
+// scored. Four groups over two workloads, the first workload's read
+// again by the third group, compile each tape and column once, and the
+// call leaves nothing behind.
+func TestScorePendingHoldsLaterGroups(t *testing.T) {
+	const runs = 2
+	w1, w2 := testWorkload(), testWorkload()
+	w2.ZipfAlpha = 1.1
+	at := func(w workload.Config, p core.Policy, pct float64, v bandwidth.Variability) HierarchyConfig {
+		return HierarchyConfig{Config: Config{Workload: w, Policy: p, CacheBytes: cachePct(pct), Variation: v, Runs: runs, Seed: 5}}
+	}
+	cfgs := []HierarchyConfig{
+		at(w1, core.NewPB(), 2, nil),
+		at(w2, core.NewPB(), 2, nil),
+		at(w1, core.NewIB(), 2, nil),
+		at(w1, core.NewIB(), 5, nil),
+		at(w2, core.NewIB(), 2, bandwidth.NLANRVariability()),
+	}
+	a := NewArena()
+	if _, err := a.ScorePending(cfgs, 2); err != nil {
+		t.Fatal(err)
+	}
+	// Tapes: two workloads x runs. Columns: constant bandwidth over
+	// both workloads, NLANR variability over the second.
+	if tapes, rates := a.Compiles(); tapes != 2*runs || rates != 3*runs {
+		t.Errorf("compiled %d tapes and %d columns, want %d and %d: a later group recompiled what an earlier one released", tapes, rates, 2*runs, 3*runs)
+	}
+	if tapes, cols := a.Live(); tapes != 0 || cols != 0 {
+		t.Errorf("%d tapes and %d columns live after the call, want none: nothing is declared or held", tapes, cols)
+	}
+}
+
 // countingPolicy is a policy that counts the targets asked of it.
 type countingPolicy struct {
 	core.Policy

@@ -14,10 +14,11 @@ import (
 // (against workload.Request's 24, which the arena no longer retains for
 // runs). Immutable once compiled.
 type tape struct {
-	objs    []core.Object // indexed by object ID
-	obj     []uint32      // request -> index into objs
-	time    []float64     // request -> arrival time, seconds
-	watched []int64       // request -> bytes the session watches (<= object size)
+	key     workload.Config // the arena key it was compiled from
+	objs    []core.Object   // indexed by object ID
+	obj     []uint32        // request -> index into objs
+	time    []float64       // request -> arrival time, seconds
+	watched []int64         // request -> bytes the session watches (<= object size)
 }
 
 // compileTape generates cfg's workload and flattens it. The partial-
@@ -29,6 +30,7 @@ func compileTape(cfg workload.Config) (*tape, error) {
 		return nil, err
 	}
 	t := &tape{
+		key:     cfg,
 		objs:    wl.Objects,
 		obj:     make([]uint32, len(wl.Requests)),
 		time:    make([]float64, len(wl.Requests)),
@@ -58,13 +60,19 @@ type replay struct {
 // run seed directly).
 const netSeedSalt = 0x5DEECE66D
 
+// tapeKey is the arena key of the tape the run of cfg seeded with seed
+// replays: cfg's workload with the run seed, normalised.
+func (c Config) tapeKey(seed int64) (workload.Config, error) {
+	w := c.Workload
+	w.Seed = seed
+	return w.Normalize()
+}
+
 // replay compiles — or, when an earlier run of the arena already has,
 // looks up — the tape and path means of the run of cfg seeded with
 // seed.
 func (a *Arena) replay(cfg Config, seed int64) (replay, error) {
-	wcfg := cfg.Workload
-	wcfg.Seed = seed
-	wcfg, err := wcfg.Normalize()
+	wcfg, err := cfg.tapeKey(seed)
 	if err != nil {
 		return replay{}, err
 	}
@@ -136,7 +144,7 @@ func (a *Arena) column(cfg Config, seed int64, rp replay) column {
 		c.inst = compileRates(rp, cfg.Variation, seed)
 		return c
 	}
-	c.inst, _ = memoize(a, a.cols, rateKey{tape: rp.tape, base: cfg.Base, variation: cfg.Variation}, func() ([]float64, error) {
+	c.inst, _ = memoize(a, a.cols, rateKey{tape: rp.key, base: cfg.Base, variation: cfg.Variation}, func() ([]float64, error) {
 		a.rateCompiles.Add(1)
 		return compileRates(rp, cfg.Variation, seed), nil
 	})

@@ -315,17 +315,37 @@ row X1 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredMembersMat
     $'\tcfg.Arena, cfg.Parallelism = nil, 0\n' $'\tcfg.Arena, cfg.Parallelism, cfg.Seed = nil, 0, 0\n'
 row X2 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
     'the member key drops Variation: every variability at one capacity takes the answer stored last at that capacity' \
-    $'\t\t\t\te.answers[m] = scored[k]\n' $'\t\t\t\te.answers[Member{CacheBytes: m.CacheBytes}] = scored[k]\n' \
-    $'\t\t\tms[i] = e.answers[members[k]]\n' $'\t\t\tms[i] = e.answers[Member{CacheBytes: members[k].CacheBytes}]\n'
+    $'\t\t\te.answers[m] = scored[k]\n' $'\t\t\te.answers[Member{CacheBytes: m.CacheBytes}] = scored[k]\n' \
+    $'\t\tms[i] = e.answers[members[k]]\n' $'\t\tms[i] = e.answers[Member{CacheBytes: members[k].CacheBytes}]\n'
 row X3 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
     'the share key drops the Estimator: an EWMA or underestimating row takes the oracle row'"'"'s answer' \
     $'\tcfg.Arena, cfg.Parallelism = nil, 0\n' $'\tcfg.Arena, cfg.Parallelism, cfg.Estimator = nil, 0, nil\n'
 row X4 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
     'store skips extras: a call stores only the first member it scored, and the rest are answered with zero Metrics' \
     'for k, m := range e.pending {' 'for k, m := range e.pending[:1] {'
+
+# --- release: the arena forgets only what nothing can still read ------------
+
+forget='./internal/sim ./internal/experiments'
+row F1 internal/sim/share.go TestArenaForgetsAnsweredInputs "$forget" \
+    'release ignores the pending members: a later table recompiles the tapes and columns an earlier one released' \
+    $'\tfor key, e := range a.answers {\n\t\tfor _, m := range e.pending {' $'\tfor key, e := range a.answers {\n\t\tfor _, m := range e.pending[:0] {'
+row F2 internal/sim/share.go 'TestArenaForgetsAnsweredInputs TestScorePendingHoldsLaterGroups TestRefinedTablesHoldTheirTapes' "$forget" \
+    'release is never called: every tape and column stays to the end of the arena' \
+    $'\t\ta.release(norm, groups[g+1:])\n' $'\t\t_ = groups[g+1:]\n' \
+    $'\ta.release(nil, nil)\n' ''
+row F3 internal/experiments/engine.go TestRefinedTablesHoldTheirTapes "$forget" \
+    'Stream takes no hold: a table streamed alone recompiles its tapes in every refinement round' \
+    $'\t\ts.Arena.Hold(p.meta.Name, cfgsOf(p.coarse))\n\t\tdefer' $'\t\tdefer'
+row F4 internal/sim/share.go TestScorePendingHoldsLaterGroups "$forget" \
+    'release ignores the later groups of the call: an undeclared group recompiles what an earlier group of its call released' \
+    'a.release(norm, groups[g+1:])' 'a.release(norm, groups[g+1:][:0])'
+row F5 internal/experiments/engine.go TestArenaForgetsAnsweredInputs "$forget" \
+    'Declare holds nothing: an adaptive table whose coarse round another table answered recompiles its columns' \
+    $'\t\tif p.refine != nil {\n\t\t\ts.Arena.Hold(p.meta.Name, cfgsOf(p.coarse))\n\t\t}\n' ''
 row X5 internal/sim/share.go 'TestScorePending TestGroupCounts' './internal/sim ./internal/experiments' \
     'ScorePending skips one-member groups: the point runs alone and the other pending members of its key wait for a later round' \
-    $'\tfor _, is := range groups {\n' $'\tfor _, is := range groups {\n\t\tif len(is) == 1 {\n\t\t\tcontinue\n\t\t}\n'
+    $'\tfor g, is := range groups {\n' $'\tfor g, is := range groups {\n\t\tif len(is) == 1 {\n\t\t\tcontinue\n\t\t}\n'
 row K5 internal/sim/share.go 'TestGoldenTables TestDeclaredMembersMatchRun' './internal/experiments ./internal/sim' \
     'the share key drops the policy: one policy scores every policy'"'"'s rows' \
     $'\tcfg.Arena, cfg.Parallelism = nil, 0\n' $'\tcfg.Arena, cfg.Parallelism, cfg.Policy = nil, 0, nil\n'
