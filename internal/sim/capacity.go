@@ -299,7 +299,8 @@ func capacityPass(cfg Config, rp replay, members []Member, cols []column, out []
 		if i < warm {
 			continue
 		}
-		obj, watched := rp.objs[o], rp.watched[i]
+		obj := rp.objs[o]
+		watched := rp.watchedAt(i, obj.Size)
 		total += float64(watched)
 		var (
 			delay, quality float64

@@ -174,10 +174,9 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 			return core.Object{ID: id, Size: 1000, Duration: 10, Rate: 100, Value: 1}
 		}
 		rp := replay{tape: &tape{
-			objs:    []core.Object{obj(0), obj(1)},
-			obj:     []uint32{0, 1, 0, 1, 0, 1},
-			time:    []float64{1, 2, 3, 4, 5, 6},
-			watched: []int64{1000, 1000, 1000, 1000, 1000, 1000},
+			objs: []core.Object{obj(0), obj(1)},
+			obj:  []uint32{0, 1, 0, 1, 0, 1},
+			time: []float64{1, 2, 3, 4, 5, 6},
 		}, means: []float64{20, 20}}
 		cfg, err := Config{Policy: core.NewPB()}.normalize()
 		if err != nil {
@@ -568,12 +567,13 @@ func FuzzCapacityPass(f *testing.F) {
 var axisPolicies = []string{"IF", "PB", "IB", "PB-V", "IB-V", "LRU", "LFU", "HYBRID", "HYBRID-V", "GDS", "GDS-BW", "GDSP"}
 
 // randomGroup builds one fuzz case from a seed: up to 12 objects, 96
-// requests and 6 distinct capacities (0 and more than every object
-// among them), each with 1 to 3 members. policy picks from
-// axisPolicies; flags%4 picks the oracle, a deliberate underestimate or
-// EWMA, flags&4 whole-object eviction. Each member's column holds one
-// random bandwidth per object — or, with flags&8 and a coin toss of its
-// own, one per request.
+// requests (on half the tapes, a quarter of them stopping early; the
+// other half have no watched column) and 6 distinct capacities (0 and
+// more than every object among them), each with 1 to 3 members.
+// policy picks from axisPolicies; flags%4 picks the oracle, a
+// deliberate underestimate or EWMA, flags&4 whole-object eviction. Each
+// member's column holds one random bandwidth per object — or, with
+// flags&8 and a coin toss of its own, one per request.
 func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay, []Member, []column) {
 	rng := rand.New(rand.NewSource(seed))
 	objects, requests := 1+rng.Intn(12), 1+rng.Intn(96)
@@ -584,7 +584,7 @@ func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay,
 		tp.objs[o] = core.Object{ID: o, Size: int64(rate * dur), Duration: dur, Rate: rate, Value: float64(rng.Intn(16)) / 4}
 		total += tp.objs[o].Size
 	}
-	now := 1.0
+	now, partial := 1.0, rng.Intn(2) == 0
 	for range requests {
 		o := uint32(rng.Intn(objects))
 		if rng.Intn(3) == 0 { // skew: the low IDs are hot
@@ -593,11 +593,14 @@ func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay,
 		if rng.Intn(32) != 0 { // a 0 step can tie LRU's utilities
 			now += rng.Float64()
 		}
-		watched := tp.objs[o].Size
-		if rng.Intn(4) == 0 {
-			watched = rng.Int63n(watched + 1)
+		tp.obj, tp.time = append(tp.obj, o), append(tp.time, now)
+		if partial {
+			watched := tp.objs[o].Size
+			if rng.Intn(4) == 0 {
+				watched = rng.Int63n(watched + 1)
+			}
+			tp.watched = append(tp.watched, watched)
 		}
-		tp.obj, tp.time, tp.watched = append(tp.obj, o), append(tp.time, now), append(tp.watched, watched)
 	}
 	rp := replay{tape: tp, means: make([]float64, objects)}
 	for o := range rp.means {

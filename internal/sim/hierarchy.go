@@ -188,7 +188,7 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (Metrics, error) {
 	)
 	for i, o := range rp.obj {
 		obj, target, est := rp.objs[o], targets[o], rp.means[o]
-		now, watched := rp.time[i], rp.watched[i]
+		now, watched := rp.time[i], rp.watchedAt(i, obj.Size)
 		e := i % cfg.Edges
 		owner := e
 		if owners != nil {

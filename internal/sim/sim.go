@@ -514,8 +514,9 @@ func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []M
 				s.value += obj.Value
 			}
 		}
-		a.cached += float64(min(hit, rp.watched[i]))
-		watched += float64(rp.watched[i])
+		w := rp.watchedAt(i, obj.Size)
+		a.cached += float64(min(hit, w))
+		watched += float64(w)
 		if hit > 0 {
 			a.hits++
 		}

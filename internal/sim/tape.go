@@ -9,40 +9,66 @@ import (
 )
 
 // tape is one compiled (workload.Config, run seed): everything about
-// the trace a request loop reads, as flat columns indexed by request,
-// plus the object table the columns index into. 20 bytes per request
-// (against workload.Request's 24, which the arena no longer retains for
-// runs). Immutable once compiled.
+// the trace a request loop reads and cannot derive, as flat columns
+// indexed by request, plus the object table the columns index into.
+// 12 bytes per request, and 8 more on a tape with a partial viewer
+// (against workload.Request's 24, which is never built for a run).
+// Immutable once compiled.
 type tape struct {
-	key     workload.Config // the arena key it was compiled from
-	objs    []core.Object   // indexed by object ID
-	obj     []uint32        // request -> index into objs
-	time    []float64       // request -> arrival time, seconds
-	watched []int64         // request -> bytes the session watches (<= object size)
+	key  workload.Config // the arena key it was compiled from
+	objs []core.Object   // indexed by object ID
+	obj  []uint32        // request -> index into objs
+	time []float64       // request -> arrival time, seconds
+	// watched is request -> bytes the session watches (<= object size),
+	// or nil when every session watches to the end; read it through
+	// watchedAt.
+	watched []int64
 }
 
-// compileTape generates cfg's workload and flattens it. The partial-
-// viewing clamp is applied here, once, for both request loops: a
-// session that stops early only ever transfers the watched prefix.
+// watchedAt returns the bytes request i watches, given the size of the
+// object it asks for.
+func (t *tape) watchedAt(i int, size int64) int64 {
+	if t.watched == nil {
+		return size
+	}
+	return t.watched[i]
+}
+
+// compileTape draws cfg's workload straight into the columns. The
+// partial-viewing clamp is applied here, once, for every request loop:
+// a session that stops early only ever transfers the watched prefix.
+// The watched column is made at the first such session, with the
+// requests before it watching their whole object.
 func compileTape(cfg workload.Config) (*tape, error) {
-	wl, err := workload.Generate(cfg)
+	g, err := workload.NewGenerator(cfg)
 	if err != nil {
 		return nil, err
 	}
+	n := g.Config.NumRequests
 	t := &tape{
-		key:     cfg,
-		objs:    wl.Objects,
-		obj:     make([]uint32, len(wl.Requests)),
-		time:    make([]float64, len(wl.Requests)),
-		watched: make([]int64, len(wl.Requests)),
+		key:  cfg,
+		objs: g.Objects,
+		obj:  make([]uint32, n),
+		time: make([]float64, n),
 	}
-	for i, r := range wl.Requests {
-		size := t.objs[r.ObjectID].Size
-		watched := size
-		if r.Fraction > 0 && r.Fraction < 1 {
-			watched = int64(r.Fraction * float64(size))
+	for i := range n {
+		r := g.Next()
+		t.obj[i], t.time[i] = uint32(r.ObjectID), r.Time
+		partial := r.Fraction > 0 && r.Fraction < 1
+		if t.watched == nil {
+			if !partial {
+				continue
+			}
+			t.watched = make([]int64, n)
+			for j, o := range t.obj[:i] {
+				t.watched[j] = t.objs[o].Size
+			}
 		}
-		t.obj[i], t.time[i], t.watched[i] = uint32(r.ObjectID), r.Time, watched
+		size := t.objs[r.ObjectID].Size
+		t.watched[i] = size
+		if partial {
+			t.watched[i] = int64(r.Fraction * float64(size))
+		}
 	}
 	return t, nil
 }

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
+	"streamcache/internal/workload"
 )
 
 // TestTapeReplayBitIdentical is the tape's contract: replaying compiled
@@ -138,5 +140,91 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 				t.Errorf("hierarchy %s: shared arena at Parallelism=%d changed metrics:\n%+v\nwant\n%+v", h.name, par, got, private)
 			}
 		}
+	}
+}
+
+// TestCompileTapeMatchesGenerate holds the streamed compile to the rule
+// it replaced, which flattened workload.Generate's requests: each
+// request's object and arrival time, and watched = the object's size
+// unless 0 < Fraction < 1, where it is Fraction of the size. A tape has
+// a watched column (one entry per request) exactly when some session
+// stops early; the sparse case's first one comes well into the trace.
+func TestCompileTapeMatchesGenerate(t *testing.T) {
+	for _, prob := range []float64{0, 0.4, 0.001} {
+		for seed := range int64(4) {
+			cfg := testWorkload()
+			cfg.PartialViewProb, cfg.Seed = prob, seed
+			cfg, err := cfg.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl, err := workload.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp, err := compileTape(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(tp.objs, wl.Objects) {
+				t.Fatalf("prob=%v seed=%d: the tape's catalog differs from Generate's", prob, seed)
+			}
+			n := len(wl.Requests)
+			if len(tp.obj) != n || len(tp.time) != n {
+				t.Fatalf("prob=%v seed=%d: %d/%d obj/time entries, want %d", prob, seed, len(tp.obj), len(tp.time), n)
+			}
+			partial := false
+			for i, r := range wl.Requests {
+				size := wl.Objects[r.ObjectID].Size
+				watched := size
+				if r.Fraction > 0 && r.Fraction < 1 {
+					watched, partial = int64(r.Fraction*float64(size)), true
+				}
+				if int(tp.obj[i]) != r.ObjectID || tp.time[i] != r.Time || tp.watchedAt(i, size) != watched {
+					t.Fatalf("prob=%v seed=%d: request %d compiled to (%d, %v, %d), want (%d, %v, %d)",
+						prob, seed, i, tp.obj[i], tp.time[i], tp.watchedAt(i, size), r.ObjectID, r.Time, watched)
+				}
+			}
+			switch {
+			case !partial && tp.watched != nil:
+				t.Errorf("prob=%v seed=%d: a full-view tape has a watched column", prob, seed)
+			case partial && len(tp.watched) != n:
+				t.Errorf("prob=%v seed=%d: a partial-view tape has %d watched entries, want %d", prob, seed, len(tp.watched), n)
+			}
+			if partial != (prob > 0) {
+				t.Errorf("prob=%v seed=%d: partial viewers=%v", prob, seed, partial)
+			}
+		}
+	}
+}
+
+// BenchmarkCompileTape compiles one paper tape (Table 1: 5000 objects,
+// 100 000 requests) with every session watching to the end, and with
+// ext-partial-viewing's lower partial-viewing probability. col-B/req
+// is the bytes of request columns the tape keeps: 12 (object index and
+// arrival time) on a full-view tape, 20 with the watched column. B/op
+// adds the catalog.
+func BenchmarkCompileTape(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		prob float64
+	}{{"full", 0}, {"partial", 0.3}} {
+		cfg := paperWorkload()
+		cfg.PartialViewProb = c.prob
+		cfg, err := cfg.Normalize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var tp *tape
+			for b.Loop() {
+				if tp, err = compileTape(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cols := 4*cap(tp.obj) + 8*cap(tp.time) + 8*cap(tp.watched)
+			b.ReportMetric(float64(cols)/float64(len(tp.obj)), "col-B/req")
+		})
 	}
 }

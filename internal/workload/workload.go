@@ -156,8 +156,36 @@ func cachedZipf(n int, alpha float64) (*dist.Zipf, error) {
 	return actual.(*dist.Zipf), nil
 }
 
-// Generate builds a workload from cfg (zero fields default to Table 1).
+// Generate builds a workload from cfg (zero fields default to Table 1):
+// a Generator's catalog and its first NumRequests requests.
 func Generate(cfg Config) (*Workload, error) {
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	requests := make([]Request, g.Config.NumRequests)
+	for i := range requests {
+		requests[i] = g.Next()
+	}
+	return &Workload{Config: g.Config, Objects: g.Objects, Requests: requests}, nil
+}
+
+// Generator draws one workload in order, from one random stream seeded
+// with Config.Seed: NewGenerator draws the catalog, then each Next draws
+// the next request of the trace. It is the only code that draws a
+// workload; the trace is its first Config.NumRequests requests. A caller
+// that flattens the trace into columns of its own reads it here, one
+// request at a time, and never holds a []Request.
+type Generator struct {
+	Config  Config   // normalised
+	Objects []Object // the catalog, indexed by ID
+	rng     *rand.Rand
+	zipf    *dist.Zipf
+	proc    *dist.PoissonProcess
+}
+
+// NewGenerator normalises cfg and draws its catalog.
+func NewGenerator(cfg Config) (*Generator, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -190,19 +218,21 @@ func Generate(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	requests := make([]Request, cfg.NumRequests)
-	for i := range requests {
-		frac := 1.0
-		if cfg.PartialViewProb > 0 && rng.Float64() < cfg.PartialViewProb {
-			frac = cfg.MinViewFraction + rng.Float64()*(1-cfg.MinViewFraction)
-		}
-		requests[i] = Request{
-			Time:     proc.Next(rng),
-			ObjectID: zipf.Sample(rng) - 1, // rank r -> object ID r-1
-			Fraction: frac,
-		}
+	return &Generator{Config: cfg, Objects: objects, rng: rng, zipf: zipf, proc: proc}, nil
+}
+
+// Next draws the next request: whether the session stops early (and
+// where), then its arrival time, then its object.
+func (g *Generator) Next() Request {
+	frac := 1.0
+	if g.Config.PartialViewProb > 0 && g.rng.Float64() < g.Config.PartialViewProb {
+		frac = g.Config.MinViewFraction + g.rng.Float64()*(1-g.Config.MinViewFraction)
 	}
-	return &Workload{Config: cfg, Objects: objects, Requests: requests}, nil
+	return Request{
+		Time:     g.proc.Next(g.rng),
+		ObjectID: g.zipf.Sample(g.rng) - 1, // rank r -> object ID r-1
+		Fraction: frac,
+	}
 }
 
 // ViewingKind names a viewing-duration distribution for one workload

@@ -188,8 +188,15 @@ row D1 internal/sim/capacity.go 'TestGoldenTables TestMetricsIdenticalAcrossPara
     $'\npackage sim\n' $'\npackage sim\n\nimport muttime "time"\n' \
     $'func(seed int64) ([]Metrics, error) {\n' $'func(seed int64) ([]Metrics, error) {\n\t\tseed ^= muttime.Now().UnixNano()\n'
 row D2 internal/workload/workload.go 'TestGoldenTables TestMetricsIdenticalAcrossParallelism' './internal/experiments ./internal/sim' \
-    'process-global rand.Float64 in workload.Generate' \
+    'process-global rand.Float64 in workload.NewGenerator'"'"'s catalog (what Generate and every sim tape draw)' \
     'durSeconds := durations.Sample(rng) * 60' 'durSeconds := durations.Sample(rng) * 60 * (1 + rand.Float64()/100)'
+row W1 internal/sim/tape.go 'TestTapeReplayBitIdentical TestGoldenTables' './internal/sim ./internal/experiments' \
+    'tape.watchedAt ignores a present watched column: every session of a partial-viewing tape watches to the end' \
+    $'\tif t.watched == nil {\n\t\treturn size\n\t}\n\treturn t.watched[i]' $'\treturn size'
+row W2 internal/workload/workload.go 'TestGoldenTables TestTapeReplayBitIdentical' './internal/experiments ./internal/sim' \
+    'Generator.Next draws a partial view'"'"'s fraction after the arrival time instead of before: only tapes with partial viewers change' \
+    $'\tfrac := 1.0\n\tif g.Config.PartialViewProb' $'\tnow := g.proc.Next(g.rng)\n\tfrac := 1.0\n\tif g.Config.PartialViewProb' \
+    'Time:     g.proc.Next(g.rng),' 'Time:     now,'
 row D4 internal/sim/sim.go 'TestMetricsIdenticalAcrossParallelism TestArenaMetricsBitIdentical' ./internal/sim \
     'ad-hoc goroutines (unless Parallelism is 1) summing the runs of sim.averageRuns in completion order, even runs made to finish first (half of the 24 orders of these four runs leave every sum bit as it was: left to the scheduler, the tests see this fault only now and then)' \
     $'\tpar.For(cfg.Parallelism, cfg.Runs, func(r int) {\n\t\tresults[r], errs[r] = once(SplitSeed(cfg.Seed, int64(r)))\n\t})\n\tvar agg M\n' \
