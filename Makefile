@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet lint mutate-check build test race bench bench-check fuzz-smoke figures figures-diff docs-check loc dead-check shard-check collector-check proxy-check load-check cluster-check clean
+.PHONY: all ci vet lint mutate-check fma-check build test race bench bench-check fuzz-smoke figures figures-diff docs-check loc dead-check shard-check collector-check proxy-check load-check cluster-check clean
 
 all: ci
 
@@ -24,6 +24,14 @@ lint:
 ## ~5 min; `bash scripts/mutate-check.sh H9 S4` runs two rows.
 mutate-check:
 	bash scripts/mutate-check.sh
+
+## fma-check: no floating-point multiply-add the compiler fuses for
+## arm64, ppc64le, s390x or riscv64, in any package of the module: the
+## Go spec lets x*y + z round once, so a fused build could print other
+## table bytes for a seed; write float64(x*y) where a product is added
+## (scripts/fma-check.sh).
+fma-check:
+	bash scripts/fma-check.sh
 
 build:
 	$(GO) build ./...

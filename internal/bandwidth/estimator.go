@@ -43,7 +43,7 @@ func (e *EWMA) Observe(sample float64) {
 		e.seen = true
 		return
 	}
-	e.est = e.alpha*sample + (1-e.alpha)*e.est
+	e.est = float64(e.alpha*sample) + float64((1-e.alpha)*e.est)
 }
 
 // PadhyeThroughput returns the steady-state TCP throughput predicted by
@@ -70,8 +70,8 @@ func PadhyeThroughput(mss int, rtt, rto time.Duration, loss float64, ackedPerACK
 	b := float64(ackedPerACK)
 	rttSec := rtt.Seconds()
 	rtoSec := rto.Seconds()
-	wait := rttSec * math.Sqrt(2*b*loss/3)
-	toTerm := rtoSec * math.Min(1, 3*math.Sqrt(3*b*loss/8)) * loss * (1 + 32*loss*loss)
+	wait := float64(rttSec * math.Sqrt(2*b*loss/3))
+	toTerm := float64(rtoSec * math.Min(1, 3*math.Sqrt(3*b*loss/8)) * loss * (1 + float64(32*loss*loss)))
 	return float64(mss) / (wait + toTerm), nil
 }
 

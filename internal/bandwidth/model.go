@@ -77,7 +77,7 @@ func NewEmpirical(points []CDFPoint) (*Empirical, error) {
 	mean := 0.0
 	for i := 1; i < len(pts); i++ {
 		// Density is uniform within each linear segment.
-		mean += (pts[i].P - pts[i-1].P) * (pts[i].X + pts[i-1].X) / 2
+		mean += float64((pts[i].P - pts[i-1].P) * (pts[i].X + pts[i-1].X) / 2)
 	}
 	return &Empirical{pts: pts, mean: mean}, nil
 }
@@ -106,7 +106,7 @@ func (e *Empirical) Inverse(p float64) float64 {
 		return hi.X
 	}
 	frac := (p - lo.P) / (hi.P - lo.P)
-	return lo.X + frac*(hi.X-lo.X)
+	return lo.X + float64(frac*(hi.X-lo.X))
 }
 
 // CDFAt returns P[X <= x].
@@ -121,7 +121,7 @@ func (e *Empirical) CDFAt(x float64) float64 {
 	i := sort.Search(len(e.pts), func(i int) bool { return e.pts[i].X >= x })
 	lo, hi := e.pts[i-1], e.pts[i]
 	frac := (x - lo.X) / (hi.X - lo.X)
-	return lo.P + frac*(hi.P-lo.P)
+	return lo.P + float64(frac*(hi.P-lo.P))
 }
 
 // Mean returns the distribution mean.

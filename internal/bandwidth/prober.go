@@ -109,7 +109,7 @@ func NewActiveProber(cond PathConditions, mss int, rto time.Duration, ackedPerAC
 // Probe takes one noisy measurement and returns the estimate it gives.
 func (p *ActiveProber) Probe() (float64, error) {
 	noisy := func(v float64) float64 {
-		f := 1 + p.jitter*p.rng.NormFloat64()
+		f := 1 + float64(p.jitter*p.rng.NormFloat64())
 		if f < 0.1 {
 			f = 0.1
 		}

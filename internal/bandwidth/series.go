@@ -47,21 +47,21 @@ func GenerateSeries(cfg SeriesConfig, rng *rand.Rand, n int) ([]SeriesSample, er
 	}
 	const day = 24 * time.Hour
 	// Innovation std dev that yields stationary variance sigma^2.
-	innov := cfg.Sigma * math.Sqrt(1-cfg.Phi*cfg.Phi)
+	innov := cfg.Sigma * math.Sqrt(1-float64(cfg.Phi*cfg.Phi))
 	// Start the AR process at its stationary distribution.
 	x := cfg.Sigma * rng.NormFloat64()
 	out := make([]SeriesSample, n)
 	for i := 0; i < n; i++ {
 		t := time.Duration(i) * cfg.Step
 		phase := 2 * math.Pi * float64(t) / float64(day)
-		diurnal := 1 + cfg.DiurnalAmp*math.Sin(phase)
+		diurnal := 1 + float64(cfg.DiurnalAmp*math.Sin(phase))
 		// Mean-correct the lognormal factor so E[rate] ~= Mean*diurnal.
-		rate := cfg.Mean * diurnal * math.Exp(x-cfg.Sigma*cfg.Sigma/2)
+		rate := cfg.Mean * diurnal * math.Exp(x-float64(cfg.Sigma*cfg.Sigma/2))
 		if rate < floorRate {
 			rate = floorRate
 		}
 		out[i] = SeriesSample{T: t, Rate: rate}
-		x = cfg.Phi*x + innov*rng.NormFloat64()
+		x = float64(cfg.Phi*x) + float64(innov*rng.NormFloat64())
 	}
 	return out, nil
 }

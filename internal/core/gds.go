@@ -79,3 +79,14 @@ func (p *gdsPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
 
 // Target caches whole objects: GDS is an integral policy.
 func (p *gdsPolicy) Target(obj Object, _ float64) int64 { return obj.Size }
+
+// ReadsBandwidth reports whether p's Utility or Target may read its
+// bandwidth argument: IF, LFU and LRU do not, so internal/sim scores
+// them under the oracle whatever estimator a configuration names.
+func ReadsBandwidth(p Policy) bool {
+	switch p.(type) {
+	case frequencyPolicy, lruPolicy:
+		return false
+	}
+	return true
+}

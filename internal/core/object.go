@@ -45,7 +45,7 @@ func StartupDelay(obj Object, cachedBytes int64, bw float64) float64 {
 	if bw <= 0 {
 		bw = 1
 	}
-	deficit := float64(obj.Size) - obj.Duration*bw - float64(cachedBytes)
+	deficit := float64(obj.Size) - float64(obj.Duration*bw) - float64(cachedBytes)
 	if deficit <= 0 {
 		return 0
 	}
@@ -59,7 +59,7 @@ func StreamQuality(obj Object, cachedBytes int64, bw float64) float64 {
 	if obj.Size <= 0 {
 		return 1
 	}
-	q := (float64(cachedBytes) + obj.Duration*bw) / float64(obj.Size)
+	q := (float64(cachedBytes) + float64(obj.Duration*bw)) / float64(obj.Size)
 	if q > 1 {
 		return 1
 	}
@@ -72,5 +72,5 @@ func StreamQuality(obj Object, cachedBytes int64, bw float64) float64 {
 // ImmediatelyServable reports whether cache and origin can jointly
 // support immediate full-quality playout: x >= S - T*b (Section 2.6).
 func ImmediatelyServable(obj Object, cachedBytes int64, bw float64) bool {
-	return float64(cachedBytes) >= float64(obj.Size)-obj.Duration*bw
+	return float64(cachedBytes) >= float64(obj.Size)-float64(obj.Duration*bw)
 }

@@ -80,7 +80,7 @@ func ExpectedDelay(objs []Object, lambda, bw []float64, placement map[int]int64)
 	weighted := 0.0
 	for i, obj := range objs {
 		totalRate += lambda[i]
-		weighted += lambda[i] * StartupDelay(obj, placement[obj.ID], effBW(bw[i]))
+		weighted += float64(lambda[i] * StartupDelay(obj, placement[obj.ID], effBW(bw[i])))
 	}
 	if totalRate == 0 {
 		return 0, nil

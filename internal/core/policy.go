@@ -114,7 +114,7 @@ func (p hybridPolicy) Utility(st AccessStats, _ Object, bw float64) float64 {
 }
 
 func (p hybridPolicy) Target(obj Object, bw float64) int64 {
-	conservative := p.e * effBW(bw)
+	conservative := float64(p.e * effBW(bw))
 	if obj.Rate <= conservative {
 		return 0 // abundant bandwidth: no need to cache (Section 2.4)
 	}
@@ -178,7 +178,7 @@ func NewHybridV(e float64) (Policy, error) {
 func (p hybridVPolicy) Name() string { return p.name }
 
 func (p hybridVPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
-	deficit := float64(obj.Size) - obj.Duration*p.e*effBW(bw)
+	deficit := float64(obj.Size) - float64(obj.Duration*p.e*effBW(bw))
 	if deficit <= 0 {
 		return 0 // nothing to cache; never competes for space
 	}
@@ -186,7 +186,7 @@ func (p hybridVPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
 }
 
 func (p hybridVPolicy) Target(obj Object, bw float64) int64 {
-	deficit := float64(obj.Size) - obj.Duration*p.e*effBW(bw)
+	deficit := float64(obj.Size) - float64(obj.Duration*p.e*effBW(bw))
 	if deficit <= 0 {
 		return 0
 	}

@@ -31,12 +31,12 @@ type Lognormal struct {
 
 // Sample draws one lognormal variate.
 func (l Lognormal) Sample(rng *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
+	return math.Exp(l.Mu + float64(l.Sigma*rng.NormFloat64()))
 }
 
 // Mean returns the analytic mean exp(Mu + Sigma^2/2).
 func (l Lognormal) Mean() float64 {
-	return math.Exp(l.Mu + l.Sigma*l.Sigma/2)
+	return math.Exp(l.Mu + float64(l.Sigma*l.Sigma/2))
 }
 
 // CoV returns the analytic coefficient of variation
@@ -61,7 +61,7 @@ type Uniform struct {
 
 // Sample draws one uniform variate.
 func (u Uniform) Sample(rng *rand.Rand) float64 {
-	return u.Min + rng.Float64()*(u.Max-u.Min)
+	return u.Min + float64(rng.Float64()*(u.Max-u.Min))
 }
 
 // Mean returns (Min + Max) / 2.
@@ -170,7 +170,7 @@ func ParetoWithMean(shape, mean float64) (Pareto, error) {
 // Sample draws one Pareto variate by inverse transform.
 func (p Pareto) Sample(rng *rand.Rand) float64 {
 	// 1-U avoids U==0, which would send the variate to +Inf.
-	return p.Scale / math.Pow(1-rng.Float64(), 1/p.Shape)
+	return p.Scale / math.Pow(1-float64(rng.Float64()), 1/p.Shape)
 }
 
 // Mean returns Shape*Scale/(Shape-1), or +Inf for Shape <= 1.

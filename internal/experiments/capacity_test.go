@@ -46,17 +46,22 @@ var staticKeys = map[string]bool{"table1": true, "figure2": true, "figure3": tru
 // Each round declares its own points, so the arena carries answers from
 // table to table: figure6's α = 0.73 rows are figure5's IB and PB,
 // figure10's IF rows figure5's and figure11's figure8's;
-// ablation-estimators' oracle rows are figure8's PB rows; scenarios'
-// oracle cells at σ 0.25 and 0.55 are figure8's and figure7's middle
-// size, its PB ewma_0.3 and underestimate_0.5 cells at σ 0.25
-// ablation-estimators' middle size, and its σ 0 cells each run alone;
-// ablation-eviction's partial rows are figure5's PB rows, and its
+// ablation-estimators' oracle rows are figure8's PB rows, and its
+// underestimate_0.5 rows one group replayed per capacity (each seed a
+// fallback); scenarios' oracle cells at σ 0.25 and 0.55 are figure8's
+// and figure7's middle size, and so are its IF cells under every
+// estimator (IF reads no bandwidth: its estimator is dropped), its PB
+// ewma_0.3 and underestimate_0.5 cells at σ 0.25 ablation-estimators'
+// middle size, and the σ cells of each PB and IB underestimate_0.5 and
+// active_probe_0.1 column share one replay (seven shared); its σ 0
+// oracle cells each run alone. ablation-eviction's partial rows are
+// figure5's PB rows, and its
 // whole-object rows one group replayed per capacity; refined-e's coarse round is
 // figure9's middle column, refined-sigma's scenarios' oracle PB cells and
 // refined-cache's figure5's PB column, so only their refinement rounds
 // score (a σ pair sharing one replay, a cache-size pair in one pass);
 // refined-esigma's σ 0.55 column is figure9's and each e's σ 0 and 0.25
-// share one replay. Every other estimator row, and every hierarchy row,
+// share one replay. Every EWMA row of PB or IB, and every hierarchy row,
 // is a group of its own: it replays alone and counts nothing.
 func TestGroupCounts(t *testing.T) {
 	want := map[string][4]int64{ // passes, fallbacks, shared, reused
@@ -66,8 +71,8 @@ func TestGroupCounts(t *testing.T) {
 		"figure10":            {2, 0, 0, 5},
 		"figure11":            {2, 0, 0, 5},
 		"ablation-eviction":   {0, 2, 0, 5},
-		"ablation-estimators": {0, 0, 0, 5},
-		"scenarios":           {0, 0, 0, 8},
+		"ablation-estimators": {0, 2, 0, 5},
+		"scenarios":           {0, 0, 7, 14},
 		"refined-e":           {0, 0, 0, 6},
 		"refined-sigma":       {0, 0, 2, 3},
 		"refined-cache":       {2, 0, 0, 5},

@@ -71,7 +71,7 @@ func extensionStreamMerging(s Scale) (*plan, error) {
 			return nil, err
 		}
 		totals["batch_30s"].origin += bat.OriginBytes
-		totals["batch_30s"].delay += bat.AvgAddedDelay * float64(len(ts))
+		totals["batch_30s"].delay += float64(bat.AvgAddedDelay * float64(len(ts)))
 
 		objLambda := float64(len(ts)) / span
 		tStar, err := merge.OptimalPatchThreshold(objLambda, obj)

@@ -14,12 +14,13 @@ import (
 // groups, not rows: the points of a round that the arena scores
 // together (one share key, sim.GroupOf) all go to one shard, so a
 // sharded sweep replays each group once, as one process does. A static
-// row is a group of its own, and a round with no shared key is dealt
-// out round robin (index mod Count). Ownership is a pure function
-// of the round's full point list, which every process builds
-// identically, so the union of the shards' outputs is bit-identical to
-// the unsharded stream for any Shard.Count — the multi-process analogue
-// of the Parallelism guarantee. MergeShards reassembles the union.
+// row is a group of its own, each goes to the least-loaded shard, and a
+// round with no shared key is dealt round robin (index mod Count).
+// Ownership is a pure function of the round's full point list, which
+// every process builds identically, so the union of the shards' outputs
+// is bit-identical to the unsharded stream for any Shard.Count — the
+// multi-process analogue of the Parallelism guarantee. MergeShards
+// reassembles the union.
 
 // Shard identifies one of Count cooperating sweep processes. The zero
 // value (and Count <= 1) means unsharded: this process owns every row.
@@ -46,13 +47,15 @@ func (sh Shard) owned(pts []planPoint, base int) []bool {
 }
 
 // owners assigns each point of a round to one of count shards. A unit is
-// a group of simulated points (sim.GroupOf) or a static row; units
-// are dealt out round robin in order of first appearance, the u-th to
-// shard (base+u) mod count. In a round of single points u is the point's
-// offset, so such a round is owned index mod count; a round of equal
-// groups deals them out alike, so figure9's groups of one e land where
-// refined-e's and refined-esigma's do. It reads nothing but pts and
-// base: not the arena, the resume journal or the exchange.
+// a group of simulated points (sim.GroupOf) or a static row, and weighs
+// its points. Units are dealt in order of first appearance: the u-th goes
+// to the shard with the fewest points so far, a tie to the first tied
+// shard from (base+u) mod count on. That is greedy list scheduling, so no
+// two shards' loads differ by more than the largest unit; on a round of
+// equal units it is round robin, so a round of single points is owned
+// index mod count and figure9's groups of one e land where refined-e's
+// and refined-esigma's do. It reads nothing but pts and base: not the
+// arena, the resume journal or the exchange.
 func owners(pts []planPoint, base, count int) []int {
 	var cfgs []sim.HierarchyConfig
 	for _, pt := range pts {
@@ -61,23 +64,30 @@ func owners(pts []planPoint, base, count int) []int {
 		}
 	}
 	groups := sim.GroupOf(cfgs)
-	ownerOf := map[int]int{} // group id -> its owner
-	owner := make([]int, len(pts))
-	units, simulated := 0, 0
+	unit, size := make([]int, len(pts)), map[int]int{} // a point's group, or -1-i: a unit of its own
 	for i, pt := range pts {
-		g := -1
+		unit[i] = -1 - i
 		if pt.cfg != nil {
-			g, simulated = groups[simulated], simulated+1
+			if groups[0] >= 0 {
+				unit[i] = groups[0]
+			}
+			groups = groups[1:]
 		}
-		if o, ok := ownerOf[g]; ok {
-			owner[i] = o
-			continue
+		size[unit[i]]++
+	}
+	ownerOf, load, owner := map[int]int{}, make([]int, count), make([]int, len(pts))
+	for i, u := range unit {
+		if _, ok := ownerOf[u]; !ok {
+			rr := (base + len(ownerOf)) % count
+			o := rr
+			for k := range count {
+				if s := (rr + k) % count; load[s] < load[o] {
+					o = s
+				}
+			}
+			ownerOf[u], load[o] = o, load[o]+size[u]
 		}
-		owner[i] = (base + units) % count
-		units++
-		if g >= 0 {
-			ownerOf[g] = owner[i]
-		}
+		owner[i] = ownerOf[u]
 	}
 	return owner
 }
@@ -85,14 +95,14 @@ func owners(pts []planPoint, base, count int) []int {
 // rule names the ownership rule in a sharded run's fingerprints. A
 // journal or collector session of shards that owned rows by another rule
 // (index mod count, before shards owned groups; groups of flat oracle
-// points only, before every simulated point had a share key) then
-// refuses this binary's shards: mixed, some rows would be owned twice
-// and some by no shard.
+// points only, before every simulated point had a share key; groups
+// dealt round robin, unweighed) then refuses this binary's shards: mixed,
+// some rows would be owned twice and some by no shard.
 func (sh Shard) rule() string {
 	if sh.Count <= 1 {
 		return ""
 	}
-	return " owners=keys"
+	return " owners=points"
 }
 
 func (sh Shard) validate() error {

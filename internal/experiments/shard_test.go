@@ -90,7 +90,8 @@ func ownedIndices(rounds []round, sh Shard) []int {
 // TestShardOwnershipPartitions: every point of a round is owned by
 // exactly one shard; points with no group are dealt out round robin from
 // the round's base; the points of one share key go to one shard, and
-// each group takes one turn of the round robin.
+// each group goes to the shard with the fewest points so far, a tie to
+// the first from its turn of the round robin on.
 func TestShardOwnershipPartitions(t *testing.T) {
 	flat := func(p core.Policy, pct float64) planPoint {
 		return planPoint{cfg: &sim.HierarchyConfig{Config: sim.Config{Policy: p, CacheBytes: int64(pct * 1e9)}}}
@@ -109,10 +110,10 @@ func TestShardOwnershipPartitions(t *testing.T) {
 		{single, 0, 1, nil},
 		{single, 0, 2, nil},
 		{single, 7, 5, nil},
-		{grouped, 0, 2, []int{0, 1, 0, 0, 1, 0, 0, 0}},
-		{grouped, 1, 2, []int{1, 0, 1, 1, 0, 1, 1, 1}},
-		{grouped, 0, 3, []int{0, 1, 0, 2, 0, 0, 2, 1}},
-		{grouped, 2, 3, []int{2, 0, 2, 1, 2, 2, 1, 0}},
+		{grouped, 0, 2, []int{0, 1, 0, 1, 1, 0, 1, 0}},
+		{grouped, 1, 2, []int{1, 0, 1, 0, 0, 1, 0, 1}},
+		{grouped, 0, 3, []int{0, 1, 0, 2, 1, 0, 2, 1}},
+		{grouped, 2, 3, []int{2, 0, 2, 1, 0, 2, 1, 0}},
 	} {
 		for idx := 0; idx < tc.count; idx++ {
 			sh := Shard{Index: idx, Count: tc.count}

@@ -71,7 +71,7 @@ func Fractional(items []Item, capacity float64) ([]float64, float64, error) {
 		}
 		f := remaining / it.Weight
 		frac[i] = f
-		total += it.Profit * f
+		total += float64(it.Profit * f)
 		remaining = 0
 	}
 	return frac, total, nil

@@ -53,7 +53,7 @@ type Result struct {
 // UnicastBytes returns the origin bytes plain unicast would use for the
 // same request sequence - the baseline for merging gains.
 func (r Result) UnicastBytes(obj Object) float64 {
-	return float64(r.Requests) * float64(obj.Size)
+	return float64(float64(r.Requests) * float64(obj.Size))
 }
 
 func validate(times []float64, obj Object) error {
@@ -178,6 +178,6 @@ func OptimalPatchThreshold(lambda float64, obj Object) (float64, error) {
 	if obj.Size <= 0 || obj.Rate <= 0 {
 		return 0, fmt.Errorf("%w: object %+v", ErrBadInput, obj)
 	}
-	n := lambda * obj.duration()
+	n := float64(lambda * obj.duration())
 	return (math.Sqrt(2*n+1) - 1) / lambda, nil
 }

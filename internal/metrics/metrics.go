@@ -42,7 +42,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+	w.m2 += float64(delta * (x - w.mean))
 }
 
 // N returns the number of observations.
@@ -157,7 +157,7 @@ func (h *Histogram) Bin(i int) int64 {
 }
 
 // BinStart returns the lower edge of bin i.
-func (h *Histogram) BinStart(i int) float64 { return h.origin + float64(i)*h.width }
+func (h *Histogram) BinStart(i int) float64 { return h.origin + float64(float64(i)*h.width) }
 
 // CDF returns the empirical CDF evaluated at each bin upper edge. The last
 // value is always 1 for a non-empty histogram.

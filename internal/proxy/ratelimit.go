@@ -74,7 +74,7 @@ func (r *rateLimitedWriter) waitFor(need float64) {
 	if r.last.IsZero() {
 		r.last = now
 	}
-	r.tokens += now.Sub(r.last).Seconds() * r.rate
+	r.tokens += float64(now.Sub(r.last).Seconds() * r.rate)
 	r.last = now
 	if r.tokens > r.burst {
 		r.tokens = r.burst
@@ -87,7 +87,7 @@ func (r *rateLimitedWriter) waitFor(need float64) {
 		// clock happens to advance.
 		r.sleep(time.Duration(math.Ceil(-r.tokens / r.rate * float64(time.Second))))
 		now = r.now()
-		r.tokens += now.Sub(r.last).Seconds() * r.rate
+		r.tokens += float64(now.Sub(r.last).Seconds() * r.rate)
 		r.last = now
 		if r.tokens > r.burst {
 			r.tokens = r.burst

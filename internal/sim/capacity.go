@@ -1,14 +1,15 @@
 // Groups: one call scores the sweep points that differ only in cache
 // capacity and bandwidth variability.
 //
-// Variability never enters the cache under the oracle estimator: Access
-// reads the object, its path mean and the arrival time, and a request's
-// instantaneous bandwidth is read only after it, by the delay, quality
-// and value of the bytes the access found. So the members of a group at
-// one capacity share one cache trajectory and differ only in what each
-// makes of it from its own bandwidth column; an estimator observes that
-// bandwidth and feeds it back into the next estimate, so under one each
-// member replays alone (DESIGN.md §5a).
+// Variability never enters the cache unless its estimator observes:
+// Access reads the object, its price and the arrival time, the oracle,
+// an underestimate and a probe price from the path mean alone, and a
+// request's instantaneous bandwidth is read only after the access, by
+// the delay, quality and value of the bytes it found. So the members of
+// a group at one capacity share one cache trajectory and differ only in
+// what each makes of it from its own bandwidth column; an estimator that
+// observes that bandwidth feeds it back into the next estimate, so under
+// one each member replays alone (DESIGN.md §5a).
 //
 // The capacity pass: one replay of a tape scores a whole cache-size axis.
 //
@@ -50,15 +51,16 @@ type Member struct {
 
 // RunGroup returns, for each member, the Metrics of cfg's runs with
 // CacheBytes and Variation set to the member's (cfg's own two are not
-// read); Run is its one-member case. Under the oracle estimator (nil
-// Estimator) the members at one capacity share one cache trajectory,
-// each scoring it from its own bandwidth column. With two or more
-// distinct capacities a run seed's trajectories come from one pass over
-// its tape when the configuration lets the pass be exact — a Policy the
-// cache does not age (core.Ages), byte-granular eviction (no
-// WholeObjectEviction) — and the seed's utilities are all finite, positive and
-// distinct between objects; otherwise from one core.Cache replay per
-// distinct capacity. With an estimator every member replays alone.
+// read); Run is its one-member case. Unless the Estimator observes, the
+// members at one capacity share one cache trajectory, each scoring it
+// from its own bandwidth column. With two or more distinct capacities a
+// run seed's trajectories come from one pass over its tape when the
+// configuration lets the pass be exact — the oracle estimator (nil
+// Estimator), a Policy the cache does not age (core.Ages), byte-granular
+// eviction (no WholeObjectEviction) — and the seed's utilities are all
+// finite, positive and distinct between objects; otherwise from one
+// core.Cache replay per distinct capacity. Under an estimator that
+// observes, each member replays alone.
 // Policy Utility and Target must be pure functions of their arguments,
 // as every built-in policy's are. It scores every member it is given and
 // never reads the arena's answers (share.go: ScorePending does);
@@ -100,7 +102,7 @@ func RunGroup(cfg Config, members []Member) ([]Metrics, error) {
 		}
 		cfg.Arena.fallbacks.Add(fellBack.Load())
 	}
-	if cfg.Estimator == nil {
+	if !cfg.observes() {
 		cfg.Arena.shared.Add(int64(len(g.members) - len(g.caps)))
 	}
 	out := make([]Metrics, len(ms))
@@ -111,14 +113,12 @@ func RunGroup(cfg Config, members []Member) ([]Metrics, error) {
 }
 
 // group is a RunGroup call's members sorted (stably) by capacity: caps
-// are the distinct capacities, ascending, the members at caps[c] are
-// members[bounds[c]:bounds[c+1]], and order[k] is member k's index in
-// the caller's slice.
+// are the distinct capacities, ascending, and order[k] is member k's
+// index in the caller's slice.
 type group struct {
 	members []Member
 	order   []int
 	caps    []int64
-	bounds  []int
 }
 
 func newGroup(members []Member) (group, error) {
@@ -138,36 +138,32 @@ func newGroup(members []Member) (group, error) {
 		g.members[k] = m
 		if k == 0 || m.CacheBytes != g.caps[len(g.caps)-1] {
 			g.caps = append(g.caps, m.CacheBytes)
-			g.bounds = append(g.bounds, k)
 		}
 	}
-	g.bounds = append(g.bounds, len(members))
 	return g, nil
 }
 
 // score fills out[k] with the Metrics of one run of rp for member k,
-// whose bandwidth column is cols[k]: in one capacity pass when it can,
-// else with one replay per distinct capacity — or, with an estimator,
-// one per member. It reports whether the pass scored it.
+// whose bandwidth column is cols[k]: in one capacity pass when it can —
+// two or more capacities under the oracle, whose path means the pass
+// prices at, a policy the cache does not age and byte-granular eviction
+// — else with one replay per distinct capacity, or one per member under
+// an estimator that observes what each request got. It reports whether
+// the pass scored it.
 func (g group) score(cfg Config, rp replay, cols []column, out []Metrics) (onePass bool, err error) {
-	if cfg.Estimator != nil {
-		// An estimator observes what each request got, so each member's
-		// trajectory is its own.
-		for k, m := range g.members {
-			if err := replayColumns(cfg, rp, m.CacheBytes, cols[k:k+1], out[k:k+1]); err != nil {
-				return false, err
-			}
-		}
-		return false, nil
-	}
-	if cfg.admitsPass(len(g.caps)) && capacityPass(cfg, rp, g.members, cols, out) {
+	pass := cfg.Estimator == nil && !core.Ages(cfg.Policy) && !cfg.WholeObjectEviction && len(g.caps) >= 2
+	if pass && capacityPass(cfg, rp, g.members, cols, out) {
 		return true, nil
 	}
-	for c, capacity := range g.caps {
-		lo, hi := g.bounds[c], g.bounds[c+1]
-		if err := replayColumns(cfg, rp, capacity, cols[lo:hi], out[lo:hi]); err != nil {
+	for lo := 0; lo < len(g.members); {
+		hi := lo + 1
+		for hi < len(g.members) && !cfg.observes() && g.members[hi].CacheBytes == g.members[lo].CacheBytes {
+			hi++
+		}
+		if err := replayColumns(cfg, rp, g.members[lo].CacheBytes, cols[lo:hi], out[lo:hi]); err != nil {
 			return false, err
 		}
+		lo = hi
 	}
 	return false, nil
 }
@@ -186,14 +182,6 @@ func overEach(agg *[]Metrics, runs int) {
 	for k := range *agg {
 		(*agg)[k].over(runs)
 	}
-}
-
-// admitsPass reports whether an oracle configuration (group.score has
-// already replayed any other) admits the capacity pass for n distinct
-// capacities. What it cannot see — the utilities of one seed —
-// capacityPass checks itself.
-func (c Config) admitsPass(n int) bool {
-	return !core.Ages(c.Policy) && !c.WholeObjectEviction && n >= 2
 }
 
 // passScratch is everything one capacity pass mutates, pooled across

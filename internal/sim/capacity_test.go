@@ -271,14 +271,17 @@ func groupVariations(t testing.TB) []bandwidth.Variability {
 // and Variation — for every policy PolicyByName knows × the oracle,
 // EWMA, underestimating and probing estimators × byte-granular and
 // whole-object eviction, in a group of the five groupVariations at the
-// mid capacity and, under the oracle, in one of all five at each of the
-// seven paperCapacities. (Under -race: a tenth of the tape.)
+// mid capacity and in one of all five at each of the seven
+// paperCapacities under the oracle, at two of them under an estimator.
+// (Under -race: a tenth of the tape.)
 func TestGroupMatchesRun(t *testing.T) {
 	arena := NewArena()
-	// Under an estimator every member replays alone, one column to a
-	// core.Cache, whatever the capacities, so those cases need neither
-	// the seven capacities nor the paper tape: they check that nothing is
-	// shared, at a tenth of the tape (a hundredth under -race).
+	// No estimator's group takes the capacity pass: EWMA's members
+	// replay alone, one column to a core.Cache, and the underestimate's
+	// and the probe's one replay per capacity, so those cases need
+	// neither the seven capacities nor the paper tape: they check what
+	// is shared and what is not at two capacities, at a tenth of the
+	// tape (a hundredth under -race).
 	oracleWL, estimatorWL := paperWorkload(), testWorkload()
 	if raceBuild() {
 		oracleWL, estimatorWL = testWorkload(), workload.Config{NumObjects: 100, NumRequests: 2000}
@@ -296,7 +299,7 @@ func TestGroupMatchesRun(t *testing.T) {
 		caps := paperCapacities(t, arena, wl)
 		mid := len(caps) / 2
 		if est.e != nil {
-			caps, mid = caps[mid:mid+1], 0
+			caps, mid = caps[mid-1:mid+1], 1
 		}
 		named := namedPolicies(t, Config{Workload: wl, Runs: 1, Seed: 1, Parallelism: 1, Arena: arena})
 		for _, name := range axisPolicies {

@@ -98,6 +98,8 @@ type perRequestMeans struct{}
 
 func (perRequestMeans) Validate() error { return nil }
 
+func (perRequestMeans) observes() bool { return false }
+
 func (perRequestMeans) prices(dst []float64, rp replay, _ column) (column, error) {
 	dst = fit(dst, len(rp.obj))
 	for i, o := range rp.obj {

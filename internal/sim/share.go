@@ -39,16 +39,16 @@ import (
 // variability that is not comparable cannot key a map. The key is cfg
 // itself with the arena and the worker bound zeroed, and with the member
 // fields zeroed too where members share a cache trajectory: a flat
-// configuration under the oracle, the branch group.score takes. Any
-// other configuration — an estimator's, a hierarchy's — keeps its member
-// in the key, a group of one.
+// configuration whose estimator does not observe what a request got
+// (withDefaults drops a bandwidth-blind policy's). Any other — an
+// observing estimator's, a hierarchy's — keeps its member in the key.
 func shareOf(cfg HierarchyConfig) (HierarchyConfig, Member, bool) {
 	m := Member{cfg.CacheBytes, cfg.Variation}
 	if !dynComparable(cfg.Policy) || !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
 		return HierarchyConfig{}, m, false
 	}
 	cfg.Arena, cfg.Parallelism = nil, 0
-	if cfg.Levels == 0 && cfg.Estimator == nil {
+	if cfg.Levels == 0 && !cfg.observes() {
 		cfg.CacheBytes, cfg.Variation = 0, nil
 	}
 	return cfg, m, true

@@ -17,7 +17,9 @@ import (
 // nearMisses are a base configuration and, for each field of the share
 // key, one that differs from it in that alone: declared into one arena,
 // no two may take each other's answers. Each is a share key of its own;
-// the estimator's and the hierarchy's hold their member too.
+// EWMA's and the hierarchy's hold their member too, while the
+// underestimate's and the probe's members share one trajectory per
+// capacity, as the base's do.
 func nearMisses(t *testing.T, wl workload.Config) map[string]HierarchyConfig {
 	t.Helper()
 	hybrid := func(e float64) core.Policy {
@@ -42,6 +44,8 @@ func nearMisses(t *testing.T, wl workload.Config) map[string]HierarchyConfig {
 		"base":      func(c *HierarchyConfig) { c.Base = slow },
 		"whole":     func(c *HierarchyConfig) { c.WholeObjectEviction = true },
 		"ewma":      func(c *HierarchyConfig) { c.Estimator = EWMA{0.3} },
+		"under":     func(c *HierarchyConfig) { c.Estimator = Underestimate{0.5} },
+		"probe":     func(c *HierarchyConfig) { c.Estimator = ActiveProbe{0.1} },
 		"hierarchy": func(c *HierarchyConfig) { c.Levels, c.Edges = 1, 2 },
 	} {
 		c := base
@@ -52,9 +56,9 @@ func nearMisses(t *testing.T, wl workload.Config) map[string]HierarchyConfig {
 }
 
 // ownsTrajectory reports whether each member of cfg is a group of its
-// own: under an estimator or in a hierarchy. Only the other members of
-// one key share a call.
-func ownsTrajectory(cfg HierarchyConfig) bool { return cfg.Estimator != nil || cfg.Levels != 0 }
+// own: under an estimator that observes or in a hierarchy. Only the
+// other members of one key share a call.
+func ownsTrajectory(cfg HierarchyConfig) bool { return cfg.observes() || cfg.Levels != 0 }
 
 // shareMembers are each configuration's members: three capacities under
 // three variabilities, two of them lognormal and so drawing per request.
@@ -118,8 +122,8 @@ func cfgsAt(cfg HierarchyConfig, ms ...Member) []HierarchyConfig {
 // variability cannot key a map, answers exactly what a fresh run does.
 // A configuration whose members share a trajectory has all of its
 // declared members scored by its first call, so each later call is
-// answered from the store; an estimator's or a hierarchy's first call
-// scores the three it asks for, and the rest are scored when asked. The
+// answered from the store; an EWMA or hierarchy configuration's first
+// call scores the three it asks for, and the rest are scored when asked. The
 // unkeyed member is scored alone and stored nowhere.
 func TestDeclaredMembersMatchRun(t *testing.T) {
 	wl := testWorkload()

@@ -33,6 +33,9 @@ type Estimator interface {
 	// randomness derives from the path index (== object ID): two paths
 	// can share a mean, never an index.
 	prices(dst []float64, rp replay, observed column) (column, error)
+	// observes reports whether prices reads observed: only then does a
+	// request's variability enter the cache's trajectory (RunGroup).
+	observes() bool
 }
 
 // EWMA is the passive estimator of Section 2.7: it averages the
@@ -64,6 +67,8 @@ func (e EWMA) prices(dst []float64, rp replay, observed column) (column, error) 
 	return column{inst: dst, perRequest: true}, nil
 }
 
+func (EWMA) observes() bool { return true }
+
 // Underestimate is the oracle scaled by the factor E, in [0, 1]: the
 // over-provisioning heuristic swept in Figures 9 and 12.
 type Underestimate struct{ E float64 }
@@ -82,6 +87,8 @@ func (u Underestimate) prices(dst []float64, rp replay, _ column) (column, error
 	}
 	return column{inst: dst}, nil
 }
+
+func (Underestimate) observes() bool { return false }
 
 // Default transport parameters for the active-probing model.
 const (
@@ -133,6 +140,8 @@ func (p ActiveProbe) prices(dst []float64, rp replay, _ column) (column, error) 
 	}
 	return column{inst: dst, perRequest: true}, nil
 }
+
+func (ActiveProbe) observes() bool { return false }
 
 // prober builds the prober of the path with index path and true mean
 // bandwidth mean.
@@ -251,9 +260,15 @@ func (c Config) withDefaults() (Config, error) {
 		if err := c.Estimator.Validate(); err != nil {
 			return c, err
 		}
+		if !core.ReadsBandwidth(c.Policy) {
+			c.Estimator = nil // no estimate changes what the policy caches
+		}
 	}
 	return c, nil
 }
+
+// observes reports whether c's cache reads what each request got.
+func (c Config) observes() bool { return c.Estimator != nil && c.Estimator.observes() }
 
 // Metrics are the Section 3.3 performance measures, averaged over the
 // measurement phase of all runs, and where each watched byte was
@@ -461,10 +476,10 @@ func (t memberTotals) metrics(requests int, watched float64) Metrics {
 // core.Cache of the given capacity, the trajectory scored once per
 // bandwidth column into out[k]. The cache prices each request from the
 // run's estimate column and hands its target to AccessWithTarget, whose
-// answer is read as values. Under the oracle the cache never reads a
-// column, so any number of columns share the replay; an estimator may
-// observe what each request got, so cols must then hold exactly the one
-// column the run's estimates follow. The three metric calls stay
+// answer is read as values. Unless its estimator observes what each
+// request got, the cache never reads a column, so any number of columns
+// share the replay; under one that observes, cols must hold exactly the
+// one column the run's estimates follow. The three metric calls stay
 // written out in the loop, because a method is not inlined and measured
 // slower.
 //

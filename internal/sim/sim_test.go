@@ -394,6 +394,61 @@ func TestUnderestimatingOracleMatchesHybridDirection(t *testing.T) {
 	}
 }
 
+// TestBandwidthBlindPoliciesIgnoreEstimators: IF, LFU and LRU read no
+// bandwidth (core.ReadsBandwidth), which is why withDefaults drops their
+// estimator and the arena scores them under the oracle's key. The
+// replays the drop saves are the oracle's bit for bit: replayColumns
+// under each estimator, set after withDefaults, scores every column at
+// every capacity as the oracle does, EWMA observing that column.
+func TestBandwidthBlindPoliciesIgnoreEstimators(t *testing.T) {
+	arena := NewArena()
+	wl := testWorkload()
+	vars := []bandwidth.Variability{bandwidth.NoVariation{}, bandwidth.MeasuredVariability(), bandwidth.NLANRVariability()}
+	for _, name := range []string{"IF", "LFU", "LRU"} {
+		p, err := core.PolicyByName(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := Config{Workload: wl, Policy: p, Estimator: EWMA{0.3}, Seed: 3, Arena: arena}.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if core.ReadsBandwidth(p) || cfg.Estimator != nil {
+			t.Errorf("%s: ReadsBandwidth %v, normalised estimator %v; want false and nil", name, core.ReadsBandwidth(p), cfg.Estimator)
+		}
+		seed := SplitSeed(cfg.Seed, 0)
+		rp, err := arena.replay(cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([]column, len(vars))
+		for k, v := range vars {
+			one := cfg
+			one.Variation = v
+			cols[k] = arena.column(one, seed, rp)
+		}
+		for _, cb := range []int64{cachePct(0.5), cachePct(5), cachePct(17)} {
+			want := make([]Metrics, len(cols))
+			if err := replayColumns(cfg, rp, cb, cols, want); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range []Estimator{EWMA{0.3}, Underestimate{0.5}, ActiveProbe{0.1}} {
+				one := cfg
+				one.Estimator = e
+				for k := range cols {
+					got := make([]Metrics, 1)
+					if err := replayColumns(one, rp, cb, cols[k:k+1], got); err != nil {
+						t.Fatal(err)
+					}
+					if got[0] != want[k] {
+						t.Errorf("%s at %d under %#v, %T:\n got %+v\nwant %+v, the oracle's", name, cb, e, vars[k], got[0], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestUnderestimateIsOracleOverScaledMeans holds Underestimate{E} to
 // its definition, the oracle over means scaled by E: its cache follows,
 // request for request, the trajectory of an oracle run whose paths draw
@@ -667,8 +722,10 @@ func TestGDSPBehavesLikeNetworkAwarePolicy(t *testing.T) {
 // TestBadEstimatorIsBadConfig: an estimator parameter outside its range
 // fails Run, RunGroup and ScorePending with ErrBadConfig before any run
 // builds an estimator, rather than panicking in a worker, and the ends
-// of each range are accepted. A per-path failure — here the Padhye
-// conditions of a path whose mean is NaN — is an error the run returns.
+// of each range are accepted, for a policy that reads no bandwidth too.
+// A per-path failure — here the Padhye conditions of a path whose mean
+// is NaN — is an error the run returns, except under such a policy,
+// which probes nothing.
 func TestBadEstimatorIsBadConfig(t *testing.T) {
 	nan := math.NaN()
 	wl := workload.Config{NumObjects: 20, NumRequests: 200}
@@ -692,16 +749,20 @@ func TestBadEstimatorIsBadConfig(t *testing.T) {
 		{"probe jitter NaN", ActiveProbe{nan}, true},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			cfg := Config{Workload: wl, CacheBytes: 1 << 30, Policy: core.NewPB(), Estimator: tt.e, Parallelism: 2}
-			_, runErr := Run(cfg)
-			_, groupErr := RunGroup(cfg, []Member{{1 << 30, nil}, {1 << 31, nil}})
-			_, pendingErr := NewArena().ScorePending([]HierarchyConfig{{Config: cfg}}, 2)
-			for call, err := range map[string]error{"Run": runErr, "RunGroup": groupErr, "ScorePending": pendingErr} {
-				if tt.bad && !errors.Is(err, ErrBadConfig) {
-					t.Errorf("%s: %v, want ErrBadConfig", call, err)
-				}
-				if !tt.bad && err != nil {
-					t.Errorf("%s: %v", call, err)
+			// IF's estimator is dropped (core.ReadsBandwidth), but only
+			// once it is valid.
+			for _, p := range []core.Policy{core.NewPB(), core.NewIF()} {
+				cfg := Config{Workload: wl, CacheBytes: 1 << 30, Policy: p, Estimator: tt.e, Parallelism: 2}
+				_, runErr := Run(cfg)
+				_, groupErr := RunGroup(cfg, []Member{{1 << 30, nil}, {1 << 31, nil}})
+				_, pendingErr := NewArena().ScorePending([]HierarchyConfig{{Config: cfg}}, 2)
+				for call, err := range map[string]error{"Run": runErr, "RunGroup": groupErr, "ScorePending": pendingErr} {
+					if tt.bad && !errors.Is(err, ErrBadConfig) {
+						t.Errorf("%s %s: %v, want ErrBadConfig", p.Name(), call, err)
+					}
+					if !tt.bad && err != nil {
+						t.Errorf("%s %s: %v", p.Name(), call, err)
+					}
 				}
 			}
 		})
@@ -709,6 +770,10 @@ func TestBadEstimatorIsBadConfig(t *testing.T) {
 	cfg := Config{Workload: wl, CacheBytes: 1 << 30, Policy: core.NewPB(), Base: nanMeans{}, Estimator: ActiveProbe{0.1}}
 	if _, err := Run(cfg); err == nil {
 		t.Error("a probe of a NaN-mean path ran")
+	}
+	cfg.Policy = core.NewIF()
+	if _, err := Run(cfg); err != nil {
+		t.Errorf("IF probes no path, yet its run failed: %v", err)
 	}
 }
 

@@ -226,7 +226,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 func (g *Generator) Next() Request {
 	frac := 1.0
 	if g.Config.PartialViewProb > 0 && g.rng.Float64() < g.Config.PartialViewProb {
-		frac = g.Config.MinViewFraction + g.rng.Float64()*(1-g.Config.MinViewFraction)
+		frac = g.Config.MinViewFraction + float64(g.rng.Float64()*(1-g.Config.MinViewFraction))
 	}
 	return Request{
 		Time:     g.proc.Next(g.rng),
@@ -298,7 +298,7 @@ func (v Viewing) Validate() (Viewing, error) {
 func (v Viewing) Fraction(rng *rand.Rand, objDuration float64) float64 {
 	switch v.Kind {
 	case ViewUniform:
-		return v.MinFraction + rng.Float64()*(1-v.MinFraction)
+		return v.MinFraction + float64(rng.Float64()*(1-v.MinFraction))
 	case ViewLognormal:
 		if objDuration <= 0 {
 			return 1

@@ -231,12 +231,12 @@ row K2 internal/sim/capacity.go 'FuzzCapacityPass TestGoldenTables' './internal/
 row K3 internal/sim/capacity.go FuzzCapacityPass ./internal/sim \
     'EvictedBytes is never derived from the fills (no table column reports it: only the model test sees it)' \
     'a.evicted += min(cb, before) - min(cb, live) + held - hit' '_ = min(cb, before) - min(cb, live) + held - hit'
-row K4 internal/sim/capacity.go 'FuzzCapacityPass TestCapacityPassMatchesRunOnce' ./internal/sim \
-    'selection ignores the Estimator across capacities: an EWMA or underestimating cache-size group is scored with the oracle means (an estimator row is a group of its own, so no table groups them: sim'"'"'s tests hold RunGroup to it)' \
-    $'\tif cfg.Estimator != nil {\n' $'\tif cfg.Estimator != nil && len(g.caps) < 2 {\n'
+row K4 internal/sim/capacity.go 'FuzzCapacityPass TestCapacityPassMatchesRunOnce TestGroupMatchesRun TestGoldenTables' './internal/sim ./internal/experiments' \
+    'selection ignores the Estimator across capacities: an EWMA or underestimating cache-size group is scored with the oracle means' \
+    'pass := cfg.Estimator == nil && !core.Ages(cfg.Policy)' 'pass := !core.Ages(cfg.Policy)'
 row K6 internal/sim/capacity.go TestCapacityPassMatchesRunOnce ./internal/sim \
     'selection ignores aging: a GreedyDual cache-size group is scored by the greedy fill of utilities without L' \
-    'return !core.Ages(c.Policy) && ' 'return '
+    'cfg.Estimator == nil && !core.Ages(cfg.Policy) && ' 'cfg.Estimator == nil && '
 
 # --- aging: GreedyDual's L lives in core.Cache ----------------------------------
 #
@@ -250,13 +250,24 @@ row A1 internal/core/cache.go 'TestTapeReplayBitIdentical FuzzCapacityPass TestC
 
 # --- shared replays: one trajectory per capacity, one column per member -------
 #
-# Under the oracle the members of a group at one capacity share one
-# core.Cache replay and each scores it from its own bandwidth column
-# (DESIGN.md §5a "Variability never enters the cache under the oracle").
+# Unless the estimator observes (only EWMA does), the members of a group
+# at one capacity share one core.Cache replay and each scores it from its
+# own bandwidth column, and a policy that reads no bandwidth has no
+# estimator (DESIGN.md §5a "Variability never enters the cache unless the
+# estimator observes").
 
 row V1 internal/sim/capacity.go TestGroupMatchesRun ./internal/sim \
-    'sharing ignores the Estimator: the sigmas of an EWMA or probing cell share the first sigma'"'"'s trajectory (an estimator row is a group of its own, so no table groups them: sim'"'"'s tests hold RunGroup to it)' \
-    $'\tif cfg.Estimator != nil {\n' $'\tif cfg.Estimator != nil && len(g.caps) > 1 {\n'
+    'sharing ignores whether the Estimator observes: the sigmas of an EWMA cell share the first sigma'"'"'s trajectory (an EWMA row is a group of its own, so no table groups them: sim'"'"'s tests hold RunGroup to it)' \
+    '!cfg.observes() && g.members[hi]' 'g.members[hi]'
+row V5 internal/sim/sim.go 'TestGoldenTables TestGroupMatchesRun' './internal/experiments ./internal/sim' \
+    'EWMA reports that its prices observe nothing: the share key drops its member, and the sigmas of each EWMA cell share one trajectory' \
+    'func (EWMA) observes() bool { return true }' 'func (EWMA) observes() bool { return false }'
+row B1 internal/core/gds.go 'TestGroupCounts TestBandwidthBlindPoliciesIgnoreEstimators' './internal/experiments ./internal/sim' \
+    'core.ReadsBandwidth is true for IF and LFU: their estimator rows replay the oracle'"'"'s trajectories under keys of their own' \
+    'case frequencyPolicy, lruPolicy:' 'case lruPolicy:'
+row B2 internal/core/gds.go TestGoldenTables ./internal/experiments \
+    'core.ReadsBandwidth is false for PB and IB: their estimator rows are scored as the oracle'"'"'s' \
+    'case frequencyPolicy, lruPolicy:' 'case frequencyPolicy, lruPolicy, hybridPolicy:'
 row V2 internal/sim/sim.go 'TestGroupMatchesRun TestGoldenTables' './internal/sim ./internal/experiments' \
     'every member of a shared replay accumulates from member 0'"'"'s bandwidth column' \
     'bw, s := cols[k].at(i, o), &sums[k]' 'bw, s := cols[0].at(i, o), &sums[k]'
@@ -367,8 +378,9 @@ row K7 internal/sim/share.go TestOwnershipIsAFunctionOfTheRound ./internal/exper
 #
 # A point belongs to the shard that owns its group (DESIGN.md §4a
 # "Sharding"): owners is a pure function of a round's full point list,
-# computed the same in every process, that deals whole groups out and
-# a round of single points round robin.
+# computed the same in every process, that deals whole groups out, each
+# to the shard with the fewest points so far, and so a round of single
+# points round robin.
 
 row O1 internal/experiments/shard.go TestShardedWorkSumsToSingle ./internal/experiments \
     'ownership by index again: every group is split across the shards and replayed by each' \
@@ -378,7 +390,10 @@ row O2 internal/experiments/engine.go TestOwnershipIsAFunctionOfTheRound ./inter
     $'\towned := x.Shard.owned(pts, base)\n' $'\towned := make([]bool, len(pts))\n\tvar open []planPoint\n\tvar at []int\n\tfor i, pt := range pts {\n\t\tif _, ok := x.Resume.replay(x.table, base+i); ok {\n\t\t\towned[i] = true\n\t\t} else {\n\t\t\topen, at = append(open, pt), append(at, i)\n\t\t}\n\t}\n\tfor k, own := range x.Shard.owned(open, base) {\n\t\towned[at[k]] = own\n\t}\n'
 row O3 internal/experiments/shard.go 'TestOwnershipIsAFunctionOfTheRound TestShardOwnershipPartitions' ./internal/experiments \
     'every round deals its units out from shard 0, not from its base: a refinement round of single points is no longer index mod Count' \
-    'owner[i] = (base + units) % count' 'owner[i] = units % count'
+    'rr := (base + len(ownerOf)) % count' 'rr := len(ownerOf) % count'
+row O5 internal/experiments/shard.go 'TestOwnershipIsAFunctionOfTheRound TestShardOwnershipPartitions' ./internal/experiments \
+    'units dealt out round robin, (base+u) mod Count, whatever their points: scenarios'"'"' one group of every IF row leaves a shard more points behind than the round'"'"'s largest group' \
+    'load[s] < load[o] {' 'load[s] < 0 {'
 row O4 internal/experiments/engine.go TestCapacityGroupsHoldOwnedRows ./internal/experiments \
     'a foreign point neither the journal nor the exchange answers is formatted from zero Metrics: a shard with no exchange refines from metrics no shard computed' \
     $'\t\tms, err := x.Arena.ScorePending(cfgs, x.parallelism())\n' $'\t\tms, err := x.Arena.ScorePending(cfgs, x.parallelism())\n\t\tif !own {\n\t\t\tms = make([]sim.Metrics, len(cfgs))\n\t\t}\n'
