@@ -216,13 +216,15 @@ func run() error {
 		}
 		// Groups of cache sizes scored in one tape pass, run seeds that
 		// replayed once per capacity instead, points that shared another
-		// point's cache replay and points another table's group call
-		// scored.
-		fmt.Printf("  passes=%d fallbacks=%d shared=%d reused=%d", s.Counters.CapacityPasses.Load(),
-			s.Counters.CapacityFallbacks.Load(), s.Counters.SharedReplays.Load(), s.Counters.ReusedMembers.Load())
+		// point's cache replay, points another table's group call scored
+		// and the utility sorts the passes made.
+		fmt.Printf("  passes=%d fallbacks=%d shared=%d reused=%d ranks=%d", s.Counters.CapacityPasses.Load(),
+			s.Counters.CapacityFallbacks.Load(), s.Counters.SharedReplays.Load(), s.Counters.ReusedMembers.Load(),
+			s.Counters.Rankings.Load())
 		// The process's CPU time over the table (tables run one after
-		// another) and the tapes and columns the arena still holds; new
-		// fields go last, so the fields before them keep their positions.
+		// another) and the tapes and columns the arena still holds. A
+		// script reads the fields up to evals= by position
+		// (collector-check); the rest are read by name.
 		tapes, cols := s.Arena.Live()
 		fmt.Printf("  cpu=%v live=%d/%d", (cpuTime() - cpu).Round(time.Millisecond), tapes, cols)
 		fmt.Println()

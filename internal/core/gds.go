@@ -90,3 +90,20 @@ func ReadsBandwidth(p Policy) bool {
 	}
 	return true
 }
+
+// Ranker returns p with every field its Utility does not read zeroed:
+// a hybrid without its e (PB, IB and every hybrid between them rank by
+// F/b; e sets only the target), IF and LFU without their names. Two
+// policies with equal Rankers rank every access alike, which is what
+// lets internal/sim sort one tape's utilities once for all of them.
+func Ranker(p Policy) Policy {
+	switch p := p.(type) {
+	case frequencyPolicy:
+		return frequencyPolicy{}
+	case hybridPolicy:
+		return hybridPolicy{}
+	case hybridVPolicy:
+		return hybridVPolicy{e: p.e}
+	}
+	return p
+}

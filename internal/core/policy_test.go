@@ -66,6 +66,44 @@ func TestPoliciesComparable(t *testing.T) {
 	}
 }
 
+// TestRankerRanksAlike: policies with one Ranker compute one Utility for
+// every access, and the Rankers join exactly the policies whose Utility
+// ignores what tells them apart — PB, IB and the hybrids; IF and LFU;
+// PB-V and HybridV(1) — so each group of a table that varies only e
+// sorts a tape once.
+func TestRankerRanksAlike(t *testing.T) {
+	must := func(p Policy, err error) Policy {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	policies := []Policy{
+		NewPB(), NewIB(), must(NewHybrid(0.3)), must(NewHybrid(0.7)),
+		NewIF(), NewLFU(), NewPBV(), must(NewHybridV(1)), must(NewHybridV(0.5)),
+		NewIBV(), NewLRU(), NewGDS(),
+	}
+	families := []int{0, 0, 0, 0, 1, 1, 2, 2, 3, 4, 5, 6}
+	for i, a := range policies {
+		for j, b := range policies {
+			if same := Ranker(a) == Ranker(b); same != (families[i] == families[j]) {
+				t.Errorf("Ranker(%s) == Ranker(%s) is %v, want %v", a.Name(), b.Name(), same, !same)
+			}
+			if Ranker(a) != Ranker(b) {
+				continue
+			}
+			for _, freq := range []int64{1, 2, 7} {
+				for _, bw := range []float64{0, 1e3, units.KBps(50), units.KBps(500)} {
+					st, obj := AccessStats{Freq: freq, LastAccess: float64(3 * freq)}, testObject(1)
+					if ua, ub := a.Utility(st, obj, bw), b.Utility(st, obj, bw); ua != ub {
+						t.Errorf("%s and %s share a Ranker but rank freq %d at %v B/s as %v and %v", a.Name(), b.Name(), freq, bw, ua, ub)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestIFUtilityIsFrequency(t *testing.T) {
 	p := NewIF()
 	obj := testObject(1)

@@ -41,7 +41,7 @@ var staticKeys = map[string]bool{"table1": true, "figure2": true, "figure3": tru
 
 // TestGroupCounts pins how the small-scale tables, streamed in registry
 // order through one arena without Declare, are scored — what cmd/figures
-// prints as passes=, fallbacks=, shared= and reused= — and that every
+// prints as passes=, fallbacks=, shared=, reused= and ranks= — and that every
 // simulated row still counts as one evaluation however it was scored.
 // Each round declares its own points, so the arena carries answers from
 // table to table: figure6's α = 0.73 rows are figure5's IB and PB,
@@ -56,28 +56,34 @@ var staticKeys = map[string]bool{"table1": true, "figure2": true, "figure3": tru
 // active_probe_0.1 column share one replay (seven shared); its σ 0
 // oracle cells each run alone. ablation-eviction's partial rows are
 // figure5's PB rows, and its
-// whole-object rows one group replayed per capacity; refined-e's coarse round is
+// whole-object rows one group replayed per capacity; ext-baselines' LFU,
+// PB and IB rows are figure8's IF, PB and IB rows (LFU is keyed as IF);
+// refined-e's coarse round is
 // figure9's middle column, refined-sigma's scenarios' oracle PB cells and
 // refined-cache's figure5's PB column, so only their refinement rounds
 // score (a σ pair sharing one replay, a cache-size pair in one pass);
 // refined-esigma's σ 0.55 column is figure9's and each e's σ 0 and 0.25
 // share one replay. Every EWMA row of PB or IB, and every hierarchy row,
-// is a group of its own: it replays alone and counts nothing.
+// is a group of its own: it replays alone and counts nothing. A family
+// of groups whose policies rank alike sorts each run seed's tape once:
+// figure5's PB and IB (IF sorts alone), each α of figure6 and all six e
+// of figure9 — but PB-V and IB-V rank apart.
 func TestGroupCounts(t *testing.T) {
-	want := map[string][4]int64{ // passes, fallbacks, shared, reused
-		"figure5":             {2, 2, 0, 0},
-		"figure6":             {6, 0, 0, 10},
-		"figure9":             {6, 0, 0, 0},
-		"figure10":            {2, 0, 0, 5},
-		"figure11":            {2, 0, 0, 5},
-		"ablation-eviction":   {0, 2, 0, 5},
-		"ablation-estimators": {0, 2, 0, 5},
-		"scenarios":           {0, 0, 7, 14},
-		"refined-e":           {0, 0, 0, 6},
-		"refined-sigma":       {0, 0, 2, 3},
-		"refined-cache":       {2, 0, 0, 5},
-		"refined-esigma":      {0, 0, 6, 6},
-		"hierarchy":           {0, 0, 0, 0},
+	want := map[string][5]int64{ // passes, fallbacks, shared, reused, ranks
+		"figure5":             {2, 2, 0, 0, 4},
+		"figure6":             {6, 0, 0, 10, 6},
+		"figure9":             {6, 0, 0, 0, 2},
+		"figure10":            {2, 0, 0, 5, 4},
+		"figure11":            {2, 0, 0, 5, 4},
+		"ablation-eviction":   {0, 2, 0, 5, 0},
+		"ablation-estimators": {0, 2, 0, 5, 0},
+		"ext-baselines":       {0, 0, 0, 3, 0},
+		"scenarios":           {0, 0, 7, 14, 0},
+		"refined-e":           {0, 0, 0, 6, 0},
+		"refined-sigma":       {0, 0, 2, 3, 0},
+		"refined-cache":       {2, 0, 0, 5, 4},
+		"refined-esigma":      {0, 0, 6, 6, 0},
+		"hierarchy":           {0, 0, 0, 0, 0},
 	}
 	s := SmallScale()
 	s.Arena = sim.NewArena()
@@ -88,9 +94,9 @@ func TestGroupCounts(t *testing.T) {
 			t.Fatalf("%s: %v", e.Key, err)
 		}
 		c := s.Counters
-		got := [4]int64{c.CapacityPasses.Load(), c.CapacityFallbacks.Load(), c.SharedReplays.Load(), c.ReusedMembers.Load()}
+		got := [5]int64{c.CapacityPasses.Load(), c.CapacityFallbacks.Load(), c.SharedReplays.Load(), c.ReusedMembers.Load(), c.Rankings.Load()}
 		if w, ok := want[e.Key]; ok && got != w {
-			t.Errorf("%s: passes, fallbacks, shared, reused = %v, want %v", e.Key, got, w)
+			t.Errorf("%s: passes, fallbacks, shared, reused, ranks = %v, want %v", e.Key, got, w)
 		}
 		evals := int64(len(rows.Table().Rows))
 		if staticKeys[e.Key] {

@@ -344,6 +344,7 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 		s.Arena = sim.NewArena()
 	}
 	passes0, fallbacks0, shared0, reused0 := s.Arena.Groups()
+	ranks0 := s.Arena.Ranks()
 	p, err := e.build(s)
 	if err != nil {
 		return err
@@ -362,6 +363,7 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 		s.Counters.CapacityFallbacks.Add(fallbacks - fallbacks0)
 		s.Counters.SharedReplays.Add(shared - shared0)
 		s.Counters.ReusedMembers.Add(reused - reused0)
+		s.Counters.Rankings.Add(s.Arena.Ranks() - ranks0)
 	}
 	return err
 }

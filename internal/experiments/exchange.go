@@ -53,6 +53,11 @@ type Counters struct {
 	// usually another table's (Declare; sim.Arena.ScorePending) — and so
 	// not simulated for this table at all.
 	ReusedMembers atomic.Int64
+	// Rankings counts the utility sorts the capacity passes made: one per
+	// run seed of a family of groups whose policies rank alike — PB, IB
+	// and the hybrids of one configuration — however many of its groups
+	// read it (sim.Arena.Ranks).
+	Rankings atomic.Int64
 	// ExchangeHits counts foreign points resolved through the
 	// MetricExchange instead of being re-simulated locally.
 	ExchangeHits atomic.Int64

@@ -7,15 +7,19 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"streamcache/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden_small.sha256 from this build's tables")
+var update = flag.Bool("update", false, "rewrite testdata/golden_small.sha256 and testdata/answers_small.txt from this build")
 
-const goldenPath = "testdata/golden_small.sha256"
+const (
+	goldenPath = "testdata/golden_small.sha256"
+	ledgerPath = "testdata/answers_small.txt"
+)
 
 // TestGoldenTables pins every registered table's CSV bytes across
 // commits: each key streams at SmallScale (seed 1) through a CSVSink
@@ -42,28 +46,93 @@ func TestGoldenTables(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%s %x %d\n", e.Key, sha256.Sum256(csv.Bytes()), len(rows.Table().Rows))
 	}
+	checkGolden(t, goldenPath, got.String(), "table bytes moved")
+}
+
+// checkGolden compares got with the golden file at path line by line,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, path, got, moved string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(goldenPath, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() == string(want) {
+	if got == string(want) {
 		return
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Errorf("%d tables streamed, %s lists %d", len(gotLines)-1, goldenPath, len(wantLines)-1)
+		t.Errorf("%d lines written, %s holds %d", len(gotLines)-1, path, len(wantLines)-1)
 	}
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+	for i, reported := 0, 0; i < len(gotLines) && i < len(wantLines) && reported < 20; i++ {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("table bytes moved:\n got  %s\n want %s", gotLines[i], wantLines[i])
+			t.Errorf("%s:\n got  %s\n want %s", moved, gotLines[i], wantLines[i])
+			reported++
 		}
 	}
+}
+
+// TestAnswerLedger pins every simulated row's Metrics bit for bit: each
+// key streams at SmallScale through one arena, as in TestGoldenTables,
+// and every answer a row is formatted from is written in evaluation
+// order as exact hex floats and compared with
+// testdata/answers_small.txt. A CSV prints three or four digits, so a
+// change in the last bits of a sum passes TestGoldenTables; it fails
+// here. `-update` rewrites the file with the digests.
+func TestAnswerLedger(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the ledger was recorded on amd64; GOARCH=%s may fuse float operations differently", runtime.GOARCH)
+	}
+	s := SmallScale()
+	s.Arena = sim.NewArena()
+	var got strings.Builder
+	got.WriteString("# table n Requests TrafficReductionRatio AvgServiceDelay AvgStreamQuality TotalAddedValue HitRatio EvictedBytes EdgeByteFrac PeerByteFrac ParentByteFrac OriginByteFrac\n")
+	for _, e := range Experiments() {
+		p, err := e.build(s)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Key, err)
+		}
+		n := 0
+		record := func(pt planPoint) planPoint {
+			if pt.cfg == nil {
+				return pt
+			}
+			eval := pt.eval
+			pt.eval = func(m sim.Metrics) ([]string, float64) {
+				fmt.Fprintf(&got, "%s %d %d", e.Key, n, m.Requests)
+				for _, f := range []float64{m.TrafficReductionRatio, m.AvgServiceDelay, m.AvgStreamQuality, m.TotalAddedValue, m.HitRatio} {
+					got.WriteString(" " + strconv.FormatFloat(f, 'x', -1, 64))
+				}
+				fmt.Fprintf(&got, " %d", m.EvictedBytes)
+				for _, f := range []float64{m.EdgeByteFrac, m.PeerByteFrac, m.ParentByteFrac, m.OriginByteFrac} {
+					got.WriteString(" " + strconv.FormatFloat(f, 'x', -1, 64))
+				}
+				got.WriteString("\n")
+				n++
+				return eval(m)
+			}
+			return pt
+		}
+		for i := range p.coarse {
+			p.coarse[i] = record(p.coarse[i])
+		}
+		if at := p.at; at != nil {
+			p.at = func(coords []float64) (planPoint, error) {
+				pt, err := at(coords)
+				return record(pt), err
+			}
+		}
+		if err := stream(s, p, &TableSink{}); err != nil {
+			t.Fatalf("%s: %v", e.Key, err)
+		}
+	}
+	checkGolden(t, ledgerPath, got.String(), "an answer moved")
 }
 
 // TestExperimentsDocListsEveryKey keeps EXPERIMENTS.md's summary table

@@ -15,9 +15,9 @@
 // column.
 //
 // Release rule: the arena forgets a tape or bandwidth column as soon as
-// nothing can still read it. After each group it scores, ScorePending
-// drops every one that no member pending under any share key, no group
-// of the same call not yet scored and no hold (Hold) names
+// nothing can still read it. After each family of groups it scores,
+// ScorePending drops every one that no member pending under any share
+// key, no group of the same call not yet scored and no hold (Hold) names
 // (share.go). Every value is a pure function of its key, so a release
 // that comes too early costs a recompile, which Compiles counts, and
 // never a wrong byte.
@@ -58,6 +58,7 @@ type Arena struct {
 
 	tapeCompiles, rateCompiles        atomic.Int64
 	passes, fallbacks, shared, reused atomic.Int64 // RunGroup telemetry
+	ranks                             atomic.Int64 // rankings built (Ranks)
 }
 
 // NewArena builds an empty arena. One arena can serve a whole figure
@@ -208,3 +209,9 @@ func (a *Arena) Live() (tapes, cols int) {
 func (a *Arena) Groups() (passes, fallbacks, shared, reused int64) {
 	return a.passes.Load(), a.fallbacks.Load(), a.shared.Load(), a.reused.Load()
 }
+
+// Ranks reports how many rankings of a tape's requests by utility the
+// capacity passes of the arena's RunGroup and ScorePending calls have
+// built: one per run seed of a family of groups that takes the pass,
+// however many of the family's groups read it (capacity.go).
+func (a *Arena) Ranks() int64 { return a.ranks.Load() }

@@ -28,6 +28,14 @@
 // objects generalised to byte prefixes (DESIGN.md §5a has the argument).
 // Where a condition fails the run replays through core.Cache once per
 // capacity instead, so the result is exact either way.
+//
+// One ranking per family: the ranking reads the tape, the path means and
+// the policy's Utility, never a target or a capacity, and PB, IB and
+// every hybrid between them rank by F/b (core.Ranker). So a run seed
+// ranks its tape once for a family of such groups and each group's pass
+// reads that ranking through its own targets: an object it does not
+// cache adds nothing to the tree, and its ties and bad utilities refuse
+// no one else's pass.
 package sim
 
 import (
@@ -58,56 +66,89 @@ type Member struct {
 // configuration lets the pass be exact — the oracle estimator (nil
 // Estimator), a Policy the cache does not age (core.Ages), byte-granular
 // eviction (no WholeObjectEviction) — and the seed's utilities are all
-// finite, positive and distinct between objects; otherwise from one
-// core.Cache replay per distinct capacity. Under an estimator that
-// observes, each member replays alone.
+// finite, positive and distinct between the objects the policy caches;
+// otherwise from one core.Cache replay per distinct capacity. Under an
+// estimator that observes, each member replays alone.
 // Policy Utility and Target must be pure functions of their arguments,
 // as every built-in policy's are. It scores every member it is given and
 // never reads the arena's answers (share.go: ScorePending does);
 // cfg.Arena's Groups counts which way each call went.
 func RunGroup(cfg Config, members []Member) ([]Metrics, error) {
-	cfg, err := cfg.normalize()
+	ms, err := runFamily([]Config{cfg}, [][]Member{members})
 	if err != nil {
 		return nil, err
 	}
-	g, err := newGroup(members)
-	if err != nil {
-		return nil, err
+	return ms[0], nil
+}
+
+// runFamily is RunGroup for a family of groups: ms[j] holds the Metrics
+// of members[j] under cfgs[j]. The cfgs differ in their Policy at most,
+// and their policies rank alike (core.Ranker), so one set of runs scores
+// them all: each run seed reads its tape once and ranks its requests at
+// most once for every group that takes the capacity pass (scoreSeed).
+// RunGroup is its one-group case. The cfgs share the first one's arena.
+func runFamily(cfgs []Config, members [][]Member) ([][]Metrics, error) {
+	gs := make([]group, len(cfgs))
+	width := 0
+	for j := range cfgs {
+		var err error
+		if j > 0 {
+			cfgs[j].Arena = cfgs[0].Arena
+		}
+		if cfgs[j], err = cfgs[j].normalize(); err != nil {
+			return nil, err
+		}
+		if gs[j], err = newGroup(members[j]); err != nil {
+			return nil, err
+		}
+		width += len(members[j])
 	}
-	var fellBack atomic.Int64
+	cfg := cfgs[0]
+	fellBack := make([]atomic.Int64, len(gs))
 	ms, err := averageRuns(cfg, "run", func(seed int64) ([]Metrics, error) {
 		rp, err := cfg.Arena.replay(cfg, seed)
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]column, len(g.members))
-		for k, m := range g.members {
-			one := cfg
-			one.Variation = m.Variation
-			cols[k] = cfg.Arena.column(one, seed, rp)
+		cols := make([]column, 0, width)
+		for _, g := range gs {
+			for _, m := range g.members {
+				one := cfg
+				one.Variation = m.Variation
+				cols = append(cols, cfg.Arena.column(one, seed, rp))
+			}
 		}
-		out := make([]Metrics, len(cols))
-		onePass, err := g.score(cfg, rp, cols, out)
-		if !onePass {
-			fellBack.Add(1)
+		out, onePass := make([]Metrics, width), make([]bool, len(gs))
+		ranked, err := scoreSeed(cfgs, gs, rp, cols, out, onePass)
+		if ranked {
+			cfg.Arena.ranks.Add(1)
+		}
+		for j, passed := range onePass {
+			if !passed {
+				fellBack[j].Add(1)
+			}
 		}
 		return out, err
 	}, addEach, overEach)
 	if err != nil {
 		return nil, err
 	}
-	if len(g.caps) >= 2 {
-		if fellBack.Load() == 0 {
-			cfg.Arena.passes.Add(1)
+	out := make([][]Metrics, len(gs))
+	for j, g := range gs {
+		if len(g.caps) >= 2 {
+			if fellBack[j].Load() == 0 {
+				cfg.Arena.passes.Add(1)
+			}
+			cfg.Arena.fallbacks.Add(fellBack[j].Load())
 		}
-		cfg.Arena.fallbacks.Add(fellBack.Load())
-	}
-	if !cfg.observes() {
-		cfg.Arena.shared.Add(int64(len(g.members) - len(g.caps)))
-	}
-	out := make([]Metrics, len(ms))
-	for k, i := range g.order {
-		out[i] = ms[k]
+		if !cfgs[j].observes() {
+			cfg.Arena.shared.Add(int64(len(g.members) - len(g.caps)))
+		}
+		out[j] = make([]Metrics, len(g.members))
+		for k, i := range g.order {
+			out[j][i] = ms[k]
+		}
+		ms = ms[len(g.members):]
 	}
 	return out, nil
 }
@@ -143,29 +184,48 @@ func newGroup(members []Member) (group, error) {
 	return g, nil
 }
 
-// score fills out[k] with the Metrics of one run of rp for member k,
-// whose bandwidth column is cols[k]: in one capacity pass when it can —
-// two or more capacities under the oracle, whose path means the pass
-// prices at, a policy the cache does not age and byte-granular eviction
-// — else with one replay per distinct capacity, or one per member under
-// an estimator that observes what each request got. It reports whether
-// the pass scored it.
-func (g group) score(cfg Config, rp replay, cols []column, out []Metrics) (onePass bool, err error) {
-	pass := cfg.Estimator == nil && !core.Ages(cfg.Policy) && !cfg.WholeObjectEviction && len(g.caps) >= 2
-	if pass && capacityPass(cfg, rp, g.members, cols, out) {
-		return true, nil
-	}
-	for lo := 0; lo < len(g.members); {
-		hi := lo + 1
-		for hi < len(g.members) && !cfg.observes() && g.members[hi].CacheBytes == g.members[lo].CacheBytes {
-			hi++
+// takesPass reports whether c lets the capacity pass be exact: under the
+// oracle, whose path means the pass prices at, a policy the cache does
+// not age and byte-granular eviction.
+func (c Config) takesPass() bool {
+	return c.Estimator == nil && !core.Ages(c.Policy) && !c.WholeObjectEviction
+}
+
+// scoreSeed fills out with the Metrics of one run of rp for every
+// member of the groups gs, group after group — group j's under cfgs[j],
+// each member reading the bandwidth column at its own position in cols —
+// and sets onePass[j] when the capacity pass scored group j. A group
+// takes the pass when it can (takesPass, two or more capacities); else
+// it replays once per distinct capacity, or once per member under an
+// estimator that observes what each request got. The groups' policies
+// rank alike (runFamily), so the first group to take the pass ranks
+// rp's requests and every later one reads that ranking; scoreSeed
+// reports whether it ranked.
+func scoreSeed(cfgs []Config, gs []group, rp replay, cols []column, out []Metrics, onePass []bool) (ranked bool, err error) {
+	s := passPool.Get().(*passScratch)
+	defer passPool.Put(s)
+	var r ranking
+	for j, g := range gs {
+		cfg, n := cfgs[j], len(g.members)
+		if cfg.takesPass() && len(g.caps) >= 2 {
+			if !ranked {
+				r, ranked = s.rank(cfg.Policy, rp), true
+			}
+			onePass[j] = s.pass(cfg, rp, r, g.members, cols[:n], out[:n])
 		}
-		if err := replayColumns(cfg, rp, g.members[lo].CacheBytes, cols[lo:hi], out[lo:hi]); err != nil {
-			return false, err
+		for lo := 0; lo < n && !onePass[j]; {
+			hi := lo + 1
+			for hi < n && !cfg.observes() && g.members[hi].CacheBytes == g.members[lo].CacheBytes {
+				hi++
+			}
+			if err := replayColumns(cfg, rp, g.members[lo].CacheBytes, cols[lo:hi], out[lo:hi]); err != nil {
+				return ranked, err
+			}
+			lo = hi
 		}
-		lo = hi
+		cols, out = cols[n:], out[n:]
 	}
-	return false, nil
+	return ranked, nil
 }
 
 // addEach and overEach are Metrics.add and Metrics.over per member.
@@ -184,17 +244,20 @@ func overEach(agg *[]Metrics, runs int) {
 	}
 }
 
-// passScratch is everything one capacity pass mutates, pooled across
-// runs like runScratch: per object, per keyed request (a request for an
-// object whose target is > 0) and per member. Every slot is written or
-// cleared before it is read.
+// passScratch is everything one run seed's ranking and capacity passes
+// mutate, pooled across runs like runScratch: per object, per request
+// and per member. Every slot is written or cleared before it is read,
+// and nothing in it outlives the seed that filled it.
 type passScratch struct {
-	target, freq []int64  // per object: clamped target; requests so far
-	last         []int32  // per object: rank of its live key, -1 before its first
-	keys, keys2  []uint64 // per keyed request: utility bits and the sort's other half, then the Fenwick tree
-	idx, idx2    []int32  // per keyed request: request index and the sort's other half, then request -> rank
-	acc          []memberTotals
-	counts       [8][256]int32
+	freq        []int64  // per object: requests so far (rank)
+	bad         []bool   // per object: a utility not finite and positive (rank)
+	keys, keys2 []uint64 // per request: utility bits and the sort's other half, then a pass's Fenwick tree
+	idx, idx2   []int32  // per request: request index and the sort's other half, then request -> rank
+	ties        []int32  // the bounds of each tie run (rank)
+	target      []int64  // per object: the group's clamped target (pass)
+	last        []int32  // per object: rank of its live key, -1 before its first (pass)
+	acc         []memberTotals
+	counts      [8][256]int32
 }
 
 var passPool = sync.Pool{New: func() any { return new(passScratch) }}
@@ -202,59 +265,97 @@ var passPool = sync.Pool{New: func() any { return new(passScratch) }}
 // fit returns s resliced to n, reusing its storage when it can.
 func fit[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// capacityPass scores one run of rp for every member, member k reading
-// bandwidth column cols[k], into out and reports true, or reports false,
-// leaving out unspecified, when one of the seed's utilities is not
-// finite and positive, two objects share one or an object's falls.
-func capacityPass(cfg Config, rp replay, members []Member, cols []column, out []Metrics) bool {
-	s := passPool.Get().(*passScratch)
-	defer passPool.Put(s)
-	n, objects := len(rp.obj), len(rp.objs)
+// ranking is one run seed's order of every request of a tape by the
+// utility its object has after the access, the same for every policy
+// with one core.Ranker. Its slices live in the passScratch that ranked
+// it, until that scratch ranks again.
+type ranking struct {
+	order []int32 // request indices by ascending utility, equal utilities in request order
+	rank  []int32 // per request: its position in order
+	ties  []int32 // [ties[2t], ties[2t+1]) in order: a run of one utility spanning two or more objects
+	bad   []bool  // per object: some utility of its not finite and positive
+	tree  fenwick // spare storage, one slot more than there are requests
+}
 
-	// Every keyed request's post-access utility, as Access computes it.
-	s.target = priceTargets(s.target, cfg.Policy, rp, column{inst: rp.means})
-	s.freq, s.last = fit(s.freq, objects), fit(s.last, objects)
+// rank ranks every request of rp under policy: its post-access utility,
+// as Access computes it, radix-sorted. A pass reads the ranking through
+// its own targets (pass), so the groups of a family each check its ties
+// and bad objects against what they cache.
+func (s *passScratch) rank(policy core.Policy, rp replay) ranking {
+	n, objects := len(rp.obj), len(rp.objs)
+	s.freq, s.bad = fit(s.freq, objects), fit(s.bad, objects)
 	clear(s.freq)
+	clear(s.bad)
+	// Each buffer pair is sized for the role it ends in: the sorted keys'
+	// buffer becomes the n+1-slot tree, the spare idx buffer the rank of
+	// each request.
+	s.keys, s.idx = fit(s.keys, n+1)[:n], fit(s.idx, n)
+	for i, o := range rp.obj {
+		s.freq[o]++
+		u := policy.Utility(core.AccessStats{Freq: s.freq[o], LastAccess: rp.time[i]}, rp.objs[o], rp.means[o])
+		if !(u > 0 && u <= math.MaxFloat64) {
+			s.bad[o] = true
+		}
+		s.keys[i], s.idx[i] = math.Float64bits(u), int32(i) // ordered as u is, for positive u
+	}
+	s.keys2, s.idx2 = fit(s.keys2, n+1)[:n], fit(s.idx2, n)
+	keys, order, rank := radixSort(s.keys, s.idx, s.keys2, s.idx2, &s.counts)
+	s.ties = s.ties[:0]
+	for lo := 0; lo < n; {
+		hi, mixed := lo+1, false
+		for ; hi < n && keys[hi] == keys[lo]; hi++ {
+			mixed = mixed || rp.obj[order[hi]] != rp.obj[order[lo]]
+		}
+		if mixed {
+			s.ties = append(s.ties, int32(lo), int32(hi))
+		}
+		lo = hi
+	}
+	for p, i := range order {
+		rank[i] = int32(p)
+	}
+	return ranking{order: order, rank: rank, ties: s.ties, bad: s.bad, tree: fenwick(keys[:n+1])}
+}
+
+// pass scores one run of rp for every member, member k reading
+// bandwidth column cols[k], from the ranking r of rp's requests, into
+// out and reports true, or reports false, leaving out unspecified, when
+// an object cfg's policy caches has a utility that is not finite and
+// positive, shares one with another such object, or sees its own fall.
+// Objects it does not cache add nothing to the tree, so ranking them
+// beside the rest moves no sum.
+func (s *passScratch) pass(cfg Config, rp replay, r ranking, members []Member, cols []column, out []Metrics) bool {
+	n, objects := len(rp.obj), len(rp.objs)
+	s.target = priceTargets(s.target, cfg.Policy, rp, column{inst: rp.means})
+	for o, bad := range r.bad {
+		if bad && s.target[o] > 0 {
+			return false
+		}
+	}
+	// The stable sort breaks equal keys by request index, which orders
+	// one object's keys exactly, but two cached objects with one utility
+	// would make the greedy fill guess a tie core.Cache breaks its own
+	// way.
+	for t := 0; t < len(r.ties); t += 2 {
+		kept := -1
+		for _, i := range r.order[r.ties[t]:r.ties[t+1]] {
+			if o := int(rp.obj[i]); s.target[o] > 0 {
+				if kept >= 0 && o != kept {
+					return false
+				}
+				kept = o
+			}
+		}
+	}
+	s.last = fit(s.last, objects)
 	for o := range s.last {
 		s.last[o] = -1
 	}
-	// Each buffer pair is sized for the role it ends in: the sorted keys'
-	// buffer becomes the m+1-slot tree, the spare idx buffer the rank of
-	// each of n requests.
-	s.keys, s.idx = fit(s.keys, n+1)[:0], fit(s.idx, n)[:0]
-	for i, o := range rp.obj {
-		s.freq[o]++
-		if s.target[o] == 0 {
-			continue
-		}
-		u := cfg.Policy.Utility(core.AccessStats{Freq: s.freq[o], LastAccess: rp.time[i]}, rp.objs[o], rp.means[o])
-		if !(u > 0 && u <= math.MaxFloat64) {
-			return false
-		}
-		s.keys = append(s.keys, math.Float64bits(u)) // ordered as u is, u being positive
-		s.idx = append(s.idx, int32(i))
-	}
-
-	// Rank the keys; the stable sort breaks equal keys by request index,
-	// which orders one object's keys exactly, but two objects with one
-	// utility would make the greedy fill guess a tie core.Cache breaks
-	// its own way.
-	m := len(s.keys)
-	s.keys2, s.idx2 = fit(s.keys2, n+1)[:m], fit(s.idx2, n)
-	keys, idx, rank := radixSort(s.keys, s.idx, s.keys2, s.idx2[:m], &s.counts)
-	for p := 1; p < m; p++ {
-		if keys[p] == keys[p-1] && rp.obj[idx[p]] != rp.obj[idx[p-1]] {
-			return false
-		}
-	}
-	rank = rank[:n]
-	for p, i := range idx {
-		rank[i] = int32(p)
-	}
+	rank := r.rank
 
 	// Replay in request order: before each access its object's hit
 	// bytes at every capacity, after it the fill that Access leaves.
-	tree := fenwick(keys[:m+1])
+	tree := r.tree
 	clear(tree)
 	s.acc = fit(s.acc, len(members))
 	acc := s.acc

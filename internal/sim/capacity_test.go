@@ -57,11 +57,11 @@ func checkGroup(t *testing.T, cfg Config, rp replay, members []Member, cols []co
 	for k, i := range g.order {
 		sorted[k] = cols[i]
 	}
-	out := make([]Metrics, len(members))
-	onePass, err = g.score(cfg, rp, sorted, out)
-	if err != nil {
+	out, passed := make([]Metrics, len(members)), make([]bool, 1)
+	if _, err := scoreSeed([]Config{cfg}, []group{g}, rp, sorted, out, passed); err != nil {
 		t.Fatal(err)
 	}
+	onePass = passed[0]
 	for k, m := range g.members {
 		var want [1]Metrics
 		if err := replayColumns(cfg, rp, m.CacheBytes, sorted[k:k+1], want[:]); err != nil {
@@ -69,6 +69,45 @@ func checkGroup(t *testing.T, cfg Config, rp replay, members []Member, cols []co
 		}
 		if out[k] != want[0] {
 			t.Errorf("%s, member %d of %d (capacity %d, %T, one pass %v):\n got %+v\nwant %+v", cfg.Policy.Name(), g.order[k], len(members), m.CacheBytes, m.Variation, onePass, out[k], want[0])
+		}
+	}
+	return onePass
+}
+
+// checkFamily scores one group per policy over rp as one family — each
+// group with members and cols, under the oracle, byte-granular eviction
+// and cfg's warm-up — through scoreSeed, requires every Metrics field to
+// equal a lone one-column replay's for each member, and returns which
+// groups the pass scored. The policies must rank alike (core.Ranker).
+func checkFamily(t *testing.T, cfg Config, rp replay, policies []core.Policy, members []Member, cols []column) []bool {
+	t.Helper()
+	g, err := newGroup(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := make([]column, len(cols))
+	for k, i := range g.order {
+		sorted[k] = cols[i]
+	}
+	cfgs := make([]Config, len(policies))
+	for j, p := range policies {
+		if cfgs[j], err = (Config{Policy: p, WarmFraction: cfg.WarmFraction, Arena: cfg.Arena}).normalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, onePass := make([]Metrics, len(policies)*len(members)), make([]bool, len(policies))
+	if _, err := scoreSeed(cfgs, slices.Repeat([]group{g}, len(policies)), rp, slices.Repeat(sorted, len(policies)), out, onePass); err != nil {
+		t.Fatal(err)
+	}
+	for j, c := range cfgs {
+		for k, m := range g.members {
+			var want [1]Metrics
+			if err := replayColumns(c, rp, m.CacheBytes, sorted[k:k+1], want[:]); err != nil {
+				t.Fatal(err)
+			}
+			if got := out[j*len(members)+k]; got != want[0] {
+				t.Errorf("%s in a family of %d, member %d (capacity %d, one pass %v):\n got %+v\nwant %+v", c.Policy.Name(), len(policies), g.order[k], m.CacheBytes, onePass[j], got, want[0])
+			}
 		}
 	}
 	return onePass
@@ -185,6 +224,30 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 		col := column{inst: rp.means}
 		if checkGroup(t, cfg, rp, atCapacities([]int64{0, 500, 1000, 1500, 3000}, nil), slices.Repeat([]column{col}, 5)) {
 			t.Error("a utility tie was scored in one pass")
+		}
+	})
+
+	t.Run("family-tie", func(t *testing.T) {
+		// PB and IB share one ranking by F/b. B's path is twice A's, so
+		// B's second request ties A's first. IB caches both and must fall
+		// back; PB caches only A (B's path outruns its rate: target 0),
+		// so the tie is none of its business and it takes the pass.
+		obj := func(id int) core.Object {
+			return core.Object{ID: id, Size: 1000, Duration: 10, Rate: 100, Value: 1}
+		}
+		rp := replay{tape: &tape{
+			objs: []core.Object{obj(0), obj(1), obj(2)},
+			obj:  []uint32{0, 1, 1, 2, 0, 2, 1, 0, 2, 2},
+			time: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		}, means: []float64{75, 150, 40}}
+		cfg, err := Config{Policy: core.NewPB()}.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := column{inst: rp.means}
+		onePass := checkFamily(t, cfg, rp, []core.Policy{core.NewPB(), core.NewIB()}, atCapacities([]int64{0, 500, 1000, 1500, 3000}, nil), slices.Repeat([]column{col}, 5))
+		if !onePass[0] || onePass[1] {
+			t.Errorf("one pass: PB %v, IB %v; want PB's pass to ignore the tie of an object it does not cache, and IB to fall back", onePass[0], onePass[1])
 		}
 	})
 }
@@ -383,8 +446,17 @@ func TestRunGroupEqualsRun(t *testing.T) {
 	}
 }
 
-// TestCapacityPassSteadyStateAllocs: with a warm pool, one pass
-// allocates nothing.
+// capacityPass ranks rp under cfg's policy and scores members in one
+// pass, as scoreSeed does for a family of one group.
+func capacityPass(cfg Config, rp replay, members []Member, cols []column, out []Metrics) bool {
+	s := passPool.Get().(*passScratch)
+	defer passPool.Put(s)
+	return s.pass(cfg, rp, s.rank(cfg.Policy, rp), members, cols, out)
+}
+
+// TestCapacityPassSteadyStateAllocs: with warm buffers, ranking a tape
+// allocates nothing, nor does a pass over the ranking, nor a run seed
+// of a PB and IB family with a warm pool.
 func TestCapacityPassSteadyStateAllocs(t *testing.T) {
 	if raceBuild() {
 		t.Skip("sync.Pool drops scratches at random under -race")
@@ -405,11 +477,26 @@ func TestCapacityPassSteadyStateAllocs(t *testing.T) {
 	}
 	cols := slices.Repeat([]column{col}, len(g.members))
 	out := make([]Metrics, len(cols))
-	if !capacityPass(cfg, rp, g.members, cols, out) { // warm the pool
+	s := new(passScratch)
+	r := s.rank(cfg.Policy, rp)
+	if !s.pass(cfg, rp, r, g.members, cols, out) {
 		t.Fatal("PB fell back")
 	}
-	if allocs := testing.AllocsPerRun(5, func() { capacityPass(cfg, rp, g.members, cols, out) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(5, func() { r = s.rank(cfg.Policy, rp) }); allocs != 0 {
+		t.Errorf("steady-state ranking allocates %.1f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { s.pass(cfg, rp, r, g.members, cols, out) }); allocs != 0 {
 		t.Errorf("steady-state capacity pass allocates %.1f objects, want 0", allocs)
+	}
+	ib := cfg
+	ib.Policy = core.NewIB()
+	cfgs, gs := []Config{cfg, ib}, []group{g, g}
+	cols, out, onePass := slices.Concat(cols, cols), slices.Concat(out, out), make([]bool, 2)
+	if _, err := scoreSeed(cfgs, gs, rp, cols, out, onePass); err != nil || !onePass[0] || !onePass[1] { // warm the pool
+		t.Fatalf("PB and IB: one pass %v, %v", onePass, err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { _, _ = scoreSeed(cfgs, gs, rp, cols, out, onePass) }); allocs != 0 {
+		t.Errorf("steady-state run seed of a family allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -419,7 +506,8 @@ func TestCapacityPassSteadyStateAllocs(t *testing.T) {
 // (replay-x5, what a figure paid before the pass) against one capacity
 // pass. Variability: the mid capacity under paper scale's five
 // lognormal sigmas, one replay per sigma against one replay shared by
-// the five columns.
+// the five columns. e-axis: figure9's eleven hybrids at the five
+// cache fractions, one ranking per group (each) against one per family.
 //
 //	go test ./internal/sim -run '^$' -bench CapacityAxis -benchmem
 func BenchmarkCapacityAxis(b *testing.B) {
@@ -471,6 +559,45 @@ func BenchmarkCapacityAxis(b *testing.B) {
 			}
 		})
 	}
+	b.Run("e-axis", func(b *testing.B) {
+		// figure9's axis: eleven hybrids from IB (e = 0) to PB (e = 1)
+		// at the five cache fractions, each group ranking the tape
+		// itself against one ranking for the family.
+		cfg, seed, rp := setup(core.NewPB(), bandwidth.NLANRVariability())
+		g, err := newGroup(atCapacities(caps, cfg.Variation))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfgs := make([]Config, 11)
+		for j := range cfgs {
+			cfgs[j] = cfg
+			if cfgs[j].Policy, err = core.NewHybrid(float64(j) / 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+		gs := slices.Repeat([]group{g}, len(cfgs))
+		cols := slices.Repeat([]column{arena.column(cfg, seed, rp)}, len(cfgs)*len(caps))
+		out, onePass := make([]Metrics, len(cols)), make([]bool, len(cfgs))
+		score := func(b *testing.B, cfgs []Config, gs []group, onePass []bool) {
+			if _, err := scoreSeed(cfgs, gs, rp, cols, out, onePass); err != nil || slices.Contains(onePass, false) {
+				b.Fatalf("one pass %v, %v", onePass, err)
+			}
+		}
+		b.Run("each", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for j := range cfgs {
+					score(b, cfgs[j:j+1], gs[j:j+1], onePass[j:j+1])
+				}
+			}
+		})
+		b.Run("family", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				score(b, cfgs, gs, onePass)
+			}
+		})
+	})
 	b.Run("Variability", func(b *testing.B) {
 		var vars []bandwidth.Variability
 		for _, sigma := range []float64{0, 0.15, 0.25, 0.4, 0.55} {
@@ -561,9 +688,24 @@ func FuzzCapacityPass(f *testing.F) {
 			}
 		}
 	}
+	for seed := range int64(4) {
+		f.Add(seed, uint8(1), uint8(16))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, policy, flags uint8) {
 		cfg, rp, members, cols := randomGroup(t, seed, policy, flags)
 		checkGroup(t, cfg, rp, members, cols)
+		rng := rand.New(rand.NewSource(^seed))
+		family := []core.Policy{core.NewPB(), core.NewIB()}
+		for k := 2 + rng.Intn(2); k > 0; k-- {
+			p, err := core.NewHybrid(rng.Float64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			family = append(family, p)
+		}
+		if onePass := checkFamily(t, cfg, rp, family, members, cols); flags&16 != 0 && onePass[1] {
+			t.Error("IB took the pass though the planted objects tie")
+		}
 	})
 }
 
@@ -576,10 +718,17 @@ var axisPolicies = []string{"IF", "PB", "IB", "PB-V", "IB-V", "LRU", "LFU", "HYB
 // policy picks from axisPolicies; flags%4 picks the oracle, a
 // deliberate underestimate or EWMA, flags&4 whole-object eviction. Each
 // member's column holds one random bandwidth per object — or, with
-// flags&8 and a coin toss of its own, one per request.
+// flags&8 and a coin toss of its own, one per request. flags&16 plants
+// a tie: objects 0 and 1 are one object on paths of 0.75 and 1.5 times
+// its rate, and the tape opens with requests for 0, 1 and 1, so 1's
+// second utility F/b equals 0's first — a tie between an object PB
+// caches and one it does not (its path outruns its rate).
 func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay, []Member, []column) {
 	rng := rand.New(rand.NewSource(seed))
 	objects, requests := 1+rng.Intn(12), 1+rng.Intn(96)
+	if flags&16 != 0 {
+		objects = max(objects, 2)
+	}
 	tp := &tape{objs: make([]core.Object, objects)}
 	var total int64
 	for o := range tp.objs {
@@ -608,6 +757,17 @@ func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay,
 	rp := replay{tape: tp, means: make([]float64, objects)}
 	for o := range rp.means {
 		rp.means[o] = float64(100 + rng.Intn(20000))
+	}
+	if flags&16 != 0 {
+		tp.objs[1] = tp.objs[0]
+		tp.objs[1].ID = 1
+		rp.means[0] = 0.75 * tp.objs[0].Rate
+		rp.means[1] = 2 * rp.means[0]
+		tp.obj, tp.time = append([]uint32{0, 1, 1}, tp.obj...), append([]float64{0.25, 0.5, 0.75}, tp.time...)
+		if partial {
+			tp.watched = append([]int64{tp.objs[0].Size, tp.objs[1].Size, tp.objs[1].Size}, tp.watched...)
+		}
+		requests += 3
 	}
 	name := axisPolicies[int(policy)%len(axisPolicies)]
 	p, err := core.PolicyByName(name, rng.Float64())

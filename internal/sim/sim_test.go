@@ -449,6 +449,55 @@ func TestBandwidthBlindPoliciesIgnoreEstimators(t *testing.T) {
 	}
 }
 
+// TestLFUIsIF: LFU is IF under another name, one Utility and one
+// Target, which is why withDefaults normalises LFU to IF and the arena
+// answers an LFU row from IF's scoring. The trajectories the mapping
+// saves are IF's bit for bit: replayColumns under LFU, set after
+// withDefaults, scores every column at every capacity as IF does, under
+// every estimator and both eviction modes.
+func TestLFUIsIF(t *testing.T) {
+	arena := NewArena()
+	cfg, err := Config{Workload: testWorkload(), Policy: core.NewLFU(), Seed: 3, Arena: arena}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Policy != core.NewIF() {
+		t.Fatalf("LFU normalises to %s, want IF", cfg.Policy.Name())
+	}
+	seed := SplitSeed(cfg.Seed, 0)
+	rp, err := arena.replay(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cols []column
+	for _, v := range []bandwidth.Variability{bandwidth.NoVariation{}, bandwidth.NLANRVariability()} {
+		one := cfg
+		one.Variation = v
+		cols = append(cols, arena.column(one, seed, rp))
+	}
+	for _, whole := range []bool{false, true} {
+		for _, e := range []Estimator{nil, EWMA{0.3}, Underestimate{0.5}, ActiveProbe{0.1}} {
+			frequency, lfu := cfg, cfg
+			frequency.Estimator, frequency.WholeObjectEviction = e, whole
+			lfu.Policy, lfu.Estimator, lfu.WholeObjectEviction = core.NewLFU(), e, whole
+			for _, cb := range []int64{cachePct(0.5), cachePct(5), cachePct(17)} {
+				for k := range cols {
+					var got, want [1]Metrics
+					if err := replayColumns(frequency, rp, cb, cols[k:k+1], want[:]); err != nil {
+						t.Fatal(err)
+					}
+					if err := replayColumns(lfu, rp, cb, cols[k:k+1], got[:]); err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("at %d under %#v, whole=%v, column %d:\n got %+v\nwant %+v, IF's", cb, e, whole, k, got[0], want[0])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestUnderestimateIsOracleOverScaledMeans holds Underestimate{E} to
 // its definition, the oracle over means scaled by E: its cache follows,
 // request for request, the trajectory of an oracle run whose paths draw
