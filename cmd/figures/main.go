@@ -202,6 +202,8 @@ func run() error {
 		}
 		start, cpu := time.Now(), cpuTime()
 		s.Counters = &experiments.Counters{} // per table
+		passes0, fallbacks0, shared0, reused0 := s.Arena.Groups()
+		ranks0 := s.Arena.Ranks()
 		name, rows, err := streamExperiment(e, s, j, collector, stem, filepath.Join(*out, file), *jsonl)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Key, err)
@@ -214,13 +216,14 @@ func run() error {
 				s.Counters.Evaluations.Load(), s.Counters.ExchangeHits.Load(),
 				time.Duration(s.Counters.ExchangeWaitNanos.Load()).Round(time.Millisecond))
 		}
-		// Groups of cache sizes scored in one tape pass, run seeds that
-		// replayed once per capacity instead, points that shared another
-		// point's cache replay, points another table's group call scored
-		// and the utility sorts the passes made.
-		fmt.Printf("  passes=%d fallbacks=%d shared=%d reused=%d ranks=%d", s.Counters.CapacityPasses.Load(),
-			s.Counters.CapacityFallbacks.Load(), s.Counters.SharedReplays.Load(), s.Counters.ReusedMembers.Load(),
-			s.Counters.Rankings.Load())
+		// What the arena's group calls did for the table (sim.Arena.Groups,
+		// Ranks): groups of cache sizes scored in one tape pass, run seeds
+		// that replayed once per capacity instead, points that shared
+		// another point's cache replay, points another table's group call
+		// scored and the utility sorts the passes made.
+		passes, fallbacks, shared, reused := s.Arena.Groups()
+		fmt.Printf("  passes=%d fallbacks=%d shared=%d reused=%d ranks=%d", passes-passes0,
+			fallbacks-fallbacks0, shared-shared0, reused-reused0, s.Arena.Ranks()-ranks0)
 		// The process's CPU time over the table (tables run one after
 		// another) and the tapes and columns the arena still holds. A
 		// script reads the fields up to evals= by position

@@ -12,65 +12,51 @@ package core
 // observed frequency. With the network retrieval cost (size/bandwidth),
 // the popularity-aware key becomes L + F/b - exactly the paper's
 // bandwidth-based utility plus aging, which makes the comparison
-// sharp. The policies here are values: Utility is the cost/size term,
-// and the Cache that uses one keeps L (see Ages).
-
-// GDSCost computes the retrieval cost of an object given the estimated
-// path bandwidth.
-type GDSCost func(obj Object, bw float64) float64
+// sharp. The policies here are comparable values like every other
+// built-in policy: Utility is the cost/size term, and the Cache that
+// uses one keeps L (see Ages).
 
 // gdsPolicy implements GreedyDual-Size with optional popularity
-// weighting.
+// weighting. The retrieval cost is 1, or size/bandwidth with
+// networkCost.
 type gdsPolicy struct {
-	name       string
-	cost       GDSCost
-	popularity bool
+	name        string
+	networkCost bool
+	popularity  bool
 }
 
 // NewGDS returns classic GreedyDual-Size with uniform retrieval cost
 // (H = L + 1/size): optimizes object hit ratio.
-func NewGDS() Policy {
-	return &gdsPolicy{
-		name: "GDS",
-		cost: func(Object, float64) float64 { return 1 },
-	}
-}
+func NewGDS() Policy { return gdsPolicy{name: "GDS"} }
 
 // NewGDSBandwidth returns GreedyDual-Size with the network retrieval
 // cost size/bandwidth (H = L + 1/b): favors objects behind slow paths.
-func NewGDSBandwidth() Policy {
-	return &gdsPolicy{
-		name: "GDS-BW",
-		cost: func(obj Object, bw float64) float64 { return float64(obj.Size) / effBW(bw) },
-	}
-}
+func NewGDSBandwidth() Policy { return gdsPolicy{name: "GDS-BW", networkCost: true} }
 
 // NewGDSP returns the popularity-aware GreedyDual-Size of Jin &
 // Bestavros [17] with the network retrieval cost (H = L + F/b).
-func NewGDSP() Policy {
-	return &gdsPolicy{
-		name:       "GDSP-BW",
-		cost:       func(obj Object, bw float64) float64 { return float64(obj.Size) / effBW(bw) },
-		popularity: true,
-	}
-}
+func NewGDSP() Policy { return gdsPolicy{name: "GDSP-BW", networkCost: true, popularity: true} }
 
 // Ages reports whether p is of the GreedyDual-Size family, whose keys a
 // Cache ages: it adds its inflation value L to p's utility and raises L
 // on every eviction. An aging cache's state depends on its eviction
 // history, which is why the capacity pass of internal/sim refuses it.
 func Ages(p Policy) bool {
-	_, ok := p.(*gdsPolicy)
+	_, ok := p.(gdsPolicy)
 	return ok
 }
 
-func (p *gdsPolicy) Name() string { return p.name }
+func (p gdsPolicy) Name() string { return p.name }
 
-func (p *gdsPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
+func (p gdsPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
 	if obj.Size <= 0 {
 		return 0
 	}
-	h := p.cost(obj, bw) / float64(obj.Size)
+	cost := 1.0
+	if p.networkCost {
+		cost = float64(obj.Size) / effBW(bw)
+	}
+	h := cost / float64(obj.Size)
 	if p.popularity {
 		h *= float64(st.Freq)
 	}
@@ -78,7 +64,7 @@ func (p *gdsPolicy) Utility(st AccessStats, obj Object, bw float64) float64 {
 }
 
 // Target caches whole objects: GDS is an integral policy.
-func (p *gdsPolicy) Target(obj Object, _ float64) int64 { return obj.Size }
+func (p gdsPolicy) Target(obj Object, _ float64) int64 { return obj.Size }
 
 // ReadsBandwidth reports whether p's Utility or Target may read its
 // bandwidth argument: IF, LFU and LRU do not, so internal/sim scores

@@ -13,10 +13,11 @@ var ErrBadPolicy = errors.New("core: invalid policy")
 // prefix bytes it should occupy, given the current access statistics and
 // the estimated bandwidth b (bytes/s) of the path to the object's origin
 // server. A Policy is a value: Utility and Target are pure functions of
-// their arguments, so one instance may serve any number of caches. The
-// built-in policies other than the GreedyDual-Size family are also
-// comparable: two constructions with the same parameters are ==, which
-// is what lets internal/sim recognise one configuration across tables.
+// their arguments, so one instance may serve any number of caches. Every
+// built-in policy is also comparable: two constructions with the same
+// parameters are ==, which is what lets internal/sim recognise one
+// configuration across tables. internal/sim refuses a policy that is
+// not comparable.
 type Policy interface {
 	// Name identifies the policy (IF, PB, IB, ...).
 	Name() string

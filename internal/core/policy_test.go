@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"streamcache/internal/units"
@@ -33,10 +34,10 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
-// TestPoliciesComparable: every built-in policy but the GreedyDual-Size
-// family is a comparable value, so two constructions with the same
-// parameters are == and differ from any other parameters — the identity
-// internal/sim keys its cross-table answers by.
+// TestPoliciesComparable: every built-in policy, the GreedyDual-Size
+// family included, is a comparable value, so two constructions with the
+// same parameters are == and differ from any other parameters — the
+// identity internal/sim keys its cross-table answers by.
 func TestPoliciesComparable(t *testing.T) {
 	hybrid := func(e float64) Policy {
 		p, err := NewHybrid(e)
@@ -53,7 +54,7 @@ func TestPoliciesComparable(t *testing.T) {
 		return p
 	}
 	builds := []func() Policy{
-		NewIF, NewLFU, NewLRU, NewPB, NewIB, NewPBV, NewIBV,
+		NewIF, NewLFU, NewLRU, NewPB, NewIB, NewPBV, NewIBV, NewGDS, NewGDSBandwidth, NewGDSP,
 		func() Policy { return hybrid(0.5) }, func() Policy { return hybrid(0.6) },
 		func() Policy { return hybridV(0.5) }, func() Policy { return hybridV(0.6) },
 	}
@@ -325,15 +326,27 @@ func TestPoliciesHandleZeroBandwidth(t *testing.T) {
 	}
 }
 
+// TestPolicyByName: every name it knows builds a value, so two builds
+// are == (internal/sim refuses a policy that cannot key a map), and the
+// GreedyDual-Size family, and only it, ages.
 func TestPolicyByName(t *testing.T) {
-	for _, name := range []string{"IF", "PB", "IB", "PB-V", "IB-V", "LRU", "LFU", "HYBRID", "HYBRID-V"} {
+	for _, name := range []string{"IF", "PB", "IB", "PB-V", "PBV", "IB-V", "IBV", "LRU", "LFU",
+		"HYBRID", "Hybrid", "HYBRID-V", "HybridV", "GDS", "GDS-BW", "GDSBW", "GDSP", "GDSP-BW"} {
 		p, err := PolicyByName(name, 0.5)
 		if err != nil {
 			t.Errorf("PolicyByName(%q) error: %v", name, err)
 			continue
 		}
-		if p == nil {
-			t.Errorf("PolicyByName(%q) = nil", name)
+		if again, _ := PolicyByName(name, 0.5); p != again {
+			t.Errorf("PolicyByName(%q) built twice: %#v != %#v", name, p, again)
+		}
+		if ages := strings.HasPrefix(name, "GDS"); Ages(p) != ages {
+			t.Errorf("Ages(%s) = %v, want %v", name, Ages(p), ages)
+		}
+	}
+	for _, p := range []Policy{NewGDS(), NewGDSBandwidth(), NewGDSP()} {
+		if !Ages(p) {
+			t.Errorf("Ages(%s) = false: the cache would not age a GreedyDual-Size policy", p.Name())
 		}
 	}
 	if _, err := PolicyByName("NOPE", 0); err == nil {

@@ -11,6 +11,23 @@ import (
 	"streamcache/internal/sim"
 )
 
+// arenaWork runs f and returns what the group calls of a did meanwhile,
+// in the order cmd/figures prints them per table: passes, fallbacks,
+// shared, reused and ranks (sim.Arena.Groups, sim.Arena.Ranks).
+func arenaWork(a *sim.Arena, f func()) [5]int64 {
+	read := func() [5]int64 {
+		passes, fallbacks, shared, reused := a.Groups()
+		return [5]int64{passes, fallbacks, shared, reused, a.Ranks()}
+	}
+	before := read()
+	f()
+	after := read()
+	for i := range after {
+		after[i] -= before[i]
+	}
+	return after
+}
+
 // TestFigure5CapacityPasses pins which of figure5's cache-size groups
 // one tape pass scores at small scale: PB's and IB's, while IF's
 // integer utilities tie on every run seed, so each falls back; every
@@ -19,19 +36,21 @@ func TestFigure5CapacityPasses(t *testing.T) {
 	s := SmallScale()
 	s.Arena, s.Counters = sim.NewArena(), &Counters{}
 	var ts TableSink
-	if err := Stream("figure5", s, &ts); err != nil {
+	var err error
+	w := arenaWork(s.Arena, func() { err = Stream("figure5", s, &ts) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	c := s.Counters
-	if p, f, e := c.CapacityPasses.Load(), c.CapacityFallbacks.Load(), c.Evaluations.Load(); p != 2 || f != int64(s.Runs) || e != 15 {
+	if p, f, e := w[0], w[1], s.Counters.Evaluations.Load(); p != 2 || f != int64(s.Runs) || e != 15 {
 		t.Errorf("figure5: passes=%d fallbacks=%d evaluations=%d, want 2 (PB, IB), %d (IF's seeds) and 15", p, f, e, s.Runs)
 	}
 	s = tinyScale()
-	s.Counters = &Counters{}
-	if err := Stream("hierarchy", s, &ts); err != nil {
+	s.Arena = sim.NewArena()
+	w = arenaWork(s.Arena, func() { err = Stream("hierarchy", s, &ts) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p, f, sh := s.Counters.CapacityPasses.Load(), s.Counters.CapacityFallbacks.Load(), s.Counters.SharedReplays.Load(); p != 0 || f != 0 || sh != 0 {
+	if p, f, sh := w[0], w[1], w[2]; p != 0 || f != 0 || sh != 0 {
 		t.Errorf("hierarchy: passes=%d fallbacks=%d shared=%d, want none", p, f, sh)
 	}
 }
@@ -90,11 +109,12 @@ func TestGroupCounts(t *testing.T) {
 	for _, e := range Experiments() {
 		s.Counters = &Counters{}
 		var rows TableSink
-		if err := e.Stream(s, &rows); err != nil {
+		var err error
+		got := arenaWork(s.Arena, func() { err = e.Stream(s, &rows) })
+		if err != nil {
 			t.Fatalf("%s: %v", e.Key, err)
 		}
 		c := s.Counters
-		got := [5]int64{c.CapacityPasses.Load(), c.CapacityFallbacks.Load(), c.SharedReplays.Load(), c.ReusedMembers.Load(), c.Rankings.Load()}
 		if w, ok := want[e.Key]; ok && got != w {
 			t.Errorf("%s: passes, fallbacks, shared, reused, ranks = %v, want %v", e.Key, got, w)
 		}
@@ -139,13 +159,13 @@ func TestCapacityGroupsHoldOwnedRows(t *testing.T) {
 			for idx := range in {
 				s := base
 				s.Shard = Shard{Index: idx, Count: 2}
-				s.Counters = &Counters{}
+				s.Arena = sim.NewArena()
 				path := filepath.Join(dir, "journal-"+strconv.Itoa(idx)+".jsonl")
-				journaledStream(t, tc.key, s, path, false)
-				c := s.Counters
-				if got := [3]int64{c.CapacityPasses.Load(), c.CapacityFallbacks.Load(), c.SharedReplays.Load()}; got != tc.want[idx] {
+				w := arenaWork(s.Arena, func() { journaledStream(t, tc.key, s, path, false) })
+				if got := [3]int64{w[0], w[1], w[2]}; got != tc.want[idx] {
 					t.Errorf("shard %d: passes, fallbacks, shared = %v, want %v", idx, got, tc.want[idx])
 				}
+				s.Arena = nil // the resumed shard is a process of its own
 				full, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)

@@ -52,15 +52,16 @@ func TestDeclaredTablesByteIdentical(t *testing.T) {
 			}
 			reused := map[string]int64{}
 			for _, key := range keys {
-				s.Counters = &Counters{}
 				var csv bytes.Buffer
-				if err := Stream(key, s, NewCSVSink(&csv)); err != nil {
+				var err error
+				w := arenaWork(s.Arena, func() { err = Stream(key, s, NewCSVSink(&csv)) })
+				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(csv.Bytes(), want[key]) {
 					t.Errorf("%s after Declare:\n%s\nwant:\n%s", key, csv.String(), want[key])
 				}
-				reused[key] = s.Counters.ReusedMembers.Load()
+				reused[key] = w[3]
 			}
 			// figure7 is figure5 under NLANR variability: all 15 rows come
 			// from figure5's calls. ablation-estimators' 5 oracle rows are

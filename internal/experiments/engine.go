@@ -343,8 +343,6 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 	if s.Arena == nil {
 		s.Arena = sim.NewArena()
 	}
-	passes0, fallbacks0, shared0, reused0 := s.Arena.Groups()
-	ranks0 := s.Arena.Ranks()
 	p, err := e.build(s)
 	if err != nil {
 		return err
@@ -356,16 +354,7 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 		s.Arena.Hold(p.meta.Name, cfgsOf(p.coarse))
 		defer s.Arena.Drop(p.meta.Name)
 	}
-	err = stream(s, p, sink)
-	if s.Counters != nil {
-		passes, fallbacks, shared, reused := s.Arena.Groups()
-		s.Counters.CapacityPasses.Add(passes - passes0)
-		s.Counters.CapacityFallbacks.Add(fallbacks - fallbacks0)
-		s.Counters.SharedReplays.Add(shared - shared0)
-		s.Counters.ReusedMembers.Add(reused - reused0)
-		s.Counters.Rankings.Add(s.Arena.Ranks() - ranks0)
-	}
-	return err
+	return stream(s, p, sink)
 }
 
 // Experiments returns the full suite in paper order: Table 1 and

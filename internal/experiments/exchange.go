@@ -31,33 +31,16 @@ type MetricExchange interface {
 // Counters accumulates scheduler telemetry for one run. Attach one via
 // Scale.Counters to observe how much simulation work this process
 // actually performed — the benchmark metric behind the O(total/N)
-// sharded-refinement contract. All fields are safe for concurrent use.
+// sharded-refinement contract. It counts what the scheduler decides;
+// how the simulated points were scored (capacity passes, shared
+// replays, reused answers, rankings) the arena counts itself
+// (sim.Arena.Groups, sim.Arena.Ranks). All fields are safe for
+// concurrent use.
 type Counters struct {
 	// Evaluations counts sweep points this process simulated (journal
 	// replays and exchange fetches are not evaluations), however they
 	// were scored.
 	Evaluations atomic.Int64
-	// CapacityPasses counts the groups of two or more cache sizes scored
-	// in one tape pass per run seed (sim.RunGroup), and
-	// CapacityFallbacks the run seeds of such a group replayed per
-	// capacity instead — every seed of an IF, LFU or GreedyDual group, of
-	// an estimator other than the oracle, of whole-object eviction, or
-	// with a utility tie. SharedReplays counts the points scored without
-	// a cache replay of their own: the members of an oracle group that
-	// share a cache size, and so a trajectory, with another member —
-	// all but one per size (sim.Arena.Groups; tables streamed
-	// concurrently over one arena each count what happened meanwhile).
-	CapacityPasses, CapacityFallbacks, SharedReplays atomic.Int64
-	// ReusedMembers counts the points whose Metrics were in the arena
-	// before their round asked for them — scored by an earlier round,
-	// usually another table's (Declare; sim.Arena.ScorePending) — and so
-	// not simulated for this table at all.
-	ReusedMembers atomic.Int64
-	// Rankings counts the utility sorts the capacity passes made: one per
-	// run seed of a family of groups whose policies rank alike — PB, IB
-	// and the hybrids of one configuration — however many of its groups
-	// read it (sim.Arena.Ranks).
-	Rankings atomic.Int64
 	// ExchangeHits counts foreign points resolved through the
 	// MetricExchange instead of being re-simulated locally.
 	ExchangeHits atomic.Int64

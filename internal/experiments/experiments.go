@@ -72,8 +72,8 @@ type Scale struct {
 	// from Fingerprint: it cannot change any row.
 	Exchange MetricExchange
 	// Counters, when non-nil, accumulates scheduler telemetry (points
-	// actually simulated, exchange hits and waits, tape compiles) for
-	// this process. Excluded from Fingerprint: observation only.
+	// actually simulated, exchange hits and waits) for this process.
+	// Excluded from Fingerprint: observation only.
 	Counters *Counters
 	// Arena, when non-nil, is shared by every experiment run at this
 	// scale, so sizing workloads, replay tapes and synthetic logs are

@@ -18,8 +18,8 @@ import (
 // benchKeys are the tables bench/'s sweep workloads regenerate.
 var benchKeys = []string{"figure5", "figure6", "figure7", "figure9", "refined-e", "refined-esigma", "hierarchy"}
 
-// work is what one process did for one table: the Counters a sharded
-// sweep splits between its shards.
+// work is what one process did for one table: the evaluations and the
+// arena counts a sharded sweep splits between its shards.
 type work struct{ evals, passes, fallbacks, shared, reused int64 }
 
 func (w work) add(o work) work {
@@ -43,12 +43,13 @@ func figureSet(t *testing.T, s Scale, keys []string, st *memStore) (map[string][
 		if st != nil {
 			sink = append(sink, &memSink{st: st})
 		}
-		if err := Stream(key, s, sink); err != nil {
+		var err error
+		w := arenaWork(s.Arena, func() { err = Stream(key, s, sink) })
+		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", key, err)
 		}
-		c := s.Counters
 		out[key] = buf.Bytes()
-		did[key] = work{c.Evaluations.Load(), c.CapacityPasses.Load(), c.CapacityFallbacks.Load(), c.SharedReplays.Load(), c.ReusedMembers.Load()}
+		did[key] = work{s.Counters.Evaluations.Load(), w[0], w[1], w[2], w[3]}
 	}
 	return out, did, nil
 }

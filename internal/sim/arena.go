@@ -12,7 +12,10 @@
 // Sharing contract (DESIGN.md §5a): everything the arena hands out is
 // immutable and shared across goroutines. Callers (and policies they
 // configure) must not mutate a returned Workload, []float64 or tape
-// column.
+// column. The keys hold the configuration's own values — its base
+// model and variability among them — so every one must be comparable:
+// Config.withDefaults and Trace refuse any other with ErrBadConfig,
+// and nothing is compiled outside the memo maps.
 //
 // Release rule: the arena forgets a tape or bandwidth column as soon as
 // nothing can still read it. After each family of groups it scores,
@@ -24,6 +27,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -119,14 +123,10 @@ type rateKey struct {
 	variation bandwidth.Variability
 }
 
-// dynComparable reports whether v's dynamic value can be used inside a
-// map key without panicking. Nil interface values compare fine.
-func dynComparable(v any) bool {
-	if v == nil {
-		return true
-	}
-	return reflect.TypeOf(v).Comparable()
-}
+// keyable reports whether v can key a map without panicking: whether
+// every interface value it holds, however deep, is nil or of a
+// comparable dynamic type.
+func keyable(v any) bool { return reflect.ValueOf(v).Comparable() }
 
 // samplePathMeans draws one mean bandwidth per object path, exactly as
 // an unmemoized run does.
@@ -153,13 +153,9 @@ func (a *Arena) Workload(cfg workload.Config) (*workload.Workload, error) {
 }
 
 // PathMeans returns the (possibly cached) per-path mean bandwidths drawn
-// from base with the given RNG seed for n paths. Memoization requires a
-// comparable model value; non-comparable models sample fresh, with
-// identical results either way.
+// from base with the given RNG seed for n paths. base keys the arena, so
+// it must be a comparable value, as Config.withDefaults requires.
 func (a *Arena) PathMeans(base bandwidth.Model, seed int64, n int) []float64 {
-	if !dynComparable(base) {
-		return samplePathMeans(base, seed, n)
-	}
 	means, _ := memoize(a, a.paths, pathKey{base: base, seed: seed, n: n}, func() ([]float64, error) {
 		return samplePathMeans(base, seed, n), nil
 	})
@@ -169,14 +165,13 @@ func (a *Arena) PathMeans(base bandwidth.Model, seed int64, n int) []float64 {
 // Trace returns the (possibly cached) synthetic access log generated
 // from cfg. Figures 2 and 3 analyze the same log shape at two
 // variability settings, and a sweep-shared arena generates each
-// distinct GenConfig exactly once. Memoization requires a comparable
-// config (Base/Variation are interface fields: share model singletons
-// like bandwidth.NLANR()); non-comparable configs generate fresh, with
-// identical entries either way. The returned slice is shared and must
-// not be mutated.
+// distinct GenConfig exactly once. cfg keys the arena, so its Base and
+// Variation must be comparable values (share model singletons like
+// bandwidth.NLANR()); any other is ErrBadConfig, as in a Config. The
+// returned slice is shared and must not be mutated.
 func (a *Arena) Trace(cfg trace.GenConfig) ([]trace.Entry, error) {
-	if !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
-		return trace.Generate(cfg)
+	if !keyable(cfg) {
+		return nil, fmt.Errorf("%w: trace Base %T and Variation %T must be comparable values: every configuration keys the arena", ErrBadConfig, cfg.Base, cfg.Variation)
 	}
 	return memoize(a, a.traces, cfg, func() ([]trace.Entry, error) { return trace.Generate(cfg) })
 }

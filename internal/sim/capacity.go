@@ -40,7 +40,6 @@ package sim
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -98,7 +97,7 @@ func runFamily(cfgs []Config, members [][]Member) ([][]Metrics, error) {
 		if cfgs[j], err = cfgs[j].normalize(); err != nil {
 			return nil, err
 		}
-		if gs[j], err = newGroup(members[j]); err != nil {
+		if gs[j], err = newGroup(cfgs[j], members[j]); err != nil {
 			return nil, err
 		}
 		width += len(members[j])
@@ -162,20 +161,22 @@ type group struct {
 	caps    []int64
 }
 
-func newGroup(members []Member) (group, error) {
+// newGroup returns the group of members under cfg, each member
+// validated and defaulted as cfg at its capacity and variability is.
+func newGroup(cfg Config, members []Member) (group, error) {
 	g := group{members: make([]Member, len(members)), order: make([]int, len(members))}
-	for k, m := range members {
-		if m.CacheBytes < 0 {
-			return group{}, fmt.Errorf("%w: capacity %d", ErrBadConfig, m.CacheBytes)
-		}
+	for k := range members {
 		g.order[k] = k
 	}
 	slices.SortStableFunc(g.order, func(a, b int) int { return cmp.Compare(members[a].CacheBytes, members[b].CacheBytes) })
 	for k, i := range g.order {
-		m := members[i]
-		if m.Variation == nil {
-			m.Variation = bandwidth.NoVariation{} // constant bandwidth, as in Config
+		one := cfg
+		one.CacheBytes, one.Variation = members[i].CacheBytes, members[i].Variation
+		one, err := one.withDefaults()
+		if err != nil {
+			return group{}, err
 		}
+		m := Member{one.CacheBytes, one.Variation}
 		g.members[k] = m
 		if k == 0 || m.CacheBytes != g.caps[len(g.caps)-1] {
 			g.caps = append(g.caps, m.CacheBytes)

@@ -49,7 +49,7 @@ func atCapacities(caps []int64, v bandwidth.Variability) []Member {
 // member, and reports whether the pass scored it.
 func checkGroup(t *testing.T, cfg Config, rp replay, members []Member, cols []column) (onePass bool) {
 	t.Helper()
-	g, err := newGroup(members)
+	g, err := newGroup(cfg, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func checkGroup(t *testing.T, cfg Config, rp replay, members []Member, cols []co
 // groups the pass scored. The policies must rank alike (core.Ranker).
 func checkFamily(t *testing.T, cfg Config, rp replay, policies []core.Policy, members []Member, cols []column) []bool {
 	t.Helper()
-	g, err := newGroup(members)
+	g, err := newGroup(cfg, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestCapacityPassSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := cfg.Arena.column(cfg, seed, rp)
-	g, err := newGroup(atCapacities([]int64{cachePct(0.5), cachePct(2), cachePct(5), cachePct(10), cachePct(16.9)}, cfg.Variation))
+	g, err := newGroup(cfg, atCapacities([]int64{cachePct(0.5), cachePct(2), cachePct(5), cachePct(10), cachePct(16.9)}, cfg.Variation))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func BenchmarkCapacityAxis(b *testing.B) {
 	}
 	for _, p := range []core.Policy{core.NewPB(), core.NewIB(), hybrid} {
 		cfg, seed, rp := setup(p, bandwidth.NLANRVariability())
-		g, err := newGroup(atCapacities(caps, cfg.Variation))
+		g, err := newGroup(cfg, atCapacities(caps, cfg.Variation))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -564,7 +564,7 @@ func BenchmarkCapacityAxis(b *testing.B) {
 		// at the five cache fractions, each group ranking the tape
 		// itself against one ranking for the family.
 		cfg, seed, rp := setup(core.NewPB(), bandwidth.NLANRVariability())
-		g, err := newGroup(atCapacities(caps, cfg.Variation))
+		g, err := newGroup(cfg, atCapacities(caps, cfg.Variation))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,7 +34,8 @@
 // mean bandwidths and the per-request bandwidth draws — and shares it
 // across the runs and sweep points of one experiment, keyed strictly by
 // the inputs that determine it: a memoized run is bit-identical to a
-// fresh one. A Run whose Config.Arena is nil gets an arena of its own
+// fresh one. Every configuration keys the arena, so a Policy, Base or
+// Variation that is not a comparable value is ErrBadConfig. A Run whose Config.Arena is nil gets an arena of its own
 // for the length of the call — one replay path, nothing retained after
 // it returns. Everything the arena hands out is immutable and shared
 // across goroutines: callers (and policies they configure) must not

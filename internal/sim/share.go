@@ -15,9 +15,12 @@
 // whichever round scored them and whatever else that round scored
 // (DESIGN.md §5a "Groups across calls"). The share key is also the one
 // rule for which points are scored together, and every simulated point,
-// flat or hierarchy, oracle or estimator, has one. ScorePending is the
-// only code that reads or writes the answers: Run, RunGroup and
-// RunHierarchy score what they are asked and never consult them.
+// flat or hierarchy, oracle or estimator, has one: withDefaults refuses
+// a policy, base model or variability that cannot key a map, so each
+// point takes one path — key, family, one scoring call — and every
+// answer is stored. ScorePending is the only code that reads or writes
+// the answers: Run, RunGroup and RunHierarchy score what they are asked
+// and never consult them.
 //
 // The declared members are also the arena's view of the future: after
 // each family of groups it scores, ScorePending releases every tape and
@@ -35,30 +38,27 @@ import (
 	"streamcache/internal/workload"
 )
 
-// shareOf returns the share key and member of a normalised cfg, or
-// false when its answer cannot be stored: a policy, base model or
-// variability that is not comparable cannot key a map. The key is cfg
-// itself with the arena and the worker bound zeroed, and with the member
-// fields zeroed too where members share a cache trajectory: a flat
-// configuration whose estimator does not observe what a request got
-// (withDefaults drops a bandwidth-blind policy's). Any other — an
+// shareOf returns the share key and member of a normalised cfg. The key
+// is cfg itself with the arena and the worker bound zeroed, and with the
+// member fields zeroed too where members share a cache trajectory: a
+// flat configuration whose estimator does not observe what a request
+// got (withDefaults drops a bandwidth-blind policy's). Any other — an
 // observing estimator's, a hierarchy's — keeps its member in the key.
-func shareOf(cfg HierarchyConfig) (HierarchyConfig, Member, bool) {
+// Every normalised cfg keys a map: withDefaults refuses a policy, base
+// model or variability that is not a comparable value.
+func shareOf(cfg HierarchyConfig) (HierarchyConfig, Member) {
 	m := Member{cfg.CacheBytes, cfg.Variation}
-	if !dynComparable(cfg.Policy) || !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
-		return HierarchyConfig{}, m, false
-	}
 	cfg.Arena, cfg.Parallelism = nil, 0
 	if cfg.Levels == 0 && !cfg.observes() {
 		cfg.CacheBytes, cfg.Variation = 0, nil
 	}
-	return cfg, m, true
+	return cfg, m
 }
 
 // GroupOf is the one rule for which configurations are scored together:
 // ids[i] is the group of cfgs[i] — the configurations with one share key
 // — numbered in order of first appearance, or -1 for a configuration
-// that fails to normalise or whose answer cannot be stored.
+// that fails to normalise.
 // ScorePending scores each group in one call, one family of groups
 // whose policies rank alike at a time, and a sharded sweep hands each
 // group of a round to one shard. It reads nothing but cfgs, so every
@@ -82,10 +82,7 @@ func groupOf(cfgs []HierarchyConfig) (ids []int, norm []HierarchyConfig, first e
 			continue
 		}
 		norm[i] = cfg
-		key, _, ok := shareOf(cfg)
-		if !ok {
-			continue
-		}
+		key, _ := shareOf(cfg)
 		id, ok := seen[key]
 		if !ok {
 			id = len(seen)
@@ -106,9 +103,7 @@ type shareEntry struct {
 
 // Declare records cfg's member — its CacheBytes and Variation — as one
 // that a later ScorePending call will score with the members of cfg's
-// share key that its own round asks for. A configuration whose answer
-// cannot be stored (a policy, base model or variability that is not
-// comparable) is not recorded.
+// share key that its own round asks for.
 func (a *Arena) Declare(cfg HierarchyConfig) error {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -122,14 +117,10 @@ func (a *Arena) Declare(cfg HierarchyConfig) error {
 
 // declare records a normalised cfg's member as pending under its share
 // key unless it is pending or answered already, returns the key's entry
-// and the member, and reports whether the member was answered; e is nil,
-// and nothing is recorded, when cfg's answer cannot be stored. The
+// and the member, and reports whether the member was answered. The
 // caller holds a.store.
 func (a *Arena) declare(cfg HierarchyConfig) (e *shareEntry, m Member, answered bool) {
-	key, m, ok := shareOf(cfg)
-	if !ok {
-		return nil, m, false
-	}
+	key, m := shareOf(cfg)
 	e = a.answers[key]
 	if e == nil {
 		e = &shareEntry{answers: map[Member]Metrics{}}
@@ -150,31 +141,23 @@ func (a *Arena) declare(cfg HierarchyConfig) (e *shareEntry, m Member, answered 
 // family, RunHierarchy for a hierarchy point. A family is the groups
 // whose keys differ only in policies that rank alike (familyOf), so each
 // run seed ranks its tape once for all of them; any other group is a
-// family of its own. A cfg whose answer cannot be stored is scored alone
-// and remembered nowhere. ms[i] is cfgs[i]'s Metrics; a cfg that fails
-// to normalise fails the call before anything is scored. The store lock
-// is held throughout, so no member is scored twice; the cfgs whose
-// member was answered before the call count as reused (Groups). After
-// each family the call releases the tapes and columns nothing can still
-// read.
+// family of its own. Every answer is stored. ms[i] is cfgs[i]'s
+// Metrics; a cfg that fails to normalise fails the call before anything
+// is scored. The store lock is held throughout, so no member is scored
+// twice; the cfgs whose member was answered before the call count as
+// reused (Groups). After each family the call releases the tapes and
+// columns nothing can still read.
 func (a *Arena) ScorePending(cfgs []HierarchyConfig, parallelism int) (ms []Metrics, err error) {
 	ids, norm, err := groupOf(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	var groups [][]int // the cfgs of each group, by index, then each cfg of none alone
+	var groups [][]int // the cfgs of each group, by index
 	for i, id := range ids {
 		if id == len(groups) { // ids number groups by first appearance
 			groups = append(groups, nil)
 		}
-		if id >= 0 {
-			groups[id] = append(groups[id], i)
-		}
-	}
-	for i, id := range ids {
-		if id < 0 {
-			groups = append(groups, []int{i})
-		}
+		groups[id] = append(groups[id], i)
 	}
 	ms = make([]Metrics, len(cfgs))
 	if len(groups) == 0 {
@@ -195,7 +178,7 @@ func (a *Arena) ScorePending(cfgs []HierarchyConfig, parallelism int) (ms []Metr
 	a.store.Lock()
 	defer a.store.Unlock()
 	for f, fam := range fams {
-		if err := a.scoreFamily(norm, fam, ids[fam[0][0]] >= 0, parallelism, ms); err != nil {
+		if err := a.scoreFamily(norm, fam, parallelism, ms); err != nil {
 			return nil, err
 		}
 		a.release(norm, slices.Concat(fams[f+1:]...))
@@ -206,30 +189,21 @@ func (a *Arena) ScorePending(cfgs []HierarchyConfig, parallelism int) (ms []Metr
 // familyOf returns the family key of a normalised cfg — its share key
 // with the policy replaced by its core.Ranker — or false where its group
 // is a family of its own: a hierarchy never takes the capacity pass, nor
-// does a configuration that does not let it be exact (takesPass), and an
-// answer that cannot be stored has no key.
+// does a configuration that does not let it be exact (takesPass).
 func familyOf(cfg HierarchyConfig) (HierarchyConfig, bool) {
-	key, _, ok := shareOf(cfg)
-	if !ok || cfg.Levels != 0 || !cfg.takesPass() {
+	if cfg.Levels != 0 || !cfg.takesPass() {
 		return HierarchyConfig{}, false
 	}
+	key, _ := shareOf(cfg)
 	key.Policy = core.Ranker(key.Policy)
 	return key, true
 }
 
 // scoreFamily fills ms[i] for the cfgs of one family's groups (fam[j]
-// lists group j's cfgs by index): with keyed set, it declares their
-// members and scores every member of their share keys still pending, all
-// the groups in one call; otherwise it scores the family's one cfg alone
-// and stores nothing. The caller holds a.store.
-func (a *Arena) scoreFamily(norm []HierarchyConfig, fam [][]int, keyed bool, parallelism int, ms []Metrics) error {
-	if !keyed {
-		cfg := norm[fam[0][0]]
-		cfg.Arena, cfg.Parallelism = a, parallelism
-		var err error
-		ms[fam[0][0]], err = RunHierarchy(cfg)
-		return err
-	}
+// lists group j's cfgs by index): it declares their members and scores
+// every member of their share keys still pending, all the groups in one
+// call. The caller holds a.store.
+func (a *Arena) scoreFamily(norm []HierarchyConfig, fam [][]int, parallelism int, ms []Metrics) error {
 	entries := make([]*shareEntry, len(fam))
 	members := make([][]Member, len(fam))
 	var cfgs []HierarchyConfig
@@ -285,12 +259,11 @@ type reads struct {
 }
 
 // readsOf returns what scoring the normalised cfg reads. A hierarchy
-// reads tapes only; a base or variability that cannot key a map
-// compiles its columns privately, so those are not named.
+// reads tapes only.
 func readsOf(cfg HierarchyConfig) reads {
 	r := reads{workload: cfg.Workload, seed: cfg.Seed, runs: cfg.Runs}
 	r.workload.Seed = 0
-	if cfg.Levels == 0 && dynComparable(cfg.Base) && dynComparable(cfg.Variation) {
+	if cfg.Levels == 0 {
 		r.base, r.variation = cfg.Base, cfg.Variation
 	}
 	return r

@@ -11,6 +11,7 @@ import (
 
 	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
+	"streamcache/internal/trace"
 	"streamcache/internal/units"
 	"streamcache/internal/workload"
 )
@@ -119,13 +120,11 @@ func cfgsAt(cfg HierarchyConfig, ms ...Member) []HierarchyConfig {
 // TestDeclaredMembersMatchRun is the sharing contract: with every
 // member of the base configuration and of its near misses declared into
 // one arena, each configuration's first ScorePending call — three of its
-// members — then a call for each member, then one holding a member whose
-// variability cannot key a map, answers exactly what a fresh run does.
-// A configuration whose members share a trajectory has all of its
+// members — then a call for each member answers exactly what a fresh run
+// does. A configuration whose members share a trajectory has all of its
 // declared members scored by its first call, so each later call is
 // answered from the store; an EWMA or hierarchy configuration's first
-// call scores the three it asks for, and the rest are scored when asked. The
-// unkeyed member is scored alone and stored nowhere.
+// call scores the three it asks for, and the rest are scored when asked.
 func TestDeclaredMembersMatchRun(t *testing.T) {
 	wl := testWorkload()
 	if raceBuild() {
@@ -149,15 +148,14 @@ func TestDeclaredMembersMatchRun(t *testing.T) {
 		for _, m := range members {
 			score(cfgsAt(cfg, m))
 		}
-		score(cfgsAt(cfg, members[0], Member{CacheBytes: cachePct(2), Variation: unkeyed{}}))
 		if ownsTrajectory(cfg) {
-			want += 3 + 1 // the first call's three, asked again; members[0] in the last call
+			want += 3 // the first call's three, asked again
 		} else {
-			want += int64(len(members)) + 1
+			want += int64(len(members))
 		}
 	}
 	if _, _, _, reused := a.Groups(); reused != want {
-		t.Errorf("%d members reused, want %d: the single calls and the unkeyed call's keyed member answered by an earlier call", reused, want)
+		t.Errorf("%d members reused, want %d: the single calls answered by an earlier call", reused, want)
 	}
 }
 
@@ -227,9 +225,8 @@ func TestDeclaredMembersMatchRunConcurrent(t *testing.T) {
 
 // TestScorePending: one call scores every share key a batch's
 // configurations ask for — one-member keys, an estimator's and a
-// hierarchy's included — and answers each of them; a configuration whose
-// variability cannot key a map is scored alone and not recorded, and
-// one that fails to normalise fails the call. Every answer is a fresh
+// hierarchy's included — answers each of them and records every answer;
+// a configuration that fails to normalise fails the call. Every answer is a fresh
 // run's. A second call for an answered member is reused from the store,
 // while a Run of it replays afresh and counts nothing: Run never reads
 // the store.
@@ -245,12 +242,11 @@ func TestScorePending(t *testing.T) {
 	none := Member{cachePct(0.5), nil}
 	two, twoMeasured := Member{cachePct(2), nil}, Member{cachePct(2), bandwidth.MeasuredVariability()}
 	batch := slices.Concat(
-		cfgsAt(pb, none, two, twoMeasured),         // one call
-		cfgsAt(ib, two),                            // one call of one member
-		cfgsAt(ewma, none, two),                    // a call each: the member is in the key
-		cfgsAt(whole, none, two),                   // one call, one replay per capacity
-		cfgsAt(tier, two),                          // one RunHierarchy call
-		cfgsAt(pb, Member{cachePct(2), unkeyed{}}), // scored alone
+		cfgsAt(pb, none, two, twoMeasured), // one call
+		cfgsAt(ib, two),                    // one call of one member
+		cfgsAt(ewma, none, two),            // a call each: the member is in the key
+		cfgsAt(whole, none, two),           // one call, one replay per capacity
+		cfgsAt(tier, two),                  // one RunHierarchy call
 	)
 	a := NewArena()
 	got, err := a.ScorePending(batch, 2)
@@ -396,10 +392,88 @@ func (p countingPolicy) Target(obj core.Object, bw float64) int64 {
 	return p.Policy.Target(obj, bw)
 }
 
-// unkeyed is constant bandwidth in a type that cannot key a map: a
-// member under it is scored by the call that asks and remembered
-// nowhere.
-type unkeyed struct{ _ []float64 }
+// TestUnkeyableValuesRefused: every configuration keys the arena, so a
+// policy, base model or variability whose value cannot key a map is
+// ErrBadConfig at every way in — each simulator, each arena method that
+// takes a configuration, and Trace for the two a trace.GenConfig holds —
+// and hashing it never panics. RunGroup reads its variabilities from its
+// members, so its bad variability is a member's. Declare and
+// ScorePending come first: a value that slips through panics there in
+// the test's own goroutine, where the failure is named, not in a run's.
+func TestUnkeyableValuesRefused(t *testing.T) {
+	good := HierarchyConfig{Config: Config{
+		Workload: workload.Config{NumObjects: 50, NumRequests: 500}, CacheBytes: cachePct(2), Policy: core.NewPB(), Seed: 3,
+	}}
+	type call struct {
+		name string
+		do   func(a *Arena, cfg HierarchyConfig) error
+	}
+	calls := []call{
+		{"Declare", func(a *Arena, cfg HierarchyConfig) error { return a.Declare(cfg) }},
+		{"ScorePending", func(a *Arena, cfg HierarchyConfig) error {
+			_, err := a.ScorePending([]HierarchyConfig{good, cfg}, 1)
+			return err
+		}},
+		{"Run", func(a *Arena, cfg HierarchyConfig) error {
+			cfg.Arena = a
+			_, err := Run(cfg.Config)
+			return err
+		}},
+		{"RunGroup", func(a *Arena, cfg HierarchyConfig) error {
+			members := []Member{{cachePct(1), nil}, {cfg.CacheBytes, cfg.Variation}}
+			cfg.Arena, cfg.Variation = a, nil
+			_, err := RunGroup(cfg.Config, members)
+			return err
+		}},
+		{"RunHierarchy", func(a *Arena, cfg HierarchyConfig) error {
+			cfg.Arena, cfg.Levels, cfg.Edges = a, 1, 2
+			_, err := RunHierarchy(cfg)
+			return err
+		}},
+		{"Trace", func(a *Arena, cfg HierarchyConfig) error {
+			_, err := a.Trace(trace.GenConfig{Entries: 10, Servers: 2, Base: cfg.Base, Variation: cfg.Variation})
+			return err
+		}},
+	}
+	for _, bad := range []struct {
+		field string
+		set   func(*HierarchyConfig)
+	}{
+		{"Policy", func(c *HierarchyConfig) { c.Policy = unkeyedPolicy{Policy: core.NewPB()} }},
+		{"Base", func(c *HierarchyConfig) { c.Base = unkeyedModel{} }},
+		{"Variation", func(c *HierarchyConfig) { c.Variation = unkeyedVariation{} }},
+	} {
+		cfg := good
+		bad.set(&cfg)
+		for _, c := range calls {
+			if c.name == "Trace" && bad.field == "Policy" {
+				continue // a trace has no policy
+			}
+			t.Run(bad.field+"/"+c.name, func(t *testing.T) {
+				a := NewArena()
+				if err := c.do(a, cfg); !errors.Is(err, ErrBadConfig) {
+					t.Errorf("%s with a %s that cannot key a map: %v, want ErrBadConfig", c.name, bad.field, err)
+				}
+				if tapes, rates := a.Compiles(); tapes != 0 || rates != 0 || len(a.answers) != 0 {
+					t.Errorf("%s compiled %d tapes and %d columns and recorded %d share keys, want nothing", c.name, tapes, rates, len(a.answers))
+				}
+			})
+		}
+	}
+}
 
-func (unkeyed) Ratio(*rand.Rand) float64 { return 1 }
-func (unkeyed) CoV() float64             { return 0 }
+// unkeyedPolicy, unkeyedModel and unkeyedVariation are a policy, a base
+// model and a variability in types that cannot key a map.
+type (
+	unkeyedPolicy struct {
+		core.Policy
+		_ []float64
+	}
+	unkeyedModel     struct{ _ []float64 }
+	unkeyedVariation struct{ _ []float64 }
+)
+
+func (unkeyedModel) Sample(*rand.Rand) float64    { return units.KBps(50) }
+func (unkeyedModel) Mean() float64                { return units.KBps(50) }
+func (unkeyedVariation) Ratio(*rand.Rand) float64 { return 1 }
+func (unkeyedVariation) CoV() float64             { return 0 }

@@ -171,7 +171,8 @@ type Config struct {
 	// Policy is the replacement policy under test. With Runs > 1 the
 	// same value drives parallel runs, so its Utility and Target must be
 	// pure, as every built-in policy's are (GreedyDual's aging value
-	// lives in each run's cache).
+	// lives in each run's cache). Policy, Base and Variation key the
+	// arena, so each must be a comparable value (else ErrBadConfig).
 	Policy core.Policy
 	// WholeObjectEviction evicts whole objects instead of prefix bytes.
 	WholeObjectEviction bool
@@ -226,6 +227,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Policy == nil {
 		return c, fmt.Errorf("%w: nil Policy", ErrBadConfig)
+	}
+	if !keyable(c) {
+		return c, fmt.Errorf("%w: Policy %T, Base %T and Variation %T must be comparable values: every configuration keys the arena", ErrBadConfig, c.Policy, c.Base, c.Variation)
 	}
 	if c.Policy == core.NewLFU() {
 		c.Policy = core.NewIF() // the same Utility and Target under another name (TestLFUIsIF)

@@ -161,15 +161,9 @@ func (c column) at(i int, o uint32) float64 {
 }
 
 // column returns the (possibly cached) bandwidth column of rp under
-// cfg's variability. Memoization needs comparable model values; a
-// non-comparable base or variability compiles a private column through
-// the same code.
+// cfg's variability.
 func (a *Arena) column(cfg Config, seed int64, rp replay) column {
 	c := column{perRequest: drawsPerRequest(cfg.Variation)}
-	if !dynComparable(cfg.Base) || !dynComparable(cfg.Variation) {
-		c.inst = compileRates(rp, cfg.Variation, seed)
-		return c
-	}
 	c.inst, _ = memoize(a, a.cols, rateKey{tape: rp.key, base: cfg.Base, variation: cfg.Variation}, func() ([]float64, error) {
 		a.rateCompiles.Add(1)
 		return compileRates(rp, cfg.Variation, seed), nil

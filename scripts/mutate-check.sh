@@ -24,6 +24,10 @@ set -euo pipefail
 shopt -u patsub_replacement 2>/dev/null || true # a `&` in a replacement is a `&`
 cd "$(dirname "$0")/.."
 
+# The body is one function, called on the last line: bash reads a
+# function whole before it runs it, so editing this file while it runs
+# cannot change the rows a run applies.
+main() {
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 only=" $* "
@@ -343,7 +347,8 @@ row P1 internal/sim/sim.go TestHierarchySingleNodeMatchesRun ./internal/sim \
 # arena keeps their Metrics for the rounds that ask later (DESIGN.md §5a
 # "Groups across calls"); each fault hands a point an answer that is not
 # its own, or scores a key's members in more calls than one. The share
-# key is also the one grouping rule (K5, V4, K7).
+# key is also the one grouping rule (K5, V4, K7), and every configuration
+# has one: withDefaults refuses a value that cannot key a map (X6).
 
 row X1 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredMembersMatchRunConcurrent' ./internal/sim \
     'the share key drops Seed: another seed'"'"'s runs answer the call' \
@@ -358,6 +363,9 @@ row X3 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByte
 row X4 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByteIdentical' './internal/sim ./internal/experiments' \
     'store skips extras: a call stores only the first member it scored, and the rest are answered with zero Metrics' \
     'for k, m := range e.pending {' 'for k, m := range e.pending[:1] {'
+row X6 internal/sim/sim.go TestUnkeyableValuesRefused ./internal/sim \
+    'withDefaults lets a policy, base model or variability that cannot key a map through: hashing its share key, path-mean key or column key panics' \
+    $'\tif !keyable(c) {\n' $'\tif false {\n'
 
 # --- release: the arena forgets only what nothing can still read ------------
 
@@ -452,3 +460,6 @@ if ((bad > 0)); then
     exit 1
 fi
 echo "mutate-check: $rows rows, every fault failed by the guards its row names"
+}
+
+main "$@"
