@@ -60,8 +60,9 @@ bench-check:
 ## the relay's model test (random publish/read/detach/cancel/evict
 ## scripts against an unbounded reference buffer), the wire loop's
 ## request-head parser (differential against net/http), Range
-## parsing with ranged serving, and the capacity pass against
-## core.Cache on random tapes (the cache's model test).
+## parsing with ranged serving, the capacity pass against core.Cache
+## on random tapes, and core.Cache against its map-based specification
+## (random accesses and truncations under every policy).
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzParseMalformed -fuzztime 10s
 	$(GO) test ./internal/trace/ -fuzz FuzzReadAll -fuzztime 10s
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/proxy/ -run '^$$' -fuzz FuzzParseRangeStart -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/httpd/ -run '^$$' -fuzz FuzzRequestHead -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzCapacityPass -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzCacheModel -fuzztime 10s -fuzzminimizetime 1s
 
 ## figures: regenerate every table/figure CSV at small scale.
 figures:

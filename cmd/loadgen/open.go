@@ -17,13 +17,29 @@ import (
 
 // driveOpen runs the open-loop mode: build the workload spec and one
 // timed schedule per ramp level, run them, and emit the live-capacity
-// table plus any per-class, per-request and schedule artifacts.
+// table plus any per-class, per-request and schedule artifacts. Every
+// flag is checked before anything is built, so -dry-run refuses what a
+// real run would.
 func driveOpen(o options, catalog *proxy.Catalog) error {
 	spec, err := openSpec(o)
 	if err != nil {
 		return err
 	}
 	levels, err := parseRamp(o.ramp)
+	if err != nil {
+		return err
+	}
+	if !(o.duration > 0) || math.IsInf(o.duration, 1) { // NaN fails
+		return fmt.Errorf("duration %v, want finite > 0", o.duration)
+	}
+	run, err := load.Options{
+		Edges:       o.proxyURLs,
+		Catalog:     catalog,
+		Spec:        spec,
+		TimeScale:   o.timeScale,
+		MaxInflight: o.maxInflight,
+		Verify:      o.verify,
+	}.Normalize()
 	if err != nil {
 		return err
 	}
@@ -71,15 +87,8 @@ func driveOpen(o options, catalog *proxy.Catalog) error {
 
 	totalCompleted := 0
 	for li, scale := range levels {
-		outcomes, report, err := load.Run(load.Options{
-			Edges:       o.proxyURLs,
-			Catalog:     catalog,
-			Spec:        spec,
-			TimeScale:   o.timeScale,
-			MaxInflight: o.maxInflight,
-			RateScale:   scale,
-			Verify:      o.verify,
-		}, schedules[li])
+		run.RateScale = scale
+		outcomes, report, err := load.Run(run, schedules[li])
 		if err != nil {
 			return fmt.Errorf("level %d (x%g): %w", li, scale, err)
 		}
@@ -173,7 +182,7 @@ func parseRamp(s string) ([]float64, error) {
 	out := make([]float64, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v <= 0 || math.IsInf(v, 0) {
+		if err != nil || !(v > 0) || math.IsInf(v, 1) { // NaN fails
 			return nil, fmt.Errorf("ramp level %q, want finite > 0", p)
 		}
 		out = append(out, v)

@@ -42,7 +42,6 @@ func run() error {
 	log, err := trace.Generate(trace.GenConfig{
 		Entries:       *entries,
 		Servers:       *servers,
-		Base:          bandwidth.NLANR(),
 		Variation:     variation,
 		HitFraction:   *hitFrac,
 		SmallFraction: *smallFrac,

@@ -25,14 +25,6 @@ import (
 // ErrBadParam reports an invalid model parameter.
 var ErrBadParam = errors.New("bandwidth: invalid parameter")
 
-// Model draws the long-term mean bandwidth of a fresh cache-origin path.
-type Model interface {
-	// Sample draws one path's mean bandwidth in bytes/s.
-	Sample(rng *rand.Rand) float64
-	// Mean returns the distribution mean in bytes/s.
-	Mean() float64
-}
-
 // CDFPoint is one control point of a piecewise-linear CDF: P[X <= X] = P.
 type CDFPoint struct {
 	X float64 // bandwidth, bytes/s
@@ -134,9 +126,8 @@ func (e *Empirical) Mean() float64 { return e.mean }
 // 450 KB/s as in the published histogram.
 //
 // The returned value is a shared, immutable package singleton: Empirical
-// never mutates after construction, and a stable identity is what lets
-// sim's workload/path arena key per-path bandwidth assignments on the
-// model across sweep points.
+// never mutates after construction, so every caller (each sim tape's
+// path means, each synthetic log's servers) reads one table.
 func NLANR() *Empirical { return nlanrSingleton() }
 
 var nlanrSingleton = sync.OnceValue(buildNLANR)

@@ -281,7 +281,6 @@ func analyzeSyntheticLog(s Scale, v bandwidth.Variability) (*trace.Analysis, err
 	entries, err := s.Arena.Trace(trace.GenConfig{
 		Entries:       s.TraceEntries,
 		Servers:       s.TraceServers,
-		Base:          bandwidth.NLANR(),
 		Variation:     v,
 		HitFraction:   0.2,
 		SmallFraction: 0.3,

@@ -3,6 +3,7 @@ package load
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -52,11 +53,12 @@ func BuildSchedule(spec *Spec, catalog *proxy.Catalog, trace []workload.Request,
 	if catalog == nil || catalog.Len() == 0 {
 		return nil, fmt.Errorf("%w: empty catalog", ErrBadRun)
 	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: horizon = %v, want > 0", ErrBadRun, horizon)
+	// NaN fails each !(x > 0); an infinite horizon never ends a class.
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
+		return nil, fmt.Errorf("%w: horizon = %v, want finite > 0", ErrBadRun, horizon)
 	}
-	if rateScale <= 0 {
-		return nil, fmt.Errorf("%w: rate scale = %v, want > 0", ErrBadRun, rateScale)
+	if !(rateScale > 0) || math.IsInf(rateScale, 1) {
+		return nil, fmt.Errorf("%w: rate scale = %v, want finite > 0", ErrBadRun, rateScale)
 	}
 	if spec.UsesTrace() && len(trace) == 0 {
 		return nil, fmt.Errorf("%w: spec has a trace class but no trace was supplied", ErrBadRun)
@@ -271,7 +273,11 @@ type Options struct {
 	Verify bool
 }
 
-func (o Options) normalize() (Options, error) {
+// Normalize returns o with every unset field at its default, or
+// ErrBadRun for a value no run can use. Run normalizes its options; a
+// caller that builds its schedules first (loadgen -dry-run stops there)
+// calls it up front, so a bad option fails before anything is built.
+func (o Options) Normalize() (Options, error) {
 	if len(o.Edges) == 0 {
 		return o, fmt.Errorf("%w: no proxy URL", ErrBadRun)
 	}
@@ -284,8 +290,8 @@ func (o Options) normalize() (Options, error) {
 	if o.TimeScale == 0 {
 		o.TimeScale = 1
 	}
-	if o.TimeScale < 0 {
-		return o, fmt.Errorf("%w: time scale = %v, want > 0", ErrBadRun, o.TimeScale)
+	if !(o.TimeScale > 0) || math.IsInf(o.TimeScale, 1) { // NaN fails
+		return o, fmt.Errorf("%w: time scale = %v, want finite > 0", ErrBadRun, o.TimeScale)
 	}
 	if o.MaxInflight == 0 {
 		o.MaxInflight = 256
@@ -306,7 +312,7 @@ func (o Options) normalize() (Options, error) {
 // full house does to an item is the item's own property (see Item.Time).
 // A schedule is deterministic; the measured outcomes of course are not.
 func Run(opts Options, items []Item) ([]Outcome, *Report, error) {
-	opts, err := opts.normalize()
+	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,30 +5,30 @@
 // (workload.Config, run seed) pairs at every sweep point, and none of
 // what a run reads — the trace, the per-path mean bandwidths, the
 // per-request bandwidth draws — depends on the cache under test. The
-// arena therefore compiles each pair once into a replay tape (tape.go)
-// and hands the same tape to every point, keyed strictly by the inputs
-// that determine it, so a memoized run is bit-identical to a fresh one.
+// arena therefore compiles each pair once into a replay tape (tape.go),
+// path means included, and hands the same tape to every point, keyed
+// strictly by the inputs that determine it, so a memoized run is
+// bit-identical to a fresh one.
 //
 // Sharing contract (DESIGN.md §5a): everything the arena hands out is
 // immutable and shared across goroutines. Callers (and policies they
 // configure) must not mutate a returned Workload, []float64 or tape
-// column. The keys hold the configuration's own values — its base
-// model and variability among them — so every one must be comparable:
+// column. The keys hold the configuration's own values — its
+// variability among them — so every one must be comparable:
 // Config.withDefaults and Trace refuse any other with ErrBadConfig,
 // and nothing is compiled outside the memo maps.
 //
-// Release rule: the arena forgets a tape or bandwidth column as soon as
-// nothing can still read it. After each family of groups it scores,
-// ScorePending drops every one that no member pending under any share
-// key, no group of the same call not yet scored and no hold (Hold) names
-// (share.go). Every value is a pure function of its key, so a release
-// that comes too early costs a recompile, which Compiles counts, and
-// never a wrong byte.
+// Release rule: the arena forgets a tape — its path means with it — or
+// a bandwidth column as soon as nothing can still read it. After each
+// family of groups it scores, ScorePending drops every one that no
+// member pending under any share key, no group of the same call not yet
+// scored and no hold (Hold) names (share.go). Every value is a pure
+// function of its key, so a release that comes too early costs a
+// recompile, which Compiles counts, and never a wrong byte.
 package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -38,7 +38,7 @@ import (
 	"streamcache/internal/workload"
 )
 
-// Arena memoizes replay tapes, workloads and path-mean assignments
+// Arena memoizes replay tapes, bandwidth columns, workloads and traces
 // across the runs and sweep points of one experiment — and, for the
 // share keys declared to it, the Metrics of group members that
 // ScorePending scored for one round and hands to the rounds that ask
@@ -47,10 +47,9 @@ import (
 // a pure function of its key, so results never depend on which
 // goroutine populated an entry first.
 type Arena struct {
-	mu     sync.Mutex // the memo lock: guards the five memo maps
+	mu     sync.Mutex // the memo lock: guards the four memo maps
 	wls    map[workload.Config]*memo[*workload.Workload]
 	tapes  map[workload.Config]*memo[*tape]
-	paths  map[pathKey]*memo[[]float64]
 	cols   map[rateKey]*memo[[]float64]
 	traces map[trace.GenConfig]*memo[[]trace.Entry]
 	// store guards answers, the declared share keys' members, and
@@ -72,7 +71,6 @@ func NewArena() *Arena {
 	return &Arena{
 		wls:     make(map[workload.Config]*memo[*workload.Workload]),
 		tapes:   make(map[workload.Config]*memo[*tape]),
-		paths:   make(map[pathKey]*memo[[]float64]),
 		cols:    make(map[rateKey]*memo[[]float64]),
 		traces:  make(map[trace.GenConfig]*memo[[]trace.Entry]),
 		answers: make(map[HierarchyConfig]*shareEntry),
@@ -103,23 +101,11 @@ func memoize[K comparable, V any](a *Arena, m map[K]*memo[V], key K, build func(
 	return e.v, e.err
 }
 
-// pathKey identifies one per-path mean-bandwidth assignment. The model
-// is part of the key by interface identity: models used across sweep
-// points must therefore be shared values (bandwidth.NLANR returns a
-// package singleton for exactly this reason).
-type pathKey struct {
-	base bandwidth.Model
-	seed int64
-	n    int
-}
-
 // rateKey identifies one instantaneous-bandwidth column: the tape's key
-// fixes the request order and (through its seed) both random streams,
-// the base model the means the ratios multiply, the variability the
-// ratios.
+// fixes the request order, the path means the ratios multiply and
+// (through its seed) both random streams, the variability the ratios.
 type rateKey struct {
 	tape      workload.Config
-	base      bandwidth.Model
 	variation bandwidth.Variability
 }
 
@@ -127,17 +113,6 @@ type rateKey struct {
 // every interface value it holds, however deep, is nil or of a
 // comparable dynamic type.
 func keyable(v any) bool { return reflect.ValueOf(v).Comparable() }
-
-// samplePathMeans draws one mean bandwidth per object path, exactly as
-// an unmemoized run does.
-func samplePathMeans(base bandwidth.Model, seed int64, n int) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	means := make([]float64, n)
-	for i := range means {
-		means[i] = base.Sample(rng)
-	}
-	return means
-}
 
 // Workload returns the (possibly cached) generated workload for cfg —
 // the catalog-and-trace view the characterization tables and cache
@@ -152,26 +127,15 @@ func (a *Arena) Workload(cfg workload.Config) (*workload.Workload, error) {
 	return memoize(a, a.wls, cfg, func() (*workload.Workload, error) { return workload.Generate(cfg) })
 }
 
-// PathMeans returns the (possibly cached) per-path mean bandwidths drawn
-// from base with the given RNG seed for n paths. base keys the arena, so
-// it must be a comparable value, as Config.withDefaults requires.
-func (a *Arena) PathMeans(base bandwidth.Model, seed int64, n int) []float64 {
-	means, _ := memoize(a, a.paths, pathKey{base: base, seed: seed, n: n}, func() ([]float64, error) {
-		return samplePathMeans(base, seed, n), nil
-	})
-	return means
-}
-
 // Trace returns the (possibly cached) synthetic access log generated
 // from cfg. Figures 2 and 3 analyze the same log shape at two
 // variability settings, and a sweep-shared arena generates each
-// distinct GenConfig exactly once. cfg keys the arena, so its Base and
-// Variation must be comparable values (share model singletons like
-// bandwidth.NLANR()); any other is ErrBadConfig, as in a Config. The
-// returned slice is shared and must not be mutated.
+// distinct GenConfig exactly once. cfg keys the arena, so its
+// Variation must be a comparable value; any other is ErrBadConfig, as
+// in a Config. The returned slice is shared and must not be mutated.
 func (a *Arena) Trace(cfg trace.GenConfig) ([]trace.Entry, error) {
 	if !keyable(cfg) {
-		return nil, fmt.Errorf("%w: trace Base %T and Variation %T must be comparable values: every configuration keys the arena", ErrBadConfig, cfg.Base, cfg.Variation)
+		return nil, fmt.Errorf("%w: trace Variation %T must be a comparable value: every configuration keys the arena", ErrBadConfig, cfg.Variation)
 	}
 	return memoize(a, a.traces, cfg, func() ([]trace.Entry, error) { return trace.Generate(cfg) })
 }

@@ -120,11 +120,6 @@ func TestArenaReusesWorkloads(t *testing.T) {
 	if a != b {
 		t.Error("same workload config generated twice despite arena")
 	}
-	meansA := arena.PathMeans(bandwidth.NLANR(), 123, 50)
-	meansB := arena.PathMeans(bandwidth.NLANR(), 123, 50)
-	if &meansA[0] != &meansB[0] {
-		t.Error("path means not shared for the NLANR singleton")
-	}
 }
 
 // TestRunOnceSteadyStateAllocs pins the per-request allocation budget of
@@ -186,10 +181,7 @@ func TestRunOnceSteadyStateAllocs(t *testing.T) {
 // objects of equal means, requested in turn, get different columns.
 func TestActiveProberSeedsDifferPerPath(t *testing.T) {
 	const mean = 256 * 1024.0
-	rp := replay{
-		tape:  &tape{objs: make([]core.Object, 2), obj: []uint32{0, 1, 0, 1, 0, 1}},
-		means: []float64{mean, mean},
-	}
+	rp := &tape{objs: make([]core.Object, 2), obj: []uint32{0, 1, 0, 1, 0, 1}, means: []float64{mean, mean}}
 	price, err := ActiveProbe{0.3}.prices(nil, rp, column{})
 	if err != nil {
 		t.Fatal(err)

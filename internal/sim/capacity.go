@@ -105,7 +105,7 @@ func runFamily(cfgs []Config, members [][]Member) ([][]Metrics, error) {
 	cfg := cfgs[0]
 	fellBack := make([]atomic.Int64, len(gs))
 	ms, err := averageRuns(cfg, "run", func(seed int64) ([]Metrics, error) {
-		rp, err := cfg.Arena.replay(cfg, seed)
+		rp, err := cfg.Arena.tapeOf(cfg, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +202,7 @@ func (c Config) takesPass() bool {
 // rank alike (runFamily), so the first group to take the pass ranks
 // rp's requests and every later one reads that ranking; scoreSeed
 // reports whether it ranked.
-func scoreSeed(cfgs []Config, gs []group, rp replay, cols []column, out []Metrics, onePass []bool) (ranked bool, err error) {
+func scoreSeed(cfgs []Config, gs []group, rp *tape, cols []column, out []Metrics, onePass []bool) (ranked bool, err error) {
 	s := passPool.Get().(*passScratch)
 	defer passPool.Put(s)
 	var r ranking
@@ -282,7 +282,7 @@ type ranking struct {
 // as Access computes it, radix-sorted. A pass reads the ranking through
 // its own targets (pass), so the groups of a family each check its ties
 // and bad objects against what they cache.
-func (s *passScratch) rank(policy core.Policy, rp replay) ranking {
+func (s *passScratch) rank(policy core.Policy, rp *tape) ranking {
 	n, objects := len(rp.obj), len(rp.objs)
 	s.freq, s.bad = fit(s.freq, objects), fit(s.bad, objects)
 	clear(s.freq)
@@ -325,7 +325,7 @@ func (s *passScratch) rank(policy core.Policy, rp replay) ranking {
 // positive, shares one with another such object, or sees its own fall.
 // Objects it does not cache add nothing to the tree, so ranking them
 // beside the rest moves no sum.
-func (s *passScratch) pass(cfg Config, rp replay, r ranking, members []Member, cols []column, out []Metrics) bool {
+func (s *passScratch) pass(cfg Config, rp *tape, r ranking, members []Member, cols []column, out []Metrics) bool {
 	n, objects := len(rp.obj), len(rp.objs)
 	s.target = priceTargets(s.target, cfg.Policy, rp, column{inst: rp.means})
 	for o, bad := range r.bad {
@@ -361,7 +361,7 @@ func (s *passScratch) pass(cfg Config, rp replay, r ranking, members []Member, c
 	s.acc = fit(s.acc, len(members))
 	acc := s.acc
 	clear(acc)
-	warm := int(cfg.WarmFraction * float64(n))
+	warm := warmup(n)
 	var live int64    // targets of every object requested so far
 	var total float64 // watched bytes of the measured requests
 	for i, o := range rp.obj {

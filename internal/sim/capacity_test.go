@@ -47,7 +47,7 @@ func atCapacities(caps []int64, v bandwidth.Variability) []Member {
 // bandwidth column cols[k], requires every Metrics field to equal a
 // lone one-column replay's (a core.Cache's: what Run does) for each
 // member, and reports whether the pass scored it.
-func checkGroup(t *testing.T, cfg Config, rp replay, members []Member, cols []column) (onePass bool) {
+func checkGroup(t *testing.T, cfg Config, rp *tape, members []Member, cols []column) (onePass bool) {
 	t.Helper()
 	g, err := newGroup(cfg, members)
 	if err != nil {
@@ -79,7 +79,7 @@ func checkGroup(t *testing.T, cfg Config, rp replay, members []Member, cols []co
 // and cfg's warm-up — through scoreSeed, requires every Metrics field to
 // equal a lone one-column replay's for each member, and returns which
 // groups the pass scored. The policies must rank alike (core.Ranker).
-func checkFamily(t *testing.T, cfg Config, rp replay, policies []core.Policy, members []Member, cols []column) []bool {
+func checkFamily(t *testing.T, cfg Config, rp *tape, policies []core.Policy, members []Member, cols []column) []bool {
 	t.Helper()
 	g, err := newGroup(cfg, members)
 	if err != nil {
@@ -91,7 +91,7 @@ func checkFamily(t *testing.T, cfg Config, rp replay, policies []core.Policy, me
 	}
 	cfgs := make([]Config, len(policies))
 	for j, p := range policies {
-		if cfgs[j], err = (Config{Policy: p, WarmFraction: cfg.WarmFraction, Arena: cfg.Arena}).normalize(); err != nil {
+		if cfgs[j], err = (Config{Policy: p, Arena: cfg.Arena}).normalize(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 				}
 				for r := range seeds {
 					seed := SplitSeed(cfg.Seed, r)
-					rp, err := arena.replay(cfg, seed)
+					rp, err := arena.tapeOf(cfg, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -212,11 +212,12 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 		obj := func(id int) core.Object {
 			return core.Object{ID: id, Size: 1000, Duration: 10, Rate: 100, Value: 1}
 		}
-		rp := replay{tape: &tape{
-			objs: []core.Object{obj(0), obj(1)},
-			obj:  []uint32{0, 1, 0, 1, 0, 1},
-			time: []float64{1, 2, 3, 4, 5, 6},
-		}, means: []float64{20, 20}}
+		rp := &tape{
+			objs:  []core.Object{obj(0), obj(1)},
+			obj:   []uint32{0, 1, 0, 1, 0, 1},
+			time:  []float64{1, 2, 3, 4, 5, 6},
+			means: []float64{20, 20},
+		}
 		cfg, err := Config{Policy: core.NewPB()}.normalize()
 		if err != nil {
 			t.Fatal(err)
@@ -235,11 +236,12 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 		obj := func(id int) core.Object {
 			return core.Object{ID: id, Size: 1000, Duration: 10, Rate: 100, Value: 1}
 		}
-		rp := replay{tape: &tape{
-			objs: []core.Object{obj(0), obj(1), obj(2)},
-			obj:  []uint32{0, 1, 1, 2, 0, 2, 1, 0, 2, 2},
-			time: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-		}, means: []float64{75, 150, 40}}
+		rp := &tape{
+			objs:  []core.Object{obj(0), obj(1), obj(2)},
+			obj:   []uint32{0, 1, 1, 2, 0, 2, 1, 0, 2, 2},
+			time:  []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+			means: []float64{75, 150, 40},
+		}
 		cfg, err := Config{Policy: core.NewPB()}.normalize()
 		if err != nil {
 			t.Fatal(err)
@@ -276,7 +278,7 @@ func TestPBEndStateIsSection23Optimum(t *testing.T) {
 	}
 	for r := range int64(3) {
 		seed := SplitSeed(1, r)
-		rp, err := arena.replay(cfg, seed)
+		rp, err := arena.tapeOf(cfg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +450,7 @@ func TestRunGroupEqualsRun(t *testing.T) {
 
 // capacityPass ranks rp under cfg's policy and scores members in one
 // pass, as scoreSeed does for a family of one group.
-func capacityPass(cfg Config, rp replay, members []Member, cols []column, out []Metrics) bool {
+func capacityPass(cfg Config, rp *tape, members []Member, cols []column, out []Metrics) bool {
 	s := passPool.Get().(*passScratch)
 	defer passPool.Put(s)
 	return s.pass(cfg, rp, s.rank(cfg.Policy, rp), members, cols, out)
@@ -466,7 +468,7 @@ func TestCapacityPassSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := SplitSeed(cfg.Seed, 0)
-	rp, err := cfg.Arena.replay(cfg, seed)
+	rp, err := cfg.Arena.tapeOf(cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,13 +521,13 @@ func BenchmarkCapacityAxis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	setup := func(p core.Policy, v bandwidth.Variability) (Config, int64, replay) {
+	setup := func(p core.Policy, v bandwidth.Variability) (Config, int64, *tape) {
 		cfg, err := Config{Workload: wl, Policy: p, Variation: v, Seed: 1, Arena: arena}.normalize()
 		if err != nil {
 			b.Fatal(err)
 		}
 		seed := SplitSeed(cfg.Seed, 0)
-		rp, err := arena.replay(cfg, seed)
+		rp, err := arena.tapeOf(cfg, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -657,7 +659,7 @@ func BenchmarkEstimators(b *testing.B) {
 			b.Fatal(err)
 		}
 		seed := SplitSeed(cfg.Seed, 0)
-		rp, err := arena.replay(cfg, seed)
+		rp, err := arena.tapeOf(cfg, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -723,13 +725,13 @@ var axisPolicies = []string{"IF", "PB", "IB", "PB-V", "IB-V", "LRU", "LFU", "HYB
 // its rate, and the tape opens with requests for 0, 1 and 1, so 1's
 // second utility F/b equals 0's first — a tie between an object PB
 // caches and one it does not (its path outruns its rate).
-func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay, []Member, []column) {
+func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, *tape, []Member, []column) {
 	rng := rand.New(rand.NewSource(seed))
 	objects, requests := 1+rng.Intn(12), 1+rng.Intn(96)
 	if flags&16 != 0 {
 		objects = max(objects, 2)
 	}
-	tp := &tape{objs: make([]core.Object, objects)}
+	tp := &tape{objs: make([]core.Object, objects), means: make([]float64, objects)}
 	var total int64
 	for o := range tp.objs {
 		rate, dur := 1000+rng.Float64()*9000, 1+rng.Float64()*99
@@ -754,15 +756,14 @@ func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay,
 			tp.watched = append(tp.watched, watched)
 		}
 	}
-	rp := replay{tape: tp, means: make([]float64, objects)}
-	for o := range rp.means {
-		rp.means[o] = float64(100 + rng.Intn(20000))
+	for o := range tp.means {
+		tp.means[o] = float64(100 + rng.Intn(20000))
 	}
 	if flags&16 != 0 {
 		tp.objs[1] = tp.objs[0]
 		tp.objs[1].ID = 1
-		rp.means[0] = 0.75 * tp.objs[0].Rate
-		rp.means[1] = 2 * rp.means[0]
+		tp.means[0] = 0.75 * tp.objs[0].Rate
+		tp.means[1] = 2 * tp.means[0]
 		tp.obj, tp.time = append([]uint32{0, 1, 1}, tp.obj...), append([]float64{0.25, 0.5, 0.75}, tp.time...)
 		if partial {
 			tp.watched = append([]int64{tp.objs[0].Size, tp.objs[1].Size, tp.objs[1].Size}, tp.watched...)
@@ -774,7 +775,7 @@ func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay,
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Policy: p, WarmFraction: float64(rng.Intn(4)) / 4}
+	cfg := Config{Policy: p}
 	switch flags % 4 {
 	case 1:
 		cfg.Estimator = Underestimate{0.5}
@@ -802,7 +803,7 @@ func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay,
 				if col.perRequest {
 					o = int(tp.obj[i])
 				}
-				col.inst[i] = rp.means[o] * (0.2 + 2*rng.Float64())
+				col.inst[i] = tp.means[o] * (0.2 + 2*rng.Float64())
 			}
 			members, cols = append(members, m), append(cols, col)
 		}
@@ -811,5 +812,5 @@ func randomGroup(t *testing.T, seed int64, policy, flags uint8) (Config, replay,
 		members[i], members[j] = members[j], members[i]
 		cols[i], cols[j] = cols[j], cols[i]
 	})
-	return cfg, rp, members, cols
+	return cfg, tp, members, cols
 }

@@ -30,12 +30,14 @@
 // # Arena immutability contract
 //
 // An Arena compiles each (workload config, run seed) once into a replay
-// tape — the trace as flat columns, its core.Object table, the per-path
-// mean bandwidths and the per-request bandwidth draws — and shares it
-// across the runs and sweep points of one experiment, keyed strictly by
-// the inputs that determine it: a memoized run is bit-identical to a
-// fresh one. Every configuration keys the arena, so a Policy, Base or
-// Variation that is not a comparable value is ErrBadConfig. A Run whose Config.Arena is nil gets an arena of its own
+// tape — the trace as flat columns, its core.Object table and the
+// per-path mean bandwidths, NLANR draws from the run seed's network
+// stream — and each variability's per-request bandwidth draws over it,
+// and shares them across the runs and sweep points of one experiment,
+// keyed strictly by the inputs that determine them: a memoized run is
+// bit-identical to a fresh one. Every configuration keys the arena, so
+// a Policy or Variation that is not a comparable value is ErrBadConfig.
+// A Run whose Config.Arena is nil gets an arena of its own
 // for the length of the call — one replay path, nothing retained after
 // it returns. Everything the arena hands out is immutable and shared
 // across goroutines: callers (and policies they configure) must not

@@ -130,7 +130,7 @@ func RunHierarchy(cfg HierarchyConfig) (Metrics, error) {
 // mirrors by undoing an owner's or parent's prefix growth whenever the
 // resume offset lies beyond its stored prefix.
 func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (Metrics, error) {
-	rp, err := cfg.Arena.replay(cfg.Config, seed)
+	rp, err := cfg.Arena.tapeOf(cfg.Config, seed)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -181,7 +181,7 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (Metrics, error) {
 	scratch.targets = priceTargets(scratch.targets, cfg.Policy, rp, column{inst: rp.means})
 	targets := scratch.targets
 
-	warm := int(cfg.WarmFraction * float64(len(rp.obj)))
+	warm := warmup(len(rp.obj))
 	var (
 		m                                    Metrics
 		edgeB, peerB, parentB, originB, totB int64

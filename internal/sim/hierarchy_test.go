@@ -100,7 +100,7 @@ func (perRequestMeans) Validate() error { return nil }
 
 func (perRequestMeans) observes() bool { return false }
 
-func (perRequestMeans) prices(dst []float64, rp replay, _ column) (column, error) {
+func (perRequestMeans) prices(dst []float64, rp *tape, _ column) (column, error) {
 	dst = fit(dst, len(rp.obj))
 	for i, o := range rp.obj {
 		dst[i] = rp.means[o]
@@ -228,7 +228,7 @@ func BenchmarkHierarchy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := arena.replay(cfg.Config, seed); err != nil { // compile the tape outside the timer
+		if _, err := arena.tapeOf(cfg.Config, seed); err != nil { // compile the tape outside the timer
 			b.Fatal(err)
 		}
 		b.Run(top.name, func(b *testing.B) {

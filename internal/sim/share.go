@@ -16,7 +16,7 @@
 // (DESIGN.md §5a "Groups across calls"). The share key is also the one
 // rule for which points are scored together, and every simulated point,
 // flat or hierarchy, oracle or estimator, has one: withDefaults refuses
-// a policy, base model or variability that cannot key a map, so each
+// a policy or variability that cannot key a map, so each
 // point takes one path — key, family, one scoring call — and every
 // answer is stored. ScorePending is the only code that reads or writes
 // the answers: Run, RunGroup and RunHierarchy score what they are asked
@@ -44,8 +44,8 @@ import (
 // flat configuration whose estimator does not observe what a request
 // got (withDefaults drops a bandwidth-blind policy's). Any other — an
 // observing estimator's, a hierarchy's — keeps its member in the key.
-// Every normalised cfg keys a map: withDefaults refuses a policy, base
-// model or variability that is not a comparable value.
+// Every normalised cfg keys a map: withDefaults refuses a policy or
+// variability that is not a comparable value.
 func shareOf(cfg HierarchyConfig) (HierarchyConfig, Member) {
 	m := Member{cfg.CacheBytes, cfg.Variation}
 	cfg.Arena, cfg.Parallelism = nil, 0
@@ -254,7 +254,6 @@ type reads struct {
 	workload  workload.Config // normalised, Seed zeroed: each run sets its own
 	seed      int64
 	runs      int
-	base      bandwidth.Model
 	variation bandwidth.Variability // nil where no memoized column is read
 }
 
@@ -264,7 +263,7 @@ func readsOf(cfg HierarchyConfig) reads {
 	r := reads{workload: cfg.Workload, seed: cfg.Seed, runs: cfg.Runs}
 	r.workload.Seed = 0
 	if cfg.Levels == 0 {
-		r.base, r.variation = cfg.Base, cfg.Variation
+		r.variation = cfg.Variation
 	}
 	return r
 }
@@ -288,7 +287,7 @@ func (a *Arena) Hold(owner string, cfgs []HierarchyConfig) {
 	for _, cfg := range cfgs {
 		if cfg, err := cfg.withDefaults(); err == nil {
 			r := readsOf(cfg)
-			r.base, r.variation = nil, nil // a held tape keeps all its columns
+			r.variation = nil // a held tape keeps all its columns
 			h[r] = true
 		}
 	}
@@ -345,7 +344,7 @@ func (a *Arena) release(norm []HierarchyConfig, rest [][]int) {
 			}
 			tapes[key] = tapes[key] || held
 			if r.variation != nil {
-				cols[rateKey{tape: key, base: r.base, variation: r.variation}] = true
+				cols[rateKey{tape: key, variation: r.variation}] = true
 			}
 		}
 	}

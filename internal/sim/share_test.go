@@ -12,7 +12,6 @@ import (
 	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
 	"streamcache/internal/trace"
-	"streamcache/internal/units"
 	"streamcache/internal/workload"
 )
 
@@ -31,19 +30,13 @@ func nearMisses(t *testing.T, wl workload.Config) map[string]HierarchyConfig {
 		}
 		return p
 	}
-	slow, err := bandwidth.NewEmpirical([]bandwidth.CDFPoint{{X: units.KBps(10), P: 0}, {X: units.KBps(120), P: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := HierarchyConfig{Config: Config{Workload: wl, Policy: hybrid(0.5), Runs: 2, Seed: 3}}
 	cfgs := map[string]HierarchyConfig{"base": base}
 	for name, change := range map[string]func(*HierarchyConfig){
 		"seed":      func(c *HierarchyConfig) { c.Seed = 4 },
 		"runs":      func(c *HierarchyConfig) { c.Runs = 3 },
-		"warm":      func(c *HierarchyConfig) { c.WarmFraction = 0.3 },
 		"alpha":     func(c *HierarchyConfig) { c.Workload.ZipfAlpha = 1.1 },
 		"e":         func(c *HierarchyConfig) { c.Policy = hybrid(0.6) },
-		"base":      func(c *HierarchyConfig) { c.Base = slow },
 		"whole":     func(c *HierarchyConfig) { c.WholeObjectEviction = true },
 		"ewma":      func(c *HierarchyConfig) { c.Estimator = EWMA{0.3} },
 		"under":     func(c *HierarchyConfig) { c.Estimator = Underestimate{0.5} },
@@ -334,10 +327,10 @@ func TestScorePendingFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAnswers(t, "batch", batch, got)
-	// base and near-e: 2 runs for both; near-seed, -warm, -alpha and
-	// -base: 2 each; near-runs: 3.
-	if ranks := a.Ranks(); ranks != 13 {
-		t.Errorf("%d rankings, want 13: one per run seed of each family that takes the pass", ranks)
+	// base and near-e: 2 runs for both; near-seed and -alpha: 2 each;
+	// near-runs: 3.
+	if ranks := a.Ranks(); ranks != 9 {
+		t.Errorf("%d rankings, want 9: one per run seed of each family that takes the pass", ranks)
 	}
 	// The base's 2 run seeds, near-seed's 2, near-runs' third and
 	// near-alpha's 2.
@@ -393,9 +386,9 @@ func (p countingPolicy) Target(obj core.Object, bw float64) int64 {
 }
 
 // TestUnkeyableValuesRefused: every configuration keys the arena, so a
-// policy, base model or variability whose value cannot key a map is
-// ErrBadConfig at every way in — each simulator, each arena method that
-// takes a configuration, and Trace for the two a trace.GenConfig holds —
+// policy or variability whose value cannot key a map is ErrBadConfig at
+// every way in — each simulator, each arena method that takes a
+// configuration, and Trace for the variability a trace.GenConfig holds —
 // and hashing it never panics. RunGroup reads its variabilities from its
 // members, so its bad variability is a member's. Declare and
 // ScorePending come first: a value that slips through panics there in
@@ -431,7 +424,7 @@ func TestUnkeyableValuesRefused(t *testing.T) {
 			return err
 		}},
 		{"Trace", func(a *Arena, cfg HierarchyConfig) error {
-			_, err := a.Trace(trace.GenConfig{Entries: 10, Servers: 2, Base: cfg.Base, Variation: cfg.Variation})
+			_, err := a.Trace(trace.GenConfig{Entries: 10, Servers: 2, Variation: cfg.Variation})
 			return err
 		}},
 	}
@@ -440,7 +433,6 @@ func TestUnkeyableValuesRefused(t *testing.T) {
 		set   func(*HierarchyConfig)
 	}{
 		{"Policy", func(c *HierarchyConfig) { c.Policy = unkeyedPolicy{Policy: core.NewPB()} }},
-		{"Base", func(c *HierarchyConfig) { c.Base = unkeyedModel{} }},
 		{"Variation", func(c *HierarchyConfig) { c.Variation = unkeyedVariation{} }},
 	} {
 		cfg := good
@@ -462,18 +454,15 @@ func TestUnkeyableValuesRefused(t *testing.T) {
 	}
 }
 
-// unkeyedPolicy, unkeyedModel and unkeyedVariation are a policy, a base
-// model and a variability in types that cannot key a map.
+// unkeyedPolicy and unkeyedVariation are a policy and a variability in
+// types that cannot key a map.
 type (
 	unkeyedPolicy struct {
 		core.Policy
 		_ []float64
 	}
-	unkeyedModel     struct{ _ []float64 }
 	unkeyedVariation struct{ _ []float64 }
 )
 
-func (unkeyedModel) Sample(*rand.Rand) float64    { return units.KBps(50) }
-func (unkeyedModel) Mean() float64                { return units.KBps(50) }
 func (unkeyedVariation) Ratio(*rand.Rand) float64 { return 1 }
 func (unkeyedVariation) CoV() float64             { return 0 }

@@ -32,7 +32,7 @@ type Estimator interface {
 	// object o, observes observed.at(i, o) once it is served. Private
 	// randomness derives from the path index (== object ID): two paths
 	// can share a mean, never an index.
-	prices(dst []float64, rp replay, observed column) (column, error)
+	prices(dst []float64, rp *tape, observed column) (column, error)
 	// observes reports whether prices reads observed: only then does a
 	// request's variability enter the cache's trajectory (RunGroup).
 	observes() bool
@@ -53,7 +53,7 @@ func (e EWMA) Validate() error {
 // The EWMA column prices each request at the average of what the
 // earlier requests of its object observed; an object's first request
 // finds no estimate and is priced at 0.
-func (e EWMA) prices(dst []float64, rp replay, observed column) (column, error) {
+func (e EWMA) prices(dst []float64, rp *tape, observed column) (column, error) {
 	fresh, err := bandwidth.NewEWMA(e.Alpha)
 	if err != nil {
 		return column{}, err
@@ -80,7 +80,7 @@ func (u Underestimate) Validate() error {
 	return nil
 }
 
-func (u Underestimate) prices(dst []float64, rp replay, _ column) (column, error) {
+func (u Underestimate) prices(dst []float64, rp *tape, _ column) (column, error) {
 	dst = fit(dst, len(rp.means))
 	for o, mean := range rp.means {
 		dst[o] = u.E * mean
@@ -115,7 +115,7 @@ func (p ActiveProbe) Validate() error {
 // The probe column prices the k-th request of a path at the path's k-th
 // probe. A path's first probe must succeed; a later one that fails
 // keeps the previous estimate, as active measurement is best-effort.
-func (p ActiveProbe) prices(dst []float64, rp replay, _ column) (column, error) {
+func (p ActiveProbe) prices(dst []float64, rp *tape, _ column) (column, error) {
 	type path struct {
 		prober *bandwidth.ActiveProber
 		est    float64
@@ -171,21 +171,17 @@ type Config struct {
 	// Policy is the replacement policy under test. With Runs > 1 the
 	// same value drives parallel runs, so its Utility and Target must be
 	// pure, as every built-in policy's are (GreedyDual's aging value
-	// lives in each run's cache). Policy, Base and Variation key the
-	// arena, so each must be a comparable value (else ErrBadConfig).
+	// lives in each run's cache). Policy and Variation key the arena,
+	// so each must be a comparable value (else ErrBadConfig).
 	Policy core.Policy
 	// WholeObjectEviction evicts whole objects instead of prefix bytes.
 	WholeObjectEviction bool
-	// Base draws each path's mean bandwidth (default: NLANR, Figure 2).
-	Base bandwidth.Model
 	// Variation draws per-request sample-to-mean ratios (default: none).
+	// Each path's mean is the tape's, drawn from NLANR (Figure 2).
 	Variation bandwidth.Variability
 	// Estimator prices each path's bandwidth. Nil is the oracle mean
 	// (the paper's default assumption).
 	Estimator Estimator
-	// WarmFraction of requests warms the cache before metrics are
-	// recorded (default 0.5, as in Section 4.1).
-	WarmFraction float64
 	// Runs averages this many independently seeded runs (default 1).
 	Runs int
 	// Seed is the base seed; run r uses SplitSeed(Seed, r).
@@ -196,9 +192,9 @@ type Config struct {
 	// order, Metrics are bit-identical for every Parallelism value.
 	Parallelism int
 	// Arena, when set, memoizes the compiled replay tape — trace
-	// columns, per-path mean bandwidths, per-request bandwidth draws —
-	// across runs: share one arena across all the sweep points of an
-	// experiment so identical (config, seed) inputs are compiled once
+	// columns, per-path mean bandwidths — and the per-request bandwidth
+	// draws across runs: share one arena across all the sweep points of
+	// an experiment so identical (config, seed) inputs are compiled once
 	// instead of at every point. Every arena value is a pure function of
 	// its key, so Metrics are bit-identical whichever arena serves them
 	// (regression-tested). Nil gives the call an arena of its own,
@@ -229,7 +225,7 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("%w: nil Policy", ErrBadConfig)
 	}
 	if !keyable(c) {
-		return c, fmt.Errorf("%w: Policy %T, Base %T and Variation %T must be comparable values: every configuration keys the arena", ErrBadConfig, c.Policy, c.Base, c.Variation)
+		return c, fmt.Errorf("%w: Policy %T and Variation %T must be comparable values: every configuration keys the arena", ErrBadConfig, c.Policy, c.Variation)
 	}
 	if c.Policy == core.NewLFU() {
 		c.Policy = core.NewIF() // the same Utility and Target under another name (TestLFUIsIF)
@@ -239,17 +235,8 @@ func (c Config) withDefaults() (Config, error) {
 		return c, err
 	}
 	c.Workload = w
-	if c.Base == nil {
-		c.Base = bandwidth.NLANR()
-	}
 	if c.Variation == nil {
 		c.Variation = bandwidth.NoVariation{}
-	}
-	if c.WarmFraction == 0 {
-		c.WarmFraction = 0.5
-	}
-	if c.WarmFraction < 0 || c.WarmFraction >= 1 {
-		return c, fmt.Errorf("%w: WarmFraction=%v, want in [0,1)", ErrBadConfig, c.WarmFraction)
 	}
 	if c.Runs == 0 {
 		c.Runs = 1
@@ -273,6 +260,10 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
+
+// warmup is how many of a tape's n requests warm the cache before
+// metrics are recorded: the first half, as in Section 4.1.
+func warmup(n int) int { return n / 2 }
 
 // observes reports whether c's cache reads what each request got.
 func (c Config) observes() bool { return c.Estimator != nil && c.Estimator.observes() }
@@ -403,7 +394,7 @@ func (c Config) cacheOptions(objects int) []core.Option {
 // clamps it, and indexed as price is: per object when price is, so that
 // under the oracle estimator, whose price is each path's mean, an
 // object's target is computed once per run instead of on each request.
-func priceTargets(dst []int64, policy core.Policy, rp replay, price column) []int64 {
+func priceTargets(dst []int64, policy core.Policy, rp *tape, price column) []int64 {
 	if !price.perRequest {
 		dst = fit(dst, len(rp.objs))
 		for o, obj := range rp.objs {
@@ -422,10 +413,10 @@ func priceTargets(dst []int64, policy core.Policy, rp replay, price column) []in
 // estimate refills s with cfg's estimate column for one replay of rp,
 // whose requests observe observed: the bandwidth the cache prices each
 // request at and the policy's target at that price, both indexed as
-// price.at indexes. The oracle's prices are the arena's path means,
+// price.at indexes. The oracle's prices are the tape's path means,
 // read in place: they never enter s, whose prices a later run's
 // estimator refills.
-func (s *runScratch) estimate(cfg Config, rp replay, observed column) (price column, targets []int64, err error) {
+func (s *runScratch) estimate(cfg Config, rp *tape, observed column) (price column, targets []int64, err error) {
 	price = column{inst: rp.means}
 	if cfg.Estimator != nil {
 		if price, err = cfg.Estimator.prices(s.prices, rp, observed); err != nil {
@@ -498,7 +489,7 @@ func (t memberTotals) metrics(requests int, watched float64) Metrics {
 // and per-tier byte counters there), and one merged loop measured
 // slower on the figure path's hottest function. DESIGN.md §5a "Targets
 // from `sim`" has the timings.
-func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []Metrics) error {
+func replayColumns(cfg Config, rp *tape, capacity int64, cols []column, out []Metrics) error {
 	scratch := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(scratch)
 	opts := cfg.cacheOptions(len(rp.objs))
@@ -514,7 +505,7 @@ func replayColumns(cfg Config, rp replay, capacity int64, cols []column, out []M
 	sums := scratch.sums
 	clear(sums)
 
-	warm := int(cfg.WarmFraction * float64(len(rp.obj)))
+	warm := warmup(len(rp.obj))
 	var (
 		a       capacityTotals
 		watched float64

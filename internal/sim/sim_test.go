@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -50,8 +49,6 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{name: "negative cache", mutate: func(c *Config) { c.CacheBytes = -1 }},
 		{name: "nil policy", mutate: func(c *Config) { c.Policy = nil }},
-		{name: "warm fraction 1", mutate: func(c *Config) { c.WarmFraction = 1 }},
-		{name: "negative warm", mutate: func(c *Config) { c.WarmFraction = -0.5 }},
 		{name: "negative runs", mutate: func(c *Config) { c.Runs = -2 }},
 		{name: "bad workload", mutate: func(c *Config) { c.Workload.NumObjects = -1 }},
 	}
@@ -147,20 +144,25 @@ func TestZeroCapacityBaseline(t *testing.T) {
 	}
 }
 
+// TestWarmFractionControlsMeasurement: the first half of every trace
+// warms the cache (Section 4.1), flat or hierarchy, so the metrics
+// measure the second half.
 func TestWarmFractionControlsMeasurement(t *testing.T) {
-	cfg := Config{
-		Workload:     testWorkload(),
-		CacheBytes:   cachePct(2),
-		Policy:       core.NewIF(),
-		WarmFraction: 0.8,
-		Seed:         3,
-	}
-	m, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Requests != 2000 {
-		t.Errorf("measured requests = %d, want 2000 (20%% of 10000)", m.Requests)
+	cfg := HierarchyConfig{Config: Config{
+		Workload:   testWorkload(),
+		CacheBytes: cachePct(2),
+		Policy:     core.NewIF(),
+		Seed:       3,
+	}}
+	for _, levels := range []int{0, 1} {
+		cfg.Levels = levels
+		m, err := RunHierarchy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Requests != 5000 {
+			t.Errorf("levels %d: measured requests = %d, want 5000 (half of 10000)", levels, m.Requests)
+		}
 	}
 }
 
@@ -417,7 +419,7 @@ func TestBandwidthBlindPoliciesIgnoreEstimators(t *testing.T) {
 			t.Errorf("%s: ReadsBandwidth %v, normalised estimator %v; want false and nil", name, core.ReadsBandwidth(p), cfg.Estimator)
 		}
 		seed := SplitSeed(cfg.Seed, 0)
-		rp, err := arena.replay(cfg, seed)
+		rp, err := arena.tapeOf(cfg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,7 +467,7 @@ func TestLFUIsIF(t *testing.T) {
 		t.Fatalf("LFU normalises to %s, want IF", cfg.Policy.Name())
 	}
 	seed := SplitSeed(cfg.Seed, 0)
-	rp, err := arena.replay(cfg, seed)
+	rp, err := arena.tapeOf(cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,36 +501,46 @@ func TestLFUIsIF(t *testing.T) {
 }
 
 // TestUnderestimateIsOracleOverScaledMeans holds Underestimate{E} to
-// its definition, the oracle over means scaled by E: its cache follows,
-// request for request, the trajectory of an oracle run whose paths draw
-// E times the means, so every measure of the cache agrees bit for bit
-// (only the bandwidth the requests observe differs). PB-V's utility is
-// not proportional to 1/b, so it also sees the price its utility is
-// computed at, not only its target's.
+// its definition, the oracle over means scaled by E: over each run
+// seed's tape its cache follows, request for request, the trajectory of
+// the oracle over the same tape with every path mean times E, so every
+// measure of the cache agrees bit for bit (both score one bandwidth
+// column). PB-V's utility is not proportional to 1/b, so it also sees
+// the price its utility is computed at, not only its target's.
 func TestUnderestimateIsOracleOverScaledMeans(t *testing.T) {
+	const e = 0.5
+	arena := NewArena()
 	for _, p := range []core.Policy{core.NewPB(), core.NewPBV()} {
-		under := Config{Workload: testWorkload(), CacheBytes: cachePct(2), Policy: p, Estimator: Underestimate{0.5}, Runs: 2, Seed: 42}
-		scaled := under
-		scaled.Estimator, scaled.Base = nil, scaledMeans{0.5}
-		u, err := Run(under)
+		under, err := Config{Workload: testWorkload(), Policy: p, Estimator: Underestimate{e}, Arena: arena}.normalize()
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := Run(scaled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if u.TrafficReductionRatio != o.TrafficReductionRatio || u.HitRatio != o.HitRatio || u.EvictedBytes != o.EvictedBytes {
-			t.Errorf("%s: Underestimate{0.5} %+v, oracle over halved means %+v: the caches differ", p.Name(), u, o)
+		oracle := under
+		oracle.Estimator = nil
+		for run := range int64(2) {
+			rp, err := arena.tapeOf(under, SplitSeed(42, run))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scaled := *rp
+			scaled.means = make([]float64, len(rp.means))
+			for o, mean := range rp.means {
+				scaled.means[o] = e * mean
+			}
+			col := []column{{inst: rp.means}}
+			var u, o [1]Metrics
+			if err := replayColumns(under, rp, cachePct(2), col, u[:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := replayColumns(oracle, &scaled, cachePct(2), col, o[:]); err != nil {
+				t.Fatal(err)
+			}
+			if u != o {
+				t.Errorf("%s run %d: Underestimate{%v} %+v, oracle over scaled means %+v: the caches differ", p.Name(), run, e, u[0], o[0])
+			}
 		}
 	}
 }
-
-// scaledMeans draws each path's NLANR mean times e.
-type scaledMeans struct{ e float64 }
-
-func (s scaledMeans) Sample(rng *rand.Rand) float64 { return s.e * bandwidth.NLANR().Sample(rng) }
-func (s scaledMeans) Mean() float64                 { return s.e * bandwidth.NLANR().Mean() }
 
 func TestWholeObjectEvictionOption(t *testing.T) {
 	m, err := Run(Config{
@@ -613,7 +625,7 @@ func TestEstimateColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := SplitSeed(cfg.Seed, 0)
-	rp, err := cfg.Arena.replay(cfg, seed)
+	rp, err := cfg.Arena.tapeOf(cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -773,8 +785,8 @@ func TestGDSPBehavesLikeNetworkAwarePolicy(t *testing.T) {
 // builds an estimator, rather than panicking in a worker, and the ends
 // of each range are accepted, for a policy that reads no bandwidth too.
 // A per-path failure — here the Padhye conditions of a path whose mean
-// is NaN — is an error the run returns, except under such a policy,
-// which probes nothing.
+// is NaN, on a path's first probe — is an error the probe column
+// returns.
 func TestBadEstimatorIsBadConfig(t *testing.T) {
 	nan := math.NaN()
 	wl := workload.Config{NumObjects: 20, NumRequests: 200}
@@ -816,18 +828,8 @@ func TestBadEstimatorIsBadConfig(t *testing.T) {
 			}
 		})
 	}
-	cfg := Config{Workload: wl, CacheBytes: 1 << 30, Policy: core.NewPB(), Base: nanMeans{}, Estimator: ActiveProbe{0.1}}
-	if _, err := Run(cfg); err == nil {
-		t.Error("a probe of a NaN-mean path ran")
-	}
-	cfg.Policy = core.NewIF()
-	if _, err := Run(cfg); err != nil {
-		t.Errorf("IF probes no path, yet its run failed: %v", err)
+	rp := &tape{objs: make([]core.Object, 2), obj: []uint32{1, 0, 1}, means: []float64{2e5, nan}}
+	if _, err := (ActiveProbe{0.1}).prices(nil, rp, column{}); err == nil {
+		t.Error("a probe of a NaN-mean path priced it")
 	}
 }
-
-// nanMeans draws every path's mean bandwidth as NaN.
-type nanMeans struct{}
-
-func (nanMeans) Sample(*rand.Rand) float64 { return math.NaN() }
-func (nanMeans) Mean() float64             { return math.NaN() }

@@ -8,17 +8,20 @@ import (
 	"streamcache/internal/workload"
 )
 
-// tape is one compiled (workload.Config, run seed): everything about
-// the trace a request loop reads and cannot derive, as flat columns
-// indexed by request, plus the object table the columns index into.
-// 12 bytes per request, and 8 more on a tape with a partial viewer
-// (against workload.Request's 24, which is never built for a run).
-// Immutable once compiled.
+// tape is one compiled (workload.Config, run seed): everything a run
+// replays and cannot derive — the trace as flat columns indexed by
+// request, the object table the columns index into and the mean
+// bandwidth of each object's origin path. 12 bytes per request, and 8
+// more on a tape with a partial viewer (against workload.Request's 24,
+// which is never built for a run), plus 8 per object for its mean.
+// Nothing in it depends on the cache under test, which is what lets
+// every sweep point of a seed share one. Immutable once compiled.
 type tape struct {
-	key  workload.Config // the arena key it was compiled from
-	objs []core.Object   // indexed by object ID
-	obj  []uint32        // request -> index into objs
-	time []float64       // request -> arrival time, seconds
+	key   workload.Config // the arena key it was compiled from
+	objs  []core.Object   // indexed by object ID
+	obj   []uint32        // request -> index into objs
+	time  []float64       // request -> arrival time, seconds
+	means []float64       // object -> its path's mean bandwidth (NLANR, Figure 2)
 	// watched is request -> bytes the session watches (<= object size),
 	// or nil when every session watches to the end; read it through
 	// watchedAt.
@@ -34,11 +37,12 @@ func (t *tape) watchedAt(i int, size int64) int64 {
 	return t.watched[i]
 }
 
-// compileTape draws cfg's workload straight into the columns. The
-// partial-viewing clamp is applied here, once, for every request loop:
-// a session that stops early only ever transfers the watched prefix.
-// The watched column is made at the first such session, with the
-// requests before it watching their whole object.
+// compileTape draws cfg's workload straight into the columns, and each
+// object's path mean from the network stream of cfg.Seed (pathMeans).
+// The partial-viewing clamp is applied here, once, for every request
+// loop: a session that stops early only ever transfers the watched
+// prefix. The watched column is made at the first such session, with
+// the requests before it watching their whole object.
 func compileTape(cfg workload.Config) (*tape, error) {
 	g, err := workload.NewGenerator(cfg)
 	if err != nil {
@@ -46,10 +50,11 @@ func compileTape(cfg workload.Config) (*tape, error) {
 	}
 	n := g.Config.NumRequests
 	t := &tape{
-		key:  cfg,
-		objs: g.Objects,
-		obj:  make([]uint32, n),
-		time: make([]float64, n),
+		key:   cfg,
+		objs:  g.Objects,
+		obj:   make([]uint32, n),
+		time:  make([]float64, n),
+		means: pathMeans(cfg.Seed, len(g.Objects)),
 	}
 	for i := range n {
 		r := g.Next()
@@ -73,18 +78,23 @@ func compileTape(cfg workload.Config) (*tape, error) {
 	return t, nil
 }
 
-// replay is what one run replays: a tape plus the mean bandwidth of
-// each object's origin path. Nothing in it depends on the cache under
-// test, which is what lets every sweep point of a seed share one.
-type replay struct {
-	*tape
-	means []float64
-}
-
 // netSeedSalt separates the network random streams from the workload
 // stream of the same run (the workload generator seeds rand with the
 // run seed directly).
 const netSeedSalt = 0x5DEECE66D
+
+// pathMeans draws the mean bandwidth of n origin paths from the NLANR
+// distribution, in object order, from the network stream of the run
+// seeded with seed.
+func pathMeans(seed int64, n int) []float64 {
+	rng := rand.New(rand.NewSource(seed ^ netSeedSalt))
+	base := bandwidth.NLANR()
+	means := make([]float64, n)
+	for i := range means {
+		means[i] = base.Sample(rng)
+	}
+	return means
+}
 
 // tapeKey is the arena key of the tape the run of cfg seeded with seed
 // replays: cfg's workload with the run seed, normalised.
@@ -94,22 +104,17 @@ func (c Config) tapeKey(seed int64) (workload.Config, error) {
 	return w.Normalize()
 }
 
-// replay compiles — or, when an earlier run of the arena already has,
-// looks up — the tape and path means of the run of cfg seeded with
-// seed.
-func (a *Arena) replay(cfg Config, seed int64) (replay, error) {
+// tapeOf compiles — or, when an earlier run of the arena already has,
+// looks up — the tape of the run of cfg seeded with seed.
+func (a *Arena) tapeOf(cfg Config, seed int64) (*tape, error) {
 	wcfg, err := cfg.tapeKey(seed)
 	if err != nil {
-		return replay{}, err
+		return nil, err
 	}
-	t, err := memoize(a, a.tapes, wcfg, func() (*tape, error) {
+	return memoize(a, a.tapes, wcfg, func() (*tape, error) {
 		a.tapeCompiles.Add(1)
 		return compileTape(wcfg)
 	})
-	if err != nil {
-		return replay{}, err
-	}
-	return replay{tape: t, means: a.PathMeans(cfg.Base, seed^netSeedSalt, len(t.objs))}, nil
 }
 
 // drawsPerRequest reports whether v consumes the per-request random
@@ -127,9 +132,9 @@ func drawsPerRequest(v bandwidth.Variability) bool {
 // stream SplitSeed(pathSeed, 1), times the path mean, floored, with
 // bandwidth.Path doing the arithmetic. Path-mean assignment draws from
 // pathSeed itself; keeping the two streams apart is what makes this
-// column a pure function of (tape, base, variation) and never of what a
-// cache did between two draws.
-func compileRates(rp replay, variation bandwidth.Variability, seed int64) []float64 {
+// column a pure function of (tape, variation) and never of what a cache
+// did between two draws.
+func compileRates(rp *tape, variation bandwidth.Variability, seed int64) []float64 {
 	if !drawsPerRequest(variation) {
 		inst := make([]float64, len(rp.means))
 		for o, mean := range rp.means {
@@ -162,9 +167,9 @@ func (c column) at(i int, o uint32) float64 {
 
 // column returns the (possibly cached) bandwidth column of rp under
 // cfg's variability.
-func (a *Arena) column(cfg Config, seed int64, rp replay) column {
+func (a *Arena) column(cfg Config, seed int64, rp *tape) column {
 	c := column{perRequest: drawsPerRequest(cfg.Variation)}
-	c.inst, _ = memoize(a, a.cols, rateKey{tape: rp.key, base: cfg.Base, variation: cfg.Variation}, func() ([]float64, error) {
+	c.inst, _ = memoize(a, a.cols, rateKey{tape: rp.key, variation: cfg.Variation}, func() ([]float64, error) {
 		a.rateCompiles.Add(1)
 		return compileRates(rp, cfg.Variation, seed), nil
 	})

@@ -7,8 +7,9 @@
 //
 // The original nine-day NLANR UC log is not publicly archived, so this
 // package also synthesizes Squid-format logs whose miss throughput
-// follows a configurable bandwidth model; the analyzer then re-derives
-// the distribution from the log exactly as the paper does. See DESIGN.md
+// follows the reconstructed NLANR base distribution (Figure 2) under a
+// configurable variability model; the analyzer then re-derives the
+// distribution from the log exactly as the paper does. See DESIGN.md
 // ("Substitutions") for why this preserves the evaluation.
 package trace
 
@@ -167,7 +168,6 @@ func ReadAll(r io.Reader) ([]Entry, error) {
 type GenConfig struct {
 	Entries       int                   // number of log lines
 	Servers       int                   // number of distinct origin servers (paths)
-	Base          bandwidth.Model       // per-server mean bandwidth
 	Variation     bandwidth.Variability // per-request sample-to-mean ratio
 	HitFraction   float64               // fraction of TCP_HIT lines (excluded by analysis)
 	SmallFraction float64               // fraction of sub-200KB objects (excluded by analysis)
@@ -182,18 +182,15 @@ const (
 )
 
 // Generate synthesizes a Squid log. Each origin server is assigned a mean
-// bandwidth from Base; each request to it observes mean x Variation ratio,
-// and the logged elapsed time is size/throughput, so the analyzer recovers
-// the configured distributions.
+// bandwidth from the NLANR distribution (bandwidth.NLANR, Figure 2); each
+// request to it observes mean x Variation ratio, and the logged elapsed
+// time is size/throughput, so the analyzer recovers both distributions.
 func Generate(cfg GenConfig) ([]Entry, error) {
 	if cfg.Entries <= 0 {
 		return nil, fmt.Errorf("%w: entries=%d, want > 0", ErrBadConfig, cfg.Entries)
 	}
 	if cfg.Servers <= 0 {
 		return nil, fmt.Errorf("%w: servers=%d, want > 0", ErrBadConfig, cfg.Servers)
-	}
-	if cfg.Base == nil {
-		return nil, fmt.Errorf("%w: nil Base model", ErrBadConfig)
 	}
 	if cfg.Variation == nil {
 		return nil, fmt.Errorf("%w: nil Variation model", ErrBadConfig)
@@ -205,9 +202,10 @@ func Generate(cfg GenConfig) ([]Entry, error) {
 		return nil, fmt.Errorf("%w: small fraction=%v, want in [0,1)", ErrBadConfig, cfg.SmallFraction)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	base := bandwidth.NLANR()
 	paths := make([]bandwidth.Path, cfg.Servers)
 	for i := range paths {
-		paths[i] = bandwidth.Path{MeanRate: cfg.Base.Sample(rng), Variation: cfg.Variation}
+		paths[i] = bandwidth.Path{MeanRate: base.Sample(rng), Variation: cfg.Variation}
 	}
 	entries := make([]Entry, 0, cfg.Entries)
 	var now float64

@@ -125,7 +125,6 @@ func validGenConfig() GenConfig {
 	return GenConfig{
 		Entries:       2000,
 		Servers:       40,
-		Base:          bandwidth.NLANR(),
 		Variation:     bandwidth.NoVariation{},
 		HitFraction:   0.2,
 		SmallFraction: 0.3,
@@ -140,7 +139,6 @@ func TestGenerateValidation(t *testing.T) {
 	}{
 		{name: "zero entries", mutate: func(c *GenConfig) { c.Entries = 0 }},
 		{name: "zero servers", mutate: func(c *GenConfig) { c.Servers = 0 }},
-		{name: "nil base", mutate: func(c *GenConfig) { c.Base = nil }},
 		{name: "nil variation", mutate: func(c *GenConfig) { c.Variation = nil }},
 		{name: "hit fraction 1", mutate: func(c *GenConfig) { c.HitFraction = 1 }},
 		{name: "negative hit fraction", mutate: func(c *GenConfig) { c.HitFraction = -0.1 }},

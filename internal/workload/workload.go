@@ -35,25 +35,30 @@ type Request struct {
 	Fraction float64 // watched fraction of the stream, in (0, 1]
 }
 
+// The object model every workload draws from (Table 1 and GISMO):
+// durations are Lognormal(durationMu, durationSigma) minutes, values
+// uniform on [valueMin, valueMax] dollars, and a partial viewer watches
+// a fraction uniform on [minViewFraction, 1) of the stream.
+const (
+	durationMu      = 3.85
+	durationSigma   = 0.56
+	valueMin        = 1
+	valueMax        = 10
+	minViewFraction = 0.05
+)
+
 // Config parameterizes workload generation. Zero fields take the Table 1
 // defaults via Normalize.
 type Config struct {
 	NumObjects    int     // unique objects (default 5000)
 	NumRequests   int     // total requests (default 100000)
 	ZipfAlpha     float64 // popularity skew (default 0.73)
-	DurationMu    float64 // lognormal mu of duration in minutes (default 3.85)
-	DurationSigma float64 // lognormal sigma (default 0.56)
 	BytesPerFrame int64   // default 2 KB
 	FramesPerSec  float64 // default 24
 	RequestRate   float64 // Poisson arrival rate, requests/s (default 1)
-	ValueMin      float64 // default $1
-	ValueMax      float64 // default $10
 	// PartialViewProb is the probability a session stops early (GISMO
 	// user interactivity; default 0 = everyone watches to the end).
 	PartialViewProb float64
-	// MinViewFraction bounds how early a partial viewer may stop; the
-	// watched fraction is uniform on [MinViewFraction, 1) (default 0.05).
-	MinViewFraction float64
 	Seed            int64
 }
 
@@ -69,12 +74,6 @@ func (c Config) Normalize() (Config, error) {
 	if c.ZipfAlpha == 0 {
 		c.ZipfAlpha = 0.73
 	}
-	if c.DurationMu == 0 {
-		c.DurationMu = 3.85
-	}
-	if c.DurationSigma == 0 {
-		c.DurationSigma = 0.56
-	}
 	if c.BytesPerFrame == 0 {
 		c.BytesPerFrame = 2 * units.KB
 	}
@@ -84,35 +83,21 @@ func (c Config) Normalize() (Config, error) {
 	if c.RequestRate == 0 {
 		c.RequestRate = 1
 	}
-	if c.ValueMin == 0 && c.ValueMax == 0 {
-		c.ValueMin, c.ValueMax = 1, 10
-	}
-	if c.MinViewFraction == 0 {
-		c.MinViewFraction = 0.05
-	}
 	switch {
 	case c.PartialViewProb < 0 || c.PartialViewProb > 1 || math.IsNaN(c.PartialViewProb):
 		return c, fmt.Errorf("%w: PartialViewProb=%v", ErrBadConfig, c.PartialViewProb)
-	case c.MinViewFraction < 0 || c.MinViewFraction > 1 || math.IsNaN(c.MinViewFraction):
-		return c, fmt.Errorf("%w: MinViewFraction=%v", ErrBadConfig, c.MinViewFraction)
-	}
-	switch {
 	case c.NumObjects < 0:
 		return c, fmt.Errorf("%w: NumObjects=%d", ErrBadConfig, c.NumObjects)
 	case c.NumRequests < 0:
 		return c, fmt.Errorf("%w: NumRequests=%d", ErrBadConfig, c.NumRequests)
 	case c.ZipfAlpha < 0 || math.IsNaN(c.ZipfAlpha):
 		return c, fmt.Errorf("%w: ZipfAlpha=%v", ErrBadConfig, c.ZipfAlpha)
-	case c.DurationSigma < 0:
-		return c, fmt.Errorf("%w: DurationSigma=%v", ErrBadConfig, c.DurationSigma)
 	case c.BytesPerFrame < 0:
 		return c, fmt.Errorf("%w: BytesPerFrame=%d", ErrBadConfig, c.BytesPerFrame)
 	case c.FramesPerSec < 0 || math.IsNaN(c.FramesPerSec):
 		return c, fmt.Errorf("%w: FramesPerSec=%v", ErrBadConfig, c.FramesPerSec)
 	case c.RequestRate < 0 || math.IsNaN(c.RequestRate):
 		return c, fmt.Errorf("%w: RequestRate=%v", ErrBadConfig, c.RequestRate)
-	case c.ValueMax < c.ValueMin:
-		return c, fmt.Errorf("%w: ValueMax=%v < ValueMin=%v", ErrBadConfig, c.ValueMax, c.ValueMin)
 	}
 	return c, nil
 }
@@ -194,8 +179,8 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		return nil, fmt.Errorf("%w: no objects", ErrBadConfig)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	durations := dist.Lognormal{Mu: cfg.DurationMu, Sigma: cfg.DurationSigma}
-	values := dist.Uniform{Min: cfg.ValueMin, Max: cfg.ValueMax}
+	durations := dist.Lognormal{Mu: durationMu, Sigma: durationSigma}
+	values := dist.Uniform{Min: valueMin, Max: valueMax}
 	rate := cfg.Rate()
 
 	objects := make([]Object, cfg.NumObjects)
@@ -226,7 +211,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 func (g *Generator) Next() Request {
 	frac := 1.0
 	if g.Config.PartialViewProb > 0 && g.rng.Float64() < g.Config.PartialViewProb {
-		frac = g.Config.MinViewFraction + float64(g.rng.Float64()*(1-g.Config.MinViewFraction))
+		frac = minViewFraction + float64(g.rng.Float64()*(1-minViewFraction))
 	}
 	return Request{
 		Time:     g.proc.Next(g.rng),
@@ -258,7 +243,7 @@ const (
 type Viewing struct {
 	Kind ViewingKind `json:"dist"`
 	// MinFraction bounds how early a ViewUniform session may stop
-	// (default 0.05, matching Config.MinViewFraction).
+	// (default 0.05, where a trace's partial viewers stop).
 	MinFraction float64 `json:"min_fraction"`
 	// Mu, Sigma parameterize the ViewLognormal watched duration in
 	// seconds: exp(N(Mu, Sigma^2)).
@@ -275,7 +260,7 @@ func (v Viewing) Validate() (Viewing, error) {
 	case ViewFull:
 	case ViewUniform:
 		if v.MinFraction == 0 {
-			v.MinFraction = 0.05
+			v.MinFraction = minViewFraction
 		}
 		if v.MinFraction < 0 || v.MinFraction > 1 || math.IsNaN(v.MinFraction) {
 			return v, fmt.Errorf("%w: viewing MinFraction=%v, want in [0, 1]", ErrBadConfig, v.MinFraction)

@@ -23,17 +23,11 @@ func TestNormalizeAppliesTable1Defaults(t *testing.T) {
 	if cfg.ZipfAlpha != 0.73 {
 		t.Errorf("ZipfAlpha = %v, want 0.73", cfg.ZipfAlpha)
 	}
-	if cfg.DurationMu != 3.85 || cfg.DurationSigma != 0.56 {
-		t.Errorf("Duration = (%v, %v), want (3.85, 0.56)", cfg.DurationMu, cfg.DurationSigma)
-	}
 	if cfg.BytesPerFrame != 2*units.KB || cfg.FramesPerSec != 24 {
 		t.Errorf("frame config = (%d, %v), want (2KB, 24)", cfg.BytesPerFrame, cfg.FramesPerSec)
 	}
 	if got := cfg.Rate(); got != units.KBps(48) {
 		t.Errorf("Rate() = %v, want 48 KB/s", got)
-	}
-	if cfg.ValueMin != 1 || cfg.ValueMax != 10 {
-		t.Errorf("Value range = [%v, %v], want [1, 10]", cfg.ValueMin, cfg.ValueMax)
 	}
 }
 
@@ -46,11 +40,9 @@ func TestNormalizeRejectsInvalid(t *testing.T) {
 		{name: "negative requests", cfg: Config{NumRequests: -1}},
 		{name: "negative alpha", cfg: Config{ZipfAlpha: -0.5}},
 		{name: "NaN alpha", cfg: Config{ZipfAlpha: math.NaN()}},
-		{name: "negative sigma", cfg: Config{DurationSigma: -1}},
 		{name: "negative frame bytes", cfg: Config{BytesPerFrame: -2}},
 		{name: "negative fps", cfg: Config{FramesPerSec: -24}},
 		{name: "negative rate", cfg: Config{RequestRate: -1}},
-		{name: "value max below min", cfg: Config{ValueMin: 5, ValueMax: 2}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -278,11 +270,6 @@ func TestPartialViewingValidation(t *testing.T) {
 	if _, err := Generate(bad); err == nil {
 		t.Error("negative PartialViewProb accepted")
 	}
-	bad = smallConfig()
-	bad.MinViewFraction = 2
-	if _, err := Generate(bad); err == nil {
-		t.Error("MinViewFraction > 1 accepted")
-	}
 }
 
 func TestPartialViewingFractions(t *testing.T) {
@@ -300,8 +287,8 @@ func TestPartialViewingFractions(t *testing.T) {
 		}
 		if r.Fraction < 1 {
 			partial++
-			if r.Fraction < 0.05 {
-				t.Fatalf("request %d: fraction %v below MinViewFraction", i, r.Fraction)
+			if r.Fraction < minViewFraction {
+				t.Fatalf("request %d: fraction %v below minViewFraction", i, r.Fraction)
 			}
 		}
 	}

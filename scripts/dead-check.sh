@@ -7,10 +7,13 @@
 #   its own tests mention is dead code with a test attached.
 # - options: every exported field of a `type …Config struct` or
 #   `type …Options struct` declared outside bench/ that no non-test line
-#   sets. Setting means a composite-literal key `F:`, an assignment
-#   `.F =`, a multi-assign `.F, … =` or an address taken `&x.F` (what
-#   flag.XxxVar does). A knob only tests set has one value in use; the
-#   remedy is to make that value a constant.
+#   sets. Setting means a composite-literal key `F:` (a bare name: `x.F:`
+#   is a case label), an assignment `.F =`, a multi-assign `.F, … =` or
+#   an address taken `&x.F` (what flag.XxxVar does). A type defaulting
+#   its own field — `c.F = …` inside a method whose receiver c is of the
+#   type that declares F, as a Normalize or withDefaults does — is not a
+#   setting: it is the one value in use. A knob only tests set has one
+#   value in use; the remedy is to make that value a constant.
 #
 # The remedy for a func is to delete it with its tests; for either, a
 # hit may stay if scripts/dead-allow.txt names it (`Recv.func` or
@@ -64,11 +67,16 @@ options=$(xargs awk '
         typ = line; sub(/^type /, "", typ); sub(/ .*$/, "", typ); instruct = 1; next
     }
     instruct && line ~ /^}/ { instruct = 0 }
+    line ~ /^}/ { rname = ""; rtype = "" }   # a method body ends
+    line ~ /^func \([A-Za-z_][A-Za-z_0-9]* \*?[A-Za-z_][A-Za-z_0-9]*[\[\)]/ {
+        rname = line; sub(/^func \(/, "", rname); sub(/ .*$/, "", rname)
+        rtype = line; sub(/^func \([A-Za-z_0-9]* \*?/, "", rtype); sub(/[\[\)].*$/, "", rtype)
+    }
     instruct && line ~ /^\t[A-Z]/ {       # a top-level field: names, then a type
         k = split(line, tok, /[ \t]+/)
         for (i = 2; i < k; i++) {
             name = tok[i]; more = sub(/,$/, "", name)
-            if (name ~ /^[A-Z]/) { decl[++n] = typ "." name " " FILENAME; word[n] = name }
+            if (name ~ /^[A-Z]/) { decl[++n] = typ "." name " " FILENAME; word[n] = name; own[typ "." name] = 1 }
             if (!more) break
         }
     }
@@ -76,7 +84,7 @@ options=$(xargs awk '
         s = line
         while (match(s, /[A-Za-z_0-9.]*[A-Z][A-Za-z_0-9]*:/)) {
             w = substr(s, RSTART, RLENGTH - 1); s = substr(s, RSTART + RLENGTH)
-            sub(/^.*\./, "", w)
+            if (w ~ /\./) continue    # x.F: is a case label or a map key, not a field key
             if (substr(s, 1, 1) != "=" && w ~ /^[A-Z]/) set[w] = 1
         }
         # .F = (not .F ==), and .F, before a multi-assign =
@@ -84,14 +92,14 @@ options=$(xargs awk '
         if (match(s, /[^=!<>:]=[^=]/)) {
             head = substr(s, 1, RSTART)
             while (match(head, /\.[A-Z][A-Za-z_0-9]* *,/)) {
-                w = substr(head, RSTART + 1, RLENGTH - 1); head = substr(head, RSTART + RLENGTH)
-                sub(/ *,$/, "", w); set[w] = 1
+                w = substr(head, RSTART + 1, RLENGTH - 1); pre = substr(head, 1, RSTART - 1); head = substr(head, RSTART + RLENGTH)
+                sub(/ *,$/, "", w); assign(w, pre)
             }
         }
         while (match(s, /\.[A-Z][A-Za-z_0-9]* *=/)) {
-            w = substr(s, RSTART + 1, RLENGTH - 1); s = substr(s, RSTART + RLENGTH)
+            w = substr(s, RSTART + 1, RLENGTH - 1); pre = substr(s, 1, RSTART - 1); s = substr(s, RSTART + RLENGTH)
             sub(/ *=$/, "", w)
-            if (substr(s, 1, 1) != "=") set[w] = 1
+            if (substr(s, 1, 1) != "=") assign(w, pre)
         }
         # &x.F
         s = line
@@ -100,7 +108,16 @@ options=$(xargs awk '
             sub(/^.*\./, "", w); set[w] = 1
         }
     }
-    END { for (i = 1; i <= n; i++) if (!(word[i] in set)) print decl[i] }
+    # recv.F = inside a method of recv'"'"'s type: whether that defaults
+    # the type'"'"'s own field F is known once every struct is read (END)
+    function assign(w, pre) {
+        if (rname != "" && pre ~ ("(^|[^A-Za-z_0-9.])" rname "$")) selfset[rtype "." w] = w
+        else set[w] = 1
+    }
+    END {
+        for (k in selfset) if (!(k in own)) set[selfset[k]] = 1
+        for (i = 1; i <= n; i++) if (!(word[i] in set)) print decl[i]
+    }
 ' <<<"$files" | sort)
 
 hits=$(printf '%s\n%s\n' "$funcs" "$options" | grep . || true)

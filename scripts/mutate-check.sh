@@ -223,6 +223,15 @@ row D9 internal/sim/sim.go TestAnswerLedger ./internal/experiments \
     'a flat run'"'"'s traffic reduction is 1 - (watched - cached)/watched, not cached/watched: off by an ulp in some answers, which no CSV digit shows (TestGoldenTables passes it)' \
     'm.TrafficReductionRatio = t.cached / watched' 'm.TrafficReductionRatio = 1 - (watched-t.cached)/watched'
 
+# --- open-loop flags: a NaN fails every range check ---------------------------
+#
+# A range check written x <= 0 lets NaN through; loadgen's checks are
+# written !(x > 0), run before -dry-run returns, and a real run shares them.
+
+row N1 internal/load/engine.go TestOpenFlagsRefused ./cmd/loadgen \
+    'Options.Normalize lets a NaN TimeScale through: loadgen -time-scale NaN passes -dry-run, and a real run divides every arrival time by NaN' \
+    'if !(o.TimeScale > 0) || math.IsInf(o.TimeScale, 1) {' 'if o.TimeScale <= 0 || math.IsInf(o.TimeScale, 1) {'
+
 # --- capacity pass: exact or refused -----------------------------------------
 #
 # sim.RunGroup scores a cache-size axis in one tape pass only where the
@@ -245,8 +254,8 @@ row K6 internal/sim/capacity.go TestCapacityPassMatchesRunOnce ./internal/sim \
     'selection ignores aging: a GreedyDual cache-size group is scored by the greedy fill of utilities without L' \
     'c.Estimator == nil && !core.Ages(c.Policy) && ' 'c.Estimator == nil && '
 row K8 internal/sim/share.go TestScorePendingFamilies ./internal/sim \
-    'the family key drops Base: a group on other path means joins the family and is scored over the first group'"'"'s means' \
-    'key.Policy = core.Ranker(key.Policy)' 'key.Policy, key.Base = core.Ranker(key.Policy), nil'
+    'the family key drops Seed: a group of other run seeds joins the family and is scored over the first group'"'"'s tapes' \
+    'key.Policy = core.Ranker(key.Policy)' 'key.Policy, key.Seed = core.Ranker(key.Policy), 0'
 row K9 internal/core/gds.go 'TestRankerRanksAlike TestScorePendingFamilies TestGroupCounts' './internal/core ./internal/sim ./internal/experiments' \
     'core.Ranker keeps a hybrid'"'"'s e: PB, IB and every hybrid rank the tape again (no answer moves; the ranks= pins see it)' \
     $'\tcase hybridPolicy:\n\t\treturn hybridPolicy{}' $'\tcase hybridPolicy:\n\t\treturn p'
@@ -258,6 +267,26 @@ row K11 internal/sim/capacity.go TestGroupCounts ./internal/experiments \
     'func scoreSeed(' $'var mutRanking ranking\n\nfunc scoreSeed(' \
     $'\tvar r ranking\n' $'\tr := mutRanking\n\tranked = len(r.rank) == len(rp.obj)\n' \
     $'\t\t\t\tr, ranked = s.rank(cfg.Policy, rp), true\n' $'\t\t\t\tr, ranked = s.rank(cfg.Policy, rp), true\n\t\t\t\tmutRanking = r\n'
+
+# --- the cache's specification: core.Cache against a map-based model -----------
+#
+# FuzzCacheModel replays random scripts of accesses and truncations
+# through core.Cache and through modelCache, its specification over a
+# map (internal/core/model_test.go); its seed corpus covers every
+# policy in both eviction modes.
+
+row C1 internal/core/cache.go FuzzCacheModel ./internal/core \
+    'makeRoom evicts an entry whose key equals the requester'"'"'s, not only strictly cheaper ones' \
+    'if int(vid) == selfID || v.utility >= utility {' 'if int(vid) == selfID || v.utility > utility {'
+row C2 internal/core/heap.go FuzzCacheModel ./internal/core \
+    'the heap'"'"'s tiebreak inverted: of two entries with one key, the more recently requested evicts first' \
+    'return ea.last < eb.last' 'return ea.last > eb.last'
+row C3 internal/core/cache.go FuzzCacheModel ./internal/core \
+    'partial eviction takes one byte past the shortfall from each victim' \
+    $'\t\t\tif take > shortfall {\n\t\t\t\ttake = shortfall\n' $'\t\t\tif take > shortfall+1 {\n\t\t\t\ttake = shortfall + 1\n'
+row C4 internal/core/cache.go FuzzCacheModel ./internal/core \
+    'an aging cache never raises its inflation value L to a victim'"'"'s key' \
+    'if c.aging && v.utility > c.inflation {' 'if c.aging && v.utility > c.inflation && len(c.victims) < 0 {'
 
 # --- aging: GreedyDual's L lives in core.Cache ----------------------------------
 #
@@ -364,7 +393,7 @@ row X4 internal/sim/share.go 'TestDeclaredMembersMatchRun TestDeclaredTablesByte
     'store skips extras: a call stores only the first member it scored, and the rest are answered with zero Metrics' \
     'for k, m := range e.pending {' 'for k, m := range e.pending[:1] {'
 row X6 internal/sim/sim.go TestUnkeyableValuesRefused ./internal/sim \
-    'withDefaults lets a policy, base model or variability that cannot key a map through: hashing its share key, path-mean key or column key panics' \
+    'withDefaults lets a policy or variability that cannot key a map through: hashing its share key or column key panics' \
     $'\tif !keyable(c) {\n' $'\tif false {\n'
 
 # --- release: the arena forgets only what nothing can still read ------------
