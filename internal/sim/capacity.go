@@ -26,6 +26,9 @@
 // in a Fenwick tree of targets answers S — and so every capacity — at
 // once: Mattson et al.'s stack-algorithm inclusion property, from whole
 // objects generalised to byte prefixes (DESIGN.md §5a has the argument).
+// Only the measured requests are scored, and the tree at the warm-up's
+// end holds just each object's last warm-up key, so the pass builds
+// that tree in one linear sweep instead of replaying the warm-up.
 // Where a condition fails the run replays through core.Cache once per
 // capacity instead, so the result is exact either way.
 //
@@ -250,13 +253,15 @@ func overEach(agg *[]Metrics, runs int) {
 // and per member. Every slot is written or cleared before it is read,
 // and nothing in it outlives the seed that filled it.
 type passScratch struct {
-	freq        []int64  // per object: requests so far (rank)
-	bad         []bool   // per object: a utility not finite and positive (rank)
-	keys, keys2 []uint64 // per request: utility bits and the sort's other half, then a pass's Fenwick tree
-	idx, idx2   []int32  // per request: request index and the sort's other half, then request -> rank
-	ties        []int32  // the bounds of each tie run (rank)
-	target      []int64  // per object: the group's clamped target (pass)
-	last        []int32  // per object: rank of its live key, -1 before its first (pass)
+	freq        []int64   // per object: requests so far (rank)
+	prev        []float64 // per object: its latest utility so far (rank)
+	bad         []bool    // per object: a utility not finite and positive, or one that fell (rank)
+	held        []int32   // per object: its last warm-up request, then that key's slot, -1 if none (rank)
+	keys, keys2 []uint64  // per request: utility bits and the sort's other half, then a pass's Fenwick tree
+	idx, idx2   []int32   // per request: request index and the sort's other half, then request -> slot
+	ties        []int32   // the bounds of each tie run (rank)
+	target      []int64   // per object: the group's clamped target (pass)
+	last        []int32   // per object: slot of its live key, -1 before its first (pass)
 	acc         []memberTotals
 	counts      [8][256]int32
 }
@@ -268,14 +273,17 @@ func fit[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // ranking is one run seed's order of every request of a tape by the
 // utility its object has after the access, the same for every policy
-// with one core.Ranker. Its slices live in the passScratch that ranked
-// it, until that scratch ranks again.
+// with one core.Ranker. Only the keys a pass's tree ever holds — each
+// object's last warm-up key and every measured key — get a slot, in
+// the same order. Its slices live in the passScratch that ranked it,
+// until that scratch ranks again.
 type ranking struct {
 	order []int32 // request indices by ascending utility, equal utilities in request order
-	rank  []int32 // per request: its position in order
+	slot  []int32 // per request from the warm-up's end, and per held key: its slot in the tree
+	held  []int32 // per object: the slot of its last warm-up key, -1 if it has none
 	ties  []int32 // [ties[2t], ties[2t+1]) in order: a run of one utility spanning two or more objects
-	bad   []bool  // per object: some utility of its not finite and positive
-	tree  fenwick // spare storage, one slot more than there are requests
+	bad   []bool  // per object: some utility of its not finite and positive, or below the one before
+	tree  fenwick // spare storage, one node more than there are slots
 }
 
 // rank ranks every request of rp under policy: its post-access utility,
@@ -283,24 +291,34 @@ type ranking struct {
 // its own targets (pass), so the groups of a family each check its ties
 // and bad objects against what they cache.
 func (s *passScratch) rank(policy core.Policy, rp *tape) ranking {
-	n, objects := len(rp.obj), len(rp.objs)
-	s.freq, s.bad = fit(s.freq, objects), fit(s.bad, objects)
+	n, objects, warm := len(rp.obj), len(rp.objs), warmup(len(rp.obj))
+	s.freq, s.prev, s.bad, s.held = fit(s.freq, objects), fit(s.prev, objects), fit(s.bad, objects), fit(s.held, objects)
 	clear(s.freq)
+	clear(s.prev)
 	clear(s.bad)
+	for o := range s.held {
+		s.held[o] = -1
+	}
 	// Each buffer pair is sized for the role it ends in: the sorted keys'
-	// buffer becomes the n+1-slot tree, the spare idx buffer the rank of
-	// each request.
+	// buffer becomes the tree, the spare idx buffer the slot of each
+	// request.
 	s.keys, s.idx = fit(s.keys, n+1)[:n], fit(s.idx, n)
 	for i, o := range rp.obj {
 		s.freq[o]++
 		u := policy.Utility(core.AccessStats{Freq: s.freq[o], LastAccess: rp.time[i]}, rp.objs[o], rp.means[o])
-		if !(u > 0 && u <= math.MaxFloat64) {
+		// A utility that falls is the pass's to refuse: the stable sort
+		// would rank the key below its object's previous one.
+		if !(u > 0 && u <= math.MaxFloat64) || u < s.prev[o] {
 			s.bad[o] = true
+		}
+		s.prev[o] = u
+		if i < warm {
+			s.held[o] = int32(i)
 		}
 		s.keys[i], s.idx[i] = math.Float64bits(u), int32(i) // ordered as u is, for positive u
 	}
 	s.keys2, s.idx2 = fit(s.keys2, n+1)[:n], fit(s.idx2, n)
-	keys, order, rank := radixSort(s.keys, s.idx, s.keys2, s.idx2, &s.counts)
+	keys, order, slot := radixSort(s.keys, s.idx, s.keys2, s.idx2, &s.counts)
 	s.ties = s.ties[:0]
 	for lo := 0; lo < n; {
 		hi, mixed := lo+1, false
@@ -312,21 +330,31 @@ func (s *passScratch) rank(policy core.Policy, rp *tape) ranking {
 		}
 		lo = hi
 	}
-	for p, i := range order {
-		rank[i] = int32(p)
+	// A warm-up key its object replaces before the warm-up ends is in
+	// no tree the measured requests read: it gets no slot.
+	slots := int32(0)
+	for _, i := range order {
+		if int(i) >= warm || s.held[rp.obj[i]] == i {
+			slot[i], slots = slots, slots+1
+		}
 	}
-	return ranking{order: order, rank: rank, ties: s.ties, bad: s.bad, tree: fenwick(keys[:n+1])}
+	for o, i := range s.held {
+		if i >= 0 {
+			s.held[o] = slot[i]
+		}
+	}
+	return ranking{order: order, slot: slot, held: s.held, ties: s.ties, bad: s.bad, tree: fenwick(keys[:slots+1])}
 }
 
 // pass scores one run of rp for every member, member k reading
 // bandwidth column cols[k], from the ranking r of rp's requests, into
 // out and reports true, or reports false, leaving out unspecified, when
-// an object cfg's policy caches has a utility that is not finite and
-// positive, shares one with another such object, or sees its own fall.
-// Objects it does not cache add nothing to the tree, so ranking them
-// beside the rest moves no sum.
+// an object cfg's policy caches is bad (a utility not finite and
+// positive, or one that fell) or shares a utility with another such
+// object. Objects it does not cache add nothing to the tree, so ranking
+// them beside the rest moves no sum.
 func (s *passScratch) pass(cfg Config, rp *tape, r ranking, members []Member, cols []column, out []Metrics) bool {
-	n, objects := len(rp.obj), len(rp.objs)
+	n := len(rp.obj)
 	s.target = priceTargets(s.target, cfg.Policy, rp, column{inst: rp.means})
 	for o, bad := range r.bad {
 		if bad && s.target[o] > 0 {
@@ -348,46 +376,42 @@ func (s *passScratch) pass(cfg Config, rp *tape, r ranking, members []Member, co
 			}
 		}
 	}
-	s.last = fit(s.last, objects)
-	for o := range s.last {
-		s.last[o] = -1
-	}
-	rank := r.rank
-
-	// Replay in request order: before each access its object's hit
-	// bytes at every capacity, after it the fill that Access leaves.
-	tree := r.tree
+	// The tree at the warm-up's end holds each object's last warm-up
+	// key, whatever came before it: build it from those in O(slots).
+	s.last = append(s.last[:0], r.held...)
+	slot, tree := r.slot, r.tree
 	clear(tree)
+	var live int64 // targets of every object requested so far
+	for o, h := range r.held {
+		if t := s.target[o]; h >= 0 && t > 0 {
+			tree[h+1], live = uint64(t), live+t
+		}
+	}
+	tree.build()
+
+	// Replay the measured requests in order: before each access its
+	// object's hit bytes at every capacity, after it the fill that
+	// Access leaves.
 	s.acc = fit(s.acc, len(members))
 	acc := s.acc
 	clear(acc)
 	warm := warmup(n)
-	var live int64    // targets of every object requested so far
 	var total float64 // watched bytes of the measured requests
-	for i, o := range rp.obj {
+	for i := warm; i < n; i++ {
+		o := rp.obj[i]
 		t, prev, before := s.target[o], int32(-1), live
 		var above, aboveAfter int64 // targets ranked above o's key, before and after
 		if t > 0 {
-			r := rank[i]
+			r := slot[i]
 			if prev = s.last[o]; prev >= 0 {
-				if r < prev {
-					return false
-				}
-				if i >= warm {
-					above = live - tree.sum(prev)
-				}
+				above = live - tree.sum(prev)
 				tree.add(prev, -t)
 			} else {
 				live += t
 			}
 			tree.add(r, t)
 			s.last[o] = r
-			if i >= warm {
-				aboveAfter = live - tree.sum(r)
-			}
-		}
-		if i < warm {
-			continue
+			aboveAfter = live - tree.sum(r)
 		}
 		obj := rp.objs[o]
 		watched := rp.watchedAt(i, obj.Size)
@@ -469,15 +493,27 @@ func radixSort(keys []uint64, idx []int32, keys2 []uint64, idx2 []int32, counts 
 	return keys, idx, idx2
 }
 
-// fenwick is a binary indexed tree over ranks 0..len-2: add and sum
-// (over ranks 0..i) in O(log n). Its nodes are uint64 so that it can
-// live in a sort buffer; arithmetic modulo 2^64 leaves every sum that
-// fits an int64, as byte counts do, exact.
+// fenwick is a binary indexed tree over slots 0..len-2: add and sum
+// (over slots 0..i) in O(log n), build in O(n). Its nodes are uint64
+// so that it can live in a sort buffer; arithmetic modulo 2^64 leaves
+// every sum that fits an int64, as byte counts do, exact.
 type fenwick []uint64
 
 func (f fenwick) add(i int32, d int64) {
 	for j := int(i) + 1; j < len(f); j += j & -j {
 		f[j] += uint64(d)
+	}
+}
+
+// build turns f, holding each slot's value at its own node (slot i at
+// node i+1), into the tree the adds of those values leave: each node,
+// complete once every lower node has added in, adds itself to its
+// parent. The sums are the same integers, in any order.
+func (f fenwick) build() {
+	for j := 1; j < len(f); j++ {
+		if p := j + j&-j; p < len(f) {
+			f[p] += f[j]
+		}
 	}
 }
 

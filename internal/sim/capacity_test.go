@@ -252,6 +252,121 @@ func TestCapacityPassMatchesRunOnce(t *testing.T) {
 			t.Errorf("one pass: PB %v, IB %v; want PB's pass to ignore the tie of an object it does not cache, and IB to fall back", onePass[0], onePass[1])
 		}
 	})
+
+	// The warm-up boundary: the pass starts from the tree the warm-up
+	// leaves, built from each object's last warm-up key, and walks only
+	// the measured requests. Every object here is cached (its path is
+	// slower than its rate) and no two utilities tie, so each tape takes
+	// the pass.
+	for _, tc := range []struct {
+		name string
+		obj  []uint32
+	}{
+		{"boundary/one-request", []uint32{0}},     // warm-up 0
+		{"boundary/two-requests", []uint32{0, 1}}, // warm-up 1
+		{"boundary/three-requests", []uint32{0, 1, 0}},
+		// 2 arrives after the warm-up, between 1's first and last keys.
+		{"boundary/first-measured", []uint32{0, 1, 1, 0, 2, 0, 2, 1}},
+		// 1 is requested twice in the warm-up and never after it.
+		{"boundary/warm-up-only", []uint32{1, 0, 1, 0, 2, 0, 2, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			obj := func(id int) core.Object {
+				return core.Object{ID: id, Size: 1000, Duration: 10, Rate: 100, Value: 1}
+			}
+			rp := &tape{
+				objs:  []core.Object{obj(0), obj(1), obj(2)},
+				obj:   tc.obj,
+				means: []float64{20, 35, 27},
+			}
+			for i := range rp.obj {
+				rp.time = append(rp.time, float64(i+1))
+			}
+			cfg, err := Config{Policy: core.NewPB()}.normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := column{inst: rp.means}
+			if !checkGroup(t, cfg, rp, atCapacities([]int64{0, 300, 700, 1200, 1700, 3000}, nil), slices.Repeat([]column{col}, 6)) {
+				t.Error("fell back")
+			}
+		})
+	}
+}
+
+// fallingPB is PB but for its utility, which falls on every fourth
+// access of an object: a comparable policy the cache does not age, so
+// only the pass's own check can refuse it.
+type fallingPB struct{}
+
+func (fallingPB) Name() string { return "PB-FALLING" }
+
+func (fallingPB) Utility(st core.AccessStats, _ core.Object, bw float64) float64 {
+	f := float64(st.Freq)
+	if st.Freq%4 == 0 {
+		f -= 2.5
+	}
+	return f / bw
+}
+
+func (fallingPB) Target(obj core.Object, bw float64) int64 { return core.NewPB().Target(obj, bw) }
+
+// TestCapacityPassRefusesFallingUtility: a utility that falls breaks
+// the greedy fill (DESIGN.md §5a, property 2), so under the oracle every
+// run seed of a cache-size group falls back, and each member still
+// equals a lone Run field for field.
+func TestCapacityPassRefusesFallingUtility(t *testing.T) {
+	arena := NewArena()
+	cfg := Config{Workload: testWorkload(), Policy: fallingPB{}, Runs: 2, Seed: 3, Arena: arena}
+	members := atCapacities([]int64{cachePct(0.5), cachePct(2), cachePct(10)}, nil)
+	got, err := RunGroup(cfg, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if passes, fallbacks, _, _ := arena.Groups(); passes != 0 || fallbacks != 2 {
+		t.Errorf("Groups = %d passes, %d fallbacks; want both seeds to fall back", passes, fallbacks)
+	}
+	for k, m := range members {
+		one := cfg
+		one.CacheBytes = m.CacheBytes
+		want, err := Run(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[k] != want {
+			t.Errorf("capacity %d:\n got %+v\nwant %+v", m.CacheBytes, got[k], want)
+		}
+	}
+}
+
+// TestFenwickBuildMatchesAdds: the linear build leaves, node for node,
+// the tree that one add per slot leaves, so every sum agrees — for
+// sizes around powers of two and slot sets from full to sparse.
+func TestFenwickBuildMatchesAdds(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 7, 8, 9, 1023, 1024, 1025} {
+		for _, every := range []int{1, 2, 7} {
+			added, built := make(fenwick, n+1), make(fenwick, n+1)
+			for i := range n {
+				if rng.Intn(every) != 0 {
+					continue
+				}
+				v := rng.Int63n(1 << 40)
+				added.add(int32(i), v)
+				built[i+1] = uint64(v)
+			}
+			built.build()
+			if !slices.Equal(built, added) {
+				t.Errorf("n %d, one slot in %d: built %v, added %v", n, every, built, added)
+				continue
+			}
+			for i := range n {
+				if b, a := built.sum(int32(i)), added.sum(int32(i)); b != a {
+					t.Errorf("n %d, one slot in %d: sum(%d) = %d built, %d added", n, every, i, b, a)
+				}
+			}
+		}
+	}
 }
 
 // TestPBEndStateIsSection23Optimum ties the simulator to the paper's

@@ -263,10 +263,19 @@ row K10 internal/sim/capacity.go 'TestCapacityPassMatchesRunOnce TestGroupCounts
     'the tie check ignores the target filter: a tie between an object the policy caches and one it does not refuses the pass' \
     'if o := int(rp.obj[i]); s.target[o] > 0 {' 'if o := int(rp.obj[i]); true {'
 row K11 internal/sim/capacity.go TestGroupCounts ./internal/experiments \
-    'a ranking outlives its run seed: every later seed of the process reads the last ranking built (the pass'"'"'s own checks refuse the stale ranks and the seeds replay, so no answer moves and TestAnswerLedger passes it: the passes= pins see it)' \
+    'a ranking outlives its run seed: every later seed of the process reads the last ranking built (the pass'"'"'s tie and bad checks refuse the stale ranking and the seeds replay, so no answer moves and TestAnswerLedger passes it: the passes= pins see it)' \
     'func scoreSeed(' $'var mutRanking ranking\n\nfunc scoreSeed(' \
-    $'\tvar r ranking\n' $'\tr := mutRanking\n\tranked = len(r.rank) == len(rp.obj)\n' \
+    $'\tvar r ranking\n' $'\tr := mutRanking\n\tranked = len(r.slot) == len(rp.obj)\n' \
     $'\t\t\t\tr, ranked = s.rank(cfg.Policy, rp), true\n' $'\t\t\t\tr, ranked = s.rank(cfg.Policy, rp), true\n\t\t\t\tmutRanking = r\n'
+row K12 internal/sim/capacity.go TestCapacityPassRefusesFallingUtility ./internal/sim \
+    'the ranking drops the fall mark: a utility below its object'"'"'s previous one is ranked as if the cache had moved the object down' \
+    'if !(u > 0 && u <= math.MaxFloat64) || u < s.prev[o] {' 'if !(u > 0 && u <= math.MaxFloat64) {'
+row K13 internal/sim/capacity.go 'TestCapacityPassMatchesRunOnce TestAnswerLedger' './internal/sim ./internal/experiments' \
+    'the pass skips the build'"'"'s propagation: each held target sits at its own node, and every sum over the warm-up'"'"'s keys misses the lower ones' \
+    $'\ttree.build()\n' $'\n'
+row K14 internal/sim/capacity.go 'FuzzCapacityPass TestCapacityPassMatchesRunOnce' ./internal/sim \
+    'held records each object'"'"'s first warm-up key, not its last: the tree the measured requests start from ranks an object by a utility it has outgrown' \
+    'if i < warm {' 'if i < warm && s.held[o] < 0 {'
 
 # --- the cache's specification: core.Cache against a map-based model -----------
 #
