@@ -75,6 +75,48 @@ func PadhyeThroughput(mss int, rtt, rto time.Duration, loss float64, ackedPerACK
 	return float64(mss) / (wait + toTerm), nil
 }
 
+// PadhyeLossForRate inverts the Padhye throughput model: it returns the
+// loss rate at which a TCP-friendly transport with the given MSS, RTT
+// and RTO achieves the target rate (bytes/s). Solved by bisection; the
+// model is strictly decreasing in loss.
+func PadhyeLossForRate(rate float64, mss int, rtt, rto time.Duration, ackedPerACK int) (float64, error) {
+	if rate <= 0 || math.IsNaN(rate) {
+		return 0, fmt.Errorf("%w: rate=%v, want > 0", ErrBadParam, rate)
+	}
+	const (
+		lossLo = 1e-9
+		lossHi = 0.99
+	)
+	atLo, err := PadhyeThroughput(mss, rtt, rto, lossLo, ackedPerACK)
+	if err != nil {
+		return 0, err
+	}
+	if rate >= atLo {
+		return lossLo, nil // path is cleaner than the model can express
+	}
+	atHi, err := PadhyeThroughput(mss, rtt, rto, lossHi, ackedPerACK)
+	if err != nil {
+		return 0, err
+	}
+	if rate <= atHi {
+		return lossHi, nil
+	}
+	lo, hi := lossLo, lossHi
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		got, err := PadhyeThroughput(mss, rtt, rto, mid, ackedPerACK)
+		if err != nil {
+			return 0, err
+		}
+		if got > rate {
+			lo = mid // too fast: more loss needed
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2, nil
+}
+
 // MathisThroughput returns the simpler inverse-sqrt(p) TCP throughput
 // model ("inversely proportional to the square root of packet loss rate
 // and round-trip time", Section 2.7): B = MSS/RTT * sqrt(3/2) / sqrt(p).

@@ -31,7 +31,9 @@ func arenaWork(a *sim.Arena, f func()) [5]int64 {
 // TestFigure5CapacityPasses pins which of figure5's cache-size groups
 // one tape pass scores at small scale: PB's and IB's, while IF's
 // integer utilities tie on every run seed, so each falls back; every
-// point still counts as one evaluation. The hierarchy groups nothing.
+// point still counts as one evaluation. Streamed alone, the hierarchy's
+// 1x1 rows are one flat PB group over the cache sizes, scored in one
+// pass; its cluster rows group nothing.
 func TestFigure5CapacityPasses(t *testing.T) {
 	s := SmallScale()
 	s.Arena, s.Counters = sim.NewArena(), &Counters{}
@@ -50,8 +52,8 @@ func TestFigure5CapacityPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, f, sh := w[0], w[1], w[2]; p != 0 || f != 0 || sh != 0 {
-		t.Errorf("hierarchy: passes=%d fallbacks=%d shared=%d, want none", p, f, sh)
+	if p, f, sh := w[0], w[1], w[2]; p != 1 || f != 0 || sh != 0 {
+		t.Errorf("hierarchy: passes=%d fallbacks=%d shared=%d, want 1 (the 1x1 rows), 0 and 0", p, f, sh)
 	}
 }
 
@@ -82,8 +84,10 @@ var staticKeys = map[string]bool{"table1": true, "figure2": true, "figure3": tru
 // refined-cache's figure5's PB column, so only their refinement rounds
 // score (a σ pair sharing one replay, a cache-size pair in one pass);
 // refined-esigma's σ 0.55 column is figure9's and each e's σ 0 and 0.25
-// share one replay. Every EWMA row of PB or IB, and every hierarchy row,
-// is a group of its own: it replays alone and counts nothing. A family
+// share one replay; the hierarchy's 1x1 rows are figure5's PB rows (one
+// edge and one level is the flat simulator). Every EWMA row of PB or IB,
+// and every other hierarchy row, is a group of its own: it replays alone
+// and counts nothing. A family
 // of groups whose policies rank alike sorts each run seed's tape once:
 // figure5's PB and IB (IF sorts alone), each α of figure6 and all six e
 // of figure9 — but PB-V and IB-V rank apart.
@@ -102,7 +106,7 @@ func TestGroupCounts(t *testing.T) {
 		"refined-sigma":       {0, 0, 2, 3, 0},
 		"refined-cache":       {2, 0, 0, 5, 4},
 		"refined-esigma":      {0, 0, 6, 6, 0},
-		"hierarchy":           {0, 0, 0, 0, 0},
+		"hierarchy":           {0, 0, 0, 5, 0},
 	}
 	s := SmallScale()
 	s.Arena = sim.NewArena()

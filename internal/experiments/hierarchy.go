@@ -17,10 +17,11 @@ var TierColumns = []string{
 
 // hierarchy sweeps the multi-node axis: tier depth (1 or 2 levels) x
 // edge count x peering policy x parent capacity split, at each cache
-// fraction. The single-edge single-level row coincides with the flat
-// simulator (pinned by TestHierarchySingleNodeMatchesRun), so the
-// sweep reads as "what does the same total cache buy when split
-// across a cluster".
+// fraction. The single-edge single-level row is the flat simulator:
+// sim normalises it to figure5's PB point at the same cache fraction,
+// so it is a member of that share key and, where both tables run, is
+// answered by figure5's capacity pass. The sweep reads as "what does
+// the same total cache buy when split across a cluster".
 var hierarchy = spec{
 	name: "Hierarchy: levels x edges x peering under one cluster-wide cache budget (PB policy)",
 	axes: []axisFn{cacheAxis, pbPolicy, choice("levels,edges,peering,parent_frac",

@@ -61,7 +61,7 @@ func figureSet(t *testing.T, s Scale, keys []string, st *memStore) (map[string][
 // cmd/figures does, with an arena of its own and Declare of the bench's
 // seven tables, its peers' metrics reaching it through an exchange. A
 // table reuses another's answers only where both rounds hand the shared
-// key to the same shard, which at 3 shards misses once.
+// key to the same shard, which misses once at 2 shards and once at 3.
 func TestShardedWorkSumsToSingle(t *testing.T) {
 	rows, single, err := figureSet(t, SmallScale(), benchKeys, nil)
 	if err != nil {
@@ -105,6 +105,13 @@ func TestShardedWorkSumsToSingle(t *testing.T) {
 					// one pass more, and its five rows are not reused.
 					want.passes, want.reused = want.passes+1, want.reused-5
 				}
+				if count == 2 && key == "hierarchy" {
+					// The same miss: the hierarchy's 1x1 rows, the first
+					// group of its round, are figure5's PB members, whose
+					// group is the second of figure5's round, so at 2
+					// shards they land on shards 0 and 1.
+					want.passes, want.reused = want.passes+1, want.reused-5
+				}
 				if sum != want {
 					t.Errorf("%s: the shards' evals, passes, fallbacks, shared, reused sum to %v, want %v", key, sum, want)
 				}
@@ -139,8 +146,8 @@ func (s *indexSink) MetricRow(r MetricRow) error {
 // rule gives it whatever the process holds: an arena of the table's
 // own, an arena the whole set was declared to, or a resume journal
 // holding the first half of the shard's rows. And the 2-shard hierarchy
-// files are the bytes round-robin ownership wrote before groups were
-// owned.
+// files are pinned: the five 1x1 rows, flat points of one share key, go
+// to shard 0 as one group, and the other twenty rows alternate.
 func TestOwnershipIsAFunctionOfTheRound(t *testing.T) {
 	keys := simulatedKeys()
 	base := tinyScale()
@@ -240,11 +247,11 @@ func TestOwnershipIsAFunctionOfTheRound(t *testing.T) {
 		t.Skipf("the hierarchy digests were recorded on amd64; GOARCH=%s may fuse float operations differently", runtime.GOARCH)
 	}
 	for idx, want := range []string{
-		"cc191636bf5431329e7b2de21537a19a3676762b318b67a19784b3b0f8df1f23",
-		"6731a8ea96b5becabc102be03d5807e8a265c19439821bc8e83ccb05ab40c6c9",
+		"a86a77379fc3328427b2fd49cfc9dde72152ce706ec0a5a2e6653d2e45ade769",
+		"71a36ce64d15ecaa305a48a11ab1f0242b365355d586bf69fe1afd71c9b700cb",
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(shardJSONL(t, "hierarchy", SmallScale(), Shard{Index: idx, Count: 2}))); got != want {
-			t.Errorf("hierarchy shard %d/2 JSONL sha256 %s, want %s, round robin's", idx, got, want)
+			t.Errorf("hierarchy shard %d/2 JSONL sha256 %s, want %s", idx, got, want)
 		}
 	}
 }

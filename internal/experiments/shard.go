@@ -96,13 +96,15 @@ func owners(pts []planPoint, base, count int) []int {
 // journal or collector session of shards that owned rows by another rule
 // (index mod count, before shards owned groups; groups of flat oracle
 // points only, before every simulated point had a share key; groups
-// dealt round robin, unweighed) then refuses this binary's shards: mixed,
+// dealt round robin, unweighed; groups by points before a one-node
+// hierarchy point was flat, which made the hierarchy's 1x1 rows one
+// group rather than five) then refuses this binary's shards: mixed,
 // some rows would be owned twice and some by no shard.
 func (sh Shard) rule() string {
 	if sh.Count <= 1 {
 		return ""
 	}
-	return " owners=points"
+	return " owners=points/1node"
 }
 
 func (sh Shard) validate() error {

@@ -23,7 +23,8 @@ import (
 
 // point is one sweep point under construction: the simulator
 // configuration the chosen axis levels mutate (sim's rule: a point whose
-// Levels stays 0 runs the flat simulator, any other the hierarchy).
+// Levels stays 0, or that has one edge and one level, runs the flat
+// simulator, any other the hierarchy).
 type point struct {
 	sim.HierarchyConfig
 	// frac is the cache capacity as a fraction of the scale's unique

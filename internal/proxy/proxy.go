@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -91,16 +92,8 @@ type shard struct {
 // shardState is what a shard's lock guards.
 type shardState struct {
 	cache    *core.Cache
-	est      []pathEstimator // indexed by origin index
-	inflight map[int]*relay  // object ID -> in-flight origin transfer
-}
-
-// pathEstimator pairs a passive bandwidth estimator with whether it has
-// observed at least one completed transfer (so /stats can skip paths
-// that were never exercised).
-type pathEstimator struct {
-	est      *bandwidth.EWMA
-	observed bool
+	est      []bandwidth.EWMA // indexed by origin index; 0 until a path carries a transfer
+	inflight map[int]*relay   // object ID -> in-flight origin transfer
 }
 
 // counters are the proxy-global atomic statistics; Snapshot folds them
@@ -330,16 +323,12 @@ func New(cfg Config) (*Proxy, error) {
 		}
 		add(u.URL, cmp.Or(u.Tier, "origin"))
 	}
+	fresh, err := bandwidth.NewEWMA(0.3)
+	if err != nil {
+		return nil, err
+	}
 	for i, c := range caches {
-		est := make([]pathEstimator, len(p.upstreams))
-		for j := range est {
-			e, err := bandwidth.NewEWMA(0.3)
-			if err != nil {
-				// 0.3 is a valid constant alpha; NewEWMA cannot fail on it.
-				panic(fmt.Sprintf("proxy: estimator: %v", err))
-			}
-			est[j] = pathEstimator{est: e}
-		}
+		est := slices.Repeat([]bandwidth.EWMA{*fresh}, len(p.upstreams))
 		sh := &shard{store: NewPrefixStore()}
 		sh.state.With(func(st *shardState) {
 			*st = shardState{cache: c, est: est, inflight: make(map[int]*relay)}
@@ -419,19 +408,6 @@ func (p *Proxy) addTierBytes(idx int, n int64) {
 	}
 }
 
-// estimate returns the shard's current bandwidth estimate for an origin
-// path.
-func (st *shardState) estimate(originIdx int) float64 {
-	return st.est[originIdx].est.Estimate()
-}
-
-// observe feeds one completed-transfer throughput sample into the
-// shard's estimator for an origin path.
-func (st *shardState) observe(originIdx int, sample float64) {
-	st.est[originIdx].est.Observe(sample)
-	st.est[originIdx].observed = true
-}
-
 // ServeHTTP routes /objects/<id> to the joint-delivery path and /stats
 // to the counters. Only GET and HEAD are served.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, req *http.Request) {
@@ -504,7 +480,7 @@ func (p *Proxy) serveObject(w http.ResponseWriter, req *http.Request, meta Meta)
 	if !headOnly {
 		sh.state.With(func(st *shardState) {
 			now := p.now().Sub(p.start).Seconds()
-			res := st.cache.Access(obj, st.estimate(rt.idx), now)
+			res := st.cache.Access(obj, st.est[rt.idx].Estimate(), now)
 			// Release byte storage for whatever the cache evicted.
 			for _, v := range res.Victims {
 				sh.store.Truncate(v.ID, st.cache.CachedBytes(v.ID))
@@ -707,7 +683,7 @@ func (p *Proxy) runRelay(ctx context.Context, sh *shard, meta Meta, rt resolvedR
 		// that actually carried it (the fallback's, if the primary was
 		// demoted).
 		if bps > 0 {
-			st.observe(usedIdx, bps)
+			st.est[usedIdx].Observe(bps)
 		}
 		if st.inflight[meta.ID] != rl {
 			return // a private relay retained nothing: nothing to reconcile
@@ -933,8 +909,10 @@ func (p *Proxy) Snapshot() Stats {
 			s.UsedBytes += snap.Used
 			s.Objects += snap.Objects
 			for i := range st.est {
-				if st.est[i].observed {
-					sums[i] += st.estimate(i)
+				// An estimate is positive once the shard has measured a
+				// transfer on the path, and 0 before.
+				if e := st.est[i].Estimate(); e > 0 {
+					sums[i] += e
 					counts[i]++
 				}
 			}

@@ -138,6 +138,27 @@ func TestProxyShardedEndToEnd(t *testing.T) {
 	if stats.Objects != 3 {
 		t.Errorf("Objects = %d, want 3", stats.Objects)
 	}
+	// The origin path's estimate averages the shards that fetched over
+	// it — the owners of the three objects — and no other: the rest
+	// never measured the path.
+	fetched := map[*shard]bool{}
+	for _, id := range []int{1, 2, 3} {
+		fetched[px.shardFor(id)] = true
+	}
+	var sum float64
+	for i, sh := range px.shards {
+		sh.state.Read(func(st *shardState) {
+			if e := st.est[0].Estimate(); fetched[sh] {
+				if e <= 0 {
+					t.Errorf("shard %d fetched from the origin but estimates its path at %v", i, e)
+				}
+				sum += e
+			}
+		})
+	}
+	if got, want := stats.EstimateBps(""), int64(sum/float64(len(fetched))); got != want {
+		t.Errorf("/stats origin estimate %d B/s, want %d: the mean over the %d shards that fetched", got, want, len(fetched))
+	}
 }
 
 // stressCatalog builds n objects with varied sizes so evictions hit

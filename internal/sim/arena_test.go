@@ -148,12 +148,9 @@ func TestRunOnceSteadyStateAllocs(t *testing.T) {
 		{"flat", func() error { _, err := Run(cfg); return err }},
 	}
 	for _, top := range hierarchyTopologies {
-		hcfg, err := HierarchyConfig{
+		hcfg := withTopology(t, HierarchyConfig{
 			Config: cfg, Levels: top.levels, Edges: top.edges, Peering: top.peering, ParentFraction: top.parentFrac,
-		}.normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
 		loops = append(loops, struct {
 			name string
 			run  func() error

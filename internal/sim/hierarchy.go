@@ -32,10 +32,13 @@ const (
 // every tier prices an object by its origin path's mean bandwidth, the
 // paper's utility, whichever hop its misses travel.
 //
-// A HierarchyConfig whose Levels is 0 is its flat Config, run by Run:
-// this is the one rule for which simulator a point runs, and GroupOf,
-// Declare, ScorePending and RunHierarchy all read it. Its other
-// topology fields must then be unset.
+// A HierarchyConfig whose Levels is 0 is its flat Config, run by Run,
+// and so is one edge with no parent tier: withDefaults folds a valid
+// Levels 1, Edges 1 point to Levels 0, since a lone edge is the paper's
+// one proxy and owns every object it is asked for, whatever its
+// peering. That is the one rule for which simulator a point runs, and
+// GroupOf, Declare, ScorePending and RunHierarchy all read the folded
+// point. A Levels 0 point's other topology fields must be unset.
 type HierarchyConfig struct {
 	Config
 
@@ -97,6 +100,9 @@ func (c HierarchyConfig) withDefaults() (HierarchyConfig, error) {
 	}
 	base, err := c.Config.withDefaults()
 	c.Config = base
+	if err == nil && c.Levels == 1 && c.Edges == 1 {
+		c.Levels, c.Edges, c.Peering = 0, 0, ""
+	}
 	return c, err
 }
 
@@ -104,7 +110,9 @@ func (c HierarchyConfig) withDefaults() (HierarchyConfig, error) {
 // cfg.Runs seeded runs exactly like Run (bit-identical at any
 // Parallelism). It fills Requests, TrafficReductionRatio (the
 // cluster-wide 1 - origin bytes / watched bytes) and the four byte
-// fractions; the other Metrics stay zero. With Levels 0 it is Run.
+// fractions; the other Metrics stay zero. On a point that normalises
+// to Levels 0, one edge at one level among them, it is Run, which fills
+// every field.
 func RunHierarchy(cfg HierarchyConfig) (Metrics, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -128,7 +136,10 @@ func RunHierarchy(cfg HierarchyConfig) (Metrics, error) {
 // past a gap (the live PrefixStore drops non-contiguous appends and
 // post-relay reconciliation truncates the grant), which the model
 // mirrors by undoing an owner's or parent's prefix growth whenever the
-// resume offset lies beyond its stored prefix.
+// resume offset lies beyond its stored prefix. No normalised point runs
+// it at one edge and one level (withDefaults makes that point flat);
+// there it is the reference TestHierarchySingleNodeMatchesRun holds to
+// Run.
 func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (Metrics, error) {
 	rp, err := cfg.Arena.tapeOf(cfg.Config, seed)
 	if err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"math"
 	"testing"
 
@@ -45,12 +46,37 @@ func TestHierarchyValidation(t *testing.T) {
 	}
 }
 
+// withTopology is cfg normalised with its topology set back after
+// normalize, which folds a one-edge, one-level point into its flat
+// Config: the tests and the benchmark that check or time
+// hierarchyRunOnce at one node reach the cluster loop through it.
+func withTopology(tb testing.TB, cfg HierarchyConfig) HierarchyConfig {
+	tb.Helper()
+	norm, err := cfg.normalize()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	norm.Levels, norm.Edges, norm.Peering = cfg.Levels, max(cfg.Edges, 1), cmp.Or(cfg.Peering, PeeringNone)
+	return norm
+}
+
+// runTopology is RunHierarchy through the cluster loop at cfg's
+// topology as asked, one edge and one level included.
+func runTopology(tb testing.TB, cfg HierarchyConfig) (Metrics, error) {
+	cfg = withTopology(tb, cfg)
+	return averageRuns(cfg.Config, "hierarchy run", func(seed int64) (Metrics, error) { return hierarchyRunOnce(cfg, seed) },
+		(*Metrics).add, (*Metrics).over)
+}
+
 // TestHierarchySingleNodeMatchesRun pins the hierarchy model to the
 // flat simulator: one edge, one level is the same system, so the
-// traffic reduction ratio and all four byte fractions must agree bit
-// for bit, not just within tolerance, at every cache size, with and
-// without partial viewing, at every seed. This is the sim side of the
-// sim-vs-live cross-validation triangle (the live side is cluster's
+// traffic reduction ratio and all four byte fractions of the cluster
+// loop must agree with Run's bit for bit, not just within tolerance, at
+// every cache size, with and without partial viewing, at every seed.
+// That equality is why withDefaults folds such a point into its flat
+// Config, so RunHierarchy on it is Run, and it is a member of its flat
+// share key. This is the sim side of the sim-vs-live cross-validation
+// triangle (the live side is cluster's
 // TestClusterHitRatioMatchesSimulator).
 func TestHierarchySingleNodeMatchesRun(t *testing.T) {
 	for _, partial := range []float64{0, 0.4} {
@@ -63,7 +89,12 @@ func TestHierarchySingleNodeMatchesRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				h, err := RunHierarchy(cfg)
+				if folded, err := RunHierarchy(cfg); err != nil {
+					t.Fatal(err)
+				} else if folded != flat {
+					t.Errorf("partial=%v cache=%v%% seed=%d: RunHierarchy of one node %+v != Run %+v", partial, pct, seed, folded, flat)
+				}
+				h, err := runTopology(t, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,6 +137,26 @@ func (perRequestMeans) prices(dst []float64, rp *tape, _ column) (column, error)
 		dst[i] = rp.means[o]
 	}
 	return column{inst: dst, perRequest: true}, nil
+}
+
+// TestOneNodeIsFlat: a one-edge, one-level point, whatever its
+// peering, is grouped with its flat Config, while one edge under a
+// parent tier stays a cluster whose parent serves bytes.
+func TestOneNodeIsFlat(t *testing.T) {
+	node, owner := hierarchyBase(), hierarchyBase()
+	owner.Peering = PeeringOwner
+	parent := hierarchyBase()
+	parent.Levels, parent.ParentFraction = 2, 0.5
+	if ids := GroupOf([]HierarchyConfig{{Config: node.Config}, node, owner, parent}); ids[1] != ids[0] || ids[2] != ids[0] || ids[3] == ids[0] {
+		t.Errorf("groups of flat, 1x1, 1x1 owner, 2x1 = %v, want the first three one group and the last its own", ids)
+	}
+	m, err := RunHierarchy(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ParentByteFrac == 0 {
+		t.Errorf("one edge under a parent: parent served no bytes (%+v)", m)
+	}
 }
 
 // TestHierarchyTierFractionsPartition checks the byte accounting of a
@@ -212,7 +263,9 @@ var hierarchyTopologies = []struct {
 
 // BenchmarkHierarchy is the hierarchy table's in-tree rung: one run of
 // one paper-scale seed per op through each of the table's five
-// topologies at the scale's middle cache fraction.
+// topologies at the scale's middle cache fraction. The table scores its
+// 1x1 rows as flat points; 1x1 here times the cluster loop at one node,
+// the reference TestHierarchySingleNodeMatchesRun holds to Run.
 //
 //	go test ./internal/sim -run '^$' -bench Hierarchy -benchmem
 func BenchmarkHierarchy(b *testing.B) {
@@ -221,13 +274,10 @@ func BenchmarkHierarchy(b *testing.B) {
 	mid := paperCapacities(b, arena, wl)[3]
 	seed := SplitSeed(1, 0)
 	for _, top := range hierarchyTopologies {
-		cfg, err := HierarchyConfig{
+		cfg := withTopology(b, HierarchyConfig{
 			Config: Config{Workload: wl, CacheBytes: mid, Policy: core.NewPB(), Seed: 1, Arena: arena},
 			Levels: top.levels, Edges: top.edges, Peering: top.peering, ParentFraction: top.parentFrac,
-		}.normalize()
-		if err != nil {
-			b.Fatal(err)
-		}
+		})
 		if _, err := arena.tapeOf(cfg.Config, seed); err != nil { // compile the tape outside the timer
 			b.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -98,11 +99,13 @@ const (
 )
 
 // ActiveProbe is the active-measurement alternative of Section 2.7:
-// each path gets loss/RTT conditions consistent (via the Padhye model)
-// with its true mean bandwidth, and the cache probes the path with
-// relative measurement noise Jitter, in [0, 1), before every transfer.
-// This is the Section 6 "integrate active bandwidth measurement into
-// proxy caches" direction.
+// each path gets the loss rate at which, by the Padhye model, a
+// TCP-friendly transport with round-trip time probeRTT achieves the
+// path's true mean bandwidth, and before every transfer the cache
+// probes the path — measures RTT and loss, each with relative noise
+// Jitter in [0, 1) — and prices it at the Padhye throughput of what it
+// measured. This is the Section 6 "integrate active bandwidth
+// measurement into proxy caches" direction.
 type ActiveProbe struct{ Jitter float64 }
 
 func (p ActiveProbe) Validate() error {
@@ -117,24 +120,43 @@ func (p ActiveProbe) Validate() error {
 // keeps the previous estimate, as active measurement is best-effort.
 func (p ActiveProbe) prices(dst []float64, rp *tape, _ column) (column, error) {
 	type path struct {
-		prober *bandwidth.ActiveProber
-		est    float64
+		rng       *rand.Rand // the path's measurement noise; nil before its first probe
+		loss, est float64
+	}
+	// noisy is one measurement of v: one normal draw of rng.
+	noisy := func(rng *rand.Rand, v float64) float64 {
+		f := 1 + float64(p.Jitter*rng.NormFloat64())
+		if f < 0.1 {
+			f = 0.1
+		}
+		return v * f
 	}
 	paths := make([]path, len(rp.objs))
 	dst = fit(dst, len(rp.obj))
 	for i, o := range rp.obj {
 		ph := &paths[o]
-		first := ph.prober == nil
+		first := ph.rng == nil
 		if first {
-			var err error
-			if ph.prober, err = p.prober(int(o), rp.means[o]); err != nil {
-				return column{}, err
+			mean := max(rp.means[o], 1024)
+			loss, err := bandwidth.PadhyeLossForRate(mean, probeMSS, probeRTT, probeRTO, 1)
+			if err != nil {
+				return column{}, fmt.Errorf("active probe conditions: %w", err)
 			}
+			// The seed mixes the path index with the mean, so two paths
+			// that happen to share a mean bandwidth still draw
+			// independent measurement-noise streams.
+			ph.rng = rand.New(rand.NewSource(SplitSeed(int64(math.Float64bits(mean))^0x41C64E6D, int64(o))))
+			ph.loss = loss
 		}
-		if est, err := ph.prober.Probe(); err == nil {
+		rtt := time.Duration(noisy(ph.rng, float64(probeRTT)))
+		loss := noisy(ph.rng, ph.loss)
+		if loss >= 1 {
+			loss = 0.99
+		}
+		if est, err := bandwidth.PadhyeThroughput(probeMSS, rtt, probeRTO, loss, 1); err == nil {
 			ph.est = est
 		} else if first {
-			return column{}, fmt.Errorf("active prober: %w", err)
+			return column{}, fmt.Errorf("active probe: %w", err)
 		}
 		dst[i] = ph.est
 	}
@@ -142,25 +164,6 @@ func (p ActiveProbe) prices(dst []float64, rp *tape, _ column) (column, error) {
 }
 
 func (ActiveProbe) observes() bool { return false }
-
-// prober builds the prober of the path with index path and true mean
-// bandwidth mean.
-func (p ActiveProbe) prober(path int, mean float64) (*bandwidth.ActiveProber, error) {
-	mean = max(mean, 1024)
-	cond, err := bandwidth.ConditionsForRate(mean, probeMSS, probeRTT, probeRTO, 1)
-	if err != nil {
-		return nil, fmt.Errorf("active probe conditions: %w", err)
-	}
-	// The probe seed mixes the path index with the mean, so two paths
-	// that happen to share a mean bandwidth still draw independent
-	// measurement-noise streams.
-	seed := SplitSeed(int64(math.Float64bits(mean))^0x41C64E6D, int64(path))
-	prober, err := bandwidth.NewActiveProber(cond, probeMSS, probeRTO, 1, p.Jitter, seed)
-	if err != nil {
-		return nil, fmt.Errorf("active prober: %w", err)
-	}
-	return prober, nil
-}
 
 // Config parameterizes one experiment.
 type Config struct {
@@ -481,14 +484,17 @@ func (t memberTotals) metrics(requests int, watched float64) Metrics {
 // written out in the loop, because a method is not inlined and measured
 // slower.
 //
-// It is the 1-edge, 1-level case of hierarchyRunOnce
-// (TestHierarchySingleNodeMatchesRun pins the two bit-equal) and shares
-// its tape, scratch and target column, but stays a loop of its own
-// because folding them is not free: each loop computes what the other
-// never needs (delay, quality and value here; the owner and parent hops
-// and per-tier byte counters there), and one merged loop measured
-// slower on the figure path's hottest function. DESIGN.md §5a "Targets
-// from `sim`" has the timings.
+// It is the 1-edge, 1-level case of hierarchyRunOnce, and the one loop
+// that scores it: HierarchyConfig.withDefaults folds a one-edge,
+// one-level point into its flat Config, so hierarchyRunOnce runs only
+// clusters, and at one node only as the reference
+// TestHierarchySingleNodeMatchesRun pins bit-equal to this loop. The two
+// share tape, scratch and target column but stay two loops, because
+// folding them is not free: each computes what the other never needs
+// (delay, quality and value here; the owner and parent hops and
+// per-tier byte counters there), and one merged loop measured slower on
+// the figure path's hottest function. DESIGN.md §5a "Targets from
+// `sim`" has the timings.
 func replayColumns(cfg Config, rp *tape, capacity int64, cols []column, out []Metrics) error {
 	scratch := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(scratch)

@@ -3,8 +3,10 @@ package sim
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"streamcache/internal/bandwidth"
 	"streamcache/internal/core"
@@ -613,8 +615,8 @@ func TestActiveProbeEstimatorRuns(t *testing.T) {
 
 // TestEstimateColumns holds each estimator's column to its definition.
 // At every request of a tape whose bandwidth varies per request, the
-// price equals a reference that steps a fresh bandwidth.EWMA or
-// bandwidth.ActiveProber through the earlier requests of that object
+// price equals a reference that steps a fresh bandwidth.EWMA, or the
+// probe's noise stream, through the earlier requests of that object
 // alone; the oracle and Underestimate price per object; and each target
 // is the policy's at that price. One scratch serves every estimator in
 // turn, so the path means the oracle reads in place must survive the
@@ -668,12 +670,22 @@ func TestEstimateColumns(t *testing.T) {
 			return nil
 		}},
 		{"probe", ActiveProbe{0.2}, false, func(o int, reqs []int) error {
-			p, err := ActiveProbe{0.2}.prober(o, means[o])
+			// Path o measures with a noise stream seeded by its mean and
+			// its index: per request, RTT's factor and then loss's.
+			mean := max(means[o], 1024)
+			loss, err := bandwidth.PadhyeLossForRate(mean, probeMSS, probeRTT, probeRTO, 1)
 			if err != nil {
 				return err
 			}
+			rng := rand.New(rand.NewSource(SplitSeed(int64(math.Float64bits(mean))^0x41C64E6D, int64(o))))
+			factor := func() float64 { return max(1+float64(0.2*rng.NormFloat64()), 0.1) }
 			for _, i := range reqs {
-				if want[i], err = p.Probe(); err != nil {
+				rtt := time.Duration(float64(probeRTT) * factor())
+				l := loss * factor()
+				if l >= 1 {
+					l = 0.99
+				}
+				if want[i], err = bandwidth.PadhyeThroughput(probeMSS, rtt, probeRTO, l, 1); err != nil {
 					return err
 				}
 			}
@@ -711,6 +723,101 @@ func TestEstimateColumns(t *testing.T) {
 	}
 	if !slices.Equal(rp.means, means) {
 		t.Error("an estimator run wrote into the arena's path means")
+	}
+}
+
+// probeTape is a tape of n requests to each of len(means) paths, in
+// turn, whose means are means.
+func probeTape(n int, means ...float64) *tape {
+	rp := &tape{objs: make([]core.Object, len(means)), means: means}
+	for i := range n * len(means) {
+		rp.obj = append(rp.obj, uint32(i%len(means)))
+	}
+	return rp
+}
+
+// TestActiveProbeNoiselessMatchesModel: without noise every probe
+// measures a path's true conditions — RTT probeRTT and the loss in
+// (0, 1) at which the Padhye model gives the path's mean — so every
+// price is the model's throughput at them, within 1 % of the mean.
+func TestActiveProbeNoiselessMatchesModel(t *testing.T) {
+	means := []float64{units.KBps(10), units.KBps(80), units.KBps(200)}
+	rp := probeTape(3, means...)
+	price, err := ActiveProbe{0}.prices(nil, rp, column{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(means))
+	for o, mean := range means {
+		loss, err := bandwidth.PadhyeLossForRate(mean, probeMSS, probeRTT, probeRTO, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loss <= 0 || loss >= 1 {
+			t.Errorf("path %d: loss %v outside (0,1)", o, loss)
+		}
+		if want[o], err = bandwidth.PadhyeThroughput(probeMSS, probeRTT, probeRTO, loss, 1); err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(want[o]-mean)/mean > 0.01 {
+			t.Errorf("path %d: the model gives %v at its conditions, want its mean %v within 1%%", o, want[o], mean)
+		}
+	}
+	for i, o := range rp.obj {
+		if got := price.at(i, o); got != want[o] {
+			t.Errorf("request %d: noiseless probe of path %d = %v, want %v", i, o, got, want[o])
+		}
+	}
+}
+
+// TestActiveProbeNoisyEstimatesCenterOnTruth: with 10 % measurement
+// noise every probe is positive and their mean is the path's mean
+// within 15 %.
+func TestActiveProbeNoisyEstimatesCenterOnTruth(t *testing.T) {
+	mean := units.KBps(60)
+	rp := probeTape(2000, mean)
+	price, err := ActiveProbe{0.1}.prices(nil, rp, column{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for i, o := range rp.obj {
+		est := price.at(i, o)
+		if est <= 0 {
+			t.Fatalf("probe %d: estimate %v <= 0", i, est)
+		}
+		sum += est
+	}
+	if got := sum / float64(len(rp.obj)); math.Abs(got-mean)/mean > 0.15 {
+		t.Errorf("mean noisy estimate %v KB/s, want ~%v (+-15%%)", units.ToKBps(got), units.ToKBps(mean))
+	}
+}
+
+// TestActiveProbeDeterministicForSeed: a path's probes are a function of
+// its mean and its index alone, so a tape prices alike every time, and a
+// path draws the same probes beside other paths as alone.
+func TestActiveProbeDeterministicForSeed(t *testing.T) {
+	m0, m1 := units.KBps(40), units.KBps(90)
+	both := probeTape(50, m0, m1)
+	a, err := ActiveProbe{0.2}.prices(nil, both, column{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ActiveProbe{0.2}.prices(nil, both, column{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.inst, b.inst) {
+		t.Error("one tape priced twice: the probe columns differ")
+	}
+	alone, err := ActiveProbe{0.2}.prices(nil, probeTape(50, m0), column{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range alone.inst {
+		if got := a.at(2*k, 0); got != want {
+			t.Fatalf("probe %d of path 0: %v beside path 1, %v alone", k, got, want)
+		}
 	}
 }
 

@@ -121,8 +121,8 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 			Metrics{Requests: 5000, TrafficReductionRatio: 0x1.ee92301033c46p-05, EdgeByteFrac: 0x1.b85d8f97c8117p-06,
 				PeerByteFrac: 0x1.6d205d1770d87p-06, ParentByteFrac: 0x1.6f4ce6e25d3dbp-07, OriginByteFrac: 0x1.e116dcfefcc3cp-01}},
 	}
-	for _, h := range hierarchies {
-		private, err := RunHierarchy(h.cfg)
+	for _, h := range hierarchies { // 1x1 through the cluster loop, which the goldens recorded
+		private, err := runTopology(t, h.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", h.name, err)
 		}
@@ -132,7 +132,7 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 		for _, par := range []int{1, 2, 8} {
 			cfg := h.cfg
 			cfg.Arena, cfg.Parallelism = shared, par
-			got, err := RunHierarchy(cfg)
+			got, err := runTopology(t, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", h.name, err)
 			}

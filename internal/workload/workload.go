@@ -211,7 +211,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 func (g *Generator) Next() Request {
 	frac := 1.0
 	if g.Config.PartialViewProb > 0 && g.rng.Float64() < g.Config.PartialViewProb {
-		frac = minViewFraction + float64(g.rng.Float64()*(1-minViewFraction))
+		frac = Viewing{Kind: ViewUniform, MinFraction: minViewFraction}.Fraction(g.rng, 0)
 	}
 	return Request{
 		Time:     g.proc.Next(g.rng),

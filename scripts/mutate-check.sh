@@ -362,20 +362,31 @@ row E1 internal/sim/sim.go 'TestTapeReplayBitIdentical TestGoldenTables TestEsti
     $'\t\tdst[i] = paths[o].Estimate()\n\t\tpaths[o].Observe(observed.at(i, o))' $'\t\tpaths[o].Observe(observed.at(i, o))\n\t\tdst[i] = paths[o].Estimate()'
 row E2 internal/sim/sim.go 'TestGoldenTables TestEstimateColumns' './internal/sim ./internal/experiments' \
     'the probe column draws one extra probe before a path'"'"'s first request: the k-th request reads the (k+1)-th probe' \
-    $'\t\t\t\treturn column{}, err\n\t\t\t}\n\t\t}\n' $'\t\t\t\treturn column{}, err\n\t\t\t}\n\t\t\t_, _ = ph.prober.Probe()\n\t\t}\n'
+    $'\t\t\tph.loss = loss\n\t\t}\n' $'\t\t\tph.loss = loss\n\t\t\tph.rng.NormFloat64()\n\t\t\tph.rng.NormFloat64()\n\t\t}\n'
 row E3 internal/sim/sim.go TestUnderestimateIsOracleOverScaledMeans ./internal/sim \
     'Underestimate prices the utility at the unscaled mean (its target stays at E times the mean)' \
     $'\t\thit, _, _, evicted, _ := cache.AccessWithTarget(obj, targets[j], price.inst[j], rp.time[i])' $'\t\tbw := price.inst[j]\n\t\tif _, ok := cfg.Estimator.(Underestimate); ok {\n\t\t\tbw = rp.means[o]\n\t\t}\n\t\thit, _, _, evicted, _ := cache.AccessWithTarget(obj, targets[j], bw, rp.time[i])'
+row E4 internal/proxy/proxy.go TestProxyShardedEndToEnd ./internal/proxy \
+    'the live /stats estimate averages every shard, the zero estimates of shards that never measured the path included' \
+    'if e := st.est[i].Estimate(); e > 0 {' 'if e := st.est[i].Estimate(); e >= 0 {'
 
 # --- the exact partition: a flat run is a one-edge hierarchy --------------------
 #
 # sim.Metrics carries the four byte fractions for both simulators; a flat
 # run derives edge and origin from the whole-byte sums the hierarchy
-# divides, so a 1x1 hierarchy run and a flat run agree bit for bit.
+# divides, so the cluster loop at one edge and one level and a flat run
+# agree bit for bit. That is why HierarchyConfig.withDefaults folds such
+# a point into its flat Config, and only such a point.
 
 row P1 internal/sim/sim.go TestHierarchySingleNodeMatchesRun ./internal/sim \
     'a flat run'"'"'s origin fraction is 1 - cached/watched, not (watched - cached)/watched: off by an ulp in a few cells of the grid (no table prints a flat run'"'"'s origin fraction)' \
     'm.OriginByteFrac = (watched - t.cached) / watched' 'm.OriginByteFrac = 1 - m.TrafficReductionRatio'
+row P2 internal/sim/hierarchy.go 'TestGroupCounts TestOneNodeIsFlat' './internal/experiments ./internal/sim' \
+    'withDefaults no longer folds a one-edge, one-level point: the hierarchy'"'"'s 1x1 rows replay apart from figure5'"'"'s PB group' \
+    'if err == nil && c.Levels == 1 && c.Edges == 1 {' 'if err == nil && c.Levels == 1 && c.Edges == 1 && c.Peering == "" {'
+row P3 internal/sim/hierarchy.go TestOneNodeIsFlat ./internal/sim \
+    'the fold also takes one edge under a parent tier: its parent never serves a byte' \
+    'if err == nil && c.Levels == 1 && c.Edges == 1 {' 'if err == nil && c.Edges == 1 {'
 
 # --- answers across tables: one call scores what later calls ask for --------
 #
