@@ -108,8 +108,11 @@ dead-check:
 ## journals; first drop one cell from one row of a 2-shard output and
 ## require the merge to refuse it naming table and index, then restore
 ## it, merge each split and diff it against the single-process output
-## (OPERATIONS.md §7). refined-esigma's groups of one e stay whole on
-## one shard, so its rows are not dealt out round robin; ablation-eviction
+## (OPERATIONS.md §7). Each shard prints its share of the set-wide deal
+## first (units and weight, of the set's). Shards own families dealt over
+## the whole figure set: refined-e's and refined-esigma's coarse rows go
+## with figure9's family and hierarchy's 1x1 rows with figure5's, so
+## their rows are not dealt out round robin; ablation-eviction
 ## and hierarchy are keyed eviction and hierarchy rows, and
 ## ablation-estimators, scenarios and ext-active-probing cover every
 ## estimator (EWMA, Underestimate, ActiveProbe); figure6 and figure9 are

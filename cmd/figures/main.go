@@ -188,6 +188,15 @@ func run() error {
 	if err := experiments.Declare(s, tableKeys...); err != nil {
 		return err
 	}
+	if s.Shard.Count > 1 {
+		// The set-wide deal this shard owns its units by: a shard whose
+		// weight is far from its peers' shows here, before any table runs.
+		d, err := s.Deal()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("shard %s owns %d of %d units, weight %d of %d\n", s.Shard, d.Units, d.SetUnits, d.Weight, d.SetWeight)
+	}
 
 	var index strings.Builder
 	fmt.Fprintf(&index, "# Regenerated %s at scale=%s seed=%d shard=%s\n",

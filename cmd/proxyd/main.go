@@ -9,7 +9,8 @@
 //
 // On SIGTERM or SIGINT proxyd drains gracefully: it stops accepting
 // connections, waits for in-flight requests and origin transfers to
-// finish, prints a final stats snapshot, and exits 0.
+// finish, prints a final stats snapshot and the time each drain phase
+// took (proxy server, origin server, quiesce), and exits 0.
 package main
 
 import (
@@ -162,18 +163,28 @@ func run() error {
 		defer cancel()
 		// Stop the proxy's client side first so no new joint deliveries
 		// start, then the origin (in-flight relays finish through it),
-		// then wait for relay reconciliation to settle.
+		// then wait for relay reconciliation to settle. Each phase is
+		// timed, so a slow drain names the phase that held it.
+		var phases []string
+		timed := func(name string, start time.Time) {
+			phases = append(phases, fmt.Sprintf("%s=%v", name, time.Since(start).Round(time.Microsecond)))
+		}
+		start := time.Now()
 		if err := proxySrv.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "proxyd: proxy shutdown:", err)
 		}
+		timed("proxy", start)
 		if originSrv != nil {
+			start = time.Now()
 			if err := originSrv.Shutdown(ctx); err != nil {
 				fmt.Fprintln(os.Stderr, "proxyd: origin shutdown:", err)
 			}
+			timed("origin", start)
 		}
 		// Quiesce within whatever remains of the drain window: the flag
 		// bounds the whole drain, so a stalled transfer cannot hold the
 		// process past it.
+		start = time.Now()
 		quiesced := make(chan struct{})
 		go func() {
 			px.Quiesce()
@@ -181,14 +192,15 @@ func run() error {
 		}()
 		select {
 		case <-quiesced:
+			timed("quiesce", start)
 		case <-ctx.Done():
-			return fmt.Errorf("drain timed out after %gs with transfers still in flight", *drainSec)
+			return fmt.Errorf("drain timed out after %gs with transfers still in flight (drain %s)", *drainSec, strings.Join(phases, " "))
 		}
 		out, err := json.Marshal(px.Snapshot())
 		if err != nil {
 			return err
 		}
-		fmt.Printf("proxyd: drained; final stats: %s\n", out)
+		fmt.Printf("proxyd: drained; final stats: %s drain %s\n", out, strings.Join(phases, " "))
 		return nil
 	}
 }

@@ -152,17 +152,32 @@ func TestCollectedByteIdenticalAndSplitWork(t *testing.T) {
 		}
 	}
 	// Work-splitting: the two shards together simulate each point once,
-	// each exactly the points it owns. A shard owns whole groups:
-	// figure5's IF and IB rows (two cache sizes each) are shard 0's, its
-	// PB rows shard 1's; refined-e's six single points alternate.
+	// each exactly the points it owns. A shard owns whole families,
+	// dealt over the whole figure set: figure5's IF rows (two cache
+	// sizes) are shard 0's, its PB and IB rows, one family, shard 1's;
+	// refined-e's coarse round holds figure9's keys and follows their
+	// family to shard 1, and its three refinement points, at new e,
+	// alternate from index 3.
 	total = evals[0] + evals[1]
-	if evals[0] != 4+3 || evals[1] != 2+3 {
-		t.Errorf("shards simulated %d and %d points; want 4+3 and 2+3 (figure5's and refined-e's they own)", evals[0], evals[1])
+	if evals[0] != 2+1 || evals[1] != 4+5 {
+		t.Errorf("shards simulated %d and %d points; want 2+1 and 4+5 (figure5's and refined-e's they own)", evals[0], evals[1])
 	}
-	// Whatever the owners, the split stays within one group: figure5's
-	// groups are two rows, the largest any round of these tables holds.
-	if d := evals[0] - evals[1]; d < -2 || d > 2 {
-		t.Errorf("shards simulated %d and %d points; want them within 2, figure5's group size", evals[0], evals[1])
+	// The split is balanced over the whole set, not over these two
+	// tables: the shards' dealt weights partition the set's.
+	var dealt int64
+	for idx := 0; idx < 2; idx++ {
+		s := tinyScale()
+		s.Shard = experiments.Shard{Index: idx, Count: 2}
+		share, err := s.Deal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if share.Units == 0 || share.Weight <= 0 {
+			t.Errorf("shard %d/2 was dealt %+v", idx, share)
+		}
+		if dealt += share.Weight; idx == 1 && dealt != share.SetWeight {
+			t.Errorf("the shards were dealt weights summing to %d, want the set's %d", dealt, share.SetWeight)
+		}
 	}
 
 	// The unsharded reference count comes from a counter-equipped run.
@@ -254,12 +269,14 @@ func (c *crashSink) Row([]string) error {
 // rows were already pushed) restarts, re-registers, and replays; the
 // collector ends with every row exactly once and the CSVs stay
 // byte-identical. The push-session reset plus (table, index) dedupe is
-// what makes the whole-log replay safe. refined-esigma runs on its own
-// too, its shard 0 dying inside the second of its two groups of one e.
+// what makes the whole-log replay safe. The shard that dies is shard
+// 1, which owns most of these tables' rows (figure5's PB and IB family,
+// both coarse rounds). refined-esigma runs on its own too, its shard 1
+// dying inside the second of its three groups of one e.
 func TestShardDiesMidPushAndResumes(t *testing.T) {
 	for _, tc := range []struct {
 		keys  []string
-		allow int // rows shard 0 emits before it dies
+		allow int // rows shard 1 emits before it dies
 	}{
 		{testKeys, 5},
 		{[]string{"refined-esigma"}, 4},
@@ -270,32 +287,32 @@ func TestShardDiesMidPushAndResumes(t *testing.T) {
 			defer ts.Close()
 
 			dir := t.TempDir()
-			j0 := filepath.Join(dir, "j0.jsonl")
+			j1 := filepath.Join(dir, "j1.jsonl")
 
-			// Shard 0 dies after tc.allow rows. The partial push log
+			// Shard 1 dies after tc.allow rows. The partial push log
 			// drains on Close (which reports the aborted sweep's
 			// remainder as the stream error we injected, not a client
 			// failure). The shards here run sequentially, so
 			// foreign-metric polls against the not-yet-run peer must
 			// time out fast and fall back locally.
 			const wait = 300 * time.Millisecond
-			if _, err := runShard(t, ts.URL, tc.keys, experiments.Shard{Index: 0, Count: 2}, j0, false,
+			if _, err := runShard(t, ts.URL, tc.keys, experiments.Shard{Index: 1, Count: 2}, j1, false,
 				wait, &crashSink{allow: tc.allow}); !errors.Is(err, errCrash) {
 				t.Fatalf("crashed shard run returned %v, want the injected crash", err)
 			}
 
-			// Shard 1 runs to completion meanwhile.
-			if _, err := runShard(t, ts.URL, tc.keys, experiments.Shard{Index: 1, Count: 2},
-				filepath.Join(dir, "j1.jsonl"), false, wait, nil); err != nil {
-				t.Fatalf("shard 1: %v", err)
+			// Shard 0 runs to completion meanwhile.
+			if _, err := runShard(t, ts.URL, tc.keys, experiments.Shard{Index: 0, Count: 2},
+				filepath.Join(dir, "j0.jsonl"), false, wait, nil); err != nil {
+				t.Fatalf("shard 0: %v", err)
 			}
 
-			// Shard 0 restarts with -resume: journal replay re-emits the
+			// Shard 1 restarts with -resume: journal replay re-emits the
 			// completed prefix through the sinks (repopulating the push
 			// log from index zero), the fresh hello resets the push
 			// session, and the dedupe absorbs the overlap.
-			if _, err := runShard(t, ts.URL, tc.keys, experiments.Shard{Index: 0, Count: 2}, j0, true, wait, nil); err != nil {
-				t.Fatalf("resumed shard 0: %v", err)
+			if _, err := runShard(t, ts.URL, tc.keys, experiments.Shard{Index: 1, Count: 2}, j1, true, wait, nil); err != nil {
+				t.Fatalf("resumed shard 1: %v", err)
 			}
 
 			select {

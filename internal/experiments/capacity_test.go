@@ -133,15 +133,17 @@ func TestGroupCounts(t *testing.T) {
 }
 
 // TestCapacityGroupsHoldOwnedRows: a shard groups only the rows it
-// owns, and it owns whole groups — of figure5's three policies here
-// shard 0 owns IF's and IB's cache sizes (IF's seed falls back) and
-// shard 1 PB's, one pass each — and a resumed shard groups only the
-// rows its journal lacks; either way the merged journals are the
+// owns, and it owns whole families — of figure5's three policies here
+// shard 0 owns IF's cache sizes (IF's seed falls back) and shard 1 PB's
+// and IB's, one family that ranks once for its two passes — and a
+// resumed shard groups only the rows its journal lacks; either way the merged journals are the
 // unsharded stream, byte for byte. With no exchange, a shard of
 // refined-esigma scores the foreign points of each round itself, through
 // the same groups: each e row of the coarse round shares its sigmas'
-// replays, two e rows owned by shard 0 and one by shard 1, so each
-// shard counts all three rows' six shared replays.
+// replays, and shard 1 owns all three rows (their keys hold figure9's
+// cache sizes too, so they are one family of the set), so shard 0
+// scores them as foreign points and each shard counts all three rows'
+// six shared replays.
 func TestCapacityGroupsHoldOwnedRows(t *testing.T) {
 	base := tinyScale()
 	base.CacheFractions = []float64{0.005, 0.02, 0.05, 0.1}
@@ -150,7 +152,7 @@ func TestCapacityGroupsHoldOwnedRows(t *testing.T) {
 		key  string
 		want [2][3]int64 // per shard: passes, fallbacks, shared
 	}{
-		{"figure5", [2][3]int64{{1, 1, 0}, {1, 0, 0}}},
+		{"figure5", [2][3]int64{{0, 1, 0}, {2, 0, 0}}},
 		{"refined-esigma", [2][3]int64{{0, 0, 6}, {0, 0, 6}}},
 	} {
 		t.Run(tc.key, func(t *testing.T) {

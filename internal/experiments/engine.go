@@ -172,7 +172,10 @@ func (p *plan) run(x exec, round func(pts []planPoint, base int, source string) 
 // decisions read the completed vector.
 func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, emit func(r MetricRow) error) ([]sample, error) {
 	samples := make([]sample, len(pts))
-	owned := x.Shard.owned(pts, base)
+	owned, err := x.owned(pts, base)
+	if err != nil {
+		return nil, err
+	}
 	// phase runs one half of the round, the owned points or the foreign
 	// ones; rows reach emit only for owned points.
 	phase := func(own bool) error {
@@ -216,7 +219,7 @@ func evalRound(x exec, pts []planPoint, base int, adaptive bool, source string, 
 }
 
 // resolvePhase resolves the points of one half of a round (global
-// indices base..base+len(pts)-1; owned is Shard.owned's answer for them)
+// indices base..base+len(pts)-1; owned is Scale.owned's answer for them)
 // — the owned ones or the foreign ones — concurrently over the worker
 // pool, so exchange waits overlap. is lists the half's offsets into pts
 // in index order and rows[j] is what resolve answered for pts[is[j]],
@@ -442,8 +445,12 @@ func Declare(s Scale, keys ...string) error {
 		if p.refine != nil {
 			s.Arena.Hold(p.meta.Name, cfgsOf(p.coarse))
 		}
+		owned, err := s.owned(p.coarse, 0)
+		if err != nil {
+			return err
+		}
 		x := exec{Scale: s, table: p.meta.Name}
-		is, _, resolved := x.resolvePhase(p.coarse, x.Shard.owned(p.coarse, 0), true, 0, p.refine != nil)
+		is, _, resolved := x.resolvePhase(p.coarse, owned, true, 0, p.refine != nil)
 		for j, i := range is {
 			if resolved[j] {
 				continue

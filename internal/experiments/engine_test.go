@@ -268,7 +268,7 @@ func TestFixedGridResolvesNoForeignMetrics(t *testing.T) {
 	// 3 of the probe's 6 points, and the figure5 points shard 1/2 owns.
 	unsharded := s
 	unsharded.Shard, unsharded.Counters = Shard{}, nil
-	want := 3 + len(ownedIndices(streamedRounds(t, "figure5", unsharded), s.Shard))
+	want := 3 + len(ownedIndices(t, unsharded, streamedRounds(t, "figure5", unsharded), s.Shard))
 	if n := s.Counters.Evaluations.Load(); n != int64(want) {
 		t.Errorf("shard 1/2 simulated %d points, want the %d it owns", n, want)
 	}

@@ -142,7 +142,7 @@ func TestShardedRefinementExchangeByteIdentical(t *testing.T) {
 
 						var sum int64
 						for idx, n := range evals {
-							want := int64(len(ownedIndices(rounds, Shard{Index: idx, Count: count})))
+							want := int64(len(ownedIndices(t, base, rounds, Shard{Index: idx, Count: count})))
 							if n != want {
 								t.Errorf("shard %d/%d simulated %d points, want exactly its %d owned",
 									idx, count, n, want)
@@ -422,7 +422,7 @@ func TestEvalRoundOwnedFirst(t *testing.T) {
 						t.Fatalf("shard %d: %v", idx, errs[idx])
 					}
 					parts[idx] = &outs[idx]
-					owned := ownedIndices(rounds, Shard{Index: idx, Count: count})
+					owned := ownedIndices(t, base, rounds, Shard{Index: idx, Count: count})
 					emitted := map[int]bool{}
 					fetches := 0
 					for _, ev := range sh.events {

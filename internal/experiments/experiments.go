@@ -51,9 +51,11 @@ type Scale struct {
 	// the cells) where the metric varies most. 0 disables refinement.
 	RefineBudget int
 	// Shard restricts a run to the rows this shard owns, so N
-	// independent processes split one sweep: each round's groups (its
-	// rows with one share key) go whole to one shard, a round of lone
-	// rows round robin (index mod Shard.Count == Shard.Index). The union
+	// independent processes split one sweep: the units of the whole
+	// figure set (a family of groups that take the capacity pass, or a
+	// group of rows with one share key) go whole to one shard, dealt once
+	// per scale, and a round of lone rows the set does not hold round
+	// robin (index mod Shard.Count == Shard.Index). The union
 	// of the shards' rows is bit-identical to the unsharded stream for
 	// any Count, mirroring the Parallelism guarantee; MergeShards
 	// reassembles it. The zero value means unsharded.

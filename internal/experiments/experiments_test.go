@@ -286,8 +286,9 @@ func TestExtensionBaselines(t *testing.T) {
 // orphans them all. A sharded run's name the ownership rule, so the
 // journals and sessions of shards that owned rows by another rule
 // (index mod count, groups of flat oracle points only, groups dealt out
-// round robin, groups by points with the hierarchy's 1x1 rows apart) are
-// refused; an unsharded run's are the format's from before.
+// round robin, groups by points with the hierarchy's 1x1 rows apart,
+// groups dealt by points within each round) are refused; an unsharded
+// run's are the format's from before.
 func TestFingerprintGolden(t *testing.T) {
 	s := SmallScale()
 	const run = "objects=500 requests=10000 runs=2 seed=1 fractions=[0.005 0.02 0.05 0.1 0.169] alpha=[0.5 0.73 1 1.2] " +
@@ -298,7 +299,7 @@ func TestFingerprintGolden(t *testing.T) {
 	}{
 		{Shard{}, run + "0/1", run + "0/1"},
 		{Shard{Index: 0, Count: 1}, run + "0/1", run + "0/1"},
-		{Shard{Index: 1, Count: 2}, run + "1/2 owners=points/1node", run + "0/1 owners=points/1node"},
+		{Shard{Index: 1, Count: 2}, run + "1/2 owners=families/set", run + "0/1 owners=families/set"},
 	} {
 		s.Shard = tc.shard
 		if got := s.Fingerprint(); got != tc.fp {

@@ -20,10 +20,10 @@ var benchKeys = []string{"figure5", "figure6", "figure7", "figure9", "refined-e"
 
 // work is what one process did for one table: the evaluations and the
 // arena counts a sharded sweep splits between its shards.
-type work struct{ evals, passes, fallbacks, shared, reused int64 }
+type work struct{ evals, passes, fallbacks, shared, reused, ranks int64 }
 
 func (w work) add(o work) work {
-	return work{w.evals + o.evals, w.passes + o.passes, w.fallbacks + o.fallbacks, w.shared + o.shared, w.reused + o.reused}
+	return work{w.evals + o.evals, w.passes + o.passes, w.fallbacks + o.fallbacks, w.shared + o.shared, w.reused + o.reused, w.ranks + o.ranks}
 }
 
 // figureSet streams keys as cmd/figures does — one arena, Declare of the
@@ -49,25 +49,26 @@ func figureSet(t *testing.T, s Scale, keys []string, st *memStore) (map[string][
 			return nil, nil, fmt.Errorf("%s: %w", key, err)
 		}
 		out[key] = buf.Bytes()
-		did[key] = work{s.Counters.Evaluations.Load(), w[0], w[1], w[2], w[3]}
+		did[key] = work{s.Counters.Evaluations.Load(), w[0], w[1], w[2], w[3], w[4]}
 	}
 	return out, did, nil
 }
 
-// TestShardedWorkSumsToSingle: shards own whole groups, so a sharded
-// figure set does the single process's work once between its shards —
-// every point simulated once, every group scored by one call — and its
-// merged rows are the single process's bytes. Each shard runs as
-// cmd/figures does, with an arena of its own and Declare of the bench's
-// seven tables, its peers' metrics reaching it through an exchange. A
-// table reuses another's answers only where both rounds hand the shared
-// key to the same shard, which misses once at 2 shards and once at 3.
+// TestShardedWorkSumsToSingle: shards own whole families, dealt once
+// over the whole figure set, so a sharded figure set does the single
+// process's work once between its shards — every point simulated once,
+// every group scored by one call, every family's tapes ranked once, and
+// every answer another table's round scored reused on the shard that
+// scored it — and its merged rows are the single process's bytes. Each
+// shard runs as cmd/figures does, with an arena of its own and Declare
+// of the bench's seven tables, its peers' metrics reaching it through an
+// exchange.
 func TestShardedWorkSumsToSingle(t *testing.T) {
 	rows, single, err := figureSet(t, SmallScale(), benchKeys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, count := range []int{2, 3} {
+	for _, count := range []int{2, 3, 5} {
 		t.Run(fmt.Sprintf("count%d", count), func(t *testing.T) {
 			st := newMemStore()
 			outs := make([]map[string][]byte, count)
@@ -97,23 +98,8 @@ func TestShardedWorkSumsToSingle(t *testing.T) {
 					parts[idx] = bytes.NewReader(outs[idx][key])
 				}
 				want := single[key]
-				if count == 3 && key == "figure6" {
-					// Owners are decided per round: figure6's α = 0.73 PB
-					// rows are the fourth group of its round, figure5's PB
-					// rows the second of its own, so at 3 shards they land
-					// on shards 0 and 1 and the group is scored twice —
-					// one pass more, and its five rows are not reused.
-					want.passes, want.reused = want.passes+1, want.reused-5
-				}
-				if count == 2 && key == "hierarchy" {
-					// The same miss: the hierarchy's 1x1 rows, the first
-					// group of its round, are figure5's PB members, whose
-					// group is the second of figure5's round, so at 2
-					// shards they land on shards 0 and 1.
-					want.passes, want.reused = want.passes+1, want.reused-5
-				}
 				if sum != want {
-					t.Errorf("%s: the shards' evals, passes, fallbacks, shared, reused sum to %v, want %v", key, sum, want)
+					t.Errorf("%s: the shards' evals, passes, fallbacks, shared, reused, ranks sum to %v, want %v", key, sum, want)
 				}
 				var got bytes.Buffer
 				if err := MergeShards(parts, NewJSONLSink(&got)); err != nil {
@@ -140,14 +126,18 @@ func (s *indexSink) MetricRow(r MetricRow) error {
 
 // TestOwnershipIsAFunctionOfTheRound: for every simulated table and
 // every round as streamed, at 1, 2, 3 and 5 shards, each global index
-// has exactly one owner, a round with no shared key is owned round
-// robin, (base+i) mod Count, and no two shards' shares of a round differ
-// by more than its largest group. The rows each shard emits are the ones the
-// rule gives it whatever the process holds: an arena of the table's
-// own, an arena the whole set was declared to, or a resume journal
-// holding the first half of the shard's rows. And the 2-shard hierarchy
-// files are pinned: the five 1x1 rows, flat points of one share key, go
-// to shard 0 as one group, and the other twenty rows alternate.
+// has exactly one owner; a point whose share key the figure set holds
+// goes to its unit's owner in the set-wide deal, and the other points
+// of a round with no shared key are owned round robin, (base+i) mod
+// Count; and no two shards' dealt weights differ by more than the
+// heaviest unit. The rows each shard emits are the ones the rule gives
+// it whatever the process holds: an arena of the table's own, an arena
+// the whole set was declared to, an arena only that table was declared
+// to (a run of one -only key), or a resume journal holding a prefix of
+// the shard's rows — every prefix, for a table that refines. And the
+// 2-shard hierarchy files are pinned: the five 1x1 rows, flat points of
+// figure5's PB share key, go whole to the shard that owns its family,
+// and the other twenty rows alternate.
 func TestOwnershipIsAFunctionOfTheRound(t *testing.T) {
 	keys := simulatedKeys()
 	base := tinyScale()
@@ -158,16 +148,39 @@ func TestOwnershipIsAFunctionOfTheRound(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, count := range []int{1, 2, 3, 5} {
+		var d *dealt
+		if count > 1 {
+			s := base
+			s.Shard.Count = count
+			var err error
+			if d, err = s.deal(); err != nil {
+				t.Fatal(err)
+			}
+			if spread, heaviest := slices.Max(d.load)-slices.Min(d.load), slices.Max(d.units.Weight); spread > heaviest {
+				t.Errorf("%d shards: the set-wide deal gave the shards weights %v, a spread beyond its heaviest unit of %d", count, d.load, heaviest)
+			}
+		}
 		want := map[string][][]int{} // per key, per shard: the owned indices
 		for _, key := range keys {
 			want[key] = make([][]int, count)
 			for _, r := range rounds[key] {
 				owned := make([][]bool, count)
 				for idx := range owned {
-					owned[idx] = Shard{Index: idx, Count: count}.owned(r.pts, r.base)
+					s := base
+					s.Shard = Shard{Index: idx, Count: count}
+					var err error
+					if owned[idx], err = s.owned(r.pts, r.base); err != nil {
+						t.Fatal(err)
+					}
+				}
+				held := make([]int, len(r.pts)) // the point's unit in the deal, or -1
+				for i := range held {
+					held[i] = -1
+					if d != nil && r.pts[i].cfg != nil {
+						held[i] = d.units.Of([]sim.HierarchyConfig{*r.pts[i].cfg})[0]
+					}
 				}
 				largest := largestGroup(r.pts)
-				load := make([]int, count)
 				for i := range r.pts {
 					var by []int
 					for idx := range owned {
@@ -178,14 +191,13 @@ func TestOwnershipIsAFunctionOfTheRound(t *testing.T) {
 					if len(by) != 1 {
 						t.Fatalf("%s at %d shards: index %d owned by shards %v, want exactly one", key, count, r.base+i, by)
 					}
-					if rr := (r.base + i) % count; largest == 1 && by[0] != rr {
+					if u := held[i]; u >= 0 && by[0] != d.owner[u] {
+						t.Errorf("%s at %d shards: index %d owned by shard %d, want %d, its unit's owner", key, count, r.base+i, by[0], d.owner[u])
+					}
+					if rr := (r.base + i) % count; held[i] < 0 && largest == 1 && by[0] != rr {
 						t.Errorf("%s at %d shards: index %d of a round with no shared key owned by shard %d, want %d", key, count, r.base+i, by[0], rr)
 					}
 					want[key][by[0]] = append(want[key][by[0]], r.base+i)
-					load[by[0]]++
-				}
-				if spread := slices.Max(load) - slices.Min(load); spread > largest {
-					t.Errorf("%s at %d shards: round at %d owned %v points per shard, a spread beyond its largest group of %d", key, count, r.base, load, largest)
 				}
 			}
 		}
@@ -217,28 +229,54 @@ func TestOwnershipIsAFunctionOfTheRound(t *testing.T) {
 				check("declared arena", key, rows.got)
 			}
 			for _, key := range keys {
+				alone := s
+				alone.Arena = sim.NewArena()
+				if err := Declare(alone, key); err != nil {
+					t.Fatal(err)
+				}
+				var rows indexSink
+				if err := Stream(key, alone, &rows); err != nil {
+					t.Fatal(err)
+				}
+				check("declared alone", key, rows.got)
+			}
+			for _, key := range keys {
 				path := filepath.Join(dir, fmt.Sprintf("%s-%d-of-%d.jsonl", key, idx, count))
 				journaledStream(t, key, s, path, false)
 				full, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, full[:len(full)/2], 0o644); err != nil {
-					t.Fatal(err)
+				// A table with refinement rounds resumes from every prefix
+				// of whole lines, so some resume ends inside a round of
+				// points the set does not hold; any other from half.
+				cuts := []int{len(full) / 2}
+				if len(rounds[key]) > 1 {
+					cuts = cuts[:0]
+					for i, b := range full {
+						if b == '\n' {
+							cuts = append(cuts, i+1)
+						}
+					}
 				}
-				j, err := ResumeJournal(path, s.Fingerprint())
-				if err != nil {
-					t.Fatal(err)
+				for _, cut := range cuts {
+					if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+						t.Fatal(err)
+					}
+					j, err := ResumeJournal(path, s.Fingerprint())
+					if err != nil {
+						t.Fatal(err)
+					}
+					resumed := s
+					resumed.Resume = j
+					var rows indexSink
+					err = Stream(key, resumed, MultiSink{NewJournalSink(j), &rows})
+					j.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("resumed from %d of its journal's %d bytes", cut, len(full)), key, rows.got)
 				}
-				resumed := s
-				resumed.Resume = j
-				var rows indexSink
-				err = Stream(key, resumed, MultiSink{NewJournalSink(j), &rows})
-				j.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				check("resumed from half its journal", key, rows.got)
 			}
 		}
 	}
@@ -247,8 +285,8 @@ func TestOwnershipIsAFunctionOfTheRound(t *testing.T) {
 		t.Skipf("the hierarchy digests were recorded on amd64; GOARCH=%s may fuse float operations differently", runtime.GOARCH)
 	}
 	for idx, want := range []string{
-		"a86a77379fc3328427b2fd49cfc9dde72152ce706ec0a5a2e6653d2e45ade769",
-		"71a36ce64d15ecaa305a48a11ab1f0242b365355d586bf69fe1afd71c9b700cb",
+		"fb1bc03af69be9daace31eef4a37a575c0f48eab7fd1356960138aa10f426021",
+		"80c5ee0c878f6e803a261c1b413cad0200988b9e723365fae503715fe210d574",
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(shardJSONL(t, "hierarchy", SmallScale(), Shard{Index: idx, Count: 2}))); got != want {
 			t.Errorf("hierarchy shard %d/2 JSONL sha256 %s, want %s", idx, got, want)

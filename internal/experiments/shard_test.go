@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,11 +75,17 @@ func streamedRounds(t *testing.T, key string, s Scale) []round {
 }
 
 // ownedIndices returns the ascending global indices sh owns of the
-// rounds, round by round.
-func ownedIndices(rounds []round, sh Shard) []int {
+// rounds streamed at s, round by round.
+func ownedIndices(t *testing.T, s Scale, rounds []round, sh Shard) []int {
+	t.Helper()
+	s.Shard = sh
 	var owned []int
 	for _, r := range rounds {
-		for i, own := range sh.owned(r.pts, r.base) {
+		own, err := s.owned(r.pts, r.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, own := range own {
 			if own {
 				owned = append(owned, r.base+i)
 			}
@@ -88,10 +95,12 @@ func ownedIndices(rounds []round, sh Shard) []int {
 }
 
 // TestShardOwnershipPartitions: every point of a round is owned by
-// exactly one shard; points with no group are dealt out round robin from
-// the round's base; the points of one share key go to one shard, and
-// each group goes to the shard with the fewest points so far, a tie to
-// the first from its turn of the round robin on.
+// exactly one shard. Points the figure set does not hold are dealt
+// within their round: points with no group round robin from the round's
+// base, the points of one share key to one shard, each group to the
+// shard with the fewest points so far, a tie to the first from its turn
+// of the round robin on. A point the set holds goes to its unit's owner
+// wherever it sits, and moves none of the others.
 func TestShardOwnershipPartitions(t *testing.T) {
 	flat := func(p core.Policy, pct float64) planPoint {
 		return planPoint{cfg: &sim.HierarchyConfig{Config: sim.Config{Policy: p, CacheBytes: int64(pct * 1e9)}}}
@@ -101,6 +110,20 @@ func TestShardOwnershipPartitions(t *testing.T) {
 	// PB's three sizes are one unit, IB's two another; the static rows
 	// between them are units of their own.
 	grouped := []planPoint{flat(pb, 1), {}, flat(pb, 2), flat(ib, 1), {}, flat(pb, 3), flat(ib, 2), {}}
+	s := tinyScale()
+	figure5 := streamedRounds(t, "figure5", s)[0].pts
+	// The set holds figure5's first point, a unit the deal gives to
+	// shard held[count].
+	withHeld := append(slices.Clip(grouped), figure5[0])
+	held := map[int]int{}
+	for _, count := range []int{2, 3} {
+		s.Shard.Count = count
+		d, err := s.deal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[count] = d.owner[d.units.Of([]sim.HierarchyConfig{*figure5[0].cfg})[0]]
+	}
 	for _, tc := range []struct {
 		pts   []planPoint
 		base  int
@@ -114,10 +137,16 @@ func TestShardOwnershipPartitions(t *testing.T) {
 		{grouped, 1, 2, []int{1, 0, 1, 0, 0, 1, 0, 1}},
 		{grouped, 0, 3, []int{0, 1, 0, 2, 1, 0, 2, 1}},
 		{grouped, 2, 3, []int{2, 0, 2, 1, 0, 2, 1, 0}},
+		{withHeld, 0, 2, []int{0, 1, 0, 1, 1, 0, 1, 0, held[2]}},
+		{withHeld, 2, 3, []int{2, 0, 2, 1, 0, 2, 1, 0, held[3]}},
 	} {
 		for idx := 0; idx < tc.count; idx++ {
-			sh := Shard{Index: idx, Count: tc.count}
-			for i, own := range sh.owned(tc.pts, tc.base) {
+			s.Shard = Shard{Index: idx, Count: tc.count}
+			owned, err := s.owned(tc.pts, tc.base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, own := range owned {
 				want := (tc.base + i) % tc.count
 				if tc.want != nil {
 					want = tc.want[i]
@@ -126,6 +155,30 @@ func TestShardOwnershipPartitions(t *testing.T) {
 					t.Errorf("base %d, %d shards: shard %d owns point %d = %v, want it owned by shard %d", tc.base, tc.count, idx, i, own, want)
 				}
 			}
+		}
+	}
+}
+
+// TestDealWeightsIsGreedy: the set-wide deal gives each unit, in order,
+// to the shard with the least weight so far, a tie to the first tied
+// shard from the unit's turn of the round robin on — so units of equal
+// weight are dealt round robin, and a heavy unit is balanced by the
+// light ones after it.
+func TestDealWeightsIsGreedy(t *testing.T) {
+	for _, tc := range []struct {
+		weight []int64
+		count  int
+		owner  []int
+		load   []int64
+	}{
+		{[]int64{2, 2, 2, 2, 2}, 2, []int{0, 1, 0, 1, 0}, []int64{6, 4}},
+		{[]int64{1, 1, 4, 1, 1}, 2, []int{0, 1, 0, 1, 1}, []int64{5, 3}},
+		{[]int64{5, 1, 1, 1, 1, 1}, 2, []int{0, 1, 1, 1, 1, 1}, []int64{5, 5}},
+		{[]int64{3, 1, 1, 1, 2, 2}, 3, []int{0, 1, 2, 1, 2, 1}, []int64{3, 4, 3}},
+	} {
+		owner, load := dealWeights(tc.weight, tc.count)
+		if !slices.Equal(owner, tc.owner) || !slices.Equal(load, tc.load) {
+			t.Errorf("dealWeights(%v, %d) = %v, %v; want %v, %v", tc.weight, tc.count, owner, load, tc.owner, tc.load)
 		}
 	}
 }

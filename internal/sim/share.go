@@ -61,10 +61,79 @@ func shareOf(cfg HierarchyConfig) (HierarchyConfig, Member) {
 // that fails to normalise.
 // ScorePending scores each group in one call, one family of groups
 // whose policies rank alike at a time, and a sharded sweep hands each
-// group of a round to one shard. It reads nothing but cfgs, so every
+// group to one shard (UnitsOf). It reads nothing but cfgs, so every
 // process that holds the same list computes the same ids.
 func GroupOf(cfgs []HierarchyConfig) []int {
 	ids, _, _ := groupOf(cfgs)
+	return ids
+}
+
+// Units is how a sharded sweep splits a set of configurations — every
+// point it will score — into the units it deals whole to its shards,
+// and what each costs. The groups that take the capacity pass (familyOf
+// ok, two or more distinct capacities in the set) are one unit per
+// family, so one shard ranks each tape once for all of them; every other
+// group is a unit of its own. Weight[u] counts unit u's tape walks: per
+// run seed, one ranking plus one pass per group of a family, or one
+// replay per distinct capacity of a group that replays. Units are
+// numbered in order of first appearance. It is a function of the set
+// alone, so every process that holds the same set computes the same
+// units.
+type Units struct {
+	unit   map[HierarchyConfig]int // share key -> its unit
+	Weight []int64
+}
+
+// UnitsOf returns the units of cfgs; a cfg that fails to normalise
+// belongs to none.
+func UnitsOf(cfgs []HierarchyConfig) Units {
+	ids, norm, _ := groupOf(cfgs)
+	var first []int            // per group: its first cfg
+	caps := []map[int64]bool{} // per group: its distinct capacities
+	for i, id := range ids {
+		if id < 0 {
+			continue
+		}
+		if id == len(first) {
+			first, caps = append(first, i), append(caps, map[int64]bool{})
+		}
+		caps[id][norm[i].CacheBytes] = true
+	}
+	u := Units{unit: map[HierarchyConfig]int{}}
+	fams := map[HierarchyConfig]int{} // family key -> its unit
+	for g, i := range first {
+		cfg, runs := norm[i], int64(norm[i].Runs)
+		key, _ := shareOf(cfg)
+		if fam, ok := familyOf(cfg); ok && len(caps[g]) >= 2 {
+			f, ok := fams[fam]
+			if !ok {
+				f = len(u.Weight)
+				fams[fam] = f
+				u.Weight = append(u.Weight, runs) // the ranking
+			}
+			u.unit[key] = f
+			u.Weight[f] += runs // the group's pass
+			continue
+		}
+		u.unit[key] = len(u.Weight)
+		u.Weight = append(u.Weight, runs*int64(len(caps[g])))
+	}
+	return u
+}
+
+// Of returns the unit of each of cfgs, or -1 for a cfg whose share key
+// the set does not hold or that fails to normalise.
+func (u Units) Of(cfgs []HierarchyConfig) []int {
+	ids := make([]int, len(cfgs))
+	for i, cfg := range cfgs {
+		ids[i] = -1
+		if cfg, err := cfg.withDefaults(); err == nil {
+			key, _ := shareOf(cfg)
+			if id, ok := u.unit[key]; ok {
+				ids[i] = id
+			}
+		}
+	}
 	return ids
 }
 

@@ -339,6 +339,50 @@ func TestScorePendingFamilies(t *testing.T) {
 	}
 }
 
+// TestUnitsOf: the groups of a set that take the capacity pass are one
+// unit per family, weighed one ranking plus one pass per group per run
+// seed; every other group is a unit of its own, weighed one replay per
+// distinct capacity per seed. A point whose share key the set holds is
+// in its unit at any capacity; any other point is in none.
+func TestUnitsOf(t *testing.T) {
+	wl := workload.Config{NumObjects: 200, NumRequests: 4000}
+	at := func(p core.Policy, est Estimator, pcts ...float64) []HierarchyConfig {
+		var cfgs []HierarchyConfig
+		for _, pct := range pcts {
+			cfgs = append(cfgs, HierarchyConfig{Config: Config{Workload: wl, Policy: p, Estimator: est, CacheBytes: cachePct(pct), Runs: 2}})
+		}
+		return cfgs
+	}
+	hybrid := func(e float64) core.Policy {
+		p, err := core.NewHybrid(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	u := UnitsOf(slices.Concat(
+		at(core.NewPB(), nil, 0.5, 2, 10),  // unit 0, with IB: one family
+		at(core.NewIF(), nil, 0.5, 2),      // unit 1: IF ranks apart
+		at(core.NewIB(), nil, 0.5, 2, 2),   // unit 0
+		at(hybrid(0.5), nil, 2),            // unit 2: one capacity, it replays
+		at(core.NewPB(), EWMA{0.3}, 2, 10), // units 3 and 4: each member a key
+		at(core.NewGDS(), nil, 0.5, 2, 10), // unit 5: GDS ages, it replays
+	))
+	if want := []int64{2 * 3, 2 * 2, 2 * 1, 2, 2, 2 * 3}; !slices.Equal(u.Weight, want) {
+		t.Errorf("unit weights %v, want %v", u.Weight, want)
+	}
+	probe := slices.Concat(
+		at(core.NewIB(), nil, 5),
+		at(hybrid(0.5), nil, 10),
+		at(hybrid(0.7), nil, 2),
+		at(core.NewPB(), EWMA{0.3}, 5),
+		[]HierarchyConfig{{Config: Config{Workload: wl, CacheBytes: cachePct(2)}}}, // no policy
+	)
+	if got, want := u.Of(probe), []int{0, 2, -1, -1, -1}; !slices.Equal(got, want) {
+		t.Errorf("units of the probes %v, want %v", got, want)
+	}
+}
+
 // TestScorePendingHoldsLaterGroups: within one ScorePending call on an
 // arena nothing was declared to, a tape or column the call's later
 // groups read is not released when an earlier group that read it is

@@ -444,30 +444,38 @@ row K5 internal/sim/share.go 'TestGoldenTables TestDeclaredMembersMatchRun' './i
 row V4 internal/sim/share.go 'TestScorePending TestGroupCounts' './internal/sim ./internal/experiments' \
     'GroupOf puts every configuration of a round in one group: one call scores the last key'"'"'s pending members with the first configuration'"'"'s policy, and the other keys'"'"' points read answers that are not theirs' \
     $'\t\t\tid = len(seen)\n' $'\t\t\tid = 0\n'
-row K7 internal/sim/share.go TestOwnershipIsAFunctionOfTheRound ./internal/experiments \
-    'the hierarchy key drops CacheBytes: a topology'"'"'s five cache sizes are one group, so one shard owns them all (the answers stay right: ScorePending runs each member)' \
+row K7 internal/sim/share.go TestScorePending ./internal/sim \
+    'the hierarchy key drops CacheBytes: a topology'"'"'s five cache sizes are one group, so one shard owns them all (the answers stay right: ScorePending runs each member; at 2 shards the set-wide deal gives the four topologies the shards their alternating rows had, so no ownership pin sees it)' \
     $'\t\tcfg.CacheBytes, cfg.Variation = 0, nil\n\t}\n' $'\t\tcfg.CacheBytes, cfg.Variation = 0, nil\n\t}\n\tif cfg.Levels > 0 {\n\t\tcfg.CacheBytes = 0\n\t}\n'
 
-# --- ownership: shards own groups, not rows -------------------------------------
+# --- ownership: shards own families, dealt once over the whole set --------------
 #
-# A point belongs to the shard that owns its group (DESIGN.md §4a
-# "Sharding"): owners is a pure function of a round's full point list,
-# computed the same in every process, that deals whole groups out, each
-# to the shard with the fewest points so far, and so a round of single
-# points round robin.
+# A point belongs to the shard that owns its unit (DESIGN.md §4a
+# "Sharding"): the units of every simulated table's coarse points
+# (sim.UnitsOf: a family of the groups that take the capacity pass, or
+# any other group) are dealt once per scale and shard count, each to the
+# shard with the least weight so far, a pure function of the Scale that
+# every process computes the same; a point the set does not hold is
+# dealt within its round, a round of single points round robin.
 
 row O1 internal/experiments/shard.go TestShardedWorkSumsToSingle ./internal/experiments \
     'ownership by index again: every group is split across the shards and replayed by each' \
-    $'for i, o := range owners(pts, base, sh.Count) {\n\t\town[i] = o == sh.Index' $'for i := range owners(pts, base, sh.Count) {\n\t\town[i] = (base+i)%sh.Count == sh.Index'
+    $'for i, o := range d.owners(pts, base) {\n\t\town[i] = o == s.Shard.Index' $'for i := range d.owners(pts, base) {\n\t\town[i] = (base+i)%s.Shard.Count == s.Shard.Index'
 row O2 internal/experiments/engine.go TestOwnershipIsAFunctionOfTheRound ./internal/experiments \
     'owners computed from the points the resume journal cannot answer: a resumed shard deals the rest out anew and emits rows another shard owns' \
-    $'\towned := x.Shard.owned(pts, base)\n' $'\towned := make([]bool, len(pts))\n\tvar open []planPoint\n\tvar at []int\n\tfor i, pt := range pts {\n\t\tif _, ok := x.Resume.replay(x.table, base+i); ok {\n\t\t\towned[i] = true\n\t\t} else {\n\t\t\topen, at = append(open, pt), append(at, i)\n\t\t}\n\t}\n\tfor k, own := range x.Shard.owned(open, base) {\n\t\towned[at[k]] = own\n\t}\n'
+    $'\towned, err := x.owned(pts, base)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n' $'\towned := make([]bool, len(pts))\n\tvar open []planPoint\n\tvar at []int\n\tfor i, pt := range pts {\n\t\tif _, ok := x.Resume.replay(x.table, base+i); ok {\n\t\t\towned[i] = true\n\t\t} else {\n\t\t\topen, at = append(open, pt), append(at, i)\n\t\t}\n\t}\n\townOpen, err := x.owned(open, base)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\tfor k, own := range ownOpen {\n\t\towned[at[k]] = own\n\t}\n'
 row O3 internal/experiments/shard.go 'TestOwnershipIsAFunctionOfTheRound TestShardOwnershipPartitions' ./internal/experiments \
     'every round deals its units out from shard 0, not from its base: a refinement round of single points is no longer index mod Count' \
-    'rr := (base + len(ownerOf)) % count' 'rr := len(ownerOf) % count'
-row O5 internal/experiments/shard.go 'TestOwnershipIsAFunctionOfTheRound TestShardOwnershipPartitions' ./internal/experiments \
-    'units dealt out round robin, (base+u) mod Count, whatever their points: scenarios'"'"' one group of every IF row leaves a shard more points behind than the round'"'"'s largest group' \
+    'o := leastFrom(load, (base+len(ownerOf))%count)' 'o := leastFrom(load, len(ownerOf)%count)'
+row O5 internal/experiments/shard.go 'TestDealWeightsIsGreedy TestShardOwnershipPartitions' ./internal/experiments \
+    'units dealt out round robin whatever their weight, in the set-wide deal and in a round'"'"'s: a heavy unit is not balanced by the light ones after it' \
     'load[s] < load[o] {' 'load[s] < 0 {'
+row O6 internal/sim/share.go TestShardedWorkSumsToSingle './internal/sim ./internal/experiments' \
+    'each group is dealt as its own unit again: the groups of one family land on different shards, and each shard ranks the tapes (ranks= sums beyond one process'"'"'s)' \
+    $'\t\t\tu.unit[key] = f\n' $'\t\t\tu.unit[key] = f\n\t\t\tdelete(fams, fam)\n'
+row O7 internal/experiments/engine.go TestOwnershipIsAFunctionOfTheRound ./internal/experiments \
+    'the deal is built from the keys passed to Declare, not from the whole set: a run of one -only key owns other rows than a run of every table' \
+    $'func Declare(s Scale, keys ...string) error {\n' $'func Declare(s Scale, keys ...string) error {\n\tif s.Shard.Count > 1 {\n\t\tvar exps []Experiment\n\t\tfor _, key := range keys {\n\t\t\te, _ := ExperimentByKey(key)\n\t\t\texps = append(exps, e)\n\t\t}\n\t\td, err := newDeal(s, exps, s.Shard.Count)\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n\t\tunsharded := s\n\t\tunsharded.Shard = Shard{}\n\t\tdeals.Lock()\n\t\tdeals.m[dealKey{unsharded.Fingerprint(), s.Shard.Count}] = d\n\t\tdeals.Unlock()\n\t}\n'
 row O4 internal/experiments/engine.go TestCapacityGroupsHoldOwnedRows ./internal/experiments \
     'a foreign point neither the journal nor the exchange answers is formatted from zero Metrics: a shard with no exchange refines from metrics no shard computed' \
     $'\t\tms, err := x.Arena.ScorePending(cfgs, x.parallelism())\n' $'\t\tms, err := x.Arena.ScorePending(cfgs, x.parallelism())\n\t\tif !own {\n\t\t\tms = make([]sim.Metrics, len(cfgs))\n\t\t}\n'

@@ -113,6 +113,9 @@ drain
 exec 3<&- 3>&-
 (( SECONDS - drain_started <= 5 )) || {
     echo "proxy-check: wire: an idle keep-alive connection held the drain for $((SECONDS - drain_started))s" >&2
+    # The drained line ends in each phase's time: proxy server, origin
+    # server, quiesce.
+    grep 'drained; final stats' "$tmp/proxyd.log" >&2
     exit 1
 }
 echo "proxy-check: wire phase passed (HTTP/1.0, reuse, HEAD, 405, 416, 431, idle connection drained)"
