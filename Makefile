@@ -105,18 +105,21 @@ dead-check:
 	@bash scripts/dead-check.sh
 
 ## shard-check: end-to-end sharded sweep — run 2 and then 5 shards with
-## journals; first drop one cell from one row of a 2-shard output and
-## require the merge to refuse it naming table and index, then restore
-## it, merge each split and diff it against the single-process output
-## (OPERATIONS.md §7). Each shard prints its share of the set-wide deal
-## first (units and weight, of the set's). Shards own families dealt over
-## the whole figure set: refined-e's and refined-esigma's coarse rows go
-## with figure9's family and hierarchy's 1x1 rows with figure5's, so
-## their rows are not dealt out round robin; ablation-eviction
-## and hierarchy are keyed eviction and hierarchy rows, and
-## ablation-estimators, scenarios and ext-active-probing cover every
-## estimator (EWMA, Underestimate, ActiveProbe); figure6 and figure9 are
-## the tables whose tapes and columns the arena releases mid-call.
+## journals, a shard's only output (OPERATIONS.md §7). First drop one
+## cell from one row of a 2-shard journal and require the merge to refuse
+## it naming table and index, then restore it; require the merge to
+## refuse one of two journals and a 2-shard journal beside a 5-shard
+## one, each naming what is wrong; then merge each split's journals and
+## diff them against the single-process output. Each shard prints its
+## share of the set-wide deal first (units and weight, of the set's).
+## Shards own families dealt over the whole figure set: refined-e's and
+## refined-esigma's coarse rows go with figure9's family and
+## hierarchy's 1x1 rows with figure5's, so their rows are not dealt out
+## round robin; ablation-eviction and hierarchy are keyed eviction and
+## hierarchy rows, and ablation-estimators, scenarios and
+## ext-active-probing cover every estimator (EWMA, Underestimate,
+## ActiveProbe); figure6 and figure9 are the tables whose tapes and
+## columns the arena releases mid-call.
 SHARD_KEYS ?= figure5,figure6,figure9,refined-e,refined-esigma,ablation-eviction,ablation-estimators,scenarios,ext-active-probing,hierarchy
 shard-check:
 	rm -rf shard-check
@@ -126,19 +129,28 @@ shard-check:
 			shard-check/figures -out shard-check/sharded$$n -only '$(SHARD_KEYS)' -shard $$i/$$n -journal shard-check/sharded$$n/j$$i.jsonl || exit 1; \
 		done; \
 	done
-	@f=$$(ls shard-check/sharded2/*.shard0-of-2.jsonl | head -1); cp "$$f" shard-check/intact.jsonl; \
-	sed -i '3s/"row":\["[^"]*",/"row":[/' "$$f"; \
-	if out=$$(shard-check/figures -out shard-check/sharded2 -merge -jsonl 2>&1); then \
-		echo "shard-check: FAIL: the merge accepted a row one cell short of its header"; exit 1; \
-	fi; \
-	echo "$$out" | grep -q 'row [0-9]* of table ".*" has [0-9]* cells, its header declares [0-9]*' || \
-		{ echo "shard-check: FAIL: the merge failed without naming the ragged row:"; echo "$$out"; exit 1; }; \
-	mv shard-check/intact.jsonl "$$f"; echo "shard-check: ragged row refused: $$out"
+	@test -z "$$(ls shard-check/sharded2 | grep -v '^j[0-9]*\.jsonl$$')" || \
+		{ echo "shard-check: FAIL: a shard wrote files besides its journal:"; ls shard-check/sharded2; exit 1; }
+	@refuse() { \
+		if out=$$(shard-check/figures -out shard-check/refused -merge -jsonl "$$@" 2>&1); then \
+			echo "shard-check: FAIL: the merge accepted $$what"; exit 1; \
+		fi; \
+		echo "$$out" | grep -q "$$want" || { echo "shard-check: FAIL: the merge refused $$what without naming it:"; echo "$$out"; exit 1; }; \
+		echo "shard-check: refused $$what: $$out"; \
+	}; \
+	j=shard-check/sharded2/j0.jsonl; cp $$j shard-check/intact.jsonl; \
+	sed -i '0,/"type":"row"/s/"row":\["[^"]*",/"row":[/' $$j; \
+	what='a row one cell short of its header' want='row [0-9]* of table ".*" has [0-9]* cells, its header declares [0-9]*' \
+		refuse shard-check/sharded2/j*.jsonl || exit 1; \
+	mv shard-check/intact.jsonl $$j; \
+	what='one journal of two' want='shard 1/2 missing' refuse $$j || exit 1; \
+	what='a 2-shard journal beside a 5-shard one' want='shards of two counts' \
+		refuse $$j shard-check/sharded5/j1.jsonl || exit 1
 	shard-check/figures -out shard-check/single -only '$(SHARD_KEYS)' -jsonl
 	@for n in 2 5; do \
-		shard-check/figures -out shard-check/sharded$$n -merge -jsonl || exit 1; \
+		shard-check/figures -out shard-check/merged$$n -merge -jsonl shard-check/sharded$$n/j*.jsonl || exit 1; \
 		for f in shard-check/single/*.csv shard-check/single/*.jsonl; do \
-			diff "$$f" "shard-check/sharded$$n/$$(basename $$f)" || exit 1; \
+			diff "$$f" "shard-check/merged$$n/$$(basename $$f)" || exit 1; \
 		done; \
 		echo "shard-check: merged $$n-shard output is byte-identical to the single-process run"; \
 	done

@@ -9,26 +9,22 @@
 //	figures -out results/ -jsonl -refine 8
 //
 // Sweeps distribute across processes and survive interruption (see
-// OPERATIONS.md): each shard writes index-keyed JSONL plus a checkpoint
-// journal, and -merge reassembles the canonical files afterwards,
-// byte-identical to a single-process run.
+// OPERATIONS.md): each shard writes its rows to its checkpoint journal
+// and nowhere else, and -merge reassembles the canonical files from the
+// journals afterwards, byte-identical to a single-process run.
 //
-//	figures -out results/ -shard 0/2 -journal results/j0.jsonl   # machine A
-//	figures -out results/ -shard 1/2 -journal results/j1.jsonl   # machine B
-//	figures -out results/ -shard 1/2 -journal results/j1.jsonl -resume  # after a crash
-//	figures -out results/ -merge                                 # combine
+//	figures -shard 0/2 -journal j0.jsonl                 # machine A
+//	figures -shard 1/2 -journal j1.jsonl                 # machine B
+//	figures -shard 1/2 -journal j1.jsonl -resume         # after a crash
+//	figures -out results/ -merge j0.jsonl j1.jsonl       # combine
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
-	"regexp"
-	"slices"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -55,10 +51,10 @@ func run() error {
 		parallel    = flag.Int("parallel", 0, "worker goroutines per sweep (0 = GOMAXPROCS); tables are identical for any value")
 		refine      = flag.Int("refine", -1, "extra adaptive points per refined sweep (-1 = scale default)")
 		jsonl       = flag.Bool("jsonl", false, "also stream each experiment as JSON Lines next to its CSV")
-		shard       = flag.String("shard", "", "compute only this shard of every sweep, as index/count (e.g. 0/2); output becomes per-shard JSONL for -merge")
+		shard       = flag.String("shard", "", "compute only this shard of every sweep, as index/count (e.g. 0/2); the rows go to -journal only, which -merge reads")
 		journal     = flag.String("journal", "", "checkpoint completed rows to this JSONL journal")
 		resume      = flag.Bool("resume", false, "skip rows already recorded in -journal (resume an interrupted run); the journal is first rewritten to one line per completed row")
-		merge       = flag.Bool("merge", false, "merge the per-shard JSONL outputs in -out into canonical CSV (and -jsonl) files, then exit")
+		merge       = flag.Bool("merge", false, "merge the shard journals named as arguments (after every flag) into canonical CSV (and -jsonl) files in -out, then exit")
 		collectURL  = flag.String("collect", "", "push rows and refinement metrics to this collector URL (see cmd/collectd); sharded refinement then simulates only owned points per round")
 		knee        = flag.String("knee", "", "locate the SLO knee in this live-capacity CSV (from loadgen -mode open), print it, then exit")
 		kneeFrac    = flag.Float64("knee-threshold", 0.1, "SLO-violation fraction that defines the knee for -knee")
@@ -86,7 +82,10 @@ func run() error {
 		return writeOverlay(*overlayLive, *overlaySim, *overlayOut)
 	}
 	if *merge {
-		return mergeShardOutputs(*out, *jsonl)
+		return mergeJournals(*out, flag.Args(), *jsonl)
+	}
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q (only -merge takes journals)", flag.Args())
 	}
 	if *resume && *journal == "" {
 		return fmt.Errorf("-resume needs -journal to name the checkpoint file")
@@ -111,6 +110,9 @@ func run() error {
 		return err
 	}
 	s.Shard = sh
+	if sh.Count > 1 && *journal == "" {
+		return fmt.Errorf("-shard %s needs -journal: a shard's journal is its output, which -merge reads", sh)
+	}
 	// One arena for the whole figure set: the sizing workload, the
 	// replay tapes and the Figures 2-3 synthetic logs are shared across
 	// experiments, so each is compiled once per distinct config instead
@@ -202,22 +204,15 @@ func run() error {
 	fmt.Fprintf(&index, "# Regenerated %s at scale=%s seed=%d shard=%s\n",
 		time.Now().Format(time.RFC3339), *scale, *seed, s.Shard)
 	for _, e := range tables {
-		file := e.File
-		stem := strings.TrimSuffix(file, ".csv")
-		if s.Shard.Count > 1 {
-			// Sharded runs emit index-keyed JSONL only: CSV rows carry no
-			// index, so a shard's CSV could not be merged.
-			file = shardFileName(file, s.Shard)
-		}
 		start, cpu := time.Now(), cpuTime()
 		s.Counters = &experiments.Counters{} // per table
 		passes0, fallbacks0, shared0, reused0 := s.Arena.Groups()
 		ranks0 := s.Arena.Ranks()
-		name, rows, err := streamExperiment(e, s, j, collector, stem, filepath.Join(*out, file), *jsonl)
+		name, rows, err := streamExperiment(e, s, j, collector, *out, *jsonl)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Key, err)
 		}
-		fmt.Printf("%-20s %-45s %5d rows  %v", e.Key, file, rows, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("%-20s %-45s %5d rows  %v", e.Key, e.File, rows, time.Since(start).Round(time.Millisecond))
 		if *shard != "" || *collectURL != "" {
 			// What this process simulated itself, what it took from its
 			// peers, and how long it sat waiting for them.
@@ -240,13 +235,12 @@ func run() error {
 		tapes, cols := s.Arena.Live()
 		fmt.Printf("  cpu=%v live=%d/%d", (cpuTime() - cpu).Round(time.Millisecond), tapes, cols)
 		fmt.Println()
-		fmt.Fprintf(&index, "%s: %s (%d rows) - %s\n", e.Key, file, rows, name)
+		fmt.Fprintf(&index, "%s: %s (%d rows) - %s\n", e.Key, e.File, rows, name)
 	}
-	indexName := "INDEX.txt"
 	if s.Shard.Count > 1 {
-		indexName = fmt.Sprintf("INDEX.shard%d-of-%d.txt", s.Shard.Index, s.Shard.Count)
+		return nil // the journal is the shard's output; -merge writes the files
 	}
-	return os.WriteFile(filepath.Join(*out, indexName), []byte(index.String()), 0o644)
+	return os.WriteFile(filepath.Join(*out, "INDEX.txt"), []byte(index.String()), 0o644)
 }
 
 // cpuTime is the process's user+sys CPU time so far (0 where getrusage
@@ -330,12 +324,6 @@ func writeOverlay(livePath, simPath, outPath string) error {
 	return overlay.Stream(experiments.NewCSVSink(w))
 }
 
-// shardFileName turns figure5_x.csv into figure5_x.shard0-of-2.jsonl.
-func shardFileName(csvName string, sh experiments.Shard) string {
-	stem := strings.TrimSuffix(csvName, ".csv")
-	return fmt.Sprintf("%s.shard%d-of-%d.jsonl", stem, sh.Index, sh.Count)
-}
-
 // tally records the table name and counts the rows flowing past it,
 // for the index file, without rendering them. It rides inside the
 // MultiSink (not around it), so the engine still sees the index-aware
@@ -352,38 +340,43 @@ func (t *tally) Begin(meta experiments.TableMeta) error {
 func (t *tally) Row([]string) error { t.rows++; return nil }
 func (t *tally) End() error         { return nil }
 
-// streamExperiment streams one experiment to path — canonical CSV (plus
-// an optional sibling .jsonl) when unsharded, per-shard JSONL when
-// sharded — journaling rows when j is non-nil and pushing them to the
-// collector when one is connected, and returns the table name and the
-// row count this process emitted.
+// streamExperiment streams one experiment — to its canonical CSV (plus
+// an optional sibling .jsonl) under dir when unsharded, and to nothing
+// but the journal and the collector when sharded — journaling rows when
+// j is non-nil and pushing them to the collector when one is connected,
+// and returns the table name and the row count this process emitted.
 func streamExperiment(e experiments.Experiment, s experiments.Scale, j *experiments.Journal,
-	collector *collect.Client, stem, path string, jsonl bool) (string, int, error) {
+	collector *collect.Client, dir string, jsonl bool) (string, int, error) {
 
-	out, err := os.Create(path)
-	if err != nil {
-		return "", 0, err
-	}
-	defer out.Close()
-
+	stem := strings.TrimSuffix(e.File, ".csv")
 	seen := &tally{}
 	sink := experiments.MultiSink{seen}
-	if s.Shard.Count > 1 {
-		sink = append(sink, experiments.NewJSONLSink(out))
-	} else {
-		sink = append(sink, experiments.NewCSVSink(out))
+	var files []*os.File
+	defer func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}()
+	create := func(ext string) (io.Writer, error) {
+		f, err := os.Create(filepath.Join(dir, stem+ext))
+		files = append(files, f)
+		return f, err
+	}
+	if s.Shard.Count <= 1 {
+		w, err := create(".csv")
+		if err != nil {
+			return "", 0, err
+		}
+		sink = append(sink, experiments.NewCSVSink(w))
 		if jsonl {
-			jsonlPath := strings.TrimSuffix(path, ".csv") + ".jsonl"
-			jf, err := os.Create(jsonlPath)
-			if err != nil {
+			if w, err = create(".jsonl"); err != nil {
 				return "", 0, err
 			}
-			defer jf.Close()
-			sink = append(sink, experiments.NewJSONLSink(jf))
+			sink = append(sink, experiments.NewJSONLSink(w))
 		}
 	}
 	if j != nil {
-		sink = append(sink, experiments.NewJournalSink(j))
+		sink = append(sink, j.Sink(stem))
 	}
 	if collector != nil {
 		sink = append(sink, collector.Sink(stem))
@@ -392,87 +385,31 @@ func streamExperiment(e experiments.Experiment, s experiments.Scale, j *experime
 	if err := e.Stream(s, sink); err != nil {
 		return "", 0, err
 	}
-	return seen.name, seen.rows, out.Close()
+	for _, f := range files {
+		if err := f.Close(); err != nil {
+			return "", 0, err
+		}
+	}
+	return seen.name, seen.rows, nil
 }
 
-// shardFilePattern matches per-shard outputs: <stem>.shard<i>-of-<n>.jsonl.
-var shardFilePattern = regexp.MustCompile(`^(.+)\.shard(\d+)-of-(\d+)\.jsonl$`)
-
-// mergeShardOutputs scans dir for per-shard JSONL groups, validates each
-// group is complete, and merges every group into its canonical CSV
-// (and, with jsonl, JSONL) file — byte-identical to an unsharded run.
-func mergeShardOutputs(dir string, jsonl bool) error {
-	entries, err := os.ReadDir(dir)
+// mergeJournals folds the journals of a sharded run into one canonical
+// CSV (and, with jsonl, JSONL) file per table under dir, byte-identical
+// to a single-process run's; experiments.MergeJournals refuses a set of
+// journals that is not one whole run.
+func mergeJournals(dir string, paths []string, jsonl bool) error {
+	tables, err := experiments.MergeJournals(paths)
 	if err != nil {
+		return fmt.Errorf("merge: %w", err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	groups := map[string][]string{} // stem -> file name per shard index
-	for _, ent := range entries {
-		m := shardFilePattern.FindStringSubmatch(ent.Name())
-		if m == nil {
-			continue
+	for _, t := range tables {
+		if err := experiments.WriteTable(dir, t, jsonl); err != nil {
+			return fmt.Errorf("merge: %w", err)
 		}
-		stem := m[1]
-		idx, _ := strconv.Atoi(m[2])
-		count, _ := strconv.Atoi(m[3])
-		if groups[stem] == nil {
-			groups[stem] = make([]string, count)
-		}
-		g := groups[stem]
-		if len(g) != count {
-			return fmt.Errorf("merge: %s has shards of both %d and %d", stem, len(g), count)
-		}
-		if idx >= count {
-			return fmt.Errorf("merge: %s shard %d is out of range 0..%d (%s)", stem, idx, count-1, ent.Name())
-		}
-		if g[idx] != "" {
-			return fmt.Errorf("merge: %s shard %d appears twice (%s, %s)", stem, idx, g[idx], ent.Name())
-		}
-		g[idx] = ent.Name()
-	}
-	if len(groups) == 0 {
-		return fmt.Errorf("merge: no *.shard<i>-of-<n>.jsonl files in %s", dir)
-	}
-	for _, stem := range slices.Sorted(maps.Keys(groups)) {
-		if err := writeMerged(dir, stem, groups[stem], jsonl); err != nil {
-			return fmt.Errorf("merge: %s: %w", stem, err)
-		}
-		fmt.Printf("merged %-45s %d shards -> %s.csv\n", stem, len(groups[stem]), stem)
+		fmt.Printf("merged %-45s %5d rows from %d journals\n", t.File+".csv", t.Len(), len(paths))
 	}
 	return nil
-}
-
-// writeMerged merges one group of shard outputs (file name per shard
-// index) into canonical outputs under dir.
-func writeMerged(dir, stem string, names []string, jsonl bool) error {
-	parts := make([]io.Reader, len(names))
-	for idx, name := range names {
-		if name == "" {
-			return fmt.Errorf("missing shard %d of %d", idx, len(names))
-		}
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		parts[idx] = f
-	}
-	csvFile, err := os.Create(filepath.Join(dir, stem+".csv"))
-	if err != nil {
-		return err
-	}
-	defer csvFile.Close()
-	sink := experiments.MultiSink{experiments.NewCSVSink(csvFile)}
-	if jsonl {
-		jf, err := os.Create(filepath.Join(dir, stem+".jsonl"))
-		if err != nil {
-			return err
-		}
-		defer jf.Close()
-		sink = append(sink, experiments.NewJSONLSink(jf))
-	}
-	if err := experiments.MergeShards(parts, sink); err != nil {
-		return err
-	}
-	return csvFile.Close()
 }

@@ -68,6 +68,12 @@ func run() error {
 	)
 	flag.Parse()
 
+	// The drain handler goes in before anything listens: a SIGTERM sent
+	// as soon as /stats answers must drain, not kill the process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sigc)
+
 	catalog, err := proxy.BuildCatalog(*objects, *meanKB, *rateKBps, *seed)
 	if err != nil {
 		return err
@@ -85,7 +91,9 @@ func run() error {
 		defaultOrigin = "http://" + *originAddr
 	}
 
+	upstream := &http.Client{}
 	pcfg := proxy.Config{
+		Client:     upstream,
 		Catalog:    catalog,
 		OriginURL:  defaultOrigin,
 		Shards:     *shards,
@@ -152,8 +160,6 @@ func run() error {
 		errc <- proxySrv.Serve(proxyLn)
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	select {
 	case err := <-errc:
 		return err
@@ -176,6 +182,10 @@ func run() error {
 		timed("proxy", start)
 		if originSrv != nil {
 			start = time.Now()
+			// A connection the proxy dialed for a fetch that another one
+			// then served has sent no request, and Shutdown waits up to
+			// 5 s for such a connection: close the idle ones first.
+			upstream.CloseIdleConnections()
 			if err := originSrv.Shutdown(ctx); err != nil {
 				fmt.Fprintln(os.Stderr, "proxyd: origin shutdown:", err)
 			}

@@ -40,14 +40,14 @@ type Client struct {
 	fingerprint string
 	hc          *http.Client
 
-	// MetricWait bounds one ForeignMetric call; after it the engine
+	// metricWait bounds one ForeignMetric call; after it the engine
 	// falls back to evaluating the point locally.
-	MetricWait time.Duration
-	// DrainWait bounds Close's wait for the pusher to empty the log.
-	DrainWait time.Duration
-	// MaxBacklog caps unconfirmed records in the log; beyond it new
+	metricWait time.Duration
+	// drainWait bounds Close's wait for the pusher to empty the log.
+	drainWait time.Duration
+	// maxBacklog caps unconfirmed records in the log; beyond it new
 	// rows are shed to the journal.
-	MaxBacklog int
+	maxBacklog int
 
 	mu     sync.Mutex
 	log    []rowlog.Record
@@ -73,9 +73,9 @@ func NewClient(base string, shard experiments.Shard, fingerprint string) *Client
 		shard:       shard,
 		fingerprint: fingerprint,
 		hc:          &http.Client{Timeout: 60 * time.Second},
-		MetricWait:  15 * time.Second,
-		DrainWait:   30 * time.Second,
-		MaxBacklog:  1 << 16,
+		metricWait:  15 * time.Second,
+		drainWait:   30 * time.Second,
+		maxBacklog:  1 << 16,
 		kick:        make(chan struct{}, 1),
 		drained:     make(chan struct{}),
 	}
@@ -130,7 +130,7 @@ func (c *Client) append(rec rowlog.Record) {
 	if c.down || c.closed {
 		return
 	}
-	if rec.Type != rowlog.TypeTable && len(c.log)-c.pushed >= c.MaxBacklog {
+	if rec.Type != rowlog.TypeTable && len(c.log)-c.pushed >= c.maxBacklog {
 		c.shed++
 		return
 	}
@@ -238,7 +238,7 @@ func (c *Client) ForeignMetric(table string, index int) (float64, bool) {
 	case c.kick <- struct{}{}:
 	default:
 	}
-	deadline := time.Now().Add(c.MetricWait)
+	deadline := time.Now().Add(c.metricWait)
 	for {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
@@ -276,7 +276,7 @@ func (c *Client) ForeignMetric(table string, index int) (float64, bool) {
 	}
 }
 
-// Close drains the push log (bounded by DrainWait), reports this shard
+// Close drains the push log (bounded by drainWait), reports this shard
 // done to the collector, and stops the pusher. A down client closes
 // immediately — the journal already holds everything.
 func (c *Client) Close() error {
@@ -300,14 +300,14 @@ func (c *Client) Close() error {
 	}
 	select {
 	case <-c.drained:
-	case <-time.After(c.DrainWait):
+	case <-time.After(c.drainWait):
 	}
 	c.mu.Lock()
 	undelivered := len(c.log) - c.pushed
 	shed := c.shed
 	c.mu.Unlock()
 	if undelivered > 0 || shed > 0 {
-		return fmt.Errorf("collect: %d records undelivered and %d shed; the collector CSV will be incomplete — run `figures -merge` over the shards' .shard<i>-of-<n>.jsonl outputs instead",
+		return fmt.Errorf("collect: %d records undelivered and %d shed; the collector CSV will be incomplete — run `figures -merge` over the shards' journals instead",
 			undelivered, shed)
 	}
 	q := url.Values{"shard": {strconv.Itoa(c.shard.Index)}}

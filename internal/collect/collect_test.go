@@ -65,7 +65,7 @@ func runShard(t *testing.T, base string, keys []string, shard experiments.Shard,
 	s.Shard = shard
 	s.Counters = &experiments.Counters{}
 	client := NewClient(base, shard, s.RunFingerprint())
-	client.MetricWait = metricWait
+	client.metricWait = metricWait
 	s.Exchange = client
 
 	var j *experiments.Journal
@@ -352,8 +352,8 @@ func TestSlowCollectorDoesNotBlockWorkers(t *testing.T) {
 
 	sh := experiments.Shard{Index: 0, Count: 1}
 	client := NewClient(ts.URL, sh, "fp")
-	client.MaxBacklog = 8
-	client.DrainWait = 100 * time.Millisecond
+	client.maxBacklog = 8
+	client.drainWait = 100 * time.Millisecond
 	sink := client.Sink("slow")
 	if err := sink.Begin(experiments.TableMeta{Name: "slow", Header: []string{"v"}}); err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestMetricLongPoll(t *testing.T) {
 
 	owner := NewClient(ts.URL, experiments.Shard{Index: 0, Count: 2}, "fp")
 	peer := NewClient(ts.URL, experiments.Shard{Index: 1, Count: 2}, "fp")
-	peer.MetricWait = 5 * time.Second
+	peer.metricWait = 5 * time.Second
 
 	const exact = 0.1234567890123456789 // rounds to a non-terminating binary fraction
 	go func() {
@@ -483,7 +483,7 @@ func TestMalformedLinesRejectedEverywhere(t *testing.T) {
 // TestRefusedRecordIsNotALostSession: a record the collector's set
 // refuses is answered 400, not the 409 that means "session lost, say
 // hello and replay" — replaying it could only be refused again, every
-// 100 ms, until DrainWait. The pusher backs off instead, and Close
+// 100 ms, until drainWait. The pusher backs off instead, and Close
 // gives up at once with the error that sends the operator to `figures
 // -merge`.
 func TestRefusedRecordIsNotALostSession(t *testing.T) {
@@ -503,7 +503,7 @@ func TestRefusedRecordIsNotALostSession(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "figures -merge") {
 		t.Errorf("Close after a refused record: %v, want the undelivered-records error", err)
 	}
-	if took := time.Since(start); took > client.DrainWait/2 {
-		t.Errorf("Close took %v: the pusher treated a refused record as a lost session and replayed until DrainWait", took)
+	if took := time.Since(start); took > client.drainWait/2 {
+		t.Errorf("Close took %v: the pusher treated a refused record as a lost session and replayed until drainWait", took)
 	}
 }

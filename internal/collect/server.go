@@ -1,8 +1,8 @@
 // Package collect is the streaming results plane of sharded sweeps: an
 // HTTP collector service that shards push completed rows and refinement
-// metrics to as they finish, replacing the per-shard-files-plus-offline-
-// merge workflow with one process that holds the canonical result set
-// live. It carries two kinds of traffic:
+// metrics to as they finish, so one process holds the canonical result
+// set live and writes it without an offline merge of the shards'
+// journals. It carries two kinds of traffic:
 //
 //   - Rows. Every engine-emitted row (global index, payload, optional
 //     refinement metric) is appended to the shard's local record log and
@@ -30,12 +30,9 @@
 package collect
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
@@ -319,7 +316,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // sweep streams, so the bytes are identical. A table with index gaps
 // (a shard shed rows or never finished) is refused, not silently
 // truncated: the caller falls back to `figures -merge` over the shards'
-// own outputs. The lock is held only to copy the tables out, so status
+// journals. The lock is held only to copy the tables out, so status
 // and metric requests are served while the files are written.
 func (s *Server) WriteTables(dir string) error {
 	s.mu.Lock()
@@ -336,25 +333,11 @@ func (s *Server) WriteTables(dir string) error {
 		return fmt.Errorf("collect: not every shard has reported done; refusing to write partial tables")
 	}
 	for _, t := range tables {
-		if t.File == "" {
-			return fmt.Errorf("collect: table %q was declared without an output file stem", t.Meta.Name)
-		}
 		if err := t.Complete(); err != nil {
-			return fmt.Errorf("collect: incomplete push, run `figures -merge` over the shards' .shard<i>-of-<n>.jsonl outputs instead: %w", err)
+			return fmt.Errorf("collect: incomplete push, run `figures -merge` over the shards' journals instead: %w", err)
 		}
-		f, err := os.Create(filepath.Join(dir, t.File+".csv"))
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(f)
-		if err = t.Replay(experiments.NewCSVSink(w)); err == nil {
-			err = w.Flush()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
+		if err := experiments.WriteTable(dir, t, false); err != nil {
+			return fmt.Errorf("collect: %w", err)
 		}
 	}
 	return nil

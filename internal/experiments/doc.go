@@ -21,13 +21,14 @@
 //     position in the unsharded stream), shards own each round's groups
 //     whole — its rows with one share key — by a pure function of the
 //     round (a round of lone rows round robin, index mod Count), and
-//     MergeShards reassembles the exact unsharded byte stream from
-//     per-shard JSONL outputs or journals;
+//     MergeJournals reassembles the exact unsharded byte stream from
+//     the shards' journals (MergeShards, one table's, from any row
+//     logs);
 //   - resumed runs: a Journal checkpoints completed rows under the key
 //     (table name, global index), and a run restarted with Scale.Resume
 //     replays them — including the full-precision refinement metrics
 //     adaptive sweeps rank intervals by — instead of recomputing. The
-//     journal, the JSONL sink and MergeShards share one record grammar
+//     journal, the JSONL sink and the merge share one record grammar
 //     and one apply/dedupe/replay engine, internal/rowlog (DESIGN.md
 //     §4a);
 //   - memoized runs: the sim.Arena shared across sweep points hands out

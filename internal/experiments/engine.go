@@ -288,7 +288,7 @@ func cfgsOf(pts []planPoint) []sim.HierarchyConfig {
 
 // findJournal locates the checkpoint journal inside a (possibly nested)
 // sink fan-out, so the engine can record fetched foreign metrics next
-// to the rows the JournalSink already checkpoints.
+// to the rows its JournalSink already checkpoints.
 func findJournal(sink RowSink) *Journal {
 	switch t := sink.(type) {
 	case *JournalSink:
@@ -309,8 +309,8 @@ type Experiment struct {
 	// ExperimentByKey.
 	Key string
 	// File is the CSV file cmd/figures writes the table to; without its
-	// extension it is also the stem of the per-shard JSONL files and of
-	// the collector's table.
+	// extension it is the stem a journal's and the collector's table
+	// records name, which `figures -merge` and collectd write it under.
 	File string
 	// spec is a simulated table's; static builds the plan of a table
 	// that simulates nothing. One of the two is set.

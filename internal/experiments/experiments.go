@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"time"
 
 	"streamcache/internal/bandwidth"
@@ -57,8 +58,9 @@ type Scale struct {
 	// per scale, and a round of lone rows the set does not hold round
 	// robin (index mod Shard.Count == Shard.Index). The union
 	// of the shards' rows is bit-identical to the unsharded stream for
-	// any Count, mirroring the Parallelism guarantee; MergeShards
-	// reassembles it. The zero value means unsharded.
+	// any Count, mirroring the Parallelism guarantee; MergeJournals
+	// reassembles it from the shards' journals. The zero value means
+	// unsharded.
 	Shard Shard
 	// Resume replays rows recorded in a prior (interrupted) run's
 	// journal instead of recomputing them. Open the journal with
@@ -160,6 +162,21 @@ func (s Scale) RunFingerprint() string {
 	rule := s.Shard.rule()
 	s.Shard = Shard{}
 	return s.Fingerprint() + rule
+}
+
+// stampShard reads a journal stamp, a Fingerprint, back: the shard
+// that wrote it, and the stamp without it, which a run's shards share.
+func stampShard(stamp string) (Shard, string, error) {
+	head, tail, _ := strings.Cut(stamp, " shard=")
+	field, rule, _ := strings.Cut(tail, " ")
+	sh, err := ParseShard(field)
+	if err == nil && field == "" {
+		err = fmt.Errorf("names no shard")
+	}
+	if err != nil {
+		return Shard{}, "", fmt.Errorf("stamp %q: %w", stamp, err)
+	}
+	return sh, head + " " + rule, nil
 }
 
 // totalBytes estimates the unique-object volume for cache sizing. The

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 
 	"streamcache/internal/rowlog"
@@ -17,7 +21,8 @@ import (
 // from other shards are checkpointed as metric records. A sweep
 // restarted with the journal as Scale.Resume replays journaled rows
 // instead of re-simulating them, so an interrupted run finishes from
-// where it died.
+// where it died. A sharded run's journal is also its only output:
+// MergeJournals folds the shards' journals into the canonical tables.
 
 // Journal is the checkpoint store of one sweep process: a rowlog.Set of
 // completed rows (loaded from a prior run and consulted via
@@ -64,10 +69,6 @@ func ResumeJournal(path, fingerprint string) (*Journal, error) {
 func (j *Journal) apply(rec rowlog.Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.applyLocked(rec)
-}
-
-func (j *Journal) applyLocked(rec rowlog.Record) error {
 	fresh, err := j.set.Apply(rec)
 	if err != nil || !fresh {
 		return err
@@ -97,70 +98,48 @@ func (j *Journal) Close() error {
 	return j.file.Close()
 }
 
-// JournalSink is the journaling RowSink: every row streamed through it
-// is appended to the journal alongside reaching the run's other sinks —
-// compose it with them via MultiSink. Rows the engine replayed from the
-// same journal are recognized by key and not rewritten.
+// JournalSink is the journaling RowSink: a rowlog.Recorder whose
+// records the journal applies, so every row streamed through it is
+// appended alongside reaching the run's other sinks — compose it with
+// them via MultiSink. Rows the engine replayed from the same journal are
+// recognized by key and not rewritten.
 type JournalSink struct {
-	j     *Journal
-	table string
+	*rowlog.Recorder
+	j *Journal
 }
 
-// NewJournalSink wraps a journal as a RowSink.
-func NewJournalSink(j *Journal) *JournalSink {
-	return &JournalSink{j: j}
+// Sink returns a JournalSink whose table records name file, the stem of
+// the table's CSV: the name `figures -merge` writes the table under.
+func (j *Journal) Sink(file string) *JournalSink {
+	return &JournalSink{Recorder: rowlog.NewRecorder(file, j.apply), j: j}
 }
 
-// Begin declares the table in the journal.
-func (s *JournalSink) Begin(meta TableMeta) error {
-	s.table = meta.Name
-	return s.j.apply(rowlog.TableRecord(meta, ""))
+// NewJournalSink wraps a journal as a RowSink whose tables name no file.
+func NewJournalSink(j *Journal) *JournalSink { return j.Sink("") }
+
+// applyDisjoint folds rec into set. Shards own disjoint rows, so a row
+// the set already holds is an error; metric-only records (a journal's
+// checkpoints of metrics fetched from other shards) are applied.
+func applyDisjoint(set *rowlog.Set, rec rowlog.Record) error {
+	fresh, err := set.Apply(rec)
+	if err == nil && !fresh && rec.Type == rowlog.TypeRow {
+		err = fmt.Errorf("duplicate row index %d of table %q", *rec.Index, rec.Table)
+	}
+	return err
 }
 
-// Row journals a row without engine context under one past the table's
-// highest recorded index, holding the lock across the index choice and
-// the write so concurrent direct Row calls cannot collide (and sparse
-// index sets — a resumed sharded journal — are never overwritten). The
-// engine path (MetricRow) supplies true global indices.
-func (s *JournalSink) Row(row []string) error {
-	s.j.mu.Lock()
-	defer s.j.mu.Unlock()
-	next := s.j.set.Table(s.table).Next()
-	return s.j.applyLocked(rowlog.RowRecord(s.table, MetricRow{Index: next, Row: row}))
-}
-
-// MetricRow journals one engine-emitted row under its global index.
-func (s *JournalSink) MetricRow(m MetricRow) error {
-	return s.j.apply(rowlog.RowRecord(s.table, m))
-}
-
-// End is a no-op: every record was written as it was appended.
-func (s *JournalSink) End() error { return nil }
-
-// MergeShards reassembles one experiment's canonical row stream from
-// the row logs a sharded sweep left behind — per-shard JSONL outputs or
-// the shards' journals. The parts must together describe one table;
-// rows are keyed by their global index. The merge validates the union —
-// duplicate indices (two shards claiming one row) and gaps (a shard's
-// output missing or incomplete) are errors, so a merged table is
-// guaranteed to be exactly the unsharded stream — and then replays it
-// through sink in index order, making the merged CSV/JSONL
-// byte-identical to a single-process run. (Fingerprint stamps are not
-// compared: shards of one run stamp different fingerprints.)
+// MergeShards is MergeJournals' fold for one table, from row logs that
+// need carry no stamp (journals or JSONLSink outputs), replayed through
+// sink in index order: the bytes a single-process run streams. A
+// duplicate index (two shards claiming one row) or a gap (a shard's rows
+// missing) is an error, so the merged table is the unsharded stream.
 func MergeShards(parts []io.Reader, sink RowSink) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("experiments: merge of zero shard outputs")
 	}
 	var set rowlog.Set
 	for p, part := range parts {
-		err := rowlog.Load(part, func(rec rowlog.Record) error {
-			fresh, err := set.Apply(rec)
-			if err == nil && !fresh && rec.Type == rowlog.TypeRow {
-				err = fmt.Errorf("duplicate row index %d of table %q", *rec.Index, rec.Table)
-			}
-			return err
-		})
-		if err != nil {
+		if err := rowlog.Load(part, func(rec rowlog.Record) error { return applyDisjoint(&set, rec) }); err != nil {
 			return fmt.Errorf("experiments: shard %d: %w", p, err)
 		}
 	}
@@ -169,4 +148,109 @@ func MergeShards(parts []io.Reader, sink RowSink) error {
 		return fmt.Errorf("experiments: merge inputs describe %d tables %q, want exactly one", len(names), names)
 	}
 	return set.Table(names[0]).Replay(sink)
+}
+
+// MergeJournals folds the journals of one run into its tables,
+// complete and in name order, each naming the file stem it is written
+// under (WriteTable). The journals' stamps (Scale.Fingerprint) must name
+// every shard of one run once, in any order, and every journal must
+// declare every table: a shard that never reached a table left it
+// incomplete, whatever its rows say. A duplicate row, a gap, a ragged row
+// or a table that names no file is refused too, the error naming the
+// journal and line.
+func MergeJournals(paths []string) ([]*rowlog.Table, error) {
+	var (
+		set      rowlog.Set
+		run      string             // the run the first stamp names
+		by       []string           // per shard index, the journal that is that shard
+		declared = map[string]int{} // per table, the journals declaring it
+	)
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
+		seen := map[string]bool{}
+		err = rowlog.Load(f, func(rec rowlog.Record) error {
+			if rec.Type == rowlog.TypeTable && !seen[rec.Name] {
+				seen[rec.Name] = true
+				declared[rec.Name]++
+			}
+			if rec.Type != rowlog.TypeJournal {
+				return applyDisjoint(&set, rec)
+			}
+			sh, id, err := stampShard(rec.Fingerprint)
+			switch {
+			case err != nil:
+				return err
+			case by == nil:
+				run, by = id, make([]string, sh.Count)
+			case sh.Count != len(by):
+				return fmt.Errorf("shard %s, but %s is a shard of %d: shards of two counts", sh, paths[0], len(by))
+			case id != run:
+				return fmt.Errorf("stamp names another run than %s's: %q, want %q", paths[0], id, run)
+			case by[sh.Index] != "":
+				return fmt.Errorf("shard %s given twice (%s is that shard too)", sh, by[sh.Index])
+			}
+			by[sh.Index] = path
+			return nil
+		})
+		f.Close()
+		if err == nil && !slices.Contains(by, path) {
+			err = fmt.Errorf("no journal stamp")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiments: journal %s: %w", path, err)
+		}
+	}
+	if len(by) == 0 {
+		return nil, fmt.Errorf("experiments: merge of zero journals")
+	}
+	if i := slices.Index(by, ""); i >= 0 {
+		return nil, fmt.Errorf("experiments: shard %d/%d missing: no journal given is that shard", i, len(by))
+	}
+	var tables []*rowlog.Table
+	for _, name := range set.Names() {
+		t := set.Table(name)
+		err := t.Complete()
+		switch {
+		case declared[name] < len(paths):
+			err = fmt.Errorf("table %q is declared by %d of %d journals: a shard never reached it", name, declared[name], len(paths))
+		case t.File == "":
+			err = fmt.Errorf("table %q names no output file: its journals were not written by figures", name)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
+		tables = append(tables, t)
+	}
+	return tables, nil
+}
+
+// WriteTable writes a table MergeJournals or a collector holds complete
+// into dir as <File>.csv and, with jsonl, <File>.jsonl: the bytes a
+// single-process run streams.
+func WriteTable(dir string, t *rowlog.Table, jsonl bool) error {
+	if t.File == "" {
+		return fmt.Errorf("experiments: table %q names no output file", t.Meta.Name)
+	}
+	write := func(ext string, sink func(io.Writer) RowSink) error {
+		f, err := os.Create(filepath.Join(dir, t.File+ext))
+		if err != nil {
+			return err
+		}
+		w := bufio.NewWriter(f)
+		if err = t.Replay(sink(w)); err == nil {
+			err = w.Flush()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	err := write(".csv", func(w io.Writer) RowSink { return NewCSVSink(w) })
+	if err == nil && jsonl {
+		err = write(".jsonl", func(w io.Writer) RowSink { return NewJSONLSink(w) })
+	}
+	return err
 }

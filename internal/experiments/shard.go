@@ -27,7 +27,7 @@ import (
 // which every process builds identically, so the union of the shards'
 // outputs is bit-identical to the unsharded stream for any Shard.Count
 // — the multi-process analogue of the Parallelism guarantee.
-// MergeShards reassembles the union.
+// MergeJournals reassembles the union from the shards' journals.
 
 // Shard identifies one of Count cooperating sweep processes. The zero
 // value (and Count <= 1) means unsharded: this process owns every row.

@@ -124,8 +124,8 @@ func (c *CSVSink) End() error { return nil }
 // record carrying name/note/header, then one "row" record per row, each
 // written as it arrives. The byte stream is deterministic for a
 // deterministic row stream. Engine-streamed rows carry their global
-// index, which makes per-shard JSONL files the merge units of sharded
-// sweeps; rows pushed via plain Row are numbered by a local counter.
+// index, so the JSONL outputs of a table's shards are MergeShards
+// inputs; rows pushed via plain Row are numbered by a local counter.
 type JSONLSink = rowlog.Recorder
 
 // NewJSONLSink wraps w in a streaming JSONL renderer.

@@ -1,12 +1,12 @@
 // Package rowlog owns the one fact every results path of a sweep moves
 // around — "(table, global index, row) plus an optional refinement
 // metric" — and the one line format it is written in. A checkpoint
-// journal, a per-shard JSONL output, a `figures -merge` input and a
-// collectd push body are all row logs: JSON Lines of Record (the grammar
-// is tabulated in DESIGN.md §4a). Recorder is the Sink that writes a
-// table as records; Set folds records into per-table state and replays a
-// complete table into a Sink; File is a Set's append-only, atomically
-// rewritable home on disk.
+// journal (a sharded run's one output, and a `figures -merge` input), a
+// JSONL table output and a collectd push body are all row logs: JSON
+// Lines of Record (the grammar is tabulated in DESIGN.md §4a). Recorder
+// is the Sink that writes a table as records; Set folds records into
+// per-table state and replays a complete table into a Sink; File is a
+// Set's append-only, atomically rewritable home on disk.
 package rowlog
 
 import (
@@ -35,8 +35,8 @@ type Record struct {
 
 	Fingerprint string `json:"fingerprint,omitempty"` // journal
 
-	// table. File is the collector's output stem and travels only on
-	// the push wire.
+	// table. File is the table's output stem (its CSV name without
+	// .csv), carried on the push wire and in a figures journal.
 	Name   string   `json:"name,omitempty"`
 	Note   string   `json:"note,omitempty"`
 	Header []string `json:"header,omitempty"`
@@ -55,7 +55,8 @@ func stamp(fingerprint string) Record {
 	return Record{Type: TypeJournal, Fingerprint: fingerprint}
 }
 
-// TableRecord declares a table (file is "" everywhere but the push wire).
+// TableRecord declares a table. file is its output stem, which collectd
+// and `figures -merge` write it under; "" where no one writes it out.
 func TableRecord(m Meta, file string) Record {
 	return Record{Type: TypeTable, Name: m.Name, Note: m.Note, Header: m.Header, File: file}
 }

@@ -130,6 +130,9 @@ func TestSetApply(t *testing.T) {
 		{name: "journal stamps carry no state",
 			log:   lines(stampLine, tableLine, rowLine(0), `{"type":"journal","fingerprint":"other"}`),
 			fresh: []bool{false, true, true, false}, rows: []int{0}},
+		{name: "a re-declaration naming the stem the set lacked is fresh, once",
+			log:   lines(tableLine, rowLine(0), wireLine, wireLine, tableLine),
+			fresh: []bool{true, true, true, false, false}, rows: []int{0}},
 		{name: "metric-only record, then a duplicate of it",
 			log:   lines(tableLine, metricLine, metricLine),
 			fresh: []bool{true, true, false}, rows: []int{}},

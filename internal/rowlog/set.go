@@ -86,8 +86,8 @@ func Emit(sink Sink, r Row) error {
 
 // Recorder is the Sink that writes a table as records: its declaration,
 // then one row record per row, each handed to put as it arrives. It is
-// every sink that feeds a row log — a JSONL table file, a collector push
-// log. Rows delivered without an index (plain Row: producers outside the
+// every sink that feeds a row log — a JSONL table file, a journal, a
+// collector push log. Rows delivered without an index (plain Row: producers outside the
 // sweep engine) are numbered by a local counter.
 type Recorder struct {
 	put  func(Record) error
@@ -97,7 +97,7 @@ type Recorder struct {
 }
 
 // NewRecorder returns a Recorder handing its records to put. file is
-// the collector output stem for the table record, "" off the push wire.
+// the output stem its table record names (see TableRecord).
 func NewRecorder(file string, put func(Record) error) *Recorder {
 	return &Recorder{put: put, file: file}
 }
@@ -141,7 +141,7 @@ func (s *Recorder) End() error { return nil }
 // answers every query with "nothing".
 type Table struct {
 	Meta    Meta
-	File    string // collector output stem; "" off the push wire
+	File    string // output stem; "" until a table record names one
 	rows    map[int][]string
 	metrics map[int]float64
 	next    int
@@ -235,9 +235,10 @@ func (s *Set) Names() []string { return slices.Sorted(maps.Keys(s.tables)) }
 // duplicate of what it holds. What a duplicate means is the caller's
 // policy: a journal or a collector skips it (replays are idempotent), a
 // merge of disjoint shard outputs treats a duplicate row as an error.
-// An error means the record contradicts the set: a row or metric of an
-// undeclared table, a table re-declared with a different header, or a
-// row of another width than its table's header.
+// A re-declaration is fresh only when it names the output stem the set
+// lacked. An error means the record contradicts the set: a row or
+// metric of an undeclared table, a table re-declared with a different
+// header, or a row of another width than its table's header.
 func (s *Set) Apply(rec Record) (fresh bool, err error) {
 	switch rec.Type {
 	case TypeTable:
@@ -255,8 +256,9 @@ func (s *Set) Apply(rec Record) (fresh bool, err error) {
 		if !slices.Equal(t.Meta.Header, rec.Header) {
 			return false, fmt.Errorf("rowlog: table %q re-declared with a different header", rec.Name)
 		}
-		if t.File == "" {
+		if t.File == "" && rec.File != "" {
 			t.File = rec.File
+			return true, nil
 		}
 	case TypeRow, TypeMetric:
 		t := s.tables[rec.Table]

@@ -480,6 +480,16 @@ row O4 internal/experiments/engine.go TestCapacityGroupsHoldOwnedRows ./internal
     'a foreign point neither the journal nor the exchange answers is formatted from zero Metrics: a shard with no exchange refines from metrics no shard computed' \
     $'\t\tms, err := x.Arena.ScorePending(cfgs, x.parallelism())\n' $'\t\tms, err := x.Arena.ScorePending(cfgs, x.parallelism())\n\t\tif !own {\n\t\t\tms = make([]sim.Metrics, len(cfgs))\n\t\t}\n'
 
+# --- merge: a sharded run's journals are one whole run -------------------------
+#
+# A shard's journal is its only output; `figures -merge` folds the
+# journals and refuses, from their stamps, a set that is not every shard
+# of one run exactly once (DESIGN.md §4a).
+
+row J1 internal/experiments/journal.go TestMergeJournalsRefusals ./internal/experiments \
+    'MergeJournals drops the missing-shard check: a merge given one of two journals is refused only where a gap happens to show, and never says a shard is missing' \
+    'if i := slices.Index(by, ""); i >= 0 {' 'if i := slices.Index(by, ""); i >= 0 && i < 0 {'
+
 # --- sampling: the Zipf guide table is exact ----------------------------------
 
 row Z1 internal/dist/dist.go TestZipfGuideMatchesFullSearch ./internal/dist \

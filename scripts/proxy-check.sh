@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Live-tier smoke: start a sharded proxyd, drive it with loadgen for a
+# Live-tier smoke: first boot proxyd 20 times, each SIGTERMed as soon as
+# /stats answers, and require a clean drain of every one. Then start a
+# sharded proxyd, drive it with loadgen for a
 # few seconds of closed-loop load, assert a nonzero bandwidth-weighted
 # prefix-hit ratio, verified content and the pinned loadgen-live header,
 # then SIGTERM the server and require a clean graceful drain (exit 0 with
@@ -29,6 +31,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
+command -v curl >/dev/null || { echo "proxy-check: the boot loop and the wire phase need curl" >&2; exit 1; }
 go build -o "$tmp/proxyd" ./cmd/proxyd
 go build -o "$tmp/loadgen" ./cmd/loadgen
 
@@ -60,6 +63,23 @@ drain() {
     }
 }
 
+# Boot and stop at once, 20 times over, as the benchmark's boot rung
+# does: start proxyd, poll /stats until it answers 200, SIGTERM it the
+# moment it does, and require exit 0 with the drained line. A SIGTERM
+# that lands before proxyd installs its handler kills it by signal.
+for _ in $(seq 1 20); do
+    "$tmp/proxyd" -proxy-addr "$PROXY_ADDR" -origin-url "http://$ORIGIN_ADDR" \
+        -objects 24 -mean-kb 64 -shards 2 -policy IF -cache-mb 1024 >"$tmp/proxyd.log" 2>&1 &
+    pid=$!
+    for _ in $(seq 1 1500); do
+        curl -sf -o /dev/null "http://$PROXY_ADDR/stats" && break
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.01
+    done
+    drain
+done
+echo "proxy-check: 20 boots, each SIGTERMed as /stats first answered, drained with exit 0"
+
 start_proxyd -objects 24 -mean-kb 64 -cache-mb 8
 
 # loadgen polls /stats for readiness (-wait), verifies every download's
@@ -85,7 +105,6 @@ got_header=$(grep -v '^#' "$tmp/loadgen.csv" | head -n 1)
 
 # Wire phase: what proxyd's own HTTP/1.1 loop speaks and refuses
 # (DESIGN.md §8b), seen by a client that is not Go's.
-command -v curl >/dev/null || { echo "proxy-check: the wire phase needs curl" >&2; exit 1; }
 base="http://$PROXY_ADDR"
 expect() { # expect <what> <got> <want>
     [[ "$2" == "$3" ]] || { echo "proxy-check: wire: $1: got '$2', want '$3'" >&2; exit 1; }
