@@ -107,10 +107,12 @@ dead-check:
 ## shard-check: end-to-end sharded sweep — run 2 and then 5 shards with
 ## journals, a shard's only output (OPERATIONS.md §7). First drop one
 ## cell from one row of a 2-shard journal and require the merge to refuse
-## it naming table and index, then restore it; require the merge to
-## refuse one of two journals and a 2-shard journal beside a 5-shard
-## one, each naming what is wrong; then merge each split's journals and
-## diff them against the single-process output. Each shard prints its
+## it naming table and index, then restore it; cut the other journal at
+## the line boundary before its last row and require the merge to refuse
+## the short table naming it and both row counts, then restore it;
+## require the merge to refuse one of two journals and a 2-shard journal
+## beside a 5-shard one, each naming what is wrong; then merge each
+## split's journals and diff them against the single-process output. Each shard prints its
 ## share of the set-wide deal first (units and weight, of the set's).
 ## Shards own families dealt over the whole figure set: refined-e's and
 ## refined-esigma's coarse rows go with figure9's family and
@@ -143,6 +145,12 @@ shard-check:
 	what='a row one cell short of its header' want='row [0-9]* of table ".*" has [0-9]* cells, its header declares [0-9]*' \
 		refuse shard-check/sharded2/j*.jsonl || exit 1; \
 	mv shard-check/intact.jsonl $$j; \
+	j1=shard-check/sharded2/j1.jsonl; cp $$j1 shard-check/intact.jsonl; \
+	last=$$(grep -n '"type":"row"' $$j1 | tail -n 1 | cut -d: -f1); \
+	head -n $$((last - 1)) shard-check/intact.jsonl >$$j1; \
+	what='a journal cut before its last row' want='table ".*" holds [0-9]* of its [0-9]* rows' \
+		refuse shard-check/sharded2/j*.jsonl || exit 1; \
+	mv shard-check/intact.jsonl $$j1; \
 	what='one journal of two' want='shard 1/2 missing' refuse $$j || exit 1; \
 	what='a 2-shard journal beside a 5-shard one' want='shards of two counts' \
 		refuse $$j shard-check/sharded5/j1.jsonl || exit 1

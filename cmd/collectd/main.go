@@ -1,9 +1,8 @@
 // Command collectd is the streaming results collector for distributed
-// sweeps and live load runs: shards started with `figures -collect` (or
-// `loadgen -collect`) push completed rows and refinement metrics here
-// as they finish, and once every shard reports done the collector
-// writes the canonical CSV files — byte-identical to a single-process
-// run, with no offline merge step.
+// sweeps: shards started with `figures -collect` push completed rows and
+// refinement metrics here as they finish, and once every shard reports
+// done the collector writes the canonical CSV files — byte-identical to
+// a single-process run, with no offline merge step.
 //
 //	collectd -addr 127.0.0.1:9190 -out results/ -shards 2 -exit-when-done &
 //	figures -out results/ -shard 0/2 -journal results/j0.jsonl -collect http://127.0.0.1:9190 &

@@ -52,8 +52,8 @@ func run() error {
 		refine      = flag.Int("refine", -1, "extra adaptive points per refined sweep (-1 = scale default)")
 		jsonl       = flag.Bool("jsonl", false, "also stream each experiment as JSON Lines next to its CSV")
 		shard       = flag.String("shard", "", "compute only this shard of every sweep, as index/count (e.g. 0/2); the rows go to -journal only, which -merge reads")
-		journal     = flag.String("journal", "", "checkpoint completed rows to this JSONL journal")
-		resume      = flag.Bool("resume", false, "skip rows already recorded in -journal (resume an interrupted run); the journal is first rewritten to one line per completed row")
+		journal     = flag.String("journal", "", "checkpoint completed rows, and an end record after each table, to this JSONL journal; a fresh one must not hold records")
+		resume      = flag.Bool("resume", false, "continue the -journal of an interrupted run instead of starting a fresh one: rows it holds are replayed, not recomputed, and it is first rewritten to one line per completed row")
 		merge       = flag.Bool("merge", false, "merge the shard journals named as arguments (after every flag) into canonical CSV (and -jsonl) files in -out, then exit")
 		collectURL  = flag.String("collect", "", "push rows and refinement metrics to this collector URL (see cmd/collectd); sharded refinement then simulates only owned points per round")
 		knee        = flag.String("knee", "", "locate the SLO knee in this live-capacity CSV (from loadgen -mode open), print it, then exit")
@@ -161,20 +161,15 @@ func run() error {
 		}
 	}
 
-	var j *experiments.Journal
 	if *journal != "" {
+		open := experiments.CreateJournal
 		if *resume {
-			j, err = experiments.ResumeJournal(*journal, s.Fingerprint())
-		} else {
-			j, err = experiments.CreateJournal(*journal, s.Fingerprint())
+			open = experiments.ResumeJournal
 		}
-		if err != nil {
+		if s.Journal, err = open(*journal, s.Fingerprint()); err != nil {
 			return err
 		}
-		defer j.Close()
-		if *resume {
-			s.Resume = j
-		}
+		defer s.Journal.Close()
 	}
 
 	var tables []experiments.Experiment
@@ -208,7 +203,7 @@ func run() error {
 		s.Counters = &experiments.Counters{} // per table
 		passes0, fallbacks0, shared0, reused0 := s.Arena.Groups()
 		ranks0 := s.Arena.Ranks()
-		name, rows, err := streamExperiment(e, s, j, collector, *out, *jsonl)
+		name, rows, err := streamExperiment(e, s, collector, *out, *jsonl)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Key, err)
 		}
@@ -342,10 +337,10 @@ func (t *tally) End() error         { return nil }
 
 // streamExperiment streams one experiment — to its canonical CSV (plus
 // an optional sibling .jsonl) under dir when unsharded, and to nothing
-// but the journal and the collector when sharded — journaling rows when
-// j is non-nil and pushing them to the collector when one is connected,
+// but the journal (s.Journal, which the engine writes) and the collector
+// when sharded — pushing rows to the collector when one is connected,
 // and returns the table name and the row count this process emitted.
-func streamExperiment(e experiments.Experiment, s experiments.Scale, j *experiments.Journal,
+func streamExperiment(e experiments.Experiment, s experiments.Scale,
 	collector *collect.Client, dir string, jsonl bool) (string, int, error) {
 
 	stem := strings.TrimSuffix(e.File, ".csv")
@@ -374,9 +369,6 @@ func streamExperiment(e experiments.Experiment, s experiments.Scale, j *experime
 			}
 			sink = append(sink, experiments.NewJSONLSink(w))
 		}
-	}
-	if j != nil {
-		sink = append(sink, j.Sink(stem))
 	}
 	if collector != nil {
 		sink = append(sink, collector.Sink(stem))

@@ -45,7 +45,6 @@ import (
 	"strings"
 	"time"
 
-	"streamcache/internal/collect"
 	"streamcache/internal/experiments"
 	"streamcache/internal/load"
 	"streamcache/internal/proxy"
@@ -91,10 +90,6 @@ type options struct {
 	sloMS       float64
 	scheduleOut string
 	dryRun      bool
-
-	// Streaming results collection (-collect).
-	collect   string
-	collector *collect.Client
 }
 
 func run() error {
@@ -126,7 +121,6 @@ func run() error {
 	flag.StringVar(&o.scheduleOut, "schedule-out", "", "open: write the generated arrival schedule (JSONL/CSV per -format)")
 	flag.StringVar(&o.perClass, "per-class", "", "open: optional per-class breakdown table destination")
 	flag.BoolVar(&o.dryRun, "dry-run", false, "open: build and emit the schedule without issuing requests")
-	flag.StringVar(&o.collect, "collect", "", "also push every emitted table to this collector URL (see cmd/collectd)")
 	flag.Parse()
 	for _, u := range strings.Split(o.proxyURL, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -139,23 +133,6 @@ func run() error {
 	catalog, err := proxy.BuildCatalog(o.objects, o.meanKB, o.rateKBps, o.catalogSeed)
 	if err != nil {
 		return err
-	}
-	if o.collect != "" {
-		// Live tables stream to the collector beside their local files; a
-		// dead collector degrades to local files only, never blocks the
-		// run. Live runs have no scale fingerprint — the empty string is
-		// the collector's wildcard.
-		o.collector = collect.NewClient(o.collect, experiments.Shard{}, "")
-		if o.collector.Down() {
-			fmt.Fprintf(os.Stderr, "loadgen: collector %s unreachable; writing local tables only\n", o.collect)
-			o.collector = nil
-		} else {
-			defer func() {
-				if err := o.collector.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "loadgen:", err)
-				}
-			}()
-		}
 	}
 	switch o.mode {
 	case "open":
@@ -214,11 +191,11 @@ func driveClosed(o options, catalog *proxy.Catalog) error {
 		return fmt.Errorf("stats after run: %w", err)
 	}
 
-	if err := o.emit(o.out, "loadgen_live", false, liveTable(o, report, before, after)); err != nil {
+	if err := o.emit(o.out, false, liveTable(o, report, before, after)); err != nil {
 		return err
 	}
 	if o.perRequest != "" {
-		if err := o.emit(o.perRequest, "loadgen_requests", false, load.OutcomeTable("loadgen-requests", outcomes)); err != nil {
+		if err := o.emit(o.perRequest, false, load.OutcomeTable("loadgen-requests", outcomes)); err != nil {
 			return err
 		}
 	}
@@ -286,7 +263,7 @@ func liveTable(o options, r *load.Report, before, after []proxy.Stats) *experime
 }
 
 // table is one output table being written: the -format rendering of
-// its destination, fanned out to the collector when -collect is set.
+// its destination.
 type table struct {
 	experiments.RowSink
 	close func() error
@@ -294,11 +271,9 @@ type table struct {
 
 // open opens path ('-' = stdout; appending when appendTo, so the
 // per-level tables of a ramp sweep can share one file) as a table
-// destination. With -collect the table additionally streams to the
-// collector under stem (the collector writes <stem>.csv when the run
-// reports done). Begin, rows and End go through the returned table;
+// destination. Begin, rows and End go through the returned table;
 // close releases the destination.
-func (o options) open(path, stem string, appendTo bool) (*table, error) {
+func (o options) open(path string, appendTo bool) (*table, error) {
 	w, closeOut := io.Writer(os.Stdout), func() error { return nil }
 	if path != "-" {
 		how := os.O_TRUNC
@@ -315,16 +290,13 @@ func (o options) open(path, stem string, appendTo bool) (*table, error) {
 	if o.format == "jsonl" {
 		sink = experiments.NewJSONLSink(w)
 	}
-	if o.collector != nil {
-		sink = experiments.MultiSink{sink, o.collector.Sink(stem)}
-	}
 	return &table{sink, closeOut}, nil
 }
 
 // emit writes a whole table to path. The deferred close covers the
 // error paths; closing twice is harmless.
-func (o options) emit(path, stem string, appendTo bool, t *experiments.Table) error {
-	out, err := o.open(path, stem, appendTo)
+func (o options) emit(path string, appendTo bool, t *experiments.Table) error {
+	out, err := o.open(path, appendTo)
 	if err != nil {
 		return err
 	}

@@ -58,7 +58,7 @@ func driveOpen(o options, catalog *proxy.Catalog) error {
 		}
 		if o.scheduleOut != "" || o.dryRun {
 			path := cmp.Or(o.scheduleOut, "-")
-			if err := o.emit(path, "open_schedule", li > 0, load.ScheduleTable(fmt.Sprintf("open-schedule-L%d", li), schedules[li])); err != nil {
+			if err := o.emit(path, li > 0, load.ScheduleTable(fmt.Sprintf("open-schedule-L%d", li), schedules[li])); err != nil {
 				return err
 			}
 		}
@@ -74,7 +74,7 @@ func driveOpen(o options, catalog *proxy.Catalog) error {
 		o.proxyURL, len(spec.Classes), o.duration, o.timeScale, o.maxInflight)
 	// Summary rows stream as their levels finish, so an interrupted sweep
 	// keeps the levels it completed.
-	summary, err := o.open(o.out, "live_capacity", false)
+	summary, err := o.open(o.out, false)
 	if err != nil {
 		return err
 	}
@@ -99,7 +99,7 @@ func driveOpen(o options, catalog *proxy.Catalog) error {
 		classes.Rows = append(classes.Rows, report.ClassRows(li)...)
 		if o.perRequest != "" {
 			// One outcome table per level, sharing the destination file.
-			if err := o.emit(o.perRequest, "open_requests", li > 0, load.OutcomeTable(fmt.Sprintf("open-requests-L%d", li), outcomes)); err != nil {
+			if err := o.emit(o.perRequest, li > 0, load.OutcomeTable(fmt.Sprintf("open-requests-L%d", li), outcomes)); err != nil {
 				return err
 			}
 		}
@@ -111,7 +111,7 @@ func driveOpen(o options, catalog *proxy.Catalog) error {
 		return err
 	}
 	if o.perClass != "" {
-		if err := o.emit(o.perClass, "live_capacity_classes", false, classes); err != nil {
+		if err := o.emit(o.perClass, false, classes); err != nil {
 			return err
 		}
 	}

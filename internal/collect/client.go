@@ -325,8 +325,8 @@ func (c *Client) Close() error {
 
 // Sink streams one table's rows into the client's push log. Engine-
 // emitted rows arrive with their global index and refinement metric;
-// rows pushed through plain Row (non-engine producers like loadgen) are
-// numbered by a local counter, matching the JSONL sink's convention.
+// rows pushed through plain Row (non-engine producers) are numbered by
+// a local counter, matching the JSONL sink's convention.
 type Sink = rowlog.Recorder
 
 // Sink returns a RowSink streaming one table to the collector, tagging

@@ -78,11 +78,9 @@ func runShard(t *testing.T, base string, keys []string, shard experiments.Shard,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resume {
-		s.Resume = j
-	}
+	s.Journal = j
 	for _, key := range keys {
-		sink := experiments.MultiSink{client.Sink(fileStem(key)), experiments.NewJournalSink(j)}
+		sink := experiments.MultiSink{client.Sink(fileStem(key))}
 		if extraSink != nil {
 			sink = append(sink, extraSink)
 		}
@@ -225,7 +223,8 @@ func TestCollectorDownAtStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := experiments.MultiSink{client.Sink(fileStem(key)), experiments.NewJournalSink(j), experiments.NewJSONLSink(&outs[idx])}
+		s.Journal = j
+		sink := experiments.MultiSink{client.Sink(fileStem(key)), experiments.NewJSONLSink(&outs[idx])}
 		if err := experiments.Stream(key, s, sink); err != nil {
 			t.Fatal(err)
 		}
@@ -436,6 +435,7 @@ func TestMalformedLinesRejectedEverywhere(t *testing.T) {
 		"row wider than header":  `{"type":"row","table":"T","index":1,"row":["x","y"]}`,
 		"row without cells":      `{"type":"row","table":"T","index":1}`,
 		"re-declared header":     `{"type":"table","name":"T","header":["x","y"]}`,
+		"end without a count":    `{"type":"end","table":"T"}`,
 	}
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -477,6 +477,32 @@ func TestMalformedLinesRejectedEverywhere(t *testing.T) {
 				t.Errorf("MergeShards: %v, want an error naming line 3", err)
 			}
 		})
+	}
+}
+
+// TestHelloFingerprintMustMatch: the first hello sets the session's
+// fingerprint and a shard announcing any other, the empty one included,
+// is refused.
+func TestHelloFingerprintMustMatch(t *testing.T) {
+	ts := httptest.NewServer(NewServer(2).Handler())
+	defer ts.Close()
+	hello := func(shard int, fp string) int {
+		t.Helper()
+		resp, err := http.Post(fmt.Sprintf("%s/v1/hello?shard=%d&count=2&fingerprint=%s", ts.URL, shard, fp), "application/jsonl", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, c := range []struct {
+		shard int
+		fp    string
+		want  int
+	}{{0, "a", http.StatusOK}, {1, "", http.StatusConflict}, {1, "b", http.StatusConflict}, {1, "a", http.StatusOK}} {
+		if got := hello(c.shard, c.fp); got != c.want {
+			t.Errorf("hello from shard %d with fingerprint %q: %d, want %d", c.shard, c.fp, got, c.want)
+		}
 	}
 }
 

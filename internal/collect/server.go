@@ -125,13 +125,13 @@ func (s *Server) handleHello(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("shard %d out of range 0..%d", shard, s.expected-1), http.StatusBadRequest)
 		return
 	}
-	if s.fingerprint == "" {
+	// The first hello sets the session's fingerprint, and every later
+	// one must equal it — mixing scales would silently interleave
+	// incompatible sweeps.
+	if len(s.shards) == 0 {
 		s.fingerprint = fp
 	}
-	// The empty fingerprint is a wildcard: live producers (loadgen) have
-	// no sweep scale. Non-empty fingerprints must agree — mixing scales
-	// would silently interleave incompatible sweeps.
-	if fp != "" && fp != s.fingerprint {
+	if fp != s.fingerprint {
 		http.Error(w, fmt.Sprintf("collector holds fingerprint %q, shard sent %q", s.fingerprint, fp), http.StatusConflict)
 		return
 	}

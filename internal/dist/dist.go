@@ -198,9 +198,6 @@ func NewPoissonProcess(rate float64) (*PoissonProcess, error) {
 	return &PoissonProcess{rate: rate}, nil
 }
 
-// Rate returns the arrival rate.
-func (p *PoissonProcess) Rate() float64 { return p.rate }
-
 // Next advances the process by one exponential inter-arrival gap and
 // returns the new absolute arrival time.
 func (p *PoissonProcess) Next(rng *rand.Rand) float64 {

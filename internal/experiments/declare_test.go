@@ -126,7 +126,6 @@ func streamDeclared(t *testing.T, s Scale, keys []string, path string, resume bo
 	var err error
 	if resume {
 		j, err = ResumeJournal(path, s.Fingerprint())
-		s.Resume = j
 	} else {
 		j, err = CreateJournal(path, s.Fingerprint())
 	}
@@ -134,12 +133,12 @@ func streamDeclared(t *testing.T, s Scale, keys []string, path string, resume bo
 		t.Fatal(err)
 	}
 	defer j.Close()
-	s.Arena = sim.NewArena()
+	s.Journal, s.Arena = j, sim.NewArena()
 	if err := Declare(s, keys...); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range keys {
-		sink := MultiSink{NewJournalSink(j)}
+		sink := MultiSink{}
 		if jsonl != nil {
 			jsonl[key] = &bytes.Buffer{}
 			sink = append(sink, NewJSONLSink(jsonl[key]))

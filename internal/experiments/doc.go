@@ -24,8 +24,9 @@
 //     MergeJournals reassembles the exact unsharded byte stream from
 //     the shards' journals (MergeShards, one table's, from any row
 //     logs);
-//   - resumed runs: a Journal checkpoints completed rows under the key
-//     (table name, global index), and a run restarted with Scale.Resume
+//   - resumed runs: with Scale.Journal the engine checkpoints completed
+//     rows under the key (table name, global index) and ends each table
+//     with its row count, and a run restarted on the same journal
 //     replays them — including the full-precision refinement metrics
 //     adaptive sweeps rank intervals by — instead of recomputing. The
 //     journal, the JSONL sink and the merge share one record grammar

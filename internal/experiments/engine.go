@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"streamcache/internal/par"
@@ -23,23 +24,22 @@ import (
 
 // exec is the execution context of one streamed run: the scale — its
 // worker bound, the Shard of the row space this process owns, the
-// Resume journal whose completed rows are replayed instead of
-// recomputed, the Exchange resolving foreign refinement metrics, the
-// Counters — plus the table being streamed and the write-side journal
-// that checkpoints fetched foreign metrics alongside rows.
+// Journal whose completed rows are replayed instead of recomputed and
+// which checkpoints every row and fetched metric, the Exchange
+// resolving foreign refinement metrics, the Counters — plus the table
+// being streamed.
 type exec struct {
 	Scale
-	table   string   // table name, the journal key prefix
-	journal *Journal // write side (nil when the run is unjournaled)
+	table string // table name, the journal key prefix
 }
 
 // foreignMetric resolves the refinement metric of a point owned by
-// another shard without simulating it: first the resume journal (a
-// prior run already fetched or computed it), then the exchange. A hit
-// from the exchange is checkpointed so a crash-resume does not depend
-// on the collector still being reachable.
+// another shard without simulating it: first the journal (a prior run
+// already fetched or computed it), then the exchange. A hit from the
+// exchange is checkpointed so a crash-resume does not depend on the
+// collector still being reachable.
 func (x exec) foreignMetric(index int) (float64, bool) {
-	if r, _ := x.Resume.replay(x.table, index); r.HasMetric {
+	if r, _ := x.Journal.replay(x.table, index); r.HasMetric {
 		return r.Metric, true
 	}
 	if x.Exchange == nil {
@@ -58,10 +58,10 @@ func (x exec) foreignMetric(index int) (float64, bool) {
 	if x.Counters != nil {
 		x.Counters.ExchangeHits.Add(1)
 	}
-	if x.journal != nil {
+	if x.Journal != nil {
 		// Best-effort checkpoint: a write failure surfaces on the row
 		// path, not here (the metric is already in hand).
-		_ = x.journal.apply(rowlog.MetricRecord(x.table, index, m))
+		_ = x.Journal.apply(rowlog.MetricRecord(x.table, index, m))
 	}
 	return m, true
 }
@@ -94,6 +94,7 @@ type planPoint struct {
 // rows carry no source cell and no metric.
 type plan struct {
 	meta   TableMeta
+	file   string // output stem a journal's table record names
 	coarse []planPoint
 	refine refiner
 	at     func(coords []float64) (planPoint, error)
@@ -116,33 +117,34 @@ func staticPlan(meta TableMeta, rows [][]string) *plan {
 // since refinement decisions are keyed on the complete coarse response —
 // then rounds of at most refineRoundPoints points the refiner picks from
 // every completed sample, until the budget is spent or the refiner has
-// nothing left to resolve. Global row indices continue across rounds.
-func (p *plan) run(x exec, round func(pts []planPoint, base int, source string) ([]sample, error)) error {
+// nothing left to resolve. Global row indices continue across rounds;
+// run returns the table's row count, every shard's alike.
+func (p *plan) run(x exec, round func(pts []planPoint, base int, source string) ([]sample, error)) (int, error) {
 	samples, err := round(p.coarse, 0, "coarse")
-	if err != nil || p.refine == nil {
-		return err
-	}
 	next := len(p.coarse)
+	if err != nil || p.refine == nil {
+		return next, err
+	}
 	for remaining := x.RefineBudget; remaining > 0; {
 		picks, err := p.refine(samples, min(refineRoundPoints, remaining))
 		if err != nil || len(picks) == 0 {
-			return err
+			return next, err
 		}
 		pts := make([]planPoint, len(picks))
 		for i, coords := range picks {
 			if pts[i], err = p.at(coords); err != nil {
-				return err
+				return next, err
 			}
 		}
 		refined, err := round(pts, next, "refined")
 		if err != nil {
-			return err
+			return next, err
 		}
 		samples = append(samples, refined...)
 		next += len(picks)
 		remaining -= len(picks)
 	}
-	return nil
+	return next, nil
 }
 
 // evalRound evaluates one round of a plan (global indices
@@ -240,8 +242,8 @@ func (x exec) resolvePhase(pts []planPoint, owned []bool, own bool, base int, ad
 
 // resolve answers the point at global index g without simulating it
 // when it can: a foreign point needs only its metric (foreignMetric), a
-// static table's row is already rendered, and an owned row the resume
-// journal holds is replayed — rendered payload (source cell included)
+// static table's row is already rendered, and an owned row the journal
+// holds is replayed — rendered payload (source cell included)
 // and, for an adaptive plan, the exact metric.
 func (x exec) resolve(pt planPoint, g int, own, adaptive bool) (MetricRow, bool) {
 	switch {
@@ -251,7 +253,7 @@ func (x exec) resolve(pt planPoint, g int, own, adaptive bool) (MetricRow, bool)
 	case pt.cfg == nil:
 		return MetricRow{Index: g, Row: pt.row}, true
 	}
-	r, ok := x.Resume.replay(x.table, g)
+	r, ok := x.Journal.replay(x.table, g)
 	if !adaptive {
 		return MetricRow{Index: g, Row: r.Row}, ok
 	}
@@ -259,17 +261,26 @@ func (x exec) resolve(pt planPoint, g int, own, adaptive bool) (MetricRow, bool)
 }
 
 // stream drives one plan into a sink: Begin, ordered rows, End. Rows
-// reach the sink through rowlog.Emit, so index-aware sinks (JSONL,
-// journal) observe each row's global index.
+// reach the sink through rowlog.Emit, so index-aware sinks (JSONL, the
+// collector) observe each row's global index. With s.Journal the engine
+// records every row into it too, its table record naming p.file, and
+// after the last round ends the table there with its row count.
 func stream(s Scale, p *plan, sink RowSink) error {
+	if s.Journal != nil {
+		sink = MultiSink{rowlog.NewRecorder(p.file, s.Journal.apply), sink}
+	}
 	if err := sink.Begin(p.meta); err != nil {
 		return err
 	}
-	x := exec{Scale: s, table: p.meta.Name, journal: findJournal(sink)}
+	x := exec{Scale: s, table: p.meta.Name}
 	emit := func(row MetricRow) error { return rowlog.Emit(sink, row) }
-	if err := p.run(x, func(pts []planPoint, base int, source string) ([]sample, error) {
+	n, err := p.run(x, func(pts []planPoint, base int, source string) ([]sample, error) {
 		return evalRound(x, pts, base, p.refine != nil, source, emit)
-	}); err != nil {
+	})
+	if err == nil && s.Journal != nil {
+		err = s.Journal.apply(rowlog.EndRecord(p.meta.Name, n))
+	}
+	if err != nil {
 		return err
 	}
 	return sink.End()
@@ -284,23 +295,6 @@ func cfgsOf(pts []planPoint) []sim.HierarchyConfig {
 		}
 	}
 	return cfgs
-}
-
-// findJournal locates the checkpoint journal inside a (possibly nested)
-// sink fan-out, so the engine can record fetched foreign metrics next
-// to the rows its JournalSink already checkpoints.
-func findJournal(sink RowSink) *Journal {
-	switch t := sink.(type) {
-	case *JournalSink:
-		return t.j
-	case MultiSink:
-		for _, s := range t {
-			if j := findJournal(s); j != nil {
-				return j
-			}
-		}
-	}
-	return nil
 }
 
 // Experiment is one named, streamable table of the evaluation suite.
@@ -326,22 +320,13 @@ func (e Experiment) build(s Scale) (*plan, error) {
 	return e.static(s)
 }
 
-// Table runs the experiment at the given scale and returns the
-// aggregated in-memory table.
-func (e Experiment) Table(s Scale) (*Table, error) {
-	var ts TableSink
-	if err := e.Stream(s, &ts); err != nil {
-		return nil, err
-	}
-	return ts.Table(), nil
-}
-
 // Stream runs the experiment at the given scale, pushing rows into sink
 // incrementally in deterministic order. The streamed bytes of a
 // deterministic sink (CSV, JSONL) are identical for every Parallelism.
 // The builder and every sweep point it creates share s.Arena — the
 // caller's, so one arena can span every experiment of a figure set,
-// else one private to this table.
+// else one private to this table. With s.Journal the rows are also
+// journaled under the stem of e.File.
 func (e Experiment) Stream(s Scale, sink RowSink) error {
 	if s.Arena == nil {
 		s.Arena = sim.NewArena()
@@ -357,6 +342,7 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 		s.Arena.Hold(p.meta.Name, cfgsOf(p.coarse))
 		defer s.Arena.Drop(p.meta.Name)
 	}
+	p.file = strings.TrimSuffix(e.File, ".csv")
 	return stream(s, p, sink)
 }
 
@@ -418,8 +404,8 @@ func Stream(key string, s Scale, sink RowSink) error {
 // will simulate (sim.Arena.Declare), so that the first round that hands
 // a group to sim.Arena.ScorePending scores the members later tables ask
 // for too and those tables take the finished Metrics. Call it once,
-// before the tables stream, with the arena, shard and resume journal
-// they will run with: it declares only the owned points this process
+// before the tables stream, with the arena, shard and journal they will
+// run with: it declares only the owned points this process
 // will simulate itself, the ones evalRound hands the arena (those
 // exec.resolvePhase does not answer). Each round declares its own points again
 // as it runs, so refinement rounds share across tables too, once they

@@ -298,7 +298,8 @@ func TestMergeShardsAcceptsExchangedJournals(t *testing.T) {
 				return
 			}
 			defer j.Close()
-			errs[idx] = Stream(key, s, MultiSink{NewJournalSink(j), &memSink{st: st}})
+			s.Journal = j
+			errs[idx] = Stream(key, s, &memSink{st: st})
 		}(idx)
 	}
 	wg.Wait()

@@ -62,11 +62,15 @@ type Scale struct {
 	// reassembles it from the shards' journals. The zero value means
 	// unsharded.
 	Shard Shard
-	// Resume replays rows recorded in a prior (interrupted) run's
-	// journal instead of recomputing them. Open the journal with
-	// ResumeJournal and also attach it as a JournalSink so fresh rows
-	// keep checkpointing. Nil disables resumption.
-	Resume *Journal
+	// Journal, when non-nil, checkpoints the run: the engine records
+	// every row it emits there, with the metrics it fetches from other
+	// shards and an end record after each table's last round, and
+	// replays the rows and metrics it already holds instead of
+	// recomputing them. Open it with CreateJournal for a fresh run (it
+	// then holds only rows this run resolved) or ResumeJournal to finish
+	// an interrupted one. Excluded from Fingerprint: replay cannot change
+	// any row.
+	Journal *Journal
 	// Exchange, when non-nil, lets a sharded adaptive sweep resolve the
 	// refinement metrics of foreign points (owned by other shards)
 	// instead of re-simulating them, so each shard runs O(total/N)

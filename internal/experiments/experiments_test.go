@@ -18,8 +18,17 @@ func tableOf(key string) func(Scale) (*Table, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown experiment %q", key)
 		}
-		return e.Table(s)
+		return tableFrom(e, s)
 	}
+}
+
+// tableFrom streams e at s into an in-memory Table.
+func tableFrom(e Experiment, s Scale) (*Table, error) {
+	var ts TableSink
+	if err := e.Stream(s, &ts); err != nil {
+		return nil, err
+	}
+	return ts.Table(), nil
 }
 
 // tinyScale keeps experiment tests fast while exercising every code path.
@@ -197,7 +206,7 @@ func TestAllProducesEveryTable(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
-		tbl, err := e.Table(tinyScale())
+		tbl, err := tableFrom(e, tinyScale())
 		if err != nil {
 			t.Fatalf("%s: %v", e.Key, err)
 		}

@@ -14,21 +14,23 @@ import (
 
 // The checkpoint journal: a row log (internal/rowlog; the line grammar
 // is DESIGN.md §4a) of completed rows that makes long sweeps resumable.
-// Every row that flows through a JournalSink is appended as one line
-// keyed (table name, global row index); adaptive-sweep rows carry the
-// full-precision refinement metric so resumed refinement ranks intervals
-// on exactly the values a fresh run would compute, and metrics fetched
-// from other shards are checkpointed as metric records. A sweep
-// restarted with the journal as Scale.Resume replays journaled rows
-// instead of re-simulating them, so an interrupted run finishes from
-// where it died. A sharded run's journal is also its only output:
-// MergeJournals folds the shards' journals into the canonical tables.
+// The engine appends every row of a run with Scale.Journal set as one
+// line keyed (table name, global row index); adaptive-sweep rows carry
+// the full-precision refinement metric so resumed refinement ranks
+// intervals on exactly the values a fresh run would compute, metrics
+// fetched from other shards are checkpointed as metric records, and
+// each table closes with an end record of its row count. A sweep
+// restarted on its journal replays journaled rows instead of
+// re-simulating them, so an interrupted run finishes from where it
+// died. A sharded run's journal is also its only output: MergeJournals
+// folds the shards' journals into the canonical tables, and refuses a
+// table no journal ended or whose rows fall short of its end.
 
-// Journal is the checkpoint store of one sweep process: a rowlog.Set of
-// completed rows (loaded from a prior run and consulted via
-// Scale.Resume) and the rowlog.File every fresh record is appended to
-// through JournalSink. All methods are safe for concurrent use; one
-// journal may span many experiments.
+// Journal is the checkpoint store of one sweep process (Scale.Journal):
+// a rowlog.Set of completed rows, loaded from a prior run and consulted
+// by the engine before it simulates a point, and the rowlog.File every
+// fresh record is appended to. All methods are safe for concurrent
+// use; one journal may span many experiments.
 type Journal struct {
 	mu   sync.Mutex
 	file *rowlog.File
@@ -98,24 +100,15 @@ func (j *Journal) Close() error {
 	return j.file.Close()
 }
 
-// JournalSink is the journaling RowSink: a rowlog.Recorder whose
-// records the journal applies, so every row streamed through it is
-// appended alongside reaching the run's other sinks — compose it with
-// them via MultiSink. Rows the engine replayed from the same journal are
-// recognized by key and not rewritten.
-type JournalSink struct {
-	*rowlog.Recorder
-	j *Journal
-}
+// JournalSink is a RowSink that appends what it is handed to a journal:
+// a rowlog.Recorder whose records the journal applies. The engine
+// journals a run through Scale.Journal; this sink is for rows that do
+// not come from the engine.
+type JournalSink = rowlog.Recorder
 
-// Sink returns a JournalSink whose table records name file, the stem of
-// the table's CSV: the name `figures -merge` writes the table under.
-func (j *Journal) Sink(file string) *JournalSink {
-	return &JournalSink{Recorder: rowlog.NewRecorder(file, j.apply), j: j}
-}
-
-// NewJournalSink wraps a journal as a RowSink whose tables name no file.
-func NewJournalSink(j *Journal) *JournalSink { return j.Sink("") }
+// NewJournalSink wraps a journal as a RowSink whose tables name no file
+// and are never ended.
+func NewJournalSink(j *Journal) *JournalSink { return rowlog.NewRecorder("", j.apply) }
 
 // applyDisjoint folds rec into set. Shards own disjoint rows, so a row
 // the set already holds is an error; metric-only records (a journal's
@@ -153,29 +146,24 @@ func MergeShards(parts []io.Reader, sink RowSink) error {
 // MergeJournals folds the journals of one run into its tables,
 // complete and in name order, each naming the file stem it is written
 // under (WriteTable). The journals' stamps (Scale.Fingerprint) must name
-// every shard of one run once, in any order, and every journal must
-// declare every table: a shard that never reached a table left it
-// incomplete, whatever its rows say. A duplicate row, a gap, a ragged row
-// or a table that names no file is refused too, the error naming the
-// journal and line.
+// every shard of one run once, in any order, and every table must be
+// ended — every shard computes the same row count — and hold exactly
+// rows 0..N-1 of its N: a shard that never reached a table, or was cut
+// short inside it, owned nothing there or leaves it short. A duplicate
+// row, a ragged row, two ends that disagree or a table that names no
+// file is refused too, the error naming the journal and line.
 func MergeJournals(paths []string) ([]*rowlog.Table, error) {
 	var (
-		set      rowlog.Set
-		run      string             // the run the first stamp names
-		by       []string           // per shard index, the journal that is that shard
-		declared = map[string]int{} // per table, the journals declaring it
+		set rowlog.Set
+		run string   // the run the first stamp names
+		by  []string // per shard index, the journal that is that shard
 	)
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		seen := map[string]bool{}
 		err = rowlog.Load(f, func(rec rowlog.Record) error {
-			if rec.Type == rowlog.TypeTable && !seen[rec.Name] {
-				seen[rec.Name] = true
-				declared[rec.Name]++
-			}
 			if rec.Type != rowlog.TypeJournal {
 				return applyDisjoint(&set, rec)
 			}
@@ -213,10 +201,9 @@ func MergeJournals(paths []string) ([]*rowlog.Table, error) {
 	for _, name := range set.Names() {
 		t := set.Table(name)
 		err := t.Complete()
-		switch {
-		case declared[name] < len(paths):
-			err = fmt.Errorf("table %q is declared by %d of %d journals: a shard never reached it", name, declared[name], len(paths))
-		case t.File == "":
+		if _, ended := t.Ended(); !ended {
+			err = fmt.Errorf("table %q has no end record: no shard finished it", name)
+		} else if err == nil && t.File == "" {
 			err = fmt.Errorf("table %q names no output file: its journals were not written by figures", name)
 		}
 		if err != nil {

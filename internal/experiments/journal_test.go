@@ -16,8 +16,8 @@ import (
 	"streamcache/internal/sim"
 )
 
-// journaledStream runs one experiment with a journal at path attached
-// (and optionally consulted for resume), returning the CSV bytes.
+// journaledStream runs one experiment journaled at path, a fresh journal
+// or a resumed one, returning the CSV bytes.
 func journaledStream(t *testing.T, key string, s Scale, path string, resume bool) []byte {
 	t.Helper()
 	var j *Journal
@@ -31,11 +31,9 @@ func journaledStream(t *testing.T, key string, s Scale, path string, resume bool
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if resume {
-		s.Resume = j
-	}
+	s.Journal = j
 	var csv bytes.Buffer
-	if err := Stream(key, s, MultiSink{NewCSVSink(&csv), NewJournalSink(j)}); err != nil {
+	if err := Stream(key, s, NewCSVSink(&csv)); err != nil {
 		t.Fatal(err)
 	}
 	return csv.Bytes()
@@ -126,6 +124,20 @@ func TestJournalResumeAfterTruncation(t *testing.T) {
 			if n := countJournalRows(t, path); n != total {
 				t.Errorf("resumed journal holds %d rows, want %d", n, total)
 			}
+
+			// The resumed run ended the table once, and resuming the
+			// finished journal replays every row and ends nothing again.
+			done, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := bytes.Count(done, []byte(`"type":"end"`)); n != 1 {
+				t.Errorf("finished journal holds %d end records, want 1", n)
+			}
+			journaledStream(t, key, s, path, true)
+			if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, done) {
+				t.Errorf("resuming a finished journal changed it (err %v):\n%s\nwant:\n%s", err, again, done)
+			}
 		})
 	}
 }
@@ -162,13 +174,14 @@ func TestResumeSkipsCompletedTasks(t *testing.T) {
 	}
 	rows := 0
 	boom := errors.New("crash")
-	err = stream(s, build(), MultiSink{NewJournalSink(j), sinkFunc(func(row []string) error {
+	s.Journal = j
+	err = stream(s, build(), sinkFunc(func(row []string) error {
 		rows++
 		if rows > 6 {
 			return boom
 		}
 		return nil
-	})})
+	}))
 	j.Close()
 	if !errors.Is(err, boom) {
 		t.Fatalf("stream error = %v, want the injected crash", err)
@@ -188,9 +201,9 @@ func TestResumeSkipsCompletedTasks(t *testing.T) {
 		t.Fatalf("journal holds %d rows, want a strict prefix of %d", journaled, n)
 	}
 	executed.Store(0)
-	s.Resume = j
+	s.Journal = j
 	var ts TableSink
-	if err := stream(s, build(), MultiSink{NewJournalSink(j), &ts}); err != nil {
+	if err := stream(s, build(), &ts); err != nil {
 		t.Fatal(err)
 	}
 	if got := int(executed.Load()); got != n-journaled {
@@ -293,5 +306,38 @@ func TestJournalAndShardCompose(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("merged resumed-shard journals differ from the unsharded stream:\n%s\nwant:\n%s",
 			got.String(), want.String())
+	}
+}
+
+// TestJournalSink: rows that do not come from the engine reach a
+// journal through NewJournalSink, numbered in arrival order under a
+// table record that names no file and no end; streaming them again
+// appends nothing.
+func TestJournalSink(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := CreateJournal(path, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := &Table{Name: "T", Header: []string{"x"}, Rows: [][]string{{"a"}, {"b"}}}
+	for range 2 {
+		if err := tbl.Stream(NewJournalSink(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"type":"journal","fingerprint":"fp"}
+{"type":"table","name":"T","header":["x"]}
+{"type":"row","table":"T","index":0,"row":["a"]}
+{"type":"row","table":"T","index":1,"row":["b"]}
+`
+	if string(got) != want {
+		t.Errorf("journal\n%swant\n%s", got, want)
 	}
 }

@@ -39,11 +39,9 @@ func runJournaledShard(t *testing.T, s Scale, path string, st *memStore, resume 
 		return err
 	}
 	defer j.Close()
-	if resume {
-		s.Resume = j
-	}
+	s.Journal = j
 	for _, key := range mergeKeys {
-		if err := Stream(key, s, MultiSink{j.Sink(stemOf(t, key)), &memSink{st: st}}); err != nil {
+		if err := Stream(key, s, &memSink{st: st}); err != nil {
 			return fmt.Errorf("%s: %w", key, err)
 		}
 	}
@@ -153,6 +151,35 @@ func TestMergeJournalsMatchesSingle(t *testing.T) {
 		}
 		check(t, mergedFiles(t, paths...))
 	})
+	t.Run("without end records", func(t *testing.T) {
+		// Journals written before tables were ended are refused until
+		// their shards are resumed, which replays every row and ends each
+		// table.
+		for _, path := range paths {
+			full, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kept []byte
+			for _, line := range bytes.SplitAfter(full, []byte("\n")) {
+				if !bytes.Contains(line, []byte(`"type":"end"`)) {
+					kept = append(kept, line...)
+				}
+			}
+			if err := os.WriteFile(path, kept, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := MergeJournals(paths); err == nil || !strings.Contains(err.Error(), "has no end record") {
+			t.Fatalf("MergeJournals of journals without end records = %v, want a refusal", err)
+		}
+		for idx := range count {
+			if err := runJournaledShard(t, shards[idx], paths[idx], st, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, mergedFiles(t, paths...))
+	})
 }
 
 // TestMergeJournalsRefusals: a set of journals that is not one whole
@@ -168,6 +195,7 @@ func TestMergeJournalsRefusals(t *testing.T) {
 	row := func(i int) string {
 		return fmt.Sprintf(`{"type":"row","table":"T","index":%d,"row":["%d"]}`+"\n", i, i)
 	}
+	end := func(n int) string { return fmt.Sprintf(`{"type":"end","table":"T","rows":%d}`+"\n", n) }
 	n := 0
 	journal := func(lines ...string) string {
 		n++
@@ -178,19 +206,20 @@ func TestMergeJournalsRefusals(t *testing.T) {
 		return path
 	}
 	of2 := func(i int) Shard { return Shard{Index: i, Count: 2} }
-	j0 := journal(stamp(1, of2(0)), table, row(0), row(2))
-	j1 := journal(stamp(1, of2(1)), table, row(1))
+	j0 := journal(stamp(1, of2(0)), table, row(0), row(2), end(4))
+	j1 := journal(stamp(1, of2(1)), table, row(1), row(3), end(4))
 
-	if got := mergedFiles(t, j0, j1); string(got["t.csv"]) != "# T\nx\n0\n1\n2\n" {
+	if got := mergedFiles(t, j0, j1); string(got["t.csv"]) != "# T\nx\n0\n1\n2\n3\n" {
 		t.Fatalf("the well-formed pair merged to %q", got["t.csv"])
 	}
+	unstemmed := `{"type":"table","name":"T","header":["x"]}` + "\n"
 	cases := []struct {
 		name  string
 		paths []string
 		want  string
 	}{
 		{"missing shard", []string{j0}, "shard 1/2 missing"},
-		{"shard given twice", []string{j0, journal(stamp(1, of2(0)), table, row(1))}, "shard 0/2 given twice"},
+		{"shard given twice", []string{j0, journal(stamp(1, of2(0)), table, row(1), row(3), end(4))}, "shard 0/2 given twice"},
 		{"one journal named twice", []string{j0, j0, j1}, "shard 0/2 given twice"},
 		{"shards of two counts", []string{j0, journal(stamp(1, Shard{Index: 1, Count: 5}), table, row(1))},
 			"shard 1/5, but " + j0 + " is a shard of 2: shards of two counts"},
@@ -198,12 +227,25 @@ func TestMergeJournalsRefusals(t *testing.T) {
 			"shards of two counts"},
 		{"journals of two runs", []string{j0, journal(stamp(2, of2(1)), table, row(1))}, "stamp names another run"},
 		{"a table with no stem", []string{
-			journal(stamp(1, of2(0)), `{"type":"table","name":"T","header":["x"]}`+"\n", row(0)),
-			journal(stamp(1, of2(1)), `{"type":"table","name":"T","header":["x"]}`+"\n", row(1))},
+			journal(stamp(1, of2(0)), unstemmed, row(0), row(2), end(4)),
+			journal(stamp(1, of2(1)), unstemmed, row(1), row(3), end(4))},
 			`table "T" names no output file`},
 		{"a gap", []string{j0, journal(stamp(1, of2(1)), table)}, `gap in table "T" at row 1`},
-		{"a table one shard never reached", []string{j0, journal(stamp(1, of2(1)))},
-			`table "T" is declared by 1 of 2 journals`},
+		// A shard journal cut at a line boundary before its last row: below
+		// another shard's row it leaves a gap, at the table's tail it
+		// leaves the table short of its end.
+		{"a journal cut before its last row, below another's", []string{journal(stamp(1, of2(0)), table, row(0)), j1},
+			`gap in table "T" at row 2`},
+		{"a journal cut before the table's last row", []string{j0, journal(stamp(1, of2(1)), table, row(1))},
+			`table "T" holds 3 of its 4 rows`},
+		{"a table one shard never reached", []string{journal(stamp(1, of2(0)), table, row(0), row(1), end(3)), journal(stamp(1, of2(1)))},
+			`table "T" holds 2 of its 3 rows`},
+		{"a table no journal ends", []string{journal(stamp(1, of2(0)), table, row(0), row(2)), journal(stamp(1, of2(1)), table, row(1), row(3))},
+			`table "T" has no end record`},
+		{"two ends that disagree", []string{j0, journal(stamp(1, of2(1)), table, row(1), row(3), end(5))},
+			`table "T" ended at 4 rows and again at 5`},
+		{"an end of an undeclared table", []string{j0, journal(stamp(1, of2(1)), table, row(1), row(3), `{"type":"end","table":"U","rows":1}`+"\n")},
+			`end record for undeclared table "U"`},
 		{"a ragged row", []string{j0, journal(stamp(1, of2(1)), table, `{"type":"row","table":"T","index":1,"row":["1","extra"]}`+"\n")},
 			`.jsonl: rowlog: line 3: rowlog: row 1 of table "T" has 2 cells, its header declares 1`},
 		{"a duplicate row", []string{j0, journal(stamp(1, of2(1)), table, row(1), row(2))},

@@ -268,9 +268,9 @@ func TestOwnershipIsAFunctionOfTheRound(t *testing.T) {
 						t.Fatal(err)
 					}
 					resumed := s
-					resumed.Resume = j
+					resumed.Journal = j
 					var rows indexSink
-					err = Stream(key, resumed, MultiSink{NewJournalSink(j), &rows})
+					err = Stream(key, resumed, &rows)
 					j.Close()
 					if err != nil {
 						t.Fatal(err)

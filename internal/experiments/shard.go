@@ -101,7 +101,7 @@ func (s Scale) deal() (*dealt, error) {
 
 // newDeal deals the units of the coarse points of every simulated table
 // of exps among count shards (dealWeights). It reads the scale alone —
-// not the caller's arena, the resume journal, the exchange or the
+// not the caller's arena, the journal, the exchange or the
 // tables a run selects.
 func newDeal(s Scale, exps []Experiment, count int) (*dealt, error) {
 	s.Arena = sim.NewArena()
@@ -155,7 +155,7 @@ func leastFrom[T int | int64](load []T, rr int) int {
 // far, a tie to the first tied shard from (base+u) mod count on; on a
 // round of equal units it is round robin, so a round of single points
 // the set does not hold is owned index mod count. It reads nothing but
-// the deal, pts and base: not the arena, the resume journal or the
+// the deal, pts and base: not the arena, the journal or the
 // exchange.
 func (d *dealt) owners(pts []planPoint, base int) []int {
 	count := len(d.load)

@@ -65,7 +65,7 @@ func streamedRounds(t *testing.T, key string, s Scale) []round {
 	x := exec{Scale: s, table: p.meta.Name}
 	var rounds []round
 	discard := func(MetricRow) error { return nil }
-	if err := p.run(x, func(pts []planPoint, base int, source string) ([]sample, error) {
+	if _, err := p.run(x, func(pts []planPoint, base int, source string) ([]sample, error) {
 		rounds = append(rounds, round{base, pts})
 		return evalRound(x, pts, base, p.refine != nil, source, discard)
 	}); err != nil {

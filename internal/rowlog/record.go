@@ -3,10 +3,11 @@
 // metric" — and the one line format it is written in. A checkpoint
 // journal (a sharded run's one output, and a `figures -merge` input), a
 // JSONL table output and a collectd push body are all row logs: JSON
-// Lines of Record (the grammar is tabulated in DESIGN.md §4a). Recorder
-// is the Sink that writes a table as records; Set folds records into
-// per-table state and replays a complete table into a Sink; File is a
-// Set's append-only, atomically rewritable home on disk.
+// Lines of Record (the grammar is tabulated in DESIGN.md §4a); only a
+// journal ends its tables, with a record of each one's row count.
+// Recorder is the Sink that writes a table as records; Set folds
+// records into per-table state and replays a complete table into a
+// Sink; File is a Set's append-only, atomically rewritable home on disk.
 package rowlog
 
 import (
@@ -24,6 +25,7 @@ const (
 	TypeTable   = "table"   // declares a table before any of its rows
 	TypeRow     = "row"     // one completed row under its global index
 	TypeMetric  = "metric"  // the refinement metric of a row another shard owns
+	TypeEnd     = "end"     // a journaled table's last record: its total row count
 )
 
 // Record is one line of a row log. Which fields a line carries depends
@@ -43,11 +45,13 @@ type Record struct {
 	File   string   `json:"file,omitempty"`
 
 	// row and metric, keyed (Table, Index). A row's Metric is optional;
-	// a metric record is nothing else.
+	// a metric record is nothing else. An end names its Table and Rows,
+	// the row count of the whole (unsharded) table.
 	Table  string   `json:"table,omitempty"`
 	Index  *int     `json:"index,omitempty"`
 	Row    []string `json:"row,omitempty"`
 	Metric *float64 `json:"metric,omitempty"`
+	Rows   *int     `json:"rows,omitempty"`
 }
 
 // stamp is the first line of a journal.
@@ -75,6 +79,13 @@ func MetricRecord(table string, index int, metric float64) Record {
 	return Record{Type: TypeMetric, Table: table, Index: &index, Metric: &metric}
 }
 
+// EndRecord closes a table of rows rows in all: the journal's word that
+// the run finished it, which a merge needs to tell a complete table from
+// one whose tail a shard never wrote.
+func EndRecord(table string, rows int) Record {
+	return Record{Type: TypeEnd, Table: table, Rows: &rows}
+}
+
 // Encode writes the record to w as one newline-terminated line in one
 // Write call.
 func (r Record) Encode(w io.Writer) error { return json.NewEncoder(w).Encode(r) }
@@ -82,7 +93,8 @@ func (r Record) Encode(w io.Writer) error { return json.NewEncoder(w).Encode(r) 
 // Decode parses and validates one log line. It is the only door from
 // bytes to Record, so everything downstream (Set.Apply in particular)
 // may rely on a row or metric having a non-negative Index, a metric
-// having a value and a table having a header.
+// having a value, an end having a non-negative row count and a table
+// having a header.
 func Decode(line []byte) (Record, error) {
 	var r Record
 	if err := json.Unmarshal(line, &r); err != nil {
@@ -100,6 +112,10 @@ func Decode(line []byte) (Record, error) {
 		}
 		if r.Type == TypeMetric && r.Metric == nil {
 			return r, fmt.Errorf("metric record %d of table %q without a value", *r.Index, r.Table)
+		}
+	case TypeEnd:
+		if r.Rows == nil || *r.Rows < 0 {
+			return r, fmt.Errorf("end record of table %q without a non-negative row count", r.Table)
 		}
 	default:
 		return r, fmt.Errorf("unknown record type %q", r.Type)

@@ -13,14 +13,16 @@ import (
 
 // The lines every writer has always produced, byte for byte: a journal
 // stamp, a table with and without a note, a fixed-grid row, a refined
-// row with its metric, a metric-only checkpoint, and the push wire's
-// table with a file stem. Every row of T has its header's two cells.
+// row with its metric, a metric-only checkpoint, the push wire's table
+// with a file stem and a journal's end of a table. Every row of T has
+// its header's two cells.
 const (
 	stampLine  = `{"type":"journal","fingerprint":"fp"}`
 	tableLine  = `{"type":"table","name":"T","header":["x","y"]}`
 	notedLine  = `{"type":"table","name":"N \u003c\u0026\u003e","note":"a note","header":["x","y"]}` // encoding/json escapes <&>
 	wireLine   = `{"type":"table","name":"T","header":["x","y"],"file":"stem"}`
 	metricLine = `{"type":"metric","table":"T","index":5,"metric":1.25}`
+	endLine    = `{"type":"end","table":"T","rows":3}`
 )
 
 func rowLine(i int) string {
@@ -39,7 +41,7 @@ func lines(ls ...string) string { return strings.Join(ls, "\n") + "\n" }
 // this.
 func TestRecordBytes(t *testing.T) {
 	// 0.1234567890123456789 is the wire-precision probe of the collector tests.
-	for _, line := range []string{stampLine, tableLine, notedLine, wireLine, metricLine,
+	for _, line := range []string{stampLine, tableLine, notedLine, wireLine, metricLine, endLine,
 		rowLine(0), rowLine(7), refinedLine(0, "0.12345678901234568"), refinedLine(3, "1e-7")} {
 		rec, err := Decode([]byte(line))
 		if err != nil {
@@ -61,6 +63,7 @@ func TestRecordBytes(t *testing.T) {
 		rowLine(0):            RowRecord("T", Row{Index: 0, Row: []string{"0", "fixed"}}),
 		refinedLine(2, "0.5"): RowRecord("T", Row{Index: 2, Row: []string{"2", "coarse"}, Metric: 0.5, HasMetric: true}),
 		metricLine:            MetricRecord("T", 5, 1.25),
+		endLine:               EndRecord("T", 3),
 	}
 	for want, rec := range built {
 		var buf bytes.Buffer
@@ -105,12 +108,12 @@ func (m *memSink) End() error            { m.ended = true; return nil }
 // refuses, and what Replay then delivers or refuses.
 func TestSetApply(t *testing.T) {
 	cases := []struct {
-		name     string
-		log      string
-		fresh    []bool // per record, up to the failing one
-		applyErr string // substring; "" = loads cleanly
-		rows     []int  // indices Replay delivers, in order
-		gapErr   bool   // Replay refuses
+		name      string
+		log       string
+		fresh     []bool // per record, up to the failing one
+		applyErr  string // substring; "" = loads cleanly
+		rows      []int  // indices Replay delivers, in order
+		replayErr string // substring; "" = Replay delivers rows
 	}{
 		{name: "two shards interleave to a complete table",
 			log:   lines(tableLine, rowLine(0), rowLine(2), tableLine, rowLine(1)),
@@ -123,10 +126,10 @@ func TestSetApply(t *testing.T) {
 			fresh: []bool{true, true, true, false, false, false}, rows: []int{0, 1}},
 		{name: "gap below the highest index",
 			log:   lines(tableLine, rowLine(0), rowLine(2)),
-			fresh: []bool{true, true, true}, gapErr: true},
+			fresh: []bool{true, true, true}, replayErr: "gap in table \"T\" at row 1"},
 		{name: "missing first row",
 			log:   lines(tableLine, rowLine(1)),
-			fresh: []bool{true, true}, gapErr: true},
+			fresh: []bool{true, true}, replayErr: "gap in table \"T\" at row 0"},
 		{name: "journal stamps carry no state",
 			log:   lines(stampLine, tableLine, rowLine(0), `{"type":"journal","fingerprint":"other"}`),
 			fresh: []bool{false, true, true, false}, rows: []int{0}},
@@ -161,6 +164,20 @@ func TestSetApply(t *testing.T) {
 		{name: "metric-only records carry no cells",
 			log:   lines(tableLine, rowLine(0), metricLine),
 			fresh: []bool{true, true, true}, rows: []int{0}},
+		{name: "an ended table is complete at its count, and an agreeing end is a duplicate",
+			log:   lines(tableLine, rowLine(0), rowLine(2), endLine, rowLine(1), endLine),
+			fresh: []bool{true, true, true, true, true, false}, rows: []int{0, 1, 2}},
+		{name: "a missing tail below the end",
+			log:   lines(tableLine, rowLine(0), rowLine(1), endLine),
+			fresh: []bool{true, true, true, true}, replayErr: `table "T" holds 2 of its 3 rows`},
+		{name: "rows past the end",
+			log:   lines(tableLine, rowLine(0), rowLine(1), rowLine(2), rowLine(3), endLine),
+			fresh: []bool{true, true, true, true, true, true}, replayErr: `table "T" holds 4 of its 3 rows`},
+		{name: "end before its table",
+			log: lines(endLine), fresh: []bool{false}, applyErr: `end record for undeclared table "T"`},
+		{name: "two ends that disagree",
+			log:   lines(tableLine, endLine, `{"type":"end","table":"T","rows":4}`),
+			fresh: []bool{true, true, false}, applyErr: `table "T" ended at 3 rows and again at 4`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -179,9 +196,9 @@ func TestSetApply(t *testing.T) {
 			}
 			var sink memSink
 			err = set.Table("T").Replay(&sink)
-			if c.gapErr {
-				if err == nil || !strings.Contains(err.Error(), "gap") || sink.meta.Name != "" {
-					t.Fatalf("Replay of a gapped table: err %v, began %q; want a gap error before Begin", err, sink.meta.Name)
+			if c.replayErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.replayErr) || sink.meta.Name != "" {
+					t.Fatalf("Replay of an incomplete table: err %v, began %q; want an error naming %q before Begin", err, sink.meta.Name, c.replayErr)
 				}
 				return
 			}
@@ -227,6 +244,13 @@ func TestSetMetrics(t *testing.T) {
 		t.Errorf("Len, Next = %d, %d; want 2, 8", tab.Len(), tab.Next())
 	}
 	want := lines(stampLine, tableLine, refinedLine(2, "9.5"), rowLine(7), metricLine)
+	if got := canonical(t, set); got != want {
+		t.Errorf("canonical log\n%swant\n%s", got, want)
+	}
+	if _, _, err := collectInto(set, lines(`{"type":"end","table":"T","rows":8}`)); err != nil {
+		t.Fatal(err)
+	}
+	want = lines(stampLine, tableLine, refinedLine(2, "9.5"), rowLine(7), metricLine, `{"type":"end","table":"T","rows":8}`)
 	if got := canonical(t, set); got != want {
 		t.Errorf("canonical log\n%swant\n%s", got, want)
 	}
@@ -344,7 +368,7 @@ func TestFileOpen(t *testing.T) {
 
 // fuzzSeed is a valid log holding every record shape.
 var fuzzSeed = lines(stampLine, notedLine, tableLine, refinedLine(0, "0.12345678901234568"), metricLine,
-	refinedLine(1, "1e-7"), rowLine(2), `{"type":"metric","table":"T","index":1,"metric":3}`, rowLine(4))
+	refinedLine(1, "1e-7"), rowLine(2), `{"type":"metric","table":"T","index":1,"metric":3}`, rowLine(4), endLine)
 
 // FuzzLogLoad: whatever truncation or byte corruption does to a valid
 // log, loading it never panics, never loses a complete record that sits

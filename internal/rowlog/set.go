@@ -136,15 +136,17 @@ func (s *Recorder) MetricRow(r Row) error {
 func (s *Recorder) End() error { return nil }
 
 // Table is the folded state of one table: its declaration, the rows
-// seen so far and every known refinement metric (from rows and
-// metric-only records alike). A nil *Table is an undeclared table and
-// answers every query with "nothing".
+// seen so far, every known refinement metric (from rows and metric-only
+// records alike) and, once an end record arrives, its total row count.
+// A nil *Table is an undeclared table and answers every query with
+// "nothing".
 type Table struct {
 	Meta    Meta
 	File    string // output stem; "" until a table record names one
 	rows    map[int][]string
 	metrics map[int]float64
 	next    int
+	end     int // the row count an end record gave; -1 before one
 }
 
 // Len is the number of rows held.
@@ -176,15 +178,29 @@ func (t *Table) At(index int) (r Row, ok bool) {
 	return r, ok
 }
 
-// Complete is nil for a table whose rows are exactly 0..Len()-1, and
-// otherwise names the first gap. (A missing tail is invisible to it;
-// callers that can lose one gate on every producer having finished.)
+// Ended reports the table's total row count, if an end record gave it.
+func (t *Table) Ended() (rows int, ok bool) {
+	if t == nil || t.end < 0 {
+		return 0, false
+	}
+	return t.end, true
+}
+
+// Complete is nil for a table whose rows are exactly 0..Len()-1 and,
+// when it is ended, exactly as many as its end record counts; otherwise
+// it names the first gap or the missing tail. (Without an end record a
+// missing tail is invisible to it; a collector, whose logs carry none,
+// gates on every shard having reported done instead.)
 func (t *Table) Complete() error {
 	for i := range len(t.rows) {
 		if _, ok := t.rows[i]; !ok {
 			return fmt.Errorf("rowlog: gap in table %q at row %d (holds %d rows; a shard's output is missing or incomplete)",
 				t.Meta.Name, i, len(t.rows))
 		}
+	}
+	if n, ok := t.Ended(); ok && len(t.rows) != n {
+		return fmt.Errorf("rowlog: table %q holds %d of its %d rows (a shard's output is missing or cut short)",
+			t.Meta.Name, len(t.rows), n)
 	}
 	return nil
 }
@@ -238,7 +254,8 @@ func (s *Set) Names() []string { return slices.Sorted(maps.Keys(s.tables)) }
 // A re-declaration is fresh only when it names the output stem the set
 // lacked. An error means the record contradicts the set: a row or
 // metric of an undeclared table, a table re-declared with a different
-// header, or a row of another width than its table's header.
+// header, a row of another width than its table's header, or an end of
+// an undeclared table or counting other rows than an end already held.
 func (s *Set) Apply(rec Record) (fresh bool, err error) {
 	switch rec.Type {
 	case TypeTable:
@@ -249,7 +266,7 @@ func (s *Set) Apply(rec Record) (fresh bool, err error) {
 			}
 			s.tables[rec.Name] = &Table{
 				Meta: Meta{Name: rec.Name, Note: rec.Note, Header: rec.Header}, File: rec.File,
-				rows: map[int][]string{}, metrics: map[int]float64{},
+				rows: map[int][]string{}, metrics: map[int]float64{}, end: -1,
 			}
 			return true, nil
 		}
@@ -260,10 +277,20 @@ func (s *Set) Apply(rec Record) (fresh bool, err error) {
 			t.File = rec.File
 			return true, nil
 		}
-	case TypeRow, TypeMetric:
+	case TypeRow, TypeMetric, TypeEnd:
 		t := s.tables[rec.Table]
 		if t == nil {
 			return false, fmt.Errorf("rowlog: %s record for undeclared table %q", rec.Type, rec.Table)
+		}
+		if rec.Type == TypeEnd {
+			switch n := *rec.Rows; {
+			case t.end < 0:
+				t.end = n
+				return true, nil
+			case t.end != n:
+				return false, fmt.Errorf("rowlog: table %q ended at %d rows and again at %d", rec.Table, t.end, n)
+			}
+			return false, nil
 		}
 		i := *rec.Index
 		if rec.Type == TypeRow {
@@ -288,9 +315,10 @@ func (s *Set) Apply(rec Record) (fresh bool, err error) {
 
 // Records yields the set's canonical log: the fingerprint stamp, then
 // per table in name order its declaration, its rows in index order
-// (carrying their metrics) and the metric-only checkpoints no row
-// supersedes. Loading the yielded records reproduces the set, so a log
-// rewritten from its own load is a fixed point.
+// (carrying their metrics), the metric-only checkpoints no row
+// supersedes and its end, if it has one. Loading the yielded records
+// reproduces the set, so a log rewritten from its own load is a fixed
+// point.
 func (s *Set) Records(fingerprint string) iter.Seq[Record] {
 	return func(yield func(Record) bool) {
 		if !yield(stamp(fingerprint)) {
@@ -311,6 +339,9 @@ func (s *Set) Records(fingerprint string) iter.Seq[Record] {
 				if _, owned := t.rows[i]; !owned && !yield(MetricRecord(name, i, t.metrics[i])) {
 					return
 				}
+			}
+			if n, ok := t.Ended(); ok && !yield(EndRecord(name, n)) {
+				return
 			}
 		}
 	}

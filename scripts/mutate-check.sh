@@ -463,7 +463,7 @@ row O1 internal/experiments/shard.go TestShardedWorkSumsToSingle ./internal/expe
     $'for i, o := range d.owners(pts, base) {\n\t\town[i] = o == s.Shard.Index' $'for i := range d.owners(pts, base) {\n\t\town[i] = (base+i)%s.Shard.Count == s.Shard.Index'
 row O2 internal/experiments/engine.go TestOwnershipIsAFunctionOfTheRound ./internal/experiments \
     'owners computed from the points the resume journal cannot answer: a resumed shard deals the rest out anew and emits rows another shard owns' \
-    $'\towned, err := x.owned(pts, base)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n' $'\towned := make([]bool, len(pts))\n\tvar open []planPoint\n\tvar at []int\n\tfor i, pt := range pts {\n\t\tif _, ok := x.Resume.replay(x.table, base+i); ok {\n\t\t\towned[i] = true\n\t\t} else {\n\t\t\topen, at = append(open, pt), append(at, i)\n\t\t}\n\t}\n\townOpen, err := x.owned(open, base)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\tfor k, own := range ownOpen {\n\t\towned[at[k]] = own\n\t}\n'
+    $'\towned, err := x.owned(pts, base)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n' $'\towned := make([]bool, len(pts))\n\tvar open []planPoint\n\tvar at []int\n\tfor i, pt := range pts {\n\t\tif _, ok := x.Journal.replay(x.table, base+i); ok {\n\t\t\towned[i] = true\n\t\t} else {\n\t\t\topen, at = append(open, pt), append(at, i)\n\t\t}\n\t}\n\townOpen, err := x.owned(open, base)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\tfor k, own := range ownOpen {\n\t\towned[at[k]] = own\n\t}\n'
 row O3 internal/experiments/shard.go 'TestOwnershipIsAFunctionOfTheRound TestShardOwnershipPartitions' ./internal/experiments \
     'every round deals its units out from shard 0, not from its base: a refinement round of single points is no longer index mod Count' \
     'o := leastFrom(load, (base+len(ownerOf))%count)' 'o := leastFrom(load, len(ownerOf)%count)'
@@ -484,11 +484,15 @@ row O4 internal/experiments/engine.go TestCapacityGroupsHoldOwnedRows ./internal
 #
 # A shard's journal is its only output; `figures -merge` folds the
 # journals and refuses, from their stamps, a set that is not every shard
-# of one run exactly once (DESIGN.md §4a).
+# of one run exactly once, and, from each table's end record, a table
+# that is short of its row count (DESIGN.md §4a).
 
 row J1 internal/experiments/journal.go TestMergeJournalsRefusals ./internal/experiments \
     'MergeJournals drops the missing-shard check: a merge given one of two journals is refused only where a gap happens to show, and never says a shard is missing' \
     'if i := slices.Index(by, ""); i >= 0 {' 'if i := slices.Index(by, ""); i >= 0 && i < 0 {'
+row J2 internal/rowlog/set.go TestMergeJournalsRefusals ./internal/experiments \
+    'Table.Complete drops the comparison with the ended row count: a shard journal cut before the last row of a table merges silently short' \
+    'if n, ok := t.Ended(); ok && len(t.rows) != n {' 'if n, ok := t.Ended(); ok && len(t.rows) != n && n < 0 {'
 
 # --- sampling: the Zipf guide table is exact ----------------------------------
 
