@@ -42,7 +42,8 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
+	begin := time.Now()
 	var (
 		out         = flag.String("out", "results", "output directory")
 		scale       = flag.String("scale", "small", "experiment scale: small or paper")
@@ -143,6 +144,21 @@ func run() error {
 		return err
 	}
 
+	// A shard's closing line: its wall time and CPU, and how much of the
+	// wall it sat waiting for its peers' metrics. Deferred before the
+	// collector's Close, so it runs after it: the wall includes the push
+	// log's drain.
+	var waited time.Duration
+	peered := *shard != "" || *collectURL != ""
+	if peered {
+		defer func() {
+			if err == nil {
+				fmt.Printf("shard %s wall=%v cpu=%v waited=%v\n", s.Shard, time.Since(begin).Round(time.Millisecond),
+					cpuTime().Round(time.Millisecond), waited.Round(time.Millisecond))
+			}
+		}()
+	}
+
 	var collector *collect.Client
 	if *collectURL != "" {
 		collector = collect.NewClient(*collectURL, s.Shard, s.RunFingerprint())
@@ -208,12 +224,13 @@ func run() error {
 			return fmt.Errorf("%s: %w", e.Key, err)
 		}
 		fmt.Printf("%-20s %-45s %5d rows  %v", e.Key, e.File, rows, time.Since(start).Round(time.Millisecond))
-		if *shard != "" || *collectURL != "" {
+		if peered {
 			// What this process simulated itself, what it took from its
 			// peers, and how long it sat waiting for them.
+			wait := time.Duration(s.Counters.ExchangeWaitNanos.Load())
+			waited += wait
 			fmt.Printf("  evals=%d exchange=%d waited=%v",
-				s.Counters.Evaluations.Load(), s.Counters.ExchangeHits.Load(),
-				time.Duration(s.Counters.ExchangeWaitNanos.Load()).Round(time.Millisecond))
+				s.Counters.Evaluations.Load(), s.Counters.ExchangeHits.Load(), wait.Round(time.Millisecond))
 		}
 		// What the arena's group calls did for the table (sim.Arena.Groups,
 		// Ranks): groups of cache sizes scored in one tape pass, run seeds

@@ -141,15 +141,14 @@ func (c *Client) append(rec rowlog.Record) {
 	}
 }
 
-// pusher ships log batches in the background until Close drains it.
+// pusher ships log batches in the background. It blocks on kick only
+// while the log is empty, retries a failed push on its backoff, and
+// returns once a closed log is fully confirmed (or its collector is
+// dead): append and Close kick, and kick's buffer of one loses none.
 func (c *Client) pusher() {
 	defer close(c.drained)
 	backoff := 50 * time.Millisecond
 	for {
-		select {
-		case <-c.kick:
-		case <-time.After(100 * time.Millisecond):
-		}
 		c.mu.Lock()
 		batch := c.log[c.pushed:]
 		seq := c.pushed
@@ -159,6 +158,7 @@ func (c *Client) pusher() {
 			if closed {
 				return
 			}
+			<-c.kick
 			continue
 		}
 		switch err := c.push(seq, batch); {
@@ -169,23 +169,21 @@ func (c *Client) pusher() {
 			}
 			c.mu.Unlock()
 			backoff = 50 * time.Millisecond
-		case err == errSeqConflict:
+			continue
+		case err == errSeqConflict && c.hello() == nil:
 			// The collector lost our session (restart, missed batch):
-			// re-register and replay the whole log. Dedupe by
-			// (table, index) makes the replay idempotent.
-			if c.hello() == nil {
-				c.mu.Lock()
-				c.pushed = 0
-				c.mu.Unlock()
-			}
-		default:
-			if closed {
-				return // draining against a dead collector: give up
-			}
-			time.Sleep(backoff)
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
+			// replay the whole log. Dedupe by (table, index) makes the
+			// replay idempotent.
+			c.mu.Lock()
+			c.pushed = 0
+			c.mu.Unlock()
+			continue
+		case closed:
+			return // draining against a dead collector: give up
+		}
+		time.Sleep(backoff)
+		if backoff < 2*time.Second {
+			backoff *= 2
 		}
 	}
 }
@@ -287,16 +285,13 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	down := c.down
-	remaining := len(c.log) - c.pushed
 	c.mu.Unlock()
 	if down {
 		return nil
 	}
-	if remaining > 0 {
-		select {
-		case c.kick <- struct{}{}:
-		default:
-		}
+	select {
+	case c.kick <- struct{}{}:
+	default:
 	}
 	select {
 	case <-c.drained:

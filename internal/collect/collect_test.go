@@ -508,8 +508,8 @@ func TestHelloFingerprintMustMatch(t *testing.T) {
 
 // TestRefusedRecordIsNotALostSession: a record the collector's set
 // refuses is answered 400, not the 409 that means "session lost, say
-// hello and replay" — replaying it could only be refused again, every
-// 100 ms, until drainWait. The pusher backs off instead, and Close
+// hello and replay" — replaying it could only be refused again, on
+// every pass of the pusher, until drainWait. The pusher backs off instead, and Close
 // gives up at once with the error that sends the operator to `figures
 // -merge`.
 func TestRefusedRecordIsNotALostSession(t *testing.T) {
@@ -531,5 +531,53 @@ func TestRefusedRecordIsNotALostSession(t *testing.T) {
 	}
 	if took := time.Since(start); took > client.drainWait/2 {
 		t.Errorf("Close took %v: the pusher treated a refused record as a lost session and replayed until drainWait", took)
+	}
+}
+
+// TestCloseWakesThePusher: Close returns as soon as the pusher has seen
+// the log closed, not on a poll tick. Twenty shards whose logs the
+// collector has confirmed close one after another; a pusher that slept
+// out a 100 ms tick before it noticed would make that take about two
+// seconds.
+func TestCloseWakesThePusher(t *testing.T) {
+	const shards = 20
+	srv := NewServer(shards)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var took time.Duration
+	for i := 0; i < shards; i++ {
+		client := NewClient(ts.URL, experiments.Shard{Index: i, Count: shards}, "fp")
+		client.drainWait = 250 * time.Millisecond // a pusher that never wakes costs this, not 30 s
+		sink := client.Sink("t")
+		if err := errors.Join(sink.Begin(experiments.TableMeta{Name: "T", Header: []string{"v"}}),
+			sink.MetricRow(experiments.MetricRow{Index: i, Row: []string{"x"}, Metric: 1, HasMetric: true}),
+			sink.End()); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			client.mu.Lock()
+			confirmed := client.pushed == len(client.log)
+			client.mu.Unlock()
+			if confirmed {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d: the collector never confirmed its log", i)
+			}
+		}
+		start := time.Now()
+		if err := client.Close(); err != nil {
+			t.Fatal(err)
+		}
+		took += time.Since(start)
+	}
+	select {
+	case <-srv.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the collector never saw every shard done")
+	}
+	if took > shards*100*time.Millisecond/4 {
+		t.Errorf("%d Closes of confirmed logs took %v: Close waits for the pusher's poll tick", shards, took)
 	}
 }

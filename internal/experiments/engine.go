@@ -348,10 +348,13 @@ func (e Experiment) Stream(s Scale, sink RowSink) error {
 
 // Experiments returns the full suite in paper order: Table 1 and
 // Figures 2-12, then the ablations, the Section 6 extensions, the
-// scenario matrix, the adaptively refined axis sweeps and the cache
-// hierarchy. This registry is the one place a table is added: a key, a
-// file name and a spec (or, for a table that simulates nothing, a
-// function returning a staticPlan).
+// scenario matrix, the cache hierarchy and the adaptively refined axis
+// sweeps. Every fixed grid comes before the first adaptive table: a
+// refinement round is where the shards of a sharded run trade metrics,
+// so a shard that reaches it early should have no fixed rows left to
+// score while it waits for a peer's. This registry is the one place a
+// table is added: a key, a file name and a spec (or, for a table that
+// simulates nothing, a function returning a staticPlan).
 func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", "table1_workload.csv", nil, table1},
@@ -373,11 +376,11 @@ func Experiments() []Experiment {
 		{"ext-active-probing", "extension_active_probing.csv", &extensionActiveProbing, nil},
 		{"ext-baselines", "extension_baselines.csv", &extensionBaselines, nil},
 		{"scenarios", "scenario_matrix.csv", &scenarioMatrix, nil},
+		{"hierarchy", "hierarchy.csv", &hierarchy, nil},
 		{"refined-e", "refined_e_sweep.csv", &refinedESweep, nil},
 		{"refined-sigma", "refined_sigma_sweep.csv", &refinedSigmaSweep, nil},
 		{"refined-cache", "refined_cache_sweep.csv", &refinedCacheSweep, nil},
 		{"refined-esigma", "refined_esigma_sweep.csv", &refinedESigmaSweep, nil},
-		{"hierarchy", "hierarchy.csv", &hierarchy, nil},
 	}
 }
 

@@ -229,6 +229,29 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+// TestFixedGridsStreamBeforeExchanges pins the registry's order rule:
+// no simulated fixed grid follows an adaptive table. A refinement round
+// is where sharded runs trade metrics, so a shard that reaches the first
+// one ahead of its peer waits there; a fixed grid after it would be rows
+// the shard could have scored in that wait.
+func TestFixedGridsStreamBeforeExchanges(t *testing.T) {
+	adaptive := ""
+	for _, e := range Experiments() {
+		switch {
+		case e.spec == nil:
+		case e.spec.refineOn != "":
+			if adaptive == "" {
+				adaptive = e.Key
+			}
+		case adaptive != "":
+			t.Errorf("fixed grid %s streams after the adaptive table %s: a shard waiting on a metric exchange leaves it unscored", e.Key, adaptive)
+		}
+	}
+	if adaptive == "" {
+		t.Error("no adaptive table in the registry: the rule pins nothing")
+	}
+}
+
 // countingExchange fails the refinement-metric lookup and counts calls.
 type countingExchange struct{ calls atomic.Int64 }
 

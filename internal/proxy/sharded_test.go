@@ -523,24 +523,24 @@ func TestRelayCanceledWhenClientsVanish(t *testing.T) {
 
 // dyingBatchWriter is a client behind a vectored response writer. It
 // takes its first send, sits on it until ahead reports that the fetch
-// has run as far ahead as pacing lets it — so that the reader's next
-// batch spans several segments — and dies in the middle of that one:
-// a short count and an error.
+// has published past the end of the segment holding the reader's next
+// offset — so that the reader's next batch spans at least two segments
+// — and dies in the middle of that one: a short count and an error.
 type dyingBatchWriter struct {
 	nullResponseWriter
-	ahead  func() bool
+	ahead  func(off int64) bool
 	sends  int
 	chunks int // in the send it died in
 }
 
 func (w *dyingBatchWriter) WriteBuffers(bufs [][]byte) (int64, error) {
 	if w.sends++; w.sends == 1 {
-		for deadline := time.Now().Add(30 * time.Second); !w.ahead() && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
 		var n int64
 		for _, b := range bufs {
 			n += int64(len(b))
+		}
+		for deadline := time.Now().Add(30 * time.Second); !w.ahead(n) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
 		}
 		return n, nil
 	}
@@ -552,15 +552,28 @@ func (w *dyingBatchWriter) WriteBuffers(bufs [][]byte) (int64, error) {
 // a vectored write that comes back short with an error: still exactly
 // one client abort and one cancelled fetch, and every segment of the
 // batch it was writing is unpinned — what stays out of the pool is what
-// the store adopted.
+// the store adopted. The origin holds the fetch after its first 16 KB
+// until the client's first send, so that send ends inside the first
+// segment: with its reader there, pacing lets the fetch run half a ring
+// ahead, past the segment after it.
 func clientDiesMidBatch(t *testing.T) {
 	live0 := liveSegments()
-	px, _, _ := stalledStack(t, units.GBytes(1), 0, core.NewLRU)
+	px, _, release := stalledStack(t, units.GBytes(1), 16*units.KB, core.NewLRU)
 	sh := px.shardFor(1)
 	w := &dyingBatchWriter{nullResponseWriter: nullResponseWriter{h: make(http.Header)}}
-	w.ahead = func() bool {
-		rl := sh.inflightRelay(1)
-		return rl != nil && rl.buffered() >= ringBytes/2
+	w.ahead = func(off int64) (spans bool) {
+		release() // the first send is taken: let the fetch run on
+		if rl := sh.inflightRelay(1); rl != nil {
+			rl.state.Read(func(s *relayState) {
+				for _, seg := range s.ring[:s.n] {
+					if off < seg.end() {
+						spans = s.head > seg.end()
+						return
+					}
+				}
+			})
+		}
+		return spans
 	}
 	px.ServeHTTP(w, httptest.NewRequest("GET", "/objects/1", nil))
 	px.Quiesce()

@@ -494,6 +494,25 @@ row J2 internal/rowlog/set.go TestMergeJournalsRefusals ./internal/experiments \
     'Table.Complete drops the comparison with the ended row count: a shard journal cut before the last row of a table merges silently short' \
     'if n, ok := t.Ended(); ok && len(t.rows) != n {' 'if n, ok := t.Ended(); ok && len(t.rows) != n && n < 0 {'
 
+# --- idle shards: nothing waits on a tick or on rows it could have scored -----
+#
+# A shard's push log drains the moment the shard closes (the pusher
+# blocks only on an empty log, and Close always kicks it), and every
+# fixed grid streams before the first adaptive table, where the shards
+# trade metrics (DESIGN.md §4a "The push log drains on close", §5a
+# "Fixed grids stream before the first exchange").
+
+row I1 internal/collect/client.go TestCloseWakesThePusher ./internal/collect \
+    'Close kicks the pusher only while records are left: a shard whose log is already confirmed waits out its drain bound' \
+    $'\tc.closed = true\n\tdown := c.down\n' $'\tc.closed = true\n\tdown := c.down\n\tremaining := len(c.log) - c.pushed\n' \
+    $'\tselect {\n\tcase c.kick <- struct{}{}:\n\tdefault:\n\t}\n\tselect {\n\tcase <-c.drained:' \
+    $'\tif remaining > 0 {\n\t\tselect {\n\t\tcase c.kick <- struct{}{}:\n\t\tdefault:\n\t\t}\n\t}\n\tselect {\n\tcase <-c.drained:'
+row I2 internal/experiments/engine.go TestFixedGridsStreamBeforeExchanges ./internal/experiments \
+    'hierarchy back after refined-esigma: a shard that reaches refined-e first waits there with its hierarchy rows unscored' \
+    $'\t\t{"hierarchy", "hierarchy.csv", &hierarchy, nil},\n' '' \
+    $'\t\t{"refined-esigma", "refined_esigma_sweep.csv", &refinedESigmaSweep, nil},\n' \
+    $'\t\t{"refined-esigma", "refined_esigma_sweep.csv", &refinedESigmaSweep, nil},\n\t\t{"hierarchy", "hierarchy.csv", &hierarchy, nil},\n'
+
 # --- sampling: the Zipf guide table is exact ----------------------------------
 
 row Z1 internal/dist/dist.go TestZipfGuideMatchesFullSearch ./internal/dist \
