@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet lint mutate-check fma-check build test race bench bench-check fuzz-smoke figures figures-diff docs-check loc dead-check shard-check collector-check proxy-check load-check cluster-check clean
+.PHONY: all ci vet lint mutate-check fma-check build test race bench bench-check fuzz-smoke figures figures-diff docs-check loc dead-check shard-check collector-check paper-check proxy-check load-check cluster-check clean
 
 all: ci
 
@@ -84,6 +84,13 @@ figures:
 REF ?= HEAD~1
 figures-diff:
 	bash scripts/figures-diff.sh '$(REF)' '$(KEYS)' '$(SCALE)'
+
+## paper-check: every table's CSV digest and every answer at
+## PaperScale, the scale the reported tables are run at, against
+## internal/experiments/testdata/golden_paper.sha256 (TestPaperScale,
+## which tier-1's `go test ./...` skips; ~10 s on 2 vCPUs).
+paper-check:
+	PAPER=1 $(GO) test ./internal/experiments -run '^TestPaperScale$$' -count=1 -v
 
 ## docs-check: every relative Markdown link in the docs set resolves,
 ## and EXPERIMENTS.md's summary table lists exactly the registry's keys.

@@ -151,9 +151,12 @@ func streamDeclared(t *testing.T, s Scale, keys []string, path string, resume bo
 
 // TestArenaForgetsAnsweredInputs pins the arena's release rule on the
 // figure sets cmd/figures runs: the seven keys of the benchmark's sweep
-// workloads, then every table, each set in the registry order
-// cmd/figures streams a selection in, declared and streamed on one
-// arena. After each table the arena holds only the tapes and columns a
+// workloads, their five fixed grids alone, then every table, each set
+// in the registry order cmd/figures streams a selection in, declared
+// and streamed on one arena. The fixed grids are the set whose tapes
+// only pending members keep: in the other two, the refinement tables'
+// holds (Declare holds them ahead) keep the default workload's tapes to
+// the end whatever is pending. After each table the arena holds only the tapes and columns a
 // pending member or an adaptive table still to end reads — after
 // figure6 only the default workload's tapes (Runs of them), after the
 // last table none — and it has compiled each (workload, seed) tape and
@@ -170,6 +173,9 @@ func TestArenaForgetsAnsweredInputs(t *testing.T) {
 			{2, 4, 2, 4}, {2, 4, 8, 10}, {2, 4, 8, 10}, {2, 8, 8, 14},
 			{2, 8, 8, 14}, {2, 8, 8, 14}, {0, 0, 8, 16},
 		}, []string{"figure5", "figure6", "figure7", "figure9", "hierarchy", "refined-e", "refined-esigma"}},
+		{"bench fixed grids", []pin{
+			{2, 2, 2, 4}, {2, 2, 8, 10}, {2, 2, 8, 10}, {2, 0, 8, 10}, {0, 0, 8, 10},
+		}, []string{"figure5", "figure6", "figure7", "figure9", "hierarchy"}},
 		{"all", []pin{
 			{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, // static tables
 			{2, 8, 2, 8}, {2, 8, 8, 14}, {2, 8, 8, 14}, {2, 8, 8, 14}, // figure5-8

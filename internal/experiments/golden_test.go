@@ -14,11 +14,12 @@ import (
 	"streamcache/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden_small.sha256 and testdata/answers_small.txt from this build")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from this build")
 
 const (
-	goldenPath = "testdata/golden_small.sha256"
-	ledgerPath = "testdata/answers_small.txt"
+	goldenPath      = "testdata/golden_small.sha256"
+	ledgerPath      = "testdata/answers_small.txt"
+	paperGoldenPath = "testdata/golden_paper.sha256"
 )
 
 // TestGoldenTables pins every registered table's CSV bytes across
@@ -32,21 +33,94 @@ const (
 // TestGoldenTables -update`. Float formatting of the simulator's sums
 // is only pinned on the architecture the file was recorded on.
 func TestGoldenTables(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden digests were recorded on amd64; GOARCH=%s may fuse float operations differently", runtime.GOARCH)
+	tables, _ := goldens(t, SmallScale())
+	checkGolden(t, goldenPath, tables, "table bytes moved")
+}
+
+// TestAnswerLedger pins every simulated row's Metrics bit for bit: each
+// key streams at SmallScale through one arena, as in TestGoldenTables,
+// and every answer a row is formatted from is written in evaluation
+// order as exact hex floats and compared with
+// testdata/answers_small.txt. A CSV prints three or four digits, so a
+// change in the last bits of a sum passes TestGoldenTables; it fails
+// here. `-update` rewrites the file with the digests.
+func TestAnswerLedger(t *testing.T) {
+	_, answers := goldens(t, SmallScale())
+	checkGolden(t, ledgerPath, answers, "an answer moved")
+}
+
+// TestPaperScale is both goldens at PaperScale, the scale the reported
+// tables are run at: every table's digest and row count, then one line
+// with the digest and line count of the answer ledger, which is too
+// large to review as text. Paper scale reaches what small scale does
+// not (ten runs, five sigma levels, refinement points five to eight),
+// and the run takes tens of seconds, so it is skipped unless PAPER=1;
+// `make paper-check` sets it. `PAPER=1 go test ./internal/experiments
+// -run TestPaperScale -update` rewrites the file.
+func TestPaperScale(t *testing.T) {
+	if os.Getenv("PAPER") != "1" {
+		t.Skip("paper scale runs only with PAPER=1 (make paper-check)")
 	}
-	s := SmallScale()
+	tables, answers := goldens(t, PaperScale())
+	got := fmt.Sprintf("%sanswers %x %d\n", tables, sha256.Sum256([]byte(answers)), strings.Count(answers, "\n"))
+	checkGolden(t, paperGoldenPath, got, "a paper-scale table or answer moved")
+}
+
+// goldens streams every registered table at s through one arena and
+// returns the table digests (per table: key, sha256 of its CSV bytes,
+// row count) and the answer ledger (every simulated row's Metrics in
+// evaluation order, as exact hex floats under a header line).
+func goldens(t *testing.T, s Scale) (tables, answers string) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the goldens were recorded on amd64; GOARCH=%s may fuse float operations differently", runtime.GOARCH)
+	}
 	s.Arena = sim.NewArena()
-	var got strings.Builder
+	var digests, ledger strings.Builder
+	ledger.WriteString("# table n Requests TrafficReductionRatio AvgServiceDelay AvgStreamQuality TotalAddedValue HitRatio EvictedBytes EdgeByteFrac PeerByteFrac ParentByteFrac OriginByteFrac\n")
 	for _, e := range Experiments() {
-		var csv bytes.Buffer
-		var rows TableSink
-		if err := e.Stream(s, MultiSink{NewCSVSink(&csv), &rows}); err != nil {
+		p, err := e.build(s)
+		if err != nil {
 			t.Fatalf("%s: %v", e.Key, err)
 		}
-		fmt.Fprintf(&got, "%s %x %d\n", e.Key, sha256.Sum256(csv.Bytes()), len(rows.Table().Rows))
+		n := 0
+		record := func(pt planPoint) planPoint {
+			if pt.cfg == nil {
+				return pt
+			}
+			eval := pt.eval
+			pt.eval = func(m sim.Metrics) ([]string, float64) {
+				fmt.Fprintf(&ledger, "%s %d %d", e.Key, n, m.Requests)
+				for _, f := range []float64{m.TrafficReductionRatio, m.AvgServiceDelay, m.AvgStreamQuality, m.TotalAddedValue, m.HitRatio} {
+					ledger.WriteString(" " + strconv.FormatFloat(f, 'x', -1, 64))
+				}
+				fmt.Fprintf(&ledger, " %d", m.EvictedBytes)
+				for _, f := range []float64{m.EdgeByteFrac, m.PeerByteFrac, m.ParentByteFrac, m.OriginByteFrac} {
+					ledger.WriteString(" " + strconv.FormatFloat(f, 'x', -1, 64))
+				}
+				ledger.WriteString("\n")
+				n++
+				return eval(m)
+			}
+			return pt
+		}
+		for i := range p.coarse {
+			p.coarse[i] = record(p.coarse[i])
+		}
+		if at := p.at; at != nil {
+			p.at = func(coords []float64) (planPoint, error) {
+				pt, err := at(coords)
+				return record(pt), err
+			}
+		}
+		var csv bytes.Buffer
+		var rows TableSink
+		if err := stream(s, p, MultiSink{NewCSVSink(&csv), &rows}); err != nil {
+			t.Fatalf("%s: %v", e.Key, err)
+		}
+		fmt.Fprintf(&digests, "%s %x %d\n", e.Key, sha256.Sum256(csv.Bytes()), len(rows.Table().Rows))
 	}
-	checkGolden(t, goldenPath, got.String(), "table bytes moved")
+	return digests.String(), ledger.String()
 }
 
 // checkGolden compares got with the golden file at path line by line,
@@ -76,63 +150,6 @@ func checkGolden(t *testing.T, path, got, moved string) {
 			reported++
 		}
 	}
-}
-
-// TestAnswerLedger pins every simulated row's Metrics bit for bit: each
-// key streams at SmallScale through one arena, as in TestGoldenTables,
-// and every answer a row is formatted from is written in evaluation
-// order as exact hex floats and compared with
-// testdata/answers_small.txt. A CSV prints three or four digits, so a
-// change in the last bits of a sum passes TestGoldenTables; it fails
-// here. `-update` rewrites the file with the digests.
-func TestAnswerLedger(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("the ledger was recorded on amd64; GOARCH=%s may fuse float operations differently", runtime.GOARCH)
-	}
-	s := SmallScale()
-	s.Arena = sim.NewArena()
-	var got strings.Builder
-	got.WriteString("# table n Requests TrafficReductionRatio AvgServiceDelay AvgStreamQuality TotalAddedValue HitRatio EvictedBytes EdgeByteFrac PeerByteFrac ParentByteFrac OriginByteFrac\n")
-	for _, e := range Experiments() {
-		p, err := e.build(s)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Key, err)
-		}
-		n := 0
-		record := func(pt planPoint) planPoint {
-			if pt.cfg == nil {
-				return pt
-			}
-			eval := pt.eval
-			pt.eval = func(m sim.Metrics) ([]string, float64) {
-				fmt.Fprintf(&got, "%s %d %d", e.Key, n, m.Requests)
-				for _, f := range []float64{m.TrafficReductionRatio, m.AvgServiceDelay, m.AvgStreamQuality, m.TotalAddedValue, m.HitRatio} {
-					got.WriteString(" " + strconv.FormatFloat(f, 'x', -1, 64))
-				}
-				fmt.Fprintf(&got, " %d", m.EvictedBytes)
-				for _, f := range []float64{m.EdgeByteFrac, m.PeerByteFrac, m.ParentByteFrac, m.OriginByteFrac} {
-					got.WriteString(" " + strconv.FormatFloat(f, 'x', -1, 64))
-				}
-				got.WriteString("\n")
-				n++
-				return eval(m)
-			}
-			return pt
-		}
-		for i := range p.coarse {
-			p.coarse[i] = record(p.coarse[i])
-		}
-		if at := p.at; at != nil {
-			p.at = func(coords []float64) (planPoint, error) {
-				pt, err := at(coords)
-				return record(pt), err
-			}
-		}
-		if err := stream(s, p, &TableSink{}); err != nil {
-			t.Fatalf("%s: %v", e.Key, err)
-		}
-	}
-	checkGolden(t, ledgerPath, got.String(), "an answer moved")
 }
 
 // TestExperimentsDocListsEveryKey keeps EXPERIMENTS.md's summary table

@@ -399,21 +399,7 @@ func (s *passScratch) pass(cfg Config, rp *tape, r ranking, members []Member, co
 	var total float64 // watched bytes of the measured requests
 	for i := warm; i < n; i++ {
 		o := rp.obj[i]
-		t, prev, before := s.target[o], int32(-1), live
-		var above, aboveAfter int64 // targets ranked above o's key, before and after
-		if t > 0 {
-			r := slot[i]
-			if prev = s.last[o]; prev >= 0 {
-				above = live - tree.sum(prev)
-				tree.add(prev, -t)
-			} else {
-				live += t
-			}
-			tree.add(r, t)
-			s.last[o] = r
-			aboveAfter = live - tree.sum(r)
-		}
-		obj := rp.objs[o]
+		obj, t := rp.objs[o], s.target[o]
 		watched := rp.watchedAt(i, obj.Size)
 		total += float64(watched)
 		var (
@@ -422,18 +408,46 @@ func (s *passScratch) pass(cfg Config, rp *tape, r ranking, members []Member, co
 			scored         = int64(-1) // the hit bytes and bandwidth delay, quality and servable are for
 			scoredBW       float64
 		)
+		if t == 0 {
+			// An object the group does not cache is in no tree: every
+			// member misses it, grants it nothing and evicts nothing for
+			// it (the fill stays at live), so only the bandwidth terms at
+			// hit 0 are left to add; cached gains +0.
+			for k := range members {
+				if bw := cols[k].at(i, o); scored != 0 || bw != scoredBW {
+					delay, quality, servable = core.StartupDelay(obj, 0, bw), core.StreamQuality(obj, 0, bw), core.ImmediatelyServable(obj, 0, bw)
+					scored, scoredBW = 0, bw
+				}
+				a := &acc[k]
+				a.delay += delay
+				a.quality += quality
+				if servable {
+					a.value += obj.Value
+				}
+			}
+			continue
+		}
+		at, prev, before := slot[i], s.last[o], live
+		var above int64 // targets ranked above o's key before the access
+		if prev >= 0 {
+			above = live - tree.sum(prev)
+			tree.add(prev, -t)
+		} else {
+			live += t
+		}
+		tree.add(at, t)
+		s.last[o] = at
+		aboveAfter := live - tree.sum(at)
 		// Members at one capacity each work out its hit bytes: a loop
 		// over the distinct capacities with their members inside measured
 		// 8 % slower on BenchmarkCapacityAxis's PB pass.
 		for k := range members {
 			cb := members[k].CacheBytes
-			var hit, held int64
-			if t > 0 {
-				if prev >= 0 {
-					hit = min(max(cb-above, 0), t)
-				}
-				held = min(max(cb-aboveAfter, 0), t)
+			var hit int64
+			if prev >= 0 {
+				hit = min(max(cb-above, 0), t)
 			}
+			held := min(max(cb-aboveAfter, 0), t)
 			if bw := cols[k].at(i, o); hit != scored || bw != scoredBW {
 				delay, quality, servable = core.StartupDelay(obj, hit, bw), core.StreamQuality(obj, hit, bw), core.ImmediatelyServable(obj, hit, bw)
 				scored, scoredBW = hit, bw

@@ -45,8 +45,8 @@ func atCapacities(caps []int64, v bandwidth.Variability) []Member {
 
 // checkGroup scores one run of rp for members, member k reading
 // bandwidth column cols[k], requires every Metrics field to equal a
-// lone one-column replay's (a core.Cache's: what Run does) for each
-// member, and reports whether the pass scored it.
+// lone one-column replay's (loneReplay) for each member, and reports
+// whether the pass scored it.
 func checkGroup(t *testing.T, cfg Config, rp *tape, members []Member, cols []column) (onePass bool) {
 	t.Helper()
 	g, err := newGroup(cfg, members)
@@ -63,15 +63,37 @@ func checkGroup(t *testing.T, cfg Config, rp *tape, members []Member, cols []col
 	}
 	onePass = passed[0]
 	for k, m := range g.members {
-		var want [1]Metrics
-		if err := replayColumns(cfg, rp, m.CacheBytes, sorted[k:k+1], want[:]); err != nil {
-			t.Fatal(err)
-		}
-		if out[k] != want[0] {
-			t.Errorf("%s, member %d of %d (capacity %d, %T, one pass %v):\n got %+v\nwant %+v", cfg.Policy.Name(), g.order[k], len(members), m.CacheBytes, m.Variation, onePass, out[k], want[0])
+		if want := loneReplay(t, cfg, rp, m.CacheBytes, sorted[k]); out[k] != want {
+			t.Errorf("%s, member %d of %d (capacity %d, %T, one pass %v):\n got %+v\nwant %+v", cfg.Policy.Name(), g.order[k], len(members), m.CacheBytes, m.Variation, onePass, out[k], want)
 		}
 	}
 	return onePass
+}
+
+// loneReplay is the Metrics of one run of rp through a core.Cache of
+// the given capacity, scored from col: what Run does. Under the oracle
+// it must equal the same replay under perRequestMeans, the oracle's
+// prices as a per-request column, which sends every request through the
+// cache: replayColumns and the pass both skip the requests whose
+// per-object target is 0, so that replay is the reference neither
+// skip can reach.
+func loneReplay(t *testing.T, cfg Config, rp *tape, capacity int64, col column) Metrics {
+	t.Helper()
+	var want, every [1]Metrics
+	if err := replayColumns(cfg, rp, capacity, []column{col}, want[:]); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Estimator == nil {
+		perRequest := cfg
+		perRequest.Estimator = perRequestMeans{}
+		if err := replayColumns(perRequest, rp, capacity, []column{col}, every[:]); err != nil {
+			t.Fatal(err)
+		}
+		if every[0] != want[0] {
+			t.Errorf("%s at capacity %d: oracle replay %+v != every request through the cache %+v", cfg.Policy.Name(), capacity, want[0], every[0])
+		}
+	}
+	return want[0]
 }
 
 // checkFamily scores one group per policy over rp as one family — each
@@ -101,12 +123,8 @@ func checkFamily(t *testing.T, cfg Config, rp *tape, policies []core.Policy, mem
 	}
 	for j, c := range cfgs {
 		for k, m := range g.members {
-			var want [1]Metrics
-			if err := replayColumns(c, rp, m.CacheBytes, sorted[k:k+1], want[:]); err != nil {
-				t.Fatal(err)
-			}
-			if got := out[j*len(members)+k]; got != want[0] {
-				t.Errorf("%s in a family of %d, member %d (capacity %d, one pass %v):\n got %+v\nwant %+v", c.Policy.Name(), len(policies), g.order[k], m.CacheBytes, onePass[j], got, want[0])
+			if got, want := out[j*len(members)+k], loneReplay(t, c, rp, m.CacheBytes, sorted[k]); got != want {
+				t.Errorf("%s in a family of %d, member %d (capacity %d, one pass %v):\n got %+v\nwant %+v", c.Policy.Name(), len(policies), g.order[k], m.CacheBytes, onePass[j], got, want)
 			}
 		}
 	}

@@ -198,30 +198,37 @@ func hierarchyRunOnce(cfg HierarchyConfig, seed int64) (Metrics, error) {
 		edgeB, peerB, parentB, originB, totB int64
 	)
 	for i, o := range rp.obj {
-		obj, target, est := rp.objs[o], targets[o], rp.means[o]
-		now, watched := rp.time[i], rp.watchedAt(i, obj.Size)
-		e := i % cfg.Edges
-		owner := e
-		if owners != nil {
-			owner = int(owners[o])
-		}
+		obj, target := rp.objs[o], targets[o]
+		watched := rp.watchedAt(i, obj.Size)
+		// An object whose target is 0 is cached by no tier, so its bytes
+		// come from the origin and its request skips every hop: as in
+		// replayColumns, the accesses it skips would move only its own
+		// freq and last, which nothing reads while its one oracle target
+		// is 0.
+		var reqEdge, reqPeer, reqParent, off int64
+		if target > 0 {
+			est, now, e := rp.means[o], rp.time[i], i%cfg.Edges
+			owner := e
+			if owners != nil {
+				owner = int(owners[o])
+			}
 
-		// Edge hop. Local clients always resume from byte 0, so the
-		// edge's granted prefix growth always materializes.
-		hit, _, _, _, _ := edges[e].AccessWithTarget(obj, target, est, now)
-		reqEdge := min(hit, watched)
-		off := reqEdge
+			// Edge hop. Local clients always resume from byte 0, so the
+			// edge's granted prefix growth always materializes.
+			hit, _, _, _, _ := edges[e].AccessWithTarget(obj, target, est, now)
+			reqEdge = min(hit, watched)
+			off = reqEdge
 
-		// Owner hop.
-		var reqPeer, reqParent int64
-		if off < watched && owner != e {
-			reqPeer = tierServe(edges[owner], obj, target, est, now, off, watched)
-			off += reqPeer
-		}
-		// Parent hop.
-		if off < watched && cfg.Levels == 2 {
-			reqParent = tierServe(parent, obj, target, est, now, off, watched)
-			off += reqParent
+			// Owner hop.
+			if off < watched && owner != e {
+				reqPeer = tierServe(edges[owner], obj, target, est, now, off, watched)
+				off += reqPeer
+			}
+			// Parent hop.
+			if off < watched && cfg.Levels == 2 {
+				reqParent = tierServe(parent, obj, target, est, now, off, watched)
+				off += reqParent
+			}
 		}
 
 		if i < warm {

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"testing"
 
+	"streamcache/internal/cluster"
 	"streamcache/internal/core"
 )
 
@@ -137,6 +139,205 @@ func (perRequestMeans) prices(dst []float64, rp *tape, _ column) (column, error)
 		dst[i] = rp.means[o]
 	}
 	return column{inst: dst, perRequest: true}, nil
+}
+
+// TestHierarchySkipMatchesEveryAccess holds hierarchyRunOnce, which
+// skips every hop for a request whose object's oracle target is 0, to
+// everyAccessRunOnce, which sends every request through every tier it
+// reaches: the four cluster shapes of the hierarchy table, at capacities
+// from a sliver to more than the catalog, on tapes from several
+// workload seeds, with and without partial viewing. Each tape holds
+// objects whose path outruns their rate (PB's target 0) and objects PB
+// caches, or the skip would go untested.
+func TestHierarchySkipMatchesEveryAccess(t *testing.T) {
+	for _, partial := range []float64{0, 0.4} {
+		for _, seed := range []int64{3, 11, 29} {
+			base := hierarchyBase()
+			base.Workload.PartialViewProb = partial
+			base.Seed, base.Arena = seed, NewArena()
+			runSeed := SplitSeed(seed, 0)
+			rp, err := base.Arena.tapeOf(base.Config, runSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zero, positive := 0, 0
+			for o, obj := range rp.objs {
+				if base.Policy.Target(obj, rp.means[o]) > 0 {
+					positive++
+				} else {
+					zero++
+				}
+			}
+			if zero == 0 || positive == 0 {
+				t.Fatalf("seed %d: %d objects with target 0 and %d with a positive one, want both", seed, zero, positive)
+			}
+			for _, top := range hierarchyTopologies[1:] {
+				for _, pct := range []float64{0.5, 2, 10, 200} {
+					cfg := base
+					cfg.CacheBytes = cachePct(pct)
+					cfg.Levels, cfg.Edges, cfg.Peering, cfg.ParentFraction = top.levels, top.edges, top.peering, top.parentFrac
+					if cfg, err = cfg.normalize(); err != nil {
+						t.Fatal(err)
+					}
+					got, err := hierarchyRunOnce(cfg, runSeed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := everyAccessRunOnce(t, cfg, runSeed); got != want {
+						t.Errorf("%s partial=%v seed=%d cache=%v%%: skipping %+v != every access %+v", top.name, partial, seed, pct, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// everyAccessRunOnce is hierarchyRunOnce without the zero-target skip:
+// every request goes through its edge and then, as far as its bytes
+// reach, its owner and the parent, each tier pricing it at its path
+// mean through the policy's own Target.
+func everyAccessRunOnce(t *testing.T, cfg HierarchyConfig, seed int64) Metrics {
+	t.Helper()
+	rp, err := cfg.Arena.tapeOf(cfg.Config, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newCache := func(capacity int64) *core.Cache {
+		c, err := core.New(capacity, cfg.Policy, cfg.cacheOptions(len(rp.objs))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	var parent *core.Cache
+	var parentBytes int64
+	if cfg.Levels == 2 {
+		parentBytes = int64(cfg.ParentFraction * float64(cfg.CacheBytes))
+		parent = newCache(parentBytes)
+	}
+	var edges []*core.Cache
+	for _, capacity := range core.SplitCapacity(cfg.CacheBytes-parentBytes, cfg.Edges) {
+		edges = append(edges, newCache(capacity))
+	}
+	ring, err := cluster.NewRing(cfg.Edges, cluster.DefaultVirtualNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Metrics
+	var edgeB, peerB, parentB, originB, totB int64
+	for i, o := range rp.obj {
+		obj, est, now := rp.objs[o], rp.means[o], rp.time[i]
+		target, watched := cfg.Policy.Target(obj, est), rp.watchedAt(i, obj.Size)
+		e, owner := i%cfg.Edges, i%cfg.Edges
+		if cfg.Peering == PeeringOwner {
+			owner = ring.Owner(obj.ID)
+		}
+		hit, _, _, _, _ := edges[e].AccessWithTarget(obj, target, est, now)
+		reqEdge := min(hit, watched)
+		off := reqEdge
+		var reqPeer, reqParent int64
+		if off < watched && owner != e {
+			reqPeer = tierServe(edges[owner], obj, target, est, now, off, watched)
+			off += reqPeer
+		}
+		if off < watched && parent != nil {
+			reqParent = tierServe(parent, obj, target, est, now, off, watched)
+			off += reqParent
+		}
+		if i < warmup(len(rp.obj)) {
+			continue
+		}
+		m.Requests++
+		edgeB, peerB, parentB = edgeB+reqEdge, peerB+reqPeer, parentB+reqParent
+		originB, totB = originB+watched-off, totB+watched
+	}
+	if totB > 0 {
+		t := float64(totB)
+		m.TrafficReductionRatio = float64(totB-originB) / t
+		m.EdgeByteFrac, m.PeerByteFrac = float64(edgeB)/t, float64(peerB)/t
+		m.ParentByteFrac, m.OriginByteFrac = float64(parentB)/t, float64(originB)/t
+	}
+	return m
+}
+
+// utilityCounter is a policy that counts, per object ID, the accesses
+// that reach its Utility: one per request a cache handles.
+type utilityCounter struct {
+	core.Policy
+	seen map[int]int
+}
+
+func (p *utilityCounter) Utility(st core.AccessStats, obj core.Object, bw float64) float64 {
+	p.seen[obj.ID]++
+	return p.Policy.Utility(st, obj, bw)
+}
+
+// TestZeroTargetSkipsTheCache: under the oracle no object whose target
+// is 0 reaches a cache's Utility in either request loop, while every
+// request of an object PB caches does; under a per-request price
+// column every request reaches it, target 0 or not, because a later
+// request of the same object may be priced into the cache and its
+// utility reads the frequency the earlier ones counted.
+func TestZeroTargetSkipsTheCache(t *testing.T) {
+	count := &utilityCounter{Policy: core.NewPB(), seen: map[int]int{}}
+	base := hierarchyBase()
+	base.Policy = count
+	cfg, err := base.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := SplitSeed(cfg.Seed, 0)
+	rp, err := cfg.Arena.tapeOf(cfg.Config, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests, skipped := map[int]int{}, 0
+	for _, o := range rp.obj {
+		requests[int(o)]++
+		if count.Policy.Target(rp.objs[o], rp.means[o]) <= 0 {
+			skipped++
+		}
+	}
+	if skipped == 0 || skipped == len(rp.obj) {
+		t.Fatalf("%d of %d requests ask for an object with target 0, want some and not all", skipped, len(rp.obj))
+	}
+	// check holds each object's count after one loop to its requests, or
+	// to none where the loop skips it; a cluster's miss may reach an
+	// owner and a parent too, so there a count may be larger.
+	check := func(loop string, skips, oneTier bool) {
+		t.Helper()
+		for o, obj := range rp.objs {
+			target := count.Policy.Target(obj, rp.means[o])
+			want, got := requests[o], count.seen[o]
+			if skips && target <= 0 {
+				want = 0
+			}
+			if got != want && (oneTier || want == 0 || got < want) {
+				t.Errorf("%s: object %d (target %d, %d requests) reached Utility %d times, want %d", loop, o, target, requests[o], got, want)
+			}
+		}
+		clear(count.seen)
+	}
+	col := []column{{inst: rp.means}}
+	for _, estimator := range []Estimator{nil, perRequestMeans{}} {
+		one := cfg.Config
+		one.Estimator = estimator
+		if err := replayColumns(one, rp, cfg.CacheBytes, col, make([]Metrics, 1)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("replayColumns, estimator %T", estimator), estimator == nil, true)
+	}
+	for _, top := range hierarchyTopologies[1:] {
+		h := cfg
+		h.Levels, h.Edges, h.Peering, h.ParentFraction = top.levels, top.edges, top.peering, top.parentFrac
+		if h, err = h.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hierarchyRunOnce(h, seed); err != nil {
+			t.Fatal(err)
+		}
+		check("hierarchyRunOnce "+top.name, true, false)
+	}
 }
 
 // TestOneNodeIsFlat: a one-edge, one-level point, whatever its

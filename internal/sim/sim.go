@@ -484,6 +484,18 @@ func (t memberTotals) metrics(requests int, watched float64) Metrics {
 // written out in the loop, because a method is not inlined and measured
 // slower.
 //
+// A request whose target is 0 under a per-object price column (the
+// oracle's, an underestimate's) skips the cache: it finds no bytes and
+// evicts none. Such an access to an object the cache does not hold
+// changes only that object's freq and last; the heap reads last of
+// cached entries only, and freq and last reach no one but the object's
+// own later Utility, which matters only when the object is admitted or
+// refreshed. Under a per-object column every target of the object is
+// that one 0, so it never is, and the skip is exact (the cache never
+// holds it, so the access it skips finds it absent). A per-request
+// column (EWMA, probing) never skips: a later request of the object may
+// be priced at a positive target, and its utility reads freq.
+//
 // It is the 1-edge, 1-level case of hierarchyRunOnce, and the one loop
 // that scores it: HierarchyConfig.withDefaults folds a one-edge,
 // one-level point into its flat Config, so hierarchyRunOnce runs only
@@ -521,7 +533,10 @@ func replayColumns(cfg Config, rp *tape, capacity int64, cols []column, out []Me
 		if price.perRequest {
 			j = i
 		}
-		hit, _, _, evicted, _ := cache.AccessWithTarget(obj, targets[j], price.inst[j], rp.time[i])
+		var hit, evicted int64
+		if targets[j] > 0 || price.perRequest {
+			hit, _, _, evicted, _ = cache.AccessWithTarget(obj, targets[j], price.inst[j], rp.time[i])
+		}
 		if i < warm {
 			continue
 		}

@@ -9,8 +9,9 @@
 #   FILE     the one file the fault edits; each ANCHOR (literal text, its
 #            first occurrence) becomes its REPLACEMENT
 #   FAILS    the tests that must fail by name, or `-`
-#   GUARD    arguments of the `go test -count=1` that runs them; with
-#            FAILS `-` the whole of it must pass
+#   GUARD    arguments of the `go test -count=1` that runs them, led
+#            by any VAR=value settings of its environment; with FAILS
+#            `-` the whole of it must pass
 #   WHY      what the fault is; a row that nothing catches must start it
 #            with `BENIGN:` (not a fault: the row pins that every guard
 #            stays green) or `KNOWN-GAP:` (a fault no guard sees yet)
@@ -72,11 +73,16 @@ row() {
         return 0
     fi
 
-    local -a args=(-count=1)
+    local -a args=(-count=1) env=() words
     [[ $fails == - ]] || args+=(-run "^(${fails// /|})\$")
     # shellcheck disable=SC2206 # the guard is a list of go test arguments
-    args+=($guard)
-    if out=$(cd "$copy" && go test "${args[@]}" 2>&1); then
+    words=($guard)
+    while ((${#words[@]})) && [[ ${words[0]} =~ ^[A-Z_]+= ]]; do
+        env+=("${words[0]}")
+        words=("${words[@]:1}")
+    done
+    args+=("${words[@]}")
+    if out=$(cd "$copy" && env "${env[@]}" go test "${args[@]}" 2>&1); then
         [[ $fails == - ]] || fail "$id" "go test ${args[*]} passed; $fails must fail"
     elif [[ $fails == - ]]; then
         fail "$id" "go test ${args[*]} must pass:"$'\n'"$(grep -v '^ok ' <<<"$out" | head -40)"
@@ -157,11 +163,11 @@ row H9 internal/proxy/proxy.go 'TestPumpSteadyStateAllocFree TestServeMissAllocs
 row H10 internal/sim/sim.go TestRunOnceSteadyStateAllocs ./internal/sim \
     'fmt.Sprint per request in sim.replayColumns, the request loop of Run' \
     'func replayColumns(' "$sink"'func replayColumns(' \
-    $'\t\thit, _, _, evicted, _ := cache.AccessWithTarget(' $'\t\tmutStr = fmt.Sprint(i, o)\n\t\thit, _, _, evicted, _ := cache.AccessWithTarget('
+    $'\t\tvar hit, evicted int64\n' $'\t\tmutStr = fmt.Sprint(i, o)\n\t\tvar hit, evicted int64\n'
 row H15 internal/sim/hierarchy.go TestRunOnceSteadyStateAllocs ./internal/sim \
     'fmt.Sprint per request in sim.hierarchyRunOnce, the request loop of RunHierarchy' \
     'func hierarchyRunOnce(' "$sink"'func hierarchyRunOnce(' \
-    $'\t\treqEdge := min(' $'\t\tmutStr = fmt.Sprint(i, o)\n\t\treqEdge := min('
+    $'\t\tvar reqEdge, reqPeer, reqParent, off int64\n' $'\t\tmutStr = fmt.Sprint(i, o)\n\t\tvar reqEdge, reqPeer, reqParent, off int64\n'
 
 # --- segment references: poison-on-recycle, the refill count, the bound -------
 #
@@ -223,6 +229,13 @@ row D9 internal/sim/sim.go TestAnswerLedger ./internal/experiments \
     'a flat run'"'"'s traffic reduction is 1 - (watched - cached)/watched, not cached/watched: off by an ulp in some answers, which no CSV digit shows (TestGoldenTables passes it)' \
     'm.TrafficReductionRatio = t.cached / watched' 'm.TrafficReductionRatio = 1 - (watched-t.cached)/watched'
 
+row D10 internal/experiments/engine.go TestPaperScale 'PAPER=1 ./internal/experiments' \
+    'a refinement round places the fifth refined point of every adaptive table a tenth closer to the axis origin than its refiner picked' \
+    $'\t\t\tif pts[i], err = p.at(coords); err != nil {' $'\t\t\tif next+i == len(p.coarse)+4 {\n\t\t\t\tcoords = append([]float64{coords[0] * 0.9}, coords[1:]...)\n\t\t\t}\n\t\t\tif pts[i], err = p.at(coords); err != nil {'
+row D10b internal/experiments/engine.go - '-run ^(TestGoldenTables|TestAnswerLedger)$ ./internal/experiments' \
+    'KNOWN-GAP: row D10'"'"'s fifth refined point at small scale, whose refinement budget is 4: only TestPaperScale (make paper-check) sees it' \
+    $'\t\t\tif pts[i], err = p.at(coords); err != nil {' $'\t\t\tif next+i == len(p.coarse)+4 {\n\t\t\t\tcoords = append([]float64{coords[0] * 0.9}, coords[1:]...)\n\t\t\t}\n\t\t\tif pts[i], err = p.at(coords); err != nil {'
+
 # --- open-loop flags: a NaN fails every range check ---------------------------
 #
 # A range check written x <= 0 lets NaN through; loadgen's checks are
@@ -276,6 +289,25 @@ row K13 internal/sim/capacity.go 'TestCapacityPassMatchesRunOnce TestAnswerLedge
 row K14 internal/sim/capacity.go 'FuzzCapacityPass TestCapacityPassMatchesRunOnce' ./internal/sim \
     'held records each object'"'"'s first warm-up key, not its last: the tree the measured requests start from ranks an object by a utility it has outgrown' \
     'if i < warm {' 'if i < warm && s.held[o] < 0 {'
+
+# --- the zero-target skip: an object its policy never caches costs no cache work
+#
+# Under a per-object price column (the oracle's, an underestimate's) a
+# request whose target is 0 skips the cache in replayColumns, every tier
+# in hierarchyRunOnce and the tree in the capacity pass (DESIGN.md §5a
+# "Targets from `sim`"). The skip moves no answer, so a fault that skips
+# too little is work a counting policy sees, and one that skips too much
+# or drops a term moves an answer.
+
+row Q1 internal/sim/sim.go 'TestZeroTargetSkipsTheCache TestGoldenTables TestAnswerLedger' './internal/sim ./internal/experiments' \
+    'replayColumns skips a zero-target request under a per-request price too: an EWMA-priced object loses the frequency a later positive target ranks it by' \
+    'if targets[j] > 0 || price.perRequest {' 'if targets[j] > 0 {'
+row Q2 internal/sim/hierarchy.go TestZeroTargetSkipsTheCache ./internal/sim \
+    'the hierarchy sends zero-target requests through every tier again: no answer moves (TestHierarchySkipMatchesEveryAccess passes it), the cache work comes back' \
+    'if target > 0 {' 'if target >= 0 {'
+row Q3 internal/sim/capacity.go 'TestCapacityPassMatchesRunOnce FuzzCapacityPass' ./internal/sim \
+    'the pass'"'"'s zero-target branch adds no value: a member misses an object it does not cache, but a fast path still serves it at once' \
+    $'\t\t\t\tif servable {\n\t\t\t\t\ta.value += obj.Value\n\t\t\t\t}\n\t\t\t}\n\t\t\tcontinue' $'\t\t\t\t_ = servable\n\t\t\t}\n\t\t\tcontinue'
 
 # --- the cache's specification: core.Cache against a map-based model -----------
 #
@@ -365,7 +397,7 @@ row E2 internal/sim/sim.go 'TestGoldenTables TestEstimateColumns' './internal/si
     $'\t\t\tph.loss = loss\n\t\t}\n' $'\t\t\tph.loss = loss\n\t\t\tph.rng.NormFloat64()\n\t\t\tph.rng.NormFloat64()\n\t\t}\n'
 row E3 internal/sim/sim.go TestUnderestimateIsOracleOverScaledMeans ./internal/sim \
     'Underestimate prices the utility at the unscaled mean (its target stays at E times the mean)' \
-    $'\t\thit, _, _, evicted, _ := cache.AccessWithTarget(obj, targets[j], price.inst[j], rp.time[i])' $'\t\tbw := price.inst[j]\n\t\tif _, ok := cfg.Estimator.(Underestimate); ok {\n\t\t\tbw = rp.means[o]\n\t\t}\n\t\thit, _, _, evicted, _ := cache.AccessWithTarget(obj, targets[j], bw, rp.time[i])'
+    $'\t\t\thit, _, _, evicted, _ = cache.AccessWithTarget(obj, targets[j], price.inst[j], rp.time[i])' $'\t\t\tbw := price.inst[j]\n\t\t\tif _, ok := cfg.Estimator.(Underestimate); ok {\n\t\t\t\tbw = rp.means[o]\n\t\t\t}\n\t\t\thit, _, _, evicted, _ = cache.AccessWithTarget(obj, targets[j], bw, rp.time[i])'
 row E4 internal/proxy/proxy.go TestProxyShardedEndToEnd ./internal/proxy \
     'the live /stats estimate averages every shard, the zero estimates of shards that never measured the path included' \
     'if e := st.est[i].Estimate(); e > 0 {' 'if e := st.est[i].Estimate(); e >= 0 {'
